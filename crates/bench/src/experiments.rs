@@ -8,9 +8,13 @@ use std::time::{Duration, Instant};
 use sqo_baseline::{ApplicationOrder, StraightforwardOptimizer};
 use sqo_constraints::{AssignmentPolicy, ConstraintStore, StoreOptions};
 use sqo_core::{OptimizerConfig, OptimizerScratch, SemanticOptimizer, StructuralOracle};
-use sqo_exec::{execute, plan_query, CostBasedOracle, CostModel};
+use sqo_exec::{
+    execute, execute_with, plan_query, plan_query_shared, CostBasedOracle, CostModel, ExecScratch,
+    ResultSet,
+};
 use sqo_query::Query;
 use sqo_service::{QueryService, ServiceConfig};
+use sqo_storage::Database;
 use sqo_workload::{
     bench_schema::bench_catalog, generate_constraints, generate_database, paper_query_set,
     paper_scenario, service_workload, ConstraintGenConfig, DbSize, PaperScenario, QueryGenConfig,
@@ -569,8 +573,8 @@ pub fn closure_ablation(seed: u64) -> (Vec<Headline>, String) {
 pub struct E9Row {
     pub threads: usize,
     pub requests: usize,
-    /// Requests/s with the cache bypassed (every request re-optimizes,
-    /// re-plans and re-executes).
+    /// Requests/s of the uncached library pipeline (every request
+    /// re-optimizes, re-plans and re-executes).
     pub cold_qps: f64,
     /// Requests/s with a pre-warmed sharded plan/result cache.
     pub warm_qps: f64,
@@ -583,9 +587,10 @@ pub struct E9Row {
 /// E9: closed-loop throughput of [`QueryService`] on a Zipf-skewed
 /// repeated-query stream (shuffled spellings), cold path vs. warm cache.
 ///
-/// The cold service runs the full ICDE'91 pipeline per request; the warm
-/// service answers from the `(fingerprint, epoch)`-keyed cache. Result
-/// equality between the two paths is asserted per request at one thread.
+/// The cold column runs the full ICDE'91 library pipeline per request
+/// (`cold_pipeline`, no service); the warm service answers from the
+/// `(fingerprint, epoch)`-keyed cache. Result equality between the two
+/// paths is asserted per request at one thread.
 pub fn service_throughput(seed: u64, smoke: bool) -> (Vec<E9Row>, String) {
     let scenario = paper_scenario(DbSize::Db1, seed);
     let store = Arc::new(scenario.store);
@@ -601,13 +606,8 @@ pub fn service_throughput(seed: u64, smoke: bool) -> (Vec<E9Row>, String) {
     let mut rows = Vec::new();
     let mut cold_fingerprints: Vec<u64> = Vec::new();
     for threads in [1usize, 2, 4, 8] {
-        let cold = QueryService::with_config(
-            Arc::clone(&store),
-            Arc::clone(&db),
-            ServiceConfig { bypass_cache: true, ..Default::default() },
-        );
         let t0 = Instant::now();
-        let cold_responses = cold.run_batch(&workload.requests, threads);
+        let cold_results = cold_pipeline(&store, &db, &workload.requests, threads);
         let cold_secs = t0.elapsed().as_secs_f64().max(1e-9);
 
         let warm = QueryService::new(Arc::clone(&store), Arc::clone(&db));
@@ -626,10 +626,7 @@ pub fn service_throughput(seed: u64, smoke: bool) -> (Vec<E9Row>, String) {
         if threads == 1 {
             // Correctness cross-check: the cached path answers exactly like
             // the uncached one, request by request.
-            cold_fingerprints = cold_responses
-                .iter()
-                .map(|r| r.as_ref().expect("cold request answered").results.fingerprint())
-                .collect();
+            cold_fingerprints = cold_results.iter().map(ResultSet::fingerprint).collect();
         }
         for (i, r) in warm_responses.iter().enumerate() {
             let fp = r.as_ref().expect("warm request answered").results.fingerprint();
@@ -674,6 +671,82 @@ pub fn service_throughput(seed: u64, smoke: bool) -> (Vec<E9Row>, String) {
             t.render()
         ),
     )
+}
+
+/// The harness's closed-loop pool: `threads` scoped workers claim the job
+/// indexes `0..jobs` one at a time, each against its own `worker_state()`.
+/// Returns every `(index, answer)`, grouped by worker.
+fn closed_loop<S, R: Send>(
+    jobs: usize,
+    threads: usize,
+    worker_state: impl Fn() -> S + Sync,
+    job: impl Fn(&mut S, usize) -> R + Sync,
+) -> Vec<(usize, R)> {
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = worker_state();
+                    let mut out = Vec::with_capacity(jobs / threads + 1);
+                    loop {
+                        // ordering: work-stealing ticket; each index is claimed
+                        // exactly once by RMW atomicity, no payload to publish.
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if i >= jobs {
+                            break out;
+                        }
+                        out.push((i, job(&mut state, i)));
+                    }
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("worker")).collect()
+    })
+}
+
+/// What a service pays on every miss, without the service: each request
+/// canonicalized, semantically optimized, planned and executed from
+/// scratch on `threads` closed-loop harness threads (per-thread scratch,
+/// like the service's workers). Answers come back in request order.
+fn cold_pipeline(
+    store: &Arc<ConstraintStore>,
+    db: &Database,
+    requests: &[Query],
+    threads: usize,
+) -> Vec<ResultSet> {
+    let model = CostModel::default();
+    let optimizer = SemanticOptimizer::shared(Arc::clone(store));
+    let mut answered = closed_loop(
+        requests.len(),
+        threads,
+        // The oracle memoizes behind a `RefCell`: one per worker.
+        || (CostBasedOracle::with_model(db, model), OptimizerScratch::new(), ExecScratch::new()),
+        |(oracle, opt, exec), i| {
+            let rewritten =
+                optimizer.optimize_with(&requests[i].canonical(), oracle, opt).expect("optimize");
+            if rewritten.report.provably_empty {
+                let columns = rewritten.query.projections.iter().map(|p| p.attr);
+                return ResultSet::new(columns.collect());
+            }
+            plan_query_shared(db, &rewritten.query, &model)
+                .and_then(|plan| execute_with(db, &plan, exec))
+                .expect("the rewritten query plans and executes")
+                .0
+        },
+    );
+    answered.sort_unstable_by_key(|(i, _)| *i);
+    answered.into_iter().map(|(_, results)| results).collect()
+}
+
+/// The paper's contract as a cross-check oracle: the **original** query,
+/// canonicalized for column order only, planned and executed unoptimized
+/// on `db` — no `sqo-core`, no cache.
+fn unoptimized_reference(db: &Database, query: &Query) -> ResultSet {
+    plan_query(db, &query.canonical(), &CostModel::default())
+        .and_then(|plan| execute(db, &plan))
+        .expect("the original query plans and executes")
+        .0
 }
 
 // ---------------------------------------------------------------------------
@@ -820,10 +893,10 @@ pub struct E11Row {
 /// service's versioned write path with integrity enforcement on. Before the
 /// timed cells, every write ratio runs one **cross-check pass**: a
 /// single-threaded replay where, after every write, each cached answer is
-/// compared request-by-request against an uncached, freshly-optimized
-/// reference service sharing the same evolving database — and the plan
-/// cache must keep hitting (plans survive data writes; memoized results do
-/// not).
+/// compared request-by-request against the unoptimized original query
+/// executed on the same evolving database (`unoptimized_reference`) — and
+/// the plan cache must keep hitting (plans survive data writes; memoized
+/// results do not).
 pub fn mutable_serving(seed: u64, smoke: bool) -> (Vec<E11Row>, String) {
     use std::sync::Mutex;
 
@@ -847,8 +920,8 @@ pub fn mutable_serving(seed: u64, smoke: bool) -> (Vec<E11Row>, String) {
             },
         );
 
-        // Cross-check pass (unmeasured): cached vs uncached answers must
-        // agree after every write.
+        // Cross-check pass (unmeasured): cached and unoptimized answers
+        // must agree after every write.
         {
             let handle = Arc::new(VersionedDatabase::with_integrity(
                 Arc::clone(&db),
@@ -858,11 +931,6 @@ pub fn mutable_serving(seed: u64, smoke: bool) -> (Vec<E11Row>, String) {
                 Arc::clone(&store),
                 Arc::clone(&handle),
                 ServiceConfig::default(),
-            );
-            let cold = QueryService::with_versioned_db(
-                Arc::clone(&store),
-                Arc::clone(&handle),
-                ServiceConfig { bypass_cache: true, ..Default::default() },
             );
             let mut applier = MixedApplier::new(&warm.db());
             for op in &workload.ops {
@@ -875,11 +943,11 @@ pub fn mutable_serving(seed: u64, smoke: bool) -> (Vec<E11Row>, String) {
                     }
                     MixedOp::Read { query, .. } => {
                         let a = warm.run(query).expect("warm");
-                        let b = cold.run(query).expect("cold reference");
+                        let b = unoptimized_reference(&warm.db(), query);
                         assert_eq!(
                             a.results.fingerprint(),
-                            b.results.fingerprint(),
-                            "cached answer diverged from the uncached reference \
+                            b.fingerprint(),
+                            "cached answer diverged from the unoptimized reference \
                              at {write_pct}% writes, data epoch {}",
                             a.data_epoch
                         );
@@ -909,45 +977,29 @@ pub fn mutable_serving(seed: u64, smoke: bool) -> (Vec<E11Row>, String) {
             }
             let before = service.stats().cache;
             let applier = Mutex::new(MixedApplier::new(&service.db()));
-            let next = std::sync::atomic::AtomicUsize::new(0);
             let t0 = Instant::now();
-            let mut latencies: Vec<Duration> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let service = &service;
-                        let applier = &applier;
-                        let next = &next;
-                        let ops = &workload.ops;
-                        scope.spawn(move || {
-                            let mut lat = Vec::with_capacity(ops.len() / threads + 1);
-                            loop {
-                                // ordering: work-stealing ticket; each index is claimed
-                                // exactly once by RMW atomicity, no payload to publish.
-                                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                let Some(op) = ops.get(i) else { break };
-                                let t = Instant::now();
-                                match op {
-                                    MixedOp::Read { query, .. } => {
-                                        service.run(query).expect("run");
-                                    }
-                                    MixedOp::Write(kind) => {
-                                        let mut applier = applier.lock().expect("applier poisoned");
-                                        let snapshot = service.db();
-                                        let (class, victim, batch) =
-                                            applier.resolve(&snapshot, kind);
-                                        let outcome =
-                                            service.write(&batch).expect("safe write rejected");
-                                        applier.confirm(class, victim, &outcome.receipt);
-                                    }
-                                }
-                                lat.push(t.elapsed());
-                            }
-                            lat
-                        })
-                    })
-                    .collect();
-                handles.into_iter().flat_map(|h| h.join().expect("worker")).collect()
-            });
+            let timed = closed_loop(
+                workload.ops.len(),
+                threads,
+                || (),
+                |(), i| {
+                    let t = Instant::now();
+                    match &workload.ops[i] {
+                        MixedOp::Read { query, .. } => {
+                            service.run(query).expect("run");
+                        }
+                        MixedOp::Write(kind) => {
+                            let mut applier = applier.lock().expect("applier poisoned");
+                            let snapshot = service.db();
+                            let (class, victim, batch) = applier.resolve(&snapshot, kind);
+                            let outcome = service.write(&batch).expect("safe write rejected");
+                            applier.confirm(class, victim, &outcome.receipt);
+                        }
+                    }
+                    t.elapsed()
+                },
+            );
+            let mut latencies: Vec<Duration> = timed.into_iter().map(|(_, lat)| lat).collect();
             let secs = t0.elapsed().as_secs_f64().max(1e-9);
             latencies.sort_unstable();
             let after = service.stats();
@@ -993,7 +1045,7 @@ pub fn mutable_serving(seed: u64, smoke: bool) -> (Vec<E11Row>, String) {
         format!(
             "E11: Mutable-data serving ({requests} Zipf-skewed requests over 16 distinct \
              queries;\nwrites = integrity-preserving duplicate inserts/deletes; every ratio \
-             cross-checked\nrequest-by-request against an uncached reference after every \
+             cross-checked\nrequest-by-request against the unoptimized original after every \
              write)\n{}\nminimum plan-cache hit rate across cells: {:.1}% — plans survive \
              data writes,\nmemoized results are recomputed per data epoch\n",
             t.render(),
@@ -1320,9 +1372,9 @@ pub fn warm_start_boot(seed: u64, smoke: bool) -> (Vec<Headline>, String) {
 /// bounded (work-in-queue is capped by the depth) instead of collapsing
 /// every client together.
 ///
-/// Every accepted response in both parts is cross-checked against an
-/// uncached (`bypass_cache`) reference service sharing the same store and
-/// database, at the epochs the response recorded.
+/// Every accepted response in both parts is cross-checked against the
+/// unoptimized original query on the service's own snapshot
+/// (`unoptimized_reference`), at the epochs the response recorded.
 pub fn frontend_open_loop(seed: u64, smoke: bool) -> (Vec<Headline>, String) {
     use sqo_frontend::{Frontend, FrontendConfig, Overload};
     use sqo_workload::{open_loop_schedule, OpenLoopConfig};
@@ -1331,29 +1383,22 @@ pub fn frontend_open_loop(seed: u64, smoke: bool) -> (Vec<Headline>, String) {
     let distinct = 16usize;
     let mut headlines = Vec::new();
 
-    // Shared cross-check harness: replay each accepted response against an
-    // uncached reference at the epochs it recorded (no writes in E14, so
-    // one reference answer per distinct query covers every response).
+    // Shared cross-check harness: replay each accepted response against
+    // the unoptimized reference at the epochs it recorded (no writes in
+    // E14, so one reference answer per distinct query covers every
+    // response).
     let cross_check = |service: &Arc<QueryService>,
                        schedule: &sqo_workload::OpenLoopSchedule,
                        accepted: &[(usize, sqo_service::ServiceResponse)]| {
-        let reference = QueryService::with_versioned_db(
-            service.store(),
-            Arc::clone(service.versioned_db()),
-            ServiceConfig { bypass_cache: true, ..ServiceConfig::default() },
-        );
-        let wanted: Vec<_> = schedule
-            .distinct
-            .iter()
-            .map(|q| reference.run(q).expect("reference answers"))
-            .collect();
+        let db = service.db();
+        let wanted: Vec<_> =
+            schedule.distinct.iter().map(|q| unoptimized_reference(&db, q)).collect();
         for (index, response) in accepted {
-            let want = &wanted[*index];
-            assert_eq!(response.epoch, want.epoch, "responses recorded the serving epoch");
-            assert_eq!(response.data_epoch, want.data_epoch, "and the serving data epoch");
+            assert_eq!(response.epoch, service.epoch(), "responses recorded the serving epoch");
+            assert_eq!(response.data_epoch, db.data_version(), "and the serving data epoch");
             assert!(
-                response.results.same_multiset(&want.results),
-                "accepted answer must match the uncached reference at its epochs"
+                response.results.same_multiset(&wanted[*index]),
+                "accepted answer must match the unoptimized reference at its epochs"
             );
         }
     };
@@ -1517,8 +1562,8 @@ pub fn frontend_open_loop(seed: u64, smoke: bool) -> (Vec<Headline>, String) {
     let out = format!(
         "E14: Open-loop frontend — singleflight dedup, admission control, load shedding\n\
          ({workers} reactor workers; Zipf(s=1.2) traffic over {distinct} distinct queries,\n\
-         shuffled spellings; every accepted response cross-checked against an uncached\n\
-         reference at its recorded epochs)\n\n\
+         shuffled spellings; every accepted response cross-checked against the unoptimized\n\
+         original at its recorded epochs)\n\n\
          Part A — cold burst, everything admitted (dedup hit rate = 1 − optimizations/completed;\n\
          how the dedup splits between singleflight flights and post-publication cache hits\n\
          is scheduling-dependent, the shared-optimization count is not):\n{}\n\
@@ -1544,8 +1589,8 @@ pub fn frontend_open_loop(seed: u64, smoke: bool) -> (Vec<Headline>, String) {
 /// execution. Grouping is the only variable, and the per-width execution
 /// counts are deterministic, so the ≥1.3× sharing bound at windows 8/16 is
 /// asserted on execution counts; wall-clock throughput is reported as
-/// headlines. Every batched answer is cross-checked against an uncached
-/// sequential reference.
+/// headlines. Every batched answer is cross-checked against the
+/// unoptimized original query (`unoptimized_reference`).
 ///
 /// **Part B** measures cold optimize+plan latency over the distinct set —
 /// the pipeline whose per-candidate costing now runs off one shared
@@ -1566,15 +1611,9 @@ pub fn batch_execution(seed: u64, smoke: bool) -> (Vec<Headline>, String) {
         },
     );
 
-    // Sequential uncached reference, one answer per distinct query: E15
-    // performs no writes, so these cover every request at every width.
-    let reference = QueryService::with_config(
-        Arc::clone(&store),
-        Arc::clone(&db),
-        ServiceConfig { bypass_cache: true, ..ServiceConfig::default() },
-    );
-    let wanted: Vec<_> =
-        workload.distinct.iter().map(|q| reference.run(q).expect("reference answers")).collect();
+    // Unoptimized reference, one answer per distinct query: E15 performs
+    // no writes, so these cover every request at every width.
+    let wanted: Vec<_> = workload.distinct.iter().map(|q| unoptimized_reference(&db, q)).collect();
 
     let mut headlines = Vec::new();
     let mut ta = TextTable::new(vec![
@@ -1603,11 +1642,10 @@ pub fn batch_execution(seed: u64, smoke: bool) -> (Vec<Headline>, String) {
         let wall = t0.elapsed().as_secs_f64().max(1e-9);
         for (r, &i) in out.iter().zip(&workload.indices) {
             let r = r.as_ref().expect("warm requests answer");
-            let want = &wanted[i];
-            assert_eq!(r.data_epoch, want.data_epoch, "no writes: one data epoch");
+            assert_eq!(r.data_epoch, db.data_version(), "no writes: one data epoch");
             assert!(
-                r.results.same_multiset(&want.results),
-                "batched answer at window {width} must match the sequential reference"
+                r.results.same_multiset(&wanted[i]),
+                "batched answer at window {width} must match the unoptimized reference"
             );
         }
         let stats = service.stats();
@@ -1685,7 +1723,7 @@ pub fn batch_execution(seed: u64, smoke: bool) -> (Vec<Headline>, String) {
     let out = format!(
         "E15: Batched vectorized execution ({requests} warm requests, Zipf(s=1.6) over {} \
          distinct DB1 queries, shuffled spellings; single-threaded replay, result memo off;\n\
-         every batched answer cross-checked against an uncached sequential reference)\n\n\
+         every batched answer cross-checked against the unoptimized original query)\n\n\
          Part A — explicit gather window sweep (exec sharing = executions at window 1 / \
          executions at this window; deterministic, asserted ≥1.3 at windows 8/16):\n{}\n\
          Part B — cold optimize+plan latency over the distinct set ({} samples; candidate \
@@ -1827,8 +1865,8 @@ mod tests {
 
     #[test]
     fn e11_smoke_serves_correctly_under_writes() {
-        // The driver itself cross-checks every cached answer against an
-        // uncached reference after every write; this test additionally pins
+        // The driver itself cross-checks every cached answer against the
+        // unoptimized original after every write; this test additionally pins
         // the structural claims the acceptance criteria name.
         let (rows, rendered) = mutable_serving(42, true);
         assert_eq!(rows.len(), 12, "3 write ratios × 4 thread counts\n{rendered}");
@@ -1848,7 +1886,7 @@ mod tests {
     #[test]
     fn e14_smoke_dedups_and_sheds() {
         // The driver itself asserts dedup > 0.9 and cross-checks every
-        // accepted response against an uncached reference; here we pin
+        // accepted response against the unoptimized original; here we pin
         // the headline shape and the shedding claims.
         let (headlines, rendered) = frontend_open_loop(42, true);
         let dedup = headlines

@@ -1,38 +1,31 @@
 //! Batch execution tier: K probe bindings interleaved against one plan.
 //!
 //! [`execute_batch_with`] runs K independent probes of the same
-//! [`PhysicalPlan`] as K depth-first machines advanced round-robin, one
-//! traversal step per machine per round. Each machine executes *exactly*
-//! the algorithm of [`crate::execute_with`] — same visit order, same rows,
-//! same [`CostCounters`] — so the batched path is observationally
-//! equivalent to K sequential executions; what changes is the memory-access
-//! pattern. Interleaving keeps K index descents / link traversals in
-//! flight at once (independent work for the out-of-order core) and walks K
-//! candidate vectors that live side by side in one shared arena
-//! (struct-of-arrays: slot `d * K + k` holds probe `k`'s survivors at plan
-//! level `d`), which is where the single-thread throughput of the serving
-//! tier's fingerprint-grouped warm batches comes from.
+//! [`PhysicalPlan`] as K [`ExecScratch`] machines advanced round-robin, one
+//! traversal step per machine per round. The step is the one
+//! [`crate::execute_with`] loops over, so per probe the batched path is
+//! equivalent to a sequential execution by construction — same visit
+//! order, same rows, same [`CostCounters`]; what changes is the
+//! memory-access pattern: interleaving keeps K index descents / link
+//! traversals in flight at once (independent work for the out-of-order
+//! core).
 //!
-//! A probe is either the plan run [`ProbeBinding::AsPlanned`] — the shape
-//! the service's warm groups use, where every member shares one plan — or
-//! the plan with its root index probe re-keyed
-//! ([`ProbeBinding::RootSet`]), the parameterized-batch shape: one plan
-//! skeleton, K distinct keys.
+//! A probe is either the plan run [`ProbeBinding::AsPlanned`] or the plan
+//! with its root index probe re-keyed ([`ProbeBinding::RootSet`]), the
+//! parameterized-batch shape: one plan skeleton, K distinct keys.
 
-use sqo_catalog::{AttrRef, ClassId};
 use sqo_query::ValueSet;
-use sqo_storage::{CostCounters, Database, ObjectId};
+use sqo_storage::{CostCounters, Database};
 
 use crate::error::ExecError;
-use crate::executor::{emit, fill_step_level, produce, retain_residual};
-use crate::plan::{AccessPath, ClassAccess, PhysicalPlan};
+use crate::executor::{produce, ExecScratch};
+use crate::plan::{AccessPath, PhysicalPlan};
 use crate::result::ResultSet;
 
 /// How one probe of a batch binds the shared plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProbeBinding {
-    /// Run the plan exactly as planned. A fingerprint-grouped warm batch is
-    /// K copies of this: identical requests, one shared plan.
+    /// Run the plan exactly as planned.
     AsPlanned,
     /// Run the plan with its root index probe re-keyed to this value set —
     /// one plan skeleton serving K distinct keys. The plan's root must be
@@ -59,53 +52,18 @@ impl ProbeBinding {
     }
 }
 
-/// Reusable state of [`execute_batch_with`]: one shared candidate arena in
-/// struct-of-arrays layout plus per-probe cursor, binding and progress
-/// state. Keep one per worker thread; any (plan depth, batch width)
-/// combination runs against any scratch — slots grow on demand and are
-/// cleared before use.
+/// Reusable state of [`execute_batch_with`]: one [`ExecScratch`] machine
+/// per probe. Keep one per worker thread; any (plan depth, batch width)
+/// combination runs against any scratch — machines are added on demand
+/// and rewound before use.
 #[derive(Debug, Default)]
 pub struct BatchExecScratch {
-    /// The shared candidate arena: `arena[d * width + k]` holds probe `k`'s
-    /// surviving candidates at plan level `d` (root = 0). Probes of one
-    /// level are adjacent, which is the cache-locality half of the batch
-    /// tier's win.
-    arena: Vec<Vec<ObjectId>>,
-    /// `cursors[d * width + k]` = next candidate of `arena[d * width + k]`.
-    cursors: Vec<usize>,
-    /// `bindings[k]` = probe `k`'s partial binding stack.
-    bindings: Vec<Vec<(ClassId, ObjectId)>>,
-    /// `depth[k]` = the level probe `k`'s machine is currently walking.
-    depth: Vec<usize>,
-    /// `done[k]` = probe `k` exhausted its root level.
-    done: Vec<bool>,
+    machines: Vec<ExecScratch>,
 }
 
 impl BatchExecScratch {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn reset(&mut self, depths: usize, width: usize) {
-        let slots = depths * width;
-        if self.arena.len() < slots {
-            self.arena.resize_with(slots, Vec::new);
-        }
-        for level in &mut self.arena[..slots] {
-            level.clear();
-        }
-        self.cursors.clear();
-        self.cursors.resize(slots, 0);
-        if self.bindings.len() < width {
-            self.bindings.resize_with(width, Vec::new);
-        }
-        for binding in &mut self.bindings[..width] {
-            binding.clear();
-        }
-        self.depth.clear();
-        self.depth.resize(width, 0);
-        self.done.clear();
-        self.done.resize(width, false);
     }
 }
 
@@ -126,10 +84,10 @@ pub fn execute_batch(
 /// Per probe, the emitted rows (in emission order) and the counters are
 /// exactly those of [`crate::execute_with`] on that probe's equivalent
 /// stand-alone plan ([`ProbeBinding::apply`]) — the machines are
-/// independent; only their *interleaving* in time and their candidate
-/// vectors' placement in memory differ from K sequential runs. An error in
-/// any probe (all probe errors are plan-level, so under `AsPlanned` probes
-/// they are identical across the batch) fails the whole call.
+/// independent; only their *interleaving* in time differs from K
+/// sequential runs. An error in any probe (all probe errors are
+/// plan-level, so under `AsPlanned` probes they are identical across the
+/// batch) fails the whole call.
 pub fn execute_batch_with(
     db: &Database,
     plan: &PhysicalPlan,
@@ -137,88 +95,34 @@ pub fn execute_batch_with(
     scratch: &mut BatchExecScratch,
 ) -> Result<Vec<(ResultSet, CostCounters)>, ExecError> {
     let width = probes.len();
-    if width == 0 {
-        return Ok(Vec::new());
+    if scratch.machines.len() < width {
+        scratch.machines.resize_with(width, ExecScratch::new);
     }
-    let depths = plan.steps.len() + 1;
-    scratch.reset(depths, width);
-    let BatchExecScratch { arena, cursors, bindings, depth, done } = scratch;
-
-    let columns: Vec<AttrRef> = plan.projections.iter().map(|p| p.attr).collect();
+    let machines = &mut scratch.machines[..width];
+    let columns: Vec<_> = plan.projections.iter().map(|p| p.attr).collect();
     let mut out: Vec<(ResultSet, CostCounters)> =
         (0..width).map(|_| (ResultSet::new(columns.clone()), CostCounters::new())).collect();
 
     // Root candidates, one batch-produce per probe: K index descents (or
     // extent scans) issued back to back before any traversal begins.
-    for (k, probe) in probes.iter().enumerate() {
-        produce_probe(db, &plan.root, probe, &mut out[k].1, &mut arena[k])?;
+    for ((machine, probe), (_, counters)) in machines.iter_mut().zip(probes).zip(&mut out) {
+        let rekey = match probe {
+            ProbeBinding::AsPlanned => None,
+            ProbeBinding::RootSet(set) => Some(set),
+        };
+        produce(db, &plan.root, rekey, counters, machine.start(plan))?;
     }
 
-    // Round-robin over the K depth-first machines: each live machine takes
-    // one traversal step per round (bind the next candidate and either emit
-    // or fill its child level — or pop a level when the current one is
-    // exhausted). Per machine this is exactly `execute_with`'s loop body.
-    let mut live = width;
-    while live > 0 {
-        for k in 0..width {
-            if done[k] {
-                continue;
-            }
-            let d = depth[k];
-            let slot = d * width + k;
-            let Some(&oid) = arena[slot].get(cursors[slot]) else {
-                if d == 0 {
-                    done[k] = true;
-                    live -= 1;
-                } else {
-                    depth[k] = d - 1;
-                }
-                continue;
-            };
-            cursors[slot] += 1;
-            let class = if d == 0 { plan.root.class } else { plan.steps[d - 1].access.class };
-            let binding = &mut bindings[k];
-            binding.truncate(d);
-            binding.push((class, oid));
-
-            let (result, counters) = &mut out[k];
-            let Some(step) = plan.steps.get(d) else {
-                emit(db, plan, binding, counters, result)?;
-                continue;
-            };
-            let child = (d + 1) * width + k;
-            fill_step_level(db, step, binding, counters, &mut arena[child])?;
-            cursors[child] = 0;
-            depth[k] = d + 1;
+    // Round-robin: every machine takes one traversal step per round until
+    // none has a step left (an exhausted machine's step is a no-op).
+    let mut live = width > 0;
+    while live {
+        live = false;
+        for (machine, (result, counters)) in machines.iter_mut().zip(&mut out) {
+            live |= machine.advance(db, plan, counters, result)?;
         }
     }
     Ok(out)
-}
-
-/// Root production for one probe: [`produce`] as planned, or the same
-/// index-probe path with the probe's own key substituted.
-fn produce_probe(
-    db: &Database,
-    root: &ClassAccess,
-    probe: &ProbeBinding,
-    counters: &mut CostCounters,
-    out: &mut Vec<ObjectId>,
-) -> Result<(), ExecError> {
-    match probe {
-        ProbeBinding::AsPlanned => produce(db, root, counters, out),
-        ProbeBinding::RootSet(set) => {
-            let AccessPath::Index { attr, .. } = &root.path else {
-                return Err(ExecError::RootOverrideNeedsIndex(root.class));
-            };
-            out.clear();
-            let index = db.index(*attr).ok_or(ExecError::MissingIndex(*attr))?;
-            let scan = index.probe(set).ok_or(ExecError::UnsupportedProbe(*attr))?;
-            counters.index_probes += 1;
-            counters.index_entries += scan.probes.saturating_sub(1);
-            out.extend(scan.oids);
-            retain_residual(db, root, counters, out)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -230,7 +134,7 @@ mod tests {
     use sqo_catalog::example::figure21;
     use sqo_catalog::Value;
     use sqo_query::{CompOp, Query, QueryBuilder};
-    use sqo_storage::IntegrityOptions;
+    use sqo_storage::{IntegrityOptions, ObjectId};
     use std::sync::Arc;
 
     /// The executor test instance: 4 suppliers, 6 vehicles, 12 cargoes,

@@ -10,19 +10,24 @@
 //! natural recursive formulation; what changes is the allocation profile:
 //! via [`execute_with`] and a long-lived [`ExecScratch`], a serving thread
 //! executes plans with no per-binding allocation at all.
+//!
+//! The traversal step is written once, as [`ExecScratch::advance`]:
+//! [`execute_with`] loops one machine to completion, and
+//! [`crate::execute_batch_with`] advances K of them round-robin.
 
 use sqo_catalog::{AttrRef, ClassId, Value};
-use sqo_query::Projection;
+use sqo_query::{Projection, ValueSet};
 use sqo_storage::{CostCounters, Database, ObjectId};
 
 use crate::error::ExecError;
 use crate::plan::{AccessPath, ClassAccess, JoinStep, PhysicalPlan};
 use crate::result::ResultSet;
 
-/// Reusable traversal buffers of [`execute_with`]: one candidate vector and
-/// cursor per plan level, plus the binding stack. Keep one per worker
-/// thread; any plan shape can run against any scratch (levels grow on
-/// demand and are cleared before use).
+/// One resumable depth-first traversal machine and its reusable buffers:
+/// a candidate vector and cursor per plan level, the binding stack, and
+/// the level currently being walked. Keep one per worker thread; any plan
+/// shape can run against any scratch (levels grow on demand and are
+/// cleared before use).
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     /// levels[d] = surviving candidates of plan level `d` (root = 0).
@@ -30,6 +35,8 @@ pub struct ExecScratch {
     /// cursors[d] = next candidate of `levels[d]` to bind.
     cursors: Vec<usize>,
     binding: Vec<(ClassId, ObjectId)>,
+    /// The level the machine is walking.
+    depth: usize,
 }
 
 impl ExecScratch {
@@ -37,7 +44,10 @@ impl ExecScratch {
         Self::default()
     }
 
-    fn reset(&mut self, depths: usize) {
+    /// Rewinds the machine for `plan` and hands out its (cleared) root
+    /// level for the caller to fill with the driving candidates.
+    pub(crate) fn start(&mut self, plan: &PhysicalPlan) -> &mut Vec<ObjectId> {
+        let depths = plan.steps.len() + 1;
         if self.levels.len() < depths {
             self.levels.resize_with(depths, Vec::new);
         }
@@ -47,6 +57,45 @@ impl ExecScratch {
             level.clear();
         }
         self.binding.clear();
+        self.depth = 0;
+        &mut self.levels[0]
+    }
+
+    /// One traversal step: bind the next candidate of the current level
+    /// and either emit a row (last level) or fill the child level from it
+    /// — or pop a level when the current one is exhausted. Returns `false`
+    /// once the root level is exhausted (and on every call after that).
+    ///
+    /// The visit order is that of the recursive formulation, but the
+    /// per-step candidate vectors are reused across the whole traversal
+    /// instead of reallocated per parent binding.
+    #[inline]
+    pub(crate) fn advance(
+        &mut self,
+        db: &Database,
+        plan: &PhysicalPlan,
+        counters: &mut CostCounters,
+        result: &mut ResultSet,
+    ) -> Result<bool, ExecError> {
+        let depth = self.depth;
+        let Some(&oid) = self.levels[depth].get(self.cursors[depth]) else {
+            self.depth = depth.saturating_sub(1);
+            return Ok(depth > 0);
+        };
+        self.cursors[depth] += 1;
+        let class = if depth == 0 { plan.root.class } else { plan.steps[depth - 1].access.class };
+        self.binding.truncate(depth);
+        self.binding.push((class, oid));
+
+        let Some(step) = plan.steps.get(depth) else {
+            emit(db, plan, &self.binding, counters, result)?;
+            return Ok(true);
+        };
+        // Fill the child level: link targets of `oid`, filtered as a batch.
+        fill_step_level(db, step, &self.binding, counters, &mut self.levels[depth + 1])?;
+        self.cursors[depth + 1] = 0;
+        self.depth = depth + 1;
+        Ok(true)
     }
 }
 
@@ -64,60 +113,29 @@ pub fn execute_with(
     scratch: &mut ExecScratch,
 ) -> Result<(ResultSet, CostCounters), ExecError> {
     let mut counters = CostCounters::new();
-    let columns: Vec<AttrRef> = plan.projections.iter().map(|p| p.attr).collect();
-    let mut result = ResultSet::new(columns);
-
-    let depths = plan.steps.len() + 1;
-    scratch.reset(depths);
-    let ExecScratch { levels, cursors, binding } = scratch;
-    // invariant: depths = plan.steps.len() + 1 >= 1, so the slice split
-    // always yields a first element.
-    let (root_level, step_levels) = levels[..depths].split_first_mut().expect("depths >= 1");
-
+    let mut result = ResultSet::new(plan.projections.iter().map(|p| p.attr).collect());
     // Root candidates: batch-produce, residual-filter the batch.
-    produce(db, &plan.root, &mut counters, root_level)?;
-
-    // Depth-first walk by cursor — identical visit order to the recursive
-    // formulation, but the per-step candidate vectors are reused across the
-    // whole traversal instead of reallocated per parent binding.
-    let mut depth = 0usize;
-    loop {
-        let level: &[ObjectId] = if depth == 0 { root_level } else { &step_levels[depth - 1] };
-        let Some(&oid) = level.get(cursors[depth]) else {
-            if depth == 0 {
-                break;
-            }
-            depth -= 1;
-            continue;
-        };
-        cursors[depth] += 1;
-        let class = if depth == 0 { plan.root.class } else { plan.steps[depth - 1].access.class };
-        binding.truncate(depth);
-        binding.push((class, oid));
-
-        let Some(step) = plan.steps.get(depth) else {
-            emit(db, plan, binding, &mut counters, &mut result)?;
-            continue;
-        };
-        // Fill the child level: link targets of `oid`, filtered as a batch.
-        let child = &mut step_levels[depth];
-        fill_step_level(db, step, binding, &mut counters, child)?;
-        cursors[depth + 1] = 0;
-        depth += 1;
-    }
+    produce(db, &plan.root, None, &mut counters, scratch.start(plan))?;
+    while scratch.advance(db, plan, &mut counters, &mut result)? {}
     Ok((result, counters))
 }
 
 /// Produces the candidate objects of the driving class access into `out`,
-/// counting work and applying the residual filter over the batch.
+/// counting work and applying the residual filter over the batch. `rekey`
+/// substitutes the index probe's value set (a batch probe's own key); a
+/// sequential scan has no probe key to override.
 pub(crate) fn produce(
     db: &Database,
     access: &ClassAccess,
+    rekey: Option<&ValueSet>,
     counters: &mut CostCounters,
     out: &mut Vec<ObjectId>,
 ) -> Result<(), ExecError> {
     out.clear();
     match &access.path {
+        AccessPath::SeqScan if rekey.is_some() => {
+            return Err(ExecError::RootOverrideNeedsIndex(access.class));
+        }
         AccessPath::SeqScan => {
             let n = db.cardinality(access.class);
             counters.seq_tuples += n as u64;
@@ -125,7 +143,8 @@ pub(crate) fn produce(
         }
         AccessPath::Index { attr, set } => {
             let index = db.index(*attr).ok_or(ExecError::MissingIndex(*attr))?;
-            let scan = index.probe(set).ok_or(ExecError::UnsupportedProbe(*attr))?;
+            let scan =
+                index.probe(rekey.unwrap_or(set)).ok_or(ExecError::UnsupportedProbe(*attr))?;
             counters.index_probes += 1;
             counters.index_entries += scan.probes.saturating_sub(1);
             out.extend(scan.oids);
@@ -136,7 +155,7 @@ pub(crate) fn produce(
 
 /// Residual evaluation over a candidate slice: compacts `out` in place to
 /// the objects passing every residual predicate.
-pub(crate) fn retain_residual(
+fn retain_residual(
     db: &Database,
     access: &ClassAccess,
     counters: &mut CostCounters,

@@ -92,13 +92,13 @@ fn overload_sheds_the_marginal_arrival() {
 #[test]
 fn latency_bound_sheds_once_the_estimate_crosses() {
     let (service, queries) = service(7);
-    // bypass_cache via a dedicated uncached service: every request pays
-    // full optimization, so every recorded latency is comfortably ≥ 1µs
+    // A dedicated service with result memoization off: every request
+    // re-executes its plan, so every recorded latency is comfortably ≥ 1µs
     // and any p99 estimate exceeds a 0µs bound.
     let uncached = Arc::new(QueryService::with_versioned_db(
         service.store(),
         Arc::clone(service.versioned_db()),
-        sqo_service::ServiceConfig { bypass_cache: true, ..Default::default() },
+        sqo_service::ServiceConfig { cache_results: false, ..Default::default() },
     ));
     let frontend = Frontend::new(
         Arc::clone(&uncached),

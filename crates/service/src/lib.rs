@@ -26,11 +26,16 @@
 //!   tiny: readers of different queries land on different
 //!   `parking_lot::RwLock` shards, readers of the same hot query share a
 //!   read lock.
-//! * A **prepared-query API** ([`QueryService::prepare`] →
-//!   [`QueryService::execute_prepared`]) re-executes one shared
-//!   [`sqo_exec::PhysicalPlan`] without re-planning, and a fixed
-//!   worker-pool [`QueryService::run_batch`] drives closed-loop throughput
-//!   experiments (E9, and the mixed read/write E11).
+//! * **One request pipeline** — `resolve → hit | lead | follow → execute
+//!   → publish → respond` — behind every entry point: each of the plan-cache
+//!   lookup, the optimize+plan+insert miss path, the executor call with its
+//!   result-memo handling, and the flight resolution exists exactly once,
+//!   and [`QueryService::run`], [`QueryService::prepare`] →
+//!   [`QueryService::execute_prepared`] (one shared
+//!   [`sqo_exec::PhysicalPlan`] re-executed without re-planning), the
+//!   worker-pool [`QueryService::run_batch`] and the non-blocking
+//!   [`QueryService::try_run`] + [`QueryService::complete_miss`] are each a
+//!   few lines composing those steps (`docs/ARCHITECTURE.md` §5).
 //! * **Singleflight miss deduplication** ([`QueryService::try_run`] +
 //!   [`QueryService::complete_miss`]): concurrent cold misses on the same
 //!   `(fingerprint, store version, data epoch)` coordinates share one
@@ -38,6 +43,10 @@
 //!   [`MissWaiter`] (waker-based, no thread parked), and a leader that
 //!   dies mid-flight aborts cleanly instead of stranding its followers.
 //!   This is the non-blocking seam the `sqo-frontend` reactor drives.
+//! * **Grouping of identical warm requests** is a policy of that pipeline,
+//!   not a second path: with `ServiceConfig::batch_window > 1`,
+//!   `run_batch` gathers each window's duplicates into one pipeline pass
+//!   and `try_run` sends hits through the same flight table misses use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]

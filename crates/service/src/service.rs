@@ -4,6 +4,8 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::io::Write as _;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -11,8 +13,8 @@ use parking_lot::RwLock;
 use sqo_constraints::{ConstraintStore, HornConstraint, StoreVersion};
 use sqo_core::{OptimizerConfig, OptimizerScratch, SemanticOptimizer};
 use sqo_exec::{
-    execute_batch_with, execute_with, plan_query_shared, BatchExecScratch, CostBasedOracle,
-    CostModel, ExecError, ExecScratch, PhysicalPlan, ProbeBinding, ResultSet,
+    execute_with, plan_query_shared, CostBasedOracle, CostModel, ExecError, ExecScratch,
+    PhysicalPlan, ResultSet,
 };
 use sqo_query::{Query, QueryError, QueryFingerprint};
 use sqo_snapshot::{
@@ -28,8 +30,8 @@ thread_local! {
     /// Per-worker reusable optimizer + executor buffers: the cold path of
     /// every service thread runs allocation-free once warmed up, without
     /// any cross-thread coordination.
-    static WORKER_SCRATCH: RefCell<(OptimizerScratch, ExecScratch, BatchExecScratch)> =
-        RefCell::new((OptimizerScratch::new(), ExecScratch::new(), BatchExecScratch::new()));
+    static WORKER_SCRATCH: RefCell<(OptimizerScratch, ExecScratch)> =
+        RefCell::new((OptimizerScratch::new(), ExecScratch::new()));
 }
 
 /// Anything that can go wrong answering a query or applying a write.
@@ -100,9 +102,6 @@ pub struct ServiceConfig {
     /// at: plans survive data writes, memoized results are recomputed on the
     /// first request after one. Turn off to re-execute on every request.
     pub cache_results: bool,
-    /// Skip the cache entirely — every request re-optimizes, re-plans and
-    /// re-executes. The cold path of the E9 benchmark.
-    pub bypass_cache: bool,
     /// Gather window of the batch execution tier: warm requests on the same
     /// `(fingerprint, store version, data epoch)` coordinates are answered
     /// by **one** shared execution, fanned back out to every member. In
@@ -122,7 +121,6 @@ impl Default for ServiceConfig {
             shards: 16,
             cache_capacity: 1024,
             cache_results: true,
-            bypass_cache: false,
             batch_window: 1,
             optimizer: OptimizerConfig::paper(),
         }
@@ -180,8 +178,8 @@ pub struct ServiceResponse {
 /// counterpart of [`QueryService::run`]'s `ServiceResponse`.
 #[derive(Debug)]
 pub enum TryRun {
-    /// Answered synchronously: a cache hit, the bypass path, or a
-    /// fingerprint-collision fallback.
+    /// Answered synchronously: a cache hit or a fingerprint-collision
+    /// fallback.
     Done(ServiceResponse),
     /// First miss on these coordinates: the caller must run
     /// [`QueryService::complete_miss`] with the guard (dropping it instead
@@ -205,8 +203,7 @@ pub struct ServiceStats {
     pub requests: u64,
     /// Requests that completed a plan-cache lookup. Exactly
     /// `cache.hits + cache.misses` in every snapshot; trails `requests`
-    /// only by the requests currently between admission and their lookup
-    /// (and by bypass-cache requests, which never look up).
+    /// only by the requests currently between admission and their lookup.
     pub accepted: u64,
     /// Full semantic-optimization passes actually executed (cache misses).
     pub optimizations: u64,
@@ -307,8 +304,7 @@ impl QueryService {
     }
 
     /// A service over an externally owned write path — used when writers or
-    /// a second service (e.g. an uncached cross-checking reference) must
-    /// share the same evolving database.
+    /// a second service must share the same evolving database.
     pub fn with_versioned_db(
         store: Arc<ConstraintStore>,
         db: Arc<VersionedDatabase>,
@@ -429,19 +425,42 @@ impl QueryService {
     /// semantic-optimization + planning pipeline on a miss.
     pub fn prepare(&self, query: &Query) -> Result<PreparedQuery, ServiceError> {
         let canonical = query.canonical();
+        let (at, hit) = self.resolve(&canonical);
+        self.entry_for(canonical, at, hit)
+    }
+
+    /// Step 1 of every request: pins the store handle, its version and the
+    /// fingerprint of `canonical`, and performs the request's one
+    /// plan-cache lookup.
+    fn resolve(&self, canonical: &Query) -> (Coordinate, Option<PreparedQuery>) {
         let store = self.store();
         let version = store.version();
         let fingerprint = canonical.fingerprint_canonical();
-        if !self.config.bypass_cache {
-            if let Some(entry) = self.cache.get(fingerprint, &canonical, version) {
-                return Ok(PreparedQuery { entry, epoch: version.epoch, cache_hit: true });
-            }
+        let hit = self.cache.get(fingerprint, canonical, version).map(|entry| PreparedQuery {
+            entry,
+            epoch: version.epoch,
+            cache_hit: true,
+        });
+        (Coordinate { store, version, fingerprint }, hit)
+    }
+
+    /// Step 2: the looked-up entry, or on a miss the entry derived under
+    /// exactly `at`'s store and published to the plan cache **stamped with
+    /// that same version** (a store swapped mid-request can never receive
+    /// an entry derived under its predecessor — lookups at the successor
+    /// version miss and re-derive).
+    fn entry_for(
+        &self,
+        canonical: Query,
+        at: Coordinate,
+        hit: Option<PreparedQuery>,
+    ) -> Result<PreparedQuery, ServiceError> {
+        if let Some(prepared) = hit {
+            return Ok(prepared);
         }
-        let entry = Arc::new(self.build_entry(canonical, &store)?);
-        if !self.config.bypass_cache {
-            self.cache.insert(fingerprint, version, Arc::clone(&entry));
-        }
-        Ok(PreparedQuery { entry, epoch: version.epoch, cache_hit: false })
+        let entry = Arc::new(self.build_entry(canonical, &at.store)?);
+        self.cache.insert(at.fingerprint, at.version, Arc::clone(&entry));
+        Ok(PreparedQuery { entry, epoch: at.version.epoch, cache_hit: false })
     }
 
     /// The miss path: semantic optimization, then planning (skipped when
@@ -477,80 +496,40 @@ impl QueryService {
         &self,
         prepared: &PreparedQuery,
     ) -> Result<Arc<ResultSet>, ServiceError> {
-        self.execute_entry(&prepared.entry).map(|(results, _)| results)
+        self.answer(prepared).map(|response| response.results)
     }
 
-    /// The execution core: resolves the current snapshot, serves the result
-    /// memo when its data epoch matches, re-executes otherwise. Returns the
-    /// results and the data epoch they are consistent with.
-    fn execute_entry(&self, entry: &CacheEntry) -> Result<(Arc<ResultSet>, u64), ServiceError> {
+    /// Step 3, the execution core: resolves the current snapshot, serves
+    /// the result memo when its data epoch matches, re-executes (and
+    /// republishes the memo) otherwise. The response names the data epoch
+    /// its rows are consistent with.
+    fn answer(&self, prepared: &PreparedQuery) -> Result<ServiceResponse, ServiceError> {
+        let entry = &prepared.entry;
         let db = self.db.snapshot();
         let data_epoch = db.data_version();
-        let memoize = self.config.cache_results && !self.config.bypass_cache;
-        if memoize {
-            if let Some(cached) = entry.memoized_results(data_epoch) {
-                return Ok((cached, data_epoch));
+        let memoize = self.config.cache_results;
+        let memo = if memoize { entry.memoized_results(data_epoch) } else { None };
+        let results = match memo {
+            Some(cached) => cached,
+            None => {
+                let results = if entry.provably_empty {
+                    Arc::new(ResultSet::new(entry.columns.clone()))
+                } else {
+                    let plan = entry.plan.as_ref().ok_or(ExecError::MalformedPlan(
+                        "an entry not proven empty carries no plan",
+                    ))?;
+                    let (res, _counters) =
+                        WORKER_SCRATCH.with(|s| execute_with(&db, plan, &mut s.borrow_mut().1))?;
+                    // ordering: monotone display counter.
+                    self.executions.fetch_add(1, Ordering::Relaxed);
+                    Arc::new(res)
+                };
+                if memoize {
+                    entry.publish_results(data_epoch, &results);
+                }
+                results
             }
-        }
-        let results = if entry.provably_empty {
-            Arc::new(ResultSet::new(entry.columns.clone()))
-        } else {
-            let plan = entry.plan.as_ref().expect("non-empty entries carry a plan");
-            let (res, _counters) =
-                WORKER_SCRATCH.with(|s| execute_with(&db, plan, &mut s.borrow_mut().1))?;
-            // ordering: monotone display counter.
-            self.executions.fetch_add(1, Ordering::Relaxed);
-            Arc::new(res)
         };
-        if memoize {
-            entry.publish_results(data_epoch, &results);
-        }
-        Ok((results, data_epoch))
-    }
-
-    /// [`QueryService::execute_entry`] through the batch executor: a
-    /// gathered group's one shared execution runs as a width-1
-    /// [`ProbeBinding::AsPlanned`] batch via [`execute_batch_with`] — the
-    /// group members are *identical* queries, so one probe answers them all
-    /// and the result is `Arc`-fanned out — while exercising exactly the
-    /// interleaved machinery wider (re-keyed) batches use.
-    fn execute_entry_group(
-        &self,
-        entry: &CacheEntry,
-    ) -> Result<(Arc<ResultSet>, u64), ServiceError> {
-        let db = self.db.snapshot();
-        let data_epoch = db.data_version();
-        let memoize = self.config.cache_results && !self.config.bypass_cache;
-        if memoize {
-            if let Some(cached) = entry.memoized_results(data_epoch) {
-                return Ok((cached, data_epoch));
-            }
-        }
-        let results = if entry.provably_empty {
-            Arc::new(ResultSet::new(entry.columns.clone()))
-        } else {
-            let plan = entry.plan.as_ref().expect("non-empty entries carry a plan");
-            let mut batch = WORKER_SCRATCH.with(|s| {
-                execute_batch_with(&db, plan, &[ProbeBinding::AsPlanned], &mut s.borrow_mut().2)
-            })?;
-            let (res, _counters) = batch.pop().expect("width-1 batch yields one result");
-            // ordering: monotone display counter.
-            self.executions.fetch_add(1, Ordering::Relaxed);
-            Arc::new(res)
-        };
-        if memoize {
-            entry.publish_results(data_epoch, &results);
-        }
-        Ok((results, data_epoch))
-    }
-
-    /// Prepare + execute in one call — the per-request entry point.
-    pub fn run(&self, query: &Query) -> Result<ServiceResponse, ServiceError> {
-        // ordering: monotone display counter; `accepted` consistency is
-        // carried by the cache's lookups/hits pair, not this one.
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        let prepared = self.prepare(query)?;
-        let (results, data_epoch) = self.execute_entry(&prepared.entry)?;
         Ok(ServiceResponse {
             results,
             cache_hit: prepared.cache_hit,
@@ -559,13 +538,38 @@ impl QueryService {
         })
     }
 
+    /// Step 4, for flight leaders: resolves the flight with `outcome` so
+    /// every follower receives the identical `Arc`-shared answer — or the
+    /// identical error (re-running the same pipeline would fail the same
+    /// way).
+    fn lead(
+        guard: MissGuard,
+        outcome: Result<ServiceResponse, ServiceError>,
+    ) -> Result<ServiceResponse, ServiceError> {
+        guard.finish(outcome.clone().map_err(FlightError::Failed));
+        outcome
+    }
+
+    /// `members` identical requests answered by one pass of the pipeline.
+    fn serve(&self, canonical: Query, members: u64) -> Result<ServiceResponse, ServiceError> {
+        // ordering: monotone display counter; `accepted` consistency is
+        // carried by the cache's lookups/hits pair, not this one.
+        self.requests.fetch_add(members, Ordering::Relaxed);
+        let (at, hit) = self.resolve(&canonical);
+        self.answer(&self.entry_for(canonical, at, hit)?)
+    }
+
+    /// Prepare + execute in one call — the per-request entry point.
+    pub fn run(&self, query: &Query) -> Result<ServiceResponse, ServiceError> {
+        self.serve(query.canonical(), 1)
+    }
+
     /// The **non-blocking** per-request entry point for reactor-style
     /// callers (the `sqo-frontend` crate): like [`QueryService::run`], but
     /// a cache miss never waits behind another request's optimization.
     ///
-    /// * A plan-cache hit (and the bypass path) is answered synchronously
-    ///   as [`TryRun::Done`] — execution is the caller's CPU work either
-    ///   way.
+    /// * A plan-cache hit is answered synchronously as [`TryRun::Done`] —
+    ///   execution is the caller's CPU work either way.
     /// * The **first** miss on a `(fingerprint, store version, data
     ///   epoch)` coordinate becomes [`TryRun::Leader`]: the caller owes
     ///   the service one [`QueryService::complete_miss`] call, which runs
@@ -577,156 +581,81 @@ impl QueryService {
     ///   [`FlightError::Aborted`](crate::FlightError::Aborted) outcome
     ///   means the leader dropped its guard without completing — call
     ///   `try_run` again; the retry re-checks the cache and may lead.
+    ///
+    /// With `batch_window > 1` a hit goes through the flight table too —
+    /// the temporal gather window of the batch tier. The first arrival
+    /// leads: it executes, resolves the flight and answers synchronously;
+    /// duplicates arriving during that execution become
+    /// [`TryRun::Follower`]s of it, fanned the leader's `Arc`-shared answer
+    /// through the exact machinery miss followers use. The window is the
+    /// leader's execution time: no timers, no added latency for
+    /// unduplicated traffic. Hit flights bump `batch_groups`/`batch_size`,
+    /// **not** the `singleflight_*` counters, which keep meaning
+    /// "deduplicated misses".
     pub fn try_run(&self, query: &Query) -> Result<TryRun, ServiceError> {
         // ordering: monotone display counter; `accepted` consistency is
         // carried by the cache's lookups/hits pair, not this one.
         self.requests.fetch_add(1, Ordering::Relaxed);
         let canonical = query.canonical();
-        let store = self.store();
-        let version = store.version();
-        if self.config.bypass_cache {
-            let entry = Arc::new(self.build_entry(canonical, &store)?);
-            let (results, data_epoch) = self.execute_entry(&entry)?;
-            return Ok(TryRun::Done(ServiceResponse {
-                results,
-                cache_hit: false,
-                epoch: version.epoch,
-                data_epoch,
-            }));
-        }
-        let fingerprint = canonical.fingerprint_canonical();
-        if let Some(entry) = self.cache.get(fingerprint, &canonical, version) {
-            if self.config.batch_window > 1 {
-                return self.run_hit_grouped(entry, canonical, store, version, fingerprint);
-            }
-            let (results, data_epoch) = self.execute_entry(&entry)?;
-            return Ok(TryRun::Done(ServiceResponse {
-                results,
-                cache_hit: true,
-                epoch: version.epoch,
-                data_epoch,
-            }));
-        }
-        let key = FlightKey { fingerprint, version, data_epoch: self.db.data_epoch() };
-        match self.cache.flights().register(key, &canonical) {
-            Registered::Leader(flight) => {
-                // ordering: monotone display counter.
-                self.sf_leaders.fetch_add(1, Ordering::Relaxed);
-                let table = Arc::clone(self.cache.flights());
-                Ok(TryRun::Leader(MissGuard::new(key, canonical, store, table, flight)))
-            }
-            Registered::Follower(flight) => {
-                // ordering: monotone display counter.
-                self.sf_followers.fetch_add(1, Ordering::Relaxed);
-                Ok(TryRun::Follower(MissWaiter::new(flight)))
-            }
-            Registered::Collision => {
-                // A 64-bit fingerprint collision with the in-flight query:
-                // sharing would serve the wrong answer, so this request
-                // runs the undeduplicated miss path on its own.
-                let entry = Arc::new(self.build_entry(canonical, &store)?);
-                self.cache.insert(fingerprint, version, Arc::clone(&entry));
-                let (results, data_epoch) = self.execute_entry(&entry)?;
-                Ok(TryRun::Done(ServiceResponse {
-                    results,
-                    cache_hit: false,
-                    epoch: version.epoch,
-                    data_epoch,
-                }))
+        let (at, hit) = self.resolve(&canonical);
+        if self.config.batch_window <= 1 {
+            if let Some(prepared) = &hit {
+                return self.answer(prepared).map(TryRun::Done);
             }
         }
-    }
-
-    /// The temporal gather window of the batch tier: a warm hit (when
-    /// `batch_window > 1`) registers its `(fingerprint, store version,
-    /// data epoch)` coordinates in the singleflight table *before*
-    /// executing. The first arrival leads — it executes through the batch
-    /// executor, resolves the flight, and answers synchronously; duplicates
-    /// arriving during that execution become [`TryRun::Follower`]s and are
-    /// fanned the leader's `Arc`-shared answer through the exact machinery
-    /// miss followers already use. The window is the leader's execution
-    /// time: no timers, no added latency for unduplicated traffic.
-    ///
-    /// Hit flights bump `batch_groups`/`batch_size`, **not** the
-    /// `singleflight_*` counters, which keep meaning "deduplicated misses".
-    fn run_hit_grouped(
-        &self,
-        entry: Arc<CacheEntry>,
-        canonical: Query,
-        store: Arc<ConstraintStore>,
-        version: StoreVersion,
-        fingerprint: QueryFingerprint,
-    ) -> Result<TryRun, ServiceError> {
-        let key = FlightKey { fingerprint, version, data_epoch: self.db.data_epoch() };
+        let key = FlightKey {
+            fingerprint: at.fingerprint,
+            version: at.version,
+            data_epoch: self.db.data_epoch(),
+        };
         match self.cache.flights().register(key, &canonical) {
             Registered::Leader(flight) => {
                 let table = Arc::clone(self.cache.flights());
-                let guard = MissGuard::new(key, canonical, store, table, flight);
+                let guard = MissGuard::new(key, canonical, at.store, table, flight);
+                let Some(prepared) = hit else {
+                    // ordering: monotone display counter.
+                    self.sf_leaders.fetch_add(1, Ordering::Relaxed);
+                    return Ok(TryRun::Leader(guard));
+                };
                 // ordering: monotone display counters.
                 self.batch_groups.fetch_add(1, Ordering::Relaxed);
                 self.batch_size.fetch_add(1, Ordering::Relaxed); // ordering: display counter
-                let outcome = self.execute_entry_group(&entry).map(|(results, data_epoch)| {
-                    ServiceResponse { results, cache_hit: true, epoch: version.epoch, data_epoch }
-                });
-                match outcome {
-                    Ok(response) => {
-                        guard.finish(Ok(response.clone()));
-                        Ok(TryRun::Done(response))
-                    }
-                    Err(e) => {
-                        guard.finish(Err(FlightError::Failed(e.clone())));
-                        Err(e)
-                    }
-                }
+                Self::lead(guard, self.answer(&prepared)).map(TryRun::Done)
             }
             Registered::Follower(flight) => {
+                let joined = if hit.is_some() { &self.batch_size } else { &self.sf_followers };
                 // ordering: monotone display counter.
-                self.batch_size.fetch_add(1, Ordering::Relaxed);
+                joined.fetch_add(1, Ordering::Relaxed);
                 Ok(TryRun::Follower(MissWaiter::new(flight)))
             }
+            // A 64-bit fingerprint collision with the in-flight query:
+            // sharing would serve the wrong answer, so this request runs
+            // the undeduplicated pipeline on its own.
             Registered::Collision => {
-                // A fingerprint collision with the in-flight query: answer
-                // solo rather than share the wrong result.
-                let (results, data_epoch) = self.execute_entry(&entry)?;
-                Ok(TryRun::Done(ServiceResponse {
-                    results,
-                    cache_hit: true,
-                    epoch: version.epoch,
-                    data_epoch,
-                }))
+                self.answer(&self.entry_for(canonical, at, hit)?).map(TryRun::Done)
             }
         }
     }
 
     /// Runs the miss pipeline a [`TryRun::Leader`] owes: semantic
     /// optimization and planning against the store version captured at
-    /// registration, cache publication **stamped with that same version**
-    /// (a store swapped mid-flight can never receive an entry derived
-    /// under its predecessor — lookups at the successor version miss and
-    /// re-derive), then execution. The response resolves the flight, so
-    /// every follower receives the identical `Arc`-shared answer.
+    /// registration, cache publication stamped with that same version,
+    /// then execution. The response resolves the flight, so every follower
+    /// receives the identical `Arc`-shared answer.
     ///
     /// On failure the error is shared with the followers too (re-running
     /// the same pipeline would fail the same way).
     pub fn complete_miss(&self, guard: MissGuard) -> Result<ServiceResponse, ServiceError> {
         let key = guard.key();
-        let built = self.build_entry(guard.canonical().clone(), guard.store());
-        let outcome = built.and_then(|entry| {
-            let entry = Arc::new(entry);
-            self.cache.insert(key.fingerprint, key.version, Arc::clone(&entry));
-            let (results, data_epoch) = self.execute_entry(&entry)?;
-            Ok(ServiceResponse { results, cache_hit: false, epoch: key.version.epoch, data_epoch })
-        });
-        match outcome {
-            Ok(response) => {
-                guard.finish(Ok(response.clone()));
-                Ok(response)
-            }
-            Err(e) => {
-                guard.finish(Err(FlightError::Failed(e.clone())));
-                Err(e)
-            }
-        }
+        let at = Coordinate {
+            store: Arc::clone(guard.store()),
+            version: key.version,
+            fingerprint: key.fingerprint,
+        };
+        let outcome = self
+            .entry_for(guard.canonical().clone(), at, None)
+            .and_then(|prepared| self.answer(&prepared));
+        Self::lead(guard, outcome)
     }
 
     /// Answers `queries` on a fixed pool of `workers` threads (closed-loop:
@@ -737,153 +666,81 @@ impl QueryService {
     /// each surfaces as [`ServiceError::WorkerPanicked`], every other
     /// request completes normally, and the caller is never aborted.
     ///
-    /// With `batch_window > 1` (and the cache enabled) the stream first
-    /// passes through the batch tier's explicit gather window: consecutive
-    /// windows of up to `batch_window` requests are grouped by
-    /// `(fingerprint, store version, data epoch)`, each group runs the
-    /// pipeline **once**, and its answer is `Arc`-fanned back to every
-    /// member — a duplicate-heavy warm stream costs one execution per
+    /// With `batch_window > 1` the stream first passes through the batch
+    /// tier's explicit gather window: consecutive windows of up to
+    /// `batch_window` requests are grouped by fingerprint, each group runs
+    /// the pipeline **once** — at one `(store version, data epoch)`, which
+    /// its answer names — and that answer is `Arc`-fanned back to every
+    /// member: a duplicate-heavy warm stream costs one execution per
     /// distinct query per window instead of one per request.
     pub fn run_batch(
         &self,
         queries: &[Query],
         workers: usize,
     ) -> Vec<Result<ServiceResponse, ServiceError>> {
-        if self.config.batch_window > 1 && !self.config.bypass_cache {
-            return self.run_batch_grouped(queries, workers);
-        }
-        self.run_batch_with(queries, workers, |q| self.run(q))
+        self.run_batch_with(queries, workers, |canonical, members| self.serve(canonical, members))
     }
 
-    /// The gather pass + worker loop behind grouped [`QueryService::run_batch`].
-    fn run_batch_grouped(
-        &self,
-        queries: &[Query],
-        workers: usize,
-    ) -> Vec<Result<ServiceResponse, ServiceError>> {
-        let window = self.config.batch_window.max(1);
-        // Gather pass: within each consecutive window, requests landing on
-        // the same (fingerprint, store version, data epoch) coordinates
-        // merge into one group. The group keeps the canonical query, and a
-        // canonical-equality check guards against fingerprint collisions —
-        // a colliding request simply opens its own (unindexed) group.
-        let mut groups: Vec<(Query, Vec<usize>)> = Vec::new();
-        let mut open: HashMap<(QueryFingerprint, StoreVersion, u64), usize> = HashMap::new();
-        for (i, query) in queries.iter().enumerate() {
-            if i % window == 0 {
-                open.clear();
-            }
-            let canonical = query.canonical();
-            let key =
-                (canonical.fingerprint_canonical(), self.store().version(), self.db.data_epoch());
-            match open.get(&key) {
-                Some(&g) if groups[g].0 == canonical => groups[g].1.push(i),
-                Some(_) => groups.push((canonical, vec![i])),
-                None => {
-                    open.insert(key, groups.len());
-                    groups.push((canonical, vec![i]));
-                }
-            }
-        }
-        let workers = workers.clamp(1, groups.len().max(1));
-        let next = AtomicUsize::new(0);
-        let mut out: Vec<Result<ServiceResponse, ServiceError>> =
-            (0..queries.len()).map(|_| Err(ServiceError::WorkerPanicked)).collect();
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let groups = &groups;
-                    let tx = tx.clone();
-                    scope.spawn(move || loop {
-                        // ordering: work-index claim; RMW atomicity alone makes indexes
-                        // unique, and scope join orders results after all claims.
-                        let g = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((canonical, members)) = groups.get(g) else { break };
-                        let _ = tx.send((g, self.run_group(canonical, members.len())));
-                    })
-                })
-                .collect();
-            drop(tx);
-            for (g, response) in rx {
-                for &i in &groups[g].1 {
-                    out[i] = response.clone();
-                }
-            }
-            for handle in handles {
-                let _ = handle.join();
-            }
-        });
-        out
-    }
-
-    /// One gathered group: resolve the cache entry once (building it on a
-    /// miss), run one shared execution through the batch executor, and
-    /// account all `size` members.
-    fn run_group(&self, canonical: &Query, size: usize) -> Result<ServiceResponse, ServiceError> {
-        // ordering: monotone display counter.
-        self.requests.fetch_add(size as u64, Ordering::Relaxed);
-        let store = self.store();
-        let version = store.version();
-        let fingerprint = canonical.fingerprint_canonical();
-        let (entry, cache_hit) = match self.cache.get(fingerprint, canonical, version) {
-            Some(entry) => (entry, true),
-            None => {
-                let entry = Arc::new(self.build_entry(canonical.clone(), &store)?);
-                self.cache.insert(fingerprint, version, Arc::clone(&entry));
-                (entry, false)
-            }
-        };
-        let (results, data_epoch) = self.execute_entry_group(&entry)?;
-        // ordering: monotone display counters.
-        self.batch_groups.fetch_add(1, Ordering::Relaxed);
-        self.batch_size.fetch_add(size as u64, Ordering::Relaxed); // ordering: display counter
-        Ok(ServiceResponse { results, cache_hit, epoch: version.epoch, data_epoch })
-    }
-
-    /// [`QueryService::run_batch`] generic over the per-query closure, so
-    /// tests can inject a panicking request deterministically.
+    /// [`QueryService::run_batch`] generic over the per-group pipeline
+    /// pass, so tests can inject a panicking request deterministically.
     fn run_batch_with(
         &self,
         queries: &[Query],
         workers: usize,
-        run: impl Fn(&Query) -> Result<ServiceResponse, ServiceError> + Sync,
+        serve: impl Fn(Query, u64) -> Result<ServiceResponse, ServiceError> + Sync,
     ) -> Vec<Result<ServiceResponse, ServiceError>> {
-        let workers = workers.clamp(1, queries.len().max(1));
-        let next = AtomicUsize::new(0);
-        let mut out: Vec<Result<ServiceResponse, ServiceError>> =
-            (0..queries.len()).map(|_| Err(ServiceError::WorkerPanicked)).collect();
-        // Workers stream answers over a channel instead of returning them
-        // from the thread closure: answers a worker produced before
-        // panicking survive, and join() errors are tolerated — requests
-        // the poisoned worker claimed but never answered keep their
-        // `WorkerPanicked` placeholder.
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let run = &run;
-                    let tx = tx.clone();
-                    scope.spawn(move || loop {
-                        // ordering: work-index claim; RMW atomicity alone makes indexes
-                        // unique, and scope join orders results after all claims.
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(query) = queries.get(i) else { break };
-                        let _ = tx.send((i, run(query)));
-                    })
-                })
-                .collect();
-            drop(tx);
-            for (i, response) in rx {
-                out[i] = response;
-            }
-            for handle in handles {
-                let _ = handle.join();
-            }
+        let answered = |slot: Option<_>| slot.unwrap_or(Err(ServiceError::WorkerPanicked));
+        if self.config.batch_window <= 1 {
+            let slots = run_pooled(queries.len(), workers, |i| serve(queries[i].canonical(), 1));
+            return slots.into_iter().map(answered).collect();
+        }
+        let groups = self.gather(queries);
+        let slots = run_pooled(groups.len(), workers, |g| {
+            serve(groups[g].0.clone(), groups[g].1.len() as u64)
         });
+        let mut out = vec![Err(ServiceError::WorkerPanicked); queries.len()];
+        for ((_, members), slot) in groups.iter().zip(slots) {
+            let response = answered(slot);
+            if response.is_ok() {
+                // ordering: monotone display counter.
+                self.batch_groups.fetch_add(1, Ordering::Relaxed);
+                // ordering: monotone display counter.
+                self.batch_size.fetch_add(members.len() as u64, Ordering::Relaxed);
+            }
+            for &i in members {
+                out[i] = response.clone();
+            }
+        }
         out
+    }
+
+    /// The gather pass of grouped [`QueryService::run_batch`]: within each
+    /// consecutive window, requests with the same fingerprint merge into
+    /// one group of request indexes. The store version and data epoch a
+    /// group is answered at are resolved once, by its pipeline pass, so the
+    /// gather itself reads neither. The group keeps the canonical query,
+    /// and a canonical-equality check guards against fingerprint
+    /// collisions — a colliding request simply opens its own (unindexed)
+    /// group.
+    fn gather(&self, queries: &[Query]) -> Vec<(Query, Vec<usize>)> {
+        let mut groups: Vec<(Query, Vec<usize>)> = Vec::new();
+        let mut open: HashMap<QueryFingerprint, usize> = HashMap::new();
+        for (i, query) in queries.iter().enumerate() {
+            if i % self.config.batch_window == 0 {
+                open.clear();
+            }
+            let canonical = query.canonical();
+            let fingerprint = canonical.fingerprint_canonical();
+            match open.get(&fingerprint) {
+                Some(&g) if groups[g].0 == canonical => groups[g].1.push(i),
+                Some(_) => groups.push((canonical, vec![i])),
+                None => {
+                    open.insert(fingerprint, groups.len());
+                    groups.push((canonical, vec![i]));
+                }
+            }
+        }
+        groups
     }
 
     /// Serializes the full service state into a `.sqos` snapshot: the
@@ -910,12 +767,34 @@ impl QueryService {
         builder.finish()
     }
 
-    /// Writes [`QueryService::snapshot_bytes`] to `path`.
+    /// Writes [`QueryService::snapshot_bytes`] to `path`, crash-safely:
+    /// the bytes go to a temporary file beside `path`, are synced, and are
+    /// then renamed over it, so at every instant `path` holds either the
+    /// previous snapshot or the complete new one.
     ///
     /// # Errors
-    /// [`LoadError::Io`] if the file cannot be written.
-    pub fn save_snapshot(&self, path: impl AsRef<std::path::Path>) -> Result<(), LoadError> {
-        std::fs::write(path, self.snapshot_bytes()).map_err(LoadError::from)
+    /// [`LoadError::Io`] if the file cannot be written; the temporary file
+    /// is removed and whatever `path` held before is untouched.
+    pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), LoadError> {
+        static SAVES: AtomicU64 = AtomicU64::new(0);
+        let path = path.as_ref();
+        // ordering: uniqueness comes from RMW atomicity alone; concurrent
+        // saves of one process must not share a temporary file.
+        let nth = SAVES.fetch_add(1, Ordering::Relaxed);
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(format!(".{}-{nth}.tmp", std::process::id()));
+        let tmp = Path::new(&tmp);
+        let saved = std::fs::File::create(tmp)
+            .and_then(|mut file| {
+                file.write_all(&self.snapshot_bytes())?;
+                file.sync_all()
+            })
+            .and_then(|()| std::fs::rename(tmp, path))
+            .and_then(|()| sync_parent_dir(path));
+        if saved.is_err() {
+            let _ = std::fs::remove_file(tmp);
+        }
+        saved.map_err(LoadError::from)
     }
 
     /// Reconstructs a service from snapshot bytes, validating at `level`
@@ -924,8 +803,7 @@ impl QueryService {
     /// The rebuilt constraint store keeps the saved semantic epoch (raised
     /// monotonically) but gets a **fresh generation** — generations are
     /// process-local, so persisted cache seeds are re-stamped to the new
-    /// store's version as they are inserted. Plan seeds are skipped
-    /// entirely when `config.bypass_cache` is set.
+    /// store's version as they are inserted.
     ///
     /// # Errors
     /// Any [`LoadError`]: container damage at Standard, id-space or
@@ -950,11 +828,9 @@ impl QueryService {
         };
         let store = persist::rebuild_store(Arc::clone(&catalog), seed)?;
         let service = Self::with_config(Arc::new(store), Arc::new(db), config);
-        if !service.config.bypass_cache {
-            let version = service.store_version();
-            for s in plan_seeds {
-                service.cache.insert(s.fingerprint, version, Arc::new(s.entry));
-            }
+        let version = service.store_version();
+        for s in plan_seeds {
+            service.cache.insert(s.fingerprint, version, Arc::new(s.entry));
         }
         Ok(service)
     }
@@ -968,7 +844,7 @@ impl QueryService {
     /// [`LoadError::Io`] if the file cannot be read, otherwise as
     /// [`QueryService::from_snapshot_bytes`].
     pub fn warm_start(
-        path: impl AsRef<std::path::Path>,
+        path: impl AsRef<Path>,
         level: ValidationLevel,
         config: ServiceConfig,
     ) -> Result<Self, LoadError> {
@@ -998,6 +874,68 @@ impl QueryService {
             cache,
         }
     }
+}
+
+/// Where one request sits in the service's version space: the store
+/// handle its rewrite is (to be) derived under, and the cache identity
+/// `(fingerprint, version)` of its canonical query at that store. The
+/// query itself travels beside it, so a hit never moves it.
+#[derive(Debug)]
+struct Coordinate {
+    store: Arc<ConstraintStore>,
+    version: StoreVersion,
+    fingerprint: QueryFingerprint,
+}
+
+/// The closed-loop worker pool behind [`QueryService::run_batch`]: `jobs`
+/// indexes claimed one at a time by `workers` scoped threads. Slot `j` is
+/// `None` iff the worker that claimed job `j` panicked in it.
+///
+/// Workers stream answers over a channel instead of returning them from
+/// the thread closure: answers a worker produced before panicking survive,
+/// and join() errors are tolerated.
+fn run_pooled<R: Send>(
+    jobs: usize,
+    workers: usize,
+    job: impl Fn(usize) -> R + Sync,
+) -> Vec<Option<R>> {
+    let next = AtomicUsize::new(0);
+    let mut out: Vec<Option<R>> = (0..jobs).map(|_| None).collect();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.clamp(1, jobs.max(1)))
+            .map(|_| {
+                let (next, job, tx) = (&next, &job, tx.clone());
+                scope.spawn(move || loop {
+                    // ordering: work-index claim; RMW atomicity alone makes indexes
+                    // unique, and scope join orders results after all claims.
+                    let j = next.fetch_add(1, Ordering::Relaxed);
+                    if j >= jobs {
+                        break;
+                    }
+                    let _ = tx.send((j, job(j)));
+                })
+            })
+            .collect();
+        drop(tx);
+        for (j, answer) in rx {
+            out[j] = Some(answer);
+        }
+        for handle in handles {
+            let _ = handle.join();
+        }
+    });
+    out
+}
+
+/// Makes the rename that published `path` durable. Only Unix can open a
+/// directory for syncing; elsewhere the rename is left to the OS.
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    if cfg!(unix) {
+        let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1130,7 +1068,7 @@ mod tests {
 
         // Duplicate a cargo instance with its links (constraint- and
         // integrity-preserving); the recomputed answer is cross-checked
-        // against a fresh uncached reference below.
+        // against the unoptimized original query below.
         let db = service.db();
         let catalog = db.catalog();
         let cargo = catalog.class_id("cargo").unwrap();
@@ -1158,37 +1096,17 @@ mod tests {
         assert_eq!(stats1.optimizations, 1, "no re-optimization after a data write");
         assert_eq!(stats1.executions, 2, "the memoized result must be recomputed");
 
-        // The recomputed answer matches a fresh uncached reference on the
-        // same shared database.
-        let reference = QueryService::with_versioned_db(
-            service.store(),
-            Arc::clone(service.versioned_db()),
-            ServiceConfig { bypass_cache: true, ..Default::default() },
-        );
-        let fresh = reference.run(&queries[0]).unwrap();
-        assert!(after.results.same_multiset(&fresh.results));
+        // The recomputed answer matches the original query, planned and
+        // executed unoptimized on the post-write snapshot.
+        let db = service.db();
+        let plan = sqo_exec::plan_query(&db, &queries[0].canonical(), &service.model).unwrap();
+        let (fresh, _) = sqo_exec::execute(&db, &plan).unwrap();
+        assert!(after.results.same_multiset(&fresh));
 
         // Re-running without further writes serves the (re)memoized copy.
         let warm = service.run(&queries[0]).unwrap();
         assert_eq!(service.stats().executions, 2, "memo re-armed at the new epoch");
         assert!(warm.results.same_multiset(&after.results));
-    }
-
-    #[test]
-    fn bypass_cache_always_misses() {
-        let s = paper_scenario(DbSize::Db1, 42);
-        let service = QueryService::with_config(
-            Arc::new(s.store),
-            Arc::new(s.db),
-            ServiceConfig { bypass_cache: true, ..Default::default() },
-        );
-        for _ in 0..3 {
-            let r = service.run(&s.queries[0]).unwrap();
-            assert!(!r.cache_hit);
-        }
-        let stats = service.stats();
-        assert_eq!(stats.optimizations, 3);
-        assert_eq!(stats.cache.entries, 0);
     }
 
     #[test]
@@ -1204,20 +1122,31 @@ mod tests {
 
     #[test]
     fn run_batch_survives_a_panicking_worker() {
-        let (service, queries) = service();
-        let batch: Vec<Query> = queries.iter().cycle().take(12).cloned().collect();
-        let poisoned = &batch[5];
-        let out = service.run_batch_with(&batch, 3, |q| {
-            if std::ptr::eq(q, poisoned) {
-                panic!("injected worker panic");
-            }
-            service.run(q)
-        });
-        assert_eq!(out.len(), batch.len());
-        assert!(matches!(out[5], Err(ServiceError::WorkerPanicked)));
-        for (i, r) in out.iter().enumerate() {
-            if i != 5 {
-                assert!(r.is_ok(), "request {i} must survive the poisoned worker");
+        for batch_window in [1, 8] {
+            let s = paper_scenario(DbSize::Db1, 42);
+            let service = QueryService::with_config(
+                Arc::new(s.store),
+                Arc::new(s.db),
+                ServiceConfig { batch_window, ..Default::default() },
+            );
+            // Duplicates of queries 1 and 2 around one copy of query 0, so a
+            // gather window holds multi-member groups and the poisoned
+            // request still poisons exactly itself.
+            let batch: Vec<Query> =
+                (0..12).map(|i| s.queries[if i == 5 { 0 } else { 1 + i % 2 }].clone()).collect();
+            let poisoned = batch[5].canonical();
+            let out = service.run_batch_with(&batch, 3, |canonical, members| {
+                if canonical == poisoned {
+                    panic!("injected worker panic");
+                }
+                service.serve(canonical, members)
+            });
+            assert_eq!(out.len(), batch.len());
+            assert!(matches!(out[5], Err(ServiceError::WorkerPanicked)));
+            for (i, r) in out.iter().enumerate() {
+                if i != 5 {
+                    assert!(r.is_ok(), "request {i} must survive the poisoned worker");
+                }
             }
         }
     }

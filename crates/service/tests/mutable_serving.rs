@@ -191,10 +191,10 @@ fn concurrent_writers_and_readers_observe_linearized_data_epochs() {
 }
 
 #[test]
-fn single_threaded_write_stream_cross_checks_against_uncached_reference() {
+fn single_threaded_write_stream_cross_checks_against_unoptimized_reference() {
     // The E11 invariant, in miniature and fully deterministic: after every
-    // write, cached answers equal a freshly-optimized uncached reference
-    // sharing the same versioned database.
+    // write, cached answers equal the original query planned and executed
+    // unoptimized on the service's own snapshot.
     let s = paper_scenario(DbSize::Db1, 11);
     let store = Arc::new(s.store);
     let handle =
@@ -204,11 +204,7 @@ fn single_threaded_write_stream_cross_checks_against_uncached_reference() {
         Arc::clone(&handle),
         ServiceConfig::default(),
     );
-    let cold = QueryService::with_versioned_db(
-        Arc::clone(&store),
-        Arc::clone(&handle),
-        ServiceConfig { bypass_cache: true, ..Default::default() },
-    );
+    let model = CostModel::default();
     let wl = mixed_workload(
         &s.queries,
         &s.catalog,
@@ -233,11 +229,13 @@ fn single_threaded_write_stream_cross_checks_against_uncached_reference() {
             }
             MixedOp::Read { query, .. } => {
                 let a = warm.run(query).expect("warm run");
-                let b = cold.run(query).expect("cold run");
+                let db = warm.db();
+                let plan = plan_query(&db, &query.canonical(), &model).expect("plan");
+                let (b, _) = execute(&db, &plan).expect("execute");
                 assert_eq!(a.data_epoch, writes_seen, "reads see every prior write");
                 assert!(
-                    a.results.same_multiset(&b.results),
-                    "cached answer diverged from the uncached reference at epoch {writes_seen}"
+                    a.results.same_multiset(&b),
+                    "cached answer diverged from the unoptimized reference at epoch {writes_seen}"
                 );
             }
         }

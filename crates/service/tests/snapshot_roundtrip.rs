@@ -113,3 +113,34 @@ fn damaged_serving_sections_are_rejected() {
     .expect("PLANSEEDS is an optional section");
     assert_eq!(warm.epoch(), cold.epoch());
 }
+
+/// `save_snapshot` replaces the target atomically: saving over an existing
+/// snapshot leaves exactly the target file behind (no temporary), and the
+/// file boots.
+#[test]
+fn save_over_an_existing_snapshot_leaves_only_the_target() {
+    let (service, queries) = served();
+    let dir = std::env::temp_dir().join(format!("sqo_save_test_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("state.sqos");
+    service.save_snapshot(&path).expect("first save");
+    service.save_snapshot(&path).expect("save over the first");
+    let left: Vec<_> =
+        std::fs::read_dir(&dir).expect("list").map(|e| e.expect("entry").file_name()).collect();
+    assert_eq!(left, ["state.sqos"], "the temporary file must not outlive the save");
+    let warm = QueryService::warm_start(&path, ValidationLevel::Strict, ServiceConfig::default())
+        .expect("the saved file boots");
+    assert!(warm.run(&queries[0]).unwrap().cache_hit);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A save that cannot even create its temporary file reports `Io` and
+/// creates nothing — in particular not the missing directory.
+#[test]
+fn save_into_a_missing_directory_fails_without_side_effects() {
+    let (service, _) = served();
+    let dir = std::env::temp_dir().join(format!("sqo_missing_dir_{}", std::process::id()));
+    let err = service.save_snapshot(dir.join("state.sqos")).unwrap_err();
+    assert!(matches!(err, LoadError::Io(_)), "{err:?}");
+    assert!(!dir.exists());
+}
