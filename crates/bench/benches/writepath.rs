@@ -1,9 +1,15 @@
 //! Microbenchmarks of the copy-on-write write path: applying a batch via
-//! the incremental `Arc` clone-and-patch ([`Database::with_writes`]) vs the
-//! from-scratch rebuild oracle ([`Database::with_writes_full`]), and the
-//! statistics side in isolation — per-touched-class delta folding (driven
-//! through an update-only batch, whose cost is dominated by the one-class
-//! stats recompute) vs the full rescan ([`Database::rebuild_statistics`]).
+//! the incremental path ([`Database::with_writes`]: paged shards, statistics
+//! by delta) vs the from-scratch rebuild oracle
+//! ([`Database::with_writes_full`]), and the statistics side in isolation —
+//! a one-value in-place update, which patches one class's counts, vs the
+//! full rescan ([`Database::rebuild_statistics`]).
+//!
+//! Each runs on the paper's DB2 and on 20,000 objects per class, where a
+//! class no longer fits the caches; the gap between the two sizes is what
+//! per-class work in a write would show up as. Databases are measured as
+//! they are after their first write, with the touched class's value counts
+//! built.
 //!
 //! Quick mode: set `SQO_BENCH_SMOKE=1` (the CI bench-smoke job does) to run
 //! every benchmark at minimal sample counts — same code paths, a fraction
@@ -12,7 +18,8 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sqo_catalog::AttrId;
+use sqo_bench::scaled_database;
+use sqo_catalog::Value;
 use sqo_storage::{DataWrite, Database, ObjectId};
 use sqo_workload::{copyable_rels, dup_insert, paper_scenario, DbSize};
 
@@ -44,41 +51,53 @@ fn dup_batch(db: &Database, size: usize) -> Vec<DataWrite> {
     (0..size).map(|i| dup_insert(db, cargo, i as u32, &rels)).collect()
 }
 
-/// Batch apply, incremental vs full rebuild, on the DB2 instance.
-fn bench_batch_apply(c: &mut Criterion) {
-    let db = paper_scenario(DbSize::Db2, 42).db;
-    let batch = dup_batch(&db, 8);
-    let mut group = tune(c, "writepath_apply");
-    group.bench_function("incremental", |b| {
-        b.iter(|| std::hint::black_box(db.with_writes(&batch, None).expect("apply")));
-    });
-    group.bench_function("full_rebuild", |b| {
-        b.iter(|| std::hint::black_box(db.with_writes_full(&batch, None).expect("apply")));
-    });
-    group.finish();
+/// The two sizes, each after one batch of duplicate inserts into `cargo`.
+fn written_databases() -> [(&'static str, Database); 2] {
+    [("db2", paper_scenario(DbSize::Db2, 42).db), ("scaled", scaled_database(42))].map(
+        |(name, db)| {
+            let (written, _) = db.with_writes(&dup_batch(&db, 8), None).expect("apply");
+            (name, written)
+        },
+    )
 }
 
-/// The statistics side in isolation: a one-attribute in-place update folds
-/// exactly one class's stats (plus the extent/index patch, which is tiny
-/// next to the per-class rescan), vs recomputing every class from scratch.
+/// Batch apply, incremental vs full rebuild.
+fn bench_batch_apply(c: &mut Criterion) {
+    for (name, db) in written_databases() {
+        let batch = dup_batch(&db, 8);
+        let mut group = tune(c, &format!("writepath_apply_{name}"));
+        group.bench_function("incremental", |b| {
+            b.iter(|| std::hint::black_box(db.with_writes(&batch, None).expect("apply")));
+        });
+        group.bench_function("full_rebuild", |b| {
+            b.iter(|| std::hint::black_box(db.with_writes_full(&batch, None).expect("apply")));
+        });
+        group.finish();
+    }
+}
+
+/// The statistics side in isolation: a one-attribute in-place update of an
+/// unindexed attribute copies one extent page and patches two value counts,
+/// vs recomputing every class's statistics from scratch.
 fn bench_stats(c: &mut Criterion) {
-    let db = paper_scenario(DbSize::Db2, 42).db;
-    let catalog = db.catalog();
-    let cargo = catalog.class_id("cargo").expect("bench schema");
-    let touch = vec![DataWrite::Update {
-        class: cargo,
-        object: ObjectId(0),
-        attr: AttrId(0),
-        value: db.tuple(cargo, ObjectId(0)).unwrap()[0].clone(),
-    }];
-    let mut group = tune(c, "writepath_stats");
-    group.bench_function("delta_fold_one_class", |b| {
-        b.iter(|| std::hint::black_box(db.with_writes(&touch, None).expect("apply")));
-    });
-    group.bench_function("full_rescan", |b| {
-        b.iter(|| std::hint::black_box(db.rebuild_statistics()));
-    });
-    group.finish();
+    for (name, db) in written_databases() {
+        let cargo = db.catalog().class_id("cargo").expect("bench schema");
+        let a2 = db.catalog().attr_ref("cargo", "a2").expect("bench schema").attr;
+        let touch = vec![DataWrite::Update {
+            class: cargo,
+            object: ObjectId(0),
+            attr: a2,
+            value: Value::Int(-1),
+        }];
+        let mut group = tune(c, &format!("writepath_stats_{name}"));
+        group.bench_function("delta_one_value", |b| {
+            b.iter(|| std::hint::black_box(db.with_writes(&touch, None).expect("apply")));
+        });
+        group.bench_function("full_rescan", |b| {
+            b.iter(|| std::hint::black_box(db.rebuild_statistics()));
+        });
+        group.finish();
+    }
 }
 
 criterion_group!(benches, bench_batch_apply, bench_stats);

@@ -17,17 +17,20 @@
 //!   snapshot mutation behind a versioned handle with a monotone **data
 //!   epoch**, distinct from the constraint epoch, so serving layers can
 //!   keep plans across data writes while re-gating memoized results.
-//!   Snapshot state is `Arc`-sharded per class and per relationship; a
-//!   write batch clones and patches only the shards it touches (extents,
-//!   index banks, link tables) and folds per-class statistics deltas into
-//!   the previous snapshot, so a batch costs O(touched classes + their
-//!   incident links) instead of O(database). [`Database::with_writes_full`]
-//!   keeps the rebuild-everything algorithm as the equivalence oracle, and
+//!   Snapshot state is sharded per class and per relationship and shared
+//!   between snapshots by pointer, extents and adjacency lists page by
+//!   page; a write
+//!   batch copies only the pages it touches and the touched classes' index
+//!   banks, and patches the touched classes' statistics per written value
+//!   from value counts that successive snapshots share — so a batch costs
+//!   what it touches, not the size of the class or the database.
+//!   [`Database::with_writes_full`] keeps the rebuild-everything algorithm
+//!   as the equivalence oracle, and
 //!   [`DataWrite::Update`] mutates attributes in place without paying
 //!   delete + re-insert renumbering. Every batch returns a
 //!   [`WriteReceipt`] naming inserted ids and swap-remove renumberings.
-//!   See `db.rs`'s module docs for the sharing/patching model and its
-//!   aliasing guarantees;
+//!   See `db.rs`'s module docs for the sharing/patching model, what a
+//!   write costs and the aliasing guarantees;
 //! * **semantic-constraint checking** against the data, used by generators
 //!   and property tests to certify that instances satisfy the constraint set
 //!   the optimizer will trust.
@@ -36,11 +39,13 @@
 #![warn(missing_debug_implementations)]
 
 mod cost;
+mod counts;
 mod db;
 mod error;
 mod index;
 mod links;
 mod object;
+mod paged;
 mod persist;
 mod versioned;
 

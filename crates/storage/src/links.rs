@@ -14,35 +14,59 @@
 //! * `right → left` lists are stably sorted by left id, duplicates adjacent
 //!   in per-left insertion order.
 //!
-//! [`RelLinks::canonicalize`] establishes the invariant after a bulk build;
-//! the incremental patch operations ([`RelLinks::add_sorted`],
+//! [`RelLinks::from_pairs`] establishes the invariant in a bulk build; the
+//! incremental patch operations ([`RelLinks::add_sorted`],
 //! [`RelLinks::remove_edge`], [`RelLinks::delete_left`],
 //! [`RelLinks::delete_right`]) maintain it edge by edge. Because the order is
 //! canonical, a copy-on-write successor patched in place is **bit-for-bit
 //! identical** to a from-scratch rebuild of the same logical state — the
 //! property `crates/storage/tests/prop_incremental.rs` enforces.
+//!
+//! Both sides are [`PagedVec`]s: cloning a table shares every page of
+//! adjacency lists, and a patch operation copies only the pages holding the
+//! lists it edits.
 
 use sqo_catalog::RelId;
 
 use crate::object::ObjectId;
+use crate::paged::PagedVec;
 
 /// Links of one relationship: adjacency in both directions.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RelLinks {
     /// left object -> linked right objects.
-    left_to_right: Vec<Vec<ObjectId>>,
+    left_to_right: PagedVec<Vec<ObjectId>>,
     /// right object -> linked left objects.
-    right_to_left: Vec<Vec<ObjectId>>,
+    right_to_left: PagedVec<Vec<ObjectId>>,
     links: u64,
 }
 
 impl RelLinks {
     pub fn new(left_cardinality: usize, right_cardinality: usize) -> Self {
-        Self {
-            left_to_right: vec![Vec::new(); left_cardinality],
-            right_to_left: vec![Vec::new(); right_cardinality],
-            links: 0,
+        Self::from_adjacency(
+            vec![Vec::new(); left_cardinality],
+            vec![Vec::new(); right_cardinality],
+        )
+    }
+
+    /// Builds a table in canonical order (see module docs) from flat
+    /// `(left, right)` pairs, given in per-left insertion order. Every id
+    /// must be below its side's cardinality.
+    pub(crate) fn from_pairs(
+        left_cardinality: usize,
+        right_cardinality: usize,
+        pairs: impl IntoIterator<Item = (ObjectId, ObjectId)>,
+    ) -> Self {
+        let mut left_to_right = vec![Vec::new(); left_cardinality];
+        let mut right_to_left = vec![Vec::new(); right_cardinality];
+        for (left, right) in pairs {
+            left_to_right[left.index()].push(right);
+            right_to_left[right.index()].push(left);
         }
+        for list in &mut right_to_left {
+            list.sort_by_key(|o| o.index()); // stable: per-left order survives
+        }
+        Self::from_adjacency(left_to_right, right_to_left)
     }
 
     pub fn add(&mut self, left: ObjectId, right: ObjectId) {
@@ -99,6 +123,16 @@ impl RelLinks {
         self.right_to_left.iter().map(|v| v.len()).max().unwrap_or(0)
     }
 
+    /// The first left object with more than one link, and how many it has
+    /// (to-one multiplicity check).
+    pub(crate) fn overlinked_left(&self) -> Option<(ObjectId, usize)> {
+        overlinked(&self.left_to_right)
+    }
+
+    pub(crate) fn overlinked_right(&self) -> Option<(ObjectId, usize)> {
+        overlinked(&self.right_to_left)
+    }
+
     /// Every `(left, right)` pair, grouped by left object. The from-scratch
     /// write path ([`crate::Database::with_writes_full`]) reconstructs a
     /// mutated link population from this flat form.
@@ -119,15 +153,17 @@ impl RelLinks {
         right_to_left: Vec<Vec<ObjectId>>,
     ) -> Self {
         let links = left_to_right.iter().map(|v| v.len() as u64).sum();
-        Self { left_to_right, right_to_left, links }
+        Self {
+            left_to_right: PagedVec::from_vec(left_to_right),
+            right_to_left: PagedVec::from_vec(right_to_left),
+            links,
+        }
     }
 
-    /// Establishes the canonical adjacency order (see module docs) after a
-    /// bulk [`RelLinks::add`] build: right lists stably sorted by left id.
-    pub(crate) fn canonicalize(&mut self) {
-        for list in &mut self.right_to_left {
-            list.sort_by_key(|o| o.index()); // stable: per-left order survives
-        }
+    /// Both adjacency sides, left first (page-sharing diagnostics).
+    #[cfg(test)]
+    pub(crate) fn sides(&self) -> [&PagedVec<Vec<ObjectId>>; 2] {
+        [&self.left_to_right, &self.right_to_left]
     }
 
     /// Extends the left side by one (unlinked) object slot.
@@ -177,15 +213,16 @@ impl RelLinks {
     /// (left and right sides would fall out of step — delete those via a
     /// per-relationship rebuild instead).
     pub(crate) fn delete_left(&mut self, object: ObjectId) {
-        let gone = std::mem::take(&mut self.left_to_right[object.index()]);
+        let Some(gone) = self.left_to_right.swap_remove(object.index()) else {
+            return;
+        };
         for &r in &gone {
             let list = &mut self.right_to_left[r.index()];
             let at = list.iter().position(|&o| o == object).expect("bidirectional invariant");
             list.remove(at);
             self.links -= 1;
         }
-        let last = ObjectId((self.left_to_right.len() - 1) as u32);
-        self.left_to_right.swap_remove(object.index());
+        let last = ObjectId(self.left_to_right.len() as u32);
         if object == last {
             return;
         }
@@ -215,15 +252,16 @@ impl RelLinks {
     /// Mirror of [`RelLinks::delete_left`] for the right side. Left lists are
     /// per-left ordered, so the moved object's entries are re-keyed in place.
     pub(crate) fn delete_right(&mut self, object: ObjectId) {
-        let gone = std::mem::take(&mut self.right_to_left[object.index()]);
+        let Some(gone) = self.right_to_left.swap_remove(object.index()) else {
+            return;
+        };
         for &l in &gone {
             let list = &mut self.left_to_right[l.index()];
             let at = list.iter().position(|&o| o == object).expect("bidirectional invariant");
             list.remove(at);
             self.links -= 1;
         }
-        let last = ObjectId((self.right_to_left.len() - 1) as u32);
-        self.right_to_left.swap_remove(object.index());
+        let last = ObjectId(self.right_to_left.len() as u32);
         if object == last {
             return;
         }
@@ -241,6 +279,10 @@ impl RelLinks {
             }
         }
     }
+}
+
+fn overlinked(side: &PagedVec<Vec<ObjectId>>) -> Option<(ObjectId, usize)> {
+    side.iter().enumerate().find(|(_, v)| v.len() > 1).map(|(i, v)| (ObjectId(i as u32), v.len()))
 }
 
 /// A link endpoint reference used by the executor when walking either way.
@@ -308,12 +350,10 @@ mod tests {
     }
 
     #[test]
-    fn canonicalize_sorts_right_lists_stably() {
-        let mut l = RelLinks::new(3, 1);
-        l.add(ObjectId(2), ObjectId(0));
-        l.add(ObjectId(0), ObjectId(0));
-        l.add(ObjectId(2), ObjectId(0)); // duplicate edge
-        l.canonicalize();
+    fn from_pairs_sorts_right_lists_stably() {
+        let pairs = [(2, 0), (0, 0), (2, 0)]; // one duplicate edge
+        let l = RelLinks::from_pairs(3, 1, pairs.map(|(l, r)| (ObjectId(l), ObjectId(r))));
+        assert_eq!(l.link_count(), 3);
         assert_eq!(l.from_right(ObjectId(0)), &[ObjectId(0), ObjectId(2), ObjectId(2)]);
         // Left lists keep insertion order.
         assert_eq!(l.from_left(ObjectId(2)), &[ObjectId(0), ObjectId(0)]);
@@ -321,10 +361,8 @@ mod tests {
 
     #[test]
     fn add_sorted_maintains_the_canonical_order() {
-        let mut l = RelLinks::new(3, 1);
-        l.add(ObjectId(0), ObjectId(0));
-        l.add(ObjectId(2), ObjectId(0));
-        l.canonicalize();
+        let mut l =
+            RelLinks::from_pairs(3, 1, [(0, 0), (2, 0)].map(|(l, r)| (ObjectId(l), ObjectId(r))));
         l.add_sorted(ObjectId(1), ObjectId(0));
         assert_eq!(l.from_right(ObjectId(0)), &[ObjectId(0), ObjectId(1), ObjectId(2)]);
         assert_eq!(l.link_count(), 3);
@@ -344,12 +382,8 @@ mod tests {
 
     #[test]
     fn delete_left_renumbers_and_keeps_sorted_right_lists() {
-        let mut l = RelLinks::new(3, 2);
-        l.add(ObjectId(0), ObjectId(0));
-        l.add(ObjectId(1), ObjectId(0));
-        l.add(ObjectId(2), ObjectId(0));
-        l.add(ObjectId(2), ObjectId(1));
-        l.canonicalize();
+        let pairs = [(0, 0), (1, 0), (2, 0), (2, 1)];
+        let mut l = RelLinks::from_pairs(3, 2, pairs.map(|(l, r)| (ObjectId(l), ObjectId(r))));
         // Delete left object 0: object 2 takes its id, edges follow.
         l.delete_left(ObjectId(0));
         assert_eq!(l.left_cardinality(), 2);
@@ -361,11 +395,8 @@ mod tests {
 
     #[test]
     fn delete_right_renumbers_left_lists_in_place() {
-        let mut l = RelLinks::new(2, 3);
-        l.add(ObjectId(0), ObjectId(0));
-        l.add(ObjectId(0), ObjectId(2));
-        l.add(ObjectId(1), ObjectId(1));
-        l.canonicalize();
+        let pairs = [(0, 0), (0, 2), (1, 1)];
+        let mut l = RelLinks::from_pairs(2, 3, pairs.map(|(l, r)| (ObjectId(l), ObjectId(r))));
         // Delete right object 0: right object 2 takes its id.
         l.delete_right(ObjectId(0));
         assert_eq!(l.right_cardinality(), 2);

@@ -1,0 +1,207 @@
+//! A vector stored in fixed-size pages: a persistent two-level tree.
+//!
+//! A [`PagedVec`] is an `Arc`'d table of `Arc`'d pages. Cloning one is a
+//! reference-count increment and shares everything; mutating an element
+//! copies the page table (one pointer per page) the first time and the one
+//! page that holds the element, and nothing else. That is what lets a
+//! copy-on-write snapshot successor pay for the rows a batch touches instead
+//! of for the whole extent or adjacency side: an append copies the last
+//! page, a `swap_remove` the removed element's page and the last one.
+//!
+//! Reads cost what a `Vec` behind an `Arc` costs: the table is a slice
+//! inline in its `Arc` and a page an array inline in its own, so an element
+//! is two pointers from the vector, as it is from an `Arc<Vec<T>>`.
+
+use std::ops::{Index, IndexMut};
+use std::sync::Arc;
+
+/// Elements per page. Small enough that copying one page is noise next to
+/// the rest of a write (128 seven-attribute tuples ≈ 24 KiB), large enough
+/// that the page table stays a few hundred pointers at 10⁵ elements.
+const PAGE_BITS: usize = 7;
+const PAGE_LEN: usize = 1 << PAGE_BITS;
+const PAGE_MASK: usize = PAGE_LEN - 1;
+
+/// The slots of the last page past `len` hold `T::default()`.
+type Page<T> = Arc<[T; PAGE_LEN]>;
+
+/// See the module docs. Unused slots always hold the default value, so two
+/// vectors with equal contents have equal pages and the derived `PartialEq`
+/// compares contents.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct PagedVec<T> {
+    pages: Arc<[Page<T>]>,
+    len: usize,
+}
+
+impl<T> Default for PagedVec<T> {
+    fn default() -> Self {
+        Self { pages: Arc::default(), len: 0 }
+    }
+}
+
+impl<T> PagedVec<T> {
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn get(&self, i: usize) -> Option<&T> {
+        if i < self.len {
+            self.pages.get(i >> PAGE_BITS).map(|page| &page[i & PAGE_MASK])
+        } else {
+            None
+        }
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.pages.iter().flat_map(|page| page.iter()).take(self.len)
+    }
+
+    /// The indices of the pages that are not the same allocation in `self`
+    /// and `other` (diagnostics for the copy-on-write tests).
+    pub(crate) fn unshared_pages<'a>(
+        &'a self,
+        other: &'a Self,
+    ) -> impl Iterator<Item = usize> + 'a {
+        (0..self.pages.len().max(other.pages.len())).filter(move |&p| {
+            !matches!((self.pages.get(p), other.pages.get(p)), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+        })
+    }
+}
+
+impl<T: Clone + Default> PagedVec<T> {
+    pub(crate) fn from_vec(items: Vec<T>) -> Self {
+        let len = items.len();
+        let mut items = items.into_iter();
+        let pages = (0..len.div_ceil(PAGE_LEN))
+            .map(|_| Arc::new(std::array::from_fn(|_| items.next().unwrap_or_default())))
+            .collect();
+        Self { pages, len }
+    }
+
+    /// The page table, copied first if a clone of this vector shares it.
+    fn table_mut(&mut self) -> &mut [Page<T>] {
+        if Arc::get_mut(&mut self.pages).is_none() {
+            self.pages = self.pages.iter().cloned().collect();
+        }
+        // invariant: the table was unshared already or was just collected,
+        // and nothing holds a `Weak` to it.
+        Arc::get_mut(&mut self.pages).expect("a fresh page table is unshared")
+    }
+
+    /// Mutable access to element `i`; copies its page if the page is shared.
+    fn get_mut(&mut self, i: usize) -> Option<&mut T> {
+        if i < self.len {
+            self.table_mut()
+                .get_mut(i >> PAGE_BITS)
+                .map(|page| &mut Arc::make_mut(page)[i & PAGE_MASK])
+        } else {
+            None
+        }
+    }
+
+    pub(crate) fn push(&mut self, item: T) {
+        if self.len == self.pages.len() * PAGE_LEN {
+            let blank = Arc::new(std::array::from_fn(|_| T::default()));
+            self.pages = self.pages.iter().cloned().chain([blank]).collect();
+        }
+        let at = self.len;
+        self.len += 1;
+        self[at] = item;
+    }
+
+    /// Removes and returns element `i`, moving the last element into its
+    /// place; `None` (and no change) when `i` is out of range.
+    pub(crate) fn swap_remove(&mut self, i: usize) -> Option<T> {
+        if i >= self.len {
+            return None;
+        }
+        let last = std::mem::take(self.get_mut(self.len - 1)?);
+        self.len -= 1;
+        let full_pages = self.len.div_ceil(PAGE_LEN);
+        if full_pages < self.pages.len() {
+            self.pages = self.pages[..full_pages].iter().cloned().collect();
+        }
+        Some(match self.get_mut(i) {
+            Some(slot) => std::mem::replace(slot, last),
+            None => last, // `i` was the last element
+        })
+    }
+}
+
+impl<T> Index<usize> for PagedVec<T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        assert!(i < self.len, "index {i} out of range for a PagedVec of {}", self.len);
+        &self.pages[i >> PAGE_BITS][i & PAGE_MASK]
+    }
+}
+
+impl<T: Clone + Default> IndexMut<usize> for PagedVec<T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        assert!(i < self.len, "index {i} out of range for a PagedVec of {}", self.len);
+        &mut Arc::make_mut(&mut self.table_mut()[i >> PAGE_BITS])[i & PAGE_MASK]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn numbers(n: usize) -> PagedVec<usize> {
+        PagedVec::from_vec((0..n).collect())
+    }
+
+    #[test]
+    fn from_vec_round_trips_across_page_boundaries() {
+        for n in [0, 1, PAGE_LEN - 1, PAGE_LEN, PAGE_LEN + 1, 3 * PAGE_LEN + 5] {
+            let v = numbers(n);
+            assert_eq!(v.len(), n);
+            assert_eq!(v.iter().copied().collect::<Vec<_>>(), (0..n).collect::<Vec<_>>());
+            assert_eq!(v.get(n), None);
+            if n > 0 {
+                assert_eq!(v.get(n - 1), Some(&(n - 1)));
+                assert_eq!(v[n / 2], n / 2);
+            }
+        }
+    }
+
+    #[test]
+    fn push_and_swap_remove_behave_like_a_vec() {
+        let mut paged = PagedVec::default();
+        let mut plain = Vec::new();
+        for i in 0..(2 * PAGE_LEN + 3) {
+            paged.push(i);
+            plain.push(i);
+        }
+        // Remove from the middle of a page, across a boundary, and the last
+        // element of a page until whole pages disappear.
+        for at in [5, PAGE_LEN, 0, 2 * PAGE_LEN - 1] {
+            assert_eq!(paged.swap_remove(at), Some(plain.swap_remove(at)));
+        }
+        while let Some(&last) = plain.last() {
+            assert_eq!(paged.swap_remove(plain.len() - 1), Some(last));
+            plain.pop();
+            assert_eq!(paged, PagedVec::from_vec(plain.clone()), "page boundaries stay canonical");
+        }
+        assert_eq!(paged.swap_remove(0), None);
+        assert_eq!(paged, PagedVec::default());
+    }
+
+    #[test]
+    fn mutation_copies_only_the_touched_page() {
+        let base = numbers(3 * PAGE_LEN);
+        let mut next = base.clone();
+        assert_eq!(next.unshared_pages(&base).count(), 0);
+        next[PAGE_LEN + 1] = 7;
+        assert_eq!(next.unshared_pages(&base).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(base[PAGE_LEN + 1], PAGE_LEN + 1, "the source never sees the write");
+        // A push onto a full last page adds a page and copies none.
+        let mut grown = base.clone();
+        grown.push(0);
+        assert_eq!(grown.unshared_pages(&base).collect::<Vec<_>>(), vec![3]);
+        *grown.get_mut(0).unwrap() = 9;
+        assert_eq!(grown.unshared_pages(&base).collect::<Vec<_>>(), vec![0, 3]);
+    }
+}

@@ -28,6 +28,7 @@ use crate::db::{self, Database, Extent};
 use crate::index::{AttrIndex, OrdValue};
 use crate::links::RelLinks;
 use crate::object::ObjectId;
+use crate::paged::PagedVec;
 
 // ---- encoding -------------------------------------------------------------
 
@@ -227,7 +228,7 @@ fn decode_extent_tuples(
     r: &mut ByteReader<'_>,
     catalog: &Catalog,
     cards: &[usize],
-) -> Result<Vec<Arc<Extent>>, LoadError> {
+) -> Result<Vec<Extent>, LoadError> {
     let dict_count = r.count()?;
     // Pre-allocations bounded by the bytes actually present: a hostile
     // count cannot drive a huge reservation.
@@ -238,7 +239,7 @@ fn decode_extent_tuples(
     let mut extents = Vec::with_capacity(cards.len());
     for (cid, cdef) in catalog.classes() {
         let cardinality = cards[cid.index()];
-        let mut extent: Extent = Vec::with_capacity(cardinality.min(r.remaining()));
+        let mut extent = Vec::with_capacity(cardinality.min(r.remaining()));
         for _ in 0..cardinality {
             let mut tuple = Vec::with_capacity(cdef.attributes.len());
             for adef in &cdef.attributes {
@@ -273,7 +274,7 @@ fn decode_extent_tuples(
             }
             extent.push(tuple);
         }
-        extents.push(Arc::new(extent));
+        extents.push(PagedVec::from_vec(extent));
     }
     r.expect_exhausted()?;
     Ok(extents)
@@ -301,7 +302,7 @@ fn decode_links(
     catalog: &Catalog,
     cards: &[usize],
     level: ValidationLevel,
-) -> Result<Vec<Arc<RelLinks>>, LoadError> {
+) -> Result<Vec<RelLinks>, LoadError> {
     let mut r = file.require(SEC_LINKS)?;
     let rel_count = r.count()?;
     if rel_count != catalog.relationship_count() {
@@ -335,13 +336,11 @@ fn decode_links(
             // Rebuild the canonical table from the left lists alone and
             // require bit-identity — catches any inconsistent or
             // non-canonical right side that passed the order checks.
-            let mut rebuilt = RelLinks::new(left_card, right_card);
-            for (l, rs) in left.iter().enumerate() {
-                for &o in rs {
-                    rebuilt.add(ObjectId(l as u32), o);
-                }
-            }
-            rebuilt.canonicalize();
+            let pairs = left
+                .iter()
+                .enumerate()
+                .flat_map(|(l, rs)| rs.iter().map(move |&o| (ObjectId(l as u32), o)));
+            let rebuilt = RelLinks::from_pairs(left_card, right_card, pairs);
             let decoded = RelLinks::from_adjacency(left.clone(), right.clone());
             if rebuilt != decoded {
                 return Err(LoadError::AuditMismatch {
@@ -352,7 +351,7 @@ fn decode_links(
                 });
             }
         }
-        links.push(Arc::new(RelLinks::from_adjacency(left, right)));
+        links.push(RelLinks::from_adjacency(left, right));
     }
     r.expect_exhausted()?;
     Ok(links)

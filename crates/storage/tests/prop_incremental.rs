@@ -9,7 +9,12 @@
 //! inserts (with possibly-dangling links), deletes (with swap-remove
 //! renumbering, including on a self-relationship), links/unlinks and
 //! in-place attribute updates, chained across multiple batches so patched
-//! snapshots are themselves patched again.
+//! snapshots are themselves patched again — on mini-databases, and on
+//! classes of three and more storage pages with writes aimed at what the
+//! delta-maintained statistics and the paged shards must get right: the
+//! objects holding an attribute's current minimum, maximum and most common
+//! values, and the last object of a page. After every batch the successor
+//! also round-trips through a snapshot at `Audit`.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -19,7 +24,10 @@ use sqo_catalog::{
     RelationshipEnd, Value,
 };
 use sqo_query::{Bound, ValueSet};
-use sqo_storage::{DataWrite, Database, IntegrityOptions, ObjectId, StorageError};
+use sqo_snapshot::ValidationLevel;
+use sqo_storage::{
+    decode_database, encode_database, DataWrite, Database, IntegrityOptions, ObjectId, StorageError,
+};
 
 const CLASSES: usize = 3;
 const ATTRS: usize = 3;
@@ -67,27 +75,87 @@ fn catalog() -> Arc<Catalog> {
 
 #[derive(Debug, Clone)]
 enum RawWrite {
-    Insert { class: usize, vals: (i64, i64, i64), links: Vec<(usize, u32)> },
-    Delete { class: usize, oid: u32 },
-    Update { class: usize, oid: u32, attr: u32, val: i64 },
-    Link { rel: usize, l: u32, r: u32 },
-    Unlink { rel: usize, l: u32, r: u32 },
+    Insert {
+        class: usize,
+        vals: (i64, i64, i64),
+        links: Vec<(usize, u32)>,
+    },
+    Delete {
+        class: usize,
+        oid: u32,
+    },
+    Update {
+        class: usize,
+        oid: u32,
+        attr: u32,
+        val: i64,
+    },
+    Link {
+        rel: usize,
+        l: u32,
+        r: u32,
+    },
+    Unlink {
+        rel: usize,
+        l: u32,
+        r: u32,
+    },
+    /// Delete (`update: None`) or update `attr` of the object `aim` picks
+    /// in the snapshot the batch applies to.
+    Aimed {
+        class: usize,
+        attr: usize,
+        aim: Aim,
+        update: Option<i64>,
+    },
 }
 
-fn raw_write() -> impl Strategy<Value = RawWrite> {
+/// Which object an aimed write hits.
+#[derive(Debug, Clone)]
+enum Aim {
+    /// The first object holding the attribute's current minimum.
+    Min,
+    /// … its current maximum.
+    Max,
+    /// … its `n`-th most common value.
+    Mcv(usize),
+    /// The last object of storage page `n` (or of the class).
+    PageEnd(u32),
+}
+
+/// `sqo-storage`'s page length. Private there; another value only changes
+/// which of these writes land on a page boundary.
+const PAGE: u32 = 128;
+
+/// Writes with object ids below `oids`.
+fn raw_write(oids: u32) -> impl Strategy<Value = RawWrite> {
     let val = -2i64..4;
+    let aim = prop_oneof![
+        Just(Aim::Min),
+        Just(Aim::Max),
+        (0usize..3).prop_map(Aim::Mcv),
+        (0u32..4).prop_map(Aim::PageEnd)
+    ];
     prop_oneof![
         (
             0..CLASSES,
             (val.clone(), val.clone(), val.clone()),
-            prop::collection::vec((0..RELS, 0u32..10), 0..3)
+            prop::collection::vec((0..RELS, 0..oids), 0..3)
         )
             .prop_map(|(class, vals, links)| RawWrite::Insert { class, vals, links }),
-        (0..CLASSES, 0u32..12).prop_map(|(class, oid)| RawWrite::Delete { class, oid }),
-        (0..CLASSES, 0u32..12, 0u32..4, val.clone())
+        (0..CLASSES, 0..oids).prop_map(|(class, oid)| RawWrite::Delete { class, oid }),
+        (0..CLASSES, 0..oids, 0u32..4, val.clone())
             .prop_map(|(class, oid, attr, val)| RawWrite::Update { class, oid, attr, val }),
-        (0..RELS, 0u32..12, 0u32..12).prop_map(|(rel, l, r)| RawWrite::Link { rel, l, r }),
-        (0..RELS, 0u32..12, 0u32..12).prop_map(|(rel, l, r)| RawWrite::Unlink { rel, l, r }),
+        (0..RELS, 0..oids, 0..oids).prop_map(|(rel, l, r)| RawWrite::Link { rel, l, r }),
+        (0..RELS, 0..oids, 0..oids).prop_map(|(rel, l, r)| RawWrite::Unlink { rel, l, r }),
+        (0..CLASSES, 0..ATTRS, aim, (0u32..2, val.clone())).prop_map(
+            |(class, attr, aim, (keep, val))| RawWrite::Aimed {
+                class,
+                attr,
+                aim,
+                update: (keep == 1).then_some(val),
+            }
+        ),
     ]
 }
 
@@ -119,8 +187,95 @@ fn build_base(
         .unwrap()
 }
 
-fn materialize(raw: &RawWrite) -> DataWrite {
+/// The object `aim` picks in `db` (object 0 when the class is empty, which
+/// both write paths then reject alike).
+fn aimed_object(db: &Database, class: ClassId, attr: usize, aim: &Aim) -> ObjectId {
+    let stats = &db.stats().classes[class.index()].attrs[attr];
+    let holder = match aim {
+        Aim::PageEnd(page) => {
+            let last = (db.cardinality(class) as u32).saturating_sub(1);
+            return ObjectId(((page + 1) * PAGE - 1).min(last));
+        }
+        Aim::Min => stats.min.clone(),
+        Aim::Max => stats.max.clone(),
+        Aim::Mcv(n) => stats.mcvs.get(*n).map(|(v, _)| v.clone()),
+    };
+    (0..db.cardinality(class) as u32)
+        .map(ObjectId)
+        .find(|o| db.tuple(class, *o).ok().map(|t| &t[attr]) == holder.as_ref())
+        .unwrap_or(ObjectId(0))
+}
+
+/// `raw` with its ids folded into `db`'s ranges, so that it validates: link
+/// targets on relationships of the inserted class, objects and attributes
+/// that exist, an unlink of an edge that exists (when the relationship has one).
+fn folded(raw: &RawWrite, db: &Database) -> RawWrite {
+    let catalog = db.catalog();
+    let fold = |o: u32, class: ClassId| o % (db.cardinality(class) as u32).max(1);
+    let ends = |rel: usize| {
+        let def = catalog.relationship(RelId(rel as u32)).unwrap();
+        (def.left.class, def.right.class)
+    };
     match raw {
+        RawWrite::Insert { class, vals, links } => {
+            let incident: Vec<(usize, ClassId)> = catalog
+                .relationships()
+                .filter_map(|(rel, def)| {
+                    Some((rel.index(), def.other_end(ClassId(*class as u32))?))
+                })
+                .collect();
+            let links = links
+                .iter()
+                .map(|&(rel, o)| {
+                    let (rel, other) = incident[rel % incident.len()];
+                    (rel, fold(o, other))
+                })
+                .collect();
+            RawWrite::Insert { class: *class, vals: *vals, links }
+        }
+        RawWrite::Delete { class, oid } => {
+            RawWrite::Delete { class: *class, oid: fold(*oid, ClassId(*class as u32)) }
+        }
+        RawWrite::Update { class, oid, attr, val } => RawWrite::Update {
+            class: *class,
+            oid: fold(*oid, ClassId(*class as u32)),
+            attr: attr % ATTRS as u32,
+            val: *val,
+        },
+        RawWrite::Link { rel, l, r } => {
+            let (left, right) = ends(*rel);
+            RawWrite::Link { rel: *rel, l: fold(*l, left), r: fold(*r, right) }
+        }
+        RawWrite::Unlink { rel, l, r } => {
+            // The first linked left object from `l` on, and one of its edges.
+            let (links, left) = (db.links(RelId(*rel as u32)), ends(*rel).0);
+            let l = (0..db.cardinality(left) as u32)
+                .map(|step| fold(l + step, left))
+                .find(|&l| !links.from_left(ObjectId(l)).is_empty())
+                .unwrap_or(*l);
+            let linked = links.from_left(ObjectId(l));
+            let r = linked.get(*r as usize % linked.len().max(1)).map_or(*r, |o| o.0);
+            RawWrite::Unlink { rel: *rel, l, r }
+        }
+        aimed @ RawWrite::Aimed { .. } => aimed.clone(),
+    }
+}
+
+fn materialize(raw: &RawWrite, db: &Database) -> DataWrite {
+    match raw {
+        RawWrite::Aimed { class, attr, aim, update } => {
+            let class = ClassId(*class as u32);
+            let object = aimed_object(db, class, *attr, aim);
+            match update {
+                Some(val) => DataWrite::Update {
+                    class,
+                    object,
+                    attr: AttrId(*attr as u32),
+                    value: Value::Int(*val),
+                },
+                None => DataWrite::Delete { class, object },
+            }
+        }
         RawWrite::Insert { class, vals, links } => DataWrite::Insert {
             class: ClassId(*class as u32),
             tuple: vec![Value::Int(vals.0), Value::Int(vals.1), Value::Int(vals.2)],
@@ -212,46 +367,107 @@ fn assert_equivalent(catalog: &Catalog, inc: &Database, full: &Database) {
     assert_eq!(inc.stats(), &inc.rebuild_statistics(), "folded stats != from-scratch rescan");
 }
 
+/// Applies `batches` to `base` through both write paths — the incremental
+/// one chained on its own successors, the oracle on an independently
+/// evolved twin that only `with_writes_full` ever produced — and checks
+/// after every batch that they agree on everything and that the incremental
+/// successor survives a snapshot round trip at `Audit`.
+///
+/// With `fold` the writes are [`folded`] into range first, so that most
+/// batches apply; without it most are rejected somewhere, which is what
+/// exercises atomicity and error-for-error agreement.
+fn check_batches(
+    catalog: &Arc<Catalog>,
+    tuples: &[Vec<(i64, i64, i64)>],
+    base_links: &[(usize, u32, u32)],
+    batches: &[Vec<RawWrite>],
+    enforce: bool,
+    fold: bool,
+) {
+    let integrity = enforce.then_some(IntegrityOptions {
+        enforce_total_participation: false, // never declared by the schema
+        enforce_multiplicity: true,         // r1's to-one end can trip
+    });
+    let mut inc = build_base(catalog, tuples, base_links);
+    let mut full = build_base(catalog, tuples, base_links);
+    for batch in batches {
+        let writes: Vec<DataWrite> =
+            batch
+                .iter()
+                .map(|raw| {
+                    if fold {
+                        materialize(&folded(raw, &inc), &inc)
+                    } else {
+                        materialize(raw, &inc)
+                    }
+                })
+                .collect();
+        let a = inc.with_writes(&writes, integrity);
+        let b = full.with_writes_full(&writes, integrity);
+        match (a, b) {
+            (Ok((ndb, ra)), Ok((fdb, rb))) => {
+                assert_eq!(ra, rb, "receipts diverged for {writes:?}");
+                assert_equivalent(catalog, &ndb, &fdb);
+                let reloaded = decode_database(&encode_database(&ndb), ValidationLevel::Audit)
+                    .unwrap_or_else(|e| panic!("successor fails Audit after {writes:?}: {e}"));
+                assert_equivalent(reloaded.catalog(), &reloaded, &fdb);
+                inc = ndb;
+                full = fdb;
+            }
+            (Err(ea), Err(eb)) => {
+                assert_eq!(ea, eb, "error values diverged for {writes:?}");
+                // Atomicity: both bases must be untouched and still agree.
+                assert_equivalent(catalog, &inc, &full);
+            }
+            (a, b) => {
+                panic!("accept/reject diverged for {writes:?}: incremental {a:?} vs full {b:?}")
+            }
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn incremental_equals_full_rebuild(
         tuples in prop::collection::vec(
             prop::collection::vec((-2i64..4, -2i64..4, -2i64..4), 0..7), CLASSES..(CLASSES + 1)),
         base_links in prop::collection::vec((0..RELS, 0u32..16, 0u32..16), 0..12),
-        batches in prop::collection::vec(prop::collection::vec(raw_write(), 0..6), 1..4),
+        batches in prop::collection::vec(prop::collection::vec(raw_write(12), 0..6), 1..4),
         enforce in 0u32..2,
     ) {
-        let catalog = catalog();
-        let base = build_base(&catalog, &tuples, &base_links);
-        let integrity = (enforce == 1).then_some(IntegrityOptions {
-            enforce_total_participation: false, // never declared by the schema
-            enforce_multiplicity: true,         // r1's to-one end can trip
-        });
-        let mut inc = base;
-        // An independently evolved full-rebuild twin: identical logical
-        // state, produced only by `with_writes_full`.
-        let mut full = build_base(&catalog, &tuples, &base_links);
-        for batch in &batches {
-            let writes: Vec<DataWrite> = batch.iter().map(materialize).collect();
-            let a = inc.with_writes(&writes, integrity);
-            let b = full.with_writes_full(&writes, integrity);
-            match (a, b) {
-                (Ok((ndb, ra)), Ok((fdb, rb))) => {
-                    assert_eq!(ra, rb, "receipts diverged for {writes:?}");
-                    assert_equivalent(&catalog, &ndb, &fdb);
-                    inc = ndb;
-                    full = fdb;
-                }
-                (Err(ea), Err(eb)) => {
-                    assert_eq!(ea, eb, "error values diverged for {writes:?}");
-                    // Atomicity: both bases must be untouched and still agree.
-                    assert_equivalent(&catalog, &inc, &full);
-                }
-                (a, b) => panic!(
-                    "accept/reject diverged for {writes:?}: incremental {a:?} vs full {b:?}"
-                ),
-            }
-        }
+        check_batches(&catalog(), &tuples, &base_links, &batches, enforce == 1, false);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Classes of three to four pages. `a0` is a key (every value once, so
+    /// every most-common-value rank is a tie and every deleted extreme
+    /// vacates it), `a1` and `a2` repeat a few values.
+    #[test]
+    fn incremental_equals_full_rebuild_across_pages(
+        sizes in prop::collection::vec(2 * PAGE + 1..3 * PAGE + 40, CLASSES..(CLASSES + 1)),
+        skew in prop::collection::vec((-2i64..4, -2i64..4), 7..8),
+        base_links in prop::collection::vec((0..RELS, 0u32..400, 0u32..400), 0..600),
+        batches in prop::collection::vec(prop::collection::vec(raw_write(400), 1..8), 2..6),
+        enforce in 0u32..2,
+    ) {
+        let tuples: Vec<Vec<(i64, i64, i64)>> = sizes
+            .iter()
+            .map(|&n| (0..n as usize).map(|i| {
+                let (a1, a2) = skew[i % skew.len()];
+                (i as i64 - 100, a1, a2 * (i % 3) as i64)
+            }).collect())
+            .collect();
+        // `r1` is to-one from its left end: keep one base link per left
+        // object, or every enforced batch near it is rejected.
+        let mut linked = std::collections::HashSet::new();
+        let base_links: Vec<_> = base_links
+            .into_iter()
+            .filter(|&(rel, l, _)| rel != 1 || linked.insert(l % sizes[1]))
+            .collect();
+        check_batches(&catalog(), &tuples, &base_links, &batches, enforce == 1, true);
     }
 }
 

@@ -1,0 +1,182 @@
+//! A write allocates for what it touches, not for the class it touches: the
+//! deterministic tripwire for O(class) work creeping back into
+//! [`Database::with_writes`].
+//!
+//! On 20,000 objects per class — the size at which the end-to-end benchmark
+//! found a one-object insert allocating 18 MB — the bytes a write requests
+//! from the allocator are counted by a test-local `#[global_allocator]` and
+//! held to fixed budgets. Byte counts repeat exactly from run to run, so
+//! unlike a timing tolerance this gate cannot flake; it runs with the rest of
+//! the crate's tests, in CI also under `--release`.
+//!
+//! The first write to a class is exempt by design: it scans the class once
+//! to build the value counts every later write patches.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use sqo_catalog::{AttrId, AttributeDef, Catalog, ClassId, DataType, IndexKind, RelId, Value};
+use sqo_storage::{DataWrite, Database, IntegrityOptions, ObjectId};
+
+thread_local! {
+    // `const` + `Cell<integer>`: no lazy initialization and no destructor,
+    // so the allocator may touch these at any point of a thread's life.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn note(size: usize) {
+    if COUNTING.with(Cell::get) {
+        BYTES.with(|c| c.set(c.get() + size as u64));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the bookkeeping touches only
+// destructor-free thread-locals and never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: `layout` is the caller's, forwarded as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` was returned by this allocator (hence by `System`)
+        // for `layout`, as the caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// `f`'s result and the bytes it requested from the allocator on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (out, BYTES.with(Cell::get) - before)
+}
+
+const OBJECTS: u32 = 20_000;
+const ITEM: ClassId = ClassId(0);
+const OWNED_BY: RelId = RelId(0);
+const STOCKED_IN: RelId = RelId(1);
+/// `item.a2`: an integer with a few distinct values and no index.
+const UNINDEXED: AttrId = AttrId(2);
+
+/// The attribute layout of the benchmark schema (`sqo-workload`'s
+/// `bench_catalog`): a unique hash-indexed key, a B-tree and a second hash
+/// index, four plain attributes.
+fn attributes() -> Vec<AttributeDef> {
+    vec![
+        AttributeDef::indexed("key", DataType::Int, IndexKind::Hash),
+        AttributeDef::new("a1", DataType::Str),
+        AttributeDef::new("a2", DataType::Int),
+        AttributeDef::indexed("a3", DataType::Int, IndexKind::BTree),
+        AttributeDef::new("b1", DataType::Str),
+        AttributeDef::new("b2", DataType::Int),
+        AttributeDef::indexed("b3", DataType::Str, IndexKind::Hash),
+    ]
+}
+
+fn tuple(i: u32) -> Vec<Value> {
+    let i = i64::from(i);
+    vec![
+        Value::Int(i),
+        Value::str(format!("kind{}", i % 12)),
+        Value::Int(i % 40),
+        Value::Int(i * 7 % 5_000),
+        Value::str(format!("zone{}", i % 9)),
+        Value::Int(i / 3),
+        Value::str(format!("tag{}", i % 300)),
+    ]
+}
+
+/// Three classes of [`OBJECTS`] objects; every item has one owner
+/// (many-to-one, total) and sits in two shelves (many-to-many).
+fn database() -> Database {
+    let mut b = Catalog::builder();
+    let [item, owner, shelf] =
+        ["item", "owner", "shelf"].map(|c| b.class(c, attributes()).unwrap());
+    b.many_to_one("owned_by", item, owner).unwrap();
+    b.relationship(
+        "stocked_in",
+        sqo_catalog::RelationshipEnd::new(item, sqo_catalog::Multiplicity::Many, false),
+        sqo_catalog::RelationshipEnd::new(shelf, sqo_catalog::Multiplicity::Many, false),
+    )
+    .unwrap();
+    let mut db = Database::builder(Arc::new(b.build().unwrap()));
+    for i in 0..OBJECTS {
+        for class in [item, owner, shelf] {
+            db.insert(class, tuple(i)).unwrap();
+        }
+    }
+    for i in 0..OBJECTS {
+        db.link(OWNED_BY, ObjectId(i), ObjectId(i / 2)).unwrap();
+        db.link(STOCKED_IN, ObjectId(i), ObjectId(i)).unwrap();
+        db.link(STOCKED_IN, ObjectId(i), ObjectId((i + 1) % OBJECTS)).unwrap();
+    }
+    db.finalize(IntegrityOptions::default()).unwrap()
+}
+
+/// An item like item `like`, linked to the same owner and shelves.
+fn insert_like(db: &Database, like: u32) -> DataWrite {
+    let links = [OWNED_BY, STOCKED_IN]
+        .into_iter()
+        .flat_map(|rel| {
+            db.traverse(rel, ITEM, ObjectId(like)).unwrap().iter().map(move |o| (rel, *o))
+        })
+        .collect();
+    DataWrite::Insert {
+        class: ITEM,
+        tuple: db.tuple(ITEM, ObjectId(like)).unwrap().to_vec(),
+        links,
+    }
+}
+
+#[test]
+fn a_write_allocates_for_what_it_touches() {
+    let integrity = Some(IntegrityOptions::default());
+    let base = database();
+    // The first write to `item` builds its value counts.
+    let (db, _) = base.with_writes(&[insert_like(&base, 0)], integrity).unwrap();
+
+    // An insert copies the class's index banks whole (the cost this budget
+    // leaves room for: 2.0 MB here) and otherwise pages and sub-maps.
+    let insert = [insert_like(&db, 4_321)];
+    let (next, bytes) = counted(|| db.with_writes(&insert, integrity));
+    let (next, receipt) = next.unwrap();
+    assert_eq!(receipt.inserted, vec![ObjectId(OBJECTS + 1)]);
+    assert!(bytes <= 6 << 20, "a one-object insert allocated {bytes} B");
+
+    // An update of an unindexed attribute leaves the index banks shared: one
+    // extent page, two count sub-maps, the page and sub-map tables.
+    let update = [DataWrite::Update {
+        class: ITEM,
+        object: ObjectId(9_876),
+        attr: UNINDEXED,
+        value: Value::Int(41),
+    }];
+    let (after, bytes) = counted(|| next.with_writes(&update, integrity));
+    let (after, _) = after.unwrap();
+    assert!(bytes <= 64 << 10, "a one-attribute update allocated {bytes} B");
+    assert_eq!(after.stats(), &after.rebuild_statistics());
+}
