@@ -15,10 +15,11 @@ const LOCKS: &str = include_str!("fixtures/lock_violations.rs");
 const CLEAN: &str = include_str!("fixtures/clean.rs");
 
 /// The fixture workspace facts: a two-lock hierarchy over the lock and
-/// clean fixtures, a waker boundary, and no panic budgets (so panic
-/// sites surface per-line).
+/// clean fixtures, no panic budgets (so panic sites surface per-line),
+/// and the module boundaries of the workspace's own `analyze.toml` — so
+/// the fixture proves the committed continuation pattern fires.
 fn fixture_config() -> Config {
-    Config::parse(
+    let mut cfg = Config::parse(
         r#"
 [[locks.lock]]
 name = "outer"
@@ -31,14 +32,12 @@ name = "inner"
 rank = 20
 receivers = ["self.inner"]
 files = ["lock_violations.rs", "clean.rs"]
-
-[[locks.module]]
-name = "wakers"
-min_rank = 0
-patterns = [".wake()", ".wake_by_ref()"]
 "#,
     )
-    .expect("fixture config parses")
+    .expect("fixture config parses");
+    cfg.modules =
+        Config::parse(include_str!("../../../analyze.toml")).expect("analyze.toml parses").modules;
+    cfg
 }
 
 fn scan(file: &str, source: &str) -> Report {

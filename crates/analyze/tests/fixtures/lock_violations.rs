@@ -1,6 +1,6 @@
 // Fixture: lock-discipline violations and exemptions. Never compiled.
-// The fixture config ranks outer=10 < inner=20 and bans `.wake()` while
-// holding any guard.
+// The fixture config ranks outer=10 < inner=20 and takes its module
+// boundaries from analyze.toml: no continuation runs under a guard.
 impl Fixture {
     fn descending(&self) {
         let b = self.inner.lock();
@@ -26,17 +26,17 @@ impl Fixture {
         let a = self.outer.lock();
     }
 
-    fn wake_under_guard(&self, waker: &Waker) {
+    fn continuation_under_guard(&self, continuation: Continuation) {
         let a = self.outer.lock();
-        waker.wake_by_ref();
+        continuation(outcome);
     }
 
-    fn wake_lock_free(&self, waker: Waker) {
+    fn continuation_lock_free(&self, continuation: Continuation) {
         {
             let a = self.outer.lock();
             a.touch();
         }
-        waker.wake();
+        continuation(outcome);
     }
 
     fn unknown_receiver(&self) {

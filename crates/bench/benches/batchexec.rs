@@ -1,4 +1,4 @@
-//! Microbenchmarks of the batch execution tier: interleaved K-wide batches
+//! Microbenchmarks of the batch executor: interleaved K-wide batches
 //! vs. K sequential executions of the same plan, at widths 1/4/8/16, for
 //! both probe shapes (`AsPlanned` warm groups and `RootSet` re-keyed
 //! parameterized batches). Every width's batched output is cross-checked

@@ -4,7 +4,7 @@
 //! recorded.
 //!
 //! ```sh
-//! cargo run -p sqo-bench --bin benchdiff -- BENCH_3.json bench-headlines.json
+//! cargo run -p sqo-bench --bin benchdiff -- BENCH_10.json bench-headlines.json
 //! ```
 //!
 //! Tolerances are deliberately generous — CI machines are noisy and the

@@ -36,7 +36,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: report [e1|table41|fig41|table42|e5|grouping|budget|closure|e9|e10|\
-                     e11|e12|e13|e14|e15|all]* [--seed N] [--smoke] [--json PATH]\n\n\
+                     e11|e12|e13|e14|all]* [--seed N] [--smoke] [--json PATH]\n\n\
                      --smoke      run every experiment at minimal repetition counts; exercises\n\
                      \x20            the full harness in well under a second so CI catches rot\n\
                      --json PATH  also write every experiment's headline numbers as JSON"
@@ -49,7 +49,7 @@ fn main() {
     if selected.is_empty() || selected.iter().any(|s| s == "all") {
         selected = [
             "e1", "table41", "fig41", "table42", "e5", "grouping", "budget", "closure", "e9",
-            "e10", "e11", "e12", "e13", "e14", "e15",
+            "e10", "e11", "e12", "e13", "e14",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -129,11 +129,6 @@ fn main() {
             }
             "e14" | "frontend" => {
                 let (h, s) = sqo_bench::frontend_open_loop(seed, smoke);
-                headlines.extend(h);
-                println!("{s}");
-            }
-            "e15" | "batch" => {
-                let (h, s) = sqo_bench::batch_execution(seed, smoke);
                 headlines.extend(h);
                 println!("{s}");
             }

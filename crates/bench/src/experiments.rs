@@ -1411,7 +1411,7 @@ pub fn warm_start_boot(seed: u64, smoke: bool) -> (Vec<Headline>, String) {
 // ---------------------------------------------------------------------------
 
 /// E14: offered concurrency in the thousands through the `sqo-frontend`
-/// reactor.
+/// worker pool.
 ///
 /// **Part A — cold-burst dedup.** A Zipf-skewed open-loop burst of
 /// thousands of logical clients hits a *cold* service at once: every
@@ -1615,7 +1615,7 @@ pub fn frontend_open_loop(seed: u64, smoke: bool) -> (Vec<Headline>, String) {
 
     let out = format!(
         "E14: Open-loop frontend — singleflight dedup, admission control, load shedding\n\
-         ({workers} reactor workers; Zipf(s=1.2) traffic over {distinct} distinct queries,\n\
+         ({workers} workers; Zipf(s=1.2) traffic over {distinct} distinct queries,\n\
          shuffled spellings; every accepted response cross-checked against the unoptimized\n\
          original at its recorded epochs)\n\n\
          Part A — cold burst, everything admitted (dedup hit rate = 1 − optimizations/completed;\n\
@@ -1625,166 +1625,6 @@ pub fn frontend_open_loop(seed: u64, smoke: bool) -> (Vec<Headline>, String) {
          accepted work is bounded by the queue depth, so the accepted tail stays bounded\n\
          while the marginal arrivals shed with a typed Overload):\n{}",
         ta.render(),
-        tb.render()
-    );
-    (headlines, out)
-}
-
-// ---------------------------------------------------------------------------
-// E15 — batched vectorized execution: grouped warm batches + batched costing.
-// ---------------------------------------------------------------------------
-
-/// E15: the batch execution tier under a duplicate-heavy warm stream.
-///
-/// **Part A** sweeps the explicit gather window (`batch_window` 1/4/8/16)
-/// over a single-threaded [`QueryService::run_batch`] replay of a
-/// Zipf(s=1.6) stream over 6 distinct queries (shuffled spellings), with
-/// result memoization **off** so every un-grouped request pays a real plan
-/// execution. Grouping is the only variable, and the per-width execution
-/// counts are deterministic, so the ≥1.3× sharing bound at windows 8/16 is
-/// asserted on execution counts; wall-clock throughput is reported as
-/// headlines. Every batched answer is cross-checked against the
-/// unoptimized original query (`unoptimized_reference`).
-///
-/// **Part B** measures cold optimize+plan latency over the distinct set —
-/// the pipeline whose per-candidate costing now runs off one shared
-/// statistics view per [`plan_query`] call (selectivities and fanouts
-/// resolved once, reused across every candidate plan).
-pub fn batch_execution(seed: u64, smoke: bool) -> (Vec<Headline>, String) {
-    let widths: &[usize] = &[1, 4, 8, 16];
-    let requests = if smoke { 256 } else { 4096 };
-    let scenario = paper_scenario(DbSize::Db1, seed);
-    let store = Arc::new(scenario.store);
-    let db = Arc::new(scenario.db);
-    let workload = service_workload(
-        &scenario.queries,
-        &ServiceWorkloadConfig {
-            seed: seed.wrapping_add(150),
-            requests,
-            ..ServiceWorkloadConfig::duplicate_heavy()
-        },
-    );
-
-    // Unoptimized reference, one answer per distinct query: E15 performs
-    // no writes, so these cover every request at every width.
-    let wanted: Vec<_> = workload.distinct.iter().map(|q| unoptimized_reference(&db, q)).collect();
-
-    let mut headlines = Vec::new();
-    let mut ta = TextTable::new(vec![
-        "window",
-        "warm qps",
-        "executions",
-        "groups",
-        "mean width",
-        "exec sharing",
-        "qps speedup vs w1",
-    ]);
-    let (mut exec_w1, mut qps_w1) = (0u64, 0.0f64);
-    for &width in widths {
-        let service = QueryService::with_config(
-            Arc::clone(&store),
-            Arc::clone(&db),
-            ServiceConfig { cache_results: false, batch_window: width, ..ServiceConfig::default() },
-        );
-        // Warm the plan cache (results are never memoized here).
-        for q in &workload.distinct {
-            service.run(q).expect("warmup answers");
-        }
-        let exec0 = service.stats().executions;
-        let t0 = Instant::now();
-        let out = service.run_batch(&workload.requests, 1);
-        let wall = t0.elapsed().as_secs_f64().max(1e-9);
-        for (r, &i) in out.iter().zip(&workload.indices) {
-            let r = r.as_ref().expect("warm requests answer");
-            assert_eq!(r.data_epoch, db.data_version(), "no writes: one data epoch");
-            assert!(
-                r.results.same_multiset(&wanted[i]),
-                "batched answer at window {width} must match the unoptimized reference"
-            );
-        }
-        let stats = service.stats();
-        let executions = stats.executions - exec0;
-        let qps = requests as f64 / wall;
-        if width == 1 {
-            // Provably-empty distinct queries answer without executing (at
-            // every width), so the ungrouped baseline is one execution per
-            // *non-empty* request, not per request.
-            assert!(
-                executions > requests as u64 / 2,
-                "most warm requests execute ungrouped (got {executions}/{requests})"
-            );
-            assert_eq!(stats.batch_groups, 0, "window 1 disables the gather pass");
-            (exec_w1, qps_w1) = (executions, qps);
-        }
-        let sharing = exec_w1 as f64 / executions.max(1) as f64;
-        let mean_width = if stats.batch_groups == 0 {
-            1.0
-        } else {
-            stats.batch_size as f64 / stats.batch_groups as f64
-        };
-        let speedup = qps / qps_w1.max(1e-9);
-        if width >= 8 {
-            assert!(
-                sharing >= 1.3,
-                "window {width} must share ≥1.3× executions on the duplicate-heavy stream \
-                 (got {sharing:.2} = {exec_w1}/{executions})"
-            );
-        }
-        ta.row(vec![
-            width.to_string(),
-            format!("{qps:.0}"),
-            executions.to_string(),
-            stats.batch_groups.to_string(),
-            format!("{mean_width:.2}"),
-            format!("{sharing:.2}"),
-            format!("{speedup:.2}"),
-        ]);
-        headlines.push(Headline::new("e15", format!("warm_qps_w{width}"), qps));
-        headlines.push(Headline::new("e15", format!("exec_sharing_w{width}"), sharing));
-        headlines.push(Headline::new("e15", format!("mean_group_w{width}"), mean_width));
-    }
-
-    // -- Part B: cold optimize+plan over the distinct set. --
-    let optimizer = SemanticOptimizer::shared(Arc::clone(&store));
-    let oracle = CostBasedOracle::new(&db);
-    let model = CostModel::default();
-    let mut scratch = OptimizerScratch::new();
-    let reps = if smoke { 8 } else { 200 };
-    for q in &workload.distinct {
-        let out = optimizer.optimize_with(q, &oracle, &mut scratch).expect("optimize");
-        let _ = plan_query(&db, &out.query, &model);
-    }
-    let mut lat: Vec<Duration> = Vec::with_capacity(reps * workload.distinct.len());
-    for _ in 0..reps {
-        for q in &workload.distinct {
-            let t0 = Instant::now();
-            let out = optimizer.optimize_with(q, &oracle, &mut scratch).expect("optimize");
-            if !out.report.provably_empty {
-                std::hint::black_box(plan_query(&db, &out.query, &model).expect("plan"));
-            }
-            lat.push(t0.elapsed());
-        }
-    }
-    lat.sort_unstable();
-    let p50 = percentile_us(&lat, 0.50);
-    let p99 = percentile_us(&lat, 0.99);
-    headlines.push(Headline::new("e15", "cold_optimize_plan_p50_us", p50));
-    headlines.push(Headline::new("e15", "cold_optimize_plan_p99_us", p99));
-    let mut tb = TextTable::new(vec!["metric", "µs"]);
-    tb.row(vec!["cold optimize+plan p50".into(), format!("{p50:.2}")]);
-    tb.row(vec!["cold optimize+plan p99".into(), format!("{p99:.2}")]);
-
-    let out = format!(
-        "E15: Batched vectorized execution ({requests} warm requests, Zipf(s=1.6) over {} \
-         distinct DB1 queries, shuffled spellings; single-threaded replay, result memo off;\n\
-         every batched answer cross-checked against the unoptimized original query)\n\n\
-         Part A — explicit gather window sweep (exec sharing = executions at window 1 / \
-         executions at this window; deterministic, asserted ≥1.3 at windows 8/16):\n{}\n\
-         Part B — cold optimize+plan latency over the distinct set ({} samples; candidate \
-         costing batched over one shared statistics view per plan_query call):\n{}",
-        workload.distinct.len(),
-        ta.render(),
-        lat.len(),
         tb.render()
     );
     (headlines, out)
@@ -1958,32 +1798,5 @@ mod tests {
         );
         assert!(headlines.iter().any(|h| h.metric == "overload_p99_us"));
         assert!(headlines.iter().any(|h| h.metric == "overload_goodput_qps"));
-    }
-
-    #[test]
-    fn e15_smoke_shares_executions_across_widths() {
-        // The driver itself cross-checks every batched answer against the
-        // sequential reference and asserts ≥1.3× execution sharing at
-        // windows 8/16; here we pin the headline shape and monotonicity.
-        let (headlines, rendered) = batch_execution(42, true);
-        for width in [1usize, 4, 8, 16] {
-            for metric in ["warm_qps", "exec_sharing", "mean_group"] {
-                assert!(
-                    headlines.iter().any(|h| h.metric == format!("{metric}_w{width}")),
-                    "missing {metric}_w{width}\n{rendered}"
-                );
-            }
-        }
-        let sharing = |w: usize| {
-            headlines
-                .iter()
-                .find(|h| h.metric == format!("exec_sharing_w{w}"))
-                .map(|h| h.value)
-                .unwrap()
-        };
-        assert_eq!(sharing(1), 1.0, "{rendered}");
-        assert!(sharing(16) >= sharing(8) * 0.99, "wider windows share at least as much");
-        assert!(headlines.iter().any(|h| h.metric == "cold_optimize_plan_p50_us"));
-        assert!(headlines.iter().any(|h| h.metric == "cold_optimize_plan_p99_us"));
     }
 }

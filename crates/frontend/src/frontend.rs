@@ -1,28 +1,19 @@
-//! The request frontend: admission control, load shedding, and the async
-//! task body that drives [`QueryService::try_run`]'s singleflight seam.
-//!
-//! The same seam carries the batch execution tier's temporal gather
-//! window: with `ServiceConfig::batch_window > 1` a warm duplicate that
-//! arrives while a hit's execution is in flight surfaces here as
-//! [`TryRun::Follower`], so [`run_one`]'s existing follower/abort/retry
-//! machinery fans grouped answers out without any frontend-specific code.
+//! The request frontend: admission control, load shedding, and the worker
+//! pool that drives [`QueryService::try_run`]'s singleflight seam.
 
-use std::future::Future;
-use std::pin::Pin;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::task::{Context, Poll};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use sqo_query::Query;
 use sqo_service::{FlightError, MissWaiter, QueryService, ServiceError, ServiceResponse, TryRun};
 
-use crate::executor::Executor;
-
 /// Frontend tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct FrontendConfig {
-    /// Worker threads driving the reactor (the CPU budget; logical
+    /// Worker threads answering requests (the CPU budget; logical
     /// clients are unbounded by this).
     pub workers: usize,
     /// Maximum admitted-but-unfinished logical clients. A concurrent
@@ -53,8 +44,6 @@ pub enum Overload {
     QueueFull,
     /// The p99 completion-latency estimate exceeds its configured bound.
     LatencyBound,
-    /// The frontend is draining for shutdown and admits nothing new.
-    ShuttingDown,
 }
 
 impl std::fmt::Display for Overload {
@@ -62,7 +51,6 @@ impl std::fmt::Display for Overload {
         match self {
             Overload::QueueFull => write!(f, "admission queue full"),
             Overload::LatencyBound => write!(f, "p99 latency estimate over bound"),
-            Overload::ShuttingDown => write!(f, "frontend shutting down"),
         }
     }
 }
@@ -72,7 +60,9 @@ impl std::fmt::Display for Overload {
 pub struct Completion {
     /// The service's answer (or typed error).
     pub result: Result<ServiceResponse, ServiceError>,
-    /// Admission-to-completion latency in microseconds.
+    /// Microseconds from a worker first picking the request up to its
+    /// completion — time parked behind a leader included, time queued
+    /// before that first pick-up not.
     pub latency_us: u64,
 }
 
@@ -168,9 +158,43 @@ pub struct FrontendStats {
     pub in_flight: usize,
 }
 
+/// One admitted request on its way to an answer: what a worker pops, and
+/// what a follower leaves in its flight as a continuation.
 #[derive(Debug)]
-struct FrontendShared {
+struct Job {
+    query: Query,
+    slot: Arc<Slot>,
+    /// When a worker first popped the job; a retry after an aborted flight
+    /// keeps its first reading.
+    started_at: Option<Instant>,
+}
+
+#[derive(Debug, Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Set once by the drain; from then on an idle worker exits as soon as
+    /// nothing is in flight.
+    draining: bool,
+}
+
+/// Where a worker asks for a job's answer: [`QueryService::try_run`], or a
+/// test's stand-in that panics.
+type TryRunFn = fn(&QueryService, &Query) -> Result<TryRun, ServiceError>;
+
+/// How one pass over a job landed.
+enum Landed {
+    Answered(Result<ServiceResponse, ServiceError>),
+    Following(MissWaiter),
+}
+
+#[derive(Debug)]
+struct Shared {
     service: Arc<QueryService>,
+    try_run: TryRunFn,
+    queue: Mutex<Queue>,
+    /// Signalled on a pushed job, on drain, and when the last in-flight
+    /// request of a drain completes.
+    ready: Condvar,
     in_flight: AtomicUsize,
     admitted: AtomicU64,
     completed: AtomicU64,
@@ -179,55 +203,171 @@ struct FrontendShared {
     latency: LatencyEstimator,
 }
 
+impl Shared {
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, job: Job) {
+        self.queue().jobs.push_back(job);
+        self.ready.notify_one();
+    }
+
+    /// The next job, or `None` once draining and nothing is in flight —
+    /// a parked follower is in flight, so the pool outlives its wait.
+    fn next_job(&self) -> Option<Job> {
+        let mut queue = self.queue();
+        loop {
+            if let Some(job) = queue.jobs.pop_front() {
+                return Some(job);
+            }
+            // ordering: Acquire pairs with release()'s AcqRel decrement —
+            // observing 0 implies every completion fully happened.
+            if queue.draining && self.in_flight.load(Ordering::Acquire) == 0 {
+                return None;
+            }
+            queue = self.ready.wait(queue).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Gives back one admission slot. The last one out during a drain
+    /// wakes the workers parked in [`Shared::next_job`]; the flag is read
+    /// under the queue lock they re-check it under, so the wake cannot
+    /// fall between their check and their wait.
+    fn release(&self) {
+        // ordering: AcqRel, one RMW chain with submit()'s claim; pairs
+        // with the Acquire load in next_job's drain check.
+        if self.in_flight.fetch_sub(1, Ordering::AcqRel) == 1 && self.queue().draining {
+            self.ready.notify_all();
+        }
+    }
+
+    /// One pass over a job: hits answer, a leader runs the optimization
+    /// inline (that *is* the deduplicated work), a follower hands back its
+    /// waiter.
+    fn step(&self, query: &Query) -> Landed {
+        match (self.try_run)(&self.service, query) {
+            Ok(TryRun::Done(response)) => Landed::Answered(Ok(response)),
+            Ok(TryRun::Leader(guard)) => Landed::Answered(self.service.complete_miss(guard)),
+            Ok(TryRun::Follower(waiter)) => Landed::Following(waiter),
+            Err(e) => Landed::Answered(Err(e)),
+        }
+    }
+
+    /// One worker. The job stays outside the unwind boundary, so a pass
+    /// that panics still completes its client — with
+    /// [`ServiceError::WorkerPanicked`] — and the worker carries on. A
+    /// follower's job moves into its flight as a continuation: no thread
+    /// waits with it, and whoever resolves the flight finishes it (or, the
+    /// leader having died, queues it again — the retry re-checks the cache
+    /// and may lead).
+    fn work(self: &Arc<Self>) {
+        while let Some(mut job) = self.next_job() {
+            job.started_at.get_or_insert_with(Instant::now);
+            let landed = catch_unwind(AssertUnwindSafe(|| self.step(&job.query)))
+                .unwrap_or(Landed::Answered(Err(ServiceError::WorkerPanicked)));
+            match landed {
+                Landed::Answered(result) => self.finish(job, result),
+                Landed::Following(waiter) => {
+                    let shared = Arc::clone(self);
+                    waiter.on_resolved(move |outcome| match outcome {
+                        Ok(response) => shared.finish(job, Ok(response)),
+                        Err(FlightError::Failed(e)) => shared.finish(job, Err(e)),
+                        Err(FlightError::Aborted) => shared.push(job),
+                    });
+                }
+            }
+        }
+    }
+
+    /// The one way a request ends, on whatever thread it ends: latency
+    /// sample, completion, counters, wake-up. The counters move under the
+    /// slot's lock, so a client that has seen its completion also sees its
+    /// admission slot free, and a drain that has seen nothing in flight
+    /// also finds every slot written.
+    fn finish(&self, job: Job, result: Result<ServiceResponse, ServiceError>) {
+        let latency_us = job.started_at.map_or(0, |at| at.elapsed().as_micros() as u64);
+        self.latency.record(latency_us);
+        let mut completion = job.slot.completion.lock().unwrap_or_else(PoisonError::into_inner);
+        *completion = Some(Completion { result, latency_us });
+        // ordering: Release pairs with the Acquire load in stats():
+        // observing this increment also observes the admission that
+        // preceded it (via the queue mutex), so `completed <= admitted`
+        // holds in every snapshot.
+        self.completed.fetch_add(1, Ordering::Release);
+        self.release();
+        drop(completion);
+        job.slot.done.notify_all();
+    }
+}
+
 /// The non-blocking request frontend: multiplexes any number of logical
 /// clients over a fixed worker pool driving one [`QueryService`].
 ///
 /// [`Frontend::submit`] is the admission point — it costs the caller a
 /// bounded-queue check (and optionally a p99 estimate read), never an
-/// optimization. Admitted requests become reactor tasks: a cache hit
-/// completes on its first poll; the first miss on a coordinate runs the
-/// optimization once (singleflight leader); every concurrent duplicate
-/// waits wakerfully and shares the published answer without holding a
-/// thread.
+/// optimization. Admitted requests become queued jobs: a cache hit
+/// completes on the worker that pops it; the first miss on a coordinate
+/// runs the optimization once (singleflight leader); every concurrent
+/// duplicate parks in the leader's flight and shares the published answer
+/// without holding a thread.
+///
+/// Dropping the frontend drains it, exactly like [`Frontend::shutdown`].
 #[derive(Debug)]
 pub struct Frontend {
-    shared: Arc<FrontendShared>,
-    executor: Executor,
+    shared: Arc<Shared>,
+    workers: Vec<std::thread::JoinHandle<()>>,
     config: FrontendConfig,
-    draining: std::sync::atomic::AtomicBool,
 }
 
 impl Frontend {
     /// A frontend over `service` with `config`'s admission policy.
     pub fn new(service: Arc<QueryService>, config: FrontendConfig) -> Self {
-        Self {
-            shared: Arc::new(FrontendShared {
-                service,
-                in_flight: AtomicUsize::new(0),
-                admitted: AtomicU64::new(0),
-                completed: AtomicU64::new(0),
-                shed_queue_full: AtomicU64::new(0),
-                shed_latency: AtomicU64::new(0),
-                latency: LatencyEstimator::new(),
-            }),
-            executor: Executor::new(config.workers),
-            config,
-            draining: std::sync::atomic::AtomicBool::new(false),
-        }
+        Self::with_try_run(service, config, QueryService::try_run)
+    }
+
+    fn with_try_run(service: Arc<QueryService>, config: FrontendConfig, try_run: TryRunFn) -> Self {
+        let shared = Arc::new(Shared {
+            service,
+            try_run,
+            queue: Mutex::default(),
+            ready: Condvar::new(),
+            in_flight: AtomicUsize::new(0),
+            admitted: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            shed_queue_full: AtomicU64::new(0),
+            shed_latency: AtomicU64::new(0),
+            latency: LatencyEstimator::new(),
+        });
+        let workers = (0..config.workers.max(1))
+            .filter_map(|i| {
+                let shared = Arc::clone(&shared);
+                let spawned = std::thread::Builder::new()
+                    .name(format!("sqo-frontend-{i}"))
+                    .spawn(move || shared.work());
+                match spawned {
+                    Ok(handle) => Some(handle),
+                    // analyze: allow(panic): a pool that cannot start even
+                    // one worker cannot serve at all — submitted requests
+                    // would wait forever. Failures past the first merely
+                    // degrade capacity.
+                    Err(e) if i == 0 => panic!("spawn first frontend worker: {e}"),
+                    Err(_) => None,
+                }
+            })
+            .collect();
+        Self { shared, workers, config }
     }
 
     /// Admits `query` as a new logical client, or sheds it with a typed
     /// [`Overload`]. Reject-newest: an admitted request is never
     /// abandoned, the marginal arrival is the one refused.
     pub fn submit(&self, query: &Query) -> Result<ResponseHandle, Overload> {
-        // ordering: Acquire pairs with shutdown()'s Release store.
-        if self.draining.load(Ordering::Acquire) {
-            return Err(Overload::ShuttingDown);
-        }
+        let shared = &self.shared;
         if let Some(bound) = self.config.p99_bound_us {
-            if self.shared.latency.p99_us().is_some_and(|p99| p99 > bound) {
+            if shared.latency.p99_us().is_some_and(|p99| p99 > bound) {
                 // ordering: monotone shed counter, read for display only.
-                self.shared.shed_latency.fetch_add(1, Ordering::Relaxed);
+                shared.shed_latency.fetch_add(1, Ordering::Relaxed);
                 return Err(Overload::LatencyBound);
             }
         }
@@ -235,61 +375,41 @@ impl Frontend {
         // ordering: AcqRel makes claim/back-off edges a total order across
         // admitters, so concurrent claims can never all read the same
         // pre-claim value and jointly overshoot the bound.
-        let claimed = self.shared.in_flight.fetch_add(1, Ordering::AcqRel);
+        let claimed = shared.in_flight.fetch_add(1, Ordering::AcqRel);
         if claimed >= self.config.queue_depth {
-            // ordering: AcqRel, same RMW chain as the claim above.
-            self.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
+            shared.release();
             // ordering: monotone shed counter, read for display only.
-            self.shared.shed_queue_full.fetch_add(1, Ordering::Relaxed);
+            shared.shed_queue_full.fetch_add(1, Ordering::Relaxed);
             return Err(Overload::QueueFull);
         }
         // ordering: bounded above by `completed`'s Release/Acquire pair —
         // stats() reads `completed` first, and this increment
-        // happens-before the task's `completed` increment via the spawn
-        // queue's mutex, so any observed completion implies its admission.
-        self.shared.admitted.fetch_add(1, Ordering::Relaxed);
+        // happens-before the job's `completed` increment via the queue
+        // mutex, so any observed completion implies its admission.
+        shared.admitted.fetch_add(1, Ordering::Relaxed);
         let slot = Arc::new(Slot::default());
-        let shared = Arc::clone(&self.shared);
-        let task_slot = Arc::clone(&slot);
-        let query = query.clone();
-        self.executor.spawn(async move {
-            let admitted_at = Instant::now();
-            let result = run_one(&shared.service, &query).await;
-            let latency_us = admitted_at.elapsed().as_micros() as u64;
-            shared.latency.record(latency_us);
-            // ordering: Release pairs with the Acquire load in stats() /
-            // shutdown(): observing this increment also observes the
-            // admission that preceded it (via the spawn-queue mutex), so
-            // `completed <= admitted` holds in every snapshot — Relaxed
-            // only held on x86's TSO by accident.
-            shared.completed.fetch_add(1, Ordering::Release);
-            // ordering: AcqRel, same RMW chain as submit()'s claim.
-            shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-            let mut completion =
-                task_slot.completion.lock().unwrap_or_else(PoisonError::into_inner);
-            *completion = Some(Completion { result, latency_us });
-            task_slot.done.notify_all();
-        });
+        shared.push(Job { query: query.clone(), slot: Arc::clone(&slot), started_at: None });
         Ok(ResponseHandle { slot })
     }
 
     /// Current frontend counters (the driven service's own stats are on
     /// [`Frontend::service`]).
     pub fn stats(&self) -> FrontendStats {
+        let shared = &self.shared;
         // Struct literals evaluate top to bottom: `completed` is read
         // strictly before `admitted`, and with Acquire, so a snapshot can
         // never observe `completed > admitted` (regression-tested by
         // tests/frontend.rs::stats_completed_never_exceeds_admitted).
         FrontendStats {
-            // ordering: Acquire pairs with the task's Release fetch_add.
-            completed: self.shared.completed.load(Ordering::Acquire),
+            // ordering: Acquire pairs with finish()'s Release fetch_add.
+            completed: shared.completed.load(Ordering::Acquire),
             // ordering: bounded below by `completed` via the Acquire above.
-            admitted: self.shared.admitted.load(Ordering::Relaxed),
+            admitted: shared.admitted.load(Ordering::Relaxed),
             // ordering: monotone shed counter, read for display only.
-            shed_queue_full: self.shared.shed_queue_full.load(Ordering::Relaxed),
-            shed_latency: self.shared.shed_latency.load(Ordering::Relaxed), // ordering: display counter
+            shed_queue_full: shared.shed_queue_full.load(Ordering::Relaxed),
+            shed_latency: shared.shed_latency.load(Ordering::Relaxed), // ordering: display counter
             // ordering: pairs with the AcqRel claim RMWs in submit().
-            in_flight: self.shared.in_flight.load(Ordering::Acquire),
+            in_flight: shared.in_flight.load(Ordering::Acquire),
         }
     }
 
@@ -298,62 +418,66 @@ impl Frontend {
         &self.shared.service
     }
 
-    /// Drain-on-shutdown: stops admitting (new submissions shed with
-    /// [`Overload::ShuttingDown`]), runs every already-admitted request to
-    /// completion, then joins the worker pool.
-    pub fn shutdown(self) -> FrontendStats {
-        // ordering: Release pairs with submit()'s Acquire load — an
-        // admitter that misses the drain flag fully completes its claim
-        // before join() observes it.
-        self.draining.store(true, Ordering::Release);
-        self.executor.join();
-        FrontendStats {
-            // ordering: Acquire pairs with the task's Release fetch_add
-            // (read before `admitted`, as in stats()).
-            completed: self.shared.completed.load(Ordering::Acquire),
-            // ordering: bounded below by `completed` via the Acquire above.
-            admitted: self.shared.admitted.load(Ordering::Relaxed),
-            // ordering: monotone shed counter, read for display only.
-            shed_queue_full: self.shared.shed_queue_full.load(Ordering::Relaxed),
-            shed_latency: self.shared.shed_latency.load(Ordering::Relaxed), // ordering: display counter
-            // ordering: pairs with the AcqRel claim RMWs in submit().
-            in_flight: self.shared.in_flight.load(Ordering::Acquire),
+    /// Drain-on-shutdown: runs every already-admitted request to
+    /// completion, joins the worker pool, and reports the final counters.
+    /// Taking the frontend by value is what stops admission — nobody is
+    /// left who could call [`Frontend::submit`].
+    pub fn shutdown(mut self) -> FrontendStats {
+        self.drain();
+        self.stats()
+    }
+
+    /// Exclusive access means no `submit` can overlap the drain, so the
+    /// queue only ever shrinks from here. Idempotent: the second call
+    /// (from `Drop`, after `shutdown`) finds no worker left to join.
+    fn drain(&mut self) {
+        self.shared.queue().draining = true;
+        self.shared.ready.notify_all();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
 
-/// One logical client: drive the service's non-blocking seam to an
-/// answer. Leaders run the optimization inline on the worker (that *is*
-/// the deduplicated work); followers await the flight wakerfully; an
-/// aborted flight (leader died) retries — the retry re-checks the cache
-/// and may inherit leadership.
-async fn run_one(service: &QueryService, query: &Query) -> Result<ServiceResponse, ServiceError> {
-    loop {
-        match service.try_run(query)? {
-            TryRun::Done(response) => return Ok(response),
-            TryRun::Leader(guard) => return service.complete_miss(guard),
-            TryRun::Follower(waiter) => match (FlightFuture { waiter }).await {
-                Ok(response) => return Ok(response),
-                Err(FlightError::Failed(e)) => return Err(e),
-                Err(FlightError::Aborted) => continue,
-            },
-        }
+impl Drop for Frontend {
+    fn drop(&mut self) {
+        self.drain();
     }
 }
 
-/// Adapts a [`MissWaiter`] to a [`Future`]: pending registers the task's
-/// waker with the flight, so resolution re-queues the task directly.
-struct FlightFuture {
-    waiter: MissWaiter,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicBool;
 
-impl Future for FlightFuture {
-    type Output = sqo_service::FlightResult;
+    use sqo_workload::{paper_scenario, DbSize};
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match self.waiter.poll(cx.waker()) {
-            Some(outcome) => Poll::Ready(outcome),
-            None => Poll::Pending,
+    /// A pass that panics still ends in `finish`: the client gets
+    /// `WorkerPanicked` instead of waiting forever, the admission slot
+    /// comes back, and the worker lives to answer the next request.
+    #[test]
+    fn a_panicking_request_completes_its_handle_and_frees_its_slot() {
+        fn panic_once(service: &QueryService, query: &Query) -> Result<TryRun, ServiceError> {
+            static ARMED: AtomicBool = AtomicBool::new(true);
+            if ARMED.swap(false, Ordering::SeqCst) {
+                panic!("injected request panic");
+            }
+            service.try_run(query)
         }
+        let s = paper_scenario(DbSize::Db1, 23);
+        let service = Arc::new(QueryService::new(Arc::new(s.store), Arc::new(s.db)));
+        // One worker and one admission slot: the panic may cost neither.
+        let frontend = Frontend::with_try_run(
+            service,
+            FrontendConfig { workers: 1, queue_depth: 1, p99_bound_us: None },
+            panic_once,
+        );
+        let poisoned = frontend.submit(&s.queries[0]).expect("admitted").wait();
+        assert_eq!(poisoned.result.unwrap_err(), ServiceError::WorkerPanicked);
+        assert_eq!(frontend.stats().in_flight, 0, "the slot came back with the completion");
+        let next = frontend.submit(&s.queries[0]).expect("the freed slot admits").wait();
+        assert!(next.result.is_ok(), "the only worker survived");
+        let stats = frontend.shutdown();
+        assert_eq!((stats.admitted, stats.completed, stats.in_flight), (2, 2, 0));
     }
 }

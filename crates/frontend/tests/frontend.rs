@@ -1,5 +1,6 @@
-//! End-to-end frontend behavior: burst deduplication, admission-queue
-//! shedding, drain-on-shutdown, and stats self-consistency under load.
+//! End-to-end frontend behavior: burst deduplication, the follower path,
+//! admission-queue shedding, drain on shutdown and on drop, and stats
+//! self-consistency under load.
 //!
 //! Timing-sensitive (real worker threads, real contention): CI runs this
 //! crate `--release`, matching the storage/service precedent.
@@ -7,7 +8,7 @@
 use std::sync::Arc;
 
 use sqo_frontend::{Frontend, FrontendConfig, Overload};
-use sqo_service::QueryService;
+use sqo_service::{QueryService, TryRun};
 use sqo_workload::{paper_scenario, DbSize};
 
 fn service(seed: u64) -> (Arc<QueryService>, Vec<sqo_query::Query>) {
@@ -241,42 +242,74 @@ fn stats_completed_never_exceeds_admitted() {
     assert_eq!(last.in_flight, 0);
 }
 
-/// With `batch_window > 1` a warm burst gathers through *hit flights*:
-/// each duplicate either leads one shared execution or follows it, so the
-/// whole burst is accounted by the batch counters — and the singleflight
-/// counters stay zero, because no miss was deduplicated.
+/// Dropping a frontend without `shutdown` drains it all the same, and
+/// leaves no worker (or parked job) behind to pin the service.
 #[test]
-fn warm_burst_groups_through_hit_flights() {
-    const BURST: usize = 256;
-    let (base, queries) = service(13);
-    let grouped = Arc::new(QueryService::with_versioned_db(
-        base.store(),
-        Arc::clone(base.versioned_db()),
-        sqo_service::ServiceConfig { batch_window: 8, ..Default::default() },
-    ));
-    // Warm the plan cache so the burst is pure hit traffic.
-    let reference = grouped.run(&queries[0]).unwrap();
+fn dropping_the_frontend_drains_and_releases_the_service() {
+    let (service, queries) = service(19);
+    let weak = Arc::downgrade(&service);
     let frontend = Frontend::new(
-        Arc::clone(&grouped),
-        FrontendConfig { workers: 4, queue_depth: BURST, p99_bound_us: None },
+        Arc::clone(&service),
+        FrontendConfig { workers: 2, queue_depth: 1024, p99_bound_us: None },
     );
-    let handles: Vec<_> = (0..BURST)
-        .map(|_| frontend.submit(&queries[0]).expect("queue sized for the whole burst"))
+    let handles: Vec<_> = (0..64)
+        .map(|i| frontend.submit(&queries[i % queries.len()]).expect("under the bound"))
         .collect();
+    drop(frontend);
     for handle in handles {
-        let done = handle.wait().result.expect("warm burst succeeds");
-        assert!(done.cache_hit, "burst requests ride the warmed entry");
-        assert!(done.results.same_multiset(&reference.results));
+        assert!(handle.try_take().expect("drained before drop returned").result.is_ok());
     }
-    let stats = frontend.shutdown();
-    assert_eq!(stats.completed, BURST as u64);
-    let svc = grouped.stats();
-    assert_eq!(svc.optimizations, 1, "the warm-up run optimized once, the burst never: {svc:?}");
-    assert_eq!(svc.batch_size, BURST as u64, "every burst request joined a hit flight: {svc:?}");
-    assert!(
-        (1..=BURST as u64).contains(&svc.batch_groups),
-        "group count is scheduling-dependent but bounded: {svc:?}"
-    );
-    assert_eq!(svc.singleflight_leaders, 0, "hit flights are not miss dedup: {svc:?}");
-    assert_eq!(svc.singleflight_followers, 0, "{svc:?}");
+    drop(service);
+    assert!(weak.upgrade().is_none(), "the joined workers held the last other handles");
+}
+
+/// The follower path, forced: the test leads a flight itself, so every
+/// duplicate the frontend sees must follow it. On a **one-worker**
+/// frontend a different query submitted behind them still answers —
+/// a waiting follower holds no thread. First leg: the leader completes
+/// and its thread hands every follower the identical `Arc`'d rows. Second
+/// leg: the leader dies; nobody is stranded, one retry re-leads.
+#[test]
+fn parked_followers_hold_no_thread_and_a_dead_leader_strands_nobody() {
+    const K: usize = 8;
+    for leader_dies in [false, true] {
+        let (service, queries) = service(21);
+        service.run(&queries[1]).expect("warm the bystander query");
+        let frontend = Frontend::new(
+            Arc::clone(&service),
+            FrontendConfig { workers: 1, queue_depth: 64, p99_bound_us: None },
+        );
+        let TryRun::Leader(guard) = service.try_run(&queries[0]).unwrap() else {
+            panic!("cold miss must lead")
+        };
+        let parked: Vec<_> =
+            (0..K).map(|_| frontend.submit(&queries[0]).expect("queue holds them")).collect();
+        // One FIFO queue, one worker: by the time the bystander answers,
+        // the K duplicates ahead of it have all been popped — and if one
+        // of them had kept the worker, the bystander never would.
+        let bystander = frontend.submit(&queries[1]).expect("admitted").wait();
+        assert!(bystander.result.expect("bystander answers").cache_hit);
+        assert_eq!(service.stats().singleflight_followers, K as u64);
+        assert_eq!(frontend.stats().in_flight, K, "parked, not finished");
+
+        if leader_dies {
+            drop(guard);
+            for handle in parked {
+                assert!(handle.wait().result.is_ok(), "a dead leader strands nobody");
+            }
+        } else {
+            let led = service.complete_miss(guard).expect("leader completes");
+            for handle in parked {
+                // Completed by the resolving thread, inside complete_miss.
+                let done = handle.try_take().expect("finished with the flight").result.unwrap();
+                assert!(Arc::ptr_eq(&done.results, &led.results));
+            }
+        }
+        let svc = service.stats();
+        assert_eq!(svc.optimizations, 2, "the bystander's warm-up and the flight's: {svc:?}");
+        assert_eq!(svc.singleflight_leaders, 1 + u64::from(leader_dies), "{svc:?}");
+        assert_eq!(svc.singleflight_followers, K as u64, "retries hit or lead: {svc:?}");
+        let stats = frontend.shutdown();
+        assert_eq!((stats.completed, stats.in_flight), (K as u64 + 1, 0));
+    }
 }

@@ -40,13 +40,14 @@
 //!   [`QueryService::complete_miss`]): concurrent cold misses on the same
 //!   `(fingerprint, store version, data epoch)` coordinates share one
 //!   optimization — the first registrant leads, duplicates follow on a
-//!   [`MissWaiter`] (waker-based, no thread parked), and a leader that
+//!   [`MissWaiter`] (a continuation kept in the flight and run exactly
+//!   once by whoever resolves it — no thread parked), and a leader that
 //!   dies mid-flight aborts cleanly instead of stranding its followers.
-//!   This is the non-blocking seam the `sqo-frontend` reactor drives.
-//! * **Grouping of identical warm requests** is a policy of that pipeline,
-//!   not a second path: with `ServiceConfig::batch_window > 1`,
-//!   `run_batch` gathers each window's duplicates into one pipeline pass
-//!   and `try_run` sends hits through the same flight table misses use.
+//!   This is the non-blocking seam the `sqo-frontend` worker pool drives.
+//! * **One way to share an answer**: identical warm requests share the
+//!   entry's result memo (on by default, expired by the next data write);
+//!   identical cold requests share a flight. A plan-cache hit never
+//!   touches the flight table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]

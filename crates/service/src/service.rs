@@ -2,7 +2,6 @@
 //! worker-pool batch front end.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
@@ -43,10 +42,11 @@ pub enum ServiceError {
     Exec(ExecError),
     /// A write batch failed validation or integrity enforcement.
     Storage(StorageError),
-    /// A [`QueryService::run_batch`] worker panicked before answering this
-    /// request. The batch still completes: every request the poisoned
-    /// worker had claimed surfaces as this error instead of aborting the
-    /// caller.
+    /// The worker answering this request panicked in it — a
+    /// [`QueryService::run_batch`] pool thread, or a `sqo-frontend` worker.
+    /// Exactly the poisoned request surfaces as this error: the rest of
+    /// the batch completes, the frontend worker lives on, and no caller is
+    /// aborted or left waiting.
     WorkerPanicked,
 }
 
@@ -56,7 +56,7 @@ impl fmt::Display for ServiceError {
             ServiceError::Query(e) => write!(f, "query error: {e}"),
             ServiceError::Exec(e) => write!(f, "execution error: {e}"),
             ServiceError::Storage(e) => write!(f, "write error: {e}"),
-            ServiceError::WorkerPanicked => write!(f, "batch worker panicked mid-request"),
+            ServiceError::WorkerPanicked => write!(f, "worker panicked mid-request"),
         }
     }
 }
@@ -102,15 +102,6 @@ pub struct ServiceConfig {
     /// at: plans survive data writes, memoized results are recomputed on the
     /// first request after one. Turn off to re-execute on every request.
     pub cache_results: bool,
-    /// Gather window of the batch execution tier: warm requests on the same
-    /// `(fingerprint, store version, data epoch)` coordinates are answered
-    /// by **one** shared execution, fanned back out to every member. In
-    /// [`QueryService::run_batch`] the window is explicit — up to this many
-    /// consecutive requests are gathered before grouping; in
-    /// [`QueryService::try_run`] it is temporal — duplicates arriving while
-    /// a hit's execution is in flight join it. `1` disables grouping
-    /// (singleflight still dedups *misses* regardless).
-    pub batch_window: usize,
     /// Semantic-optimizer configuration used for every miss.
     pub optimizer: OptimizerConfig,
 }
@@ -121,7 +112,6 @@ impl Default for ServiceConfig {
             shards: 16,
             cache_capacity: 1024,
             cache_results: true,
-            batch_window: 1,
             optimizer: OptimizerConfig::paper(),
         }
     }
@@ -178,15 +168,15 @@ pub struct ServiceResponse {
 /// counterpart of [`QueryService::run`]'s `ServiceResponse`.
 #[derive(Debug)]
 pub enum TryRun {
-    /// Answered synchronously: a cache hit or a fingerprint-collision
-    /// fallback.
+    /// Answered synchronously: a plan-cache hit (always — the flight table
+    /// carries misses only) or a fingerprint-collision fallback.
     Done(ServiceResponse),
     /// First miss on these coordinates: the caller must run
     /// [`QueryService::complete_miss`] with the guard (dropping it instead
     /// aborts the flight and hands leadership to a retrying follower).
     Leader(MissGuard),
-    /// Duplicate of an in-flight miss: poll or wait on the waiter for the
-    /// leader's published answer.
+    /// Duplicate of an in-flight miss: leave a continuation with the
+    /// waiter, or block on it, for the leader's published answer.
     Follower(MissWaiter),
 }
 
@@ -199,7 +189,9 @@ pub enum TryRun {
 /// across successive snapshots.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// `run`/`run_batch`/`try_run` requests accepted.
+    /// Requests received, one per `run`, per `try_run` call (a follower's
+    /// retry after an aborted flight is a new call) and per `run_batch`
+    /// element.
     pub requests: u64,
     /// Requests that completed a plan-cache lookup. Exactly
     /// `cache.hits + cache.misses` in every snapshot; trails `requests`
@@ -217,12 +209,6 @@ pub struct ServiceStats {
     /// Misses that joined an already-in-flight optimization instead of
     /// running their own.
     pub singleflight_followers: u64,
-    /// Warm groups closed by the batch execution tier (each ran one shared
-    /// execution on behalf of every member).
-    pub batch_groups: u64,
-    /// Requests answered through a grouped execution, across all groups —
-    /// `batch_size / batch_groups` is the achieved mean gather width.
-    pub batch_size: u64,
     /// Current constraint-store epoch.
     pub epoch: u64,
     /// Current data epoch of the backing database.
@@ -286,8 +272,6 @@ pub struct QueryService {
     writes: AtomicU64,
     sf_leaders: AtomicU64,
     sf_followers: AtomicU64,
-    batch_groups: AtomicU64,
-    batch_size: AtomicU64,
 }
 
 impl QueryService {
@@ -323,8 +307,6 @@ impl QueryService {
             writes: AtomicU64::new(0),
             sf_leaders: AtomicU64::new(0),
             sf_followers: AtomicU64::new(0),
-            batch_groups: AtomicU64::new(0),
-            batch_size: AtomicU64::new(0),
         }
     }
 
@@ -538,70 +520,44 @@ impl QueryService {
         })
     }
 
-    /// Step 4, for flight leaders: resolves the flight with `outcome` so
-    /// every follower receives the identical `Arc`-shared answer — or the
-    /// identical error (re-running the same pipeline would fail the same
-    /// way).
-    fn lead(
-        guard: MissGuard,
-        outcome: Result<ServiceResponse, ServiceError>,
-    ) -> Result<ServiceResponse, ServiceError> {
-        guard.finish(outcome.clone().map_err(FlightError::Failed));
-        outcome
-    }
-
-    /// `members` identical requests answered by one pass of the pipeline.
-    fn serve(&self, canonical: Query, members: u64) -> Result<ServiceResponse, ServiceError> {
+    /// Prepare + execute in one call — the per-request entry point.
+    pub fn run(&self, query: &Query) -> Result<ServiceResponse, ServiceError> {
         // ordering: monotone display counter; `accepted` consistency is
         // carried by the cache's lookups/hits pair, not this one.
-        self.requests.fetch_add(members, Ordering::Relaxed);
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        let canonical = query.canonical();
         let (at, hit) = self.resolve(&canonical);
         self.answer(&self.entry_for(canonical, at, hit)?)
     }
 
-    /// Prepare + execute in one call — the per-request entry point.
-    pub fn run(&self, query: &Query) -> Result<ServiceResponse, ServiceError> {
-        self.serve(query.canonical(), 1)
-    }
-
-    /// The **non-blocking** per-request entry point for reactor-style
-    /// callers (the `sqo-frontend` crate): like [`QueryService::run`], but
-    /// a cache miss never waits behind another request's optimization.
+    /// The **non-blocking** per-request entry point for callers that
+    /// multiplex many requests over few threads (the `sqo-frontend`
+    /// crate): like [`QueryService::run`], but a cache miss never waits
+    /// behind another request's optimization.
     ///
     /// * A plan-cache hit is answered synchronously as [`TryRun::Done`] —
-    ///   execution is the caller's CPU work either way.
+    ///   execution is the caller's CPU work either way, and a hit never
+    ///   touches the flight table.
     /// * The **first** miss on a `(fingerprint, store version, data
     ///   epoch)` coordinate becomes [`TryRun::Leader`]: the caller owes
     ///   the service one [`QueryService::complete_miss`] call, which runs
     ///   the full optimize+plan+execute pipeline and publishes the answer
     ///   to every concurrent duplicate.
     /// * Every further miss on the same coordinates becomes
-    ///   [`TryRun::Follower`] with a [`MissWaiter`]: poll it with a waker
-    ///   (no thread parked) or [`MissWaiter::wait`] for it. An
+    ///   [`TryRun::Follower`] with a [`MissWaiter`]: leave it a
+    ///   continuation ([`MissWaiter::on_resolved`], no thread parked) or
+    ///   [`MissWaiter::wait`] for it. An
     ///   [`FlightError::Aborted`](crate::FlightError::Aborted) outcome
     ///   means the leader dropped its guard without completing — call
     ///   `try_run` again; the retry re-checks the cache and may lead.
-    ///
-    /// With `batch_window > 1` a hit goes through the flight table too —
-    /// the temporal gather window of the batch tier. The first arrival
-    /// leads: it executes, resolves the flight and answers synchronously;
-    /// duplicates arriving during that execution become
-    /// [`TryRun::Follower`]s of it, fanned the leader's `Arc`-shared answer
-    /// through the exact machinery miss followers use. The window is the
-    /// leader's execution time: no timers, no added latency for
-    /// unduplicated traffic. Hit flights bump `batch_groups`/`batch_size`,
-    /// **not** the `singleflight_*` counters, which keep meaning
-    /// "deduplicated misses".
     pub fn try_run(&self, query: &Query) -> Result<TryRun, ServiceError> {
         // ordering: monotone display counter; `accepted` consistency is
         // carried by the cache's lookups/hits pair, not this one.
         self.requests.fetch_add(1, Ordering::Relaxed);
         let canonical = query.canonical();
         let (at, hit) = self.resolve(&canonical);
-        if self.config.batch_window <= 1 {
-            if let Some(prepared) = &hit {
-                return self.answer(prepared).map(TryRun::Done);
-            }
+        if let Some(prepared) = hit {
+            return self.answer(&prepared).map(TryRun::Done);
         }
         let key = FlightKey {
             fingerprint: at.fingerprint,
@@ -610,29 +566,21 @@ impl QueryService {
         };
         match self.cache.flights().register(key, &canonical) {
             Registered::Leader(flight) => {
+                // ordering: monotone display counter.
+                self.sf_leaders.fetch_add(1, Ordering::Relaxed);
                 let table = Arc::clone(self.cache.flights());
-                let guard = MissGuard::new(key, canonical, at.store, table, flight);
-                let Some(prepared) = hit else {
-                    // ordering: monotone display counter.
-                    self.sf_leaders.fetch_add(1, Ordering::Relaxed);
-                    return Ok(TryRun::Leader(guard));
-                };
-                // ordering: monotone display counters.
-                self.batch_groups.fetch_add(1, Ordering::Relaxed);
-                self.batch_size.fetch_add(1, Ordering::Relaxed); // ordering: display counter
-                Self::lead(guard, self.answer(&prepared)).map(TryRun::Done)
+                Ok(TryRun::Leader(MissGuard::new(key, canonical, at.store, table, flight)))
             }
             Registered::Follower(flight) => {
-                let joined = if hit.is_some() { &self.batch_size } else { &self.sf_followers };
                 // ordering: monotone display counter.
-                joined.fetch_add(1, Ordering::Relaxed);
+                self.sf_followers.fetch_add(1, Ordering::Relaxed);
                 Ok(TryRun::Follower(MissWaiter::new(flight)))
             }
             // A 64-bit fingerprint collision with the in-flight query:
             // sharing would serve the wrong answer, so this request runs
             // the undeduplicated pipeline on its own.
             Registered::Collision => {
-                self.answer(&self.entry_for(canonical, at, hit)?).map(TryRun::Done)
+                self.answer(&self.entry_for(canonical, at, None)?).map(TryRun::Done)
             }
         }
     }
@@ -640,11 +588,10 @@ impl QueryService {
     /// Runs the miss pipeline a [`TryRun::Leader`] owes: semantic
     /// optimization and planning against the store version captured at
     /// registration, cache publication stamped with that same version,
-    /// then execution. The response resolves the flight, so every follower
-    /// receives the identical `Arc`-shared answer.
-    ///
-    /// On failure the error is shared with the followers too (re-running
-    /// the same pipeline would fail the same way).
+    /// then execution. The outcome resolves the flight (the only call of
+    /// `guard.finish`; a dropped guard aborts instead), so every follower
+    /// receives the identical `Arc`-shared answer, or the identical error
+    /// (re-running the same pipeline would fail the same way).
     pub fn complete_miss(&self, guard: MissGuard) -> Result<ServiceResponse, ServiceError> {
         let key = guard.key();
         let at = Coordinate {
@@ -655,7 +602,8 @@ impl QueryService {
         let outcome = self
             .entry_for(guard.canonical().clone(), at, None)
             .and_then(|prepared| self.answer(&prepared));
-        Self::lead(guard, outcome)
+        guard.finish(outcome.clone().map_err(FlightError::Failed));
+        outcome
     }
 
     /// Answers `queries` on a fixed pool of `workers` threads (closed-loop:
@@ -665,82 +613,12 @@ impl QueryService {
     /// A worker panic poisons only the requests that worker had claimed:
     /// each surfaces as [`ServiceError::WorkerPanicked`], every other
     /// request completes normally, and the caller is never aborted.
-    ///
-    /// With `batch_window > 1` the stream first passes through the batch
-    /// tier's explicit gather window: consecutive windows of up to
-    /// `batch_window` requests are grouped by fingerprint, each group runs
-    /// the pipeline **once** — at one `(store version, data epoch)`, which
-    /// its answer names — and that answer is `Arc`-fanned back to every
-    /// member: a duplicate-heavy warm stream costs one execution per
-    /// distinct query per window instead of one per request.
     pub fn run_batch(
         &self,
         queries: &[Query],
         workers: usize,
     ) -> Vec<Result<ServiceResponse, ServiceError>> {
-        self.run_batch_with(queries, workers, |canonical, members| self.serve(canonical, members))
-    }
-
-    /// [`QueryService::run_batch`] generic over the per-group pipeline
-    /// pass, so tests can inject a panicking request deterministically.
-    fn run_batch_with(
-        &self,
-        queries: &[Query],
-        workers: usize,
-        serve: impl Fn(Query, u64) -> Result<ServiceResponse, ServiceError> + Sync,
-    ) -> Vec<Result<ServiceResponse, ServiceError>> {
-        let answered = |slot: Option<_>| slot.unwrap_or(Err(ServiceError::WorkerPanicked));
-        if self.config.batch_window <= 1 {
-            let slots = run_pooled(queries.len(), workers, |i| serve(queries[i].canonical(), 1));
-            return slots.into_iter().map(answered).collect();
-        }
-        let groups = self.gather(queries);
-        let slots = run_pooled(groups.len(), workers, |g| {
-            serve(groups[g].0.clone(), groups[g].1.len() as u64)
-        });
-        let mut out = vec![Err(ServiceError::WorkerPanicked); queries.len()];
-        for ((_, members), slot) in groups.iter().zip(slots) {
-            let response = answered(slot);
-            if response.is_ok() {
-                // ordering: monotone display counter.
-                self.batch_groups.fetch_add(1, Ordering::Relaxed);
-                // ordering: monotone display counter.
-                self.batch_size.fetch_add(members.len() as u64, Ordering::Relaxed);
-            }
-            for &i in members {
-                out[i] = response.clone();
-            }
-        }
-        out
-    }
-
-    /// The gather pass of grouped [`QueryService::run_batch`]: within each
-    /// consecutive window, requests with the same fingerprint merge into
-    /// one group of request indexes. The store version and data epoch a
-    /// group is answered at are resolved once, by its pipeline pass, so the
-    /// gather itself reads neither. The group keeps the canonical query,
-    /// and a canonical-equality check guards against fingerprint
-    /// collisions — a colliding request simply opens its own (unindexed)
-    /// group.
-    fn gather(&self, queries: &[Query]) -> Vec<(Query, Vec<usize>)> {
-        let mut groups: Vec<(Query, Vec<usize>)> = Vec::new();
-        let mut open: HashMap<QueryFingerprint, usize> = HashMap::new();
-        for (i, query) in queries.iter().enumerate() {
-            if i % self.config.batch_window == 0 {
-                open.clear();
-            }
-            let canonical = query.canonical();
-            let fingerprint = canonical.fingerprint_canonical();
-            match open.get(&fingerprint) {
-                Some(&g) if groups[g].0 == canonical => groups[g].1.push(i),
-                Some(_) => groups.push((canonical, vec![i])),
-                None => {
-                    open.insert(fingerprint, groups.len());
-                    groups.push((canonical, vec![i]));
-                }
-            }
-        }
-        groups
+        run_batch_with(queries, workers, |query| self.run(query))
     }
 
     /// Serializes the full service state into a `.sqos` snapshot: the
@@ -867,8 +745,6 @@ impl QueryService {
             writes: self.writes.load(Ordering::Relaxed),               // ordering: display counter
             singleflight_leaders: self.sf_leaders.load(Ordering::Relaxed), // ordering: display counter
             singleflight_followers: self.sf_followers.load(Ordering::Relaxed), // ordering: display counter
-            batch_groups: self.batch_groups.load(Ordering::Relaxed), // ordering: display counter
-            batch_size: self.batch_size.load(Ordering::Relaxed),     // ordering: display counter
             epoch: self.epoch(),
             data_epoch: self.data_epoch(),
             cache,
@@ -885,6 +761,19 @@ struct Coordinate {
     store: Arc<ConstraintStore>,
     version: StoreVersion,
     fingerprint: QueryFingerprint,
+}
+
+/// [`QueryService::run_batch`] generic over the per-request pipeline pass,
+/// so tests can inject a panicking request deterministically.
+fn run_batch_with(
+    queries: &[Query],
+    workers: usize,
+    run: impl Fn(&Query) -> Result<ServiceResponse, ServiceError> + Sync,
+) -> Vec<Result<ServiceResponse, ServiceError>> {
+    run_pooled(queries.len(), workers, |i| run(&queries[i]))
+        .into_iter()
+        .map(|slot| slot.unwrap_or(Err(ServiceError::WorkerPanicked)))
+        .collect()
 }
 
 /// The closed-loop worker pool behind [`QueryService::run_batch`]: `jobs`
@@ -1122,31 +1011,22 @@ mod tests {
 
     #[test]
     fn run_batch_survives_a_panicking_worker() {
-        for batch_window in [1, 8] {
-            let s = paper_scenario(DbSize::Db1, 42);
-            let service = QueryService::with_config(
-                Arc::new(s.store),
-                Arc::new(s.db),
-                ServiceConfig { batch_window, ..Default::default() },
-            );
-            // Duplicates of queries 1 and 2 around one copy of query 0, so a
-            // gather window holds multi-member groups and the poisoned
-            // request still poisons exactly itself.
-            let batch: Vec<Query> =
-                (0..12).map(|i| s.queries[if i == 5 { 0 } else { 1 + i % 2 }].clone()).collect();
-            let poisoned = batch[5].canonical();
-            let out = service.run_batch_with(&batch, 3, |canonical, members| {
-                if canonical == poisoned {
-                    panic!("injected worker panic");
-                }
-                service.serve(canonical, members)
-            });
-            assert_eq!(out.len(), batch.len());
-            assert!(matches!(out[5], Err(ServiceError::WorkerPanicked)));
-            for (i, r) in out.iter().enumerate() {
-                if i != 5 {
-                    assert!(r.is_ok(), "request {i} must survive the poisoned worker");
-                }
+        let (service, queries) = service();
+        // Duplicates of queries 1 and 2 around one copy of query 0: the
+        // poisoned request poisons exactly itself.
+        let batch: Vec<Query> =
+            (0..12).map(|i| queries[if i == 5 { 0 } else { 1 + i % 2 }].clone()).collect();
+        let out = run_batch_with(&batch, 3, |query| {
+            if *query == batch[5] {
+                panic!("injected worker panic");
+            }
+            service.run(query)
+        });
+        assert_eq!(out.len(), batch.len());
+        assert!(matches!(out[5], Err(ServiceError::WorkerPanicked)));
+        for (i, r) in out.iter().enumerate() {
+            if i != 5 {
+                assert!(r.is_ok(), "request {i} must survive the poisoned worker");
             }
         }
     }
@@ -1195,78 +1075,9 @@ mod tests {
     }
 
     #[test]
-    fn grouped_run_batch_matches_ungrouped_and_shares_executions() {
-        let s = paper_scenario(DbSize::Db1, 42);
-        let store = Arc::new(s.store);
-        let db = Arc::new(s.db);
-        // Result memoization off so the executions counter counts real
-        // plan executions — the quantity grouping is meant to shrink.
-        let grouped = QueryService::with_config(
-            Arc::clone(&store),
-            Arc::clone(&db),
-            ServiceConfig { cache_results: false, batch_window: 8, ..Default::default() },
-        );
-        let reference = QueryService::with_config(
-            store,
-            db,
-            ServiceConfig { cache_results: false, ..Default::default() },
-        );
-        // Duplicate-heavy stream: 16 copies of one query.
-        let batch: Vec<Query> = std::iter::repeat_with(|| s.queries[0].clone()).take(16).collect();
-        // One worker: the two groups run in order, so the second is
-        // deterministically a plan-cache hit.
-        let out = grouped.run_batch(&batch, 1);
-        let baseline = reference.run_batch(&batch, 2);
-        for (r, b) in out.iter().zip(&baseline) {
-            let (r, b) = (r.as_ref().unwrap(), b.as_ref().unwrap());
-            assert!(r.results.same_multiset(&b.results));
-            assert_eq!(r.data_epoch, b.data_epoch);
-        }
-        let stats = grouped.stats();
-        assert_eq!(stats.requests, 16);
-        assert_eq!(stats.batch_groups, 2, "two gather windows => two groups: {stats:?}");
-        assert_eq!(stats.batch_size, 16, "every request was answered through a group");
-        assert_eq!(stats.executions, 2, "one shared execution per group");
-        assert_eq!(stats.optimizations, 1, "the second group hits the plan cache");
-        assert_eq!(reference.stats().executions, 16, "ungrouped re-executes per request");
-        // Group answers are Arc-fanned: members of one group share storage.
-        let first = out[0].as_ref().unwrap();
-        assert!(Arc::ptr_eq(&first.results, &out[7].as_ref().unwrap().results));
-        assert!(!first.cache_hit, "first group built the entry");
-        assert!(out[15].as_ref().unwrap().cache_hit, "second group hit it");
-    }
-
-    #[test]
-    fn grouped_run_batch_mixes_distinct_queries_per_window() {
-        let (_, queries) = service();
-        let s = paper_scenario(DbSize::Db1, 42);
-        let service = QueryService::with_config(
-            Arc::new(s.store),
-            Arc::new(s.db),
-            ServiceConfig { cache_results: false, batch_window: 4, ..Default::default() },
-        );
-        // Window of 4 holding two distinct queries => two groups per window.
-        let batch: Vec<Query> =
-            [0usize, 0, 1, 1, 0, 1, 0, 1].into_iter().map(|i| queries[i].clone()).collect();
-        let out = service.run_batch(&batch, 1);
-        for (q, r) in batch.iter().zip(&out) {
-            let solo = service.run(q).unwrap();
-            assert!(r.as_ref().unwrap().results.same_multiset(&solo.results));
-        }
-        let stats = service.stats();
-        assert_eq!(stats.batch_groups, 4, "{stats:?}");
-        assert_eq!(stats.batch_size, 8, "{stats:?}");
-    }
-
-    #[test]
-    fn warm_hit_flight_gathers_duplicates() {
-        let s = paper_scenario(DbSize::Db1, 42);
-        let service = QueryService::with_config(
-            Arc::new(s.store),
-            Arc::new(s.db),
-            ServiceConfig { batch_window: 4, ..Default::default() },
-        );
-        let query = &s.queries[0];
+    fn a_warm_hit_never_joins_a_flight() {
+        let (service, queries) = service();
+        let query = &queries[0];
         let _ = service.run(query).unwrap(); // warm the plan cache
         let canonical = query.canonical();
         let key = FlightKey {
@@ -1274,35 +1085,17 @@ mod tests {
             version: service.store().version(),
             data_epoch: service.versioned_db().data_epoch(),
         };
-        // Pin the hit's coordinates open, as if another thread's hit leader
-        // were mid-execution: a concurrent warm duplicate must *follow*.
-        let Registered::Leader(flight) = service.cache.flights().register(key, &canonical) else {
+        // A flight pinned open on the hit's own coordinates: only a miss
+        // may register on it, so the warm duplicate answers inline.
+        let Registered::Leader(_pinned) = service.cache.flights().register(key, &canonical) else {
             panic!("manual registration must lead")
         };
-        let TryRun::Follower(waiter) = service.try_run(query).unwrap() else {
-            panic!("warm duplicate of an open hit flight must follow")
-        };
-        // The pinned leader aborts; the follower retries per protocol.
-        let guard = MissGuard::new(
-            key,
-            canonical,
-            service.store(),
-            Arc::clone(service.cache.flights()),
-            flight,
-        );
-        drop(guard);
-        assert!(matches!(waiter.wait(), Err(FlightError::Aborted)));
-        // Uncontended retry: the hit leads its own flight, executes inline,
-        // and answers synchronously.
         let TryRun::Done(hit) = service.try_run(query).unwrap() else {
-            panic!("uncontended warm hit must answer synchronously")
+            panic!("a hit is always answered inline")
         };
         assert!(hit.cache_hit);
         let stats = service.stats();
-        assert_eq!(stats.batch_groups, 1, "{stats:?}");
-        assert_eq!(stats.batch_size, 2, "one follower + one leader: {stats:?}");
-        assert_eq!(stats.singleflight_leaders, 0, "hit flights are not miss dedup");
-        assert_eq!(stats.singleflight_followers, 0, "{stats:?}");
+        assert_eq!((stats.singleflight_leaders, stats.singleflight_followers), (0, 0), "{stats:?}");
     }
 
     #[test]

@@ -7,17 +7,23 @@
 //! pipeline exactly once ([`crate::QueryService::complete_miss`]) and
 //! publishes the answer both into the plan cache and into the flight,
 //! where every **follower** that registered in the meantime picks it up.
-//! Followers never park an OS thread unless they want to: a follower polls
-//! its [`MissWaiter`] with a [`std::task::Waker`] (how the `sqo-frontend`
-//! reactor multiplexes thousands of waiting logical clients over a fixed
-//! worker pool), or calls [`MissWaiter::wait`] to block the calling thread
-//! when it does own one.
+//! Followers never park an OS thread unless they want to: a follower
+//! leaves a continuation with [`MissWaiter::on_resolved`] (how the
+//! `sqo-frontend` worker pool carries thousands of waiting logical clients
+//! on a fixed number of threads), or calls [`MissWaiter::wait`] to block
+//! the calling thread when it does own one.
+//!
+//! Delivery is exact-once by one critical section: under the flight's
+//! state lock a flight is either `Open`, holding its continuations, or
+//! `Resolved`, holding the outcome — never both. Whoever flips it takes
+//! the whole list and runs it after releasing the lock; whoever arrives
+//! later finds the outcome and runs its own continuation inline.
 //!
 //! A leader that drops its guard without completing — a panic in the
-//! optimizer, a cancelled task — **aborts** the flight: followers observe
-//! [`FlightError::Aborted`] and re-register, one of them becoming the new
-//! leader, so a poisoned leader never wedges the requests queued behind
-//! it.
+//! optimizer, a caller that gives up — **aborts** the flight: followers
+//! observe [`FlightError::Aborted`] and re-register, one of them becoming
+//! the new leader, so a poisoned leader never wedges the requests queued
+//! behind it.
 //!
 //! The flight key deliberately includes the **data epoch**: the leader's
 //! answer is a fully executed [`ServiceResponse`], and a result set is
@@ -26,8 +32,8 @@
 //! cache under the store version, where it outlives the flight).
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
-use std::task::{Wake, Waker};
 
 use parking_lot::Mutex;
 use sqo_constraints::{ConstraintStore, StoreVersion};
@@ -63,10 +69,22 @@ pub enum FlightError {
 /// What a follower receives when its flight resolves.
 pub type FlightResult = Result<ServiceResponse, FlightError>;
 
-#[derive(Debug)]
-struct FlightState {
-    outcome: Option<FlightResult>,
-    wakers: Vec<Waker>,
+/// What a follower leaves behind instead of a parked thread.
+type Continuation = Box<dyn FnOnce(FlightResult) + Send + 'static>;
+
+enum FlightState {
+    /// Unresolved: the continuations to run with the outcome.
+    Open(Vec<Continuation>),
+    Resolved(FlightResult),
+}
+
+impl fmt::Debug for FlightState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FlightState::Open(waiting) => write!(f, "Open({} waiting)", waiting.len()),
+            FlightState::Resolved(outcome) => f.debug_tuple("Resolved").field(outcome).finish(),
+        }
+    }
 }
 
 /// One in-flight miss: the leader publishes here, followers wait here.
@@ -80,37 +98,45 @@ pub(crate) struct Flight {
 
 impl Flight {
     fn new(canonical: Query) -> Self {
-        Self { canonical, state: Mutex::new(FlightState { outcome: None, wakers: Vec::new() }) }
+        Self { canonical, state: Mutex::new(FlightState::Open(Vec::new())) }
     }
 
-    /// Publishes the outcome and wakes every registered waiter. Idempotent
+    /// Publishes the outcome and runs every registered continuation with
+    /// it, on this thread, after the state lock is released. Idempotent
     /// (the first resolution wins).
     fn resolve(&self, outcome: FlightResult) {
-        let wakers = {
+        let waiting = {
             let mut state = self.state.lock();
-            if state.outcome.is_some() {
-                return;
+            match &mut *state {
+                FlightState::Resolved(_) => return,
+                FlightState::Open(waiting) => {
+                    let waiting = std::mem::take(waiting);
+                    *state = FlightState::Resolved(outcome.clone());
+                    waiting
+                }
             }
-            state.outcome = Some(outcome);
-            std::mem::take(&mut state.wakers)
         };
-        for waker in wakers {
-            waker.wake();
+        for continuation in waiting {
+            continuation(outcome.clone());
         }
     }
 
-    /// The resolved outcome, or `None` with `waker` registered for the
-    /// resolution. Checking the outcome and registering the waker happen
-    /// under one lock, so a resolution can never slip between them.
-    fn poll(&self, waker: &Waker) -> Option<FlightResult> {
-        let mut state = self.state.lock();
-        if let Some(outcome) = &state.outcome {
-            return Some(outcome.clone());
-        }
-        if !state.wakers.iter().any(|w| w.will_wake(waker)) {
-            state.wakers.push(waker.clone());
-        }
-        None
+    /// Runs `continuation` with the outcome exactly once: inline if the
+    /// flight has resolved, otherwise from [`Flight::resolve`]. Checking
+    /// the state and joining the list happen under one lock, so a
+    /// resolution can never slip between them.
+    fn on_resolved(&self, continuation: impl FnOnce(FlightResult) + Send + 'static) {
+        let outcome = {
+            let mut state = self.state.lock();
+            match &mut *state {
+                FlightState::Open(waiting) => {
+                    waiting.push(Box::new(continuation));
+                    return;
+                }
+                FlightState::Resolved(outcome) => outcome.clone(),
+            }
+        };
+        continuation(outcome);
     }
 }
 
@@ -175,7 +201,7 @@ impl FlightTable {
 /// request must run (via [`crate::QueryService::complete_miss`]).
 ///
 /// Dropping the guard without completing aborts the flight — followers
-/// are woken with [`FlightError::Aborted`] and re-register, so a leader
+/// are resumed with [`FlightError::Aborted`] and re-register, so a leader
 /// that panics mid-optimization never strands them.
 #[derive(Debug)]
 pub struct MissGuard {
@@ -215,7 +241,7 @@ impl MissGuard {
         &self.store
     }
 
-    /// Retires the flight with `outcome`, waking every follower.
+    /// Retires the flight with `outcome`, resuming every follower.
     pub(crate) fn finish(mut self, outcome: FlightResult) {
         self.completed = true;
         self.table.retire(self.key, &self.flight, outcome);
@@ -241,29 +267,26 @@ impl MissWaiter {
         Self { flight }
     }
 
-    /// Non-blocking: the outcome if the flight has resolved, otherwise
-    /// `None` with `waker` registered to fire on resolution. This is the
-    /// reactor integration point — a waiting task costs no thread.
-    pub fn poll(&self, waker: &Waker) -> Option<FlightResult> {
-        self.flight.poll(waker)
+    /// Non-blocking: hands the flight `continuation`, to be run exactly
+    /// once with the outcome — inline if the flight has already resolved,
+    /// otherwise by the thread that resolves it (the leader finishing
+    /// [`crate::QueryService::complete_miss`], or dropping its guard). A
+    /// waiting follower therefore costs no thread; in exchange the
+    /// continuation runs on somebody else's time and must stay short and
+    /// non-blocking: complete a slot, push a queue entry, send on a channel.
+    pub fn on_resolved(self, continuation: impl FnOnce(FlightResult) + Send + 'static) {
+        self.flight.on_resolved(continuation);
     }
 
-    /// Blocks the calling thread (park/unpark, no spin) until the flight
-    /// resolves — the synchronous counterpart of [`MissWaiter::poll`].
-    pub fn wait(&self) -> FlightResult {
-        struct Unpark(std::thread::Thread);
-        impl Wake for Unpark {
-            fn wake(self: Arc<Self>) {
-                self.0.unpark();
-            }
-        }
-        let waker = Waker::from(Arc::new(Unpark(std::thread::current())));
-        loop {
-            if let Some(outcome) = self.flight.poll(&waker) {
-                return outcome;
-            }
-            std::thread::park();
-        }
+    /// Blocks the calling thread until the flight resolves — the
+    /// synchronous counterpart of [`MissWaiter::on_resolved`].
+    pub fn wait(self) -> FlightResult {
+        let (tx, rx) = std::sync::mpsc::channel();
+        self.on_resolved(move |outcome| {
+            let _ = tx.send(outcome);
+        });
+        // A flight dropped unresolved took its leader with it.
+        rx.recv().unwrap_or(Err(FlightError::Aborted))
     }
 }
 
@@ -330,14 +353,74 @@ mod tests {
         assert!(waiter.wait().is_ok());
         resolver.join().unwrap();
 
-        // A guard dropped without completion aborts its flight.
+        // A guard dropped without completion aborts its flight: a parked
+        // continuation runs on the dropping thread, a blocked waiter wakes.
         let Registered::Leader(flight) = table.register(key(3), &q) else { panic!() };
+        let Registered::Follower(parked) = table.register(key(3), &q) else { panic!() };
         let Registered::Follower(joined) = table.register(key(3), &q) else { panic!() };
+        let (tx, rx) = std::sync::mpsc::channel();
+        MissWaiter::new(parked).on_resolved(move |outcome| tx.send(outcome).unwrap());
+        assert!(rx.try_recv().is_err(), "nothing runs while the flight is open");
         let guard =
             MissGuard::new(key(3), q.clone(), Arc::new(test_store()), Arc::clone(&table), flight);
         drop(guard);
+        assert!(matches!(rx.try_recv(), Ok(Err(FlightError::Aborted))));
         assert!(matches!(MissWaiter::new(joined).wait(), Err(FlightError::Aborted)));
         assert_eq!(table.len(), 0, "aborted flights leave the table");
+    }
+
+    /// `on_resolved` from several threads racing `retire` from another:
+    /// whichever side of the state lock a registration lands on, its
+    /// continuation runs exactly once, with the published outcome.
+    #[test]
+    fn continuations_racing_resolution_run_exactly_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        const FOLLOWERS: usize = 4;
+        let table = FlightTable::default();
+        let q = Query::new();
+        for round in 0..500u64 {
+            let Registered::Leader(flight) = table.register(key(round), &q) else { panic!() };
+            let runs: Arc<Vec<AtomicUsize>> =
+                Arc::new((0..FOLLOWERS).map(|_| AtomicUsize::new(0)).collect());
+            let start = std::sync::Barrier::new(FOLLOWERS + 1);
+            std::thread::scope(|scope| {
+                for i in 0..FOLLOWERS {
+                    let waiter = MissWaiter::new(Arc::clone(&flight));
+                    let (runs, start) = (Arc::clone(&runs), &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        waiter.on_resolved(move |outcome| {
+                            assert_eq!(outcome.unwrap().epoch, round, "the published outcome");
+                            runs[i].fetch_add(1, Ordering::SeqCst);
+                        });
+                    });
+                }
+                start.wait();
+                table.retire(
+                    key(round),
+                    &flight,
+                    Ok(ServiceResponse { epoch: round, ..response() }),
+                );
+            });
+            // Early registrations ran inside `retire`, late ones inline on
+            // their own thread; both have returned by now.
+            for run in runs.iter() {
+                assert_eq!(run.load(Ordering::SeqCst), 1, "round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_continuation_registered_after_resolution_runs_inline() {
+        let table = FlightTable::default();
+        let Registered::Leader(flight) = table.register(key(1), &Query::new()) else { panic!() };
+        table.retire(key(1), &flight, Ok(response()));
+        let (tx, rx) = std::sync::mpsc::channel();
+        MissWaiter::new(flight)
+            .on_resolved(move |outcome| tx.send((std::thread::current().id(), outcome)).unwrap());
+        let (ran_on, outcome) = rx.try_recv().expect("ran before on_resolved returned");
+        assert_eq!(ran_on, std::thread::current().id());
+        assert!(outcome.is_ok());
     }
 
     fn test_store() -> ConstraintStore {

@@ -2,9 +2,9 @@
 //! reordered spellings, a data write and an overlapping `add_constraint`
 //! mid-stream, see `common`) driven through `run`, the
 //! `try_run`/`complete_miss`/`MissWaiter::wait` protocol, and `run_batch`
-//! at gather window 1 and 8 must produce the unoptimized original's rows
-//! at the serving snapshot's stamps — and, single-threaded, the same number
-//! of optimizations, because each entry point is a composition of the same
+//! must produce the unoptimized original's rows at the serving snapshot's
+//! stamps — and, single-threaded, the same number of optimizations,
+//! because each entry point is a composition of the same
 //! `resolve → hit | lead | follow → execute → publish → respond` core.
 
 mod common;
@@ -13,7 +13,7 @@ use common::{drive, fixture};
 use sqo_query::Query;
 use sqo_service::{FlightError, QueryService, ServiceConfig, ServiceResponse, TryRun};
 
-/// The reactor protocol on one thread: register every read of the run
+/// The frontend's protocol on one thread: register every read of the run
 /// first (so duplicates of a cold query *follow* its open flight), then
 /// pay the leaders' completions, then collect the followers.
 fn via_try_run(service: &QueryService, reads: &[Query]) -> Vec<ServiceResponse> {
@@ -52,12 +52,9 @@ fn every_sequential_entry_point_is_the_same_pipeline() {
     assert!(by_try_run.singleflight_followers > 0, "duplicates of a cold query followed");
     assert_eq!(by_try_run.optimizations, by_run.optimizations);
 
-    for batch_window in [1, 8] {
-        let (service, ops) = fixture(ServiceConfig { batch_window, ..ServiceConfig::default() });
-        let by_batch = drive(&service, &ops, |reads| {
-            service.run_batch(reads, 1).into_iter().map(|r| r.expect("run_batch")).collect()
-        });
-        assert_eq!(by_batch.optimizations, by_run.optimizations, "window {batch_window}");
-        assert_eq!(by_batch.batch_groups > 0, batch_window > 1, "only a window > 1 gathers");
-    }
+    let (service, ops) = fixture(ServiceConfig::default());
+    let by_batch = drive(&service, &ops, |reads| {
+        service.run_batch(reads, 1).into_iter().map(|r| r.expect("run_batch")).collect()
+    });
+    assert_eq!(by_batch.optimizations, by_run.optimizations);
 }

@@ -35,17 +35,6 @@ impl Default for ServiceWorkloadConfig {
     }
 }
 
-impl ServiceWorkloadConfig {
-    /// The batch-tier stress profile: few distinct queries under a steep
-    /// Zipf skew, so warm traffic is dominated by back-to-back duplicates
-    /// — the stream a gather window can actually group. Spellings stay
-    /// shuffled, so grouping has to happen on canonical fingerprints, not
-    /// on request bytes.
-    pub fn duplicate_heavy() -> Self {
-        Self { distinct: 6, zipf_s: 1.6, ..Self::default() }
-    }
-}
-
 /// A generated request stream over a fixed distinct-query set.
 #[derive(Debug, Clone)]
 pub struct ServiceWorkload {
@@ -194,26 +183,6 @@ mod tests {
             assert_eq!(req.canonical(), wl.distinct[i].canonical());
             assert_eq!(req.fingerprint(), wl.distinct[i].fingerprint());
         }
-    }
-
-    #[test]
-    fn duplicate_heavy_profile_produces_adjacent_duplicates() {
-        let pool = pool();
-        let wl = service_workload(&pool, &ServiceWorkloadConfig::duplicate_heavy());
-        assert_eq!(wl.distinct.len(), 6);
-        // The point of the profile: consecutive gather windows of 8 hold
-        // far fewer distinct queries than requests, so grouping pays.
-        let mut groups = 0usize;
-        for window in wl.indices.chunks(8) {
-            let mut seen: Vec<usize> = window.to_vec();
-            seen.sort_unstable();
-            seen.dedup();
-            groups += seen.len();
-        }
-        assert!(
-            groups * 2 < wl.indices.len(),
-            "windows of 8 should average <4 distinct queries: {groups} groups"
-        );
     }
 
     #[test]

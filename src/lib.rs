@@ -79,7 +79,7 @@ pub mod service {
     pub use sqo_service::*;
 }
 
-/// Non-blocking request frontend: reactor, singleflight, admission
+/// Non-blocking request frontend: worker pool, singleflight, admission
 /// control and load shedding over the serving layer.
 pub mod frontend {
     pub use sqo_frontend::*;
