@@ -35,8 +35,8 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: report [e1|table41|fig41|table42|e5|grouping|budget|closure|e9|e10|\
-                     e11|e12|e13|e14|all]* [--seed N] [--smoke] [--json PATH]\n\n\
+                    "usage: report [e1|table41|fig41|table42|e5|grouping|budget|closure|e11|e14|\
+                     all]* [--seed N] [--smoke] [--json PATH]\n\n\
                      --smoke      run every experiment at minimal repetition counts; exercises\n\
                      \x20            the full harness in well under a second so CI catches rot\n\
                      --json PATH  also write every experiment's headline numbers as JSON"
@@ -48,8 +48,8 @@ fn main() {
     }
     if selected.is_empty() || selected.iter().any(|s| s == "all") {
         selected = [
-            "e1", "table41", "fig41", "table42", "e5", "grouping", "budget", "closure", "e9",
-            "e10", "e11", "e12", "e13", "e14",
+            "e1", "table41", "fig41", "table42", "e5", "grouping", "budget", "closure", "e11",
+            "e14",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -102,29 +102,9 @@ fn main() {
                 headlines.extend(h);
                 println!("{s}");
             }
-            "e9" | "service" => {
-                let (rows, s) = sqo_bench::service_throughput(seed, smoke);
-                headlines.extend(sqo_bench::e9_headlines(&rows));
-                println!("{s}");
-            }
-            "e10" | "coldpath" => {
-                let (row, s) = sqo_bench::cold_path_latency(seed, smoke);
-                headlines.extend(sqo_bench::e10_headlines(&row));
-                println!("{s}");
-            }
             "e11" | "mutable" => {
                 let (rows, s) = sqo_bench::mutable_serving(seed, smoke);
                 headlines.extend(sqo_bench::e11_headlines(&rows));
-                println!("{s}");
-            }
-            "e12" | "writepath" => {
-                let (h, s) = sqo_bench::write_path_scaling(seed, smoke);
-                headlines.extend(h);
-                println!("{s}");
-            }
-            "e13" | "warmstart" => {
-                let (h, s) = sqo_bench::warm_start_boot(seed, smoke);
-                headlines.extend(h);
                 println!("{s}");
             }
             "e14" | "frontend" => {
@@ -136,7 +116,7 @@ fn main() {
         }
     }
     if let Some(path) = json_path {
-        let json = sqo_bench::render_json(seed, smoke, &headlines);
+        let json = sqo_bench::render_json(seed, smoke, sqo_bench::nproc(), &headlines);
         if let Err(e) = std::fs::write(&path, json) {
             die(&format!("cannot write {path}: {e}"));
         }

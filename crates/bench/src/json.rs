@@ -1,15 +1,17 @@
 //! Machine-readable experiment headlines.
 //!
-//! `report --json <path>` writes one small JSON document per run so the
-//! perf trajectory (`BENCH_*.json`) can be tracked across commits without
-//! scraping the human-oriented text tables. The emitter is hand-rolled —
-//! the workspace has no JSON dependency, and the payload is just grouped
-//! `metric: number` pairs.
+//! `report --json <path>` writes one small JSON document per run (CI
+//! uploads it as an artifact) so the numbers can be tracked across commits
+//! without scraping the human-oriented text tables. The emitter is
+//! hand-rolled — the workspace has no JSON dependency, and the payload is
+//! just grouped `metric: number` pairs. Nothing reads the document back:
+//! the machine-independent numbers are pinned by `tests/paper_numbers.rs`
+//! and the timings are informational.
 
 /// One headline number of one experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Headline {
-    /// Experiment id (`"table42"`, `"e9"`, …).
+    /// Experiment id (`"table42"`, `"e11"`, …).
     pub experiment: &'static str,
     /// Metric name within the experiment (`"db1_mean_ratio"`, …).
     pub metric: String,
@@ -25,15 +27,19 @@ impl Headline {
 /// Renders the run's headlines as a JSON object:
 ///
 /// ```json
-/// { "seed": 42, "smoke": false,
-///   "experiments": { "table41": { "avg_class_cardinality_db1": 52.0 } } }
+/// { "seed": 42, "smoke": false, "nproc": 2,
+///   "experiments": { "table41": { "class_cardinality_db1": 52 } } }
 /// ```
 ///
-/// Experiments and metrics keep their insertion order; non-finite values
-/// become `null` (JSON has no NaN/inf).
-pub fn render_json(seed: u64, smoke: bool, headlines: &[Headline]) -> String {
+/// `nproc` is the machine's hardware thread count — what the thread sweeps
+/// were capped at, and what any timing in the document has to be read
+/// against. Experiments and metrics keep their insertion order; non-finite
+/// values become `null` (JSON has no NaN/inf).
+pub fn render_json(seed: u64, smoke: bool, nproc: usize, headlines: &[Headline]) -> String {
     let mut out = String::new();
-    out.push_str(&format!("{{\n  \"seed\": {seed},\n  \"smoke\": {smoke},\n"));
+    out.push_str(&format!(
+        "{{\n  \"seed\": {seed},\n  \"smoke\": {smoke},\n  \"nproc\": {nproc},\n"
+    ));
     out.push_str("  \"experiments\": {");
     let mut experiments: Vec<&'static str> = Vec::new();
     for h in headlines {
@@ -57,82 +63,6 @@ pub fn render_json(seed: u64, smoke: bool, headlines: &[Headline]) -> String {
     }
     out.push_str("\n  }\n}\n");
     out
-}
-
-/// Parses a headline document produced by [`render_json`] back into
-/// [`Headline`]s (experiment names are leaked to `'static` — the parser
-/// serves the one-shot `benchdiff` binary, not a long-running process).
-///
-/// The grammar accepted is exactly the emitter's output shape: a top-level
-/// object with an `"experiments"` object of objects of numbers. Returns a
-/// readable error for anything else.
-pub fn parse_headlines(text: &str) -> Result<Vec<Headline>, String> {
-    let experiments_key = "\"experiments\"";
-    let start =
-        text.find(experiments_key).ok_or_else(|| "no \"experiments\" object found".to_string())?;
-    let rest = &text[start + experiments_key.len()..];
-    let brace = rest.find('{').ok_or_else(|| "\"experiments\" is not an object".to_string())?;
-    let mut out = Vec::new();
-    let mut chars = rest[brace + 1..].char_indices().peekable();
-    let body = &rest[brace + 1..];
-    let mut current_exp: Option<&'static str> = None;
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => {
-                let key_start = i + 1;
-                let mut key_end = None;
-                for (j, cj) in chars.by_ref() {
-                    if cj == '"' {
-                        key_end = Some(j);
-                        break;
-                    }
-                }
-                let key_end = key_end.ok_or_else(|| "unterminated string".to_string())?;
-                let key = &body[key_start..key_end];
-                // What follows decides whether this key names an experiment
-                // (`: {`) or a metric (`: <number>`).
-                let mut after = String::new();
-                for (_, cj) in chars.by_ref() {
-                    if cj == ':' {
-                        continue;
-                    }
-                    if cj.is_whitespace() {
-                        continue;
-                    }
-                    after.push(cj);
-                    break;
-                }
-                match after.chars().next() {
-                    Some('{') => current_exp = Some(Box::leak(key.to_string().into_boxed_str())),
-                    Some(first) => {
-                        let exp = current_exp
-                            .ok_or_else(|| format!("metric {key:?} outside an experiment"))?;
-                        let mut num = String::new();
-                        num.push(first);
-                        while let Some(&(_, cj)) = chars.peek() {
-                            if cj == ',' || cj == '}' || cj.is_whitespace() {
-                                break;
-                            }
-                            num.push(cj);
-                            chars.next();
-                        }
-                        let value = if num == "null" {
-                            f64::NAN
-                        } else {
-                            num.parse::<f64>()
-                                .map_err(|e| format!("bad number {num:?} for {key:?}: {e}"))?
-                        };
-                        out.push(Headline::new(exp, key, value));
-                    }
-                    None => return Err(format!("truncated document after key {key:?}")),
-                }
-            }
-            '}' if current_exp.is_some() => current_exp = None,
-            '}' => break, // end of the experiments object
-            _ => {}
-        }
-    }
-    Ok(out)
 }
 
 fn number(v: f64) -> String {
@@ -171,24 +101,25 @@ mod tests {
     #[test]
     fn renders_grouped_and_ordered() {
         let hs = vec![
-            Headline::new("e9", "speedup_t1", 7.25),
-            Headline::new("table41", "avg_class_cardinality_db1", 52.0),
-            Headline::new("e9", "warm_qps_t8", 120000.0),
+            Headline::new("e11", "p99_us_w0_t1", 7.25),
+            Headline::new("table41", "class_cardinality_db1", 52.0),
+            Headline::new("e11", "qps_w0_t2", 120000.0),
         ];
-        let json = render_json(42, true, &hs);
+        let json = render_json(42, true, 2, &hs);
         assert!(json.contains("\"seed\": 42"));
         assert!(json.contains("\"smoke\": true"));
-        let e9 = json.find("\"e9\"").unwrap();
+        assert!(json.contains("\"nproc\": 2"));
+        let e11 = json.find("\"e11\"").unwrap();
         let t41 = json.find("\"table41\"").unwrap();
-        assert!(e9 < t41, "insertion order preserved:\n{json}");
-        assert!(json.contains("\"speedup_t1\": 7.25"));
-        assert!(json.contains("\"warm_qps_t8\": 120000"));
+        assert!(e11 < t41, "insertion order preserved:\n{json}");
+        assert!(json.contains("\"p99_us_w0_t1\": 7.25"));
+        assert!(json.contains("\"qps_w0_t2\": 120000"));
     }
 
     #[test]
     fn non_finite_becomes_null_and_strings_escape() {
         let hs = vec![Headline::new("x", "a\"b", f64::NAN)];
-        let json = render_json(0, false, &hs);
+        let json = render_json(0, false, 1, &hs);
         assert!(json.contains("\"a\\\"b\": null"));
     }
 
@@ -198,32 +129,5 @@ mod tests {
         assert_eq!(number(0.125), "0.125");
         assert_eq!(number(f64::INFINITY), "null");
         assert!(number(1.0e18).parse::<f64>().is_ok());
-    }
-
-    #[test]
-    fn parse_inverts_render() {
-        let hs = vec![
-            Headline::new("e9", "speedup_t1", 7.25),
-            Headline::new("e9", "warm_qps_t8", 120000.0),
-            Headline::new("table41", "avg_class_cardinality_db1", 52.0),
-            Headline::new("e10", "optimize_plan_p50_us", 12.875),
-        ];
-        let parsed = parse_headlines(&render_json(42, false, &hs)).unwrap();
-        assert_eq!(parsed.len(), hs.len());
-        for (p, h) in parsed.iter().zip(&hs) {
-            assert_eq!(p.experiment, h.experiment);
-            assert_eq!(p.metric, h.metric);
-            assert!((p.value - h.value).abs() < 1e-12, "{p:?} vs {h:?}");
-        }
-    }
-
-    #[test]
-    fn parse_handles_null_and_rejects_garbage() {
-        let hs = vec![Headline::new("x", "nan_metric", f64::NAN)];
-        let parsed = parse_headlines(&render_json(0, true, &hs)).unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert!(parsed[0].value.is_nan());
-        assert!(parse_headlines("not json at all").is_err());
-        assert!(parse_headlines("{\"experiments\": {\"e\": {\"m\": abc}}}").is_err());
     }
 }

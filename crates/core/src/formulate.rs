@@ -49,9 +49,9 @@ pub struct FormulationResult {
 /// Every class-elimination and optional-predicate decision costs a
 /// *candidate* query — the working query minus one class or predicate.
 /// Building that candidate used to be a fresh five-vector [`Query`] clone
-/// per decision, which E10 showed dominating the cold path (formulation was
-/// ~9 of ~16 µs). The scratch keeps one candidate buffer alive across all
-/// decisions of one [`formulate_with`] call — and, held inside
+/// per decision, which profiling showed dominating the cold path
+/// (formulation was ~9 of ~16 µs). The scratch keeps one candidate buffer
+/// alive across all decisions of one [`formulate_with`] call — and, held inside
 /// [`crate::OptimizerScratch`], across every `optimize_with` call of a
 /// worker thread: candidates are written into the buffer with
 /// allocation-reusing `clone_from`s, and an *adopted* candidate is swapped

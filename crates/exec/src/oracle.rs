@@ -7,12 +7,11 @@
 //! optimization techniques".
 
 use std::cell::RefCell;
-use std::sync::Arc;
 
 use sqo_catalog::ClassId;
 use sqo_core::ProfitOracle;
 use sqo_query::{Predicate, Query};
-use sqo_storage::{Database, VersionedDatabase};
+use sqo_storage::Database;
 
 use crate::cost::CostModel;
 use crate::planner::plan_query;
@@ -26,34 +25,21 @@ use crate::planner::plan_query;
 /// candidate revisited later in the same `optimize_with` call still hits.
 const COST_MEMO: usize = 8;
 
-/// Where the oracle reads data and statistics from.
-#[derive(Debug)]
-enum DbSource<'db> {
-    /// One immutable snapshot; costs can never go stale.
-    Fixed(&'db Database),
-    /// A mutable handle; every costing resolves the current snapshot.
-    Versioned(&'db VersionedDatabase),
-}
-
-/// Plan-cost-comparing oracle over a concrete database instance.
+/// Plan-cost-comparing oracle over one immutable database snapshot.
 ///
-/// Plan costs are memoized per oracle instance, keyed by the **data
-/// version** they were estimated at: a snapshot-backed oracle
-/// ([`CostBasedOracle::new`]) costs against one immutable snapshot and its
-/// memo never goes stale, while a handle-backed oracle
-/// ([`CostBasedOracle::versioned`]) re-resolves the current snapshot per
-/// costing and silently drops memo entries from older data epochs — a
-/// long-lived oracle over a mutable database re-costs after every write
-/// instead of serving estimates for data that no longer exists.
+/// Plan costs are memoized per oracle instance; the snapshot never changes
+/// under the oracle, so the memo never goes stale. A caller serving a
+/// mutable database builds a fresh oracle per snapshot, which is what the
+/// serving layer does on every miss.
 ///
 /// The memo makes the oracle `!Sync` — use one oracle per thread, which is
 /// how both the optimizer and the serving layer already drive it.
 #[derive(Debug)]
 pub struct CostBasedOracle<'db> {
-    src: DbSource<'db>,
+    db: &'db Database,
     model: CostModel,
-    /// `(data version, query, estimated cost)`, most-recent first.
-    memo: RefCell<Vec<(u64, Query, f64)>>,
+    /// `(query, estimated cost)`, most-recent first.
+    memo: RefCell<Vec<(Query, f64)>>,
 }
 
 impl<'db> CostBasedOracle<'db> {
@@ -62,21 +48,7 @@ impl<'db> CostBasedOracle<'db> {
     }
 
     pub fn with_model(db: &'db Database, model: CostModel) -> Self {
-        Self { src: DbSource::Fixed(db), model, memo: RefCell::new(Vec::with_capacity(COST_MEMO)) }
-    }
-
-    /// An oracle over a mutable database: cardinality estimates and the
-    /// cost memo track the handle's current data epoch.
-    pub fn versioned(handle: &'db VersionedDatabase) -> Self {
-        Self::versioned_with_model(handle, CostModel::default())
-    }
-
-    pub fn versioned_with_model(handle: &'db VersionedDatabase, model: CostModel) -> Self {
-        Self {
-            src: DbSource::Versioned(handle),
-            model,
-            memo: RefCell::new(Vec::with_capacity(COST_MEMO)),
-        }
+        Self { db, model, memo: RefCell::new(Vec::with_capacity(COST_MEMO)) }
     }
 
     pub fn model(&self) -> &CostModel {
@@ -84,63 +56,25 @@ impl<'db> CostBasedOracle<'db> {
     }
 
     /// The (memoized) planner cost estimate the oracle's decisions compare —
-    /// exposed for diagnostics and the data-epoch tests. `None` when the
-    /// query cannot be planned.
-    pub fn estimated_cost(&self, query: &Query) -> Option<f64> {
-        self.cost_of(query)
-    }
-
-    /// Batch entry point: the memoized cost estimate of every query in
-    /// `queries`, in order. The snapshot is resolved **once** for the whole
-    /// batch — a versioned oracle otherwise re-resolves the current
-    /// snapshot per costing — and every estimate is computed against those
-    /// single coordinates, so the answers are mutually consistent even if
-    /// a writer publishes a new data epoch mid-call.
-    pub fn estimated_costs(&self, queries: &[&Query]) -> Vec<Option<f64>> {
-        let mut hold: Option<Arc<Database>> = None;
-        let (db, version) = self.resolve(&mut hold);
-        queries.iter().map(|q| self.cost_at(db, version, q)).collect()
-    }
-
-    /// The oracle's current snapshot and data version; `hold` keeps a
-    /// versioned handle's snapshot alive for the borrow.
-    fn resolve<'a>(&'a self, hold: &'a mut Option<Arc<Database>>) -> (&'a Database, u64) {
-        match self.src {
-            DbSource::Fixed(db) => (db, db.data_version()),
-            DbSource::Versioned(handle) => {
-                let snapshot = hold.insert(handle.snapshot());
-                (&**snapshot, snapshot.data_version())
-            }
-        }
-    }
-
-    fn cost_of(&self, q: &Query) -> Option<f64> {
-        let mut hold: Option<Arc<Database>> = None;
-        let (db, version) = self.resolve(&mut hold);
-        self.cost_at(db, version, q)
-    }
-
-    /// One memoized costing against already-resolved coordinates.
-    fn cost_at(&self, db: &Database, version: u64, q: &Query) -> Option<f64> {
+    /// also exposed for diagnostics. `None` when the query cannot be planned.
+    pub fn estimated_cost(&self, q: &Query) -> Option<f64> {
         let mut memo = self.memo.borrow_mut();
-        // Estimates from older data epochs are garbage now; drop them.
-        memo.retain(|(v, _, _)| *v == version);
-        if let Some(i) = memo.iter().position(|(_, mq, _)| mq == q) {
+        if let Some(i) = memo.iter().position(|(mq, _)| mq == q) {
             let hit = memo.remove(i);
-            let cost = hit.2;
+            let cost = hit.1;
             memo.insert(0, hit); // most-recent first
             return Some(cost);
         }
-        let cost = plan_query(db, q, &self.model).ok().map(|p| p.estimated_cost)?;
+        let cost = plan_query(self.db, q, &self.model).ok().map(|p| p.estimated_cost)?;
         memo.truncate(COST_MEMO - 1);
-        memo.insert(0, (version, q.clone(), cost));
+        memo.insert(0, (q.clone(), cost));
         Some(cost)
     }
 }
 
 impl ProfitOracle for CostBasedOracle<'_> {
     fn retain_optional(&self, with: &Query, without: &Query, _pred: &Predicate) -> bool {
-        match (self.cost_of(with), self.cost_of(without)) {
+        match (self.estimated_cost(with), self.estimated_cost(without)) {
             (Some(w), Some(wo)) => w <= wo,
             // If either candidate fails to plan, keep the predicate: a
             // superfluous implied predicate is harmless, a lost one is not
@@ -150,7 +84,7 @@ impl ProfitOracle for CostBasedOracle<'_> {
     }
 
     fn eliminate_class(&self, with: &Query, without: &Query, _class: ClassId) -> bool {
-        match (self.cost_of(with), self.cost_of(without)) {
+        match (self.estimated_cost(with), self.estimated_cost(without)) {
             (Some(w), Some(wo)) => wo <= w,
             // If the reduced query cannot be planned, keep the class.
             _ => false,
@@ -291,61 +225,11 @@ mod tests {
     }
 
     #[test]
-    fn versioned_oracle_tracks_the_data_epoch() {
-        use sqo_storage::{DataWrite, VersionedDatabase};
-
-        let db = fig_db();
-        let catalog = db.catalog().clone();
-        let handle = VersionedDatabase::new(Arc::new(db));
-        let oracle = CostBasedOracle::versioned(&handle);
-        let cargo_scan = parse_query(
-            r#"(SELECT {cargo.desc} {} {cargo.desc = "dry goods"} {} {cargo})"#,
-            &catalog,
-        )
-        .unwrap();
-        let before = oracle.estimated_cost(&cargo_scan).expect("plannable");
-        // Same query, same epoch: the memo answers (and must agree).
-        assert_eq!(oracle.estimated_cost(&cargo_scan), Some(before));
-
-        // Grow cargo substantially; every new instance keeps the constraint
-        // and integrity story intact by duplicating an existing dry-goods
-        // cargo with its links.
-        let cargo = catalog.class_id("cargo").unwrap();
-        let supplies = catalog.rel_id("supplies").unwrap();
-        let collects = catalog.rel_id("collects").unwrap();
-        let snapshot = handle.snapshot();
-        let src = sqo_storage::ObjectId(1); // i=1 is dry goods
-        let tuple = snapshot.tuple(cargo, src).unwrap().to_vec();
-        let links = vec![
-            (supplies, snapshot.traverse(supplies, cargo, src).unwrap()[0]),
-            (collects, snapshot.traverse(collects, cargo, src).unwrap()[0]),
-        ];
-        let batch: Vec<DataWrite> = (0..400)
-            .map(|_| DataWrite::Insert { class: cargo, tuple: tuple.clone(), links: links.clone() })
-            .collect();
-        handle.write(&batch).unwrap();
-
-        // The memo must not serve the stale pre-write estimate: tripling the
-        // extent makes the scan strictly more expensive.
-        let after = oracle.estimated_cost(&cargo_scan).expect("plannable");
-        assert!(
-            after > before,
-            "estimates must track the data epoch: before {before}, after {after}"
-        );
-
-        // A snapshot-backed oracle over the *old* snapshot keeps answering
-        // for its own (immutable) epoch.
-        let fixed = CostBasedOracle::new(&snapshot);
-        let frozen = fixed.estimated_cost(&cargo_scan).unwrap();
-        assert!((frozen - before).abs() < 1e-9);
-    }
-
-    #[test]
     fn estimates_agree_between_patched_and_rebuilt_snapshots() {
-        // The oracle's memo stays keyed by data epoch; what the incremental
-        // storage rewrite must guarantee is that an `Arc`-patched successor
-        // yields bit-identical statistics — and therefore identical plan
-        // cost estimates — to a from-scratch rebuild of the same state.
+        // What the incremental storage rewrite must guarantee is that an
+        // `Arc`-patched successor yields bit-identical statistics — and
+        // therefore identical plan cost estimates — to a from-scratch
+        // rebuild of the same state.
         use sqo_storage::DataWrite;
 
         let db = fig_db();
@@ -382,28 +266,6 @@ mod tests {
             let b = o_rebuilt.estimated_cost(q).expect("plannable");
             assert_eq!(a, b, "estimates diverged between patched and rebuilt snapshots");
         }
-    }
-
-    #[test]
-    fn batch_costs_agree_with_single_costings() {
-        let db = fig_db();
-        let catalog = db.catalog().clone();
-        let full = fig23_query(&catalog);
-        let scan = parse_query(
-            r#"(SELECT {cargo.desc} {} {cargo.desc = "dry goods"} {} {cargo})"#,
-            &catalog,
-        )
-        .unwrap();
-        let broken = Query::new();
-        let batch_oracle = CostBasedOracle::new(&db);
-        let batched = batch_oracle.estimated_costs(&[&full, &scan, &broken, &full]);
-        let solo_oracle = CostBasedOracle::new(&db);
-        let solo: Vec<Option<f64>> =
-            [&full, &scan, &broken, &full].map(|q| solo_oracle.estimated_cost(q)).to_vec();
-        assert_eq!(batched, solo);
-        assert!(batched[0].is_some() && batched[1].is_some());
-        assert_eq!(batched[2], None);
-        assert_eq!(batched[0], batched[3], "repeat in one batch must hit the memo");
     }
 
     #[test]

@@ -206,12 +206,17 @@ fn stats_completed_never_exceeds_admitted() {
         FrontendConfig { workers: 4, queue_depth: 4096, p99_bound_us: None },
     );
 
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let snapshots = std::thread::scope(|scope| {
+    // Snapshots that caught work in flight (`completed < admitted`) are the
+    // ones that could tear. The submit loop runs until the watcher has
+    // published one, so the test does not depend on the scheduler giving the
+    // watcher a turn inside a fixed number of rounds.
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    let stop = AtomicBool::new(false);
+    let busy_snapshots = AtomicU64::new(0);
+    std::thread::scope(|scope| {
         let watcher = scope.spawn(|| {
             let mut last_completed = 0u64;
-            let mut snapshots = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::Acquire) {
+            while !stop.load(Ordering::Acquire) {
                 let s = frontend.stats();
                 assert!(
                     s.completed <= s.admitted,
@@ -221,22 +226,26 @@ fn stats_completed_never_exceeds_admitted() {
                 );
                 assert!(s.completed >= last_completed, "completed must be monotone");
                 last_completed = s.completed;
-                snapshots += 1;
+                if s.completed < s.admitted {
+                    busy_snapshots.fetch_add(1, Ordering::Relaxed);
+                }
             }
-            snapshots
         });
-        for round in 0..6 {
+        let mut round = 0;
+        // A watcher that tripped an assertion publishes nothing more: stop
+        // and let the join report it.
+        while round < 6 || (busy_snapshots.load(Ordering::Relaxed) == 0 && !watcher.is_finished()) {
             let handles: Vec<_> = (0..256)
                 .filter_map(|i| frontend.submit(&queries[(round + i) % queries.len()]).ok())
                 .collect();
             for handle in handles {
                 let _ = handle.wait();
             }
+            round += 1;
         }
-        stop.store(true, std::sync::atomic::Ordering::Release);
-        watcher.join().expect("observer never tripped an assertion")
+        stop.store(true, Ordering::Release);
+        watcher.join().expect("observer never tripped an assertion");
     });
-    assert!(snapshots > 0);
     let last = frontend.shutdown();
     assert_eq!(last.completed, last.admitted, "drained frontend has no stragglers");
     assert_eq!(last.in_flight, 0);

@@ -31,7 +31,7 @@ fn warm_start_replays_the_workload_from_the_cache() {
     let (cold, queries) = served();
     let cold_answers: Vec<_> = queries.iter().map(|q| cold.run(q).unwrap().results).collect();
 
-    let path = std::env::temp_dir().join("sqo_roundtrip_test.sqos");
+    let path = std::env::temp_dir().join(format!("sqo_roundtrip_test_{}.sqos", std::process::id()));
     cold.save_snapshot(&path).expect("save");
     for level in [ValidationLevel::Standard, ValidationLevel::Strict, ValidationLevel::Audit] {
         let warm = QueryService::warm_start(&path, level, ServiceConfig::default())

@@ -571,9 +571,8 @@ impl Database {
     /// statistics — exactly as a fresh [`DatabaseBuilder`] load would. It is
     /// the independent equivalence oracle for [`Database::with_writes`]
     /// (`tests/prop_incremental.rs` proves the two agree on every read API
-    /// for arbitrary batches) and the baseline `benches/writepath.rs`
-    /// measures the incremental path against. Semantics are identical,
-    /// including integrity scoping and the returned [`WriteReceipt`].
+    /// for arbitrary batches). Semantics are identical, including integrity
+    /// scoping and the returned [`WriteReceipt`].
     pub fn with_writes_full(
         &self,
         writes: &[DataWrite],

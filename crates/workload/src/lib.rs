@@ -15,7 +15,7 @@
 //!   the examples;
 //! * packaged [`PaperScenario`]s tying it all together per DB size;
 //! * **service workloads**: Zipf-skewed repeated-query request streams with
-//!   shuffled spellings, for the serving-layer experiments (E9);
+//!   shuffled spellings, for the serving-layer tests and experiments;
 //! * **mixed read/write workloads**: the same streams with a configurable
 //!   write ratio of constraint- and integrity-preserving duplicate
 //!   inserts/deletes, for the mutable-data serving experiment (E11).

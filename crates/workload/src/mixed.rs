@@ -163,8 +163,7 @@ pub fn copyable_rels(catalog: &Catalog, class: ClassId) -> Vec<RelId> {
 /// tuple of `class`'s instance at `source_rank % cardinality` together with
 /// exactly the edges of `rels` — normally [`copyable_rels`]`(catalog,
 /// class)`, the shape [`dup_safe_classes`] proves safe. Single source of
-/// truth for every driver that fabricates safe writes ([`MixedApplier`],
-/// the E12 experiment, `benches/writepath.rs`).
+/// truth for every driver that fabricates safe writes ([`MixedApplier`]).
 pub fn dup_insert(db: &Database, class: ClassId, source_rank: u32, rels: &[RelId]) -> DataWrite {
     let source = ObjectId(source_rank % db.cardinality(class).max(1) as u32);
     // invariant: the modulo keeps `source` under the cardinality, and
@@ -197,7 +196,8 @@ pub fn mixed_workload(
     let writable = dup_safe_classes(catalog);
     assert!(!writable.is_empty(), "no class admits safe duplicate writes");
     // Reuse the read-stream generator for distinct-query selection and
-    // popularity ranks, so E9 and E11 sample queries identically.
+    // popularity ranks, so E11 samples queries the way the read-only
+    // serving tests do.
     let reads = service_workload(
         pool,
         &ServiceWorkloadConfig {
