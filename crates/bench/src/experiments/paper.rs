@@ -1,4 +1,4 @@
-//! The paper's evaluation (§4) and the DESIGN.md ablations, E2–E8: one
+//! The paper's evaluation (§4) and this repository's ablations, E2–E8: one
 //! function per table or figure. Each returns its headline numbers (or the
 //! rows they derive from) and a rendered report section. Everything here
 //! except the transformation times (Figure 4.1, E8's `transform_us_*`) is a

@@ -1,7 +1,7 @@
 //! # sqo-bench
 //!
 //! Experiment drivers regenerating every table and figure of the paper's
-//! evaluation (§4), the DESIGN.md ablations, and the two serving sweeps:
+//! evaluation (§4), this repository's ablations, and the two serving sweeps:
 //!
 //! | id | artifact | driver |
 //! |----|----------|--------|

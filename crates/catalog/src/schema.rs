@@ -75,7 +75,8 @@ pub struct RelationshipEnd {
     pub multiplicity: Multiplicity,
     /// Total participation: every instance of `class` takes part in at least
     /// one link of this relationship. Class elimination (King's rule) is only
-    /// sound when the *surviving* side participates totally; see DESIGN.md §3.4.
+    /// sound when the *surviving* side participates totally: otherwise
+    /// dropping the join would keep survivors that had no partner to join.
     pub total: bool,
 }
 

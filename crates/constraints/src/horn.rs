@@ -9,7 +9,9 @@
 //! where the antecedents are value predicates plus *structural* conditions:
 //! the object classes mentioned and the relationships correlating them
 //! (c1's shared `collects` variable becomes an explicit relationship
-//! requirement — DESIGN.md §3.3). A constraint with no value antecedents
+//! requirement: the constraint speaks about *linked* objects, so it says
+//! nothing to a query that does not traverse the link). A constraint with
+//! no value antecedents
 //! (like c4, "only research staff members can be appointed as managers")
 //! fires for any query touching its classes.
 
@@ -137,17 +139,10 @@ impl HornConstraint {
 
     /// §3's relevance test: "a semantic constraint cᵢ is relevant to a query
     /// q iff all the object classes cᵢ references also appear in q" —
-    /// extended with the relationship requirement (DESIGN.md §3.3).
+    /// extended with the relationship requirement of the module docs.
     pub fn relevant_to(&self, query: &Query) -> bool {
         self.classes.iter().all(|c| query.has_class(*c))
             && self.relationships.iter().all(|r| query.has_relationship(*r))
-    }
-
-    /// Semantic check against concrete bindings: if every antecedent holds,
-    /// does the consequent? Used by data generators and property tests; the
-    /// optimizer itself never evaluates constraints against data.
-    pub fn is_horn(&self) -> bool {
-        true // single consequent by construction; method kept for API clarity
     }
 }
 

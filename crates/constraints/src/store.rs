@@ -217,14 +217,6 @@ impl ConstraintStore {
         Ok(store)
     }
 
-    /// Convenience: paper defaults.
-    pub fn with_paper_defaults(
-        catalog: Arc<Catalog>,
-        constraints: Vec<HornConstraint>,
-    ) -> Result<Self, ConstraintError> {
-        Self::build(catalog, constraints, StoreOptions::paper_defaults())
-    }
-
     /// (Re)assigns every constraint to a group according to the policy.
     /// The paper notes the LFA grouping "has to be updated as database access
     /// pattern changes" — callers invoke this periodically.

@@ -1,7 +1,7 @@
 //! Optimizer configuration.
 //!
 //! Defaults follow the paper; the switches exist to power the ablation
-//! benchmarks (DESIGN.md experiments E5–E8).
+//! benchmarks (`sqo-bench`'s experiments E5–E8).
 
 use serde::{Deserialize, Serialize};
 

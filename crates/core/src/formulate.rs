@@ -7,7 +7,7 @@
 //!   needed);
 //! * **optional** predicates go through the cost–benefit oracle;
 //! * **class elimination** (King's rule) runs first, under the structural
-//!   soundness conditions of DESIGN.md §3.4 — dangling class, nothing
+//!   soundness conditions `eliminable` checks — dangling class, nothing
 //!   projected, no imperative predicate, and exactly-one linkage from the
 //!   surviving side (to-one + total participation);
 //! * projections whose value is pinned by an entailed equality get the
@@ -280,7 +280,7 @@ fn without_predicate_into(q: &Query, pred: &Predicate, out: &mut Query) {
     }
 }
 
-/// Structural soundness of eliminating `class` from `q` (DESIGN.md §3.4):
+/// Structural soundness of eliminating `class` from `q`:
 /// 1. nothing projected from the class;
 /// 2. no imperative predicate touches it (checked by the caller, which owns
 ///    the tag bookkeeping);

@@ -7,7 +7,8 @@
 //! each column's [`ColumnPresence`] and current [`PredicateTag`].
 //!
 //! Two deliberate refinements over the paper's literal pseudocode, both
-//! required to make the claimed order-immateriality a theorem (DESIGN.md §3):
+//! required to make the claimed order-immateriality a theorem
+//! (`tests/order_immaterial.rs` checks it):
 //!
 //! 1. tag assignment is a *meet* (`min`) on the lattice, so concurrent
 //!    lowerings from different constraints can never raise a tag;

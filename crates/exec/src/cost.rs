@@ -10,7 +10,7 @@ use sqo_catalog::{StatsSnapshot, Value};
 use sqo_query::{CompOp, SelPredicate, ValueSet};
 use sqo_storage::{CostCounters, CostWeights, PageModel};
 
-use crate::plan::{AccessPath, ClassAccess, PhysicalPlan};
+use crate::plan::{AccessPath, ClassAccess};
 
 /// Cost model: page model + scalar weights + statistics access.
 #[derive(Debug, Clone, Copy, Default)]
@@ -174,33 +174,10 @@ impl CostModel {
         (self.weights.work_units(&self.pages, &counters), rows)
     }
 
-    /// Total estimated work units of a fully-formed plan (already annotated
-    /// by the planner). Exposed for diagnostics.
-    pub fn plan_cost(&self, plan: &PhysicalPlan) -> f64 {
-        plan.estimated_cost
-    }
-
     /// Work units for a measured counter snapshot — the single figure used as
     /// "execution cost" throughout the benchmarks.
     pub fn measured(&self, counters: &CostCounters) -> f64 {
         self.weights.work_units(&self.pages, counters)
-    }
-
-    /// Work units charged for evaluating a selective predicate once; used by
-    /// profitability reasoning about CPU savings (restriction elimination).
-    pub fn eval_unit_cost(&self) -> f64 {
-        self.weights.predicate_eval
-    }
-
-    /// A crude equality-probe cost used when comparing index access to a
-    /// scan: descent pages plus one entry.
-    pub fn probe_cost(&self, expected_matches: f64) -> f64 {
-        let counters = CostCounters {
-            index_probes: 1,
-            index_entries: expected_matches.max(1.0) as u64,
-            ..Default::default()
-        };
-        self.weights.work_units(&self.pages, &counters)
     }
 }
 

@@ -93,7 +93,8 @@ impl Query {
     }
 
     /// Whether some query predicate *implies* `pred` — the implication-aware
-    /// presence test used by `MatchPolicy::Implication` (DESIGN.md §3.2).
+    /// presence test used by `MatchPolicy::Implication` (`interval.rs` has
+    /// the subset test it rests on).
     /// Implication never holds between a join and a selective predicate, so
     /// only the matching list is consulted (and nothing is cloned — this
     /// runs once per candidate column when a transformation table is built).
@@ -102,14 +103,6 @@ impl Query {
             Predicate::Sel(b) => self.selective_predicates.iter().any(|a| a.implies(b)),
             Predicate::Join(b) => self.join_predicates.iter().any(|a| a.implies(b)),
         }
-    }
-
-    /// Classes with at least one projection on them.
-    pub fn projected_classes(&self) -> Vec<ClassId> {
-        let mut out: Vec<ClassId> = self.projections.iter().map(|p| p.attr.class).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// The query graph over classes and relationship edges.

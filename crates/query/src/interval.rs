@@ -4,7 +4,8 @@
 //! This module gives those sets a small normal form — an interval with
 //! optional endpoints, or the complement of a point — together with subset
 //! and intersection tests. The optimizer uses subset tests for
-//! *implication-aware antecedent matching* (DESIGN.md §3.2): a query
+//! *implication-aware antecedent matching* (`sqo-core`'s
+//! `MatchPolicy::Implication`): a query
 //! predicate `B > 15` satisfies a constraint antecedent `B > 10` because
 //! `(15, ∞) ⊆ (10, ∞)`.
 //!

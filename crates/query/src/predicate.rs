@@ -78,17 +78,6 @@ impl CompOp {
             .all(|o| !self.eval(o) || other.eval(o))
     }
 
-    /// Whether an equality-only (hash) index can serve this operator.
-    pub fn is_equality(self) -> bool {
-        matches!(self, CompOp::Eq)
-    }
-
-    /// Whether the operator constrains a contiguous range (servable by a
-    /// B-tree index).
-    pub fn is_range(self) -> bool {
-        !matches!(self, CompOp::Ne)
-    }
-
     pub fn symbol(self) -> &'static str {
         match self {
             CompOp::Eq => "=",

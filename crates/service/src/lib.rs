@@ -32,10 +32,12 @@
 //!   result-memo handling, and the flight resolution exists exactly once,
 //!   and [`QueryService::run`], [`QueryService::prepare`] →
 //!   [`QueryService::execute_prepared`] (one shared
-//!   [`sqo_exec::PhysicalPlan`] re-executed without re-planning), the
-//!   worker-pool [`QueryService::run_batch`] and the non-blocking
-//!   [`QueryService::try_run`] + [`QueryService::complete_miss`] are each a
-//!   few lines composing those steps (`docs/ARCHITECTURE.md` §5).
+//!   [`sqo_exec::PhysicalPlan`] re-executed without re-planning) and the
+//!   non-blocking [`QueryService::try_run`] +
+//!   [`QueryService::complete_miss`] are each a few lines composing those
+//!   steps (`docs/ARCHITECTURE.md` §5). The service spawns no thread: every
+//!   entry point runs on its caller's, and the one worker pool is
+//!   `sqo-frontend`'s.
 //! * **Singleflight miss deduplication** ([`QueryService::try_run`] +
 //!   [`QueryService::complete_miss`]): concurrent cold misses on the same
 //!   `(fingerprint, store version, data epoch)` coordinates share one

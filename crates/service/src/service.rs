@@ -3,9 +3,8 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::io::Write as _;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -17,7 +16,8 @@ use sqo_exec::{
 };
 use sqo_query::{Query, QueryError, QueryFingerprint};
 use sqo_snapshot::{
-    LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel, SEC_CONSTRAINTS, SEC_PLANSEEDS,
+    write_snapshot_file, LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel,
+    SEC_CONSTRAINTS, SEC_PLANSEEDS,
 };
 use sqo_storage::{DataWrite, Database, StorageError, VersionedDatabase, WriteOutcome};
 
@@ -42,11 +42,11 @@ pub enum ServiceError {
     Exec(ExecError),
     /// A write batch failed validation or integrity enforcement.
     Storage(StorageError),
-    /// The worker answering this request panicked in it — a
-    /// [`QueryService::run_batch`] pool thread, or a `sqo-frontend` worker.
-    /// Exactly the poisoned request surfaces as this error: the rest of
-    /// the batch completes, the frontend worker lives on, and no caller is
-    /// aborted or left waiting.
+    /// The `sqo-frontend` worker answering this request panicked in it.
+    /// Exactly the poisoned request surfaces as this error: the worker
+    /// lives on, and no caller is aborted or left waiting. (The service
+    /// itself spawns no thread; a panic under [`QueryService::run`] unwinds
+    /// into its caller.)
     WorkerPanicked,
 }
 
@@ -189,9 +189,8 @@ pub enum TryRun {
 /// across successive snapshots.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Requests received, one per `run`, per `try_run` call (a follower's
-    /// retry after an aborted flight is a new call) and per `run_batch`
-    /// element.
+    /// Requests received, one per `run` and per `try_run` call (a
+    /// follower's retry after an aborted flight is a new call).
     pub requests: u64,
     /// Requests that completed a plan-cache lookup. Exactly
     /// `cache.hits + cache.misses` in every snapshot; trails `requests`
@@ -606,21 +605,6 @@ impl QueryService {
         outcome
     }
 
-    /// Answers `queries` on a fixed pool of `workers` threads (closed-loop:
-    /// each worker pulls the next request as soon as it finishes one).
-    /// Responses come back in request order.
-    ///
-    /// A worker panic poisons only the requests that worker had claimed:
-    /// each surfaces as [`ServiceError::WorkerPanicked`], every other
-    /// request completes normally, and the caller is never aborted.
-    pub fn run_batch(
-        &self,
-        queries: &[Query],
-        workers: usize,
-    ) -> Vec<Result<ServiceResponse, ServiceError>> {
-        run_batch_with(queries, workers, |query| self.run(query))
-    }
-
     /// Serializes the full service state into a `.sqos` snapshot: the
     /// current database image (catalog, extents, links, indexes,
     /// statistics), the compiled constraint store, and every live
@@ -645,34 +629,15 @@ impl QueryService {
         builder.finish()
     }
 
-    /// Writes [`QueryService::snapshot_bytes`] to `path`, crash-safely:
-    /// the bytes go to a temporary file beside `path`, are synced, and are
-    /// then renamed over it, so at every instant `path` holds either the
+    /// Writes [`QueryService::snapshot_bytes`] to `path`, crash-safely
+    /// ([`write_snapshot_file`]): at every instant `path` holds either the
     /// previous snapshot or the complete new one.
     ///
     /// # Errors
-    /// [`LoadError::Io`] if the file cannot be written; the temporary file
-    /// is removed and whatever `path` held before is untouched.
+    /// [`LoadError::Io`] if the file cannot be written; whatever `path`
+    /// held before is untouched.
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), LoadError> {
-        static SAVES: AtomicU64 = AtomicU64::new(0);
-        let path = path.as_ref();
-        // ordering: uniqueness comes from RMW atomicity alone; concurrent
-        // saves of one process must not share a temporary file.
-        let nth = SAVES.fetch_add(1, Ordering::Relaxed);
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(format!(".{}-{nth}.tmp", std::process::id()));
-        let tmp = Path::new(&tmp);
-        let saved = std::fs::File::create(tmp)
-            .and_then(|mut file| {
-                file.write_all(&self.snapshot_bytes())?;
-                file.sync_all()
-            })
-            .and_then(|()| std::fs::rename(tmp, path))
-            .and_then(|()| sync_parent_dir(path));
-        if saved.is_err() {
-            let _ = std::fs::remove_file(tmp);
-        }
-        saved.map_err(LoadError::from)
+        write_snapshot_file(path.as_ref(), &self.snapshot_bytes())
     }
 
     /// Reconstructs a service from snapshot bytes, validating at `level`
@@ -761,70 +726,6 @@ struct Coordinate {
     store: Arc<ConstraintStore>,
     version: StoreVersion,
     fingerprint: QueryFingerprint,
-}
-
-/// [`QueryService::run_batch`] generic over the per-request pipeline pass,
-/// so tests can inject a panicking request deterministically.
-fn run_batch_with(
-    queries: &[Query],
-    workers: usize,
-    run: impl Fn(&Query) -> Result<ServiceResponse, ServiceError> + Sync,
-) -> Vec<Result<ServiceResponse, ServiceError>> {
-    run_pooled(queries.len(), workers, |i| run(&queries[i]))
-        .into_iter()
-        .map(|slot| slot.unwrap_or(Err(ServiceError::WorkerPanicked)))
-        .collect()
-}
-
-/// The closed-loop worker pool behind [`QueryService::run_batch`]: `jobs`
-/// indexes claimed one at a time by `workers` scoped threads. Slot `j` is
-/// `None` iff the worker that claimed job `j` panicked in it.
-///
-/// Workers stream answers over a channel instead of returning them from
-/// the thread closure: answers a worker produced before panicking survive,
-/// and join() errors are tolerated.
-fn run_pooled<R: Send>(
-    jobs: usize,
-    workers: usize,
-    job: impl Fn(usize) -> R + Sync,
-) -> Vec<Option<R>> {
-    let next = AtomicUsize::new(0);
-    let mut out: Vec<Option<R>> = (0..jobs).map(|_| None).collect();
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.clamp(1, jobs.max(1)))
-            .map(|_| {
-                let (next, job, tx) = (&next, &job, tx.clone());
-                scope.spawn(move || loop {
-                    // ordering: work-index claim; RMW atomicity alone makes indexes
-                    // unique, and scope join orders results after all claims.
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    if j >= jobs {
-                        break;
-                    }
-                    let _ = tx.send((j, job(j)));
-                })
-            })
-            .collect();
-        drop(tx);
-        for (j, answer) in rx {
-            out[j] = Some(answer);
-        }
-        for handle in handles {
-            let _ = handle.join();
-        }
-    });
-    out
-}
-
-/// Makes the rename that published `path` durable. Only Unix can open a
-/// directory for syncing; elsewhere the rename is left to the OS.
-fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
-    if cfg!(unix) {
-        let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
-        std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -996,39 +897,6 @@ mod tests {
         let warm = service.run(&queries[0]).unwrap();
         assert_eq!(service.stats().executions, 2, "memo re-armed at the new epoch");
         assert!(warm.results.same_multiset(&after.results));
-    }
-
-    #[test]
-    fn run_batch_matches_sequential_answers() {
-        let (service, queries) = service();
-        let batch: Vec<Query> = queries.iter().cycle().take(24).cloned().collect();
-        let concurrent = service.run_batch(&batch, 4);
-        for (q, r) in batch.iter().zip(&concurrent) {
-            let solo = service.run(q).unwrap();
-            assert!(r.as_ref().unwrap().results.same_multiset(&solo.results));
-        }
-    }
-
-    #[test]
-    fn run_batch_survives_a_panicking_worker() {
-        let (service, queries) = service();
-        // Duplicates of queries 1 and 2 around one copy of query 0: the
-        // poisoned request poisons exactly itself.
-        let batch: Vec<Query> =
-            (0..12).map(|i| queries[if i == 5 { 0 } else { 1 + i % 2 }].clone()).collect();
-        let out = run_batch_with(&batch, 3, |query| {
-            if *query == batch[5] {
-                panic!("injected worker panic");
-            }
-            service.run(query)
-        });
-        assert_eq!(out.len(), batch.len());
-        assert!(matches!(out[5], Err(ServiceError::WorkerPanicked)));
-        for (i, r) in out.iter().enumerate() {
-            if i != 5 {
-                assert!(r.is_ok(), "request {i} must survive the poisoned worker");
-            }
-        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Every entry point is the same pipeline: one stream (duplicates,
 //! reordered spellings, a data write and an overlapping `add_constraint`
-//! mid-stream, see `common`) driven through `run`, the
-//! `try_run`/`complete_miss`/`MissWaiter::wait` protocol, and `run_batch`
-//! must produce the unoptimized original's rows at the serving snapshot's
+//! mid-stream, see `common`) driven through `run` and through the
+//! `try_run`/`complete_miss`/`MissWaiter::wait` protocol must produce the unoptimized original's rows at the serving snapshot's
 //! stamps — and, single-threaded, the same number of optimizations,
 //! because each entry point is a composition of the same
 //! `resolve → hit | lead | follow → execute → publish → respond` core.
@@ -51,10 +50,4 @@ fn every_sequential_entry_point_is_the_same_pipeline() {
     let by_try_run = drive(&service, &ops, |reads| via_try_run(&service, reads));
     assert!(by_try_run.singleflight_followers > 0, "duplicates of a cold query followed");
     assert_eq!(by_try_run.optimizations, by_run.optimizations);
-
-    let (service, ops) = fixture(ServiceConfig::default());
-    let by_batch = drive(&service, &ops, |reads| {
-        service.run_batch(reads, 1).into_iter().map(|r| r.expect("run_batch")).collect()
-    });
-    assert_eq!(by_batch.optimizations, by_run.optimizations);
 }

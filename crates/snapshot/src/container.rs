@@ -22,6 +22,10 @@
 //! Unknown section ids are skipped, which is the format's forward-compat
 //! rule: old readers load new files, ignoring sections they do not know.
 
+use std::io::Write;
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::bytes::{ByteReader, ByteWriter};
 use crate::error::LoadError;
 
@@ -222,6 +226,46 @@ impl<'a> SnapshotFile<'a> {
     pub fn sections(&self) -> impl Iterator<Item = (u32, &'a [u8])> + '_ {
         self.sections.iter().copied()
     }
+}
+
+/// Puts the complete `.sqos` image `bytes` at `path`, crash-safely — the one
+/// function that writes a snapshot file. The bytes go to a temporary file
+/// beside `path`, are synced, and are then renamed over it, so at every
+/// instant `path` holds either what it held before or the complete new
+/// image.
+///
+/// # Errors
+/// [`LoadError::Io`] if the file cannot be written; the temporary file is
+/// removed and whatever `path` held before is untouched.
+pub fn write_snapshot_file(path: &Path, bytes: &[u8]) -> Result<(), LoadError> {
+    static SAVES: AtomicU64 = AtomicU64::new(0);
+    // ordering: uniqueness comes from RMW atomicity alone; concurrent
+    // saves of one process must not share a temporary file.
+    let nth = SAVES.fetch_add(1, Ordering::Relaxed);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".{}-{nth}.tmp", std::process::id()));
+    let tmp = Path::new(&tmp);
+    let saved = std::fs::File::create(tmp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(tmp, path))
+        .and_then(|()| sync_parent_dir(path));
+    if saved.is_err() {
+        let _ = std::fs::remove_file(tmp);
+    }
+    saved.map_err(LoadError::from)
+}
+
+/// Makes the rename that published `path` durable. Only Unix can open a
+/// directory for syncing; elsewhere the rename is left to the OS.
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    if cfg!(unix) {
+        let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

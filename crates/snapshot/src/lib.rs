@@ -42,7 +42,8 @@ pub use codec::{
     StrPool,
 };
 pub use container::{
-    section_checksum, section_name, SnapshotBuilder, SnapshotFile, FORMAT_VERSION, MAGIC,
-    SEC_CATALOG, SEC_CONSTRAINTS, SEC_EXTENTS, SEC_INDEXES, SEC_LINKS, SEC_PLANSEEDS, SEC_STATS,
+    section_checksum, section_name, write_snapshot_file, SnapshotBuilder, SnapshotFile,
+    FORMAT_VERSION, MAGIC, SEC_CATALOG, SEC_CONSTRAINTS, SEC_EXTENTS, SEC_INDEXES, SEC_LINKS,
+    SEC_PLANSEEDS, SEC_STATS,
 };
 pub use error::{LoadError, ValidationLevel};

@@ -6,17 +6,17 @@
 //! re-derivation and the `with_writes_full` oracle build a throw-away map
 //! per attribute ([`class_statistics`]).
 //!
-//! The write path keeps the maps instead. A [`ClassCounts`] holds, per
-//! attribute, the map split by value hash into sub-maps behind `Arc`s that
-//! successive snapshots share; it is built by one extent scan on the first
-//! write that touches a class (loading a database builds none) and from
-//! then on a [`ClassPatch`] applies each inserted, deleted or updated value
-//! to it, copying only the sub-maps those values live in. Per value the
-//! patch keeps `distinct`, `min`/`max` and the most common values current
-//! in O(1); only when a batch removes the last copy of the current minimum
-//! or maximum, or decrements a value that is among the most common, does
-//! that attribute get one [`summarize`] pass over its distinct values at
-//! the end of the batch.
+//! The write path keeps the counts instead, in [`ValueMap`]s that successive
+//! snapshots share page by page. An indexed attribute needs none of its own:
+//! its index's postings are its counts, one length per value. For the others
+//! a [`ClassCounts`] holds one value → count map per attribute, built by one
+//! extent scan on the first write that touches the class (loading a database
+//! builds none). From then on a [`ClassPatch`] applies each inserted, deleted
+//! or updated value, copying only the page the value lives in, and keeps the
+//! most common values current in O(1) per value; `distinct`, `min` and `max`
+//! are the map's length and ends when the batch closes. Only when a batch
+//! decrements a value that is among the most common does that attribute get
+//! one [`summarize`] pass over its distinct values at the end of the batch.
 //!
 //! Either way the result is the same function of the same counts, so a
 //! patched [`ClassStats`] equals a from-scratch one (`tests/
@@ -25,21 +25,17 @@
 //! reports follows which was counted first.
 
 use std::cmp::Ordering;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 use sqo_catalog::{AttrStats, ClassStats, Value};
 
 use crate::db::Extent;
+use crate::index::AttrIndex;
+use crate::object::ObjectId;
+use crate::valuemap::ValueMap;
 
 /// How many most-common values an attribute's statistics keep.
 const MCVS: usize = 3;
-
-/// Distinct values per sub-map a [`ValueCounts`] is built for; it doubles
-/// its sub-map count when the average passes twice this.
-const SHARD_TARGET: usize = 128;
 
 /// `Display`'s rendering of `v` compared to that of `w`, for two values of
 /// one attribute (one type) — what ties between equally common values are
@@ -126,156 +122,88 @@ pub(crate) fn class_statistics(attr_count: usize, extent: &Extent) -> ClassStats
     ClassStats { cardinality: extent.len() as u64, attrs }
 }
 
-/// One attribute's value → count map, split by value hash into `Arc`'d
-/// sub-maps so that a successor snapshot copies only the sub-maps it
-/// changes. The sub-map count is a power of two.
-#[derive(Debug, Clone)]
-struct ValueCounts {
-    shards: Vec<Arc<HashMap<Value, u64>>>,
-    distinct: usize,
+/// Counts one more `v`; returns its new count.
+fn increment(counts: &mut ValueMap<u64>, v: &Value) -> u64 {
+    let count = counts.entry(v.clone());
+    *count += 1;
+    *count
 }
 
-impl ValueCounts {
-    fn with_shards(shards: usize) -> Self {
-        Self { shards: vec![Arc::default(); shards], distinct: 0 }
-    }
-
-    fn from_counts(counts: &HashMap<&Value, u64>) -> Self {
-        let mut built = Self::with_shards((counts.len() / SHARD_TARGET).max(1).next_power_of_two());
-        for (&v, &count) in counts {
-            built.shard_mut(v).insert(v.clone(), count);
-        }
-        built.distinct = counts.len();
-        built
-    }
-
-    /// The sub-map `v` lives in, copied first if a snapshot shares it.
-    fn shard_mut(&mut self, v: &Value) -> &mut HashMap<Value, u64> {
-        // A fixed-key hasher: a value must find its sub-map again in every
-        // successor, and the sub-maps' own (randomly keyed) hashing is
-        // independent of the split.
-        let mut hasher = DefaultHasher::new();
-        v.hash(&mut hasher);
-        let at = hasher.finish() as usize & (self.shards.len() - 1);
-        Arc::make_mut(&mut self.shards[at])
-    }
-
-    fn entries(&self) -> impl Iterator<Item = (&Value, u64)> {
-        self.shards.iter().flat_map(|shard| shard.iter().map(|(v, count)| (v, *count)))
-    }
-
-    /// Counts one more `v`; returns its new count.
-    fn increment(&mut self, v: &Value) -> u64 {
-        let shard = self.shard_mut(v);
-        if let Some(count) = shard.get_mut(v) {
-            *count += 1;
-            return *count;
-        }
-        shard.insert(v.clone(), 1);
-        self.distinct += 1;
-        if self.distinct > 2 * SHARD_TARGET * self.shards.len() {
-            let mut doubled = Self::with_shards(2 * self.shards.len());
-            for (v, count) in self.entries() {
-                doubled.shard_mut(v).insert(v.clone(), count);
-            }
-            self.shards = doubled.shards;
-        }
-        1
-    }
-
-    /// Counts one fewer `v`; returns its new count.
-    fn decrement(&mut self, v: &Value) -> u64 {
-        let shard = self.shard_mut(v);
-        match shard.get_mut(v) {
-            Some(count) if *count > 1 => {
-                *count -= 1;
-                *count
-            }
-            Some(_) => {
-                shard.remove(v);
-                self.distinct -= 1;
-                0
-            }
-            None => {
-                debug_assert!(false, "counts drifted from the extent: {v} was never counted");
-                0
-            }
-        }
+/// Counts one fewer `v`; a value no longer held leaves the map.
+fn decrement(counts: &mut ValueMap<u64>, v: &Value) {
+    match counts.get_mut(v) {
+        Some(count) if *count > 1 => *count -= 1,
+        Some(_) => _ = counts.remove(v),
+        None => debug_assert!(false, "counts drifted from the extent: {v} was never counted"),
     }
 }
 
-/// The value counts of every attribute of one class, as of one snapshot.
-#[derive(Debug, Clone)]
-pub(crate) struct ClassCounts {
-    attrs: Vec<ValueCounts>,
-}
+/// The value counts of one class, as of one snapshot: per attribute its
+/// value → count map, or `None` where an index's postings are the counts.
+pub(crate) type ClassCounts = Vec<Option<ValueMap<u64>>>;
 
-/// One class's counts and statistics while a write batch is applied.
+/// One class's indexes, counts and statistics while a write batch is
+/// applied: each written value goes into its attribute's index where the
+/// catalog declares one and into its counts otherwise, and from there into
+/// the statistics. The indexes (one slot per attribute) stay with the
+/// caller, which passes them to every call.
 #[derive(Debug)]
 pub(crate) struct ClassPatch {
     counts: ClassCounts,
     stats: ClassStats,
-    /// Per attribute: the batch removed a current `min`/`max`/`mcvs` holder,
-    /// so those three are recomputed when the batch ends.
+    /// Per attribute: the batch decremented one of the most common values,
+    /// so the statistics are recomputed when the batch ends.
     stale: Vec<bool>,
 }
 
 impl ClassPatch {
-    /// Starts from a class no write has touched since it was loaded: one
-    /// scan builds the counts and, from them, statistics that owe nothing
-    /// to the loaded ones.
-    pub(crate) fn scan(attr_count: usize, extent: &Extent) -> Self {
-        let mut stats =
-            ClassStats { cardinality: extent.len() as u64, attrs: Vec::with_capacity(attr_count) };
-        let mut counts = ClassCounts { attrs: Vec::with_capacity(attr_count) };
-        for attr in 0..attr_count {
-            let (scanned, summary) = scan_attribute(extent, attr);
-            stats.attrs.push(summary);
-            counts.attrs.push(ValueCounts::from_counts(&scanned));
+    /// Starts from a class no write has touched since it was loaded, before
+    /// the batch changes it: statistics that owe nothing to the loaded ones,
+    /// from the index where there is one and else from one scan of the
+    /// extent, which also builds the attribute's counts.
+    pub(crate) fn scan(indexes: &[Option<AttrIndex>], extent: &Extent) -> Self {
+        let rows = extent.len() as u64;
+        let mut stats = ClassStats { cardinality: rows, attrs: Vec::with_capacity(indexes.len()) };
+        let mut counts = ClassCounts::with_capacity(indexes.len());
+        for (attr, index) in indexes.iter().enumerate() {
+            if let Some(index) = index {
+                let posted = index.postings.iter().map(|(v, posting)| (v, posting.len() as u64));
+                stats.attrs.push(summarize(posted, rows));
+                counts.push(None);
+            } else {
+                let (scanned, summary) = scan_attribute(extent, attr);
+                stats.attrs.push(summary);
+                counts.push(Some(scanned.into_iter().map(|(v, n)| (v.clone(), n)).collect()));
+            }
         }
-        Self { counts, stats, stale: vec![false; attr_count] }
+        Self { counts, stats, stale: vec![false; indexes.len()] }
     }
 
     /// Resumes from the counts and statistics an earlier write left.
     pub(crate) fn resume(counts: &ClassCounts, stats: &ClassStats) -> Self {
-        Self {
-            counts: counts.clone(),
-            stats: stats.clone(),
-            stale: vec![false; counts.attrs.len()],
-        }
+        Self { counts: counts.clone(), stats: stats.clone(), stale: vec![false; counts.len()] }
     }
 
-    pub(crate) fn insert(&mut self, tuple: &[Value]) {
-        for (attr, v) in tuple.iter().enumerate() {
-            self.add(attr, v);
-        }
-    }
-
-    pub(crate) fn delete(&mut self, tuple: &[Value]) {
-        for (attr, v) in tuple.iter().enumerate() {
-            self.remove(attr, v);
-        }
-    }
-
-    pub(crate) fn update(&mut self, attr: usize, old: &Value, new: &Value) {
-        if old != new {
-            self.remove(attr, old);
-            self.add(attr, new);
-        }
-    }
-
-    fn add(&mut self, attr: usize, v: &Value) {
-        let count = self.counts.attrs[attr].increment(v);
+    /// Object `oid` now holds `v` in attribute `attr`.
+    pub(crate) fn add(
+        &mut self,
+        indexes: &mut [Option<AttrIndex>],
+        attr: usize,
+        v: &Value,
+        oid: ObjectId,
+    ) {
+        let count = match (&mut indexes[attr], &mut self.counts[attr]) {
+            (Some(index), _) => {
+                index.insert_sorted(v.clone(), oid);
+                index.probe_eq(v).len() as u64
+            }
+            (None, Some(counts)) => increment(counts, v),
+            (None, None) => return debug_assert!(false, "attribute {attr}: no counts, no index"),
+        };
         if self.stale[attr] {
             return;
         }
         let stats = &mut self.stats.attrs[attr];
-        if stats.min.as_ref().map_or(true, |m| v.compare(m) == Some(Ordering::Less)) {
-            stats.min = Some(v.clone());
-        }
-        if stats.max.as_ref().map_or(true, |m| v.compare(m) == Some(Ordering::Greater)) {
-            stats.max = Some(v.clone());
-        }
         // A count that rose can only move its value up the list.
         if let Some(at) = stats.mcvs.iter().position(|(m, _)| m == v) {
             stats.mcvs[at].1 = count;
@@ -290,30 +218,59 @@ impl ClassPatch {
         stats.mcvs.truncate(MCVS);
     }
 
-    fn remove(&mut self, attr: usize, v: &Value) {
-        let count = self.counts.attrs[attr].decrement(v);
-        let stats = &self.stats.attrs[attr];
+    /// Object `oid` no longer holds `v` in attribute `attr`.
+    pub(crate) fn remove(
+        &mut self,
+        indexes: &mut [Option<AttrIndex>],
+        attr: usize,
+        v: &Value,
+        oid: ObjectId,
+    ) {
+        match (&mut indexes[attr], &mut self.counts[attr]) {
+            (Some(index), _) => _ = index.remove(v, oid),
+            (None, Some(counts)) => decrement(counts, v),
+            (None, None) => debug_assert!(false, "attribute {attr}: no counts, no index"),
+        }
         // Which value takes a vacated place is not known without a pass over
         // the distinct values; one pass per attribute, when the batch ends.
-        self.stale[attr] |= stats.mcvs.iter().any(|(m, _)| m == v)
-            || (count == 0 && (stats.min.as_ref() == Some(v) || stats.max.as_ref() == Some(v)));
+        self.stale[attr] |= self.stats.attrs[attr].mcvs.iter().any(|(m, _)| m == v);
     }
 
     /// Ends the batch for a class that now holds `rows` objects.
-    pub(crate) fn finish(mut self, rows: usize) -> (ClassCounts, ClassStats) {
+    pub(crate) fn finish(
+        mut self,
+        indexes: &[Option<AttrIndex>],
+        rows: usize,
+    ) -> (ClassCounts, ClassStats) {
         let rows = rows as u64;
         self.stats.cardinality = rows;
-        for ((stats, counts), stale) in
-            self.stats.attrs.iter_mut().zip(&self.counts.attrs).zip(self.stale)
-        {
-            if stale {
-                *stats = summarize(counts.entries(), rows);
-            } else {
-                stats.rows = rows;
-                stats.distinct = counts.distinct as u64;
+        for (attr, (stats, stale)) in self.stats.attrs.iter_mut().zip(self.stale).enumerate() {
+            match (&indexes[attr], &self.counts[attr]) {
+                (Some(index), _) => close(stats, &index.postings, |p| p.len() as u64, stale, rows),
+                (None, Some(counts)) => close(stats, counts, |count| *count, stale, rows),
+                (None, None) => debug_assert!(false, "attribute {attr}: no counts, no index"),
             }
         }
         (self.counts, self.stats)
+    }
+}
+
+/// Brings one attribute's statistics up to its value-keyed `map` as the batch
+/// left it, `count` being what an entry counts for.
+fn close<V>(
+    stats: &mut AttrStats,
+    map: &ValueMap<V>,
+    count: impl Fn(&V) -> u64,
+    stale: bool,
+    rows: u64,
+) {
+    if stale {
+        *stats = summarize(map.iter().map(|(v, entry)| (v, count(entry))), rows);
+    } else {
+        stats.rows = rows;
+        stats.distinct = map.len() as u64;
+        stats.min = map.first().map(|(v, _)| v.clone());
+        stats.max = map.last().map(|(v, _)| v.clone());
     }
 }
 
@@ -359,22 +316,25 @@ mod tests {
 
     #[test]
     fn value_counts_split_as_they_grow_and_keep_every_count() {
-        let mut counts = ValueCounts::from_counts(&HashMap::new());
-        assert_eq!(counts.shards.len(), 1);
-        let n = 5 * SHARD_TARGET as i64;
+        let mut counts: ValueMap<u64> = HashMap::<Value, u64>::new().into_iter().collect();
+        assert_eq!(counts.page_count(), 0);
+        // Five bulk-built pages' worth of keys, arriving in descending order:
+        // every insert lands in the first page, which keeps splitting.
+        let n = 5 * 64;
         for round in 1..=2 {
-            for i in 0..n {
-                assert_eq!(counts.increment(&Value::Int(i)), round);
+            for i in (0..n).rev() {
+                assert_eq!(increment(&mut counts, &Value::Int(i)), round);
             }
         }
-        assert_eq!(counts.shards.len(), 4, "doubled past 2 x and again past 4 x the target");
-        assert_eq!(counts.distinct, n as usize);
-        assert_eq!(counts.entries().map(|(_, c)| c).sum::<u64>(), 2 * n as u64);
+        assert_eq!(counts.page_count(), 9, "one page, then a split per 32 further keys");
+        assert_eq!(counts.len(), n as usize);
+        assert_eq!(counts.iter().map(|(_, c)| c).sum::<u64>(), 2 * n as u64);
         for round in (0..2).rev() {
             for i in 0..n {
-                assert_eq!(counts.decrement(&Value::Int(i)), round);
+                decrement(&mut counts, &Value::Int(i));
+                assert_eq!(counts.get(&Value::Int(i)).copied().unwrap_or(0), round);
             }
         }
-        assert_eq!((counts.distinct, counts.entries().count()), (0, 0));
+        assert_eq!((counts.len(), counts.iter().count(), counts.page_count()), (0, 0, 0));
     }
 }

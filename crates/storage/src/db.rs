@@ -9,13 +9,16 @@
 //! # Incremental copy-on-write snapshots
 //!
 //! Snapshot state is sharded per class and per relationship: one extent
-//! and one `Arc`'d index bank per class, one link table per relationship.
-//! Extents and both adjacency sides of a link table are `PagedVec`s
-//! (`paged.rs`): an `Arc`'d table of `Arc`'d pages of 128 rows, cloned by
-//! one reference-count increment. [`Database::with_writes`] builds a
-//! successor snapshot by cloning those pointers and **patching only what the
-//! batch touches** (clone-and-patch on first write, `Arc::make_mut` style);
-//! everything else is shared with the source by pointer.
+//! and one index per indexed attribute for a class, one link table per
+//! relationship. Extents and both adjacency sides of a link table are
+//! `PagedVec`s (`paged.rs`): an `Arc`'d table of `Arc`'d pages of 128 rows,
+//! cloned by one reference-count increment. Indexes of either kind and the
+//! value counts the statistics are kept from are `ValueMap`s
+//! (`valuemap.rs`): sorted entries in `Arc`'d pages behind the same kind of
+//! table. [`Database::with_writes`] builds a successor snapshot by cloning
+//! those pointers and **patching only what the batch touches**
+//! (clone-and-patch on first write, `Arc::make_mut` style); everything else
+//! is shared with the source by pointer.
 //!
 //! ## What a write costs
 //!
@@ -27,34 +30,40 @@
 //!   targets sit in; for a delete the deleted row's and the moved last
 //!   row's pages and those of their neighbours' lists. A touched shard's
 //!   page table (one pointer per page) is copied once per batch;
+//! * **indexes** — per written value of an indexed attribute, the one page
+//!   of the index that holds the value (at most 64 keys and their postings)
+//!   and the index's page table; a full page splits in two, an emptied one
+//!   is dropped. An update of an unindexed attribute leaves every index
+//!   shared;
 //! * **statistics** — O(1) per written value. The previous
 //!   [`StatsSnapshot`] is carried over, and each touched class's
-//!   `ClassStats` is patched from value counts that successive snapshots
-//!   share (`counts.rs`), copying the count sub-maps the written values hash
-//!   to. Three cases cost more. The **first write ever to touch a class**
-//!   scans its extent once to build the counts (loading a database builds
+//!   `ClassStats` is patched from value counts (`counts.rs`): an indexed
+//!   attribute's are its index's posting lengths, an unindexed attribute's
+//!   a `ValueMap` of their own that successive snapshots share, copying the
+//!   page a written value lives in. `distinct`, `min` and `max` are read
+//!   off the map — its length and its ends. Two cases cost more. The
+//!   **first write ever to touch a class** scans its extent once to build
+//!   the counts of its unindexed attributes (loading a database builds
 //!   none, so cold boot and snapshot load pay nothing for them). A batch
-//!   that **deletes the last copy of an attribute's minimum or maximum, or
-//!   decrements one of its most common values**, ends with one pass over
-//!   that attribute's distinct values. And an attribute whose distinct
-//!   values have doubled re-splits its sub-maps, amortized O(1) per insert;
-//! * **indexes** — the touched class's whole index bank is still copied when
-//!   a write changes an indexed value (every insert and delete; an update of
-//!   an unindexed attribute leaves the bank shared). At 20,000 objects per
-//!   class this is what remains of a write: ~1 ms and ~2 MB of a 1.2 ms,
-//!   2.1 MB one-object insert;
+//!   that **decrements one of an attribute's most common values** ends with
+//!   one pass over that attribute's distinct values;
 //! * **integrity**, when the caller asks for it, re-checks the touched
 //!   relationships with one pass over their adjacency lengths.
 //!
 //! Measured by `benches/e2e` (`mixed_rw`, 20,000 objects per class, traced
-//! run, seed 3, a quiet box) against the commit before:
-//! `storage.with_writes_us_per_write` 35,054 → 1,218 µs, `storage.alloc_bytes_per_write` 18.1 → 2.1 MB, the
-//! service's freeing of replaced shards 1,546 → 340 µs per write, and
-//! `storage.load_ms` 191 → 76 ms (the from-scratch statistics pick the most
-//! common values in one pass instead of sorting every distinct value).
+//! run): paging extents, links and counts (PR 14, seed 3, a quiet box) took
+//! `storage.with_writes_us_per_write` 35,054 → 1,218 µs and
+//! `storage.alloc_bytes_per_write` 18.1 → 2.1 MB, the service's freeing of
+//! replaced shards 1,546 → 340 µs per write, and `storage.load_ms` 191 →
+//! 76 ms (the from-scratch statistics pick the most common values in one
+//! pass instead of sorting every distinct value). What remained was the
+//! touched class's index bank, copied whole; paging the indexes (PR 19,
+//! seed 42, medians of three pairs of runs) took the same two metrics
+//! 1,137 → 281 µs and 2,009,010 → 156,556 B.
 //! `tests/write_alloc.rs` holds the allocation side to a fixed budget. The
 //! price is on the read side: `tuple`, `value` and `traverse` go through a
-//! page table, +3.5 % on an executor microbenchmark at that size.
+//! page table, +3.5 % on an executor microbenchmark at that size, and an
+//! index probe is two binary searches where a hash index's was one hash.
 //!
 //! ## Aliasing guarantees
 //!
@@ -184,11 +193,14 @@ pub struct WriteReceipt {
 pub struct Database {
     catalog: Arc<Catalog>,
     extents: Vec<Extent>,
-    indexes: Vec<Arc<Vec<Option<AttrIndex>>>>,
+    /// Per class, one slot per attribute: its index where the catalog
+    /// declares one.
+    indexes: Vec<Vec<Option<AttrIndex>>>,
     links: Vec<RelLinks>,
     stats: StatsSnapshot,
-    /// Per class, the value counts `stats` is maintained from — `None` until
-    /// the first write touches the class (see `counts.rs`).
+    /// Per class, the value counts of its unindexed attributes, which
+    /// `stats` is maintained from — `None` until the first write touches the
+    /// class (see `counts.rs`).
     counts: Vec<Option<Arc<ClassCounts>>>,
     /// Which data epoch this snapshot materializes: `0` for a
     /// builder-finalized load, `source + 1` for every
@@ -279,8 +291,8 @@ impl Database {
         &self.extents
     }
 
-    /// The per-class index banks, for snapshot encoding.
-    pub(crate) fn index_shards(&self) -> &[Arc<Vec<Option<AttrIndex>>>] {
+    /// The per-class, per-attribute indexes, for snapshot encoding.
+    pub(crate) fn index_shards(&self) -> &[Vec<Option<AttrIndex>>] {
         &self.indexes
     }
 
@@ -296,7 +308,7 @@ impl Database {
     pub(crate) fn from_loaded_parts(
         catalog: Arc<Catalog>,
         extents: Vec<Extent>,
-        indexes: Vec<Arc<Vec<Option<AttrIndex>>>>,
+        indexes: Vec<Vec<Option<AttrIndex>>>,
         links: Vec<RelLinks>,
         stats: StatsSnapshot,
         data_version: u64,
@@ -318,11 +330,11 @@ impl Database {
     /// Copy-on-write mutation: applies `writes` in order against the shards
     /// this snapshot shares with its successor, copying **only what the
     /// batch touches** — the pages of the extents and adjacency sides that
-    /// hold the written rows, the touched classes' index banks (whole), and
-    /// the value-count sub-maps the written values live in — and patching
-    /// the touched classes' statistics per value (module docs, *What a
-    /// write costs*). Untouched state is shared with `self` by pointer.
-    /// `data_version` advances by one.
+    /// hold the written rows and the pages of the indexes and value counts
+    /// that hold the written values — and patching the touched classes'
+    /// statistics per value (module docs, *What a write costs*). Untouched
+    /// state is shared with `self` by pointer. `data_version` advances by
+    /// one.
     ///
     /// The batch is **atomic**: any validation error (arity, types, unknown
     /// objects or attributes, missing links, or — when `integrity` is
@@ -381,10 +393,11 @@ impl Database {
                         }
                         edges.push((rel, left, right));
                     }
-                    self.patch_for(&mut patches, *class, &extents)?.insert(tuple);
+                    let patch = self.patch_for(&mut patches, *class);
                     extents[class.index()].push(tuple.clone());
-                    let bank: &mut Vec<_> = Arc::make_mut(&mut indexes[class.index()]);
-                    index_insert(bank, tuple, oid);
+                    for (attr, v) in tuple.iter().enumerate() {
+                        patch.add(&mut indexes[class.index()], attr, v, oid);
+                    }
                     // The class's side of every incident link table grows by
                     // one (initially unlinked) slot.
                     for (rel, def) in catalog.relationships() {
@@ -412,17 +425,25 @@ impl Database {
                     if object.index() >= extents[class.index()].len() {
                         return Err(unknown);
                     }
-                    let patch = self.patch_for(&mut patches, *class, &extents)?;
+                    let patch = self.patch_for(&mut patches, *class);
                     let extent = &mut extents[class.index()];
                     let last = ObjectId((extent.len() - 1) as u32);
                     let Some(dead) = extent.swap_remove(object.index()) else {
                         return Err(unknown);
                     };
-                    patch.delete(&dead);
-                    let moved = (*object != last).then(|| extent[object.index()].clone());
-                    let bank: &mut Vec<_> = Arc::make_mut(&mut indexes[class.index()]);
-                    index_delete(bank, &dead, *object, moved.as_deref(), last);
+                    let indexes = &mut indexes[class.index()];
+                    for (attr, v) in dead.iter().enumerate() {
+                        patch.remove(indexes, attr, v, *object);
+                    }
                     if *object != last {
+                        // The moved object's index entries follow it to its
+                        // new id, at the sorted place in each posting.
+                        for (ix, v) in indexes.iter_mut().zip(&extent[object.index()]) {
+                            if let Some(ix) = ix {
+                                ix.remove(v, last);
+                                ix.insert_sorted(v.clone(), *object);
+                            }
+                        }
                         moves.push((*class, last, *object));
                         // The renumbering applies to earlier inserts of this
                         // batch too, so the returned ids stay live.
@@ -467,17 +488,13 @@ impl Database {
                     if object.index() >= extents[class.index()].len() {
                         return Err(StorageError::UnknownObject { class: *class, object: *object });
                     }
-                    let patch = self.patch_for(&mut patches, *class, &extents)?;
+                    let patch = self.patch_for(&mut patches, *class);
                     let tuple = &mut extents[class.index()][object.index()];
                     let old = std::mem::replace(&mut tuple[attr.index()], value.clone());
-                    patch.update(attr.index(), &old, value);
-                    // An unindexed attribute leaves the class's bank shared.
-                    if indexes[class.index()][attr.index()].is_some() {
-                        let bank = Arc::make_mut(&mut indexes[class.index()]);
-                        if let Some(ix) = &mut bank[attr.index()] {
-                            ix.remove(&old, *object);
-                            ix.insert_sorted(value.clone(), *object);
-                        }
+                    if old != *value {
+                        let indexes = &mut indexes[class.index()];
+                        patch.remove(indexes, attr.index(), &old, *object);
+                        patch.add(indexes, attr.index(), value, *object);
                     }
                 }
                 DataWrite::Link { rel, left, right } => {
@@ -520,7 +537,7 @@ impl Database {
         let mut touched_classes = Vec::new();
         for (c, patch) in patches.into_iter().enumerate() {
             if let Some(patch) = patch {
-                let (class_counts, class_stats) = patch.finish(extents[c].len());
+                let (class_counts, class_stats) = patch.finish(&indexes[c], extents[c].len());
                 counts[c] = Some(Arc::new(class_counts));
                 stats.classes[c] = class_stats;
                 touched_classes.push(ClassId(c as u32));
@@ -550,20 +567,19 @@ impl Database {
 
     /// The statistics patch of `class` for the batch being applied, opened on
     /// first use: from the counts an earlier write left, or — the first time
-    /// any write touches the class — by one scan of its extent, which no
-    /// write of the batch has changed yet.
+    /// any write touches the class — from its indexes and one scan of its
+    /// extent, as they are in `self`: no write of the batch has changed a
+    /// class whose patch is not open yet.
     fn patch_for<'p>(
         &self,
         patches: &'p mut [Option<ClassPatch>],
         class: ClassId,
-        extents: &[Extent],
-    ) -> Result<&'p mut ClassPatch, StorageError> {
-        let attr_count = self.catalog.class(class)?.attributes.len();
+    ) -> &'p mut ClassPatch {
         let c = class.index();
-        Ok(patches[c].get_or_insert_with(|| match &self.counts[c] {
+        patches[c].get_or_insert_with(|| match &self.counts[c] {
             Some(counts) => ClassPatch::resume(counts, &self.stats.classes[c]),
-            None => ClassPatch::scan(attr_count, &extents[c]),
-        }))
+            None => ClassPatch::scan(&self.indexes[c], &self.extents[c]),
+        })
     }
 
     /// The from-scratch write path: applies `writes` to a deep clone of the
@@ -928,36 +944,6 @@ fn validate_tuple(catalog: &Catalog, class: ClassId, tuple: &[Value]) -> Result<
     Ok(())
 }
 
-/// Adds the new tuple's entries to every declared index of its class.
-fn index_insert(indexes: &mut [Option<AttrIndex>], tuple: &[Value], oid: ObjectId) {
-    for (ai, slot) in indexes.iter_mut().enumerate() {
-        if let Some(ix) = slot {
-            ix.insert(tuple[ai].clone(), oid);
-        }
-    }
-}
-
-/// Removes the deleted tuple's index entries and — when the deletion
-/// renumbered the class's last object — re-keys the moved tuple's entries
-/// from `last` to `object`, preserving the ascending-oid posting order.
-fn index_delete(
-    indexes: &mut [Option<AttrIndex>],
-    dead: &[Value],
-    object: ObjectId,
-    moved: Option<&[Value]>,
-    last: ObjectId,
-) {
-    for (ai, slot) in indexes.iter_mut().enumerate() {
-        if let Some(ix) = slot {
-            ix.remove(&dead[ai], object);
-            if let Some(m) = moved {
-                ix.remove(&m[ai], last);
-                ix.insert_sorted(m[ai].clone(), object);
-            }
-        }
-    }
-}
-
 /// Rebuilds one self-relationship link table around the deletion of
 /// `object` (edges removed, `last` renumbered onto `object`). O(this
 /// relationship's links) — still O(touched), both sides are the deleted
@@ -1006,25 +992,17 @@ fn build_links(
 }
 
 /// Builds every class's declared indexes from its extent.
-pub(crate) fn build_indexes(
-    catalog: &Catalog,
-    extents: &[Extent],
-) -> Vec<Arc<Vec<Option<AttrIndex>>>> {
-    let mut indexes = Vec::with_capacity(catalog.class_count());
-    for (cid, cdef) in catalog.classes() {
-        let mut per_attr: Vec<Option<AttrIndex>> = Vec::with_capacity(cdef.attributes.len());
-        for (ai, adef) in cdef.attributes.iter().enumerate() {
-            per_attr.push(adef.index.map(|kind| {
-                let mut ix = AttrIndex::new(kind);
-                for (oi, tuple) in extents[cid.index()].iter().enumerate() {
-                    ix.insert(tuple[ai].clone(), ObjectId(oi as u32));
-                }
-                ix
-            }));
-        }
-        indexes.push(Arc::new(per_attr));
-    }
-    indexes
+pub(crate) fn build_indexes(catalog: &Catalog, extents: &[Extent]) -> Vec<Vec<Option<AttrIndex>>> {
+    catalog
+        .classes()
+        .map(|(cid, cdef)| {
+            let column = |ai: usize| extents[cid.index()].iter().map(move |tuple| &tuple[ai]);
+            let declared = cdef.attributes.iter().enumerate();
+            declared
+                .map(|(ai, adef)| Some(AttrIndex::from_column(adef.index?, column(ai))))
+                .collect()
+        })
+        .collect()
 }
 
 /// Assembles a snapshot from logical state: builds link structures, enforces
@@ -1329,6 +1307,15 @@ mod tests {
         assert_eq!(next.stats().relationship(supplies).unwrap().links, 3);
     }
 
+    /// Per declared index of `class`: how many of its pages in `a` are not
+    /// pages of `b`'s.
+    fn unshared_index_pages(a: &Database, b: &Database, class: ClassId) -> Vec<usize> {
+        let slots = a.indexes[class.index()].iter().zip(&b.indexes[class.index()]);
+        slots
+            .filter_map(|(x, y)| Some(x.as_ref()?.postings.pages_not_in(&y.as_ref()?.postings)))
+            .collect()
+    }
+
     #[test]
     fn untouched_shards_are_shared_by_pointer() {
         let (catalog, db) = mini_db();
@@ -1346,13 +1333,13 @@ mod tests {
                 None,
             )
             .unwrap();
-        // The touched class got its own extent/index shards…
+        // The touched class got its own extent and index pages…
         assert!(!next.shares_extent_with(&db, cargo));
-        assert!(!Arc::ptr_eq(&next.indexes[cargo.index()], &db.indexes[cargo.index()]));
+        assert_eq!(unshared_index_pages(&next, &db, cargo), vec![1]);
         // …every other class is shared by pointer…
         for c in [supplier, vehicle] {
             assert!(next.shares_extent_with(&db, c), "{}", catalog.class_name(c));
-            assert!(Arc::ptr_eq(&next.indexes[c.index()], &db.indexes[c.index()]));
+            assert!(unshared_index_pages(&next, &db, c).iter().all(|&pages| pages == 0));
         }
         // …and relationships not incident to cargo keep their link tables.
         let shared = |rel: RelId| {
@@ -1405,6 +1392,9 @@ mod tests {
         };
         let (next, _) = db.with_writes(&[insert], Some(options)).unwrap();
         assert_eq!(unshared(&next, &db), vec![vec![2]; 5]);
+        // Of the five pages of `cargo.code`'s index, the one the new key
+        // joins.
+        assert_eq!(unshared_index_pages(&next, &db, cargo), vec![1]);
         assert!(!next.shares_extent_with(&db, cargo));
         assert!(next.shares_extent_with(&db, supplier) && next.shares_extent_with(&db, vehicle));
         // A delete of cargo 0 moves the last cargo into the first page: both
@@ -1414,6 +1404,8 @@ mod tests {
             .with_writes(&[DataWrite::Delete { class: cargo, object: ObjectId(0) }], Some(options))
             .unwrap();
         assert_eq!(unshared(&after, &next), vec![vec![0, 2]; 5]);
+        // The index pages of the deleted key and of the moved object's.
+        assert_eq!(unshared_index_pages(&after, &next, cargo), vec![2]);
         assert_eq!(after.stats(), &after.rebuild_statistics());
     }
 

@@ -1,86 +1,79 @@
 //! Attribute indexes: hash (equality) and B-tree (equality + range).
 //!
-//! Values within one index are homogeneous (one attribute, one type), but
-//! Rust's `BTreeMap` needs a total order over the key type, so [`OrdValue`]
-//! extends `Value`'s within-type order with a type-discriminant tiebreak.
+//! Both kinds keep their postings in one [`ValueMap`], keys in [`OrdValue`]
+//! order — the order `.sqos` stores either kind in. The kind is what the
+//! catalog declared and decides only which probes the index serves: a hash
+//! index refuses ranges, so plans and probe counts are those of a hash table.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
-use std::ops::Bound as StdBound;
+use std::collections::HashMap;
 
 use sqo_catalog::{IndexKind, Value};
 use sqo_query::{Bound, ValueSet};
 
 use crate::object::ObjectId;
+use crate::valuemap::{OrdValue, ValueMap};
 
-/// Total-order wrapper for `Value` (type discriminant first, then value).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct OrdValue(pub Value);
-
-impl OrdValue {
-    fn rank(&self) -> u8 {
-        match self.0 {
-            Value::Bool(_) => 0,
-            Value::Int(_) => 1,
-            Value::Float(_) => 2,
-            Value::Str(_) => 3,
-        }
-    }
-}
-
-impl PartialOrd for OrdValue {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdValue {
-    fn cmp(&self, other: &Self) -> Ordering {
-        match self.0.compare(&other.0) {
-            Some(o) => o,
-            None => self.rank().cmp(&other.rank()),
-        }
-    }
-}
-
-/// A secondary index over one attribute of one class.
+/// A secondary index over one attribute of one class: per value, the ids of
+/// the objects holding it, ascending.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AttrIndex {
-    Hash(HashMap<Value, Vec<ObjectId>>),
-    BTree(BTreeMap<OrdValue, Vec<ObjectId>>),
+pub struct AttrIndex {
+    pub(crate) kind: IndexKind,
+    pub(crate) postings: ValueMap<Vec<ObjectId>>,
+}
+
+/// The one value a closed range `[v, v]` denotes — a point probe, which both
+/// index kinds serve.
+fn point<'a>(lo: &'a Bound, hi: &Bound) -> Option<&'a Value> {
+    match (lo, hi) {
+        (Bound::Included(a), Bound::Included(b)) if a.compare(b) == Some(Ordering::Equal) => {
+            Some(a)
+        }
+        _ => None,
+    }
 }
 
 impl AttrIndex {
     pub fn new(kind: IndexKind) -> Self {
-        match kind {
-            IndexKind::Hash => AttrIndex::Hash(HashMap::new()),
-            IndexKind::BTree => AttrIndex::BTree(BTreeMap::new()),
-        }
+        Self { kind, postings: ValueMap::default() }
+    }
+
+    /// The index of a whole `column`, given in object-id order — the bulk
+    /// build of the load path, the Audit re-derivation and the
+    /// `with_writes_full` oracle; it runs none of the point updates below.
+    pub(crate) fn from_column<'a>(
+        kind: IndexKind,
+        column: impl Iterator<Item = &'a Value> + Clone,
+    ) -> Self {
+        let rows = column.clone().zip((0..).map(ObjectId));
+        let mut steps = column.clone().zip(column.skip(1));
+        let postings = if steps.all(|(a, b)| OrdValue::order(a, b).is_lt()) {
+            // A key attribute loaded in key order: nothing to group.
+            rows.map(|(value, oid)| (value.clone(), vec![oid])).collect()
+        } else {
+            let mut groups: HashMap<&Value, Vec<ObjectId>> = HashMap::new();
+            for (value, oid) in rows {
+                groups.entry(value).or_default().push(oid);
+            }
+            groups.into_iter().map(|(value, posting)| (value.clone(), posting)).collect()
+        };
+        Self { kind, postings }
     }
 
     pub fn kind(&self) -> IndexKind {
-        match self {
-            AttrIndex::Hash(_) => IndexKind::Hash,
-            AttrIndex::BTree(_) => IndexKind::BTree,
-        }
+        self.kind
     }
 
     pub fn insert(&mut self, value: Value, oid: ObjectId) {
-        match self {
-            AttrIndex::Hash(m) => m.entry(value).or_default().push(oid),
-            AttrIndex::BTree(m) => m.entry(OrdValue(value)).or_default().push(oid),
-        }
+        self.postings.entry(value).push(oid);
     }
 
     /// Inserts `oid` into `value`'s posting at its sorted position, so
     /// incrementally patched indexes keep the ascending-oid posting order a
-    /// from-scratch extent scan produces. (Plain [`AttrIndex::insert`] is the
-    /// bulk-load path: oids arrive ascending and append.)
+    /// from-scratch extent scan produces. (Plain [`AttrIndex::insert`] is for
+    /// oids that arrive ascending and append.)
     pub fn insert_sorted(&mut self, value: Value, oid: ObjectId) {
-        let posting = match self {
-            AttrIndex::Hash(m) => m.entry(value).or_default(),
-            AttrIndex::BTree(m) => m.entry(OrdValue(value)).or_default(),
-        };
+        let posting = self.postings.entry(value);
         let at = posting.partition_point(|o| o.index() < oid.index());
         posting.insert(at, oid);
     }
@@ -89,116 +82,53 @@ impl AttrIndex {
     /// (so range probes of a patched index touch exactly the entries a
     /// rebuilt index would). Returns `false` when the entry was absent.
     pub fn remove(&mut self, value: &Value, oid: ObjectId) -> bool {
-        match self {
-            AttrIndex::Hash(m) => {
-                let Some(posting) = m.get_mut(value) else { return false };
-                let Some(at) = posting.iter().position(|&o| o == oid) else { return false };
-                posting.remove(at);
-                if posting.is_empty() {
-                    m.remove(value);
-                }
-                true
-            }
-            AttrIndex::BTree(m) => {
-                let key = OrdValue(value.clone());
-                let Some(posting) = m.get_mut(&key) else { return false };
-                let Some(at) = posting.iter().position(|&o| o == oid) else { return false };
-                posting.remove(at);
-                if posting.is_empty() {
-                    m.remove(&key);
-                }
-                true
-            }
+        let Some(posting) = self.postings.get_mut(value) else { return false };
+        let Some(at) = posting.iter().position(|&o| o == oid) else { return false };
+        posting.remove(at);
+        if posting.is_empty() {
+            self.postings.remove(value);
         }
+        true
     }
 
     /// Equality probe; both index kinds support it.
     pub fn probe_eq(&self, value: &Value) -> &[ObjectId] {
-        match self {
-            AttrIndex::Hash(m) => m.get(value).map(|v| v.as_slice()).unwrap_or(&[]),
-            AttrIndex::BTree(m) => {
-                m.get(&OrdValue(value.clone())).map(|v| v.as_slice()).unwrap_or(&[])
-            }
-        }
+        self.postings.get(value).map_or(&[], Vec::as_slice)
     }
 
     /// Whether this index can serve `set` at all.
     pub fn supports(&self, set: &ValueSet) -> bool {
-        match (self, set) {
-            (_, ValueSet::Range { lo: Bound::Included(a), hi: Bound::Included(b) })
-                if matches!(a.compare(b), Some(Ordering::Equal)) =>
-            {
-                true // point probe, fine for both kinds
-            }
-            (AttrIndex::Hash(_), _) => false,
-            (AttrIndex::BTree(_), ValueSet::Hole(_)) => false,
-            (AttrIndex::BTree(_), ValueSet::Range { .. }) => true,
+        match set {
+            ValueSet::Range { lo, hi } => self.kind == IndexKind::BTree || point(lo, hi).is_some(),
+            ValueSet::Hole(_) => false,
         }
     }
 
     /// Probes the index with a value set; `None` when unsupported.
     /// The returned `probes` count feeds the page-cost model.
     pub fn probe(&self, set: &ValueSet) -> Option<IndexScanResult> {
-        match set {
-            ValueSet::Range { lo: Bound::Included(a), hi: Bound::Included(b) }
-                if matches!(a.compare(b), Some(Ordering::Equal)) =>
-            {
-                Some(IndexScanResult { oids: self.probe_eq(a).to_vec(), probes: 1 })
-            }
-            ValueSet::Range { lo, hi } => match self {
-                AttrIndex::Hash(_) => None,
-                AttrIndex::BTree(m) => {
-                    let to_std = |b: &Bound, _lower: bool| -> StdBound<OrdValue> {
-                        match b {
-                            Bound::Unbounded => StdBound::Unbounded,
-                            Bound::Included(v) => StdBound::Included(OrdValue(v.clone())),
-                            Bound::Excluded(v) => StdBound::Excluded(OrdValue(v.clone())),
-                        }
-                    };
-                    let lo = to_std(lo, true);
-                    let hi = to_std(hi, false);
-                    // Guard against inverted ranges, which BTreeMap panics on.
-                    if range_is_inverted(&lo, &hi) {
-                        return Some(IndexScanResult { oids: vec![], probes: 1 });
-                    }
-                    let mut oids = Vec::new();
-                    let mut probes = 1u64; // root-to-leaf descent
-                    for (_, v) in m.range((lo, hi)) {
-                        probes += 1; // leaf entry touch
-                        oids.extend_from_slice(v);
-                    }
-                    Some(IndexScanResult { oids, probes })
-                }
-            },
-            ValueSet::Hole(_) => None,
+        let ValueSet::Range { lo, hi } = set else { return None };
+        if let Some(value) = point(lo, hi) {
+            return Some(IndexScanResult { oids: self.probe_eq(value).to_vec(), probes: 1 });
         }
+        if self.kind == IndexKind::Hash {
+            return None;
+        }
+        let mut oids = Vec::new();
+        let mut probes = 1u64; // root-to-leaf descent
+        for (_, posting) in self.postings.range(lo, hi) {
+            probes += 1; // leaf entry touch
+            oids.extend_from_slice(posting);
+        }
+        Some(IndexScanResult { oids, probes })
     }
 
     pub fn len(&self) -> usize {
-        match self {
-            AttrIndex::Hash(m) => m.values().map(|v| v.len()).sum(),
-            AttrIndex::BTree(m) => m.values().map(|v| v.len()).sum(),
-        }
+        self.postings.iter().map(|(_, posting)| posting.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-fn range_is_inverted(lo: &StdBound<OrdValue>, hi: &StdBound<OrdValue>) -> bool {
-    let (StdBound::Included(l) | StdBound::Excluded(l)) = lo else {
-        return false;
-    };
-    let (StdBound::Included(h) | StdBound::Excluded(h)) = hi else {
-        return false;
-    };
-    match l.cmp(h) {
-        Ordering::Greater => true,
-        Ordering::Equal => {
-            matches!(lo, StdBound::Excluded(_)) || matches!(hi, StdBound::Excluded(_))
-        }
-        Ordering::Less => false,
     }
 }
 
@@ -213,6 +143,7 @@ pub struct IndexScanResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::valuemap::OrdValue;
 
     fn loaded(kind: IndexKind) -> AttrIndex {
         let mut ix = AttrIndex::new(kind);

@@ -2,10 +2,13 @@
 //!
 //! In-memory object store for the `sqo` workspace — the storage substrate the
 //! paper's prototype ran on (their OODB plus the relational DBMS used for
-//! cost measurements; see DESIGN.md S5 for the substitution argument).
+//! cost measurements). Execution cost here is counted, not timed, so the
+//! cost *ratios* the paper reports repeat on any machine.
 //!
 //! * class **extents** of typed tuples;
-//! * **hash and B-tree indexes** built from catalog declarations;
+//! * **hash and B-tree indexes** built from catalog declarations, both kept
+//!   in one ordered copy-on-write map (`valuemap.rs`) that also holds the
+//!   value counts statistics are maintained from;
 //! * bidirectional **relationship links** (the pointer attributes of the
 //!   paper's schema);
 //! * load-time **integrity enforcement**: total participation and to-one
@@ -18,12 +21,11 @@
 //!   epoch**, distinct from the constraint epoch, so serving layers can
 //!   keep plans across data writes while re-gating memoized results.
 //!   Snapshot state is sharded per class and per relationship and shared
-//!   between snapshots by pointer, extents and adjacency lists page by
-//!   page; a write
-//!   batch copies only the pages it touches and the touched classes' index
-//!   banks, and patches the touched classes' statistics per written value
-//!   from value counts that successive snapshots share — so a batch costs
-//!   what it touches, not the size of the class or the database.
+//!   between snapshots by pointer — extents, adjacency lists, indexes and
+//!   value counts page by page; a write batch copies only the pages it
+//!   touches and patches the touched classes' statistics per written value
+//!   from those counts — so a batch costs what it touches, not the size of
+//!   the class or the database.
 //!   [`Database::with_writes_full`] keeps the rebuild-everything algorithm
 //!   as the equivalence oracle, and
 //!   [`DataWrite::Update`] mutates attributes in place without paying
@@ -47,16 +49,18 @@ mod links;
 mod object;
 mod paged;
 mod persist;
+mod valuemap;
 mod versioned;
 
 pub use cost::{CostCounters, CostWeights, PageModel};
 pub use db::{DataWrite, Database, DatabaseBuilder, IntegrityOptions, Violation, WriteReceipt};
 pub use error::StorageError;
-pub use index::{AttrIndex, IndexScanResult, OrdValue};
+pub use index::{AttrIndex, IndexScanResult};
 pub use links::{RelLinks, Side, Traversal};
 pub use object::ObjectId;
 pub use persist::{
     database_sections, decode_database, decode_database_from, encode_database, load_database,
     save_database,
 };
+pub use valuemap::OrdValue;
 pub use versioned::{VersionedDatabase, WriteOutcome};

@@ -53,7 +53,7 @@ impl<T> PagedVec<T> {
         }
     }
 
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> + Clone {
         self.pages.iter().flat_map(|page| page.iter()).take(self.len)
     }
 

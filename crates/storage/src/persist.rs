@@ -13,22 +13,24 @@
 
 #![deny(missing_docs)]
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
 use sqo_catalog::{Catalog, ClassId, DataType, Finite, IndexKind, StatsSnapshot, Value};
 use sqo_snapshot::{
-    read_catalog, read_stats, read_value_pooled, section_name, write_catalog, write_stats,
-    write_value, write_value_raw, ByteReader, ByteWriter, LoadError, SnapshotBuilder, SnapshotFile,
-    StrPool, ValidationLevel, SEC_CATALOG, SEC_EXTENTS, SEC_INDEXES, SEC_LINKS, SEC_STATS,
+    read_catalog, read_stats, read_value_pooled, section_name, write_catalog, write_snapshot_file,
+    write_stats, write_value, write_value_raw, ByteReader, ByteWriter, LoadError, SnapshotBuilder,
+    SnapshotFile, StrPool, ValidationLevel, SEC_CATALOG, SEC_EXTENTS, SEC_INDEXES, SEC_LINKS,
+    SEC_STATS,
 };
 
 use crate::db::{self, Database, Extent};
-use crate::index::{AttrIndex, OrdValue};
+use crate::index::AttrIndex;
 use crate::links::RelLinks;
 use crate::object::ObjectId;
 use crate::paged::PagedVec;
+use crate::valuemap::{OrdValue, ValueMap};
 
 // ---- encoding -------------------------------------------------------------
 
@@ -106,9 +108,9 @@ fn encode_links(db: &Database) -> Vec<u8> {
     w.finish()
 }
 
-/// Encodes the INDEXES payload. Hash-index entries are sorted by
-/// [`OrdValue`] so the encoding is a pure function of the logical index
-/// content (B-tree entries already iterate in key order).
+/// Encodes the INDEXES payload. Either kind's entries iterate in
+/// [`OrdValue`] key order, so the encoding is a pure function of the logical
+/// index content.
 fn encode_indexes(db: &Database) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u32(db.index_shards().len() as u32);
@@ -122,16 +124,8 @@ fn encode_indexes(db: &Database) -> Vec<u8> {
                         IndexKind::Hash => 1,
                         IndexKind::BTree => 2,
                     });
-                    let entries: Vec<(&sqo_catalog::Value, &Vec<ObjectId>)> = match ix {
-                        AttrIndex::Hash(m) => {
-                            let mut e: Vec<_> = m.iter().collect();
-                            e.sort_by_key(|(v, _)| OrdValue((*v).clone()));
-                            e
-                        }
-                        AttrIndex::BTree(m) => m.iter().map(|(k, v)| (&k.0, v)).collect(),
-                    };
-                    w.u32(entries.len() as u32);
-                    for (value, posting) in entries {
+                    w.u32(ix.postings.len() as u32);
+                    for (value, posting) in ix.postings.iter() {
                         write_value(&mut w, value);
                         w.u32(posting.len() as u32);
                         for o in posting {
@@ -172,13 +166,14 @@ pub fn encode_database(db: &Database) -> Vec<u8> {
     b.finish()
 }
 
-/// Writes `db` to `path` as a `.sqos` file.
+/// Writes `db` to `path` as a `.sqos` file, crash-safely
+/// ([`write_snapshot_file`]): `path` holds what it held before or the
+/// complete new snapshot, never a part of one.
 ///
 /// # Errors
-/// [`LoadError::Io`] when the file cannot be written.
+/// [`LoadError::Io`] when the file cannot be written; `path` is untouched.
 pub fn save_database(db: &Database, path: impl AsRef<Path>) -> Result<(), LoadError> {
-    std::fs::write(path, encode_database(db))?;
-    Ok(())
+    write_snapshot_file(path.as_ref(), &encode_database(db))
 }
 
 // ---- decoding -------------------------------------------------------------
@@ -425,7 +420,7 @@ fn decode_indexes(
     catalog: &Catalog,
     cards: &[usize],
     level: ValidationLevel,
-) -> Result<Vec<Arc<Vec<Option<AttrIndex>>>>, LoadError> {
+) -> Result<Vec<Vec<Option<AttrIndex>>>, LoadError> {
     let mut r = file.require(SEC_INDEXES)?;
     let class_count = r.count()?;
     if class_count != catalog.class_count() {
@@ -471,13 +466,8 @@ fn decode_indexes(
                 bank.push(None);
                 continue;
             };
-            let entry_count = r.count()?;
-            let mut index = match kind {
-                IndexKind::Hash => AttrIndex::Hash(HashMap::with_capacity(entry_count.min(1024))),
-                IndexKind::BTree => AttrIndex::BTree(BTreeMap::new()),
-            };
-            let mut prev_key: Option<OrdValue> = None;
-            for _ in 0..entry_count {
+            let mut postings = ValueMap::default();
+            for _ in 0..r.count()? {
                 let value = read_value_pooled(&mut r, &mut pool)?;
                 let posting_count = r.count()?;
                 let mut posting = Vec::with_capacity(posting_count.min(1024));
@@ -532,9 +522,10 @@ fn decode_indexes(
                             ),
                         ));
                     }
-                    let key = OrdValue(value.clone());
-                    if let Some(p) = &prev_key {
-                        if key <= *p {
+                    // Every key before this one ascended, so the map's last
+                    // key is the one read before it.
+                    if let Some((prev, _)) = postings.last() {
+                        if OrdValue::order(&value, prev).is_le() {
                             return Err(LoadError::UnsortedPosting {
                                 section: section_name(SEC_INDEXES),
                                 detail: format!(
@@ -544,20 +535,15 @@ fn decode_indexes(
                             });
                         }
                     }
-                    prev_key = Some(key);
                 }
-                match &mut index {
-                    AttrIndex::Hash(m) => {
-                        m.insert(value, posting);
-                    }
-                    AttrIndex::BTree(m) => {
-                        m.insert(OrdValue(value), posting);
-                    }
-                }
+                // Keys that ascend, as every saved index's do, append; one
+                // that does not (Standard lets it through) is searched for
+                // and replaces an earlier entry of the same key.
+                *postings.entry(value) = posting;
             }
-            bank.push(Some(index));
+            bank.push(Some(AttrIndex { kind, postings }));
         }
-        banks.push(Arc::new(bank));
+        banks.push(bank);
     }
     r.expect_exhausted()?;
     Ok(banks)
@@ -656,7 +642,7 @@ pub fn decode_database_from(
     if level.is_audit() {
         let rebuilt = db::build_indexes(&catalog, &extents);
         for (c, (got, want)) in indexes.iter().zip(rebuilt.iter()).enumerate() {
-            if **got != **want {
+            if got != want {
                 return Err(LoadError::AuditMismatch {
                     detail: format!(
                         "class {}: persisted indexes differ from an extent-scan rebuild",

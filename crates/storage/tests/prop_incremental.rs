@@ -13,8 +13,10 @@
 //! classes of three and more storage pages with writes aimed at what the
 //! delta-maintained statistics and the paged shards must get right: the
 //! objects holding an attribute's current minimum, maximum and most common
-//! values, and the last object of a page. After every batch the successor
-//! also round-trips through a snapshot at `Audit`.
+//! values, the last object of an extent page, and the edges of the value
+//! maps' pages (a page's first and last key, the key whose removal empties a
+//! page, the insert that splits one). After every batch the successor also
+//! round-trips through a snapshot at `Audit`.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -121,11 +123,23 @@ enum Aim {
     Mcv(usize),
     /// The last object of storage page `n` (or of the class).
     PageEnd(u32),
+    /// The first object whose attribute holds this value.
+    Key(i64),
 }
 
 /// `sqo-storage`'s page length. Private there; another value only changes
 /// which of these writes land on a page boundary.
 const PAGE: u32 = 128;
+
+/// The most keys a page of `sqo-storage`'s value maps (index postings, value
+/// counts) holds, which is what a bulk build fills each page to. Private
+/// there, with the same caveat.
+const MAP_PAGE: i64 = 64;
+
+/// The smallest `a0` of the multi-page instances, whose `a0` column is the
+/// even numbers from here up: `a0`'s index pages start at every
+/// `MAP_PAGE`-th of them, and every odd number is a key it does not hold.
+const A0_MIN: i64 = -100;
 
 /// Writes with object ids below `oids`.
 fn raw_write(oids: u32) -> impl Strategy<Value = RawWrite> {
@@ -134,7 +148,11 @@ fn raw_write(oids: u32) -> impl Strategy<Value = RawWrite> {
         Just(Aim::Min),
         Just(Aim::Max),
         (0usize..3).prop_map(Aim::Mcv),
-        (0u32..4).prop_map(Aim::PageEnd)
+        (0u32..4).prop_map(Aim::PageEnd),
+        // The first (`edge` 0) or last key of page `page` of `a0`'s index.
+        (0i64..6, 0i64..2).prop_map(|(page, edge)| Aim::Key(
+            A0_MIN + 2 * (MAP_PAGE * page + (MAP_PAGE - 1) * edge)
+        )),
     ];
     prop_oneof![
         (
@@ -196,6 +214,7 @@ fn aimed_object(db: &Database, class: ClassId, attr: usize, aim: &Aim) -> Object
             let last = (db.cardinality(class) as u32).saturating_sub(1);
             return ObjectId(((page + 1) * PAGE - 1).min(last));
         }
+        Aim::Key(key) => Some(Value::Int(*key)),
         Aim::Min => stats.min.clone(),
         Aim::Max => stats.max.clone(),
         Aim::Mcv(n) => stats.mcvs.get(*n).map(|(v, _)| v.clone()),
@@ -444,7 +463,10 @@ proptest! {
 
     /// Classes of three to four pages. `a0` is a key (every value once, so
     /// every most-common-value rank is a tie and every deleted extreme
-    /// vacates it), `a1` and `a2` repeat a few values.
+    /// vacates it) over even numbers only, so that its index is four to six
+    /// full pages and a partial one, and the odd values the writes draw are
+    /// new keys inside the first of them: the first such write splits it.
+    /// `a1` and `a2` repeat a few values.
     #[test]
     fn incremental_equals_full_rebuild_across_pages(
         sizes in prop::collection::vec(2 * PAGE + 1..3 * PAGE + 40, CLASSES..(CLASSES + 1)),
@@ -457,7 +479,7 @@ proptest! {
             .iter()
             .map(|&n| (0..n as usize).map(|i| {
                 let (a1, a2) = skew[i % skew.len()];
-                (i as i64 - 100, a1, a2 * (i % 3) as i64)
+                (A0_MIN + 2 * i as i64, a1, a2 * (i % 3) as i64)
             }).collect())
             .collect();
         // `r1` is to-one from its left end: keep one base link per left
@@ -469,6 +491,53 @@ proptest! {
             .collect();
         check_batches(&catalog(), &tuples, &base_links, &batches, enforce == 1, true);
     }
+}
+
+/// One write per batch at every edge of the value maps' pages, so that each
+/// is compared with the oracle and round-trips at `Audit` on its own. All
+/// three attributes of `c0` hold the even numbers `0..=4 * MAP_PAGE`: the
+/// hash index, the B-tree index and the value counts are each two full pages
+/// and a last page of one key.
+#[test]
+fn writes_at_value_map_page_edges_match_the_oracle() {
+    let keys = |n: i64| (0..n).map(|i| (2 * i, 2 * i, 2 * i)).collect::<Vec<_>>();
+    let tuples = [keys(2 * MAP_PAGE + 1), vec![(0, 0, 0)], vec![(0, 0, 0)]];
+    let aimed = |attr: usize, key: i64, update: Option<i64>| {
+        vec![RawWrite::Aimed { class: 0, attr, aim: Aim::Key(key), update }]
+    };
+    // The object holding `key` goes; `key` leaves one attribute after the
+    // other; a new object holds `key`.
+    let delete = |key: i64| vec![aimed(0, key, None)];
+    let update = |key: i64, to: i64| (0..ATTRS).map(|a| aimed(a, key, Some(to))).collect();
+    let insert =
+        |key: i64| vec![vec![RawWrite::Insert { class: 0, vals: (key, key, key), links: vec![] }]];
+    let last = 4 * MAP_PAGE;
+    let batches: Vec<Vec<RawWrite>> = [
+        // The sole key of the last page goes and the page is dropped; it
+        // comes back past the map's last key, where a full page is not
+        // split. Once by update, once by delete.
+        update(last, 2),
+        insert(last),
+        delete(last),
+        insert(last),
+        // The first and the last key of a full page, and of the next one:
+        // deleted, updated to a key of another page, inserted again.
+        delete(0),
+        update(2 * MAP_PAGE - 2, last),
+        update(2 * MAP_PAGE, 0),
+        delete(last - 2),
+        insert(2 * MAP_PAGE - 2),
+        insert(last - 2),
+        // New keys between two keys of a page: the insert that finds its
+        // page full splits it, the ones after fill the halves.
+        (0..8).flat_map(|i| insert(2 * i + 1)).collect(),
+        (0..8).flat_map(|i| insert(2 * (MAP_PAGE + i) + 1)).collect(),
+        // Before the first key of the first page, and between two pages.
+        insert(-1),
+        insert(2 * MAP_PAGE - 1),
+    ]
+    .concat();
+    check_batches(&catalog(), &tuples, &[], &batches, false, false);
 }
 
 /// Both write paths must reject an undeclared-integrity violation the same

@@ -16,8 +16,11 @@ use sqo_catalog::{
     RelationshipEnd, Value,
 };
 use sqo_query::{Bound, ValueSet};
-use sqo_snapshot::ValidationLevel;
-use sqo_storage::{decode_database, encode_database, Database, IntegrityOptions, ObjectId};
+use sqo_snapshot::{LoadError, ValidationLevel};
+use sqo_storage::{
+    decode_database, encode_database, load_database, save_database, Database, IntegrityOptions,
+    ObjectId,
+};
 
 const RELS: usize = 2;
 
@@ -218,4 +221,51 @@ fn data_epoch_survives_round_trip() {
         loaded.value(AttrRef::new(ClassId(0), AttrId(1)), ObjectId(0)).unwrap(),
         &Value::Int(9)
     );
+}
+
+/// `save_database` replaces the target atomically: saving over an existing
+/// snapshot leaves exactly the target file behind (no temporary), the file
+/// loads as the database saved last, and a reader that had the earlier file
+/// open still reads all of it — the save renames a complete file into place
+/// and never rewrites one that is there.
+#[test]
+fn save_over_an_existing_snapshot_leaves_only_the_target() {
+    let catalog = catalog();
+    let first = build(&catalog, &[(1, 0, 4), (2, 1, 0)], &[(2, 1, 1)], &[(0, 0, 0)]);
+    let update = sqo_storage::DataWrite::Update {
+        class: ClassId(0),
+        object: ObjectId(0),
+        attr: AttrId(1),
+        value: Value::Int(9),
+    };
+    let (second, _) = first.with_writes(&[update], None).unwrap();
+    let dir = std::env::temp_dir().join(format!("sqo_save_database_test_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("db.sqos");
+    save_database(&first, &path).expect("first save");
+    let mut held = std::fs::File::open(&path).expect("open the first snapshot");
+    save_database(&second, &path).expect("save over the first");
+    let left: Vec<_> =
+        std::fs::read_dir(&dir).expect("list").map(|e| e.expect("entry").file_name()).collect();
+    assert_eq!(left, ["db.sqos"], "the temporary file must not outlive the save");
+    let loaded = load_database(&path, ValidationLevel::Audit).expect("the saved file loads");
+    assert_equivalent(&catalog, &second, &loaded);
+    if cfg!(unix) {
+        let mut seen = Vec::new();
+        std::io::Read::read_to_end(&mut held, &mut seen).expect("read the held file");
+        assert!(seen == encode_database(&first), "the earlier snapshot was rewritten in place");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A save that cannot even create its temporary file reports `Io` and
+/// creates nothing — in particular not the missing directory.
+#[test]
+fn save_into_a_missing_directory_fails_without_side_effects() {
+    let catalog = catalog();
+    let db = build(&catalog, &[(1, 0, 4)], &[(2, 1, 1)], &[(0, 0, 0)]);
+    let dir = std::env::temp_dir().join(format!("sqo_save_database_gone_{}", std::process::id()));
+    let err = save_database(&db, dir.join("db.sqos")).unwrap_err();
+    assert!(matches!(err, LoadError::Io(_)), "{err:?}");
+    assert!(!dir.exists());
 }

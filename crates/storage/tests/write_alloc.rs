@@ -10,7 +10,8 @@
 //! the crate's tests, in CI also under `--release`.
 //!
 //! The first write to a class is exempt by design: it scans the class once
-//! to build the value counts every later write patches.
+//! to build the value counts of its unindexed attributes, which every later
+//! write patches.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -159,16 +160,16 @@ fn a_write_allocates_for_what_it_touches() {
     // The first write to `item` builds its value counts.
     let (db, _) = base.with_writes(&[insert_like(&base, 0)], integrity).unwrap();
 
-    // An insert copies the class's index banks whole (the cost this budget
-    // leaves room for: 2.0 MB here) and otherwise pages and sub-maps.
+    // An insert copies pages and their tables: of the extent, of the link
+    // sides, and per attribute of its index or its value counts.
     let insert = [insert_like(&db, 4_321)];
     let (next, bytes) = counted(|| db.with_writes(&insert, integrity));
     let (next, receipt) = next.unwrap();
     assert_eq!(receipt.inserted, vec![ObjectId(OBJECTS + 1)]);
-    assert!(bytes <= 6 << 20, "a one-object insert allocated {bytes} B");
+    assert!(bytes <= 1 << 20, "a one-object insert allocated {bytes} B");
 
-    // An update of an unindexed attribute leaves the index banks shared: one
-    // extent page, two count sub-maps, the page and sub-map tables.
+    // An update of an unindexed attribute leaves every index shared: one
+    // extent page, one page of the attribute's counts, their tables.
     let update = [DataWrite::Update {
         class: ITEM,
         object: ObjectId(9_876),

@@ -1,8 +1,7 @@
 //! The 5-class / 6-relationship benchmark schema (Table 4.1).
 //!
 //! Table 4.1 reports 5 object classes and 6 relationships but does not name
-//! them (Figure 2.1 has 9 classes); DESIGN.md §3.5 documents the
-//! reconstruction:
+//! them (Figure 2.1 has 9 classes); this module's reconstruction:
 //!
 //! ```text
 //!   supplier --supplies-- cargo --collects-- vehicle --drives-- driver

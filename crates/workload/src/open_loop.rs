@@ -1,7 +1,7 @@
 //! Open-loop arrival schedules for frontend experiments.
 //!
-//! Closed-loop drivers ([`crate::service_workload`] behind
-//! `QueryService::run_batch`) measure *capacity*: N threads, each issuing
+//! Closed-loop drivers ([`crate::service_workload`] behind threads calling
+//! `QueryService::run`) measure *capacity*: N threads, each issuing
 //! its next request only after the previous one answers, so offered load
 //! can never exceed service rate. An **open-loop** driver instead fixes
 //! the *arrival process* — requests arrive per a schedule whether or not

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use sqo::core::SemanticOptimizer;
 use sqo::exec::{execute, plan_query, CostBasedOracle, CostModel, ResultSet};
 use sqo::query::Query;
-use sqo::service::{QueryService, ServiceConfig};
+use sqo::service::{QueryService, ServiceConfig, ServiceResponse};
 use sqo::storage::Database;
 use sqo::workload::{paper_scenario, service_workload, DbSize, ServiceWorkloadConfig};
 
@@ -41,6 +41,25 @@ fn reference_answers(
         .collect()
 }
 
+/// `requests` answered by eight threads calling `run` at once — thread `t`
+/// takes every eighth request from `t` — in request order.
+fn run_on_eight_threads(service: &QueryService, requests: &[Query]) -> Vec<ServiceResponse> {
+    let mut answers: Vec<(usize, ServiceResponse)> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..8)
+            .map(|t| {
+                scope.spawn(move || {
+                    let mine = (t..requests.len()).step_by(8);
+                    mine.map(|i| (i, service.run(&requests[i]).expect("request must succeed")))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        threads.into_iter().flat_map(|thread| thread.join().expect("no thread panics")).collect()
+    });
+    answers.sort_by_key(|(i, _)| *i);
+    answers.into_iter().map(|(_, response)| response).collect()
+}
+
 #[test]
 fn eight_threads_match_single_threaded_execution_across_epochs() {
     let scenario = paper_scenario(DbSize::Db1, 42);
@@ -58,10 +77,9 @@ fn eight_threads_match_single_threaded_execution_across_epochs() {
 
     // Epoch 0: concurrent cached answers == sequential uncached answers.
     let reference = reference_answers(&store, &db, &workload.distinct);
-    let responses = service.run_batch(&workload.requests, 8);
+    let responses = run_on_eight_threads(&service, &workload.requests);
     for ((response, &i), request) in responses.iter().zip(&workload.indices).zip(&workload.requests)
     {
-        let response = response.as_ref().expect("request must succeed");
         assert!(
             response.results.same_multiset(&reference[i]),
             "request {request:?} diverged from single-threaded execution"
@@ -115,9 +133,8 @@ fn eight_threads_match_single_threaded_execution_across_epochs() {
     let new_store = service.store();
     let reference2 = reference_answers(&new_store, &db, &workload.distinct);
     let optimizations_before = mid.optimizations;
-    let responses = service.run_batch(&workload.requests, 8);
+    let responses = run_on_eight_threads(&service, &workload.requests);
     for (response, &i) in responses.iter().zip(&workload.indices) {
-        let response = response.as_ref().expect("request must succeed");
         assert!(response.results.same_multiset(&reference2[i]), "post-epoch answer diverged");
         assert!(
             response.results.same_multiset(&reference[i]),

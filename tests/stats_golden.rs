@@ -2,10 +2,12 @@
 //! to how they are computed must not change them. `fixtures/
 //! db1_seed42_pr13.sqos` is the paper's DB1 (`paper_scenario(DbSize::Db1,
 //! 42)`) as saved by the commit of PR 13, the last one that derived
-//! most-common values by sorting every distinct value by its rendering.
+//! most-common values by sorting every distinct value by its rendering. It
+//! also predates the move of both index kinds and the value counts into one
+//! ordered map (PR 19), so the same file pins the `.sqos` v1 bytes.
 
 use sqo::catalog::Value;
-use sqo::storage::load_database;
+use sqo::storage::{encode_database, load_database};
 use sqo::workload::{paper_scenario, DbSize};
 use sqo_snapshot::ValidationLevel;
 
@@ -21,6 +23,11 @@ fn db1_statistics_equal_the_ones_pr13_persisted() {
     let generated = paper_scenario(DbSize::Db1, 42).db;
     assert_eq!(generated.stats(), persisted.stats());
     assert_eq!(persisted.stats(), &persisted.rebuild_statistics());
+    // `.sqos` v1 has not moved either: today's encoder writes PR 13's bytes,
+    // from the generated database and from the one it loaded.
+    let fixture = std::fs::read(FIXTURE).expect("read the fixture");
+    assert!(encode_database(&generated) == fixture, "the generated DB1 encodes differently");
+    assert!(encode_database(&persisted) == fixture, "the loaded DB1 encodes differently");
 
     // Spot checks that pin the tie-break, not just self-consistency:
     // `cargo.a3` has 52 values once each, so its list is the three smallest
