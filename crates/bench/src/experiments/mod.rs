@@ -73,16 +73,21 @@ mod tests {
                 // The pure warm-hit sweep: nothing written, every lookup a hit.
                 assert_eq!((r.writes, r.data_epoch), (0, 0), "{r:?}");
                 assert_eq!(r.plan_hit_rate, 1.0, "{r:?}\n{rendered}");
+                assert_eq!(r.executions_per_read, 0.0, "nothing expires a memo: {r:?}");
             } else {
                 assert!(r.writes > 0, "every non-zero ratio commits writes: {r:?}");
                 assert!(
                     r.plan_hit_rate > 0.0,
                     "plans must survive data writes (hit rate > 0): {r:?}\n{rendered}"
                 );
+                assert!(
+                    r.executions_per_read < 1.0,
+                    "memos are served between the writes that expire them: {r:?}\n{rendered}"
+                );
             }
         }
         let headlines = e11_headlines(&rows);
-        assert_eq!(headlines.len(), rows.len() * 2 + 4);
+        assert_eq!(headlines.len(), rows.len() * 3 + 4);
         assert!(headlines.iter().any(|h| h.metric == "plan_hit_rate_w0" && h.value == 1.0));
         assert!(headlines.iter().any(|h| h.metric == "plan_hit_rate_w20"));
     }

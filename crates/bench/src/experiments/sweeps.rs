@@ -90,6 +90,13 @@ pub struct E11Row {
     /// data writes because plans are never invalidated by them, and is
     /// exactly 1.0 at 0 % writes (the warm-up covers every distinct query).
     pub plan_hit_rate: f64,
+    /// Plan executions per read of the measured batch: the share of reads
+    /// whose result memo a write had expired. `0` at 0 % writes; below 1
+    /// otherwise, and lower the fewer memos a write expires (only those of
+    /// plans that bind a class it changed). Exact at one thread; with more
+    /// it moves with the schedule (where a write lands among the reads, and
+    /// readers racing one expired memo each execute).
+    pub executions_per_read: f64,
     /// Committed write batches.
     pub writes: u64,
     /// Final data epoch (== writes: one epoch per batch).
@@ -108,8 +115,13 @@ pub struct E11Row {
 /// single-threaded replay where, after every write, each cached answer is
 /// compared request-by-request against the unoptimized original query
 /// executed on the same evolving database (`unoptimized_reference`) — and
-/// the plan cache must keep hitting (plans survive data writes; memoized
-/// results do not).
+/// the plan cache must keep hitting (plans survive data writes; a memoized
+/// result survives those that leave its plan's classes alone).
+///
+/// Every pass and cell runs on a database generated afresh: services forked
+/// from one snapshot share its per-class write epochs, and an earlier
+/// cell's writes would expire a later cell's memos
+/// (`sqo_storage::WriteEpochs`).
 pub fn mutable_serving(seed: u64, smoke: bool) -> (Vec<E11Row>, String) {
     use std::sync::Mutex;
 
@@ -118,7 +130,10 @@ pub fn mutable_serving(seed: u64, smoke: bool) -> (Vec<E11Row>, String) {
 
     let scenario = paper_scenario(DbSize::Db1, seed);
     let store = Arc::new(scenario.store);
-    let db = Arc::new(scenario.db);
+    let fresh_handle = || {
+        let db = Arc::new(paper_scenario(DbSize::Db1, seed).db);
+        Arc::new(VersionedDatabase::with_integrity(db, IntegrityOptions::default()))
+    };
     let requests = if smoke { 96 } else { 1024 };
     let mut rows = Vec::new();
     for write_pct in [0usize, 1, 5, 20] {
@@ -136,13 +151,9 @@ pub fn mutable_serving(seed: u64, smoke: bool) -> (Vec<E11Row>, String) {
         // Cross-check pass (unmeasured): cached and unoptimized answers
         // must agree after every write.
         {
-            let handle = Arc::new(VersionedDatabase::with_integrity(
-                Arc::clone(&db),
-                IntegrityOptions::default(),
-            ));
             let warm = QueryService::with_versioned_db(
                 Arc::clone(&store),
-                Arc::clone(&handle),
+                fresh_handle(),
                 ServiceConfig::default(),
             );
             let mut applier = MixedApplier::new(&warm.db());
@@ -176,19 +187,16 @@ pub fn mutable_serving(seed: u64, smoke: bool) -> (Vec<E11Row>, String) {
 
         // Timed cells.
         for threads in thread_counts() {
-            let handle = Arc::new(VersionedDatabase::with_integrity(
-                Arc::clone(&db),
-                IntegrityOptions::default(),
-            ));
             let service = QueryService::with_versioned_db(
                 Arc::clone(&store),
-                Arc::clone(&handle),
+                fresh_handle(),
                 ServiceConfig::default(),
             );
             for q in &workload.distinct {
                 service.run(q).expect("warm-up");
             }
-            let before = service.stats().cache;
+            let warm = service.stats();
+            let before = warm.cache;
             let applier = Mutex::new(MixedApplier::new(&service.db()));
             let t0 = Instant::now();
             let mut latencies: Vec<Duration> = closed_loop(workload.ops.len(), threads, |i| {
@@ -223,6 +231,8 @@ pub fn mutable_serving(seed: u64, smoke: bool) -> (Vec<E11Row>, String) {
                 qps: workload.ops.len() as f64 / secs,
                 p99_us: percentile_us(&latencies, 0.99),
                 plan_hit_rate: hit_rate,
+                executions_per_read: (after.executions - warm.executions) as f64
+                    / workload.reads.max(1) as f64,
                 writes: after.writes,
                 data_epoch: after.data_epoch,
             });
@@ -234,6 +244,7 @@ pub fn mutable_serving(seed: u64, smoke: bool) -> (Vec<E11Row>, String) {
         "qps (mixed)",
         "p99 (µs)",
         "plan hit rate",
+        "executions/read",
         "data epochs",
     ]);
     for r in &rows {
@@ -243,6 +254,7 @@ pub fn mutable_serving(seed: u64, smoke: bool) -> (Vec<E11Row>, String) {
             format!("{:.0}", r.qps),
             format!("{:.1}", r.p99_us),
             format!("{:.1}%", r.plan_hit_rate * 100.0),
+            format!("{:.3}", r.executions_per_read),
             r.data_epoch.to_string(),
         ]);
     }
@@ -253,7 +265,8 @@ pub fn mutable_serving(seed: u64, smoke: bool) -> (Vec<E11Row>, String) {
          cross-checked\nrequest-by-request against the unoptimized original after every \
          write)\nthread counts of 1/2/4/8 capped at this machine's {} hardware \
          thread(s)\n{}\nminimum plan-cache hit rate across cells: {:.1}% — plans survive \
-         data writes,\nmemoized results are recomputed per data epoch\n",
+         data writes,\na memoized result is recomputed after a write to a class its plan \
+         binds (executions/read)\n",
         nproc(),
         t.render(),
         min_hit * 100.0
@@ -267,6 +280,11 @@ pub fn e11_headlines(rows: &[E11Row]) -> Vec<Headline> {
     for r in rows {
         out.push(Headline::new("e11", format!("qps_w{}_t{}", r.write_pct, r.threads), r.qps));
         out.push(Headline::new("e11", format!("p99_us_w{}_t{}", r.write_pct, r.threads), r.p99_us));
+        out.push(Headline::new(
+            "e11",
+            format!("executions_per_read_w{}_t{}", r.write_pct, r.threads),
+            r.executions_per_read,
+        ));
     }
     // Hit rate is machine-independent only at one thread (no stampedes):
     // emit the deterministic cell per ratio.

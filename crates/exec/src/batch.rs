@@ -99,9 +99,8 @@ pub fn execute_batch_with(
         scratch.machines.resize_with(width, ExecScratch::new);
     }
     let machines = &mut scratch.machines[..width];
-    let columns: Vec<_> = plan.projections.iter().map(|p| p.attr).collect();
     let mut out: Vec<(ResultSet, CostCounters)> =
-        (0..width).map(|_| (ResultSet::new(columns.clone()), CostCounters::new())).collect();
+        (0..width).map(|_| (ResultSet::of_plan(db, plan), CostCounters::new())).collect();
 
     // Root candidates, one batch-produce per probe: K index descents (or
     // extent scans) issued back to back before any traversal begins.

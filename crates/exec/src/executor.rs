@@ -113,7 +113,7 @@ pub fn execute_with(
     scratch: &mut ExecScratch,
 ) -> Result<(ResultSet, CostCounters), ExecError> {
     let mut counters = CostCounters::new();
-    let mut result = ResultSet::new(plan.projections.iter().map(|p| p.attr).collect());
+    let mut result = ResultSet::of_plan(db, plan);
     // Root candidates: batch-produce, residual-filter the batch.
     produce(db, &plan.root, None, &mut counters, scratch.start(plan))?;
     while scratch.advance(db, plan, &mut counters, &mut result)? {}

@@ -60,9 +60,15 @@ pub struct PhysicalPlan {
 impl PhysicalPlan {
     /// Classes in binding order.
     pub fn binding_order(&self) -> Vec<ClassId> {
-        let mut out = vec![self.root.class];
-        out.extend(self.steps.iter().map(|s| s.access.class));
-        out
+        self.bound_classes().collect()
+    }
+
+    /// [`PhysicalPlan::binding_order`] without the `Vec`. These are all the
+    /// classes an execution reads: residuals, join filters, cycle edges and
+    /// projections only ever touch a bound class, and a traversed
+    /// relationship has both of its endpoint classes bound.
+    pub fn bound_classes(&self) -> impl Iterator<Item = ClassId> + '_ {
+        std::iter::once(self.root.class).chain(self.steps.iter().map(|s| s.access.class))
     }
 
     /// Renders an EXPLAIN-style tree.

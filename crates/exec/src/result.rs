@@ -8,18 +8,55 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use sqo_catalog::{AttrRef, Catalog, Value};
+use sqo_catalog::{AttrRef, Catalog, ClassId, Value};
+use sqo_storage::{Database, WriteEpochs};
+
+use crate::plan::PhysicalPlan;
 
 /// A materialized result: projected columns and rows.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality compares columns and rows; where the rows were read from is
+/// not part of a result's value.
+#[derive(Debug, Clone)]
 pub struct ResultSet {
     pub columns: Vec<AttrRef>,
     pub rows: Vec<Vec<Value>>,
+    /// The write epochs of the snapshot lineage an executor read these rows
+    /// from; `None` for a set built by hand.
+    read_from: Option<WriteEpochs>,
+}
+
+impl PartialEq for ResultSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.columns == other.columns && self.rows == other.rows
+    }
 }
 
 impl ResultSet {
     pub fn new(columns: Vec<AttrRef>) -> Self {
-        Self { columns, rows: Vec::new() }
+        Self { columns, rows: Vec::new(), read_from: None }
+    }
+
+    /// The empty result of `plan`, to be filled by executing it on `db`.
+    pub(crate) fn of_plan(db: &Database, plan: &PhysicalPlan) -> Self {
+        Self {
+            columns: plan.projections.iter().map(|p| p.attr).collect(),
+            rows: Vec::new(),
+            read_from: Some(db.write_epochs().clone()),
+        }
+    }
+
+    /// Whether any of `classes` was written after data epoch `epoch` in
+    /// the snapshot lineage these rows were read from
+    /// ([`sqo_storage::WriteEpochs`]). `None` — unknown — for a set no
+    /// executor produced.
+    pub fn written_after(
+        &self,
+        epoch: u64,
+        classes: impl IntoIterator<Item = ClassId>,
+    ) -> Option<bool> {
+        let written = self.read_from.as_ref()?;
+        Some(classes.into_iter().any(|class| written.written_after(class, epoch)))
     }
 
     pub fn len(&self) -> usize {

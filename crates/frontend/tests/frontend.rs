@@ -154,14 +154,17 @@ fn service_stats_stay_consistent_under_concurrent_load() {
         FrontendConfig { workers: 4, queue_depth: 4096, p99_bound_us: None },
     );
 
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let observer = {
-        let service = Arc::clone(&service);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
+    // Only a snapshot that saw the counters move since the one before it was
+    // taken under load. The submit loop runs until the watcher has published
+    // one, so the test does not depend on the scheduler giving the watcher a
+    // turn inside a fixed number of rounds.
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    let stop = AtomicBool::new(false);
+    let moving_snapshots = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        let watcher = scope.spawn(|| {
             let mut last = service.stats();
-            let mut snapshots = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::Acquire) {
+            while !stop.load(Ordering::Acquire) {
                 let now = service.stats();
                 assert_eq!(
                     now.accepted,
@@ -172,24 +175,28 @@ fn service_stats_stay_consistent_under_concurrent_load() {
                 assert!(now.cache.hits >= last.cache.hits, "hits must be monotone");
                 assert!(now.optimizations >= last.optimizations);
                 assert!(now.requests >= last.requests);
+                if now.requests > last.requests {
+                    moving_snapshots.fetch_add(1, Ordering::Relaxed);
+                }
                 last = now;
-                snapshots += 1;
             }
-            snapshots
-        })
-    };
-
-    for round in 0..8 {
-        let handles: Vec<_> = (0..256)
-            .filter_map(|i| frontend.submit(&queries[(round + i) % queries.len()]).ok())
-            .collect();
-        for handle in handles {
-            let _ = handle.wait();
+        });
+        let mut round = 0;
+        // A watcher that tripped an assertion publishes nothing more: stop
+        // and let the join report it.
+        while round < 8 || (moving_snapshots.load(Ordering::Relaxed) == 0 && !watcher.is_finished())
+        {
+            let handles: Vec<_> = (0..256)
+                .filter_map(|i| frontend.submit(&queries[(round + i) % queries.len()]).ok())
+                .collect();
+            for handle in handles {
+                let _ = handle.wait();
+            }
+            round += 1;
         }
-    }
-    stop.store(true, std::sync::atomic::Ordering::Release);
-    let snapshots = observer.join().expect("observer never tripped an assertion");
-    assert!(snapshots > 0);
+        stop.store(true, Ordering::Release);
+        watcher.join().expect("observer never tripped an assertion");
+    });
     frontend.shutdown();
 }
 

@@ -23,10 +23,52 @@
 //!   retention silently kept alive.
 //!
 //! Data writes never touch the plan cache at all: plans depend only on
-//! constraints and the statistics tier. What a data write invalidates is
-//! each entry's **result memo**, which is gated on the data epoch it was
-//! computed at ([`CacheEntry::memoized_results`]) and recomputed on the next
-//! request after a write.
+//! constraints and the statistics tier. What a data write expires is the
+//! **result memo** of each entry whose plan reads a class the batch changed
+//! ([`CacheEntry::memoized_results`]); every other memo keeps serving.
+//!
+//! # When a result memo may be served
+//!
+//! A memo is `(E, rows)`: the rows the entry's plan `P` produced on the
+//! snapshot of data epoch `E`. A reader holding the snapshot of epoch `E'`
+//! is served it when `E' == E`, or when `E' > E` and none of the classes
+//! `P` binds (its root and each step's class) was written after `E` in the
+//! lineage the rows were read from — the rows carry that lineage's
+//! per-class write epochs ([`ResultSet::written_after`],
+//! `sqo_storage::WriteEpochs`), so the check needs no database handle and
+//! is one comparison when no write happened.
+//!
+//! *Why that is sound.* `P` is a plan of the optimized query `Q'`, and a
+//! cached `P` already survives data writes on the standing assumption that
+//! every committed state satisfies the constraints — that, and nothing
+//! else, is what makes re-executing `P` at `E'` answer the original query
+//! `Q` at all (the paper's contract, and Chirkova's equivalence under
+//! dependencies in PAPERS.md: `Q' ≡ Q` on every database satisfying them).
+//! Under the same assumption `P(S_E') = Q'(S_E') = Q(S_E')`. An execution
+//! of `P` reads only the extents and indexes of the classes it binds and
+//! the link tables of the relationships it traverses, and a traversed
+//! relationship has both endpoint classes bound; storage raises a class's
+//! write epoch for every batch that changes its extent or a link table it
+//! is an endpoint of. So if no bound class was written in `(E, E']`, `P`
+//! reads the same shards in both states and `P(S_E') = P(S_E)` — the memo.
+//!
+//! *Why the plan's classes and not the original query's.* A class the
+//! optimizer eliminated constrains the answer only through the constraint
+//! that justified eliminating it, which holds on every legal state. A
+//! write to that class that broke the constraint would make today's
+//! re-execution of `P` as wrong as the memo; keeping the class in the read
+//! set would buy nothing (`tests/class_precise_memo.rs` pins it).
+//!
+//! *The conservative side.* A reader older than the memo (`E' < E`), a
+//! write epoch already raised by a batch whose snapshot is not swapped in
+//! yet, a lineage forked into two `VersionedDatabase`s, and a memo with no
+//! lineage (a provably-empty entry's hand-built empty set): all
+//! re-execute. Storage raises the write epochs *before* it swaps the
+//! snapshot in, so the other side cannot happen: a reader holding epoch
+//! `E'` sees every raise of every epoch `≤ E'`. One imprecision is
+//! accepted: a bare `Link`/`Unlink` raises both endpoint classes, so it
+//! also expires memos that read one of them without traversing that
+//! relationship.
 //!
 //! Shards are independent `parking_lot::RwLock`s selected by fingerprint
 //! bits, so concurrent readers of *different* queries never contend, and
@@ -62,11 +104,12 @@ pub struct CacheEntry {
     pub provably_empty: bool,
     /// Result columns, for materializing empty answers without a plan.
     pub columns: Vec<AttrRef>,
-    /// Result memo, gated on the **data epoch** it was computed at: a plan
-    /// survives data writes, its materialized answer does not. Readers at
-    /// the memo's epoch share the `Arc`; the first reader after a write
-    /// re-executes and republishes (monotone: a racing older execution
-    /// never overwrites a newer one).
+    /// Result memo with the **data epoch** it was computed at: a plan
+    /// survives every data write, its materialized answer those that leave
+    /// the plan's classes alone (module docs). Readers it is valid for
+    /// share the `Arc`; the first reader after a write to one of the
+    /// plan's classes re-executes and republishes (monotone: a racing
+    /// older execution never overwrites a newer one).
     results: RwLock<Option<(u64, Arc<ResultSet>)>>,
 }
 
@@ -81,12 +124,28 @@ impl CacheEntry {
         Self { canonical, optimized, plan, provably_empty, columns, results: RwLock::new(None) }
     }
 
-    /// The memoized result set, iff it was computed at `data_epoch`.
+    /// The memoized result set, iff it answers a reader at `data_epoch`:
+    /// it was computed at that epoch, or at an earlier one and no class
+    /// the plan binds was written since (module docs, *When a result memo
+    /// may be served*).
     pub fn memoized_results(&self, data_epoch: u64) -> Option<Arc<ResultSet>> {
         match &*self.results.read() {
             Some((epoch, results)) if *epoch == data_epoch => Some(Arc::clone(results)),
+            Some((epoch, results))
+                if *epoch < data_epoch && self.unwritten_since(*epoch, results) =>
+            {
+                Some(Arc::clone(results))
+            }
             _ => None,
         }
+    }
+
+    /// Whether `results`, computed at `epoch`, are provably what the plan
+    /// would produce now: its lineage is known and no bound class was
+    /// written after `epoch`. An entry without a plan proves nothing.
+    fn unwritten_since(&self, epoch: u64, results: &ResultSet) -> bool {
+        let Some(plan) = &self.plan else { return false };
+        results.written_after(epoch, plan.bound_classes()) == Some(false)
     }
 
     /// Publishes results computed at `data_epoch`. Keeps whichever memo is
@@ -383,6 +442,10 @@ impl ShardedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqo_catalog::Value;
+    use sqo_exec::{execute, plan_query_shared, CostModel};
+    use sqo_query::QueryBuilder;
+    use sqo_storage::{DataWrite, Database, IntegrityOptions, ObjectId, VersionedDatabase};
 
     fn entry(q: &Query) -> Arc<CacheEntry> {
         Arc::new(CacheEntry::new(q.clone(), q.clone(), None, true, vec![]))
@@ -499,6 +562,46 @@ mod tests {
         e.publish_results(1, &r0);
         assert!(e.memoized_results(2).is_some());
         assert!(e.memoized_results(1).is_none());
+        // All of the above is epoch equality: a hand-built set names no
+        // lineage, so nothing is known about what was written since.
+        assert!(e.memoized_results(3).is_none());
+
+        // An executed set names the lineage it was read from, and its
+        // entry's plan the classes that matter.
+        let catalog = Arc::new(sqo_catalog::example::figure21().unwrap());
+        let supplier = catalog.class_id("supplier").unwrap();
+        let vehicle = catalog.class_id("vehicle").unwrap();
+        let mut b = Database::builder(Arc::clone(&catalog));
+        b.insert(supplier, vec![Value::str("SFI"), Value::str("1 Food St")]).unwrap();
+        b.insert(vehicle, vec![Value::Int(7), Value::str("flatbed"), Value::Int(1)]).unwrap();
+        let options =
+            IntegrityOptions { enforce_total_participation: false, enforce_multiplicity: true };
+        let db = VersionedDatabase::new(Arc::new(b.finalize(options).unwrap()));
+        let q = QueryBuilder::new(&catalog).select("supplier.name").build().unwrap();
+        let plan = plan_query_shared(&db.snapshot(), &q, &CostModel::default()).unwrap();
+        let e = CacheEntry::new(q.clone(), q, Some(Arc::clone(&plan)), false, vec![]);
+        let r0 = Arc::new(execute(&db.snapshot(), &plan).unwrap().0);
+        e.publish_results(0, &r0);
+
+        let rename = |class, value: &str| DataWrite::Update {
+            class,
+            object: ObjectId(0),
+            attr: sqo_catalog::AttrId(1),
+            value: Value::str(value),
+        };
+        db.write(&[rename(vehicle, "van")]).unwrap();
+        assert!(
+            Arc::ptr_eq(&e.memoized_results(1).unwrap(), &r0),
+            "the plan binds supplier only: a vehicle write leaves its memo valid"
+        );
+        db.write(&[rename(supplier, "2 Mart Ave")]).unwrap();
+        assert!(e.memoized_results(2).is_none(), "a supplier write expires it");
+        assert!(e.memoized_results(1).is_none(), "also for a reader that has not seen it yet");
+        assert!(e.memoized_results(0).is_some(), "at its own epoch a memo is always the answer");
+        // A plan-less (provably empty) entry proves nothing about its set.
+        let empty = CacheEntry::new(Query::new(), Query::new(), None, true, vec![]);
+        empty.publish_results(0, &r0);
+        assert!(empty.memoized_results(1).is_none());
     }
 
     #[test]

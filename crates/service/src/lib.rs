@@ -20,8 +20,9 @@
 //! * **Two-level invalidation**: a constraint insert purges only entries
 //!   whose class set overlaps the new constraint's (everything else is
 //!   revalidated in place); a data write through the
-//!   [`sqo_storage::VersionedDatabase`] path leaves plans cached and only
-//!   expires each entry's data-epoch-gated result memo.
+//!   [`sqo_storage::VersionedDatabase`] path leaves plans cached and
+//!   expires the result memo of only those entries whose plan binds a class
+//!   the batch changed.
 //! * A **sharded LRU plan cache** ([`ShardedCache`]) keeps lock hold times
 //!   tiny: readers of different queries land on different
 //!   `parking_lot::RwLock` shards, readers of the same hot query share a
@@ -47,7 +48,8 @@
 //!   dies mid-flight aborts cleanly instead of stranding its followers.
 //!   This is the non-blocking seam the `sqo-frontend` worker pool drives.
 //! * **One way to share an answer**: identical warm requests share the
-//!   entry's result memo (on by default, expired by the next data write);
+//!   entry's result memo (on by default, expired by the next data write
+//!   to a class the entry's plan binds);
 //!   identical cold requests share a flight. A plan-cache hit never
 //!   touches the flight table.
 

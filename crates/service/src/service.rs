@@ -1,5 +1,6 @@
 //! The concurrent query service: shared state, prepared queries, and the
-//! worker-pool batch front end.
+//! one request pipeline (`resolve → entry_for → answer`) behind every entry
+//! point. The service spawns no thread; the worker pool is `sqo-frontend`'s.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -98,9 +99,10 @@ pub struct ServiceConfig {
     /// Total cached entries across all shards.
     pub cache_capacity: usize,
     /// Also memoize result sets, not just rewrites and plans. Sound under
-    /// writes because the memo is gated on the data epoch it was computed
-    /// at: plans survive data writes, memoized results are recomputed on the
-    /// first request after one. Turn off to re-execute on every request.
+    /// writes: plans survive every data write, and a memoized result is
+    /// recomputed on the first request after a write to a class its plan
+    /// binds (the argument is in `cache.rs`'s module docs). Turn off to
+    /// re-execute on every request.
     pub cache_results: bool,
     /// Semantic-optimizer configuration used for every miss.
     pub optimizer: OptimizerConfig,
@@ -159,8 +161,10 @@ pub struct ServiceResponse {
     pub cache_hit: bool,
     /// Constraint-store epoch the rewrite was derived under.
     pub epoch: u64,
-    /// Data epoch of the snapshot the results were computed against — every
-    /// answer is internally consistent with exactly one linearized epoch.
+    /// Data epoch of the snapshot the request was answered at: the rows are
+    /// what the query returns on exactly that snapshot, whether they were
+    /// computed on it or on an earlier one that no write since has made
+    /// differ for this plan — one linearized epoch per answer.
     pub data_epoch: u64,
 }
 
@@ -233,9 +237,11 @@ pub struct ServiceStats {
 ///   in place. Statistics changes purge everything (every cost-based
 ///   decision may shift).
 /// * **Data writes** ([`QueryService::write`]) never touch the plan cache —
-///   plans depend only on constraints and statistics — but gate each
-///   entry's memoized result set on the data epoch it was computed at, so
-///   the first request after a write re-executes the (still cached) plan.
+///   plans depend only on constraints and statistics — and expire only the
+///   memoized result sets of plans that bind a class the batch changed:
+///   the first request for such a query re-executes its (still cached)
+///   plan, every other memo keeps serving
+///   ([`CacheEntry::memoized_results`]).
 ///
 /// Answers are always produced in the **canonical** query's column order
 /// (projections sorted), so every spelling of a query receives an
@@ -342,8 +348,12 @@ impl QueryService {
 
     /// Applies one atomic batch of data writes, advancing the data epoch;
     /// returns the batch's [`WriteOutcome`]. Plans stay cached (they depend
-    /// only on constraints + statistics tier); memoized result sets are
-    /// recomputed lazily because their data-epoch gate no longer matches.
+    /// only on constraints + statistics tier). Nothing is walked here: the
+    /// write path raises the per-class write epochs of the classes the
+    /// batch changed ([`VersionedDatabase::write`], which also covers
+    /// writers that go to a shared handle directly), and each memoized
+    /// result set whose plan binds one of them is recomputed lazily, by its
+    /// next request.
     pub fn write(&self, writes: &[DataWrite]) -> Result<WriteOutcome, ServiceError> {
         let outcome = self.db.write(writes)?;
         // ordering: monotone display counter.
@@ -471,8 +481,8 @@ impl QueryService {
         Ok(CacheEntry::new(canonical, out.query, plan, provably_empty, columns))
     }
 
-    /// Executes a prepared query, sharing memoized results when they were
-    /// computed at the current data epoch.
+    /// Executes a prepared query, sharing memoized results while they
+    /// answer the current data epoch.
     pub fn execute_prepared(
         &self,
         prepared: &PreparedQuery,
@@ -481,9 +491,11 @@ impl QueryService {
     }
 
     /// Step 3, the execution core: resolves the current snapshot, serves
-    /// the result memo when its data epoch matches, re-executes (and
-    /// republishes the memo) otherwise. The response names the data epoch
-    /// its rows are consistent with.
+    /// the result memo when it answers that snapshot's epoch (computed at
+    /// it, or earlier with no class of the plan written since), re-executes
+    /// (and republishes the memo) otherwise. Either way the response names
+    /// the current snapshot's data epoch: the one its rows are consistent
+    /// with.
     fn answer(&self, prepared: &PreparedQuery) -> Result<ServiceResponse, ServiceError> {
         let entry = &prepared.entry;
         let db = self.db.snapshot();

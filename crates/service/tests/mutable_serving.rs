@@ -158,35 +158,43 @@ fn concurrent_writers_and_readers_observe_linearized_data_epochs() {
         "data writes never invalidate plans: {stats:?}"
     );
 
-    // Deterministic epilogue (no schedule dependence): one more write, then
-    // one request per distinct query — every non-empty answer re-executes
-    // its *cached* plan, and nothing re-optimizes.
+    // Deterministic epilogue (no schedule dependence): settle every memo
+    // at the current epoch, write to one class, then one request per
+    // distinct query — exactly the answers whose *cached* plan binds the
+    // written class re-execute, and nothing re-optimizes.
+    for q in &reads.distinct {
+        service.run(q).expect("run");
+    }
     let before = service.stats();
+    // Three of this stream's eight plans bind `driver` (all bind cargo).
+    let written = s.catalog.class_id("driver").expect("bench schema");
     {
         let mut applier = applier.lock();
         let snapshot = service.db();
-        let (class, victim, batch) = applier.resolve(
-            &snapshot,
-            &WriteKind::InsertDup { class: sqo_catalog::ClassId(1), source_rank: 3 },
-        );
+        let (class, victim, batch) =
+            applier.resolve(&snapshot, &WriteKind::InsertDup { class: written, source_rank: 3 });
         let outcome = service.write(&batch).expect("write");
         applier.confirm(class, victim, &outcome.receipt);
     }
-    let mut with_plan = 0;
+    let (mut reading_it, mut reading_others) = (0, 0);
     for q in &reads.distinct {
         let response = service.run(q).expect("run");
         assert!(response.cache_hit, "plans survive pure data writes");
-        if !service.prepare(q).expect("prepare").provably_empty() {
-            with_plan += 1;
+        if let Some(plan) = service.prepare(q).expect("prepare").plan() {
+            if plan.binding_order().contains(&written) {
+                reading_it += 1;
+            } else {
+                reading_others += 1;
+            }
         }
     }
-    assert!(with_plan > 0, "the workload has executable queries");
+    assert!(reading_it > 0 && reading_others > 0, "the workload has queries of both kinds");
     let after = service.stats();
     assert_eq!(after.optimizations, before.optimizations, "no re-optimization after a write");
     assert_eq!(
         after.executions,
-        before.executions + with_plan,
-        "memoized results do not survive a write: {after:?}"
+        before.executions + reading_it,
+        "a write expires the memos of the plans that read its class, and no other: {after:?}"
     );
 }
 

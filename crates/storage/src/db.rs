@@ -105,6 +105,7 @@ use crate::index::AttrIndex;
 use crate::links::RelLinks;
 use crate::object::ObjectId;
 use crate::paged::PagedVec;
+use crate::versioned::WriteEpochs;
 
 /// One class's tuples, in object-id order.
 pub(crate) type Extent = PagedVec<Vec<Value>>;
@@ -181,7 +182,12 @@ pub struct WriteReceipt {
     pub moves: Vec<(ClassId, ObjectId, ObjectId)>,
     /// The classes whose extent, index or statistics shards this batch
     /// patched, ascending. Everything else is `Arc`-shared with the source
-    /// snapshot.
+    /// snapshot. These are the classes whose [`WriteEpochs`] slot
+    /// [`crate::VersionedDatabase::write`] raises — with the endpoint
+    /// classes of a bare [`DataWrite::Link`] / [`DataWrite::Unlink`], which
+    /// changes a link table and no extent and so is *not* listed here — and
+    /// with that the only cached results the batch expires are those whose
+    /// plan binds one of them.
     pub touched_classes: Vec<ClassId>,
 }
 
@@ -207,6 +213,10 @@ pub struct Database {
     /// [`Database::with_writes`] successor. Downstream memos (cached result
     /// sets, oracle cost memos) key on it to stay data-epoch-aware.
     data_version: u64,
+    /// Per class, the last data epoch of this snapshot's lineage that
+    /// changed it. One vector per lineage: successors receive it by
+    /// pointer, and only [`crate::VersionedDatabase::write`] raises it.
+    write_epochs: WriteEpochs,
 }
 
 impl Database {
@@ -218,6 +228,13 @@ impl Database {
     /// and [`crate::VersionedDatabase`]).
     pub fn data_version(&self) -> u64 {
         self.data_version
+    }
+
+    /// The per-class write epochs of the lineage this snapshot belongs to
+    /// (live: they keep rising as the lineage's [`crate::VersionedDatabase`]
+    /// commits batches, also after this snapshot was taken).
+    pub fn write_epochs(&self) -> &WriteEpochs {
+        &self.write_epochs
     }
 
     pub fn catalog(&self) -> &Arc<Catalog> {
@@ -302,9 +319,9 @@ impl Database {
     }
 
     /// Wires shards into a snapshot no write has touched yet (so without
-    /// value counts): the builder's, the oracle's and the snapshot-load
-    /// path's constructor. The caller owns all validation
-    /// (`persist::decode_database` for a load).
+    /// value counts) that starts a lineage of its own (all write epochs
+    /// zero): the builder's and the snapshot-load path's constructor. The
+    /// caller owns all validation (`persist::decode_database` for a load).
     pub(crate) fn from_loaded_parts(
         catalog: Arc<Catalog>,
         extents: Vec<Extent>,
@@ -314,7 +331,8 @@ impl Database {
         data_version: u64,
     ) -> Self {
         let counts = vec![None; extents.len()];
-        Self { catalog, extents, indexes, links, stats, counts, data_version }
+        let write_epochs = WriteEpochs::new(extents.len());
+        Self { catalog, extents, indexes, links, stats, counts, data_version, write_epochs }
     }
 
     /// Whether `self` and `other` share every page of class `class`'s
@@ -334,7 +352,9 @@ impl Database {
     /// that hold the written values — and patching the touched classes'
     /// statistics per value (module docs, *What a write costs*). Untouched
     /// state is shared with `self` by pointer. `data_version` advances by
-    /// one.
+    /// one; the lineage's [`WriteEpochs`] are handed on by pointer and
+    /// **not** raised — the successor may never be published
+    /// ([`crate::VersionedDatabase::write`] raises them when it is).
     ///
     /// The batch is **atomic**: any validation error (arity, types, unknown
     /// objects or attributes, missing links, or — when `integrity` is
@@ -561,6 +581,7 @@ impl Database {
             stats,
             counts,
             data_version: self.data_version + 1,
+            write_epochs: self.write_epochs.clone(),
         };
         Ok((db, receipt))
     }
@@ -588,7 +609,8 @@ impl Database {
     /// the independent equivalence oracle for [`Database::with_writes`]
     /// (`tests/prop_incremental.rs` proves the two agree on every read API
     /// for arbitrary batches). Semantics are identical, including integrity
-    /// scoping and the returned [`WriteReceipt`].
+    /// scoping, the returned [`WriteReceipt`] and the lineage's
+    /// [`WriteEpochs`], handed on by pointer and not raised.
     pub fn with_writes_full(
         &self,
         writes: &[DataWrite],
@@ -737,8 +759,17 @@ impl Database {
                 .map(|(i, _)| ClassId(i as u32))
                 .collect(),
         };
-        let version = self.data_version + 1;
-        Ok((Database::from_loaded_parts(catalog, extents, indexes, links, stats, version), receipt))
+        let db = Database {
+            counts: vec![None; extents.len()],
+            catalog,
+            extents,
+            indexes,
+            links,
+            stats,
+            data_version: self.data_version + 1,
+            write_epochs: self.write_epochs.clone(),
+        };
+        Ok((db, receipt))
     }
 
     /// Exhaustively checks a semantic constraint against the data, returning

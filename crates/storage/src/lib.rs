@@ -18,8 +18,10 @@
 //!   machine-independent;
 //! * an **incremental write path** ([`VersionedDatabase`]): copy-on-write
 //!   snapshot mutation behind a versioned handle with a monotone **data
-//!   epoch**, distinct from the constraint epoch, so serving layers can
-//!   keep plans across data writes while re-gating memoized results.
+//!   epoch**, distinct from the constraint epoch, and per-class **write
+//!   epochs** ([`WriteEpochs`]), so serving layers can keep plans across
+//!   data writes and expire only the memoized results whose classes a
+//!   batch changed.
 //!   Snapshot state is sharded per class and per relationship and shared
 //!   between snapshots by pointer — extents, adjacency lists, indexes and
 //!   value counts page by page; a write batch copies only the pages it
@@ -63,4 +65,4 @@ pub use persist::{
     save_database,
 };
 pub use valuemap::OrdValue;
-pub use versioned::{VersionedDatabase, WriteOutcome};
+pub use versioned::{VersionedDatabase, WriteEpochs, WriteOutcome};

@@ -12,16 +12,89 @@
 //! swap. A reader's [`VersionedDatabase::snapshot`] is an immutable
 //! `Arc<Database>` whose [`Database::data_version`] names the epoch it
 //! belongs to — answers computed from one snapshot are internally
-//! consistent by construction (no torn reads), and a memo stamped with that
-//! version can be checked against the current epoch in O(1).
+//! consistent by construction (no torn reads).
+//!
+//! # Per-class write epochs
+//!
+//! Beside the one data epoch, every lineage of snapshots shares one
+//! [`WriteEpochs`]: per class, the last data epoch whose batch changed it.
+//! It is what lets a result computed at epoch `E` be served at a later
+//! epoch `E'` — nothing the plan read was written in `(E, E']` — instead of
+//! expiring with every batch (the soundness argument is in `sqo-service`'s
+//! `cache.rs`). Three rules make the vector safe to read without a lock:
+//!
+//! * **Who raises it.** Only [`VersionedDatabase::write`], for a batch
+//!   that succeeded: every class in [`WriteReceipt::touched_classes`], and
+//!   both endpoint classes of every relationship a [`DataWrite::Link`] or
+//!   [`DataWrite::Unlink`] of the batch names — the only writes that change
+//!   a link table without changing an endpoint's extent. Relationships have
+//!   no slots of their own: a plan that traverses one binds both of its
+//!   endpoint classes. The price is that a bare `Link` also expires results
+//!   that read an endpoint class without traversing that relationship (no
+//!   workload in the tree issues bare links). [`Database::with_writes`] and
+//!   [`Database::with_writes_full`] stay pure: they hand the vector to
+//!   their successor by pointer and raise nothing, so building a snapshot
+//!   that is never published expires nothing.
+//! * **When.** After the successor is built and **before** it is swapped
+//!   in. A reader that obtained the snapshot of epoch `E'` from
+//!   [`VersionedDatabase::snapshot`] therefore sees every raise of every
+//!   epoch `≤ E'`; a raise it may additionally see from a batch still in
+//!   flight only makes it re-execute.
+//! * **How.** `fetch_max`, so two handles forked from one `Arc<Database>`
+//!   (they share the vector) can only push a slot up: each fork sees at
+//!   least its own writes, and the other's cost it re-executions, never a
+//!   stale answer.
+//!
+//! The vector is not persisted (neither are results): a loaded database
+//! starts a new lineage at all zeros.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
+use sqo_catalog::ClassId;
 
 use crate::db::{DataWrite, Database, IntegrityOptions, WriteReceipt};
 use crate::error::StorageError;
+
+/// Per class, the last data epoch of one snapshot lineage whose write batch
+/// changed the class (`0`: never written since the lineage was built or
+/// loaded). Shared by pointer — cloning is one reference-count increment —
+/// between every snapshot of the lineage and every result read from one;
+/// see the module docs for who raises it and when.
+#[derive(Debug, Clone)]
+pub struct WriteEpochs(Arc<[AtomicU64]>);
+
+impl WriteEpochs {
+    /// A new lineage of `classes` classes, none written yet.
+    pub(crate) fn new(classes: usize) -> Self {
+        Self((0..classes).map(|_| AtomicU64::new(0)).collect())
+    }
+
+    /// Whether a batch committed (or about to commit) after `epoch` changed
+    /// `class`. A class the lineage does not know counts as written.
+    pub fn written_after(&self, class: ClassId, epoch: u64) -> bool {
+        let Some(at) = self.0.get(class.index()) else { return true };
+        // ordering: Acquire pairs with the Release `fetch_max` in `raise`.
+        // What a reader relies on — every raise of an epoch up to its
+        // snapshot's is visible — already follows from the `current` lock
+        // hand-off (the raise happens-before the swap, the swap before the
+        // reader's `snapshot()`); this pair extends it to a reader handed
+        // an epoch by other means.
+        at.load(Ordering::Acquire) > epoch
+    }
+
+    /// Records that the batch establishing `epoch` changed `class`.
+    fn raise(&self, class: ClassId, epoch: u64) {
+        if let Some(at) = self.0.get(class.index()) {
+            // ordering: Release pairs with the Acquire load in
+            // `written_after`; `fetch_max` keeps the slot monotone when two
+            // handles forked from one snapshot raise it with unordered
+            // epochs.
+            at.fetch_max(epoch, Ordering::Release);
+        }
+    }
+}
 
 /// What one committed write batch produced.
 #[derive(Debug, Clone)]
@@ -92,13 +165,29 @@ impl VersionedDatabase {
     }
 
     /// Applies one atomic write batch: builds the successor snapshot
-    /// copy-on-write, swaps it in, and advances the data epoch. Concurrent
-    /// readers keep the snapshot they started with.
+    /// copy-on-write, raises the [`WriteEpochs`] of the classes it changed,
+    /// swaps it in, and advances the data epoch. Concurrent readers keep
+    /// the snapshot they started with; a failed batch changes nothing.
     pub fn write(&self, writes: &[DataWrite]) -> Result<WriteOutcome, StorageError> {
         let _writing = self.writer.lock();
         let base = self.snapshot();
         let (db, receipt) = base.with_writes(writes, self.integrity)?;
         let epoch = db.data_version();
+        // Before the swap: no reader may hold this epoch's snapshot while
+        // its classes still read as unwritten.
+        let written = db.write_epochs();
+        for &class in &receipt.touched_classes {
+            written.raise(class, epoch);
+        }
+        for write in writes {
+            if let DataWrite::Link { rel, .. } | DataWrite::Unlink { rel, .. } = write {
+                // The batch validated, so `rel` resolves.
+                if let Ok(def) = db.catalog().relationship(*rel) {
+                    written.raise(def.left.class, epoch);
+                    written.raise(def.right.class, epoch);
+                }
+            }
+        }
         let snapshot = Arc::new(db);
         *self.current.write() = Arc::clone(&snapshot);
         // ordering: Release publishes the snapshot swap above to any
@@ -163,6 +252,169 @@ mod tests {
         assert!(matches!(err, Err(StorageError::ArityMismatch { .. })));
         assert_eq!(handle.data_epoch(), 0);
         assert_eq!(handle.snapshot().data_version(), 0);
+    }
+
+    /// Figure 2.1 with one cargo linked to the one supplier and a vehicle
+    /// nothing links to.
+    fn linked_handle() -> (Arc<sqo_catalog::Catalog>, Arc<Database>) {
+        let catalog = Arc::new(figure21().unwrap());
+        let mut b = Database::builder(Arc::clone(&catalog));
+        let supplier = catalog.class_id("supplier").unwrap();
+        let cargo = catalog.class_id("cargo").unwrap();
+        let vehicle = catalog.class_id("vehicle").unwrap();
+        b.insert(supplier, vec![Value::str("SFI"), Value::str("1 Food St")]).unwrap();
+        b.insert(cargo, vec![Value::Int(1), Value::str("frozen food"), Value::Int(10)]).unwrap();
+        b.insert(vehicle, vec![Value::Int(7), Value::str("flatbed"), Value::Int(1)]).unwrap();
+        b.link(catalog.rel_id("supplies").unwrap(), ObjectId(0), ObjectId(0)).unwrap();
+        let db = b
+            .finalize(IntegrityOptions {
+                enforce_total_participation: false,
+                enforce_multiplicity: true,
+            })
+            .unwrap();
+        (catalog, Arc::new(db))
+    }
+
+    /// The classes of `catalog` whose slot reads as written after `epoch`.
+    fn written_after(db: &Database, epoch: u64) -> Vec<String> {
+        let catalog = db.catalog();
+        (0..catalog.class_count() as u32)
+            .map(sqo_catalog::ClassId)
+            .filter(|&c| db.write_epochs().written_after(c, epoch))
+            .map(|c| catalog.class_name(c).to_string())
+            .collect()
+    }
+
+    #[test]
+    fn a_write_raises_exactly_the_classes_it_changed() {
+        let (catalog, db) = linked_handle();
+        let handle = VersionedDatabase::new(db);
+        let vehicle = catalog.class_id("vehicle").unwrap();
+        let supplies = catalog.rel_id("supplies").unwrap();
+        assert!(written_after(&handle.snapshot(), 0).is_empty(), "a new lineage starts at zero");
+
+        let before = handle.snapshot();
+        handle
+            .write(&[DataWrite::Update {
+                class: vehicle,
+                object: ObjectId(0),
+                attr: sqo_catalog::AttrId(2),
+                value: Value::Int(2),
+            }])
+            .unwrap();
+        assert_eq!(written_after(&handle.snapshot(), 0), ["vehicle"]);
+        assert!(written_after(&handle.snapshot(), 1).is_empty(), "written at 1, not after it");
+        // The vector is the lineage's, not the snapshot's: the pre-write
+        // snapshot reads the same slots.
+        assert_eq!(written_after(&before, 0), ["vehicle"]);
+
+        // A bare unlink, then a bare link: no extent changes, no class is
+        // in the receipt, and both endpoint classes are raised all the same.
+        for (epoch, write) in [
+            (2, DataWrite::Unlink { rel: supplies, left: ObjectId(0), right: ObjectId(0) }),
+            (3, DataWrite::Link { rel: supplies, left: ObjectId(0), right: ObjectId(0) }),
+        ] {
+            let out = handle.write(&[write]).unwrap();
+            assert_eq!(out.epoch, epoch);
+            assert!(out.receipt.touched_classes.is_empty());
+            assert_eq!(written_after(&out.snapshot, epoch - 1), ["supplier", "cargo"]);
+        }
+
+        // A failed batch raises nothing, not even for the writes that
+        // validated before the one that did not.
+        let err = handle.write(&[
+            DataWrite::Link { rel: supplies, left: ObjectId(0), right: ObjectId(0) },
+            DataWrite::Delete { class: vehicle, object: ObjectId(9) },
+        ]);
+        assert!(matches!(err, Err(StorageError::UnknownObject { .. })));
+        assert!(written_after(&handle.snapshot(), 3).is_empty());
+    }
+
+    /// The order `write` owes its readers: raise, then swap. The test holds
+    /// the snapshot slot's read lock, so the writer can get as far as the
+    /// swap and no further; the raise must already be visible then. (Raised
+    /// after the swap, a reader could hold epoch 1's snapshot while the
+    /// class still reads as unwritten, and be served a pre-write result.)
+    #[test]
+    fn a_write_raises_its_classes_before_the_swap() {
+        let (catalog, handle) = handle();
+        let supplier = catalog.class_id("supplier").unwrap();
+        let epochs = handle.snapshot().write_epochs().clone();
+        std::thread::scope(|scope| {
+            let holding = handle.current.read();
+            let writer = scope.spawn(|| {
+                handle
+                    .write(&[DataWrite::Insert {
+                        class: supplier,
+                        tuple: vec![Value::str("NTUC"), Value::str("2 Mart Ave")],
+                        links: vec![],
+                    }])
+                    .unwrap()
+                    .epoch
+            });
+            let started = std::time::Instant::now();
+            while !epochs.written_after(supplier, 0) {
+                assert!(
+                    started.elapsed() < std::time::Duration::from_secs(20),
+                    "the writer is parked on the swap and the class still reads as unwritten"
+                );
+                std::thread::yield_now();
+            }
+            assert_eq!(holding.data_version(), 0, "the swap cannot have happened yet");
+            drop(holding);
+            assert_eq!(writer.join().unwrap(), 1);
+        });
+        assert_eq!(handle.snapshot().data_version(), 1);
+    }
+
+    /// `with_writes` and its oracle `with_writes_full` hand the vector on by
+    /// pointer and raise nothing: a raise through either successor is read
+    /// through the source snapshot.
+    #[test]
+    fn both_successors_stay_in_their_source_lineage() {
+        let (catalog, db) = linked_handle();
+        let vehicle = catalog.class_id("vehicle").unwrap();
+        let supplier = catalog.class_id("supplier").unwrap();
+        let rename = |class, attr, value| DataWrite::Update {
+            class,
+            object: ObjectId(0),
+            attr: sqo_catalog::AttrId(attr),
+            value,
+        };
+        let batch = [rename(vehicle, 1, Value::str("van"))];
+        let (incremental, _) = db.with_writes(&batch, None).unwrap();
+        let (full, _) = db.with_writes_full(&batch, None).unwrap();
+        assert!(written_after(&db, 0).is_empty(), "building a successor publishes nothing");
+        VersionedDatabase::new(Arc::new(incremental))
+            .write(&[rename(vehicle, 1, Value::str("truck"))])
+            .unwrap();
+        assert_eq!(written_after(&db, 1), ["vehicle"]);
+        VersionedDatabase::new(Arc::new(full))
+            .write(&[rename(supplier, 1, Value::str("3 Dock Rd"))])
+            .unwrap();
+        assert_eq!(written_after(&db, 1), ["supplier", "vehicle"]);
+    }
+
+    #[test]
+    fn forked_handles_only_ever_push_a_slot_up() {
+        let (catalog, db) = linked_handle();
+        let vehicle = catalog.class_id("vehicle").unwrap();
+        let bump = |value| DataWrite::Update {
+            class: vehicle,
+            object: ObjectId(0),
+            attr: sqo_catalog::AttrId(2),
+            value: Value::Int(value),
+        };
+        let ahead = VersionedDatabase::new(Arc::clone(&db));
+        let behind = VersionedDatabase::new(db);
+        for i in 0..3 {
+            ahead.write(&[bump(i)]).unwrap();
+        }
+        // The other fork's first write is its epoch 1; the shared slot
+        // stays at 3, so the fork that reached 3 still sees its own write.
+        behind.write(&[bump(9)]).unwrap();
+        assert!(ahead.snapshot().write_epochs().written_after(vehicle, 2));
+        assert!(behind.snapshot().write_epochs().written_after(vehicle, 0));
     }
 
     #[test]
