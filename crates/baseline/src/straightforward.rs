@@ -46,15 +46,6 @@ pub struct StraightforwardOutcome {
     pub skipped: usize,
 }
 
-/// One candidate transformation on the current (physical) query.
-#[derive(Debug, Clone)]
-enum Action {
-    /// Remove the consequent (restriction elimination).
-    Eliminate(Predicate),
-    /// Add the consequent (restriction/index introduction).
-    Introduce(Predicate),
-}
-
 /// The immediate-application baseline optimizer.
 #[derive(Debug)]
 pub struct StraightforwardOptimizer<'a> {
@@ -140,37 +131,31 @@ impl<'a> StraightforwardOptimizer<'a> {
         if !c.antecedents.iter().all(|a| q.satisfies_predicate(a)) {
             return TryOutcome::NotYetEnabled;
         }
-        let action = if q.contains_predicate(&c.consequent) {
-            Action::Eliminate(c.consequent.clone())
+        // Either way the question is "the query with the consequent, and
+        // the one predicate it differs by"; each is about a new query, so
+        // each opens its own formulation.
+        let pred = &c.consequent;
+        oracle.begin();
+        if q.contains_predicate(pred) {
+            // Restriction elimination. Immediate profitability: drop if the
+            // oracle says removal is no worse.
+            if oracle.retain_optional(q, pred) {
+                return TryOutcome::Rejected;
+            }
+            q.remove_predicate(pred);
         } else {
-            Action::Introduce(c.consequent.clone())
-        };
-        match action {
-            Action::Eliminate(pred) => {
-                let without = remove_pred(q, &pred);
-                // Immediate profitability: drop if the oracle says removal
-                // is no worse.
-                if !oracle.retain_optional(q, &without, &pred) {
-                    *q = without;
-                    TryOutcome::Applied
-                } else {
-                    TryOutcome::Rejected
-                }
+            // Restriction/index introduction.
+            let mut with = q.clone();
+            match pred {
+                Predicate::Sel(s) => with.selective_predicates.push(s.clone()),
+                Predicate::Join(j) => with.join_predicates.push(*j),
             }
-            Action::Introduce(pred) => {
-                let mut with = q.clone();
-                add_pred(&mut with, &pred);
-                if with.validate(catalog).is_err() {
-                    return TryOutcome::Rejected;
-                }
-                if oracle.retain_optional(&with, q, &pred) {
-                    *q = with;
-                    TryOutcome::Applied
-                } else {
-                    TryOutcome::Rejected
-                }
+            if with.validate(catalog).is_err() || !oracle.retain_optional(&with, pred) {
+                return TryOutcome::Rejected;
             }
+            *q = with;
         }
+        TryOutcome::Applied
     }
 }
 
@@ -179,30 +164,6 @@ enum TryOutcome {
     Applied,
     Rejected,
     NotYetEnabled,
-}
-
-fn remove_pred(q: &Query, pred: &Predicate) -> Query {
-    let mut out = q.clone();
-    match pred {
-        Predicate::Sel(s) => out.selective_predicates.retain(|x| x != s),
-        Predicate::Join(j) => out.join_predicates.retain(|x| x != j),
-    }
-    out
-}
-
-fn add_pred(q: &mut Query, pred: &Predicate) {
-    match pred {
-        Predicate::Sel(s) => {
-            if !q.selective_predicates.contains(s) {
-                q.selective_predicates.push(s.clone());
-            }
-        }
-        Predicate::Join(j) => {
-            if !q.join_predicates.contains(j) {
-                q.join_predicates.push(*j);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

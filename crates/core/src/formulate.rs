@@ -15,6 +15,7 @@
 //!   `cargo.desc="frozen food"`).
 
 use sqo_catalog::{Catalog, ClassId};
+use sqo_constraints::PredId;
 use sqo_query::{Predicate, Query};
 
 use crate::config::OptimizerConfig;
@@ -44,23 +45,18 @@ pub struct FormulationResult {
     pub provably_empty: bool,
 }
 
-/// Reusable working memory of formulation's cost–benefit loops.
+/// Reusable working memory of formulation: the pool ids of the optional and
+/// imperative predicates, which stay ids until a result list takes a copy.
 ///
-/// Every class-elimination and optional-predicate decision costs a
-/// *candidate* query — the working query minus one class or predicate.
-/// Building that candidate used to be a fresh five-vector [`Query`] clone
-/// per decision, which profiling showed dominating the cold path
-/// (formulation was ~9 of ~16 µs). The scratch keeps one candidate buffer
-/// alive across all decisions of one [`formulate_with`] call — and, held inside
-/// [`crate::OptimizerScratch`], across every `optimize_with` call of a
-/// worker thread: candidates are written into the buffer with
-/// allocation-reusing `clone_from`s, and an *adopted* candidate is swapped
-/// with the working query instead of moved, so the steady state allocates
-/// nothing per decision.
+/// No candidate query lives here. A cost–benefit decision names the working
+/// query and the one predicate or class it would lose (see
+/// [`ProfitOracle`]), and the working query is edited in place only when
+/// the difference is adopted. Held inside [`crate::OptimizerScratch`], the
+/// buffers serve every `optimize_with` call of a worker thread.
 #[derive(Debug, Default)]
 pub struct FormulationScratch {
-    /// The candidate buffer the next decision is formulated into.
-    candidate: Query,
+    optional: Vec<PredId>,
+    imperative: Vec<PredId>,
 }
 
 impl FormulationScratch {
@@ -84,7 +80,7 @@ pub fn formulate(
     formulate_with(catalog, original, table, config, oracle, &mut FormulationScratch::new())
 }
 
-/// [`formulate`] against reusable candidate buffers.
+/// [`formulate`] against reusable buffers.
 pub fn formulate_with(
     catalog: &Catalog,
     original: &Query,
@@ -93,93 +89,84 @@ pub fn formulate_with(
     oracle: &dyn ProfitOracle,
     scratch: &mut FormulationScratch,
 ) -> FormulationResult {
+    let FormulationScratch { optional, imperative } = scratch;
+    optional.clear();
+    imperative.clear();
+    let pool = table.pool();
     let mut final_tags = Vec::new();
     let mut dropped_redundant = Vec::new();
-    let mut introduced = Vec::new();
 
     // Working query: original shape, predicates re-derived from the table.
-    let mut q = original.clone();
-    q.join_predicates.clear();
-    q.selective_predicates.clear();
-
-    let mut optional: Vec<Predicate> = Vec::new();
-    let mut imperative: Vec<Predicate> = Vec::new();
-    for (col, pred) in table.pool().iter() {
+    let mut q = Query {
+        projections: original.projections.clone(),
+        join_predicates: Vec::new(),
+        selective_predicates: Vec::new(),
+        relationships: original.relationships.clone(),
+        classes: original.classes.clone(),
+    };
+    for (col, pred) in pool.iter() {
         let Some(tag) = table.final_tag(col) else {
             continue;
         };
         final_tags.push((pred.clone(), tag));
-        let is_introduced = table.presence(col) == ColumnPresence::Introduced;
-        if is_introduced && tag != PredicateTag::Redundant {
-            introduced.push(pred.clone());
-        }
         match tag {
             PredicateTag::Redundant => dropped_redundant.push(pred.clone()),
             PredicateTag::Imperative => {
                 push_pred(&mut q, pred);
-                imperative.push(pred.clone());
+                imperative.push(col);
             }
             PredicateTag::Optional => {
                 push_pred(&mut q, pred);
-                optional.push(pred.clone());
+                optional.push(col);
             }
         }
     }
+    oracle.begin();
 
     // ---- class elimination (before optional filtering, as in §3.4) -------
+    // Without a relationship no class can dangle.
     let mut eliminated_classes = Vec::new();
-    if config.class_elimination {
-        while let Ok(graph) = q.graph(catalog) {
-            let mut eliminated_this_round = false;
-            for class in graph.dangling_classes() {
-                // "The absence of imperative predicates on its attributes is
-                // a necessary … condition for an object class to be
-                // eliminated" (§3.4).
-                if imperative.iter().any(|p| p.involves(class)) {
-                    continue;
-                }
-                if !eliminable(catalog, &q, class) {
-                    continue;
-                }
-                without_class_into(catalog, &q, class, &mut scratch.candidate);
-                if oracle.eliminate_class(&q, &scratch.candidate, class) {
-                    // Any predicates that vanish with the class were optional.
-                    for p in q.predicates() {
-                        if p.involves(class) {
-                            optional.retain(|o| o != &p);
-                            introduced.retain(|i| i != &p);
-                        }
-                    }
-                    // Adopt the candidate; the old working query becomes the
-                    // next decision's buffer.
-                    std::mem::swap(&mut q, &mut scratch.candidate);
-                    eliminated_classes.push(class);
-                    eliminated_this_round = true;
-                    break; // graph changed; recompute
-                }
-            }
-            if !eliminated_this_round {
-                break;
-            }
-        }
+    while config.class_elimination && !q.relationships.is_empty() {
+        let Ok(graph) = q.graph(catalog) else {
+            break;
+        };
+        let eliminated = graph.dangling_classes().into_iter().find(|&class| {
+            // "The absence of imperative predicates on its attributes is
+            // a necessary … condition for an object class to be
+            // eliminated" (§3.4).
+            !imperative.iter().any(|&p| pool.get(p).involves(class))
+                && eliminable(catalog, &q, class)
+                && oracle.eliminate_class(&q, class)
+        });
+        let Some(class) = eliminated else {
+            break;
+        };
+        // Any predicates that vanish with the class were optional.
+        remove_class(catalog, &mut q, class);
+        eliminated_classes.push(class); // graph changed; recompute
     }
 
     // ---- optional predicate retention (cost–benefit) ----------------------
     let mut dropped_unprofitable = Vec::new();
     let mut retained_optional = Vec::new();
-    for pred in optional {
-        if !q.contains_predicate(&pred) {
+    for pred in optional.iter().map(|&p| pool.get(p)) {
+        if !q.contains_predicate(pred) {
             continue; // removed together with an eliminated class
         }
-        without_predicate_into(&q, &pred, &mut scratch.candidate);
-        if oracle.retain_optional(&q, &scratch.candidate, &pred) {
-            retained_optional.push(pred);
+        if oracle.retain_optional(&q, pred) {
+            retained_optional.push(pred.clone());
         } else {
             dropped_unprofitable.push(pred.clone());
-            std::mem::swap(&mut q, &mut scratch.candidate);
+            q.remove_predicate(pred);
         }
     }
-    introduced.retain(|p| q.contains_predicate(p));
+    let introduced = pool
+        .iter()
+        .filter(|(col, pred)| {
+            table.presence(*col) == ColumnPresence::Introduced && q.contains_predicate(pred)
+        })
+        .map(|(_, pred)| pred.clone())
+        .collect();
 
     // ---- projection bindings ----------------------------------------------
     // An entailed equality (present in the query or introduced — regardless
@@ -260,26 +247,6 @@ fn push_pred(q: &mut Query, pred: &Predicate) {
     }
 }
 
-/// Field-wise `clone_from`: `out` becomes a copy of `src` while reusing
-/// `out`'s heap allocations (the derived `Clone` would allocate all five
-/// vectors afresh).
-fn clone_query_into(src: &Query, out: &mut Query) {
-    out.projections.clone_from(&src.projections);
-    out.join_predicates.clone_from(&src.join_predicates);
-    out.selective_predicates.clone_from(&src.selective_predicates);
-    out.relationships.clone_from(&src.relationships);
-    out.classes.clone_from(&src.classes);
-}
-
-/// Writes `q` minus `pred` into the reusable buffer `out`.
-fn without_predicate_into(q: &Query, pred: &Predicate, out: &mut Query) {
-    clone_query_into(q, out);
-    match pred {
-        Predicate::Sel(s) => out.selective_predicates.retain(|x| x != s),
-        Predicate::Join(j) => out.join_predicates.retain(|x| x != j),
-    }
-}
-
 /// Structural soundness of eliminating `class` from `q`:
 /// 1. nothing projected from the class;
 /// 2. no imperative predicate touches it (checked by the caller, which owns
@@ -292,17 +259,12 @@ fn eliminable(catalog: &Catalog, q: &Query, class: ClassId) -> bool {
         return false;
     }
     // Exactly one incident relationship.
-    let incident: Vec<_> = q
+    let mut incident = q
         .relationships
         .iter()
-        .copied()
-        .filter(|&r| catalog.relationship(r).map(|def| def.involves(class)).unwrap_or(false))
-        .collect();
-    if incident.len() != 1 {
-        return false;
-    }
-    let rel = incident[0];
-    let Ok(def) = catalog.relationship(rel) else {
+        .filter_map(|&r| catalog.relationship(r).ok())
+        .filter(|def| def.involves(class));
+    let (Some(def), None) = (incident.next(), incident.next()) else {
         return false;
     };
     let Some(survivor) = def.other_end(class) else {
@@ -317,16 +279,15 @@ fn eliminable(catalog: &Catalog, q: &Query, class: ClassId) -> bool {
     surviving_end.multiplicity == sqo_catalog::Multiplicity::One && surviving_end.total
 }
 
-/// Writes `q` minus the class, its single relationship and its predicates
-/// into the reusable buffer `out`.
-fn without_class_into(catalog: &Catalog, q: &Query, class: ClassId, out: &mut Query) {
-    clone_query_into(q, out);
-    out.classes.retain(|&c| c != class);
-    out.relationships
+/// Removes the class, its single relationship and its predicates from `q`,
+/// keeping the order of what stays.
+fn remove_class(catalog: &Catalog, q: &mut Query, class: ClassId) {
+    q.classes.retain(|&c| c != class);
+    q.relationships
         .retain(|&r| catalog.relationship(r).map(|def| !def.involves(class)).unwrap_or(true));
-    out.selective_predicates.retain(|s| s.attr.class != class);
-    out.join_predicates.retain(|j| !j.involves(class));
-    out.projections.retain(|p| p.attr.class != class);
+    q.selective_predicates.retain(|s| s.attr.class != class);
+    q.join_predicates.retain(|j| !j.involves(class));
+    q.projections.retain(|p| p.attr.class != class);
 }
 
 #[cfg(test)]

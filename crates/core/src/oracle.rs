@@ -3,7 +3,7 @@
 //! Query formulation delegates its two cost–benefit decisions to "the cost
 //! model in the conventional query optimizer". `sqo-core` stays independent
 //! of any particular engine by asking a [`ProfitOracle`]; `sqo-exec`
-//! provides the real, plan-cost-based implementation
+//! provides the real, cost-model-based implementation
 //! (`CostBasedOracle`), while the structural oracles here serve tests and
 //! engine-free use.
 
@@ -12,17 +12,29 @@ use std::fmt;
 use sqo_catalog::ClassId;
 use sqo_query::{Predicate, Query};
 
-/// Cost–benefit decisions for query formulation.
+/// Cost–benefit decisions for query formulation, asked **by difference**:
+/// each question names the working query and the one predicate or class
+/// the candidate lacks; no candidate query is built.
+///
+/// An oracle may carry what it worked out about the working query from one
+/// question to the next, under this protocol: [`ProfitOracle::begin`] comes
+/// before the first question about a query the oracle has not followed, and
+/// after it each question's `working` is the previous question's — less
+/// that question's predicate if the answer was *drop*, less its class if
+/// the answer was *eliminate*. The answer is the adoption: the caller acts
+/// on it before asking again. One oracle serves any number of formulations.
 pub trait ProfitOracle: fmt::Debug {
-    /// Whether retaining the optional predicate `pred` is profitable.
-    /// `with` is the current candidate query containing `pred`; `without` is
-    /// the same query with `pred` removed.
-    fn retain_optional(&self, with: &Query, without: &Query, pred: &Predicate) -> bool;
+    /// Opens a formulation; anything carried from an earlier one is void.
+    fn begin(&self) {}
 
-    /// Whether eliminating `class` is profitable. `without` is the candidate
-    /// query with the class (and its relationship and predicates) removed.
-    /// Structural soundness has already been established by the caller.
-    fn eliminate_class(&self, with: &Query, without: &Query, class: ClassId) -> bool;
+    /// Whether retaining the optional predicate `pred` of `working` is
+    /// profitable. On `false` the caller removes `pred` from `working`.
+    fn retain_optional(&self, working: &Query, pred: &Predicate) -> bool;
+
+    /// Whether eliminating `class` from `working` — with its relationship
+    /// and predicates — is profitable. Structural soundness has already
+    /// been established by the caller, who removes the class on `true`.
+    fn eliminate_class(&self, working: &Query, class: ClassId) -> bool;
 }
 
 /// Keeps every optional predicate and performs every sound class
@@ -32,11 +44,11 @@ pub trait ProfitOracle: fmt::Debug {
 pub struct StructuralOracle;
 
 impl ProfitOracle for StructuralOracle {
-    fn retain_optional(&self, _with: &Query, _without: &Query, _pred: &Predicate) -> bool {
+    fn retain_optional(&self, _working: &Query, _pred: &Predicate) -> bool {
         true
     }
 
-    fn eliminate_class(&self, _with: &Query, _without: &Query, _class: ClassId) -> bool {
+    fn eliminate_class(&self, _working: &Query, _class: ClassId) -> bool {
         true
     }
 }
@@ -47,11 +59,11 @@ impl ProfitOracle for StructuralOracle {
 pub struct DropAllOracle;
 
 impl ProfitOracle for DropAllOracle {
-    fn retain_optional(&self, _with: &Query, _without: &Query, _pred: &Predicate) -> bool {
+    fn retain_optional(&self, _working: &Query, _pred: &Predicate) -> bool {
         false
     }
 
-    fn eliminate_class(&self, _with: &Query, _without: &Query, _class: ClassId) -> bool {
+    fn eliminate_class(&self, _working: &Query, _class: ClassId) -> bool {
         true
     }
 }
@@ -68,8 +80,8 @@ mod tests {
             sqo_query::CompOp::Eq,
             1i64,
         );
-        assert!(StructuralOracle.retain_optional(&q, &q, &p));
-        assert!(StructuralOracle.eliminate_class(&q, &q, ClassId(0)));
+        assert!(StructuralOracle.retain_optional(&q, &p));
+        assert!(StructuralOracle.eliminate_class(&q, ClassId(0)));
     }
 
     #[test]
@@ -80,7 +92,7 @@ mod tests {
             sqo_query::CompOp::Eq,
             1i64,
         );
-        assert!(!DropAllOracle.retain_optional(&q, &q, &p));
-        assert!(DropAllOracle.eliminate_class(&q, &q, ClassId(0)));
+        assert!(!DropAllOracle.retain_optional(&q, &p));
+        assert!(DropAllOracle.eliminate_class(&q, ClassId(0)));
     }
 }

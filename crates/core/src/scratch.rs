@@ -21,7 +21,7 @@ use crate::transform::TransformScratch;
 
 /// All reusable buffers of one optimization pipeline: indexed constraint
 /// retrieval, transformation-table construction, the transformation
-/// fixpoint loop, and formulation's candidate queries.
+/// fixpoint loop, and formulation's predicate-id lists.
 #[derive(Debug, Default)]
 pub struct OptimizerScratch {
     pub(crate) retrieval: RetrievalScratch,

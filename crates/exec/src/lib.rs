@@ -29,5 +29,5 @@ pub use executor::{execute, execute_with, ExecScratch};
 pub use oracle::CostBasedOracle;
 pub use persist::{read_plan, write_plan};
 pub use plan::{AccessPath, ClassAccess, JoinStep, PhysicalPlan, PlanDisplay};
-pub use planner::{plan_query, plan_query_shared};
+pub use planner::{plan_query, plan_query_shared, Without};
 pub use result::ResultSet;

@@ -1,10 +1,12 @@
 //! The cost-based profitability oracle (§3.4's `profitable(pⱼ)`).
 //!
-//! Implements `sqo-core`'s [`ProfitOracle`] by planning both candidate
-//! queries with the conventional optimizer and comparing estimated work
-//! units — precisely the paper's "estimating the possible cost savings and
-//! overhead of retaining pⱼ, using a cost model and conventional query
-//! optimization techniques".
+//! Implements `sqo-core`'s [`ProfitOracle`] by comparing the conventional
+//! optimizer's estimated work units for the working query and for the
+//! working query less the predicate or class in question — precisely the
+//! paper's "estimating the possible cost savings and overhead of retaining
+//! pⱼ, using a cost model and conventional query optimization techniques".
+//! No candidate query and no plan is built: `planner.rs` explains how a
+//! difference is costed and why the estimate is the candidate plan's.
 
 use std::cell::RefCell;
 
@@ -14,32 +16,21 @@ use sqo_query::{Predicate, Query};
 use sqo_storage::Database;
 
 use crate::cost::CostModel;
-use crate::planner::plan_query;
-
-/// How many recently-costed queries the oracle remembers. Formulation asks
-/// about overlapping `(with, without)` pairs — the `with` side of one
-/// decision is the `with` or `without` side of the previous one — so a tiny
-/// window already removes almost half of the planning work. The window is
-/// sized to cover one full formulation pass over a typical query (a class
-/// elimination round plus a handful of optional-predicate decisions), so a
-/// candidate revisited later in the same `optimize_with` call still hits.
-const COST_MEMO: usize = 8;
+use crate::planner::{Estimator, Rule, Without};
 
 /// Plan-cost-comparing oracle over one immutable database snapshot.
 ///
-/// Plan costs are memoized per oracle instance; the snapshot never changes
-/// under the oracle, so the memo never goes stale. A caller serving a
-/// mutable database builds a fresh oracle per snapshot, which is what the
-/// serving layer does on every miss.
-///
-/// The memo makes the oracle `!Sync` — use one oracle per thread, which is
-/// how both the optimizer and the serving layer already drive it.
+/// Between two [`ProfitOracle::begin`]s the oracle carries the working
+/// query's statistics and estimated cost from one decision to the next (the
+/// snapshot never changes under it, so neither goes stale); a caller
+/// serving a mutable database builds a fresh oracle per snapshot, which is
+/// what the serving layer does on every miss. That state makes the oracle
+/// `!Sync` — use one oracle per thread.
 #[derive(Debug)]
 pub struct CostBasedOracle<'db> {
     db: &'db Database,
     model: CostModel,
-    /// `(query, estimated cost)`, most-recent first.
-    memo: RefCell<Vec<(Query, f64)>>,
+    formulation: RefCell<Estimator>,
 }
 
 impl<'db> CostBasedOracle<'db> {
@@ -48,53 +39,52 @@ impl<'db> CostBasedOracle<'db> {
     }
 
     pub fn with_model(db: &'db Database, model: CostModel) -> Self {
-        Self { db, model, memo: RefCell::new(Vec::with_capacity(COST_MEMO)) }
+        Self { db, model, formulation: RefCell::default() }
     }
 
     pub fn model(&self) -> &CostModel {
         &self.model
     }
 
-    /// The (memoized) planner cost estimate the oracle's decisions compare —
-    /// also exposed for diagnostics. `None` when the query cannot be planned.
-    pub fn estimated_cost(&self, q: &Query) -> Option<f64> {
-        let mut memo = self.memo.borrow_mut();
-        if let Some(i) = memo.iter().position(|(mq, _)| mq == q) {
-            let hit = memo.remove(i);
-            let cost = hit.1;
-            memo.insert(0, hit); // most-recent first
-            return Some(cost);
-        }
-        let cost = plan_query(self.db, q, &self.model).ok().map(|p| p.estimated_cost)?;
-        memo.truncate(COST_MEMO - 1);
-        memo.insert(0, (q.clone(), cost));
-        Some(cost)
+    /// The planner's cost estimate for `q` less `without` — what the
+    /// oracle's decisions compare, exposed for diagnostics. `None` when
+    /// that query cannot be planned. Leaves an open formulation alone.
+    pub fn estimated_cost(&self, q: &Query, without: Option<Without<'_>>) -> Option<f64> {
+        Estimator::default().estimate(self.db, q, &self.model, without)
+    }
+
+    /// One decision of the open formulation (see [`Estimator::decide`]).
+    fn decide(&self, working: &Query, without: Without<'_>, adopting: bool, rule: Rule) -> bool {
+        self.formulation.borrow_mut().decide(self.db, working, &self.model, without, adopting, rule)
     }
 }
 
 impl ProfitOracle for CostBasedOracle<'_> {
-    fn retain_optional(&self, with: &Query, without: &Query, _pred: &Predicate) -> bool {
-        match (self.estimated_cost(with), self.estimated_cost(without)) {
-            (Some(w), Some(wo)) => w <= wo,
-            // If either candidate fails to plan, keep the predicate: a
-            // superfluous implied predicate is harmless, a lost one is not
-            // recoverable here.
-            _ => true,
-        }
+    fn begin(&self) {
+        self.formulation.borrow_mut().reset();
     }
 
-    fn eliminate_class(&self, with: &Query, without: &Query, _class: ClassId) -> bool {
-        match (self.estimated_cost(with), self.estimated_cost(without)) {
-            (Some(w), Some(wo)) => wo <= w,
-            // If the reduced query cannot be planned, keep the class.
-            _ => false,
-        }
+    fn retain_optional(&self, working: &Query, pred: &Predicate) -> bool {
+        let without = match pred {
+            Predicate::Sel(s) => Without::Sel(s),
+            Predicate::Join(j) => Without::Join(j),
+        };
+        // If either candidate fails to plan, keep the predicate: a
+        // superfluous implied predicate is harmless, a lost one is not
+        // recoverable here.
+        self.decide(working, without, false, |with, without| with <= without)
+    }
+
+    fn eliminate_class(&self, working: &Query, class: ClassId) -> bool {
+        // If the reduced query cannot be planned, keep the class.
+        self.decide(working, Without::Class(class), true, |with, without| without <= with)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::plan_query;
     use sqo_catalog::{example::figure21, Value};
     use sqo_constraints::{figure22, ConstraintStore, StoreOptions};
     use sqo_core::SemanticOptimizer;
@@ -262,8 +252,8 @@ mod tests {
             .unwrap(),
         ];
         for q in &queries {
-            let a = o_patched.estimated_cost(q).expect("plannable");
-            let b = o_rebuilt.estimated_cost(q).expect("plannable");
+            let a = o_patched.estimated_cost(q, None).expect("plannable");
+            let b = o_rebuilt.estimated_cost(q, None).expect("plannable");
             assert_eq!(a, b, "estimates diverged between patched and rebuilt snapshots");
         }
     }
@@ -274,14 +264,18 @@ mod tests {
         let oracle = CostBasedOracle::new(&db);
         let catalog = db.catalog().clone();
         let good = fig23_query(&catalog);
-        let broken = Query::new(); // unplannable
-        assert!(!oracle.eliminate_class(&good, &broken, ClassId(0)));
+        // Without cargo, supplier and vehicle are unreachable from one
+        // another: the reduced query cannot be planned.
+        oracle.begin();
+        assert!(!oracle.eliminate_class(&good, catalog.class_id("cargo").unwrap()));
         // And keeps predicates under the same failure.
+        let broken = Query::new(); // unplannable
         let p = Predicate::sel(
             catalog.attr_ref("cargo", "desc").unwrap(),
             sqo_query::CompOp::Eq,
             "frozen food",
         );
-        assert!(oracle.retain_optional(&broken, &broken, &p));
+        oracle.begin();
+        assert!(oracle.retain_optional(&broken, &p));
     }
 }

@@ -4,10 +4,37 @@
 //! This is deliberately a classic early-90s planner: per-class access paths
 //! (index when a predicate allows it, scan otherwise), then a greedy join
 //! order that always expands the cheapest frontier relationship, with
-//! System-R-style selectivity estimates. The semantic optimizer consults it
-//! through [`crate::CostBasedOracle`] for every cost–benefit decision.
+//! System-R-style selectivity estimates. It runs in three stages over one
+//! [`Estimator`]: [`Estimator::load`] resolves the query's statistics once,
+//! [`Estimator::order`] picks the driving class and the step order from
+//! those numbers alone, and [`Estimator::materialize`] builds the plan the
+//! order describes. [`plan_query`] is the three in sequence.
+//!
+//! # Costing a candidate by its difference
+//!
+//! The semantic optimizer asks (through [`crate::CostBasedOracle`]) what a
+//! query would cost with one selective predicate, one join predicate or one
+//! class removed. Such a candidate is never built: [`Estimator::order`]
+//! runs on the working query with a [`Without`] that makes it step over
+//! what the candidate lacks. The estimate has the same bits as
+//! `plan_query(&candidate)?.estimated_cost`, because
+//!
+//! * removing with `Vec::retain` keeps the order of classes, relationships
+//!   and predicates, so stepping over an element enumerates exactly what
+//!   the built candidate would;
+//! * every number comes from the same arithmetic in the same order — a
+//!   conjunction's selectivity is `Iterator::product` from `1.0` over the
+//!   predicates left, then `clamp`; ties go to the first candidate under
+//!   strict `<`;
+//! * only one class's access estimate depends on a removed selective
+//!   predicate, and that one is estimated again under the mask;
+//! * there is one ordering loop, so the planner and the oracle cannot
+//!   drift apart.
+//!
+//! `crates/exec/tests/prop_estimate.rs` checks the equality on generated
+//! databases and query shapes.
 
-use sqo_catalog::{Catalog, ClassId, RelId};
+use sqo_catalog::{CatalogError, ClassId, RelId, StatsSnapshot};
 use sqo_query::{JoinPredicate, Query, SelPredicate};
 use sqo_storage::Database;
 
@@ -15,275 +42,470 @@ use crate::cost::CostModel;
 use crate::error::ExecError;
 use crate::plan::{AccessPath, ClassAccess, JoinStep, PhysicalPlan};
 
-/// Join predicates that become checkable when `to_class` is bound on top of
-/// `bound` — the single source both for candidate *costing* (`.count()`)
-/// and for materializing the winning step's filter list, so the two can
-/// never diverge.
-fn step_join_filters<'q>(
-    query: &'q Query,
-    applied_joins: &'q [JoinPredicate],
-    bound: &'q [ClassId],
-    to_class: ClassId,
-) -> impl Iterator<Item = &'q JoinPredicate> {
-    query.join_predicates.iter().filter(|j| !applied_joins.contains(j)).filter(move |j| {
-        let (x, y) = j.classes();
-        let after = |c: ClassId| c == to_class || bound.contains(&c);
-        after(x) && after(y) && (x == to_class || y == to_class)
-    })
+/// What a candidate query lacks that the query it is costed on has.
+#[derive(Debug, Clone, Copy)]
+pub enum Without<'q> {
+    /// Every selective predicate equal to this one.
+    Sel(&'q SelPredicate),
+    /// Every join predicate equal to this one.
+    Join(&'q JoinPredicate),
+    /// The class, with its relationships, predicates and join predicates.
+    Class(ClassId),
 }
 
-/// Cycle edges closed when `to_class` is bound via `rel`: other unused
+/// A decision rule over the estimated costs `(with, without)`.
+pub(crate) type Rule = fn(f64, f64) -> bool;
+
+/// A selective predicate's share of the statistics.
+#[derive(Debug, Clone, Copy)]
+struct PredView {
+    selectivity: f64,
+    /// An index on the attribute can serve the predicate's value set.
+    indexable: bool,
+}
+
+/// A relationship's endpoints and its average fan-out seen from each.
+#[derive(Debug, Clone, Copy)]
+struct RelView {
+    ends: (ClassId, ClassId),
+    fanout: (f64, f64),
+}
+
+impl RelView {
+    fn involves(&self, class: ClassId) -> bool {
+        self.ends.0 == class || self.ends.1 == class
+    }
+}
+
+/// The cheapest way to drive a query from one class: a scan (`None`) or a
+/// probe of the index on the class's `probe`-th predicate.
+#[derive(Debug, Clone, Copy)]
+struct ClassEstimate {
+    probe: Option<usize>,
+    cost: f64,
+    rows: f64,
+}
+
+/// One step of the chosen order; the counts are its shares of
+/// [`Estimator::join_filters`] and [`Estimator::link_filters`].
+#[derive(Debug, Clone, Copy)]
+struct StepOrder {
+    rel: RelId,
+    from_class: ClassId,
+    to_class: ClassId,
+    join_filters: usize,
+    link_filters: usize,
+}
+
+/// The statistics of one query, the order chosen from them, and the cost a
+/// formulation carries from one decision to the next. Every buffer is
+/// reused: once warm, costing a difference allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Estimator {
+    /// Parallel to `query.selective_predicates`.
+    preds: Vec<PredView>,
+    /// Parallel to `query.relationships`; `None` is not in the catalog.
+    rels: Vec<Option<RelView>>,
+    /// Parallel to `query.classes`.
+    classes: Vec<ClassEstimate>,
+    /// Output of the last [`Estimator::order`]: the driving class's
+    /// position, the steps, and their filters end to end.
+    root: usize,
+    steps: Vec<StepOrder>,
+    join_filters: Vec<JoinPredicate>,
+    link_filters: Vec<(RelId, ClassId, ClassId)>,
+    bound: Vec<ClassId>,
+    /// Whether a working query is loaded, and its cost (`None`: it cannot
+    /// be planned).
+    loaded: bool,
+    cost: Option<f64>,
+}
+
+/// The predicates on `class` that `without` leaves, in query order.
+fn class_preds<'a>(
+    query: &'a Query,
+    preds: &'a [PredView],
+    class: ClassId,
+    without: Option<Without<'a>>,
+) -> impl Iterator<Item = PredView> + Clone + 'a {
+    query
+        .selective_predicates
+        .iter()
+        .zip(preds)
+        .filter(move |(p, _)| {
+            p.attr.class == class && !matches!(without, Some(Without::Sel(s)) if s == *p)
+        })
+        .map(|(_, view)| *view)
+}
+
+/// Conjunction selectivity under the independence assumption
+/// (multiplication order matches `CostModel::conjunction_selectivity`).
+fn conjunction(preds: impl Iterator<Item = PredView>) -> f64 {
+    preds.map(|view| view.selectivity).product::<f64>().clamp(0.0, 1.0)
+}
+
+/// Best access path for `class` if it were the driving class.
+fn estimate_class(
+    stats: &StatsSnapshot,
+    model: &CostModel,
+    query: &Query,
+    preds: &[PredView],
+    class: ClassId,
+    without: Option<Without<'_>>,
+) -> ClassEstimate {
+    let of_class = class_preds(query, preds, class, without);
+    let count = of_class.clone().count();
+    let (cost, rows) = model.scan_estimate(stats, class, count, conjunction(of_class.clone()));
+    let mut best = ClassEstimate { probe: None, cost, rows };
+    for (i, view) in of_class.clone().enumerate().filter(|(_, view)| view.indexable) {
+        let rest = of_class.clone().enumerate().filter(|(j, _)| *j != i).map(|(_, view)| view);
+        let (cost, rows) =
+            model.index_estimate(stats, class, count - 1, conjunction(rest), view.selectivity);
+        if cost < best.cost {
+            best = ClassEstimate { probe: Some(i), cost, rows };
+        }
+    }
+    best
+}
+
+/// Join predicates that become checkable when `to_class` is bound on top of
+/// `bound` — the single source both for candidate *costing* (`.count()`)
+/// and for the winning step's filter list, so the two can never diverge.
+/// `to_class` is not bound yet, so no earlier step can have applied one.
+fn step_join_filters<'q>(
+    query: &'q Query,
+    bound: &'q [ClassId],
+    to_class: ClassId,
+    without: Option<Without<'q>>,
+) -> impl Iterator<Item = &'q JoinPredicate> {
+    query
+        .join_predicates
+        .iter()
+        .filter(move |j| !matches!(without, Some(Without::Join(m)) if m == *j))
+        .filter(move |j| {
+            let (x, y) = j.classes();
+            let after = |c: ClassId| c == to_class || bound.contains(&c);
+            after(x) && after(y) && (x == to_class || y == to_class)
+        })
+}
+
+/// Cycle edges closed when `to_class` is bound via `rel`: the other
 /// relationships whose both endpoints are then bound. Shared between
-/// costing and materialization like [`step_join_filters`].
+/// costing and the filter list like [`step_join_filters`]; a removed class
+/// is never bound, so its relationships never qualify.
 fn step_link_filters<'q>(
     query: &'q Query,
-    catalog: &'q Catalog,
-    used_rels: &'q [RelId],
+    rels: &'q [Option<RelView>],
     bound: &'q [ClassId],
     rel: RelId,
     to_class: ClassId,
 ) -> impl Iterator<Item = (RelId, ClassId, ClassId)> + 'q {
-    query.relationships.iter().filter_map(move |&r2| {
-        if r2 == rel || used_rels.contains(&r2) {
-            return None;
-        }
-        let d2 = catalog.relationship(r2).ok()?;
-        let (x, y) = d2.classes();
+    query.relationships.iter().zip(rels).filter_map(move |(&r2, view)| {
+        let (x, y) = (*view)?.ends;
         let after = |c: ClassId| c == to_class || bound.contains(&c);
-        if after(x) && after(y) && (x == to_class || y == to_class) {
-            Some((r2, x, y))
-        } else {
-            None
-        }
+        (r2 != rel && after(x) && after(y) && (x == to_class || y == to_class))
+            .then_some((r2, x, y))
     })
+}
+
+impl Estimator {
+    /// Stage 1: touches the [`Database::stats`] snapshot once per selective
+    /// predicate, relationship and class of `query`; everything after reads
+    /// what this resolved.
+    fn load(&mut self, db: &Database, query: &Query, model: &CostModel) {
+        let (catalog, stats) = (db.catalog(), db.stats());
+        self.preds.clear();
+        self.preds.extend(query.selective_predicates.iter().map(|p| PredView {
+            selectivity: model.selectivity(stats, p),
+            indexable: db.index(p.attr).is_some_and(|index| index.supports(&p.value_set())),
+        }));
+        self.rels.clear();
+        self.rels.extend(query.relationships.iter().map(|&rel| {
+            let ends = catalog.relationship(rel).ok()?.classes();
+            let rstats = stats.relationship(rel).cloned().unwrap_or_default();
+            let fanout = (rstats.avg_left_fanout.max(0.0), rstats.avg_right_fanout.max(0.0));
+            Some(RelView { ends, fanout })
+        }));
+        self.classes.clear();
+        for &class in &query.classes {
+            self.classes.push(estimate_class(stats, model, query, &self.preds, class, None));
+        }
+    }
+
+    /// Stage 2: the driving class (fewest estimated rows, then cheapest
+    /// access) and the greedy expansion over relationships, for `query`
+    /// less `without`. `patched` replaces one class's loaded estimate.
+    /// Returns the estimated `(cost, rows)` and leaves the order in `self`.
+    fn order(
+        &mut self,
+        query: &Query,
+        model: &CostModel,
+        without: Option<Without<'_>>,
+        patched: Option<(ClassId, ClassEstimate)>,
+    ) -> Result<(f64, f64), ExecError> {
+        let Self { preds, rels, classes, steps, join_filters, link_filters, bound, .. } = self;
+        // A removed class is stepped over as a root and as a frontier
+        // endpoint; never bound, nothing else of it is ever read.
+        let kept = |class: ClassId| !matches!(without, Some(Without::Class(m)) if m == class);
+
+        let mut root: Option<(usize, ClassEstimate)> = None;
+        let mut class_count = 0;
+        for (at, &class) in query.classes.iter().enumerate().filter(|(_, c)| kept(**c)) {
+            class_count += 1;
+            let cand = match patched {
+                Some((patched_class, estimate)) if patched_class == class => estimate,
+                _ => classes[at],
+            };
+            if root.map_or(true, |(_, best)| (cand.rows, cand.cost) < (best.rows, best.cost)) {
+                root = Some((at, cand));
+            }
+        }
+        let (root, ClassEstimate { cost: mut total_cost, rows: mut current_rows, .. }) =
+            root.ok_or(ExecError::EmptyQuery)?;
+        self.root = root;
+
+        steps.clear();
+        join_filters.clear();
+        link_filters.clear();
+        bound.clear();
+        bound.push(query.classes[root]);
+        while bound.len() < class_count {
+            // Frontier: relationships with exactly one endpoint bound,
+            // costed from counts alone.
+            let mut best: Option<(f64, f64, StepOrder)> = None;
+            for (&rel, view) in query.relationships.iter().zip(rels.iter()) {
+                let view = view.ok_or(CatalogError::UnknownRelId(rel))?;
+                let (a, b) = view.ends;
+                if !kept(a) || !kept(b) {
+                    continue;
+                }
+                let (from_class, to_class, fanout) = if bound.contains(&a) && !bound.contains(&b) {
+                    (a, b, view.fanout.0)
+                } else if bound.contains(&b) && !bound.contains(&a) {
+                    (b, a, view.fanout.1)
+                } else {
+                    continue;
+                };
+                let residual = class_preds(query, preds, to_class, without);
+                let step = StepOrder {
+                    rel,
+                    from_class,
+                    to_class,
+                    join_filters: step_join_filters(query, bound, to_class, without).count(),
+                    link_filters: step_link_filters(query, rels, bound, rel, to_class).count(),
+                };
+                let (step_cost, out_rows) = model.join_step_estimate_parts(
+                    current_rows,
+                    fanout,
+                    residual.clone().count(),
+                    conjunction(residual),
+                    step.join_filters + step.link_filters,
+                );
+                if best.map_or(true, |(rows, cost, _)| (out_rows, step_cost) < (rows, cost)) {
+                    best = Some((out_rows, step_cost, step));
+                }
+            }
+            let Some((out_rows, step_cost, step)) = best else {
+                // invariant: `bound` holds distinct kept members of
+                // query.classes and the loop condition has bound.len() <
+                // class_count, so an unbound kept class must exist.
+                let missing = query
+                    .classes
+                    .iter()
+                    .copied()
+                    .find(|c| kept(*c) && !bound.contains(c))
+                    .expect("loop condition guarantees a missing class"); // invariant: see above
+                return Err(ExecError::Unreachable(missing));
+            };
+            join_filters.extend(step_join_filters(query, bound, step.to_class, without));
+            link_filters.extend(step_link_filters(query, rels, bound, step.rel, step.to_class));
+            bound.push(step.to_class);
+            steps.push(step);
+            total_cost += step_cost;
+            current_rows = out_rows;
+        }
+
+        // Materialization cost of the final rows.
+        total_cost += current_rows * model.weights.tuple_out;
+        Ok((total_cost, current_rows))
+    }
+
+    /// Stage 3: the plan the last [`Estimator::order`] of the whole `query`
+    /// describes — the only stage that clones a predicate.
+    fn materialize(&self, query: &Query, estimated_cost: f64, estimated_rows: f64) -> PhysicalPlan {
+        let preds_of = |class: ClassId| {
+            query.selective_predicates.iter().filter(move |p| p.attr.class == class)
+        };
+        let class = query.classes[self.root];
+        let probe = self.classes[self.root].probe;
+        let root = ClassAccess {
+            class,
+            path: match probe.and_then(|i| preds_of(class).nth(i)) {
+                Some(p) => AccessPath::Index { attr: p.attr, set: p.value_set() },
+                None => AccessPath::SeqScan,
+            },
+            residual: preds_of(class)
+                .enumerate()
+                .filter(|(j, _)| Some(*j) != probe)
+                .map(|(_, p)| p.clone())
+                .collect(),
+        };
+        let (mut join_filters, mut link_filters) =
+            (self.join_filters.as_slice(), self.link_filters.as_slice());
+        let steps = self
+            .steps
+            .iter()
+            .map(|step| {
+                let (joins, later) = join_filters.split_at(step.join_filters);
+                let (links, later_links) = link_filters.split_at(step.link_filters);
+                (join_filters, link_filters) = (later, later_links);
+                JoinStep {
+                    rel: step.rel,
+                    from_class: step.from_class,
+                    access: ClassAccess {
+                        class: step.to_class,
+                        path: AccessPath::SeqScan, // pointer access; path unused
+                        residual: preds_of(step.to_class).cloned().collect(),
+                    },
+                    join_filters: joins.to_vec(),
+                    link_filters: links.to_vec(),
+                }
+            })
+            .collect();
+        PhysicalPlan {
+            root,
+            steps,
+            projections: query.projections.clone(),
+            estimated_cost,
+            estimated_rows,
+        }
+    }
+
+    /// [`Estimator::order`] of the loaded `query` less `without`, with the
+    /// one class estimate a removed selective predicate changes worked out
+    /// again under the mask and returned beside the cost.
+    fn cost_of(
+        &mut self,
+        db: &Database,
+        query: &Query,
+        model: &CostModel,
+        without: Option<Without<'_>>,
+    ) -> Option<(f64, Option<ClassEstimate>)> {
+        let patched = match without {
+            Some(Without::Sel(s)) => Some((
+                s.attr.class,
+                estimate_class(db.stats(), model, query, &self.preds, s.attr.class, without),
+            )),
+            _ => None,
+        };
+        let (cost, _) = self.order(query, model, without, patched).ok()?;
+        Some((cost, patched.map(|(_, estimate)| estimate)))
+    }
+
+    /// `query`'s estimated cost less `without`, with no plan built; `None`
+    /// when it cannot be planned.
+    pub(crate) fn estimate(
+        &mut self,
+        db: &Database,
+        query: &Query,
+        model: &CostModel,
+        without: Option<Without<'_>>,
+    ) -> Option<f64> {
+        self.reset();
+        self.load(db, query, model);
+        self.cost_of(db, query, model, without).map(|(cost, _)| cost)
+    }
+
+    /// Forgets the working query: the next [`Estimator::decide`] is about a
+    /// query this estimator has not seen.
+    pub(crate) fn reset(&mut self) {
+        self.loaded = false;
+    }
+
+    /// One cost–benefit decision: `rule(with, without)` on the estimated
+    /// costs of `working` and of `working` less `without`. When either
+    /// cannot be planned the answer is `!adopting`, the one that leaves
+    /// `working` as it is; the answer `adopting` makes the difference the
+    /// working query, which the caller then removes from `working` with
+    /// order-keeping `retain`s, as this does from the view.
+    ///
+    /// `working` must be the query of the previous call since
+    /// [`Estimator::reset`], less that call's difference if it was adopted:
+    /// its statistics and its cost are carried, so a decision is one masked
+    /// run of the loop.
+    pub(crate) fn decide(
+        &mut self,
+        db: &Database,
+        working: &Query,
+        model: &CostModel,
+        without: Without<'_>,
+        adopting: bool,
+        rule: Rule,
+    ) -> bool {
+        if !self.loaded {
+            self.load(db, working, model);
+            self.cost = self.cost_of(db, working, model, None).map(|(cost, _)| cost);
+            self.loaded = true;
+        }
+        debug_assert_eq!(
+            (self.preds.len(), self.rels.len(), self.classes.len()),
+            (
+                working.selective_predicates.len(),
+                working.relationships.len(),
+                working.classes.len()
+            ),
+            "the working query changed without an adoption or a reset"
+        );
+        let sides = self.cost.zip(self.cost_of(db, working, model, Some(without)));
+        let Some((with, (candidate, patched))) = sides else {
+            return !adopting;
+        };
+        let answer = rule(with, candidate);
+        if answer != adopting {
+            return answer;
+        }
+        self.cost = Some(candidate);
+        match without {
+            Without::Sel(s) => {
+                let mut of_query = working.selective_predicates.iter();
+                self.preds.retain(|_| of_query.next() != Some(s));
+                let at = working.classes.iter().position(|&c| c == s.attr.class);
+                if let (Some(at), Some(estimate)) = (at, patched) {
+                    self.classes[at] = estimate;
+                }
+            }
+            Without::Join(_) => {}
+            Without::Class(class) => {
+                let mut of_query = working.selective_predicates.iter();
+                self.preds.retain(|_| of_query.next().is_some_and(|p| p.attr.class != class));
+                self.rels.retain(|view| !view.is_some_and(|view| view.involves(class)));
+                let mut of_query = working.classes.iter();
+                self.classes.retain(|_| of_query.next() != Some(&class));
+            }
+        }
+        answer
+    }
 }
 
 /// Plans `query` against `db` with `model`.
 ///
 /// `query` must be valid (see `Query::validate`); the planner checks
 /// reachability as it goes and reports `Unreachable` otherwise.
-///
-/// Candidate costing is batched: one pass up front resolves every
-/// selective predicate's selectivity and every relationship's fan-out from
-/// the [`Database::stats`] snapshot into a per-query view, and all
-/// candidate evaluation below — root access choices, index alternatives,
-/// frontier steps — reads that view. A query with P predicates and R
-/// relationships touches the statistics P + R times total instead of once
-/// per (candidate × predicate) pair, and the chosen plan is bit-identical
-/// to costing each candidate directly (same values multiplied in the same
-/// order).
 pub fn plan_query(
     db: &Database,
     query: &Query,
     model: &CostModel,
 ) -> Result<PhysicalPlan, ExecError> {
-    let catalog = db.catalog();
-    let stats = db.stats();
-    if query.classes.is_empty() {
-        return Err(ExecError::EmptyQuery);
-    }
-
-    // The shared stats view: selectivity per selective predicate and
-    // fan-out per relationship, each resolved exactly once.
-    let pred_sel: Vec<f64> =
-        query.selective_predicates.iter().map(|p| model.selectivity(stats, p)).collect();
-    let rel_fanout: Vec<(f64, f64)> = query
-        .relationships
-        .iter()
-        .map(|&rel| {
-            let rstats = stats.relationship(rel).cloned().unwrap_or_default();
-            (rstats.avg_left_fanout.max(0.0), rstats.avg_right_fanout.max(0.0))
-        })
-        .collect();
-
-    // Selective predicates per class as (view index, predicate) pairs:
-    // candidates are *costed* from the view without cloning predicates;
-    // only the winning access/step is ever materialized.
-    let preds_of = |class: ClassId| -> Vec<(usize, &SelPredicate)> {
-        query
-            .selective_predicates
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.attr.class == class)
-            .collect()
-    };
-    // Residual conjunction selectivity, optionally excluding the indexed
-    // predicate (multiplication order matches `conjunction_selectivity`).
-    let residual_sel = |preds: &[(usize, &SelPredicate)], skip: Option<usize>| -> f64 {
-        preds
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| Some(*j) != skip)
-            .map(|(_, (gi, _))| pred_sel[*gi])
-            .product::<f64>()
-            .clamp(0.0, 1.0)
-    };
-
-    // Best access path for a class if it were the driving class.
-    let best_access = |class: ClassId| -> (ClassAccess, f64, f64) {
-        let preds = preds_of(class);
-        let (scan_cost, scan_rows) =
-            model.scan_estimate(stats, class, preds.len(), residual_sel(&preds, None));
-        // `None` = sequential scan; `Some(i)` = probe the index on preds[i].
-        let mut best: (Option<usize>, f64, f64) = (None, scan_cost, scan_rows);
-        for (i, (gi, p)) in preds.iter().enumerate() {
-            let Some(index) = db.index(p.attr) else {
-                continue;
-            };
-            if !index.supports(&p.value_set()) {
-                continue;
-            }
-            let sel = pred_sel[*gi];
-            let (cost, rows) = model.index_estimate(
-                stats,
-                class,
-                preds.len() - 1,
-                residual_sel(&preds, Some(i)),
-                sel,
-            );
-            if cost < best.1 {
-                best = (Some(i), cost, rows);
-            }
-        }
-        let (choice, cost, rows) = best;
-        let access = match choice {
-            None => ClassAccess {
-                class,
-                path: AccessPath::SeqScan,
-                residual: preds.iter().map(|(_, p)| (*p).clone()).collect(),
-            },
-            Some(i) => ClassAccess {
-                class,
-                path: AccessPath::Index { attr: preds[i].1.attr, set: preds[i].1.value_set() },
-                residual: preds
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i)
-                    .map(|(_, (_, p))| (*p).clone())
-                    .collect(),
-            },
-        };
-        (access, cost, rows)
-    };
-
-    // Driving class: fewest estimated output rows, then cheapest access.
-    let mut root_choice: Option<(ClassAccess, f64, f64)> = None;
-    for &class in &query.classes {
-        let cand = best_access(class);
-        let better = match &root_choice {
-            None => true,
-            Some((_, cost, rows)) => (cand.2, cand.1) < (*rows, *cost),
-        };
-        if better {
-            root_choice = Some(cand);
-        }
-    }
-    let (root, mut total_cost, mut current_rows) = root_choice.ok_or(ExecError::EmptyQuery)?;
-
-    // Greedy expansion over relationships.
-    let mut bound: Vec<ClassId> = vec![root.class];
-    let mut used_rels: Vec<RelId> = Vec::new();
-    let mut applied_joins: Vec<JoinPredicate> = Vec::new();
-    let mut steps: Vec<JoinStep> = Vec::new();
-
-    while bound.len() < query.classes.len() {
-        // Frontier: relationships with exactly one endpoint bound. Candidates
-        // are costed from counts alone; the winner's filter lists are
-        // materialized once after the scan.
-        let mut best: Option<(f64, f64, RelId, ClassId, ClassId)> = None;
-        for (ri, &rel) in query.relationships.iter().enumerate() {
-            if used_rels.contains(&rel) {
-                continue;
-            }
-            let def = catalog.relationship(rel)?;
-            let (a, b) = def.classes();
-            let (from_class, to_class) = if bound.contains(&a) && !bound.contains(&b) {
-                (a, b)
-            } else if bound.contains(&b) && !bound.contains(&a) {
-                (b, a)
-            } else {
-                continue;
-            };
-            // Fan-out seen from `from_class`, read from the shared view.
-            let fanout =
-                if def.left.class == from_class { rel_fanout[ri].0 } else { rel_fanout[ri].1 };
-            let residual = preds_of(to_class);
-            let join_filter_count =
-                step_join_filters(query, &applied_joins, &bound, to_class).count();
-            let link_filter_count =
-                step_link_filters(query, catalog, &used_rels, &bound, rel, to_class).count();
-            let (step_cost, out_rows) = model.join_step_estimate_parts(
-                current_rows,
-                fanout,
-                residual.len(),
-                residual_sel(&residual, None),
-                join_filter_count + link_filter_count,
-            );
-            if best.as_ref().map(|(r, c, ..)| (out_rows, step_cost) < (*r, *c)).unwrap_or(true) {
-                best = Some((out_rows, step_cost, rel, from_class, to_class));
-            }
-        }
-        let Some((out_rows, step_cost, rel, from_class, to_class)) = best else {
-            // invariant: `bound` holds distinct members of query.classes
-            // and the loop condition has bound.len() < classes.len(), so
-            // an unbound class must exist.
-            let missing = query
-                .classes
-                .iter()
-                .copied()
-                .find(|c| !bound.contains(c))
-                .expect("loop condition guarantees a missing class"); // invariant: see above
-            return Err(ExecError::Unreachable(missing));
-        };
-        // Materialize the winning step from the same candidate sets the
-        // costing loop counted.
-        let join_filters: Vec<JoinPredicate> =
-            step_join_filters(query, &applied_joins, &bound, to_class).copied().collect();
-        let link_filters: Vec<(RelId, ClassId, ClassId)> =
-            step_link_filters(query, catalog, &used_rels, &bound, rel, to_class).collect();
-        let step = JoinStep {
-            rel,
-            from_class,
-            access: ClassAccess {
-                class: to_class,
-                path: AccessPath::SeqScan, // pointer access; path unused
-                residual: preds_of(to_class).into_iter().map(|(_, p)| p.clone()).collect(),
-            },
-            join_filters,
-            link_filters,
-        };
-        for lf in &step.link_filters {
-            used_rels.push(lf.0);
-        }
-        for j in &step.join_filters {
-            applied_joins.push(*j);
-        }
-        used_rels.push(step.rel);
-        bound.push(step.access.class);
-        total_cost += step_cost;
-        current_rows = out_rows;
-        steps.push(step);
-    }
-
-    // Materialization cost of the final rows.
-    total_cost += current_rows * model.weights.tuple_out;
-
-    Ok(PhysicalPlan {
-        root,
-        steps,
-        projections: query.projections.clone(),
-        estimated_cost: total_cost,
-        estimated_rows: current_rows,
-    })
+    let mut estimator = Estimator::default();
+    estimator.load(db, query, model);
+    let (cost, rows) = estimator.order(query, model, None, None)?;
+    Ok(estimator.materialize(query, cost, rows))
 }
 
 /// [`plan_query`], delivered behind an [`Arc`](std::sync::Arc) so the plan can be cached and
 /// re-executed by many threads without re-planning: the executor only ever
 /// needs `&PhysicalPlan`, so one planning pass amortizes over every
-/// subsequent [`crate::execute`] call that clones the handle. Like
-/// [`plan_query`], the pass costs all access and step candidates against
-/// one pre-resolved statistics view instead of re-touching the snapshot
-/// per candidate.
+/// subsequent [`crate::execute`] call that clones the handle.
 pub fn plan_query_shared(
     db: &Database,
     query: &Query,

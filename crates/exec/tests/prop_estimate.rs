@@ -1,0 +1,241 @@
+//! Property test: the difference is the candidate, to the bit.
+//!
+//! The profit oracle costs "the working query less one predicate or class"
+//! without building that query (`planner.rs`, *Costing a candidate by its
+//! difference*). For arbitrary populations and query shapes — single class,
+//! chains, a cycle whose extra edge becomes a link filter, a class no
+//! relationship reaches — and for **every** selective predicate, join
+//! predicate and class of the query, the masked estimate must equal
+//! `plan_query(&built_candidate)?.estimated_cost` by `to_bits()`, and be
+//! `None` exactly when `plan_query` errs. A second property drives one
+//! oracle through a whole formulation's worth of questions, adoptions
+//! included, against an oracle that plans both whole queries.
+
+use proptest::prelude::*;
+use std::sync::Arc;
+
+use sqo_catalog::{AttributeDef, Catalog, ClassId, DataType, IndexKind, Value};
+use sqo_core::ProfitOracle;
+use sqo_exec::{plan_query, CostBasedOracle, CostModel, Without};
+use sqo_query::{CompOp, JoinPredicate, Predicate, Projection, Query, SelPredicate};
+use sqo_storage::{Database, IntegrityOptions, ObjectId};
+
+/// Three classes in a triangle `a —ab— b —bc— c —ac— a`, each with a
+/// hash-indexed `id`, a B-tree-indexed `kind` and an unindexed `note`.
+fn triangle() -> Arc<Catalog> {
+    let mut b = Catalog::builder();
+    let attrs = || {
+        vec![
+            AttributeDef::indexed("id", DataType::Int, IndexKind::Hash),
+            AttributeDef::indexed("kind", DataType::Int, IndexKind::BTree),
+            AttributeDef::new("note", DataType::Int),
+        ]
+    };
+    let a = b.class("a", attrs()).unwrap();
+    let bb = b.class("b", attrs()).unwrap();
+    let c = b.class("c", attrs()).unwrap();
+    b.many_to_one("ab", a, bb).unwrap();
+    b.many_to_one("bc", bb, c).unwrap();
+    b.many_to_one("ac", a, c).unwrap();
+    Arc::new(b.build().unwrap())
+}
+
+/// Arbitrary extents and link strides, one of each per class; every many-side object keeps at
+/// most one link per relationship, so multiplicity holds for any stride.
+fn db(sizes: &[usize], strides: &[usize]) -> Database {
+    let catalog = triangle();
+    let mut b = Database::builder(Arc::clone(&catalog));
+    for (class, &n) in sizes.iter().enumerate() {
+        for i in 0..n as i64 {
+            let tuple = vec![Value::Int(i), Value::Int(i % 3), Value::Int(i % 5)];
+            b.insert(ClassId(class as u32), tuple).unwrap();
+        }
+    }
+    for (rel, (from, to)) in [("ab", (0, 1)), ("bc", (1, 2)), ("ac", (0, 2))] {
+        let rel_id = catalog.rel_id(rel).unwrap();
+        if sizes[to] == 0 {
+            continue;
+        }
+        for i in 0..sizes[from] {
+            let target = (i * strides[from] + i) % sizes[to];
+            b.link(rel_id, ObjectId(i as u32), ObjectId(target as u32)).unwrap();
+        }
+    }
+    b.finalize(IntegrityOptions { enforce_total_participation: false, enforce_multiplicity: true })
+        .unwrap()
+}
+
+/// Shapes: 0 `a`; 1 `a–b`; 2 the chain `a–b–c`; 3 the cycle (all three
+/// relationships: one closes as a link filter); 4 the chain listed from
+/// the far end; 5 `a–b` plus an unreachable `c`. `sel_bits` picks, per
+/// class, among `id = 1` (hash probe), `kind < 2` (B-tree probe),
+/// `kind <> 0` (no index serves a hole) and `note = 3` (unindexed);
+/// `join_bits` among `a.note < b.note`, `b.kind = c.kind`, `a.id >= c.id`.
+fn query(catalog: &Catalog, shape: u8, sel_bits: u16, join_bits: u8) -> Query {
+    let (classes, rels): (&[u32], &[&str]) = match shape % 6 {
+        0 => (&[0], &[]),
+        1 => (&[0, 1], &["ab"]),
+        2 => (&[0, 1, 2], &["ab", "bc"]),
+        3 => (&[0, 1, 2], &["ab", "bc", "ac"]),
+        4 => (&[2, 1, 0], &["bc", "ab"]),
+        _ => (&[0, 1, 2], &["ab"]),
+    };
+    let names = ["a", "b", "c"];
+    let attr = |class: u32, name: &str| catalog.attr_ref(names[class as usize], name).unwrap();
+    let mut q = Query::new();
+    q.classes = classes.iter().map(|&c| ClassId(c)).collect();
+    q.relationships = rels.iter().map(|r| catalog.rel_id(r).unwrap()).collect();
+    q.projections = classes.iter().map(|&c| Projection::plain(attr(c, "id"))).collect();
+    let filters = [
+        ("id", CompOp::Eq, 1i64),
+        ("kind", CompOp::Lt, 2),
+        ("kind", CompOp::Ne, 0),
+        ("note", CompOp::Eq, 3),
+    ];
+    for &class in classes {
+        for (bit, (name, op, value)) in filters.iter().enumerate() {
+            if sel_bits >> (class as usize * filters.len() + bit) & 1 == 1 {
+                q.selective_predicates.push(SelPredicate::new(
+                    attr(class, name),
+                    *op,
+                    Value::Int(*value),
+                ));
+            }
+        }
+    }
+    let joins = [
+        (0, "note", CompOp::Lt, 1, "note"),
+        (1, "kind", CompOp::Eq, 2, "kind"),
+        (0, "id", CompOp::Ge, 2, "id"),
+    ];
+    for (bit, (left, left_attr, op, right, right_attr)) in joins.iter().enumerate() {
+        if join_bits >> bit & 1 == 1 && classes.contains(left) && classes.contains(right) {
+            q.join_predicates.push(JoinPredicate::new(
+                attr(*left, left_attr),
+                *op,
+                attr(*right, right_attr),
+            ));
+        }
+    }
+    q
+}
+
+/// The candidate a [`Without`] stands for, built the way formulation
+/// removes things: order-keeping `retain`s.
+fn built(catalog: &Catalog, q: &Query, without: Without<'_>) -> Query {
+    let mut out = q.clone();
+    match without {
+        Without::Sel(s) => out.selective_predicates.retain(|x| x != s),
+        Without::Join(j) => out.join_predicates.retain(|x| x != j),
+        Without::Class(class) => {
+            out.classes.retain(|&c| c != class);
+            out.relationships.retain(|&r| !catalog.relationship(r).unwrap().involves(class));
+            out.selective_predicates.retain(|s| s.attr.class != class);
+            out.join_predicates.retain(|j| !j.involves(class));
+            out.projections.retain(|p| p.attr.class != class);
+        }
+    }
+    out
+}
+
+fn planned_bits(db: &Database, q: &Query) -> Option<u64> {
+    plan_query(db, q, &CostModel::default()).ok().map(|plan| plan.estimated_cost.to_bits())
+}
+
+/// Every difference `q` has, in the order formulation would ask about them.
+fn differences(q: &Query) -> Vec<Without<'_>> {
+    let classes = q.classes.iter().map(|&c| Without::Class(c));
+    let sels = q.selective_predicates.iter().map(Without::Sel);
+    let joins = q.join_predicates.iter().map(Without::Join);
+    classes.chain(sels).chain(joins).collect()
+}
+
+/// The oracle of the parent commit: plans both whole queries.
+#[derive(Debug)]
+struct PlanBoth<'db>(&'db Database);
+
+impl ProfitOracle for PlanBoth<'_> {
+    fn retain_optional(&self, working: &Query, pred: &Predicate) -> bool {
+        let without = match pred {
+            Predicate::Sel(s) => Without::Sel(s),
+            Predicate::Join(j) => Without::Join(j),
+        };
+        let candidate = built(self.0.catalog(), working, without);
+        match (planned_bits(self.0, working), planned_bits(self.0, &candidate)) {
+            (Some(w), Some(wo)) => f64::from_bits(w) <= f64::from_bits(wo),
+            _ => true,
+        }
+    }
+
+    fn eliminate_class(&self, working: &Query, class: ClassId) -> bool {
+        let candidate = built(self.0.catalog(), working, Without::Class(class));
+        match (planned_bits(self.0, working), planned_bits(self.0, &candidate)) {
+            (Some(w), Some(wo)) => f64::from_bits(wo) <= f64::from_bits(w),
+            _ => false,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn masked_estimate_is_the_candidate_plan(
+        sizes in prop::collection::vec(0usize..24, 3..4),
+        strides in prop::collection::vec(0usize..7, 3..4),
+        shape in 0u8..6,
+        sel_bits in 0u16..4096,
+        join_bits in 0u8..8,
+    ) {
+        let db = db(&sizes, &strides);
+        let q = query(db.catalog(), shape, sel_bits, join_bits);
+        let oracle = CostBasedOracle::new(&db);
+        prop_assert_eq!(
+            oracle.estimated_cost(&q, None).map(f64::to_bits),
+            planned_bits(&db, &q)
+        );
+        for without in differences(&q) {
+            let candidate = built(db.catalog(), &q, without);
+            prop_assert_eq!(
+                oracle.estimated_cost(&q, Some(without)).map(f64::to_bits),
+                planned_bits(&db, &candidate),
+                "{:?} of {:?}", without, q
+            );
+        }
+    }
+
+    /// One oracle, one `begin`, every question a formulation could ask in
+    /// turn — each adoption edits the working query and the next question
+    /// is about the edited one. Answers must match planning both sides.
+    #[test]
+    fn a_formulation_s_answers_match_planning_both_sides(
+        sizes in prop::collection::vec(0usize..24, 3..4),
+        strides in prop::collection::vec(0usize..7, 3..4),
+        shape in 0u8..6,
+        sel_bits in 0u16..4096,
+        join_bits in 0u8..8,
+    ) {
+        let db = db(&sizes, &strides);
+        let original = query(db.catalog(), shape, sel_bits, join_bits);
+        let (oracle, reference) = (CostBasedOracle::new(&db), PlanBoth(&db));
+        let mut working = original.clone();
+        oracle.begin();
+        for &class in &original.classes {
+            let eliminate = oracle.eliminate_class(&working, class);
+            prop_assert_eq!(eliminate, reference.eliminate_class(&working, class));
+            if eliminate {
+                working = built(db.catalog(), &working, Without::Class(class));
+            }
+        }
+        for pred in original.predicates() {
+            if !working.contains_predicate(&pred) {
+                continue; // went with an eliminated class
+            }
+            let retain = oracle.retain_optional(&working, &pred);
+            prop_assert_eq!(retain, reference.retain_optional(&working, &pred), "{:?}", pred);
+            if !retain {
+                working.remove_predicate(&pred);
+            }
+        }
+    }
+}

@@ -92,6 +92,15 @@ impl Query {
         }
     }
 
+    /// Removes every syntactic occurrence of `pred`, keeping the order of
+    /// what stays.
+    pub fn remove_predicate(&mut self, pred: &Predicate) {
+        match pred {
+            Predicate::Join(j) => self.join_predicates.retain(|x| x != j),
+            Predicate::Sel(s) => self.selective_predicates.retain(|x| x != s),
+        }
+    }
+
     /// Whether some query predicate *implies* `pred` — the implication-aware
     /// presence test used by `MatchPolicy::Implication` (`interval.rs` has
     /// the subset test it rests on).
@@ -120,21 +129,17 @@ impl Query {
         if self.classes.is_empty() {
             return Err(QueryError::EmptyClassList);
         }
-        let mut seen = Vec::with_capacity(self.classes.len());
-        for &c in &self.classes {
+        for (i, &c) in self.classes.iter().enumerate() {
             catalog.class(c)?;
-            if seen.contains(&c) {
+            if self.classes[..i].contains(&c) {
                 return Err(QueryError::DuplicateClass(c));
             }
-            seen.push(c);
         }
-        let mut seen_rels = Vec::with_capacity(self.relationships.len());
-        for &r in &self.relationships {
+        for (i, &r) in self.relationships.iter().enumerate() {
             let def = catalog.relationship(r)?;
-            if seen_rels.contains(&r) {
+            if self.relationships[..i].contains(&r) {
                 return Err(QueryError::DuplicateRelationship(r));
             }
-            seen_rels.push(r);
             for end in [def.left.class, def.right.class] {
                 if !self.has_class(end) {
                     return Err(QueryError::RelationshipEndpointMissing { rel: r, class: end });
@@ -189,8 +194,24 @@ impl Query {
                 });
             }
         }
-        let graph = self.graph(catalog)?;
-        if !graph.is_connected() {
+        // Connectivity: grow the set reached from the first class along the
+        // relationships until a sweep adds nothing. Every endpoint is a
+        // distinct listed class (checked above), so the set fits the list.
+        let mut reached = Vec::with_capacity(self.classes.len());
+        reached.push(self.classes[0]);
+        let mut swept = 0;
+        while swept < reached.len() {
+            swept = reached.len();
+            for &r in &self.relationships {
+                let (a, b) = catalog.relationship(r)?.classes();
+                match (reached.contains(&a), reached.contains(&b)) {
+                    (true, false) => reached.push(b),
+                    (false, true) => reached.push(a),
+                    _ => {}
+                }
+            }
+        }
+        if reached.len() < self.classes.len() {
             return Err(QueryError::Disconnected);
         }
         Ok(())

@@ -1,0 +1,99 @@
+//! A cache miss allocates what it did when this budget was set: the
+//! in-tree tripwire for the end-to-end benchmark's `service.allocs_per_op`
+//! on `cold_paper`, which otherwise only a traced benchmark run can see.
+//!
+//! Every request below misses the plan cache, so each one runs the whole
+//! pipeline — canonicalize, validate, retrieve, build the table, transform,
+//! formulate (the cost–benefit decisions allocate nothing once the worker's
+//! scratch is warm), plan, execute. Allocation calls are counted by a
+//! test-local `#[global_allocator]` on the one thread the test runs; the
+//! count repeats exactly from run to run, so unlike a timing tolerance this
+//! gate cannot flake. A debug build counts more (`optimize_with` validates
+//! the formulated query again under `debug_assert!`), so each profile has
+//! its own figure.
+
+#[path = "common/paper_pool.rs"]
+mod paper_pool;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use sqo_service::{QueryService, ServiceConfig};
+
+thread_local! {
+    // `const` + `Cell<integer>`: no lazy initialization and no destructor,
+    // so the allocator may touch these at any point of a thread's life.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn note() {
+    if COUNTING.with(Cell::get) {
+        CALLS.with(|c| c.set(c.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the bookkeeping touches only
+// destructor-free thread-locals and never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: `layout` is the caller's, forwarded as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` was returned by this allocator (hence by `System`)
+        // for `layout`, as the caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Queries measured, after as many others have warmed the worker scratch.
+const SLICE: usize = 256;
+/// Allocation calls measured over the slice (56.0 a miss in release, 61.0
+/// in debug); the budget is that + 5 %.
+const MEASURED: u64 = if cfg!(debug_assertions) { 15_619 } else { 14_341 };
+const BUDGET: u64 = MEASURED + MEASURED / 20;
+
+#[test]
+fn a_warmed_miss_allocates_within_budget() {
+    let (store, db, pool) = paper_pool::paper_pool(2 * SLICE);
+    let service = QueryService::with_config(store, db, ServiceConfig::default());
+    let (measured, warm_up) = pool.split_at(SLICE);
+    for q in warm_up {
+        service.run(q).unwrap();
+    }
+    let before = CALLS.with(Cell::get);
+    COUNTING.with(|c| c.set(true));
+    for q in measured {
+        service.run(q).unwrap();
+    }
+    COUNTING.with(|c| c.set(false));
+    let calls = CALLS.with(Cell::get) - before;
+    let stats = service.stats();
+    assert_eq!(stats.optimizations, pool.len() as u64, "every request is a miss");
+    assert!(
+        calls <= BUDGET,
+        "{SLICE} misses made {calls} allocation calls ({:.1} each), budget {BUDGET}",
+        calls as f64 / SLICE as f64
+    );
+}

@@ -211,7 +211,7 @@ pub struct Database {
     /// Which data epoch this snapshot materializes: `0` for a
     /// builder-finalized load, `source + 1` for every
     /// [`Database::with_writes`] successor. Downstream memos (cached result
-    /// sets, oracle cost memos) key on it to stay data-epoch-aware.
+    /// sets) key on it to stay data-epoch-aware.
     data_version: u64,
     /// Per class, the last data epoch of this snapshot's lineage that
     /// changed it. One vector per lineage: successors receive it by
