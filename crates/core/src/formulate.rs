@@ -124,26 +124,29 @@ pub fn formulate_with(
     oracle.begin();
 
     // ---- class elimination (before optional filtering, as in §3.4) -------
-    // Without a relationship no class can dangle.
+    // Only in a query whose relationships all resolve and link listed
+    // classes (`Query::validate`'s condition, which `remove_class` keeps): a
+    // malformed query loses nothing.
     let mut eliminated_classes = Vec::new();
-    while config.class_elimination && !q.relationships.is_empty() {
-        let Ok(graph) = q.graph(catalog) else {
-            break;
-        };
-        let eliminated = graph.dangling_classes().into_iter().find(|&class| {
+    let linked = |r| {
+        catalog.relationship(r).is_ok_and(|def| {
+            let (a, b) = def.classes();
+            q.has_class(a) && q.has_class(b)
+        })
+    };
+    if config.class_elimination && q.relationships.iter().copied().all(linked) {
+        while let Some(class) = q.classes.iter().copied().find(|&class| {
             // "The absence of imperative predicates on its attributes is
             // a necessary … condition for an object class to be
             // eliminated" (§3.4).
             !imperative.iter().any(|&p| pool.get(p).involves(class))
                 && eliminable(catalog, &q, class)
                 && oracle.eliminate_class(&q, class)
-        });
-        let Some(class) = eliminated else {
-            break;
-        };
-        // Any predicates that vanish with the class were optional.
-        remove_class(catalog, &mut q, class);
-        eliminated_classes.push(class); // graph changed; recompute
+        }) {
+            // Any predicates that vanish with the class were optional.
+            remove_class(catalog, &mut q, class);
+            eliminated_classes.push(class);
+        }
     }
 
     // ---- optional predicate retention (cost–benefit) ----------------------
@@ -436,6 +439,25 @@ mod tests {
             res2.eliminated_classes.is_empty(),
             "vehicle end is not total/to-one from driver's side"
         );
+    }
+
+    /// A query `validate` would reject — a relationship with an endpoint
+    /// outside the class list, or one the catalog does not know — loses no
+    /// class (the well-formed query loses `supplier`) and does not panic.
+    #[test]
+    fn malformed_relationships_eliminate_nothing() {
+        let (catalog, store, query) = fig23_setup();
+        let mut unlisted_endpoint = query.clone();
+        unlisted_endpoint.relationships.push(catalog.rel_id("drives").unwrap()); // no `driver`
+        let mut unknown_rel = query.clone();
+        unknown_rel.relationships.push(sqo_catalog::RelId(999));
+        for bad in [unlisted_endpoint, unknown_rel] {
+            assert!(bad.validate(&catalog).is_err());
+            let res = run_formulation(&catalog, &store, &bad, &StructuralOracle);
+            assert!(res.eliminated_classes.is_empty(), "{res:?}");
+            assert_eq!(res.query.classes, bad.classes);
+            assert_eq!(res.query.relationships, bad.relationships);
+        }
     }
 
     #[test]

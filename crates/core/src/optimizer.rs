@@ -28,32 +28,13 @@ pub struct Optimized {
     pub report: OptimizationReport,
 }
 
-/// How the optimizer holds its constraint store: borrowed for the classic
-/// single-shot library use, or owned (`Arc`) so the optimizer can live
-/// inside long-lived, thread-shared service state without a lifetime tying
-/// it to a stack frame.
-#[derive(Debug)]
-enum StoreHandle<'a> {
-    Borrowed(&'a ConstraintStore),
-    Shared(Arc<ConstraintStore>),
-}
-
-impl StoreHandle<'_> {
-    fn get(&self) -> &ConstraintStore {
-        match self {
-            StoreHandle::Borrowed(s) => s,
-            StoreHandle::Shared(s) => s,
-        }
-    }
-}
-
 /// The semantic query optimizer.
 ///
 /// Holds a reference to the (shared, precompiled) constraint store; each
 /// [`SemanticOptimizer::optimize`] call is independent and thread-safe.
 #[derive(Debug)]
 pub struct SemanticOptimizer<'a> {
-    store: StoreHandle<'a>,
+    store: &'a ConstraintStore,
     config: OptimizerConfig,
 }
 
@@ -64,27 +45,12 @@ impl<'a> SemanticOptimizer<'a> {
     }
 
     pub fn with_config(store: &'a ConstraintStore, config: OptimizerConfig) -> Self {
-        Self { store: StoreHandle::Borrowed(store), config }
-    }
-
-    /// Owned-store variant of [`SemanticOptimizer::new`]: the optimizer
-    /// co-owns the store and carries no borrowed lifetime, so it can be
-    /// stored in service structs and moved across threads freely.
-    pub fn shared(store: Arc<ConstraintStore>) -> SemanticOptimizer<'static> {
-        Self::shared_with_config(store, OptimizerConfig::paper())
-    }
-
-    /// Owned-store variant of [`SemanticOptimizer::with_config`].
-    pub fn shared_with_config(
-        store: Arc<ConstraintStore>,
-        config: OptimizerConfig,
-    ) -> SemanticOptimizer<'static> {
-        SemanticOptimizer { store: StoreHandle::Shared(store), config }
+        Self { store, config }
     }
 
     /// The constraint store the optimizer consults.
     pub fn store(&self) -> &ConstraintStore {
-        self.store.get()
+        self.store
     }
 
     pub fn config(&self) -> &OptimizerConfig {
@@ -92,7 +58,7 @@ impl<'a> SemanticOptimizer<'a> {
     }
 
     pub fn catalog(&self) -> &Arc<Catalog> {
-        self.store.get().catalog()
+        self.store.catalog()
     }
 
     /// Optimizes `query` (which must validate against the catalog),
@@ -120,7 +86,7 @@ impl<'a> SemanticOptimizer<'a> {
         oracle: &dyn ProfitOracle,
         scratch: &mut OptimizerScratch,
     ) -> Result<Optimized, QueryError> {
-        let store = self.store.get();
+        let store = self.store;
         let catalog = store.catalog().clone();
         query.validate(&catalog)?;
 
@@ -245,15 +211,16 @@ mod tests {
         let borrowed = SemanticOptimizer::new(&store);
         let expected = borrowed.optimize(&query, &StructuralOracle).unwrap().query;
 
-        // The shared optimizer has no borrowed lifetime: move it into a
-        // thread, which the borrowed variant cannot do.
-        let shared = SemanticOptimizer::shared(Arc::clone(&store));
-        let q = query.clone();
-        let got = std::thread::spawn(move || shared.optimize(&q, &StructuralOracle).unwrap().query)
-            .join()
-            .unwrap();
+        // The way the serving layer holds it: the store behind an `Arc`, an
+        // optimizer borrowing it moved into a worker thread.
+        let shared = SemanticOptimizer::new(&store);
+        let got = std::thread::scope(|s| {
+            s.spawn(move || shared.optimize(&query, &StructuralOracle).unwrap().query)
+                .join()
+                .unwrap()
+        });
         assert_eq!(got.normalized(), expected.normalized());
-        assert_eq!(SemanticOptimizer::shared(store).store().len(), 6);
+        assert_eq!(SemanticOptimizer::new(&store).store().len(), 6);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! The transformation queue `Q` (§3.2, §4).
 //!
-//! The base algorithm uses FIFO order — and proves order immaterial. The §4
-//! extension turns `Q` into a priority queue so that, under a transformation
-//! budget, the likely-profitable transformations run first:
-//! *index introduction* > *restriction elimination* > *restriction
-//! introduction*.
+//! §4 makes `Q` a priority queue so that, under a transformation budget, the
+//! likely-profitable transformations run first: *index introduction* >
+//! *restriction elimination* > *restriction introduction*, first come first
+//! served within a kind. The base algorithm's FIFO order — under which the
+//! paper proves order immaterial — is the same queue with every kind given
+//! one constant rank.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::config::QueueDiscipline;
 
@@ -21,46 +23,20 @@ pub enum ActionKind {
     IndexIntroduction = 3,
 }
 
-#[derive(Debug, PartialEq, Eq)]
-struct HeapEntry {
-    kind: ActionKind,
-    /// FIFO tiebreak within a priority class (larger seq = later).
-    seq: usize,
-    row: usize,
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap: higher kind first, then earlier seq.
-        (self.kind as u8).cmp(&(other.kind as u8)).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Queue of pending transformations, identified by table row index.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TransformationQueue {
     discipline: QueueDiscipline,
-    fifo: VecDeque<usize>,
-    heap: BinaryHeap<HeapEntry>,
+    /// Max-heap of `(rank, Reverse(seq), row)`: highest rank first, earliest
+    /// push first within a rank. `seq` is unique, so `row` never decides.
+    heap: BinaryHeap<(u8, Reverse<usize>, usize)>,
     queued: Vec<bool>,
     seq: usize,
 }
 
 impl TransformationQueue {
     pub fn new(discipline: QueueDiscipline, rows: usize) -> Self {
-        let mut q = Self {
-            discipline,
-            fifo: VecDeque::new(),
-            heap: BinaryHeap::new(),
-            queued: Vec::new(),
-            seq: 0,
-        };
+        let mut q = Self::default();
         q.reset(discipline, rows);
         q
     }
@@ -69,7 +45,6 @@ impl TransformationQueue {
     /// backing allocations (the optimizer-scratch pattern).
     pub fn reset(&mut self, discipline: QueueDiscipline, rows: usize) {
         self.discipline = discipline;
-        self.fifo.clear();
         self.heap.clear();
         self.queued.clear();
         self.queued.resize(rows, false);
@@ -83,33 +58,25 @@ impl TransformationQueue {
         }
         self.queued[row] = true;
         self.seq += 1;
-        match self.discipline {
-            QueueDiscipline::Fifo => self.fifo.push_back(row),
-            QueueDiscipline::Priority => self.heap.push(HeapEntry { kind, seq: self.seq, row }),
-        }
+        let rank = match self.discipline {
+            QueueDiscipline::Fifo => 0,
+            QueueDiscipline::Priority => kind as u8,
+        };
+        self.heap.push((rank, Reverse(self.seq), row));
     }
 
     pub fn pop(&mut self) -> Option<usize> {
-        let row = match self.discipline {
-            QueueDiscipline::Fifo => self.fifo.pop_front(),
-            QueueDiscipline::Priority => self.heap.pop().map(|e| e.row),
-        }?;
+        let (_, _, row) = self.heap.pop()?;
         self.queued[row] = false;
         Some(row)
     }
 
     pub fn is_empty(&self) -> bool {
-        match self.discipline {
-            QueueDiscipline::Fifo => self.fifo.is_empty(),
-            QueueDiscipline::Priority => self.heap.is_empty(),
-        }
+        self.heap.is_empty()
     }
 
     pub fn len(&self) -> usize {
-        match self.discipline {
-            QueueDiscipline::Fifo => self.fifo.len(),
-            QueueDiscipline::Priority => self.heap.len(),
-        }
+        self.heap.len()
     }
 }
 

@@ -3,8 +3,11 @@
 //! Rows are the relevant constraints `C`, columns the predicate set `P`
 //! (query predicates plus all predicates of relevant constraints, interned
 //! into a per-query [`PredicatePool`] so structural duplicates share a
-//! column). Cells hold [`CellState`]s; alongside the matrix the table tracks
-//! each column's [`ColumnPresence`] and current [`PredicateTag`].
+//! column). What the table stores is one [`ColumnPresence`] and one optional
+//! [`PredicateTag`] per column — everything the fixpoint and formulation
+//! decide from. The paper's matrix of [`CellState`]s is a *view* over that
+//! state ([`TransformationTable::cell`]), not a second copy of it, and
+//! [`TransformationTable::render`] prints the view.
 //!
 //! Two deliberate refinements over the paper's literal pseudocode, both
 //! required to make the claimed order-immateriality a theorem
@@ -12,15 +15,16 @@
 //!
 //! 1. tag assignment is a *meet* (`min`) on the lattice, so concurrent
 //!    lowerings from different constraints can never raise a tag;
-//! 2. all consequent cells of a column stay synchronized (the paper leaves
-//!    `AbsentConsequent` rows stale after an introduction).
+//! 2. all consequent cells of a column agree (the paper leaves
+//!    `AbsentConsequent` rows stale after an introduction) — by
+//!    construction, since every one of them is read from the column's tag.
 //!
-//! Because the table is rebuilt for every optimized query — the dominant
-//! allocation source of the cold path — construction can run against a
-//! reusable [`TableBuffers`] ([`TransformationTable::build_with`] /
-//! [`TransformationTable::recycle`]): every vector and the predicate pool
-//! keep their capacity across queries, so a warmed-up serving thread builds
-//! tables with near-zero transient allocation.
+//! Because the table is rebuilt for every optimized query, construction can
+//! run against a reusable [`TableBuffers`]: the previous query's table,
+//! handed back by [`TransformationTable::recycle`] and refilled in place by
+//! [`TransformationTable::build_with`], so every vector and the predicate
+//! pool keep their capacity and a warmed-up serving thread builds tables
+//! with near-zero transient allocation.
 
 use sqo_catalog::Catalog;
 use sqo_constraints::{ConstraintClass, ConstraintId, ConstraintStore, PredId, PredicatePool};
@@ -43,40 +47,29 @@ pub struct Row {
     pub active: bool,
 }
 
-/// Recyclable storage for [`TransformationTable`]: the per-query pool and
-/// every backing vector, kept warm between optimizations. Obtain one with
+/// Recyclable storage for [`TransformationTable`]: a spent table whose pool
+/// and vectors the next build refills. Obtain one with
 /// `TableBuffers::default()`, thread it through
-/// [`TransformationTable::build_with`], and return the table's storage with
-/// [`TransformationTable::recycle`] when the table is no longer needed.
+/// [`TransformationTable::build_with`], and return the table with
+/// [`TransformationTable::recycle`] when it is no longer needed.
 #[derive(Debug, Default)]
-pub struct TableBuffers {
-    pool: PredicatePool,
-    rows: Vec<Row>,
-    presence: Vec<ColumnPresence>,
-    tags: Vec<Option<PredicateTag>>,
-    cells: Vec<CellState>,
-    query_columns: Vec<PredId>,
-    antecedent_rows: Vec<Vec<usize>>,
-    consequent_rows: Vec<Vec<usize>>,
-}
+pub struct TableBuffers(TransformationTable);
 
 /// The transformation table.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TransformationTable {
     rows: Vec<Row>,
     pool: PredicatePool,
     presence: Vec<ColumnPresence>,
     tags: Vec<Option<PredicateTag>>,
-    cells: Vec<CellState>,
-    cols: usize,
     /// Columns of the original query's predicates, in query order.
     query_columns: Vec<PredId>,
     /// antecedent column -> rows listing it (for incremental wake-ups).
-    /// Indexed by column; may be longer than `cols` when recycled from a
+    /// Indexed by column; may be longer than the pool when recycled from a
     /// wider query (the excess lists are empty).
     antecedent_rows: Vec<Vec<usize>>,
-    /// consequent column -> rows whose consequent it is (for tag
-    /// synchronization and targeted eligibility rechecks).
+    /// consequent column -> rows whose consequent it is (for targeted
+    /// eligibility rechecks).
     consequent_rows: Vec<Vec<usize>>,
 }
 
@@ -101,9 +94,9 @@ impl TransformationTable {
         )
     }
 
-    /// [`TransformationTable::build`] against recycled storage: all backing
-    /// vectors and the predicate pool are taken from `buf` (clearing, not
-    /// freeing, their contents). Pass the table back through
+    /// [`TransformationTable::build`] against recycled storage: the table
+    /// held by `buf` is taken and refilled (clearing, not freeing, its
+    /// vectors and pool). Pass the table back through
     /// [`TransformationTable::recycle`] to reuse the storage again.
     pub fn build_with(
         catalog: &Catalog,
@@ -113,113 +106,69 @@ impl TransformationTable {
         match_policy: MatchPolicy,
         buf: &mut TableBuffers,
     ) -> Self {
-        let mut pool = std::mem::take(&mut buf.pool);
-        pool.clear();
+        let mut t = std::mem::take(&mut buf.0);
+        t.pool.clear();
         // Query predicates first: stable, paper-like column order.
-        let mut query_columns = std::mem::take(&mut buf.query_columns);
-        query_columns.clear();
-        query_columns.extend(query.predicates().map(|p| pool.intern(p)));
-        let mut rows = std::mem::take(&mut buf.rows);
-        rows.clear();
-        rows.extend(relevant.iter().map(|&id| {
+        t.query_columns.clear();
+        t.query_columns.extend(query.predicates().map(|p| t.pool.intern(p)));
+        t.rows.clear();
+        t.rows.extend(relevant.iter().map(|&id| {
             let c = store.constraint(id);
             Row {
                 constraint: id,
-                antecedents: c.antecedents.iter().cloned().map(|p| pool.intern(p)).collect(),
-                consequent: pool.intern(c.consequent.clone()),
+                antecedents: c.antecedents.iter().cloned().map(|p| t.pool.intern(p)).collect(),
+                consequent: t.pool.intern(c.consequent.clone()),
                 classification: c.classification(),
                 consequent_indexed: c.consequent.is_indexed(catalog),
                 active: true,
             }
         }));
-        let cols = pool.len();
+        let cols = t.pool.len();
 
         // Column presence and initial tags: every query predicate starts
         // imperative ("unless proven otherwise, we have to assume that all
         // the predicates contribute to the results").
-        let mut presence = std::mem::take(&mut buf.presence);
-        presence.clear();
-        presence.resize(cols, ColumnPresence::Absent);
-        let mut tags = std::mem::take(&mut buf.tags);
-        tags.clear();
-        tags.resize(cols, None);
-        for &qc in &query_columns {
-            presence[qc.index()] = ColumnPresence::InQuery;
-            tags[qc.index()] = Some(PredicateTag::Imperative);
+        t.presence.clear();
+        t.presence.resize(cols, ColumnPresence::Absent);
+        t.tags.clear();
+        t.tags.resize(cols, None);
+        for &qc in &t.query_columns {
+            t.presence[qc.index()] = ColumnPresence::InQuery;
+            t.tags[qc.index()] = Some(PredicateTag::Imperative);
         }
         if match_policy == MatchPolicy::Implication {
-            for (id, pred) in pool.iter() {
-                if presence[id.index()] == ColumnPresence::Absent && query.satisfies_predicate(pred)
+            for (id, pred) in t.pool.iter() {
+                if t.presence[id.index()] == ColumnPresence::Absent
+                    && query.satisfies_predicate(pred)
                 {
-                    presence[id.index()] = ColumnPresence::Implied;
+                    t.presence[id.index()] = ColumnPresence::Implied;
                 }
             }
         }
 
-        // Cells and the column → rows postings.
-        let mut cells = std::mem::take(&mut buf.cells);
-        cells.clear();
-        cells.resize(rows.len() * cols, CellState::NotPresent);
-        let mut antecedent_rows = std::mem::take(&mut buf.antecedent_rows);
-        let mut consequent_rows = std::mem::take(&mut buf.consequent_rows);
-        for list in antecedent_rows.iter_mut().chain(consequent_rows.iter_mut()) {
+        // The column → rows postings.
+        for list in t.antecedent_rows.iter_mut().chain(t.consequent_rows.iter_mut()) {
             list.clear();
         }
-        if antecedent_rows.len() < cols {
-            antecedent_rows.resize_with(cols, Vec::new);
+        if t.antecedent_rows.len() < cols {
+            t.antecedent_rows.resize_with(cols, Vec::new);
         }
-        if consequent_rows.len() < cols {
-            consequent_rows.resize_with(cols, Vec::new);
+        if t.consequent_rows.len() < cols {
+            t.consequent_rows.resize_with(cols, Vec::new);
         }
-        for (ri, row) in rows.iter().enumerate() {
+        for (ri, row) in t.rows.iter().enumerate() {
             for &a in &row.antecedents {
-                antecedent_rows[a.index()].push(ri);
-                cells[ri * cols + a.index()] = if presence[a.index()].satisfies_antecedent() {
-                    CellState::PresentAntecedent
-                } else {
-                    CellState::AbsentAntecedent
-                };
+                t.antecedent_rows[a.index()].push(ri);
             }
-            let cj = row.consequent;
-            consequent_rows[cj.index()].push(ri);
-            cells[ri * cols + cj.index()] = match presence[cj.index()] {
-                ColumnPresence::InQuery => CellState::Tagged(PredicateTag::Imperative),
-                // Implied-but-absent consequents are introduction candidates,
-                // same as absent ones (the introduction will be vacuous and
-                // the cost model will reject it, but chaining through it is
-                // legitimate).
-                ColumnPresence::Implied | ColumnPresence::Absent => CellState::AbsentConsequent,
-                // invariant: `presence` is freshly derived from the query in
-                // this constructor; Introduced only appears via later
-                // `introduce` calls on the built table.
-                ColumnPresence::Introduced => unreachable!("nothing introduced at init"),
-            };
+            t.consequent_rows[row.consequent.index()].push(ri);
         }
-
-        Self {
-            rows,
-            pool,
-            presence,
-            tags,
-            cells,
-            cols,
-            query_columns,
-            antecedent_rows,
-            consequent_rows,
-        }
+        t
     }
 
-    /// Returns the table's backing storage to `buf` for the next
+    /// Returns the table to `buf` as the storage of the next
     /// [`TransformationTable::build_with`] call.
     pub fn recycle(self, buf: &mut TableBuffers) {
-        buf.pool = self.pool;
-        buf.rows = self.rows;
-        buf.presence = self.presence;
-        buf.tags = self.tags;
-        buf.cells = self.cells;
-        buf.query_columns = self.query_columns;
-        buf.antecedent_rows = self.antecedent_rows;
-        buf.consequent_rows = self.consequent_rows;
+        buf.0 = self;
     }
 
     // ---- basic accessors ---------------------------------------------------
@@ -229,7 +178,7 @@ impl TransformationTable {
     }
 
     pub fn column_count(&self) -> usize {
-        self.cols
+        self.pool.len()
     }
 
     pub fn row(&self, ri: usize) -> &Row {
@@ -244,8 +193,22 @@ impl TransformationTable {
         &self.pool
     }
 
+    /// The paper's cell `t(cᵢ, pⱼ)`, read off the column's state. A
+    /// consequent without a tag is an introduction candidate whether the
+    /// column is absent or merely implied (the introduction will be vacuous
+    /// and the cost model will reject it, but chaining through it is
+    /// legitimate).
     pub fn cell(&self, ri: usize, col: PredId) -> CellState {
-        self.cells[ri * self.cols + col.index()]
+        let row = &self.rows[ri];
+        if col == row.consequent {
+            self.tag(col).map_or(CellState::AbsentConsequent, CellState::Tagged)
+        } else if !row.antecedents.contains(&col) {
+            CellState::NotPresent
+        } else if self.presence(col).satisfies_antecedent() {
+            CellState::PresentAntecedent
+        } else {
+            CellState::AbsentAntecedent
+        }
     }
 
     pub fn presence(&self, col: PredId) -> ColumnPresence {
@@ -303,7 +266,6 @@ impl TransformationTable {
             || self.presence[col.index()] == ColumnPresence::Implied
         {
             self.presence[col.index()] = ColumnPresence::Introduced;
-            self.mark_antecedents_present(col);
             changed.push(col);
         }
         if match_policy == MatchPolicy::Implication {
@@ -321,46 +283,19 @@ impl TransformationTable {
                     })
                     .map(|(id, _)| id),
             );
-            let woken: &[PredId] = &changed[start..];
-            for &w in woken {
+            for &w in &changed[start..] {
                 self.presence[w.index()] = ColumnPresence::Implied;
-                self.mark_antecedents_present(w);
             }
         }
     }
 
-    fn mark_antecedents_present(&mut self, col: PredId) {
-        let cols = self.cols;
-        if let Some(rows) = self.antecedent_rows.get(col.index()) {
-            for &ri in rows {
-                let idx = ri * cols + col.index();
-                if self.cells[idx] == CellState::AbsentAntecedent {
-                    self.cells[idx] = CellState::PresentAntecedent;
-                }
-            }
-        }
-    }
-
-    /// Meet-assigns `new_tag` to the column and synchronizes every consequent
-    /// cell of that column. Returns the resulting tag.
+    /// Meet-assigns `new_tag` to the column. Returns the resulting tag.
     pub fn assign_tag(&mut self, col: PredId, new_tag: PredicateTag) -> PredicateTag {
         let merged = match self.tags[col.index()] {
             Some(old) => old.min(new_tag),
             None => new_tag,
         };
         self.tags[col.index()] = Some(merged);
-        let cols = self.cols;
-        if let Some(rows) = self.consequent_rows.get(col.index()) {
-            for &ri in rows {
-                let idx = ri * cols + col.index();
-                match self.cells[idx] {
-                    CellState::Tagged(_) | CellState::AbsentConsequent => {
-                        self.cells[idx] = CellState::Tagged(merged);
-                    }
-                    _ => {}
-                }
-            }
-        }
         merged
     }
 
@@ -562,6 +497,45 @@ mod tests {
         assert!(s.contains("PA"), "{s}");
         assert!(s.contains("AC"), "{s}");
         assert!(s.contains("cargo.desc = \"frozen food\""), "{s}");
+    }
+
+    /// The §3.5 / Figure 2.3 walk-through as the paper prints it, whole: the
+    /// matrix at initialisation and at the fixpoint (c1 introduced p3 as
+    /// optional, which enabled c2 to lower p2).
+    #[test]
+    fn render_golden_section_3_5() {
+        let (catalog, store, query) = setup();
+        let relevant = store.relevant_for(&query);
+        let config = crate::OptimizerConfig::paper();
+        let mut t =
+            TransformationTable::build(&catalog, &store, &relevant, &query, config.match_policy);
+        assert_eq!(
+            t.render(&catalog, &store),
+            concat!(
+                "T =\n",
+                "          p1   p2   p3 \n",
+                "    c1:   PA    _   AC \n",
+                "    c2:    _    I   AA \n",
+                "where\n",
+                "  p1 = vehicle.desc = \"refrigerated truck\"   [InQuery, tag Some(Imperative)]\n",
+                "  p2 = supplier.name = \"SFI\"   [InQuery, tag Some(Imperative)]\n",
+                "  p3 = cargo.desc = \"frozen food\"   [Absent, tag None]\n",
+            )
+        );
+        crate::run_transformations(&mut t, &config);
+        assert_eq!(
+            t.render(&catalog, &store),
+            concat!(
+                "T =\n",
+                "          p1   p2   p3 \n",
+                "    c1:   PA    _    O   (inactive)\n",
+                "    c2:    _    O   PA   (inactive)\n",
+                "where\n",
+                "  p1 = vehicle.desc = \"refrigerated truck\"   [InQuery, tag Some(Imperative)]\n",
+                "  p2 = supplier.name = \"SFI\"   [InQuery, tag Some(Optional)]\n",
+                "  p3 = cargo.desc = \"frozen food\"   [Introduced, tag Some(Optional)]\n",
+            )
+        );
     }
 
     #[test]

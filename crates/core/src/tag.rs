@@ -102,7 +102,8 @@ impl fmt::Display for CellState {
     }
 }
 
-/// How a predicate column relates to the query, tracked alongside the cells.
+/// How a predicate column relates to the query — with the column's tag, the
+/// state every cell of the column is read from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnPresence {
     /// Appeared syntactically in the original query.

@@ -3,8 +3,9 @@
 //!
 //! The engine never touches the query. It walks the transformation table:
 //! every eligible constraint fires exactly once, lowering (or assigning) its
-//! consequent's tag per Tables 3.1/3.2 and flipping `AbsentAntecedent` cells
-//! to `PresentAntecedent`, which may enable further constraints. Because tag
+//! consequent's tag per Tables 3.1/3.2 and making an introduced column
+//! present (its `AbsentAntecedent` cells read `PresentAntecedent` from then
+//! on), which may enable further constraints. Because tag
 //! assignment is a lattice meet and enabling is monotone, the fixpoint is
 //! unique — the order of transformations is immaterial (property-tested in
 //! `tests/order_immaterial.rs`).
@@ -15,7 +16,7 @@ use sqo_query::Predicate;
 use crate::config::{OptimizerConfig, TagPolicy};
 use crate::queue::{ActionKind, TransformationQueue};
 use crate::table::TransformationTable;
-use crate::tag::{CellState, ColumnPresence, PredicateTag};
+use crate::tag::{ColumnPresence, PredicateTag};
 
 /// What a fired constraint did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,20 +84,19 @@ fn pending_action(
         return None;
     }
     let target = target_tag(row.classification, row.consequent_indexed, config.tag_policy);
-    match table.cell(ri, row.consequent) {
-        CellState::Tagged(current) => {
+    match table.tag(row.consequent) {
+        Some(current) => {
             if current.can_lower_to(target) {
                 Some(ActionKind::RestrictionElimination)
             } else {
                 None
             }
         }
-        CellState::AbsentConsequent => Some(if row.consequent_indexed {
+        None => Some(if row.consequent_indexed {
             ActionKind::IndexIntroduction
         } else {
             ActionKind::RestrictionIntroduction
         }),
-        _ => None,
     }
 }
 
@@ -109,31 +109,20 @@ fn could_become_eligible(table: &TransformationTable, ri: usize, config: &Optimi
         return false;
     }
     let target = target_tag(row.classification, row.consequent_indexed, config.tag_policy);
-    match table.cell(ri, row.consequent) {
-        CellState::Tagged(current) => current.can_lower_to(target),
-        CellState::AbsentConsequent => true,
-        _ => false,
+    match table.tag(row.consequent) {
+        Some(current) => current.can_lower_to(target),
+        None => true,
     }
 }
 
 /// Reusable working memory of [`run_transformations_with`]: the queue and
 /// the wake-up lists, kept warm across optimizations so the fixpoint loop
 /// performs no transient allocation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TransformScratch {
     queue: TransformationQueue,
     woken_cols: Vec<sqo_constraints::PredId>,
     recheck: Vec<usize>,
-}
-
-impl Default for TransformScratch {
-    fn default() -> Self {
-        Self {
-            queue: TransformationQueue::new(crate::config::QueueDiscipline::Fifo, 0),
-            woken_cols: Vec::new(),
-            recheck: Vec::new(),
-        }
-    }
 }
 
 impl TransformScratch {
@@ -228,10 +217,9 @@ pub fn run_transformations_with(
 
         // Update Q: wake rows watching any column whose presence changed,
         // and re-examine rows whose consequent is this column (they may now
-        // be unable to contribute). Eligibility depends only on a row's own
-        // consequent cell, and `assign_tag` touched exactly the cells of
-        // `col`'s consequent rows — so the targeted recheck is equivalent to
-        // a full sweep of `C`.
+        // be unable to contribute). Eligibility depends only on the tag of a
+        // row's own consequent, and `assign_tag` moved `col`'s tag alone — so
+        // the targeted recheck is equivalent to a full sweep of `C`.
         for &wcol in woken_cols.iter().chain(std::iter::once(&col)) {
             for &watcher in table.rows_watching(wcol) {
                 if let Some(kind) = pending_action(table, watcher, config) {

@@ -200,7 +200,9 @@ struct Shared {
     completed: AtomicU64,
     shed_queue_full: AtomicU64,
     shed_latency: AtomicU64,
-    latency: LatencyEstimator,
+    /// Present only under a configured [`FrontendConfig::p99_bound_us`]:
+    /// nothing else reads the window, so nothing else pays for its lock.
+    latency: Option<LatencyEstimator>,
 }
 
 impl Shared {
@@ -281,13 +283,15 @@ impl Shared {
     }
 
     /// The one way a request ends, on whatever thread it ends: latency
-    /// sample, completion, counters, wake-up. The counters move under the
+    /// sample (when a bound reads them), completion, counters, wake-up. The counters move under the
     /// slot's lock, so a client that has seen its completion also sees its
     /// admission slot free, and a drain that has seen nothing in flight
     /// also finds every slot written.
     fn finish(&self, job: Job, result: Result<ServiceResponse, ServiceError>) {
         let latency_us = job.started_at.map_or(0, |at| at.elapsed().as_micros() as u64);
-        self.latency.record(latency_us);
+        if let Some(latency) = &self.latency {
+            latency.record(latency_us);
+        }
         let mut completion = job.slot.completion.lock().unwrap_or_else(PoisonError::into_inner);
         *completion = Some(Completion { result, latency_us });
         // ordering: Release pairs with the Acquire load in stats():
@@ -337,7 +341,7 @@ impl Frontend {
             completed: AtomicU64::new(0),
             shed_queue_full: AtomicU64::new(0),
             shed_latency: AtomicU64::new(0),
-            latency: LatencyEstimator::new(),
+            latency: config.p99_bound_us.map(|_| LatencyEstimator::new()),
         });
         let workers = (0..config.workers.max(1))
             .filter_map(|i| {
@@ -365,7 +369,8 @@ impl Frontend {
     pub fn submit(&self, query: &Query) -> Result<ResponseHandle, Overload> {
         let shared = &self.shared;
         if let Some(bound) = self.config.p99_bound_us {
-            if shared.latency.p99_us().is_some_and(|p99| p99 > bound) {
+            let p99 = shared.latency.as_ref().and_then(LatencyEstimator::p99_us);
+            if p99.is_some_and(|p99| p99 > bound) {
                 // ordering: monotone shed counter, read for display only.
                 shared.shed_latency.fetch_add(1, Ordering::Relaxed);
                 return Err(Overload::LatencyBound);

@@ -14,7 +14,6 @@ use serde::{Deserialize, Serialize};
 use sqo_catalog::{AttrRef, Catalog, ClassId, DataType, RelId, Value};
 
 use crate::error::QueryError;
-use crate::graph::QueryGraph;
 use crate::predicate::{JoinPredicate, Predicate, SelPredicate};
 
 /// One projected attribute.
@@ -112,11 +111,6 @@ impl Query {
             Predicate::Sel(b) => self.selective_predicates.iter().any(|a| a.implies(b)),
             Predicate::Join(b) => self.join_predicates.iter().any(|a| a.implies(b)),
         }
-    }
-
-    /// The query graph over classes and relationship edges.
-    pub fn graph<'a>(&'a self, catalog: &'a Catalog) -> Result<QueryGraph, QueryError> {
-        QueryGraph::build(self, catalog)
     }
 
     /// Full validation against the catalog. Checks:

@@ -1,9 +1,8 @@
 //! # sqo-query
 //!
 //! Query model for the `sqo` workspace: predicates with a sound implication
-//! fragment, the paper's five-part query AST, a query graph for class
-//! elimination, plus a builder, a parser and a pretty printer for the
-//! paper's textual `(SELECT …)` syntax.
+//! fragment, the paper's five-part query AST, plus a builder, a parser and
+//! a pretty printer for the paper's textual `(SELECT …)` syntax.
 //!
 //! Predicates are kept in canonical form so that structural equality is
 //! logical equality over the supported fragment — the property the
@@ -18,7 +17,6 @@ mod builder;
 mod canonical;
 mod display;
 mod error;
-mod graph;
 pub mod interval;
 mod parser;
 mod predicate;
@@ -28,7 +26,6 @@ pub use builder::QueryBuilder;
 pub use canonical::QueryFingerprint;
 pub use display::{QueryDisplay, QueryExt};
 pub use error::QueryError;
-pub use graph::QueryGraph;
 pub use interval::{Bound, ValueSet};
 pub use parser::parse_query;
 pub use predicate::{CompOp, JoinPredicate, Predicate, PredicateDisplay, SelPredicate};

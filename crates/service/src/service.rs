@@ -463,8 +463,7 @@ impl QueryService {
         store: &Arc<ConstraintStore>,
     ) -> Result<CacheEntry, ServiceError> {
         let db = self.db.snapshot();
-        let optimizer =
-            SemanticOptimizer::shared_with_config(Arc::clone(store), self.config.optimizer);
+        let optimizer = SemanticOptimizer::with_config(store, self.config.optimizer);
         let oracle = CostBasedOracle::with_model(&db, self.model);
         let out = WORKER_SCRATCH
             .with(|s| optimizer.optimize_with(&canonical, &oracle, &mut s.borrow_mut().0))?;

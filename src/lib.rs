@@ -43,7 +43,7 @@ pub mod catalog {
     pub use sqo_catalog::*;
 }
 
-/// Query model: predicates, AST, parser, printer, query graph.
+/// Query model: predicates, AST, parser, printer.
 pub mod query {
     pub use sqo_query::*;
 }
