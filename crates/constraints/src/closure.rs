@@ -13,11 +13,11 @@
 
 use std::collections::{HashMap, HashSet};
 
-use sqo_catalog::Catalog;
+use sqo_catalog::{AttrRef, Catalog};
+use sqo_query::Predicate;
 
 use crate::error::ConstraintError;
 use crate::horn::{HornConstraint, Origin};
-use crate::index::AttrKey;
 use crate::pool::PredicatePool;
 
 /// Limits for the fixpoint computation.
@@ -53,11 +53,32 @@ pub struct ClosureResult {
 type DedupKey = (Vec<u32>, Vec<u32>, u32);
 
 fn key(pool: &mut PredicatePool, c: &HornConstraint) -> DedupKey {
-    let mut ants: Vec<u32> = c.antecedents.iter().map(|p| pool.intern(p.clone()).0).collect();
+    let mut ants: Vec<u32> = c.antecedents.iter().map(|p| pool.intern(p).0).collect();
     ants.sort_unstable();
     let mut rels: Vec<u32> = c.relationships.iter().map(|r| r.0).collect();
     rels.sort_unstable();
-    (ants, rels, pool.intern(c.consequent.clone()).0)
+    (ants, rels, pool.intern(&c.consequent).0)
+}
+
+/// Key of a posting: the attribute(s) a predicate constrains. Implication
+/// never crosses attributes, so equal keys are a *complete* candidate filter
+/// for "could this predicate satisfy that antecedent".
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum AttrKey {
+    /// A selective predicate on one attribute.
+    Sel(AttrRef),
+    /// A join predicate on a canonical (left ≤ right) attribute pair.
+    Join(AttrRef, AttrRef),
+}
+
+impl AttrKey {
+    /// The key under which `pred` files (and is probed).
+    fn of(pred: &Predicate) -> AttrKey {
+        match pred {
+            Predicate::Sel(s) => AttrKey::Sel(s.attr),
+            Predicate::Join(j) => AttrKey::Join(j.left, j.right),
+        }
+    }
 }
 
 /// Attribute-keyed postings over the working constraint set: which
@@ -223,7 +244,7 @@ pub fn transitive_closure(
 mod tests {
     use super::*;
     use sqo_catalog::{AttributeDef, Catalog, DataType};
-    use sqo_query::{CompOp, Predicate};
+    use sqo_query::CompOp;
 
     /// One class with attributes a, b, c, d — enough for chains.
     fn chain_catalog() -> Catalog {

@@ -20,11 +20,6 @@ pub enum ConstraintError {
     TypeMismatch {
         context: String,
     },
-    /// The closure computation exceeded its configured limits.
-    ClosureLimitExceeded {
-        derived: usize,
-        limit: usize,
-    },
 }
 
 impl fmt::Display for ConstraintError {
@@ -40,12 +35,6 @@ impl fmt::Display for ConstraintError {
             }
             ConstraintError::TypeMismatch { context } => {
                 write!(f, "type mismatch: {context}")
-            }
-            ConstraintError::ClosureLimitExceeded { derived, limit } => {
-                write!(
-                    f,
-                    "transitive closure derived {derived} constraints, exceeding the limit of {limit}"
-                )
             }
         }
     }

@@ -3,62 +3,26 @@
 //! The paper's grouping scheme (§3) fetches whole per-class groups and then
 //! filters them, which is correct but pays for every irrelevant constraint
 //! riding along in a group (the E6 *waste ratio*). This module adds an exact
-//! inverted index over the compiled constraints so the optimizer probes only
-//! by what the query actually mentions:
-//!
-//! * `by_class` / `by_rel` — postings lists keyed by referenced [`ClassId`]
-//!   and required [`RelId`]. Relevance (`classes ⊆ q.classes ∧ rels ⊆
-//!   q.rels`) is decided by *counting* postings hits per constraint: a
-//!   constraint is relevant iff every one of its references is matched, i.e.
-//!   its hit count reaches `needs`. No candidate set is ever materialized,
-//!   no irrelevant constraint is ever touched twice.
-//! * `by_antecedent_attr` — postings keyed by the `(ClassId, attr)` of each
-//!   value antecedent. Because predicate implication only ever holds between
-//!   predicates on the *same* attribute(s) (`sqo-query`'s `implies`), this
-//!   is exactly the set of compiled constraints a derived or introduced
-//!   predicate on that attribute could enable — the probe set for
-//!   antecedent-driven match loops over a built store (e.g. waking
-//!   constraints when a serving-layer rewrite introduces a predicate). The
-//!   transitive-closure fixpoint applies the same [`AttrKey`] probing
-//!   through its own pre-compilation postings (`closure.rs`'s
-//!   `ResolutionIndex`), since it runs before constraints are compiled into
-//!   a store.
+//! inverted index over the store's [`HornConstraint`]s so the optimizer
+//! probes only by what the query actually mentions. It holds two posting
+//! families, `by_class` and `by_rel`, keyed by referenced [`ClassId`] and
+//! required [`RelId`]. Relevance (`classes ⊆ q.classes ∧ rels ⊆ q.rels`) is
+//! decided by *counting* postings hits per constraint: a constraint is
+//! relevant iff every one of its references is matched, i.e. its hit count
+//! reaches `needs`. No candidate set is ever materialized, no irrelevant
+//! constraint is ever touched twice.
 //!
 //! Lookups write into a caller-provided [`RetrievalScratch`] so a serving
 //! thread performs no transient allocation after warm-up. Recall-equivalence
 //! against the linear scan is property-tested in
 //! `tests/prop_index_recall.rs`.
 
-use std::collections::HashMap;
+use sqo_catalog::{ClassId, RelId};
+use sqo_query::Query;
 
-use sqo_catalog::{AttrRef, ClassId, RelId};
-use sqo_query::{Predicate, Query};
+use crate::horn::{ConstraintId, HornConstraint};
 
-use crate::horn::ConstraintId;
-use crate::store::CompiledConstraint;
-
-/// Key of an antecedent posting: the attribute(s) a predicate constrains.
-/// Implication never crosses attributes, so equal keys are a *complete*
-/// candidate filter for "could this predicate satisfy that antecedent".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AttrKey {
-    /// A selective predicate on one attribute.
-    Sel(AttrRef),
-    /// A join predicate on a canonical (left ≤ right) attribute pair.
-    Join(AttrRef, AttrRef),
-}
-
-impl AttrKey {
-    /// The key under which `pred` files (and is probed).
-    pub fn of(pred: &Predicate) -> AttrKey {
-        match pred {
-            Predicate::Sel(s) => AttrKey::Sel(s.attr),
-            Predicate::Join(j) => AttrKey::Join(j.left, j.right),
-        }
-    }
-}
-
-/// Exact inverted index over a store's compiled constraints.
+/// Exact inverted index over a store's constraints.
 #[derive(Debug, Clone, Default)]
 pub struct ConstraintIndex {
     /// class → constraints referencing that class (each listed once).
@@ -68,8 +32,6 @@ pub struct ConstraintIndex {
     /// Total references (`classes.len() + relationships.len()`) per
     /// constraint — the hit count at which a constraint becomes relevant.
     needs: Vec<u32>,
-    /// `(ClassId, attr)` of each value antecedent → constraints listing it.
-    by_antecedent_attr: HashMap<AttrKey, Vec<ConstraintId>>,
 }
 
 impl ConstraintIndex {
@@ -80,42 +42,31 @@ impl ConstraintIndex {
             by_class: vec![Vec::new(); classes],
             by_rel: vec![Vec::new(); rels],
             needs: Vec::new(),
-            by_antecedent_attr: HashMap::new(),
         }
     }
 
-    /// Builds the index over `compiled` (constraint antecedents are read
-    /// from `preds`, the store's shared predicate pool).
-    pub fn build<'a>(
-        classes: usize,
-        rels: usize,
-        compiled: impl IntoIterator<Item = (&'a CompiledConstraint, Vec<&'a Predicate>)>,
-    ) -> Self {
+    /// Builds the index over `constraints`, numbered in slice order.
+    pub fn build(classes: usize, rels: usize, constraints: &[HornConstraint]) -> Self {
         let mut index = Self::new(classes, rels);
-        for (c, antecedents) in compiled {
-            index.insert(c, &antecedents);
+        for (i, c) in constraints.iter().enumerate() {
+            index.insert(ConstraintId(i as u32), c);
         }
         index
     }
 
-    /// Adds one compiled constraint (its id must equal the current
-    /// [`ConstraintIndex::len`]). `antecedents` are the constraint's value
-    /// antecedents, resolved from the predicate pool.
-    pub fn insert(&mut self, c: &CompiledConstraint, antecedents: &[&Predicate]) {
-        debug_assert_eq!(c.id.index(), self.needs.len(), "constraints indexed in id order");
+    /// Adds one constraint (`id` must equal the current
+    /// [`ConstraintIndex::len`]; its classes and relationships must lie
+    /// inside the index's dimensions — the store checks both against its
+    /// catalog before filing).
+    pub fn insert(&mut self, id: ConstraintId, c: &HornConstraint) {
+        debug_assert_eq!(id.index(), self.needs.len(), "constraints indexed in id order");
         for &class in &c.classes {
-            self.by_class[class.index()].push(c.id);
+            self.by_class[class.index()].push(id);
         }
         for &rel in &c.relationships {
-            self.by_rel[rel.index()].push(c.id);
+            self.by_rel[rel.index()].push(id);
         }
         self.needs.push((c.classes.len() + c.relationships.len()) as u32);
-        for p in antecedents {
-            let bucket = self.by_antecedent_attr.entry(AttrKey::of(p)).or_default();
-            if bucket.last() != Some(&c.id) {
-                bucket.push(c.id);
-            }
-        }
     }
 
     /// Number of indexed constraints.
@@ -127,14 +78,6 @@ impl ConstraintIndex {
         self.needs.is_empty()
     }
 
-    /// Constraints with a value antecedent on `key` — the complete candidate
-    /// set a predicate filing under `key` could enable (implication never
-    /// crosses attribute keys, so no constraint outside this list can have
-    /// an antecedent discharged by such a predicate).
-    pub fn watchers(&self, key: AttrKey) -> &[ConstraintId] {
-        self.by_antecedent_attr.get(&key).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
     /// Constraints referencing `class`.
     pub fn of_class(&self, class: ClassId) -> &[ConstraintId] {
         self.by_class.get(class.index()).map(|v| v.as_slice()).unwrap_or(&[])
@@ -143,17 +86,6 @@ impl ConstraintIndex {
     /// Constraints requiring `rel`.
     pub fn of_rel(&self, rel: RelId) -> &[ConstraintId] {
         self.by_rel.get(rel.index()).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// The classes whose by-class postings carry constraint `id` — the
-    /// touched class set a serving layer tests cache entries against when
-    /// `id` is inserted (class-overlap invalidation).
-    pub fn classes_of(&self, id: ConstraintId) -> impl Iterator<Item = ClassId> + '_ {
-        self.by_class
-            .iter()
-            .enumerate()
-            .filter(move |(_, posting)| posting.contains(&id))
-            .map(|(c, _)| ClassId(c as u32))
     }
 
     /// Computes the exact relevant set for `query` into `out` (ascending

@@ -6,14 +6,21 @@
 //! Three pieces, all prescribed by §3 of the paper:
 //!
 //! * **Constraints** ([`HornConstraint`]) with the intra/inter-class
-//!   classification the transformation tables branch on;
+//!   classification the transformation tables branch on — the one form a
+//!   constraint is stored, indexed, grouped, persisted and checked in;
 //! * **Transitive-closure materialization** ([`transitive_closure`]) at
 //!   precompile time, so query-time relevance reduces to a class-set test;
 //! * the **grouped constraint store** ([`ConstraintStore`]): constraints are
 //!   attached to one of their referenced classes (arbitrary /
 //!   least-frequently-accessed / balanced policies), and only groups attached
-//!   to a query's classes are consulted, with a shared [`PredicatePool`] so
-//!   the materialized closure stores each predicate once.
+//!   to a query's classes are consulted; an exact inverted index
+//!   ([`ConstraintIndex`]) is the production retrieval path beside it.
+//!
+//! §3's "separate structure" of predicates is the [`PredicatePool`]. Two
+//! exist, each owned by its reader: the closure interns into one to key its
+//! dedup set on small integers, and `sqo-core`'s transformation table
+//! interns the query's and the relevant constraints' predicates into a
+//! per-query pool whose ids are its columns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
@@ -32,9 +39,6 @@ pub use dsl::ConstraintBuilder;
 pub use error::ConstraintError;
 pub use examples::figure22;
 pub use horn::{ConstraintClass, ConstraintDisplay, ConstraintId, HornConstraint, Origin};
-pub use index::{AttrKey, ConstraintIndex, RetrievalScratch};
+pub use index::{ConstraintIndex, RetrievalScratch};
 pub use pool::{PredId, PredicatePool};
-pub use store::{
-    AssignmentPolicy, CompiledConstraint, ConstraintStore, RetrievalMetrics, StoreOptions,
-    StoreVersion,
-};
+pub use store::{AssignmentPolicy, ConstraintStore, RetrievalMetrics, StoreOptions, StoreVersion};

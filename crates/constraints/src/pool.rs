@@ -1,11 +1,14 @@
-//! The shared predicate pool.
+//! The predicate pool.
 //!
 //! §3 of the paper: to keep materialized transitive closures cheap, "extract
 //! all the predicates into a separate structure, and [modify] the constraints
 //! to contain only pointers to relevant predicates in the structure". This is
 //! that structure: an interner mapping canonical [`Predicate`]s to dense
-//! [`PredId`]s. Compiled constraints, the transformation table's columns and
-//! the closure algorithm all speak `PredId`.
+//! [`PredId`]s. Two pools exist, each owned by its reader: the closure
+//! algorithm's (its dedup keys are `PredId` lists) and the transformation
+//! table's (its columns are `PredId`s, one pool per optimized query). The
+//! constraint store keeps [`HornConstraint`](crate::HornConstraint)s as they
+//! are and no pool.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -50,20 +53,16 @@ impl PredicatePool {
         self.index.clear();
     }
 
-    /// Interns a predicate, returning its id (existing or fresh).
-    pub fn intern(&mut self, pred: Predicate) -> PredId {
-        if let Some(&id) = self.index.get(&pred) {
+    /// Interns a predicate, returning its id (existing or fresh). Only a
+    /// predicate the pool has not seen is cloned.
+    pub fn intern(&mut self, pred: &Predicate) -> PredId {
+        if let Some(&id) = self.index.get(pred) {
             return id;
         }
         let id = PredId(self.preds.len() as u32);
         self.index.insert(pred.clone(), id);
-        self.preds.push(pred);
+        self.preds.push(pred.clone());
         id
-    }
-
-    /// Looks up an already-interned predicate.
-    pub fn lookup(&self, pred: &Predicate) -> Option<PredId> {
-        self.index.get(pred).copied()
     }
 
     pub fn get(&self, id: PredId) -> &Predicate {
@@ -80,12 +79,6 @@ impl PredicatePool {
 
     pub fn iter(&self) -> impl Iterator<Item = (PredId, &Predicate)> {
         self.preds.iter().enumerate().map(|(i, p)| (PredId(i as u32), p))
-    }
-
-    /// Ids of pool predicates implied by `pred` (including itself, if
-    /// interned). Used by implication-aware matching.
-    pub fn implied_by(&self, pred: &Predicate) -> Vec<PredId> {
-        self.iter().filter(|(_, q)| pred.implies(q)).map(|(id, _)| id).collect()
     }
 }
 
@@ -104,12 +97,11 @@ mod tests {
         let mut pool = PredicatePool::new();
         let p1 = Predicate::sel(aref(0, 0), CompOp::Eq, "frozen food");
         let p2 = Predicate::sel(aref(0, 0), CompOp::Eq, "frozen food");
-        let id1 = pool.intern(p1.clone());
-        let id2 = pool.intern(p2);
+        let id1 = pool.intern(&p1);
+        let id2 = pool.intern(&p2);
         assert_eq!(id1, id2);
         assert_eq!(pool.len(), 1);
         assert_eq!(pool.get(id1), &p1);
-        assert_eq!(pool.lookup(&p1), Some(id1));
     }
 
     #[test]
@@ -117,24 +109,15 @@ mod tests {
         let mut pool = PredicatePool::new();
         let a = Predicate::join(aref(0, 0), CompOp::Lt, aref(1, 0));
         let b = Predicate::join(aref(1, 0), CompOp::Gt, aref(0, 0));
-        assert_eq!(pool.intern(a), pool.intern(b));
+        assert_eq!(pool.intern(&a), pool.intern(&b));
     }
 
     #[test]
     fn distinct_predicates_get_distinct_ids() {
         let mut pool = PredicatePool::new();
-        let a = pool.intern(Predicate::sel(aref(0, 0), CompOp::Gt, 1i64));
-        let b = pool.intern(Predicate::sel(aref(0, 0), CompOp::Gt, 2i64));
+        let a = pool.intern(&Predicate::sel(aref(0, 0), CompOp::Gt, 1i64));
+        let b = pool.intern(&Predicate::sel(aref(0, 0), CompOp::Gt, 2i64));
         assert_ne!(a, b);
         assert_eq!(pool.len(), 2);
-    }
-
-    #[test]
-    fn implied_by_finds_weaker_atoms() {
-        let mut pool = PredicatePool::new();
-        let weak = pool.intern(Predicate::sel(aref(0, 0), CompOp::Gt, 10i64));
-        let _other = pool.intern(Predicate::sel(aref(0, 1), CompOp::Gt, 10i64));
-        let strong = Predicate::sel(aref(0, 0), CompOp::Gt, 15i64);
-        assert_eq!(pool.implied_by(&strong), vec![weak]);
     }
 }

@@ -19,14 +19,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use sqo_catalog::{AccessTracker, Catalog, ClassId, RelId};
+use sqo_catalog::{AccessTracker, Catalog, ClassId};
 use sqo_query::Query;
 
 use crate::closure::{transitive_closure, ClosureOptions};
 use crate::error::ConstraintError;
-use crate::horn::{ConstraintClass, ConstraintId, HornConstraint, Origin};
+use crate::horn::{ConstraintId, HornConstraint};
 use crate::index::{ConstraintIndex, RetrievalScratch};
-use crate::pool::{PredId, PredicatePool};
 
 /// How a constraint picks its home group among the classes it references.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -61,20 +60,6 @@ impl StoreOptions {
             policy: AssignmentPolicy::LeastFrequentlyAccessed,
         }
     }
-}
-
-/// A constraint compiled against the shared [`PredicatePool`]: antecedents
-/// and consequent are pool pointers, exactly as §3 prescribes for storage
-/// economy.
-#[derive(Debug, Clone)]
-pub struct CompiledConstraint {
-    pub id: ConstraintId,
-    pub antecedents: Vec<PredId>,
-    pub consequent: PredId,
-    pub relationships: Vec<RelId>,
-    pub classes: Vec<ClassId>,
-    pub classification: ConstraintClass,
-    pub origin: Origin,
 }
 
 /// Counters for grouping-scheme effectiveness (experiment E6).
@@ -135,11 +120,9 @@ fn next_generation() -> u64 {
 pub struct ConstraintStore {
     catalog: Arc<Catalog>,
     constraints: Vec<HornConstraint>,
-    compiled: Vec<CompiledConstraint>,
-    pool: PredicatePool,
     /// groups[class] = constraints assigned to that class.
     groups: RwLock<Vec<Vec<ConstraintId>>>,
-    /// Exact inverted index over the compiled constraints — the production
+    /// Exact inverted index over `constraints` — the production
     /// retrieval path ([`ConstraintStore::relevant_into`]); the grouped
     /// scheme above stays as the paper's measured baseline.
     index: ConstraintIndex,
@@ -161,14 +144,47 @@ pub struct ConstraintStore {
     pub closure_truncated: bool,
 }
 
+/// A constraint built against a different catalog can name a class or a
+/// relationship this store has no group or posting list for.
+fn check_catalog(catalog: &Catalog, c: &HornConstraint) -> Result<(), ConstraintError> {
+    for &class in &c.classes {
+        catalog.class(class)?;
+    }
+    for &rel in &c.relationships {
+        catalog.relationship(rel)?;
+    }
+    Ok(())
+}
+
+/// The one group-assignment rule: the class, among those a constraint
+/// references, whose group it joins — given the groups filled so far.
+/// `None` only for a class-less constraint, which a validated one never is.
+fn home_group(
+    policy: AssignmentPolicy,
+    access: &AccessTracker,
+    groups: &[Vec<ConstraintId>],
+    classes: &[ClassId],
+) -> Option<ClassId> {
+    match policy {
+        AssignmentPolicy::Arbitrary => classes.first().copied(),
+        AssignmentPolicy::LeastFrequentlyAccessed => access.least_accessed(classes),
+        AssignmentPolicy::Balanced => {
+            classes.iter().copied().min_by_key(|cl| (groups[cl.index()].len(), cl.index()))
+        }
+    }
+}
+
 impl ConstraintStore {
-    /// Builds the store: optional closure materialization, compilation into
-    /// the predicate pool, then group assignment.
+    /// Builds the store: catalog check, optional closure materialization,
+    /// indexing, then group assignment.
     pub fn build(
         catalog: Arc<Catalog>,
         constraints: Vec<HornConstraint>,
         options: StoreOptions,
     ) -> Result<Self, ConstraintError> {
+        for c in &constraints {
+            check_catalog(&catalog, c)?;
+        }
         let (constraints, derived_count, closure_truncated) = if options.materialize_closure {
             let res = transitive_closure(&catalog, constraints, options.closure)?;
             (res.constraints, res.derived_count, res.truncated)
@@ -176,33 +192,16 @@ impl ConstraintStore {
             (constraints, 0, false)
         };
 
-        let mut pool = PredicatePool::new();
-        let compiled: Vec<CompiledConstraint> = constraints
-            .iter()
-            .enumerate()
-            .map(|(i, c)| CompiledConstraint {
-                id: ConstraintId(i as u32),
-                antecedents: c.antecedents.iter().cloned().map(|p| pool.intern(p)).collect(),
-                consequent: pool.intern(c.consequent.clone()),
-                relationships: c.relationships.clone(),
-                classes: c.classes.clone(),
-                classification: c.classification(),
-                origin: c.origin,
-            })
-            .collect();
-
         let access = AccessTracker::new(catalog.class_count());
         let index = ConstraintIndex::build(
             catalog.class_count(),
             catalog.relationship_count(),
-            compiled.iter().map(|c| (c, c.antecedents.iter().map(|&a| pool.get(a)).collect())),
+            &constraints,
         );
         let store = Self {
             groups: RwLock::new(vec![Vec::new(); catalog.class_count()]),
             catalog,
             constraints,
-            compiled,
-            pool,
             index,
             policy: options.policy,
             closure: options.closure,
@@ -222,23 +221,10 @@ impl ConstraintStore {
     /// pattern changes" — callers invoke this periodically.
     pub fn regroup(&self) {
         let mut groups = vec![Vec::new(); self.catalog.class_count()];
-        for c in &self.compiled {
-            if c.classes.is_empty() {
-                continue; // unreachable for validated constraints
+        for (id, c) in self.constraints() {
+            if let Some(home) = home_group(self.policy, &self.access, &groups, &c.classes) {
+                groups[home.index()].push(id);
             }
-            let home = match self.policy {
-                AssignmentPolicy::Arbitrary => c.classes[0],
-                AssignmentPolicy::LeastFrequentlyAccessed => {
-                    self.access.least_accessed(&c.classes).expect("non-empty class list")
-                }
-                AssignmentPolicy::Balanced => c
-                    .classes
-                    .iter()
-                    .copied()
-                    .min_by_key(|cl| (groups[cl.index()].len(), cl.index()))
-                    .expect("non-empty class list"),
-            };
-            groups[home.index()].push(c.id);
         }
         *self.groups.write() = groups;
     }
@@ -292,69 +278,46 @@ impl ConstraintStore {
         self.raise_epoch_to(other.epoch().saturating_add(1));
     }
 
-    /// Appends one constraint to the store in place, compiling it into the
-    /// predicate pool, assigning it to a group under the current policy, and
-    /// bumping the epoch.
+    /// Appends one constraint to the store in place, indexing it, assigning
+    /// it to a group under the current policy, and bumping the epoch. A
+    /// constraint naming a class or relationship outside this store's
+    /// catalog is refused and the store is left as it was.
     ///
     /// The incremental path deliberately does **not** extend the transitive
     /// closure: derived shortcuts only accelerate transformation chains that
     /// remain reachable through the declared constraints, so skipping them
     /// never affects correctness. Rebuild via [`ConstraintStore::build`]
     /// when closure freshness matters.
-    pub fn insert_constraint(&mut self, constraint: HornConstraint) -> ConstraintId {
-        let id = ConstraintId(self.compiled.len() as u32);
-        let compiled = CompiledConstraint {
-            id,
-            antecedents: constraint
-                .antecedents
-                .iter()
-                .cloned()
-                .map(|p| self.pool.intern(p))
-                .collect(),
-            consequent: self.pool.intern(constraint.consequent.clone()),
-            relationships: constraint.relationships.clone(),
-            classes: constraint.classes.clone(),
-            classification: constraint.classification(),
-            origin: constraint.origin,
-        };
-        let home = self.home_of(&compiled);
-        let antecedents: Vec<&sqo_query::Predicate> =
-            compiled.antecedents.iter().map(|&a| self.pool.get(a)).collect();
-        self.index.insert(&compiled, &antecedents);
-        self.compiled.push(compiled);
-        self.constraints.push(constraint);
-        if let Some(home) = home {
-            self.groups.write()[home.index()].push(id);
-        }
+    pub fn insert_constraint(
+        &mut self,
+        constraint: HornConstraint,
+    ) -> Result<ConstraintId, ConstraintError> {
+        check_catalog(&self.catalog, &constraint)?;
+        let id = self.file(constraint);
         // ordering: Release half publishes the insertion above to
         // epoch() readers; Acquire half orders it after prior bumps.
         self.epoch.fetch_add(1, Ordering::AcqRel);
-        id
+        Ok(id)
     }
 
-    /// A new store equal to this one plus `constraint`, with the epoch
-    /// advanced past this store's. The copy-on-write companion of
-    /// [`ConstraintStore::insert_constraint`] for stores shared behind an
-    /// `Arc` (the serving layer swaps the new store in while in-flight
-    /// queries drain against the old one).
+    /// A new store equal to this one plus `constraint`, at exactly one epoch
+    /// past this store's, and the id the constraint received in it. The
+    /// copy-on-write companion of [`ConstraintStore::insert_constraint`] for
+    /// stores shared behind an `Arc` (the serving layer swaps the new store
+    /// in while in-flight queries drain against the old one, and combines
+    /// the id with [`ConstraintStore::touched_classes`] to invalidate only
+    /// the cache entries whose class set overlaps the new constraint's).
     ///
-    /// The copy is **incremental**: the predicate pool, compiled
-    /// constraints, secondary index, groups and access counters are cloned
-    /// as-is and only the new constraint is compiled and filed — O(new
-    /// constraint + store size in `memcpy`), not O(store × re-intern) as a
-    /// from-scratch rebuild would be. Existing constraints keep their group
-    /// homes; the newcomer is assigned under the current policy and live
-    /// access statistics. Retrieval metrics restart from zero.
-    pub fn with_constraint(&self, constraint: HornConstraint) -> Self {
-        self.with_constraint_tracked(constraint).0
-    }
-
-    /// [`ConstraintStore::with_constraint`], also reporting the id the
-    /// constraint received in the successor store. Serving layers combine it
-    /// with [`ConstraintStore::touched_classes`] to invalidate only the
-    /// cache entries whose class set overlaps the new constraint's, instead
-    /// of orphaning every entry.
-    pub fn with_constraint_tracked(&self, constraint: HornConstraint) -> (Self, ConstraintId) {
+    /// The copy is **incremental**: the constraints, secondary index, groups
+    /// and access counters are cloned as-is and only the new constraint is
+    /// filed. Existing constraints keep their group homes; the newcomer is
+    /// assigned under the current policy and live access statistics.
+    /// Retrieval metrics restart from zero.
+    pub fn with_constraint(
+        &self,
+        constraint: HornConstraint,
+    ) -> Result<(Self, ConstraintId), ConstraintError> {
+        check_catalog(&self.catalog, &constraint)?;
         let access = AccessTracker::new(self.catalog.class_count());
         for c in 0..self.catalog.class_count() as u32 {
             access.seed(ClassId(c), self.access.count(ClassId(c)));
@@ -363,8 +326,6 @@ impl ConstraintStore {
             groups: RwLock::new(self.groups.read().clone()),
             catalog: Arc::clone(&self.catalog),
             constraints: self.constraints.clone(),
-            compiled: self.compiled.clone(),
-            pool: self.pool.clone(),
             index: self.index.clone(),
             policy: self.policy,
             closure: self.closure,
@@ -377,49 +338,30 @@ impl ConstraintStore {
             derived_count: self.derived_count,
             closure_truncated: self.closure_truncated,
         };
-        let id = store.insert_constraint(constraint);
-        // `insert_constraint` bumped the epoch once more; keep the contract
-        // "exactly one past the source store" stable for readability of
-        // epoch sequences (identity comes from the generation).
-        store.epoch = AtomicU64::new(self.epoch() + 1);
-        (store, id)
+        let id = store.file(constraint);
+        Ok((store, id))
     }
 
-    /// The classes whose by-class postings in the [`ConstraintIndex`] carry
-    /// constraint `id` — exactly the class set a cached query must overlap
-    /// for `id` to ever become relevant to it (relevance requires
-    /// `classes(id) ⊆ classes(query)`, so disjointness proves the cached
-    /// rewrite untouched).
-    ///
-    /// The postings are populated verbatim from the compiled constraint's
-    /// class list, so this reads it directly instead of scanning the
-    /// postings; [`ConstraintIndex::classes_of`] derives the same set from
-    /// the index side, and the store tests assert the two agree.
-    pub fn touched_classes(&self, id: ConstraintId) -> Vec<ClassId> {
-        self.compiled[id.index()].classes.clone()
-    }
-
-    /// The group a constraint should live in under the current policy and
-    /// group occupancy. `None` only for class-less constraints, which
-    /// validated constraints never are.
-    fn home_of(&self, c: &CompiledConstraint) -> Option<ClassId> {
-        if c.classes.is_empty() {
-            return None;
+    /// The filing step both ways of adding share: index the (checked)
+    /// constraint, append it, and put it in its home group.
+    fn file(&mut self, constraint: HornConstraint) -> ConstraintId {
+        let id = ConstraintId(self.constraints.len() as u32);
+        self.index.insert(id, &constraint);
+        let groups = self.groups.get_mut();
+        if let Some(home) = home_group(self.policy, &self.access, groups, &constraint.classes) {
+            groups[home.index()].push(id);
         }
-        Some(match self.policy {
-            AssignmentPolicy::Arbitrary => c.classes[0],
-            AssignmentPolicy::LeastFrequentlyAccessed => {
-                self.access.least_accessed(&c.classes).expect("non-empty class list")
-            }
-            AssignmentPolicy::Balanced => {
-                let groups = self.groups.read();
-                c.classes
-                    .iter()
-                    .copied()
-                    .min_by_key(|cl| (groups[cl.index()].len(), cl.index()))
-                    .expect("non-empty class list")
-            }
-        })
+        self.constraints.push(constraint);
+        id
+    }
+
+    /// The classes constraint `id` references — exactly the class set a
+    /// cached query must overlap for `id` to ever become relevant to it
+    /// (relevance requires `classes(id) ⊆ classes(query)`, so disjointness
+    /// proves the cached rewrite untouched), and exactly the by-class
+    /// postings of the [`ConstraintIndex`] that carry `id`.
+    pub fn touched_classes(&self, id: ConstraintId) -> &[ClassId] {
+        &self.constraints[id.index()].classes
     }
 
     // ---- retrieval -------------------------------------------------------
@@ -477,15 +419,7 @@ impl ConstraintStore {
         self.index.relevant_into(query, scratch, out);
     }
 
-    /// Allocating convenience wrapper around [`ConstraintStore::relevant_into`].
-    pub fn relevant_for_indexed(&self, query: &Query) -> Vec<ConstraintId> {
-        let mut scratch = RetrievalScratch::new();
-        let mut out = Vec::new();
-        self.relevant_into(query, &mut scratch, &mut out);
-        out
-    }
-
-    /// The secondary index over compiled constraints.
+    /// The secondary index over the store's constraints.
     pub fn index(&self) -> &ConstraintIndex {
         &self.index
     }
@@ -531,16 +465,8 @@ impl ConstraintStore {
         &self.constraints[id.index()]
     }
 
-    pub fn compiled(&self, id: ConstraintId) -> &CompiledConstraint {
-        &self.compiled[id.index()]
-    }
-
     pub fn constraints(&self) -> impl Iterator<Item = (ConstraintId, &HornConstraint)> {
         self.constraints.iter().enumerate().map(|(i, c)| (ConstraintId(i as u32), c))
-    }
-
-    pub fn pool(&self) -> &PredicatePool {
-        &self.pool
     }
 
     pub fn metrics(&self) -> &RetrievalMetrics {
@@ -561,6 +487,7 @@ impl ConstraintStore {
 mod tests {
     use super::*;
     use crate::examples::figure22;
+    use crate::horn::Origin;
     use sqo_catalog::example::figure21;
     use sqo_query::{CompOp, QueryBuilder};
 
@@ -678,7 +605,7 @@ mod tests {
         assert_eq!(store.epoch(), 1);
         let extra = store.constraint(ConstraintId(0)).clone();
         let before = store.len();
-        let id = store.insert_constraint(extra);
+        let id = store.insert_constraint(extra).unwrap();
         assert_eq!(store.epoch(), 2);
         assert_eq!(store.len(), before + 1);
         assert_eq!(id.index(), before);
@@ -701,7 +628,7 @@ mod tests {
         let (catalog, store) = setup(AssignmentPolicy::LeastFrequentlyAccessed);
         store.note_statistics_change();
         let extra = store.constraint(ConstraintId(0)).clone();
-        let bigger = store.with_constraint(extra);
+        let bigger = store.with_constraint(extra).unwrap().0;
         assert!(bigger.epoch() > store.epoch(), "epochs must keep increasing across swaps");
         assert_eq!(bigger.len(), store.len() + 1);
         // The grouped retrieval invariant survives the rebuild.
@@ -719,7 +646,7 @@ mod tests {
         // the derived store's epoch, but the *versions* must stay distinct.
         let (_, store) = setup(AssignmentPolicy::Arbitrary);
         let extra = store.constraint(ConstraintId(0)).clone();
-        let derived = store.with_constraint(extra);
+        let derived = store.with_constraint(extra).unwrap().0;
         store.note_statistics_change();
         assert_eq!(store.epoch(), derived.epoch(), "the collision the old scheme keyed on");
         assert_ne!(store.generation(), derived.generation());
@@ -737,24 +664,65 @@ mod tests {
         let cargo = catalog.class_id("cargo").unwrap();
         let vehicle = catalog.class_id("vehicle").unwrap();
         let c1 = store.constraint(ConstraintId(0)).clone();
-        let mut expected = c1.classes.clone();
-        expected.sort_unstable();
         // Via the COW path.
-        let (bigger, id) = store.with_constraint_tracked(c1.clone());
-        let mut touched = bigger.touched_classes(id);
-        touched.sort_unstable();
-        assert_eq!(touched, expected);
-        assert!(touched.contains(&cargo) && touched.contains(&vehicle), "{touched:?}");
+        let (bigger, id) = store.with_constraint(c1.clone()).unwrap();
+        assert_eq!(bigger.touched_classes(id), c1.classes);
         // Via the in-place path.
-        let id = store.insert_constraint(c1);
-        let mut touched = store.touched_classes(id);
-        touched.sort_unstable();
-        assert_eq!(touched, expected);
-        // The invariant touched_classes relies on: the index's by-class
-        // postings derive exactly the same set.
-        let mut from_postings: Vec<_> = store.index().classes_of(id).collect();
-        from_postings.sort_unstable();
-        assert_eq!(from_postings, touched);
+        let id = store.insert_constraint(c1.clone()).unwrap();
+        let touched = store.touched_classes(id);
+        assert_eq!(touched, c1.classes);
+        assert!(touched.contains(&cargo) && touched.contains(&vehicle), "{touched:?}");
+        // The invariant touched_classes relies on, for every constraint and
+        // every class: the by-class posting lists `id` exactly where
+        // touched_classes names the class.
+        for s in [&store, &bigger] {
+            for (id, _) in s.constraints() {
+                for (class, _) in catalog.classes() {
+                    assert_eq!(
+                        s.index().of_class(class).contains(&id),
+                        s.touched_classes(id).contains(&class),
+                        "{id} / {class}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn foreign_catalog_constraint_is_a_typed_error() {
+        use sqo_catalog::{CatalogError, RelId};
+        let (catalog, mut store) = setup(AssignmentPolicy::Balanced);
+        let c1 = store.constraint(ConstraintId(0)).clone();
+        // As if validated against a larger catalog: a class, then a
+        // relationship, this store has no group or posting list for.
+        let far_class = ClassId(catalog.class_count() as u32);
+        let far_rel = RelId(catalog.relationship_count() as u32);
+        let mut bad_class = c1.clone();
+        bad_class.classes.push(far_class);
+        let mut bad_rel = c1.clone();
+        bad_rel.relationships.push(far_rel);
+        let class_err = ConstraintError::Catalog(CatalogError::UnknownClassId(far_class));
+        let rel_err = ConstraintError::Catalog(CatalogError::UnknownRelId(far_rel));
+
+        let (len, version, sizes) = (store.len(), store.version(), store.group_sizes());
+        assert_eq!(store.insert_constraint(bad_class.clone()).unwrap_err(), class_err);
+        assert_eq!(store.insert_constraint(bad_rel.clone()).unwrap_err(), rel_err);
+        assert_eq!(store.with_constraint(bad_class.clone()).unwrap_err(), class_err);
+        assert_eq!(store.with_constraint(bad_rel.clone()).unwrap_err(), rel_err);
+        assert_eq!(
+            (store.len(), store.version(), store.group_sizes()),
+            (len, version, sizes),
+            "a refused constraint leaves the store as it was"
+        );
+        assert_eq!(store.index().len(), len);
+        for bad in [bad_class, bad_rel] {
+            let built = ConstraintStore::build(
+                Arc::clone(&catalog),
+                vec![c1.clone(), bad],
+                StoreOptions::paper_defaults(),
+            );
+            assert!(matches!(built, Err(ConstraintError::Catalog(_))), "{built:?}");
+        }
     }
 
     #[test]
@@ -766,23 +734,61 @@ mod tests {
         let names: Vec<String> = store.constraints().map(|(_, c)| c.name.clone()).collect();
         let c1_pos = names.iter().position(|n| n == "c1").expect("c1 exists");
         let dup = store.constraint(ConstraintId(c1_pos as u32)).clone();
-        store.insert_constraint(dup);
+        store.insert_constraint(dup).unwrap();
         let after = store.relevant_for(&q).len();
         assert_eq!(after, before + 1);
     }
 
     #[test]
-    fn compiled_constraints_point_into_pool() {
-        let (_, store) = setup(AssignmentPolicy::Arbitrary);
-        for (id, _) in store.constraints() {
-            let c = store.compiled(id);
-            let _ = store.pool().get(c.consequent);
-            for &a in &c.antecedents {
-                let _ = store.pool().get(a);
+    fn incremental_inserts_group_like_a_rebuild() {
+        let catalog = Arc::new(figure21().unwrap());
+        // Figure 2.2 with its closure, twice over: enough constraints sharing
+        // classes that LFA and Balanced have real choices to make.
+        let closed =
+            transitive_closure(&catalog, figure22(&catalog).unwrap(), ClosureOptions::default())
+                .unwrap()
+                .constraints;
+        let cs: Vec<HornConstraint> = closed.iter().chain(&closed).cloned().collect();
+        for policy in [
+            AssignmentPolicy::Arbitrary,
+            AssignmentPolicy::LeastFrequentlyAccessed,
+            AssignmentPolicy::Balanced,
+        ] {
+            let build = |cs: &[HornConstraint]| {
+                let store = ConstraintStore::build(
+                    Arc::clone(&catalog),
+                    cs.to_vec(),
+                    StoreOptions {
+                        materialize_closure: false,
+                        closure: ClosureOptions::default(),
+                        policy,
+                    },
+                )
+                .unwrap();
+                // Uneven access counts, so LFA does not degenerate to Arbitrary.
+                for (class, _) in catalog.classes() {
+                    store.access_tracker().seed(class, u64::from(class.0 * 7 % 5));
+                }
+                store.regroup();
+                store
+            };
+            let whole = build(&cs);
+            for k in 0..=cs.len() {
+                let mut grown = build(&cs[..k]);
+                for c in &cs[k..] {
+                    grown.insert_constraint(c.clone()).unwrap();
+                }
+                for (class, _) in catalog.classes() {
+                    let mut q = Query::new();
+                    q.classes.push(class);
+                    assert_eq!(
+                        grown.retrieve_candidates(&q),
+                        whole.retrieve_candidates(&q),
+                        "{policy:?}, {k} built + {} inserted, group of {class}",
+                        cs.len() - k
+                    );
+                }
             }
         }
-        // Pool deduplicates: c1's consequent (cargo.desc = "frozen food")
-        // equals c2's antecedent — one entry serves both.
-        assert!(store.pool().len() < store.len() * 2 + 2);
     }
 }

@@ -66,13 +66,13 @@ proptest! {
                 Op::Insert(i) => {
                     let at = i as usize % pool.len();
                     let dup = pool[at].constraint(ConstraintId(0)).clone();
-                    pool[at].insert_constraint(dup);
+                    pool[at].insert_constraint(dup).unwrap();
                     note(pool[at].version(), &mut seen);
                 }
                 Op::Cow(i) => {
                     let src = &pool[i as usize % pool.len()];
                     let dup = src.constraint(ConstraintId(0)).clone();
-                    let next = src.with_constraint(dup);
+                    let next = src.with_constraint(dup).unwrap().0;
                     note(next.version(), &mut seen);
                     pool.push(next);
                 }
@@ -96,7 +96,7 @@ proptest! {
                 store.note_statistics_change();
             } else {
                 let dup = store.constraint(ConstraintId(0)).clone();
-                store.insert_constraint(dup);
+                store.insert_constraint(dup).unwrap();
             }
             prop_assert!(store.epoch() > last);
             prop_assert_eq!(store.generation(), g, "in-place mutation keeps the generation");

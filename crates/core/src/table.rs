@@ -110,14 +110,14 @@ impl TransformationTable {
         t.pool.clear();
         // Query predicates first: stable, paper-like column order.
         t.query_columns.clear();
-        t.query_columns.extend(query.predicates().map(|p| t.pool.intern(p)));
+        t.query_columns.extend(query.predicates().map(|p| t.pool.intern(&p)));
         t.rows.clear();
         t.rows.extend(relevant.iter().map(|&id| {
             let c = store.constraint(id);
             Row {
                 constraint: id,
-                antecedents: c.antecedents.iter().cloned().map(|p| t.pool.intern(p)).collect(),
-                consequent: t.pool.intern(c.consequent.clone()),
+                antecedents: c.antecedents.iter().map(|p| t.pool.intern(p)).collect(),
+                consequent: t.pool.intern(&c.consequent),
                 classification: c.classification(),
                 consequent_indexed: c.consequent.is_indexed(catalog),
                 active: true,

@@ -6,11 +6,9 @@
 //! that cost model. Estimates mirror the executor's actual counting (same
 //! [`PageModel`]/[`CostWeights`]) so estimated and measured work track.
 
-use sqo_catalog::{StatsSnapshot, Value};
-use sqo_query::{CompOp, SelPredicate, ValueSet};
+use sqo_catalog::StatsSnapshot;
+use sqo_query::{CompOp, SelPredicate};
 use sqo_storage::{CostCounters, CostWeights, PageModel};
-
-use crate::plan::{AccessPath, ClassAccess};
 
 /// Cost model: page model + scalar weights + statistics access.
 #[derive(Debug, Clone, Copy, Default)]
@@ -39,34 +37,10 @@ impl CostModel {
         }
     }
 
-    /// Combined selectivity of a conjunction (independence assumption — the
-    /// System R inheritance the paper's optimizer would have shared).
-    pub fn conjunction_selectivity(&self, stats: &StatsSnapshot, preds: &[SelPredicate]) -> f64 {
-        preds.iter().map(|p| self.selectivity(stats, p)).product::<f64>().clamp(0.0, 1.0)
-    }
-
-    /// Estimated (work units, produced rows) for one class access.
-    pub fn access_estimate(
-        &self,
-        stats: &StatsSnapshot,
-        access: &ClassAccess,
-        indexed_sel: Option<f64>,
-    ) -> (f64, f64) {
-        let residual_sel = self.conjunction_selectivity(stats, &access.residual);
-        match &access.path {
-            AccessPath::SeqScan => {
-                self.scan_estimate(stats, access.class, access.residual.len(), residual_sel)
-            }
-            AccessPath::Index { set, .. } => {
-                let sel = indexed_sel.unwrap_or_else(|| self.set_selectivity(stats, access, set));
-                self.index_estimate(stats, access.class, access.residual.len(), residual_sel, sel)
-            }
-        }
-    }
-
-    /// [`CostModel::access_estimate`] for a sequential scan, taking the
-    /// residual conjunction as `(count, selectivity)` so planners can cost
-    /// candidates without materializing a [`ClassAccess`] per candidate.
+    /// Estimated (work units, produced rows) for a sequential scan of
+    /// `class`, taking the residual conjunction as `(count, selectivity)` so
+    /// planners can cost candidates without materializing a `ClassAccess`
+    /// per candidate.
     pub fn scan_estimate(
         &self,
         stats: &StatsSnapshot,
@@ -85,8 +59,9 @@ impl CostModel {
         (self.weights.work_units(&self.pages, &counters), rows)
     }
 
-    /// [`CostModel::access_estimate`] for an index probe of selectivity
-    /// `indexed_sel`, residuals given as `(count, selectivity)`.
+    /// Estimated (work units, produced rows) for an index probe of
+    /// selectivity `indexed_sel` into `class`, residuals given as
+    /// `(count, selectivity)`.
     pub fn index_estimate(
         &self,
         stats: &StatsSnapshot,
@@ -108,51 +83,8 @@ impl CostModel {
         (self.weights.work_units(&self.pages, &counters), rows)
     }
 
-    fn set_selectivity(&self, stats: &StatsSnapshot, access: &ClassAccess, set: &ValueSet) -> f64 {
-        // Derive a representative predicate for the set to reuse the scalar
-        // estimators; point sets map to equality.
-        match set {
-            ValueSet::Range { lo, hi } => {
-                match (lo, hi) {
-                    (sqo_query::Bound::Included(a), sqo_query::Bound::Included(b))
-                        if a.compare(b) == Some(std::cmp::Ordering::Equal) =>
-                    {
-                        stats
-                            .attr(match &access.path {
-                                AccessPath::Index { attr, .. } => *attr,
-                                AccessPath::SeqScan => return 1.0,
-                            })
-                            .map(|s| s.eq_selectivity_for(a))
-                            .unwrap_or(1.0)
-                    }
-                    _ => 1.0 / 3.0, // generic range default
-                }
-            }
-            ValueSet::Hole(_) => 1.0,
-        }
-    }
-
-    /// Estimated work units for one pointer-join fan-out step.
-    pub fn join_step_estimate(
-        &self,
-        stats: &StatsSnapshot,
-        input_rows: f64,
-        fanout: f64,
-        residual: &[SelPredicate],
-        join_filter_count: usize,
-    ) -> (f64, f64) {
-        let residual_sel = self.conjunction_selectivity(stats, residual);
-        self.join_step_estimate_parts(
-            input_rows,
-            fanout,
-            residual.len(),
-            residual_sel,
-            join_filter_count,
-        )
-    }
-
-    /// [`CostModel::join_step_estimate`] with the residual conjunction given
-    /// as `(count, selectivity)` — the planner's candidate-costing form.
+    /// Estimated (work units, produced rows) for one pointer-join fan-out
+    /// step, the residual conjunction given as `(count, selectivity)`.
     pub fn join_step_estimate_parts(
         &self,
         input_rows: f64,
@@ -181,21 +113,10 @@ impl CostModel {
     }
 }
 
-/// Helper: point-equality value for an access path, if it is one.
-pub fn point_of(set: &ValueSet) -> Option<&Value> {
-    match set {
-        ValueSet::Range {
-            lo: sqo_query::Bound::Included(a),
-            hi: sqo_query::Bound::Included(b),
-        } if a.compare(b) == Some(std::cmp::Ordering::Equal) => Some(a),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqo_catalog::{AttrId, AttrRef, AttrStats, ClassId, ClassStats};
+    use sqo_catalog::{AttrId, AttrRef, AttrStats, ClassId, ClassStats, Value};
 
     fn stats_one_class(card: u64, distinct: u64) -> StatsSnapshot {
         StatsSnapshot {
@@ -229,32 +150,13 @@ mod tests {
     }
 
     #[test]
-    fn conjunction_multiplies() {
-        let m = CostModel::default();
-        let s = stats_one_class(100, 10);
-        let sel = m.conjunction_selectivity(&s, &[pred(CompOp::Eq, 1), pred(CompOp::Eq, 2)]);
-        assert!((sel - 0.01).abs() < 1e-9);
-    }
-
-    #[test]
     fn index_access_cheaper_than_scan_when_selective() {
         let m = CostModel::default();
         let s = stats_one_class(10_000, 1000);
-        let scan = ClassAccess {
-            class: ClassId(0),
-            path: AccessPath::SeqScan,
-            residual: vec![pred(CompOp::Eq, 5)],
-        };
-        let (scan_cost, scan_rows) = m.access_estimate(&s, &scan, None);
-        let ix = ClassAccess {
-            class: ClassId(0),
-            path: AccessPath::Index {
-                attr: AttrRef::new(ClassId(0), AttrId(0)),
-                set: ValueSet::point(Value::Int(5)),
-            },
-            residual: vec![],
-        };
-        let (ix_cost, ix_rows) = m.access_estimate(&s, &ix, None);
+        let sel = m.selectivity(&s, &pred(CompOp::Eq, 5));
+        // The same predicate as a scan's one residual, then as the probe.
+        let (scan_cost, scan_rows) = m.scan_estimate(&s, ClassId(0), 1, sel);
+        let (ix_cost, ix_rows) = m.index_estimate(&s, ClassId(0), 0, 1.0, sel);
         assert!(ix_cost < scan_cost, "index {ix_cost} vs scan {scan_cost}");
         assert!((scan_rows - ix_rows).abs() < 1.0, "{scan_rows} vs {ix_rows}");
     }
@@ -262,17 +164,9 @@ mod tests {
     #[test]
     fn join_step_scales_with_fanout() {
         let m = CostModel::default();
-        let s = stats_one_class(100, 10);
-        let (c1, r1) = m.join_step_estimate(&s, 10.0, 1.0, &[], 0);
-        let (c2, r2) = m.join_step_estimate(&s, 10.0, 4.0, &[], 0);
+        let (c1, r1) = m.join_step_estimate_parts(10.0, 1.0, 0, 1.0, 0);
+        let (c2, r2) = m.join_step_estimate_parts(10.0, 4.0, 0, 1.0, 0);
         assert!(c2 > c1);
         assert!((r2 - 4.0 * r1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn point_of_extracts_equality() {
-        assert_eq!(point_of(&ValueSet::point(Value::Int(5))), Some(&Value::Int(5)));
-        assert_eq!(point_of(&ValueSet::at_least(Value::Int(5))), None);
-        assert_eq!(point_of(&ValueSet::hole(Value::Int(5))), None);
     }
 }

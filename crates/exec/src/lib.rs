@@ -23,7 +23,7 @@ mod planner;
 mod result;
 
 pub use batch::{execute_batch, execute_batch_with, BatchExecScratch, ProbeBinding};
-pub use cost::{point_of, CostModel};
+pub use cost::CostModel;
 pub use error::ExecError;
 pub use executor::{execute, execute_with, ExecScratch};
 pub use oracle::CostBasedOracle;

@@ -138,8 +138,8 @@ fn class_preds<'a>(
         .map(|(_, view)| *view)
 }
 
-/// Conjunction selectivity under the independence assumption
-/// (multiplication order matches `CostModel::conjunction_selectivity`).
+/// Conjunction selectivity under the independence assumption (the System R
+/// inheritance the paper's optimizer would have shared).
 fn conjunction(preds: impl Iterator<Item = PredView>) -> f64 {
     preds.map(|view| view.selectivity).product::<f64>().clamp(0.0, 1.0)
 }
@@ -553,6 +553,13 @@ mod tests {
             enforce_multiplicity: true,
         })
         .unwrap()
+    }
+
+    #[test]
+    fn conjunction_multiplies() {
+        let view = |selectivity| PredView { selectivity, indexable: false };
+        let sel = conjunction([view(0.1), view(0.1)].into_iter());
+        assert!((sel - 0.01).abs() < 1e-9);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use sqo_constraints::{ConstraintStore, HornConstraint, StoreVersion};
+use sqo_constraints::{ConstraintError, ConstraintStore, HornConstraint, StoreVersion};
 use sqo_core::{OptimizerConfig, OptimizerScratch, SemanticOptimizer};
 use sqo_exec::{
     execute_with, plan_query_shared, CostBasedOracle, CostModel, ExecError, ExecScratch,
@@ -43,6 +43,9 @@ pub enum ServiceError {
     Exec(ExecError),
     /// A write batch failed validation or integrity enforcement.
     Storage(StorageError),
+    /// A constraint was refused by the store (it names a class or a
+    /// relationship outside the store's catalog).
+    Constraint(ConstraintError),
     /// The `sqo-frontend` worker answering this request panicked in it.
     /// Exactly the poisoned request surfaces as this error: the worker
     /// lives on, and no caller is aborted or left waiting. (The service
@@ -57,6 +60,7 @@ impl fmt::Display for ServiceError {
             ServiceError::Query(e) => write!(f, "query error: {e}"),
             ServiceError::Exec(e) => write!(f, "execution error: {e}"),
             ServiceError::Storage(e) => write!(f, "write error: {e}"),
+            ServiceError::Constraint(e) => write!(f, "constraint error: {e}"),
             ServiceError::WorkerPanicked => write!(f, "worker panicked mid-request"),
         }
     }
@@ -68,6 +72,7 @@ impl std::error::Error for ServiceError {
             ServiceError::Query(e) => Some(e),
             ServiceError::Exec(e) => Some(e),
             ServiceError::Storage(e) => Some(e),
+            ServiceError::Constraint(e) => Some(e),
             ServiceError::WorkerPanicked => None,
         }
     }
@@ -88,6 +93,12 @@ impl From<ExecError> for ServiceError {
 impl From<StorageError> for ServiceError {
     fn from(e: StorageError) -> Self {
         ServiceError::Storage(e)
+    }
+}
+
+impl From<ConstraintError> for ServiceError {
+    fn from(e: ConstraintError) -> Self {
+        ServiceError::Constraint(e)
     }
 }
 
@@ -366,22 +377,22 @@ impl QueryService {
     /// **class-overlap precise**: only cache entries whose canonical query
     /// mentions one of the constraint's classes (reported by the store's
     /// by-class index postings) are purged; every other entry is revalidated
-    /// under the new store version and keeps serving.
+    /// under the new store version and keeps serving. A constraint the store
+    /// refuses changes nothing: same store, same epoch, same cache.
     ///
     /// The O(#constraints) rebuild happens outside the store lock (writers
     /// are serialized by a dedicated mutex), so concurrent readers keep
     /// serving off the old store and only ever block on the pointer swap.
-    pub fn add_constraint(&self, constraint: HornConstraint) -> u64 {
+    pub fn add_constraint(&self, constraint: HornConstraint) -> Result<u64, ServiceError> {
         let _writing = self.writer.lock();
         let base = self.store();
         let prev = base.version();
-        let (next, id) = base.with_constraint_tracked(constraint);
-        let touched = next.touched_classes(id);
+        let (next, id) = base.with_constraint(constraint)?;
         let next = Arc::new(next);
         let version = next.version();
-        *self.store.write() = next;
-        self.cache.invalidate_classes(prev, version, &touched);
-        version.epoch
+        *self.store.write() = Arc::clone(&next);
+        self.cache.invalidate_classes(prev, version, next.touched_classes(id));
+        Ok(version.epoch)
     }
 
     /// Records an external statistics change (bumping the epoch so cached
@@ -816,7 +827,7 @@ mod tests {
         let before = service.run(&queries[2]).unwrap();
         let e0 = service.epoch();
         let dup = overlapping_dup(&service, &queries[2]);
-        let e1 = service.add_constraint(dup);
+        let e1 = service.add_constraint(dup).unwrap();
         assert!(e1 > e0);
         assert_eq!(service.epoch(), e1);
         let after = service.run(&queries[2]).unwrap();
@@ -844,7 +855,7 @@ mod tests {
             .then(&format!("{name}.b2"), sqo_query::CompOp::Eq, 0i64)
             .build()
             .unwrap();
-        let e1 = service.add_constraint(constraint);
+        let e1 = service.add_constraint(constraint).unwrap();
         let again = service.run(&queries[0]).unwrap();
         assert!(
             again.cache_hit,
@@ -857,6 +868,29 @@ mod tests {
         assert!(stats.cache.revalidations >= 1, "{stats:?}");
         assert_eq!(stats.cache.invalidations, 0, "{stats:?}");
         assert_eq!(stats.optimizations, 1, "no re-optimization happened");
+    }
+
+    #[test]
+    fn foreign_catalog_constraint_is_a_typed_error() {
+        let (service, queries) = service();
+        service.run(&queries[2]).unwrap();
+        let (store, version) = (service.store(), service.store_version());
+        // A constraint as a larger catalog would have validated it: one
+        // class past this store's.
+        let far = sqo_catalog::ClassId(store.catalog().class_count() as u32);
+        let mut foreign = overlapping_dup(&service, &queries[2]);
+        foreign.classes.push(far);
+        let err = service.add_constraint(foreign).unwrap_err();
+        let unknown = sqo_catalog::CatalogError::UnknownClassId(far);
+        assert_eq!(err, ServiceError::Constraint(ConstraintError::Catalog(unknown)));
+        // Same store, same epoch, and the cached rewrite still serves.
+        assert!(Arc::ptr_eq(&store, &service.store()));
+        assert_eq!(service.store_version(), version);
+        assert!(service.run(&queries[2]).unwrap().cache_hit);
+        assert_eq!(service.stats().cache.invalidations, 0);
+        // The writer lock was released: the next add goes through.
+        let dup = overlapping_dup(&service, &queries[2]);
+        assert!(service.add_constraint(dup).unwrap() > version.epoch);
     }
 
     #[test]

@@ -111,7 +111,7 @@ pub(crate) fn drive(
                     .constraints()
                     .find(|(_, c)| c.classes.iter().any(|class| touched.contains(class)))
                     .expect("some constraint touches the stream's classes");
-                service.add_constraint(overlapping.clone());
+                service.add_constraint(overlapping.clone()).unwrap();
             }
         }
     }

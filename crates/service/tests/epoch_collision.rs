@@ -35,7 +35,7 @@ fn store_pair() -> (Arc<ConstraintStore>, ConstraintStore) {
     // is built from A, and a statistics change lands on A before (or while)
     // the swap completes.
     let extra = a.constraint(ConstraintId(0)).clone();
-    let b = a.with_constraint(extra);
+    let b = a.with_constraint(extra).unwrap().0;
     a.note_statistics_change();
     (a, b)
 }

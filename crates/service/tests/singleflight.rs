@@ -90,7 +90,7 @@ fn invalidation_during_flight_never_publishes_a_stale_entry() {
         .find(|(_, c)| c.classes.iter().any(|cl| query.canonical().classes.contains(cl)))
         .map(|(_, c)| c.clone())
         .expect("some constraint touches the query's classes");
-    service.add_constraint(overlapping);
+    service.add_constraint(overlapping).unwrap();
     let v1 = service.store_version();
     assert_ne!(v0, v1);
 

@@ -116,7 +116,7 @@ fn eight_threads_match_single_threaded_execution_across_epochs() {
     let overlapping =
         workload.distinct.iter().filter(|q| q.classes.iter().any(|c| touched.contains(c))).count();
     assert!(overlapping >= 1, "c1's classes are hot in every workload");
-    let new_epoch = service.add_constraint(dup);
+    let new_epoch = service.add_constraint(dup).unwrap();
     assert!(new_epoch > 0);
     let mid = service.stats();
     assert_eq!(
@@ -174,7 +174,7 @@ fn concurrent_mixed_readers_and_an_epoch_writer_stay_consistent() {
         let writer = scope.spawn(move || {
             for _ in 0..5 {
                 let dup = service.store().constraint(sqo::constraints::ConstraintId(0)).clone();
-                service.add_constraint(dup);
+                service.add_constraint(dup).unwrap();
                 std::thread::yield_now();
             }
         });
