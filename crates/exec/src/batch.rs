@@ -99,12 +99,11 @@ pub fn execute_batch_with(
         scratch.machines.resize_with(width, ExecScratch::new);
     }
     let machines = &mut scratch.machines[..width];
-    let mut out: Vec<(ResultSet, CostCounters)> =
-        (0..width).map(|_| (ResultSet::of_plan(db, plan), CostCounters::new())).collect();
+    let mut counters = vec![CostCounters::new(); width];
 
     // Root candidates, one batch-produce per probe: K index descents (or
     // extent scans) issued back to back before any traversal begins.
-    for ((machine, probe), (_, counters)) in machines.iter_mut().zip(probes).zip(&mut out) {
+    for ((machine, probe), counters) in machines.iter_mut().zip(probes).zip(&mut counters) {
         let rekey = match probe {
             ProbeBinding::AsPlanned => None,
             ProbeBinding::RootSet(set) => Some(set),
@@ -117,11 +116,11 @@ pub fn execute_batch_with(
     let mut live = width > 0;
     while live {
         live = false;
-        for (machine, (result, counters)) in machines.iter_mut().zip(&mut out) {
-            live |= machine.advance(db, plan, counters, result)?;
+        for (machine, counters) in machines.iter_mut().zip(&mut counters) {
+            live |= machine.advance(db, plan, counters)?;
         }
     }
-    Ok(out)
+    Ok(machines.iter_mut().zip(counters).map(|(m, c)| (m.finish(db, plan), c)).collect())
 }
 
 #[cfg(test)]
@@ -191,7 +190,11 @@ mod tests {
         for (probe, (rows, counters)) in probes.iter().zip(&batched) {
             let solo = probe.apply(&plan).unwrap();
             let (want_rows, want_counters) = execute_with(db, &solo, &mut seq_scratch).unwrap();
-            assert_eq!(rows.rows, want_rows.rows, "emission order must match the sequential path");
+            assert_eq!(
+                rows.rows().collect::<Vec<_>>(),
+                want_rows.rows().collect::<Vec<_>>(),
+                "emission order must match the sequential path"
+            );
             assert_eq!(counters, &want_counters, "per-probe counters must match");
         }
     }
@@ -266,7 +269,7 @@ mod tests {
             let batched = execute_batch_with(&db, &plan, &probes, &mut scratch).unwrap();
             let (want, _) = execute_with(&db, &plan, &mut ExecScratch::new()).unwrap();
             for (rows, _) in &batched {
-                assert_eq!(rows.rows, want.rows);
+                assert_eq!(rows.rows().collect::<Vec<_>>(), want.rows().collect::<Vec<_>>());
             }
         }
     }

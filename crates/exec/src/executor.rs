@@ -14,6 +14,16 @@
 //! The traversal step is written once, as [`ExecScratch::advance`]:
 //! [`execute_with`] loops one machine to completion, and
 //! [`crate::execute_batch_with`] advances K of them round-robin.
+//!
+//! The answer is built in the scratch too: each emitted row's projected
+//! values are pushed onto one row-major buffer the machine keeps warm
+//! across executions, and the finished answer moves them out with one
+//! allocation of exactly their size (`drain(..).collect()`), so an
+//! execution allocates the same whether it returns ten rows or ten
+//! thousand ([`ResultSet`]'s layout; `tests/result_alloc.rs` holds that).
+//! A sequential-scan root reads the extent page by page
+//! ([`Database::tuples`]) and evaluates its residuals on each tuple, rather
+//! than looking every candidate's values up through the page table.
 
 use sqo_catalog::{AttrRef, ClassId, Value};
 use sqo_query::{Projection, ValueSet};
@@ -24,8 +34,9 @@ use crate::plan::{AccessPath, ClassAccess, JoinStep, PhysicalPlan};
 use crate::result::ResultSet;
 
 /// One resumable depth-first traversal machine and its reusable buffers:
-/// a candidate vector and cursor per plan level, the binding stack, and
-/// the level currently being walked. Keep one per worker thread; any plan
+/// a candidate vector and cursor per plan level, the binding stack, the
+/// level currently being walked, and the answer's emission buffer. Keep
+/// one per worker thread; any plan
 /// shape can run against any scratch (levels grow on demand and are
 /// cleared before use).
 #[derive(Debug, Default)]
@@ -37,6 +48,10 @@ pub struct ExecScratch {
     binding: Vec<(ClassId, ObjectId)>,
     /// The level the machine is walking.
     depth: usize,
+    /// The projected values of the rows emitted so far, row-major.
+    values: Vec<Value>,
+    /// The rows emitted so far (a row may have no values).
+    emitted: usize,
 }
 
 impl ExecScratch {
@@ -58,6 +73,8 @@ impl ExecScratch {
         }
         self.binding.clear();
         self.depth = 0;
+        self.values.clear();
+        self.emitted = 0;
         &mut self.levels[0]
     }
 
@@ -75,7 +92,6 @@ impl ExecScratch {
         db: &Database,
         plan: &PhysicalPlan,
         counters: &mut CostCounters,
-        result: &mut ResultSet,
     ) -> Result<bool, ExecError> {
         let depth = self.depth;
         let Some(&oid) = self.levels[depth].get(self.cursors[depth]) else {
@@ -88,7 +104,11 @@ impl ExecScratch {
         self.binding.push((class, oid));
 
         let Some(step) = plan.steps.get(depth) else {
-            emit(db, plan, &self.binding, counters, result)?;
+            for p in &plan.projections {
+                self.values.push(project_value(db, p, &self.binding)?.clone());
+            }
+            counters.tuples_out += 1;
+            self.emitted += 1;
             return Ok(true);
         };
         // Fill the child level: link targets of `oid`, filtered as a batch.
@@ -96,6 +116,12 @@ impl ExecScratch {
         self.cursors[depth + 1] = 0;
         self.depth = depth + 1;
         Ok(true)
+    }
+
+    /// The answer of the traversal just run: the emitted values, moved out
+    /// of the warm buffer at their exact size.
+    pub(crate) fn finish(&mut self, db: &Database, plan: &PhysicalPlan) -> ResultSet {
+        ResultSet::of_plan(db, plan, self.values.drain(..).collect(), self.emitted)
     }
 }
 
@@ -113,11 +139,10 @@ pub fn execute_with(
     scratch: &mut ExecScratch,
 ) -> Result<(ResultSet, CostCounters), ExecError> {
     let mut counters = CostCounters::new();
-    let mut result = ResultSet::of_plan(db, plan);
     // Root candidates: batch-produce, residual-filter the batch.
     produce(db, &plan.root, None, &mut counters, scratch.start(plan))?;
-    while scratch.advance(db, plan, &mut counters, &mut result)? {}
-    Ok((result, counters))
+    while scratch.advance(db, plan, &mut counters)? {}
+    Ok((scratch.finish(db, plan), counters))
 }
 
 /// Produces the candidate objects of the driving class access into `out`,
@@ -139,7 +164,16 @@ pub(crate) fn produce(
         AccessPath::SeqScan => {
             let n = db.cardinality(access.class);
             counters.seq_tuples += n as u64;
-            out.extend((0..n as u32).map(ObjectId));
+            if access.residual.is_empty() {
+                out.extend((0..n as u32).map(ObjectId));
+            } else {
+                for (oid, tuple) in (0..).map(ObjectId).zip(db.tuples(access.class)) {
+                    if eval_residual(access, tuple, counters)? {
+                        out.push(oid);
+                    }
+                }
+            }
+            return Ok(());
         }
         AccessPath::Index { attr, set } => {
             let index = db.index(*attr).ok_or(ExecError::MissingIndex(*attr))?;
@@ -167,7 +201,7 @@ fn retain_residual(
     let mut kept = 0usize;
     for i in 0..out.len() {
         let oid = out[i];
-        if eval_residual(db, access, oid, counters)? {
+        if eval_residual(access, db.tuple(access.class, oid)?, counters)? {
             out[kept] = oid;
             kept += 1;
         }
@@ -176,15 +210,19 @@ fn retain_residual(
     Ok(())
 }
 
+/// Whether `tuple`, an object of the accessed class, passes every residual
+/// predicate.
 fn eval_residual(
-    db: &Database,
     access: &ClassAccess,
-    oid: ObjectId,
+    tuple: &[Value],
     counters: &mut CostCounters,
 ) -> Result<bool, ExecError> {
     for p in &access.residual {
         counters.predicate_evals += 1;
-        let v = db.value(p.attr, oid)?;
+        let v = match tuple.get(p.attr.attr.index()) {
+            Some(v) if p.attr.class == access.class => v,
+            _ => return Err(ExecError::MalformedPlan("residual is not on the accessed class")),
+        };
         if !p.eval(v) {
             return Ok(false);
         }
@@ -221,7 +259,7 @@ pub(crate) fn fill_step_level(
                 counters.predicate_evals += 1;
                 let l = value_of(db, binding, step.access.class, oid, j.left)?;
                 let r = value_of(db, binding, step.access.class, oid, j.right)?;
-                if !j.eval(&l, &r) {
+                if !j.eval(l, r) {
                     continue 'target;
                 }
             }
@@ -265,13 +303,13 @@ pub(crate) fn fill_step_level(
     Ok(())
 }
 
-fn value_of(
-    db: &Database,
+fn value_of<'db>(
+    db: &'db Database,
     binding: &[(ClassId, ObjectId)],
     current_class: ClassId,
     current_oid: ObjectId,
     attr: AttrRef,
-) -> Result<Value, ExecError> {
+) -> Result<&'db Value, ExecError> {
     let oid = if attr.class == current_class {
         current_oid
     } else {
@@ -281,40 +319,24 @@ fn value_of(
             .map(|(_, o)| *o)
             .ok_or(ExecError::MalformedPlan("join filter endpoint is not bound"))?
     };
-    Ok(db.value(attr, oid)?.clone())
+    Ok(db.value(attr, oid)?)
 }
 
-pub(crate) fn emit(
-    db: &Database,
-    plan: &PhysicalPlan,
+fn project_value<'a>(
+    db: &'a Database,
+    projection: &'a Projection,
     binding: &[(ClassId, ObjectId)],
-    counters: &mut CostCounters,
-    result: &mut ResultSet,
-) -> Result<(), ExecError> {
-    let mut row = Vec::with_capacity(plan.projections.len());
-    for p in &plan.projections {
-        row.push(project_value(db, p, binding)?);
-    }
-    counters.tuples_out += 1;
-    result.rows.push(row);
-    Ok(())
-}
-
-fn project_value(
-    db: &Database,
-    projection: &Projection,
-    binding: &[(ClassId, ObjectId)],
-) -> Result<Value, ExecError> {
+) -> Result<&'a Value, ExecError> {
     // A bound projection's value is known without touching the database —
     // exactly the saving the paper's restriction introduction enables.
     if let Some(v) = &projection.binding {
-        return Ok(v.clone());
+        return Ok(v);
     }
     let (_, oid) = binding
         .iter()
         .find(|(c, _)| *c == projection.attr.class)
         .ok_or(ExecError::MalformedPlan("projection class is not bound"))?;
-    Ok(db.value(projection.attr, *oid)?.clone())
+    Ok(db.value(projection.attr, *oid)?)
 }
 
 #[cfg(test)]
@@ -454,7 +476,7 @@ mod tests {
         let (res, _) = run(&db, &q);
         // cargoes with i%6 in {0,1} and i%4 == 0: i in {0, 4, 12...} ∩ [0,12): {0} i%6=0 ok; {4} i%6=4 no; {8} i%6=2 no.
         assert_eq!(res.len(), 1);
-        assert_eq!(res.rows[0][1], Value::str("frozen food"));
+        assert_eq!(res.row(0)[1], Value::str("frozen food"));
     }
 
     #[test]
@@ -472,7 +494,7 @@ mod tests {
         ));
         let (res, _) = run(&db, &q);
         assert_eq!(res.len(), 6);
-        for row in &res.rows {
+        for row in res.rows() {
             assert_eq!(row[1], Value::str("frozen food"));
         }
     }
@@ -493,6 +515,18 @@ mod tests {
         // condition is quantity < vehicle_no, quantity = i, vehicle_no = i%6.
         // i < i%6 is impossible, so empty.
         assert!(res.is_empty());
+    }
+
+    #[test]
+    fn zero_projection_query_counts_the_extent() {
+        let db = db();
+        let catalog = db.catalog().clone();
+        let q = QueryBuilder::new(&catalog).access("cargo").build().unwrap();
+        assert!(q.projections.is_empty());
+        let (res, counters) = run(&db, &q);
+        let cargo = catalog.class_id("cargo").unwrap();
+        assert_eq!(res.len(), db.cardinality(cargo));
+        assert_eq!(counters.tuples_out, 12);
     }
 
     #[test]

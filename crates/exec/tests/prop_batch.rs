@@ -129,7 +129,7 @@ proptest! {
                 let solo = probe.apply(&plan).unwrap();
                 let (want_rows, want_counters) =
                     execute_with(&db, &solo, &mut seq_scratch).unwrap();
-                prop_assert_eq!(&rows.rows, &want_rows.rows);
+                prop_assert_eq!(rows.rows().collect::<Vec<_>>(), want_rows.rows().collect::<Vec<_>>());
                 prop_assert_eq!(counters, &want_counters);
             }
         }
@@ -181,7 +181,7 @@ proptest! {
             let solo = probe.apply(&plan).unwrap();
             let (want_rows, want_counters) =
                 execute_with(&db, &solo, &mut ExecScratch::new()).unwrap();
-            prop_assert_eq!(&rows.rows, &want_rows.rows);
+            prop_assert_eq!(rows.rows().collect::<Vec<_>>(), want_rows.rows().collect::<Vec<_>>());
             prop_assert_eq!(counters, &want_counters);
         }
     }

@@ -1,0 +1,131 @@
+//! An answer's allocations do not grow with its rows: the in-tree tripwire
+//! for the result path of the end-to-end benchmark's
+//! `service.allocs_per_op` on `cold_scaled`, where answers run to
+//! thousands of rows.
+//!
+//! With a warmed [`ExecScratch`], executing a plan that returns ten rows
+//! and one that returns thousands makes the same number of allocation
+//! calls: the projected values go into the scratch's warm buffer and leave
+//! it in one allocation of their exact size. Allocation calls are counted
+//! by a test-local `#[global_allocator]` on the one thread the test runs
+//! (as in `crates/service/tests/miss_alloc.rs`), so the gate repeats
+//! exactly and cannot flake.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use sqo_catalog::{example::figure21, Value};
+use sqo_exec::{execute_with, plan_query, CostModel, ExecScratch, PhysicalPlan};
+use sqo_query::{CompOp, QueryBuilder};
+use sqo_storage::{Database, IntegrityOptions, ObjectId};
+
+thread_local! {
+    // `const` + `Cell<integer>`: no lazy initialization and no destructor,
+    // so the allocator may touch these at any point of a thread's life.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn note() {
+    if COUNTING.with(Cell::get) {
+        CALLS.with(|c| c.set(c.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the bookkeeping touches only
+// destructor-free thread-locals and never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: `layout` is the caller's, forwarded as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` was returned by this allocator (hence by `System`)
+        // for `layout`, as the caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const CARGOES: usize = 3000;
+const VEHICLES: usize = 6;
+
+/// Cargo `i` has quantity `i` and is collected by vehicle `i % VEHICLES`.
+fn db() -> Database {
+    let catalog = Arc::new(figure21().unwrap());
+    let mut b = Database::builder(Arc::clone(&catalog));
+    let cargo = catalog.class_id("cargo").unwrap();
+    let vehicle = catalog.class_id("vehicle").unwrap();
+    for i in 0..VEHICLES as i64 {
+        b.insert(vehicle, vec![Value::Int(i), Value::str("flatbed"), Value::Int(i % 3)]).unwrap();
+    }
+    for i in 0..CARGOES as i64 {
+        b.insert(cargo, vec![Value::Int(i), Value::str("dry goods"), Value::Int(i)]).unwrap();
+    }
+    let collects = catalog.rel_id("collects").unwrap();
+    for i in 0..CARGOES as u32 {
+        b.link(collects, ObjectId(i), ObjectId(i % VEHICLES as u32)).unwrap();
+    }
+    b.finalize(IntegrityOptions { enforce_total_participation: false, enforce_multiplicity: true })
+        .unwrap()
+}
+
+/// Cargoes with a quantity below `below`, joined to their vehicle.
+fn plan(db: &Database, below: i64) -> PhysicalPlan {
+    let q = QueryBuilder::new(db.catalog())
+        .select("cargo.code")
+        .select("cargo.desc")
+        .select("vehicle.vehicle_no")
+        .filter("cargo.quantity", CompOp::Lt, below)
+        .via("collects")
+        .build()
+        .unwrap();
+    plan_query(db, &q, &CostModel::default()).unwrap()
+}
+
+/// Allocation calls of one execution, and its row count.
+fn counted(db: &Database, plan: &PhysicalPlan, scratch: &mut ExecScratch) -> (u64, usize) {
+    let before = CALLS.with(Cell::get);
+    COUNTING.with(|c| c.set(true));
+    let (results, _) = execute_with(db, plan, scratch).unwrap();
+    COUNTING.with(|c| c.set(false));
+    (CALLS.with(Cell::get) - before, results.len())
+}
+
+#[test]
+fn answer_allocations_do_not_grow_with_rows() {
+    let db = db();
+    let (small, large) = (plan(&db, 10), plan(&db, 2500));
+    let mut scratch = ExecScratch::new();
+    for plan in [&large, &small] {
+        execute_with(&db, plan, &mut scratch).unwrap();
+    }
+    let (small_calls, small_rows) = counted(&db, &small, &mut scratch);
+    let (large_calls, large_rows) = counted(&db, &large, &mut scratch);
+    assert_eq!((small_rows, large_rows), (10, 2500));
+    assert_eq!(
+        small_calls, large_calls,
+        "{small_rows} rows took {small_calls} allocation calls, {large_rows} took {large_calls}"
+    );
+    assert_eq!(large_calls, 2, "an answer allocates its columns and its values");
+}

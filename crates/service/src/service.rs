@@ -784,6 +784,20 @@ mod tests {
     }
 
     #[test]
+    fn zero_projection_query_counts_the_extent() {
+        let s = paper_scenario(DbSize::Db1, 42);
+        let catalog = Arc::clone(s.db.catalog());
+        let (class, def) = catalog.classes().next().unwrap();
+        let q = sqo_query::QueryBuilder::new(&catalog).access(&def.name).build().unwrap();
+        let want = s.db.cardinality(class);
+        assert!(want > 0);
+        let service = QueryService::new(Arc::new(s.store), Arc::new(s.db));
+        let response = service.run(&q).unwrap();
+        assert_eq!(response.results.len(), want);
+        assert!(response.results.columns.is_empty());
+    }
+
+    #[test]
     fn spelling_variants_share_one_entry() {
         let (service, queries) = service();
         let mut shuffled = queries[0].clone();

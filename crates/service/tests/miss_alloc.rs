@@ -69,9 +69,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Queries measured, after as many others have warmed the worker scratch.
 const SLICE: usize = 256;
-/// Allocation calls measured over the slice (48.7 a miss in release, 53.7
-/// in debug); the budget is that + 5 %.
-const MEASURED: u64 = if cfg!(debug_assertions) { 13_752 } else { 12_474 };
+/// Allocation calls measured over the slice (41.7 a miss in release, 46.7
+/// in debug; 48.7 and 53.7 before an answer became one row-major buffer);
+/// the budget is that + 5 %.
+const MEASURED: u64 = if cfg!(debug_assertions) { 11_951 } else { 10_673 };
 const BUDGET: u64 = MEASURED + MEASURED / 20;
 
 #[test]

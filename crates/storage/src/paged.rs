@@ -54,7 +54,17 @@ impl<T> PagedVec<T> {
     }
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = &T> + Clone {
-        self.pages.iter().flat_map(|page| page.iter()).take(self.len)
+        self.pages().flatten()
+    }
+
+    /// The elements page by page: each page's used slots, in order (every
+    /// page is full but the last).
+    pub(crate) fn pages(&self) -> impl Iterator<Item = &[T]> + Clone {
+        let len = self.len;
+        self.pages.iter().enumerate().map(move |(p, page)| {
+            let used = len.saturating_sub(p << PAGE_BITS).min(PAGE_LEN);
+            &page[..used]
+        })
     }
 
     /// The indices of the pages that are not the same allocation in `self`
@@ -159,6 +169,9 @@ mod tests {
             let v = numbers(n);
             assert_eq!(v.len(), n);
             assert_eq!(v.iter().copied().collect::<Vec<_>>(), (0..n).collect::<Vec<_>>());
+            let sizes: Vec<usize> = v.pages().map(<[usize]>::len).collect();
+            assert_eq!(sizes.iter().sum::<usize>(), n);
+            assert!(sizes.iter().all(|&s| s > 0), "no empty page: {sizes:?}");
             assert_eq!(v.get(n), None);
             if n > 0 {
                 assert_eq!(v.get(n - 1), Some(&(n - 1)));

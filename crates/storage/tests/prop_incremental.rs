@@ -1,8 +1,8 @@
 //! Incremental rebuild ≡ full rebuild: for arbitrary write batches over
 //! arbitrary mini-databases, the `Arc`-sharded clone-and-patch successor of
 //! [`Database::with_writes`] must be indistinguishable from the from-scratch
-//! [`Database::with_writes_full`] oracle on **every** read API — extents,
-//! link traversals in both directions (exact order, thanks to the canonical
+//! [`Database::with_writes_full`] oracle on **every** read API — extents
+//! (object by object and walked page by page), link traversals in both directions (exact order, thanks to the canonical
 //! adjacency invariant), index probes (hash and B-tree, including probe
 //! counts), statistics, receipts, the data epoch — and both paths must
 //! accept/reject identically, error for error. Covered write shapes:
@@ -318,6 +318,16 @@ fn materialize(raw: &RawWrite, db: &Database) -> DataWrite {
     }
 }
 
+/// The page walk yields `tuple(class, oid)` for every `oid`, in order, and
+/// nothing more.
+fn assert_page_walk(db: &Database, class: ClassId) {
+    let walked: Vec<&[Value]> = db.tuples(class).collect();
+    assert_eq!(walked.len(), db.cardinality(class), "page walk of class {class:?}");
+    for (o, tuple) in walked.into_iter().enumerate() {
+        assert_eq!(tuple, db.tuple(class, ObjectId(o as u32)).unwrap(), "object {o}");
+    }
+}
+
 /// Every read API must agree, exactly.
 fn assert_equivalent(catalog: &Catalog, inc: &Database, full: &Database) {
     assert_eq!(inc.data_version(), full.data_version());
@@ -331,6 +341,8 @@ fn assert_equivalent(catalog: &Catalog, inc: &Database, full: &Database) {
                 cdef.name
             );
         }
+        assert_page_walk(inc, cid);
+        assert_page_walk(full, cid);
         for ai in 0..ATTRS as u32 {
             let attr = sqo_catalog::AttrRef::new(cid, AttrId(ai));
             let (Some(ix_inc), Some(ix_full)) = (inc.index(attr), full.index(attr)) else {
