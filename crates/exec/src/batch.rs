@@ -1,14 +1,11 @@
-//! Batch execution tier: K probe bindings interleaved against one plan.
+//! Batch execution: K probe bindings of one plan.
 //!
-//! [`execute_batch_with`] runs K independent probes of the same
-//! [`PhysicalPlan`] as K [`ExecScratch`] machines advanced round-robin, one
-//! traversal step per machine per round. The step is the one
-//! [`crate::execute_with`] loops over, so per probe the batched path is
-//! equivalent to a sequential execution by construction — same visit
-//! order, same rows, same [`CostCounters`]; what changes is the
-//! memory-access pattern: interleaving keeps K index descents / link
-//! traversals in flight at once (independent work for the out-of-order
-//! core).
+//! [`execute_batch_with`] runs K probes of the same [`PhysicalPlan`] one
+//! after another on one [`ExecScratch`], each through the one executor
+//! ([`crate::execute_with`]'s loop), so per probe the rows, their order and
+//! the [`CostCounters`] are those of a stand-alone execution. It is kept as
+//! an entry point, not as a second executor: the end-to-end benchmark calls
+//! it.
 //!
 //! A probe is either the plan run [`ProbeBinding::AsPlanned`] or the plan
 //! with its root index probe re-keyed ([`ProbeBinding::RootSet`]), the
@@ -18,7 +15,7 @@ use sqo_query::ValueSet;
 use sqo_storage::{CostCounters, Database};
 
 use crate::error::ExecError;
-use crate::executor::{produce, ExecScratch};
+use crate::executor::{execute_rekeyed, ExecScratch};
 use crate::plan::{AccessPath, PhysicalPlan};
 use crate::result::ResultSet;
 
@@ -52,13 +49,11 @@ impl ProbeBinding {
     }
 }
 
-/// Reusable state of [`execute_batch_with`]: one [`ExecScratch`] machine
-/// per probe. Keep one per worker thread; any (plan depth, batch width)
-/// combination runs against any scratch — machines are added on demand
-/// and rewound before use.
+/// Reusable state of [`execute_batch_with`]: the one [`ExecScratch`] its
+/// probes run on. Keep one per worker thread.
 #[derive(Debug, Default)]
 pub struct BatchExecScratch {
-    machines: Vec<ExecScratch>,
+    exec: ExecScratch,
 }
 
 impl BatchExecScratch {
@@ -83,51 +78,31 @@ pub fn execute_batch(
 ///
 /// Per probe, the emitted rows (in emission order) and the counters are
 /// exactly those of [`crate::execute_with`] on that probe's equivalent
-/// stand-alone plan ([`ProbeBinding::apply`]) — the machines are
-/// independent; only their *interleaving* in time differs from K
-/// sequential runs. An error in any probe (all probe errors are
-/// plan-level, so under `AsPlanned` probes they are identical across the
-/// batch) fails the whole call.
+/// stand-alone plan ([`ProbeBinding::apply`]). An error in any probe fails
+/// the whole call.
 pub fn execute_batch_with(
     db: &Database,
     plan: &PhysicalPlan,
     probes: &[ProbeBinding],
     scratch: &mut BatchExecScratch,
 ) -> Result<Vec<(ResultSet, CostCounters)>, ExecError> {
-    let width = probes.len();
-    if scratch.machines.len() < width {
-        scratch.machines.resize_with(width, ExecScratch::new);
-    }
-    let machines = &mut scratch.machines[..width];
-    let mut counters = vec![CostCounters::new(); width];
-
-    // Root candidates, one batch-produce per probe: K index descents (or
-    // extent scans) issued back to back before any traversal begins.
-    for ((machine, probe), counters) in machines.iter_mut().zip(probes).zip(&mut counters) {
-        let rekey = match probe {
-            ProbeBinding::AsPlanned => None,
-            ProbeBinding::RootSet(set) => Some(set),
-        };
-        produce(db, &plan.root, rekey, counters, machine.start(plan))?;
-    }
-
-    // Round-robin: every machine takes one traversal step per round until
-    // none has a step left (an exhausted machine's step is a no-op).
-    let mut live = width > 0;
-    while live {
-        live = false;
-        for (machine, counters) in machines.iter_mut().zip(&mut counters) {
-            live |= machine.advance(db, plan, counters)?;
-        }
-    }
-    Ok(machines.iter_mut().zip(counters).map(|(m, c)| (m.finish(db, plan), c)).collect())
+    probes
+        .iter()
+        .map(|probe| {
+            let rekey = match probe {
+                ProbeBinding::AsPlanned => None,
+                ProbeBinding::RootSet(set) => Some(set),
+            };
+            execute_rekeyed(db, plan, rekey, &mut scratch.exec)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::CostModel;
-    use crate::executor::{execute_with, ExecScratch};
+    use crate::executor::execute_with;
     use crate::planner::plan_query;
     use sqo_catalog::example::figure21;
     use sqo_catalog::Value;

@@ -26,7 +26,7 @@ pub enum ExecError {
     /// A batch probe re-keys the root index probe, but the plan's root is a
     /// sequential scan — there is no probe key to override.
     RootOverrideNeedsIndex(ClassId),
-    /// The plan violated a planner/executor contract (e.g. a join step
+    /// The plan fails [`crate::PhysicalPlan::check`] (e.g. a join step
     /// whose `from_class` was never bound). Always a bug in the planner
     /// or a stale cached plan — surfaced as an error so one corrupt plan
     /// cannot abort a serving worker.

@@ -1,179 +1,266 @@
-//! Batched iterative executor for pointer-join plans.
+//! Level-at-a-time executor for pointer-join plans.
 //!
 //! Every operation is counted in [`CostCounters`], which the cost model folds
-//! into the work-unit figure the benchmarks report as "execution cost". The
-//! traversal is depth-first over batched candidate vectors: each plan step
-//! owns one reusable buffer that is filled with the link targets of the
-//! current parent, filtered **as a slice** (residuals, then join filters,
-//! then cycle edges), and then walked by cursor. Rows are emitted in exactly
-//! the order — and the counters count exactly the operations — of the
-//! natural recursive formulation; what changes is the allocation profile:
-//! via [`execute_with`] and a long-lived [`ExecScratch`], a serving thread
-//! executes plans with no per-binding allocation at all.
+//! into the work-unit figure the benchmarks report as "execution cost".
 //!
-//! The traversal step is written once, as [`ExecScratch::advance`]:
-//! [`execute_with`] loops one machine to completion, and
-//! [`crate::execute_batch_with`] advances K of them round-robin.
+//! A plan runs one level at a time. The root access fills level 0. For each
+//! [`JoinStep`], one loop gathers the link targets of every binding of the
+//! level above, each tagged with its parent's index there, and a second loop
+//! filters the gathered candidates in place: residuals, then join filters,
+//! then cycle edges. The last level is emitted in order, each projection read
+//! through its row's parent chain. No binding of a loop waits on the one
+//! before it, so their link lookups and tuple fetches overlap in the memory
+//! system, where a depth-first walk would chain them one binding at a time.
+//!
+//! Children are appended parent by parent, so the rows come out in exactly
+//! the order — and the counters count exactly the operations — of the
+//! natural recursive formulation (`tests/prop_reference.rs` holds both
+//! against one). Root bindings are taken in blocks of [`BLOCK`], so the
+//! levels below the root are bounded by the block rather than the extent.
+//!
+//! Before reading any data, an execution resolves which level binds each
+//! class, and that resolution is the plan's shape check
+//! ([`PhysicalPlan::check`]): a plan the executor cannot run fails with
+//! [`ExecError::MalformedPlan`] whatever the data.
 //!
 //! The answer is built in the scratch too: each emitted row's projected
-//! values are pushed onto one row-major buffer the machine keeps warm
-//! across executions, and the finished answer moves them out with one
-//! allocation of exactly their size (`drain(..).collect()`), so an
-//! execution allocates the same whether it returns ten rows or ten
-//! thousand ([`ResultSet`]'s layout; `tests/result_alloc.rs` holds that).
-//! A sequential-scan root reads the extent page by page
-//! ([`Database::tuples`]) and evaluates its residuals on each tuple, rather
-//! than looking every candidate's values up through the page table.
+//! values are pushed onto one row-major buffer kept warm across executions,
+//! and the finished answer moves them out with one allocation of exactly
+//! their size (`drain(..).collect()`), so an execution allocates the same
+//! whether it returns ten rows or ten thousand ([`ResultSet`]'s layout;
+//! `tests/result_alloc.rs` holds that). A sequential-scan root reads the
+//! extent page by page ([`Database::tuples`]) and evaluates its residuals on
+//! each tuple, rather than looking every candidate's values up through the
+//! page table.
 
-use sqo_catalog::{AttrRef, ClassId, Value};
-use sqo_query::{Projection, ValueSet};
-use sqo_storage::{CostCounters, Database, ObjectId};
+use std::ops::Range;
+
+use sqo_catalog::{ClassId, Value};
+use sqo_query::ValueSet;
+use sqo_storage::{CostCounters, Database, ObjectId, StorageError};
 
 use crate::error::ExecError;
 use crate::plan::{AccessPath, ClassAccess, JoinStep, PhysicalPlan};
 use crate::result::ResultSet;
 
-/// One resumable depth-first traversal machine and its reusable buffers:
-/// a candidate vector and cursor per plan level, the binding stack, the
-/// level currently being walked, and the answer's emission buffer. Keep
-/// one per worker thread; any plan
-/// shape can run against any scratch (levels grow on demand and are
-/// cleared before use).
+/// Root bindings run down the plan together: the levels below the root hold
+/// the descendants of at most this many.
+const BLOCK: usize = 1024;
+
+/// The bindings of one plan level: each object with the index of its parent
+/// binding in the level above (0 at the root).
+type Level = Vec<(ObjectId, u32)>;
+
+/// The reusable buffers of an execution: one level of bindings per plan
+/// level, the class→level resolution, and the answer's emission buffer.
+/// Keep one per worker thread; any plan shape can run against any scratch
+/// (levels grow on demand and are cleared before use).
 #[derive(Debug, Default)]
 pub struct ExecScratch {
-    /// levels[d] = surviving candidates of plan level `d` (root = 0).
-    levels: Vec<Vec<ObjectId>>,
-    /// cursors[d] = next candidate of `levels[d]` to bind.
-    cursors: Vec<usize>,
-    binding: Vec<(ClassId, ObjectId)>,
-    /// The level the machine is walking.
-    depth: usize,
+    /// levels[d] = the bindings of plan level `d` (root = 0); below the
+    /// root, those of the current block.
+    levels: Vec<Level>,
+    /// level_of[class] = the plan level binding `class`.
+    level_of: Vec<usize>,
     /// The projected values of the rows emitted so far, row-major.
     values: Vec<Value>,
-    /// The rows emitted so far (a row may have no values).
-    emitted: usize,
 }
 
 impl ExecScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Rewinds the machine for `plan` and hands out its (cleared) root
-    /// level for the caller to fill with the driving candidates.
-    pub(crate) fn start(&mut self, plan: &PhysicalPlan) -> &mut Vec<ObjectId> {
-        let depths = plan.steps.len() + 1;
-        if self.levels.len() < depths {
-            self.levels.resize_with(depths, Vec::new);
-        }
-        self.cursors.clear();
-        self.cursors.resize(depths, 0);
-        for level in &mut self.levels {
-            level.clear();
-        }
-        self.binding.clear();
-        self.depth = 0;
-        self.values.clear();
-        self.emitted = 0;
-        &mut self.levels[0]
-    }
-
-    /// One traversal step: bind the next candidate of the current level
-    /// and either emit a row (last level) or fill the child level from it
-    /// — or pop a level when the current one is exhausted. Returns `false`
-    /// once the root level is exhausted (and on every call after that).
-    ///
-    /// The visit order is that of the recursive formulation, but the
-    /// per-step candidate vectors are reused across the whole traversal
-    /// instead of reallocated per parent binding.
-    #[inline]
-    pub(crate) fn advance(
-        &mut self,
-        db: &Database,
-        plan: &PhysicalPlan,
-        counters: &mut CostCounters,
-    ) -> Result<bool, ExecError> {
-        let depth = self.depth;
-        let Some(&oid) = self.levels[depth].get(self.cursors[depth]) else {
-            self.depth = depth.saturating_sub(1);
-            return Ok(depth > 0);
-        };
-        self.cursors[depth] += 1;
-        let class = if depth == 0 { plan.root.class } else { plan.steps[depth - 1].access.class };
-        self.binding.truncate(depth);
-        self.binding.push((class, oid));
-
-        let Some(step) = plan.steps.get(depth) else {
-            for p in &plan.projections {
-                self.values.push(project_value(db, p, &self.binding)?.clone());
-            }
-            counters.tuples_out += 1;
-            self.emitted += 1;
-            return Ok(true);
-        };
-        // Fill the child level: link targets of `oid`, filtered as a batch.
-        fill_step_level(db, step, &self.binding, counters, &mut self.levels[depth + 1])?;
-        self.cursors[depth + 1] = 0;
-        self.depth = depth + 1;
-        Ok(true)
-    }
-
-    /// The answer of the traversal just run: the emitted values, moved out
-    /// of the warm buffer at their exact size.
-    pub(crate) fn finish(&mut self, db: &Database, plan: &PhysicalPlan) -> ResultSet {
-        ResultSet::of_plan(db, plan, self.values.drain(..).collect(), self.emitted)
-    }
 }
 
 /// Executes `plan` against `db`, returning the result set and the operation
-/// counters. Allocates fresh traversal buffers; hot callers should hold an
+/// counters. Allocates fresh buffers; hot callers should hold an
 /// [`ExecScratch`] and use [`execute_with`].
 pub fn execute(db: &Database, plan: &PhysicalPlan) -> Result<(ResultSet, CostCounters), ExecError> {
     execute_with(db, plan, &mut ExecScratch::new())
 }
 
-/// [`execute`] against reusable traversal buffers.
+/// [`execute`] against reusable buffers.
 pub fn execute_with(
     db: &Database,
     plan: &PhysicalPlan,
     scratch: &mut ExecScratch,
 ) -> Result<(ResultSet, CostCounters), ExecError> {
+    execute_rekeyed(db, plan, None, scratch)
+}
+
+/// [`execute_with`], with the root index probe's value set replaced by
+/// `rekey` when given (a batch probe's own key).
+pub(crate) fn execute_rekeyed(
+    db: &Database,
+    plan: &PhysicalPlan,
+    rekey: Option<&ValueSet>,
+    scratch: &mut ExecScratch,
+) -> Result<(ResultSet, CostCounters), ExecError> {
+    let ExecScratch { levels, level_of, values } = scratch;
+    plan.resolve_levels(db.catalog(), level_of)?;
+    let depths = plan.steps.len() + 1;
+    if levels.len() < depths {
+        levels.resize_with(depths, Vec::new);
+    }
+    let levels = &mut levels[..depths];
     let mut counters = CostCounters::new();
-    // Root candidates: batch-produce, residual-filter the batch.
-    produce(db, &plan.root, None, &mut counters, scratch.start(plan))?;
-    while scratch.advance(db, plan, &mut counters)? {}
-    Ok((scratch.finish(db, plan), counters))
+    values.clear();
+    produce(db, &plan.root, rekey, &mut counters, &mut levels[0])?;
+    let roots = levels[0].len();
+    let mut rows = 0;
+    for start in (0..roots).step_by(BLOCK) {
+        let block = start..roots.min(start + BLOCK);
+        rows += run_block(db, plan, levels, level_of, block, &mut counters, values)?;
+    }
+    counters.tuples_out += rows as u64;
+    // Moved out at their exact size; `mem::take` would hand the warm
+    // buffer's capacity to the answer instead.
+    #[allow(clippy::drain_collect)]
+    let values = values.drain(..).collect();
+    Ok((ResultSet::of_plan(db, plan, values, rows), counters))
+}
+
+/// Runs the root bindings `block` down every step of `plan`, pushes the
+/// projected values of the rows they reach onto `values`, and returns how
+/// many rows that is.
+fn run_block(
+    db: &Database,
+    plan: &PhysicalPlan,
+    levels: &mut [Level],
+    level_of: &[usize],
+    block: Range<usize>,
+    counters: &mut CostCounters,
+    values: &mut Vec<Value>,
+) -> Result<usize, ExecError> {
+    let mut span = block;
+    for (depth, step) in plan.steps.iter().enumerate() {
+        let (above, below) = levels.split_at_mut(depth + 1);
+        let out = &mut below[0];
+        fill_level(db, step, above, level_of, span, counters, out)?;
+        span = 0..out.len();
+    }
+    let last = plan.steps.len();
+    for row in span.clone() {
+        for p in &plan.projections {
+            // A bound projection's value is known without touching the
+            // database — exactly the saving the paper's restriction
+            // introduction enables.
+            let value = match &p.binding {
+                Some(v) => v,
+                None => {
+                    db.value(p.attr, bound_at(levels, last, row, level_of[p.attr.class.index()]))?
+                }
+            };
+            values.push(value.clone());
+        }
+    }
+    Ok(span.len())
+}
+
+/// The object bound at level `want` in the parent chain of binding `index`
+/// of level `level` (`want <= level`).
+#[inline]
+fn bound_at(levels: &[Level], mut level: usize, mut index: usize, want: usize) -> ObjectId {
+    while level > want {
+        index = levels[level][index].1 as usize;
+        level -= 1;
+    }
+    levels[level][index].0
+}
+
+/// Fills `out` with the bindings of `step` below the bindings `parents` of
+/// the last level of `above`: one loop gathers every parent's link targets,
+/// parent by parent, and a second keeps those that pass the step's
+/// residuals, then its join filters, then its cycle edges.
+fn fill_level(
+    db: &Database,
+    step: &JoinStep,
+    above: &[Level],
+    level_of: &[usize],
+    parents: Range<usize>,
+    counters: &mut CostCounters,
+    out: &mut Level,
+) -> Result<(), ExecError> {
+    let (class, depth, from) = (step.access.class, above.len() - 1, step.from_class);
+    let forward = db.catalog().relationship(step.rel)?.left.class == from;
+    let links = db.links(step.rel);
+    out.clear();
+    for parent in parents {
+        let oid = bound_at(above, depth, parent, level_of[from.index()]);
+        let targets = if forward { links.from_left(oid) } else { links.from_right(oid) };
+        counters.link_traversals += targets.len() as u64;
+        out.extend(targets.iter().map(|&target| (target, parent as u32)));
+    }
+
+    // The object `c` is bound to in the chain of candidate `oid`.
+    let bound = |c: ClassId, oid: ObjectId, parent: u32| {
+        if c == class {
+            oid
+        } else {
+            bound_at(above, depth, parent as usize, level_of[c.index()])
+        }
+    };
+    let mut kept = 0usize;
+    'candidate: for i in 0..out.len() {
+        let (oid, parent) = out[i];
+        if !step.access.residual.is_empty()
+            && !eval_residual(&step.access, db.tuple(class, oid)?, counters)?
+        {
+            continue;
+        }
+        for j in &step.join_filters {
+            counters.predicate_evals += 1;
+            let l = db.value(j.left, bound(j.left.class, oid, parent))?;
+            let r = db.value(j.right, bound(j.right.class, oid, parent))?;
+            if !j.eval(l, r) {
+                continue 'candidate;
+            }
+        }
+        // Cycle edges: the pair must be linked in the extra relationship.
+        for &(rel, a, b) in &step.link_filters {
+            let other = bound(if a == class { b } else { a }, oid, parent);
+            counters.link_traversals += 1;
+            if !db.traverse(rel, class, oid)?.contains(&other) {
+                continue 'candidate;
+            }
+        }
+        out[kept] = (oid, parent);
+        kept += 1;
+    }
+    out.truncate(kept);
+    Ok(())
 }
 
 /// Produces the candidate objects of the driving class access into `out`,
 /// counting work and applying the residual filter over the batch. `rekey`
 /// substitutes the index probe's value set (a batch probe's own key); a
 /// sequential scan has no probe key to override.
-pub(crate) fn produce(
+fn produce(
     db: &Database,
     access: &ClassAccess,
     rekey: Option<&ValueSet>,
     counters: &mut CostCounters,
-    out: &mut Vec<ObjectId>,
+    out: &mut Level,
 ) -> Result<(), ExecError> {
     out.clear();
     match &access.path {
         AccessPath::SeqScan if rekey.is_some() => {
-            return Err(ExecError::RootOverrideNeedsIndex(access.class));
+            Err(ExecError::RootOverrideNeedsIndex(access.class))
         }
         AccessPath::SeqScan => {
             let n = db.cardinality(access.class);
             counters.seq_tuples += n as u64;
+            let oids = (0..n as u32).map(|i| (ObjectId(i), 0));
             if access.residual.is_empty() {
-                out.extend((0..n as u32).map(ObjectId));
+                out.extend(oids);
             } else {
-                for (oid, tuple) in (0..).map(ObjectId).zip(db.tuples(access.class)) {
+                for (root, tuple) in oids.zip(db.tuples(access.class)) {
                     if eval_residual(access, tuple, counters)? {
-                        out.push(oid);
+                        out.push(root);
                     }
                 }
             }
-            return Ok(());
+            Ok(())
         }
         AccessPath::Index { attr, set } => {
             let index = db.index(*attr).ok_or(ExecError::MissingIndex(*attr))?;
@@ -181,33 +268,16 @@ pub(crate) fn produce(
                 index.probe(rekey.unwrap_or(set)).ok_or(ExecError::UnsupportedProbe(*attr))?;
             counters.index_probes += 1;
             counters.index_entries += scan.probes.saturating_sub(1);
-            out.extend(scan.oids);
+            for oid in scan.oids {
+                if access.residual.is_empty()
+                    || eval_residual(access, db.tuple(access.class, oid)?, counters)?
+                {
+                    out.push((oid, 0));
+                }
+            }
+            Ok(())
         }
     }
-    retain_residual(db, access, counters, out)
-}
-
-/// Residual evaluation over a candidate slice: compacts `out` in place to
-/// the objects passing every residual predicate.
-fn retain_residual(
-    db: &Database,
-    access: &ClassAccess,
-    counters: &mut CostCounters,
-    out: &mut Vec<ObjectId>,
-) -> Result<(), ExecError> {
-    if access.residual.is_empty() {
-        return Ok(());
-    }
-    let mut kept = 0usize;
-    for i in 0..out.len() {
-        let oid = out[i];
-        if eval_residual(access, db.tuple(access.class, oid)?, counters)? {
-            out[kept] = oid;
-            kept += 1;
-        }
-    }
-    out.truncate(kept);
-    Ok(())
 }
 
 /// Whether `tuple`, an object of the accessed class, passes every residual
@@ -219,124 +289,13 @@ fn eval_residual(
 ) -> Result<bool, ExecError> {
     for p in &access.residual {
         counters.predicate_evals += 1;
-        let v = match tuple.get(p.attr.attr.index()) {
-            Some(v) if p.attr.class == access.class => v,
-            _ => return Err(ExecError::MalformedPlan("residual is not on the accessed class")),
-        };
+        let (class, attr) = (p.attr.class, p.attr.attr);
+        let v = tuple.get(attr.index()).ok_or(StorageError::UnknownAttribute { class, attr })?;
         if !p.eval(v) {
             return Ok(false);
         }
     }
     Ok(true)
-}
-
-/// Fills `out` with the surviving bindings of one pointer-join step from the
-/// current parent binding: link traversal, then batch residual evaluation,
-/// then join and cycle-edge filters.
-pub(crate) fn fill_step_level(
-    db: &Database,
-    step: &JoinStep,
-    binding: &[(ClassId, ObjectId)],
-    counters: &mut CostCounters,
-    out: &mut Vec<ObjectId>,
-) -> Result<(), ExecError> {
-    let &(_, from_oid) = binding
-        .iter()
-        .find(|(c, _)| *c == step.from_class)
-        .ok_or(ExecError::MalformedPlan("join step's from_class is not bound"))?;
-    let targets = db.traverse(step.rel, step.from_class, from_oid)?;
-    counters.link_traversals += targets.len() as u64;
-    out.clear();
-    out.extend_from_slice(targets);
-    retain_residual(db, &step.access, counters, out)?;
-
-    // Join filters: both sides bound now.
-    if !step.join_filters.is_empty() {
-        let mut kept = 0usize;
-        'target: for i in 0..out.len() {
-            let oid = out[i];
-            for j in &step.join_filters {
-                counters.predicate_evals += 1;
-                let l = value_of(db, binding, step.access.class, oid, j.left)?;
-                let r = value_of(db, binding, step.access.class, oid, j.right)?;
-                if !j.eval(l, r) {
-                    continue 'target;
-                }
-            }
-            out[kept] = oid;
-            kept += 1;
-        }
-        out.truncate(kept);
-    }
-
-    // Cycle edges: the pair must be linked in the extra relationship.
-    if !step.link_filters.is_empty() {
-        let mut kept = 0usize;
-        'cycle: for i in 0..out.len() {
-            let oid = out[i];
-            for &(rel, a, b) in &step.link_filters {
-                let (pivot_class, pivot_oid) = if a == step.access.class {
-                    (a, oid)
-                } else if b == step.access.class {
-                    (b, oid)
-                } else {
-                    return Err(ExecError::MalformedPlan(
-                        "link filter does not involve the step's class",
-                    ));
-                };
-                let other_class = if pivot_class == a { b } else { a };
-                let &(_, other_oid) = binding
-                    .iter()
-                    .find(|(c, _)| *c == other_class)
-                    .ok_or(ExecError::MalformedPlan("link filter endpoint is not bound"))?;
-                counters.link_traversals += 1;
-                let neigh = db.traverse(rel, pivot_class, pivot_oid)?;
-                if !neigh.contains(&other_oid) {
-                    continue 'cycle;
-                }
-            }
-            out[kept] = oid;
-            kept += 1;
-        }
-        out.truncate(kept);
-    }
-    Ok(())
-}
-
-fn value_of<'db>(
-    db: &'db Database,
-    binding: &[(ClassId, ObjectId)],
-    current_class: ClassId,
-    current_oid: ObjectId,
-    attr: AttrRef,
-) -> Result<&'db Value, ExecError> {
-    let oid = if attr.class == current_class {
-        current_oid
-    } else {
-        binding
-            .iter()
-            .find(|(c, _)| *c == attr.class)
-            .map(|(_, o)| *o)
-            .ok_or(ExecError::MalformedPlan("join filter endpoint is not bound"))?
-    };
-    Ok(db.value(attr, oid)?)
-}
-
-fn project_value<'a>(
-    db: &'a Database,
-    projection: &'a Projection,
-    binding: &[(ClassId, ObjectId)],
-) -> Result<&'a Value, ExecError> {
-    // A bound projection's value is known without touching the database —
-    // exactly the saving the paper's restriction introduction enables.
-    if let Some(v) = &projection.binding {
-        return Ok(v);
-    }
-    let (_, oid) = binding
-        .iter()
-        .find(|(c, _)| *c == projection.attr.class)
-        .ok_or(ExecError::MalformedPlan("projection class is not bound"))?;
-    Ok(db.value(projection.attr, *oid)?)
 }
 
 #[cfg(test)]
@@ -541,5 +500,63 @@ mod tests {
         let (_, c1) = run(&db, &q);
         let (_, c2) = run(&db, &q);
         assert_eq!(c1, c2);
+    }
+
+    /// A plan over `db()`'s classes, built by hand.
+    fn hand_plan(
+        root: ClassAccess,
+        steps: Vec<JoinStep>,
+        projections: Vec<sqo_query::Projection>,
+    ) -> PhysicalPlan {
+        PhysicalPlan { root, steps, projections, estimated_cost: 0.0, estimated_rows: 0.0 }
+    }
+
+    #[test]
+    fn a_step_over_a_relationship_that_misses_its_class_is_refused() {
+        // `supplies` joins cargo and supplier; stepping over it from cargo
+        // "into vehicle" would read supplier ids as vehicles.
+        let db = db();
+        let c = db.catalog().clone();
+        let (cargo, vehicle) = (c.class_id("cargo").unwrap(), c.class_id("vehicle").unwrap());
+        let scan = |class| ClassAccess { class, path: AccessPath::SeqScan, residual: vec![] };
+        let plan = hand_plan(
+            scan(cargo),
+            vec![JoinStep {
+                rel: c.rel_id("supplies").unwrap(),
+                from_class: cargo,
+                access: scan(vehicle),
+                join_filters: vec![],
+                link_filters: vec![],
+            }],
+            vec![sqo_query::Projection::plain(c.attr_ref("vehicle", "desc").unwrap())],
+        );
+        assert!(matches!(execute(&db, &plan), Err(ExecError::MalformedPlan(_))));
+        assert!(matches!(plan.check(&c), Err(ExecError::MalformedPlan(_))));
+    }
+
+    #[test]
+    fn a_malformed_plan_is_refused_even_when_its_root_yields_nothing() {
+        // The step joins from supplier, which no level binds; the root's
+        // residual rejects every cargo, so no binding ever reaches the step.
+        let db = db();
+        let c = db.catalog().clone();
+        let (cargo, vehicle) = (c.class_id("cargo").unwrap(), c.class_id("vehicle").unwrap());
+        let nothing = sqo_query::SelPredicate::new(
+            c.attr_ref("cargo", "desc").unwrap(),
+            CompOp::Eq,
+            Value::str("no such cargo"),
+        );
+        let plan = hand_plan(
+            ClassAccess { class: cargo, path: AccessPath::SeqScan, residual: vec![nothing] },
+            vec![JoinStep {
+                rel: c.rel_id("collects").unwrap(),
+                from_class: c.class_id("supplier").unwrap(),
+                access: ClassAccess { class: vehicle, path: AccessPath::SeqScan, residual: vec![] },
+                join_filters: vec![],
+                link_filters: vec![],
+            }],
+            vec![],
+        );
+        assert!(matches!(execute(&db, &plan), Err(ExecError::MalformedPlan(_))));
     }
 }

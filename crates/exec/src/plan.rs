@@ -12,6 +12,12 @@ use std::fmt;
 use sqo_catalog::{AttrRef, Catalog, ClassId, RelId};
 use sqo_query::{JoinPredicate, Projection, SelPredicate, ValueSet};
 
+use crate::error::ExecError;
+
+/// The plan level of a class the plan does not bind
+/// ([`PhysicalPlan::resolve_levels`]).
+pub(crate) const UNBOUND: usize = usize::MAX;
+
 /// How the driving class's objects are produced.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AccessPath {
@@ -71,9 +77,109 @@ impl PhysicalPlan {
         std::iter::once(self.root.class).chain(self.steps.iter().map(|s| s.access.class))
     }
 
+    /// Whether the executor can run this plan over `catalog`'s schema: each
+    /// step's relationship joins its `from_class`, bound earlier, to the
+    /// class the step binds; each cycle edge's relationship joins the step's
+    /// class to one bound earlier; the root's index attribute and every
+    /// residual are on the accessed class; join-filter and unbound
+    /// projection attributes are on bound classes; and no class is bound
+    /// twice. The executor checks this before reading any data, so a
+    /// malformed plan fails the same way on every database.
+    ///
+    /// # Errors
+    /// [`ExecError::MalformedPlan`] naming the first rule broken.
+    pub fn check(&self, catalog: &Catalog) -> Result<(), ExecError> {
+        self.resolve_levels(catalog, &mut Vec::new())
+    }
+
+    /// [`PhysicalPlan::check`], leaving in `level_of[class]` the plan level
+    /// that binds each class of `catalog` (root 0, step `i` level `i + 1`,
+    /// [`UNBOUND`] for the rest): the executor's once-per-execution
+    /// resolution.
+    pub(crate) fn resolve_levels(
+        &self,
+        catalog: &Catalog,
+        level_of: &mut Vec<usize>,
+    ) -> Result<(), ExecError> {
+        level_of.clear();
+        level_of.resize(catalog.class_count(), UNBOUND);
+        bind(catalog, &self.root, 0, level_of)?;
+        // Bound at `level` or earlier.
+        let bound_by = |level_of: &[usize], class: ClassId, level: usize| {
+            level_of.get(class.index()).is_some_and(|&l| l <= level)
+        };
+        for (i, step) in self.steps.iter().enumerate() {
+            let class = step.access.class;
+            let joins = catalog.relationship(step.rel).is_ok_and(|r| {
+                bound_by(level_of, step.from_class, i)
+                    && r.other_end(step.from_class) == Some(class)
+            });
+            if !joins {
+                return Err(ExecError::MalformedPlan(
+                    "a step's relationship does not join a bound from_class to its class",
+                ));
+            }
+            bind(catalog, &step.access, i + 1, level_of)?;
+            let on_bound =
+                |a: AttrRef| bound_by(level_of, a.class, i + 1) && catalog.attr(a).is_ok();
+            if !step.join_filters.iter().all(|j| on_bound(j.left) && on_bound(j.right)) {
+                return Err(ExecError::MalformedPlan("a join filter reads an unbound class"));
+            }
+            let closes_cycle = |&(rel, a, b): &(RelId, ClassId, ClassId)| {
+                let other = if a == class { b } else { a };
+                let ends = catalog.relationship(rel).map(|r| r.classes());
+                (a == class || b == class)
+                    && bound_by(level_of, other, i)
+                    && ends.is_ok_and(|ends| ends == (a, b) || ends == (b, a))
+            };
+            if !step.link_filters.iter().all(closes_cycle) {
+                return Err(ExecError::MalformedPlan(
+                    "a link filter does not join the step's class to a bound class",
+                ));
+            }
+        }
+        let last = self.steps.len();
+        let reads_bound = |p: &Projection| {
+            p.binding.is_some()
+                || (bound_by(level_of, p.attr.class, last) && catalog.attr(p.attr).is_ok())
+        };
+        if !self.projections.iter().all(reads_bound) {
+            return Err(ExecError::MalformedPlan("a projection reads an unbound class"));
+        }
+        Ok(())
+    }
+
     /// Renders an EXPLAIN-style tree.
     pub fn display<'a>(&'a self, catalog: &'a Catalog) -> PlanDisplay<'a> {
         PlanDisplay { plan: self, catalog }
+    }
+}
+
+/// Binds `access.class` at `level`, after checking that its index attribute
+/// and residuals are on that class.
+fn bind(
+    catalog: &Catalog,
+    access: &ClassAccess,
+    level: usize,
+    level_of: &mut [usize],
+) -> Result<(), ExecError> {
+    let on_class = |attr: AttrRef| attr.class == access.class && catalog.attr(attr).is_ok();
+    let probe_on_class = match &access.path {
+        AccessPath::SeqScan => true,
+        AccessPath::Index { attr, .. } => on_class(*attr),
+    };
+    if !probe_on_class || !access.residual.iter().all(|p| on_class(p.attr)) {
+        return Err(ExecError::MalformedPlan(
+            "an index probe or residual is not on the accessed class",
+        ));
+    }
+    match level_of.get_mut(access.class.index()) {
+        Some(slot) if *slot == UNBOUND => {
+            *slot = level;
+            Ok(())
+        }
+        Some(_) => Err(ExecError::MalformedPlan("a class is bound twice")),
+        None => Err(ExecError::MalformedPlan("the plan binds a class outside the catalog")),
     }
 }
 

@@ -410,14 +410,17 @@ fn strict_check_plan(catalog: &Catalog, plan: &PhysicalPlan) -> Result<(), LoadE
 
 /// Decodes the PLANSEEDS section payload.
 ///
-/// Standard enforces the shape invariant the executor relies on (an entry
-/// is provably-empty **iff** it carries no plan — a violation would panic
-/// the execution path, so it is rejected before any seed reaches the
-/// cache). Strict additionally recomputes each canonical fingerprint and
-/// resolves every id the queries and plan skeletons mention.
+/// Standard enforces the shape invariants the executor relies on: an entry
+/// is provably-empty **iff** it carries no plan, and every plan passes
+/// [`PhysicalPlan::check`] (its steps and cycle edges follow relationships
+/// that join the classes they name, its attributes are on bound classes),
+/// so no seed the executor would refuse reaches the cache. Strict
+/// additionally recomputes each canonical fingerprint and resolves every id
+/// the queries and plan skeletons mention.
 ///
 /// # Errors
-/// [`LoadError::Malformed`] for structural damage, and at Strict
+/// [`LoadError::Malformed`] for structural damage or a plan the executor
+/// cannot run, and at Strict
 /// [`LoadError::ChecksumMismatch`]-free but fingerprint-mismatching seeds
 /// report [`LoadError::Malformed`] while unresolvable ids report
 /// [`LoadError::DanglingReference`].
@@ -471,6 +474,12 @@ pub fn decode_plan_seeds(
                     detail: format!("column list references unknown attr: {e}"),
                 })?;
             }
+        }
+        if let Some(plan) = &plan {
+            plan.check(catalog).map_err(|e| LoadError::Malformed {
+                section: "PLANSEEDS",
+                detail: format!("the executor cannot run a seeded plan: {e}"),
+            })?;
         }
         seeds.push(PlanSeed {
             fingerprint,

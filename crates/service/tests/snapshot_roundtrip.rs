@@ -7,8 +7,9 @@
 
 use std::sync::Arc;
 
+use sqo_exec::PhysicalPlan;
 use sqo_query::Query;
-use sqo_service::{QueryService, ServiceConfig};
+use sqo_service::{decode_plan_seeds, encode_plan_seeds, PlanSeed, QueryService, ServiceConfig};
 use sqo_snapshot::{
     LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel, SEC_CONSTRAINTS, SEC_PLANSEEDS,
 };
@@ -112,6 +113,58 @@ fn damaged_serving_sections_are_rejected() {
     )
     .expect("PLANSEEDS is an optional section");
     assert_eq!(warm.epoch(), cold.epoch());
+}
+
+/// A PLANSEEDS section re-encoded from the served cache, with the first
+/// plan that has a join step redirected over a relationship that does not
+/// join the step's classes when `tamper` is set.
+fn reseeded(cold: &QueryService, tamper: bool) -> Vec<u8> {
+    let bytes = cold.snapshot_bytes();
+    let db = cold.db();
+    let catalog = db.catalog();
+    let file = SnapshotFile::parse(&bytes).expect("good snapshot parses");
+    let (_, payload) =
+        file.sections().find(|(id, _)| *id == SEC_PLANSEEDS).expect("the cache is persisted");
+    let seeds = decode_plan_seeds(payload, catalog, ValidationLevel::Strict).unwrap();
+    let version = cold.store().version();
+    let mut pending = tamper;
+    let mut entries = Vec::new();
+    for PlanSeed { fingerprint, mut entry } in seeds {
+        if let Some(plan) = entry.plan.as_ref().filter(|p| pending && !p.steps.is_empty()) {
+            let mut plan = PhysicalPlan::clone(plan);
+            let step = &mut plan.steps[0];
+            let (astray, _) = catalog
+                .relationships()
+                .find(|(_, r)| r.other_end(step.from_class) != Some(step.access.class))
+                .expect("some relationship misses the step's classes");
+            step.rel = astray;
+            entry.plan = Some(Arc::new(plan));
+            pending = false;
+        }
+        entries.push((fingerprint, version, Arc::new(entry)));
+    }
+    assert!(!pending, "the served cache holds a plan with a join step");
+    with_section(&bytes, SEC_PLANSEEDS, Some(encode_plan_seeds(&entries, version)))
+}
+
+/// A seeded plan the executor cannot run — a step over a relationship that
+/// does not reach the step's class, which would read the other endpoint's
+/// ids as that class — is refused already at Standard.
+#[test]
+fn a_seeded_plan_the_executor_cannot_run_is_refused() {
+    let (cold, _) = served();
+    let boot = |bytes: &[u8], level| {
+        QueryService::from_snapshot_bytes(bytes, level, ServiceConfig::default())
+    };
+    boot(&reseeded(&cold, false), ValidationLevel::Standard).expect("re-encoded seeds boot");
+    let crafted = reseeded(&cold, true);
+    for level in [ValidationLevel::Standard, ValidationLevel::Strict] {
+        let err = boot(&crafted, level).expect_err("a mis-joined plan must not boot");
+        assert!(
+            matches!(err, LoadError::Malformed { section: "PLANSEEDS", .. }),
+            "expected Malformed PLANSEEDS at {level:?}, got {err:?}"
+        );
+    }
 }
 
 /// `save_snapshot` replaces the target atomically: saving over an existing
