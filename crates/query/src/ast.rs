@@ -229,12 +229,13 @@ impl Query {
 
     /// Deterministic ordering of all list parts; queries that differ only in
     /// list order normalize to the same value (used by tests and the
-    /// baseline-equivalence checks).
+    /// baseline-equivalence checks). Elements sort equal exactly when they
+    /// are `==`, so each part ends up holding each distinct element once.
     pub fn normalized(mut self) -> Self {
         self.projections.sort_by(|a, b| {
-            (a.attr.class, a.attr.attr)
-                .cmp(&(b.attr.class, b.attr.attr))
-                .then_with(|| format!("{:?}", a.binding).cmp(&format!("{:?}", b.binding)))
+            (a.attr.class, a.attr.attr).cmp(&(b.attr.class, b.attr.attr)).then_with(|| {
+                a.binding.as_ref().map(order_key).cmp(&b.binding.as_ref().map(order_key))
+            })
         });
         self.projections.dedup();
         self.join_predicates.sort_by_key(|j| {
@@ -244,7 +245,7 @@ impl Query {
         self.selective_predicates.sort_by(|a, b| {
             (a.attr.class, a.attr.attr, a.op.symbol())
                 .cmp(&(b.attr.class, b.attr.attr, b.op.symbol()))
-                .then_with(|| format!("{}", a.value).cmp(&format!("{}", b.value)))
+                .then_with(|| order_key(&a.value).cmp(&order_key(&b.value)))
         });
         self.selective_predicates.dedup();
         self.relationships.sort_unstable();
@@ -252,6 +253,19 @@ impl Query {
         self.classes.sort_unstable();
         self.classes.dedup();
         self
+    }
+}
+
+/// A value's place in the canonical order: its type, then its printed form,
+/// with `-0.0` printed as `0.0` (the two are `==`). Without the type,
+/// `Int(1)` and `Float(1.0)` would print alike and could split a run of
+/// equal elements; without the zero rule, `-0.0` and `0.0` could.
+fn order_key(v: &Value) -> (u8, String) {
+    match v {
+        Value::Int(i) => (0, i.to_string()),
+        Value::Float(f) => (1, if f.get() == 0.0 { 0.0 } else { f.get() }.to_string()),
+        Value::Str(_) => (2, v.to_string()),
+        Value::Bool(b) => (3, b.to_string()),
     }
 }
 

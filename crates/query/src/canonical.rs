@@ -1,14 +1,33 @@
-//! Canonical query form and stable fingerprints — the cache key of the
-//! serving layer (`sqo-service`).
+//! The plan cache's key and its slot check (`sqo-service`).
 //!
-//! Two textually different queries that denote the same five-part query —
-//! same predicates in a different order, same class list shuffled — must map
-//! to the same cache entry, otherwise repeated traffic defeats the plan
-//! cache. [`Query::canonical`] reuses the deterministic ordering of
-//! [`Query::normalized`] (sort + dedup every list part), and
-//! [`Query::fingerprint`] hashes that canonical form with FNV-1a, a fixed
-//! algorithm whose output is stable across processes, runs and platforms —
-//! unlike `DefaultHasher`, which only promises per-process determinism.
+//! The paper's query is five lists, and each denotes a set: projections,
+//! join predicates, selective predicates, relationships, classes. Two
+//! spellings that list the same elements in another order, or one element
+//! twice, are the same query and must find the same cache entry. Chirkova's
+//! combined semantics (PAPERS.md) is why exactly those five parts are sets
+//! and nothing else is one: a conjunction and a projection list do not
+//! change meaning under reordering or repetition.
+//!
+//! * [`Query::canonical`] is the representative of a spelling's class:
+//!   every part sorted and deduplicated ([`Query::normalized`]). The
+//!   serving layer builds it only on a miss, to optimize it.
+//! * [`Query::fingerprint`] hashes **any** spelling directly. Each part is
+//!   hashed as the set of its distinct elements: an element is hashed over
+//!   64-bit little-endian words (a string 8 bytes at a time, a float with
+//!   its zero normalized as `Finite`'s `Hash` does, so `-0.0` and `0.0`,
+//!   which are `==`, share a key), and a part combines the hashes of its
+//!   distinct elements by a wrapping sum, which is order-independent and
+//!   needs neither an allocation nor a sort. The constants are fixed and
+//!   the words little-endian, so the key is the same in every process and
+//!   on every platform, unlike `DefaultHasher`'s.
+//! * [`Query::same_canonical`] is what a cache slot is verified with, to
+//!   disarm 64-bit collisions: part-by-part set equality, which holds
+//!   exactly when the two canonical forms are equal.
+//!
+//! The key used to be byte-at-a-time FNV-1a over the canonical form, so
+//! every hit first built the sorted copy (four allocations) and then fed
+//! it to the hash one byte per multiply. With a key and a check that read
+//! any spelling, a hit reads the request once and allocates nothing.
 
 use std::fmt;
 
@@ -31,106 +50,123 @@ impl fmt::Display for QueryFingerprint {
     }
 }
 
-/// FNV-1a, 64-bit: tiny, allocation-free, and — critically for a cache key
-/// that may outlive one process — fully specified.
-#[derive(Debug)]
-struct Fnv1a(u64);
+/// The start state of every hash (the golden-ratio constant).
+const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+/// splitmix64's two finalizer multipliers.
+const M1: u64 = 0xbf58_476d_1ce4_e5b9;
+const M2: u64 = 0x94d0_49bb_1331_11eb;
 
-impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
+/// A hash fed one 64-bit word at a time. Each step multiplies the state
+/// xor the word by an odd constant and rotates the product, a bijection
+/// that brings its well-mixed high bits down; [`Words::finish`] is
+/// splitmix64's finalizer.
+#[derive(Debug, Clone, Copy)]
+struct Words(u64);
 
+impl Words {
     fn new() -> Self {
-        Self(Self::OFFSET)
+        Self(SEED)
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
+    fn word(self, w: u64) -> Self {
+        Self((self.0 ^ w).wrapping_mul(M1).rotate_left(23))
     }
 
-    fn write_u8(&mut self, v: u8) {
-        self.write(&[v]);
+    fn finish(self) -> u64 {
+        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(M1);
+        let z = (z ^ (z >> 27)).wrapping_mul(M2);
+        z ^ (z >> 31)
     }
 
-    fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
+    fn attr(self, attr: AttrRef) -> Self {
+        self.word(u64::from(attr.class.0) << 32 | u64::from(attr.attr.0))
     }
 
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    fn write_attr(&mut self, attr: AttrRef) {
-        self.write_u32(attr.class.0);
-        self.write_u32(attr.attr.0);
-    }
-
-    fn write_value(&mut self, v: &Value) {
+    /// The type tags are the `.sqos` value tags (`docs/FORMAT.md` §3.0).
+    fn value(self, v: &Value) -> Self {
         match v {
-            Value::Int(i) => {
-                self.write_u8(0);
-                self.write(&i.to_le_bytes());
-            }
+            Value::Int(i) => self.word(0).word(*i as u64),
             Value::Float(f) => {
-                self.write_u8(1);
-                self.write_u64(f.get().to_bits());
+                let bits = if f.get() == 0.0 { 0 } else { f.get().to_bits() };
+                self.word(1).word(bits)
             }
             Value::Str(s) => {
-                self.write_u8(2);
-                self.write_usize(s.len());
-                self.write(s.as_bytes());
+                let chunks = s.as_bytes().chunks_exact(8);
+                // The tail, zero-padded to a little-endian word.
+                let tail = chunks.remainder().iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+                let h = chunks.fold(self.word(2).word(s.len() as u64), |h, chunk| {
+                    h.word(chunk.first_chunk().map_or(0, |w| u64::from_le_bytes(*w)))
+                });
+                h.word(tail)
             }
-            Value::Bool(b) => {
-                self.write_u8(3);
-                self.write_u8(u8::from(*b));
-            }
+            Value::Bool(b) => self.word(3).word(u64::from(*b)),
         }
     }
 
-    fn write_op(&mut self, op: CompOp) {
-        self.write_u8(match op {
+    fn op(self, op: CompOp) -> Self {
+        self.word(match op {
             CompOp::Eq => 0,
             CompOp::Ne => 1,
             CompOp::Lt => 2,
             CompOp::Le => 3,
             CompOp::Gt => 4,
             CompOp::Ge => 5,
-        });
+        })
     }
 
-    fn write_projection(&mut self, p: &Projection) {
-        self.write_attr(p.attr);
-        match &p.binding {
-            None => self.write_u8(0),
-            Some(v) => {
-                self.write_u8(1);
-                self.write_value(v);
+    /// Folds in one part as the set of its distinct elements: how many
+    /// there are and the wrapping sum of their hashes. An element equal to
+    /// an earlier one adds nothing, so neither order nor repetition moves
+    /// the result.
+    fn part<T: PartialEq>(self, items: &[T], element: impl Fn(Words, &T) -> Words) -> Self {
+        let (mut distinct, mut sum) = (0u64, 0u64);
+        for (i, x) in items.iter().enumerate() {
+            if !items[..i].contains(x) {
+                distinct += 1;
+                sum = sum.wrapping_add(element(Words::new(), x).finish());
             }
         }
+        self.word(distinct).word(sum)
     }
+}
 
-    fn write_sel(&mut self, p: &SelPredicate) {
-        self.write_attr(p.attr);
-        self.write_op(p.op);
-        self.write_value(&p.value);
+fn projection(h: Words, p: &Projection) -> Words {
+    let h = h.attr(p.attr);
+    match &p.binding {
+        None => h.word(0),
+        Some(v) => h.word(1).value(v),
     }
+}
 
-    fn write_join(&mut self, p: &JoinPredicate) {
-        self.write_attr(p.left);
-        self.write_op(p.op);
-        self.write_attr(p.right);
-    }
+fn join(h: Words, p: &JoinPredicate) -> Words {
+    h.attr(p.left).op(p.op).attr(p.right)
+}
 
-    fn finish(&self) -> u64 {
-        self.0
+fn selective(h: Words, p: &SelPredicate) -> Words {
+    h.attr(p.attr).op(p.op).value(&p.value)
+}
+
+/// Whether `a` and `b` hold the same distinct elements: in order first,
+/// which is all two canonical parts need, then as sets. The set pass has
+/// each element of `a` mark every equal element of `b`, scanning all of `b`
+/// so that no branch depends on where a match sits in the spelling: `a ⊆ b`
+/// when every element marks one, `b ⊆ a` when every element is marked.
+fn same_set<T: PartialEq>(a: &[T], b: &[T]) -> bool {
+    if a == b {
+        return true;
     }
+    if b.len() > 64 {
+        return a.iter().all(|x| b.contains(x)) && b.iter().all(|y| a.contains(y));
+    }
+    let mut marked = 0u64;
+    for x in a {
+        let hits = b.iter().enumerate().fold(0, |hits, (j, y)| hits | u64::from(y == x) << j);
+        if hits == 0 {
+            return false;
+        }
+        marked |= hits;
+    }
+    marked.count_ones() as usize == b.len()
 }
 
 impl Query {
@@ -148,47 +184,41 @@ impl Query {
         *self == self.canonical()
     }
 
-    /// Stable fingerprint of the canonical form (see [`QueryFingerprint`]).
+    /// Stable fingerprint of the canonical form (see [`QueryFingerprint`]),
+    /// computed from any spelling without building it (module docs).
     ///
     /// Queries differing only in list order or duplicated entries share a
     /// fingerprint; queries with different predicates, projections, classes
     /// or relationships get different fingerprints (modulo 64-bit hash
-    /// collisions, which the cache tolerates by storing the canonical query
-    /// alongside the entry).
+    /// collisions, which the cache tolerates by checking the cached query
+    /// with [`Query::same_canonical`]).
     pub fn fingerprint(&self) -> QueryFingerprint {
-        self.canonical().fingerprint_canonical()
+        let h = Words::new()
+            .part(&self.projections, projection)
+            .part(&self.join_predicates, join)
+            .part(&self.selective_predicates, selective)
+            .part(&self.relationships, |h, r| h.word(u64::from(r.0)))
+            .part(&self.classes, |h, c| h.word(u64::from(c.0)));
+        QueryFingerprint(h.finish())
     }
 
-    /// [`Query::fingerprint`] for a query that **is already canonical** —
-    /// skips the clone + re-sort. Callers holding the result of
-    /// [`Query::canonical`] (the serving layer's cache key path) use this to
-    /// canonicalize exactly once per request.
+    /// [`Query::fingerprint`], under the name callers that hold a
+    /// canonical query use. Every spelling has the same key, so there is
+    /// nothing for a canonical one to skip.
     pub fn fingerprint_canonical(&self) -> QueryFingerprint {
-        debug_assert!(self.is_canonical(), "fingerprint_canonical needs a canonical query");
-        let q = self;
-        let mut h = Fnv1a::new();
-        // Length-prefix every section so section boundaries cannot alias.
-        h.write_usize(q.projections.len());
-        for p in &q.projections {
-            h.write_projection(p);
-        }
-        h.write_usize(q.join_predicates.len());
-        for p in &q.join_predicates {
-            h.write_join(p);
-        }
-        h.write_usize(q.selective_predicates.len());
-        for p in &q.selective_predicates {
-            h.write_sel(p);
-        }
-        h.write_usize(q.relationships.len());
-        for r in &q.relationships {
-            h.write_u32(r.0);
-        }
-        h.write_usize(q.classes.len());
-        for c in &q.classes {
-            h.write_u32(c.0);
-        }
-        QueryFingerprint(h.finish())
+        self.fingerprint()
+    }
+
+    /// Whether `self` and `other` have the same canonical form, checked on
+    /// the spellings as given: each part holds the same distinct elements.
+    /// A canonical pair pays one in-order comparison per part; any other
+    /// spelling, one set comparison. Allocates nothing.
+    pub fn same_canonical(&self, other: &Query) -> bool {
+        same_set(&self.classes, &other.classes)
+            && same_set(&self.relationships, &other.relationships)
+            && same_set(&self.selective_predicates, &other.selective_predicates)
+            && same_set(&self.join_predicates, &other.join_predicates)
+            && same_set(&self.projections, &other.projections)
     }
 }
 
@@ -230,6 +260,7 @@ mod tests {
         shuffled.classes.reverse();
         assert_eq!(q.fingerprint(), shuffled.fingerprint());
         assert_eq!(q.canonical(), shuffled.canonical());
+        assert!(q.same_canonical(&shuffled) && shuffled.same_canonical(&q.canonical()));
     }
 
     #[test]
@@ -241,15 +272,18 @@ mod tests {
             .build()
             .unwrap();
         assert_ne!(q.fingerprint(), other.fingerprint());
+        assert!(!q.same_canonical(&other));
     }
 
     #[test]
     fn fingerprint_is_stable_across_calls() {
         let (_, q) = sample();
         assert_eq!(q.fingerprint(), q.clone().fingerprint());
-        // Pin the algorithm: a silent change to the encoding would silently
-        // invalidate every persisted fingerprint.
-        assert_eq!(q.fingerprint(), q.canonical().fingerprint());
+        assert_eq!(q.fingerprint(), q.canonical().fingerprint_canonical());
+        // Pin the algorithm: the key must not depend on the process, the
+        // platform or the build, so its values are fixed.
+        assert_eq!(Query::new().fingerprint(), QueryFingerprint(0x13bd_6663_c7ae_2c92));
+        assert_eq!(q.fingerprint(), QueryFingerprint(0x8cfa_e9fa_f0d4_9906));
     }
 
     #[test]
@@ -265,5 +299,53 @@ mod tests {
         // Not a valid query (type mismatch), but the fingerprint must still
         // discriminate the raw value encodings.
         assert_ne!(a.fingerprint(), b.fingerprint());
+        assert!(!a.same_canonical(&b));
+    }
+
+    #[test]
+    fn a_repeated_element_is_counted_once() {
+        let (_, q) = sample();
+        let mut twice = q.clone();
+        twice.selective_predicates.push(q.selective_predicates[0].clone());
+        twice.classes.insert(0, q.classes[1]);
+        assert_eq!(twice.fingerprint(), q.fingerprint());
+        assert!(twice.same_canonical(&q) && q.same_canonical(&twice));
+        // A part that holds an element twice is not one that holds it and
+        // another element.
+        let mut other = q.clone();
+        other.classes.retain(|c| *c != q.classes[0]);
+        other.classes.push(q.classes[1]);
+        assert!(!other.same_canonical(&q) && !q.same_canonical(&other));
+    }
+
+    #[test]
+    fn parts_longer_than_a_mark_word_are_compared_as_sets() {
+        let mut long = Query::new();
+        long.classes = (0..70).map(sqo_catalog::ClassId).collect();
+        let mut reversed = long.clone();
+        reversed.classes.reverse();
+        assert!(long.same_canonical(&reversed) && reversed.same_canonical(&long));
+        let mut short = reversed.clone();
+        short.classes[0] = short.classes[1];
+        assert!(!long.same_canonical(&short) && !short.same_canonical(&long));
+    }
+
+    #[test]
+    fn signed_zeros_are_one_query() {
+        let (catalog, _) = sample();
+        let spelled = |zero: f64| {
+            let mut q = QueryBuilder::new(&catalog).select("cargo.desc").build().unwrap();
+            let attr = catalog.attr_ref("cargo", "quantity").unwrap();
+            q.selective_predicates.push(SelPredicate::new(
+                attr,
+                CompOp::Gt,
+                Value::float(zero).unwrap(),
+            ));
+            q
+        };
+        let (positive, negative) = (spelled(0.0), spelled(-0.0));
+        assert_eq!(positive.canonical(), negative.canonical());
+        assert_eq!(positive.fingerprint(), negative.fingerprint());
+        assert!(positive.same_canonical(&negative));
     }
 }

@@ -1,6 +1,11 @@
 //! The sharded semantic-plan cache.
 //!
-//! Keyed by the **canonical query fingerprint**; every slot additionally
+//! Keyed by the **canonical query fingerprint**, which any spelling of a
+//! query hashes to without being canonicalized ([`Query::fingerprint`]). A
+//! slot is verified against the request as spelled: the slot's canonical
+//! query must hold the same set of elements in each of the five parts
+//! ([`Query::same_canonical`]), which rules out 64-bit collisions without
+//! building the request's canonical form. Every slot additionally
 //! records the [`StoreVersion`] (constraint-store generation + epoch) its
 //! rewrite was derived under, and a lookup only hits when the caller's
 //! current version matches. Versions — not raw epochs — are the identity:
@@ -30,8 +35,9 @@
 //! # When a result memo may be served
 //!
 //! A memo is `(E, rows)`: the rows the entry's plan `P` produced on the
-//! snapshot of data epoch `E`. A reader holding the snapshot of epoch `E'`
-//! is served it when `E' == E`, or when `E' > E` and none of the classes
+//! snapshot of data epoch `E`. A reader at data epoch `E'` (loaded from
+//! the write path's epoch; checking a memo pins no snapshot) is served it
+//! when `E' == E`, or when `E' > E` and none of the classes
 //! `P` binds (its root and each step's class) was written after `E` in the
 //! lineage the rows were read from — the rows carry that lineage's
 //! per-class write epochs ([`ResultSet::written_after`],
@@ -74,9 +80,12 @@
 //! bits, so concurrent readers of *different* queries never contend, and
 //! readers of the *same* hot query share a read lock (recency is tracked
 //! with a relaxed atomic, not a write lock). Each shard evicts
-//! least-recently-used entries past its capacity.
+//! least-recently-used entries past its capacity. A shard's map is keyed
+//! by the fingerprint as it is: it is already a mixed 64-bit hash, and the
+//! capacity bound keeps the worst probe bounded however the keys fall.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -172,7 +181,29 @@ struct Slot {
     last_used: AtomicU64,
 }
 
-type Shard = HashMap<QueryFingerprint, Slot>;
+/// The identity hasher over a fingerprint's one `u64` (module docs).
+#[derive(Debug, Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // A fingerprint hashes through `write_u64`; anything else still
+        // gets a total, if weak, hash.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
+    }
+}
+
+type Shard = HashMap<QueryFingerprint, Slot, BuildHasherDefault<Prehashed>>;
 
 /// Point-in-time cache counters (monotone except `entries`/`shard_sizes`).
 ///
@@ -240,7 +271,7 @@ impl ShardedCache {
         let shards = shards.max(1).next_power_of_two();
         let per_shard_capacity = capacity.div_ceil(shards).max(1);
         Self {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..shards).map(|_| RwLock::new(Shard::default())).collect(),
             flights: Arc::new(FlightTable::default()),
             per_shard_capacity,
             clock: AtomicU64::new(0),
@@ -272,13 +303,15 @@ impl ShardedCache {
         &self.shards[(h >> 32) as usize & (self.shards.len() - 1)]
     }
 
-    /// Looks up `fingerprint`, verifying both the stored canonical query (to
-    /// rule out 64-bit fingerprint collisions) and that the entry is valid
-    /// under `version`. Counts a hit or a miss.
+    /// Looks up `fingerprint` (the key of `query`, in any spelling),
+    /// verifying both that the stored canonical query is `query`'s (set
+    /// equality per part, [`Query::same_canonical`], to rule out 64-bit
+    /// fingerprint collisions) and that the entry is valid under
+    /// `version`. Counts a hit or a miss.
     pub fn get(
         &self,
         fingerprint: QueryFingerprint,
-        canonical: &Query,
+        query: &Query,
         version: StoreVersion,
     ) -> Option<Arc<CacheEntry>> {
         // `lookups` first: `hits <= lookups` must hold in every stats()
@@ -290,7 +323,9 @@ impl ShardedCache {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let shard = self.shard_of(fingerprint).read();
         match shard.get(&fingerprint) {
-            Some(slot) if slot.version == version && slot.entry.canonical == *canonical => {
+            Some(slot)
+                if slot.version == version && query.same_canonical(&slot.entry.canonical) =>
+            {
                 // ordering: LRU timestamp; approximate recency is fine.
                 slot.last_used.store(self.tick(), Ordering::Relaxed);
                 // ordering: Release pairs with the Acquire load in stats().

@@ -11,7 +11,8 @@
 //!
 //! * **Canonical fingerprints** ([`sqo_query::QueryFingerprint`]) collapse
 //!   every spelling of a query — shuffled predicates, reordered class
-//!   lists — onto one cache identity.
+//!   lists — onto one cache identity, computed and verified on the
+//!   spelling itself: a hit never builds the canonical form.
 //! * **Version-validated entries**: every cache entry records the
 //!   [`sqo_constraints::StoreVersion`] (store generation + epoch) its
 //!   rewrite was derived under, and lookups only hit on an exact match —

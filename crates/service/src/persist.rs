@@ -328,7 +328,8 @@ pub fn rebuild_store(
 /// skeleton (no result memo — results are data, not optimization state).
 #[derive(Debug)]
 pub struct PlanSeed {
-    /// Canonical fingerprint the entry is keyed by.
+    /// The fingerprint the reading build derives from the entry's canonical
+    /// query, which the entry is keyed by.
     pub fingerprint: QueryFingerprint,
     /// The rehydrated cache entry.
     pub entry: CacheEntry,
@@ -415,15 +416,17 @@ fn strict_check_plan(catalog: &Catalog, plan: &PhysicalPlan) -> Result<(), LoadE
 /// [`PhysicalPlan::check`] (its steps and cycle edges follow relationships
 /// that join the classes they name, its attributes are on bound classes),
 /// so no seed the executor would refuse reaches the cache. Strict
-/// additionally recomputes each canonical fingerprint and resolves every id
-/// the queries and plan skeletons mention.
+/// additionally resolves every id the queries and plan skeletons mention.
+///
+/// Every seed is keyed by the fingerprint this build derives from its
+/// canonical query, at every level, the way a loaded store gets a fresh
+/// generation: the stored `u64` keeps the v1 layout and is not read, so a
+/// file written by a build with another key function still boots warm.
 ///
 /// # Errors
 /// [`LoadError::Malformed`] for structural damage or a plan the executor
-/// cannot run, and at Strict
-/// [`LoadError::ChecksumMismatch`]-free but fingerprint-mismatching seeds
-/// report [`LoadError::Malformed`] while unresolvable ids report
-/// [`LoadError::DanglingReference`].
+/// cannot run, and at Strict [`LoadError::DanglingReference`] for
+/// unresolvable ids.
 pub fn decode_plan_seeds(
     payload: &[u8],
     catalog: &Catalog,
@@ -432,7 +435,7 @@ pub fn decode_plan_seeds(
     let mut r = ByteReader::new(payload, "PLANSEEDS");
     let mut seeds = Vec::new();
     for _ in 0..r.count()? {
-        let fingerprint = QueryFingerprint(r.u64()?);
+        let _stored_fingerprint = r.u64()?;
         let canonical = read_query(&mut r)?;
         let optimized = read_query(&mut r)?;
         let plan = match r.u8()? {
@@ -455,16 +458,6 @@ pub fn decode_plan_seeds(
             columns.push(read_attr_ref(&mut r)?);
         }
         if level.at_least_strict() {
-            let recomputed = canonical.fingerprint_canonical();
-            if recomputed != fingerprint {
-                return Err(LoadError::Malformed {
-                    section: "PLANSEEDS",
-                    detail: format!(
-                        "stored fingerprint {fingerprint} but canonical query hashes to \
-                         {recomputed}"
-                    ),
-                });
-            }
             if let Some(plan) = &plan {
                 strict_check_plan(catalog, plan)?;
             }
@@ -482,7 +475,7 @@ pub fn decode_plan_seeds(
             })?;
         }
         seeds.push(PlanSeed {
-            fingerprint,
+            fingerprint: canonical.fingerprint(),
             entry: CacheEntry::new(canonical, optimized, plan, provably_empty, columns),
         });
     }

@@ -422,44 +422,38 @@ impl QueryService {
         version.epoch
     }
 
-    /// Canonicalizes, fingerprints and resolves `query` to its optimization
-    /// artifacts — from the cache when possible, by running the full
-    /// semantic-optimization + planning pipeline on a miss.
+    /// Resolves `query` to its optimization artifacts — from the cache when
+    /// possible, by running the full semantic-optimization + planning
+    /// pipeline on a miss.
     pub fn prepare(&self, query: &Query) -> Result<PreparedQuery, ServiceError> {
-        let canonical = query.canonical();
-        let (at, hit) = self.resolve(&canonical);
-        self.entry_for(canonical, at, hit)
-    }
-
-    /// Step 1 of every request: pins the store handle, its version and the
-    /// fingerprint of `canonical`, and performs the request's one
-    /// plan-cache lookup.
-    fn resolve(&self, canonical: &Query) -> (Coordinate, Option<PreparedQuery>) {
-        let store = self.store();
-        let version = store.version();
-        let fingerprint = canonical.fingerprint_canonical();
-        let hit = self.cache.get(fingerprint, canonical, version).map(|entry| PreparedQuery {
-            entry,
-            epoch: version.epoch,
-            cache_hit: true,
-        });
-        (Coordinate { store, version, fingerprint }, hit)
-    }
-
-    /// Step 2: the looked-up entry, or on a miss the entry derived under
-    /// exactly `at`'s store and published to the plan cache **stamped with
-    /// that same version** (a store swapped mid-request can never receive
-    /// an entry derived under its predecessor — lookups at the successor
-    /// version miss and re-derive).
-    fn entry_for(
-        &self,
-        canonical: Query,
-        at: Coordinate,
-        hit: Option<PreparedQuery>,
-    ) -> Result<PreparedQuery, ServiceError> {
-        if let Some(prepared) = hit {
-            return Ok(prepared);
+        match self.resolve(query) {
+            Lookup::Hit(prepared) => Ok(prepared),
+            Lookup::Miss(canonical, at) => self.entry_for(canonical, at),
         }
+    }
+
+    /// Step 1 of every request: the request's one plan-cache lookup, on the
+    /// query as spelled (its fingerprint and the slot check need no
+    /// canonical form). A hit reads the store version and pins nothing. A
+    /// miss pins the store it will be derived under and canonicalizes the
+    /// query, the only place a request does.
+    fn resolve(&self, query: &Query) -> Lookup {
+        let version = self.store_version();
+        let fingerprint = query.fingerprint();
+        if let Some(entry) = self.cache.get(fingerprint, query, version) {
+            return Lookup::Hit(PreparedQuery { entry, epoch: version.epoch, cache_hit: true });
+        }
+        let store = self.store();
+        let at = Coordinate { version: store.version(), store, fingerprint };
+        Lookup::Miss(query.canonical(), at)
+    }
+
+    /// Step 2, on a miss: the entry derived under exactly `at`'s store and
+    /// published to the plan cache **stamped with that same version** (a
+    /// store swapped mid-request can never receive an entry derived under
+    /// its predecessor — lookups at the successor version miss and
+    /// re-derive).
+    fn entry_for(&self, canonical: Query, at: Coordinate) -> Result<PreparedQuery, ServiceError> {
         let entry = Arc::new(self.build_entry(canonical, &at.store)?);
         self.cache.insert(at.fingerprint, at.version, Arc::clone(&entry));
         Ok(PreparedQuery { entry, epoch: at.version.epoch, cache_hit: false })
@@ -500,45 +494,53 @@ impl QueryService {
         self.answer(prepared).map(|response| response.results)
     }
 
-    /// Step 3, the execution core: resolves the current snapshot, serves
-    /// the result memo when it answers that snapshot's epoch (computed at
-    /// it, or earlier with no class of the plan written since), re-executes
-    /// (and republishes the memo) otherwise. Either way the response names
-    /// the current snapshot's data epoch: the one its rows are consistent
-    /// with.
+    /// Step 3, the execution core: serves the result memo when it answers
+    /// the current data epoch (computed at it, or earlier with no class of
+    /// the plan written since); otherwise pins the current snapshot,
+    /// re-executes on it and republishes the memo. Either way the response
+    /// names the data epoch its rows are consistent with.
     fn answer(&self, prepared: &PreparedQuery) -> Result<ServiceResponse, ServiceError> {
         let entry = &prepared.entry;
-        let db = self.db.snapshot();
-        let data_epoch = db.data_version();
-        let memoize = self.config.cache_results;
-        let memo = if memoize { entry.memoized_results(data_epoch) } else { None };
-        let results = match memo {
-            Some(cached) => cached,
-            None => {
-                let results = if entry.provably_empty {
-                    Arc::new(ResultSet::new(entry.columns.clone()))
-                } else {
-                    let plan = entry.plan.as_ref().ok_or(ExecError::MalformedPlan(
-                        "an entry not proven empty carries no plan",
-                    ))?;
-                    let (res, _counters) =
-                        WORKER_SCRATCH.with(|s| execute_with(&db, plan, &mut s.borrow_mut().1))?;
-                    // ordering: monotone display counter.
-                    self.executions.fetch_add(1, Ordering::Relaxed);
-                    Arc::new(res)
-                };
-                if memoize {
-                    entry.publish_results(data_epoch, &results);
-                }
-                results
-            }
-        };
-        Ok(ServiceResponse {
+        let respond = |results, data_epoch| ServiceResponse {
             results,
             cache_hit: prepared.cache_hit,
             epoch: prepared.epoch,
             data_epoch,
-        })
+        };
+        let memoize = self.config.cache_results;
+        if memoize {
+            // ordering: `data_epoch()` is an Acquire load of the epoch the
+            // write path Release-stores after raising the classes its batch
+            // wrote and swapping the snapshot in (raise before swap,
+            // `cache.rs`). A reader that loads epoch E' sees every raise of
+            // every epoch <= E', so a memo served at E' is what the plan
+            // returns on E''s snapshot, and checking it pins no snapshot.
+            // The store is made under the swap's lock, so E' is never
+            // behind a snapshot another request already answered at.
+            let data_epoch = self.db.data_epoch();
+            if let Some(results) = entry.memoized_results(data_epoch) {
+                return Ok(respond(results, data_epoch));
+            }
+        }
+        let db = self.db.snapshot();
+        let data_epoch = db.data_version();
+        let results = if entry.provably_empty {
+            Arc::new(ResultSet::new(entry.columns.clone()))
+        } else {
+            let plan = entry
+                .plan
+                .as_ref()
+                .ok_or(ExecError::MalformedPlan("an entry not proven empty carries no plan"))?;
+            let (res, _counters) =
+                WORKER_SCRATCH.with(|s| execute_with(&db, plan, &mut s.borrow_mut().1))?;
+            // ordering: monotone display counter.
+            self.executions.fetch_add(1, Ordering::Relaxed);
+            Arc::new(res)
+        };
+        if memoize {
+            entry.publish_results(data_epoch, &results);
+        }
+        Ok(respond(results, data_epoch))
     }
 
     /// Prepare + execute in one call — the per-request entry point.
@@ -546,9 +548,7 @@ impl QueryService {
         // ordering: monotone display counter; `accepted` consistency is
         // carried by the cache's lookups/hits pair, not this one.
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let canonical = query.canonical();
-        let (at, hit) = self.resolve(&canonical);
-        self.answer(&self.entry_for(canonical, at, hit)?)
+        self.answer(&self.prepare(query)?)
     }
 
     /// The **non-blocking** per-request entry point for callers that
@@ -575,11 +575,10 @@ impl QueryService {
         // ordering: monotone display counter; `accepted` consistency is
         // carried by the cache's lookups/hits pair, not this one.
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let canonical = query.canonical();
-        let (at, hit) = self.resolve(&canonical);
-        if let Some(prepared) = hit {
-            return self.answer(&prepared).map(TryRun::Done);
-        }
+        let (canonical, at) = match self.resolve(query) {
+            Lookup::Hit(prepared) => return self.answer(&prepared).map(TryRun::Done),
+            Lookup::Miss(canonical, at) => (canonical, at),
+        };
         let key = FlightKey {
             fingerprint: at.fingerprint,
             version: at.version,
@@ -600,9 +599,7 @@ impl QueryService {
             // A 64-bit fingerprint collision with the in-flight query:
             // sharing would serve the wrong answer, so this request runs
             // the undeduplicated pipeline on its own.
-            Registered::Collision => {
-                self.answer(&self.entry_for(canonical, at, None)?).map(TryRun::Done)
-            }
+            Registered::Collision => self.answer(&self.entry_for(canonical, at)?).map(TryRun::Done),
         }
     }
 
@@ -621,7 +618,7 @@ impl QueryService {
             fingerprint: key.fingerprint,
         };
         let outcome = self
-            .entry_for(guard.canonical().clone(), at, None)
+            .entry_for(guard.canonical().clone(), at)
             .and_then(|prepared| self.answer(&prepared));
         guard.finish(outcome.clone().map_err(FlightError::Failed));
         outcome
@@ -739,10 +736,17 @@ impl QueryService {
     }
 }
 
-/// Where one request sits in the service's version space: the store
-/// handle its rewrite is (to be) derived under, and the cache identity
-/// `(fingerprint, version)` of its canonical query at that store. The
-/// query itself travels beside it, so a hit never moves it.
+/// What a request's one plan-cache lookup found.
+#[derive(Debug)]
+enum Lookup {
+    Hit(PreparedQuery),
+    /// The request's canonical form, and where to derive it.
+    Miss(Query, Coordinate),
+}
+
+/// Where a missed request sits in the service's version space: the store
+/// handle its rewrite is derived under, and the cache identity
+/// `(fingerprint, version)` of its canonical query at that store.
 #[derive(Debug)]
 struct Coordinate {
     store: Arc<ConstraintStore>,
@@ -808,6 +812,37 @@ mod tests {
         let b = service.run(&shuffled).unwrap();
         assert!(b.cache_hit, "a reordered spelling must hit the same entry");
         assert!(a.results.same_multiset(&b.results));
+    }
+
+    /// `x > 0.0` and `x > -0.0` are one query (`-0.0 == 0.0`): the second
+    /// spelling hits the entry the first one derived.
+    #[test]
+    fn signed_zero_spellings_share_one_entry() {
+        use sqo_catalog::{AttributeDef, Catalog, DataType, Value};
+        let mut b = Catalog::builder();
+        let reading = b.class("reading", vec![AttributeDef::new("x", DataType::Float)]).unwrap();
+        let catalog = Arc::new(b.build().unwrap());
+        let mut db = Database::builder(Arc::clone(&catalog));
+        for x in [-1.5, 0.0, 2.5] {
+            db.insert(reading, vec![Value::float(x).unwrap()]).unwrap();
+        }
+        let db = db.finalize(sqo_storage::IntegrityOptions::default()).unwrap();
+        let options = sqo_constraints::StoreOptions::paper_defaults();
+        let store = ConstraintStore::build(Arc::clone(&catalog), vec![], options).unwrap();
+        let service = QueryService::new(Arc::new(store), Arc::new(db));
+        let above = |zero: f64| {
+            sqo_query::QueryBuilder::new(&catalog)
+                .select("reading.x")
+                .filter("reading.x", sqo_query::CompOp::Gt, Value::float(zero).unwrap())
+                .build()
+                .unwrap()
+        };
+        let positive = service.run(&above(0.0)).unwrap();
+        let negative = service.run(&above(-0.0)).unwrap();
+        assert!(!positive.cache_hit);
+        assert!(negative.cache_hit, "a -0.0 spelling must hit the 0.0 entry");
+        assert_eq!(negative.results.len(), 1);
+        assert_eq!(service.stats().optimizations, 1);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 use std::sync::Arc;
 
 use sqo_exec::PhysicalPlan;
-use sqo_query::Query;
-use sqo_service::{decode_plan_seeds, encode_plan_seeds, PlanSeed, QueryService, ServiceConfig};
+use sqo_query::{Query, QueryFingerprint};
+use sqo_service::{
+    decode_plan_seeds, encode_plan_seeds, CacheEntry, PlanSeed, QueryService, ServiceConfig,
+};
 use sqo_snapshot::{
     LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel, SEC_CONSTRAINTS, SEC_PLANSEEDS,
 };
@@ -115,21 +117,34 @@ fn damaged_serving_sections_are_rejected() {
     assert_eq!(warm.epoch(), cold.epoch());
 }
 
-/// A PLANSEEDS section re-encoded from the served cache, with the first
-/// plan that has a join step redirected over a relationship that does not
-/// join the step's classes when `tamper` is set.
-fn reseeded(cold: &QueryService, tamper: bool) -> Vec<u8> {
+/// The served cache's snapshot with its PLANSEEDS section re-encoded after
+/// `edit` has seen every seed's stored fingerprint and entry.
+fn reseeded(
+    cold: &QueryService,
+    mut edit: impl FnMut(&mut QueryFingerprint, &mut CacheEntry),
+) -> Vec<u8> {
     let bytes = cold.snapshot_bytes();
     let db = cold.db();
-    let catalog = db.catalog();
     let file = SnapshotFile::parse(&bytes).expect("good snapshot parses");
     let (_, payload) =
         file.sections().find(|(id, _)| *id == SEC_PLANSEEDS).expect("the cache is persisted");
-    let seeds = decode_plan_seeds(payload, catalog, ValidationLevel::Strict).unwrap();
+    let seeds = decode_plan_seeds(payload, db.catalog(), ValidationLevel::Strict).unwrap();
     let version = cold.store().version();
-    let mut pending = tamper;
     let mut entries = Vec::new();
-    for PlanSeed { fingerprint, mut entry } in seeds {
+    for PlanSeed { mut fingerprint, mut entry } in seeds {
+        edit(&mut fingerprint, &mut entry);
+        entries.push((fingerprint, version, Arc::new(entry)));
+    }
+    with_section(&bytes, SEC_PLANSEEDS, Some(encode_plan_seeds(&entries, version)))
+}
+
+/// The served cache's snapshot with the first plan that has a join step
+/// redirected over a relationship that does not join the step's classes.
+fn misjoined(cold: &QueryService) -> Vec<u8> {
+    let db = cold.db();
+    let catalog = db.catalog();
+    let mut pending = true;
+    let bytes = reseeded(cold, |_, entry| {
         if let Some(plan) = entry.plan.as_ref().filter(|p| pending && !p.steps.is_empty()) {
             let mut plan = PhysicalPlan::clone(plan);
             let step = &mut plan.steps[0];
@@ -141,10 +156,9 @@ fn reseeded(cold: &QueryService, tamper: bool) -> Vec<u8> {
             entry.plan = Some(Arc::new(plan));
             pending = false;
         }
-        entries.push((fingerprint, version, Arc::new(entry)));
-    }
+    });
     assert!(!pending, "the served cache holds a plan with a join step");
-    with_section(&bytes, SEC_PLANSEEDS, Some(encode_plan_seeds(&entries, version)))
+    bytes
 }
 
 /// A seeded plan the executor cannot run — a step over a relationship that
@@ -156,14 +170,33 @@ fn a_seeded_plan_the_executor_cannot_run_is_refused() {
     let boot = |bytes: &[u8], level| {
         QueryService::from_snapshot_bytes(bytes, level, ServiceConfig::default())
     };
-    boot(&reseeded(&cold, false), ValidationLevel::Standard).expect("re-encoded seeds boot");
-    let crafted = reseeded(&cold, true);
+    boot(&reseeded(&cold, |_, _| {}), ValidationLevel::Standard).expect("re-encoded seeds boot");
+    let crafted = misjoined(&cold);
     for level in [ValidationLevel::Standard, ValidationLevel::Strict] {
         let err = boot(&crafted, level).expect_err("a mis-joined plan must not boot");
         assert!(
             matches!(err, LoadError::Malformed { section: "PLANSEEDS", .. }),
             "expected Malformed PLANSEEDS at {level:?}, got {err:?}"
         );
+    }
+}
+
+/// A seed's stored fingerprint is not its key: a PLANSEEDS section whose
+/// every stored fingerprint is overwritten — what a file written by a build
+/// with another key function looks like — boots warm at Standard and at
+/// Strict, because the reader keys each seed by the fingerprint it derives
+/// from the seed's canonical query.
+#[test]
+fn seeds_are_keyed_by_the_reading_build() {
+    let (cold, queries) = served();
+    let foreign = reseeded(&cold, |fingerprint, _| *fingerprint = QueryFingerprint(!fingerprint.0));
+    for level in [ValidationLevel::Standard, ValidationLevel::Strict] {
+        let warm = QueryService::from_snapshot_bytes(&foreign, level, ServiceConfig::default())
+            .unwrap_or_else(|e| panic!("overwritten fingerprints must boot at {level:?}: {e}"));
+        for q in &queries {
+            assert!(warm.run(q).unwrap().cache_hit, "every seeded query hits at {level:?}");
+        }
+        assert_eq!(warm.stats().optimizations, 0, "{level:?}");
     }
 }
 

@@ -71,10 +71,10 @@ pub fn section_name(id: u32) -> &'static str {
 /// little-endian chunks, with the tail chunk zero-padded and the payload
 /// length XORed into the seed (`docs/FORMAT.md` §5).
 ///
-/// Chunking keeps Standard-level validation roughly 8x faster than the
-/// byte-at-a-time FNV used for query fingerprints while reusing its mixing
-/// constants; seeding with the length keeps a zero-padded tail from
-/// colliding with explicit trailing zero bytes.
+/// Chunking keeps Standard-level validation roughly 8x faster than
+/// byte-at-a-time FNV-1a, whose mixing constants it keeps; seeding with
+/// the length keeps a zero-padded tail from colliding with explicit
+/// trailing zero bytes.
 pub fn section_checksum(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;

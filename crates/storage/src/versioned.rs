@@ -114,9 +114,9 @@ pub struct WriteOutcome {
 pub struct VersionedDatabase {
     current: RwLock<Arc<Database>>,
     /// Mirror of the current snapshot's `data_version`, readable without
-    /// taking the snapshot lock. Updated *after* the swap: a reader pairing
-    /// `snapshot()` with the snapshot's own `data_version()` is always
-    /// consistent; `data_epoch()` alone may trail by one swap.
+    /// taking the snapshot lock. Stored right after the swap, under the
+    /// swap's write lock: it never names a snapshot that is not swapped in
+    /// yet, and never trails one a reader has already obtained.
     data_epoch: AtomicU64,
     /// Serializes writers so successor snapshots are built outside
     /// `current`'s write lock.
@@ -154,9 +154,9 @@ impl VersionedDatabase {
         Arc::clone(&self.current.read())
     }
 
-    /// The current data epoch, lock-free. May trail an in-flight swap by
-    /// one; use `snapshot().data_version()` when the epoch must match a
-    /// specific snapshot.
+    /// The current data epoch, lock-free. Never behind a snapshot already
+    /// obtained from `snapshot()`; use `snapshot().data_version()` when the
+    /// epoch must match a specific snapshot.
     pub fn data_epoch(&self) -> u64 {
         // ordering: Acquire pairs with the Release store in `write`,
         // so an observed epoch implies the snapshot that produced it is
@@ -189,10 +189,14 @@ impl VersionedDatabase {
             }
         }
         let snapshot = Arc::new(db);
-        *self.current.write() = Arc::clone(&snapshot);
-        // ordering: Release publishes the snapshot swap above to any
-        // thread that Acquire-loads this epoch.
+        let mut current = self.current.write();
+        *current = Arc::clone(&snapshot);
+        // ordering: Release publishes the snapshot swap above (and the
+        // raises before it) to any thread that Acquire-loads this epoch.
+        // Stored under the swap's lock, so whoever obtains this snapshot
+        // from `snapshot()` loads this epoch or a later one afterwards.
         self.data_epoch.store(epoch, Ordering::Release);
+        drop(current);
         Ok(WriteOutcome { epoch, snapshot, receipt })
     }
 }
