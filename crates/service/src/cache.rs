@@ -190,12 +190,10 @@ impl Hasher for Prehashed {
         self.0
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        // A fingerprint hashes through `write_u64`; anything else still
-        // gets a total, if weak, hash.
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
+    fn write(&mut self, _: &[u8]) {
+        // invariant: the only key is `QueryFingerprint(u64)`, whose
+        // derived `Hash` calls `write_u64` and nothing else.
+        unreachable!("a fingerprint hashes through write_u64")
     }
 
     fn write_u64(&mut self, v: u64) {
