@@ -1,13 +1,12 @@
 //! Typed interpretation of `analyze.toml`.
 //!
-//! The config file declares the facts the rules check against: per-file
-//! panic budgets (the burn-down allowlist), the lock hierarchy (named
-//! locks with ranks and receiver patterns), the cross-module call
-//! patterns a guard must not be held across, and the files blessed to do
-//! raw epoch arithmetic.
+//! The config file declares the facts the rules check against: the lock
+//! hierarchy (named locks with ranks and receiver patterns), the
+//! cross-module call patterns a guard must not be held across, and the
+//! files blessed to do raw epoch arithmetic. Panic-freedom needs no facts
+//! here: clippy checks it (see the crate docs).
 
 use crate::toml::{self, Value};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A malformed `analyze.toml`.
@@ -52,13 +51,6 @@ pub struct ModuleDecl {
 /// The whole typed configuration.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// Unjustified-panic count recorded by the first-ever scan; the
-    /// committed budgets must sum strictly below it (monotone burn-down).
-    pub panic_initial_scan: i64,
-    /// Per-file budgets of unjustified panic-family sites. The scan must
-    /// match each budget *exactly*: more is a regression, fewer means the
-    /// budget is stale and must be shrunk in the same change.
-    pub panic_budgets: BTreeMap<String, i64>,
     /// Files allowed to construct `StoreVersion` literals and do raw
     /// `.epoch()` arithmetic (the blessed constructors).
     pub epoch_allow_files: Vec<String>,
@@ -71,36 +63,6 @@ impl Config {
     pub fn parse(source: &str) -> Result<Config, ConfigError> {
         let root = toml::parse(source).map_err(|e| ConfigError(e.to_string()))?;
         let mut cfg = Config::default();
-
-        if let Some(panics) = root.get("panics") {
-            cfg.panic_initial_scan =
-                panics.get("initial_scan").and_then(Value::as_int).unwrap_or(0);
-            if let Some(allows) = panics.get("allow").and_then(Value::as_array) {
-                for entry in allows {
-                    let file = entry
-                        .get("file")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| {
-                            ConfigError("[[panics.allow]] entry missing `file`".to_string())
-                        })?
-                        .to_string();
-                    let count = entry.get("count").and_then(Value::as_int).ok_or_else(|| {
-                        ConfigError(format!("[[panics.allow]] for `{file}` missing `count`"))
-                    })?;
-                    if count <= 0 {
-                        return Err(ConfigError(format!(
-                            "[[panics.allow]] for `{file}` has non-positive count {count}; \
-                             delete the entry instead"
-                        )));
-                    }
-                    if cfg.panic_budgets.insert(file.clone(), count).is_some() {
-                        return Err(ConfigError(format!(
-                            "duplicate [[panics.allow]] entry for `{file}`"
-                        )));
-                    }
-                }
-            }
-        }
 
         if let Some(epochs) = root.get("epochs") {
             cfg.epoch_allow_files = epochs.str_array("allow_files");
@@ -182,13 +144,6 @@ mod tests {
     fn parses_a_full_config() {
         let cfg = Config::parse(
             r#"
-[panics]
-initial_scan = 30
-
-[[panics.allow]]
-file = "crates/a/src/lib.rs"
-count = 4
-
 [epochs]
 allow_files = ["crates/constraints/src/store.rs"]
 
@@ -205,8 +160,6 @@ patterns = [".wake()"]
 "#,
         )
         .unwrap();
-        assert_eq!(cfg.panic_initial_scan, 30);
-        assert_eq!(cfg.panic_budgets.get("crates/a/src/lib.rs"), Some(&4));
         assert!(cfg.lock_covered("crates/service/src/service.rs"));
         assert!(!cfg.lock_covered("crates/a/src/lib.rs"));
         assert_eq!(cfg.locks_for("crates/service/src/service.rs").len(), 1);
@@ -214,13 +167,12 @@ patterns = [".wake()"]
     }
 
     #[test]
-    fn rejects_zero_budgets_and_duplicates() {
-        let err = Config::parse("[[panics.allow]]\nfile = \"x.rs\"\ncount = 0\n").unwrap_err();
-        assert!(err.0.contains("non-positive"));
-        let err = Config::parse(
-            "[[panics.allow]]\nfile = \"x.rs\"\ncount = 1\n[[panics.allow]]\nfile = \"x.rs\"\ncount = 2\n",
-        )
-        .unwrap_err();
+    fn rejects_incomplete_and_duplicate_locks() {
+        let err = Config::parse("[[locks.lock]]\nname = \"a\"\nrank = 1\n").unwrap_err();
+        assert!(err.0.contains("non-empty"));
+        let lock =
+            "[[locks.lock]]\nname = \"a\"\nrank = 1\nreceivers = [\"x\"]\nfiles = [\"f.rs\"]\n";
+        let err = Config::parse(&format!("{lock}{lock}")).unwrap_err();
         assert!(err.0.contains("duplicate"));
     }
 }

@@ -1,6 +1,5 @@
 //! Finding and report types, plus the machine-readable JSON emitter.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Which rule produced a finding.
@@ -8,10 +7,6 @@ use std::fmt;
 pub enum RuleId {
     /// An `Ordering::*` site without an `// ordering:` justification.
     Ordering,
-    /// An unjustified panic-family site (`unwrap`/`expect`/`panic!`/…).
-    Panic,
-    /// A panic budget in `analyze.toml` that disagrees with the scan.
-    PanicBudget,
     /// A lock acquired out of hierarchy order.
     LockOrder,
     /// A guard held across a call into another locking module.
@@ -30,8 +25,6 @@ impl RuleId {
     pub fn name(self) -> &'static str {
         match self {
             RuleId::Ordering => "ordering",
-            RuleId::Panic => "panic",
-            RuleId::PanicBudget => "panic-budget",
             RuleId::LockOrder => "lock-order",
             RuleId::LockCross => "lock-cross",
             RuleId::LockUnknown => "lock-unknown",
@@ -80,18 +73,10 @@ pub struct OrderingSite {
 pub struct Report {
     pub findings: Vec<Finding>,
     pub ordering_inventory: Vec<OrderingSite>,
-    /// Unjustified panic-family sites per file (the burn-down counts the
-    /// budgets in `analyze.toml` must match exactly).
-    pub panic_counts: BTreeMap<String, usize>,
     pub files_scanned: usize,
 }
 
 impl Report {
-    /// Total unjustified panic-family sites across the workspace.
-    pub fn panic_total(&self) -> usize {
-        self.panic_counts.values().sum()
-    }
-
     /// The findings as a JSON array (machine-readable CI output).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"findings\": [\n");
@@ -123,11 +108,7 @@ impl Report {
                 comma
             ));
         }
-        out.push_str(&format!(
-            "  ],\n  \"files_scanned\": {},\n  \"panic_total\": {}\n}}\n",
-            self.files_scanned,
-            self.panic_total()
-        ));
+        out.push_str(&format!("  ],\n  \"files_scanned\": {}\n}}\n", self.files_scanned));
         out
     }
 }
@@ -159,14 +140,14 @@ mod tests {
     fn json_escapes_and_renders() {
         let mut r = Report::default();
         r.findings.push(Finding {
-            rule: RuleId::Panic,
+            rule: RuleId::Ordering,
             file: "a/b.rs".to_string(),
             line: 3,
             message: "say \"no\"".to_string(),
         });
         let json = r.to_json();
-        assert!(json.contains("\"rule\": \"panic\""));
+        assert!(json.contains("\"rule\": \"ordering\""));
         assert!(json.contains("say \\\"no\\\""));
-        assert!(json.contains("\"panic_total\": 0"));
+        assert!(json.contains("\"files_scanned\": 0"));
     }
 }

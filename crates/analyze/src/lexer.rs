@@ -72,7 +72,8 @@ enum State {
 
 /// Lexes `source` into per-line code/comment channels and marks test spans.
 pub fn lex(source: &str) -> LexedFile {
-    let mut lines: Vec<Line> = vec![Line::default()];
+    let mut lines: Vec<Line> = Vec::new();
+    let mut line = Line::default();
     let mut state = State::Code;
     let chars: Vec<char> = source.chars().collect();
     let mut i = 0;
@@ -82,12 +83,10 @@ pub fn lex(source: &str) -> LexedFile {
             if state == State::LineComment {
                 state = State::Code;
             }
-            lines.push(Line::default());
+            lines.push(std::mem::take(&mut line));
             i += 1;
             continue;
         }
-        // invariant: `lines` starts non-empty and only ever grows.
-        let line = lines.last_mut().expect("lines is never empty");
         match state {
             State::Code => {
                 let next = chars.get(i + 1).copied();
@@ -220,6 +219,7 @@ pub fn lex(source: &str) -> LexedFile {
             }
         }
     }
+    lines.push(line);
     let mut file = LexedFile { lines };
     mark_test_spans(&mut file);
     file

@@ -8,6 +8,9 @@
 //! cargo run -p sqo-analyze -- --root /path/to/workspace
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -92,12 +95,9 @@ fn main() -> ExitCode {
         .count();
     let non_test = report.ordering_inventory.iter().filter(|s| !s.in_test).count();
     println!(
-        "sqo-analyze: {} files, {} findings, {} unjustified panic sites \
-         across {} files, {}/{} non-test ordering sites justified",
+        "sqo-analyze: {} files, {} findings, {}/{} non-test ordering sites justified",
         report.files_scanned,
         report.findings.len(),
-        report.panic_total(),
-        report.panic_counts.len(),
         justified,
         non_test,
     );

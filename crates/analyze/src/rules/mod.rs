@@ -1,7 +1,7 @@
 //! The rule engine: each rule walks one lexed file and appends findings.
 //!
 //! Rules only ever look at the lexer's *code channel* (string contents
-//! blanked, comments stripped), so a `panic!` inside an error message or
+//! blanked, comments stripped), so an `Ordering::` inside an error message or
 //! a `{` inside a format string can never confuse them. Suppressions and
 //! justifications are read from the *comment channel* via
 //! [`crate::lexer::LexedFile::justified`].
@@ -9,7 +9,6 @@
 pub mod epochs;
 pub mod locks;
 pub mod ordering;
-pub mod panics;
 
 /// True when the byte before `pos` in `code` could extend an identifier,
 /// i.e. the match at `pos` is *not* token-initial.

@@ -244,31 +244,26 @@ mod tests {
     fn parses_the_analyze_toml_shapes() {
         let src = r#"
 # comment
-[panics]
-initial_scan = 400   # trailing comment
-
-[[panics.allow]]
-file = "crates/storage/src/db.rs"
-count = 12
-
-[[panics.allow]]
-file = "crates/exec/src/oracle.rs"
-count = 3
-
 [epochs]
 allow_files = ["crates/constraints/src/store.rs"]
 
 [[locks.lock]]
 name = "service.writer"
-rank = 10
+rank = 10   # trailing comment
 receivers = ["self.writer"]
 files = ["crates/service/src/service.rs"]
+
+[[locks.module]]
+name = "continuations"
+min_rank = 0
+patterns = ["continuation("]
+
+[[locks.module]]
+name = "plan-cache"
+min_rank = 30
+patterns = ["self.cache."]
 "#;
         let v = parse(src).unwrap();
-        assert_eq!(v.get("panics").unwrap().get("initial_scan").unwrap().as_int(), Some(400));
-        let allows = v.get("panics").unwrap().get("allow").unwrap().as_array().unwrap();
-        assert_eq!(allows.len(), 2);
-        assert_eq!(allows[1].get("count").unwrap().as_int(), Some(3));
         assert_eq!(
             v.get("epochs").unwrap().str_array("allow_files"),
             vec!["crates/constraints/src/store.rs".to_string()]
@@ -276,6 +271,9 @@ files = ["crates/service/src/service.rs"]
         let locks = v.get("locks").unwrap().get("lock").unwrap().as_array().unwrap();
         assert_eq!(locks[0].get("rank").unwrap().as_int(), Some(10));
         assert_eq!(locks[0].str_array("receivers"), vec!["self.writer".to_string()]);
+        let modules = v.get("locks").unwrap().get("module").unwrap().as_array().unwrap();
+        assert_eq!(modules.len(), 2);
+        assert_eq!(modules[1].get("min_rank").unwrap().as_int(), Some(30));
     }
 
     #[test]

@@ -4,19 +4,17 @@
 //! walker skips `tests/` directories, so they cannot pollute the real
 //! scan either).
 
+use sqo_analyze::analyze_source;
 use sqo_analyze::config::Config;
 use sqo_analyze::findings::{Report, RuleId};
-use sqo_analyze::{analyze_source, apply_panic_budgets};
 
 const ORDERING: &str = include_str!("fixtures/ordering_violations.rs");
-const PANICS: &str = include_str!("fixtures/panic_violations.rs");
 const EPOCHS: &str = include_str!("fixtures/epoch_violations.rs");
 const LOCKS: &str = include_str!("fixtures/lock_violations.rs");
 const CLEAN: &str = include_str!("fixtures/clean.rs");
 
 /// The fixture workspace facts: a two-lock hierarchy over the lock and
-/// clean fixtures, no panic budgets (so panic sites surface per-line),
-/// and the module boundaries of the workspace's own `analyze.toml` — so
+/// clean fixtures, and the module boundaries of the workspace's own `analyze.toml` — so
 /// the fixture proves the committed continuation pattern fires.
 fn fixture_config() -> Config {
     let mut cfg = Config::parse(
@@ -71,18 +69,6 @@ fn ordering_rule_fires_on_each_seeded_violation() {
 }
 
 #[test]
-fn panic_rule_fires_on_each_seeded_violation() {
-    let report = scan("panic_violations.rs", PANICS);
-    assert_eq!(
-        lines_of(&report, RuleId::Panic),
-        vec![3, 7, 11, 15],
-        "unwrap/expect/panic!/unreachable! and nothing else: {:?}",
-        report.findings
-    );
-    assert_eq!(report.panic_counts.get("panic_violations.rs"), Some(&4));
-}
-
-#[test]
 fn epoch_rule_fires_on_arithmetic_and_forged_literals() {
     let report = scan("epoch_violations.rs", EPOCHS);
     assert_eq!(
@@ -105,41 +91,7 @@ fn lock_rules_fire_on_order_cross_and_unknown() {
 fn clean_code_stays_silent_under_every_rule() {
     let report = scan("clean.rs", CLEAN);
     assert!(report.findings.is_empty(), "{:?}", report.findings);
-    assert!(report.panic_counts.is_empty());
     // Justified sites still land in the inventory.
     assert_eq!(report.ordering_inventory.len(), 4);
     assert!(report.ordering_inventory.iter().all(|s| s.justification.is_some()));
-}
-
-#[test]
-fn budgets_must_match_the_scan_exactly_and_burn_down() {
-    let cfg = Config::parse(
-        "[panics]\ninitial_scan = 10\n[[panics.allow]]\nfile = \"panic_violations.rs\"\ncount = 4\n",
-    )
-    .expect("budget config parses");
-    let mut exact = Report::default();
-    analyze_source("panic_violations.rs", PANICS, &cfg, &mut exact);
-    apply_panic_budgets(&cfg, &mut exact);
-    assert!(exact.findings.is_empty(), "a matching budget is clean: {:?}", exact.findings);
-
-    // A stale (over-generous) budget is itself a finding.
-    let generous = Config::parse(
-        "[panics]\ninitial_scan = 10\n[[panics.allow]]\nfile = \"panic_violations.rs\"\ncount = 5\n",
-    )
-    .expect("config parses");
-    let mut stale = Report::default();
-    analyze_source("panic_violations.rs", PANICS, &generous, &mut stale);
-    apply_panic_budgets(&generous, &mut stale);
-    assert_eq!(lines_of(&stale, RuleId::PanicBudget).len(), 1, "{:?}", stale.findings);
-    assert!(stale.findings[0].message.contains("shrink"));
-
-    // A budget sum at (or past) the initial scan has not burned down.
-    let frozen = Config::parse(
-        "[panics]\ninitial_scan = 4\n[[panics.allow]]\nfile = \"panic_violations.rs\"\ncount = 4\n",
-    )
-    .expect("config parses");
-    let mut report = Report::default();
-    analyze_source("panic_violations.rs", PANICS, &frozen, &mut report);
-    apply_panic_budgets(&frozen, &mut report);
-    assert!(report.findings.iter().any(|f| f.message.contains("burned down")));
 }

@@ -17,19 +17,11 @@ fn workspace_is_deny_clean() {
     assert!(report.files_scanned > 50, "walker saw the whole workspace: {}", report.files_scanned);
 }
 
+/// Every non-test ordering site in the engine carries a justification,
+/// and the inventory sees the whole atomic surface.
 #[test]
-fn panic_budget_is_strictly_below_the_initial_scan() {
+fn ordering_inventory_is_fully_justified() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let source = std::fs::read_to_string(root.join("analyze.toml")).expect("config exists");
-    let cfg = sqo_analyze::config::Config::parse(&source).expect("config parses");
-    let sum: i64 = cfg.panic_budgets.values().sum();
-    assert!(cfg.panic_initial_scan > 0, "initial scan recorded");
-    assert!(
-        sum < cfg.panic_initial_scan,
-        "allowlist must burn down: budget sum {sum} >= initial scan {}",
-        cfg.panic_initial_scan
-    );
-    // Every non-test ordering site in the engine carries a justification.
     let report = sqo_analyze::run(&root).expect("workspace analysis runs");
     let (justified, total) = report
         .ordering_inventory

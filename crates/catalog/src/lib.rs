@@ -19,6 +19,8 @@
 //! minted here.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 #![warn(missing_debug_implementations)]
 
 mod catalog;

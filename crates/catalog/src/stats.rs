@@ -2,7 +2,7 @@
 //!
 //! Two consumers:
 //! * the conventional cost model (`sqo-exec`) needs cardinalities, min/max,
-//!   distinct counts and coarse histograms for selectivity estimation;
+//!   distinct counts and most common values for selectivity estimation;
 //! * the constraint grouping scheme (paper §3) assigns each constraint to the
 //!   *least frequently accessed* class it references, so the catalog keeps a
 //!   monotone per-class access counter that the optimizer bumps per query.
@@ -28,9 +28,6 @@ pub struct AttrStats {
     /// Most common values with their frequencies (descending), so skewed
     /// attributes (e.g. constraint-forced values) estimate honestly.
     pub mcvs: Vec<(Value, u64)>,
-    /// Equi-width histogram over the `[min, max]` range for numeric
-    /// attributes; empty for strings/bools (distinct count is used instead).
-    pub histogram: Vec<u64>,
 }
 
 impl AttrStats {
@@ -247,7 +244,6 @@ mod tests {
             min: Some(Value::Int(0)),
             max: Some(Value::Int(100)),
             mcvs: vec![],
-            histogram: vec![],
         };
         let sel = s.range_selectivity(&Value::Int(25), true, false);
         assert!((sel - 0.25).abs() < 0.02, "sel = {sel}");
@@ -263,7 +259,6 @@ mod tests {
             min: Some(Value::Int(0)),
             max: Some(Value::Int(10)),
             mcvs: vec![],
-            histogram: vec![],
         };
         assert_eq!(s.range_selectivity(&Value::Int(-5), true, true), 0.1);
         assert_eq!(s.range_selectivity(&Value::Int(50), true, false), 1.0);
@@ -277,7 +272,6 @@ mod tests {
             min: Some(Value::str("a")),
             max: Some(Value::str("z")),
             mcvs: vec![],
-            histogram: vec![],
         };
         let sel = s.range_selectivity(&Value::str("m"), true, true);
         assert!((sel - 1.0 / 3.0).abs() < 1e-12);

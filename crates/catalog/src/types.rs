@@ -65,8 +65,9 @@ impl PartialOrd for Finite {
 
 impl Ord for Finite {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Safe: NaN is excluded at construction.
-        self.0.partial_cmp(&other.0).expect("Finite never holds NaN")
+        // NaN is excluded at construction, so `partial_cmp` always answers;
+        // the fallback is dead and keeps `-0.0 == 0.0` as `Eq` has it.
+        self.0.partial_cmp(&other.0).unwrap_or(Ordering::Equal)
     }
 }
 

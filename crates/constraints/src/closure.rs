@@ -192,14 +192,11 @@ pub fn transitive_closure(
             let consumers = index.consumers_of(AttrKey::of(&all[fi].consequent));
             index.producers_for(&all[fi], &mut producers);
             let (mut ci, mut pi) = (0usize, 0usize);
-            while ci < consumers.len() || pi < producers.len() {
+            loop {
                 let j = match (consumers.get(ci), producers.get(pi)) {
                     (Some(&c), Some(&p)) => c.min(p),
-                    (Some(&c), None) => c,
-                    (None, Some(&p)) => p,
-                    // invariant: the loop condition holds ci or pi in
-                    // bounds, so at least one side is Some.
-                    (None, None) => unreachable!(),
+                    (Some(&j), None) | (None, Some(&j)) => j,
+                    (None, None) => break,
                 };
                 let as_consumer = consumers.get(ci) == Some(&j);
                 let as_producer = producers.get(pi) == Some(&j);

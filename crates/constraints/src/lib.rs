@@ -23,6 +23,8 @@
 //! per-query pool whose ids are its columns.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 #![warn(missing_debug_implementations)]
 
 mod closure;

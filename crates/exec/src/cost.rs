@@ -128,7 +128,6 @@ mod tests {
                     min: Some(Value::Int(0)),
                     max: Some(Value::Int(distinct as i64)),
                     mcvs: vec![],
-                    histogram: vec![],
                 }],
             }],
             relationships: vec![],

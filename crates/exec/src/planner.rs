@@ -249,9 +249,7 @@ impl Estimator {
         let kept = |class: ClassId| !matches!(without, Some(Without::Class(m)) if m == class);
 
         let mut root: Option<(usize, ClassEstimate)> = None;
-        let mut class_count = 0;
         for (at, &class) in query.classes.iter().enumerate().filter(|(_, c)| kept(**c)) {
-            class_count += 1;
             let cand = match patched {
                 Some((patched_class, estimate)) if patched_class == class => estimate,
                 _ => classes[at],
@@ -269,7 +267,9 @@ impl Estimator {
         link_filters.clear();
         bound.clear();
         bound.push(query.classes[root]);
-        while bound.len() < class_count {
+        while let Some(missing) =
+            query.classes.iter().copied().find(|c| kept(*c) && !bound.contains(c))
+        {
             // Frontier: relationships with exactly one endpoint bound,
             // costed from counts alone.
             let mut best: Option<(f64, f64, StepOrder)> = None;
@@ -306,15 +306,6 @@ impl Estimator {
                 }
             }
             let Some((out_rows, step_cost, step)) = best else {
-                // invariant: `bound` holds distinct kept members of
-                // query.classes and the loop condition has bound.len() <
-                // class_count, so an unbound kept class must exist.
-                let missing = query
-                    .classes
-                    .iter()
-                    .copied()
-                    .find(|c| kept(*c) && !bound.contains(c))
-                    .expect("loop condition guarantees a missing class"); // invariant: see above
                 return Err(ExecError::Unreachable(missing));
             };
             join_filters.extend(step_join_filters(query, bound, step.to_class, without));

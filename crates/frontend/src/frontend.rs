@@ -351,10 +351,12 @@ impl Frontend {
                     .spawn(move || shared.work());
                 match spawned {
                     Ok(handle) => Some(handle),
-                    // analyze: allow(panic): a pool that cannot start even
-                    // one worker cannot serve at all — submitted requests
-                    // would wait forever. Failures past the first merely
-                    // degrade capacity.
+                    // Failures past the first worker merely degrade capacity.
+                    #[expect(
+                        clippy::panic,
+                        reason = "invariant: a frontend has at least one worker; with none, \
+                                  every submitted request would wait forever"
+                    )]
                     Err(e) if i == 0 => panic!("spawn first frontend worker: {e}"),
                     Err(_) => None,
                 }

@@ -101,9 +101,9 @@ impl<'a> QueryBuilder<'a> {
 
     /// Traverses a named relationship, pulling both endpoint classes in.
     pub fn via(mut self, relationship: &str) -> Self {
-        match self.catalog.rel_id(relationship) {
-            Ok(rel) => {
-                let def = self.catalog.relationship(rel).expect("id just resolved");
+        let catalog = self.catalog;
+        match catalog.rel_id(relationship).and_then(|rel| Ok((rel, catalog.relationship(rel)?))) {
+            Ok((rel, def)) => {
                 let (a, b) = def.classes();
                 self.ensure_class(a);
                 self.ensure_class(b);

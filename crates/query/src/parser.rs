@@ -56,6 +56,14 @@ impl<'a> Lexer<'a> {
         Some(b)
     }
 
+    /// The source from `start` to the cursor, as text.
+    fn text(&self, start: usize) -> Result<&'a str, QueryError> {
+        self.src
+            .get(start..self.pos)
+            .and_then(|bytes| std::str::from_utf8(bytes).ok())
+            .ok_or_else(|| self.error("invalid utf-8"))
+    }
+
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
             self.pos += 1;
@@ -134,9 +142,7 @@ impl<'a> Lexer<'a> {
                 if self.peek() != Some(b'"') {
                     return Err(self.error("unterminated string literal"));
                 }
-                let s = std::str::from_utf8(&self.src[start..self.pos])
-                    .map_err(|_| self.error("invalid utf-8 in string literal"))?
-                    .to_string();
+                let s = self.text(start)?.to_string();
                 self.bump();
                 Token::Str(s)
             }
@@ -158,7 +164,7 @@ impl<'a> Lexer<'a> {
                         _ => break,
                     }
                 }
-                let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii");
+                let text = self.text(start)?;
                 if is_float {
                     Token::Float(text.parse().map_err(|_| self.error("bad float literal"))?)
                 } else {
@@ -174,8 +180,7 @@ impl<'a> Lexer<'a> {
                         break;
                     }
                 }
-                let first =
-                    std::str::from_utf8(&self.src[start..self.pos]).expect("ascii").to_string();
+                let first = self.text(start)?.to_string();
                 if self.peek() == Some(b'.') {
                     self.bump();
                     let astart = self.pos;
@@ -189,10 +194,7 @@ impl<'a> Lexer<'a> {
                     if astart == self.pos {
                         return Err(self.error("expected attribute name after `.`"));
                     }
-                    let attr = std::str::from_utf8(&self.src[astart..self.pos])
-                        .expect("ascii")
-                        .to_string();
-                    Token::Path(first, attr)
+                    Token::Path(first, self.text(astart)?.to_string())
                 } else {
                     match first.as_str() {
                         "true" => Token::Bool(true),
@@ -271,7 +273,8 @@ impl<'a> Parser<'a> {
             Some(Token::Int(i)) => {
                 // Coerce integer literals when the attribute is a float.
                 if expected == DataType::Float {
-                    Value::float(i as f64).expect("finite")
+                    Value::float(i as f64)
+                        .ok_or_else(|| self.error_here("integer literal is not a finite float"))?
                 } else {
                     Value::Int(i)
                 }

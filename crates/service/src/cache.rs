@@ -190,10 +190,10 @@ impl Hasher for Prehashed {
         self.0
     }
 
-    fn write(&mut self, _: &[u8]) {
-        // invariant: the only key is `QueryFingerprint(u64)`, whose
-        // derived `Hash` calls `write_u64` and nothing else.
-        unreachable!("a fingerprint hashes through write_u64")
+    fn write(&mut self, bytes: &[u8]) {
+        // Never called: the only key is `QueryFingerprint(u64)`, whose
+        // derived `Hash` calls `write_u64` alone. Folding keeps it a hash.
+        self.0 = bytes.iter().fold(self.0, |h, &b| h.rotate_left(8) ^ u64::from(b));
     }
 
     fn write_u64(&mut self, v: u64) {

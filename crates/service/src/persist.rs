@@ -104,16 +104,15 @@ fn strict_check_predicate(
     p: &Predicate,
     r: &ByteReader<'_>,
 ) -> Result<(), LoadError> {
-    let check_attr = |a: AttrRef| -> Result<(), LoadError> {
-        catalog.attr(a).map(|_| ()).map_err(|e| LoadError::DanglingReference {
+    let check_attr = |a: AttrRef| {
+        catalog.attr(a).map_err(|e| LoadError::DanglingReference {
             section: r.section(),
             detail: format!("attribute reference does not resolve: {e}"),
         })
     };
     match p {
         Predicate::Sel(s) => {
-            check_attr(s.attr)?;
-            let declared = catalog.attr(s.attr).expect("checked above").ty;
+            let declared = check_attr(s.attr)?.ty;
             if s.value.data_type() != declared {
                 return Err(LoadError::Malformed {
                     section: r.section(),
@@ -127,7 +126,7 @@ fn strict_check_predicate(
         }
         Predicate::Join(j) => {
             check_attr(j.left)?;
-            check_attr(j.right)
+            check_attr(j.right).map(|_| ())
         }
     }
 }

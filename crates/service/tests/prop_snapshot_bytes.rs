@@ -1,0 +1,139 @@
+//! A `.sqos` file is untrusted input: whatever bytes a section holds,
+//! [`QueryService::from_snapshot_bytes`] answers with a service or a typed
+//! [`LoadError`] at every validation level, and never unwinds.
+//!
+//! Each case takes a served paper snapshot, damages one section's payload
+//! (flipped bytes, a truncation, or `u32`s written over or spliced into
+//! it) and rebuilds the container with [`SnapshotBuilder`], so the
+//! checksums match and the damage reaches the section decoders. Cases run
+//! under `catch_unwind`; in a debug build an integer overflow is a panic
+//! too. The proptest shim does not shrink, so a failure prints the damage,
+//! which with the fixed base snapshot reproduces the input.
+
+use std::panic::catch_unwind;
+use std::sync::{Arc, OnceLock};
+
+use proptest::prelude::*;
+use sqo_service::{QueryService, ServiceConfig};
+use sqo_snapshot::{section_name, LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel};
+use sqo_workload::{paper_scenario, DbSize};
+
+/// The paper's DB1 with a few queries served, so every section (plan
+/// seeds included) has content.
+fn base() -> &'static [u8] {
+    static BASE: OnceLock<Vec<u8>> = OnceLock::new();
+    BASE.get_or_init(|| {
+        let s = paper_scenario(DbSize::Db1, 7);
+        let service = QueryService::new(Arc::new(s.store), Arc::new(s.db));
+        for q in s.queries.iter().take(8) {
+            service.run(q).expect("cold run");
+        }
+        service.snapshot_bytes()
+    })
+}
+
+/// How one section is damaged; `at` is reduced modulo the payload length.
+#[derive(Debug, Clone)]
+enum Damage {
+    /// XOR each byte at `at` with `mask` (never zero).
+    Flip(Vec<(usize, u8)>),
+    Truncate(usize),
+    /// Write each `u32` over the four bytes at `at`.
+    Overwrite(Vec<(usize, u32)>),
+    /// Insert each `u32` at `at`.
+    Splice(Vec<(usize, u32)>),
+}
+
+/// Counts and ids a decoder treats specially, or any `u32`.
+fn word() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        Just(0u32),
+        Just(1),
+        Just(u32::MAX),
+        Just(u32::MAX / 2 + 1),
+        0u32..64,
+        0u32..=u32::MAX,
+    ]
+}
+
+fn damage() -> impl Strategy<Value = Damage> {
+    let at = || 0usize..1 << 20;
+    prop_oneof![
+        prop::collection::vec((at(), 1u8..=255), 1..6).prop_map(Damage::Flip),
+        at().prop_map(Damage::Truncate),
+        prop::collection::vec((at(), word()), 1..4).prop_map(Damage::Overwrite),
+        prop::collection::vec((at(), word()), 1..4).prop_map(Damage::Splice),
+    ]
+}
+
+fn apply(payload: &mut Vec<u8>, damage: &Damage) {
+    let len = payload.len();
+    match damage {
+        Damage::Flip(flips) => {
+            for &(at, mask) in flips.iter().filter(|_| len > 0) {
+                payload[at % len] ^= mask;
+            }
+        }
+        Damage::Truncate(at) => payload.truncate(at % (len + 1)),
+        Damage::Overwrite(words) => {
+            for &(at, w) in words {
+                let at = at % (payload.len() + 1);
+                let end = (at + 4).min(payload.len());
+                payload.splice(at..end, w.to_le_bytes());
+            }
+        }
+        Damage::Splice(words) => {
+            for &(at, w) in words {
+                let at = at % (payload.len() + 1);
+                payload.splice(at..at, w.to_le_bytes());
+            }
+        }
+    }
+}
+
+/// The base snapshot with section number `pick` (modulo the section
+/// count) damaged, re-assembled with valid checksums.
+fn damaged(pick: usize, damage: &Damage) -> (u32, Vec<u8>) {
+    let file = SnapshotFile::parse(base()).expect("the base snapshot parses");
+    let ids: Vec<u32> = file.sections().map(|(id, _)| id).collect();
+    let target = ids[pick % ids.len()];
+    let mut b = SnapshotBuilder::new();
+    for (id, payload) in file.sections() {
+        let mut payload = payload.to_vec();
+        if id == target {
+            apply(&mut payload, damage);
+        }
+        b.section(id, payload);
+    }
+    (target, b.finish())
+}
+
+/// Loads `bytes` at every level; fails the test if a load unwinds.
+fn load_is_total(bytes: &[u8], what: &dyn Fn() -> String) -> Vec<Result<(), LoadError>> {
+    [ValidationLevel::Standard, ValidationLevel::Strict, ValidationLevel::Audit]
+        .into_iter()
+        .map(|level| {
+            catch_unwind(|| {
+                QueryService::from_snapshot_bytes(bytes, level, ServiceConfig::default())
+            })
+            .unwrap_or_else(|_| panic!("loading at {level:?} unwound on {}", what()))
+            .map(drop)
+        })
+        .collect()
+}
+
+#[test]
+fn the_base_snapshot_loads_at_every_level() {
+    for loaded in load_is_total(base(), &|| "the base snapshot".to_string()) {
+        assert_eq!(loaded, Ok(()));
+    }
+}
+
+proptest! {
+    #[test]
+    fn a_damaged_section_is_a_typed_error_or_a_service(pick in 0usize..64, damage in damage()) {
+        let (section, bytes) = damaged(pick, &damage);
+        let what = || format!("{} damaged by {damage:?}", section_name(section));
+        load_is_total(&bytes, &what);
+    }
+}

@@ -566,10 +566,7 @@ fn write_attr_stats(w: &mut ByteWriter, s: &AttrStats) {
         write_value(w, v);
         w.u64(*n);
     }
-    w.u32(s.histogram.len() as u32);
-    for &b in &s.histogram {
-        w.u64(b);
-    }
+    w.u32(0); // the v1 layout's histogram length, always zero
 }
 
 fn read_attr_stats(r: &mut ByteReader<'_>) -> Result<AttrStats, LoadError> {
@@ -589,11 +586,10 @@ fn read_attr_stats(r: &mut ByteReader<'_>) -> Result<AttrStats, LoadError> {
         let v = read_value(r)?;
         mcvs.push((v, r.u64()?));
     }
-    let mut histogram = Vec::new();
-    for _ in 0..r.count()? {
-        histogram.push(r.u64()?);
+    match r.u32()? {
+        0 => Ok(AttrStats { rows, distinct, min, max, mcvs }),
+        n => Err(r.malformed(format!("histogram of {n} buckets; v1 requires none"))),
     }
-    Ok(AttrStats { rows, distinct, min, max, mcvs, histogram })
 }
 
 /// Encodes a [`StatsSnapshot`] into a STATS section payload.
@@ -749,7 +745,6 @@ mod tests {
                     min: Some(Value::Int(1)),
                     max: Some(Value::Int(9)),
                     mcvs: vec![(Value::Int(1), 2)],
-                    histogram: vec![1, 0, 2],
                 }],
             }],
             relationships: vec![RelStats { links: 4, avg_left_fanout: 2.0, avg_right_fanout: 1.0 }],

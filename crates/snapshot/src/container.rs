@@ -81,7 +81,8 @@ pub fn section_checksum(bytes: &[u8]) -> u64 {
     let mut h = OFFSET ^ bytes.len() as u64;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
-        h ^= u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+        // `chunks_exact(8)` yields 8-byte chunks only: the default is dead.
+        h ^= u64::from_le_bytes(c.try_into().unwrap_or_default());
         h = h.wrapping_mul(PRIME);
     }
     let rem = chunks.remainder();
@@ -163,9 +164,9 @@ impl<'a> SnapshotFile<'a> {
             return Err(LoadError::BadMagic);
         }
         let mut r = ByteReader::new(&bytes[4..HEADER_LEN], "HEADER");
-        let version = r.u16().expect("header length checked");
-        let _flags = r.u16().expect("header length checked");
-        let count = r.u32().expect("header length checked") as usize;
+        let version = r.u16()?;
+        let _flags = r.u16()?;
+        let count = r.u32()? as usize;
         if version != FORMAT_VERSION {
             return Err(LoadError::UnsupportedVersion(version));
         }
@@ -180,10 +181,10 @@ impl<'a> SnapshotFile<'a> {
         let mut sections: Vec<(u32, &'a [u8])> = Vec::with_capacity(count);
         let mut t = ByteReader::new(&bytes[HEADER_LEN..table_end], "HEADER");
         for _ in 0..count {
-            let id = t.u32().expect("table length checked");
-            let offset = t.u64().expect("table length checked");
-            let len = t.u64().expect("table length checked");
-            let checksum = t.u64().expect("table length checked");
+            let id = t.u32()?;
+            let offset = t.u64()?;
+            let len = t.u64()?;
+            let checksum = t.u64()?;
             let end =
                 offset.checked_add(len).ok_or(LoadError::SectionOutOfBounds { section: id })?;
             if offset < table_end as u64 || end > bytes.len() as u64 {

@@ -24,6 +24,8 @@
 //! never a partially-initialized store.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 

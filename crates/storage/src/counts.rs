@@ -100,7 +100,6 @@ fn summarize<'a>(entries: impl Iterator<Item = (&'a Value, u64)>, rows: u64) -> 
         min: min.cloned(),
         max: max.cloned(),
         mcvs: top.into_iter().map(|(v, count)| (v.clone(), count)).collect(),
-        histogram: Vec::new(),
     }
 }
 

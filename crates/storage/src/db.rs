@@ -501,9 +501,13 @@ impl Database {
                             // simpler than an interleaved two-sided patch.
                             *lk = rebuild_self_links(lk, *object);
                         } else if on_left {
-                            lk.delete_left(*object);
+                            lk.delete_left(*object).map_err(|right| {
+                                StorageError::LinkNotFound { rel, left: *object, right }
+                            })?;
                         } else {
-                            lk.delete_right(*object);
+                            lk.delete_right(*object).map_err(|left| {
+                                StorageError::LinkNotFound { rel, left, right: *object }
+                            })?;
                         }
                     }
                 }
@@ -542,17 +546,15 @@ impl Database {
                     touched_rels[rel.index()] = true;
                 }
                 DataWrite::Unlink { rel, left, right } => {
+                    let missing =
+                        StorageError::LinkNotFound { rel: *rel, left: *left, right: *right };
                     // Probe read-only first: a missing edge must not clone
                     // the link table.
-                    if !links[rel.index()].from_left(*left).contains(right) {
-                        return Err(StorageError::LinkNotFound {
-                            rel: *rel,
-                            left: *left,
-                            right: *right,
-                        });
+                    if !links[rel.index()].from_left(*left).contains(right)
+                        || !links[rel.index()].remove_edge(*left, *right)
+                    {
+                        return Err(missing);
                     }
-                    let removed = links[rel.index()].remove_edge(*left, *right);
-                    debug_assert!(removed, "probed edge must be removable");
                     touched_rels[rel.index()] = true;
                 }
             }

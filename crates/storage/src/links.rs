@@ -188,21 +188,39 @@ impl RelLinks {
     }
 
     /// Removes one `(left, right)` edge — the oldest in per-left order when
-    /// the edge is duplicated. Returns `false` (and changes nothing) when no
-    /// such edge exists.
+    /// the edge is duplicated. Returns `false` (and changes nothing) when
+    /// either side lacks the edge.
     pub(crate) fn remove_edge(&mut self, left: ObjectId, right: ObjectId) -> bool {
-        if left.index() >= self.left_to_right.len() || right.index() >= self.right_to_left.len() {
-            return false;
-        }
-        let Some(at) = self.left_to_right[left.index()].iter().position(|&o| o == right) else {
+        let at = |list: Option<&Vec<ObjectId>>, o: ObjectId| list?.iter().position(|&x| x == o);
+        let (Some(r_at), Some(l_at)) = (
+            at(self.left_to_right.get(left.index()), right),
+            at(self.right_to_left.get(right.index()), left),
+        ) else {
             return false;
         };
-        self.left_to_right[left.index()].remove(at);
-        let list = &mut self.right_to_left[right.index()];
-        let at = list.iter().position(|&o| o == left).expect("bidirectional invariant");
-        list.remove(at);
+        self.left_to_right[left.index()].remove(r_at);
+        self.right_to_left[right.index()].remove(l_at);
         self.links -= 1;
         true
+    }
+
+    /// Removes `object`'s entry from the mirror list of each of `neighbours`
+    /// in `mirror`. `Err` names a neighbour whose list lacks it: a table
+    /// that is not bidirectionally consistent (a Standard-level load does
+    /// not check that), left partly edited for the caller to discard.
+    fn unmirror(
+        mirror: &mut PagedVec<Vec<ObjectId>>,
+        links: &mut u64,
+        neighbours: &[ObjectId],
+        object: ObjectId,
+    ) -> Result<(), ObjectId> {
+        for &n in neighbours {
+            let list = mirror.get_mut(n.index()).ok_or(n)?;
+            let at = list.iter().position(|&o| o == object).ok_or(n)?;
+            list.remove(at);
+            *links -= 1;
+        }
+        Ok(())
     }
 
     /// Removes every edge of left object `object` and swap-renumbers the left
@@ -211,20 +229,16 @@ impl RelLinks {
     /// entries in the (sorted) right→left lists are re-keyed from the old id
     /// to `object`'s. `object` must be in range; not for self-relationships
     /// (left and right sides would fall out of step — delete those via a
-    /// per-relationship rebuild instead).
-    pub(crate) fn delete_left(&mut self, object: ObjectId) {
+    /// per-relationship rebuild instead). `Err` names a right object whose
+    /// list lacks an edge of `object` (see `unmirror`).
+    pub(crate) fn delete_left(&mut self, object: ObjectId) -> Result<(), ObjectId> {
         let Some(gone) = self.left_to_right.swap_remove(object.index()) else {
-            return;
+            return Ok(());
         };
-        for &r in &gone {
-            let list = &mut self.right_to_left[r.index()];
-            let at = list.iter().position(|&o| o == object).expect("bidirectional invariant");
-            list.remove(at);
-            self.links -= 1;
-        }
+        Self::unmirror(&mut self.right_to_left, &mut self.links, &gone, object)?;
         let last = ObjectId(self.left_to_right.len() as u32);
         if object == last {
-            return;
+            return Ok(());
         }
         let moved = self.left_to_right[object.index()].clone();
         let mut seen: Vec<ObjectId> = Vec::new();
@@ -247,23 +261,19 @@ impl RelLinks {
                 list.insert(at + k, object);
             }
         }
+        Ok(())
     }
 
     /// Mirror of [`RelLinks::delete_left`] for the right side. Left lists are
     /// per-left ordered, so the moved object's entries are re-keyed in place.
-    pub(crate) fn delete_right(&mut self, object: ObjectId) {
+    pub(crate) fn delete_right(&mut self, object: ObjectId) -> Result<(), ObjectId> {
         let Some(gone) = self.right_to_left.swap_remove(object.index()) else {
-            return;
+            return Ok(());
         };
-        for &l in &gone {
-            let list = &mut self.left_to_right[l.index()];
-            let at = list.iter().position(|&o| o == object).expect("bidirectional invariant");
-            list.remove(at);
-            self.links -= 1;
-        }
+        Self::unmirror(&mut self.left_to_right, &mut self.links, &gone, object)?;
         let last = ObjectId(self.right_to_left.len() as u32);
         if object == last {
-            return;
+            return Ok(());
         }
         let moved = self.right_to_left[object.index()].clone();
         let mut seen: Vec<ObjectId> = Vec::new();
@@ -278,6 +288,7 @@ impl RelLinks {
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -385,7 +396,7 @@ mod tests {
         let pairs = [(0, 0), (1, 0), (2, 0), (2, 1)];
         let mut l = RelLinks::from_pairs(3, 2, pairs.map(|(l, r)| (ObjectId(l), ObjectId(r))));
         // Delete left object 0: object 2 takes its id, edges follow.
-        l.delete_left(ObjectId(0));
+        assert_eq!(l.delete_left(ObjectId(0)), Ok(()));
         assert_eq!(l.left_cardinality(), 2);
         assert_eq!(l.from_left(ObjectId(0)), &[ObjectId(0), ObjectId(1)]);
         assert_eq!(l.from_right(ObjectId(0)), &[ObjectId(0), ObjectId(1)]);
@@ -398,11 +409,23 @@ mod tests {
         let pairs = [(0, 0), (0, 2), (1, 1)];
         let mut l = RelLinks::from_pairs(2, 3, pairs.map(|(l, r)| (ObjectId(l), ObjectId(r))));
         // Delete right object 0: right object 2 takes its id.
-        l.delete_right(ObjectId(0));
+        assert_eq!(l.delete_right(ObjectId(0)), Ok(()));
         assert_eq!(l.right_cardinality(), 2);
         assert_eq!(l.from_left(ObjectId(0)), &[ObjectId(0)]);
         assert_eq!(l.from_right(ObjectId(0)), &[ObjectId(0)]);
         assert_eq!(l.from_right(ObjectId(1)), &[ObjectId(1)]);
         assert_eq!(l.link_count(), 2);
+    }
+
+    #[test]
+    fn a_one_sided_edge_is_reported_not_a_panic() {
+        // Left 0 lists right 1, whose list does not mirror it: what a
+        // Standard-level load of a tampered LINKS section can hold.
+        let mut l = RelLinks::from_adjacency(vec![vec![ObjectId(1)]], vec![vec![], vec![]]);
+        assert!(!l.remove_edge(ObjectId(0), ObjectId(1)));
+        assert_eq!(l.from_left(ObjectId(0)), &[ObjectId(1)], "nothing removed");
+        assert_eq!(l.clone().delete_left(ObjectId(0)), Err(ObjectId(1)));
+        let mut r = RelLinks::from_adjacency(vec![vec![]], vec![vec![ObjectId(0)]]);
+        assert_eq!(r.delete_right(ObjectId(0)), Err(ObjectId(0)));
     }
 }

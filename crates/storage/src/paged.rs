@@ -91,16 +91,11 @@ impl<T: Clone + Default> PagedVec<T> {
 
     /// The page table, copied first if a clone of this vector shares it.
     fn table_mut(&mut self) -> &mut [Page<T>] {
-        if Arc::get_mut(&mut self.pages).is_none() {
-            self.pages = self.pages.iter().cloned().collect();
-        }
-        // invariant: the table was unshared already or was just collected,
-        // and nothing holds a `Weak` to it.
-        Arc::get_mut(&mut self.pages).expect("a fresh page table is unshared")
+        Arc::make_mut(&mut self.pages)
     }
 
     /// Mutable access to element `i`; copies its page if the page is shared.
-    fn get_mut(&mut self, i: usize) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, i: usize) -> Option<&mut T> {
         if i < self.len {
             self.table_mut()
                 .get_mut(i >> PAGE_BITS)

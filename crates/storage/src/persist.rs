@@ -626,10 +626,12 @@ pub fn decode_database_from(
             let indexes = s.spawn(move || decode_indexes(file, catalog, cards, level));
             let stats = s.spawn(move || decode_stats(file, catalog, cards, level));
             let extents = decode_extent_tuples(&mut er, catalog, cards);
-            let links = links.join().expect("link decoder thread panicked");
-            let indexes = indexes.join().expect("index decoder thread panicked");
-            let stats = stats.join().expect("stats decoder thread panicked");
-            Result::<_, LoadError>::Ok((extents?, links?, indexes?, stats?))
+            Result::<_, LoadError>::Ok((
+                extents?,
+                joined(links, SEC_LINKS)?,
+                joined(indexes, SEC_INDEXES)?,
+                joined(stats, SEC_STATS)?,
+            ))
         })?
     } else {
         (
@@ -659,6 +661,15 @@ pub fn decode_database_from(
         }
     }
     Ok(Database::from_loaded_parts(catalog, extents, indexes, links, stats, data_version))
+}
+
+/// A decoder thread's result. A decoder that panicked reports its section
+/// malformed rather than taking the loading thread down with it.
+fn joined<T>(
+    decoder: std::thread::ScopedJoinHandle<'_, Result<T, LoadError>>,
+    section: u32,
+) -> Result<T, LoadError> {
+    decoder.join().unwrap_or_else(|_| Err(malformed(section, "its decoder panicked")))
 }
 
 /// Parses `bytes` as a `.sqos` container and decodes the database at

@@ -240,6 +240,16 @@ fn corruption_is_rejected_at_the_documented_level() {
         b.finish()
     };
 
+    let histogram = {
+        // c1.v is the last attribute, so its bucket count sits just before
+        // the relationship block (u32 count, one 24-byte entry).
+        let mut p = stats_payload(&db, |_| ());
+        let at = p.len() - 4 - 24 - 4;
+        assert_eq!(p[at..at + 4], [0; 4], "an encoder writes no buckets");
+        p.splice(at..at + 4, 1u32.to_le_bytes().into_iter().chain(9u64.to_le_bytes()));
+        p
+    };
+
     let cases = vec![
         Case {
             name: "file shorter than the 12-byte header",
@@ -371,6 +381,14 @@ fn corruption_is_rejected_at_the_documented_level() {
                     s.classes.pop();
                 }),
             ),
+        },
+        Case {
+            name: "attribute statistics carrying a histogram bucket",
+            fails_at: Standard,
+            expect: "Malformed(STATS)",
+            matches: |e| matches!(e, LoadError::Malformed { section: "STATS", .. }),
+            loads_at: &[],
+            bytes: with_section(&db, SEC_STATS, histogram),
         },
         // Semantic invariants (Strict-level; Standard must still load).
         Case {

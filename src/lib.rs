@@ -37,6 +37,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 /// Object-oriented catalog: classes, attributes, relationships, statistics.
 pub mod catalog {
