@@ -77,6 +77,22 @@ pub struct Report {
 }
 
 impl Report {
+    /// The non-test ordering sites as a markdown table: the output of
+    /// `--inventory`, and the table in `docs/ANALYSIS.md`
+    /// (`tests/workspace_clean.rs` holds the two equal).
+    pub fn inventory_markdown(&self) -> String {
+        let mut out =
+            String::from("| File | Line | Ordering | Justification |\n|---|---|---|---|\n");
+        for site in self.ordering_inventory.iter().filter(|s| !s.in_test) {
+            let just = site.justification.as_deref().unwrap_or("(missing)");
+            out.push_str(&format!(
+                "| `{}` | {} | `{}` | {} |\n",
+                site.file, site.line, site.kind, just
+            ));
+        }
+        out
+    }
+
     /// The findings as a JSON array (machine-readable CI output).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"findings\": [\n");

@@ -82,7 +82,7 @@ fn main() -> ExitCode {
     }
 
     if args.inventory {
-        print!("{}", inventory_markdown(&report));
+        print!("{}", report.inventory_markdown());
     }
 
     for finding in &report.findings {
@@ -107,21 +107,4 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// The ordering inventory as a markdown table (the source of the table
-/// in `docs/ANALYSIS.md`).
-fn inventory_markdown(report: &sqo_analyze::findings::Report) -> String {
-    let mut out = String::from("| File | Line | Ordering | Justification |\n|---|---|---|---|\n");
-    for site in &report.ordering_inventory {
-        if site.in_test {
-            continue;
-        }
-        let just = site.justification.as_deref().unwrap_or("(missing)");
-        out.push_str(&format!(
-            "| `{}` | {} | `{}` | {} |\n",
-            site.file, site.line, site.kind, just
-        ));
-    }
-    out
 }

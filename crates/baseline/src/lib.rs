@@ -10,9 +10,10 @@
 //!   apply/skip for every enabled transformation and keep the cheapest
 //!   plan. Feasible only for small inputs, which is the paper's point.
 //!
-//! (The third baseline, ungrouped constraint retrieval, lives on
-//! `ConstraintStore::relevant_for_ungrouped` since it is a retrieval-path
-//! variant, not an optimizer.)
+//! * [`ConstraintGroups`] — the paper's grouped constraint retrieval (§3)
+//!   under its three [`AssignmentPolicy`]s. It fetches every relevant
+//!   constraint plus the irrelevant ones that share a group; experiment E6
+//!   measures that waste against the store's exact index.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -20,7 +21,9 @@
 #![warn(missing_debug_implementations)]
 
 mod exhaustive;
+mod grouped;
 mod straightforward;
 
 pub use exhaustive::{exhaustive_best, ExhaustiveOutcome, SearchLimits};
+pub use grouped::{AssignmentPolicy, ConstraintGroups};
 pub use straightforward::{ApplicationOrder, StraightforwardOptimizer, StraightforwardOutcome};

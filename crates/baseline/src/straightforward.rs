@@ -21,17 +21,20 @@ use sqo_constraints::{ConstraintId, ConstraintStore};
 use sqo_core::ProfitOracle;
 use sqo_query::{Predicate, Query};
 
+use crate::grouped::{AssignmentPolicy, ConstraintGroups};
+
 /// Order in which candidate transformations are attempted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApplicationOrder {
-    /// Constraints as retrieved from the store.
+    /// Constraints in the order §3's grouped retrieval fetches them
+    /// ([`ConstraintGroups`] under the LFA policy).
     AsRetrieved,
     /// All introductions before eliminations.
     IntroductionsFirst,
     /// All eliminations before introductions — the order that showcases
     /// preclusion (an eliminated antecedent can no longer fire a chain).
     EliminationsFirst,
-    /// Deterministic shuffle.
+    /// Deterministic shuffle of the retrieval order.
     Seeded(u64),
 }
 
@@ -50,12 +53,14 @@ pub struct StraightforwardOutcome {
 #[derive(Debug)]
 pub struct StraightforwardOptimizer<'a> {
     store: &'a ConstraintStore,
+    groups: ConstraintGroups<'a>,
     order: ApplicationOrder,
 }
 
 impl<'a> StraightforwardOptimizer<'a> {
     pub fn new(store: &'a ConstraintStore, order: ApplicationOrder) -> Self {
-        Self { store, order }
+        let groups = ConstraintGroups::new(store, AssignmentPolicy::LeastFrequentlyAccessed);
+        Self { store, groups, order }
     }
 
     /// Runs the baseline. Each relevant constraint is evaluated at most
@@ -64,7 +69,8 @@ impl<'a> StraightforwardOptimizer<'a> {
     pub fn optimize(&self, query: &Query, oracle: &dyn ProfitOracle) -> StraightforwardOutcome {
         let catalog = self.store.catalog().clone();
         let mut q = query.clone();
-        let mut order: Vec<ConstraintId> = self.store.relevant_for(&q);
+        let mut order = self.groups.retrieve_candidates(&q);
+        order.retain(|&id| self.store.constraint(id).relevant_to(&q));
         self.sort(&mut order);
 
         let mut applied = Vec::new();

@@ -8,8 +8,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use sqo_baseline::{ApplicationOrder, StraightforwardOptimizer};
-use sqo_constraints::{AssignmentPolicy, ConstraintStore, StoreOptions};
+use sqo_baseline::{
+    ApplicationOrder, AssignmentPolicy, ConstraintGroups, StraightforwardOptimizer,
+};
+use sqo_constraints::{ConstraintStore, StoreOptions};
 use sqo_core::{OptimizerConfig, SemanticOptimizer, StructuralOracle};
 use sqo_exec::{execute, plan_query, CostBasedOracle, CostModel};
 use sqo_query::Query;
@@ -371,6 +373,14 @@ pub fn grouping(seed: u64) -> (Vec<Headline>, String) {
         40,
         &QueryGenConfig { seed: seed.wrapping_add(1), ..Default::default() },
     );
+    let store = ConstraintStore::build(
+        Arc::clone(&catalog),
+        generated.constraints,
+        StoreOptions::paper_defaults(),
+    )
+    .expect("store");
+    // What a scan of every constraint would touch.
+    let scanned = store.len() * queries.len();
     let mut t = TextTable::new(vec!["policy", "retrieved", "relevant", "waste %", "scan baseline"]);
     let mut headlines = Vec::new();
     for policy in [
@@ -378,33 +388,21 @@ pub fn grouping(seed: u64) -> (Vec<Headline>, String) {
         AssignmentPolicy::LeastFrequentlyAccessed,
         AssignmentPolicy::Balanced,
     ] {
-        let store = ConstraintStore::build(
-            Arc::clone(&catalog),
-            generated.constraints.clone(),
-            StoreOptions { policy, ..StoreOptions::paper_defaults() },
-        )
-        .expect("store");
-        let mut scanned = 0usize;
+        let mut groups = ConstraintGroups::new(&store, policy);
         for q in &queries {
-            let _ = store.relevant_for(q);
-            scanned += store.len(); // what the ungrouped baseline would touch
+            let _ = groups.relevant_for(q);
         }
-        let m = store.metrics();
-        // ordering: post-run metric reads; the single-threaded driver
-        // already synchronized with the store via `relevant_for` returns.
-        let retrieved = m.retrieved.load(std::sync::atomic::Ordering::Relaxed);
-        let relevant = m.relevant.load(std::sync::atomic::Ordering::Relaxed); // ordering: see above
         t.row(vec![
             format!("{policy:?}"),
-            retrieved.to_string(),
-            relevant.to_string(),
-            format!("{:.1}", m.waste_ratio() * 100.0),
+            groups.retrieved().to_string(),
+            groups.relevant().to_string(),
+            format!("{:.1}", groups.waste_ratio() * 100.0),
             scanned.to_string(),
         ]);
         headlines.push(Headline::new(
             "e6",
             format!("waste_pct_{policy:?}").to_lowercase(),
-            m.waste_ratio() * 100.0,
+            groups.waste_ratio() * 100.0,
         ));
     }
     (

@@ -11,8 +11,7 @@
 //! * **index declarations** per attribute, because the paper's tag tables
 //!   branch on whether a consequent predicate is on an indexed attribute;
 //! * **statistics** (cardinalities, distinct counts, min/max) for the
-//!   conventional cost model, and **access-frequency counters** for the
-//!   constraint grouping scheme of §3.
+//!   conventional cost model.
 //!
 //! Everything downstream (queries, constraints, the optimizer, storage,
 //! generators) resolves names once and then works with the copyable ids
@@ -37,5 +36,5 @@ pub use ids::{AttrId, AttrRef, ClassId, RelId};
 pub use schema::{
     AttributeDef, ClassDef, IndexKind, Multiplicity, RelEdge, RelationshipDef, RelationshipEnd,
 };
-pub use stats::{AccessTracker, AttrStats, ClassStats, RelStats, StatsSnapshot};
+pub use stats::{AttrStats, ClassStats, RelStats, StatsSnapshot};
 pub use types::{DataType, Finite, Value};

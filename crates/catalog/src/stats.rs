@@ -1,14 +1,8 @@
-//! Database statistics and access-frequency tracking.
-//!
-//! Two consumers:
-//! * the conventional cost model (`sqo-exec`) needs cardinalities, min/max,
-//!   distinct counts and most common values for selectivity estimation;
-//! * the constraint grouping scheme (paper §3) assigns each constraint to the
-//!   *least frequently accessed* class it references, so the catalog keeps a
-//!   monotone per-class access counter that the optimizer bumps per query.
+//! Database statistics: the cardinalities, min/max, distinct counts and
+//! most common values the conventional cost model (`sqo-exec`) estimates
+//! selectivities from.
 
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use serde::{Deserialize, Serialize};
 
@@ -141,54 +135,6 @@ impl StatsSnapshot {
     }
 }
 
-/// Monotone per-class access counters.
-///
-/// Thread-safe so a parallel benchmark driver can share one tracker. The
-/// counters feed `AssignmentPolicy::LeastFrequentlyAccessed`
-/// (`sqo-constraints`).
-#[derive(Debug, Default)]
-pub struct AccessTracker {
-    counts: Vec<AtomicU64>,
-}
-
-impl AccessTracker {
-    pub fn new(class_count: usize) -> Self {
-        Self { counts: (0..class_count).map(|_| AtomicU64::new(0)).collect() }
-    }
-
-    /// Records one access to each class in `classes` (one optimized query).
-    pub fn record<I: IntoIterator<Item = ClassId>>(&self, classes: I) {
-        for c in classes {
-            if let Some(n) = self.counts.get(c.index()) {
-                // ordering: independent frequency counter; grouping reads
-                // tolerate any interleaving, no cross-data ordering needed.
-                n.fetch_add(1, AtomicOrdering::Relaxed);
-            }
-        }
-    }
-
-    pub fn count(&self, class: ClassId) -> u64 {
-        // ordering: advisory read of a monotone counter.
-        self.counts.get(class.index()).map(|n| n.load(AtomicOrdering::Relaxed)).unwrap_or(0)
-    }
-
-    /// Pre-seeds counters (e.g. from a historical trace) so the grouping
-    /// policy has signal before the first query runs.
-    pub fn seed(&self, class: ClassId, count: u64) {
-        if let Some(n) = self.counts.get(class.index()) {
-            // ordering: pre-warm write; racing readers may see either
-            // value and both are valid advisory signals.
-            n.store(count, AtomicOrdering::Relaxed);
-        }
-    }
-
-    /// The least frequently accessed class among `candidates`; ties break
-    /// toward the smaller id for determinism. Returns `None` on empty input.
-    pub fn least_accessed(&self, candidates: &[ClassId]) -> Option<ClassId> {
-        candidates.iter().copied().min_by_key(|c| (self.count(*c), c.index()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,21 +221,6 @@ mod tests {
         };
         let sel = s.range_selectivity(&Value::str("m"), true, true);
         assert!((sel - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn access_tracker_counts_and_ranks() {
-        let t = AccessTracker::new(3);
-        t.record([ClassId(0), ClassId(1)]);
-        t.record([ClassId(0)]);
-        assert_eq!(t.count(ClassId(0)), 2);
-        assert_eq!(t.count(ClassId(1)), 1);
-        assert_eq!(t.count(ClassId(2)), 0);
-        assert_eq!(t.least_accessed(&[ClassId(0), ClassId(1), ClassId(2)]), Some(ClassId(2)));
-        // Ties break toward the smaller id.
-        let t2 = AccessTracker::new(2);
-        assert_eq!(t2.least_accessed(&[ClassId(1), ClassId(0)]), Some(ClassId(0)));
-        assert_eq!(t2.least_accessed(&[]), None);
     }
 
     #[test]

@@ -3,18 +3,19 @@
 //! Horn-clause semantic constraints for the `sqo` workspace — the knowledge
 //! substrate of Pang, Lu & Ooi (ICDE 1991).
 //!
-//! Three pieces, all prescribed by §3 of the paper:
+//! Three pieces:
 //!
 //! * **Constraints** ([`HornConstraint`]) with the intra/inter-class
 //!   classification the transformation tables branch on — the one form a
-//!   constraint is stored, indexed, grouped, persisted and checked in;
+//!   constraint is stored, indexed, persisted and checked in;
 //! * **Transitive-closure materialization** ([`transitive_closure`]) at
-//!   precompile time, so query-time relevance reduces to a class-set test;
-//! * the **grouped constraint store** ([`ConstraintStore`]): constraints are
-//!   attached to one of their referenced classes (arbitrary /
-//!   least-frequently-accessed / balanced policies), and only groups attached
-//!   to a query's classes are consulted; an exact inverted index
-//!   ([`ConstraintIndex`]) is the production retrieval path beside it.
+//!   precompile time (§3), so query-time relevance reduces to a class-set
+//!   test;
+//! * the **constraint store** ([`ConstraintStore`]), which retrieves a
+//!   query's relevant constraints exactly through an inverted index
+//!   ([`ConstraintIndex`]). §3 retrieves by per-class groups instead, which
+//!   fetch irrelevant constraints too; that scheme is a baseline in
+//!   `sqo-baseline`.
 //!
 //! §3's "separate structure" of predicates is the [`PredicatePool`]. Two
 //! exist, each owned by its reader: the closure interns into one to key its
@@ -43,4 +44,4 @@ pub use examples::figure22;
 pub use horn::{ConstraintClass, ConstraintDisplay, ConstraintId, HornConstraint, Origin};
 pub use index::{ConstraintIndex, RetrievalScratch};
 pub use pool::{PredId, PredicatePool};
-pub use store::{AssignmentPolicy, ConstraintStore, RetrievalMetrics, StoreOptions, StoreVersion};
+pub use store::{ConstraintStore, StoreOptions, StoreVersion};

@@ -1,15 +1,15 @@
-//! Recall-equivalence of the secondary constraint index: for arbitrary
-//! stores and queries, the indexed retrieval
-//! (`ConstraintStore::relevant_into`) must return **exactly** the
-//! same constraint set as the linear-scan baseline
-//! (`relevant_for_ungrouped`) and as the paper's grouped scheme
-//! (`relevant_for`) — the index may never drop a relevant constraint nor
-//! invent an irrelevant one, including across incremental inserts and
-//! copy-on-write store copies.
+//! Recall-equivalence of the constraint index: for arbitrary stores and
+//! queries, the indexed retrieval (`ConstraintStore::relevant_into`) must
+//! return **exactly** the same constraint set as the linear scan
+//! (`relevant_by_scan`) and as the paper's grouped scheme under each
+//! assignment policy (`sqo_baseline::ConstraintGroups`) — the index may
+//! never drop a relevant constraint nor invent an irrelevant one, including
+//! across incremental inserts and copy-on-write store copies.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 
+use sqo_baseline::{AssignmentPolicy, ConstraintGroups};
 use sqo_catalog::{AttributeDef, Catalog, ClassId, DataType, RelId};
 use sqo_constraints::{ConstraintStore, HornConstraint, Origin, RetrievalScratch, StoreOptions};
 use sqo_query::{CompOp, Predicate, Query};
@@ -107,13 +107,17 @@ fn probe(classes: &[usize], rels: &[usize]) -> Query {
 fn assert_equivalent(store: &ConstraintStore, query: &Query) {
     let mut indexed = Vec::new();
     store.relevant_into(query, &mut RetrievalScratch::new(), &mut indexed);
-    let mut grouped = store.relevant_for(query);
-    let mut linear = store.relevant_for_ungrouped(query);
-    indexed.sort_unstable();
-    grouped.sort_unstable();
-    linear.sort_unstable();
+    let linear = store.relevant_by_scan(query);
     assert_eq!(indexed, linear, "index must match the linear scan exactly");
-    assert_eq!(grouped, linear, "grouped retrieval must match the linear scan exactly");
+    for policy in [
+        AssignmentPolicy::Arbitrary,
+        AssignmentPolicy::LeastFrequentlyAccessed,
+        AssignmentPolicy::Balanced,
+    ] {
+        let mut grouped = ConstraintGroups::new(store, policy).relevant_for(query);
+        grouped.sort_unstable();
+        assert_eq!(grouped, linear, "{policy:?} grouping must match the linear scan exactly");
+    }
 }
 
 proptest! {

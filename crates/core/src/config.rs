@@ -1,7 +1,7 @@
 //! Optimizer configuration.
 //!
-//! Defaults follow the paper; the switches exist to power the ablation
-//! benchmarks (`sqo-bench`'s experiments E5–E8).
+//! Defaults follow the paper. The queue discipline and the budget are the
+//! §4 extension experiment E7 sweeps.
 
 use serde::{Deserialize, Serialize};
 
@@ -17,19 +17,6 @@ pub enum MatchPolicy {
     Syntactic,
 }
 
-/// Which tag-assignment rule the transformation step uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum TagPolicy {
-    /// Tables 3.1/3.2 (normative): intra-class constraints lower to
-    /// `Redundant` unless the consequent is on an indexed attribute, in
-    /// which case `Optional`; inter-class constraints lower to `Optional`.
-    #[default]
-    Tables,
-    /// The simplified §3.3 pseudocode: intra always lowers to `Redundant`,
-    /// ignoring the indexed case. Kept for the ablation bench.
-    Pseudocode,
-}
-
 /// Queue discipline for pending transformations (§4 extension).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum QueueDiscipline {
@@ -43,28 +30,13 @@ pub enum QueueDiscipline {
 }
 
 /// Full configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct OptimizerConfig {
     pub match_policy: MatchPolicy,
-    pub tag_policy: TagPolicy,
     pub queue: QueueDiscipline,
     /// Maximum number of transformations to apply (`None` = unlimited).
     /// Meaningful mostly with [`QueueDiscipline::Priority`] (§4).
     pub budget: Option<usize>,
-    /// Attempt class elimination during formulation (King's rule).
-    pub class_elimination: bool,
-}
-
-impl Default for OptimizerConfig {
-    fn default() -> Self {
-        Self {
-            match_policy: MatchPolicy::default(),
-            tag_policy: TagPolicy::default(),
-            queue: QueueDiscipline::default(),
-            budget: None,
-            class_elimination: true,
-        }
-    }
 }
 
 impl OptimizerConfig {
@@ -87,10 +59,8 @@ mod tests {
     fn defaults_match_paper() {
         let c = OptimizerConfig::default();
         assert_eq!(c.match_policy, MatchPolicy::Implication);
-        assert_eq!(c.tag_policy, TagPolicy::Tables);
         assert_eq!(c.queue, QueueDiscipline::Fifo);
         assert_eq!(c.budget, None);
-        assert!(c.class_elimination);
     }
 
     #[test]

@@ -81,11 +81,14 @@ pub fn formulate(
 }
 
 /// [`formulate`] against reusable buffers.
+///
+/// Formulation has no configurable step, so `_config` is not read; the
+/// parameter keeps the signature `benches/e2e`'s shadow pipeline calls.
 pub fn formulate_with(
     catalog: &Catalog,
     original: &Query,
     table: &TransformationTable,
-    config: &OptimizerConfig,
+    _config: &OptimizerConfig,
     oracle: &dyn ProfitOracle,
     scratch: &mut FormulationScratch,
 ) -> FormulationResult {
@@ -134,7 +137,7 @@ pub fn formulate_with(
             q.has_class(a) && q.has_class(b)
         })
     };
-    if config.class_elimination && q.relationships.iter().copied().all(linked) {
+    if q.relationships.iter().copied().all(linked) {
         while let Some(class) = q.classes.iter().copied().find(|&class| {
             // "The absence of imperative predicates on its attributes is
             // a necessary … condition for an object class to be

@@ -61,7 +61,7 @@ mod tag;
 mod transform;
 mod verify;
 
-pub use config::{MatchPolicy, OptimizerConfig, QueueDiscipline, TagPolicy};
+pub use config::{MatchPolicy, OptimizerConfig, QueueDiscipline};
 pub use formulate::{formulate, formulate_with, FormulationResult, FormulationScratch};
 pub use optimizer::{Optimized, SemanticOptimizer};
 pub use oracle::{DropAllOracle, ProfitOracle, StructuralOracle};

@@ -90,8 +90,7 @@ impl<'a> SemanticOptimizer<'a> {
         let catalog = store.catalog().clone();
         query.validate(&catalog)?;
 
-        // Phase 0: constraint retrieval via the secondary index (exact, no
-        // group waste; recall-equivalent to the grouped scheme).
+        // Phase 0: constraint retrieval via the store's index (exact).
         let t0 = Instant::now();
         let OptimizerScratch { retrieval, relevant, table: table_buf, transform, formulation } =
             scratch;

@@ -17,7 +17,7 @@ use crate::transform::TransformLog;
 /// transformation…" — hence retrieval is kept separate from transformation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
-    /// Fetching constraint groups + relevance filtering.
+    /// Retrieving the relevant constraints.
     pub retrieval: Duration,
     /// Building the transformation table (§3.1).
     pub initialization: Duration,

@@ -13,7 +13,7 @@
 use sqo_constraints::{ConstraintClass, ConstraintId};
 use sqo_query::Predicate;
 
-use crate::config::{OptimizerConfig, TagPolicy};
+use crate::config::OptimizerConfig;
 use crate::queue::{ActionKind, TransformationQueue};
 use crate::table::TransformationTable;
 use crate::tag::{ColumnPresence, PredicateTag};
@@ -52,38 +52,25 @@ pub struct TransformLog {
     pub budget_exhausted: bool,
 }
 
-/// The target tag a row's firing assigns, per the configured policy
-/// (Tables 3.1/3.2 vs. the §3.3 pseudocode).
-pub fn target_tag(
-    classification: ConstraintClass,
-    consequent_indexed: bool,
-    policy: TagPolicy,
-) -> PredicateTag {
-    match (policy, classification) {
-        (TagPolicy::Tables, ConstraintClass::Intra) => {
-            if consequent_indexed {
-                PredicateTag::Optional
-            } else {
-                PredicateTag::Redundant
-            }
-        }
-        (TagPolicy::Pseudocode, ConstraintClass::Intra) => PredicateTag::Redundant,
-        (_, ConstraintClass::Inter) => PredicateTag::Optional,
+/// The target tag a row's firing assigns, per Tables 3.1/3.2: an
+/// intra-class constraint lowers its consequent to `Redundant` unless the
+/// consequent is on an indexed attribute, in which case `Optional`; an
+/// inter-class constraint lowers it to `Optional`.
+pub fn target_tag(classification: ConstraintClass, consequent_indexed: bool) -> PredicateTag {
+    match classification {
+        ConstraintClass::Intra if !consequent_indexed => PredicateTag::Redundant,
+        ConstraintClass::Intra | ConstraintClass::Inter => PredicateTag::Optional,
     }
 }
 
 /// Pending action of a row given the current table state; `None` when the
 /// row cannot contribute (and should leave `C`).
-fn pending_action(
-    table: &TransformationTable,
-    ri: usize,
-    config: &OptimizerConfig,
-) -> Option<ActionKind> {
+fn pending_action(table: &TransformationTable, ri: usize) -> Option<ActionKind> {
     let row = table.row(ri);
     if !row.active || !table.antecedents_satisfied(ri) {
         return None;
     }
-    let target = target_tag(row.classification, row.consequent_indexed, config.tag_policy);
+    let target = target_tag(row.classification, row.consequent_indexed);
     match table.tag(row.consequent) {
         Some(current) => {
             if current.can_lower_to(target) {
@@ -103,12 +90,12 @@ fn pending_action(
 /// Whether a row might become eligible later (antecedents still missing but
 /// the consequent could still be lowered). Rows that can never contribute
 /// are deactivated — the paper's "remove cᵢ from C".
-fn could_become_eligible(table: &TransformationTable, ri: usize, config: &OptimizerConfig) -> bool {
+fn could_become_eligible(table: &TransformationTable, ri: usize) -> bool {
     let row = table.row(ri);
     if !row.active {
         return false;
     }
-    let target = target_tag(row.classification, row.consequent_indexed, config.tag_policy);
+    let target = target_tag(row.classification, row.consequent_indexed);
     match table.tag(row.consequent) {
         Some(current) => current.can_lower_to(target),
         None => true,
@@ -152,10 +139,10 @@ pub fn run_transformations_with(
 
     // Initial Update-Transformation-Queue pass.
     for ri in 0..table.row_count() {
-        match pending_action(table, ri, config) {
+        match pending_action(table, ri) {
             Some(kind) => queue.push(ri, kind),
             None => {
-                if !could_become_eligible(table, ri, config) {
+                if !could_become_eligible(table, ri) {
                     table.deactivate(ri);
                 }
             }
@@ -167,7 +154,7 @@ pub fn run_transformations_with(
         // Re-validate at pop time: earlier transformations may have lowered
         // this row's consequent already ("some cₖ ahead of cᵢ in Q has
         // already lowered t(cᵢ, pⱼ) — ignore cᵢ then").
-        let Some(_) = pending_action(table, ri, config) else {
+        let Some(_) = pending_action(table, ri) else {
             log.noops += 1;
             table.deactivate(ri);
             continue;
@@ -183,7 +170,7 @@ pub fn run_transformations_with(
         let row = table.row(ri);
         let (constraint, classification, consequent_indexed, col) =
             (row.constraint, row.classification, row.consequent_indexed, row.consequent);
-        let target = target_tag(classification, consequent_indexed, config.tag_policy);
+        let target = target_tag(classification, consequent_indexed);
         let presence_before = table.presence(col);
         let tag_before = table.tag(col);
 
@@ -222,7 +209,7 @@ pub fn run_transformations_with(
         // the targeted recheck is equivalent to a full sweep of `C`.
         for &wcol in woken_cols.iter().chain(std::iter::once(&col)) {
             for &watcher in table.rows_watching(wcol) {
-                if let Some(kind) = pending_action(table, watcher, config) {
+                if let Some(kind) = pending_action(table, watcher) {
                     queue.push(watcher, kind);
                 }
             }
@@ -230,7 +217,7 @@ pub fn run_transformations_with(
         scratch.recheck.clear();
         scratch.recheck.extend_from_slice(table.rows_with_consequent(col));
         for &rj in &scratch.recheck {
-            if table.row(rj).active && !could_become_eligible(table, rj, config) {
+            if table.row(rj).active && !could_become_eligible(table, rj) {
                 table.deactivate(rj);
             }
         }
@@ -355,20 +342,13 @@ mod tests {
             .build()
             .unwrap();
         let relevant = store.relevant_for(&query);
-        // Tables policy: introduction lands at optional (index introduction).
+        // Table 3.1: introduction lands at optional (index introduction).
         let config = OptimizerConfig::paper();
         let mut table =
             TransformationTable::build(&catalog, &store, &relevant, &query, config.match_policy);
         let log = run_transformations(&mut table, &config);
         assert_eq!(log.applied[0].kind, TransformationKind::IndexIntroduction);
         assert_eq!(log.applied[0].to, PredicateTag::Optional);
-        // Pseudocode policy: redundant.
-        let config2 =
-            OptimizerConfig { tag_policy: TagPolicy::Pseudocode, ..OptimizerConfig::paper() };
-        let mut table2 =
-            TransformationTable::build(&catalog, &store, &relevant, &query, config2.match_policy);
-        let log2 = run_transformations(&mut table2, &config2);
-        assert_eq!(log2.applied[0].to, PredicateTag::Redundant);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use sqo_catalog::{AttrRef, Catalog, ClassId, RelId};
 use sqo_constraints::{
-    transitive_closure, AssignmentPolicy, ClosureOptions, ConstraintStore, HornConstraint, Origin,
-    StoreOptions, StoreVersion,
+    transitive_closure, ClosureOptions, ConstraintStore, HornConstraint, Origin, StoreOptions,
+    StoreVersion,
 };
 use sqo_exec::{read_plan, write_plan, AccessPath, ClassAccess, PhysicalPlan};
 use sqo_query::{Predicate, QueryFingerprint};
@@ -36,8 +36,6 @@ pub struct ConstraintSeed {
     /// Generation of the saved store — informational only: generations are
     /// process-local, so a warm-started store always gets a fresh one.
     pub saved_generation: u64,
-    /// Group-assignment policy the store was built with.
-    pub policy: AssignmentPolicy,
     /// Closure limits the store was built with (persisted so an Audit-level
     /// re-derivation reproduces the same truncation behaviour).
     pub closure: ClosureOptions,
@@ -57,20 +55,14 @@ fn origin_tag(origin: Origin) -> u8 {
     }
 }
 
-fn policy_tag(policy: AssignmentPolicy) -> u8 {
-    match policy {
-        AssignmentPolicy::Arbitrary => 0,
-        AssignmentPolicy::LeastFrequentlyAccessed => 1,
-        AssignmentPolicy::Balanced => 2,
-    }
-}
-
 /// Encodes a [`ConstraintStore`] as the CONSTRAINTS section payload.
 pub fn encode_constraints(store: &ConstraintStore) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u64(store.epoch());
     w.u64(store.generation());
-    w.u8(policy_tag(store.policy()));
+    // The v1 layout's group-assignment policy byte: the LFA tag every
+    // store has written. Readers ignore it.
+    w.u8(1);
     let closure = store.closure_options();
     w.u64(closure.max_derived as u64);
     w.u64(closure.max_rounds as u64);
@@ -133,29 +125,31 @@ fn strict_check_predicate(
 
 /// Decodes the CONSTRAINTS section payload.
 ///
-/// Standard checks structure only; Strict additionally resolves every
-/// class, relationship and attribute id against `catalog`, requires the
-/// per-constraint class list to be strictly ascending, and cross-checks
-/// `derived_count` against the actual number of derived constraints.
+/// Standard checks structure, and refuses an epoch at or above
+/// [`sqo_snapshot::EPOCH_LIMIT`], from which a store could not keep
+/// advancing. Strict additionally resolves every class, relationship and
+/// attribute id against `catalog`, requires the per-constraint class list
+/// to be strictly ascending, and cross-checks `derived_count` against the
+/// actual number of derived constraints.
 ///
 /// # Errors
-/// [`LoadError::Malformed`] on structural damage, and at Strict
-/// [`LoadError::DanglingReference`] / [`LoadError::UnsortedPosting`] for
-/// id-space and ordering violations.
+/// [`LoadError::Malformed`] on structural damage or an out-of-range epoch,
+/// and at Strict [`LoadError::DanglingReference`] /
+/// [`LoadError::UnsortedPosting`] for id-space and ordering violations.
 pub fn decode_constraints(
     payload: &[u8],
     catalog: &Catalog,
     level: ValidationLevel,
 ) -> Result<ConstraintSeed, LoadError> {
     let mut r = ByteReader::new(payload, "CONSTRAINTS");
-    let epoch = r.u64()?;
+    let epoch = r.epoch()?;
     let saved_generation = r.u64()?;
-    let policy = match r.u8()? {
-        0 => AssignmentPolicy::Arbitrary,
-        1 => AssignmentPolicy::LeastFrequentlyAccessed,
-        2 => AssignmentPolicy::Balanced,
-        t => return Err(r.malformed(format!("unknown assignment-policy tag {t}"))),
-    };
+    // The v1 layout's assignment-policy byte: must be 0, 1 or 2, and is
+    // otherwise ignored.
+    let policy = r.u8()?;
+    if policy > 2 {
+        return Err(r.malformed(format!("unknown assignment-policy tag {policy}")));
+    }
     let closure = ClosureOptions { max_derived: r.u64()? as usize, max_rounds: r.u64()? as usize };
     let derived_count = r.u64()? as usize;
     let closure_truncated = match r.u8()? {
@@ -238,7 +232,6 @@ pub fn decode_constraints(
     Ok(ConstraintSeed {
         epoch,
         saved_generation,
-        policy,
         closure,
         derived_count,
         closure_truncated,
@@ -309,8 +302,7 @@ pub fn rebuild_store(
     catalog: Arc<Catalog>,
     seed: ConstraintSeed,
 ) -> Result<ConstraintStore, LoadError> {
-    let options =
-        StoreOptions { materialize_closure: false, closure: seed.closure, policy: seed.policy };
+    let options = StoreOptions { materialize_closure: false, closure: seed.closure };
     let mut store = ConstraintStore::build(catalog, seed.constraints, options).map_err(|e| {
         LoadError::Malformed {
             section: "CONSTRAINTS",

@@ -13,8 +13,10 @@ use sqo_service::{
     decode_plan_seeds, encode_plan_seeds, CacheEntry, PlanSeed, QueryService, ServiceConfig,
 };
 use sqo_snapshot::{
-    LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel, SEC_CONSTRAINTS, SEC_PLANSEEDS,
+    section_name, LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel, EPOCH_LIMIT,
+    SEC_CONSTRAINTS, SEC_EXTENTS, SEC_PLANSEEDS,
 };
+use sqo_storage::{DataWrite, ObjectId};
 use sqo_workload::{paper_scenario, DbSize};
 
 /// A served scenario: the paper workload's first 16 queries answered once,
@@ -115,6 +117,55 @@ fn damaged_serving_sections_are_rejected() {
     )
     .expect("PLANSEEDS is an optional section");
     assert_eq!(warm.epoch(), cold.epoch());
+}
+
+/// Both epochs a snapshot carries, the CONSTRAINTS store epoch and the
+/// EXTENTS data epoch, lead their payloads, and every change to a loaded
+/// service adds one to one of them. At or above [`EPOCH_LIMIT`] a load is
+/// refused at every level, so no later change can overflow; at the largest
+/// accepted epoch a constraint, a statistics change and a write all
+/// advance.
+#[test]
+fn epochs_at_the_limit_are_refused_and_below_it_advance() {
+    let (cold, _) = served();
+    let bytes = cold.snapshot_bytes();
+    let file = SnapshotFile::parse(&bytes).expect("good snapshot parses");
+    let with_epoch = |section: u32, epoch: u64| {
+        let mut payload = file.section(section).expect("section present").to_vec();
+        payload[..8].copy_from_slice(&epoch.to_le_bytes());
+        with_section(&bytes, section, Some(payload))
+    };
+    let levels = [ValidationLevel::Standard, ValidationLevel::Strict, ValidationLevel::Audit];
+    for section in [SEC_CONSTRAINTS, SEC_EXTENTS] {
+        let name = section_name(section);
+        for epoch in [EPOCH_LIMIT, u64::MAX] {
+            let damaged = with_epoch(section, epoch);
+            for level in levels {
+                let err =
+                    QueryService::from_snapshot_bytes(&damaged, level, ServiceConfig::default())
+                        .expect_err("an epoch that cannot advance must not load");
+                assert!(
+                    matches!(err, LoadError::Malformed { section, .. } if section == name),
+                    "{name} epoch {epoch} at {level:?}: expected Malformed({name}), got {err:?}"
+                );
+            }
+        }
+        let top = with_epoch(section, EPOCH_LIMIT - 1);
+        for level in levels {
+            let warm = QueryService::from_snapshot_bytes(&top, level, ServiceConfig::default())
+                .unwrap_or_else(|e| panic!("{name} epoch 2^63 - 1 at {level:?}: {e}"));
+            let dup = warm.store().constraint(sqo_constraints::ConstraintId(0)).clone();
+            let epoch = warm.add_constraint(dup).expect("a constraint goes in");
+            assert!(warm.note_statistics_change() > epoch);
+            let db = warm.db();
+            let (class, _) = db.catalog().classes().next().expect("a class");
+            let value = db.tuple(class, ObjectId(0)).expect("an object")[0].clone();
+            let attr = sqo_catalog::AttrId(0);
+            let update = DataWrite::Update { class, object: ObjectId(0), attr, value };
+            let written = warm.write(&[update]).expect("a write goes in");
+            assert!(written.epoch > db.data_version());
+        }
+    }
 }
 
 /// The served cache's snapshot with its PLANSEEDS section re-encoded after

@@ -78,6 +78,11 @@ impl ByteWriter {
     }
 }
 
+/// The exclusive upper bound on an epoch a snapshot may carry: 2^63.
+/// Every change to a loaded store or database adds one to an epoch, so a
+/// loaded epoch must leave room for them; below 2^63 there are 2^63 more.
+pub const EPOCH_LIMIT: u64 = 1 << 63;
+
 /// Bounds-checked little-endian decoder over one section payload.
 ///
 /// Carries the section's human-readable name so every failure is a
@@ -174,6 +179,19 @@ impl<'a> ByteReader<'a> {
     /// [`LoadError::Malformed`] on a short read.
     pub fn u64(&mut self) -> Result<u64, LoadError> {
         Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// Reads a little-endian `u64` epoch (a data epoch or a constraint-store
+    /// epoch), refusing one at or above [`EPOCH_LIMIT`].
+    ///
+    /// # Errors
+    /// [`LoadError::Malformed`] on a short read or an epoch past the limit.
+    pub fn epoch(&mut self) -> Result<u64, LoadError> {
+        let epoch = self.u64()?;
+        if epoch >= EPOCH_LIMIT {
+            return Err(self.malformed(format!("epoch {epoch} is at or above 2^63")));
+        }
+        Ok(epoch)
     }
 
     /// Reads a little-endian `i64`.

@@ -34,7 +34,7 @@ mod codec;
 mod container;
 mod error;
 
-pub use bytes::{ByteReader, ByteWriter};
+pub use bytes::{ByteReader, ByteWriter, EPOCH_LIMIT};
 pub use codec::{
     read_attr_ref, read_bound, read_catalog, read_comp_op, read_data_type, read_join_predicate,
     read_predicate, read_projection, read_query, read_sel_predicate, read_stats, read_value,

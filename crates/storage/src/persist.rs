@@ -191,15 +191,16 @@ fn decode_catalog(file: &SnapshotFile<'_>) -> Result<Arc<Catalog>, LoadError> {
     Ok(Arc::new(catalog))
 }
 
-/// Reads the EXTENTS preamble — data epoch and per-class cardinalities —
-/// leaving `r` positioned at the first tuple. The cardinalities are what
+/// Reads the EXTENTS preamble — data epoch (below
+/// [`sqo_snapshot::EPOCH_LIMIT`]) and per-class cardinalities — leaving
+/// `r` positioned at the first tuple. The cardinalities are what
 /// every other database section validates against, so reading them first
 /// lets LINKS/INDEXES/STATS decode in parallel with the tuples.
 fn read_extent_preamble(
     r: &mut ByteReader<'_>,
     catalog: &Catalog,
 ) -> Result<(u64, Vec<usize>), LoadError> {
-    let data_version = r.u64()?;
+    let data_version = r.epoch()?;
     let class_count = r.count()?;
     if class_count != catalog.class_count() {
         return Err(malformed(

@@ -337,6 +337,14 @@ fn corruption_is_rejected_at_the_documented_level() {
             }),
         },
         Case {
+            name: "data epoch at 2^63, past which writes could not advance it",
+            fails_at: Standard,
+            expect: "Malformed(EXTENTS)",
+            matches: |e| matches!(e, LoadError::Malformed { section: "EXTENTS", .. }),
+            loads_at: &[],
+            bytes: with_section(&db, SEC_EXTENTS, extents_payload(sqo_snapshot::EPOCH_LIMIT, 0)),
+        },
+        Case {
             name: "string value indexing beyond the dictionary",
             fails_at: Standard,
             expect: "Malformed(EXTENTS)",

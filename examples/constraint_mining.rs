@@ -11,10 +11,9 @@
 
 use std::sync::Arc;
 
+use sqo::baseline::{AssignmentPolicy, ConstraintGroups};
 use sqo::catalog::example::figure21;
-use sqo::constraints::{
-    figure22, AssignmentPolicy, ConstraintBuilder, ConstraintStore, Origin, StoreOptions,
-};
+use sqo::constraints::{figure22, ConstraintBuilder, ConstraintStore, Origin, StoreOptions};
 use sqo::query::{CompOp, QueryBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -70,20 +69,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         AssignmentPolicy::LeastFrequentlyAccessed,
         AssignmentPolicy::Balanced,
     ] {
-        let s = ConstraintStore::build(
-            Arc::clone(&catalog),
-            constraints.clone(),
-            StoreOptions { policy, ..StoreOptions::paper_defaults() },
-        )?;
+        let mut groups = ConstraintGroups::new(&store, policy);
         for q in &probe_queries {
-            let _ = s.relevant_for(q);
+            let _ = groups.relevant_for(q);
         }
         println!(
             "  {:?}: retrieved {}, relevant {}, waste {:.1}%",
             policy,
-            s.metrics().retrieved.load(std::sync::atomic::Ordering::Relaxed),
-            s.metrics().relevant.load(std::sync::atomic::Ordering::Relaxed),
-            s.metrics().waste_ratio() * 100.0
+            groups.retrieved(),
+            groups.relevant(),
+            groups.waste_ratio() * 100.0
         );
     }
     Ok(())

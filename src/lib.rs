@@ -3,7 +3,7 @@
 //! A faithful, production-grade Rust implementation of Pang, Lu & Ooi,
 //! *An Efficient Semantic Query Optimization Algorithm* (ICDE 1991),
 //! together with every substrate the paper depends on: an object-oriented
-//! catalog, a query model with the paper's `(SELECT …)` syntax, a grouped
+//! catalog, a query model with the paper's `(SELECT …)` syntax, an indexed
 //! Horn-constraint store with materialized transitive closures, an
 //! in-memory object store with a deterministic cost model, a conventional
 //! planner/executor, the §4 baselines, and the full experiment workload.
@@ -50,7 +50,7 @@ pub mod query {
     pub use sqo_query::*;
 }
 
-/// Horn-clause constraints: pool, closure, grouped store.
+/// Horn-clause constraints: pool, closure, indexed store.
 pub mod constraints {
     pub use sqo_constraints::*;
 }
@@ -70,7 +70,8 @@ pub mod exec {
     pub use sqo_exec::*;
 }
 
-/// Baseline optimizers (§4): straight-forward and exhaustive.
+/// Baselines: the straight-forward and exhaustive optimizers (§4) and the
+/// grouped constraint retrieval (§3).
 pub mod baseline {
     pub use sqo_baseline::*;
 }

@@ -5,11 +5,22 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 
-use sqo::constraints::{AssignmentPolicy, ConstraintStore, StoreOptions};
+use sqo::baseline::{AssignmentPolicy, ConstraintGroups};
+use sqo::constraints::{ConstraintStore, StoreOptions};
 use sqo::workload::{
     bench_schema::bench_catalog, generate_constraints, paper_query_set, ConstraintGenConfig,
     QueryGenConfig,
 };
+
+/// The grouped relevant set, in ascending order.
+fn grouped(
+    groups: &mut ConstraintGroups<'_>,
+    q: &sqo::query::Query,
+) -> Vec<sqo::constraints::ConstraintId> {
+    let mut ids = groups.relevant_for(q);
+    ids.sort_unstable();
+    ids
+}
 
 fn recall_holds(seed: u64, policy: AssignmentPolicy) {
     let catalog = Arc::new(bench_catalog().unwrap());
@@ -21,9 +32,10 @@ fn recall_holds(seed: u64, policy: AssignmentPolicy) {
     let store = ConstraintStore::build(
         Arc::clone(&catalog),
         generated.constraints,
-        StoreOptions { policy, ..StoreOptions::paper_defaults() },
+        StoreOptions::paper_defaults(),
     )
     .unwrap();
+    let mut groups = ConstraintGroups::new(&store, policy);
     let queries = paper_query_set(
         &catalog,
         &generated.forcings,
@@ -31,11 +43,16 @@ fn recall_holds(seed: u64, policy: AssignmentPolicy) {
         &QueryGenConfig { seed: seed.wrapping_add(3), ..Default::default() },
     );
     for q in &queries {
-        let mut grouped = store.relevant_for(q);
-        let mut full = store.relevant_for_ungrouped(q);
-        grouped.sort_unstable();
-        full.sort_unstable();
-        assert_eq!(grouped, full, "policy {policy:?} lost a relevant constraint");
+        assert_eq!(
+            grouped(&mut groups, q),
+            store.relevant_by_scan(q),
+            "policy {policy:?} lost a relevant constraint"
+        );
+        assert_eq!(
+            store.relevant_for(q),
+            store.relevant_by_scan(q),
+            "the index lost a relevant constraint"
+        );
     }
 }
 
@@ -57,24 +74,22 @@ fn regrouping_preserves_recall() {
     let store = ConstraintStore::build(
         Arc::clone(&catalog),
         generated.constraints,
-        StoreOptions {
-            policy: AssignmentPolicy::LeastFrequentlyAccessed,
-            ..StoreOptions::paper_defaults()
-        },
+        StoreOptions::paper_defaults(),
     )
     .unwrap();
+    let mut groups = ConstraintGroups::new(&store, AssignmentPolicy::LeastFrequentlyAccessed);
     let queries = paper_query_set(&catalog, &generated.forcings, 15, &QueryGenConfig::default());
     // Skew the access pattern, regroup repeatedly, and re-check recall.
+    let mut moved = false;
     for round in 0..4 {
+        let before = groups.group_sizes();
         for q in queries.iter().skip(round) {
-            let mut grouped = store.relevant_for(q);
-            let mut full = store.relevant_for_ungrouped(q);
-            grouped.sort_unstable();
-            full.sort_unstable();
-            assert_eq!(grouped, full, "round {round}");
+            assert_eq!(grouped(&mut groups, q), store.relevant_by_scan(q), "round {round}");
         }
-        store.regroup();
+        groups.regroup();
+        moved |= groups.group_sizes() != before;
     }
+    assert!(moved, "the skewed access pattern moved some constraint to another group");
 }
 
 proptest! {

@@ -3,14 +3,19 @@
 //! the lattice), every processing order reaches the same fixpoint.
 //!
 //! We vary everything that could influence order — queue discipline,
-//! constraint insertion order in the store, grouping policy — and require
-//! identical optimized queries.
+//! constraint insertion order in the store, and the order §3's grouped
+//! retrieval fetches constraints in under each assignment policy — and
+//! require identical optimized queries.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 
-use sqo::constraints::{AssignmentPolicy, ConstraintStore, StoreOptions};
-use sqo::core::{OptimizerConfig, QueueDiscipline, SemanticOptimizer, StructuralOracle};
+use sqo::baseline::{AssignmentPolicy, ConstraintGroups};
+use sqo::constraints::{ConstraintStore, StoreOptions};
+use sqo::core::{
+    formulate, run_transformations, OptimizerConfig, QueueDiscipline, SemanticOptimizer,
+    StructuralOracle, TransformationTable,
+};
 use sqo::query::Query;
 use sqo::workload::{
     bench_schema::bench_catalog, generate_constraints, paper_query_set, ConstraintGenConfig,
@@ -32,44 +37,45 @@ fn environment(
     (catalog, generated.constraints, queries)
 }
 
+/// Optimizes every query. With `grouped`, the relevant constraints enter
+/// the transformation table in the order that policy's group fetch
+/// retrieves them; without, in the store index's ascending order.
 fn optimize_all(
     catalog: &Arc<sqo::catalog::Catalog>,
     constraints: Vec<sqo::constraints::HornConstraint>,
     queries: &[Query],
-    policy: AssignmentPolicy,
+    grouped: Option<AssignmentPolicy>,
     discipline: QueueDiscipline,
 ) -> Vec<Query> {
-    let store = ConstraintStore::build(
-        Arc::clone(catalog),
-        constraints,
-        StoreOptions { policy, ..StoreOptions::paper_defaults() },
-    )
-    .unwrap();
+    let store =
+        ConstraintStore::build(Arc::clone(catalog), constraints, StoreOptions::paper_defaults())
+            .unwrap();
     let config = OptimizerConfig { queue: discipline, ..OptimizerConfig::paper() };
-    let optimizer = SemanticOptimizer::with_config(&store, config);
+    let Some(policy) = grouped else {
+        let optimizer = SemanticOptimizer::with_config(&store, config);
+        return queries
+            .iter()
+            .map(|q| optimizer.optimize(q, &StructuralOracle).unwrap().query.normalized())
+            .collect();
+    };
+    let mut groups = ConstraintGroups::new(&store, policy);
     queries
         .iter()
-        .map(|q| optimizer.optimize(q, &StructuralOracle).unwrap().query.normalized())
+        .map(|q| {
+            let relevant = groups.relevant_for(q);
+            let mut table =
+                TransformationTable::build(catalog, &store, &relevant, q, config.match_policy);
+            run_transformations(&mut table, &config);
+            formulate(catalog, q, &table, &config, &StructuralOracle).query.normalized()
+        })
         .collect()
 }
 
 #[test]
 fn fifo_and_priority_queues_agree() {
     let (catalog, constraints, queries) = environment(5);
-    let fifo = optimize_all(
-        &catalog,
-        constraints.clone(),
-        &queries,
-        AssignmentPolicy::LeastFrequentlyAccessed,
-        QueueDiscipline::Fifo,
-    );
-    let prio = optimize_all(
-        &catalog,
-        constraints,
-        &queries,
-        AssignmentPolicy::LeastFrequentlyAccessed,
-        QueueDiscipline::Priority,
-    );
+    let fifo = optimize_all(&catalog, constraints.clone(), &queries, None, QueueDiscipline::Fifo);
+    let prio = optimize_all(&catalog, constraints, &queries, None, QueueDiscipline::Priority);
     assert_eq!(fifo, prio);
 }
 
@@ -80,7 +86,7 @@ fn constraint_insertion_order_is_immaterial() {
         &catalog,
         constraints.clone(),
         &queries,
-        AssignmentPolicy::Arbitrary,
+        Some(AssignmentPolicy::Arbitrary),
         QueueDiscipline::Fifo,
     );
     let mut reversed_constraints = constraints;
@@ -89,7 +95,7 @@ fn constraint_insertion_order_is_immaterial() {
         &catalog,
         reversed_constraints,
         &queries,
-        AssignmentPolicy::Arbitrary,
+        Some(AssignmentPolicy::Arbitrary),
         QueueDiscipline::Fifo,
     );
     assert_eq!(forward, reversed);
@@ -102,25 +108,27 @@ fn grouping_policy_is_immaterial_to_outcomes() {
         &catalog,
         constraints.clone(),
         &queries,
-        AssignmentPolicy::Arbitrary,
+        Some(AssignmentPolicy::Arbitrary),
         QueueDiscipline::Fifo,
     );
     let b = optimize_all(
         &catalog,
         constraints.clone(),
         &queries,
-        AssignmentPolicy::Balanced,
+        Some(AssignmentPolicy::Balanced),
         QueueDiscipline::Fifo,
     );
     let c = optimize_all(
         &catalog,
-        constraints,
+        constraints.clone(),
         &queries,
-        AssignmentPolicy::LeastFrequentlyAccessed,
+        Some(AssignmentPolicy::LeastFrequentlyAccessed),
         QueueDiscipline::Fifo,
     );
+    let indexed = optimize_all(&catalog, constraints, &queries, None, QueueDiscipline::Fifo);
     assert_eq!(a, b);
     assert_eq!(b, c);
+    assert_eq!(c, indexed);
 }
 
 proptest! {
@@ -135,7 +143,7 @@ proptest! {
             &catalog,
             constraints.clone(),
             &queries,
-            AssignmentPolicy::Arbitrary,
+            Some(AssignmentPolicy::Arbitrary),
             QueueDiscipline::Fifo,
         );
         let mut shuffled = constraints.clone();
@@ -144,7 +152,7 @@ proptest! {
             &catalog,
             shuffled,
             &queries,
-            AssignmentPolicy::Balanced,
+            Some(AssignmentPolicy::Balanced),
             QueueDiscipline::Priority,
         );
         prop_assert_eq!(fifo, rotated);

@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use sqo::baseline::{AssignmentPolicy, ConstraintGroups};
 use sqo::catalog::example::figure21;
 use sqo::constraints::{figure22, ConstraintStore, StoreOptions};
 use sqo::core::{
@@ -49,6 +50,11 @@ fn section35_initialization_state() {
     let names: Vec<&str> = relevant.iter().map(|&id| store.constraint(id).name.as_str()).collect();
     assert_eq!(names.len(), 2);
     assert!(names.contains(&"c1") && names.contains(&"c2"));
+    // §3's group fetch, under the paper's LFA assignment, finds the same C.
+    let mut grouped = ConstraintGroups::new(&store, AssignmentPolicy::LeastFrequentlyAccessed)
+        .relevant_for(&query);
+    grouped.sort_unstable();
+    assert_eq!(grouped, relevant);
 
     let table =
         TransformationTable::build(&catalog, &store, &relevant, &query, MatchPolicy::Implication);
