@@ -83,11 +83,7 @@ impl<'a> ConstraintGroups<'a> {
         for (id, c) in self.store.constraints() {
             let home = match self.policy {
                 AssignmentPolicy::Arbitrary => c.classes.first().copied(),
-                AssignmentPolicy::LeastFrequentlyAccessed => c
-                    .classes
-                    .iter()
-                    .copied()
-                    .min_by_key(|cl| (self.accesses[cl.index()], cl.index())),
+                AssignmentPolicy::LeastFrequentlyAccessed => self.least_accessed(&c.classes),
                 AssignmentPolicy::Balanced => c
                     .classes
                     .iter()
@@ -99,6 +95,15 @@ impl<'a> ConstraintGroups<'a> {
             }
         }
         self.groups = groups;
+    }
+
+    /// The class of `classes` recorded least often; ties go to the smaller
+    /// class id. `None` for an empty list.
+    fn least_accessed(&self, classes: &[ClassId]) -> Option<ClassId> {
+        classes
+            .iter()
+            .copied()
+            .min_by_key(|cl| (self.accesses.get(cl.index()).copied().unwrap_or(0), cl.index()))
     }
 
     /// §3's group fetch: the union of the groups attached to the query's
@@ -216,6 +221,26 @@ mod tests {
         // The query's classes were recorded once each.
         let cargo = catalog.class_id("cargo").unwrap();
         assert_eq!(groups.accesses[cargo.index()], 1);
+    }
+
+    #[test]
+    fn access_counts_and_ranks() {
+        let store = store();
+        let mut groups = ConstraintGroups::new(&store, AssignmentPolicy::LeastFrequentlyAccessed);
+        let (c0, c1, c2) = (ClassId(0), ClassId(1), ClassId(2));
+        let mut both = Query::new();
+        both.classes.extend([c0, c1]);
+        let mut first = Query::new();
+        first.classes.push(c0);
+        groups.record(&both);
+        groups.record(&first);
+        assert_eq!(groups.accesses[..3], [2, 1, 0]);
+        assert_eq!(groups.least_accessed(&[c0, c1, c2]), Some(c2));
+        assert_eq!(groups.least_accessed(&[c0, c1]), Some(c1));
+        // Ties break toward the smaller id.
+        let fresh = ConstraintGroups::new(&store, AssignmentPolicy::LeastFrequentlyAccessed);
+        assert_eq!(fresh.least_accessed(&[c1, c0]), Some(c0));
+        assert_eq!(fresh.least_accessed(&[]), None);
     }
 
     #[test]
