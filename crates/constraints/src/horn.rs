@@ -146,7 +146,12 @@ impl HornConstraint {
     }
 }
 
-fn check_predicate_types(catalog: &Catalog, p: &Predicate) -> Result<(), ConstraintError> {
+/// Every attribute `p` names resolves in `catalog`, and the two sides of a
+/// comparison have one type.
+pub(crate) fn check_predicate_types(
+    catalog: &Catalog,
+    p: &Predicate,
+) -> Result<(), ConstraintError> {
     match p {
         Predicate::Sel(s) => {
             let ty = catalog.attr_type(s.attr)?;

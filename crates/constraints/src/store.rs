@@ -15,7 +15,7 @@ use sqo_query::Query;
 
 use crate::closure::{transitive_closure, ClosureOptions};
 use crate::error::ConstraintError;
-use crate::horn::{ConstraintId, HornConstraint};
+use crate::horn::{check_predicate_types, ConstraintId, HornConstraint};
 use crate::index::{ConstraintIndex, RetrievalScratch};
 
 /// Store construction options.
@@ -85,14 +85,19 @@ pub struct ConstraintStore {
     pub closure_truncated: bool,
 }
 
-/// A constraint built against a different catalog can name a class or a
-/// relationship this store has no posting list for.
+/// A constraint built against a different catalog, or decoded from a
+/// snapshot, can name a class or a relationship this store has no posting
+/// list for, or an attribute the catalog does not declare, or compare an
+/// attribute with a literal of another type.
 fn check_catalog(catalog: &Catalog, c: &HornConstraint) -> Result<(), ConstraintError> {
     for &class in &c.classes {
         catalog.class(class)?;
     }
     for &rel in &c.relationships {
         catalog.relationship(rel)?;
+    }
+    for p in c.antecedents.iter().chain([&c.consequent]) {
+        check_predicate_types(catalog, p)?;
     }
     Ok(())
 }
@@ -182,9 +187,9 @@ impl ConstraintStore {
     }
 
     /// Appends one constraint to the store in place, indexing it and
-    /// bumping the epoch. A constraint naming a class or relationship
-    /// outside this store's catalog is refused and the store is left as it
-    /// was.
+    /// bumping the epoch. A constraint naming a class, relationship or
+    /// attribute outside this store's catalog, or a literal of the wrong
+    /// type, is refused and the store is left as it was.
     ///
     /// The incremental path deliberately does **not** extend the transitive
     /// closure: derived shortcuts only accelerate transformation chains that

@@ -78,8 +78,9 @@ pub fn write_plan(w: &mut ByteWriter, plan: &PhysicalPlan) {
 /// Decodes a [`PhysicalPlan`] skeleton.
 ///
 /// # Errors
-/// [`LoadError::Malformed`] on any structural problem; id-space validity
-/// against a concrete catalog is the caller's (Strict-level) concern.
+/// [`LoadError::Malformed`] on any structural problem. Whether the plan
+/// fits a concrete catalog is [`PhysicalPlan::check`]'s question, which
+/// the caller asks.
 pub fn read_plan(r: &mut ByteReader<'_>) -> Result<PhysicalPlan, LoadError> {
     let root = read_class_access(r)?;
     let mut steps = Vec::new();

@@ -43,8 +43,9 @@ pub enum ServiceError {
     Exec(ExecError),
     /// A write batch failed validation or integrity enforcement.
     Storage(StorageError),
-    /// A constraint was refused by the store (it names a class or a
-    /// relationship outside the store's catalog).
+    /// A constraint was refused by the store (it names a class, a
+    /// relationship or an attribute outside the store's catalog, or a
+    /// literal of the wrong type).
     Constraint(ConstraintError),
     /// The `sqo-frontend` worker answering this request panicked in it.
     /// Exactly the poisoned request surfaces as this error: the worker
@@ -668,8 +669,8 @@ impl QueryService {
     /// store's version as they are inserted.
     ///
     /// # Errors
-    /// Any [`LoadError`]: container damage at Standard, id-space or
-    /// ordering violations at Strict, re-derivation mismatches at Audit.
+    /// Any [`LoadError`]: damage, dangling ids or ordering violations at
+    /// either level, re-derivation mismatches at Audit.
     pub fn from_snapshot_bytes(
         bytes: &[u8],
         level: ValidationLevel,
@@ -680,15 +681,15 @@ impl QueryService {
         let catalog = Arc::clone(db.catalog());
         let constraints =
             file.section(SEC_CONSTRAINTS).ok_or(LoadError::MissingSection("CONSTRAINTS"))?;
-        let seed = persist::decode_constraints(constraints, &catalog, level)?;
+        let seed = persist::decode_constraints(constraints)?;
+        let store = persist::rebuild_store(Arc::clone(&catalog), seed)?;
         if level.is_audit() {
-            persist::audit_constraints(&seed, &catalog)?;
+            persist::audit_constraints(&store)?;
         }
         let plan_seeds = match file.section(SEC_PLANSEEDS) {
-            Some(payload) => persist::decode_plan_seeds(payload, &catalog, level)?,
+            Some(payload) => persist::decode_plan_seeds(payload, &catalog)?,
             None => Vec::new(),
         };
-        let store = persist::rebuild_store(Arc::clone(&catalog), seed)?;
         let service = Self::with_config(Arc::new(store), Arc::new(db), config);
         let version = service.store_version();
         for s in plan_seeds {
@@ -940,6 +941,34 @@ mod tests {
         // The writer lock was released: the next add goes through.
         let dup = overlapping_dup(&service, &queries[2]);
         assert!(service.add_constraint(dup).unwrap() > version.epoch);
+    }
+
+    /// A constraint whose consequent names an attribute the class does not
+    /// declare is refused like a foreign class, and the service's store,
+    /// epoch and snapshot stay loadable: saving it used to write a file the
+    /// loader refuses.
+    #[test]
+    fn unknown_attribute_constraint_is_a_typed_error() {
+        let (service, queries) = service();
+        service.run(&queries[2]).unwrap();
+        let (store, version) = (service.store(), service.store_version());
+        let mut foreign = overlapping_dup(&service, &queries[2]);
+        let class = sqo_catalog::ClassId(1);
+        let attr = sqo_catalog::AttrRef::new(class, sqo_catalog::AttrId(99));
+        foreign.consequent = sqo_query::Predicate::sel(attr, sqo_query::CompOp::Eq, 0i64);
+        let err = service.add_constraint(foreign).unwrap_err();
+        assert!(matches!(err, ServiceError::Constraint(ConstraintError::Catalog(_))), "{err:?}");
+        assert!(Arc::ptr_eq(&store, &service.store()));
+        assert_eq!(service.store_version(), version);
+        assert_eq!(service.epoch(), version.epoch);
+        assert!(service.run(&queries[2]).unwrap().cache_hit);
+        let bytes = service.snapshot_bytes();
+        QueryService::from_snapshot_bytes(
+            &bytes,
+            ValidationLevel::Standard,
+            ServiceConfig::default(),
+        )
+        .expect("the snapshot of a service that refused the constraint loads");
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! A `.sqos` file is untrusted input: whatever bytes a section holds,
 //! [`QueryService::from_snapshot_bytes`] answers with a service or a typed
-//! [`LoadError`] at every validation level, and never unwinds.
+//! [`LoadError`] at both validation levels, and never unwinds. What it
+//! admits, it serves: a service loaded from a damaged file answers the
+//! base snapshot's queries and takes a write with responses or typed
+//! errors, never by unwinding.
 //!
 //! Each case takes a served paper snapshot, damages one section's payload
 //! (flipped bytes, a truncation, or `u32`s written over or spliced into
@@ -10,25 +13,37 @@
 //! too. The proptest shim does not shrink, so a failure prints the damage,
 //! which with the fixed base snapshot reproduces the input.
 
-use std::panic::catch_unwind;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
+use sqo_query::Query;
 use sqo_service::{QueryService, ServiceConfig};
 use sqo_snapshot::{section_name, LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel};
-use sqo_workload::{paper_scenario, DbSize};
+use sqo_storage::DataWrite;
+use sqo_workload::{copyable_rels, dup_insert, dup_safe_classes, paper_scenario, DbSize};
 
-/// The paper's DB1 with a few queries served, so every section (plan
-/// seeds included) has content.
-fn base() -> &'static [u8] {
-    static BASE: OnceLock<Vec<u8>> = OnceLock::new();
+/// The paper's DB1 with its first 8 queries served, so every section (plan
+/// seeds included) has content; those queries, and one duplicate insert,
+/// are what a service loaded from a damaged copy is asked to serve.
+struct Base {
+    bytes: Vec<u8>,
+    queries: Vec<Query>,
+    write: DataWrite,
+}
+
+fn base() -> &'static Base {
+    static BASE: OnceLock<Base> = OnceLock::new();
     BASE.get_or_init(|| {
         let s = paper_scenario(DbSize::Db1, 7);
+        let class = dup_safe_classes(&s.catalog)[0];
+        let write = dup_insert(&s.db, class, 0, &copyable_rels(&s.catalog, class));
         let service = QueryService::new(Arc::new(s.store), Arc::new(s.db));
-        for q in s.queries.iter().take(8) {
+        let queries: Vec<Query> = s.queries.into_iter().take(8).collect();
+        for q in &queries {
             service.run(q).expect("cold run");
         }
-        service.snapshot_bytes()
+        Base { bytes: service.snapshot_bytes(), queries, write }
     })
 }
 
@@ -94,7 +109,7 @@ fn apply(payload: &mut Vec<u8>, damage: &Damage) {
 /// The base snapshot with section number `pick` (modulo the section
 /// count) damaged, re-assembled with valid checksums.
 fn damaged(pick: usize, damage: &Damage) -> (u32, Vec<u8>) {
-    let file = SnapshotFile::parse(base()).expect("the base snapshot parses");
+    let file = SnapshotFile::parse(&base().bytes).expect("the base snapshot parses");
     let ids: Vec<u32> = file.sections().map(|(id, _)| id).collect();
     let target = ids[pick % ids.len()];
     let mut b = SnapshotBuilder::new();
@@ -108,23 +123,40 @@ fn damaged(pick: usize, damage: &Damage) -> (u32, Vec<u8>) {
     (target, b.finish())
 }
 
-/// Loads `bytes` at every level; fails the test if a load unwinds.
+/// Loads `bytes` at both levels, requires Audit to refuse whatever
+/// Standard refuses, and has a service loaded at Standard answer the base
+/// queries and the write; fails the test if anything unwinds.
 fn load_is_total(bytes: &[u8], what: &dyn Fn() -> String) -> Vec<Result<(), LoadError>> {
-    [ValidationLevel::Standard, ValidationLevel::Strict, ValidationLevel::Audit]
+    let loaded: Vec<_> = [ValidationLevel::Standard, ValidationLevel::Audit]
         .into_iter()
         .map(|level| {
             catch_unwind(|| {
                 QueryService::from_snapshot_bytes(bytes, level, ServiceConfig::default())
             })
             .unwrap_or_else(|_| panic!("loading at {level:?} unwound on {}", what()))
-            .map(drop)
         })
-        .collect()
+        .collect();
+    assert!(
+        loaded[0].is_ok() || loaded[1].is_err(),
+        "Audit admitted what Standard refused: {}",
+        what()
+    );
+    if let Ok(service) = &loaded[0] {
+        let base = base();
+        catch_unwind(AssertUnwindSafe(|| {
+            for q in &base.queries {
+                let _ = service.run(q);
+            }
+            let _ = service.write(std::slice::from_ref(&base.write));
+        }))
+        .unwrap_or_else(|_| panic!("serving a Standard load unwound on {}", what()));
+    }
+    loaded.into_iter().map(|r| r.map(drop)).collect()
 }
 
 #[test]
 fn the_base_snapshot_loads_at_every_level() {
-    for loaded in load_is_total(base(), &|| "the base snapshot".to_string()) {
+    for loaded in load_is_total(&base().bytes, &|| "the base snapshot".to_string()) {
         assert_eq!(loaded, Ok(()));
     }
 }

@@ -4,22 +4,19 @@ use std::fmt;
 
 /// How deeply a snapshot is verified before the engine trusts it.
 ///
-/// Levels are ordered: each level implies everything the previous one
-/// checks. `docs/VALIDATION.md` specifies the exact invariant set and the
-/// threat model each level addresses.
+/// Audit runs everything Standard does. `docs/VALIDATION.md` specifies the
+/// exact invariant set and the threat model each level addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum ValidationLevel {
-    /// Container integrity: magic, version, section-table bounds,
-    /// per-section checksums, and the structural shape checks decoding
-    /// needs to be panic-free (counts, arities, cardinalities).
+    /// Everything the executor relies on: container integrity (magic,
+    /// version, section-table bounds, per-section checksums), the shape of
+    /// every payload (counts, arities, cardinalities, value types), every
+    /// id resolving (no dangling references), and every ordering invariant
+    /// (ascending postings and keys, canonical adjacency). Each check runs
+    /// once, where its fact is decoded.
     #[default]
     Standard,
-    /// Everything in [`ValidationLevel::Standard`], plus semantic
-    /// invariants: value types match the catalog, index postings are
-    /// ascending, adjacency is in canonical order, and every id (class,
-    /// relationship, attribute, object) resolves — no dangling references.
-    Strict,
-    /// Everything in [`ValidationLevel::Strict`], plus full re-derivation
+    /// Everything in [`ValidationLevel::Standard`], plus full re-derivation
     /// cross-checks: indexes, right-to-left adjacency, statistics and the
     /// constraint closure are rebuilt from primary data and compared to the
     /// persisted copies. Suitable as a test oracle.
@@ -27,11 +24,6 @@ pub enum ValidationLevel {
 }
 
 impl ValidationLevel {
-    /// Whether this level includes Strict's semantic invariant checks.
-    pub fn at_least_strict(self) -> bool {
-        self >= ValidationLevel::Strict
-    }
-
     /// Whether this level includes Audit's re-derivation cross-checks.
     pub fn is_audit(self) -> bool {
         self == ValidationLevel::Audit
@@ -42,7 +34,6 @@ impl fmt::Display for ValidationLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ValidationLevel::Standard => write!(f, "standard"),
-            ValidationLevel::Strict => write!(f, "strict"),
             ValidationLevel::Audit => write!(f, "audit"),
         }
     }
@@ -87,8 +78,8 @@ pub enum LoadError {
         /// What was wrong.
         detail: String,
     },
-    /// An index posting or B-tree key sequence is out of canonical order
-    /// (Strict).
+    /// An index posting, an index's key sequence or an adjacency list is
+    /// out of canonical order (Standard).
     UnsortedPosting {
         /// Human-readable section name.
         section: &'static str,
@@ -96,7 +87,7 @@ pub enum LoadError {
         detail: String,
     },
     /// An id (class, relationship, attribute, object, constraint) does not
-    /// resolve against the decoded catalog or extents (Strict).
+    /// resolve against the decoded catalog or extents (Standard).
     DanglingReference {
         /// Human-readable section name.
         section: &'static str,

@@ -145,9 +145,10 @@ impl RelLinks {
 
     /// Reassembles a link table from decoded adjacency lists — the
     /// snapshot-load path. The caller is responsible for validating the
-    /// canonical order and the bidirectional invariant (the Strict/Audit
-    /// levels of `sqo-storage::persist` do); `links` is recomputed from the
-    /// left lists, never trusted from the file.
+    /// ids, the canonical order and the edge totals (the LINKS decoder does
+    /// at every level, and Audit also compares the right side with a
+    /// canonical rebuild); `links` is recomputed from the left lists, never
+    /// trusted from the file.
     pub(crate) fn from_adjacency(
         left_to_right: Vec<Vec<ObjectId>>,
         right_to_left: Vec<Vec<ObjectId>>,

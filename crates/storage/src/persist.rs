@@ -5,9 +5,9 @@
 //! CATALOG (schema definitions), EXTENTS (tuples + data epoch), LINKS
 //! (canonical-order adjacency), INDEXES (ascending-oid postings) and STATS
 //! (the folded statistics snapshot). Loading runs the level the caller
-//! picked — [`ValidationLevel::Standard`] container/shape checks,
-//! [`ValidationLevel::Strict`] semantic invariants, or
-//! [`ValidationLevel::Audit`] full re-derivation cross-checks
+//! picked — [`ValidationLevel::Standard`], which checks every fact the
+//! executor relies on once, where the fact is decoded, or
+//! [`ValidationLevel::Audit`], which adds full re-derivation cross-checks
 //! (`docs/VALIDATION.md` specifies the exact split) — and fails with a
 //! clean [`LoadError`] rather than ever constructing a corrupt snapshot.
 
@@ -17,7 +17,9 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use sqo_catalog::{Catalog, ClassId, DataType, Finite, IndexKind, StatsSnapshot, Value};
+use sqo_catalog::{
+    Catalog, ClassId, DataType, Finite, IndexKind, RelationshipDef, StatsSnapshot, Value,
+};
 use sqo_snapshot::{
     read_catalog, read_stats, read_value_pooled, section_name, write_catalog, write_snapshot_file,
     write_stats, write_value, write_value_raw, ByteReader, ByteWriter, LoadError, SnapshotBuilder,
@@ -27,7 +29,7 @@ use sqo_snapshot::{
 
 use crate::db::{self, Database, Extent};
 use crate::index::AttrIndex;
-use crate::links::RelLinks;
+use crate::links::{RelLinks, Side};
 use crate::object::ObjectId;
 use crate::paged::PagedVec;
 use crate::valuemap::{OrdValue, ValueMap};
@@ -276,17 +278,46 @@ fn decode_extent_tuples(
     Ok(extents)
 }
 
-/// Decodes one adjacency direction: `cardinality` lists of object ids.
+/// Decodes the adjacency lists of relationship `def`'s `from` end:
+/// `cardinality` lists of ids on the opposite end, each below `opposite`.
+/// The right end's lists must also be in canonical (non-decreasing) order.
+/// Every list costs at least its 4-byte count, so the bytes left bound the
+/// outer reservation whatever cardinality the file claims.
 fn decode_adjacency(
     r: &mut ByteReader<'_>,
+    def: &RelationshipDef,
+    from: Side,
     cardinality: usize,
+    opposite: usize,
 ) -> Result<Vec<Vec<ObjectId>>, LoadError> {
-    let mut lists = Vec::with_capacity(cardinality);
-    for _ in 0..cardinality {
+    let right = from == Side::Right;
+    let (side, other) = if right { ("right", "left") } else { ("left", "right") };
+    let mut lists = Vec::with_capacity(cardinality.min(r.remaining() / 4));
+    for o in 0..cardinality {
         let n = r.count()?;
-        let mut list = Vec::with_capacity(n.min(1024));
+        let mut list: Vec<ObjectId> = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
-            list.push(ObjectId(r.u32()?));
+            let id = r.u32()?;
+            if id as usize >= opposite {
+                return Err(LoadError::DanglingReference {
+                    section: section_name(SEC_LINKS),
+                    detail: format!(
+                        "relationship {}: {side} object {o} links {other} object {id} of \
+                         {opposite}",
+                        def.name
+                    ),
+                });
+            }
+            if let Some(prev) = list.last().filter(|p| right && id < p.0) {
+                return Err(LoadError::UnsortedPosting {
+                    section: section_name(SEC_LINKS),
+                    detail: format!(
+                        "relationship {}: right object {o}'s list goes {} then {id}",
+                        def.name, prev.0
+                    ),
+                });
+            }
+            list.push(ObjectId(id));
         }
         lists.push(list);
     }
@@ -297,7 +328,6 @@ fn decode_links(
     file: &SnapshotFile<'_>,
     catalog: &Catalog,
     cards: &[usize],
-    level: ValidationLevel,
 ) -> Result<Vec<RelLinks>, LoadError> {
     let mut r = file.require(SEC_LINKS)?;
     let rel_count = r.count()?;
@@ -323,29 +353,18 @@ fn decode_links(
                 ),
             ));
         }
-        let left = decode_adjacency(&mut r, left_card)?;
-        let right = decode_adjacency(&mut r, right_card)?;
-        if level.at_least_strict() {
-            strict_check_links(def, &left, &right, left_card, right_card)?;
-        }
-        if level.is_audit() {
-            // Rebuild the canonical table from the left lists alone and
-            // require bit-identity — catches any inconsistent or
-            // non-canonical right side that passed the order checks.
-            let pairs = left
-                .iter()
-                .enumerate()
-                .flat_map(|(l, rs)| rs.iter().map(move |&o| (ObjectId(l as u32), o)));
-            let rebuilt = RelLinks::from_pairs(left_card, right_card, pairs);
-            let decoded = RelLinks::from_adjacency(left.clone(), right.clone());
-            if rebuilt != decoded {
-                return Err(LoadError::AuditMismatch {
-                    detail: format!(
-                        "relationship {}: right adjacency differs from canonical rebuild",
-                        def.name
-                    ),
-                });
-            }
+        let left = decode_adjacency(&mut r, def, Side::Left, left_card, right_card)?;
+        let right = decode_adjacency(&mut r, def, Side::Right, right_card, left_card)?;
+        let left_edges: usize = left.iter().map(Vec::len).sum();
+        let right_edges: usize = right.iter().map(Vec::len).sum();
+        if left_edges != right_edges {
+            return Err(malformed(
+                SEC_LINKS,
+                format!(
+                    "relationship {}: {left_edges} left edges but {right_edges} right edges",
+                    def.name
+                ),
+            ));
         }
         links.push(RelLinks::from_adjacency(left, right));
     }
@@ -353,74 +372,10 @@ fn decode_links(
     Ok(links)
 }
 
-/// Strict-level link invariants: every oid in range, right lists in
-/// canonical (non-decreasing left-id) order, edge counts bidirectionally
-/// consistent.
-fn strict_check_links(
-    def: &sqo_catalog::RelationshipDef,
-    left: &[Vec<ObjectId>],
-    right: &[Vec<ObjectId>],
-    left_card: usize,
-    right_card: usize,
-) -> Result<(), LoadError> {
-    for (l, list) in left.iter().enumerate() {
-        for o in list {
-            if o.index() >= right_card {
-                return Err(LoadError::DanglingReference {
-                    section: section_name(SEC_LINKS),
-                    detail: format!(
-                        "relationship {}: left object {l} links right object {} of {right_card}",
-                        def.name, o.0
-                    ),
-                });
-            }
-        }
-    }
-    for (ro, list) in right.iter().enumerate() {
-        let mut prev: Option<u32> = None;
-        for o in list {
-            if o.index() >= left_card {
-                return Err(LoadError::DanglingReference {
-                    section: section_name(SEC_LINKS),
-                    detail: format!(
-                        "relationship {}: right object {ro} links left object {} of {left_card}",
-                        def.name, o.0
-                    ),
-                });
-            }
-            if let Some(p) = prev {
-                if o.0 < p {
-                    return Err(LoadError::UnsortedPosting {
-                        section: section_name(SEC_LINKS),
-                        detail: format!(
-                            "relationship {}: right object {ro}'s list goes {p} then {}",
-                            def.name, o.0
-                        ),
-                    });
-                }
-            }
-            prev = Some(o.0);
-        }
-    }
-    let left_edges: usize = left.iter().map(|l| l.len()).sum();
-    let right_edges: usize = right.iter().map(|l| l.len()).sum();
-    if left_edges != right_edges {
-        return Err(LoadError::Malformed {
-            section: section_name(SEC_LINKS),
-            detail: format!(
-                "relationship {}: {left_edges} left edges but {right_edges} right edges",
-                def.name
-            ),
-        });
-    }
-    Ok(())
-}
-
 fn decode_indexes(
     file: &SnapshotFile<'_>,
     catalog: &Catalog,
     cards: &[usize],
-    level: ValidationLevel,
 ) -> Result<Vec<Vec<Option<AttrIndex>>>, LoadError> {
     let mut r = file.require(SEC_INDEXES)?;
     let class_count = r.count()?;
@@ -467,82 +422,68 @@ fn decode_indexes(
                 bank.push(None);
                 continue;
             };
-            let mut postings = ValueMap::default();
-            for _ in 0..r.count()? {
+            let entry_count = r.count()?;
+            let mut entries: Vec<(Value, Vec<ObjectId>)> =
+                Vec::with_capacity(entry_count.min(r.remaining() / 4));
+            for _ in 0..entry_count {
                 let value = read_value_pooled(&mut r, &mut pool)?;
                 let posting_count = r.count()?;
-                let mut posting = Vec::with_capacity(posting_count.min(1024));
-                let mut prev: Option<u32> = None;
+                let mut posting: Vec<ObjectId> = Vec::with_capacity(posting_count.min(1024));
                 for _ in 0..posting_count {
                     let o = r.u32()?;
-                    if level.at_least_strict() {
-                        if o as usize >= cardinality {
-                            return Err(LoadError::DanglingReference {
-                                section: section_name(SEC_INDEXES),
-                                detail: format!(
-                                    "class {} attr {}: posting names object {o} of {cardinality}",
-                                    cdef.name, adef.name
-                                ),
-                            });
-                        }
-                        if let Some(p) = prev {
-                            if o <= p {
-                                return Err(LoadError::UnsortedPosting {
-                                    section: section_name(SEC_INDEXES),
-                                    detail: format!(
-                                        "class {} attr {}: posting goes {p} then {o}",
-                                        cdef.name, adef.name
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                    prev = Some(o);
-                    posting.push(ObjectId(o));
-                }
-                if level.at_least_strict() {
-                    if value.data_type() != adef.ty {
-                        return Err(malformed(
-                            SEC_INDEXES,
-                            format!(
-                                "class {} attr {}: {:?} key for a {:?} attribute",
-                                cdef.name,
-                                adef.name,
-                                value.data_type(),
-                                adef.ty
-                            ),
-                        ));
-                    }
-                    if posting.is_empty() {
-                        return Err(malformed(
-                            SEC_INDEXES,
-                            format!(
-                                "class {} attr {}: empty posting (keys drop with their last \
-                                 entry)",
+                    if o as usize >= cardinality {
+                        return Err(LoadError::DanglingReference {
+                            section: section_name(SEC_INDEXES),
+                            detail: format!(
+                                "class {} attr {}: posting names object {o} of {cardinality}",
                                 cdef.name, adef.name
                             ),
-                        ));
+                        });
                     }
-                    // Every key before this one ascended, so the map's last
-                    // key is the one read before it.
-                    if let Some((prev, _)) = postings.last() {
-                        if OrdValue::order(&value, prev).is_le() {
-                            return Err(LoadError::UnsortedPosting {
-                                section: section_name(SEC_INDEXES),
-                                detail: format!(
-                                    "class {} attr {}: index keys out of ascending order",
-                                    cdef.name, adef.name
-                                ),
-                            });
-                        }
+                    if let Some(p) = posting.last().filter(|p| o <= p.0) {
+                        return Err(LoadError::UnsortedPosting {
+                            section: section_name(SEC_INDEXES),
+                            detail: format!(
+                                "class {} attr {}: posting goes {} then {o}",
+                                cdef.name, adef.name, p.0
+                            ),
+                        });
                     }
+                    posting.push(ObjectId(o));
                 }
-                // Keys that ascend, as every saved index's do, append; one
-                // that does not (Standard lets it through) is searched for
-                // and replaces an earlier entry of the same key.
-                *postings.entry(value) = posting;
+                if value.data_type() != adef.ty {
+                    return Err(malformed(
+                        SEC_INDEXES,
+                        format!(
+                            "class {} attr {}: {:?} key for a {:?} attribute",
+                            cdef.name,
+                            adef.name,
+                            value.data_type(),
+                            adef.ty
+                        ),
+                    ));
+                }
+                if posting.is_empty() {
+                    return Err(malformed(
+                        SEC_INDEXES,
+                        format!(
+                            "class {} attr {}: empty posting (keys drop with their last entry)",
+                            cdef.name, adef.name
+                        ),
+                    ));
+                }
+                if entries.last().is_some_and(|(prev, _)| OrdValue::order(&value, prev).is_le()) {
+                    return Err(LoadError::UnsortedPosting {
+                        section: section_name(SEC_INDEXES),
+                        detail: format!(
+                            "class {} attr {}: index keys out of ascending order",
+                            cdef.name, adef.name
+                        ),
+                    });
+                }
+                entries.push((value, posting));
             }
-            bank.push(Some(AttrIndex { kind, postings }));
+            bank.push(Some(AttrIndex { kind, postings: ValueMap::from_ascending(entries) }));
         }
         banks.push(bank);
     }
@@ -554,7 +495,6 @@ fn decode_stats(
     file: &SnapshotFile<'_>,
     catalog: &Catalog,
     cards: &[usize],
-    level: ValidationLevel,
 ) -> Result<StatsSnapshot, LoadError> {
     let mut r = file.require(SEC_STATS)?;
     let stats = read_stats(&mut r)?;
@@ -573,18 +513,15 @@ fn decode_stats(
             ),
         ));
     }
-    if level.at_least_strict() {
-        for (c, cs) in stats.classes.iter().enumerate() {
-            let actual = cards[c] as u64;
-            if cs.cardinality != actual {
-                return Err(malformed(
-                    SEC_STATS,
-                    format!(
-                        "class {c}: stats cardinality {} but extent holds {actual}",
-                        cs.cardinality
-                    ),
-                ));
-            }
+    for (c, (cs, &actual)) in stats.classes.iter().zip(cards).enumerate() {
+        if cs.cardinality != actual as u64 {
+            return Err(malformed(
+                SEC_STATS,
+                format!(
+                    "class {c}: stats cardinality {} but extent holds {actual}",
+                    cs.cardinality
+                ),
+            ));
         }
     }
     Ok(stats)
@@ -596,9 +533,13 @@ fn decode_stats(
 /// (EXTENTS tuples, LINKS, INDEXES) overlap instead of queueing.
 const PARALLEL_DECODE_BYTES: usize = 64 * 1024;
 
-/// Decodes a database from an already-parsed snapshot container, running
-/// `level`'s checks. Exposed so callers that bundle additional sections in
-/// the same file (the serving layer) parse the container once.
+/// Decodes a database from an already-parsed snapshot container. Every
+/// section decoder runs the Standard checks of what it decodes; at
+/// [`ValidationLevel::Audit`] the indexes, the right adjacency and the
+/// statistics are then rebuilt from the extents and left adjacency and
+/// compared with the decoded copies. Exposed so callers that bundle
+/// additional sections in the same file (the serving layer) parse the
+/// container once.
 ///
 /// The EXTENTS preamble (data epoch + per-class cardinalities) is read
 /// first; every other database section validates only against the catalog
@@ -623,9 +564,9 @@ pub fn decode_database_from(
     let (extents, links, indexes, stats) = if cores > 1 && payload_bytes >= PARALLEL_DECODE_BYTES {
         let (catalog, cards) = (&catalog, &cards);
         std::thread::scope(|s| {
-            let links = s.spawn(move || decode_links(file, catalog, cards, level));
-            let indexes = s.spawn(move || decode_indexes(file, catalog, cards, level));
-            let stats = s.spawn(move || decode_stats(file, catalog, cards, level));
+            let links = s.spawn(move || decode_links(file, catalog, cards));
+            let indexes = s.spawn(move || decode_indexes(file, catalog, cards));
+            let stats = s.spawn(move || decode_stats(file, catalog, cards));
             let extents = decode_extent_tuples(&mut er, catalog, cards);
             Result::<_, LoadError>::Ok((
                 extents?,
@@ -637,12 +578,23 @@ pub fn decode_database_from(
     } else {
         (
             decode_extent_tuples(&mut er, &catalog, &cards)?,
-            decode_links(file, &catalog, &cards, level)?,
-            decode_indexes(file, &catalog, &cards, level)?,
-            decode_stats(file, &catalog, &cards, level)?,
+            decode_links(file, &catalog, &cards)?,
+            decode_indexes(file, &catalog, &cards)?,
+            decode_stats(file, &catalog, &cards)?,
         )
     };
     if level.is_audit() {
+        for ((_, def), decoded) in catalog.relationships().zip(&links) {
+            let (left, right) = (decoded.left_cardinality(), decoded.right_cardinality());
+            if RelLinks::from_pairs(left, right, decoded.pairs()) != *decoded {
+                return Err(LoadError::AuditMismatch {
+                    detail: format!(
+                        "relationship {}: right adjacency differs from canonical rebuild",
+                        def.name
+                    ),
+                });
+            }
+        }
         let rebuilt = db::build_indexes(&catalog, &extents);
         for (c, (got, want)) in indexes.iter().zip(rebuilt.iter()).enumerate() {
             if got != want {

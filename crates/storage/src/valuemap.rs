@@ -73,14 +73,22 @@ impl<V: PartialEq> PartialEq for ValueMap<V> {
 }
 
 impl<V> FromIterator<(Value, V)> for ValueMap<V> {
-    /// The bulk build: `entries` in any order, each key once, sorted and cut
-    /// into full pages. It shares no code with the point updates below.
+    /// The bulk build: `entries` in any order, each key once, sorted and
+    /// handed to [`ValueMap::from_ascending`].
     fn from_iter<I: IntoIterator<Item = (Value, V)>>(entries: I) -> Self {
         let mut entries: Vec<(Value, V)> = entries.into_iter().collect();
         entries.sort_unstable_by(|a, b| OrdValue::order(&a.0, &b.0));
+        Self::from_ascending(entries)
+    }
+}
+
+impl<V> ValueMap<V> {
+    /// The bulk build from entries whose keys strictly ascend, cut into full
+    /// pages in order. It shares no code with the point updates below.
+    pub(crate) fn from_ascending(entries: Vec<(Value, V)>) -> Self {
         debug_assert!(
             entries.windows(2).all(|w| OrdValue::order(&w[0].0, &w[1].0).is_lt()),
-            "a bulk build was given one key twice"
+            "a bulk build was given keys out of order or one key twice"
         );
         let len = entries.len();
         let mut entries = entries.into_iter();
@@ -89,9 +97,7 @@ impl<V> FromIterator<(Value, V)> for ValueMap<V> {
             .collect();
         Self { pages: Arc::new(pages), len }
     }
-}
 
-impl<V> ValueMap<V> {
     /// The number of keys.
     pub(crate) fn len(&self) -> usize {
         self.len

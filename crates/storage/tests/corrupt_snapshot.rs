@@ -1,8 +1,8 @@
 //! Table-driven corruption suite: every damaged snapshot must be rejected
 //! with the [`LoadError`] variant that `docs/VALIDATION.md` documents, at
 //! the validation level that document assigns to the broken invariant —
-//! and, for Strict/Audit-level damage, must still *load* at the levels
-//! below, because graceful degradation is part of the contract.
+//! and, for Audit-only damage, must still *load* at Standard, because that
+//! damage is internally consistent and Standard does not re-derive.
 //!
 //! The corrupt payloads are hand-encoded from the byte layouts in
 //! `docs/FORMAT.md`, not produced by mutating encoder output blindly; a
@@ -22,6 +22,7 @@ use sqo_snapshot::{
 use sqo_storage::{
     database_sections, decode_database, encode_database, Database, IntegrityOptions, ObjectId,
 };
+use sqo_workload::{paper_scenario, DbSize};
 
 /// A tiny database with exactly known bytes in every section:
 ///
@@ -151,6 +152,30 @@ fn stats_payload(db: &Database, tamper: impl FnOnce(&mut sqo_catalog::StatsSnaps
     w.finish()
 }
 
+/// DB4 at seed 42 with class 1's EXTENTS preamble cardinality and
+/// relationship 0's LINKS left cardinality (its left end is class 1) both
+/// set to 4,000,000,000. The two agree, so the LINKS decoder starts on four
+/// billion left lists that only the payload's bytes back. At 132 KB the
+/// file takes the parallel decode path on a multi-core host, where LINKS
+/// decodes beside EXTENTS instead of after it fails.
+fn runaway_cardinality() -> Vec<u8> {
+    let db = paper_scenario(DbSize::Db4, 42).db;
+    assert_eq!(db.catalog().relationship(RelId(0)).unwrap().left.class, ClassId(1));
+    let claimed = 4_000_000_000u32.to_le_bytes();
+    let mut b = SnapshotBuilder::new();
+    for (id, mut p) in database_sections(&db) {
+        match id {
+            // After the data epoch, the class count and class 0's cardinality.
+            SEC_EXTENTS => p[16..20].copy_from_slice(&claimed),
+            // After the relationship count: relationship 0's left cardinality.
+            SEC_LINKS => p[4..8].copy_from_slice(&claimed),
+            _ => {}
+        }
+        b.section(id, p);
+    }
+    b.finish()
+}
+
 /// The hand encodings above *are* `docs/FORMAT.md`; this test pins them
 /// against the real encoder so a format change that forgets the spec (or a
 /// spec change that forgets the code) fails loudly here.
@@ -202,7 +227,7 @@ struct Case {
 
 #[test]
 fn corruption_is_rejected_at_the_documented_level() {
-    use ValidationLevel::{Audit, Standard, Strict};
+    use ValidationLevel::{Audit, Standard};
     let db = fixture();
     let good = encode_database(&db);
     let dv = db.data_version();
@@ -377,6 +402,14 @@ fn corruption_is_rejected_at_the_documented_level() {
             ),
         },
         Case {
+            name: "a cardinality of four billion in EXTENTS and LINKS alike",
+            fails_at: Standard,
+            expect: "Malformed(EXTENTS)",
+            matches: |e| matches!(e, LoadError::Malformed { section: "EXTENTS", .. }),
+            loads_at: &[],
+            bytes: runaway_cardinality(),
+        },
+        Case {
             name: "a class's statistics entry missing",
             fails_at: Standard,
             expect: "Malformed(STATS)",
@@ -398,13 +431,14 @@ fn corruption_is_rejected_at_the_documented_level() {
             loads_at: &[],
             bytes: with_section(&db, SEC_STATS, histogram),
         },
-        // Semantic invariants (Strict-level; Standard must still load).
+        // Id-space and ordering invariants the executor relies on, checked
+        // where each fact is decoded.
         Case {
             name: "index posting out of ascending order",
-            fails_at: Strict,
+            fails_at: Standard,
             expect: "UnsortedPosting(INDEXES)",
             matches: |e| matches!(e, LoadError::UnsortedPosting { section: "INDEXES", .. }),
-            loads_at: &[Standard],
+            loads_at: &[],
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
@@ -413,10 +447,10 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "index posting naming an object beyond the extent",
-            fails_at: Strict,
+            fails_at: Standard,
             expect: "DanglingReference(INDEXES)",
             matches: |e| matches!(e, LoadError::DanglingReference { section: "INDEXES", .. }),
-            loads_at: &[Standard],
+            loads_at: &[],
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
@@ -425,10 +459,10 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "index keys out of ascending order",
-            fails_at: Strict,
+            fails_at: Standard,
             expect: "UnsortedPosting(INDEXES)",
             matches: |e| matches!(e, LoadError::UnsortedPosting { section: "INDEXES", .. }),
-            loads_at: &[Standard],
+            loads_at: &[],
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
@@ -437,10 +471,10 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "empty index posting",
-            fails_at: Strict,
+            fails_at: Standard,
             expect: "Malformed(INDEXES)",
             matches: |e| matches!(e, LoadError::Malformed { section: "INDEXES", .. }),
-            loads_at: &[Standard],
+            loads_at: &[],
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
@@ -449,10 +483,10 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "index key of the wrong type for its attribute",
-            fails_at: Strict,
+            fails_at: Standard,
             expect: "Malformed(INDEXES)",
             matches: |e| matches!(e, LoadError::Malformed { section: "INDEXES", .. }),
-            loads_at: &[Standard],
+            loads_at: &[],
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
@@ -461,10 +495,10 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "right adjacency list out of canonical order",
-            fails_at: Strict,
+            fails_at: Standard,
             expect: "UnsortedPosting(LINKS)",
             matches: |e| matches!(e, LoadError::UnsortedPosting { section: "LINKS", .. }),
-            loads_at: &[Standard],
+            loads_at: &[],
             bytes: with_section(
                 &db,
                 SEC_LINKS,
@@ -473,10 +507,10 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "link to an object beyond the opposite extent",
-            fails_at: Strict,
+            fails_at: Standard,
             expect: "DanglingReference(LINKS)",
             matches: |e| matches!(e, LoadError::DanglingReference { section: "LINKS", .. }),
-            loads_at: &[Standard],
+            loads_at: &[],
             bytes: with_section(
                 &db,
                 SEC_LINKS,
@@ -485,10 +519,10 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "left and right edge counts disagreeing",
-            fails_at: Strict,
+            fails_at: Standard,
             expect: "Malformed(LINKS)",
             matches: |e| matches!(e, LoadError::Malformed { section: "LINKS", .. }),
-            loads_at: &[Standard],
+            loads_at: &[],
             bytes: with_section(
                 &db,
                 SEC_LINKS,
@@ -497,10 +531,10 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "statistics cardinality contradicting the extent",
-            fails_at: Strict,
+            fails_at: Standard,
             expect: "Malformed(STATS)",
             matches: |e| matches!(e, LoadError::Malformed { section: "STATS", .. }),
-            loads_at: &[Standard],
+            loads_at: &[],
             bytes: with_section(
                 &db,
                 SEC_STATS,
@@ -509,14 +543,14 @@ fn corruption_is_rejected_at_the_documented_level() {
                 }),
             ),
         },
-        // Re-derivation cross-checks (Audit-level; Strict must still load,
+        // Re-derivation cross-checks (Audit-level; Standard must still load,
         // because the damage is internally consistent).
         Case {
             name: "index membership swapped between keys",
             fails_at: Audit,
             expect: "AuditMismatch",
             matches: |e| matches!(e, LoadError::AuditMismatch { .. }),
-            loads_at: &[Standard, Strict],
+            loads_at: &[Standard],
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
@@ -528,7 +562,7 @@ fn corruption_is_rejected_at_the_documented_level() {
             fails_at: Audit,
             expect: "AuditMismatch",
             matches: |e| matches!(e, LoadError::AuditMismatch { .. }),
-            loads_at: &[Standard, Strict],
+            loads_at: &[Standard],
             bytes: with_section(
                 &db,
                 SEC_LINKS,
@@ -540,7 +574,7 @@ fn corruption_is_rejected_at_the_documented_level() {
             fails_at: Audit,
             expect: "AuditMismatch",
             matches: |e| matches!(e, LoadError::AuditMismatch { .. }),
-            loads_at: &[Standard, Strict],
+            loads_at: &[Standard],
             bytes: with_section(
                 &db,
                 SEC_STATS,
@@ -565,7 +599,7 @@ fn corruption_is_rejected_at_the_documented_level() {
         );
         // Higher levels run every cheaper check too, so the damage must
         // also be rejected (with *some* clean error) above `fails_at`.
-        for level in [Standard, Strict, Audit] {
+        for level in [Standard, Audit] {
             if level > case.fails_at {
                 decode_database(&case.bytes, level).expect_err(&format!(
                     "{}: loaded at {level:?} despite failing at {:?}",

@@ -3,10 +3,10 @@
 //! from the original on **every** read API — extents, hash and B-tree
 //! index probes (oids *and* probe counts), link traversals in both
 //! directions (exact canonical order), the folded statistics snapshot and
-//! the data epoch. Audit is the strictest level, so a pass here also
-//! certifies the Standard and Strict ladders on well-formed input; all
-//! three levels are exercised anyway, because a snapshot that loads at
-//! Audit but not at Standard would mean the ladder is not monotone.
+//! the data epoch. Audit runs every Standard check, so a pass there also
+//! certifies Standard on well-formed input; both levels are exercised
+//! anyway, because a snapshot that loads at Audit but not at Standard
+//! would mean the ladder is not monotone.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -193,7 +193,7 @@ proptest! {
         let catalog = catalog();
         let db = build(&catalog, &rows0, &rows1, &links);
         let bytes = encode_database(&db);
-        for level in [ValidationLevel::Standard, ValidationLevel::Strict, ValidationLevel::Audit] {
+        for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
             let loaded = decode_database(&bytes, level)
                 .unwrap_or_else(|e| panic!("well-formed snapshot rejected at {level:?}: {e}"));
             assert_equivalent(&catalog, &db, &loaded);
