@@ -19,7 +19,6 @@ mod cost;
 mod error;
 mod executor;
 mod oracle;
-mod persist;
 mod plan;
 mod planner;
 mod result;
@@ -29,7 +28,6 @@ pub use cost::CostModel;
 pub use error::ExecError;
 pub use executor::{execute, execute_with, ExecScratch};
 pub use oracle::CostBasedOracle;
-pub use persist::{read_plan, write_plan};
 pub use plan::{AccessPath, ClassAccess, JoinStep, PhysicalPlan, PlanDisplay};
 pub use planner::{plan_query, plan_query_shared, Without};
 pub use result::ResultSet;

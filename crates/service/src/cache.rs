@@ -419,7 +419,7 @@ impl ShardedCache {
 
     /// A point-in-time dump of every live entry with the version it is
     /// valid under, ordered by fingerprint for determinism — the snapshot
-    /// save path (plan-cache seeds).
+    /// save path (the QUERIES section).
     pub fn entries(&self) -> Vec<(QueryFingerprint, StoreVersion, Arc<CacheEntry>)> {
         let mut out: Vec<(QueryFingerprint, StoreVersion, Arc<CacheEntry>)> = Vec::new();
         for shard in &self.shards {

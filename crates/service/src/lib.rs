@@ -66,8 +66,7 @@ mod singleflight;
 
 pub use cache::{CacheEntry, CacheStats, ShardedCache};
 pub use persist::{
-    audit_constraints, decode_constraints, decode_plan_seeds, encode_constraints,
-    encode_plan_seeds, rebuild_store, ConstraintSeed, PlanSeed,
+    audit_constraints, decode_constraints, encode_constraints, rebuild_store, ConstraintSeed,
 };
 pub use service::{
     PreparedQuery, QueryService, ServiceConfig, ServiceError, ServiceResponse, ServiceStats, TryRun,

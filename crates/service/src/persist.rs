@@ -1,8 +1,9 @@
-//! Serving-layer snapshot codecs: the CONSTRAINTS and PLANSEEDS sections.
+//! Serving-layer snapshot codecs: the CONSTRAINTS and QUERIES sections.
 //!
 //! The database sections are owned by `sqo-storage`; this module persists
 //! what the serving layer adds on top — the compiled constraint store's
-//! identity and contents, and a warm seed for the plan cache. The byte
+//! identity and contents, and the queries the plan cache held. Plans are
+//! not persisted: a warm boot derives each query's entry again. The byte
 //! layouts are specified normatively in `docs/FORMAT.md`; the validation
 //! levels in `docs/VALIDATION.md`.
 
@@ -15,14 +16,14 @@ use sqo_constraints::{
     transitive_closure, ClosureOptions, ConstraintError, ConstraintStore, HornConstraint, Origin,
     StoreOptions, StoreVersion,
 };
-use sqo_exec::{read_plan, write_plan};
-use sqo_query::QueryFingerprint;
+use sqo_exec::ExecError;
+use sqo_query::{Query, QueryError, QueryFingerprint};
 use sqo_snapshot::{
-    read_attr_ref, read_predicate, read_query, write_attr_ref, write_predicate, write_query,
-    ByteReader, ByteWriter, LoadError,
+    read_predicate, read_query, write_predicate, write_query, ByteReader, ByteWriter, LoadError,
 };
 
 use crate::cache::CacheEntry;
+use crate::ServiceError;
 
 /// Everything the CONSTRAINTS section carries: the store's semantic
 /// identity and the exact constraint list it compiled, sufficient to
@@ -260,113 +261,51 @@ pub fn rebuild_store(
     Ok(store)
 }
 
-/// One persisted plan-cache seed: the cache identity plus the full entry
-/// skeleton (no result memo — results are data, not optimization state).
-#[derive(Debug)]
-pub struct PlanSeed {
-    /// The fingerprint the reading build derives from the entry's canonical
-    /// query, which the entry is keyed by.
-    pub fingerprint: QueryFingerprint,
-    /// The rehydrated cache entry.
-    pub entry: CacheEntry,
-}
-
-/// Encodes the PLANSEEDS section payload from a cache dump, keeping only
-/// entries valid at `current` (stale entries awaiting purge are skipped —
-/// persisting them would seed a warm cache with outdated rewrites).
-pub fn encode_plan_seeds(
+/// Encodes the QUERIES section payload from a cache dump: the canonical
+/// query of every entry valid at `current`, in dump order (stale entries
+/// awaiting purge are skipped: the saving service no longer serves them
+/// warm either).
+pub(crate) fn encode_queries(
     entries: &[(QueryFingerprint, StoreVersion, Arc<CacheEntry>)],
     current: StoreVersion,
 ) -> Vec<u8> {
     let live: Vec<_> = entries.iter().filter(|(_, v, _)| *v == current).collect();
     let mut w = ByteWriter::new();
     w.u32(live.len() as u32);
-    for (fp, _, entry) in live {
-        w.u64(fp.0);
+    for (_, _, entry) in live {
         write_query(&mut w, &entry.canonical);
-        write_query(&mut w, &entry.optimized);
-        match &entry.plan {
-            Some(plan) => {
-                w.u8(1);
-                write_plan(&mut w, plan);
-            }
-            None => w.u8(0),
-        }
-        w.u8(u8::from(entry.provably_empty));
-        w.u32(entry.columns.len() as u32);
-        for c in &entry.columns {
-            write_attr_ref(&mut w, *c);
-        }
     }
     w.finish()
 }
 
-/// Decodes the PLANSEEDS section payload.
-///
-/// Enforces the shape invariants the executor relies on: an entry is
-/// provably-empty **iff** it carries no plan, and every plan passes
-/// [`PhysicalPlan::check`](sqo_exec::PhysicalPlan::check) (its steps and
-/// cycle edges follow relationships that join the classes they name, its
-/// attributes are on bound classes), so no seed the executor would refuse
-/// reaches the cache. That is the only plan check; what it does not cover
-/// is resolved here: the column list and the attributes of projections
-/// bound to a constant.
-///
-/// Every seed is keyed by the fingerprint this build derives from its
-/// canonical query, the way a loaded store gets a fresh generation: the
-/// stored `u64` keeps the v1 layout and is not read, so a file written by a
-/// build with another key function still boots warm.
+/// Decodes the QUERIES section payload. Only the structure is checked
+/// here: what a query names is resolved by the optimizer that derives its
+/// entry ([`refused_query`] types its refusal).
 ///
 /// # Errors
-/// [`LoadError::Malformed`] for structural damage or a plan the executor
-/// cannot run, and [`LoadError::DanglingReference`] for a column or bound
-/// projection naming an attribute the catalog does not declare.
-pub fn decode_plan_seeds(payload: &[u8], catalog: &Catalog) -> Result<Vec<PlanSeed>, LoadError> {
-    let mut r = ByteReader::new(payload, "PLANSEEDS");
-    let mut seeds = Vec::new();
+/// [`LoadError::Malformed`] for structural damage.
+pub(crate) fn decode_queries(payload: &[u8]) -> Result<Vec<Query>, LoadError> {
+    let mut r = ByteReader::new(payload, "QUERIES");
+    let mut queries = Vec::new();
     for _ in 0..r.count()? {
-        let _stored_fingerprint = r.u64()?;
-        let canonical = read_query(&mut r)?;
-        let optimized = read_query(&mut r)?;
-        let plan = match r.u8()? {
-            0 => None,
-            1 => Some(Arc::new(read_plan(&mut r)?)),
-            t => return Err(r.malformed(format!("plan presence must be 0/1, got {t}"))),
-        };
-        let provably_empty = match r.u8()? {
-            0 => false,
-            1 => true,
-            t => return Err(r.malformed(format!("provably_empty must be 0/1, got {t}"))),
-        };
-        if provably_empty == plan.is_some() {
-            return Err(r.malformed(
-                "entries must carry a plan exactly when not provably empty".to_string(),
-            ));
-        }
-        let mut columns = Vec::new();
-        for _ in 0..r.count()? {
-            columns.push(read_attr_ref(&mut r)?);
-        }
-        if let Some(plan) = &plan {
-            plan.check(catalog).map_err(|e| LoadError::Malformed {
-                section: "PLANSEEDS",
-                detail: format!("the executor cannot run a seeded plan: {e}"),
-            })?;
-        }
-        let bound = plan.iter().flat_map(|p| &p.projections).filter(|p| p.binding.is_some());
-        for attr in columns.iter().copied().chain(bound.map(|p| p.attr)) {
-            catalog.attr(attr).map_err(|e| LoadError::DanglingReference {
-                section: "PLANSEEDS",
-                detail: format!("a column or bound projection names an unknown attr: {e}"),
-            })?;
-        }
-        seeds.push(PlanSeed {
-            fingerprint: canonical.fingerprint(),
-            entry: CacheEntry::new(canonical, optimized, plan, provably_empty, columns),
-        });
+        queries.push(read_query(&mut r)?);
     }
     r.expect_exhausted()?;
-    Ok(seeds)
+    Ok(queries)
+}
+
+/// The load error for a persisted query the optimizer or planner refuses
+/// to derive: [`LoadError::DanglingReference`] when it names an id the
+/// catalog does not resolve, [`LoadError::Malformed`] otherwise.
+pub(crate) fn refused_query(e: ServiceError) -> LoadError {
+    let detail = format!("a persisted query does not derive: {e}");
+    match e {
+        ServiceError::Query(QueryError::Catalog(_))
+        | ServiceError::Exec(ExecError::Catalog(_) | ExecError::Query(QueryError::Catalog(_))) => {
+            LoadError::DanglingReference { section: "QUERIES", detail }
+        }
+        _ => LoadError::Malformed { section: "QUERIES", detail },
+    }
 }
 
 #[cfg(test)]

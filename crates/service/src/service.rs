@@ -18,7 +18,7 @@ use sqo_exec::{
 use sqo_query::{Query, QueryError, QueryFingerprint};
 use sqo_snapshot::{
     write_snapshot_file, LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel,
-    SEC_CONSTRAINTS, SEC_PLANSEEDS,
+    SEC_CONSTRAINTS, SEC_QUERIES,
 };
 use sqo_storage::{DataWrite, Database, StorageError, VersionedDatabase, WriteOutcome};
 
@@ -212,7 +212,8 @@ pub struct ServiceStats {
     /// `cache.hits + cache.misses` in every snapshot; trails `requests`
     /// only by the requests currently between admission and their lookup.
     pub accepted: u64,
-    /// Full semantic-optimization passes actually executed (cache misses).
+    /// Full semantic-optimization passes actually executed for requests
+    /// (request-path misses; boot derivations are not counted).
     pub optimizations: u64,
     /// Physical plan executions (not answered from a memoized result).
     pub executions: u64,
@@ -456,13 +457,16 @@ impl QueryService {
     /// re-derive).
     fn entry_for(&self, canonical: Query, at: Coordinate) -> Result<PreparedQuery, ServiceError> {
         let entry = Arc::new(self.build_entry(canonical, &at.store)?);
+        // ordering: monotone display counter.
+        self.optimizations.fetch_add(1, Ordering::Relaxed);
         self.cache.insert(at.fingerprint, at.version, Arc::clone(&entry));
         Ok(PreparedQuery { entry, epoch: at.version.epoch, cache_hit: false })
     }
 
-    /// The miss path: semantic optimization, then planning (skipped when
-    /// the optimizer proves the answer empty). Both run against one
-    /// database snapshot, so cost estimates are internally consistent.
+    /// The miss path, and a warm boot's: semantic optimization, then
+    /// planning (skipped when the optimizer proves the answer empty). Both
+    /// run against one database snapshot, so cost estimates are internally
+    /// consistent.
     fn build_entry(
         &self,
         canonical: Query,
@@ -473,8 +477,6 @@ impl QueryService {
         let oracle = CostBasedOracle::with_model(&db, self.model);
         let out = WORKER_SCRATCH
             .with(|s| optimizer.optimize_with(&canonical, &oracle, &mut s.borrow_mut().0))?;
-        // ordering: monotone display counter.
-        self.optimizations.fetch_add(1, Ordering::Relaxed);
         let provably_empty = out.report.provably_empty;
         let (plan, columns) = if provably_empty {
             (None, out.query.projections.iter().map(|p| p.attr).collect())
@@ -627,8 +629,8 @@ impl QueryService {
 
     /// Serializes the full service state into a `.sqos` snapshot: the
     /// current database image (catalog, extents, links, indexes,
-    /// statistics), the compiled constraint store, and every live
-    /// plan-cache entry as a warm seed. The byte layout is specified in
+    /// statistics), the compiled constraint store, and the canonical query
+    /// of every live plan-cache entry. The byte layout is specified in
     /// `docs/FORMAT.md`.
     ///
     /// The snapshot is a point-in-time cut: the database image and the
@@ -642,10 +644,8 @@ impl QueryService {
             builder.section(id, payload);
         }
         builder.section(SEC_CONSTRAINTS, persist::encode_constraints(&store));
-        builder.section(
-            SEC_PLANSEEDS,
-            persist::encode_plan_seeds(&self.cache.entries(), store.version()),
-        );
+        builder
+            .section(SEC_QUERIES, persist::encode_queries(&self.cache.entries(), store.version()));
         builder.finish()
     }
 
@@ -665,12 +665,18 @@ impl QueryService {
     ///
     /// The rebuilt constraint store keeps the saved semantic epoch (raised
     /// monotonically) but gets a **fresh generation** — generations are
-    /// process-local, so persisted cache seeds are re-stamped to the new
-    /// store's version as they are inserted.
+    /// process-local. Before the service is returned, every persisted
+    /// query is canonicalized and derived through the miss pipeline
+    /// against the loaded store and database, and cached at the new
+    /// store's version: nothing derived is read from the file, so no file
+    /// can make the service answer another query. Boot derivations do not
+    /// count in [`ServiceStats::optimizations`]. A section older builds
+    /// wrote with their plans (PLANSEEDS) is not read.
     ///
     /// # Errors
     /// Any [`LoadError`]: damage, dangling ids or ordering violations at
-    /// either level, re-derivation mismatches at Audit.
+    /// either level, re-derivation mismatches at Audit, and a persisted
+    /// query the optimizer or planner refuses.
     pub fn from_snapshot_bytes(
         bytes: &[u8],
         level: ValidationLevel,
@@ -678,22 +684,23 @@ impl QueryService {
     ) -> Result<Self, LoadError> {
         let file = SnapshotFile::parse(bytes)?;
         let db = sqo_storage::decode_database_from(&file, level)?;
-        let catalog = Arc::clone(db.catalog());
         let constraints =
             file.section(SEC_CONSTRAINTS).ok_or(LoadError::MissingSection("CONSTRAINTS"))?;
         let seed = persist::decode_constraints(constraints)?;
-        let store = persist::rebuild_store(Arc::clone(&catalog), seed)?;
+        let store = persist::rebuild_store(Arc::clone(db.catalog()), seed)?;
         if level.is_audit() {
             persist::audit_constraints(&store)?;
         }
-        let plan_seeds = match file.section(SEC_PLANSEEDS) {
-            Some(payload) => persist::decode_plan_seeds(payload, &catalog)?,
+        let queries = match file.section(SEC_QUERIES) {
+            Some(payload) => persist::decode_queries(payload)?,
             None => Vec::new(),
         };
-        let service = Self::with_config(Arc::new(store), Arc::new(db), config);
-        let version = service.store_version();
-        for s in plan_seeds {
-            service.cache.insert(s.fingerprint, version, Arc::new(s.entry));
+        let store = Arc::new(store);
+        let service = Self::with_config(Arc::clone(&store), Arc::new(db), config);
+        for query in queries {
+            let entry = service.build_entry(query.canonical(), &store);
+            let entry = Arc::new(entry.map_err(persist::refused_query)?);
+            service.cache.insert(query.fingerprint(), store.version(), entry);
         }
         Ok(service)
     }
@@ -701,7 +708,7 @@ impl QueryService {
     /// Boots a service from a `.sqos` file written by
     /// [`QueryService::save_snapshot`] — the warm-start path: no closure
     /// fixpoint, no index builds, no statistics folding, and the plan cache
-    /// starts hot.
+    /// starts hot with every persisted query derived afresh.
     ///
     /// # Errors
     /// [`LoadError::Io`] if the file cannot be read, otherwise as

@@ -3,7 +3,10 @@
 //! [`LoadError`] at both validation levels, and never unwinds. What it
 //! admits, it serves: a service loaded from a damaged file answers the
 //! base snapshot's queries and takes a write with responses or typed
-//! errors, never by unwinding.
+//! errors, never by unwinding. Damage to the QUERIES section never changes
+//! an answer: whatever queries it decodes to are derived afresh at boot (so
+//! the optimizer and planner run on them here, under `catch_unwind`), and
+//! every base query answers exactly what the undamaged service answers.
 //!
 //! Each case takes a served paper snapshot, damages one section's payload
 //! (flipped bytes, a truncation, or `u32`s written over or spliced into
@@ -17,18 +20,23 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
+use sqo_exec::ResultSet;
 use sqo_query::Query;
 use sqo_service::{QueryService, ServiceConfig};
-use sqo_snapshot::{section_name, LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel};
+use sqo_snapshot::{
+    section_name, LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel, SEC_QUERIES,
+};
 use sqo_storage::DataWrite;
 use sqo_workload::{copyable_rels, dup_insert, dup_safe_classes, paper_scenario, DbSize};
 
-/// The paper's DB1 with its first 8 queries served, so every section (plan
-/// seeds included) has content; those queries, and one duplicate insert,
-/// are what a service loaded from a damaged copy is asked to serve.
+/// The paper's DB1 with its first 8 queries served, so every section (the
+/// cache's queries included) has content; those queries, and one duplicate
+/// insert, are what a service loaded from a damaged copy is asked to serve.
 struct Base {
     bytes: Vec<u8>,
     queries: Vec<Query>,
+    /// What the undamaged service answers for each query.
+    answers: Vec<Arc<ResultSet>>,
     write: DataWrite,
 }
 
@@ -40,10 +48,8 @@ fn base() -> &'static Base {
         let write = dup_insert(&s.db, class, 0, &copyable_rels(&s.catalog, class));
         let service = QueryService::new(Arc::new(s.store), Arc::new(s.db));
         let queries: Vec<Query> = s.queries.into_iter().take(8).collect();
-        for q in &queries {
-            service.run(q).expect("cold run");
-        }
-        Base { bytes: service.snapshot_bytes(), queries, write }
+        let answers = queries.iter().map(|q| service.run(q).expect("cold run").results).collect();
+        Base { bytes: service.snapshot_bytes(), queries, answers, write }
     })
 }
 
@@ -106,12 +112,10 @@ fn apply(payload: &mut Vec<u8>, damage: &Damage) {
     }
 }
 
-/// The base snapshot with section number `pick` (modulo the section
-/// count) damaged, re-assembled with valid checksums.
-fn damaged(pick: usize, damage: &Damage) -> (u32, Vec<u8>) {
+/// The base snapshot with section `target` damaged, re-assembled with
+/// valid checksums.
+fn damaged(target: u32, damage: &Damage) -> Vec<u8> {
     let file = SnapshotFile::parse(&base().bytes).expect("the base snapshot parses");
-    let ids: Vec<u32> = file.sections().map(|(id, _)| id).collect();
-    let target = ids[pick % ids.len()];
     let mut b = SnapshotBuilder::new();
     for (id, payload) in file.sections() {
         let mut payload = payload.to_vec();
@@ -120,13 +124,18 @@ fn damaged(pick: usize, damage: &Damage) -> (u32, Vec<u8>) {
         }
         b.section(id, payload);
     }
-    (target, b.finish())
+    b.finish()
 }
 
 /// Loads `bytes` at both levels, requires Audit to refuse whatever
 /// Standard refuses, and has a service loaded at Standard answer the base
-/// queries and the write; fails the test if anything unwinds.
-fn load_is_total(bytes: &[u8], what: &dyn Fn() -> String) -> Vec<Result<(), LoadError>> {
+/// queries and the write; fails the test if anything unwinds. With `exact`,
+/// every base query must answer what the undamaged service answers.
+fn load_is_total(
+    bytes: &[u8],
+    exact: bool,
+    what: &dyn Fn() -> String,
+) -> Vec<Result<(), LoadError>> {
     let loaded: Vec<_> = [ValidationLevel::Standard, ValidationLevel::Audit]
         .into_iter()
         .map(|level| {
@@ -144,19 +153,25 @@ fn load_is_total(bytes: &[u8], what: &dyn Fn() -> String) -> Vec<Result<(), Load
     if let Ok(service) = &loaded[0] {
         let base = base();
         catch_unwind(AssertUnwindSafe(|| {
-            for q in &base.queries {
-                let _ = service.run(q);
+            for (q, want) in base.queries.iter().zip(&base.answers) {
+                let answer = service.run(q);
+                if exact {
+                    let got = answer.unwrap_or_else(|e| panic!("{e} on {}", what()));
+                    assert!(got.results.same_multiset(want), "answer changed on {}", what());
+                }
             }
             let _ = service.write(std::slice::from_ref(&base.write));
         }))
-        .unwrap_or_else(|_| panic!("serving a Standard load unwound on {}", what()));
+        .unwrap_or_else(|_| {
+            panic!("serving a Standard load unwound or answered wrong on {}", what())
+        });
     }
     loaded.into_iter().map(|r| r.map(drop)).collect()
 }
 
 #[test]
 fn the_base_snapshot_loads_at_every_level() {
-    for loaded in load_is_total(&base().bytes, &|| "the base snapshot".to_string()) {
+    for loaded in load_is_total(&base().bytes, true, &|| "the base snapshot".to_string()) {
         assert_eq!(loaded, Ok(()));
     }
 }
@@ -164,8 +179,18 @@ fn the_base_snapshot_loads_at_every_level() {
 proptest! {
     #[test]
     fn a_damaged_section_is_a_typed_error_or_a_service(pick in 0usize..64, damage in damage()) {
-        let (section, bytes) = damaged(pick, &damage);
+        let file = SnapshotFile::parse(&base().bytes).expect("the base snapshot parses");
+        let ids: Vec<u32> = file.sections().map(|(id, _)| id).collect();
+        let section = ids[pick % ids.len()];
         let what = || format!("{} damaged by {damage:?}", section_name(section));
-        load_is_total(&bytes, &what);
+        load_is_total(&damaged(section, &damage), section == SEC_QUERIES, &what);
+    }
+
+    /// Most damage to QUERIES is refused; this aims every case there, so
+    /// the exact-answer check runs on the files that still load.
+    #[test]
+    fn damage_to_the_queries_never_changes_an_answer(damage in damage()) {
+        let what = || format!("QUERIES damaged by {damage:?}");
+        load_is_total(&damaged(SEC_QUERIES, &damage), true, &what);
     }
 }

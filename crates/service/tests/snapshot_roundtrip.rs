@@ -2,24 +2,25 @@
 //! [`QueryService::save_snapshot`] and rebooted with
 //! [`QueryService::warm_start`] must answer the paper workload identically
 //! to the service it was saved from — from the plan cache, without a
-//! single re-optimization — at both validation levels, and a snapshot with
-//! damaged serving sections must be rejected, not half-loaded. Every
-//! snapshot a service writes, before or after it takes changes, reloads at
-//! Standard.
+//! single request-path optimization — at both validation levels, and a
+//! snapshot with damaged serving sections must be rejected, not
+//! half-loaded. Every snapshot a service writes, before or after it takes
+//! changes, reloads at Standard. The file carries only the cached queries:
+//! boot derives every entry afresh, so no file, whatever its QUERIES or
+//! legacy PLANSEEDS section holds, makes a query answer another's rows.
 
 use std::sync::Arc;
 
-use sqo_exec::PhysicalPlan;
-use sqo_query::{Query, QueryFingerprint};
-use sqo_service::{
-    decode_plan_seeds, encode_plan_seeds, CacheEntry, PlanSeed, QueryService, ServiceConfig,
-};
+use sqo_exec::{plan_query, CostModel, ResultSet};
+use sqo_query::Query;
+use sqo_service::{QueryService, ServiceConfig};
 use sqo_snapshot::{
-    section_name, LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel, EPOCH_LIMIT,
-    SEC_CONSTRAINTS, SEC_EXTENTS, SEC_PLANSEEDS,
+    read_query, section_name, write_query, ByteReader, ByteWriter, LoadError, SnapshotBuilder,
+    SnapshotFile, ValidationLevel, EPOCH_LIMIT, SEC_CONSTRAINTS, SEC_EXTENTS, SEC_PLANSEEDS,
+    SEC_QUERIES,
 };
 use sqo_storage::{DataWrite, ObjectId};
-use sqo_workload::{paper_scenario, DbSize};
+use sqo_workload::{copyable_rels, dup_insert, dup_safe_classes, paper_scenario, DbSize};
 
 /// A served scenario: the paper workload's first 16 queries answered once,
 /// so the plan cache holds exactly the state the snapshot should persist.
@@ -31,6 +32,11 @@ fn served() -> (QueryService, Vec<Query>) {
         service.run(q).expect("cold run");
     }
     (service, queries)
+}
+
+/// What `service` answers for each query.
+fn answers(service: &QueryService, queries: &[Query]) -> Vec<Arc<ResultSet>> {
+    queries.iter().map(|q| service.run(q).expect("the query answers").results).collect()
 }
 
 /// What a service writes, its own loader admits.
@@ -125,27 +131,37 @@ fn damaged_serving_sections_are_rejected() {
         "expected MissingSection(CONSTRAINTS), got {err:?}"
     );
 
-    let garbled = with_section(&bytes, SEC_PLANSEEDS, Some(vec![0xfe; 9]));
-    let err = QueryService::from_snapshot_bytes(
-        &garbled,
-        ValidationLevel::Standard,
-        ServiceConfig::default(),
-    )
-    .expect_err("garbage plan seeds must not boot");
-    assert!(
-        matches!(err, LoadError::Malformed { .. }),
-        "expected Malformed for garbled PLANSEEDS, got {err:?}"
-    );
+    // A persisted query is derived, not trusted: structural damage, an id
+    // the catalog does not resolve and a query the optimizer refuses are
+    // each a typed error naming QUERIES, at both levels.
+    let mut unresolved = queries_of(&bytes)[0].clone();
+    unresolved.classes.push(sqo_catalog::ClassId(99));
+    let classless = Query { classes: vec![], ..queries_of(&bytes)[0].clone() };
+    let garbled = with_section(&bytes, SEC_QUERIES, Some(vec![0xfe; 9]));
+    let dangling = with_queries(&bytes, &[unresolved]);
+    let refused = with_queries(&bytes, &[classless]);
+    for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
+        let boot = |b: &[u8]| {
+            QueryService::from_snapshot_bytes(b, level, ServiceConfig::default())
+                .expect_err("a QUERIES section that does not derive must not boot")
+        };
+        let err = boot(&garbled);
+        assert!(matches!(err, LoadError::Malformed { section: "QUERIES", .. }), "{err:?}");
+        let err = boot(&dangling);
+        assert!(matches!(err, LoadError::DanglingReference { section: "QUERIES", .. }), "{err:?}");
+        let err = boot(&refused);
+        assert!(matches!(err, LoadError::Malformed { section: "QUERIES", .. }), "{err:?}");
+    }
 
-    // A snapshot may omit PLANSEEDS entirely (cold cache, warm data) —
-    // that is a valid file, not a damaged one.
-    let cacheless = with_section(&bytes, SEC_PLANSEEDS, None);
+    // A snapshot may omit QUERIES entirely (cold cache, warm data) — that
+    // is a valid file, not a damaged one.
+    let cacheless = with_section(&bytes, SEC_QUERIES, None);
     let warm = QueryService::from_snapshot_bytes(
         &cacheless,
         ValidationLevel::Audit,
         ServiceConfig::default(),
     )
-    .expect("PLANSEEDS is an optional section");
+    .expect("QUERIES is an optional section");
     assert_eq!(warm.epoch(), cold.epoch());
 }
 
@@ -190,87 +206,153 @@ fn epochs_at_the_limit_are_refused_and_below_it_advance() {
     }
 }
 
-/// The served cache's snapshot with its PLANSEEDS section re-encoded after
-/// `edit` has seen every seed's stored fingerprint and entry.
-fn reseeded(
-    cold: &QueryService,
-    mut edit: impl FnMut(&mut QueryFingerprint, &mut CacheEntry),
-) -> Vec<u8> {
-    let bytes = cold.snapshot_bytes();
-    let db = cold.db();
-    let file = SnapshotFile::parse(&bytes).expect("good snapshot parses");
-    let (_, payload) =
-        file.sections().find(|(id, _)| *id == SEC_PLANSEEDS).expect("the cache is persisted");
-    let seeds = decode_plan_seeds(payload, db.catalog()).unwrap();
-    let version = cold.store().version();
-    let mut entries = Vec::new();
-    for PlanSeed { mut fingerprint, mut entry } in seeds {
-        edit(&mut fingerprint, &mut entry);
-        entries.push((fingerprint, version, Arc::new(entry)));
+/// The queries a snapshot's QUERIES section holds, in file order.
+fn queries_of(bytes: &[u8]) -> Vec<Query> {
+    let file = SnapshotFile::parse(bytes).expect("good snapshot parses");
+    let payload = file.section(SEC_QUERIES).expect("the cache is persisted");
+    let mut r = ByteReader::new(payload, "QUERIES");
+    let queries = (0..r.u32().unwrap()).map(|_| read_query(&mut r).unwrap()).collect();
+    r.expect_exhausted().unwrap();
+    queries
+}
+
+/// `bytes` with its QUERIES section holding exactly `queries`.
+fn with_queries(bytes: &[u8], queries: &[Query]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u32(queries.len() as u32);
+    for q in queries {
+        write_query(&mut w, q);
     }
-    with_section(&bytes, SEC_PLANSEEDS, Some(encode_plan_seeds(&entries, version)))
+    with_section(bytes, SEC_QUERIES, Some(w.finish()))
 }
 
-/// The served cache's snapshot with the first plan that has a join step
-/// redirected over a relationship that does not join the step's classes.
-fn misjoined(cold: &QueryService) -> Vec<u8> {
-    let db = cold.db();
-    let catalog = db.catalog();
-    let mut pending = true;
-    let bytes = reseeded(cold, |_, entry| {
-        if let Some(plan) = entry.plan.as_ref().filter(|p| pending && !p.steps.is_empty()) {
-            let mut plan = PhysicalPlan::clone(plan);
-            let step = &mut plan.steps[0];
-            let (astray, _) = catalog
-                .relationships()
-                .find(|(_, r)| r.other_end(step.from_class) != Some(step.access.class))
-                .expect("some relationship misses the step's classes");
-            step.rel = astray;
-            entry.plan = Some(Arc::new(plan));
-            pending = false;
-        }
-    });
-    assert!(!pending, "the served cache holds a plan with a join step");
-    bytes
-}
-
-/// A seeded plan the executor cannot run — a step over a relationship that
-/// does not reach the step's class, which would read the other endpoint's
-/// ids as that class — is refused already at Standard.
+/// An older build's file carries a PLANSEEDS section (id 7) with each
+/// entry's plan, and no level compared a plan with its query: a file whose
+/// seeds swapped two plans, or marked a satisfiable query provably empty,
+/// booted at Audit and answered wrong. This reader never reads id 7, so
+/// such a file boots with a cold cache at both levels, and each query
+/// misses once and then answers exactly what the saving service answered.
+/// The section here is garbage the older reader refused as `Malformed`; its
+/// content is not looked at.
 #[test]
-fn a_seeded_plan_the_executor_cannot_run_is_refused() {
-    let (cold, _) = served();
-    let boot = |bytes: &[u8], level| {
-        QueryService::from_snapshot_bytes(bytes, level, ServiceConfig::default())
-    };
-    boot(&reseeded(&cold, |_, _| {}), ValidationLevel::Standard).expect("re-encoded seeds boot");
-    let crafted = misjoined(&cold);
-    for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
-        let err = boot(&crafted, level).expect_err("a mis-joined plan must not boot");
-        assert!(
-            matches!(err, LoadError::Malformed { section: "PLANSEEDS", .. }),
-            "expected Malformed PLANSEEDS at {level:?}, got {err:?}"
-        );
-    }
-}
-
-/// A seed's stored fingerprint is not its key: a PLANSEEDS section whose
-/// every stored fingerprint is overwritten — what a file written by a build
-/// with another key function looks like — boots warm at both levels,
-/// because the reader keys each seed by the fingerprint it derives from the
-/// seed's canonical query.
-#[test]
-fn seeds_are_keyed_by_the_reading_build() {
+fn an_older_file_with_planseeds_boots_cold_and_answers_like_its_saver() {
     let (cold, queries) = served();
-    let foreign = reseeded(&cold, |fingerprint, _| *fingerprint = QueryFingerprint(!fingerprint.0));
-    for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
-        let warm = QueryService::from_snapshot_bytes(&foreign, level, ServiceConfig::default())
-            .unwrap_or_else(|e| panic!("overwritten fingerprints must boot at {level:?}: {e}"));
-        for q in &queries {
-            assert!(warm.run(q).unwrap().cache_hit, "every seeded query hits at {level:?}");
-        }
-        assert_eq!(warm.stats().optimizations, 0, "{level:?}");
+    let want = answers(&cold, &queries);
+    let bytes = with_section(&cold.snapshot_bytes(), SEC_QUERIES, None);
+    let mut b = SnapshotBuilder::new();
+    for (id, payload) in SnapshotFile::parse(&bytes).expect("good snapshot parses").sections() {
+        b.section(id, payload.to_vec());
     }
+    b.section(SEC_PLANSEEDS, vec![0xfe; 9]);
+    let older = b.finish();
+    for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
+        let warm = QueryService::from_snapshot_bytes(&older, level, ServiceConfig::default())
+            .unwrap_or_else(|e| panic!("a file with PLANSEEDS boots at {level:?}: {e}"));
+        for (q, want) in queries.iter().zip(&want) {
+            let first = warm.run(q).unwrap();
+            assert!(!first.cache_hit, "nothing is read from PLANSEEDS ({level:?})");
+            let again = warm.run(q).unwrap();
+            assert!(again.cache_hit, "{level:?}");
+            for r in [first, again] {
+                assert!(r.results.same_multiset(want), "{level:?}: {q:?}");
+            }
+        }
+    }
+}
+
+/// A QUERIES section is a list of requests to warm, not a map from keys to
+/// answers: permuted, duplicated, respelled, or with one query replaced by
+/// another pool query, it boots at both levels and every query answers
+/// what the saving service answers. Each persisted query warms only its own
+/// entry, so the queries the section still names hit and the replaced one
+/// misses.
+#[test]
+fn a_tampered_queries_section_answers_every_query_correctly() {
+    let (cold, queries) = served();
+    let pool = paper_scenario(DbSize::Db1, 7).queries;
+    let stranger = pool[16].clone();
+    let all: Vec<Query> = queries.iter().cloned().chain([stranger]).collect();
+    let bytes = cold.snapshot_bytes();
+    let saved = queries_of(&bytes);
+    assert_eq!(saved.len(), queries.len(), "every served query is persisted");
+    let want = answers(&cold, &all);
+
+    let mut tampered: Vec<Query> = saved.iter().rev().cloned().collect();
+    tampered.extend(saved[..4].iter().cloned());
+    let replaced = tampered.iter().position(|q| *q == queries[5].canonical()).unwrap();
+    tampered[replaced] = all[16].clone();
+    let mut respelled = tampered[0].clone();
+    respelled.classes.reverse();
+    respelled.selective_predicates.reverse();
+    tampered[0] = respelled;
+    let file = with_queries(&bytes, &tampered);
+    for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
+        let warm = QueryService::from_snapshot_bytes(&file, level, ServiceConfig::default())
+            .unwrap_or_else(|e| panic!("a tampered QUERIES section boots at {level:?}: {e}"));
+        for (i, (q, want)) in all.iter().zip(&want).enumerate() {
+            let r = warm.run(q).unwrap();
+            assert_eq!(r.cache_hit, i != 5, "query {i} at {level:?}");
+            assert!(r.results.same_multiset(want), "query {i} at {level:?}");
+        }
+    }
+}
+
+/// Boot is deterministic: every entry a warm boot derives equals the
+/// saving service's — optimized query, plan with its estimates,
+/// provably-empty flag and columns. It also follows the statistics it
+/// loads: after writes that move them, the saving service still holds the
+/// plans it chose before (plans survive data writes), while every warm
+/// plan is the one the planner builds on the loaded snapshot, and the
+/// answers still match.
+#[test]
+fn boot_derives_the_savers_entries_and_plans_on_the_loaded_statistics() {
+    let (cold, queries) = served();
+    let bytes = cold.snapshot_bytes();
+    for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
+        let warm = QueryService::from_snapshot_bytes(&bytes, level, ServiceConfig::default())
+            .unwrap_or_else(|e| panic!("{level:?}: {e}"));
+        for q in &queries {
+            let (a, b) = (cold.prepare(q).unwrap(), warm.prepare(q).unwrap());
+            assert!(a.cache_hit && b.cache_hit, "{level:?}");
+            assert_eq!(a.optimized(), b.optimized(), "{level:?}");
+            assert_eq!(a.plan(), b.plan(), "{level:?}");
+            assert_eq!(a.provably_empty(), b.provably_empty(), "{level:?}");
+            let columns = |s: &QueryService| s.run(q).unwrap().results.columns.clone();
+            assert_eq!(columns(&cold), columns(&warm), "{level:?}");
+        }
+    }
+
+    take_changes(&cold, |_| {});
+    for q in &queries {
+        cold.run(q).expect("re-derived after the changes");
+    }
+    let db = cold.db();
+    let class = dup_safe_classes(db.catalog())[0];
+    for rank in 0..8 {
+        let insert = dup_insert(&cold.db(), class, rank, &copyable_rels(db.catalog(), class));
+        cold.write(&[insert]).expect("a duplicate insert goes in");
+    }
+    let want = answers(&cold, &queries);
+    let warm = QueryService::from_snapshot_bytes(
+        &cold.snapshot_bytes(),
+        ValidationLevel::Standard,
+        ServiceConfig::default(),
+    )
+    .expect("the changed service's snapshot boots");
+    let loaded = warm.db();
+    let mut replanned = 0;
+    for (q, want) in queries.iter().zip(&want) {
+        let prepared = warm.prepare(q).unwrap();
+        assert!(prepared.cache_hit);
+        if let Some(plan) = prepared.plan() {
+            let fresh = plan_query(&loaded, prepared.optimized(), &CostModel::default()).unwrap();
+            assert_eq!(**plan, fresh, "a warm plan is planned on the loaded statistics");
+            replanned += usize::from(cold.prepare(q).unwrap().plan() != Some(plan));
+        }
+        assert!(warm.run(q).unwrap().results.same_multiset(want));
+    }
+    assert!(replanned > 0, "the writes moved some estimate");
+    assert_eq!(warm.stats().optimizations, 0, "boot derivations are not counted");
 }
 
 /// `save_snapshot` replaces the target atomically: saving over an existing

@@ -10,9 +10,7 @@ use sqo_catalog::{
     AttrId, AttrRef, AttrStats, ClassId, ClassStats, DataType, Finite, IndexKind, Multiplicity,
     RelId, RelStats, RelationshipEnd, StatsSnapshot, Value,
 };
-use sqo_query::{
-    Bound, CompOp, JoinPredicate, Predicate, Projection, Query, SelPredicate, ValueSet,
-};
+use sqo_query::{CompOp, JoinPredicate, Predicate, Projection, Query, SelPredicate};
 
 use crate::bytes::{ByteReader, ByteWriter};
 use crate::error::LoadError;
@@ -138,33 +136,6 @@ pub fn write_value_raw(w: &mut ByteWriter, v: &Value) {
     }
 }
 
-/// Decodes a tagless [`Value`] whose type is dictated by `ty`, interning
-/// string payloads through `pool`. The result always has data type `ty` —
-/// type agreement is by construction, not a check.
-///
-/// # Errors
-/// [`LoadError::Malformed`] on a short read, NaN float, invalid UTF-8 or
-/// non-0/1 bool byte.
-pub fn read_value_raw(
-    r: &mut ByteReader<'_>,
-    ty: DataType,
-    pool: &mut StrPool,
-) -> Result<Value, LoadError> {
-    match ty {
-        DataType::Int => Ok(Value::Int(r.i64()?)),
-        DataType::Float => {
-            let f = r.f64()?;
-            Finite::new(f).map(Value::Float).ok_or_else(|| r.malformed("NaN float value"))
-        }
-        DataType::Str => Ok(Value::Str(pool.intern(r.str_ref()?))),
-        DataType::Bool => match r.u8()? {
-            0 => Ok(Value::Bool(false)),
-            1 => Ok(Value::Bool(true)),
-            b => Err(r.malformed(format!("bool byte {b} is neither 0 nor 1"))),
-        },
-    }
-}
-
 /// Decodes a [`Value`], interning string payloads through `pool`.
 ///
 /// # Errors
@@ -252,62 +223,6 @@ pub fn read_comp_op(r: &mut ByteReader<'_>) -> Result<CompOp, LoadError> {
         4 => Ok(CompOp::Gt),
         5 => Ok(CompOp::Ge),
         t => Err(r.malformed(format!("unknown comparison-operator tag {t}"))),
-    }
-}
-
-/// Encodes a [`Bound`]: tag byte (Unbounded=0, Included=1, Excluded=2),
-/// then the value for tags 1 and 2.
-pub fn write_bound(w: &mut ByteWriter, b: &Bound) {
-    match b {
-        Bound::Unbounded => w.u8(0),
-        Bound::Included(v) => {
-            w.u8(1);
-            write_value(w, v);
-        }
-        Bound::Excluded(v) => {
-            w.u8(2);
-            write_value(w, v);
-        }
-    }
-}
-
-/// Decodes a [`Bound`].
-///
-/// # Errors
-/// [`LoadError::Malformed`] on an unknown tag or bad value.
-pub fn read_bound(r: &mut ByteReader<'_>) -> Result<Bound, LoadError> {
-    match r.u8()? {
-        0 => Ok(Bound::Unbounded),
-        1 => Ok(Bound::Included(read_value(r)?)),
-        2 => Ok(Bound::Excluded(read_value(r)?)),
-        t => Err(r.malformed(format!("unknown bound tag {t}"))),
-    }
-}
-
-/// Encodes a [`ValueSet`]: tag byte (Range=0, Hole=1), then the payload.
-pub fn write_value_set(w: &mut ByteWriter, s: &ValueSet) {
-    match s {
-        ValueSet::Range { lo, hi } => {
-            w.u8(0);
-            write_bound(w, lo);
-            write_bound(w, hi);
-        }
-        ValueSet::Hole(v) => {
-            w.u8(1);
-            write_value(w, v);
-        }
-    }
-}
-
-/// Decodes a [`ValueSet`].
-///
-/// # Errors
-/// [`LoadError::Malformed`] on an unknown tag or bad payload.
-pub fn read_value_set(r: &mut ByteReader<'_>) -> Result<ValueSet, LoadError> {
-    match r.u8()? {
-        0 => Ok(ValueSet::Range { lo: read_bound(r)?, hi: read_bound(r)? }),
-        1 => Ok(ValueSet::Hole(read_value(r)?)),
-        t => Err(r.malformed(format!("unknown value-set tag {t}"))),
     }
 }
 
@@ -674,18 +589,6 @@ mod tests {
         let buf = w.finish();
         let mut r = ByteReader::new(&buf, "TEST");
         assert!(read_value(&mut r).is_err());
-    }
-
-    #[test]
-    fn value_set_roundtrips() {
-        for s in [
-            ValueSet::point(Value::Int(4)),
-            ValueSet::at_least(Value::str("m")),
-            ValueSet::hole(Value::Int(0)),
-            ValueSet::everything(),
-        ] {
-            assert_eq!(roundtrip(&s, write_value_set, read_value_set), s);
-        }
     }
 
     #[test]

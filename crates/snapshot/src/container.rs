@@ -46,8 +46,13 @@ pub const SEC_INDEXES: u32 = 4;
 pub const SEC_STATS: u32 = 5;
 /// Section id: the constraint store (constraints, options, identity).
 pub const SEC_CONSTRAINTS: u32 = 6;
-/// Section id: warm plan-cache seeds (fingerprint → plan skeleton).
+/// Section id, reserved: the plan-cache seeds older builds wrote (each
+/// live entry's optimized query and plan). Kept so [`section_name`] names
+/// it in old files; no reader decodes it.
 pub const SEC_PLANSEEDS: u32 = 7;
+/// Section id: the canonical queries of the live plan-cache entries, which
+/// a warm boot derives through the miss pipeline before serving.
+pub const SEC_QUERIES: u32 = 8;
 
 const HEADER_LEN: usize = 12;
 const ENTRY_LEN: usize = 28;
@@ -63,6 +68,7 @@ pub fn section_name(id: u32) -> &'static str {
         SEC_STATS => "STATS",
         SEC_CONSTRAINTS => "CONSTRAINTS",
         SEC_PLANSEEDS => "PLANSEEDS",
+        SEC_QUERIES => "QUERIES",
         _ => "?",
     }
 }

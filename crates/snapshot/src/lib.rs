@@ -8,9 +8,8 @@
 //! per-section checksums — and the codecs for the schema/query vocabulary
 //! (values, predicates, queries, catalog definitions) that several sections
 //! share. The section *payloads* are encoded by the crates that own the
-//! state: `sqo-storage::persist` (extents, indexes, links, statistics),
-//! `sqo-exec::persist` (plan skeletons) and `sqo-service::persist`
-//! (constraints, plan-cache seeds).
+//! state: `sqo-storage::persist` (extents, indexes, links, statistics)
+//! and `sqo-service::persist` (constraints, the plan cache's queries).
 //!
 //! The format is specified normatively in `docs/FORMAT.md`; the validation
 //! levels in `docs/VALIDATION.md`. The code here is an implementation of
@@ -36,16 +35,15 @@ mod error;
 
 pub use bytes::{ByteReader, ByteWriter, EPOCH_LIMIT};
 pub use codec::{
-    read_attr_ref, read_bound, read_catalog, read_comp_op, read_data_type, read_join_predicate,
-    read_predicate, read_projection, read_query, read_sel_predicate, read_stats, read_value,
-    read_value_pooled, read_value_raw, read_value_set, write_attr_ref, write_bound, write_catalog,
-    write_comp_op, write_data_type, write_join_predicate, write_predicate, write_projection,
-    write_query, write_sel_predicate, write_stats, write_value, write_value_raw, write_value_set,
-    StrPool,
+    read_attr_ref, read_catalog, read_comp_op, read_data_type, read_join_predicate, read_predicate,
+    read_projection, read_query, read_sel_predicate, read_stats, read_value, read_value_pooled,
+    write_attr_ref, write_catalog, write_comp_op, write_data_type, write_join_predicate,
+    write_predicate, write_projection, write_query, write_sel_predicate, write_stats, write_value,
+    write_value_raw, StrPool,
 };
 pub use container::{
     section_checksum, section_name, write_snapshot_file, SnapshotBuilder, SnapshotFile,
     FORMAT_VERSION, MAGIC, SEC_CATALOG, SEC_CONSTRAINTS, SEC_EXTENTS, SEC_INDEXES, SEC_LINKS,
-    SEC_PLANSEEDS, SEC_STATS,
+    SEC_PLANSEEDS, SEC_QUERIES, SEC_STATS,
 };
 pub use error::{LoadError, ValidationLevel};
