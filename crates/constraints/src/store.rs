@@ -7,10 +7,10 @@
 //! policies and its waste metrics are a measured baseline and live in
 //! `sqo-baseline` (`ConstraintGroups`).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sqo_catalog::{Catalog, ClassId};
+use sqo_query::sync::{Counter, Epoch};
 use sqo_query::Query;
 
 use crate::closure::{transitive_closure, ClosureOptions};
@@ -46,20 +46,37 @@ impl StoreOptions {
 /// serve a rewrite derived under the wrong constraints. Pairing the epoch
 /// with a generation drawn from a process-global allocator makes collisions
 /// impossible (property-tested in `tests/prop_store_version.rs`).
+///
+/// Only [`ConstraintStore::version`] makes one: the fields are private, so
+/// no version can be forged from parts, and arithmetic on an epoch read
+/// off one can never fake an identity.
+///
+/// ```compile_fail,E0451
+/// # use sqo_constraints::StoreVersion;
+/// let forged = StoreVersion { generation: 0, epoch: 1 };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StoreVersion {
+    generation: u64,
+    epoch: u64,
+}
+
+impl StoreVersion {
     /// Globally unique id of the store instance.
-    pub generation: u64,
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// The instance's semantic epoch at observation time.
-    pub epoch: u64,
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
 }
 
 /// Allocates a process-globally unique store generation.
 fn next_generation() -> u64 {
-    static NEXT_GENERATION: AtomicU64 = AtomicU64::new(0);
-    // ordering: uniqueness comes from RMW atomicity alone; generation
-    // ids carry no payload that needs publishing.
-    NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
+    static NEXT_GENERATION: Counter = Counter::new(0);
+    NEXT_GENERATION.add(1)
 }
 
 /// The semantic-constraint store.
@@ -77,7 +94,7 @@ pub struct ConstraintStore {
     /// or the statistics the optimizer consults change. Downstream caches
     /// key on the full [`StoreVersion`] (generation + epoch) — the epoch
     /// alone is ambiguous across copy-on-write store copies.
-    epoch: AtomicU64,
+    epoch: Epoch,
     /// Process-globally unique instance id (see [`StoreVersion`]).
     generation: u64,
     /// Closure bookkeeping for reporting.
@@ -130,7 +147,7 @@ impl ConstraintStore {
             constraints,
             index,
             closure: options.closure,
-            epoch: AtomicU64::new(0),
+            epoch: Epoch::new(0),
             generation: next_generation(),
             derived_count,
             closure_truncated,
@@ -144,9 +161,7 @@ impl ConstraintStore {
     /// occurred **on this instance**, so any optimization derived in between
     /// is still valid. Cross-instance comparisons need [`ConstraintStore::version`].
     pub fn epoch(&self) -> u64 {
-        // ordering: Acquire pairs with the AcqRel epoch bumps so an
-        // observed epoch implies the store mutation that produced it.
-        self.epoch.load(Ordering::Acquire)
+        self.epoch.get()
     }
 
     /// This instance's process-globally unique generation id.
@@ -163,9 +178,7 @@ impl ConstraintStore {
     /// decisions consult (e.g. a refreshed catalog snapshot), bumping the
     /// epoch so cached rewrites are re-derived. Returns the new epoch.
     pub fn note_statistics_change(&self) -> u64 {
-        // ordering: AcqRel keeps statistics bumps in the epoch's single
-        // total modification order; pairs with the Acquire in epoch().
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
+        self.epoch.bump()
     }
 
     /// Raises the epoch to at least `floor` (monotone; never lowers it).
@@ -174,14 +187,11 @@ impl ConstraintStore {
     /// identity does not depend on it (the rebuilt store already has its own
     /// generation, so its versions can never collide with the old store's).
     pub fn raise_epoch_to(&self, floor: u64) {
-        // ordering: AcqRel keeps the monotone fetch_max totally ordered with
-        // the epoch bumps in note_*_change; pairs with the Acquire in epoch().
-        self.epoch.fetch_max(floor, Ordering::AcqRel);
+        self.epoch.raise(floor);
     }
 
-    /// Raises the epoch strictly past `other`'s current epoch (the blessed
-    /// form of `raise_epoch_to(other.epoch() + 1)`, which callers must not
-    /// hand-roll — see the epoch-discipline rules in `docs/ANALYSIS.md`).
+    /// Raises the epoch strictly past `other`'s current epoch (a store
+    /// swapped in for `other` keeps the epoch sequence increasing).
     pub fn raise_epoch_above(&self, other: &ConstraintStore) {
         self.raise_epoch_to(other.epoch().saturating_add(1));
     }
@@ -202,9 +212,7 @@ impl ConstraintStore {
     ) -> Result<ConstraintId, ConstraintError> {
         check_catalog(&self.catalog, &constraint)?;
         let id = self.file(constraint);
-        // ordering: Release half publishes the insertion above to
-        // epoch() readers; Acquire half orders it after prior bumps.
-        self.epoch.fetch_add(1, Ordering::AcqRel);
+        self.epoch.bump();
         Ok(id)
     }
 
@@ -228,7 +236,7 @@ impl ConstraintStore {
             constraints: self.constraints.clone(),
             index: self.index.clone(),
             closure: self.closure,
-            epoch: AtomicU64::new(self.epoch() + 1),
+            epoch: Epoch::new(self.epoch() + 1),
             // A fresh generation: the successor is a *different* store even
             // when the source later reaches the same epoch value.
             generation: next_generation(),

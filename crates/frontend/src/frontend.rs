@@ -3,10 +3,13 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
+use sqo_query::sync::{
+    Condvar, CountPair, Counter, Gauge, Held, Mutex, Unlocked, FRONTEND_QUEUE, FRONTEND_SLOT,
+    FRONTEND_WINDOW,
+};
 use sqo_query::Query;
 use sqo_service::{FlightError, MissWaiter, QueryService, ServiceError, ServiceResponse, TryRun};
 
@@ -68,7 +71,7 @@ pub struct Completion {
 
 #[derive(Debug, Default)]
 struct Slot {
-    completion: Mutex<Option<Completion>>,
+    completion: Mutex<FRONTEND_SLOT, Option<Completion>>,
     done: Condvar,
 }
 
@@ -81,17 +84,18 @@ pub struct ResponseHandle {
 impl ResponseHandle {
     /// The completion if the request has finished, without blocking.
     pub fn try_take(&self) -> Option<Completion> {
-        self.slot.completion.lock().unwrap_or_else(PoisonError::into_inner).take()
+        self.slot.completion.lock(&mut Unlocked::new()).take()
     }
 
     /// Blocks the calling thread until the request completes.
     pub fn wait(self) -> Completion {
-        let mut completion = self.slot.completion.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut held = Unlocked::new();
+        let mut completion = self.slot.completion.lock(&mut held);
         loop {
             if let Some(done) = completion.take() {
                 return done;
             }
-            completion = self.slot.done.wait(completion).unwrap_or_else(PoisonError::into_inner);
+            completion = self.slot.done.wait(completion);
         }
     }
 }
@@ -101,7 +105,7 @@ impl ResponseHandle {
 /// needs a stable trend signal, not a precise histogram.
 #[derive(Debug)]
 struct LatencyEstimator {
-    window: Mutex<LatencyWindow>,
+    window: Mutex<FRONTEND_WINDOW, LatencyWindow>,
 }
 
 #[derive(Debug)]
@@ -121,8 +125,8 @@ impl LatencyEstimator {
         Self { window: Mutex::new(LatencyWindow { ring: vec![0; WINDOW], next: 0, filled: 0 }) }
     }
 
-    fn record(&self, latency_us: u64) {
-        let mut w = self.window.lock().unwrap_or_else(PoisonError::into_inner);
+    fn record(&self, held: &mut Unlocked, latency_us: u64) {
+        let mut w = self.window.lock(held);
         let next = w.next;
         w.ring[next] = latency_us;
         w.next = (next + 1) % WINDOW;
@@ -131,7 +135,8 @@ impl LatencyEstimator {
 
     /// The windowed p99 estimate, once enough samples exist.
     fn p99_us(&self) -> Option<u64> {
-        let w = self.window.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut held = Unlocked::new();
+        let w = self.window.lock(&mut held);
         if w.filled < MIN_SAMPLES {
             return None;
         }
@@ -191,55 +196,51 @@ enum Landed {
 struct Shared {
     service: Arc<QueryService>,
     try_run: TryRunFn,
-    queue: Mutex<Queue>,
+    queue: Mutex<FRONTEND_QUEUE, Queue>,
     /// Signalled on a pushed job, on drain, and when the last in-flight
     /// request of a drain completes.
     ready: Condvar,
-    in_flight: AtomicUsize,
-    admitted: AtomicU64,
-    completed: AtomicU64,
-    shed_queue_full: AtomicU64,
-    shed_latency: AtomicU64,
+    in_flight: Gauge,
+    /// `(admitted, completed)`: a job is admitted before the queue hands
+    /// it to the worker that completes it.
+    admissions: CountPair,
+    shed_queue_full: Counter,
+    shed_latency: Counter,
     /// Present only under a configured [`FrontendConfig::p99_bound_us`]:
     /// nothing else reads the window, so nothing else pays for its lock.
     latency: Option<LatencyEstimator>,
 }
 
 impl Shared {
-    fn queue(&self) -> MutexGuard<'_, Queue> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn push(&self, job: Job) {
-        self.queue().jobs.push_back(job);
+    fn push(&self, held: &mut Unlocked, job: Job) {
+        self.queue.lock(held).jobs.push_back(job);
         self.ready.notify_one();
     }
 
     /// The next job, or `None` once draining and nothing is in flight —
     /// a parked follower is in flight, so the pool outlives its wait.
-    fn next_job(&self) -> Option<Job> {
-        let mut queue = self.queue();
+    fn next_job(&self, held: &mut Unlocked) -> Option<Job> {
+        let mut queue = self.queue.lock(held);
         loop {
             if let Some(job) = queue.jobs.pop_front() {
                 return Some(job);
             }
-            // ordering: Acquire pairs with release()'s AcqRel decrement —
-            // observing 0 implies every completion fully happened.
-            if queue.draining && self.in_flight.load(Ordering::Acquire) == 0 {
+            // Reading 0 observes every completion that gave a slot back.
+            if queue.draining && self.in_flight.get() == 0 {
                 return None;
             }
-            queue = self.ready.wait(queue).unwrap_or_else(PoisonError::into_inner);
+            queue = self.ready.wait(queue);
         }
     }
 
     /// Gives back one admission slot. The last one out during a drain
     /// wakes the workers parked in [`Shared::next_job`]; the flag is read
     /// under the queue lock they re-check it under, so the wake cannot
-    /// fall between their check and their wait.
-    fn release(&self) {
-        // ordering: AcqRel, one RMW chain with submit()'s claim; pairs
-        // with the Acquire load in next_job's drain check.
-        if self.in_flight.fetch_sub(1, Ordering::AcqRel) == 1 && self.queue().draining {
+    /// fall between their check and their wait. `held` is the caller's
+    /// token: [`Shared::finish`] gives back the slot under the client's
+    /// response slot lock, which ranks below the queue.
+    fn release<const H: u8>(&self, held: &mut Held<H>) {
+        if self.in_flight.release() == 1 && self.queue.lock(held).draining {
             self.ready.notify_all();
         }
     }
@@ -264,18 +265,19 @@ impl Shared {
     /// leader having died, queues it again — the retry re-checks the cache
     /// and may lead).
     fn work(self: &Arc<Self>) {
-        while let Some(mut job) = self.next_job() {
+        let mut held = Unlocked::new();
+        while let Some(mut job) = self.next_job(&mut held) {
             job.started_at.get_or_insert_with(Instant::now);
             let landed = catch_unwind(AssertUnwindSafe(|| self.step(&job.query)))
                 .unwrap_or(Landed::Answered(Err(ServiceError::WorkerPanicked)));
             match landed {
-                Landed::Answered(result) => self.finish(job, result),
+                Landed::Answered(result) => self.finish(&mut held, job, result),
                 Landed::Following(waiter) => {
                     let shared = Arc::clone(self);
-                    waiter.on_resolved(move |outcome| match outcome {
-                        Ok(response) => shared.finish(job, Ok(response)),
-                        Err(FlightError::Failed(e)) => shared.finish(job, Err(e)),
-                        Err(FlightError::Aborted) => shared.push(job),
+                    waiter.on_resolved(move |held, outcome| match outcome {
+                        Ok(response) => shared.finish(held, job, Ok(response)),
+                        Err(FlightError::Failed(e)) => shared.finish(held, job, Err(e)),
+                        Err(FlightError::Aborted) => shared.push(held, job),
                     });
                 }
             }
@@ -283,23 +285,20 @@ impl Shared {
     }
 
     /// The one way a request ends, on whatever thread it ends: latency
-    /// sample (when a bound reads them), completion, counters, wake-up. The counters move under the
-    /// slot's lock, so a client that has seen its completion also sees its
-    /// admission slot free, and a drain that has seen nothing in flight
-    /// also finds every slot written.
-    fn finish(&self, job: Job, result: Result<ServiceResponse, ServiceError>) {
+    /// sample (when a bound reads them), completion, counters, wake-up. The
+    /// counters move under the slot's lock, so a client that has seen its
+    /// completion also sees its admission slot free, and a drain that has
+    /// seen nothing in flight also finds every slot written.
+    fn finish(&self, held: &mut Unlocked, job: Job, result: Result<ServiceResponse, ServiceError>) {
         let latency_us = job.started_at.map_or(0, |at| at.elapsed().as_micros() as u64);
         if let Some(latency) = &self.latency {
-            latency.record(latency_us);
+            latency.record(held, latency_us);
         }
-        let mut completion = job.slot.completion.lock().unwrap_or_else(PoisonError::into_inner);
-        *completion = Some(Completion { result, latency_us });
-        // ordering: Release pairs with the Acquire load in stats():
-        // observing this increment also observes the admission that
-        // preceded it (via the queue mutex), so `completed <= admitted`
-        // holds in every snapshot.
-        self.completed.fetch_add(1, Ordering::Release);
-        self.release();
+        let mut completion = job.slot.completion.lock(held);
+        let (done, held) = completion.split();
+        *done = Some(Completion { result, latency_us });
+        self.admissions.add_inner();
+        self.release(held);
         drop(completion);
         job.slot.done.notify_all();
     }
@@ -336,11 +335,10 @@ impl Frontend {
             try_run,
             queue: Mutex::default(),
             ready: Condvar::new(),
-            in_flight: AtomicUsize::new(0),
-            admitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            shed_queue_full: AtomicU64::new(0),
-            shed_latency: AtomicU64::new(0),
+            in_flight: Gauge::default(),
+            admissions: CountPair::default(),
+            shed_queue_full: Counter::default(),
+            shed_latency: Counter::default(),
             latency: config.p99_bound_us.map(|_| LatencyEstimator::new()),
         });
         let workers = (0..config.workers.max(1))
@@ -373,29 +371,25 @@ impl Frontend {
         if let Some(bound) = self.config.p99_bound_us {
             let p99 = shared.latency.as_ref().and_then(LatencyEstimator::p99_us);
             if p99.is_some_and(|p99| p99 > bound) {
-                // ordering: monotone shed counter, read for display only.
-                shared.shed_latency.fetch_add(1, Ordering::Relaxed);
+                shared.shed_latency.add(1);
                 return Err(Overload::LatencyBound);
             }
         }
         // Claim a queue slot; back off if the claim overshoots the bound.
-        // ordering: AcqRel makes claim/back-off edges a total order across
-        // admitters, so concurrent claims can never all read the same
-        // pre-claim value and jointly overshoot the bound.
-        let claimed = shared.in_flight.fetch_add(1, Ordering::AcqRel);
-        if claimed >= self.config.queue_depth {
-            shared.release();
-            // ordering: monotone shed counter, read for display only.
-            shared.shed_queue_full.fetch_add(1, Ordering::Relaxed);
+        // Concurrent claims never read the same count, so they cannot
+        // jointly overshoot it.
+        let mut held = Unlocked::new();
+        if shared.in_flight.claim() >= self.config.queue_depth {
+            shared.release(&mut held);
+            shared.shed_queue_full.add(1);
             return Err(Overload::QueueFull);
         }
-        // ordering: bounded above by `completed`'s Release/Acquire pair —
-        // stats() reads `completed` first, and this increment
-        // happens-before the job's `completed` increment via the queue
-        // mutex, so any observed completion implies its admission.
-        shared.admitted.fetch_add(1, Ordering::Relaxed);
+        // Counted before the push that hands the job to its worker, so a
+        // completion read in stats() implies its admission.
+        shared.admissions.add_outer();
         let slot = Arc::new(Slot::default());
-        shared.push(Job { query: query.clone(), slot: Arc::clone(&slot), started_at: None });
+        let job = Job { query: query.clone(), slot: Arc::clone(&slot), started_at: None };
+        shared.push(&mut held, job);
         Ok(ResponseHandle { slot })
     }
 
@@ -403,20 +397,15 @@ impl Frontend {
     /// [`Frontend::service`]).
     pub fn stats(&self) -> FrontendStats {
         let shared = &self.shared;
-        // Struct literals evaluate top to bottom: `completed` is read
-        // strictly before `admitted`, and with Acquire, so a snapshot can
-        // never observe `completed > admitted` (regression-tested by
+        // `completed <= admitted` in every read (regression-tested by
         // tests/frontend.rs::stats_completed_never_exceeds_admitted).
+        let (admitted, completed) = shared.admissions.read();
         FrontendStats {
-            // ordering: Acquire pairs with finish()'s Release fetch_add.
-            completed: shared.completed.load(Ordering::Acquire),
-            // ordering: bounded below by `completed` via the Acquire above.
-            admitted: shared.admitted.load(Ordering::Relaxed),
-            // ordering: monotone shed counter, read for display only.
-            shed_queue_full: shared.shed_queue_full.load(Ordering::Relaxed),
-            shed_latency: shared.shed_latency.load(Ordering::Relaxed), // ordering: display counter
-            // ordering: pairs with the AcqRel claim RMWs in submit().
-            in_flight: shared.in_flight.load(Ordering::Acquire),
+            admitted,
+            completed,
+            shed_queue_full: shared.shed_queue_full.get(),
+            shed_latency: shared.shed_latency.get(),
+            in_flight: shared.in_flight.get(),
         }
     }
 
@@ -438,7 +427,7 @@ impl Frontend {
     /// queue only ever shrinks from here. Idempotent: the second call
     /// (from `Drop`, after `shutdown`) finds no worker left to join.
     fn drain(&mut self) {
-        self.shared.queue().draining = true;
+        self.shared.queue.lock(&mut Unlocked::new()).draining = true;
         self.shared.ready.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -455,7 +444,7 @@ impl Drop for Frontend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     use sqo_workload::{paper_scenario, DbSize};
 

@@ -12,6 +12,7 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 #![warn(missing_debug_implementations)]
 
 mod ast;
@@ -22,6 +23,7 @@ mod error;
 pub mod interval;
 mod parser;
 mod predicate;
+pub mod sync;
 
 pub use ast::{Projection, Query};
 pub use builder::QueryBuilder;

@@ -76,23 +76,23 @@
 //! also expires memos that read one of them without traversing that
 //! relationship.
 //!
-//! Shards are independent `parking_lot::RwLock`s selected by fingerprint
-//! bits, so concurrent readers of *different* queries never contend, and
-//! readers of the *same* hot query share a read lock (recency is tracked
-//! with a relaxed atomic, not a write lock). Each shard evicts
-//! least-recently-used entries past its capacity. A shard's map is keyed
+//! Shards are independent `RwLock`s (`sqo_query::sync`, rank
+//! `CACHE_SHARD`) selected by fingerprint bits, so concurrent readers of
+//! *different* queries never contend, and readers of the *same* hot query
+//! share a read lock (recency is tracked with a relaxed [`Counter`], not a
+//! write lock). Each shard evicts least-recently-used entries past its
+//! capacity. A shard's map is keyed
 //! by the fingerprint as it is: it is already a mixed 64-bit hash, and the
 //! capacity bound keeps the worst probe bounded however the keys fall.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use sqo_catalog::{AttrRef, ClassId};
 use sqo_constraints::StoreVersion;
 use sqo_exec::{PhysicalPlan, ResultSet};
+use sqo_query::sync::{CountPair, Counter, Held, RwLock, Unlocked, CACHE_MEMO, CACHE_SHARD};
 use sqo_query::{Query, QueryFingerprint};
 
 use crate::singleflight::FlightTable;
@@ -119,7 +119,7 @@ pub struct CacheEntry {
     /// share the `Arc`; the first reader after a write to one of the
     /// plan's classes re-executes and republishes (monotone: a racing
     /// older execution never overwrites a newer one).
-    results: RwLock<Option<(u64, Arc<ResultSet>)>>,
+    results: RwLock<CACHE_MEMO, Option<(u64, Arc<ResultSet>)>>,
 }
 
 impl CacheEntry {
@@ -138,7 +138,7 @@ impl CacheEntry {
     /// the plan binds was written since (module docs, *When a result memo
     /// may be served*).
     pub fn memoized_results(&self, data_epoch: u64) -> Option<Arc<ResultSet>> {
-        match &*self.results.read() {
+        match &*self.results.read(&mut Unlocked::new()) {
             Some((epoch, results)) if *epoch == data_epoch => Some(Arc::clone(results)),
             Some((epoch, results))
                 if *epoch < data_epoch && self.unwritten_since(*epoch, results) =>
@@ -161,7 +161,8 @@ impl CacheEntry {
     /// newer, so a slow executor racing a write can never clobber the
     /// post-write recomputation.
     pub fn publish_results(&self, data_epoch: u64, results: &Arc<ResultSet>) {
-        let mut slot = self.results.write();
+        let mut held = Unlocked::new();
+        let mut slot = self.results.write(&mut held);
         match &*slot {
             Some((epoch, _)) if *epoch > data_epoch => {}
             _ => *slot = Some((data_epoch, Arc::clone(results))),
@@ -178,7 +179,7 @@ struct Slot {
     version: StoreVersion,
     /// Global LRU clock value at last touch (relaxed: approximate recency
     /// is all LRU needs).
-    last_used: AtomicU64,
+    last_used: Counter,
 }
 
 /// The identity hasher over a fingerprint's one `u64` (module docs).
@@ -207,12 +208,12 @@ type Shard = HashMap<QueryFingerprint, Slot, BuildHasherDefault<Prehashed>>;
 ///
 /// Snapshots are **self-consistent**: `hits + misses == lookups` holds in
 /// every snapshot, even one taken mid-flight while other threads are
-/// looking up. The cache maintains only two atomics (`lookups`, bumped
-/// *before* the outcome is decided, and `hits`, bumped after) and derives
-/// `misses = lookups - hits`; [`ShardedCache::stats`] reads `hits` before
-/// `lookups`, so the read pair can never observe `hits > lookups`. With
-/// three independent counters a snapshot could tear — a hit bumped but not
-/// yet its lookup — and `hits + misses` would disagree with `lookups`.
+/// looking up. The cache counts lookups and hits as one
+/// [`CountPair`] (a lookup bumped *before* the outcome is decided, its
+/// hit after) and derives `misses = lookups - hits`; the pair's read never
+/// shows `hits > lookups`. With three independent counters a snapshot
+/// could tear — a hit bumped but not yet its lookup — and `hits + misses`
+/// would disagree with `lookups`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheStats {
     /// Completed lookups (`hits + misses`, exactly, in every snapshot).
@@ -245,21 +246,20 @@ impl CacheStats {
 /// N-way sharded LRU cache of [`CacheEntry`]s.
 #[derive(Debug)]
 pub struct ShardedCache {
-    shards: Vec<RwLock<Shard>>,
+    shards: Vec<RwLock<CACHE_SHARD, Shard>>,
     /// In-flight misses (singleflight): registered when a lookup misses,
     /// retired when the leader publishes the entry it derived. Behind an
     /// `Arc` so leader guards and follower waiters can outlive the borrow.
     flights: Arc<FlightTable>,
     per_shard_capacity: usize,
-    clock: AtomicU64,
-    /// Completed lookups. Incremented *before* `hits` on the hit path so
-    /// `hits <= lookups` at every instant (see [`CacheStats`]).
-    lookups: AtomicU64,
-    hits: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
-    revalidations: AtomicU64,
+    clock: Counter,
+    /// `(lookups, hits)`: a lookup is counted before its hit, so `hits <=
+    /// lookups` in every read (see [`CacheStats`]).
+    lookups: CountPair,
+    insertions: Counter,
+    evictions: Counter,
+    invalidations: Counter,
+    revalidations: Counter,
 }
 
 impl ShardedCache {
@@ -269,16 +269,15 @@ impl ShardedCache {
         let shards = shards.max(1).next_power_of_two();
         let per_shard_capacity = capacity.div_ceil(shards).max(1);
         Self {
-            shards: (0..shards).map(|_| RwLock::new(Shard::default())).collect(),
+            shards: (0..shards).map(|_| RwLock::default()).collect(),
             flights: Arc::new(FlightTable::default()),
             per_shard_capacity,
-            clock: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            revalidations: AtomicU64::new(0),
+            clock: Counter::default(),
+            lookups: CountPair::default(),
+            insertions: Counter::default(),
+            evictions: Counter::default(),
+            invalidations: Counter::default(),
+            revalidations: Counter::default(),
         }
     }
 
@@ -295,7 +294,7 @@ impl ShardedCache {
         self.per_shard_capacity * self.shards.len()
     }
 
-    fn shard_of(&self, fingerprint: QueryFingerprint) -> &RwLock<Shard> {
+    fn shard_of(&self, fingerprint: QueryFingerprint) -> &RwLock<CACHE_SHARD, Shard> {
         // Fibonacci hashing over the fingerprint bits.
         let h = fingerprint.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         &self.shards[(h >> 32) as usize & (self.shards.len() - 1)]
@@ -312,26 +311,16 @@ impl ShardedCache {
         query: &Query,
         version: StoreVersion,
     ) -> Option<Arc<CacheEntry>> {
-        // `lookups` first: `hits <= lookups` must hold in every stats()
-        // snapshot. Program order alone does not give a concurrent reader
-        // that guarantee — the Release on `hits` below and the Acquire load
-        // in stats() do.
-        // ordering: counter visible via the Release fence on `hits`; no
-        // reader orders on `lookups` alone.
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let shard = self.shard_of(fingerprint).read();
+        // The lookup first: `hits <= lookups` in every stats() snapshot.
+        self.lookups.add_outer();
+        let mut held = Unlocked::new();
+        let shard = self.shard_of(fingerprint).read(&mut held);
         match shard.get(&fingerprint) {
             Some(slot)
                 if slot.version == version && query.same_canonical(&slot.entry.canonical) =>
             {
-                // ordering: LRU timestamp; approximate recency is fine.
-                slot.last_used.store(self.tick(), Ordering::Relaxed);
-                // ordering: Release pairs with the Acquire load in stats().
-                // A reader that observes this increment also observes the
-                // `lookups` increment above (release sequence over the RMW
-                // chain), so `hits <= lookups` holds on weak memory too —
-                // Relaxed here only held on x86's TSO by accident.
-                self.hits.fetch_add(1, Ordering::Release);
+                slot.last_used.set(self.tick());
+                self.lookups.add_inner();
                 Some(Arc::clone(&slot.entry))
             }
             _ => None,
@@ -346,25 +335,19 @@ impl ShardedCache {
         version: StoreVersion,
         entry: Arc<CacheEntry>,
     ) {
-        let mut shard = self.shard_of(fingerprint).write();
+        let mut held = Unlocked::new();
+        let mut shard = self.shard_of(fingerprint).write(&mut held);
         if !shard.contains_key(&fingerprint) && shard.len() >= self.per_shard_capacity {
-            if let Some(victim) = shard
-                .iter()
-                // ordering: LRU timestamps are heuristic; the shard write
-                // lock already serializes this scan against get()'s bumps
-                // up to a benign race on in-flight Relaxed stores.
-                .min_by_key(|(_, slot)| slot.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| *k)
+            // LRU stamps are heuristic: a racing hit's stamp may be missed.
+            if let Some(victim) =
+                shard.iter().min_by_key(|(_, slot)| slot.last_used.get()).map(|(k, _)| *k)
             {
                 shard.remove(&victim);
-                // ordering: monotone display counter; no reader derives
-                // cross-counter invariants from it.
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.evictions.add(1);
             }
         }
-        let slot = Slot { entry, version, last_used: AtomicU64::new(self.tick()) };
-        // ordering: monotone display counter.
-        self.insertions.fetch_add(1, Ordering::Relaxed);
+        let slot = Slot { entry, version, last_used: Counter::new(self.tick()) };
+        self.insertions.add(1);
         shard.insert(fingerprint, slot);
     }
 
@@ -375,27 +358,30 @@ impl ShardedCache {
     /// entries already at `next` are kept untouched (a reader that raced
     /// the store swap cached them under the successor — they are valid);
     /// entries at any *other* version are stale strays and are removed.
-    pub fn invalidate_classes(&self, prev: StoreVersion, next: StoreVersion, touched: &[ClassId]) {
+    /// `held` is the caller's lock token (the service's store writer).
+    pub fn invalidate_classes<const H: u8>(
+        &self,
+        held: &mut Held<H>,
+        prev: StoreVersion,
+        next: StoreVersion,
+        touched: &[ClassId],
+    ) {
         for shard in &self.shards {
-            let mut shard = shard.write();
-            shard.retain(|_, slot| {
+            shard.write(held).retain(|_, slot| {
                 if slot.version == next {
                     return true;
                 }
                 if slot.version != prev {
-                    // ordering: monotone display counter.
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                    self.evictions.add(1);
                     return false;
                 }
                 let overlaps = slot.entry.canonical.classes.iter().any(|c| touched.contains(c));
                 if overlaps {
-                    // ordering: monotone display counter.
-                    self.invalidations.fetch_add(1, Ordering::Relaxed);
+                    self.invalidations.add(1);
                     false
                 } else {
                     slot.version = next;
-                    // ordering: monotone display counter.
-                    self.revalidations.fetch_add(1, Ordering::Relaxed);
+                    self.revalidations.add(1);
                     true
                 }
             });
@@ -405,15 +391,14 @@ impl ShardedCache {
     /// Drops every entry not derived under `current` — both entries from
     /// older epochs of the same store and entries from *any* epoch of a
     /// different (e.g. swapped-out) store generation, which a bare
-    /// epoch-floor retention would wrongly keep.
-    pub fn purge_stale(&self, current: StoreVersion) {
+    /// epoch-floor retention would wrongly keep. `held` is the caller's
+    /// lock token.
+    pub fn purge_stale<const H: u8>(&self, held: &mut Held<H>, current: StoreVersion) {
         for shard in &self.shards {
-            let mut shard = shard.write();
+            let mut shard = shard.write(held);
             let before = shard.len();
             shard.retain(|_, slot| slot.version == current);
-            let dropped = before - shard.len();
-            // ordering: monotone display counter.
-            self.evictions.fetch_add(dropped as u64, Ordering::Relaxed);
+            self.evictions.add((before - shard.len()) as u64);
         }
     }
 
@@ -422,8 +407,9 @@ impl ShardedCache {
     /// save path (the QUERIES section).
     pub fn entries(&self) -> Vec<(QueryFingerprint, StoreVersion, Arc<CacheEntry>)> {
         let mut out: Vec<(QueryFingerprint, StoreVersion, Arc<CacheEntry>)> = Vec::new();
+        let mut held = Unlocked::new();
         for shard in &self.shards {
-            let shard = shard.read();
+            let shard = shard.read(&mut held);
             out.extend(shard.iter().map(|(fp, slot)| (*fp, slot.version, Arc::clone(&slot.entry))));
         }
         out.sort_by_key(|(fp, _, _)| fp.0);
@@ -431,7 +417,7 @@ impl ShardedCache {
     }
 
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| s.read(&mut Unlocked::new()).len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -441,34 +427,26 @@ impl ShardedCache {
     pub fn stats(&self) -> CacheStats {
         // One read-lock pass: `entries` is derived from the same snapshot
         // as `shard_sizes`, so the two never disagree.
-        let shard_sizes: Vec<usize> = self.shards.iter().map(|s| s.read().len()).collect();
-        // Read `hits` strictly before `lookups`, and with Acquire:
-        // observing a hit increment (Release in get()) then also observes
-        // its preceding lookup increment, so `hits <= lookups` in this
-        // snapshot and the derived `misses` can never underflow (see
-        // [`CacheStats`] and tests::stats_hits_never_exceed_lookups).
-        // ordering: Acquire pairs with the Release fetch_add in get().
-        let hits = self.hits.load(Ordering::Acquire);
-        // ordering: bounded below by `hits` via the Acquire above.
-        let lookups = self.lookups.load(Ordering::Relaxed);
+        let shard_sizes: Vec<usize> =
+            self.shards.iter().map(|s| s.read(&mut Unlocked::new()).len()).collect();
+        // `hits <= lookups` in this read, so the derived `misses` can never
+        // underflow (tests::stats_hits_never_exceed_lookups).
+        let (lookups, hits) = self.lookups.read();
         CacheStats {
             lookups,
             hits,
             misses: lookups - hits,
-            // ordering: monotone display counter, no cross-counter invariant.
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed), // ordering: display counter
-            invalidations: self.invalidations.load(Ordering::Relaxed), // ordering: display counter
-            revalidations: self.revalidations.load(Ordering::Relaxed), // ordering: display counter
+            insertions: self.insertions.get(),
+            evictions: self.evictions.get(),
+            invalidations: self.invalidations.get(),
+            revalidations: self.revalidations.get(),
             entries: shard_sizes.iter().sum(),
             shard_sizes,
         }
     }
 
     fn tick(&self) -> u64 {
-        // ordering: LRU clock only needs per-RMW atomicity (uniqueness),
-        // not cross-thread ordering — ties merely approximate recency.
-        self.clock.fetch_add(1, Ordering::Relaxed)
+        self.clock.add(1)
     }
 }
 
@@ -479,6 +457,7 @@ mod tests {
     use sqo_exec::{execute, plan_query_shared, CostModel};
     use sqo_query::QueryBuilder;
     use sqo_storage::{DataWrite, Database, IntegrityOptions, ObjectId, VersionedDatabase};
+    use std::sync::atomic::Ordering;
 
     fn entry(q: &Query) -> Arc<CacheEntry> {
         Arc::new(CacheEntry::new(q.clone(), q.clone(), None, true, vec![]))
@@ -488,8 +467,20 @@ mod tests {
         QueryFingerprint(v)
     }
 
+    /// Stands in for the version of store `generation` at `epoch`. No
+    /// version can be built from parts, so each distinct pair is the
+    /// version of its own real store: equal pairs give equal versions,
+    /// distinct pairs distinct ones, on every thread.
     fn v(generation: u64, epoch: u64) -> StoreVersion {
-        StoreVersion { generation, epoch }
+        use sqo_constraints::{ConstraintStore, StoreOptions};
+        use std::collections::HashMap;
+        use std::sync::{Mutex, OnceLock};
+        static VERSIONS: OnceLock<Mutex<HashMap<(u64, u64), StoreVersion>>> = OnceLock::new();
+        let mut versions = VERSIONS.get_or_init(Mutex::default).lock().unwrap();
+        *versions.entry((generation, epoch)).or_insert_with(|| {
+            let catalog = Arc::new(sqo_catalog::example::figure21().unwrap());
+            ConstraintStore::build(catalog, vec![], StoreOptions::default()).unwrap().version()
+        })
     }
 
     #[test]
@@ -513,7 +504,7 @@ mod tests {
         assert!(cache.get(fp(1), &q, v(1, 0)).is_none(), "other generation must miss");
         cache.insert(fp(1), v(0, 1), entry(&q));
         assert_eq!(cache.len(), 1, "one slot per fingerprint");
-        cache.purge_stale(v(0, 1));
+        cache.purge_stale(&mut Unlocked::new(), v(0, 1));
         assert_eq!(cache.len(), 1);
         assert!(cache.get(fp(1), &q, v(0, 1)).is_some());
     }
@@ -525,7 +516,7 @@ mod tests {
         let cache = ShardedCache::new(1, 8);
         let q = Query::new();
         cache.insert(fp(1), v(7, 40), entry(&q));
-        cache.purge_stale(v(8, 3));
+        cache.purge_stale(&mut Unlocked::new(), v(8, 3));
         assert_eq!(cache.len(), 0, "a stray from another store must not survive the swap");
     }
 
@@ -569,7 +560,7 @@ mod tests {
                                                      // (even one overlapping the touched classes — it was derived under
                                                      // the successor store, so it is valid as-is).
         cache.insert(fp(4), next, entry(&on_c0));
-        cache.invalidate_classes(prev, next, &[ClassId(0)]);
+        cache.invalidate_classes(&mut Unlocked::new(), prev, next, &[ClassId(0)]);
         assert!(cache.get(fp(1), &on_c0, next).is_none(), "overlapping entry removed");
         assert!(cache.get(fp(2), &on_c1, next).is_some(), "disjoint entry revalidated");
         assert!(cache.get(fp(3), &on_c1, next).is_none(), "stray removed");

@@ -25,9 +25,8 @@
 //!   expires the result memo of only those entries whose plan binds a class
 //!   the batch changed.
 //! * A **sharded LRU plan cache** ([`ShardedCache`]) keeps lock hold times
-//!   tiny: readers of different queries land on different
-//!   `parking_lot::RwLock` shards, readers of the same hot query share a
-//!   read lock.
+//!   tiny: readers of different queries land on different `RwLock`
+//!   shards, readers of the same hot query share a read lock.
 //! * **One request pipeline** — `resolve → hit | lead | follow → execute
 //!   → publish → respond` — behind every entry point: each of the plan-cache
 //!   lookup, the optimize+plan+insert miss path, the executor call with its
@@ -57,6 +56,7 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 #![warn(missing_debug_implementations)]
 
 mod cache;

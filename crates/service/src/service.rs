@@ -5,16 +5,15 @@
 use std::cell::RefCell;
 use std::fmt;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use sqo_constraints::{ConstraintError, ConstraintStore, HornConstraint, StoreVersion};
 use sqo_core::{OptimizerConfig, OptimizerScratch, SemanticOptimizer};
 use sqo_exec::{
     execute_with, plan_query_shared, CostBasedOracle, CostModel, ExecError, ExecScratch,
     PhysicalPlan, ResultSet,
 };
+use sqo_query::sync::{Counter, Mutex, RwLock, Unlocked, SERVICE_STORE, SERVICE_WRITER};
 use sqo_query::{Query, QueryError, QueryFingerprint};
 use sqo_snapshot::{
     write_snapshot_file, LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel,
@@ -277,19 +276,19 @@ pub struct QueryService {
     db: Arc<VersionedDatabase>,
     /// Swapped wholesale on constraint changes (copy-on-write): in-flight
     /// queries drain against the store they started with.
-    store: RwLock<Arc<ConstraintStore>>,
+    store: RwLock<SERVICE_STORE, Arc<ConstraintStore>>,
     /// Serializes store writers so successor stores are built *outside*
     /// `store`'s write lock — readers only ever wait for the brief swap.
-    writer: parking_lot::Mutex<()>,
+    writer: Mutex<SERVICE_WRITER, ()>,
     cache: ShardedCache,
     model: CostModel,
     config: ServiceConfig,
-    requests: AtomicU64,
-    optimizations: AtomicU64,
-    executions: AtomicU64,
-    writes: AtomicU64,
-    sf_leaders: AtomicU64,
-    sf_followers: AtomicU64,
+    requests: Counter,
+    optimizations: Counter,
+    executions: Counter,
+    writes: Counter,
+    sf_leaders: Counter,
+    sf_followers: Counter,
 }
 
 impl QueryService {
@@ -315,16 +314,16 @@ impl QueryService {
         Self {
             db,
             store: RwLock::new(store),
-            writer: parking_lot::Mutex::new(()),
+            writer: Mutex::default(),
             cache: ShardedCache::new(config.shards, config.cache_capacity),
             model: CostModel::default(),
             config,
-            requests: AtomicU64::new(0),
-            optimizations: AtomicU64::new(0),
-            executions: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            sf_leaders: AtomicU64::new(0),
-            sf_followers: AtomicU64::new(0),
+            requests: Counter::default(),
+            optimizations: Counter::default(),
+            executions: Counter::default(),
+            writes: Counter::default(),
+            sf_leaders: Counter::default(),
+            sf_followers: Counter::default(),
         }
     }
 
@@ -346,17 +345,17 @@ impl QueryService {
 
     /// A snapshot handle to the current constraint store.
     pub fn store(&self) -> Arc<ConstraintStore> {
-        Arc::clone(&self.store.read())
+        Arc::clone(&self.store.read(&mut Unlocked::new()))
     }
 
     /// The current semantic epoch (see [`ConstraintStore::epoch`]).
     pub fn epoch(&self) -> u64 {
-        self.store.read().epoch()
+        self.store.read(&mut Unlocked::new()).epoch()
     }
 
     /// The current unambiguous store identity.
     pub fn store_version(&self) -> StoreVersion {
-        self.store.read().version()
+        self.store.read(&mut Unlocked::new()).version()
     }
 
     /// Applies one atomic batch of data writes, advancing the data epoch;
@@ -369,8 +368,7 @@ impl QueryService {
     /// next request.
     pub fn write(&self, writes: &[DataWrite]) -> Result<WriteOutcome, ServiceError> {
         let outcome = self.db.write(writes)?;
-        // ordering: monotone display counter.
-        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.writes.add(1);
         Ok(outcome)
     }
 
@@ -386,15 +384,17 @@ impl QueryService {
     /// are serialized by a dedicated mutex), so concurrent readers keep
     /// serving off the old store and only ever block on the pointer swap.
     pub fn add_constraint(&self, constraint: HornConstraint) -> Result<u64, ServiceError> {
-        let _writing = self.writer.lock();
-        let base = self.store();
+        let mut held = Unlocked::new();
+        let mut writing = self.writer.lock(&mut held);
+        let held = writing.split().1;
+        let base = Arc::clone(&self.store.read(held));
         let prev = base.version();
         let (next, id) = base.with_constraint(constraint)?;
         let next = Arc::new(next);
         let version = next.version();
-        *self.store.write() = Arc::clone(&next);
-        self.cache.invalidate_classes(prev, version, next.touched_classes(id));
-        Ok(version.epoch)
+        *self.store.write(held) = Arc::clone(&next);
+        self.cache.invalidate_classes(held, prev, version, next.touched_classes(id));
+        Ok(version.epoch())
     }
 
     /// Records an external statistics change (bumping the epoch so cached
@@ -402,10 +402,12 @@ impl QueryService {
     /// entry is purged — any cost-based decision may shift under new
     /// statistics, so there is no sound subset to keep.
     pub fn note_statistics_change(&self) -> u64 {
-        let _writing = self.writer.lock();
-        let store = self.store();
+        let mut held = Unlocked::new();
+        let mut writing = self.writer.lock(&mut held);
+        let held = writing.split().1;
+        let store = Arc::clone(&self.store.read(held));
         let epoch = store.note_statistics_change();
-        self.cache.purge_stale(store.version());
+        self.cache.purge_stale(held, store.version());
         epoch
     }
 
@@ -415,13 +417,15 @@ impl QueryService {
     /// entry — the new generation can never hit the old one's entries.
     /// Returns the store's post-swap epoch.
     pub fn replace_store(&self, next: Arc<ConstraintStore>) -> u64 {
-        let _writing = self.writer.lock();
-        let old = self.store();
+        let mut held = Unlocked::new();
+        let mut writing = self.writer.lock(&mut held);
+        let held = writing.split().1;
+        let old = Arc::clone(&self.store.read(held));
         next.raise_epoch_above(&old);
         let version = next.version();
-        *self.store.write() = next;
-        self.cache.purge_stale(version);
-        version.epoch
+        *self.store.write(held) = next;
+        self.cache.purge_stale(held, version);
+        version.epoch()
     }
 
     /// Resolves `query` to its optimization artifacts — from the cache when
@@ -443,7 +447,7 @@ impl QueryService {
         let version = self.store_version();
         let fingerprint = query.fingerprint();
         if let Some(entry) = self.cache.get(fingerprint, query, version) {
-            return Lookup::Hit(PreparedQuery { entry, epoch: version.epoch, cache_hit: true });
+            return Lookup::Hit(PreparedQuery { entry, epoch: version.epoch(), cache_hit: true });
         }
         let store = self.store();
         let at = Coordinate { version: store.version(), store, fingerprint };
@@ -457,10 +461,9 @@ impl QueryService {
     /// re-derive).
     fn entry_for(&self, canonical: Query, at: Coordinate) -> Result<PreparedQuery, ServiceError> {
         let entry = Arc::new(self.build_entry(canonical, &at.store)?);
-        // ordering: monotone display counter.
-        self.optimizations.fetch_add(1, Ordering::Relaxed);
+        self.optimizations.add(1);
         self.cache.insert(at.fingerprint, at.version, Arc::clone(&entry));
-        Ok(PreparedQuery { entry, epoch: at.version.epoch, cache_hit: false })
+        Ok(PreparedQuery { entry, epoch: at.version.epoch(), cache_hit: false })
     }
 
     /// The miss path, and a warm boot's: semantic optimization, then
@@ -512,14 +515,14 @@ impl QueryService {
         };
         let memoize = self.config.cache_results;
         if memoize {
-            // ordering: `data_epoch()` is an Acquire load of the epoch the
-            // write path Release-stores after raising the classes its batch
-            // wrote and swapping the snapshot in (raise before swap,
-            // `cache.rs`). A reader that loads epoch E' sees every raise of
-            // every epoch <= E', so a memo served at E' is what the plan
-            // returns on E''s snapshot, and checking it pins no snapshot.
-            // The store is made under the swap's lock, so E' is never
-            // behind a snapshot another request already answered at.
+            // `data_epoch()` is an Acquire read of the epoch the write path
+            // publishes after raising the classes its batch wrote and
+            // swapping the snapshot in (raise before swap, `cache.rs`). A
+            // reader that reads epoch E' sees every raise of every epoch
+            // <= E', so a memo served at E' is what the plan returns on
+            // E''s snapshot, and checking it pins no snapshot. The epoch is
+            // published under the swap's lock, so E' is never behind a
+            // snapshot another request already answered at.
             let data_epoch = self.db.data_epoch();
             if let Some(results) = entry.memoized_results(data_epoch) {
                 return Ok(respond(results, data_epoch));
@@ -536,8 +539,7 @@ impl QueryService {
                 .ok_or(ExecError::MalformedPlan("an entry not proven empty carries no plan"))?;
             let (res, _counters) =
                 WORKER_SCRATCH.with(|s| execute_with(&db, plan, &mut s.borrow_mut().1))?;
-            // ordering: monotone display counter.
-            self.executions.fetch_add(1, Ordering::Relaxed);
+            self.executions.add(1);
             Arc::new(res)
         };
         if memoize {
@@ -548,9 +550,7 @@ impl QueryService {
 
     /// Prepare + execute in one call — the per-request entry point.
     pub fn run(&self, query: &Query) -> Result<ServiceResponse, ServiceError> {
-        // ordering: monotone display counter; `accepted` consistency is
-        // carried by the cache's lookups/hits pair, not this one.
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.requests.add(1);
         self.answer(&self.prepare(query)?)
     }
 
@@ -575,9 +575,7 @@ impl QueryService {
     ///   means the leader dropped its guard without completing — call
     ///   `try_run` again; the retry re-checks the cache and may lead.
     pub fn try_run(&self, query: &Query) -> Result<TryRun, ServiceError> {
-        // ordering: monotone display counter; `accepted` consistency is
-        // carried by the cache's lookups/hits pair, not this one.
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.requests.add(1);
         let (canonical, at) = match self.resolve(query) {
             Lookup::Hit(prepared) => return self.answer(&prepared).map(TryRun::Done),
             Lookup::Miss(canonical, at) => (canonical, at),
@@ -589,14 +587,12 @@ impl QueryService {
         };
         match self.cache.flights().register(key, &canonical) {
             Registered::Leader(flight) => {
-                // ordering: monotone display counter.
-                self.sf_leaders.fetch_add(1, Ordering::Relaxed);
+                self.sf_leaders.add(1);
                 let table = Arc::clone(self.cache.flights());
                 Ok(TryRun::Leader(MissGuard::new(key, canonical, at.store, table, flight)))
             }
             Registered::Follower(flight) => {
-                // ordering: monotone display counter.
-                self.sf_followers.fetch_add(1, Ordering::Relaxed);
+                self.sf_followers.add(1);
                 Ok(TryRun::Follower(MissWaiter::new(flight)))
             }
             // A 64-bit fingerprint collision with the in-flight query:
@@ -727,16 +723,15 @@ impl QueryService {
     pub fn stats(&self) -> ServiceStats {
         let cache = self.cache.stats();
         ServiceStats {
-            // ordering: monotone display counter; the `accepted ==
-            // hits + misses` snapshot invariant rides on the cache's
-            // Release/Acquire lookups-hits pair, read in `cache` above.
-            requests: self.requests.load(Ordering::Relaxed),
+            // `accepted == hits + misses` rides on the cache's lookups/hits
+            // pair, read in `cache` above.
+            requests: self.requests.get(),
             accepted: cache.lookups,
-            optimizations: self.optimizations.load(Ordering::Relaxed), // ordering: display counter
-            executions: self.executions.load(Ordering::Relaxed),       // ordering: display counter
-            writes: self.writes.load(Ordering::Relaxed),               // ordering: display counter
-            singleflight_leaders: self.sf_leaders.load(Ordering::Relaxed), // ordering: display counter
-            singleflight_followers: self.sf_followers.load(Ordering::Relaxed), // ordering: display counter
+            optimizations: self.optimizations.get(),
+            executions: self.executions.get(),
+            writes: self.writes.get(),
+            singleflight_leaders: self.sf_leaders.get(),
+            singleflight_followers: self.sf_followers.get(),
             epoch: self.epoch(),
             data_epoch: self.data_epoch(),
             cache,
@@ -947,7 +942,7 @@ mod tests {
         assert_eq!(service.stats().cache.invalidations, 0);
         // The writer lock was released: the next add goes through.
         let dup = overlapping_dup(&service, &queries[2]);
-        assert!(service.add_constraint(dup).unwrap() > version.epoch);
+        assert!(service.add_constraint(dup).unwrap() > version.epoch());
     }
 
     /// A constraint whose consequent names an attribute the class does not
@@ -967,7 +962,7 @@ mod tests {
         assert!(matches!(err, ServiceError::Constraint(ConstraintError::Catalog(_))), "{err:?}");
         assert!(Arc::ptr_eq(&store, &service.store()));
         assert_eq!(service.store_version(), version);
-        assert_eq!(service.epoch(), version.epoch);
+        assert_eq!(service.epoch(), version.epoch());
         assert!(service.run(&queries[2]).unwrap().cache_hit);
         let bytes = service.snapshot_bytes();
         QueryService::from_snapshot_bytes(

@@ -35,8 +35,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use sqo_constraints::{ConstraintStore, StoreVersion};
+use sqo_query::sync::{Mutex, Unlocked, FLIGHT_STATE, SERVICE_FLIGHTS};
 use sqo_query::{Query, QueryFingerprint};
 
 use crate::service::{ServiceError, ServiceResponse};
@@ -69,8 +69,10 @@ pub enum FlightError {
 /// What a follower receives when its flight resolves.
 pub type FlightResult = Result<ServiceResponse, FlightError>;
 
-/// What a follower leaves behind instead of a parked thread.
-type Continuation = Box<dyn FnOnce(FlightResult) + Send + 'static>;
+/// What a follower leaves behind instead of a parked thread. It is run
+/// with the token of a thread that holds no lock, which is what keeps it
+/// from ever being invoked under the flight's state guard.
+type Continuation = Box<dyn FnOnce(&mut Unlocked, FlightResult) + Send + 'static>;
 
 enum FlightState {
     /// Unresolved: the continuations to run with the outcome.
@@ -93,7 +95,7 @@ pub(crate) struct Flight {
     /// The canonical query, kept to disarm 64-bit fingerprint collisions
     /// exactly like the plan cache does.
     canonical: Query,
-    state: Mutex<FlightState>,
+    state: Mutex<FLIGHT_STATE, FlightState>,
 }
 
 impl Flight {
@@ -104,9 +106,9 @@ impl Flight {
     /// Publishes the outcome and runs every registered continuation with
     /// it, on this thread, after the state lock is released. Idempotent
     /// (the first resolution wins).
-    fn resolve(&self, outcome: FlightResult) {
+    fn resolve(&self, held: &mut Unlocked, outcome: FlightResult) {
         let waiting = {
-            let mut state = self.state.lock();
+            let mut state = self.state.lock(held);
             match &mut *state {
                 FlightState::Resolved(_) => return,
                 FlightState::Open(waiting) => {
@@ -117,7 +119,7 @@ impl Flight {
             }
         };
         for continuation in waiting {
-            continuation(outcome.clone());
+            continuation(held, outcome.clone());
         }
     }
 
@@ -125,9 +127,13 @@ impl Flight {
     /// flight has resolved, otherwise from [`Flight::resolve`]. Checking
     /// the state and joining the list happen under one lock, so a
     /// resolution can never slip between them.
-    fn on_resolved(&self, continuation: impl FnOnce(FlightResult) + Send + 'static) {
+    fn on_resolved(
+        &self,
+        held: &mut Unlocked,
+        continuation: impl FnOnce(&mut Unlocked, FlightResult) + Send + 'static,
+    ) {
         let outcome = {
-            let mut state = self.state.lock();
+            let mut state = self.state.lock(held);
             match &mut *state {
                 FlightState::Open(waiting) => {
                     waiting.push(Box::new(continuation));
@@ -136,7 +142,7 @@ impl Flight {
                 FlightState::Resolved(outcome) => outcome.clone(),
             }
         };
-        continuation(outcome);
+        continuation(held, outcome);
     }
 }
 
@@ -156,14 +162,15 @@ pub(crate) enum Registered {
 /// [`MissGuard`]/[`MissWaiter`] handed out from it.
 #[derive(Debug, Default)]
 pub(crate) struct FlightTable {
-    flights: Mutex<HashMap<FlightKey, Arc<Flight>>>,
+    flights: Mutex<SERVICE_FLIGHTS, HashMap<FlightKey, Arc<Flight>>>,
 }
 
 impl FlightTable {
     /// Registers interest in `key`: the first caller becomes the leader,
     /// everyone after it (until the flight resolves) a follower.
     pub(crate) fn register(&self, key: FlightKey, canonical: &Query) -> Registered {
-        let mut flights = self.flights.lock();
+        let mut held = Unlocked::new();
+        let mut flights = self.flights.lock(&mut held);
         match flights.get(&key) {
             Some(flight) if flight.canonical == *canonical => {
                 Registered::Follower(Arc::clone(flight))
@@ -181,19 +188,19 @@ impl FlightTable {
     /// registered — a successor flight on the same key is left alone) and
     /// resolves it. New registrants on the key start a fresh flight.
     fn retire(&self, key: FlightKey, flight: &Arc<Flight>, outcome: FlightResult) {
-        {
-            let mut flights = self.flights.lock();
-            if flights.get(&key).is_some_and(|f| Arc::ptr_eq(f, flight)) {
-                flights.remove(&key);
-            }
+        let mut held = Unlocked::new();
+        let mut flights = self.flights.lock(&mut held);
+        if flights.get(&key).is_some_and(|f| Arc::ptr_eq(f, flight)) {
+            flights.remove(&key);
         }
-        flight.resolve(outcome);
+        drop(flights);
+        flight.resolve(&mut held, outcome);
     }
 
     /// Number of flights currently in the table (diagnostics).
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.flights.lock().len()
+        self.flights.lock(&mut Unlocked::new()).len()
     }
 }
 
@@ -274,15 +281,20 @@ impl MissWaiter {
     /// waiting follower therefore costs no thread; in exchange the
     /// continuation runs on somebody else's time and must stay short and
     /// non-blocking: complete a slot, push a queue entry, send on a channel.
-    pub fn on_resolved(self, continuation: impl FnOnce(FlightResult) + Send + 'static) {
-        self.flight.on_resolved(continuation);
+    /// It receives the [`Unlocked`] token of that thread, which holds no
+    /// lock of this workspace while it runs.
+    pub fn on_resolved(
+        self,
+        continuation: impl FnOnce(&mut Unlocked, FlightResult) + Send + 'static,
+    ) {
+        self.flight.on_resolved(&mut Unlocked::new(), continuation);
     }
 
     /// Blocks the calling thread until the flight resolves — the
     /// synchronous counterpart of [`MissWaiter::on_resolved`].
     pub fn wait(self) -> FlightResult {
         let (tx, rx) = std::sync::mpsc::channel();
-        self.on_resolved(move |outcome| {
+        self.on_resolved(move |_, outcome| {
             let _ = tx.send(outcome);
         });
         // A flight dropped unresolved took its leader with it.
@@ -296,11 +308,9 @@ mod tests {
     use sqo_exec::ResultSet;
 
     fn key(fp: u64) -> FlightKey {
-        FlightKey {
-            fingerprint: QueryFingerprint(fp),
-            version: StoreVersion { generation: 1, epoch: 0 },
-            data_epoch: 0,
-        }
+        static VERSION: std::sync::OnceLock<StoreVersion> = std::sync::OnceLock::new();
+        let version = *VERSION.get_or_init(|| test_store().version());
+        FlightKey { fingerprint: QueryFingerprint(fp), version, data_epoch: 0 }
     }
 
     fn response() -> ServiceResponse {
@@ -359,7 +369,7 @@ mod tests {
         let Registered::Follower(parked) = table.register(key(3), &q) else { panic!() };
         let Registered::Follower(joined) = table.register(key(3), &q) else { panic!() };
         let (tx, rx) = std::sync::mpsc::channel();
-        MissWaiter::new(parked).on_resolved(move |outcome| tx.send(outcome).unwrap());
+        MissWaiter::new(parked).on_resolved(move |_, outcome| tx.send(outcome).unwrap());
         assert!(rx.try_recv().is_err(), "nothing runs while the flight is open");
         let guard =
             MissGuard::new(key(3), q.clone(), Arc::new(test_store()), Arc::clone(&table), flight);
@@ -389,7 +399,7 @@ mod tests {
                     let (runs, start) = (Arc::clone(&runs), &start);
                     scope.spawn(move || {
                         start.wait();
-                        waiter.on_resolved(move |outcome| {
+                        waiter.on_resolved(move |_, outcome| {
                             assert_eq!(outcome.unwrap().epoch, round, "the published outcome");
                             runs[i].fetch_add(1, Ordering::SeqCst);
                         });
@@ -416,8 +426,9 @@ mod tests {
         let Registered::Leader(flight) = table.register(key(1), &Query::new()) else { panic!() };
         table.retire(key(1), &flight, Ok(response()));
         let (tx, rx) = std::sync::mpsc::channel();
-        MissWaiter::new(flight)
-            .on_resolved(move |outcome| tx.send((std::thread::current().id(), outcome)).unwrap());
+        MissWaiter::new(flight).on_resolved(move |_, outcome| {
+            tx.send((std::thread::current().id(), outcome)).unwrap()
+        });
         let (ran_on, outcome) = rx.try_recv().expect("ran before on_resolved returned");
         assert_eq!(ran_on, std::thread::current().id());
         assert!(outcome.is_ok());

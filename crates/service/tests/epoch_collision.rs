@@ -17,6 +17,7 @@
 use std::sync::Arc;
 
 use sqo_constraints::{ConstraintId, ConstraintStore, StoreOptions, StoreVersion};
+use sqo_query::sync::Unlocked;
 use sqo_service::{CacheEntry, QueryService, ServiceConfig, ShardedCache};
 use sqo_workload::{paper_scenario, DbSize};
 
@@ -63,7 +64,7 @@ fn cow_swap_with_racing_stats_change_cannot_serve_a_stale_plan() {
     // `epoch >= floor` retention the A-derived entry (same epoch!) survived
     // and the next lookup — now under B — served it: a plan derived under
     // the wrong constraint set.
-    cache.purge_stale(b.version());
+    cache.purge_stale(&mut Unlocked::new(), b.version());
     assert!(
         cache.get(fingerprint, &canonical, b.version()).is_none(),
         "an entry derived under store A must never hit under store B"
@@ -84,7 +85,7 @@ fn future_epoch_strays_do_not_survive_a_store_swap() {
     let q = sqo_query::Query::new();
     let entry = Arc::new(CacheEntry::new(q.clone(), q.clone(), None, true, vec![]));
     cache.insert(q.fingerprint(), a.version(), entry);
-    cache.purge_stale(b.version());
+    cache.purge_stale(&mut Unlocked::new(), b.version());
     assert!(cache.is_empty(), "future-epoch entries from another store are stale, not fresh");
 }
 

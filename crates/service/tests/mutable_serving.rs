@@ -11,9 +11,8 @@
 //! `cargo test -p sqo-service --release`.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use sqo_core::SemanticOptimizer;
 use sqo_exec::{execute, plan_query, CostBasedOracle, CostModel};
 use sqo_query::Query;
@@ -91,12 +90,12 @@ fn concurrent_writers_and_readers_observe_linearized_data_epochs() {
                 for kind in kinds.iter().skip(w).step_by(2) {
                     // resolve + submit + confirm under one lock: the batch
                     // must apply to the snapshot it was resolved against.
-                    let mut applier = applier.lock();
+                    let mut applier = applier.lock().unwrap();
                     let snapshot = service.db();
                     let (class, victim, batch) = applier.resolve(&snapshot, kind);
                     let outcome = service.write(&batch).expect("safe write rejected");
                     applier.confirm(class, victim, &outcome.receipt);
-                    snapshots.lock().insert(outcome.epoch, outcome.snapshot);
+                    snapshots.lock().unwrap().insert(outcome.epoch, outcome.snapshot);
                     drop(applier);
                     // Pace the writers so epochs spread across the readers'
                     // request stream (nothing below *asserts* interleaving —
@@ -129,7 +128,7 @@ fn concurrent_writers_and_readers_observe_linearized_data_epochs() {
     // Every committed epoch has a recorded snapshot, and every observation
     // matches the uncached reference at *its* epoch: one linearized epoch
     // per answer, no torn reads.
-    let snapshots = snapshots.into_inner();
+    let snapshots = snapshots.into_inner().unwrap();
     assert_eq!(snapshots.len(), write_kinds.len() + 1, "every write recorded its snapshot");
     let mut reference: HashMap<(usize, u64), u64> = HashMap::new();
     let mut epochs_observed: std::collections::HashSet<u64> = std::collections::HashSet::new();
@@ -169,7 +168,7 @@ fn concurrent_writers_and_readers_observe_linearized_data_epochs() {
     // Three of this stream's eight plans bind `driver` (all bind cargo).
     let written = s.catalog.class_id("driver").expect("bench schema");
     {
-        let mut applier = applier.lock();
+        let mut applier = applier.lock().unwrap();
         let snapshot = service.db();
         let (class, victim, batch) =
             applier.resolve(&snapshot, &WriteKind::InsertDup { class: written, source_rank: 3 });

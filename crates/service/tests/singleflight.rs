@@ -97,20 +97,22 @@ fn invalidation_during_flight_never_publishes_a_stale_entry() {
     // The leader completes against the store it registered under; its
     // published entry is stamped v0 and must not hit at v1.
     let led = service.complete_miss(guard).unwrap();
-    assert_eq!(led.epoch, v0.epoch, "flight answers at its registration epoch");
+    assert_eq!(led.epoch, v0.epoch(), "flight answers at its registration epoch");
 
     match service.try_run(query).unwrap() {
         TryRun::Leader(guard) => {
             // Correct: the v1 lookup missed the v0-stamped entry and must
             // re-derive under the new constraints.
             let fresh = service.complete_miss(guard).unwrap();
-            assert_eq!(fresh.epoch, v1.epoch);
+            assert_eq!(fresh.epoch, v1.epoch());
         }
         TryRun::Done(r) => {
             panic!(
                 "stale-version entry served after mid-flight invalidation \
                  (cache_hit={}, epoch={}, expected a miss at epoch {})",
-                r.cache_hit, r.epoch, v1.epoch
+                r.cache_hit,
+                r.epoch,
+                v1.epoch()
             );
         }
         TryRun::Follower(_) => panic!("no flight should be open"),

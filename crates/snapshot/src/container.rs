@@ -24,7 +24,8 @@
 
 use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+
+use sqo_query::sync::Counter;
 
 use crate::bytes::{ByteReader, ByteWriter};
 use crate::error::LoadError;
@@ -245,10 +246,9 @@ impl<'a> SnapshotFile<'a> {
 /// [`LoadError::Io`] if the file cannot be written; the temporary file is
 /// removed and whatever `path` held before is untouched.
 pub fn write_snapshot_file(path: &Path, bytes: &[u8]) -> Result<(), LoadError> {
-    static SAVES: AtomicU64 = AtomicU64::new(0);
-    // ordering: uniqueness comes from RMW atomicity alone; concurrent
-    // saves of one process must not share a temporary file.
-    let nth = SAVES.fetch_add(1, Ordering::Relaxed);
+    // Concurrent saves of one process must not share a temporary file.
+    static SAVES: Counter = Counter::new(0);
+    let nth = SAVES.add(1);
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(".{}-{nth}.tmp", std::process::id()));
     let tmp = Path::new(&tmp);

@@ -1,7 +1,7 @@
 //! The concurrent write path: a versioned handle over immutable snapshots.
 //!
 //! A [`VersionedDatabase`] wraps an [`Arc<Database>`] behind a `RwLock` and
-//! gives it a **data epoch** — an `AtomicU64` advanced by every committed
+//! gives it a **data epoch** — an [`Epoch`] advanced by every committed
 //! write batch, deliberately distinct from the *constraint* epoch of
 //! `sqo-constraints` (`ConstraintStore::epoch`): constraint changes
 //! invalidate cached *plans*, data changes invalidate cached *results*.
@@ -48,11 +48,10 @@
 //! The vector is not persisted (neither are results): a loaded database
 //! starts a new lineage at all zeros.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
 use sqo_catalog::ClassId;
+use sqo_query::sync::{Epoch, Mutex, RwLock, Unlocked, STORAGE_CURRENT, STORAGE_WRITER};
 
 use crate::db::{DataWrite, Database, IntegrityOptions, WriteReceipt};
 use crate::error::StorageError;
@@ -63,35 +62,31 @@ use crate::error::StorageError;
 /// between every snapshot of the lineage and every result read from one;
 /// see the module docs for who raises it and when.
 #[derive(Debug, Clone)]
-pub struct WriteEpochs(Arc<[AtomicU64]>);
+pub struct WriteEpochs(Arc<[Epoch]>);
 
 impl WriteEpochs {
     /// A new lineage of `classes` classes, none written yet.
     pub(crate) fn new(classes: usize) -> Self {
-        Self((0..classes).map(|_| AtomicU64::new(0)).collect())
+        Self((0..classes).map(|_| Epoch::new(0)).collect())
     }
 
     /// Whether a batch committed (or about to commit) after `epoch` changed
     /// `class`. A class the lineage does not know counts as written.
     pub fn written_after(&self, class: ClassId, epoch: u64) -> bool {
-        let Some(at) = self.0.get(class.index()) else { return true };
-        // ordering: Acquire pairs with the Release `fetch_max` in `raise`.
         // What a reader relies on — every raise of an epoch up to its
         // snapshot's is visible — already follows from the `current` lock
         // hand-off (the raise happens-before the swap, the swap before the
-        // reader's `snapshot()`); this pair extends it to a reader handed
-        // an epoch by other means.
-        at.load(Ordering::Acquire) > epoch
+        // reader's `snapshot()`); the slot's Acquire read extends it to a
+        // reader handed an epoch by other means.
+        self.0.get(class.index()).map_or(true, |at| at.get() > epoch)
     }
 
     /// Records that the batch establishing `epoch` changed `class`.
     fn raise(&self, class: ClassId, epoch: u64) {
+        // A raise keeps the slot monotone when two handles forked from one
+        // snapshot raise it with unordered epochs.
         if let Some(at) = self.0.get(class.index()) {
-            // ordering: Release pairs with the Acquire load in
-            // `written_after`; `fetch_max` keeps the slot monotone when two
-            // handles forked from one snapshot raise it with unordered
-            // epochs.
-            at.fetch_max(epoch, Ordering::Release);
+            at.raise(epoch);
         }
     }
 }
@@ -112,15 +107,15 @@ pub struct WriteOutcome {
 /// A mutable database: immutable snapshots behind a versioned swap.
 #[derive(Debug)]
 pub struct VersionedDatabase {
-    current: RwLock<Arc<Database>>,
+    current: RwLock<STORAGE_CURRENT, Arc<Database>>,
     /// Mirror of the current snapshot's `data_version`, readable without
     /// taking the snapshot lock. Stored right after the swap, under the
     /// swap's write lock: it never names a snapshot that is not swapped in
     /// yet, and never trails one a reader has already obtained.
-    data_epoch: AtomicU64,
+    data_epoch: Epoch,
     /// Serializes writers so successor snapshots are built outside
     /// `current`'s write lock.
-    writer: Mutex<()>,
+    writer: Mutex<STORAGE_WRITER, ()>,
     /// Integrity declarations re-checked on every batch (`None` trusts the
     /// writer, e.g. generators that only emit integrity-preserving batches).
     integrity: Option<IntegrityOptions>,
@@ -141,7 +136,7 @@ impl VersionedDatabase {
 
     fn with_integrity_option(db: Arc<Database>, integrity: Option<IntegrityOptions>) -> Self {
         Self {
-            data_epoch: AtomicU64::new(db.data_version()),
+            data_epoch: Epoch::new(db.data_version()),
             current: RwLock::new(db),
             writer: Mutex::new(()),
             integrity,
@@ -151,17 +146,14 @@ impl VersionedDatabase {
     /// The current snapshot. Immutable; callers may hold it across a write
     /// (they keep reading the epoch it was taken at).
     pub fn snapshot(&self) -> Arc<Database> {
-        Arc::clone(&self.current.read())
+        Arc::clone(&self.current.read(&mut Unlocked::new()))
     }
 
     /// The current data epoch, lock-free. Never behind a snapshot already
     /// obtained from `snapshot()`; use `snapshot().data_version()` when the
     /// epoch must match a specific snapshot.
     pub fn data_epoch(&self) -> u64 {
-        // ordering: Acquire pairs with the Release store in `write`,
-        // so an observed epoch implies the snapshot that produced it is
-        // already visible through `current`.
-        self.data_epoch.load(Ordering::Acquire)
+        self.data_epoch.get()
     }
 
     /// Applies one atomic write batch: builds the successor snapshot
@@ -169,8 +161,10 @@ impl VersionedDatabase {
     /// swaps it in, and advances the data epoch. Concurrent readers keep
     /// the snapshot they started with; a failed batch changes nothing.
     pub fn write(&self, writes: &[DataWrite]) -> Result<WriteOutcome, StorageError> {
-        let _writing = self.writer.lock();
-        let base = self.snapshot();
+        let mut held = Unlocked::new();
+        let mut writing = self.writer.lock(&mut held);
+        let held = writing.split().1;
+        let base = Arc::clone(&self.current.read(held));
         let (db, receipt) = base.with_writes(writes, self.integrity)?;
         let epoch = db.data_version();
         // Before the swap: no reader may hold this epoch's snapshot while
@@ -189,13 +183,12 @@ impl VersionedDatabase {
             }
         }
         let snapshot = Arc::new(db);
-        let mut current = self.current.write();
+        let mut current = self.current.write(held);
         *current = Arc::clone(&snapshot);
-        // ordering: Release publishes the snapshot swap above (and the
-        // raises before it) to any thread that Acquire-loads this epoch.
-        // Stored under the swap's lock, so whoever obtains this snapshot
-        // from `snapshot()` loads this epoch or a later one afterwards.
-        self.data_epoch.store(epoch, Ordering::Release);
+        // Published after the swap (and the raises before it), under the
+        // swap's lock: whoever obtains this snapshot from `snapshot()`
+        // reads this epoch or a later one afterwards.
+        self.data_epoch.publish(epoch);
         drop(current);
         Ok(WriteOutcome { epoch, snapshot, receipt })
     }
@@ -345,7 +338,8 @@ mod tests {
         let supplier = catalog.class_id("supplier").unwrap();
         let epochs = handle.snapshot().write_epochs().clone();
         std::thread::scope(|scope| {
-            let holding = handle.current.read();
+            let mut held = Unlocked::new();
+            let holding = handle.current.read(&mut held);
             let writer = scope.spawn(|| {
                 handle
                     .write(&[DataWrite::Insert {
