@@ -130,7 +130,7 @@ fn main() {
 /// E1: the Figure 2.3 / §3.5 worked example, step by step.
 fn e1() {
     use sqo_catalog::example::figure21;
-    use sqo_constraints::{figure22, ConstraintStore, StoreOptions};
+    use sqo_constraints::{figure22, ClosureOptions, ConstraintStore, StoreOptions};
     use sqo_core::{
         run_transformations, OptimizerConfig, SemanticOptimizer, StructuralOracle,
         TransformationTable,
@@ -141,7 +141,7 @@ fn e1() {
     let store = ConstraintStore::build(
         Arc::clone(&catalog),
         figure22(&catalog).expect("constraints"),
-        StoreOptions { materialize_closure: false, ..StoreOptions::paper_defaults() },
+        StoreOptions { closure: ClosureOptions::none() },
     )
     .expect("store");
     let query = parse_query(

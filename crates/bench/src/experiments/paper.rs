@@ -11,7 +11,7 @@ use std::time::Duration;
 use sqo_baseline::{
     ApplicationOrder, AssignmentPolicy, ConstraintGroups, StraightforwardOptimizer,
 };
-use sqo_constraints::{ConstraintStore, StoreOptions};
+use sqo_constraints::{ClosureOptions, ConstraintStore, StoreOptions};
 use sqo_core::{OptimizerConfig, SemanticOptimizer, StructuralOracle};
 use sqo_exec::{execute, plan_query, CostBasedOracle, CostModel};
 use sqo_query::Query;
@@ -490,7 +490,13 @@ pub fn closure_ablation(seed: u64) -> (Vec<Headline>, String) {
         let store = ConstraintStore::build(
             Arc::clone(&catalog),
             generated.constraints.clone(),
-            StoreOptions { materialize_closure: materialize, ..StoreOptions::paper_defaults() },
+            StoreOptions {
+                closure: if materialize {
+                    ClosureOptions::default()
+                } else {
+                    ClosureOptions::none()
+                },
+            },
         )
         .expect("store");
         let oracle = CostBasedOracle::new(&db);

@@ -2,8 +2,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CatalogError;
 use crate::ids::{AttrId, AttrRef, ClassId, RelId};
 use crate::schema::{
@@ -15,7 +13,7 @@ use crate::types::DataType;
 ///
 /// Built once through [`CatalogBuilder`], then shared (`Arc<Catalog>`) by the
 /// constraint store, the optimizer, the storage engine and the generators.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Catalog {
     classes: Vec<ClassDef>,
     relationships: Vec<RelationshipDef>,

@@ -4,13 +4,11 @@
 
 use std::cmp::Ordering;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{AttrRef, ClassId, RelId};
 use crate::types::Value;
 
 /// Per-attribute statistics, collected by the storage loader.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AttrStats {
     /// Number of rows observed.
     pub rows: u64,
@@ -93,14 +91,14 @@ impl AttrStats {
 }
 
 /// Per-class statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClassStats {
     pub cardinality: u64,
     pub attrs: Vec<AttrStats>,
 }
 
 /// Per-relationship statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RelStats {
     /// Total number of links.
     pub links: u64,
@@ -111,7 +109,7 @@ pub struct RelStats {
 }
 
 /// Snapshot of all statistics for a database instance.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsSnapshot {
     pub classes: Vec<ClassStats>,
     pub relationships: Vec<RelStats>,

@@ -9,10 +9,8 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// The type of an attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     Int,
     Float,
@@ -36,7 +34,7 @@ impl fmt::Display for DataType {
 ///
 /// Construction rejects NaN; infinities are allowed (they order naturally and
 /// are useful as open interval endpoints).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Finite(f64);
 
 impl Finite {
@@ -83,7 +81,7 @@ impl std::hash::Hash for Finite {
 ///
 /// Strings are reference-counted so that cloning values around the optimizer
 /// and the execution engine stays cheap.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
     Int(i64),
     Float(Finite),

@@ -8,8 +8,9 @@
 //! (the `B > 20` / `B > 10` pair above): whenever `cᵢ`'s consequent implies
 //! one or more antecedents of `cⱼ`, a new constraint is derived with those
 //! antecedents discharged. The computation runs to a fixpoint under
-//! configurable limits; truncation is safe (the closure only *adds*
-//! optimization opportunities, never correctness).
+//! configurable limits and a fixed budget of resolution attempts; truncation
+//! is safe (the closure only *adds* optimization opportunities, never
+//! correctness).
 
 use std::collections::{HashMap, HashSet};
 
@@ -34,6 +35,20 @@ impl Default for ClosureOptions {
         Self { max_derived: 4096, max_rounds: 8 }
     }
 }
+
+impl ClosureOptions {
+    /// No closure: zero rounds, so the constraints stay exactly as given.
+    pub fn none() -> Self {
+        Self { max_derived: 0, max_rounds: 0 }
+    }
+}
+
+/// Resolution attempts one closure may make, whatever its limits: the
+/// pairs tried grow with the square of the constraints that share an
+/// attribute, and a snapshot states its constraints, so without this bound
+/// a file could buy boot work quadratic in its size. Past it the closure is
+/// truncated. The experiments' closures make at most 40 attempts.
+const RESOLUTION_BUDGET: usize = 1 << 20;
 
 /// Outcome of the closure computation.
 #[derive(Debug, Clone)]
@@ -171,6 +186,7 @@ pub fn transitive_closure(
         index.file(i, c);
     }
     let mut derived_count = 0usize;
+    let mut attempts = 0usize;
     let mut truncated = false;
     let mut rounds = 0usize;
 
@@ -184,7 +200,7 @@ pub fn transitive_closure(
     while !frontier.is_empty() && rounds < options.max_rounds {
         rounds += 1;
         let mut fresh: Vec<HornConstraint> = Vec::new();
-        for &fi in &frontier {
+        'round: for &fi in &frontier {
             // `consumers` could absorb fi's consequent (direction fi → j);
             // `producers` could discharge one of fi's antecedents (j → fi).
             // Walk both ascending, trying (fi, j) before (j, fi) per j — the
@@ -207,6 +223,11 @@ pub fn transitive_closure(
                 }
                 let dirs = [as_consumer.then_some((fi, j)), as_producer.then_some((j, fi))];
                 for (a, b) in dirs.into_iter().flatten() {
+                    if attempts == RESOLUTION_BUDGET {
+                        truncated = true;
+                        break 'round;
+                    }
+                    attempts += 1;
                     if let Some(d) = resolve(catalog, &all[a], &all[b]) {
                         let k = key(&mut pool, &d);
                         if seen.insert(k) {
@@ -275,6 +296,20 @@ mod tests {
             Origin::Declared,
         )
         .unwrap()
+    }
+
+    /// 750 constraints on one attribute, none of which resolves with
+    /// another, pair up about 1.1 million ways: the fixpoint stops at its
+    /// resolution budget and reports truncation instead of trying them all.
+    #[test]
+    fn resolution_attempts_are_bounded() {
+        let cat = chain_catalog();
+        let same_key: Vec<HornConstraint> = (0..750)
+            .map(|i| mk(&cat, "s", ("a", CompOp::Gt, i), ("a", CompOp::Lt, i + 10)))
+            .collect();
+        let res = transitive_closure(&cat, same_key, ClosureOptions::default()).unwrap();
+        assert_eq!((res.derived_count, res.constraints.len()), (0, 750));
+        assert!(res.truncated, "the budget stopped the fixpoint");
     }
 
     #[test]

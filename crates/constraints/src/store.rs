@@ -1,11 +1,11 @@
 //! The serving constraint store.
 //!
-//! A [`ConstraintStore`] holds the compiled constraint list (declared plus
-//! closure-derived), the exact inverted [`ConstraintIndex`] that retrieves
-//! a query's relevant constraints, and the store's version. The paper's §3
-//! retrieves by per-class groups instead; that scheme, its assignment
-//! policies and its waste metrics are a measured baseline and live in
-//! `sqo-baseline` (`ConstraintGroups`).
+//! A [`ConstraintStore`] holds the compiled constraint list (declared,
+//! closure-derived, then dynamic), the exact inverted [`ConstraintIndex`]
+//! that retrieves a query's relevant constraints, and the store's version.
+//! The paper's §3 retrieves by per-class groups instead; that scheme, its
+//! assignment policies and its waste metrics are a measured baseline and
+//! live in `sqo-baseline` (`ConstraintGroups`).
 
 use std::sync::Arc;
 
@@ -15,22 +15,21 @@ use sqo_query::Query;
 
 use crate::closure::{transitive_closure, ClosureOptions};
 use crate::error::ConstraintError;
-use crate::horn::{check_predicate_types, ConstraintId, HornConstraint};
+use crate::horn::{check_predicate_types, ConstraintId, HornConstraint, Origin};
 use crate::index::{ConstraintIndex, RetrievalScratch};
 
 /// Store construction options.
 #[derive(Debug, Clone, Default)]
 pub struct StoreOptions {
-    /// Materialize the transitive closure at build time (§3; on by default
-    /// via [`StoreOptions::paper_defaults`]).
-    pub materialize_closure: bool,
+    /// Limits of the transitive closure materialized at build time (§3);
+    /// [`ClosureOptions::none`] derives nothing.
     pub closure: ClosureOptions,
 }
 
 impl StoreOptions {
     /// The configuration the paper describes: closure materialized.
     pub fn paper_defaults() -> Self {
-        Self { materialize_closure: true, closure: ClosureOptions::default() }
+        Self::default()
     }
 }
 
@@ -88,7 +87,7 @@ pub struct ConstraintStore {
     /// ([`ConstraintStore::relevant_into`]).
     index: ConstraintIndex,
     /// Closure limits this store was built under — persisted by snapshots
-    /// so an Audit-level load can reproduce the derivation.
+    /// so a load re-derives the same closure.
     closure: ClosureOptions,
     /// Monotone semantic version: bumped whenever the constraint population
     /// or the statistics the optimizer consults change. Downstream caches
@@ -98,8 +97,8 @@ pub struct ConstraintStore {
     /// Process-globally unique instance id (see [`StoreVersion`]).
     generation: u64,
     /// Closure bookkeeping for reporting.
-    pub derived_count: usize,
-    pub closure_truncated: bool,
+    derived_count: usize,
+    closure_truncated: bool,
 }
 
 /// A constraint built against a different catalog, or decoded from a
@@ -120,8 +119,11 @@ fn check_catalog(catalog: &Catalog, c: &HornConstraint) -> Result<(), Constraint
 }
 
 impl ConstraintStore {
-    /// Builds the store: catalog check, optional closure materialization,
-    /// then indexing.
+    /// Builds the store: catalog check, closure materialization under
+    /// `options.closure`, then indexing. The closure runs over every
+    /// constraint but the [`Origin::Dynamic`] ones, which follow the
+    /// derived constraints in input order: a rule true only of the current
+    /// state implies nothing that holds of every state.
     pub fn build(
         catalog: Arc<Catalog>,
         constraints: Vec<HornConstraint>,
@@ -130,12 +132,11 @@ impl ConstraintStore {
         for c in &constraints {
             check_catalog(&catalog, c)?;
         }
-        let (constraints, derived_count, closure_truncated) = if options.materialize_closure {
-            let res = transitive_closure(&catalog, constraints, options.closure)?;
-            (res.constraints, res.derived_count, res.truncated)
-        } else {
-            (constraints, 0, false)
-        };
+        let (closed, dynamic): (Vec<_>, Vec<_>) =
+            constraints.into_iter().partition(|c| c.origin != Origin::Dynamic);
+        let closure = transitive_closure(&catalog, closed, options.closure)?;
+        let mut constraints = closure.constraints;
+        constraints.extend(dynamic);
 
         let index = ConstraintIndex::build(
             catalog.class_count(),
@@ -149,8 +150,8 @@ impl ConstraintStore {
             closure: options.closure,
             epoch: Epoch::new(0),
             generation: next_generation(),
-            derived_count,
-            closure_truncated,
+            derived_count: closure.derived_count,
+            closure_truncated: closure.truncated,
         })
     }
 
@@ -204,8 +205,9 @@ impl ConstraintStore {
     /// The incremental path deliberately does **not** extend the transitive
     /// closure: derived shortcuts only accelerate transformation chains that
     /// remain reachable through the declared constraints, so skipping them
-    /// never affects correctness. Rebuild via [`ConstraintStore::build`]
-    /// when closure freshness matters.
+    /// never affects correctness. The constraint is filed as
+    /// [`Origin::Dynamic`], outside the closure, which is how a rebuild via
+    /// [`ConstraintStore::build`] (a snapshot load) files it again.
     pub fn insert_constraint(
         &mut self,
         constraint: HornConstraint,
@@ -247,9 +249,10 @@ impl ConstraintStore {
         Ok((store, id))
     }
 
-    /// The filing step both ways of adding share: index the (checked)
-    /// constraint and append it.
-    fn file(&mut self, constraint: HornConstraint) -> ConstraintId {
+    /// The filing step both ways of adding share: mark the (checked)
+    /// constraint [`Origin::Dynamic`], index it and append it.
+    fn file(&mut self, mut constraint: HornConstraint) -> ConstraintId {
+        constraint.origin = Origin::Dynamic;
         let id = ConstraintId(self.constraints.len() as u32);
         self.index.insert(id, &constraint);
         self.constraints.push(constraint);
@@ -312,9 +315,19 @@ impl ConstraintStore {
     }
 
     /// The closure limits this store was built under (persisted by
-    /// snapshots so an Audit-level load reproduces the same derivation).
+    /// snapshots so a load re-derives the same closure).
     pub fn closure_options(&self) -> ClosureOptions {
         self.closure
+    }
+
+    /// How many of the constraints the closure derived.
+    pub fn derived_count(&self) -> usize {
+        self.derived_count
+    }
+
+    /// Whether a closure limit stopped the fixpoint before convergence.
+    pub fn closure_truncated(&self) -> bool {
+        self.closure_truncated
     }
 
     pub fn len(&self) -> usize {
@@ -338,7 +351,6 @@ impl ConstraintStore {
 mod tests {
     use super::*;
     use crate::examples::figure22;
-    use crate::horn::Origin;
     use sqo_catalog::example::figure21;
     use sqo_query::{CompOp, QueryBuilder};
 
@@ -372,8 +384,8 @@ mod tests {
         let (_, store) = setup();
         // c1: vehicle desc -> cargo desc; c2: cargo desc -> supplier name.
         // Derived: vehicle desc -> supplier name.
-        assert!(store.derived_count >= 1, "derived {}", store.derived_count);
-        assert!(!store.closure_truncated);
+        assert!(store.derived_count() >= 1, "derived {}", store.derived_count());
+        assert!(!store.closure_truncated());
         assert!(store
             .constraints()
             .any(|(_, c)| c.origin == Origin::Derived && c.name.contains("c1")));

@@ -11,7 +11,9 @@ use std::sync::Arc;
 
 use sqo_baseline::{AssignmentPolicy, ConstraintGroups};
 use sqo_catalog::{AttributeDef, Catalog, ClassId, DataType, RelId};
-use sqo_constraints::{ConstraintStore, HornConstraint, Origin, RetrievalScratch, StoreOptions};
+use sqo_constraints::{
+    ClosureOptions, ConstraintStore, HornConstraint, Origin, RetrievalScratch, StoreOptions,
+};
 use sqo_query::{CompOp, Predicate, Query};
 
 const CLASSES: usize = 6;
@@ -136,7 +138,9 @@ proptest! {
         let store = ConstraintStore::build(
             Arc::clone(&catalog),
             constraints,
-            StoreOptions { materialize_closure, ..StoreOptions::paper_defaults() },
+            StoreOptions {
+                closure: if materialize_closure { ClosureOptions::default() } else { ClosureOptions::none() },
+            },
         ).unwrap();
         for (classes, rels) in &probes {
             assert_equivalent(&store, &probe(classes, rels));
@@ -157,7 +161,7 @@ proptest! {
         let mut store = ConstraintStore::build(
             Arc::clone(&catalog),
             constraints,
-            StoreOptions { materialize_closure: false, ..StoreOptions::paper_defaults() },
+            StoreOptions { closure: ClosureOptions::none() },
         ).unwrap();
         let seeds: Vec<HornConstraint> =
             extra.iter().filter_map(|r| materialize(&catalog, r)).collect();
@@ -167,7 +171,7 @@ proptest! {
         let mut cow = ConstraintStore::build(
             Arc::clone(&catalog),
             base.iter().filter_map(|r| materialize(&catalog, r)).collect(),
-            StoreOptions { materialize_closure: false, ..StoreOptions::paper_defaults() },
+            StoreOptions { closure: ClosureOptions::none() },
         ).unwrap().with_constraint(seeds[0].clone()).unwrap().0;
         for c in &seeds[1..] {
             store.insert_constraint(c.clone()).unwrap();

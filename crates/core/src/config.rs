@@ -3,10 +3,8 @@
 //! Defaults follow the paper. The queue discipline and the budget are the
 //! §4 extension experiment E7 sweeps.
 
-use serde::{Deserialize, Serialize};
-
 /// How antecedent/consequent presence in the query is decided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MatchPolicy {
     /// A query predicate satisfies an antecedent if it *implies* it
     /// (`B > 15` satisfies `B > 10`). Consequent presence for elimination
@@ -18,7 +16,7 @@ pub enum MatchPolicy {
 }
 
 /// Queue discipline for pending transformations (§4 extension).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueDiscipline {
     /// First-in first-out — the base algorithm.
     #[default]
@@ -30,7 +28,7 @@ pub enum QueueDiscipline {
 }
 
 /// Full configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OptimizerConfig {
     pub match_policy: MatchPolicy,
     pub queue: QueueDiscipline,

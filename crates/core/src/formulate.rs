@@ -304,7 +304,7 @@ mod tests {
     use crate::table::TransformationTable;
     use crate::transform::run_transformations;
     use sqo_catalog::example::figure21;
-    use sqo_constraints::{figure22, ConstraintStore, StoreOptions};
+    use sqo_constraints::{figure22, ClosureOptions, ConstraintStore, StoreOptions};
     use sqo_query::{CompOp, QueryBuilder, QueryExt};
     use std::sync::Arc;
 
@@ -313,7 +313,7 @@ mod tests {
         let store = ConstraintStore::build(
             Arc::clone(&catalog),
             figure22(&catalog).unwrap(),
-            StoreOptions { materialize_closure: false, ..StoreOptions::paper_defaults() },
+            StoreOptions { closure: ClosureOptions::none() },
         )
         .unwrap();
         let query = QueryBuilder::new(&catalog)
@@ -498,7 +498,7 @@ mod tests {
         let store = ConstraintStore::build(
             Arc::clone(&catalog),
             vec![c],
-            StoreOptions { materialize_closure: false, ..StoreOptions::paper_defaults() },
+            StoreOptions { closure: ClosureOptions::none() },
         )
         .unwrap();
         let query = QueryBuilder::new(&catalog)

@@ -365,10 +365,7 @@ mod tests {
         let store = ConstraintStore::build(
             Arc::clone(&catalog),
             figure22(&catalog).unwrap(),
-            sqo_constraints::StoreOptions {
-                materialize_closure: false,
-                ..sqo_constraints::StoreOptions::paper_defaults()
-            },
+            sqo_constraints::StoreOptions { closure: sqo_constraints::ClosureOptions::none() },
         )
         .unwrap();
         let query = QueryBuilder::new(&catalog)
@@ -555,10 +552,7 @@ mod tests {
         let store2 = ConstraintStore::build(
             Arc::clone(&catalog),
             vec![c],
-            sqo_constraints::StoreOptions {
-                materialize_closure: false,
-                ..sqo_constraints::StoreOptions::paper_defaults()
-            },
+            sqo_constraints::StoreOptions { closure: sqo_constraints::ClosureOptions::none() },
         )
         .unwrap();
         let relevant = store2.relevant_for(&query);

@@ -229,7 +229,7 @@ pub fn run_transformations_with(
 mod tests {
     use super::*;
     use sqo_catalog::{example::figure21, Catalog};
-    use sqo_constraints::{figure22, ConstraintStore, StoreOptions};
+    use sqo_constraints::{figure22, ClosureOptions, ConstraintStore, StoreOptions};
     use sqo_query::{CompOp, Query, QueryBuilder};
     use std::sync::Arc;
 
@@ -238,7 +238,7 @@ mod tests {
         let store = ConstraintStore::build(
             Arc::clone(&catalog),
             figure22(&catalog).unwrap(),
-            StoreOptions { materialize_closure: false, ..StoreOptions::paper_defaults() },
+            StoreOptions { closure: ClosureOptions::none() },
         )
         .unwrap();
         let query = QueryBuilder::new(&catalog)
@@ -298,7 +298,7 @@ mod tests {
         let store = ConstraintStore::build(
             Arc::clone(&catalog),
             vec![c],
-            StoreOptions { materialize_closure: false, ..StoreOptions::paper_defaults() },
+            StoreOptions { closure: ClosureOptions::none() },
         )
         .unwrap();
         let query = QueryBuilder::new(&catalog)
@@ -331,7 +331,7 @@ mod tests {
             ConstraintStore::build(
                 Arc::clone(&catalog),
                 cs,
-                StoreOptions { materialize_closure: false, ..StoreOptions::paper_defaults() },
+                StoreOptions { closure: ClosureOptions::none() },
             )
             .unwrap()
         };
@@ -393,7 +393,7 @@ mod tests {
         let store = ConstraintStore::build(
             Arc::clone(&catalog),
             vec![c1, c2],
-            StoreOptions { materialize_closure: false, ..StoreOptions::paper_defaults() },
+            StoreOptions { closure: ClosureOptions::none() },
         )
         .unwrap();
         let query = QueryBuilder::new(&catalog)

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 use sqo_catalog::{AttributeDef, Catalog, DataType, IndexKind};
-use sqo_constraints::{ConstraintBuilder, ConstraintStore, StoreOptions};
+use sqo_constraints::{ClosureOptions, ConstraintBuilder, ConstraintStore, StoreOptions};
 use sqo_core::{
     run_transformations, MatchPolicy, OptimizerConfig, PredicateTag, QueueDiscipline,
     TransformationTable,
@@ -65,7 +65,7 @@ fn final_tags(
     let store = ConstraintStore::build(
         Arc::clone(catalog),
         cs,
-        StoreOptions { materialize_closure: false, ..StoreOptions::paper_defaults() },
+        StoreOptions { closure: ClosureOptions::none() },
     )
     .unwrap();
     let mut qb = QueryBuilder::new(catalog).select("t.a0");
@@ -129,7 +129,7 @@ proptest! {
         let store = ConstraintStore::build(
             Arc::clone(&catalog),
             cs,
-            StoreOptions { materialize_closure: false, ..StoreOptions::paper_defaults() },
+            StoreOptions { closure: ClosureOptions::none() },
         ).unwrap();
         let mut qb = QueryBuilder::new(&catalog).select("t.a0");
         for &(attr, v) in &query_preds {

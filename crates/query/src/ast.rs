@@ -10,7 +10,6 @@
 //! class list and inside attribute references. [`Query::validate`] enforces
 //! the consistency of the parts.
 
-use serde::{Deserialize, Serialize};
 use sqo_catalog::{AttrRef, Catalog, ClassId, DataType, RelId, Value};
 
 use crate::error::QueryError;
@@ -22,7 +21,7 @@ use crate::predicate::{JoinPredicate, Predicate, SelPredicate};
 /// deduced constant (`cargo.desc="frozen food"` in Figure 2.3): the attribute
 /// no longer needs to be fetched because its value is known. `binding`
 /// carries that constant.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Projection {
     pub attr: AttrRef,
     pub binding: Option<Value>,
@@ -39,7 +38,7 @@ impl Projection {
 }
 
 /// A validated(-able) query over a [`Catalog`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     pub projections: Vec<Projection>,
     pub join_predicates: Vec<JoinPredicate>,

@@ -15,11 +15,10 @@
 
 use std::cmp::Ordering;
 
-use serde::{Deserialize, Serialize};
 use sqo_catalog::Value;
 
 /// One endpoint of an interval.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Bound {
     Unbounded,
     Included(Value),
@@ -36,7 +35,7 @@ impl Bound {
 }
 
 /// The set of values denoted by a predicate over one attribute.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ValueSet {
     /// A contiguous range `lo..hi` (either side may be open or unbounded).
     Range { lo: Bound, hi: Bound },

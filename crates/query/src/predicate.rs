@@ -12,14 +12,13 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use sqo_catalog::{AttrRef, Catalog, ClassId, Value};
 
 use crate::interval::ValueSet;
 
 /// Comparison operators of the paper's Horn-clause fragment
 /// (`equal`, `greaterThanOrEqualTo`, …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompOp {
     Eq,
     Ne,
@@ -97,7 +96,7 @@ impl fmt::Display for CompOp {
 }
 
 /// A selective predicate `class.attr op constant`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SelPredicate {
     pub attr: AttrRef,
     pub op: CompOp,
@@ -150,7 +149,7 @@ impl SelPredicate {
 ///
 /// Canonical form: `left <= right` in `(ClassId, AttrId)` order, flipping the
 /// operator as needed, so `a.x < b.y` and `b.y > a.x` are structurally equal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JoinPredicate {
     pub left: AttrRef,
     pub op: CompOp,
@@ -188,7 +187,7 @@ impl JoinPredicate {
 }
 
 /// Any predicate — the column domain of the paper's transformation table.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Predicate {
     Sel(SelPredicate),
     Join(JoinPredicate),

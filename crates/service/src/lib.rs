@@ -65,9 +65,7 @@ mod service;
 mod singleflight;
 
 pub use cache::{CacheEntry, CacheStats, ShardedCache};
-pub use persist::{
-    audit_constraints, decode_constraints, encode_constraints, rebuild_store, ConstraintSeed,
-};
+pub use persist::{decode_constraints, encode_constraints};
 pub use service::{
     PreparedQuery, QueryService, ServiceConfig, ServiceError, ServiceResponse, ServiceStats, TryRun,
 };

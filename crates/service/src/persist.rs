@@ -1,9 +1,10 @@
 //! Serving-layer snapshot codecs: the CONSTRAINTS and QUERIES sections.
 //!
 //! The database sections are owned by `sqo-storage`; this module persists
-//! what the serving layer adds on top — the compiled constraint store's
-//! identity and contents, and the queries the plan cache held. Plans are
-//! not persisted: a warm boot derives each query's entry again. The byte
+//! what the serving layer adds on top — the constraint store's epoch,
+//! closure limits and stated constraints, and the queries the plan cache
+//! held. Derived state is not persisted: a warm boot re-runs the closure
+//! and derives each query's entry again. The byte
 //! layouts are specified normatively in `docs/FORMAT.md`; the validation
 //! levels in `docs/VALIDATION.md`.
 
@@ -13,8 +14,8 @@ use std::sync::Arc;
 
 use sqo_catalog::{Catalog, ClassId, RelId};
 use sqo_constraints::{
-    transitive_closure, ClosureOptions, ConstraintError, ConstraintStore, HornConstraint, Origin,
-    StoreOptions, StoreVersion,
+    ClosureOptions, ConstraintError, ConstraintStore, HornConstraint, Origin, StoreOptions,
+    StoreVersion,
 };
 use sqo_exec::ExecError;
 use sqo_query::{Query, QueryError, QueryFingerprint};
@@ -25,29 +26,6 @@ use sqo_snapshot::{
 use crate::cache::CacheEntry;
 use crate::ServiceError;
 
-/// Everything the CONSTRAINTS section carries: the store's semantic
-/// identity and the exact constraint list it compiled, sufficient to
-/// rebuild an equivalent [`ConstraintStore`] without re-running the
-/// closure fixpoint.
-#[derive(Debug, Clone)]
-pub struct ConstraintSeed {
-    /// Semantic epoch of the store at save time (restored monotonically via
-    /// [`ConstraintStore::raise_epoch_to`]).
-    pub epoch: u64,
-    /// Generation of the saved store — informational only: generations are
-    /// process-local, so a warm-started store always gets a fresh one.
-    pub saved_generation: u64,
-    /// Closure limits the store was built with (persisted so an Audit-level
-    /// re-derivation reproduces the same truncation behaviour).
-    pub closure: ClosureOptions,
-    /// Number of closure-derived constraints in `constraints`.
-    pub derived_count: usize,
-    /// Whether a closure limit stopped the fixpoint before convergence.
-    pub closure_truncated: bool,
-    /// The full constraint list, declared and derived, in store order.
-    pub constraints: Vec<HornConstraint>,
-}
-
 fn origin_tag(origin: Origin) -> u8 {
     match origin {
         Origin::Declared => 0,
@@ -56,7 +34,10 @@ fn origin_tag(origin: Origin) -> u8 {
     }
 }
 
-/// Encodes a [`ConstraintStore`] as the CONSTRAINTS section payload.
+/// Encodes a [`ConstraintStore`] as the CONSTRAINTS section payload: its
+/// epoch, its closure limits and its stated constraints, in store order.
+/// The closure-derived constraints are not written; a load derives them
+/// again.
 pub fn encode_constraints(store: &ConstraintStore) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u64(store.epoch());
@@ -67,60 +48,70 @@ pub fn encode_constraints(store: &ConstraintStore) -> Vec<u8> {
     let closure = store.closure_options();
     w.u64(closure.max_derived as u64);
     w.u64(closure.max_rounds as u64);
-    w.u64(store.derived_count as u64);
-    w.u8(u8::from(store.closure_truncated));
-    w.u32(store.len() as u32);
-    for (_, c) in store.constraints() {
-        w.str(&c.name);
-        w.u32(c.antecedents.len() as u32);
-        for p in &c.antecedents {
-            write_predicate(&mut w, p);
-        }
-        w.u32(c.relationships.len() as u32);
-        for r in &c.relationships {
-            w.u32(r.0);
-        }
-        write_predicate(&mut w, &c.consequent);
-        w.u32(c.classes.len() as u32);
-        for cl in &c.classes {
-            w.u32(cl.0);
-        }
-        w.u8(origin_tag(c.origin));
+    // The v1 layout's derived count and truncation flag: no derived
+    // constraint is written, and readers ignore both.
+    w.u64(0);
+    w.u8(0);
+    let stated: Vec<_> = store.constraints().filter(|(_, c)| c.origin != Origin::Derived).collect();
+    w.u32(stated.len() as u32);
+    for (_, c) in stated {
+        write_constraint(&mut w, c);
     }
     w.finish()
 }
 
-/// Decodes the CONSTRAINTS section payload.
-///
-/// Checks structure, refuses an epoch at or above
-/// [`sqo_snapshot::EPOCH_LIMIT`], from which a store could not keep
-/// advancing, requires each constraint's class list to be strictly
-/// ascending, and cross-checks `derived_count` against the number of
-/// derived constraints. The ids the constraints name are resolved once,
-/// by the store [`rebuild_store`] builds.
+/// One constraint as the CONSTRAINTS section lays it out.
+fn write_constraint(w: &mut ByteWriter, c: &HornConstraint) {
+    w.str(&c.name);
+    w.u32(c.antecedents.len() as u32);
+    for p in &c.antecedents {
+        write_predicate(w, p);
+    }
+    w.u32(c.relationships.len() as u32);
+    for r in &c.relationships {
+        w.u32(r.0);
+    }
+    write_predicate(w, &c.consequent);
+    w.u32(c.classes.len() as u32);
+    for cl in &c.classes {
+        w.u32(cl.0);
+    }
+    w.u8(origin_tag(c.origin));
+}
+
+/// Decodes the CONSTRAINTS section payload into the store it describes:
+/// [`ConstraintStore::build`] over the stated constraints (Declared and
+/// Dynamic, in file order), under the persisted closure limits clamped per
+/// field to [`ClosureOptions::default`], at the saved epoch with a fresh
+/// process-local generation. `Derived` entries an older writer stored are
+/// skipped, as are the saved generation, the policy byte, the derived
+/// count and the truncation flag: the closure is derived again, so no file
+/// can add a constraint the stated ones do not imply. Building the store
+/// resolves every class, relationship and attribute the constraints name,
+/// the same check a live `add_constraint` passes.
 ///
 /// # Errors
-/// [`LoadError::Malformed`] on structural damage, an out-of-range epoch or
-/// a wrong `derived_count`, and [`LoadError::UnsortedPosting`] for a class
-/// list out of order.
-pub fn decode_constraints(payload: &[u8]) -> Result<ConstraintSeed, LoadError> {
+/// [`LoadError::Malformed`] on structural damage, an epoch at or above
+/// [`sqo_snapshot::EPOCH_LIMIT`] (from which a store could not keep
+/// advancing) or a literal of the wrong type;
+/// [`LoadError::UnsortedPosting`] for a class list out of order;
+/// [`LoadError::DanglingReference`] for an id the catalog does not
+/// resolve.
+pub fn decode_constraints(
+    payload: &[u8],
+    catalog: Arc<Catalog>,
+) -> Result<ConstraintStore, LoadError> {
     let mut r = ByteReader::new(payload, "CONSTRAINTS");
     let epoch = r.epoch()?;
-    let saved_generation = r.u64()?;
-    // The v1 layout's assignment-policy byte: must be 0, 1 or 2, and is
-    // otherwise ignored.
-    let policy = r.u8()?;
-    if policy > 2 {
-        return Err(r.malformed(format!("unknown assignment-policy tag {policy}")));
-    }
-    let closure = ClosureOptions { max_derived: r.u64()? as usize, max_rounds: r.u64()? as usize };
-    let derived_count = r.u64()? as usize;
-    let closure_truncated = match r.u8()? {
-        0 => false,
-        1 => true,
-        t => return Err(r.malformed(format!("closure_truncated must be 0/1, got {t}"))),
+    r.skip(8 + 1)?; // saved generation, policy byte
+    let limit = ClosureOptions::default();
+    let mut bounded = |max: usize| r.u64().map(|n| n.min(max as u64) as usize);
+    let closure = ClosureOptions {
+        max_derived: bounded(limit.max_derived)?,
+        max_rounds: bounded(limit.max_rounds)?,
     };
-    let mut constraints = Vec::new();
+    r.skip(8 + 1)?; // derived count, truncation flag
+    let mut stated = Vec::new();
     for _ in 0..r.count()? {
         let name = r.str()?;
         let mut antecedents = Vec::new();
@@ -145,11 +136,11 @@ pub fn decode_constraints(payload: &[u8]) -> Result<ConstraintSeed, LoadError> {
         }
         let origin = match r.u8()? {
             0 => Origin::Declared,
-            1 => Origin::Derived,
+            1 => continue,
             2 => Origin::Dynamic,
             t => return Err(r.malformed(format!("unknown origin tag {t}"))),
         };
-        constraints.push(HornConstraint {
+        stated.push(HornConstraint {
             name,
             antecedents,
             relationships,
@@ -159,94 +150,7 @@ pub fn decode_constraints(payload: &[u8]) -> Result<ConstraintSeed, LoadError> {
         });
     }
     r.expect_exhausted()?;
-    let actual = constraints.iter().filter(|c| c.origin == Origin::Derived).count();
-    if actual != derived_count {
-        return Err(r.malformed(format!(
-            "derived_count says {derived_count} but {actual} constraints are Derived"
-        )));
-    }
-    Ok(ConstraintSeed {
-        epoch,
-        saved_generation,
-        closure,
-        derived_count,
-        closure_truncated,
-        constraints,
-    })
-}
-
-/// Audit-level cross-check of a store [`rebuild_store`] built from a
-/// snapshot: re-runs the closure fixpoint over its non-derived constraints
-/// under the persisted [`ClosureOptions`] and requires every persisted
-/// derived constraint to be re-derivable. When the original closure
-/// converged (not truncated) and no Dynamic constraints muddy the picture,
-/// the re-derivation must match exactly.
-///
-/// # Errors
-/// [`LoadError::AuditMismatch`] when the persisted derived set is not a
-/// subset of (or, under convergence, not equal to) the re-derived set;
-/// [`LoadError::Malformed`] if the closure itself rejects the inputs.
-pub fn audit_constraints(store: &ConstraintStore) -> Result<(), LoadError> {
-    let persisted = || store.constraints().map(|(_, c)| c);
-    let base: Vec<HornConstraint> =
-        persisted().filter(|c| c.origin != Origin::Derived).cloned().collect();
-    let has_dynamic = base.iter().any(|c| c.origin == Origin::Dynamic);
-    let rederived =
-        transitive_closure(store.catalog(), base, store.closure_options()).map_err(|e| {
-            LoadError::Malformed {
-                section: "CONSTRAINTS",
-                detail: format!("closure re-derivation rejected the constraint set: {e}"),
-            }
-        })?;
-    let fresh: Vec<&HornConstraint> =
-        rederived.constraints.iter().filter(|c| c.origin == Origin::Derived).collect();
-    for c in persisted().filter(|c| c.origin == Origin::Derived) {
-        if !fresh.iter().any(|f| {
-            f.antecedents == c.antecedents
-                && f.relationships == c.relationships
-                && f.consequent == c.consequent
-                && f.classes == c.classes
-        }) {
-            return Err(LoadError::AuditMismatch {
-                detail: format!(
-                    "persisted derived constraint {:?} is not re-derivable from the declared set",
-                    c.name
-                ),
-            });
-        }
-    }
-    if !store.closure_truncated && !rederived.truncated && !has_dynamic {
-        let persisted = store.derived_count;
-        let fresh_count = fresh.len();
-        if persisted != fresh_count {
-            return Err(LoadError::AuditMismatch {
-                detail: format!(
-                    "converged closure re-derives {fresh_count} constraints, snapshot has \
-                     {persisted}"
-                ),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Rebuilds a live [`ConstraintStore`] from a decoded seed: constraints
-/// are taken verbatim (`materialize_closure: false` — the derived set is
-/// already in the list), the saved semantic epoch is restored monotonically
-/// and the store gets a fresh process-local generation. Building the store
-/// resolves every class, relationship and attribute the constraints name,
-/// the same check a live `add_constraint` passes.
-///
-/// # Errors
-/// [`LoadError::DanglingReference`] for an id the catalog does not
-/// resolve; [`LoadError::Malformed`] for any other refusal (a literal of
-/// the wrong type).
-pub fn rebuild_store(
-    catalog: Arc<Catalog>,
-    seed: ConstraintSeed,
-) -> Result<ConstraintStore, LoadError> {
-    let options = StoreOptions { materialize_closure: false, closure: seed.closure };
-    let mut store = ConstraintStore::build(catalog, seed.constraints, options).map_err(|e| {
+    let store = ConstraintStore::build(catalog, stated, StoreOptions { closure }).map_err(|e| {
         let detail = format!("store compilation rejected the snapshot: {e}");
         match e {
             ConstraintError::Catalog(_) => {
@@ -255,9 +159,7 @@ pub fn rebuild_store(
             _ => LoadError::Malformed { section: "CONSTRAINTS", detail },
         }
     })?;
-    store.derived_count = seed.derived_count;
-    store.closure_truncated = seed.closure_truncated;
-    store.raise_epoch_to(seed.epoch);
+    store.raise_epoch_to(epoch);
     Ok(store)
 }
 
@@ -313,54 +215,72 @@ mod tests {
     use super::*;
     use sqo_workload::{paper_scenario, DbSize};
 
+    fn same_constraints(a: &ConstraintStore, b: &ConstraintStore) {
+        assert_eq!(a.len(), b.len());
+        for ((_, x), (_, y)) in a.constraints().zip(b.constraints()) {
+            assert_eq!(x, y);
+        }
+        assert_eq!(
+            (a.derived_count(), a.closure_truncated()),
+            (b.derived_count(), b.closure_truncated())
+        );
+    }
+
     #[test]
     fn constraint_store_roundtrips_at_audit() {
         let s = paper_scenario(DbSize::Db1, 7);
         let catalog = Arc::clone(s.store.catalog());
         let bytes = encode_constraints(&s.store);
-        let seed = decode_constraints(&bytes).unwrap();
-        assert_eq!(seed.epoch, s.store.epoch());
-        assert_eq!(seed.derived_count, s.store.derived_count);
-        let rebuilt = rebuild_store(catalog, seed).unwrap();
-        audit_constraints(&rebuilt).unwrap();
-        assert_eq!(rebuilt.len(), s.store.len());
+        let rebuilt = decode_constraints(&bytes, catalog).unwrap();
+        same_constraints(&rebuilt, &s.store);
+        assert!(s.store.derived_count() > 0, "the scenario materializes a closure");
         assert_eq!(rebuilt.epoch(), s.store.epoch());
         assert_ne!(rebuilt.generation(), s.store.generation(), "fresh generation");
-        for ((_, a), (_, b)) in rebuilt.constraints().zip(s.store.constraints()) {
-            assert_eq!(a, b);
-        }
     }
 
+    /// An older writer stored the closure-derived constraints too. A file
+    /// whose derived constraint has its consequent flipped builds exactly
+    /// the saver's store: derived entries are skipped and the closure is
+    /// derived again.
     #[test]
-    fn tampered_derived_constraint_fails_audit() {
+    fn a_tampered_derived_constraint_is_derived_again() {
         let s = paper_scenario(DbSize::Db1, 7);
         let catalog = Arc::clone(s.store.catalog());
-        let bytes = encode_constraints(&s.store);
-        let mut seed = decode_constraints(&bytes).unwrap();
-        let victim = seed
-            .constraints
-            .iter_mut()
-            .find(|c| c.origin == Origin::Derived)
-            .expect("scenario materializes a closure");
-        // Flip the consequent's operator: still well-formed, no longer derivable.
-        if let sqo_query::Predicate::Sel(sel) = &mut victim.consequent {
-            sel.op = match sel.op {
-                sqo_query::CompOp::Eq => sqo_query::CompOp::Ne,
-                _ => sqo_query::CompOp::Eq,
-            };
-        } else {
-            victim.classes = vec![];
+        // Epoch, generation, policy byte and closure limits, then the
+        // derived count and truncation flag such a writer filled in.
+        let mut w = ByteWriter::new();
+        w.bytes(&encode_constraints(&s.store)[..33]);
+        w.u64(s.store.derived_count() as u64);
+        w.u8(0);
+        w.u32(s.store.len() as u32);
+        for (_, c) in s.store.constraints() {
+            let mut c = c.clone();
+            if c.origin == Origin::Derived {
+                // Flip the consequent's operator: still well-formed, no
+                // longer derivable.
+                if let sqo_query::Predicate::Sel(sel) = &mut c.consequent {
+                    sel.op = match sel.op {
+                        sqo_query::CompOp::Eq => sqo_query::CompOp::Ne,
+                        _ => sqo_query::CompOp::Eq,
+                    };
+                }
+            }
+            write_constraint(&mut w, &c);
         }
-        let store = rebuild_store(catalog, seed).unwrap();
-        assert!(matches!(audit_constraints(&store), Err(LoadError::AuditMismatch { .. })));
+        let rebuilt = decode_constraints(&w.finish(), catalog).unwrap();
+        same_constraints(&rebuilt, &s.store);
     }
 
     #[test]
     fn truncated_constraints_section_is_clean_error() {
         let s = paper_scenario(DbSize::Db1, 7);
+        let catalog = Arc::clone(s.store.catalog());
         let bytes = encode_constraints(&s.store);
         for cut in [0, 8, 17, 33, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_constraints(&bytes[..cut]).is_err(), "cut at {cut} decoded");
+            assert!(
+                decode_constraints(&bytes[..cut], Arc::clone(&catalog)).is_err(),
+                "cut at {cut} decoded"
+            );
         }
     }
 }

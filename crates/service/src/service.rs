@@ -659,20 +659,21 @@ impl QueryService {
     /// Reconstructs a service from snapshot bytes, validating at `level`
     /// (see `docs/VALIDATION.md` for what each level buys and costs).
     ///
-    /// The rebuilt constraint store keeps the saved semantic epoch (raised
-    /// monotonically) but gets a **fresh generation** — generations are
-    /// process-local. Before the service is returned, every persisted
-    /// query is canonicalized and derived through the miss pipeline
-    /// against the loaded store and database, and cached at the new
-    /// store's version: nothing derived is read from the file, so no file
-    /// can make the service answer another query. Boot derivations do not
-    /// count in [`ServiceStats::optimizations`]. A section older builds
-    /// wrote with their plans (PLANSEEDS) is not read.
+    /// The constraint store is built again from its stated constraints,
+    /// re-running the closure ([`crate::decode_constraints`]); it keeps the saved
+    /// semantic epoch (raised monotonically) but gets a **fresh
+    /// generation** — generations are process-local. Before the service is
+    /// returned, every persisted query is canonicalized and derived through
+    /// the miss pipeline against the loaded store and database, and cached
+    /// at the new store's version: nothing derived is read from the file,
+    /// so no file can make the service answer another query. Boot
+    /// derivations do not count in [`ServiceStats::optimizations`]. A
+    /// section older builds wrote with their plans (PLANSEEDS) is not read.
     ///
     /// # Errors
     /// Any [`LoadError`]: damage, dangling ids or ordering violations at
-    /// either level, re-derivation mismatches at Audit, and a persisted
-    /// query the optimizer or planner refuses.
+    /// either level, index or statistics re-derivation mismatches at
+    /// Audit, and a persisted query the optimizer or planner refuses.
     pub fn from_snapshot_bytes(
         bytes: &[u8],
         level: ValidationLevel,
@@ -682,11 +683,7 @@ impl QueryService {
         let db = sqo_storage::decode_database_from(&file, level)?;
         let constraints =
             file.section(SEC_CONSTRAINTS).ok_or(LoadError::MissingSection("CONSTRAINTS"))?;
-        let seed = persist::decode_constraints(constraints)?;
-        let store = persist::rebuild_store(Arc::clone(db.catalog()), seed)?;
-        if level.is_audit() {
-            persist::audit_constraints(&store)?;
-        }
+        let store = persist::decode_constraints(constraints, Arc::clone(db.catalog()))?;
         let queries = match file.section(SEC_QUERIES) {
             Some(payload) => persist::decode_queries(payload)?,
             None => Vec::new(),
@@ -702,9 +699,10 @@ impl QueryService {
     }
 
     /// Boots a service from a `.sqos` file written by
-    /// [`QueryService::save_snapshot`] — the warm-start path: no closure
-    /// fixpoint, no index builds, no statistics folding, and the plan cache
-    /// starts hot with every persisted query derived afresh.
+    /// [`QueryService::save_snapshot`] — the warm-start path: no index
+    /// builds and no statistics folding; the closure fixpoint re-runs over
+    /// the stated constraints, and the plan cache starts hot with every
+    /// persisted query derived afresh.
     ///
     /// # Errors
     /// [`LoadError::Io`] if the file cannot be read, otherwise as

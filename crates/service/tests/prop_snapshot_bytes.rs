@@ -7,6 +7,8 @@
 //! an answer: whatever queries it decodes to are derived afresh at boot (so
 //! the optimizer and planner run on them here, under `catch_unwind`), and
 //! every base query answers exactly what the undamaged service answers.
+//! Nor does damage to the ids of the stored right adjacency lists, which a
+//! load skips: such a file loads at both levels and answers exactly.
 //!
 //! Each case takes a served paper snapshot, damages one section's payload
 //! (flipped bytes, a truncation, or `u32`s written over or spliced into
@@ -24,7 +26,8 @@ use sqo_exec::ResultSet;
 use sqo_query::Query;
 use sqo_service::{QueryService, ServiceConfig};
 use sqo_snapshot::{
-    section_name, LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel, SEC_QUERIES,
+    section_name, ByteReader, LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel, SEC_LINKS,
+    SEC_QUERIES,
 };
 use sqo_storage::DataWrite;
 use sqo_workload::{copyable_rels, dup_insert, dup_safe_classes, paper_scenario, DbSize};
@@ -115,16 +118,49 @@ fn apply(payload: &mut Vec<u8>, damage: &Damage) {
 /// The base snapshot with section `target` damaged, re-assembled with
 /// valid checksums.
 fn damaged(target: u32, damage: &Damage) -> Vec<u8> {
+    edited(target, |payload| apply(payload, damage))
+}
+
+/// The base snapshot with section `target`'s payload edited by `edit`,
+/// re-assembled with valid checksums.
+fn edited(target: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let file = SnapshotFile::parse(&base().bytes).expect("the base snapshot parses");
     let mut b = SnapshotBuilder::new();
+    let mut edit = Some(edit);
     for (id, payload) in file.sections() {
         let mut payload = payload.to_vec();
-        if id == target {
-            apply(&mut payload, damage);
+        if let Some(edit) = edit.take_if(|_| id == target) {
+            edit(&mut payload);
         }
         b.section(id, payload);
     }
     b.finish()
+}
+
+/// The offset of every id in the base LINKS payload's right lists
+/// (`docs/FORMAT.md` §3.3): bytes a load skips.
+fn right_list_ids() -> &'static [usize] {
+    static IDS: OnceLock<Vec<usize>> = OnceLock::new();
+    IDS.get_or_init(|| {
+        let file = SnapshotFile::parse(&base().bytes).expect("the base snapshot parses");
+        let links = file.section(SEC_LINKS).expect("LINKS");
+        let mut r = ByteReader::new(links, "LINKS");
+        let mut ids = Vec::new();
+        for _ in 0..r.u32().unwrap() {
+            let (left, right) = (r.u32().unwrap(), r.u32().unwrap());
+            for side in 0..2 {
+                for _ in 0..if side == 0 { left } else { right } {
+                    for _ in 0..r.u32().unwrap() {
+                        if side == 1 {
+                            ids.push(links.len() - r.remaining());
+                        }
+                        r.u32().unwrap();
+                    }
+                }
+            }
+        }
+        ids
+    })
 }
 
 /// Loads `bytes` at both levels, requires Audit to refuse whatever
@@ -184,6 +220,33 @@ proptest! {
         let section = ids[pick % ids.len()];
         let what = || format!("{} damaged by {damage:?}", section_name(section));
         load_is_total(&damaged(section, &damage), section == SEC_QUERIES, &what);
+    }
+
+    /// A load derives every right adjacency list from the left lists and
+    /// skips the stored right lists, so whatever ids they hold, the file
+    /// loads at both levels and every base query answers exactly what the
+    /// undamaged service answers.
+    #[test]
+    fn damage_to_right_list_ids_never_changes_an_answer(
+        hits in prop::collection::vec((0usize..1 << 20, word()), 1..6),
+    ) {
+        let ids = right_list_ids();
+        let bytes = edited(SEC_LINKS, |links| {
+            for &(at, w) in &hits {
+                let at = ids[at % ids.len()];
+                links[at..at + 4].copy_from_slice(&w.to_le_bytes());
+            }
+        });
+        let base = base();
+        for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
+            let service =
+                QueryService::from_snapshot_bytes(&bytes, level, ServiceConfig::default())
+                    .unwrap_or_else(|e| panic!("{e} at {level:?} on right-list ids {hits:?}"));
+            for (q, want) in base.queries.iter().zip(&base.answers) {
+                let got = service.run(q).unwrap_or_else(|e| panic!("{e} on {hits:?}"));
+                assert!(got.results.same_multiset(want), "{level:?} on right-list ids {hits:?}");
+            }
+        }
     }
 
     /// Most damage to QUERIES is refused; this aims every case there, so

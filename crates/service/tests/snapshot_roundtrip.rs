@@ -8,19 +8,29 @@
 //! changes, reloads at Standard. The file carries only the cached queries:
 //! boot derives every entry afresh, so no file, whatever its QUERIES or
 //! legacy PLANSEEDS section holds, makes a query answer another's rows.
+//! Nor do the copies a v1 file keeps of derived facts: boot re-runs the
+//! constraint closure and derives each right adjacency from the left, so a
+//! forged derived constraint or swapped right lists change no answer.
 
 use std::sync::Arc;
 
+use sqo_constraints::{
+    figure22, ClosureOptions, ConstraintBuilder, ConstraintStore, HornConstraint, Origin,
+    StoreOptions,
+};
 use sqo_exec::{plan_query, CostModel, ResultSet};
-use sqo_query::Query;
+use sqo_query::{CompOp, Query, QueryBuilder};
 use sqo_service::{QueryService, ServiceConfig};
 use sqo_snapshot::{
-    read_query, section_name, write_query, ByteReader, ByteWriter, LoadError, SnapshotBuilder,
-    SnapshotFile, ValidationLevel, EPOCH_LIMIT, SEC_CONSTRAINTS, SEC_EXTENTS, SEC_PLANSEEDS,
-    SEC_QUERIES,
+    read_query, section_name, write_predicate, write_query, ByteReader, ByteWriter, LoadError,
+    SnapshotBuilder, SnapshotFile, ValidationLevel, EPOCH_LIMIT, SEC_CONSTRAINTS, SEC_EXTENTS,
+    SEC_LINKS, SEC_PLANSEEDS, SEC_QUERIES,
 };
 use sqo_storage::{DataWrite, ObjectId};
-use sqo_workload::{copyable_rels, dup_insert, dup_safe_classes, paper_scenario, DbSize};
+use sqo_workload::{
+    copyable_rels, dup_insert, dup_safe_classes, logistics_database, paper_scenario, DbSize,
+    LogisticsConfig,
+};
 
 /// A served scenario: the paper workload's first 16 queries answered once,
 /// so the plan cache holds exactly the state the snapshot should persist.
@@ -384,4 +394,210 @@ fn save_into_a_missing_directory_fails_without_side_effects() {
     let err = service.save_snapshot(dir.join("state.sqos")).unwrap_err();
     assert!(matches!(err, LoadError::Io(_)), "{err:?}");
     assert!(!dir.exists());
+}
+
+/// The CONSTRAINTS payload of `bytes` with one more entry, `extra`, stored
+/// under origin tag `origin` after the others (v1 layout, `docs/FORMAT.md`
+/// §3.6): the count and, for a derived entry, the derived count raised by
+/// one, as an older writer would have filled them in.
+fn with_extra_constraint(bytes: &[u8], extra: &HornConstraint, origin: u8) -> Vec<u8> {
+    let file = SnapshotFile::parse(bytes).expect("good snapshot parses");
+    let mut payload = file.section(SEC_CONSTRAINTS).expect("CONSTRAINTS").to_vec();
+    let bump = |payload: &mut Vec<u8>, at: usize, width: usize| {
+        let mut word = [0u8; 8];
+        word[..width].copy_from_slice(&payload[at..at + width]);
+        let n = u64::from_le_bytes(word) + 1;
+        payload[at..at + width].copy_from_slice(&n.to_le_bytes()[..width]);
+    };
+    // epoch, generation, policy, max_derived, max_rounds | derived_count
+    // u64, truncated u8 | constraint count u32.
+    if origin == 1 {
+        bump(&mut payload, 33, 8);
+    }
+    bump(&mut payload, 42, 4);
+    let mut w = ByteWriter::new();
+    w.str(&extra.name);
+    w.u32(extra.antecedents.len() as u32);
+    for p in &extra.antecedents {
+        write_predicate(&mut w, p);
+    }
+    w.u32(extra.relationships.len() as u32);
+    for r in &extra.relationships {
+        w.u32(r.0);
+    }
+    write_predicate(&mut w, &extra.consequent);
+    w.u32(extra.classes.len() as u32);
+    for c in &extra.classes {
+        w.u32(c.0);
+    }
+    w.u8(origin);
+    payload.extend(w.finish());
+    with_section(bytes, SEC_CONSTRAINTS, Some(payload))
+}
+
+/// A v1 file may carry closure-derived constraints. Trusted, one forged
+/// derived constraint on a Figure 2.1 snapshot, `cargo.desc = "frozen
+/// food" ⇒ cargo.quantity > 50`, lets the optimizer drop the quantity
+/// filter of `{cargo.desc = "frozen food", cargo.quantity > 50}` as
+/// implied: 42 rows where the data holds 23. A load skips derived entries
+/// and runs the closure over the stated constraints, so the forged file
+/// boots at both levels into the saver's constraint set and answers like
+/// the saver.
+#[test]
+fn a_forged_derived_constraint_changes_no_answer() {
+    let catalog = Arc::new(sqo_catalog::example::figure21().unwrap());
+    let db = logistics_database(Arc::clone(&catalog), &LogisticsConfig::default()).unwrap();
+    let store = ConstraintStore::build(
+        Arc::clone(&catalog),
+        figure22(&catalog).unwrap(),
+        StoreOptions::paper_defaults(),
+    )
+    .unwrap();
+    let saver = QueryService::new(Arc::new(store), Arc::new(db));
+    let frozen = |heavy: bool| {
+        let q = QueryBuilder::new(&catalog).select("cargo.desc").select("cargo.quantity").filter(
+            "cargo.desc",
+            CompOp::Eq,
+            "frozen food",
+        );
+        let q = if heavy { q.filter("cargo.quantity", CompOp::Gt, 50i64) } else { q };
+        q.build().unwrap()
+    };
+    let (query, all_frozen) = (frozen(true), frozen(false));
+    let want = saver.run(&query).unwrap().results;
+    let unfiltered = saver.run(&all_frozen).unwrap().results;
+    assert!(want.len() < unfiltered.len(), "the forged constraint is false of the data");
+
+    let forged = ConstraintBuilder::new(&catalog, "forged")
+        .when("cargo.desc", CompOp::Eq, "frozen food")
+        .then("cargo.quantity", CompOp::Gt, 50i64)
+        .build()
+        .unwrap();
+    let bytes = with_extra_constraint(&saver.snapshot_bytes(), &forged, 1);
+    for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
+        let warm = QueryService::from_snapshot_bytes(&bytes, level, ServiceConfig::default())
+            .unwrap_or_else(|e| panic!("the forged file boots at {level:?}: {e}"));
+        assert!(warm.run(&query).unwrap().results.same_multiset(&want), "{level:?}");
+        let names = |s: &QueryService| {
+            s.store().constraints().map(|(_, c)| c.name.clone()).collect::<Vec<_>>()
+        };
+        assert_eq!(names(&warm), names(&saver), "{level:?}");
+    }
+}
+
+/// The byte offset of every right list of relationship `rel` in a LINKS
+/// payload (`docs/FORMAT.md` §3.3), each with its id count.
+fn right_lists(links: &[u8], rel: usize) -> Vec<(usize, usize)> {
+    let mut r = ByteReader::new(links, "LINKS");
+    let rel_count = r.u32().unwrap() as usize;
+    assert!(rel < rel_count);
+    for k in 0..=rel {
+        let (left, right) = (r.u32().unwrap(), r.u32().unwrap());
+        let mut skip = |n: u32| {
+            (0..n)
+                .map(|_| {
+                    let at = links.len() - r.remaining();
+                    let len = r.u32().unwrap() as usize;
+                    r.skip(4 * len).unwrap();
+                    (at + 4, len)
+                })
+                .collect::<Vec<_>>()
+        };
+        skip(left);
+        let rights = skip(right);
+        if k == rel {
+            return rights;
+        }
+    }
+    unreachable!()
+}
+
+/// A v1 file stores each relationship's right adjacency beside the left.
+/// Served as stored, a DB1 snapshot with two equal-length right lists of
+/// `collects` swapped answers 1 of the 40 pool queries wrong. A load reads
+/// the left lists only and derives the right side, so the swapped file
+/// boots at both levels and answers every pool query like the saver.
+#[test]
+fn swapped_right_lists_change_no_answer() {
+    let s = paper_scenario(DbSize::Db1, 7);
+    let collects = s.catalog.rel_id("collects").unwrap();
+    let saver = QueryService::new(Arc::new(s.store), Arc::new(s.db));
+    let want = answers(&saver, &s.queries);
+    let bytes = saver.snapshot_bytes();
+    let file = SnapshotFile::parse(&bytes).expect("good snapshot parses");
+    let mut links = file.section(SEC_LINKS).expect("LINKS").to_vec();
+    // Right objects 0 and 3 each link one (different) left object; served
+    // as stored, their swapped lists make query 11 answer wrong.
+    let lists = right_lists(&links, collects.index());
+    let ids = |(at, len): (usize, usize)| links[at..at + 4 * len].to_vec();
+    let (a, b) = (lists[0], lists[3]);
+    let (first, second) = (ids(a), ids(b));
+    assert!(a.1 == b.1 && first != second, "two equal-length right lists that differ");
+    links[a.0..a.0 + first.len()].copy_from_slice(&second);
+    links[b.0..b.0 + second.len()].copy_from_slice(&first);
+    let swapped = with_section(&bytes, SEC_LINKS, Some(links));
+    for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
+        let warm = QueryService::from_snapshot_bytes(&swapped, level, ServiceConfig::default())
+            .unwrap_or_else(|e| panic!("the swapped file boots at {level:?}: {e}"));
+        for (i, (q, want)) in s.queries.iter().zip(&want).enumerate() {
+            let got = warm.run(q).unwrap().results;
+            assert!(got.same_multiset(want), "query {i} at {level:?}");
+        }
+    }
+}
+
+/// Constraints a running service took through `add_constraint` are stored
+/// as stated (Dynamic) entries and filed again after the closure at boot:
+/// the loaded store lists the saver's constraints by name, origin and
+/// order, and every cache entry the boot derives equals the saver's.
+#[test]
+fn added_constraints_boot_in_the_savers_order_with_its_entries() {
+    let (saver, queries) = served();
+    for id in [1, 0] {
+        let c = saver.store().constraint(sqo_constraints::ConstraintId(id)).clone();
+        saver.add_constraint(c).expect("a constraint goes in");
+    }
+    for q in &queries {
+        saver.run(q).expect("re-derived under the added constraints");
+    }
+    let listing = |s: &QueryService| {
+        s.store().constraints().map(|(_, c)| (c.name.clone(), c.origin)).collect::<Vec<_>>()
+    };
+    let saved = listing(&saver);
+    assert_eq!(saved.iter().filter(|(_, o)| *o == Origin::Dynamic).count(), 2);
+    assert!(saved.iter().any(|(_, o)| *o == Origin::Derived));
+    let bytes = saver.snapshot_bytes();
+    for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
+        let warm = QueryService::from_snapshot_bytes(&bytes, level, ServiceConfig::default())
+            .unwrap_or_else(|e| panic!("{level:?}: {e}"));
+        assert_eq!(listing(&warm), saved, "{level:?}");
+        assert_eq!(warm.epoch(), saver.epoch(), "{level:?}");
+        for q in &queries {
+            let (a, b) = (saver.prepare(q).unwrap(), warm.prepare(q).unwrap());
+            assert!(a.cache_hit && b.cache_hit, "{level:?}");
+            assert_eq!(a.optimized(), b.optimized(), "{level:?}");
+            assert_eq!(a.plan(), b.plan(), "{level:?}");
+            assert_eq!(a.provably_empty(), b.provably_empty(), "{level:?}");
+        }
+    }
+}
+
+/// The closure limits a file states are clamped to the defaults, so no
+/// file can make boot run an unbounded fixpoint.
+#[test]
+fn closure_limits_past_the_defaults_are_clamped() {
+    let (saver, _) = served();
+    let bytes = saver.snapshot_bytes();
+    let file = SnapshotFile::parse(&bytes).expect("good snapshot parses");
+    let mut payload = file.section(SEC_CONSTRAINTS).expect("CONSTRAINTS").to_vec();
+    payload[17..33].fill(0xff); // max_derived, max_rounds = u64::MAX
+    let greedy = with_section(&bytes, SEC_CONSTRAINTS, Some(payload));
+    let limit = ClosureOptions::default();
+    for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
+        let warm = QueryService::from_snapshot_bytes(&greedy, level, ServiceConfig::default())
+            .unwrap_or_else(|e| panic!("{level:?}: {e}"));
+        let got = warm.store().closure_options();
+        assert!(got.max_derived <= limit.max_derived, "{got:?} at {level:?}");
+        assert!(got.max_rounds <= limit.max_rounds, "{got:?} at {level:?}");
+    }
 }

@@ -12,14 +12,14 @@ pub enum ValidationLevel {
     /// version, section-table bounds, per-section checksums), the shape of
     /// every payload (counts, arities, cardinalities, value types), every
     /// id resolving (no dangling references), and every ordering invariant
-    /// (ascending postings and keys, canonical adjacency). Each check runs
-    /// once, where its fact is decoded.
+    /// (ascending postings and keys). Each check runs once, where its fact
+    /// is decoded. What a load derives instead of reading (the right-to-left
+    /// adjacency, the constraint closure) needs no check.
     #[default]
     Standard,
     /// Everything in [`ValidationLevel::Standard`], plus full re-derivation
-    /// cross-checks: indexes, right-to-left adjacency, statistics and the
-    /// constraint closure are rebuilt from primary data and compared to the
-    /// persisted copies. Suitable as a test oracle.
+    /// cross-checks: indexes and statistics are rebuilt from primary data
+    /// and compared to the persisted copies. Suitable as a test oracle.
     Audit,
 }
 
@@ -78,8 +78,8 @@ pub enum LoadError {
         /// What was wrong.
         detail: String,
     },
-    /// An index posting, an index's key sequence or an adjacency list is
-    /// out of canonical order (Standard).
+    /// An index posting, an index's key sequence or a constraint's class
+    /// list is out of order (Standard).
     UnsortedPosting {
         /// Human-readable section name.
         section: &'static str,
@@ -94,9 +94,8 @@ pub enum LoadError {
         /// The unresolved reference.
         detail: String,
     },
-    /// A re-derivation cross-check failed: rebuilt indexes, adjacency,
-    /// statistics or constraint closure differ from the persisted copies
-    /// (Audit).
+    /// A re-derivation cross-check failed: rebuilt indexes or statistics
+    /// differ from the persisted copies (Audit).
     AuditMismatch {
         /// Which re-derivation disagreed.
         detail: String,

@@ -14,7 +14,9 @@
 //! * `right → left` lists are stably sorted by left id, duplicates adjacent
 //!   in per-left insertion order.
 //!
-//! [`RelLinks::from_pairs`] establishes the invariant in a bulk build; the
+//! [`RelLinks::from_left_lists`] establishes the invariant in a bulk build,
+//! deriving the right side from the left: every bulk build (a fresh load,
+//! a snapshot load and a self-relationship delete) goes through it. The
 //! incremental patch operations ([`RelLinks::add_sorted`],
 //! [`RelLinks::remove_edge`], [`RelLinks::delete_left`],
 //! [`RelLinks::delete_right`]) maintain it edge by edge. Because the order is
@@ -58,13 +60,30 @@ impl RelLinks {
         pairs: impl IntoIterator<Item = (ObjectId, ObjectId)>,
     ) -> Self {
         let mut left_to_right = vec![Vec::new(); left_cardinality];
-        let mut right_to_left = vec![Vec::new(); right_cardinality];
         for (left, right) in pairs {
             left_to_right[left.index()].push(right);
-            right_to_left[right.index()].push(left);
         }
-        for list in &mut right_to_left {
-            list.sort_by_key(|o| o.index()); // stable: per-left order survives
+        Self::from_left_lists(left_to_right, right_cardinality)
+    }
+
+    /// Builds a table from its left lists, deriving the right side: each
+    /// right list is allocated at its exact size and filled in ascending
+    /// left order, which is the canonical order, so nothing is sorted.
+    /// Every id must be below `right_cardinality`.
+    pub(crate) fn from_left_lists(
+        left_to_right: Vec<Vec<ObjectId>>,
+        right_cardinality: usize,
+    ) -> Self {
+        let mut degree = vec![0usize; right_cardinality];
+        for right in left_to_right.iter().flatten() {
+            degree[right.index()] += 1;
+        }
+        let mut right_to_left: Vec<Vec<ObjectId>> =
+            degree.into_iter().map(Vec::with_capacity).collect();
+        for (left, rights) in left_to_right.iter().enumerate() {
+            for right in rights {
+                right_to_left[right.index()].push(ObjectId(left as u32));
+            }
         }
         Self::from_adjacency(left_to_right, right_to_left)
     }
@@ -143,13 +162,10 @@ impl RelLinks {
             .flat_map(|(l, rs)| rs.iter().map(move |&r| (ObjectId(l as u32), r)))
     }
 
-    /// Reassembles a link table from decoded adjacency lists — the
-    /// snapshot-load path. The caller is responsible for validating the
-    /// ids, the canonical order and the edge totals (the LINKS decoder does
-    /// at every level, and Audit also compares the right side with a
-    /// canonical rebuild); `links` is recomputed from the left lists, never
-    /// trusted from the file.
-    pub(crate) fn from_adjacency(
+    /// Assembles a link table from both sides' lists, which must mirror
+    /// each other in canonical order; `links` is counted from the left
+    /// lists.
+    fn from_adjacency(
         left_to_right: Vec<Vec<ObjectId>>,
         right_to_left: Vec<Vec<ObjectId>>,
     ) -> Self {
@@ -207,8 +223,9 @@ impl RelLinks {
 
     /// Removes `object`'s entry from the mirror list of each of `neighbours`
     /// in `mirror`. `Err` names a neighbour whose list lacks it: a table
-    /// that is not bidirectionally consistent (a Standard-level load does
-    /// not check that), left partly edited for the caller to discard.
+    /// that is not bidirectionally consistent (every constructor derives
+    /// the right side from the left, so only a table assembled by hand is
+    /// one), left partly edited for the caller to discard.
     fn unmirror(
         mirror: &mut PagedVec<Vec<ObjectId>>,
         links: &mut u64,
@@ -420,8 +437,9 @@ mod tests {
 
     #[test]
     fn a_one_sided_edge_is_reported_not_a_panic() {
-        // Left 0 lists right 1, whose list does not mirror it: what a
-        // Standard-level load of a tampered LINKS section can hold.
+        // Left 0 lists right 1, whose list does not mirror it. No load
+        // builds such a table (the right side is derived from the left);
+        // the edit paths still report one rather than panic.
         let mut l = RelLinks::from_adjacency(vec![vec![ObjectId(1)]], vec![vec![], vec![]]);
         assert!(!l.remove_edge(ObjectId(0), ObjectId(1)));
         assert_eq!(l.from_left(ObjectId(0)), &[ObjectId(1)], "nothing removed");

@@ -3,8 +3,9 @@
 //!
 //! Five sections carry the database state (`docs/FORMAT.md` §3):
 //! CATALOG (schema definitions), EXTENTS (tuples + data epoch), LINKS
-//! (canonical-order adjacency), INDEXES (ascending-oid postings) and STATS
-//! (the folded statistics snapshot). Loading runs the level the caller
+//! (canonical-order adjacency; a load reads the left lists and derives the
+//! right side), INDEXES (ascending-oid postings) and STATS (the folded
+//! statistics snapshot). Loading runs the level the caller
 //! picked — [`ValidationLevel::Standard`], which checks every fact the
 //! executor relies on once, where the fact is decoded, or
 //! [`ValidationLevel::Audit`], which adds full re-derivation cross-checks
@@ -14,6 +15,7 @@
 #![deny(missing_docs)]
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -29,7 +31,7 @@ use sqo_snapshot::{
 
 use crate::db::{self, Database, Extent};
 use crate::index::AttrIndex;
-use crate::links::{RelLinks, Side};
+use crate::links::RelLinks;
 use crate::object::ObjectId;
 use crate::paged::PagedVec;
 use crate::valuemap::{OrdValue, ValueMap};
@@ -88,7 +90,8 @@ fn encode_extents(db: &Database) -> Vec<u8> {
 }
 
 /// Encodes the LINKS payload: per relationship, both adjacency directions
-/// in canonical order.
+/// in canonical order. The right lists are written for v1 readers; this
+/// reader skips them and derives the right side from the left.
 fn encode_links(db: &Database) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u32(db.link_shards().len() as u32);
@@ -278,42 +281,29 @@ fn decode_extent_tuples(
     Ok(extents)
 }
 
-/// Decodes the adjacency lists of relationship `def`'s `from` end:
-/// `cardinality` lists of ids on the opposite end, each below `opposite`.
-/// The right end's lists must also be in canonical (non-decreasing) order.
-/// Every list costs at least its 4-byte count, so the bytes left bound the
-/// outer reservation whatever cardinality the file claims.
-fn decode_adjacency(
+/// Decodes the left adjacency lists of relationship `def`: `cardinality`
+/// lists of right-object ids, each below `right_cardinality`. Every list
+/// costs at least its 4-byte count, so the bytes left bound the outer
+/// reservation whatever cardinality the file claims.
+fn decode_left_lists(
     r: &mut ByteReader<'_>,
     def: &RelationshipDef,
-    from: Side,
     cardinality: usize,
-    opposite: usize,
+    right_cardinality: usize,
 ) -> Result<Vec<Vec<ObjectId>>, LoadError> {
-    let right = from == Side::Right;
-    let (side, other) = if right { ("right", "left") } else { ("left", "right") };
     let mut lists = Vec::with_capacity(cardinality.min(r.remaining() / 4));
     for o in 0..cardinality {
         let n = r.count()?;
         let mut list: Vec<ObjectId> = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
             let id = r.u32()?;
-            if id as usize >= opposite {
+            if id as usize >= right_cardinality {
                 return Err(LoadError::DanglingReference {
                     section: section_name(SEC_LINKS),
                     detail: format!(
-                        "relationship {}: {side} object {o} links {other} object {id} of \
-                         {opposite}",
+                        "relationship {}: left object {o} links right object {id} of \
+                         {right_cardinality}",
                         def.name
-                    ),
-                });
-            }
-            if let Some(prev) = list.last().filter(|p| right && id < p.0) {
-                return Err(LoadError::UnsortedPosting {
-                    section: section_name(SEC_LINKS),
-                    detail: format!(
-                        "relationship {}: right object {o}'s list goes {} then {id}",
-                        def.name, prev.0
                     ),
                 });
             }
@@ -324,6 +314,10 @@ fn decode_adjacency(
     Ok(lists)
 }
 
+/// Decodes the LINKS section: per relationship, the left lists, from which
+/// [`RelLinks::from_left_lists`] derives the right side. The right lists a
+/// v1 writer stores after them are skipped, count by count, so the section
+/// is still consumed exactly.
 fn decode_links(
     file: &SnapshotFile<'_>,
     catalog: &Catalog,
@@ -353,20 +347,12 @@ fn decode_links(
                 ),
             ));
         }
-        let left = decode_adjacency(&mut r, def, Side::Left, left_card, right_card)?;
-        let right = decode_adjacency(&mut r, def, Side::Right, right_card, left_card)?;
-        let left_edges: usize = left.iter().map(Vec::len).sum();
-        let right_edges: usize = right.iter().map(Vec::len).sum();
-        if left_edges != right_edges {
-            return Err(malformed(
-                SEC_LINKS,
-                format!(
-                    "relationship {}: {left_edges} left edges but {right_edges} right edges",
-                    def.name
-                ),
-            ));
+        let left = decode_left_lists(&mut r, def, left_card, right_card)?;
+        for _ in 0..right_card {
+            let n = r.count()?;
+            r.skip(n.saturating_mul(4))?;
         }
-        links.push(RelLinks::from_adjacency(left, right));
+        links.push(RelLinks::from_left_lists(left, right_card));
     }
     r.expect_exhausted()?;
     Ok(links)
@@ -527,24 +513,19 @@ fn decode_stats(
     Ok(stats)
 }
 
-/// Payload volume above which [`decode_database_from`] decodes the
-/// independent sections on scoped worker threads. Below it the thread
-/// spawns cost more than the decode; above it the three big sections
-/// (EXTENTS tuples, LINKS, INDEXES) overlap instead of queueing.
-const PARALLEL_DECODE_BYTES: usize = 64 * 1024;
-
 /// Decodes a database from an already-parsed snapshot container. Every
 /// section decoder runs the Standard checks of what it decodes; at
-/// [`ValidationLevel::Audit`] the indexes, the right adjacency and the
-/// statistics are then rebuilt from the extents and left adjacency and
-/// compared with the decoded copies. Exposed so callers that bundle
-/// additional sections in the same file (the serving layer) parse the
-/// container once.
+/// [`ValidationLevel::Audit`] the indexes and the statistics are then
+/// rebuilt from the extents and links and compared with the decoded
+/// copies. Exposed so callers that bundle additional sections in the same
+/// file (the serving layer) parse the container once.
 ///
 /// The EXTENTS preamble (data epoch + per-class cardinalities) is read
 /// first; every other database section validates only against the catalog
-/// and those cardinalities, so on large snapshots the tuple, link and
-/// index decoders run on parallel scoped threads.
+/// and those cardinalities, so the link, index and statistics decoders run
+/// on scoped threads while the calling thread decodes the tuples (whose
+/// allocations stay in the caller's heap arena). A decoder that panics
+/// fails the load as its section malformed.
 ///
 /// # Errors
 /// Any [`LoadError`]; see `docs/VALIDATION.md` for which level raises what.
@@ -555,46 +536,23 @@ pub fn decode_database_from(
     let catalog = decode_catalog(file)?;
     let mut er = file.require(SEC_EXTENTS)?;
     let (data_version, cards) = read_extent_preamble(&mut er, &catalog)?;
-    let payload_bytes: usize = [SEC_EXTENTS, SEC_LINKS, SEC_INDEXES]
-        .iter()
-        .filter_map(|&id| file.section(id))
-        .map(<[u8]>::len)
-        .sum();
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let (extents, links, indexes, stats) = if cores > 1 && payload_bytes >= PARALLEL_DECODE_BYTES {
+    let (extents, links, indexes, stats) = {
         let (catalog, cards) = (&catalog, &cards);
         std::thread::scope(|s| {
             let links = s.spawn(move || decode_links(file, catalog, cards));
             let indexes = s.spawn(move || decode_indexes(file, catalog, cards));
             let stats = s.spawn(move || decode_stats(file, catalog, cards));
-            let extents = decode_extent_tuples(&mut er, catalog, cards);
+            let extents =
+                catch_unwind(AssertUnwindSafe(|| decode_extent_tuples(&mut er, catalog, cards)));
             Result::<_, LoadError>::Ok((
-                extents?,
+                extents.unwrap_or_else(|_| Err(panicked(SEC_EXTENTS)))?,
                 joined(links, SEC_LINKS)?,
                 joined(indexes, SEC_INDEXES)?,
                 joined(stats, SEC_STATS)?,
             ))
         })?
-    } else {
-        (
-            decode_extent_tuples(&mut er, &catalog, &cards)?,
-            decode_links(file, &catalog, &cards)?,
-            decode_indexes(file, &catalog, &cards)?,
-            decode_stats(file, &catalog, &cards)?,
-        )
     };
     if level.is_audit() {
-        for ((_, def), decoded) in catalog.relationships().zip(&links) {
-            let (left, right) = (decoded.left_cardinality(), decoded.right_cardinality());
-            if RelLinks::from_pairs(left, right, decoded.pairs()) != *decoded {
-                return Err(LoadError::AuditMismatch {
-                    detail: format!(
-                        "relationship {}: right adjacency differs from canonical rebuild",
-                        def.name
-                    ),
-                });
-            }
-        }
         let rebuilt = db::build_indexes(&catalog, &extents);
         for (c, (got, want)) in indexes.iter().zip(rebuilt.iter()).enumerate() {
             if got != want {
@@ -622,7 +580,11 @@ fn joined<T>(
     decoder: std::thread::ScopedJoinHandle<'_, Result<T, LoadError>>,
     section: u32,
 ) -> Result<T, LoadError> {
-    decoder.join().unwrap_or_else(|_| Err(malformed(section, "its decoder panicked")))
+    decoder.join().unwrap_or_else(|_| Err(panicked(section)))
+}
+
+fn panicked(section: u32) -> LoadError {
+    malformed(section, "its decoder panicked")
 }
 
 /// Parses `bytes` as a `.sqos` container and decodes the database at

@@ -2,7 +2,9 @@
 //! with the [`LoadError`] variant that `docs/VALIDATION.md` documents, at
 //! the validation level that document assigns to the broken invariant —
 //! and, for Audit-only damage, must still *load* at Standard, because that
-//! damage is internally consistent and Standard does not re-derive.
+//! damage is internally consistent and Standard does not re-derive. Damage
+//! to bytes a load does not read (the right adjacency lists) must load at
+//! both levels into exactly the undamaged database.
 //!
 //! The corrupt payloads are hand-encoded from the byte layouts in
 //! `docs/FORMAT.md`, not produced by mutating encoder output blindly; a
@@ -155,9 +157,9 @@ fn stats_payload(db: &Database, tamper: impl FnOnce(&mut sqo_catalog::StatsSnaps
 /// DB4 at seed 42 with class 1's EXTENTS preamble cardinality and
 /// relationship 0's LINKS left cardinality (its left end is class 1) both
 /// set to 4,000,000,000. The two agree, so the LINKS decoder starts on four
-/// billion left lists that only the payload's bytes back. At 132 KB the
-/// file takes the parallel decode path on a multi-core host, where LINKS
-/// decodes beside EXTENTS instead of after it fails.
+/// billion left lists that only the payload's bytes back: every load
+/// decodes LINKS on its own thread beside EXTENTS, so it runs even though
+/// EXTENTS fails, and the load reports EXTENTS' error.
 fn runaway_cardinality() -> Vec<u8> {
     let db = paper_scenario(DbSize::Db4, 42).db;
     assert_eq!(db.catalog().relationship(RelId(0)).unwrap().left.class, ClassId(1));
@@ -494,18 +496,6 @@ fn corruption_is_rejected_at_the_documented_level() {
             ),
         },
         Case {
-            name: "right adjacency list out of canonical order",
-            fails_at: Standard,
-            expect: "UnsortedPosting(LINKS)",
-            matches: |e| matches!(e, LoadError::UnsortedPosting { section: "LINKS", .. }),
-            loads_at: &[],
-            bytes: with_section(
-                &db,
-                SEC_LINKS,
-                links_payload(3, 2, &[&[0], &[0, 1], &[]], &[&[1, 0], &[1]]),
-            ),
-        },
-        Case {
             name: "link to an object beyond the opposite extent",
             fails_at: Standard,
             expect: "DanglingReference(LINKS)",
@@ -515,18 +505,6 @@ fn corruption_is_rejected_at_the_documented_level() {
                 &db,
                 SEC_LINKS,
                 links_payload(3, 2, &[&[0], &[0, 5], &[]], &[&[0, 1], &[1]]),
-            ),
-        },
-        Case {
-            name: "left and right edge counts disagreeing",
-            fails_at: Standard,
-            expect: "Malformed(LINKS)",
-            matches: |e| matches!(e, LoadError::Malformed { section: "LINKS", .. }),
-            loads_at: &[],
-            bytes: with_section(
-                &db,
-                SEC_LINKS,
-                links_payload(3, 2, &[&[0], &[0, 1], &[]], &[&[0], &[1]]),
             ),
         },
         Case {
@@ -555,18 +533,6 @@ fn corruption_is_rejected_at_the_documented_level() {
                 &db,
                 SEC_INDEXES,
                 indexes_payload(1, &[(Value::Int(5), &[0]), (Value::Int(7), &[1, 2])]),
-            ),
-        },
-        Case {
-            name: "right adjacency sorted but not the canonical rebuild",
-            fails_at: Audit,
-            expect: "AuditMismatch",
-            matches: |e| matches!(e, LoadError::AuditMismatch { .. }),
-            loads_at: &[Standard],
-            bytes: with_section(
-                &db,
-                SEC_LINKS,
-                links_payload(3, 2, &[&[0], &[0, 1], &[]], &[&[0, 1], &[0]]),
             ),
         },
         Case {
@@ -614,6 +580,36 @@ fn corruption_is_rejected_at_the_documented_level() {
                     case.name
                 )
             });
+        }
+    }
+}
+
+/// A load reads each relationship's left lists and derives the right side;
+/// the right lists a v1 file stores after them are skipped. So a right list
+/// out of canonical order, right lists holding fewer edges than the left
+/// ones, and right lists sorted but not the left lists' mirror each load at
+/// both levels into exactly the undamaged database.
+#[test]
+fn damaged_right_lists_load_and_read_like_the_undamaged_database() {
+    let db = fixture();
+    let good = encode_database(&db);
+    let left: &[&[u32]] = &[&[0], &[0, 1], &[]];
+    let cases: [(&str, &[&[u32]]); 3] = [
+        ("right adjacency list out of canonical order", &[&[1, 0], &[1]]),
+        ("left and right edge counts disagreeing", &[&[0], &[1]]),
+        ("right adjacency sorted but not the canonical rebuild", &[&[0, 1], &[0]]),
+    ];
+    for (name, right) in cases {
+        let bytes = with_section(&db, SEC_LINKS, links_payload(3, 2, left, right));
+        for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
+            let loaded = decode_database(&bytes, level)
+                .unwrap_or_else(|e| panic!("{name}: refused at {level:?}: {e:?}"));
+            let (got, want) = (loaded.links(RelId(0)), db.links(RelId(0)));
+            for o in 0..2 {
+                assert_eq!(got.from_right(ObjectId(o)), want.from_right(ObjectId(o)), "{name}");
+            }
+            assert_eq!(got.link_count(), want.link_count(), "{name}");
+            assert_eq!(encode_database(&loaded), good, "{name} at {level:?}");
         }
     }
 }

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         StoreOptions::paper_defaults(),
     )?;
     println!("declared constraints: {}", constraints.len());
-    println!("after closure       : {} ({} derived)", store.len(), store.derived_count);
+    println!("after closure       : {} ({} derived)", store.len(), store.derived_count());
     for (_, c) in store.constraints() {
         let marker = match c.origin {
             Origin::Declared => " ",

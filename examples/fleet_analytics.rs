@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "scenario: {} — {} constraints ({} derived by closure), {} queries",
         scenario.db_size.name(),
         scenario.store.len(),
-        scenario.store.derived_count,
+        scenario.store.derived_count(),
         scenario.queries.len()
     );
 

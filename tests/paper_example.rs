@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use sqo::baseline::{AssignmentPolicy, ConstraintGroups};
 use sqo::catalog::example::figure21;
-use sqo::constraints::{figure22, ConstraintStore, StoreOptions};
+use sqo::constraints::{figure22, ClosureOptions, ConstraintStore, StoreOptions};
 use sqo::core::{
     run_transformations, MatchPolicy, OptimizerConfig, PredicateTag, SemanticOptimizer,
     StructuralOracle, TransformationTable,
@@ -20,7 +20,9 @@ fn setup(closure: bool) -> (Arc<sqo::catalog::Catalog>, ConstraintStore) {
     let store = ConstraintStore::build(
         Arc::clone(&catalog),
         figure22(&catalog).unwrap(),
-        StoreOptions { materialize_closure: closure, ..StoreOptions::paper_defaults() },
+        StoreOptions {
+            closure: if closure { ClosureOptions::default() } else { ClosureOptions::none() },
+        },
     )
     .unwrap();
     (catalog, store)
