@@ -55,6 +55,7 @@ const RESOLUTION_BUDGET: usize = 1 << 20;
 pub struct ClosureResult {
     /// Original constraints followed by derived ones.
     pub constraints: Vec<HornConstraint>,
+    /// How many of `constraints` were derived: all past the inputs.
     pub derived_count: usize,
     pub rounds: usize,
     /// True if a limit stopped the fixpoint before convergence.
@@ -178,6 +179,7 @@ pub fn transitive_closure(
     options: ClosureOptions,
 ) -> Result<ClosureResult, ConstraintError> {
     let mut all = constraints;
+    let inputs = all.len();
     let mut pool = PredicatePool::new();
     let mut seen: HashSet<DedupKey> = HashSet::with_capacity(all.len() * 2);
     let mut index = ResolutionIndex::default();
@@ -185,7 +187,6 @@ pub fn transitive_closure(
         seen.insert(key(&mut pool, c));
         index.file(i, c);
     }
-    let mut derived_count = 0usize;
     let mut attempts = 0usize;
     let mut truncated = false;
     let mut rounds = 0usize;
@@ -231,10 +232,9 @@ pub fn transitive_closure(
                     if let Some(d) = resolve(catalog, &all[a], &all[b]) {
                         let k = key(&mut pool, &d);
                         if seen.insert(k) {
-                            if derived_count >= options.max_derived {
+                            if all.len() - inputs + fresh.len() >= options.max_derived {
                                 truncated = true;
                             } else {
-                                derived_count += 1;
                                 fresh.push(d);
                             }
                         }
@@ -243,7 +243,7 @@ pub fn transitive_closure(
             }
         }
         if truncated {
-            break;
+            break; // the round's derivations are not kept
         }
         let start = all.len();
         all.extend(fresh);
@@ -255,7 +255,7 @@ pub fn transitive_closure(
     if !frontier.is_empty() && rounds >= options.max_rounds {
         truncated = true;
     }
-    Ok(ClosureResult { constraints: all, derived_count, rounds, truncated })
+    Ok(ClosureResult { derived_count: all.len() - inputs, constraints: all, rounds, truncated })
 }
 
 #[cfg(test)]
@@ -384,7 +384,43 @@ mod tests {
         )
         .unwrap();
         assert!(res.truncated);
-        assert_eq!(res.derived_count, 1);
+        // The limit stopped round 1, whose derivations are not kept.
+        assert_eq!((res.derived_count, res.constraints.len()), (0, 3));
+    }
+
+    /// The budget stops a round that has already derived `c1*c2`: the round
+    /// is dropped, and so is its count.
+    #[test]
+    fn budget_truncation_counts_only_what_it_keeps() {
+        let cat = chain_catalog();
+        let mut inputs = vec![
+            mk(&cat, "c1", ("a", CompOp::Eq, 1), ("b", CompOp::Gt, 20)),
+            mk(&cat, "c2", ("b", CompOp::Gt, 10), ("c", CompOp::Eq, 3)),
+        ];
+        inputs.extend(
+            (0..750).map(|i| mk(&cat, "s", ("d", CompOp::Gt, i), ("d", CompOp::Lt, i + 10))),
+        );
+        let res = transitive_closure(&cat, inputs, ClosureOptions::default()).unwrap();
+        assert!(res.truncated, "the budget stopped the fixpoint");
+        assert_eq!(res.derived_count, res.constraints.len() - 752);
+    }
+
+    /// The round limit stops after round 1 kept `a -> c` and `b -> d`;
+    /// `a -> d` needed round 2.
+    #[test]
+    fn round_truncation_counts_what_it_keeps() {
+        let cat = chain_catalog();
+        let c1 = mk(&cat, "c1", ("a", CompOp::Eq, 1), ("b", CompOp::Eq, 2));
+        let c2 = mk(&cat, "c2", ("b", CompOp::Eq, 2), ("c", CompOp::Eq, 3));
+        let c3 = mk(&cat, "c3", ("c", CompOp::Eq, 3), ("d", CompOp::Eq, 4));
+        let res = transitive_closure(
+            &cat,
+            vec![c1, c2, c3],
+            ClosureOptions { max_derived: 4096, max_rounds: 1 },
+        )
+        .unwrap();
+        assert!(res.truncated);
+        assert_eq!((res.derived_count, res.constraints.len()), (2, 5));
     }
 
     #[test]

@@ -45,15 +45,6 @@ impl ConstraintIndex {
         }
     }
 
-    /// Builds the index over `constraints`, numbered in slice order.
-    pub fn build(classes: usize, rels: usize, constraints: &[HornConstraint]) -> Self {
-        let mut index = Self::new(classes, rels);
-        for (i, c) in constraints.iter().enumerate() {
-            index.insert(ConstraintId(i as u32), c);
-        }
-        index
-    }
-
     /// Adds one constraint (`id` must equal the current
     /// [`ConstraintIndex::len`]; its classes and relationships must lie
     /// inside the index's dimensions — the store checks both against its

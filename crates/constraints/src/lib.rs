@@ -18,10 +18,12 @@
 //!   `sqo-baseline`.
 //!
 //! §3's "separate structure" of predicates is the [`PredicatePool`]. Two
-//! exist, each owned by its reader: the closure interns into one to key its
-//! dedup set on small integers, and `sqo-core`'s transformation table
-//! interns the query's and the relevant constraints' predicates into a
-//! per-query pool whose ids are its columns.
+//! exist: the closure interns into one to key its dedup set on small
+//! integers, and the constraint store keeps one for its lifetime, into
+//! which it interns every constraint's predicates once, when it files the
+//! constraint ([`ConstraintStore::filed`]). `sqo-core`'s transformation
+//! table maps those ids to its columns and looks up only the query's own
+//! predicates by hash.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -45,4 +47,4 @@ pub use examples::figure22;
 pub use horn::{ConstraintClass, ConstraintDisplay, ConstraintId, HornConstraint, Origin};
 pub use index::{ConstraintIndex, RetrievalScratch};
 pub use pool::{PredId, PredicatePool};
-pub use store::{ConstraintStore, StoreOptions, StoreVersion};
+pub use store::{ConstraintStore, Filed, StoreOptions, StoreVersion};

@@ -4,11 +4,14 @@
 //! all the predicates into a separate structure, and [modify] the constraints
 //! to contain only pointers to relevant predicates in the structure". This is
 //! that structure: an interner mapping canonical [`Predicate`]s to dense
-//! [`PredId`]s. Two pools exist, each owned by its reader: the closure
-//! algorithm's (its dedup keys are `PredId` lists) and the transformation
-//! table's (its columns are `PredId`s, one pool per optimized query). The
-//! constraint store keeps [`HornConstraint`](crate::HornConstraint)s as they
-//! are and no pool.
+//! [`PredId`]s. Two pools exist: the closure algorithm's (its dedup keys
+//! are `PredId` lists) and the constraint store's, into which
+//! [`ConstraintStore`](crate::ConstraintStore) files every constraint's
+//! antecedents and consequent once, when the constraint is filed. A store's
+//! pool is derived from its constraints and never persisted. The
+//! transformation table maps store ids to its columns and looks up only the
+//! query's own predicates here ([`PredicatePool::lookup`]), so a miss hashes
+//! about three predicates, not every relevant constraint's.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -46,13 +49,6 @@ impl PredicatePool {
         Self::default()
     }
 
-    /// Empties the pool while keeping its allocations, so one pool can be
-    /// reused across many per-query builds (the optimizer-scratch pattern).
-    pub fn clear(&mut self) {
-        self.preds.clear();
-        self.index.clear();
-    }
-
     /// Interns a predicate, returning its id (existing or fresh). Only a
     /// predicate the pool has not seen is cloned.
     pub fn intern(&mut self, pred: &Predicate) -> PredId {
@@ -63,6 +59,11 @@ impl PredicatePool {
         self.index.insert(pred.clone(), id);
         self.preds.push(pred.clone());
         id
+    }
+
+    /// The id of a predicate equal to `pred`, if the pool holds one.
+    pub fn lookup(&self, pred: &Predicate) -> Option<PredId> {
+        self.index.get(pred).copied()
     }
 
     pub fn get(&self, id: PredId) -> &Predicate {
@@ -102,6 +103,8 @@ mod tests {
         assert_eq!(id1, id2);
         assert_eq!(pool.len(), 1);
         assert_eq!(pool.get(id1), &p1);
+        assert_eq!(pool.lookup(&p2), Some(id1));
+        assert_eq!(pool.lookup(&Predicate::sel(aref(0, 0), CompOp::Eq, "dry goods")), None);
     }
 
     #[test]

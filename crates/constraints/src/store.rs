@@ -2,7 +2,9 @@
 //!
 //! A [`ConstraintStore`] holds the compiled constraint list (declared,
 //! closure-derived, then dynamic), the exact inverted [`ConstraintIndex`]
-//! that retrieves a query's relevant constraints, and the store's version.
+//! that retrieves a query's relevant constraints, §3's predicate pool the
+//! constraints point into ([`ConstraintStore::filed`]), and the store's
+//! version.
 //! The paper's §3 retrieves by per-class groups instead; that scheme, its
 //! assignment policies and its waste metrics are a measured baseline and
 //! live in `sqo-baseline` (`ConstraintGroups`).
@@ -15,8 +17,9 @@ use sqo_query::Query;
 
 use crate::closure::{transitive_closure, ClosureOptions};
 use crate::error::ConstraintError;
-use crate::horn::{check_predicate_types, ConstraintId, HornConstraint, Origin};
+use crate::horn::{check_predicate_types, ConstraintClass, ConstraintId, HornConstraint, Origin};
 use crate::index::{ConstraintIndex, RetrievalScratch};
+use crate::pool::{PredId, PredicatePool};
 
 /// Store construction options.
 #[derive(Debug, Clone, Default)]
@@ -78,6 +81,29 @@ fn next_generation() -> u64 {
     NEXT_GENERATION.add(1)
 }
 
+/// A filed constraint's predicates as ids into the store's pool (§3: the
+/// constraints "contain only pointers to relevant predicates").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Filed<'a> {
+    pub antecedents: &'a [PredId],
+    pub consequent: PredId,
+    /// Whether the consequent sits on an indexed attribute — with the
+    /// classification, the branch condition of the paper's Tables 3.1/3.2.
+    pub consequent_indexed: bool,
+    pub classification: ConstraintClass,
+}
+
+/// Where one constraint's ids sit: its antecedents are
+/// `antecedent_ids[start..end]`.
+#[derive(Debug, Clone, Copy)]
+struct FiledAt {
+    start: u32,
+    end: u32,
+    consequent: PredId,
+    consequent_indexed: bool,
+    classification: ConstraintClass,
+}
+
 /// The semantic-constraint store.
 #[derive(Debug)]
 pub struct ConstraintStore {
@@ -86,6 +112,14 @@ pub struct ConstraintStore {
     /// Exact inverted index over `constraints`, the retrieval path
     /// ([`ConstraintStore::relevant_into`]).
     index: ConstraintIndex,
+    /// Every constraint's predicates, interned once when it is filed;
+    /// derived from `constraints`, never persisted. Shared with the
+    /// transformation tables built from it, which point into it.
+    pool: Arc<PredicatePool>,
+    /// The antecedent ids of every constraint, end to end.
+    antecedent_ids: Vec<PredId>,
+    /// Parallel to `constraints`.
+    filed: Vec<FiledAt>,
     /// Closure limits this store was built under — persisted by snapshots
     /// so a load re-derives the same closure.
     closure: ClosureOptions,
@@ -135,24 +169,23 @@ impl ConstraintStore {
         let (closed, dynamic): (Vec<_>, Vec<_>) =
             constraints.into_iter().partition(|c| c.origin != Origin::Dynamic);
         let closure = transitive_closure(&catalog, closed, options.closure)?;
-        let mut constraints = closure.constraints;
-        constraints.extend(dynamic);
-
-        let index = ConstraintIndex::build(
-            catalog.class_count(),
-            catalog.relationship_count(),
-            &constraints,
-        );
-        Ok(Self {
+        let mut store = Self {
+            index: ConstraintIndex::new(catalog.class_count(), catalog.relationship_count()),
             catalog,
-            constraints,
-            index,
+            constraints: Vec::new(),
+            pool: Arc::default(),
+            antecedent_ids: Vec::new(),
+            filed: Vec::new(),
             closure: options.closure,
             epoch: Epoch::new(0),
             generation: next_generation(),
             derived_count: closure.derived_count,
             closure_truncated: closure.truncated,
-        })
+        };
+        for constraint in closure.constraints.into_iter().chain(dynamic) {
+            store.file(constraint);
+        }
+        Ok(store)
     }
 
     // ---- versioning & growth --------------------------------------------
@@ -210,9 +243,10 @@ impl ConstraintStore {
     /// [`ConstraintStore::build`] (a snapshot load) files it again.
     pub fn insert_constraint(
         &mut self,
-        constraint: HornConstraint,
+        mut constraint: HornConstraint,
     ) -> Result<ConstraintId, ConstraintError> {
         check_catalog(&self.catalog, &constraint)?;
+        constraint.origin = Origin::Dynamic;
         let id = self.file(constraint);
         self.epoch.bump();
         Ok(id)
@@ -226,17 +260,21 @@ impl ConstraintStore {
     /// the id with [`ConstraintStore::touched_classes`] to invalidate only
     /// the cache entries whose class set overlaps the new constraint's).
     ///
-    /// The copy is **incremental**: the constraints and the index are
-    /// cloned as-is and only the new constraint is filed.
+    /// The copy is **incremental**: the constraints, the index and the
+    /// pool are cloned as-is and only the new constraint is filed.
     pub fn with_constraint(
         &self,
-        constraint: HornConstraint,
+        mut constraint: HornConstraint,
     ) -> Result<(Self, ConstraintId), ConstraintError> {
         check_catalog(&self.catalog, &constraint)?;
+        constraint.origin = Origin::Dynamic;
         let mut store = Self {
             catalog: Arc::clone(&self.catalog),
             constraints: self.constraints.clone(),
             index: self.index.clone(),
+            pool: Arc::clone(&self.pool),
+            antecedent_ids: self.antecedent_ids.clone(),
+            filed: self.filed.clone(),
             closure: self.closure,
             epoch: Epoch::new(self.epoch() + 1),
             // A fresh generation: the successor is a *different* store even
@@ -249,12 +287,23 @@ impl ConstraintStore {
         Ok((store, id))
     }
 
-    /// The filing step both ways of adding share: mark the (checked)
-    /// constraint [`Origin::Dynamic`], index it and append it.
-    fn file(&mut self, mut constraint: HornConstraint) -> ConstraintId {
-        constraint.origin = Origin::Dynamic;
+    /// The one filing step of [`ConstraintStore::build`] and both ways of
+    /// adding: index the (checked) constraint, intern its predicates into
+    /// the store's pool, and append it.
+    fn file(&mut self, constraint: HornConstraint) -> ConstraintId {
         let id = ConstraintId(self.constraints.len() as u32);
         self.index.insert(id, &constraint);
+        // A table still pointing into the pool keeps the old one.
+        let pool = Arc::make_mut(&mut self.pool);
+        let start = self.antecedent_ids.len() as u32;
+        self.antecedent_ids.extend(constraint.antecedents.iter().map(|p| pool.intern(p)));
+        self.filed.push(FiledAt {
+            start,
+            end: self.antecedent_ids.len() as u32,
+            consequent: pool.intern(&constraint.consequent),
+            consequent_indexed: constraint.consequent.is_indexed(&self.catalog),
+            classification: constraint.classification(),
+        });
         self.constraints.push(constraint);
         id
     }
@@ -340,6 +389,23 @@ impl ConstraintStore {
 
     pub fn constraint(&self, id: ConstraintId) -> &HornConstraint {
         &self.constraints[id.index()]
+    }
+
+    /// Constraint `id`'s predicates as ids into [`ConstraintStore::pool`].
+    pub fn filed(&self, id: ConstraintId) -> Filed<'_> {
+        let at = self.filed[id.index()];
+        Filed {
+            antecedents: &self.antecedent_ids[at.start as usize..at.end as usize],
+            consequent: at.consequent,
+            consequent_indexed: at.consequent_indexed,
+            classification: at.classification,
+        }
+    }
+
+    /// The predicates of every constraint, each once (§3's "separate
+    /// structure").
+    pub fn pool(&self) -> &Arc<PredicatePool> {
+        &self.pool
     }
 
     pub fn constraints(&self) -> impl Iterator<Item = (ConstraintId, &HornConstraint)> {

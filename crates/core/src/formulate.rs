@@ -45,7 +45,7 @@ pub struct FormulationResult {
     pub provably_empty: bool,
 }
 
-/// Reusable working memory of formulation: the pool ids of the optional and
+/// Reusable working memory of formulation: the column ids of the optional and
 /// imperative predicates, which stay ids until a result list takes a copy.
 ///
 /// No candidate query lives here. A cost–benefit decision names the working
@@ -95,7 +95,6 @@ pub fn formulate_with(
     let FormulationScratch { optional, imperative } = scratch;
     optional.clear();
     imperative.clear();
-    let pool = table.pool();
     let mut final_tags = Vec::new();
     let mut dropped_redundant = Vec::new();
 
@@ -107,7 +106,7 @@ pub fn formulate_with(
         relationships: original.relationships.clone(),
         classes: original.classes.clone(),
     };
-    for (col, pred) in pool.iter() {
+    for (col, pred) in table.columns() {
         let Some(tag) = table.final_tag(col) else {
             continue;
         };
@@ -142,7 +141,7 @@ pub fn formulate_with(
             // "The absence of imperative predicates on its attributes is
             // a necessary … condition for an object class to be
             // eliminated" (§3.4).
-            !imperative.iter().any(|&p| pool.get(p).involves(class))
+            !imperative.iter().any(|&p| table.predicate(p).involves(class))
                 && eliminable(catalog, &q, class)
                 && oracle.eliminate_class(&q, class)
         }) {
@@ -155,7 +154,7 @@ pub fn formulate_with(
     // ---- optional predicate retention (cost–benefit) ----------------------
     let mut dropped_unprofitable = Vec::new();
     let mut retained_optional = Vec::new();
-    for pred in optional.iter().map(|&p| pool.get(p)) {
+    for pred in optional.iter().map(|&p| table.predicate(p)) {
         if !q.contains_predicate(pred) {
             continue; // removed together with an eliminated class
         }
@@ -166,8 +165,8 @@ pub fn formulate_with(
             q.remove_predicate(pred);
         }
     }
-    let introduced = pool
-        .iter()
+    let introduced = table
+        .columns()
         .filter(|(col, pred)| {
             table.presence(*col) == ColumnPresence::Introduced && q.contains_predicate(pred)
         })
@@ -181,7 +180,7 @@ pub fn formulate_with(
         if proj.binding.is_some() {
             continue;
         }
-        for (col, pred) in table.pool().iter() {
+        for (col, pred) in table.columns() {
             if !matches!(table.presence(col), ColumnPresence::InQuery | ColumnPresence::Introduced)
             {
                 continue;
@@ -201,8 +200,7 @@ pub fn formulate_with(
     // sound by entailment). If any two of them are mutually exclusive, the
     // result is provably empty.
     let entailed: Vec<&Predicate> = table
-        .pool()
-        .iter()
+        .columns()
         .filter(|(col, _)| {
             matches!(table.presence(*col), ColumnPresence::InQuery | ColumnPresence::Introduced)
         })

@@ -67,7 +67,7 @@ pub use formulate::{formulate, formulate_with, FormulationResult, FormulationScr
 pub use optimizer::{Optimized, SemanticOptimizer};
 pub use oracle::{DropAllOracle, ProfitOracle, StructuralOracle};
 pub use queue::{ActionKind, TransformationQueue};
-pub use report::{OptimizationReport, PhaseTimings};
+pub use report::OptimizationReport;
 pub use scratch::OptimizerScratch;
 pub use table::{Row, TableBuffers, TransformationTable};
 pub use tag::{CellState, ColumnPresence, PredicateTag};

@@ -7,7 +7,6 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use sqo_catalog::Catalog;
 use sqo_constraints::ConstraintStore;
@@ -16,7 +15,7 @@ use sqo_query::{Query, QueryError};
 use crate::config::OptimizerConfig;
 use crate::formulate::formulate_with;
 use crate::oracle::ProfitOracle;
-use crate::report::{OptimizationReport, PhaseTimings};
+use crate::report::OptimizationReport;
 use crate::scratch::OptimizerScratch;
 use crate::table::TransformationTable;
 use crate::transform::run_transformations_with;
@@ -91,14 +90,11 @@ impl<'a> SemanticOptimizer<'a> {
         query.validate(&catalog)?;
 
         // Phase 0: constraint retrieval via the store's index (exact).
-        let t0 = Instant::now();
         let OptimizerScratch { retrieval, relevant, table: table_buf, transform, formulation } =
             scratch;
         store.relevant_into(query, retrieval, relevant);
-        let retrieval = t0.elapsed();
 
         // Phase 1: initialization (§3.1).
-        let t1 = Instant::now();
         let mut table = TransformationTable::build_with(
             &catalog,
             store,
@@ -107,18 +103,13 @@ impl<'a> SemanticOptimizer<'a> {
             self.config.match_policy,
             table_buf,
         );
-        let initialization = t1.elapsed();
 
         // Phases 2+3: queue updates and transformations (§3.2, §3.3).
-        let t2 = Instant::now();
         let log = run_transformations_with(&mut table, &self.config, transform);
-        let transformation = t2.elapsed();
 
         // Phase 4: query formulation (§3.4).
-        let t3 = Instant::now();
         let mut formulation_result =
             formulate_with(&catalog, query, &table, &self.config, oracle, formulation);
-        let formulation = t3.elapsed();
 
         debug_assert!(
             formulation_result.query.validate(&catalog).is_ok(),
@@ -133,7 +124,6 @@ impl<'a> SemanticOptimizer<'a> {
             query.classes.len(),
             log,
             formulation_result,
-            PhaseTimings { retrieval, initialization, transformation, formulation },
         );
         table.recycle(table_buf);
         Ok(Optimized { query: optimized_query, report })

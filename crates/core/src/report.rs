@@ -1,8 +1,6 @@
 //! Optimization reports: everything the benchmarks and examples need to
-//! know about what one `optimize` call did, including per-phase timings
-//! (the quantities behind the paper's Figure 4.1).
-
-use std::time::Duration;
+//! know about what one `optimize` call did. The optimizer reads no clock;
+//! an experiment that times the phases (Figure 4.1's) times them itself.
 
 use sqo_catalog::{Catalog, ClassId};
 use sqo_query::Predicate;
@@ -10,35 +8,6 @@ use sqo_query::Predicate;
 use crate::formulate::FormulationResult;
 use crate::tag::PredicateTag;
 use crate::transform::TransformLog;
-
-/// Wall-clock timings of the algorithm's phases.
-///
-/// §4: "Subtracting the I/O retrieval time, the maximum time spent on actual
-/// transformation…" — hence retrieval is kept separate from transformation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseTimings {
-    /// Retrieving the relevant constraints.
-    pub retrieval: Duration,
-    /// Building the transformation table (§3.1).
-    pub initialization: Duration,
-    /// Queue updates + transformations (§3.2, §3.3).
-    pub transformation: Duration,
-    /// Query formulation (§3.4).
-    pub formulation: Duration,
-}
-
-impl PhaseTimings {
-    /// Total optimization time (the paper's "total query transformation
-    /// time (including retrieval of semantic constraints)").
-    pub fn total(&self) -> Duration {
-        self.retrieval + self.initialization + self.transformation + self.formulation
-    }
-
-    /// Time excluding retrieval (the paper's "actual transformation" time).
-    pub fn excluding_retrieval(&self) -> Duration {
-        self.initialization + self.transformation + self.formulation
-    }
-}
 
 /// Full account of one optimization run.
 #[derive(Debug, Clone)]
@@ -59,7 +28,6 @@ pub struct OptimizationReport {
     /// The entailed predicates are contradictory: the answer is empty and
     /// execution can be skipped entirely.
     pub provably_empty: bool,
-    pub timings: PhaseTimings,
 }
 
 impl OptimizationReport {
@@ -69,7 +37,6 @@ impl OptimizationReport {
         query_classes: usize,
         transformations: TransformLog,
         formulation: FormulationResult,
-        timings: PhaseTimings,
     ) -> Self {
         Self {
             relevant_constraints,
@@ -83,7 +50,6 @@ impl OptimizationReport {
             introduced: formulation.introduced,
             final_tags: formulation.final_tags,
             provably_empty: formulation.provably_empty,
-            timings,
         }
     }
 
@@ -126,30 +92,6 @@ impl OptimizationReport {
         if self.provably_empty {
             out.push_str("  PROVABLY EMPTY: entailed predicates contradict; skip execution\n");
         }
-        out.push_str(&format!(
-            "  timings: retrieval {:?}, init {:?}, transform {:?}, formulate {:?}\n",
-            self.timings.retrieval,
-            self.timings.initialization,
-            self.timings.transformation,
-            self.timings.formulation
-        ));
         out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn timings_sum() {
-        let t = PhaseTimings {
-            retrieval: Duration::from_millis(5),
-            initialization: Duration::from_millis(1),
-            transformation: Duration::from_millis(2),
-            formulation: Duration::from_millis(3),
-        };
-        assert_eq!(t.total(), Duration::from_millis(11));
-        assert_eq!(t.excluding_retrieval(), Duration::from_millis(6));
     }
 }

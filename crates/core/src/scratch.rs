@@ -1,11 +1,11 @@
 //! Reusable optimizer working memory.
 //!
 //! One [`SemanticOptimizer::optimize`](crate::SemanticOptimizer::optimize)
-//! call allocates a per-query predicate pool, the transformation table's
-//! columns and watcher lists, and the transformation queue — cheap once,
+//! call allocates the transformation table's columns, rows and postings,
+//! its store-id remap array, and the transformation queue — cheap once,
 //! expensive at serving rates where every cache miss and every epoch bump
-//! re-runs the whole pipeline. An [`OptimizerScratch`] owns all of that storage and is
-//! threaded through
+//! re-runs the whole pipeline. An [`OptimizerScratch`] owns all of that
+//! storage and is threaded through
 //! [`SemanticOptimizer::optimize_with`](crate::SemanticOptimizer::optimize_with):
 //! after the first few queries warm its buffers up to the workload's table
 //! shape, repeated optimization performs near-zero transient allocation.

@@ -1,12 +1,12 @@
 //! The transformation table `T` (§3.1).
 //!
 //! Rows are the relevant constraints `C`, columns the predicate set `P`
-//! (query predicates plus all predicates of relevant constraints, interned
-//! into a per-query [`PredicatePool`] so structural duplicates share a
-//! column). What the table stores is one [`ColumnPresence`] and one optional
-//! [`PredicateTag`] per column — everything the fixpoint and formulation
-//! decide from. The paper's matrix of [`CellState`]s is a *view* over that
-//! state ([`TransformationTable::cell`]), not a second copy of it, and
+//! (query predicates plus all predicates of relevant constraints, each
+//! structural duplicate in one column). What the table stores is one
+//! [`ColumnPresence`] and one optional [`PredicateTag`] per column —
+//! everything the fixpoint and formulation decide from. The paper's matrix
+//! of [`CellState`]s is a *view* over that state
+//! ([`TransformationTable::cell`]), not a second copy of it, and
 //! [`TransformationTable::render`] prints the view.
 //!
 //! Two deliberate refinements over the paper's literal pseudocode, both
@@ -19,12 +19,30 @@
 //!    `AbsentConsequent` rows stale after an introduction) — by
 //!    construction, since every one of them is read from the column's tag.
 //!
-//! Because the table is rebuilt for every optimized query, construction can
-//! run against a reusable [`TableBuffers`]: the previous query's table,
-//! handed back by [`TransformationTable::recycle`] and refilled in place by
-//! [`TransformationTable::build_with`], so every vector and the predicate
-//! pool keep their capacity and a warmed-up serving thread builds tables
-//! with near-zero transient allocation.
+//! # Building from the store's pool
+//!
+//! The constraint store interned every constraint's predicates once, when
+//! it filed the constraint (§3's "separate structure";
+//! [`ConstraintStore::filed`]). A build maps those store ids to columns
+//! through a dense remap array, so a relevant constraint's predicates are
+//! never hashed again. Only the query's own predicates are looked up by
+//! hash in the store's pool: a query predicate equal to a constraint
+//! predicate shares its column, and one the store does not hold gets a
+//! column of its own. Columns are numbered in first-seen order — the query's
+//! predicates, then each row's antecedents and consequent — the order a
+//! per-query interner would give. A column points into the store's pool,
+//! which the table shares, so a build clones no constraint predicate.
+//!
+//! Rows are flat: every row's antecedent columns sit in one buffer, and the
+//! column → rows postings are offset-indexed lists. Because the table is
+//! rebuilt for every optimized query, construction runs against a reusable
+//! [`TableBuffers`]: the previous query's table, handed back by
+//! [`TransformationTable::recycle`] and refilled in place by
+//! [`TransformationTable::build_with`], so every vector keeps its capacity
+//! and a warmed-up serving thread builds tables with near-zero transient
+//! allocation.
+
+use std::sync::Arc;
 
 use sqo_catalog::Catalog;
 use sqo_constraints::{ConstraintClass, ConstraintId, ConstraintStore, PredId, PredicatePool};
@@ -33,11 +51,10 @@ use sqo_query::{Predicate, Query};
 use crate::config::MatchPolicy;
 use crate::tag::{CellState, ColumnPresence, PredicateTag};
 
-/// One row: a relevant constraint compiled against the table's own pool.
-#[derive(Debug, Clone)]
+/// One row: a relevant constraint compiled against the table's columns.
+#[derive(Debug, Clone, Copy)]
 pub struct Row {
     pub constraint: ConstraintId,
-    pub antecedents: Vec<PredId>,
     pub consequent: PredId,
     pub classification: ConstraintClass,
     /// Whether the consequent predicate sits on an indexed attribute —
@@ -45,32 +62,98 @@ pub struct Row {
     pub consequent_indexed: bool,
     /// Still a member of `C` (not yet fired or discarded).
     pub active: bool,
+    /// The row's antecedent columns: this range of the table's buffer
+    /// ([`TransformationTable::antecedents`]).
+    antecedents: (u32, u32),
 }
 
-/// Recyclable storage for [`TransformationTable`]: a spent table whose pool
-/// and vectors the next build refills. Obtain one with
+/// Column → rows lists, flat: column `c`'s rows are
+/// `rows[offsets[c]..offsets[c + 1]]`, ascending.
+#[derive(Debug, Default)]
+struct Postings {
+    offsets: Vec<u32>,
+    rows: Vec<usize>,
+}
+
+impl Postings {
+    /// Refills the lists of `cols` columns from `(column, row)` pairs in
+    /// ascending row order: count, prefix-sum, then place back to front.
+    fn fill(
+        &mut self,
+        cols: usize,
+        pairs: impl DoubleEndedIterator<Item = (PredId, usize)> + Clone,
+    ) {
+        self.offsets.clear();
+        self.offsets.resize(cols + 1, 0);
+        for (col, _) in pairs.clone() {
+            self.offsets[col.index()] += 1;
+        }
+        let mut end = 0;
+        for offset in &mut self.offsets {
+            end += *offset;
+            *offset = end;
+        }
+        self.rows.clear();
+        self.rows.resize(end as usize, 0);
+        for (col, ri) in pairs.rev() {
+            self.offsets[col.index()] -= 1;
+            self.rows[self.offsets[col.index()] as usize] = ri;
+        }
+    }
+
+    fn of(&self, col: PredId) -> &[usize] {
+        match (self.offsets.get(col.index()), self.offsets.get(col.index() + 1)) {
+            (Some(&start), Some(&end)) => &self.rows[start as usize..end as usize],
+            _ => &[],
+        }
+    }
+}
+
+/// No column yet, in [`TransformationTable`]'s remap array.
+const NO_COLUMN: u32 = u32::MAX;
+
+/// Where a column's predicate lives.
+#[derive(Debug, Clone, Copy)]
+enum Column {
+    /// In the store's pool, under this id.
+    Pooled(PredId),
+    /// A query predicate the store does not hold: this entry of
+    /// [`TransformationTable`]'s own list.
+    Unpooled(usize),
+}
+
+/// Recyclable storage for [`TransformationTable`]: a spent table whose
+/// vectors the next build refills. Obtain one with
 /// `TableBuffers::default()`, thread it through
 /// [`TransformationTable::build_with`], and return the table with
 /// [`TransformationTable::recycle`] when it is no longer needed.
 #[derive(Debug, Default)]
-pub struct TableBuffers(TransformationTable);
+pub struct TableBuffers(Option<TransformationTable>);
 
 /// The transformation table.
 #[derive(Debug, Default)]
 pub struct TransformationTable {
     rows: Vec<Row>,
-    pool: PredicatePool,
+    /// Every row's antecedent columns, end to end.
+    antecedents: Vec<PredId>,
+    /// Column → where its predicate lives.
+    columns: Vec<Column>,
+    /// The pool of the store the table was built from.
+    pool: Arc<PredicatePool>,
+    /// The query predicates the store does not hold, with their columns.
+    unpooled: Vec<(PredId, Predicate)>,
+    /// Store id → column, [`NO_COLUMN`] everywhere between builds (a build
+    /// resets the entries it set).
+    remap: Vec<u32>,
     presence: Vec<ColumnPresence>,
     tags: Vec<Option<PredicateTag>>,
     /// Columns of the original query's predicates, in query order.
     query_columns: Vec<PredId>,
     /// antecedent column -> rows listing it (for incremental wake-ups).
-    /// Indexed by column; may be longer than the pool when recycled from a
-    /// wider query (the excess lists are empty).
-    antecedent_rows: Vec<Vec<usize>>,
+    antecedent_rows: Postings,
     /// consequent column -> rows whose consequent it is (for targeted
     /// eligibility rechecks).
-    consequent_rows: Vec<Vec<usize>>,
+    consequent_rows: Postings,
 }
 
 impl TransformationTable {
@@ -96,34 +179,68 @@ impl TransformationTable {
 
     /// [`TransformationTable::build`] against recycled storage: the table
     /// held by `buf` is taken and refilled (clearing, not freeing, its
-    /// vectors and pool). Pass the table back through
+    /// vectors). Pass the table back through
     /// [`TransformationTable::recycle`] to reuse the storage again.
+    ///
+    /// Whether a consequent is indexed was settled against the store's
+    /// catalog when the store filed it, so `_catalog` is not read; the
+    /// parameter keeps the signature `benches/e2e`'s shadow pipeline calls.
     pub fn build_with(
-        catalog: &Catalog,
+        _catalog: &Catalog,
         store: &ConstraintStore,
         relevant: &[ConstraintId],
         query: &Query,
         match_policy: MatchPolicy,
         buf: &mut TableBuffers,
     ) -> Self {
-        let mut t = std::mem::take(&mut buf.0);
-        t.pool.clear();
+        let mut t = buf.0.take().unwrap_or_default();
+        t.pool = Arc::clone(store.pool());
+        if t.remap.len() < t.pool.len() {
+            t.remap.resize(t.pool.len(), NO_COLUMN);
+        }
+        t.columns.clear();
+        t.unpooled.clear();
         // Query predicates first: stable, paper-like column order.
         t.query_columns.clear();
-        t.query_columns.extend(query.predicates().map(|p| t.pool.intern(&p)));
+        for pred in query.predicates() {
+            let col = match t.pool.lookup(&pred) {
+                Some(id) => t.column_of(id),
+                None => match t.unpooled.iter().find(|(_, p)| *p == pred) {
+                    Some(&(col, _)) => col,
+                    None => {
+                        let col = t.push_column(Column::Unpooled(t.unpooled.len()));
+                        t.unpooled.push((col, pred));
+                        col
+                    }
+                },
+            };
+            t.query_columns.push(col);
+        }
         t.rows.clear();
-        t.rows.extend(relevant.iter().map(|&id| {
-            let c = store.constraint(id);
-            Row {
-                constraint: id,
-                antecedents: c.antecedents.iter().map(|p| t.pool.intern(p)).collect(),
-                consequent: t.pool.intern(&c.consequent),
-                classification: c.classification(),
-                consequent_indexed: c.consequent.is_indexed(catalog),
-                active: true,
+        t.antecedents.clear();
+        for &id in relevant {
+            let filed = store.filed(id);
+            let start = t.antecedents.len() as u32;
+            for &a in filed.antecedents {
+                let col = t.column_of(a);
+                t.antecedents.push(col);
             }
-        }));
-        let cols = t.pool.len();
+            let consequent = t.column_of(filed.consequent);
+            t.rows.push(Row {
+                constraint: id,
+                consequent,
+                classification: filed.classification,
+                consequent_indexed: filed.consequent_indexed,
+                active: true,
+                antecedents: (start, t.antecedents.len() as u32),
+            });
+        }
+        for column in &t.columns {
+            if let Column::Pooled(id) = column {
+                t.remap[id.index()] = NO_COLUMN;
+            }
+        }
+        let cols = t.columns.len();
 
         // Column presence and initial tags: every query predicate starts
         // imperative ("unless proven otherwise, we have to assume that all
@@ -137,38 +254,51 @@ impl TransformationTable {
             t.tags[qc.index()] = Some(PredicateTag::Imperative);
         }
         if match_policy == MatchPolicy::Implication {
-            for (id, pred) in t.pool.iter() {
-                if t.presence[id.index()] == ColumnPresence::Absent
-                    && query.satisfies_predicate(pred)
+            for col in 0..cols {
+                if t.presence[col] == ColumnPresence::Absent
+                    && query.satisfies_predicate(t.predicate(PredId(col as u32)))
                 {
-                    t.presence[id.index()] = ColumnPresence::Implied;
+                    t.presence[col] = ColumnPresence::Implied;
                 }
             }
         }
 
         // The column → rows postings.
-        for list in t.antecedent_rows.iter_mut().chain(t.consequent_rows.iter_mut()) {
-            list.clear();
-        }
-        if t.antecedent_rows.len() < cols {
-            t.antecedent_rows.resize_with(cols, Vec::new);
-        }
-        if t.consequent_rows.len() < cols {
-            t.consequent_rows.resize_with(cols, Vec::new);
-        }
-        for (ri, row) in t.rows.iter().enumerate() {
-            for &a in &row.antecedents {
-                t.antecedent_rows[a.index()].push(ri);
-            }
-            t.consequent_rows[row.consequent.index()].push(ri);
-        }
+        let (rows, antecedents) = (&t.rows, &t.antecedents);
+        t.antecedent_rows.fill(
+            cols,
+            rows.iter().enumerate().flat_map(|(ri, row)| {
+                antecedents[row.antecedents.0 as usize..row.antecedents.1 as usize]
+                    .iter()
+                    .map(move |&a| (a, ri))
+            }),
+        );
+        t.consequent_rows.fill(cols, rows.iter().enumerate().map(|(ri, row)| (row.consequent, ri)));
         t
+    }
+
+    /// The column of the store's predicate `id`, opening one on first sight.
+    fn column_of(&mut self, id: PredId) -> PredId {
+        match self.remap[id.index()] {
+            NO_COLUMN => {
+                let col = self.push_column(Column::Pooled(id));
+                self.remap[id.index()] = col.0;
+                col
+            }
+            col => PredId(col),
+        }
+    }
+
+    fn push_column(&mut self, column: Column) -> PredId {
+        let col = PredId(self.columns.len() as u32);
+        self.columns.push(column);
+        col
     }
 
     /// Returns the table to `buf` as the storage of the next
     /// [`TransformationTable::build_with`] call.
     pub fn recycle(self, buf: &mut TableBuffers) {
-        buf.0 = self;
+        buf.0 = Some(self);
     }
 
     // ---- basic accessors ---------------------------------------------------
@@ -178,7 +308,7 @@ impl TransformationTable {
     }
 
     pub fn column_count(&self) -> usize {
-        self.pool.len()
+        self.columns.len()
     }
 
     pub fn row(&self, ri: usize) -> &Row {
@@ -189,8 +319,15 @@ impl TransformationTable {
         self.rows.iter().enumerate()
     }
 
-    pub fn pool(&self) -> &PredicatePool {
-        &self.pool
+    /// Row `ri`'s antecedent columns, in the constraint's order.
+    pub fn antecedents(&self, ri: usize) -> &[PredId] {
+        let (start, end) = self.rows[ri].antecedents;
+        &self.antecedents[start as usize..end as usize]
+    }
+
+    /// Every column with its predicate, in column order.
+    pub fn columns(&self) -> impl Iterator<Item = (PredId, &Predicate)> {
+        (0..self.columns.len() as u32).map(|c| (PredId(c), self.predicate(PredId(c))))
     }
 
     /// The paper's cell `t(cᵢ, pⱼ)`, read off the column's state. A
@@ -202,7 +339,7 @@ impl TransformationTable {
         let row = &self.rows[ri];
         if col == row.consequent {
             self.tag(col).map_or(CellState::AbsentConsequent, CellState::Tagged)
-        } else if !row.antecedents.contains(&col) {
+        } else if !self.antecedents(ri).contains(&col) {
             CellState::NotPresent
         } else if self.presence(col).satisfies_antecedent() {
             CellState::PresentAntecedent
@@ -229,18 +366,18 @@ impl TransformationTable {
 
     /// Rows that list `col` among their antecedents.
     pub fn rows_watching(&self, col: PredId) -> &[usize] {
-        self.antecedent_rows.get(col.index()).map(|v| v.as_slice()).unwrap_or(&[])
+        self.antecedent_rows.of(col)
     }
 
     /// Rows whose consequent is `col` — the only rows whose eligibility can
     /// change when `col`'s tag moves.
     pub fn rows_with_consequent(&self, col: PredId) -> &[usize] {
-        self.consequent_rows.get(col.index()).map(|v| v.as_slice()).unwrap_or(&[])
+        self.consequent_rows.of(col)
     }
 
     /// All antecedents of row `ri` present/implied/introduced?
     pub fn antecedents_satisfied(&self, ri: usize) -> bool {
-        self.rows[ri].antecedents.iter().all(|a| self.presence[a.index()].satisfies_antecedent())
+        self.antecedents(ri).iter().all(|a| self.presence[a.index()].satisfies_antecedent())
     }
 
     // ---- mutation (the transformation primitives) -------------------------
@@ -272,10 +409,9 @@ impl TransformationTable {
             // The introduced predicate may satisfy weaker antecedents
             // elsewhere in the pool.
             let start = changed.len();
-            let introduced = self.pool.get(col);
+            let introduced = self.predicate(col);
             changed.extend(
-                self.pool
-                    .iter()
+                self.columns()
                     .filter(|(id, q)| {
                         *id != col
                             && self.presence[id.index()] == ColumnPresence::Absent
@@ -305,14 +441,14 @@ impl TransformationTable {
         out.push_str("T =\n");
         // Header.
         out.push_str("        ");
-        for (id, _) in self.pool.iter() {
+        for (id, _) in self.columns() {
             out.push_str(&format!("{:>4} ", format!("p{}", id.0 + 1)));
         }
         out.push('\n');
         for (ri, row) in self.rows.iter().enumerate() {
             let name = &store.constraint(row.constraint).name;
             out.push_str(&format!("{name:>6}: "));
-            for (id, _) in self.pool.iter() {
+            for (id, _) in self.columns() {
                 out.push_str(&format!("{:>4} ", self.cell(ri, id).code()));
             }
             if !row.active {
@@ -321,7 +457,7 @@ impl TransformationTable {
             out.push('\n');
         }
         out.push_str("where\n");
-        for (id, pred) in self.pool.iter() {
+        for (id, pred) in self.columns() {
             out.push_str(&format!(
                 "  p{} = {}   [{:?}, tag {:?}]\n",
                 id.0 + 1,
@@ -345,9 +481,12 @@ impl TransformationTable {
         }
     }
 
-    /// Clones the predicate behind a column.
+    /// The predicate behind a column.
     pub fn predicate(&self, col: PredId) -> &Predicate {
-        self.pool.get(col)
+        match self.columns[col.index()] {
+            Column::Pooled(id) => self.pool.get(id),
+            Column::Unpooled(at) => &self.unpooled[at].1,
+        }
     }
 }
 
@@ -574,6 +713,85 @@ mod tests {
         );
         assert!(!t_syn.antecedents_satisfied(0));
         let _ = store.len(); // keep `store` used
+    }
+
+    /// Everything a table is: its columns in order, its rows, presence and
+    /// tags per column, and the rendered matrix.
+    fn assert_same_table(
+        catalog: &Catalog,
+        (a, store_a): (&TransformationTable, &ConstraintStore),
+        (b, store_b): (&TransformationTable, &ConstraintStore),
+    ) {
+        let columns = |t: &TransformationTable| -> Vec<Predicate> {
+            t.columns().map(|(_, p)| p.clone()).collect()
+        };
+        assert_eq!(columns(a), columns(b));
+        let rows = |t: &TransformationTable| {
+            t.rows()
+                .map(|(ri, r)| {
+                    let at = (r.constraint, r.consequent, r.classification, r.consequent_indexed);
+                    (at, r.active, t.antecedents(ri).to_vec())
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rows(a), rows(b));
+        for (col, _) in a.columns() {
+            assert_eq!((a.presence(col), a.tag(col)), (b.presence(col), b.tag(col)));
+        }
+        assert_eq!(a.query_columns(), b.query_columns());
+        assert_eq!(a.render(catalog, store_a), b.render(catalog, store_b));
+    }
+
+    /// A store that gained constraints in place or by copy files them into
+    /// its pool as a store built from the same list at once does: every
+    /// table is the same, before and after the fixpoint.
+    #[test]
+    fn grown_stores_build_the_tables_of_a_fresh_store() {
+        let (catalog, _, query) = setup();
+        let grown = ConstraintStore::build(
+            Arc::clone(&catalog),
+            figure22(&catalog).unwrap(),
+            sqo_constraints::StoreOptions::paper_defaults(),
+        )
+        .unwrap();
+        // One constraint whose antecedent the query states and whose
+        // consequent no other constraint has, one that repeats c1.
+        let extra = sqo_constraints::ConstraintBuilder::new(&catalog, "cx")
+            .when("vehicle.desc", CompOp::Eq, "refrigerated truck")
+            .via("collects")
+            .then("cargo.quantity", CompOp::Gt, 10i64)
+            .build()
+            .unwrap();
+        let (mut grown, _) = grown.with_constraint(extra).unwrap();
+        let c1 = grown.constraint(ConstraintId(0)).clone();
+        grown.insert_constraint(c1).unwrap();
+        let fresh = ConstraintStore::build(
+            Arc::clone(&catalog),
+            grown.constraints().map(|(_, c)| c.clone()).collect(),
+            sqo_constraints::StoreOptions { closure: sqo_constraints::ClosureOptions::none() },
+        )
+        .unwrap();
+        let other = QueryBuilder::new(&catalog)
+            .select("cargo.code")
+            .filter("cargo.quantity", CompOp::Gt, 10i64)
+            .filter("cargo.desc", CompOp::Eq, "frozen food")
+            .filter("vehicle.desc", CompOp::Eq, "refrigerated truck")
+            .via("collects")
+            .build()
+            .unwrap();
+        let config = crate::OptimizerConfig::paper();
+        for q in [&query, &other] {
+            let relevant = grown.relevant_for(q);
+            assert_eq!(relevant, fresh.relevant_for(q));
+            let mut tables = [&grown, &fresh].map(|store| {
+                TransformationTable::build(&catalog, store, &relevant, q, config.match_policy)
+            });
+            assert_same_table(&catalog, (&tables[0], &grown), (&tables[1], &fresh));
+            for t in &mut tables {
+                crate::run_transformations(t, &config);
+            }
+            assert_same_table(&catalog, (&tables[0], &grown), (&tables[1], &fresh));
+        }
     }
 
     /// Recycled buffers must reproduce byte-identical tables: build twice

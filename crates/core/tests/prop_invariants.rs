@@ -88,7 +88,7 @@ fn final_tags(
     );
     run_transformations(&mut table, &config);
     let mut out: Vec<(String, Option<PredicateTag>)> =
-        table.pool().iter().map(|(id, p)| (format!("{p:?}"), table.final_tag(id))).collect();
+        table.columns().map(|(id, p)| (format!("{p:?}"), table.final_tag(id))).collect();
     out.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| format!("{:?}", a.1).cmp(&format!("{:?}", b.1))));
     out
 }

@@ -16,6 +16,8 @@ use sqo_query::{Predicate, Query};
 use sqo_storage::Database;
 
 use crate::cost::CostModel;
+use crate::error::ExecError;
+use crate::plan::PhysicalPlan;
 use crate::planner::{Estimator, Rule, Without};
 
 /// Plan-cost-comparing oracle over one immutable database snapshot.
@@ -51,6 +53,26 @@ impl<'db> CostBasedOracle<'db> {
     /// that query cannot be planned. Leaves an open formulation alone.
     pub fn estimated_cost(&self, q: &Query, without: Option<Without<'_>>) -> Option<f64> {
         Estimator::default().estimate(self.db, q, &self.model, without)
+    }
+
+    /// The plan of `formulated`, the query the open formulation ended with
+    /// — the working query of its last question — built from what the
+    /// oracle carried instead of loading and ordering it again (`planner.rs`,
+    /// *Planning once*). It equals `plan_query(db, formulated, model)`,
+    /// costs to the bit; a debug build checks that. After a formulation
+    /// that asked nothing, it is `plan_query`.
+    ///
+    /// `formulated` must be that query: an oracle serving a formulation
+    /// (`formulate_with` calls [`ProfitOracle::begin`] first) asked about
+    /// no other query since.
+    pub fn plan_formulated(&self, formulated: &Query) -> Result<PhysicalPlan, ExecError> {
+        let plan = self.formulation.borrow_mut().plan(self.db, formulated, &self.model);
+        debug_assert_eq!(
+            plan,
+            crate::plan_query(self.db, formulated, &self.model),
+            "the carried plan is plan_query's"
+        );
+        plan
     }
 
     /// One decision of the open formulation (see [`Estimator::decide`]).

@@ -33,6 +33,38 @@
 //!
 //! `crates/exec/tests/prop_estimate.rs` checks the equality on generated
 //! databases and query shapes.
+//!
+//! [`Estimator::load`] also works out each class's residual conjunction —
+//! how many of the query's selective predicates are on the class, and the
+//! `product` of their selectivities — once, with the class's access
+//! estimate. [`Estimator::order`] reads those numbers for every frontier
+//! candidate instead of filtering the query's predicates again; only the
+//! class a [`Without::Sel`] masks is worked out again, in the estimate
+//! [`Estimator::decide`] patches in.
+//!
+//! # Planning once
+//!
+//! When a formulation has asked the oracle anything, the oracle's
+//! estimator already holds the statistics of the query the formulation
+//! ends with: a decision that adopts a difference edits the carried
+//! statistics as the caller edits the query.
+//! [`CostBasedOracle::plan_formulated`](crate::CostBasedOracle::plan_formulated)
+//! builds the cached plan from them, through [`Estimator::plan`]:
+//!
+//! * `load` is never run again;
+//! * `order` is not run again either when the last decision was adopted —
+//!   the candidate's order is then the working query's, and the order,
+//!   estimated cost and rows that decision computed are the plan's;
+//! * a formulation that made no decision loads once, as [`plan_query`]
+//!   does.
+//!
+//! The plan equals [`plan_query`]'s field for field, costs to the bit, for
+//! the reasons a difference costs what its candidate does: the carried
+//! statistics are those a fresh load of the working query computes, in
+//! the same order, and the adopted order is the one `order` computes on the
+//! working query, its root position moved past the removed class. The
+//! property test above checks it after whole formulations, and a debug
+//! build compares every such plan with [`plan_query`]'s.
 
 use sqo_catalog::{CatalogError, ClassId, RelId, StatsSnapshot};
 use sqo_query::{JoinPredicate, Query, SelPredicate};
@@ -78,12 +110,38 @@ impl RelView {
 }
 
 /// The cheapest way to drive a query from one class: a scan (`None`) or a
-/// probe of the index on the class's `probe`-th predicate.
+/// probe of the index on the class's `probe`-th predicate; and the
+/// class's residual conjunction when a join step reaches it.
 #[derive(Debug, Clone, Copy)]
 struct ClassEstimate {
     probe: Option<usize>,
     cost: f64,
     rows: f64,
+    /// The selective predicates on the class.
+    preds: usize,
+    /// [`conjunction`] of their selectivities.
+    selectivity: f64,
+}
+
+/// The classes an order has bound so far, flagged by id.
+#[derive(Debug, Default)]
+struct Bound(Vec<bool>);
+
+impl Bound {
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    fn contains(&self, class: ClassId) -> bool {
+        self.0.get(class.index()).copied().unwrap_or(false)
+    }
+
+    fn insert(&mut self, class: ClassId) {
+        if self.0.len() <= class.index() {
+            self.0.resize(class.index() + 1, false);
+        }
+        self.0[class.index()] = true;
+    }
 }
 
 /// One step of the chosen order; the counts are its shares of
@@ -114,11 +172,14 @@ pub(crate) struct Estimator {
     steps: Vec<StepOrder>,
     join_filters: Vec<JoinPredicate>,
     link_filters: Vec<(RelId, ClassId, ClassId)>,
-    bound: Vec<ClassId>,
-    /// Whether a working query is loaded, and its cost (`None`: it cannot
-    /// be planned).
+    bound: Bound,
+    /// Whether a working query is loaded, and its estimated cost and rows
+    /// (`None`: it cannot be planned).
     loaded: bool,
-    cost: Option<f64>,
+    cost: Option<(f64, f64)>,
+    /// The order in `self` is the working query's: the last decision
+    /// adopted its difference.
+    ordered: bool,
 }
 
 /// The predicates on `class` that `without` leaves, in query order.
@@ -155,14 +216,15 @@ fn estimate_class(
 ) -> ClassEstimate {
     let of_class = class_preds(query, preds, class, without);
     let count = of_class.clone().count();
-    let (cost, rows) = model.scan_estimate(stats, class, count, conjunction(of_class.clone()));
-    let mut best = ClassEstimate { probe: None, cost, rows };
+    let selectivity = conjunction(of_class.clone());
+    let (cost, rows) = model.scan_estimate(stats, class, count, selectivity);
+    let mut best = ClassEstimate { probe: None, cost, rows, preds: count, selectivity };
     for (i, view) in of_class.clone().enumerate().filter(|(_, view)| view.indexable) {
         let rest = of_class.clone().enumerate().filter(|(j, _)| *j != i).map(|(_, view)| view);
         let (cost, rows) =
             model.index_estimate(stats, class, count - 1, conjunction(rest), view.selectivity);
         if cost < best.cost {
-            best = ClassEstimate { probe: Some(i), cost, rows };
+            best = ClassEstimate { probe: Some(i), cost, rows, ..best };
         }
     }
     best
@@ -174,7 +236,7 @@ fn estimate_class(
 /// `to_class` is not bound yet, so no earlier step can have applied one.
 fn step_join_filters<'q>(
     query: &'q Query,
-    bound: &'q [ClassId],
+    bound: &'q Bound,
     to_class: ClassId,
     without: Option<Without<'q>>,
 ) -> impl Iterator<Item = &'q JoinPredicate> {
@@ -184,7 +246,7 @@ fn step_join_filters<'q>(
         .filter(move |j| !matches!(without, Some(Without::Join(m)) if m == *j))
         .filter(move |j| {
             let (x, y) = j.classes();
-            let after = |c: ClassId| c == to_class || bound.contains(&c);
+            let after = |c: ClassId| c == to_class || bound.contains(c);
             after(x) && after(y) && (x == to_class || y == to_class)
         })
 }
@@ -196,13 +258,13 @@ fn step_join_filters<'q>(
 fn step_link_filters<'q>(
     query: &'q Query,
     rels: &'q [Option<RelView>],
-    bound: &'q [ClassId],
+    bound: &'q Bound,
     rel: RelId,
     to_class: ClassId,
 ) -> impl Iterator<Item = (RelId, ClassId, ClassId)> + 'q {
     query.relationships.iter().zip(rels).filter_map(move |(&r2, view)| {
         let (x, y) = (*view)?.ends;
-        let after = |c: ClassId| c == to_class || bound.contains(&c);
+        let after = |c: ClassId| c == to_class || bound.contains(c);
         (r2 != rel && after(x) && after(y) && (x == to_class || y == to_class))
             .then_some((r2, x, y))
     })
@@ -266,27 +328,42 @@ impl Estimator {
         join_filters.clear();
         link_filters.clear();
         bound.clear();
-        bound.push(query.classes[root]);
+        bound.insert(query.classes[root]);
         while let Some(missing) =
-            query.classes.iter().copied().find(|c| kept(*c) && !bound.contains(c))
+            query.classes.iter().copied().find(|&c| kept(c) && !bound.contains(c))
         {
             // Frontier: relationships with exactly one endpoint bound,
             // costed from counts alone.
             let mut best: Option<(f64, f64, StepOrder)> = None;
             for (&rel, view) in query.relationships.iter().zip(rels.iter()) {
-                let view = view.ok_or(CatalogError::UnknownRelId(rel))?;
+                let Some(view) = *view else {
+                    return Err(CatalogError::UnknownRelId(rel).into());
+                };
                 let (a, b) = view.ends;
                 if !kept(a) || !kept(b) {
                     continue;
                 }
-                let (from_class, to_class, fanout) = if bound.contains(&a) && !bound.contains(&b) {
+                let (from_class, to_class, fanout) = if bound.contains(a) && !bound.contains(b) {
                     (a, b, view.fanout.0)
-                } else if bound.contains(&b) && !bound.contains(&a) {
+                } else if bound.contains(b) && !bound.contains(a) {
                     (b, a, view.fanout.1)
                 } else {
                     continue;
                 };
-                let residual = class_preds(query, preds, to_class, without);
+                // The class's residual conjunction, as loaded or patched;
+                // worked out here only for a class the query does not list.
+                let residual = match patched {
+                    Some((patched_class, estimate)) if patched_class == to_class => {
+                        (estimate.preds, estimate.selectivity)
+                    }
+                    _ => match query.classes.iter().position(|&c| c == to_class) {
+                        Some(at) => (classes[at].preds, classes[at].selectivity),
+                        None => {
+                            let residual = class_preds(query, preds, to_class, without);
+                            (residual.clone().count(), conjunction(residual))
+                        }
+                    },
+                };
                 let step = StepOrder {
                     rel,
                     from_class,
@@ -297,8 +374,8 @@ impl Estimator {
                 let (step_cost, out_rows) = model.join_step_estimate_parts(
                     current_rows,
                     fanout,
-                    residual.clone().count(),
-                    conjunction(residual),
+                    residual.0,
+                    residual.1,
                     step.join_filters + step.link_filters,
                 );
                 if best.map_or(true, |(rows, cost, _)| (out_rows, step_cost) < (rows, cost)) {
@@ -310,7 +387,7 @@ impl Estimator {
             };
             join_filters.extend(step_join_filters(query, bound, step.to_class, without));
             link_filters.extend(step_link_filters(query, rels, bound, step.rel, step.to_class));
-            bound.push(step.to_class);
+            bound.insert(step.to_class);
             steps.push(step);
             total_cost += step_cost;
             current_rows = out_rows;
@@ -374,14 +451,14 @@ impl Estimator {
 
     /// [`Estimator::order`] of the loaded `query` less `without`, with the
     /// one class estimate a removed selective predicate changes worked out
-    /// again under the mask and returned beside the cost.
+    /// again under the mask and returned beside the cost and rows.
     fn cost_of(
         &mut self,
         db: &Database,
         query: &Query,
         model: &CostModel,
         without: Option<Without<'_>>,
-    ) -> Option<(f64, Option<ClassEstimate>)> {
+    ) -> Option<((f64, f64), Option<ClassEstimate>)> {
         let patched = match without {
             Some(Without::Sel(s)) => Some((
                 s.attr.class,
@@ -389,8 +466,8 @@ impl Estimator {
             )),
             _ => None,
         };
-        let (cost, _) = self.order(query, model, without, patched).ok()?;
-        Some((cost, patched.map(|(_, estimate)| estimate)))
+        let estimate = self.order(query, model, without, patched).ok()?;
+        Some((estimate, patched.map(|(_, estimate)| estimate)))
     }
 
     /// `query`'s estimated cost less `without`, with no plan built; `None`
@@ -404,13 +481,36 @@ impl Estimator {
     ) -> Option<f64> {
         self.reset();
         self.load(db, query, model);
-        self.cost_of(db, query, model, without).map(|(cost, _)| cost)
+        self.cost_of(db, query, model, without).map(|((cost, _), _)| cost)
     }
 
     /// Forgets the working query: the next [`Estimator::decide`] is about a
     /// query this estimator has not seen.
     pub(crate) fn reset(&mut self) {
         self.loaded = false;
+        self.ordered = false;
+    }
+
+    /// The plan of the working query, `query` (see *Planning once*): from
+    /// the carried statistics, and from the carried order when the last
+    /// decision adopted its difference. With nothing carried it is
+    /// [`plan_query`].
+    pub(crate) fn plan(
+        &mut self,
+        db: &Database,
+        query: &Query,
+        model: &CostModel,
+    ) -> Result<PhysicalPlan, ExecError> {
+        if !self.loaded {
+            self.load(db, query, model);
+            self.loaded = true;
+            self.ordered = false;
+        }
+        let (cost, rows) = match self.cost {
+            Some(estimate) if self.ordered => estimate,
+            _ => self.order(query, model, None, None)?,
+        };
+        Ok(self.materialize(query, cost, rows))
     }
 
     /// One cost–benefit decision: `rule(with, without)` on the estimated
@@ -435,7 +535,7 @@ impl Estimator {
     ) -> bool {
         if !self.loaded {
             self.load(db, working, model);
-            self.cost = self.cost_of(db, working, model, None).map(|(cost, _)| cost);
+            self.cost = self.cost_of(db, working, model, None).map(|(estimate, _)| estimate);
             self.loaded = true;
         }
         debug_assert_eq!(
@@ -447,15 +547,18 @@ impl Estimator {
             ),
             "the working query changed without an adoption or a reset"
         );
+        // The order in `self` is now the candidate's, or half written.
+        self.ordered = false;
         let sides = self.cost.zip(self.cost_of(db, working, model, Some(without)));
-        let Some((with, (candidate, patched))) = sides else {
+        let Some(((with, _), (candidate, patched))) = sides else {
             return !adopting;
         };
-        let answer = rule(with, candidate);
+        let answer = rule(with, candidate.0);
         if answer != adopting {
             return answer;
         }
         self.cost = Some(candidate);
+        self.ordered = true;
         match without {
             Without::Sel(s) => {
                 let mut of_query = working.selective_predicates.iter();
@@ -472,6 +575,9 @@ impl Estimator {
                 self.rels.retain(|view| !view.is_some_and(|view| view.involves(class)));
                 let mut of_query = working.classes.iter();
                 self.classes.retain(|_| of_query.next() != Some(&class));
+                // The removed class never roots the order; the root's
+                // position moves past it.
+                self.root -= working.classes[..self.root].iter().filter(|&&c| c == class).count();
             }
         }
         answer

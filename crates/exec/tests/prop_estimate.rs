@@ -9,14 +9,19 @@
 //! `plan_query(&built_candidate)?.estimated_cost` by `to_bits()`, and be
 //! `None` exactly when `plan_query` errs. A second property drives one
 //! oracle through a whole formulation's worth of questions, adoptions
-//! included, against an oracle that plans both whole queries.
+//! included, against an oracle that plans both whole queries. A third
+//! stops a formulation after any number of questions and requires the plan
+//! the oracle builds from what it carried (`plan_formulated`) to be
+//! `plan_query`'s, field for field and costs to the bit: after no
+//! decision, after a last decision adopted or rejected, and after a class
+//! elimination.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 
 use sqo_catalog::{AttributeDef, Catalog, ClassId, DataType, IndexKind, Value};
 use sqo_core::ProfitOracle;
-use sqo_exec::{plan_query, CostBasedOracle, CostModel, Without};
+use sqo_exec::{plan_query, CostBasedOracle, CostModel, ExecError, PhysicalPlan, Without};
 use sqo_query::{CompOp, JoinPredicate, Predicate, Projection, Query, SelPredicate};
 use sqo_storage::{Database, IntegrityOptions, ObjectId};
 
@@ -176,6 +181,96 @@ impl ProfitOracle for PlanBoth<'_> {
     }
 }
 
+/// A plan with its two estimates as bits, so `==` compares them exactly.
+fn exactly(plan: Result<PhysicalPlan, ExecError>) -> Result<(PhysicalPlan, u64, u64), ExecError> {
+    plan.map(|plan| {
+        let bits = (plan.estimated_cost.to_bits(), plan.estimated_rows.to_bits());
+        (PhysicalPlan { estimated_cost: 0.0, estimated_rows: 0.0, ..plan }, bits.0, bits.1)
+    })
+}
+
+/// What the last question of a stopped formulation was.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Last {
+    NoDecision,
+    Adopted,
+    Rejected,
+}
+
+/// Runs the questions of a formulation of `original` on one oracle — every
+/// class elimination, then every retention, adopting as formulation does —
+/// and stops after `stop` of them. Returns the working query, what the last
+/// question was, and whether a class was eliminated.
+fn stopped_formulation(
+    db: &Database,
+    oracle: &CostBasedOracle<'_>,
+    original: &Query,
+    stop: usize,
+) -> (Query, Last, bool) {
+    let mut working = original.clone();
+    let (mut last, mut eliminated) = (Last::NoDecision, false);
+    oracle.begin();
+    let mut asked = 0;
+    for &class in &original.classes {
+        if asked == stop {
+            return (working, last, eliminated);
+        }
+        asked += 1;
+        if oracle.eliminate_class(&working, class) {
+            working = built(db.catalog(), &working, Without::Class(class));
+            (last, eliminated) = (Last::Adopted, true);
+        } else {
+            last = Last::Rejected;
+        }
+    }
+    for pred in original.predicates() {
+        if !working.contains_predicate(&pred) {
+            continue;
+        }
+        if asked == stop {
+            break;
+        }
+        asked += 1;
+        if oracle.retain_optional(&working, &pred) {
+            last = Last::Rejected;
+        } else {
+            working.remove_predicate(&pred);
+            last = Last::Adopted;
+        }
+    }
+    (working, last, eliminated)
+}
+
+/// Every kind of formulation end occurs on a fixed sweep of shapes, and
+/// each one plans as `plan_query` does.
+#[test]
+fn carried_plans_cover_every_last_decision() {
+    let db = db(&[12, 9, 7], &[1, 2, 3]);
+    let mut seen = std::collections::HashSet::new();
+    for shape in 0..6 {
+        for sel_bits in (0u16..4096).step_by(37) {
+            for join_bits in 0..8 {
+                let q = query(db.catalog(), shape, sel_bits, join_bits);
+                for stop in 0..8 {
+                    let oracle = CostBasedOracle::new(&db);
+                    let (working, last, eliminated) = stopped_formulation(&db, &oracle, &q, stop);
+                    assert_eq!(
+                        exactly(oracle.plan_formulated(&working)),
+                        exactly(plan_query(&db, &working, &CostModel::default())),
+                        "{last:?} after {stop} questions about {q:?}"
+                    );
+                    seen.insert((last, eliminated));
+                }
+            }
+        }
+    }
+    for last in [Last::NoDecision, Last::Adopted, Last::Rejected] {
+        assert!(seen.contains(&(last, false)), "{last:?} never ended a formulation");
+    }
+    assert!(seen.contains(&(Last::Adopted, true)), "no formulation eliminated a class");
+    assert!(seen.contains(&(Last::Rejected, true)), "no decision followed an elimination");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -237,5 +332,27 @@ proptest! {
                 working.remove_predicate(&pred);
             }
         }
+    }
+
+    /// A formulation stopped anywhere plans, from what the oracle carried,
+    /// exactly what `plan_query` plans for its working query.
+    #[test]
+    fn the_carried_plan_is_plan_query_s(
+        sizes in prop::collection::vec(0usize..24, 3..4),
+        strides in prop::collection::vec(0usize..7, 3..4),
+        shape in 0u8..6,
+        sel_bits in 0u16..4096,
+        join_bits in 0u8..8,
+        stop in 0usize..10,
+    ) {
+        let db = db(&sizes, &strides);
+        let original = query(db.catalog(), shape, sel_bits, join_bits);
+        let oracle = CostBasedOracle::new(&db);
+        let (working, last, _) = stopped_formulation(&db, &oracle, &original, stop);
+        prop_assert_eq!(
+            exactly(oracle.plan_formulated(&working)),
+            exactly(plan_query(&db, &working, &CostModel::default())),
+            "{:?} after {} questions", last, stop
+        );
     }
 }

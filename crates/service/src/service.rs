@@ -10,8 +10,7 @@ use std::sync::Arc;
 use sqo_constraints::{ConstraintError, ConstraintStore, HornConstraint, StoreVersion};
 use sqo_core::{OptimizerConfig, OptimizerScratch, SemanticOptimizer};
 use sqo_exec::{
-    execute_with, plan_query_shared, CostBasedOracle, CostModel, ExecError, ExecScratch,
-    PhysicalPlan, ResultSet,
+    execute_with, CostBasedOracle, CostModel, ExecError, ExecScratch, PhysicalPlan, ResultSet,
 };
 use sqo_query::sync::{Counter, Mutex, RwLock, Unlocked, SERVICE_STORE, SERVICE_WRITER};
 use sqo_query::{Query, QueryError, QueryFingerprint};
@@ -484,7 +483,9 @@ impl QueryService {
         let (plan, columns) = if provably_empty {
             (None, out.query.projections.iter().map(|p| p.attr).collect())
         } else {
-            let plan = plan_query_shared(&db, &out.query, &self.model)?;
+            // Planned from what the oracle carried: `plan_query`'s plan,
+            // without loading or ordering the query again.
+            let plan = Arc::new(oracle.plan_formulated(&out.query)?);
             let columns = plan.projections.iter().map(|p| p.attr).collect();
             (Some(plan), columns)
         };

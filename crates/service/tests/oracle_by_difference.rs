@@ -1,7 +1,8 @@
 //! The cost-based oracle decides by difference (`sqo-exec`'s `planner.rs`)
 //! exactly as an oracle that builds both whole queries and plans them, and
 //! what it carries from one decision to the next never leaks from one
-//! formulation into another.
+//! formulation into another. The plan a miss caches, built from what the
+//! oracle carried, is `plan_query`'s for the formulated query.
 //!
 //! Over the head of the end-to-end benchmark's `cold_paper` pool.
 
@@ -10,8 +11,9 @@ mod paper_pool;
 
 use sqo_catalog::ClassId;
 use sqo_core::{Optimized, OptimizerScratch, ProfitOracle, SemanticOptimizer};
-use sqo_exec::{plan_query, CostBasedOracle, CostModel};
+use sqo_exec::{plan_query, CostBasedOracle, CostModel, PhysicalPlan};
 use sqo_query::{Predicate, Query};
+use sqo_service::{QueryService, ServiceConfig};
 use sqo_storage::Database;
 
 /// The reference: the parent commit's oracle without its memo.
@@ -87,4 +89,35 @@ fn decisions_match_planning_both_whole_queries() {
     }
     // The pool asks both kinds of question and adopts both kinds of answer.
     assert!(dropped > 100 && eliminated > 10, "{dropped} dropped, {eliminated} eliminated");
+}
+
+/// A plan with its two estimates as bits, so `==` compares them exactly.
+fn exactly(plan: &PhysicalPlan) -> (PhysicalPlan, u64, u64) {
+    let bits = (plan.estimated_cost.to_bits(), plan.estimated_rows.to_bits());
+    (PhysicalPlan { estimated_cost: 0.0, estimated_rows: 0.0, ..plan.clone() }, bits.0, bits.1)
+}
+
+#[test]
+fn carried_plans_are_plan_query_s() {
+    let (store, db, queries) = paper_pool::paper_pool(512);
+    let model = CostModel::default();
+    let optimizer = SemanticOptimizer::new(&store);
+    let oracle = CostBasedOracle::new(&db);
+    let mut scratch = OptimizerScratch::new();
+    let service = QueryService::with_config(store.clone(), db.clone(), ServiceConfig::default());
+    let mut planned = 0;
+    for (i, q) in queries.iter().enumerate() {
+        let out = optimizer.optimize_with(&q.canonical(), &oracle, &mut scratch).unwrap();
+        let prepared = service.prepare(q).unwrap();
+        assert_eq!(prepared.optimized(), &out.query, "query {i}");
+        if out.report.provably_empty {
+            assert!(prepared.plan().is_none(), "query {i}");
+            continue;
+        }
+        let want = exactly(&plan_query(&db, &out.query, &model).unwrap());
+        assert_eq!(exactly(&oracle.plan_formulated(&out.query).unwrap()), want, "query {i}");
+        assert_eq!(exactly(prepared.plan().unwrap()), want, "query {i}, cached");
+        planned += 1;
+    }
+    assert!(planned > 400, "{planned} of 512 planned");
 }
