@@ -26,6 +26,7 @@
 mod catalog;
 mod error;
 pub mod example;
+mod hash;
 mod ids;
 mod schema;
 mod stats;
@@ -33,6 +34,7 @@ mod types;
 
 pub use catalog::{Catalog, CatalogBuilder};
 pub use error::CatalogError;
+pub use hash::{ValueHashState, ValueHasher};
 pub use ids::{AttrId, AttrRef, ClassId, RelId};
 pub use schema::{
     AttributeDef, ClassDef, IndexKind, Multiplicity, RelEdge, RelationshipDef, RelationshipEnd,

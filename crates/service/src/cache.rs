@@ -313,18 +313,40 @@ impl ShardedCache {
     ) -> Option<Arc<CacheEntry>> {
         // The lookup first: `hits <= lookups` in every stats() snapshot.
         self.lookups.add_outer();
+        self.find(fingerprint, query, version, |slot| {
+            slot.last_used.set(self.tick());
+            self.lookups.add_inner();
+        })
+    }
+
+    /// [`ShardedCache::get`]'s answer, as a look that is not a request: it
+    /// counts neither a lookup nor a hit and stamps no recency. A singleflight
+    /// leader's re-check before it derives ([`crate::QueryService::complete_miss`]).
+    pub fn peek(
+        &self,
+        fingerprint: QueryFingerprint,
+        query: &Query,
+        version: StoreVersion,
+    ) -> Option<Arc<CacheEntry>> {
+        self.find(fingerprint, query, version, |_| ())
+    }
+
+    /// The entry of `fingerprint` that is `query`'s and valid under
+    /// `version`, after `found` ran on its slot under the shard's lock.
+    fn find(
+        &self,
+        fingerprint: QueryFingerprint,
+        query: &Query,
+        version: StoreVersion,
+        found: impl FnOnce(&Slot),
+    ) -> Option<Arc<CacheEntry>> {
         let mut held = Unlocked::new();
         let shard = self.shard_of(fingerprint).read(&mut held);
-        match shard.get(&fingerprint) {
-            Some(slot)
-                if slot.version == version && query.same_canonical(&slot.entry.canonical) =>
-            {
-                slot.last_used.set(self.tick());
-                self.lookups.add_inner();
-                Some(Arc::clone(&slot.entry))
-            }
-            _ => None,
-        }
+        let slot = shard.get(&fingerprint).filter(|slot| {
+            slot.version == version && query.same_canonical(&slot.entry.canonical)
+        })?;
+        found(slot);
+        Some(Arc::clone(&slot.entry))
     }
 
     /// Inserts (or replaces) an entry derived under `version`, evicting the

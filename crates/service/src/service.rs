@@ -610,16 +610,27 @@ impl QueryService {
     /// `guard.finish`; a dropped guard aborts instead), so every follower
     /// receives the identical `Arc`-shared answer, or the identical error
     /// (re-running the same pipeline would fail the same way).
+    ///
+    /// The leader first looks in the plan cache again, without counting the
+    /// look: a request whose lookup missed just before an earlier leader
+    /// published can register after that flight retired, and it then
+    /// executes the published entry (answering `cache_hit`) instead of
+    /// optimizing the query a second time.
     pub fn complete_miss(&self, guard: MissGuard) -> Result<ServiceResponse, ServiceError> {
         let key = guard.key();
-        let at = Coordinate {
-            store: Arc::clone(guard.store()),
-            version: key.version,
-            fingerprint: key.fingerprint,
+        let published = self.cache.peek(key.fingerprint, guard.canonical(), key.version);
+        let prepared = match published {
+            Some(entry) => Ok(PreparedQuery { entry, epoch: key.version.epoch(), cache_hit: true }),
+            None => {
+                let at = Coordinate {
+                    store: Arc::clone(guard.store()),
+                    version: key.version,
+                    fingerprint: key.fingerprint,
+                };
+                self.entry_for(guard.canonical().clone(), at)
+            }
         };
-        let outcome = self
-            .entry_for(guard.canonical().clone(), at)
-            .and_then(|prepared| self.answer(&prepared));
+        let outcome = prepared.and_then(|prepared| self.answer(&prepared));
         guard.finish(outcome.clone().map_err(FlightError::Failed));
         outcome
     }

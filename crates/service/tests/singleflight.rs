@@ -121,3 +121,35 @@ fn invalidation_during_flight_never_publishes_a_stale_entry() {
     let stats = service.stats();
     assert_eq!(stats.optimizations, 2, "one per store version, never a stale share");
 }
+
+/// A leader whose flight registered after another request had already
+/// published the plan serves that plan instead of optimizing again.
+///
+/// Deterministic: the leader guard is held while `run` misses, derives and
+/// publishes on its own (it goes through `prepare`, not the flight table),
+/// which is what a request that missed just before an earlier leader
+/// published and registered after that flight retired looks like.
+#[test]
+fn a_leader_that_registered_after_publication_does_not_optimize_again() {
+    let (service, queries) = service();
+    let query = &queries[0];
+
+    let TryRun::Leader(guard) = service.try_run(query).unwrap() else {
+        panic!("cold miss must lead")
+    };
+    let published = service.run(query).unwrap();
+    assert_eq!(service.stats().optimizations, 1);
+
+    let led = service.complete_miss(guard).unwrap();
+    let stats = service.stats();
+    assert_eq!(stats.optimizations, 1, "the plan was published before the leader ran: {stats:?}");
+    assert!(led.results.same_multiset(&published.results));
+    assert_eq!((led.epoch, led.data_epoch), (published.epoch, published.data_epoch));
+    assert!(led.cache_hit, "the leader served the published plan");
+    assert_eq!(stats.singleflight_leaders, 1);
+    assert_eq!(
+        (stats.cache.lookups, stats.cache.hits),
+        (2, 0),
+        "the re-check is no lookup: {stats:?}"
+    );
+}

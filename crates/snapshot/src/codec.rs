@@ -8,7 +8,7 @@
 
 use sqo_catalog::{
     AttrId, AttrRef, AttrStats, ClassId, ClassStats, DataType, Finite, IndexKind, Multiplicity,
-    RelId, RelStats, RelationshipEnd, StatsSnapshot, Value,
+    RelId, RelStats, RelationshipEnd, StatsSnapshot, Value, ValueHashState,
 };
 use sqo_query::{CompOp, JoinPredicate, Predicate, Projection, Query, SelPredicate};
 
@@ -62,39 +62,6 @@ pub fn read_value(r: &mut ByteReader<'_>) -> Result<Value, LoadError> {
     }
 }
 
-/// FNV-1a hasher for [`StrPool`] lookups. The pool hashes every decoded
-/// string occurrence, and its keys are short trusted-after-checksum
-/// strings, so a fast non-keyed hash beats the default SipHash; this is a
-/// process-local lookup structure, never part of the on-disk format.
-#[derive(Debug, Default)]
-struct FnvHasher(u64);
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 { 0xcbf2_9ce4_8422_2325 } else { self.0 };
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-#[derive(Clone, Debug, Default)]
-struct FnvState;
-
-impl std::hash::BuildHasher for FnvState {
-    type Hasher = FnvHasher;
-
-    fn build_hasher(&self) -> FnvHasher {
-        FnvHasher::default()
-    }
-}
-
 /// Deduplicating pool of decoded `Arc<str>` values.
 ///
 /// Snapshot payloads repeat string values heavily (extent tuples and index
@@ -103,8 +70,13 @@ impl std::hash::BuildHasher for FnvState {
 /// every repeat shares the same [`std::sync::Arc`]. Purely an allocation
 /// optimization — value equality is by content, so interned and
 /// non-interned decodes are indistinguishable.
+///
+/// The pool hashes every decoded string occurrence with
+/// [`ValueHashState`], keyed when the pool is built: whoever writes a file
+/// chooses its strings (a checksum does not authenticate a file), but not
+/// the key they are hashed under.
 #[derive(Debug, Default)]
-pub struct StrPool(std::collections::HashSet<std::sync::Arc<str>, FnvState>);
+pub struct StrPool(std::collections::HashSet<std::sync::Arc<str>, ValueHashState>);
 
 impl StrPool {
     /// An empty pool.

@@ -2,14 +2,20 @@
 //!
 //! An attribute's [`AttrStats`] is a function of its value → count map:
 //! [`summarize`] derives `distinct`, `min`/`max` and the most common values
-//! from one pass over the map's entries. The load path, the Audit
-//! re-derivation and the `with_writes_full` oracle build a throw-away map
-//! per attribute ([`class_statistics`]).
+//! from one pass over the map's entries. An indexed attribute needs no map of
+//! its own: its index's postings are its counts, one length per value.
+//!
+//! A load and a class's first write build a class's statistics the same way
+//! ([`indexed_class_statistics`]): an indexed attribute's off its postings,
+//! and only the unindexed attributes' from a scan of the extent, one pass
+//! into one throw-away map per attribute. The Audit re-derivation and the
+//! `with_writes_full` oracle keep a scan of every attribute
+//! ([`class_statistics`]), which is the reference the other two are checked
+//! against. Every scan's map hashes with `sqo_catalog::ValueHashState`.
 //!
 //! The write path keeps the counts instead, in [`ValueMap`]s that successive
-//! snapshots share page by page. An indexed attribute needs none of its own:
-//! its index's postings are its counts, one length per value. For the others
-//! a [`ClassCounts`] holds one value → count map per attribute, built by one
+//! snapshots share page by page. For the unindexed attributes a
+//! [`ClassCounts`] holds one value → count map per attribute, built by one
 //! extent scan on the first write that touches the class (loading a database
 //! builds none). From then on a [`ClassPatch`] applies each inserted, deleted
 //! or updated value, copying only the page the value lives in, and keeps the
@@ -19,15 +25,16 @@
 //! one [`summarize`] pass over its distinct values at the end of the batch.
 //!
 //! Either way the result is the same function of the same counts, so a
-//! patched [`ClassStats`] equals a from-scratch one (`tests/
-//! prop_incremental.rs` checks it after every batch). One caveat: `0.0` and
-//! `-0.0` are one value (`Value`'s `Eq`), and which spelling a statistic
-//! reports follows which was counted first.
+//! loaded or patched [`ClassStats`] equals a from-scratch one (`tests/
+//! prop_incremental.rs` checks it after the load and after every batch). One
+//! caveat: `0.0` and `-0.0` are one value (`Value`'s `Eq`), and which
+//! spelling a statistic reports follows which was counted first — in extent
+//! order for a scan and for an index's grouping alike.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use sqo_catalog::{AttrStats, ClassStats, Value};
+use sqo_catalog::{AttrStats, ClassStats, Value, ValueHashState};
 
 use crate::db::Extent;
 use crate::index::AttrIndex;
@@ -103,22 +110,67 @@ fn summarize<'a>(entries: impl Iterator<Item = (&'a Value, u64)>, rows: u64) -> 
     }
 }
 
-/// Attribute `attr`'s value → count map over `extent`, keys borrowed, and
-/// the statistics it summarizes to.
-fn scan_attribute(extent: &Extent, attr: usize) -> (HashMap<&Value, u64>, AttrStats) {
-    let mut counts = HashMap::new();
+/// One attribute's value → count map, keys borrowed from an extent.
+type ScannedCounts<'e> = HashMap<&'e Value, u64, ValueHashState>;
+
+/// Attribute `attr`'s statistics from a scan of `extent`.
+fn scan_attribute(extent: &Extent, attr: usize) -> AttrStats {
+    let mut counts = ScannedCounts::default();
     for tuple in extent.iter() {
         *counts.entry(&tuple[attr]).or_insert(0) += 1;
     }
-    let stats = summarize(counts.iter().map(|(v, count)| (*v, *count)), extent.len() as u64);
-    (counts, stats)
+    summarize(counts.iter().map(|(v, count)| (*v, *count)), extent.len() as u64)
 }
 
 /// One class's statistics from one extent scan per attribute — the
-/// from-scratch path (load, Audit, oracle).
+/// reference (Audit, the `with_writes_full` oracle,
+/// `Database::rebuild_statistics`).
 pub(crate) fn class_statistics(attr_count: usize, extent: &Extent) -> ClassStats {
-    let attrs = (0..attr_count).map(|attr| scan_attribute(extent, attr).1).collect();
+    let attrs = (0..attr_count).map(|attr| scan_attribute(extent, attr)).collect();
     ClassStats { cardinality: extent.len() as u64, attrs }
+}
+
+/// One class's statistics with `indexes` (one slot per attribute) built: an
+/// indexed attribute's off its postings, one count per posting length, and
+/// the unindexed attributes' from one scan of the extent that counts them
+/// all. `keep` receives each attribute's scanned counts in attribute order
+/// (`None` where an index counted) — the load drops them, a class's first
+/// write keeps them.
+pub(crate) fn indexed_class_statistics<'e>(
+    indexes: &[Option<AttrIndex>],
+    extent: &'e Extent,
+    mut keep: impl FnMut(Option<ScannedCounts<'e>>),
+) -> ClassStats {
+    let rows = extent.len() as u64;
+    let mut scanned: Vec<(usize, ScannedCounts<'e>)> = indexes
+        .iter()
+        .enumerate()
+        .filter(|(_, index)| index.is_none())
+        .map(|(attr, _)| (attr, ScannedCounts::default()))
+        .collect();
+    for tuple in extent.iter() {
+        for (attr, counts) in &mut scanned {
+            *counts.entry(&tuple[*attr]).or_insert(0) += 1;
+        }
+    }
+    let mut scanned = scanned.into_iter().map(|(_, counts)| counts);
+    let mut attrs = Vec::with_capacity(indexes.len());
+    for index in indexes {
+        let counts = match index {
+            Some(index) => {
+                let posted = index.postings.iter().map(|(v, posting)| (v, posting.len() as u64));
+                attrs.push(summarize(posted, rows));
+                None
+            }
+            None => {
+                let counts = scanned.next().unwrap_or_default();
+                attrs.push(summarize(counts.iter().map(|(v, count)| (*v, *count)), rows));
+                Some(counts)
+            }
+        };
+        keep(counts);
+    }
+    ClassStats { cardinality: rows, attrs }
 }
 
 /// Counts one more `v`; returns its new count.
@@ -159,22 +211,12 @@ impl ClassPatch {
     /// Starts from a class no write has touched since it was loaded, before
     /// the batch changes it: statistics that owe nothing to the loaded ones,
     /// from the index where there is one and else from one scan of the
-    /// extent, which also builds the attribute's counts.
+    /// extent, which also builds the unindexed attributes' counts.
     pub(crate) fn scan(indexes: &[Option<AttrIndex>], extent: &Extent) -> Self {
-        let rows = extent.len() as u64;
-        let mut stats = ClassStats { cardinality: rows, attrs: Vec::with_capacity(indexes.len()) };
         let mut counts = ClassCounts::with_capacity(indexes.len());
-        for (attr, index) in indexes.iter().enumerate() {
-            if let Some(index) = index {
-                let posted = index.postings.iter().map(|(v, posting)| (v, posting.len() as u64));
-                stats.attrs.push(summarize(posted, rows));
-                counts.push(None);
-            } else {
-                let (scanned, summary) = scan_attribute(extent, attr);
-                stats.attrs.push(summary);
-                counts.push(Some(scanned.into_iter().map(|(v, n)| (v.clone(), n)).collect()));
-            }
-        }
+        let stats = indexed_class_statistics(indexes, extent, |scanned| {
+            counts.push(scanned.map(|map| map.into_iter().map(|(v, n)| (v.clone(), n)).collect()));
+        });
         Self { counts, stats, stale: vec![false; indexes.len()] }
     }
 

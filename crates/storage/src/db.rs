@@ -6,6 +6,14 @@
 //! statistics snapshot and enforces the integrity declarations (total
 //! participation, to-one multiplicity) that class elimination relies on.
 //!
+//! The load computes statistics after the indexes, and reads an indexed
+//! attribute's off its postings — one count per posting length — as a
+//! class's first write does (`counts.rs`); it builds no throw-away map for
+//! an indexed attribute. Only the unindexed attributes are counted, in one
+//! pass over the extent, and those maps, like the indexes' grouping map,
+//! hash with keyed folded multiplies (`sqo_catalog::ValueHashState`) rather
+//! than SipHash.
+//!
 //! # Incremental copy-on-write snapshots
 //!
 //! Snapshot state is sharded per class and per relationship: one extent
@@ -101,7 +109,7 @@ use sqo_constraints::HornConstraint;
 use sqo_query::Predicate;
 use std::sync::Arc;
 
-use crate::counts::{class_statistics, ClassCounts, ClassPatch};
+use crate::counts::{class_statistics, indexed_class_statistics, ClassCounts, ClassPatch};
 use crate::error::StorageError;
 use crate::index::AttrIndex;
 use crate::links::RelLinks;
@@ -1054,9 +1062,9 @@ pub(crate) fn build_indexes(catalog: &Catalog, extents: &[Extent]) -> Vec<Vec<Op
 
 /// Assembles a snapshot from logical state: builds link structures, enforces
 /// integrity declarations over **every** relationship (when requested),
-/// builds the declared indexes and computes statistics from scratch. The
-/// load path ([`DatabaseBuilder::finalize`]); the write paths share its
-/// parts.
+/// builds the declared indexes and then the statistics, off the indexes'
+/// postings where there are some ([`load_statistics`]). The load path
+/// ([`DatabaseBuilder::finalize`]); the write paths share its parts.
 fn assemble(
     catalog: Arc<Catalog>,
     extents: Vec<Vec<Vec<Value>>>,
@@ -1072,7 +1080,7 @@ fn assemble(
         }
     }
     let indexes = build_indexes(&catalog, &extents);
-    let stats = build_statistics(&catalog, &extents, &links);
+    let stats = load_statistics(&extents, &indexes, &links);
     Ok(Database::from_loaded_parts(catalog, extents, indexes, links, stats, data_version))
 }
 
@@ -1147,9 +1155,10 @@ fn rel_statistics(lk: &RelLinks) -> RelStats {
     }
 }
 
-/// The from-scratch statistics build: every class, every relationship. The
-/// initial load uses it; incremental writes fold per-class deltas instead
-/// and fall back to it only through [`Database::rebuild_statistics`].
+/// The from-scratch statistics build: every attribute of every class from a
+/// scan of its extent, every relationship. It is the reference the load
+/// ([`load_statistics`]), the write path and Audit are checked against;
+/// [`Database::rebuild_statistics`] and [`Database::with_writes_full`] use it.
 pub(crate) fn build_statistics(
     catalog: &Catalog,
     extents: &[Extent],
@@ -1158,6 +1167,23 @@ pub(crate) fn build_statistics(
     let classes = catalog
         .classes()
         .map(|(cid, cdef)| class_statistics(cdef.attributes.len(), &extents[cid.index()]))
+        .collect();
+    let relationships = links.iter().map(rel_statistics).collect();
+    StatsSnapshot { classes, relationships }
+}
+
+/// The load's statistics, equal to [`build_statistics`]' with the declared
+/// `indexes` built: an indexed attribute's read off its postings, only an
+/// unindexed one's scanned.
+fn load_statistics(
+    extents: &[Extent],
+    indexes: &[Vec<Option<AttrIndex>>],
+    links: &[RelLinks],
+) -> StatsSnapshot {
+    let classes = indexes
+        .iter()
+        .zip(extents)
+        .map(|(bank, extent)| indexed_class_statistics(bank, extent, drop))
         .collect();
     let relationships = links.iter().map(rel_statistics).collect();
     StatsSnapshot { classes, relationships }

@@ -8,7 +8,7 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use sqo_catalog::{IndexKind, Value};
+use sqo_catalog::{IndexKind, Value, ValueHashState};
 use sqo_query::{Bound, ValueSet};
 
 use crate::object::ObjectId;
@@ -51,7 +51,7 @@ impl AttrIndex {
             // A key attribute loaded in key order: nothing to group.
             rows.map(|(value, oid)| (value.clone(), vec![oid])).collect()
         } else {
-            let mut groups: HashMap<&Value, Vec<ObjectId>> = HashMap::new();
+            let mut groups: HashMap<&Value, Vec<ObjectId>, ValueHashState> = HashMap::default();
             for (value, oid) in rows {
                 groups.entry(value).or_default().push(oid);
             }

@@ -17,13 +17,18 @@
 //! maps' pages (a page's first and last key, the key whose removal empties a
 //! page, the insert that splits one). After every batch the successor also
 //! round-trips through a snapshot at `Audit`.
+//!
+//! The load reads an indexed attribute's statistics off its postings, not
+//! off a scan: `load_statistics_equal_a_full_rescan` holds a freshly
+//! finalized database's statistics to [`Database::rebuild_statistics`], to
+//! the spelling of every value, over every value type and column shape.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 
 use sqo_catalog::{
     AttrId, AttributeDef, Catalog, ClassId, DataType, IndexKind, Multiplicity, RelId,
-    RelationshipEnd, Value,
+    RelationshipEnd, StatsSnapshot, Value,
 };
 use sqo_query::{Bound, ValueSet};
 use sqo_snapshot::ValidationLevel;
@@ -568,5 +573,135 @@ fn scoped_integrity_rejects_identically() {
     match (a, b) {
         (Err(ea), Err(eb)) => assert_eq!(ea, eb),
         other => panic!("paths diverged: {other:?}"),
+    }
+}
+
+/// The attributes of every class of [`typed_catalog`]: each value type
+/// under each index kind and none (a Bool column is left unindexed twice).
+fn typed_attributes() -> Vec<AttributeDef> {
+    let mut attributes = Vec::new();
+    for (ty, name) in
+        [(DataType::Float, "f"), (DataType::Int, "i"), (DataType::Str, "s"), (DataType::Bool, "b")]
+    {
+        attributes.push(AttributeDef::indexed(format!("{name}_hash"), ty, IndexKind::Hash));
+        attributes.push(AttributeDef::indexed(format!("{name}_btree"), ty, IndexKind::BTree));
+        attributes.push(AttributeDef::new(format!("{name}_plain"), ty));
+    }
+    attributes
+}
+
+/// Three classes of [`typed_attributes`]; the last never holds an object.
+const TYPED_CLASSES: usize = 3;
+
+fn typed_catalog() -> Arc<Catalog> {
+    let mut b = Catalog::builder();
+    for c in 0..TYPED_CLASSES {
+        b.class(format!("t{c}"), typed_attributes()).unwrap();
+    }
+    Arc::new(b.build().unwrap())
+}
+
+/// Eight values of `ty` for the shapes that repeat values. The Float ones
+/// hold `0.0` and `-0.0`, one value in two spellings; the strings order
+/// differently bare and rendered ("a" < "a b", `"a"` > `"a b"`).
+fn palette(ty: DataType) -> Vec<Value> {
+    let float = |x: f64| Value::float(x).unwrap();
+    match ty {
+        DataType::Float => [-0.0, 0.0, 1.5, -2.25, 0.0, -0.0, 1e-3, 42.0].map(float).to_vec(),
+        DataType::Int => (-3..5).map(Value::Int).collect(),
+        DataType::Str => ["", "a", "a b", "ab", "b", "é", "10", "2"].map(Value::str).to_vec(),
+        DataType::Bool => (0..8).map(|i| Value::Bool(i % 3 == 0)).collect(),
+    }
+}
+
+/// The `i`-th of `n` values of `ty` that all differ, ascending in `i`
+/// (Bool has two, so its "distinct" columns repeat).
+fn distinct(ty: DataType, i: usize) -> Value {
+    match ty {
+        // Passes through zero at `i == 10`.
+        DataType::Float => Value::float(-5.0 + i as f64 * 0.5).unwrap(),
+        DataType::Int => Value::Int(i as i64 - 20),
+        DataType::Str => Value::str(format!("s{i:03}")),
+        DataType::Bool => Value::Bool(i % 2 == 1),
+    }
+}
+
+/// How a generated column fills its rows.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// Arbitrary picks from the palette: both zero spellings, skewed counts.
+    Picks,
+    /// One palette value in every row.
+    AllEqual,
+    /// The palette's first `k` values in turn: equal counts, so the most
+    /// common values are decided by their renderings.
+    Ties(usize),
+    /// Every row its own value, ascending (an index's no-grouping path) or
+    /// descending.
+    Distinct { ascending: bool },
+}
+
+fn shape() -> impl Strategy<Value = Shape> {
+    prop_oneof![
+        Just(Shape::Picks),
+        Just(Shape::AllEqual),
+        (2usize..6).prop_map(Shape::Ties),
+        (0u8..2).prop_map(|up| Shape::Distinct { ascending: up == 1 }),
+    ]
+}
+
+fn column(ty: DataType, shape: Shape, picks: &[usize], rows: usize) -> Vec<Value> {
+    let palette = palette(ty);
+    (0..rows)
+        .map(|i| match shape {
+            Shape::Picks => palette[picks[i % picks.len()] % palette.len()].clone(),
+            Shape::AllEqual => palette[picks[0] % palette.len()].clone(),
+            Shape::Ties(k) => palette[(picks[0] + i % k) % palette.len()].clone(),
+            Shape::Distinct { ascending: true } => distinct(ty, i),
+            Shape::Distinct { ascending: false } => distinct(ty, rows - 1 - i),
+        })
+        .collect()
+}
+
+/// `Debug`'s rendering tells `0.0` from `-0.0`, which `==` does not.
+fn spelled(stats: &StatsSnapshot) -> String {
+    format!("{stats:?}")
+}
+
+proptest! {
+    /// Right after `finalize`, the statistics the load read off the indexes'
+    /// postings equal a full extent rescan of every attribute — including
+    /// which spelling of zero they report.
+    #[test]
+    fn load_statistics_equal_a_full_rescan(
+        rows in prop::collection::vec(0usize..150, TYPED_CLASSES - 1..TYPED_CLASSES),
+        columns in prop::collection::vec(
+            (shape(), prop::collection::vec(0usize..8, 1..12)),
+            12 * (TYPED_CLASSES - 1)..12 * (TYPED_CLASSES - 1) + 1,
+        ),
+    ) {
+        let catalog = typed_catalog();
+        let attributes = typed_attributes();
+        let mut b = Database::builder(Arc::clone(&catalog));
+        for (c, &n) in rows.iter().enumerate() {
+            let generated: Vec<Vec<Value>> = attributes
+                .iter()
+                .zip(&columns[12 * c..12 * (c + 1)])
+                .map(|(adef, (shape, picks))| column(adef.ty, *shape, picks, n))
+                .collect();
+            for i in 0..n {
+                let tuple = generated.iter().map(|col| col[i].clone()).collect();
+                b.insert(ClassId(c as u32), tuple).unwrap();
+            }
+        }
+        let db = b
+            .finalize(IntegrityOptions {
+                enforce_total_participation: false,
+                enforce_multiplicity: false,
+            })
+            .unwrap();
+        let rescan = db.rebuild_statistics();
+        prop_assert_eq!(db.stats(), &rescan);
+        prop_assert_eq!(spelled(db.stats()), spelled(&rescan));
     }
 }
