@@ -84,6 +84,12 @@ impl StrPool {
         Self::default()
     }
 
+    /// A pool that already holds `strings`, each shared as it is: a decoder
+    /// interning through it takes those allocations for their equals.
+    pub fn holding(strings: impl IntoIterator<Item = std::sync::Arc<str>>) -> Self {
+        Self(strings.into_iter().collect())
+    }
+
     /// The shared `Arc` for `s`, allocating only on first sight.
     pub fn intern(&mut self, s: &str) -> std::sync::Arc<str> {
         if let Some(a) = self.0.get(s) {

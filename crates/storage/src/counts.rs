@@ -6,23 +6,29 @@
 //! its own: its index's postings are its counts, one length per value.
 //!
 //! A load and a class's first write build a class's statistics the same way
-//! ([`indexed_class_statistics`]): an indexed attribute's off its postings,
-//! and only the unindexed attributes' from a scan of the extent, one pass
-//! into one throw-away map per attribute. The Audit re-derivation and the
-//! `with_writes_full` oracle keep a scan of every attribute
-//! ([`class_statistics`]), which is the reference the other two are checked
-//! against. Every scan's map hashes with `sqo_catalog::ValueHashState`.
+//! ([`load_class_statistics`], [`ClassPatch::scan`]): an indexed attribute's
+//! off its postings, and only the unindexed attributes' from a scan of the
+//! extent, one pass into one map per attribute. The load's scan also makes
+//! each string it counts canonical ([`canonical_update`]): the tuple takes a
+//! clone of the map's key, so a loaded class holds one allocation per
+//! distinct string of an attribute, as a snapshot load's does. The Audit
+//! re-derivation and the `with_writes_full` oracle keep a scan of every
+//! attribute ([`class_statistics`]), which is the reference the other two
+//! are checked against. Every scan's map hashes with
+//! `sqo_catalog::ValueHashState`.
 //!
 //! The write path keeps the counts instead, in [`ValueMap`]s that successive
 //! snapshots share page by page. For the unindexed attributes a
 //! [`ClassCounts`] holds one value → count map per attribute, built by one
 //! extent scan on the first write that touches the class (loading a database
 //! builds none). From then on a [`ClassPatch`] applies each inserted, deleted
-//! or updated value, copying only the page the value lives in, and keeps the
-//! most common values current in O(1) per value; `distinct`, `min` and `max`
-//! are the map's length and ends when the batch closes. Only when a batch
-//! decrements a value that is among the most common does that attribute get
-//! one [`summarize`] pass over its distinct values at the end of the batch.
+//! or updated value, copying only the page the value lives in — a written
+//! string takes the key the map already holds, so it stays canonical — and
+//! keeps the most common values current in O(1) per value; `distinct`,
+//! `min` and `max` are the map's length and ends when the batch closes.
+//! Only when a batch decrements a value that is among the most common does
+//! that attribute get one [`summarize`] pass over its distinct values at
+//! the end of the batch.
 //!
 //! Either way the result is the same function of the same counts, so a
 //! loaded or patched [`ClassStats`] equals a from-scratch one (`tests/
@@ -33,6 +39,7 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use sqo_catalog::{AttrStats, ClassStats, Value, ValueHashState};
 
@@ -110,12 +117,51 @@ fn summarize<'a>(entries: impl Iterator<Item = (&'a Value, u64)>, rows: u64) -> 
     }
 }
 
-/// One attribute's value → count map, keys borrowed from an extent.
-type ScannedCounts<'e> = HashMap<&'e Value, u64, ValueHashState>;
+/// One attribute's value → count map.
+type ScannedCounts = CanonicalMap<u64>;
+
+/// A column's value → entry map that holds, beside each entry, the value
+/// the column keeps for the key: a clone of the key itself. (`HashMap` has
+/// no lookup by a borrowed key that yields the stored key with its entry;
+/// taking it through `entry` costs each row a clone, two reference-count
+/// updates of a string, which at 20,000 objects per class was most of
+/// what canonicalizing added to a load.)
+pub(crate) type CanonicalMap<T> = HashMap<Value, (Value, T), ValueHashState>;
+
+/// Applies `update` to `map`'s entry for `v`, inserted as `T::default()` on
+/// a miss, and makes a string `v` canonical: a repeat becomes a clone of
+/// the value the map holds for it, so one pass over a column leaves one
+/// allocation per distinct string, shared with the map's keys. A string
+/// that already is that allocation is not written, so loading canonical
+/// input dirties nothing and touches no reference count. Other values are
+/// looked up once through a copy, and keep their spelling (`0.0` and `-0.0`
+/// are one key).
+pub(crate) fn canonical_update<T: Default>(
+    map: &mut CanonicalMap<T>,
+    v: &mut Value,
+    update: impl FnOnce(&mut T),
+) {
+    if !matches!(v, Value::Str(_)) {
+        let (_, entry) = map.entry(v.clone()).or_insert_with(|| (v.clone(), T::default()));
+        return update(entry);
+    }
+    if let Some((canonical, entry)) = map.get_mut(&*v) {
+        if let (Value::Str(held), Value::Str(kept)) = (&*v, &*canonical) {
+            if !Arc::ptr_eq(held, kept) {
+                *v = canonical.clone();
+            }
+        }
+        update(entry);
+        return;
+    }
+    let mut entry = T::default();
+    update(&mut entry);
+    map.insert(v.clone(), (v.clone(), entry));
+}
 
 /// Attribute `attr`'s statistics from a scan of `extent`.
 fn scan_attribute(extent: &Extent, attr: usize) -> AttrStats {
-    let mut counts = ScannedCounts::default();
+    let mut counts: HashMap<&Value, u64, ValueHashState> = HashMap::default();
     for tuple in extent.iter() {
         *counts.entry(&tuple[attr]).or_insert(0) += 1;
     }
@@ -130,29 +176,24 @@ pub(crate) fn class_statistics(attr_count: usize, extent: &Extent) -> ClassStats
     ClassStats { cardinality: extent.len() as u64, attrs }
 }
 
-/// One class's statistics with `indexes` (one slot per attribute) built: an
-/// indexed attribute's off its postings, one count per posting length, and
-/// the unindexed attributes' from one scan of the extent that counts them
-/// all. `keep` receives each attribute's scanned counts in attribute order
-/// (`None` where an index counted) — the load drops them, a class's first
-/// write keeps them.
-pub(crate) fn indexed_class_statistics<'e>(
+/// An empty count map for each attribute `indexes` (one slot per attribute)
+/// has no index for, with the attribute.
+fn unindexed(indexes: &[Option<AttrIndex>]) -> Vec<(usize, ScannedCounts)> {
+    let attrs = indexes.iter().enumerate().filter(|(_, index)| index.is_none());
+    attrs.map(|(attr, _)| (attr, ScannedCounts::default())).collect()
+}
+
+/// One class of `rows` objects' statistics with `indexes` built: an indexed
+/// attribute's off its postings, one count per posting length, and an
+/// unindexed attribute's off its `scanned` counts. `keep` receives each
+/// attribute's counts in attribute order (`None` where an index counted).
+fn statistics_with(
     indexes: &[Option<AttrIndex>],
-    extent: &'e Extent,
-    mut keep: impl FnMut(Option<ScannedCounts<'e>>),
+    rows: usize,
+    scanned: Vec<(usize, ScannedCounts)>,
+    mut keep: impl FnMut(Option<ScannedCounts>),
 ) -> ClassStats {
-    let rows = extent.len() as u64;
-    let mut scanned: Vec<(usize, ScannedCounts<'e>)> = indexes
-        .iter()
-        .enumerate()
-        .filter(|(_, index)| index.is_none())
-        .map(|(attr, _)| (attr, ScannedCounts::default()))
-        .collect();
-    for tuple in extent.iter() {
-        for (attr, counts) in &mut scanned {
-            *counts.entry(&tuple[*attr]).or_insert(0) += 1;
-        }
-    }
+    let rows = rows as u64;
     let mut scanned = scanned.into_iter().map(|(_, counts)| counts);
     let mut attrs = Vec::with_capacity(indexes.len());
     for index in indexes {
@@ -164,7 +205,7 @@ pub(crate) fn indexed_class_statistics<'e>(
             }
             None => {
                 let counts = scanned.next().unwrap_or_default();
-                attrs.push(summarize(counts.iter().map(|(v, count)| (*v, *count)), rows));
+                attrs.push(summarize(counts.iter().map(|(v, (_, count))| (v, *count)), rows));
                 Some(counts)
             }
         };
@@ -173,11 +214,30 @@ pub(crate) fn indexed_class_statistics<'e>(
     ClassStats { cardinality: rows, attrs }
 }
 
-/// Counts one more `v`; returns its new count.
-fn increment(counts: &mut ValueMap<u64>, v: &Value) -> u64 {
-    let count = counts.entry(v.clone());
+/// The load's statistics of one class with `indexes` built: the unindexed
+/// attributes are counted in one scan of `extent`, which also makes each of
+/// their strings canonical ([`canonical_update`]) — the indexed attributes'
+/// were made so by their index build. The extent is the load's own, so the
+/// writes copy nothing.
+pub(crate) fn load_class_statistics(
+    indexes: &[Option<AttrIndex>],
+    extent: &mut Extent,
+) -> ClassStats {
+    let mut scanned = unindexed(indexes);
+    for tuple in extent.iter_mut() {
+        for (attr, counts) in &mut scanned {
+            canonical_update(counts, &mut tuple[*attr], |count| *count += 1);
+        }
+    }
+    statistics_with(indexes, extent.len(), scanned, drop)
+}
+
+/// Counts one more `v`; returns the key it is counted under and its new
+/// count.
+fn increment<'m>(counts: &'m mut ValueMap<u64>, v: &Value) -> (&'m Value, u64) {
+    let (key, count) = counts.entry(v.clone());
     *count += 1;
-    *count
+    (key, *count)
 }
 
 /// Counts one fewer `v`; a value no longer held leaves the map.
@@ -213,9 +273,19 @@ impl ClassPatch {
     /// from the index where there is one and else from one scan of the
     /// extent, which also builds the unindexed attributes' counts.
     pub(crate) fn scan(indexes: &[Option<AttrIndex>], extent: &Extent) -> Self {
+        let mut scanned = unindexed(indexes);
+        for tuple in extent.iter() {
+            for (attr, counts) in &mut scanned {
+                let v = &tuple[*attr];
+                match counts.get_mut(v) {
+                    Some((_, count)) => *count += 1,
+                    None => _ = counts.insert(v.clone(), (v.clone(), 1)),
+                }
+            }
+        }
         let mut counts = ClassCounts::with_capacity(indexes.len());
-        let stats = indexed_class_statistics(indexes, extent, |scanned| {
-            counts.push(scanned.map(|map| map.into_iter().map(|(v, n)| (v.clone(), n)).collect()));
+        let stats = statistics_with(indexes, extent.len(), scanned, |scanned| {
+            counts.push(scanned.map(|map| map.into_iter().map(|(v, (_, n))| (v, n)).collect()));
         });
         Self { counts, stats, stale: vec![false; indexes.len()] }
     }
@@ -225,22 +295,28 @@ impl ClassPatch {
         Self { counts: counts.clone(), stats: stats.clone(), stale: vec![false; counts.len()] }
     }
 
-    /// Object `oid` now holds `v` in attribute `attr`.
+    /// Object `oid` now holds `v` in attribute `attr`. A string `v` becomes
+    /// a clone of the key its index or counts file it under, so the written
+    /// tuple shares the allocation its equals in the class hold.
     pub(crate) fn add(
         &mut self,
         indexes: &mut [Option<AttrIndex>],
         attr: usize,
-        v: &Value,
+        v: &mut Value,
         oid: ObjectId,
     ) {
-        let count = match (&mut indexes[attr], &mut self.counts[attr]) {
+        let (key, count) = match (&mut indexes[attr], &mut self.counts[attr]) {
             (Some(index), _) => {
-                index.insert_sorted(v.clone(), oid);
-                index.probe_eq(v).len() as u64
+                let (key, posted) = index.insert_sorted(v.clone(), oid);
+                (key, posted as u64)
             }
             (None, Some(counts)) => increment(counts, v),
             (None, None) => return debug_assert!(false, "attribute {attr}: no counts, no index"),
         };
+        if matches!(v, Value::Str(_)) {
+            *v = key.clone();
+        }
+        let v = &*v;
         if self.stale[attr] {
             return;
         }
@@ -364,7 +440,7 @@ mod tests {
         let n = 5 * 64;
         for round in 1..=2 {
             for i in (0..n).rev() {
-                assert_eq!(increment(&mut counts, &Value::Int(i)), round);
+                assert_eq!(increment(&mut counts, &Value::Int(i)).1, round);
             }
         }
         assert_eq!(counts.page_count(), 9, "one page, then a split per 32 further keys");

@@ -12,7 +12,11 @@
 //! an indexed attribute. Only the unindexed attributes are counted, in one
 //! pass over the extent, and those maps, like the indexes' grouping map,
 //! hash with keyed folded multiplies (`sqo_catalog::ValueHashState`) rather
-//! than SipHash.
+//! than SipHash. Both passes make the strings they hash canonical: a tuple's
+//! string becomes a clone of the key the pass's map holds, so a loaded
+//! class keeps one allocation per distinct string of an attribute, shared
+//! with its index keys, as a snapshot load does. A write keeps it so: a
+//! written string takes the key its index or counts already hold.
 //!
 //! # Incremental copy-on-write snapshots
 //!
@@ -109,7 +113,7 @@ use sqo_constraints::HornConstraint;
 use sqo_query::Predicate;
 use std::sync::Arc;
 
-use crate::counts::{class_statistics, indexed_class_statistics, ClassCounts, ClassPatch};
+use crate::counts::{class_statistics, load_class_statistics, ClassCounts, ClassPatch};
 use crate::error::StorageError;
 use crate::index::AttrIndex;
 use crate::links::RelLinks;
@@ -436,10 +440,11 @@ impl Database {
                         edges.push((rel, left, right));
                     }
                     let patch = self.patch_for(&mut patches, *class);
-                    extents[class.index()].push(tuple.clone());
-                    for (attr, v) in tuple.iter().enumerate() {
+                    let mut tuple = tuple.clone();
+                    for (attr, v) in tuple.iter_mut().enumerate() {
                         patch.add(&mut indexes[class.index()], attr, v, oid);
                     }
+                    extents[class.index()].push(tuple);
                     // The class's side of every incident link table grows by
                     // one (initially unlinked) slot.
                     for (rel, def) in catalog.relationships() {
@@ -535,12 +540,15 @@ impl Database {
                         return Err(StorageError::UnknownObject { class: *class, object: *object });
                     }
                     let patch = self.patch_for(&mut patches, *class);
-                    let tuple = &mut extents[class.index()][object.index()];
-                    let old = std::mem::replace(&mut tuple[attr.index()], value.clone());
+                    let slot = &mut extents[class.index()][object.index()][attr.index()];
+                    let old = std::mem::replace(slot, value.clone());
                     if old != *value {
                         let indexes = &mut indexes[class.index()];
                         patch.remove(indexes, attr.index(), &old, *object);
-                        patch.add(indexes, attr.index(), value, *object);
+                        patch.add(indexes, attr.index(), slot, *object);
+                    } else if let Value::Str(_) = old {
+                        // An equal string keeps the allocation its equals share.
+                        *slot = old;
                     }
                 }
                 DataWrite::Link { rel, left, right } => {
@@ -762,7 +770,7 @@ impl Database {
                 }
             }
         }
-        let extents = page_extents(extents);
+        let mut extents = page_extents(extents);
         let links = build_links(&catalog, &extents, &pairs);
         if let Some(options) = integrity {
             for (rel, def) in catalog.relationships() {
@@ -771,7 +779,7 @@ impl Database {
                 }
             }
         }
-        let indexes = build_indexes(&catalog, &extents);
+        let indexes = build_indexes(&catalog, &mut extents);
         let stats = build_statistics(&catalog, &extents, &links);
         let receipt = WriteReceipt {
             inserted: inserted.iter().map(|&(_, id)| id).collect(),
@@ -1046,15 +1054,19 @@ fn build_links(
         .collect()
 }
 
-/// Builds every class's declared indexes from its extent.
-pub(crate) fn build_indexes(catalog: &Catalog, extents: &[Extent]) -> Vec<Vec<Option<AttrIndex>>> {
+/// Builds every class's declared indexes from its extent, making the
+/// indexed columns' strings canonical on the way ([`AttrIndex::from_column`]).
+pub(crate) fn build_indexes(
+    catalog: &Catalog,
+    extents: &mut [Extent],
+) -> Vec<Vec<Option<AttrIndex>>> {
     catalog
         .classes()
-        .map(|(cid, cdef)| {
-            let column = |ai: usize| extents[cid.index()].iter().map(move |tuple| &tuple[ai]);
+        .zip(extents)
+        .map(|((_, cdef), extent)| {
             let declared = cdef.attributes.iter().enumerate();
             declared
-                .map(|(ai, adef)| Some(AttrIndex::from_column(adef.index?, column(ai))))
+                .map(|(ai, adef)| Some(AttrIndex::from_column(adef.index?, extent, ai)))
                 .collect()
         })
         .collect()
@@ -1072,15 +1084,15 @@ fn assemble(
     integrity: Option<IntegrityOptions>,
     data_version: u64,
 ) -> Result<Database, StorageError> {
-    let extents = page_extents(extents);
+    let mut extents = page_extents(extents);
     let links = build_links(&catalog, &extents, &pairs);
     if let Some(options) = integrity {
         for (rel, def) in catalog.relationships() {
             enforce_rel_integrity(rel, def, &links[rel.index()], options)?;
         }
     }
-    let indexes = build_indexes(&catalog, &extents);
-    let stats = load_statistics(&extents, &indexes, &links);
+    let indexes = build_indexes(&catalog, &mut extents);
+    let stats = load_statistics(&mut extents, &indexes, &links);
     Ok(Database::from_loaded_parts(catalog, extents, indexes, links, stats, data_version))
 }
 
@@ -1174,16 +1186,16 @@ pub(crate) fn build_statistics(
 
 /// The load's statistics, equal to [`build_statistics`]' with the declared
 /// `indexes` built: an indexed attribute's read off its postings, only an
-/// unindexed one's scanned.
+/// unindexed one's scanned — the scan that makes its strings canonical.
 fn load_statistics(
-    extents: &[Extent],
+    extents: &mut [Extent],
     indexes: &[Vec<Option<AttrIndex>>],
     links: &[RelLinks],
 ) -> StatsSnapshot {
     let classes = indexes
         .iter()
         .zip(extents)
-        .map(|(bank, extent)| indexed_class_statistics(bank, extent, drop))
+        .map(|(bank, extent)| load_class_statistics(bank, extent))
         .collect();
     let relationships = links.iter().map(rel_statistics).collect();
     StatsSnapshot { classes, relationships }

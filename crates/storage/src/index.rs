@@ -8,9 +8,11 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use sqo_catalog::{IndexKind, Value, ValueHashState};
+use sqo_catalog::{IndexKind, Value};
 use sqo_query::{Bound, ValueSet};
 
+use crate::counts::{canonical_update, CanonicalMap};
+use crate::db::Extent;
 use crate::object::ObjectId;
 use crate::valuemap::{OrdValue, ValueMap};
 
@@ -38,24 +40,30 @@ impl AttrIndex {
         Self { kind, postings: ValueMap::default() }
     }
 
-    /// The index of a whole `column`, given in object-id order — the bulk
-    /// build of the load path, the Audit re-derivation and the
-    /// `with_writes_full` oracle; it runs none of the point updates below.
-    pub(crate) fn from_column<'a>(
-        kind: IndexKind,
-        column: impl Iterator<Item = &'a Value> + Clone,
-    ) -> Self {
-        let rows = column.clone().zip((0..).map(ObjectId));
-        let mut steps = column.clone().zip(column.skip(1));
-        let postings = if steps.all(|(a, b)| OrdValue::order(a, b).is_lt()) {
-            // A key attribute loaded in key order: nothing to group.
-            rows.map(|(value, oid)| (value.clone(), vec![oid])).collect()
+    /// The index of attribute `attr` of a whole `extent` — the bulk build of
+    /// the load path, the Audit re-derivation and the `with_writes_full`
+    /// oracle; it runs none of the point updates below. The grouping pass
+    /// also makes the column's strings canonical: each tuple's string
+    /// becomes a clone of the key its posting is filed under
+    /// ([`canonical_update`]), so the column and the index share one
+    /// allocation per distinct string. The extent is the caller's own, not
+    /// yet published, so the writes copy nothing.
+    pub(crate) fn from_column(kind: IndexKind, extent: &mut Extent, attr: usize) -> Self {
+        let column = || extent.iter().map(|tuple| &tuple[attr]);
+        let postings = if column().zip(column().skip(1)).all(|(a, b)| OrdValue::order(a, b).is_lt())
+        {
+            // A key attribute loaded in key order: nothing to group, and no
+            // two values are equal.
+            column()
+                .zip((0..).map(ObjectId))
+                .map(|(value, oid)| (value.clone(), vec![oid]))
+                .collect()
         } else {
-            let mut groups: HashMap<&Value, Vec<ObjectId>, ValueHashState> = HashMap::default();
-            for (value, oid) in rows {
-                groups.entry(value).or_default().push(oid);
+            let mut groups: CanonicalMap<Vec<ObjectId>> = HashMap::default();
+            for (tuple, oid) in extent.iter_mut().zip((0..).map(ObjectId)) {
+                canonical_update(&mut groups, &mut tuple[attr], |posting| posting.push(oid));
             }
-            groups.into_iter().map(|(value, posting)| (value.clone(), posting)).collect()
+            groups.into_iter().map(|(value, (_, posting))| (value, posting)).collect()
         };
         Self { kind, postings }
     }
@@ -65,17 +73,19 @@ impl AttrIndex {
     }
 
     pub fn insert(&mut self, value: Value, oid: ObjectId) {
-        self.postings.entry(value).push(oid);
+        self.postings.entry(value).1.push(oid);
     }
 
     /// Inserts `oid` into `value`'s posting at its sorted position, so
     /// incrementally patched indexes keep the ascending-oid posting order a
     /// from-scratch extent scan produces. (Plain [`AttrIndex::insert`] is for
-    /// oids that arrive ascending and append.)
-    pub fn insert_sorted(&mut self, value: Value, oid: ObjectId) {
-        let posting = self.postings.entry(value);
+    /// oids that arrive ascending and append.) Returns the key the posting is
+    /// filed under — `value` itself when it is new — and the posting's length.
+    pub fn insert_sorted(&mut self, value: Value, oid: ObjectId) -> (&Value, usize) {
+        let (key, posting) = self.postings.entry(value);
         let at = posting.partition_point(|o| o.index() < oid.index());
         posting.insert(at, oid);
+        (key, posting.len())
     }
 
     /// Removes `oid` from `value`'s posting; empty postings drop their key
@@ -121,6 +131,11 @@ impl AttrIndex {
             oids.extend_from_slice(posting);
         }
         Some(IndexScanResult { oids, probes })
+    }
+
+    /// Every key with its posting, keys in [`OrdValue`] order.
+    pub fn entries(&self) -> impl Iterator<Item = (&Value, &[ObjectId])> {
+        self.postings.iter().map(|(key, posting)| (key, posting.as_slice()))
     }
 
     pub fn len(&self) -> usize {

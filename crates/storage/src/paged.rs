@@ -89,6 +89,14 @@ impl<T: Clone + Default> PagedVec<T> {
         Self { pages, len }
     }
 
+    /// Every element mutably, in order. Copies each page a clone of this
+    /// vector shares first, so it is for a vector still owned alone: a
+    /// load's, before it is published.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        let len = self.len;
+        self.table_mut().iter_mut().map(Arc::make_mut).flat_map(|page| page.iter_mut()).take(len)
+    }
+
     /// The page table, copied first if a clone of this vector shares it.
     fn table_mut(&mut self) -> &mut [Page<T>] {
         Arc::make_mut(&mut self.pages)
@@ -172,6 +180,15 @@ mod tests {
                 assert_eq!(v.get(n - 1), Some(&(n - 1)));
                 assert_eq!(v[n / 2], n / 2);
             }
+        }
+    }
+
+    #[test]
+    fn iter_mut_reaches_every_element_and_no_unused_slot() {
+        for n in [0, 1, PAGE_LEN, PAGE_LEN + 1, 3 * PAGE_LEN + 5] {
+            let mut v = numbers(n);
+            v.iter_mut().for_each(|x| *x += 1);
+            assert_eq!(v, PagedVec::from_vec((1..=n).collect()), "unused slots stay default");
         }
     }
 

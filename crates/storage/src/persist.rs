@@ -220,16 +220,9 @@ fn read_extent_preamble(
     Ok((data_version, cards))
 }
 
-/// Decodes the string dictionary and tuples that follow the EXTENTS
-/// preamble. Values are untagged — each is read as the type the catalog
-/// declares for its attribute, so extent tuples type-check by construction
-/// at every level — and string values are dictionary indexes, so repeats
-/// cost one `Arc` clone rather than an allocation.
-fn decode_extent_tuples(
-    r: &mut ByteReader<'_>,
-    catalog: &Catalog,
-    cards: &[usize],
-) -> Result<Vec<Extent>, LoadError> {
+/// Decodes the string dictionary that follows the EXTENTS preamble: each
+/// distinct string of the extents, allocated once.
+fn decode_dictionary(r: &mut ByteReader<'_>) -> Result<Vec<Arc<str>>, LoadError> {
     let dict_count = r.count()?;
     // Pre-allocations bounded by the bytes actually present: a hostile
     // count cannot drive a huge reservation.
@@ -237,6 +230,20 @@ fn decode_extent_tuples(
     for _ in 0..dict_count {
         dict.push(Arc::from(r.str_ref()?));
     }
+    Ok(dict)
+}
+
+/// Decodes the tuples that follow the EXTENTS dictionary. Values are
+/// untagged — each is read as the type the catalog declares for its
+/// attribute, so extent tuples type-check by construction at every level —
+/// and string values are indexes into `dict`, so repeats cost one `Arc`
+/// clone rather than an allocation.
+fn decode_extent_tuples(
+    r: &mut ByteReader<'_>,
+    catalog: &Catalog,
+    cards: &[usize],
+    dict: &[Arc<str>],
+) -> Result<Vec<Extent>, LoadError> {
     let mut extents = Vec::with_capacity(cards.len());
     for (cid, cdef) in catalog.classes() {
         let cardinality = cards[cid.index()];
@@ -358,10 +365,15 @@ fn decode_links(
     Ok(links)
 }
 
+/// Decodes the INDEXES section. String keys intern through `pool`, which
+/// holds the EXTENTS dictionary: a key equal to an extent string is that
+/// string's allocation, so the index and the tuples share it as a cold load's
+/// do.
 fn decode_indexes(
     file: &SnapshotFile<'_>,
     catalog: &Catalog,
     cards: &[usize],
+    mut pool: StrPool,
 ) -> Result<Vec<Vec<Option<AttrIndex>>>, LoadError> {
     let mut r = file.require(SEC_INDEXES)?;
     let class_count = r.count()?;
@@ -372,7 +384,6 @@ fn decode_indexes(
         ));
     }
     let mut banks = Vec::with_capacity(class_count);
-    let mut pool = StrPool::new();
     for (cid, cdef) in catalog.classes() {
         let attr_count = r.count()?;
         if attr_count != cdef.attributes.len() {
@@ -536,14 +547,17 @@ pub fn decode_database_from(
     let catalog = decode_catalog(file)?;
     let mut er = file.require(SEC_EXTENTS)?;
     let (data_version, cards) = read_extent_preamble(&mut er, &catalog)?;
-    let (extents, links, indexes, stats) = {
-        let (catalog, cards) = (&catalog, &cards);
+    let dict = decode_dictionary(&mut er)?;
+    let pool = StrPool::holding(dict.iter().cloned());
+    let (mut extents, links, indexes, stats) = {
+        let (catalog, cards, dict) = (&catalog, &cards, &dict);
         std::thread::scope(|s| {
             let links = s.spawn(move || decode_links(file, catalog, cards));
-            let indexes = s.spawn(move || decode_indexes(file, catalog, cards));
+            let indexes = s.spawn(move || decode_indexes(file, catalog, cards, pool));
             let stats = s.spawn(move || decode_stats(file, catalog, cards));
-            let extents =
-                catch_unwind(AssertUnwindSafe(|| decode_extent_tuples(&mut er, catalog, cards)));
+            let extents = catch_unwind(AssertUnwindSafe(|| {
+                decode_extent_tuples(&mut er, catalog, cards, dict)
+            }));
             Result::<_, LoadError>::Ok((
                 extents.unwrap_or_else(|_| Err(panicked(SEC_EXTENTS)))?,
                 joined(links, SEC_LINKS)?,
@@ -553,7 +567,7 @@ pub fn decode_database_from(
         })?
     };
     if level.is_audit() {
-        let rebuilt = db::build_indexes(&catalog, &extents);
+        let rebuilt = db::build_indexes(&catalog, &mut extents);
         for (c, (got, want)) in indexes.iter().zip(rebuilt.iter()).enumerate() {
             if got != want {
                 return Err(LoadError::AuditMismatch {

@@ -182,9 +182,11 @@ impl<V: Clone> ValueMap<V> {
 }
 
 impl<V: Clone + Default> ValueMap<V> {
-    /// Insert-or-update: mutable access to `key`'s entry, inserted as
-    /// `V::default()` first when the map has none.
-    pub(crate) fn entry(&mut self, key: Value) -> &mut V {
+    /// Insert-or-update: the key the map holds equal to `key` and mutable
+    /// access to its entry, inserted as `(key, V::default())` first when the
+    /// map has none. A caller that stores the value elsewhere too stores a
+    /// clone of the returned key, so equal strings share one allocation.
+    pub(crate) fn entry(&mut self, key: Value) -> (&Value, &mut V) {
         let at = match self.pages.last() {
             // Past the last key — every step of an ascending load — there is
             // nothing to search.
@@ -195,7 +197,10 @@ impl<V: Clone + Default> ValueMap<V> {
         };
         let pages = Arc::make_mut(&mut self.pages);
         let (mut p, mut slot) = match at {
-            Ok((p, slot)) => return &mut Arc::make_mut(&mut pages[p])[slot].1,
+            Ok((p, slot)) => {
+                let (k, v) = &mut Arc::make_mut(&mut pages[p])[slot];
+                return (k, v);
+            }
             Err(at) => at,
         };
         if pages.is_empty() {
@@ -218,7 +223,8 @@ impl<V: Clone + Default> ValueMap<V> {
         self.len += 1;
         let page = Arc::make_mut(&mut pages[p]);
         page.insert(slot, (key, V::default()));
-        &mut page[slot].1
+        let (k, v) = &mut page[slot];
+        (k, v)
     }
 }
 
@@ -258,7 +264,7 @@ mod tests {
         assert_eq!(map.page_count(), 2, "the bulk build fills its pages");
         // An odd key into the full first page: it splits, order holds, and
         // every entry is still there.
-        *map.entry(Value::Int(31)) = 310;
+        *map.entry(Value::Int(31)).1 = 310;
         assert_eq!((map.page_count(), map.len()), (3, 2 * PAGE_FILL + 1));
         let mut expected: Vec<i64> = (0..n).map(|k| 2 * k).chain([31]).collect();
         expected.sort_unstable();
@@ -267,10 +273,10 @@ mod tests {
         // The half that took it holds 33 keys: 31 more fill it, the next
         // splits it again.
         for k in (-1..=61).step_by(2).filter(|&k| k != 31) {
-            *map.entry(Value::Int(k)) = 10 * k;
+            *map.entry(Value::Int(k)).1 = 10 * k;
             assert_eq!(map.page_count(), 3, "odd key {k}");
         }
-        *map.entry(Value::Int(63)) = 630;
+        *map.entry(Value::Int(63)).1 = 630;
         assert_eq!(map.page_count(), 4);
         assert!(keys(&map).windows(2).all(|w| w[0] < w[1]));
         assert!(map.iter().all(|(k, v)| *v == 10 * k.as_int().unwrap()));
@@ -288,7 +294,7 @@ mod tests {
         // Past the last key a new page opens instead: ascending keys pack.
         let mut ascending = ValueMap::default();
         for k in 0..3 * PAGE_FILL as i64 {
-            *ascending.entry(Value::Int(k)) = 10 * k;
+            *ascending.entry(Value::Int(k)).1 = 10 * k;
         }
         assert_eq!(ascending.page_count(), 3);
         assert_eq!(ascending, ints(0..3 * PAGE_FILL as i64));
@@ -304,11 +310,11 @@ mod tests {
         let bulk = ints(0..200);
         let mut grown = ValueMap::default();
         for k in (0..200).rev() {
-            *grown.entry(Value::Int(k)) = 10 * k;
+            *grown.entry(Value::Int(k)).1 = 10 * k;
         }
         assert_ne!(grown.page_count(), bulk.page_count());
         assert_eq!(grown, bulk);
-        *grown.entry(Value::Int(7)) = 0;
+        *grown.entry(Value::Int(7)).1 = 0;
         assert_ne!(grown, bulk);
     }
 
@@ -321,7 +327,7 @@ mod tests {
         *next.get_mut(&Value::Int(70)).unwrap() = 7;
         assert_eq!(next.pages_not_in(&base), 1);
         // An insert into a full page leaves two halves where it was.
-        *next.entry(Value::Int(-5)) = -50;
+        *next.entry(Value::Int(-5)).1 = -50;
         assert_eq!((next.page_count(), next.pages_not_in(&base)), (5, 3));
         // A removal copies its page; the last page was never touched.
         assert_eq!(next.remove(&Value::Int(130)), Some(1300));
@@ -393,7 +399,7 @@ mod tests {
                 let key = Value::Int(k);
                 match op {
                     0 => {
-                        *map.entry(key.clone()) += step as i64;
+                        *map.entry(key.clone()).1 += step as i64;
                         *model.entry(OrdValue(key)).or_default() += step as i64;
                     }
                     1 => prop_assert_eq!(map.remove(&key), model.remove(&OrdValue(key))),

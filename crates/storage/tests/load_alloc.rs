@@ -13,13 +13,22 @@
 //! allocations on purpose re-measures both (`cargo test -p sqo-storage
 //! --test load_alloc` and the same with `--release` print the count on
 //! failure) and edits `MEASURED`.
+//!
+//! The test also counts the distinct string allocations the loaded database
+//! holds, which a load that makes strings canonical holds to one per
+//! distinct string of an attribute (`STRING_ALLOCATIONS`). Canonicalizing
+//! clones the key the load's own hashing pass stores, so it adds no
+//! allocator call to `MEASURED`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashSet;
 use std::sync::Arc;
 
-use sqo_catalog::{AttributeDef, Catalog, ClassId, DataType, IndexKind, RelId, Value};
-use sqo_storage::{Database, IntegrityOptions, ObjectId};
+use sqo_catalog::{
+    AttrId, AttrRef, AttributeDef, Catalog, ClassId, DataType, IndexKind, RelId, Value,
+};
+use sqo_storage::{AttrIndex, Database, IntegrityOptions, ObjectId};
 
 thread_local! {
     // `const` + `Cell<integer>`: no lazy initialization and no destructor,
@@ -80,6 +89,14 @@ const STOCKED_IN: RelId = RelId(1);
 /// Scanning a class's four unindexed attributes in one pass holds their
 /// maps in one vector, one call per class.
 const MEASURED: u64 = 21_617;
+
+/// Distinct string allocations the loaded database holds, in its tuples,
+/// index keys and statistics: one per distinct string of a (class,
+/// attribute), 3 classes × (12 `kind`s + 9 `zone`s + 300 `tag`s). It was
+/// 18,000 before the load made strings canonical in the passes that hash
+/// them: each of the 3 × 3 × 2,000 string occurrences kept its own
+/// allocation, which the index keys and the statistics shared.
+const STRING_ALLOCATIONS: usize = 963;
 
 /// The attribute layout of the benchmark schema (`sqo-workload`'s
 /// `bench_catalog`): a unique hash-indexed key, a B-tree and a second hash
@@ -144,4 +161,26 @@ fn a_load_allocates_exactly_what_it_did() {
     assert_eq!(db.cardinality(item), OBJECTS as usize);
     assert_eq!(db.stats(), &db.rebuild_statistics());
     assert_eq!(calls, MEASURED, "a load of 3 × {OBJECTS} objects made {calls} allocation calls");
+
+    let mut held: HashSet<*const u8> = HashSet::new();
+    let mut note = |v: &Value| {
+        if let Value::Str(s) = v {
+            held.insert(s.as_ptr());
+        }
+    };
+    for class in classes {
+        db.tuples(class).flatten().for_each(&mut note);
+        for attr in 0..attributes().len() {
+            let index = db.index(AttrRef::new(class, AttrId(attr as u32)));
+            index.into_iter().flat_map(AttrIndex::entries).for_each(|(key, _)| note(key));
+        }
+    }
+    for attr in db.stats().classes.iter().flat_map(|class| &class.attrs) {
+        attr.min
+            .iter()
+            .chain(&attr.max)
+            .chain(attr.mcvs.iter().map(|(v, _)| v))
+            .for_each(&mut note);
+    }
+    assert_eq!(held.len(), STRING_ALLOCATIONS, "distinct string allocations the database holds");
 }
