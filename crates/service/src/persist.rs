@@ -226,6 +226,9 @@ mod tests {
         );
     }
 
+    /// The store decodes into the encoded constraints, closure counters and
+    /// epoch, under a fresh generation. (The name is older than the single
+    /// load level; the decoder takes none.)
     #[test]
     fn constraint_store_roundtrips_at_audit() {
         let s = paper_scenario(DbSize::Db1, 7);

@@ -683,9 +683,9 @@ impl QueryService {
     /// section older builds wrote with their plans (PLANSEEDS) is not read.
     ///
     /// # Errors
-    /// Any [`LoadError`]: damage, dangling ids or ordering violations at
-    /// either level, index or statistics re-derivation mismatches at
-    /// Audit, and a persisted query the optimizer or planner refuses.
+    /// Any [`LoadError`]: damage, dangling ids, ordering violations, an
+    /// index that is not its extent's grouping, and a persisted query the
+    /// optimizer or planner refuses.
     pub fn from_snapshot_bytes(
         bytes: &[u8],
         level: ValidationLevel,

@@ -1,14 +1,17 @@
 //! A `.sqos` file is untrusted input: whatever bytes a section holds,
 //! [`QueryService::from_snapshot_bytes`] answers with a service or a typed
-//! [`LoadError`] at both validation levels, and never unwinds. What it
-//! admits, it serves: a service loaded from a damaged file answers the
-//! base snapshot's queries and takes a write with responses or typed
-//! errors, never by unwinding. Damage to the QUERIES section never changes
-//! an answer: whatever queries it decodes to are derived afresh at boot (so
-//! the optimizer and planner run on them here, under `catch_unwind`), and
-//! every base query answers exactly what the undamaged service answers.
-//! Nor does damage to the ids of the stored right adjacency lists, which a
-//! load skips: such a file loads at both levels and answers exactly.
+//! [`LoadError`], and never unwinds. What it admits, it serves: a service
+//! loaded from a damaged file answers the base snapshot's queries and
+//! takes a write with responses or typed errors, never by unwinding.
+//! Damage to the QUERIES section never changes an answer: whatever queries
+//! it decodes to are derived afresh at boot (so the optimizer and planner
+//! run on them here, under `catch_unwind`), and every base query answers
+//! exactly what the undamaged service answers. Nor does damage to the ids
+//! of the stored right adjacency lists, which a load skips: such a file
+//! loads and answers exactly. Nor does damage to the index postings that
+//! keeps every id in range (an id moved to another key, two ids swapped
+//! between keys, an id dropped): such a file is refused, or loads and
+//! answers exactly.
 //!
 //! Each case takes a served paper snapshot, damages one section's payload
 //! (flipped bytes, a truncation, or `u32`s written over or spliced into
@@ -26,11 +29,15 @@ use sqo_exec::ResultSet;
 use sqo_query::Query;
 use sqo_service::{QueryService, ServiceConfig};
 use sqo_snapshot::{
-    section_name, ByteReader, LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel, SEC_LINKS,
-    SEC_QUERIES,
+    section_name, ByteReader, LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel,
+    SEC_INDEXES, SEC_LINKS, SEC_QUERIES,
 };
 use sqo_storage::DataWrite;
 use sqo_workload::{copyable_rels, dup_insert, dup_safe_classes, paper_scenario, DbSize};
+
+#[path = "common/stored_indexes.rs"]
+mod stored_indexes;
+use stored_indexes::{read_indexes, write_indexes, Entries};
 
 /// The paper's DB1 with its first 8 queries served, so every section (the
 /// cache's queries included) has content; those queries, and one duplicate
@@ -163,30 +170,75 @@ fn right_list_ids() -> &'static [usize] {
     })
 }
 
-/// Loads `bytes` at both levels, requires Audit to refuse whatever
-/// Standard refuses, and has a service loaded at Standard answer the base
-/// queries and the write; fails the test if anything unwinds. With `exact`,
-/// every base query must answer what the undamaged service answers.
-fn load_is_total(
-    bytes: &[u8],
-    exact: bool,
-    what: &dyn Fn() -> String,
-) -> Vec<Result<(), LoadError>> {
-    let loaded: Vec<_> = [ValidationLevel::Standard, ValidationLevel::Audit]
-        .into_iter()
-        .map(|level| {
-            catch_unwind(|| {
-                QueryService::from_snapshot_bytes(bytes, level, ServiceConfig::default())
-            })
-            .unwrap_or_else(|_| panic!("loading at {level:?} unwound on {}", what()))
-        })
+/// Damage aimed at the posting ids of one stored index, each id staying
+/// below its class's cardinality; ids are named by their rank in the
+/// index's key-then-posting order, keys by their rank, both reduced modulo
+/// their count. Every edited posting is sorted again, so the damage gets
+/// past the order checks.
+#[derive(Debug, Clone)]
+enum Aimed {
+    /// Moves one id to another key's posting.
+    Move { id: usize, key: usize },
+    /// Swaps two ids between their postings.
+    Swap(usize, usize),
+    /// Drops one id.
+    Drop(usize),
+}
+
+fn aimed() -> impl Strategy<Value = Aimed> {
+    let rank = || 0usize..1 << 20;
+    prop_oneof![
+        (rank(), rank()).prop_map(|(id, key)| Aimed::Move { id, key }),
+        (rank(), rank()).prop_map(|(a, b)| Aimed::Swap(a, b)),
+        rank().prop_map(Aimed::Drop),
+    ]
+}
+
+/// Applies `aimed` to one index's entries. A posting left empty drops its
+/// key, as a writer's would.
+fn apply_aimed(entries: &mut Entries, aimed: &Aimed) {
+    let ids: Vec<(usize, usize)> = entries
+        .iter()
+        .enumerate()
+        .flat_map(|(k, (_, posting))| (0..posting.len()).map(move |i| (k, i)))
         .collect();
-    assert!(
-        loaded[0].is_ok() || loaded[1].is_err(),
-        "Audit admitted what Standard refused: {}",
-        what()
-    );
-    if let Ok(service) = &loaded[0] {
+    let at = |rank: usize| ids[rank % ids.len()];
+    match *aimed {
+        Aimed::Move { id, key } => {
+            let ((k, i), to) = (at(id), key % entries.len());
+            let o = entries[k].1.remove(i);
+            entries[to].1.push(o);
+        }
+        Aimed::Swap(a, b) => {
+            let ((ka, ia), (kb, ib)) = (at(a), at(b));
+            let (oa, ob) = (entries[ka].1[ia], entries[kb].1[ib]);
+            entries[ka].1[ia] = ob;
+            entries[kb].1[ib] = oa;
+        }
+        Aimed::Drop(id) => {
+            let (k, i) = at(id);
+            entries[k].1.remove(i);
+        }
+    }
+    for (_, posting) in entries.iter_mut() {
+        posting.sort_unstable();
+    }
+    entries.retain(|(_, posting)| !posting.is_empty());
+}
+
+/// Loads `bytes` and has a service it loads answer the base queries and
+/// the write; fails the test if anything unwinds. With `exact`, every base
+/// query must answer what the undamaged service answers.
+fn load_is_total(bytes: &[u8], exact: bool, what: &dyn Fn() -> String) -> Result<(), LoadError> {
+    let loaded = catch_unwind(|| {
+        QueryService::from_snapshot_bytes(
+            bytes,
+            ValidationLevel::Standard,
+            ServiceConfig::default(),
+        )
+    })
+    .unwrap_or_else(|_| panic!("loading unwound on {}", what()));
+    if let Ok(service) = &loaded {
         let base = base();
         catch_unwind(AssertUnwindSafe(|| {
             for (q, want) in base.queries.iter().zip(&base.answers) {
@@ -199,17 +251,17 @@ fn load_is_total(
             let _ = service.write(std::slice::from_ref(&base.write));
         }))
         .unwrap_or_else(|_| {
-            panic!("serving a Standard load unwound or answered wrong on {}", what())
+            panic!("serving a loaded file unwound or answered wrong on {}", what())
         });
     }
-    loaded.into_iter().map(|r| r.map(drop)).collect()
+    loaded.map(drop)
 }
 
+/// The undamaged base snapshot loads and serves. (The name is older than the
+/// single load level, Standard, at which it loads.)
 #[test]
 fn the_base_snapshot_loads_at_every_level() {
-    for loaded in load_is_total(&base().bytes, true, &|| "the base snapshot".to_string()) {
-        assert_eq!(loaded, Ok(()));
-    }
+    assert_eq!(load_is_total(&base().bytes, true, &|| "the base snapshot".to_string()), Ok(()));
 }
 
 proptest! {
@@ -219,13 +271,13 @@ proptest! {
         let ids: Vec<u32> = file.sections().map(|(id, _)| id).collect();
         let section = ids[pick % ids.len()];
         let what = || format!("{} damaged by {damage:?}", section_name(section));
-        load_is_total(&damaged(section, &damage), section == SEC_QUERIES, &what);
+        let _ = load_is_total(&damaged(section, &damage), section == SEC_QUERIES, &what);
     }
 
     /// A load derives every right adjacency list from the left lists and
     /// skips the stored right lists, so whatever ids they hold, the file
-    /// loads at both levels and every base query answers exactly what the
-    /// undamaged service answers.
+    /// loads and every base query answers exactly what the undamaged
+    /// service answers.
     #[test]
     fn damage_to_right_list_ids_never_changes_an_answer(
         hits in prop::collection::vec((0usize..1 << 20, word()), 1..6),
@@ -237,16 +289,8 @@ proptest! {
                 links[at..at + 4].copy_from_slice(&w.to_le_bytes());
             }
         });
-        let base = base();
-        for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
-            let service =
-                QueryService::from_snapshot_bytes(&bytes, level, ServiceConfig::default())
-                    .unwrap_or_else(|e| panic!("{e} at {level:?} on right-list ids {hits:?}"));
-            for (q, want) in base.queries.iter().zip(&base.answers) {
-                let got = service.run(q).unwrap_or_else(|e| panic!("{e} on {hits:?}"));
-                assert!(got.results.same_multiset(want), "{level:?} on right-list ids {hits:?}");
-            }
-        }
+        let what = || format!("right-list ids {hits:?}");
+        load_is_total(&bytes, true, &what).unwrap_or_else(|e| panic!("{e} on {}", what()));
     }
 
     /// Most damage to QUERIES is refused; this aims every case there, so
@@ -254,6 +298,33 @@ proptest! {
     #[test]
     fn damage_to_the_queries_never_changes_an_answer(damage in damage()) {
         let what = || format!("QUERIES damaged by {damage:?}");
-        load_is_total(&damaged(SEC_QUERIES, &damage), true, &what);
+        let _ = load_is_total(&damaged(SEC_QUERIES, &damage), true, &what);
+    }
+
+    /// A load checks every posting id's object against its key and each
+    /// index's postings against its class's cardinality, so damage that
+    /// keeps the ids in range is refused, or changes nothing an answer
+    /// reads (a move within one key, a swap of an id with itself).
+    #[test]
+    fn aimed_damage_to_posting_ids_never_changes_an_answer(
+        pick in 0usize..64,
+        aimed in aimed(),
+    ) {
+        let file = SnapshotFile::parse(&base().bytes).expect("the base snapshot parses");
+        let mut banks = read_indexes(file.section(SEC_INDEXES).expect("INDEXES"));
+        let slots: Vec<(usize, usize)> = banks
+            .iter()
+            .enumerate()
+            .flat_map(|(c, bank)| {
+                bank.iter().enumerate().filter(|(_, (tag, _))| *tag != 0).map(move |(a, _)| (c, a))
+            })
+            .collect();
+        let (c, a) = slots[pick % slots.len()];
+        apply_aimed(&mut banks[c][a].1, &aimed);
+        let bytes = edited(SEC_INDEXES, |payload| *payload = write_indexes(&banks));
+        let what = || format!("index ({c}, {a}) damaged by {aimed:?}");
+        if let Err(e) = load_is_total(&bytes, true, &what) {
+            assert!(matches!(e, LoadError::Malformed { section: "INDEXES", .. }), "{e:?} on {}", what());
+        }
     }
 }

@@ -2,15 +2,17 @@
 //! [`QueryService::save_snapshot`] and rebooted with
 //! [`QueryService::warm_start`] must answer the paper workload identically
 //! to the service it was saved from — from the plan cache, without a
-//! single request-path optimization — at both validation levels, and a
-//! snapshot with damaged serving sections must be rejected, not
-//! half-loaded. Every snapshot a service writes, before or after it takes
-//! changes, reloads at Standard. The file carries only the cached queries:
+//! single request-path optimization — and a snapshot with damaged serving
+//! sections must be rejected, not half-loaded. Every snapshot a service
+//! writes, before or after it takes changes, reloads. The file carries only
+//! the cached queries:
 //! boot derives every entry afresh, so no file, whatever its QUERIES or
 //! legacy PLANSEEDS section holds, makes a query answer another's rows.
 //! Nor do the copies a v1 file keeps of derived facts: boot re-runs the
 //! constraint closure and derives each right adjacency from the left, so a
-//! forged derived constraint or swapped right lists change no answer.
+//! forged derived constraint or swapped right lists change no answer. The
+//! indexes a file stores are checked against the extents they index, so a
+//! posting id moved to another key, or dropped, is refused.
 
 use std::sync::Arc;
 
@@ -24,13 +26,17 @@ use sqo_service::{QueryService, ServiceConfig};
 use sqo_snapshot::{
     read_query, section_name, write_predicate, write_query, ByteReader, ByteWriter, LoadError,
     SnapshotBuilder, SnapshotFile, ValidationLevel, EPOCH_LIMIT, SEC_CONSTRAINTS, SEC_EXTENTS,
-    SEC_LINKS, SEC_PLANSEEDS, SEC_QUERIES,
+    SEC_INDEXES, SEC_LINKS, SEC_PLANSEEDS, SEC_QUERIES,
 };
 use sqo_storage::{DataWrite, ObjectId};
 use sqo_workload::{
     copyable_rels, dup_insert, dup_safe_classes, logistics_database, paper_scenario, DbSize,
     LogisticsConfig,
 };
+
+#[path = "common/stored_indexes.rs"]
+mod stored_indexes;
+use stored_indexes::{read_indexes, write_indexes, Entries};
 
 /// A served scenario: the paper workload's first 16 queries answered once,
 /// so the plan cache holds exactly the state the snapshot should persist.
@@ -49,11 +55,29 @@ fn answers(service: &QueryService, queries: &[Query]) -> Vec<Arc<ResultSet>> {
     queries.iter().map(|q| service.run(q).expect("the query answers").results).collect()
 }
 
+/// Boots a service from `bytes`. A service that boots holds the statistics
+/// a rescan of its loaded extents and links gives (load reads them without
+/// checking them).
+fn boot(bytes: &[u8]) -> Result<QueryService, LoadError> {
+    let service = QueryService::from_snapshot_bytes(
+        bytes,
+        ValidationLevel::Standard,
+        ServiceConfig::default(),
+    )?;
+    assert_statistics_rescan(&service);
+    Ok(service)
+}
+
+/// `service`'s statistics equal a rescan of its database.
+fn assert_statistics_rescan(service: &QueryService) {
+    let db = service.db();
+    assert_eq!(db.stats(), &db.rebuild_statistics(), "loaded statistics differ from a rescan");
+}
+
 /// What a service writes, its own loader admits.
 fn assert_reloads(service: &QueryService) {
     let bytes = service.snapshot_bytes();
-    QueryService::from_snapshot_bytes(&bytes, ValidationLevel::Standard, ServiceConfig::default())
-        .unwrap_or_else(|e| panic!("a snapshot the service wrote does not reload: {e}"));
+    boot(&bytes).unwrap_or_else(|e| panic!("a snapshot the service wrote does not reload: {e}"));
 }
 
 /// Applies a constraint, a statistics change and a data write to
@@ -82,28 +106,23 @@ fn warm_start_replays_the_workload_from_the_cache() {
 
     let path = std::env::temp_dir().join(format!("sqo_roundtrip_test_{}.sqos", std::process::id()));
     cold.save_snapshot(&path).expect("save");
-    for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
-        let warm = QueryService::warm_start(&path, level, ServiceConfig::default())
-            .unwrap_or_else(|e| panic!("warm start at {level:?}: {e}"));
-        assert_eq!(warm.epoch(), cold.epoch(), "semantic epoch survives the trip");
-        assert_eq!(
-            warm.stats().data_epoch,
-            cold.stats().data_epoch,
-            "data epoch survives the trip"
-        );
-        for (q, want) in queries.iter().zip(&cold_answers) {
-            let r = warm.run(q).unwrap();
-            assert!(r.cache_hit, "warm service answers from the persisted cache at {level:?}");
-            assert!(r.results.same_multiset(want), "warm answer differs at {level:?}");
-        }
-        assert_eq!(
-            warm.stats().optimizations,
-            0,
-            "a warm start must never re-optimize the persisted workload ({level:?})"
-        );
-        assert_reloads(&warm);
-        take_changes(&warm, assert_reloads);
+    let warm = QueryService::warm_start(&path, ValidationLevel::Standard, ServiceConfig::default())
+        .unwrap_or_else(|e| panic!("warm start: {e}"));
+    assert_statistics_rescan(&warm);
+    assert_eq!(warm.epoch(), cold.epoch(), "semantic epoch survives the trip");
+    assert_eq!(warm.stats().data_epoch, cold.stats().data_epoch, "data epoch survives the trip");
+    for (q, want) in queries.iter().zip(&cold_answers) {
+        let r = warm.run(q).unwrap();
+        assert!(r.cache_hit, "warm service answers from the persisted cache");
+        assert!(r.results.same_multiset(want), "warm answer differs");
     }
+    assert_eq!(
+        warm.stats().optimizations,
+        0,
+        "a warm start must never re-optimize the persisted workload"
+    );
+    assert_reloads(&warm);
+    take_changes(&warm, assert_reloads);
     std::fs::remove_file(&path).ok();
 }
 
@@ -130,12 +149,7 @@ fn damaged_serving_sections_are_rejected() {
     let bytes = cold.snapshot_bytes();
 
     let missing = with_section(&bytes, SEC_CONSTRAINTS, None);
-    let err = QueryService::from_snapshot_bytes(
-        &missing,
-        ValidationLevel::Standard,
-        ServiceConfig::default(),
-    )
-    .expect_err("a snapshot without CONSTRAINTS must not boot");
+    let err = boot(&missing).expect_err("a snapshot without CONSTRAINTS must not boot");
     assert!(
         matches!(err, LoadError::MissingSection("CONSTRAINTS")),
         "expected MissingSection(CONSTRAINTS), got {err:?}"
@@ -143,42 +157,33 @@ fn damaged_serving_sections_are_rejected() {
 
     // A persisted query is derived, not trusted: structural damage, an id
     // the catalog does not resolve and a query the optimizer refuses are
-    // each a typed error naming QUERIES, at both levels.
+    // each a typed error naming QUERIES.
     let mut unresolved = queries_of(&bytes)[0].clone();
     unresolved.classes.push(sqo_catalog::ClassId(99));
     let classless = Query { classes: vec![], ..queries_of(&bytes)[0].clone() };
     let garbled = with_section(&bytes, SEC_QUERIES, Some(vec![0xfe; 9]));
     let dangling = with_queries(&bytes, &[unresolved]);
     let refused = with_queries(&bytes, &[classless]);
-    for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
-        let boot = |b: &[u8]| {
-            QueryService::from_snapshot_bytes(b, level, ServiceConfig::default())
-                .expect_err("a QUERIES section that does not derive must not boot")
-        };
-        let err = boot(&garbled);
-        assert!(matches!(err, LoadError::Malformed { section: "QUERIES", .. }), "{err:?}");
-        let err = boot(&dangling);
-        assert!(matches!(err, LoadError::DanglingReference { section: "QUERIES", .. }), "{err:?}");
-        let err = boot(&refused);
-        assert!(matches!(err, LoadError::Malformed { section: "QUERIES", .. }), "{err:?}");
-    }
+    let refuse =
+        |b: &[u8]| boot(b).expect_err("a QUERIES section that does not derive must not boot");
+    let err = refuse(&garbled);
+    assert!(matches!(err, LoadError::Malformed { section: "QUERIES", .. }), "{err:?}");
+    let err = refuse(&dangling);
+    assert!(matches!(err, LoadError::DanglingReference { section: "QUERIES", .. }), "{err:?}");
+    let err = refuse(&refused);
+    assert!(matches!(err, LoadError::Malformed { section: "QUERIES", .. }), "{err:?}");
 
     // A snapshot may omit QUERIES entirely (cold cache, warm data) — that
     // is a valid file, not a damaged one.
     let cacheless = with_section(&bytes, SEC_QUERIES, None);
-    let warm = QueryService::from_snapshot_bytes(
-        &cacheless,
-        ValidationLevel::Audit,
-        ServiceConfig::default(),
-    )
-    .expect("QUERIES is an optional section");
+    let warm = boot(&cacheless).expect("QUERIES is an optional section");
     assert_eq!(warm.epoch(), cold.epoch());
 }
 
 /// Both epochs a snapshot carries, the CONSTRAINTS store epoch and the
 /// EXTENTS data epoch, lead their payloads, and every change to a loaded
 /// service adds one to one of them. At or above [`EPOCH_LIMIT`] a load is
-/// refused at every level, so no later change can overflow; at the largest
+/// refused, so no later change can overflow; at the largest
 /// accepted epoch a constraint, a statistics change and a write all
 /// advance. (Their snapshots are the one kind a service writes and cannot
 /// reload: the change took an epoch to 2^63.)
@@ -192,27 +197,19 @@ fn epochs_at_the_limit_are_refused_and_below_it_advance() {
         payload[..8].copy_from_slice(&epoch.to_le_bytes());
         with_section(&bytes, section, Some(payload))
     };
-    let levels = [ValidationLevel::Standard, ValidationLevel::Audit];
     for section in [SEC_CONSTRAINTS, SEC_EXTENTS] {
         let name = section_name(section);
         for epoch in [EPOCH_LIMIT, u64::MAX] {
             let damaged = with_epoch(section, epoch);
-            for level in levels {
-                let err =
-                    QueryService::from_snapshot_bytes(&damaged, level, ServiceConfig::default())
-                        .expect_err("an epoch that cannot advance must not load");
-                assert!(
-                    matches!(err, LoadError::Malformed { section, .. } if section == name),
-                    "{name} epoch {epoch} at {level:?}: expected Malformed({name}), got {err:?}"
-                );
-            }
+            let err = boot(&damaged).expect_err("an epoch that cannot advance must not load");
+            assert!(
+                matches!(err, LoadError::Malformed { section, .. } if section == name),
+                "{name} epoch {epoch}: expected Malformed({name}), got {err:?}"
+            );
         }
         let top = with_epoch(section, EPOCH_LIMIT - 1);
-        for level in levels {
-            let warm = QueryService::from_snapshot_bytes(&top, level, ServiceConfig::default())
-                .unwrap_or_else(|e| panic!("{name} epoch 2^63 - 1 at {level:?}: {e}"));
-            take_changes(&warm, |_| {});
-        }
+        let warm = boot(&top).unwrap_or_else(|e| panic!("{name} epoch 2^63 - 1: {e}"));
+        take_changes(&warm, |_| {});
     }
 }
 
@@ -237,10 +234,10 @@ fn with_queries(bytes: &[u8], queries: &[Query]) -> Vec<u8> {
 }
 
 /// An older build's file carries a PLANSEEDS section (id 7) with each
-/// entry's plan, and no level compared a plan with its query: a file whose
+/// entry's plan, and no load compared a plan with its query: a file whose
 /// seeds swapped two plans, or marked a satisfiable query provably empty,
-/// booted at Audit and answered wrong. This reader never reads id 7, so
-/// such a file boots with a cold cache at both levels, and each query
+/// booted and answered wrong. This reader never reads id 7, so
+/// such a file boots with a cold cache, and each query
 /// misses once and then answers exactly what the saving service answered.
 /// The section here is garbage the older reader refused as `Malformed`; its
 /// content is not looked at.
@@ -255,24 +252,21 @@ fn an_older_file_with_planseeds_boots_cold_and_answers_like_its_saver() {
     }
     b.section(SEC_PLANSEEDS, vec![0xfe; 9]);
     let older = b.finish();
-    for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
-        let warm = QueryService::from_snapshot_bytes(&older, level, ServiceConfig::default())
-            .unwrap_or_else(|e| panic!("a file with PLANSEEDS boots at {level:?}: {e}"));
-        for (q, want) in queries.iter().zip(&want) {
-            let first = warm.run(q).unwrap();
-            assert!(!first.cache_hit, "nothing is read from PLANSEEDS ({level:?})");
-            let again = warm.run(q).unwrap();
-            assert!(again.cache_hit, "{level:?}");
-            for r in [first, again] {
-                assert!(r.results.same_multiset(want), "{level:?}: {q:?}");
-            }
+    let warm = boot(&older).unwrap_or_else(|e| panic!("a file with PLANSEEDS boots: {e}"));
+    for (q, want) in queries.iter().zip(&want) {
+        let first = warm.run(q).unwrap();
+        assert!(!first.cache_hit, "nothing is read from PLANSEEDS");
+        let again = warm.run(q).unwrap();
+        assert!(again.cache_hit);
+        for r in [first, again] {
+            assert!(r.results.same_multiset(want), "{q:?}");
         }
     }
 }
 
 /// A QUERIES section is a list of requests to warm, not a map from keys to
 /// answers: permuted, duplicated, respelled, or with one query replaced by
-/// another pool query, it boots at both levels and every query answers
+/// another pool query, it boots and every query answers
 /// what the saving service answers. Each persisted query warms only its own
 /// entry, so the queries the section still names hit and the replaced one
 /// misses.
@@ -296,14 +290,11 @@ fn a_tampered_queries_section_answers_every_query_correctly() {
     respelled.selective_predicates.reverse();
     tampered[0] = respelled;
     let file = with_queries(&bytes, &tampered);
-    for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
-        let warm = QueryService::from_snapshot_bytes(&file, level, ServiceConfig::default())
-            .unwrap_or_else(|e| panic!("a tampered QUERIES section boots at {level:?}: {e}"));
-        for (i, (q, want)) in all.iter().zip(&want).enumerate() {
-            let r = warm.run(q).unwrap();
-            assert_eq!(r.cache_hit, i != 5, "query {i} at {level:?}");
-            assert!(r.results.same_multiset(want), "query {i} at {level:?}");
-        }
+    let warm = boot(&file).unwrap_or_else(|e| panic!("a tampered QUERIES section boots: {e}"));
+    for (i, (q, want)) in all.iter().zip(&want).enumerate() {
+        let r = warm.run(q).unwrap();
+        assert_eq!(r.cache_hit, i != 5, "query {i}");
+        assert!(r.results.same_multiset(want), "query {i}");
     }
 }
 
@@ -318,18 +309,15 @@ fn a_tampered_queries_section_answers_every_query_correctly() {
 fn boot_derives_the_savers_entries_and_plans_on_the_loaded_statistics() {
     let (cold, queries) = served();
     let bytes = cold.snapshot_bytes();
-    for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
-        let warm = QueryService::from_snapshot_bytes(&bytes, level, ServiceConfig::default())
-            .unwrap_or_else(|e| panic!("{level:?}: {e}"));
-        for q in &queries {
-            let (a, b) = (cold.prepare(q).unwrap(), warm.prepare(q).unwrap());
-            assert!(a.cache_hit && b.cache_hit, "{level:?}");
-            assert_eq!(a.optimized(), b.optimized(), "{level:?}");
-            assert_eq!(a.plan(), b.plan(), "{level:?}");
-            assert_eq!(a.provably_empty(), b.provably_empty(), "{level:?}");
-            let columns = |s: &QueryService| s.run(q).unwrap().results.columns.clone();
-            assert_eq!(columns(&cold), columns(&warm), "{level:?}");
-        }
+    let warm = boot(&bytes).expect("the snapshot boots");
+    for q in &queries {
+        let (a, b) = (cold.prepare(q).unwrap(), warm.prepare(q).unwrap());
+        assert!(a.cache_hit && b.cache_hit);
+        assert_eq!(a.optimized(), b.optimized());
+        assert_eq!(a.plan(), b.plan());
+        assert_eq!(a.provably_empty(), b.provably_empty());
+        let columns = |s: &QueryService| s.run(q).unwrap().results.columns.clone();
+        assert_eq!(columns(&cold), columns(&warm));
     }
 
     take_changes(&cold, |_| {});
@@ -343,12 +331,7 @@ fn boot_derives_the_savers_entries_and_plans_on_the_loaded_statistics() {
         cold.write(&[insert]).expect("a duplicate insert goes in");
     }
     let want = answers(&cold, &queries);
-    let warm = QueryService::from_snapshot_bytes(
-        &cold.snapshot_bytes(),
-        ValidationLevel::Standard,
-        ServiceConfig::default(),
-    )
-    .expect("the changed service's snapshot boots");
+    let warm = boot(&cold.snapshot_bytes()).expect("the changed service's snapshot boots");
     let loaded = warm.db();
     let mut replanned = 0;
     for (q, want) in queries.iter().zip(&want) {
@@ -381,6 +364,7 @@ fn save_over_an_existing_snapshot_leaves_only_the_target() {
     assert_eq!(left, ["state.sqos"], "the temporary file must not outlive the save");
     let warm = QueryService::warm_start(&path, ValidationLevel::Standard, ServiceConfig::default())
         .expect("the saved file boots");
+    assert_statistics_rescan(&warm);
     assert!(warm.run(&queries[0]).unwrap().cache_hit);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -441,7 +425,7 @@ fn with_extra_constraint(bytes: &[u8], extra: &HornConstraint, origin: u8) -> Ve
 /// filter of `{cargo.desc = "frozen food", cargo.quantity > 50}` as
 /// implied: 42 rows where the data holds 23. A load skips derived entries
 /// and runs the closure over the stated constraints, so the forged file
-/// boots at both levels into the saver's constraint set and answers like
+/// boots into the saver's constraint set and answers like
 /// the saver.
 #[test]
 fn a_forged_derived_constraint_changes_no_answer() {
@@ -474,15 +458,11 @@ fn a_forged_derived_constraint_changes_no_answer() {
         .build()
         .unwrap();
     let bytes = with_extra_constraint(&saver.snapshot_bytes(), &forged, 1);
-    for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
-        let warm = QueryService::from_snapshot_bytes(&bytes, level, ServiceConfig::default())
-            .unwrap_or_else(|e| panic!("the forged file boots at {level:?}: {e}"));
-        assert!(warm.run(&query).unwrap().results.same_multiset(&want), "{level:?}");
-        let names = |s: &QueryService| {
-            s.store().constraints().map(|(_, c)| c.name.clone()).collect::<Vec<_>>()
-        };
-        assert_eq!(names(&warm), names(&saver), "{level:?}");
-    }
+    let warm = boot(&bytes).unwrap_or_else(|e| panic!("the forged file boots: {e}"));
+    assert!(warm.run(&query).unwrap().results.same_multiset(&want));
+    let names =
+        |s: &QueryService| s.store().constraints().map(|(_, c)| c.name.clone()).collect::<Vec<_>>();
+    assert_eq!(names(&warm), names(&saver));
 }
 
 /// The byte offset of every right list of relationship `rel` in a LINKS
@@ -516,7 +496,7 @@ fn right_lists(links: &[u8], rel: usize) -> Vec<(usize, usize)> {
 /// Served as stored, a DB1 snapshot with two equal-length right lists of
 /// `collects` swapped answers 1 of the 40 pool queries wrong. A load reads
 /// the left lists only and derives the right side, so the swapped file
-/// boots at both levels and answers every pool query like the saver.
+/// boots and answers every pool query like the saver.
 #[test]
 fn swapped_right_lists_change_no_answer() {
     let s = paper_scenario(DbSize::Db1, 7);
@@ -536,13 +516,10 @@ fn swapped_right_lists_change_no_answer() {
     links[a.0..a.0 + first.len()].copy_from_slice(&second);
     links[b.0..b.0 + second.len()].copy_from_slice(&first);
     let swapped = with_section(&bytes, SEC_LINKS, Some(links));
-    for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
-        let warm = QueryService::from_snapshot_bytes(&swapped, level, ServiceConfig::default())
-            .unwrap_or_else(|e| panic!("the swapped file boots at {level:?}: {e}"));
-        for (i, (q, want)) in s.queries.iter().zip(&want).enumerate() {
-            let got = warm.run(q).unwrap().results;
-            assert!(got.same_multiset(want), "query {i} at {level:?}");
-        }
+    let warm = boot(&swapped).unwrap_or_else(|e| panic!("the swapped file boots: {e}"));
+    for (i, (q, want)) in s.queries.iter().zip(&want).enumerate() {
+        let got = warm.run(q).unwrap().results;
+        assert!(got.same_multiset(want), "query {i}");
     }
 }
 
@@ -567,18 +544,15 @@ fn added_constraints_boot_in_the_savers_order_with_its_entries() {
     assert_eq!(saved.iter().filter(|(_, o)| *o == Origin::Dynamic).count(), 2);
     assert!(saved.iter().any(|(_, o)| *o == Origin::Derived));
     let bytes = saver.snapshot_bytes();
-    for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
-        let warm = QueryService::from_snapshot_bytes(&bytes, level, ServiceConfig::default())
-            .unwrap_or_else(|e| panic!("{level:?}: {e}"));
-        assert_eq!(listing(&warm), saved, "{level:?}");
-        assert_eq!(warm.epoch(), saver.epoch(), "{level:?}");
-        for q in &queries {
-            let (a, b) = (saver.prepare(q).unwrap(), warm.prepare(q).unwrap());
-            assert!(a.cache_hit && b.cache_hit, "{level:?}");
-            assert_eq!(a.optimized(), b.optimized(), "{level:?}");
-            assert_eq!(a.plan(), b.plan(), "{level:?}");
-            assert_eq!(a.provably_empty(), b.provably_empty(), "{level:?}");
-        }
+    let warm = boot(&bytes).expect("the snapshot boots");
+    assert_eq!(listing(&warm), saved);
+    assert_eq!(warm.epoch(), saver.epoch());
+    for q in &queries {
+        let (a, b) = (saver.prepare(q).unwrap(), warm.prepare(q).unwrap());
+        assert!(a.cache_hit && b.cache_hit);
+        assert_eq!(a.optimized(), b.optimized());
+        assert_eq!(a.plan(), b.plan());
+        assert_eq!(a.provably_empty(), b.provably_empty());
     }
 }
 
@@ -593,11 +567,68 @@ fn closure_limits_past_the_defaults_are_clamped() {
     payload[17..33].fill(0xff); // max_derived, max_rounds = u64::MAX
     let greedy = with_section(&bytes, SEC_CONSTRAINTS, Some(payload));
     let limit = ClosureOptions::default();
-    for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
-        let warm = QueryService::from_snapshot_bytes(&greedy, level, ServiceConfig::default())
-            .unwrap_or_else(|e| panic!("{level:?}: {e}"));
-        let got = warm.store().closure_options();
-        assert!(got.max_derived <= limit.max_derived, "{got:?} at {level:?}");
-        assert!(got.max_rounds <= limit.max_rounds, "{got:?} at {level:?}");
+    let warm = boot(&greedy).expect("the snapshot boots");
+    let got = warm.store().closure_options();
+    assert!(got.max_derived <= limit.max_derived, "{got:?}");
+    assert!(got.max_rounds <= limit.max_rounds, "{got:?}");
+}
+
+/// `service`'s snapshot with its stored index of `cargo.attr` edited by
+/// `edit`.
+fn with_cargo_index(service: &QueryService, attr: &str, edit: fn(&mut Entries)) -> Vec<u8> {
+    let bytes = service.snapshot_bytes();
+    let file = SnapshotFile::parse(&bytes).expect("good snapshot parses");
+    let payload = file.section(SEC_INDEXES).expect("INDEXES");
+    let mut banks = read_indexes(payload);
+    assert_eq!(write_indexes(&banks), payload, "the INDEXES layout");
+    let at = service.db().catalog().attr_ref("cargo", attr).expect("the attribute");
+    edit(&mut banks[at.class.index()][at.attr.index()].1);
+    with_section(&bytes, SEC_INDEXES, Some(write_indexes(&banks)))
+}
+
+/// The first key whose posting holds two objects.
+fn shared_key(entries: &Entries) -> usize {
+    entries.iter().position(|(_, posting)| posting.len() >= 2).expect("a key of two objects")
+}
+
+/// Moves the first object of the first shared key's posting to the next
+/// key's, in ascending place.
+fn move_to_next_key(entries: &mut Entries) {
+    let k = shared_key(entries);
+    let o = entries[k].1.remove(0);
+    let next = &mut entries[k + 1].1;
+    let at = next.partition_point(|&x| x < o);
+    next.insert(at, o);
+}
+
+/// Drops the first object of the first shared key's posting.
+fn drop_from_posting(entries: &mut Entries) {
+    let k = shared_key(entries);
+    entries[k].1.remove(0);
+}
+
+/// A v1 file stores each index beside the extent it indexes, and an index
+/// probe answers from the index alone. Served as stored, the DB1 snapshot
+/// with cargo 3 moved from `cargo.b3` (hash) key `"forced_cargo_6"` to the
+/// next key answers pool query 33 with no rows where the data holds one
+/// (the optimizer adds `cargo.b3 = "forced_cargo_6"` to it), and the one
+/// with cargo 16 moved from `cargo.a3` (B-tree) key 515 to 540 answers
+/// `cargo.a3 = 515` without it. A load checks that each posting id's
+/// object holds the posting's key and that an attribute's postings sum to
+/// its class's cardinality, so both files, and one with cargo 3 dropped
+/// from its posting, are refused as malformed INDEXES.
+#[test]
+fn forged_index_postings_are_refused() {
+    let (saver, _) = served();
+    let forgeries = [
+        ("an id moved to another key of a hash index", "b3", move_to_next_key as fn(&mut Entries)),
+        ("an id moved to another key of a B-tree index", "a3", move_to_next_key),
+        ("an id dropped from a posting", "b3", drop_from_posting),
+    ];
+    for (what, attr, edit) in forgeries {
+        let Err(err) = boot(&with_cargo_index(&saver, attr, edit)) else {
+            panic!("{what}: the forged file boots");
+        };
+        assert!(matches!(err, LoadError::Malformed { section: "INDEXES", .. }), "{what}: {err:?}");
     }
 }

@@ -110,6 +110,11 @@ impl<'a> ByteReader<'a> {
         self.buf.len() - self.pos
     }
 
+    /// The bytes not yet consumed, without consuming them.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
     /// A section-tagged [`LoadError::Malformed`] at the current position.
     pub fn malformed(&self, detail: impl Into<String>) -> LoadError {
         LoadError::Malformed { section: self.section, detail: detail.into() }

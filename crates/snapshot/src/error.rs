@@ -2,66 +2,53 @@
 
 use std::fmt;
 
-/// How deeply a snapshot is verified before the engine trusts it.
-///
-/// Audit runs everything Standard does. `docs/VALIDATION.md` specifies the
-/// exact invariant set and the threat model each level addresses.
+/// How a snapshot is verified before the engine trusts it. There is one
+/// level; `docs/VALIDATION.md` specifies its invariant set and the threat
+/// model it addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum ValidationLevel {
     /// Everything the executor relies on: container integrity (magic,
     /// version, section-table bounds, per-section checksums), the shape of
     /// every payload (counts, arities, cardinalities, value types), every
-    /// id resolving (no dangling references), and every ordering invariant
-    /// (ascending postings and keys). Each check runs once, where its fact
+    /// id resolving (no dangling references), every ordering invariant
+    /// (ascending postings and keys), and every index being exactly its
+    /// extent's grouping (each posting id's object holds the key, and the
+    /// postings cover the class once). Each check runs once, where its fact
     /// is decoded. What a load derives instead of reading (the right-to-left
     /// adjacency, the constraint closure) needs no check.
     #[default]
     Standard,
-    /// Everything in [`ValidationLevel::Standard`], plus full re-derivation
-    /// cross-checks: indexes and statistics are rebuilt from primary data
-    /// and compared to the persisted copies. Suitable as a test oracle.
-    Audit,
-}
-
-impl ValidationLevel {
-    /// Whether this level includes Audit's re-derivation cross-checks.
-    pub fn is_audit(self) -> bool {
-        self == ValidationLevel::Audit
-    }
 }
 
 impl fmt::Display for ValidationLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ValidationLevel::Standard => write!(f, "standard"),
-            ValidationLevel::Audit => write!(f, "audit"),
         }
     }
 }
 
-/// Why a snapshot failed to load. Each variant names the validation level
-/// that detects it (documented per-variant); `docs/VALIDATION.md` has the
-/// full mapping table.
+/// Why a snapshot failed to load; `docs/VALIDATION.md` maps each check to
+/// the variant it raises.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LoadError {
-    /// The file is shorter than the fixed 12-byte header (Standard).
+    /// The file is shorter than the fixed 12-byte header.
     TruncatedHeader,
-    /// The first four bytes are not `b"SQOS"` (Standard).
+    /// The first four bytes are not `b"SQOS"`.
     BadMagic,
-    /// The header's format version is newer than this build understands
-    /// (Standard).
+    /// The header's format version is newer than this build understands.
     UnsupportedVersion(u16),
     /// A section-table entry points outside the file, or the section table
-    /// itself does not fit (Standard).
+    /// itself does not fit.
     SectionOutOfBounds {
         /// The offending section id (0 when the table itself is truncated).
         section: u32,
     },
-    /// The same section id appears twice in the table (Standard).
+    /// The same section id appears twice in the table.
     DuplicateSection(u32),
-    /// A section this loader requires is absent (Standard).
+    /// A section this loader requires is absent.
     MissingSection(&'static str),
-    /// A section payload does not hash to its table checksum (Standard).
+    /// A section payload does not hash to its table checksum.
     ChecksumMismatch {
         /// Human-readable section name (see [`crate::section_name`]).
         section: &'static str,
@@ -71,7 +58,7 @@ pub enum LoadError {
         actual: u64,
     },
     /// A section payload is structurally malformed: short reads, bad tags,
-    /// counts that contradict the catalog (Standard).
+    /// counts that contradict the catalog.
     Malformed {
         /// Human-readable section name.
         section: &'static str,
@@ -79,7 +66,7 @@ pub enum LoadError {
         detail: String,
     },
     /// An index posting, an index's key sequence or a constraint's class
-    /// list is out of order (Standard).
+    /// list is out of order.
     UnsortedPosting {
         /// Human-readable section name.
         section: &'static str,
@@ -87,17 +74,11 @@ pub enum LoadError {
         detail: String,
     },
     /// An id (class, relationship, attribute, object, constraint) does not
-    /// resolve against the decoded catalog or extents (Standard).
+    /// resolve against the decoded catalog or extents.
     DanglingReference {
         /// Human-readable section name.
         section: &'static str,
         /// The unresolved reference.
-        detail: String,
-    },
-    /// A re-derivation cross-check failed: rebuilt indexes or statistics
-    /// differ from the persisted copies (Audit).
-    AuditMismatch {
-        /// Which re-derivation disagreed.
         detail: String,
     },
     /// An underlying I/O failure while reading or writing the file.
@@ -127,9 +108,6 @@ impl fmt::Display for LoadError {
             }
             LoadError::DanglingReference { section, detail } => {
                 write!(f, "section {section} has a dangling reference: {detail}")
-            }
-            LoadError::AuditMismatch { detail } => {
-                write!(f, "audit re-derivation mismatch: {detail}")
             }
             LoadError::Io(e) => write!(f, "i/o error: {e}"),
         }

@@ -1,7 +1,7 @@
 //! # sqo-snapshot
 //!
 //! The `.sqos` persistent snapshot container: a versioned, little-endian,
-//! section-based on-disk format plus the byte-level codecs and the tiered
+//! section-based on-disk format plus the byte-level codecs and the
 //! validation vocabulary the rest of the workspace builds on.
 //!
 //! This crate owns the *container* — magic, version, section table,

@@ -11,10 +11,10 @@
 //! extent, one pass into one map per attribute. The load's scan also makes
 //! each string it counts canonical ([`canonical_update`]): the tuple takes a
 //! clone of the map's key, so a loaded class holds one allocation per
-//! distinct string of an attribute, as a snapshot load's does. The Audit
-//! re-derivation and the `with_writes_full` oracle keep a scan of every
-//! attribute ([`class_statistics`]), which is the reference the other two
-//! are checked against. Every scan's map hashes with
+//! distinct string of an attribute, as a snapshot load's does.
+//! `Database::rebuild_statistics` and the `with_writes_full` oracle keep a
+//! scan of every attribute ([`class_statistics`]), which is the reference
+//! the other two are checked against. Every scan's map hashes with
 //! `sqo_catalog::ValueHashState`.
 //!
 //! The write path keeps the counts instead, in [`ValueMap`]s that successive
@@ -169,7 +169,7 @@ fn scan_attribute(extent: &Extent, attr: usize) -> AttrStats {
 }
 
 /// One class's statistics from one extent scan per attribute — the
-/// reference (Audit, the `with_writes_full` oracle,
+/// reference (the `with_writes_full` oracle,
 /// `Database::rebuild_statistics`).
 pub(crate) fn class_statistics(attr_count: usize, extent: &Extent) -> ClassStats {
     let attrs = (0..attr_count).map(|attr| scan_attribute(extent, attr)).collect();

@@ -514,13 +514,9 @@ impl Database {
                             // simpler than an interleaved two-sided patch.
                             *lk = rebuild_self_links(lk, *object);
                         } else if on_left {
-                            lk.delete_left(*object).map_err(|right| {
-                                StorageError::LinkNotFound { rel, left: *object, right }
-                            })?;
+                            lk.delete_left(*object);
                         } else {
-                            lk.delete_right(*object).map_err(|left| {
-                                StorageError::LinkNotFound { rel, left, right: *object }
-                            })?;
+                            lk.delete_right(*object);
                         }
                     }
                 }
@@ -1056,10 +1052,7 @@ fn build_links(
 
 /// Builds every class's declared indexes from its extent, making the
 /// indexed columns' strings canonical on the way ([`AttrIndex::from_column`]).
-pub(crate) fn build_indexes(
-    catalog: &Catalog,
-    extents: &mut [Extent],
-) -> Vec<Vec<Option<AttrIndex>>> {
+fn build_indexes(catalog: &Catalog, extents: &mut [Extent]) -> Vec<Vec<Option<AttrIndex>>> {
     catalog
         .classes()
         .zip(extents)
@@ -1169,13 +1162,10 @@ fn rel_statistics(lk: &RelLinks) -> RelStats {
 
 /// The from-scratch statistics build: every attribute of every class from a
 /// scan of its extent, every relationship. It is the reference the load
-/// ([`load_statistics`]), the write path and Audit are checked against;
+/// ([`load_statistics`]), the write path and a snapshot load's persisted
+/// statistics are checked against in tests;
 /// [`Database::rebuild_statistics`] and [`Database::with_writes_full`] use it.
-pub(crate) fn build_statistics(
-    catalog: &Catalog,
-    extents: &[Extent],
-    links: &[RelLinks],
-) -> StatsSnapshot {
+fn build_statistics(catalog: &Catalog, extents: &[Extent], links: &[RelLinks]) -> StatsSnapshot {
     let classes = catalog
         .classes()
         .map(|(cid, cdef)| class_statistics(cdef.attributes.len(), &extents[cid.index()]))

@@ -41,13 +41,12 @@ impl AttrIndex {
     }
 
     /// The index of attribute `attr` of a whole `extent` — the bulk build of
-    /// the load path, the Audit re-derivation and the `with_writes_full`
-    /// oracle; it runs none of the point updates below. The grouping pass
-    /// also makes the column's strings canonical: each tuple's string
-    /// becomes a clone of the key its posting is filed under
-    /// ([`canonical_update`]), so the column and the index share one
-    /// allocation per distinct string. The extent is the caller's own, not
-    /// yet published, so the writes copy nothing.
+    /// the load path and the `with_writes_full` oracle; it runs none of the
+    /// point updates below. The grouping pass also makes the column's
+    /// strings canonical: each tuple's string becomes a clone of the key its
+    /// posting is filed under ([`canonical_update`]), so the column and the
+    /// index share one allocation per distinct string. The extent is the
+    /// caller's own, not yet published, so the writes copy nothing.
     pub(crate) fn from_column(kind: IndexKind, extent: &mut Extent, attr: usize) -> Self {
         let column = || extent.iter().map(|tuple| &tuple[attr]);
         let postings = if column().zip(column().skip(1)).all(|(a, b)| OrdValue::order(a, b).is_lt())

@@ -222,23 +222,26 @@ impl RelLinks {
     }
 
     /// Removes `object`'s entry from the mirror list of each of `neighbours`
-    /// in `mirror`. `Err` names a neighbour whose list lacks it: a table
-    /// that is not bidirectionally consistent (every constructor derives
-    /// the right side from the left, so only a table assembled by hand is
-    /// one), left partly edited for the caller to discard.
+    /// in `mirror`. Every constructor derives the right side from the left,
+    /// so each neighbour's list holds the entry: a debug build asserts it,
+    /// and a release build passes over one that does not.
     fn unmirror(
         mirror: &mut PagedVec<Vec<ObjectId>>,
         links: &mut u64,
         neighbours: &[ObjectId],
         object: ObjectId,
-    ) -> Result<(), ObjectId> {
+    ) {
         for &n in neighbours {
-            let list = mirror.get_mut(n.index()).ok_or(n)?;
-            let at = list.iter().position(|&o| o == object).ok_or(n)?;
-            list.remove(at);
-            *links -= 1;
+            let at = mirror.get_mut(n.index()).and_then(|list| {
+                let at = list.iter().position(|&o| o == object)?;
+                Some((list, at))
+            });
+            debug_assert!(at.is_some(), "{n:?}'s list does not mirror {object:?}");
+            if let Some((list, at)) = at {
+                list.remove(at);
+                *links -= 1;
+            }
         }
-        Ok(())
     }
 
     /// Removes every edge of left object `object` and swap-renumbers the left
@@ -247,16 +250,15 @@ impl RelLinks {
     /// entries in the (sorted) right→left lists are re-keyed from the old id
     /// to `object`'s. `object` must be in range; not for self-relationships
     /// (left and right sides would fall out of step — delete those via a
-    /// per-relationship rebuild instead). `Err` names a right object whose
-    /// list lacks an edge of `object` (see `unmirror`).
-    pub(crate) fn delete_left(&mut self, object: ObjectId) -> Result<(), ObjectId> {
+    /// per-relationship rebuild instead).
+    pub(crate) fn delete_left(&mut self, object: ObjectId) {
         let Some(gone) = self.left_to_right.swap_remove(object.index()) else {
-            return Ok(());
+            return;
         };
-        Self::unmirror(&mut self.right_to_left, &mut self.links, &gone, object)?;
+        Self::unmirror(&mut self.right_to_left, &mut self.links, &gone, object);
         let last = ObjectId(self.left_to_right.len() as u32);
         if object == last {
-            return Ok(());
+            return;
         }
         let moved = self.left_to_right[object.index()].clone();
         let mut seen: Vec<ObjectId> = Vec::new();
@@ -279,19 +281,18 @@ impl RelLinks {
                 list.insert(at + k, object);
             }
         }
-        Ok(())
     }
 
     /// Mirror of [`RelLinks::delete_left`] for the right side. Left lists are
     /// per-left ordered, so the moved object's entries are re-keyed in place.
-    pub(crate) fn delete_right(&mut self, object: ObjectId) -> Result<(), ObjectId> {
+    pub(crate) fn delete_right(&mut self, object: ObjectId) {
         let Some(gone) = self.right_to_left.swap_remove(object.index()) else {
-            return Ok(());
+            return;
         };
-        Self::unmirror(&mut self.left_to_right, &mut self.links, &gone, object)?;
+        Self::unmirror(&mut self.left_to_right, &mut self.links, &gone, object);
         let last = ObjectId(self.right_to_left.len() as u32);
         if object == last {
-            return Ok(());
+            return;
         }
         let moved = self.right_to_left[object.index()].clone();
         let mut seen: Vec<ObjectId> = Vec::new();
@@ -306,7 +307,6 @@ impl RelLinks {
                 }
             }
         }
-        Ok(())
     }
 }
 
@@ -414,7 +414,7 @@ mod tests {
         let pairs = [(0, 0), (1, 0), (2, 0), (2, 1)];
         let mut l = RelLinks::from_pairs(3, 2, pairs.map(|(l, r)| (ObjectId(l), ObjectId(r))));
         // Delete left object 0: object 2 takes its id, edges follow.
-        assert_eq!(l.delete_left(ObjectId(0)), Ok(()));
+        l.delete_left(ObjectId(0));
         assert_eq!(l.left_cardinality(), 2);
         assert_eq!(l.from_left(ObjectId(0)), &[ObjectId(0), ObjectId(1)]);
         assert_eq!(l.from_right(ObjectId(0)), &[ObjectId(0), ObjectId(1)]);
@@ -427,7 +427,7 @@ mod tests {
         let pairs = [(0, 0), (0, 2), (1, 1)];
         let mut l = RelLinks::from_pairs(2, 3, pairs.map(|(l, r)| (ObjectId(l), ObjectId(r))));
         // Delete right object 0: right object 2 takes its id.
-        assert_eq!(l.delete_right(ObjectId(0)), Ok(()));
+        l.delete_right(ObjectId(0));
         assert_eq!(l.right_cardinality(), 2);
         assert_eq!(l.from_left(ObjectId(0)), &[ObjectId(0)]);
         assert_eq!(l.from_right(ObjectId(0)), &[ObjectId(0)]);
@@ -437,14 +437,22 @@ mod tests {
 
     #[test]
     fn a_one_sided_edge_is_reported_not_a_panic() {
-        // Left 0 lists right 1, whose list does not mirror it. No load
-        // builds such a table (the right side is derived from the left);
-        // the edit paths still report one rather than panic.
+        // Left 0 lists right 1, whose list does not mirror it. No
+        // constructor builds such a table (the right side is derived from
+        // the left); an edge removal, which a request can ask for, still
+        // reports one rather than panic. A delete on it fails `unmirror`'s
+        // debug assertion instead (see the test below).
         let mut l = RelLinks::from_adjacency(vec![vec![ObjectId(1)]], vec![vec![], vec![]]);
         assert!(!l.remove_edge(ObjectId(0), ObjectId(1)));
         assert_eq!(l.from_left(ObjectId(0)), &[ObjectId(1)], "nothing removed");
-        assert_eq!(l.clone().delete_left(ObjectId(0)), Err(ObjectId(1)));
+        assert_eq!(l.link_count(), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not mirror")]
+    fn a_delete_on_a_one_sided_table_fails_a_debug_assertion() {
         let mut r = RelLinks::from_adjacency(vec![vec![]], vec![vec![ObjectId(0)]]);
-        assert_eq!(r.delete_right(ObjectId(0)), Err(ObjectId(0)));
+        r.delete_right(ObjectId(0));
     }
 }

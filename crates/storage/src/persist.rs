@@ -1,16 +1,14 @@
 //! Database snapshot persistence: encoding a [`Database`] into `.sqos`
-//! sections and loading one back through the tiered validation API.
+//! sections and loading one back, checked as it decodes.
 //!
 //! Five sections carry the database state (`docs/FORMAT.md` §3):
 //! CATALOG (schema definitions), EXTENTS (tuples + data epoch), LINKS
 //! (canonical-order adjacency; a load reads the left lists and derives the
 //! right side), INDEXES (ascending-oid postings) and STATS (the folded
-//! statistics snapshot). Loading runs the level the caller
-//! picked — [`ValidationLevel::Standard`], which checks every fact the
-//! executor relies on once, where the fact is decoded, or
-//! [`ValidationLevel::Audit`], which adds full re-derivation cross-checks
-//! (`docs/VALIDATION.md` specifies the exact split) — and fails with a
-//! clean [`LoadError`] rather than ever constructing a corrupt snapshot.
+//! statistics snapshot). Loading checks every fact the executor relies on
+//! once, where the fact is decoded ([`ValidationLevel::Standard`];
+//! `docs/VALIDATION.md` lists the checks), and fails with a clean
+//! [`LoadError`] rather than ever constructing a corrupt snapshot.
 
 #![deny(missing_docs)]
 
@@ -19,9 +17,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
 
-use sqo_catalog::{
-    Catalog, ClassId, DataType, Finite, IndexKind, RelationshipDef, StatsSnapshot, Value,
-};
+use sqo_catalog::{Catalog, DataType, Finite, IndexKind, RelationshipDef, StatsSnapshot, Value};
 use sqo_snapshot::{
     read_catalog, read_stats, read_value_pooled, section_name, write_catalog, write_snapshot_file,
     write_stats, write_value, write_value_raw, ByteReader, ByteWriter, LoadError, SnapshotBuilder,
@@ -29,7 +25,7 @@ use sqo_snapshot::{
     SEC_STATS,
 };
 
-use crate::db::{self, Database, Extent};
+use crate::db::{Database, Extent};
 use crate::index::AttrIndex;
 use crate::links::RelLinks;
 use crate::object::ObjectId;
@@ -235,7 +231,7 @@ fn decode_dictionary(r: &mut ByteReader<'_>) -> Result<Vec<Arc<str>>, LoadError>
 
 /// Decodes the tuples that follow the EXTENTS dictionary. Values are
 /// untagged — each is read as the type the catalog declares for its
-/// attribute, so extent tuples type-check by construction at every level —
+/// attribute, so extent tuples type-check by construction —
 /// and string values are indexes into `dict`, so repeats cost one `Arc`
 /// clone rather than an allocation.
 fn decode_extent_tuples(
@@ -247,6 +243,7 @@ fn decode_extent_tuples(
     let mut extents = Vec::with_capacity(cards.len());
     for (cid, cdef) in catalog.classes() {
         let cardinality = cards[cid.index()];
+        let before = r.remaining();
         let mut extent = Vec::with_capacity(cardinality.min(r.remaining()));
         for _ in 0..cardinality {
             let mut tuple = Vec::with_capacity(cdef.attributes.len());
@@ -282,10 +279,43 @@ fn decode_extent_tuples(
             }
             extent.push(tuple);
         }
+        let row_width: usize = cdef.attributes.iter().map(|a| encoded_width(a.ty)).sum();
+        debug_assert_eq!(before - r.remaining(), cardinality * row_width, "EXTENTS row layout");
         extents.push(PagedVec::from_vec(extent));
     }
     r.expect_exhausted()?;
     Ok(extents)
+}
+
+/// The bytes one EXTENTS tuple value of type `ty` takes. Values are
+/// untagged and a string is its `u32` dictionary index, so a class's tuples
+/// are fixed-width rows, in object-id order, one class after another.
+/// `decode_indexes` locates values by these widths; they must match what
+/// `encode_extents` writes and `decode_extent_tuples` reads, and the latter
+/// asserts so in debug builds.
+fn encoded_width(ty: DataType) -> usize {
+    match ty {
+        DataType::Int | DataType::Float => 8,
+        DataType::Str => 4,
+        DataType::Bool => 1,
+    }
+}
+
+/// Whether the tuple value `encoded` equals `key`; a string index past
+/// `dict` equals nothing (the EXTENTS decoder refuses it). A key interned
+/// through the pool that holds `dict` is the dictionary's allocation:
+/// strings compare by pointer first.
+fn encoded_equals(encoded: &[u8], dict: &[Arc<str>], key: &Value) -> bool {
+    match key {
+        Value::Int(k) => *encoded == k.to_le_bytes(),
+        Value::Float(k) => encoded.try_into().is_ok_and(|b| f64::from_le_bytes(b) == k.get()),
+        Value::Str(k) => encoded
+            .try_into()
+            .ok()
+            .and_then(|b| dict.get(u32::from_le_bytes(b) as usize))
+            .is_some_and(|s| Arc::ptr_eq(s, k) || s == k),
+        Value::Bool(k) => *encoded == [u8::from(*k)],
+    }
 }
 
 /// Decodes the left adjacency lists of relationship `def`: `cardinality`
@@ -365,16 +395,22 @@ fn decode_links(
     Ok(links)
 }
 
-/// Decodes the INDEXES section. String keys intern through `pool`, which
-/// holds the EXTENTS dictionary: a key equal to an extent string is that
-/// string's allocation, so the index and the tuples share it as a cold load's
-/// do.
+/// Decodes the INDEXES section and checks each index against the EXTENTS
+/// `tuples` (still encoded) it indexes: every posting id is in range,
+/// postings and keys ascend strictly, each posting id's object holds the
+/// key, and an attribute's postings sum to its class's cardinality. So no
+/// id sits under two keys and every object sits under one: the index is
+/// exactly its extent's grouping. String keys intern through a pool that
+/// holds `dict`, so an index key equal to an extent string is that
+/// string's allocation, as a cold load's is.
 fn decode_indexes(
     file: &SnapshotFile<'_>,
     catalog: &Catalog,
     cards: &[usize],
-    mut pool: StrPool,
+    tuples: &[u8],
+    dict: &[Arc<str>],
 ) -> Result<Vec<Vec<Option<AttrIndex>>>, LoadError> {
+    let mut pool = StrPool::holding(dict.iter().cloned());
     let mut r = file.require(SEC_INDEXES)?;
     let class_count = r.count()?;
     if class_count != catalog.class_count() {
@@ -384,6 +420,7 @@ fn decode_indexes(
         ));
     }
     let mut banks = Vec::with_capacity(class_count);
+    let mut class_base = 0usize;
     for (cid, cdef) in catalog.classes() {
         let attr_count = r.count()?;
         if attr_count != cdef.attributes.len() {
@@ -397,23 +434,22 @@ fn decode_indexes(
             ));
         }
         let cardinality = cards[cid.index()];
+        let row_width: usize = cdef.attributes.iter().map(|a| encoded_width(a.ty)).sum();
+        let mut attr_base = class_base;
         let mut bank: Vec<Option<AttrIndex>> = Vec::with_capacity(attr_count);
         for adef in &cdef.attributes {
-            let tag = r.u8()?;
-            let kind = match tag {
+            let here = |detail: &str| format!("class {} attr {}: {detail}", cdef.name, adef.name);
+            let (base, width) = (attr_base, encoded_width(adef.ty));
+            attr_base = attr_base.saturating_add(width);
+            let kind = match r.u8()? {
                 0 => None,
                 1 => Some(IndexKind::Hash),
                 2 => Some(IndexKind::BTree),
                 t => return Err(malformed(SEC_INDEXES, format!("unknown index tag {t}"))),
             };
             if kind != adef.index {
-                return Err(malformed(
-                    SEC_INDEXES,
-                    format!(
-                        "class {} attr {}: stored index {kind:?} but catalog declares {:?}",
-                        cdef.name, adef.name, adef.index
-                    ),
-                ));
+                let detail = format!("stored index {kind:?} but catalog declares {:?}", adef.index);
+                return Err(malformed(SEC_INDEXES, here(&detail)));
             }
             let Some(kind) = kind else {
                 bank.push(None);
@@ -422,8 +458,14 @@ fn decode_indexes(
             let entry_count = r.count()?;
             let mut entries: Vec<(Value, Vec<ObjectId>)> =
                 Vec::with_capacity(entry_count.min(r.remaining() / 4));
+            let mut covered = 0usize;
             for _ in 0..entry_count {
                 let value = read_value_pooled(&mut r, &mut pool)?;
+                if value.data_type() != adef.ty {
+                    let detail =
+                        format!("{:?} key for a {:?} attribute", value.data_type(), adef.ty);
+                    return Err(malformed(SEC_INDEXES, here(&detail)));
+                }
                 let posting_count = r.count()?;
                 let mut posting: Vec<ObjectId> = Vec::with_capacity(posting_count.min(1024));
                 for _ in 0..posting_count {
@@ -431,57 +473,43 @@ fn decode_indexes(
                     if o as usize >= cardinality {
                         return Err(LoadError::DanglingReference {
                             section: section_name(SEC_INDEXES),
-                            detail: format!(
-                                "class {} attr {}: posting names object {o} of {cardinality}",
-                                cdef.name, adef.name
-                            ),
+                            detail: here(&format!("posting names object {o} of {cardinality}")),
                         });
                     }
                     if let Some(p) = posting.last().filter(|p| o <= p.0) {
                         return Err(LoadError::UnsortedPosting {
                             section: section_name(SEC_INDEXES),
-                            detail: format!(
-                                "class {} attr {}: posting goes {} then {o}",
-                                cdef.name, adef.name, p.0
-                            ),
+                            detail: here(&format!("posting goes {} then {o}", p.0)),
                         });
+                    }
+                    let at = base.saturating_add((o as usize).saturating_mul(row_width));
+                    let encoded = tuples.get(at..at.saturating_add(width));
+                    if !encoded.is_some_and(|e| encoded_equals(e, dict, &value)) {
+                        let detail = format!("object {o} is filed under a key it does not hold");
+                        return Err(malformed(SEC_INDEXES, here(&detail)));
                     }
                     posting.push(ObjectId(o));
                 }
-                if value.data_type() != adef.ty {
-                    return Err(malformed(
-                        SEC_INDEXES,
-                        format!(
-                            "class {} attr {}: {:?} key for a {:?} attribute",
-                            cdef.name,
-                            adef.name,
-                            value.data_type(),
-                            adef.ty
-                        ),
-                    ));
-                }
                 if posting.is_empty() {
-                    return Err(malformed(
-                        SEC_INDEXES,
-                        format!(
-                            "class {} attr {}: empty posting (keys drop with their last entry)",
-                            cdef.name, adef.name
-                        ),
-                    ));
+                    let detail = here("empty posting (keys drop with their last entry)");
+                    return Err(malformed(SEC_INDEXES, detail));
                 }
                 if entries.last().is_some_and(|(prev, _)| OrdValue::order(&value, prev).is_le()) {
                     return Err(LoadError::UnsortedPosting {
                         section: section_name(SEC_INDEXES),
-                        detail: format!(
-                            "class {} attr {}: index keys out of ascending order",
-                            cdef.name, adef.name
-                        ),
+                        detail: here("index keys out of ascending order"),
                     });
                 }
+                covered += posting.len();
                 entries.push((value, posting));
+            }
+            if covered != cardinality {
+                let detail = format!("postings hold {covered} of {cardinality} objects");
+                return Err(malformed(SEC_INDEXES, here(&detail)));
             }
             bank.push(Some(AttrIndex { kind, postings: ValueMap::from_ascending(entries) }));
         }
+        class_base = class_base.saturating_add(cardinality.saturating_mul(row_width));
         banks.push(bank);
     }
     r.expect_exhausted()?;
@@ -525,35 +553,35 @@ fn decode_stats(
 }
 
 /// Decodes a database from an already-parsed snapshot container. Every
-/// section decoder runs the Standard checks of what it decodes; at
-/// [`ValidationLevel::Audit`] the indexes and the statistics are then
-/// rebuilt from the extents and links and compared with the decoded
-/// copies. Exposed so callers that bundle additional sections in the same
-/// file (the serving layer) parse the container once.
+/// section decoder runs the checks of what it decodes, once, as it reads
+/// it. Exposed so callers that bundle additional sections in the same file
+/// (the serving layer) parse the container once.
 ///
-/// The EXTENTS preamble (data epoch + per-class cardinalities) is read
-/// first; every other database section validates only against the catalog
-/// and those cardinalities, so the link, index and statistics decoders run
-/// on scoped threads while the calling thread decodes the tuples (whose
+/// The EXTENTS preamble (data epoch + per-class cardinalities) and the
+/// string dictionary are read first; every other database section
+/// validates only against the catalog, those cardinalities and the
+/// still-encoded tuples, so the link, index and statistics decoders run on
+/// scoped threads while the calling thread decodes the tuples (whose
 /// allocations stay in the caller's heap arena). A decoder that panics
 /// fails the load as its section malformed.
 ///
 /// # Errors
-/// Any [`LoadError`]; see `docs/VALIDATION.md` for which level raises what.
+/// Any [`LoadError`]; see `docs/VALIDATION.md` for which check raises what.
 pub fn decode_database_from(
     file: &SnapshotFile<'_>,
     level: ValidationLevel,
 ) -> Result<Database, LoadError> {
+    let ValidationLevel::Standard = level;
     let catalog = decode_catalog(file)?;
     let mut er = file.require(SEC_EXTENTS)?;
     let (data_version, cards) = read_extent_preamble(&mut er, &catalog)?;
     let dict = decode_dictionary(&mut er)?;
-    let pool = StrPool::holding(dict.iter().cloned());
-    let (mut extents, links, indexes, stats) = {
+    let tuples = er.rest();
+    let (extents, links, indexes, stats) = {
         let (catalog, cards, dict) = (&catalog, &cards, &dict);
         std::thread::scope(|s| {
             let links = s.spawn(move || decode_links(file, catalog, cards));
-            let indexes = s.spawn(move || decode_indexes(file, catalog, cards, pool));
+            let indexes = s.spawn(move || decode_indexes(file, catalog, cards, tuples, dict));
             let stats = s.spawn(move || decode_stats(file, catalog, cards));
             let extents = catch_unwind(AssertUnwindSafe(|| {
                 decode_extent_tuples(&mut er, catalog, cards, dict)
@@ -566,25 +594,6 @@ pub fn decode_database_from(
             ))
         })?
     };
-    if level.is_audit() {
-        let rebuilt = db::build_indexes(&catalog, &mut extents);
-        for (c, (got, want)) in indexes.iter().zip(rebuilt.iter()).enumerate() {
-            if got != want {
-                return Err(LoadError::AuditMismatch {
-                    detail: format!(
-                        "class {}: persisted indexes differ from an extent-scan rebuild",
-                        catalog.class_name(ClassId(c as u32))
-                    ),
-                });
-            }
-        }
-        let restats = db::build_statistics(&catalog, &extents, &links);
-        if restats != stats {
-            return Err(LoadError::AuditMismatch {
-                detail: "persisted statistics differ from a from-scratch rebuild".to_string(),
-            });
-        }
-    }
     Ok(Database::from_loaded_parts(catalog, extents, indexes, links, stats, data_version))
 }
 

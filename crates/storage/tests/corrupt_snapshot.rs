@@ -1,10 +1,9 @@
 //! Table-driven corruption suite: every damaged snapshot must be rejected
-//! with the [`LoadError`] variant that `docs/VALIDATION.md` documents, at
-//! the validation level that document assigns to the broken invariant —
-//! and, for Audit-only damage, must still *load* at Standard, because that
-//! damage is internally consistent and Standard does not re-derive. Damage
-//! to bytes a load does not read (the right adjacency lists) must load at
-//! both levels into exactly the undamaged database.
+//! with the [`LoadError`] variant that `docs/VALIDATION.md` documents for
+//! the broken invariant. Damage a load does not check must still *load*:
+//! statistics that drifted from the data (they move estimates, never
+//! answers) and the bytes a load does not read (the right adjacency lists),
+//! which load into exactly the undamaged database.
 //!
 //! The corrupt payloads are hand-encoded from the byte layouts in
 //! `docs/FORMAT.md`, not produced by mutating encoder output blindly; a
@@ -210,31 +209,25 @@ fn unknown_sections_are_skipped() {
         b.section(id, p);
     }
     b.section(999, b"from a future writer".to_vec());
-    let loaded = decode_database(&b.finish(), ValidationLevel::Audit).unwrap();
+    let loaded = decode_database(&b.finish(), ValidationLevel::Standard).unwrap();
     assert_eq!(loaded.data_version(), db.data_version());
 }
 
 struct Case {
     name: &'static str,
-    /// The level whose documented check must reject these bytes.
-    fails_at: ValidationLevel,
     /// The variant documented for this damage (display name only).
     expect: &'static str,
     matches: fn(&LoadError) -> bool,
-    /// Levels that must still accept the same bytes — the documented
-    /// degradation when a cheaper level skips the broken invariant.
-    loads_at: &'static [ValidationLevel],
     bytes: Vec<u8>,
 }
 
 #[test]
 fn corruption_is_rejected_at_the_documented_level() {
-    use ValidationLevel::{Audit, Standard};
     let db = fixture();
     let good = encode_database(&db);
     let dv = db.data_version();
 
-    // Raw container damage (docs/VALIDATION.md §2, all Standard-level).
+    // Raw container damage (docs/VALIDATION.md §2).
     let truncated = good[..11].to_vec();
     let mut bad_magic = good.clone();
     bad_magic[0] ^= 0xff;
@@ -280,83 +273,63 @@ fn corruption_is_rejected_at_the_documented_level() {
     let cases = vec![
         Case {
             name: "file shorter than the 12-byte header",
-            fails_at: Standard,
             expect: "TruncatedHeader",
             matches: |e| matches!(e, LoadError::TruncatedHeader),
-            loads_at: &[],
             bytes: truncated,
         },
         Case {
             name: "empty file",
-            fails_at: Standard,
             expect: "TruncatedHeader",
             matches: |e| matches!(e, LoadError::TruncatedHeader),
-            loads_at: &[],
             bytes: Vec::new(),
         },
         Case {
             name: "first magic byte flipped",
-            fails_at: Standard,
             expect: "BadMagic",
             matches: |e| matches!(e, LoadError::BadMagic),
-            loads_at: &[],
             bytes: bad_magic,
         },
         Case {
             name: "format version from the future",
-            fails_at: Standard,
             expect: "UnsupportedVersion(2)",
             matches: |e| matches!(e, LoadError::UnsupportedVersion(2)),
-            loads_at: &[],
             bytes: future_version,
         },
         Case {
             name: "section count larger than the file",
-            fails_at: Standard,
             expect: "SectionOutOfBounds{0}",
             matches: |e| matches!(e, LoadError::SectionOutOfBounds { section: 0 }),
-            loads_at: &[],
             bytes: runaway_table,
         },
         Case {
             name: "section offset pointing past end of file",
-            fails_at: Standard,
             expect: "SectionOutOfBounds{CATALOG}",
             matches: |e| matches!(e, LoadError::SectionOutOfBounds { section } if *section == SEC_CATALOG),
-            loads_at: &[],
             bytes: entry_past_eof,
         },
         Case {
             name: "single bit flipped in a payload",
-            fails_at: Standard,
             expect: "ChecksumMismatch",
             matches: |e| matches!(e, LoadError::ChecksumMismatch { .. }),
-            loads_at: &[],
             bytes: bit_flip,
         },
         Case {
             name: "same section id twice in the table",
-            fails_at: Standard,
             expect: "DuplicateSection(CATALOG)",
             matches: |e| matches!(e, LoadError::DuplicateSection(id) if *id == SEC_CATALOG),
-            loads_at: &[],
             bytes: duplicate,
         },
         Case {
             name: "STATS section absent",
-            fails_at: Standard,
             expect: "MissingSection(STATS)",
             matches: |e| matches!(e, LoadError::MissingSection("STATS")),
-            loads_at: &[],
             bytes: missing_stats,
         },
-        // Structural payload damage (Standard-level shape checks).
+        // Structural payload damage (shape checks).
         Case {
             name: "trailing garbage after the last extent tuple",
-            fails_at: Standard,
             expect: "Malformed(EXTENTS)",
             matches: |e| matches!(e, LoadError::Malformed { section: "EXTENTS", .. }),
-            loads_at: &[],
             bytes: with_section(&db, SEC_EXTENTS, {
                 let mut p = extents_payload(dv, 0);
                 p.push(0);
@@ -365,26 +338,20 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "data epoch at 2^63, past which writes could not advance it",
-            fails_at: Standard,
             expect: "Malformed(EXTENTS)",
             matches: |e| matches!(e, LoadError::Malformed { section: "EXTENTS", .. }),
-            loads_at: &[],
             bytes: with_section(&db, SEC_EXTENTS, extents_payload(sqo_snapshot::EPOCH_LIMIT, 0)),
         },
         Case {
             name: "string value indexing beyond the dictionary",
-            fails_at: Standard,
             expect: "Malformed(EXTENTS)",
             matches: |e| matches!(e, LoadError::Malformed { section: "EXTENTS", .. }),
-            loads_at: &[],
             bytes: with_section(&db, SEC_EXTENTS, extents_payload(dv, 9)),
         },
         Case {
             name: "stored index kind contradicting the catalog",
-            fails_at: Standard,
             expect: "Malformed(INDEXES)",
             matches: |e| matches!(e, LoadError::Malformed { section: "INDEXES", .. }),
-            loads_at: &[],
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
@@ -393,10 +360,8 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "link cardinality contradicting the extents preamble",
-            fails_at: Standard,
             expect: "Malformed(LINKS)",
             matches: |e| matches!(e, LoadError::Malformed { section: "LINKS", .. }),
-            loads_at: &[],
             bytes: with_section(
                 &db,
                 SEC_LINKS,
@@ -405,18 +370,14 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "a cardinality of four billion in EXTENTS and LINKS alike",
-            fails_at: Standard,
             expect: "Malformed(EXTENTS)",
             matches: |e| matches!(e, LoadError::Malformed { section: "EXTENTS", .. }),
-            loads_at: &[],
             bytes: runaway_cardinality(),
         },
         Case {
             name: "a class's statistics entry missing",
-            fails_at: Standard,
             expect: "Malformed(STATS)",
             matches: |e| matches!(e, LoadError::Malformed { section: "STATS", .. }),
-            loads_at: &[],
             bytes: with_section(
                 &db,
                 SEC_STATS,
@@ -427,20 +388,16 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "attribute statistics carrying a histogram bucket",
-            fails_at: Standard,
             expect: "Malformed(STATS)",
             matches: |e| matches!(e, LoadError::Malformed { section: "STATS", .. }),
-            loads_at: &[],
             bytes: with_section(&db, SEC_STATS, histogram),
         },
         // Id-space and ordering invariants the executor relies on, checked
         // where each fact is decoded.
         Case {
             name: "index posting out of ascending order",
-            fails_at: Standard,
             expect: "UnsortedPosting(INDEXES)",
             matches: |e| matches!(e, LoadError::UnsortedPosting { section: "INDEXES", .. }),
-            loads_at: &[],
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
@@ -449,10 +406,8 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "index posting naming an object beyond the extent",
-            fails_at: Standard,
             expect: "DanglingReference(INDEXES)",
             matches: |e| matches!(e, LoadError::DanglingReference { section: "INDEXES", .. }),
-            loads_at: &[],
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
@@ -461,10 +416,8 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "index keys out of ascending order",
-            fails_at: Standard,
             expect: "UnsortedPosting(INDEXES)",
             matches: |e| matches!(e, LoadError::UnsortedPosting { section: "INDEXES", .. }),
-            loads_at: &[],
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
@@ -473,10 +426,8 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "empty index posting",
-            fails_at: Standard,
             expect: "Malformed(INDEXES)",
             matches: |e| matches!(e, LoadError::Malformed { section: "INDEXES", .. }),
-            loads_at: &[],
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
@@ -485,10 +436,8 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "index key of the wrong type for its attribute",
-            fails_at: Standard,
             expect: "Malformed(INDEXES)",
             matches: |e| matches!(e, LoadError::Malformed { section: "INDEXES", .. }),
-            loads_at: &[],
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
@@ -497,10 +446,8 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "link to an object beyond the opposite extent",
-            fails_at: Standard,
             expect: "DanglingReference(LINKS)",
             matches: |e| matches!(e, LoadError::DanglingReference { section: "LINKS", .. }),
-            loads_at: &[],
             bytes: with_section(
                 &db,
                 SEC_LINKS,
@@ -509,10 +456,8 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "statistics cardinality contradicting the extent",
-            fails_at: Standard,
             expect: "Malformed(STATS)",
             matches: |e| matches!(e, LoadError::Malformed { section: "STATS", .. }),
-            loads_at: &[],
             bytes: with_section(
                 &db,
                 SEC_STATS,
@@ -521,14 +466,12 @@ fn corruption_is_rejected_at_the_documented_level() {
                 }),
             ),
         },
-        // Re-derivation cross-checks (Audit-level; Standard must still load,
-        // because the damage is internally consistent).
+        // Each index is exactly its extent's grouping: every posting id's
+        // object holds the key, and the postings cover the class once.
         Case {
             name: "index membership swapped between keys",
-            fails_at: Audit,
-            expect: "AuditMismatch",
-            matches: |e| matches!(e, LoadError::AuditMismatch { .. }),
-            loads_at: &[Standard],
+            expect: "Malformed(INDEXES)",
+            matches: |e| matches!(e, LoadError::Malformed { section: "INDEXES", .. }),
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
@@ -536,59 +479,50 @@ fn corruption_is_rejected_at_the_documented_level() {
             ),
         },
         Case {
-            name: "statistics internally consistent but drifted from the data",
-            fails_at: Audit,
-            expect: "AuditMismatch",
-            matches: |e| matches!(e, LoadError::AuditMismatch { .. }),
-            loads_at: &[Standard],
+            name: "one object filed under two keys",
+            expect: "Malformed(INDEXES)",
+            matches: |e| matches!(e, LoadError::Malformed { section: "INDEXES", .. }),
             bytes: with_section(
                 &db,
-                SEC_STATS,
-                stats_payload(&db, |s| {
-                    s.classes[0].attrs[0].distinct += 1;
-                }),
+                SEC_INDEXES,
+                indexes_payload(1, &[(Value::Int(5), &[0, 1]), (Value::Int(7), &[1, 2])]),
             ),
+        },
+        Case {
+            name: "an object missing from every posting",
+            expect: "Malformed(INDEXES)",
+            matches: |e| matches!(e, LoadError::Malformed { section: "INDEXES", .. }),
+            bytes: with_section(&db, SEC_INDEXES, indexes_payload(1, &[(Value::Int(5), &[0, 1])])),
         },
     ];
 
     for case in &cases {
-        let err = decode_database(&case.bytes, case.fails_at).expect_err(&format!(
-            "{}: expected {} at {:?}, but the snapshot loaded",
-            case.name, case.expect, case.fails_at
-        ));
-        assert!(
-            (case.matches)(&err),
-            "{}: expected {} at {:?}, got {err:?}",
-            case.name,
-            case.expect,
-            case.fails_at
-        );
-        // Higher levels run every cheaper check too, so the damage must
-        // also be rejected (with *some* clean error) above `fails_at`.
-        for level in [Standard, Audit] {
-            if level > case.fails_at {
-                decode_database(&case.bytes, level).expect_err(&format!(
-                    "{}: loaded at {level:?} despite failing at {:?}",
-                    case.name, case.fails_at
-                ));
-            }
-        }
-        for &level in case.loads_at {
-            decode_database(&case.bytes, level).unwrap_or_else(|e| {
-                panic!(
-                    "{}: documented to degrade gracefully at {level:?}, but got {e:?}",
-                    case.name
-                )
-            });
-        }
+        let Err(err) = decode_database(&case.bytes, ValidationLevel::Standard) else {
+            panic!("{}: expected {}, but the snapshot loaded", case.name, case.expect);
+        };
+        assert!((case.matches)(&err), "{}: expected {}, got {err:?}", case.name, case.expect);
     }
+
+    // Statistics move estimates, never answers, so a load does not check
+    // them against the data: internally consistent statistics that drifted
+    // from it load, and differ from a rescan of the loaded extents.
+    let drifted = with_section(
+        &db,
+        SEC_STATS,
+        stats_payload(&db, |s| {
+            s.classes[0].attrs[0].distinct += 1;
+        }),
+    );
+    let loaded = decode_database(&drifted, ValidationLevel::Standard)
+        .unwrap_or_else(|e| panic!("drifted statistics are refused: {e:?}"));
+    assert_ne!(loaded.stats(), &loaded.rebuild_statistics());
 }
 
 /// A load reads each relationship's left lists and derives the right side;
 /// the right lists a v1 file stores after them are skipped. So a right list
 /// out of canonical order, right lists holding fewer edges than the left
-/// ones, and right lists sorted but not the left lists' mirror each load at
-/// both levels into exactly the undamaged database.
+/// ones, and right lists sorted but not the left lists' mirror each load
+/// into exactly the undamaged database.
 #[test]
 fn damaged_right_lists_load_and_read_like_the_undamaged_database() {
     let db = fixture();
@@ -601,15 +535,13 @@ fn damaged_right_lists_load_and_read_like_the_undamaged_database() {
     ];
     for (name, right) in cases {
         let bytes = with_section(&db, SEC_LINKS, links_payload(3, 2, left, right));
-        for level in [ValidationLevel::Standard, ValidationLevel::Audit] {
-            let loaded = decode_database(&bytes, level)
-                .unwrap_or_else(|e| panic!("{name}: refused at {level:?}: {e:?}"));
-            let (got, want) = (loaded.links(RelId(0)), db.links(RelId(0)));
-            for o in 0..2 {
-                assert_eq!(got.from_right(ObjectId(o)), want.from_right(ObjectId(o)), "{name}");
-            }
-            assert_eq!(got.link_count(), want.link_count(), "{name}");
-            assert_eq!(encode_database(&loaded), good, "{name} at {level:?}");
+        let loaded = decode_database(&bytes, ValidationLevel::Standard)
+            .unwrap_or_else(|e| panic!("{name}: refused: {e:?}"));
+        let (got, want) = (loaded.links(RelId(0)), db.links(RelId(0)));
+        for o in 0..2 {
+            assert_eq!(got.from_right(ObjectId(o)), want.from_right(ObjectId(o)), "{name}");
         }
+        assert_eq!(got.link_count(), want.link_count(), "{name}");
+        assert_eq!(encode_database(&loaded), good, "{name}");
     }
 }

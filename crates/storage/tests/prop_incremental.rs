@@ -16,7 +16,7 @@
 //! values, the last object of an extent page, and the edges of the value
 //! maps' pages (a page's first and last key, the key whose removal empties a
 //! page, the insert that splits one). After every batch the successor also
-//! round-trips through a snapshot at `Audit`.
+//! round-trips through a snapshot, its statistics equal to a rescan.
 //!
 //! The load reads an indexed attribute's statistics off its postings, not
 //! off a scan: `load_statistics_equal_a_full_rescan` holds a freshly
@@ -407,7 +407,7 @@ fn assert_equivalent(catalog: &Catalog, inc: &Database, full: &Database) {
 /// one chained on its own successors, the oracle on an independently
 /// evolved twin that only `with_writes_full` ever produced — and checks
 /// after every batch that they agree on everything and that the incremental
-/// successor survives a snapshot round trip at `Audit`.
+/// successor survives a snapshot round trip.
 ///
 /// With `fold` the writes are [`folded`] into range first, so that most
 /// batches apply; without it most are rejected somewhere, which is what
@@ -444,8 +444,8 @@ fn check_batches(
             (Ok((ndb, ra)), Ok((fdb, rb))) => {
                 assert_eq!(ra, rb, "receipts diverged for {writes:?}");
                 assert_equivalent(catalog, &ndb, &fdb);
-                let reloaded = decode_database(&encode_database(&ndb), ValidationLevel::Audit)
-                    .unwrap_or_else(|e| panic!("successor fails Audit after {writes:?}: {e}"));
+                let reloaded = decode_database(&encode_database(&ndb), ValidationLevel::Standard)
+                    .unwrap_or_else(|e| panic!("successor fails to load after {writes:?}: {e}"));
                 assert_equivalent(reloaded.catalog(), &reloaded, &fdb);
                 inc = ndb;
                 full = fdb;
@@ -511,7 +511,7 @@ proptest! {
 }
 
 /// One write per batch at every edge of the value maps' pages, so that each
-/// is compared with the oracle and round-trips at `Audit` on its own. All
+/// is compared with the oracle and round-trips through a snapshot on its own. All
 /// three attributes of `c0` hold the even numbers `0..=4 * MAP_PAGE`: the
 /// hash index, the B-tree index and the value counts are each two full pages
 /// and a last page of one key.

@@ -13,13 +13,13 @@ use sqo_snapshot::ValidationLevel;
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/db1_seed42_pr13.sqos");
 
-/// The old snapshot loads at `Audit` — which re-derives every index and the
-/// whole statistics snapshot from the extents and demands equality with the
-/// persisted ones — and today's generator and loader produce that same
-/// `StatsSnapshot`.
+/// The old snapshot loads — which checks every index against the extents —
+/// its persisted statistics equal a rescan of the loaded extents, and
+/// today's generator and loader produce that same `StatsSnapshot`.
 #[test]
 fn db1_statistics_equal_the_ones_pr13_persisted() {
-    let persisted = load_database(FIXTURE, ValidationLevel::Audit).expect("PR 13's snapshot loads");
+    let persisted =
+        load_database(FIXTURE, ValidationLevel::Standard).expect("PR 13's snapshot loads");
     let generated = paper_scenario(DbSize::Db1, 42).db;
     assert_eq!(generated.stats(), persisted.stats());
     assert_eq!(persisted.stats(), &persisted.rebuild_statistics());
