@@ -5,12 +5,13 @@
 //!
 //! A plan runs one level at a time. The root access fills level 0. For each
 //! [`JoinStep`], one loop gathers the link targets of every binding of the
-//! level above, each tagged with its parent's index there, and a second loop
-//! filters the gathered candidates in place: residuals, then join filters,
-//! then cycle edges. The last level is emitted in order, each projection read
-//! through its row's parent chain. No binding of a loop waits on the one
-//! before it, so their link lookups and tuple fetches overlap in the memory
-//! system, where a depth-first walk would chain them one binding at a time.
+//! level above, each tagged with its parent's index there, and the gathered
+//! candidates are filtered in place: by each residual in turn, then by the
+//! join filters and cycle edges. The last level is emitted in order, each
+//! projection read through its row's parent chain. No binding of a loop
+//! waits on the one before it, so their link lookups and value reads overlap
+//! in the memory system, where a depth-first walk would chain them one
+//! binding at a time.
 //!
 //! Children are appended parent by parent, so the rows come out in exactly
 //! the order — and the counters count exactly the operations — of the
@@ -28,16 +29,22 @@
 //! and the finished answer moves them out with one allocation of exactly
 //! their size (`drain(..).collect()`), so an execution allocates the same
 //! whether it returns ten rows or ten thousand ([`ResultSet`]'s layout;
-//! `tests/result_alloc.rs` holds that). A sequential-scan root reads the
-//! extent page by page ([`Database::tuples`]) and evaluates its residuals on
-//! each tuple, rather than looking every candidate's values up through the
-//! page table.
+//! `tests/result_alloc.rs` holds that).
+//!
+//! Extents are stored a column per attribute, so every value read —
+//! residuals, join filters, projections ([`Database::value`]) — is one hop
+//! into the attribute's column. A sequential-scan root streams its first
+//! residual's column page by page ([`Database::column`]); each further
+//! residual, at the root as at a step, filters the survivors of the one
+//! before it. A binding is tested by exactly the residuals a short-circuit
+//! conjunction would test it by, so rows, their order and every counter are
+//! those of evaluating the residuals binding by binding.
 
 use std::ops::Range;
 
 use sqo_catalog::{ClassId, Value};
-use sqo_query::ValueSet;
-use sqo_storage::{CostCounters, Database, ObjectId, StorageError};
+use sqo_query::{SelPredicate, ValueSet};
+use sqo_storage::{CostCounters, Database, ObjectId};
 
 use crate::error::ExecError;
 use crate::plan::{AccessPath, ClassAccess, JoinStep, PhysicalPlan};
@@ -170,8 +177,9 @@ fn bound_at(levels: &[Level], mut level: usize, mut index: usize, want: usize) -
 
 /// Fills `out` with the bindings of `step` below the bindings `parents` of
 /// the last level of `above`: one loop gathers every parent's link targets,
-/// parent by parent, and a second keeps those that pass the step's
-/// residuals, then its join filters, then its cycle edges.
+/// parent by parent; the step's residuals filter them one predicate at a
+/// time, and a last loop keeps those that pass its join filters, then its
+/// cycle edges.
 fn fill_level(
     db: &Database,
     step: &JoinStep,
@@ -191,6 +199,10 @@ fn fill_level(
         counters.link_traversals += targets.len() as u64;
         out.extend(targets.iter().map(|&target| (target, parent as u32)));
     }
+    keep_passing(db, &step.access.residual, out, counters)?;
+    if step.join_filters.is_empty() && step.link_filters.is_empty() {
+        return Ok(());
+    }
 
     // The object `c` is bound to in the chain of candidate `oid`.
     let bound = |c: ClassId, oid: ObjectId, parent: u32| {
@@ -203,11 +215,6 @@ fn fill_level(
     let mut kept = 0usize;
     'candidate: for i in 0..out.len() {
         let (oid, parent) = out[i];
-        if !step.access.residual.is_empty()
-            && !eval_residual(&step.access, db.tuple(class, oid)?, counters)?
-        {
-            continue;
-        }
         for j in &step.join_filters {
             counters.predicate_evals += 1;
             let l = db.value(j.left, bound(j.left.class, oid, parent))?;
@@ -251,16 +258,19 @@ fn produce(
             let n = db.cardinality(access.class);
             counters.seq_tuples += n as u64;
             let oids = (0..n as u32).map(|i| (ObjectId(i), 0));
-            if access.residual.is_empty() {
-                out.extend(oids);
-            } else {
-                for (root, tuple) in oids.zip(db.tuples(access.class)) {
-                    if eval_residual(access, tuple, counters)? {
-                        out.push(root);
-                    }
+            match access.residual.split_first() {
+                Some((first, rest)) if n > 0 => {
+                    counters.predicate_evals += n as u64;
+                    let column = db.column(first.attr)?;
+                    let passing = oids.zip(column).filter(|(_, v)| first.eval(v));
+                    out.extend(passing.map(|(root, _)| root));
+                    keep_passing(db, rest, out, counters)
+                }
+                _ => {
+                    out.extend(oids);
+                    Ok(())
                 }
             }
-            Ok(())
         }
         AccessPath::Index { attr, set } => {
             let index = db.index(*attr).ok_or(ExecError::MissingIndex(*attr))?;
@@ -268,34 +278,38 @@ fn produce(
                 index.probe(rekey.unwrap_or(set)).ok_or(ExecError::UnsupportedProbe(*attr))?;
             counters.index_probes += 1;
             counters.index_entries += scan.probes.saturating_sub(1);
-            for oid in scan.oids {
-                if access.residual.is_empty()
-                    || eval_residual(access, db.tuple(access.class, oid)?, counters)?
-                {
-                    out.push((oid, 0));
-                }
-            }
-            Ok(())
+            out.extend(scan.oids.into_iter().map(|oid| (oid, 0)));
+            keep_passing(db, &access.residual, out, counters)
         }
     }
 }
 
-/// Whether `tuple`, an object of the accessed class, passes every residual
-/// predicate.
-fn eval_residual(
-    access: &ClassAccess,
-    tuple: &[Value],
+/// Keeps the bindings of `level` whose objects pass every predicate of
+/// `residual`, in order. Each predicate filters the survivors of the one
+/// before it, so a binding is tested exactly as far as a short-circuit
+/// conjunction tests it, and each pass reads one attribute's column.
+fn keep_passing(
+    db: &Database,
+    residual: &[SelPredicate],
+    level: &mut Level,
     counters: &mut CostCounters,
-) -> Result<bool, ExecError> {
-    for p in &access.residual {
-        counters.predicate_evals += 1;
-        let (class, attr) = (p.attr.class, p.attr.attr);
-        let v = tuple.get(attr.index()).ok_or(StorageError::UnknownAttribute { class, attr })?;
-        if !p.eval(v) {
-            return Ok(false);
+) -> Result<(), ExecError> {
+    for p in residual {
+        if level.is_empty() {
+            break;
         }
+        counters.predicate_evals += level.len() as u64;
+        let mut kept = 0usize;
+        for i in 0..level.len() {
+            let binding = level[i];
+            if p.eval(db.value(p.attr, binding.0)?) {
+                level[kept] = binding;
+                kept += 1;
+            }
+        }
+        level.truncate(kept);
     }
-    Ok(true)
+    Ok(())
 }
 
 #[cfg(test)]

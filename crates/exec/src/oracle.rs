@@ -250,7 +250,7 @@ mod tests {
         let supplies = catalog.rel_id("supplies").unwrap();
         let collects = catalog.rel_id("collects").unwrap();
         let src = ObjectId(1); // dry goods
-        let tuple = db.tuple(cargo, src).unwrap().to_vec();
+        let tuple = db.tuple(cargo, src).unwrap();
         let links = vec![
             (supplies, db.traverse(supplies, cargo, src).unwrap()[0]),
             (collects, db.traverse(collects, cargo, src).unwrap()[0]),

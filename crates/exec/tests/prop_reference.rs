@@ -10,6 +10,9 @@
 //! bound and zero projections, index roots re-keyed through
 //! [`execute_batch_with`], empty roots, fan relationships with duplicate
 //! edges, and scan roots of more than one executor block (1,024 bindings).
+//! An access may carry a residual on each of its two columns, so a scan
+//! root's first residual streams its column and the second filters the
+//! survivors, as the step residuals do.
 
 use std::sync::Arc;
 
@@ -156,6 +159,8 @@ struct Knobs {
     picks: Vec<usize>,
     /// Per class: a residual `v <op> 4` with `OPS[op]`, or none past the end.
     residual_ops: Vec<usize>,
+    /// Per class: a further residual `k <op> 3`, or none past the end.
+    key_ops: Vec<usize>,
     /// Per step: a join filter `new.v <op> other.attr` (bound class and
     /// attribute picked by the value), or none past the end.
     joins: Vec<usize>,
@@ -168,16 +173,17 @@ struct Knobs {
 fn plan(catalog: &Catalog, knobs: &Knobs) -> PhysicalPlan {
     let classes: Vec<ClassId> = catalog.classes().map(|(c, _)| c).collect();
     let attr = |class: ClassId, i: usize| AttrRef::new(class, sqo_catalog::AttrId(i as u32));
-    let access = |class: ClassId| ClassAccess {
-        class,
-        path: AccessPath::SeqScan,
-        residual: (knobs.residual_ops[class.index()] < OPS.len())
-            .then(|| {
-                let op = OPS[knobs.residual_ops[class.index()]];
-                SelPredicate::new(attr(class, 1), op, Value::Int(4))
-            })
-            .into_iter()
-            .collect(),
+    let access = |class: ClassId| {
+        let on = |ops: &[usize], a: usize, constant: i64| {
+            let op = *OPS.get(ops[class.index()])?;
+            Some(SelPredicate::new(attr(class, a), op, Value::Int(constant)))
+        };
+        let residual = [on(&knobs.residual_ops, 1, 4), on(&knobs.key_ops, 0, 3)];
+        ClassAccess {
+            class,
+            path: AccessPath::SeqScan,
+            residual: residual.into_iter().flatten().collect(),
+        }
     };
     let mut root = access(classes[knobs.root]);
     if let Some(key) = knobs.probe {
@@ -251,6 +257,19 @@ fn rows_of(results: &sqo_exec::ResultSet) -> Vec<Vec<Value>> {
     results.rows().map(<[Value]>::to_vec).collect()
 }
 
+/// Runs `plan` on a scratch that already ran the previous case's plan and
+/// compares its rows, in order, and counters with the reference's.
+fn check(db: &Database, plan: &PhysicalPlan) {
+    plan.check(db.catalog()).unwrap();
+    let (want_rows, want_counters) = reference(db, plan);
+    thread_local! {
+        static SCRATCH: std::cell::RefCell<ExecScratch> = Default::default();
+    }
+    let (got, counters) = SCRATCH.with(|s| execute_with(db, plan, &mut s.borrow_mut())).unwrap();
+    prop_assert_eq!(rows_of(&got), want_rows);
+    prop_assert_eq!(counters, want_counters);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -266,6 +285,7 @@ proptest! {
         probe in 0i64..20,
         picks in prop::collection::vec(0usize..6, 0..4),
         residual_ops in prop::collection::vec(0usize..14, 4..5),
+        key_ops in prop::collection::vec(0usize..14, 4..5),
         joins in prop::collection::vec(0usize..36, 3..4),
         cycles in 0u8..3,
         projections in prop::collection::vec((0usize..4, 0usize..2, 0u8..4), 0..4),
@@ -283,20 +303,13 @@ proptest! {
             probe: (probe < 10).then_some(probe),
             picks,
             residual_ops,
+            key_ops,
             joins,
             cycles,
             projections: projections.into_iter().map(|(c, a, b)| (c, a, b == 0)).collect(),
         };
         let plan = plan(&catalog, &knobs);
-        plan.check(&catalog).unwrap();
-        let (want_rows, want_counters) = reference(&db, &plan);
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<ExecScratch> = Default::default();
-        }
-        let (got, counters) =
-            SCRATCH.with(|s| execute_with(&db, &plan, &mut s.borrow_mut())).unwrap();
-        prop_assert_eq!(rows_of(&got), want_rows);
-        prop_assert_eq!(counters, want_counters);
+        check(&db, &plan);
 
         if matches!(plan.root.path, AccessPath::Index { .. }) {
             let probes: Vec<ProbeBinding> = rekeys
@@ -312,5 +325,42 @@ proptest! {
                 prop_assert_eq!(counters, &want_counters);
             }
         }
+    }
+
+    /// A scan root of two blocks and part of a third under two residuals,
+    /// and at least one step, every access with a residual on each of its
+    /// two columns: rows in emission order and every counter equal the
+    /// reference's.
+    #[test]
+    fn conjunctive_residuals_match_the_recursive_reference(
+        sizes in prop::collection::vec(0usize..24, 4..5),
+        fans in prop::collection::vec((0usize..4, 0usize..5, 0usize..3), 4..5),
+        root in 0usize..4,
+        picks in prop::collection::vec(0usize..6, 1..4),
+        residual_ops in prop::collection::vec(0usize..6, 4..5),
+        key_ops in prop::collection::vec(0usize..6, 4..5),
+        joins in prop::collection::vec(0usize..36, 3..4),
+        cycles in 0u8..3,
+        projections in prop::collection::vec((0usize..4, 0usize..2, 0u8..4), 0..4),
+    ) {
+        let catalog = Arc::new(catalog());
+        let mut sizes = sizes;
+        sizes[root] += 2_300;
+        let db = db(&catalog, &sizes, &fans);
+        let knobs = Knobs {
+            root,
+            probe: None,
+            picks,
+            residual_ops,
+            key_ops,
+            joins,
+            cycles,
+            projections: projections.into_iter().map(|(c, a, b)| (c, a, b == 0)).collect(),
+        };
+        let plan = plan(&catalog, &knobs);
+        prop_assert_eq!(plan.root.residual.len(), 2);
+        prop_assert!(!plan.steps.is_empty());
+        prop_assert!(plan.steps.iter().all(|step| step.access.residual.len() == 2));
+        check(&db, &plan);
     }
 }

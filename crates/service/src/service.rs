@@ -1003,7 +1003,7 @@ mod tests {
         let outcome = service
             .write(&[DataWrite::Insert {
                 class: cargo,
-                tuple: db.tuple(cargo, src).unwrap().to_vec(),
+                tuple: db.tuple(cargo, src).unwrap(),
                 links: vec![
                     (supplies, db.traverse(supplies, cargo, src).unwrap()[0]),
                     (collects, db.traverse(collects, cargo, src).unwrap()[0]),

@@ -91,8 +91,9 @@ fn take_changes(service: &QueryService, after_each: impl Fn(&QueryService)) {
     after_each(service);
     let db = service.db();
     let (class, _) = db.catalog().classes().next().expect("a class");
-    let value = db.tuple(class, ObjectId(0)).expect("an object")[0].clone();
     let attr = sqo_catalog::AttrId(0);
+    let value =
+        db.value(sqo_catalog::AttrRef::new(class, attr), ObjectId(0)).expect("an object").clone();
     let update = DataWrite::Update { class, object: ObjectId(0), attr, value };
     let written = service.write(&[update]).expect("a write goes in");
     assert!(written.epoch > db.data_version());

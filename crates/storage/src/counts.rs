@@ -7,10 +7,10 @@
 //!
 //! A load and a class's first write build a class's statistics the same way
 //! ([`load_class_statistics`], [`ClassPatch::scan`]): an indexed attribute's
-//! off its postings, and only the unindexed attributes' from a scan of the
-//! extent, one pass into one map per attribute. The load's scan also makes
-//! each string it counts canonical ([`canonical_update`]): the tuple takes a
-//! clone of the map's key, so a loaded class holds one allocation per
+//! off its postings, and only the unindexed attributes' from a scan of their
+//! columns, one pass into one map per attribute. The load's scan also makes
+//! each string it counts canonical ([`canonical_update`]): the column takes
+//! a clone of the map's key, so a loaded class holds one allocation per
 //! distinct string of an attribute, as a snapshot load's does.
 //! `Database::rebuild_statistics` and the `with_writes_full` oracle keep a
 //! scan of every attribute ([`class_statistics`]), which is the reference
@@ -20,7 +20,7 @@
 //! The write path keeps the counts instead, in [`ValueMap`]s that successive
 //! snapshots share page by page. For the unindexed attributes a
 //! [`ClassCounts`] holds one value → count map per attribute, built by one
-//! extent scan on the first write that touches the class (loading a database
+//! column scan each on the first write that touches the class (loading a database
 //! builds none). From then on a [`ClassPatch`] applies each inserted, deleted
 //! or updated value, copying only the page the value lives in — a written
 //! string takes the key the map already holds, so it stays canonical — and
@@ -34,8 +34,8 @@
 //! loaded or patched [`ClassStats`] equals a from-scratch one (`tests/
 //! prop_incremental.rs` checks it after the load and after every batch). One
 //! caveat: `0.0` and `-0.0` are one value (`Value`'s `Eq`), and which
-//! spelling a statistic reports follows which was counted first — in extent
-//! order for a scan and for an index's grouping alike.
+//! spelling a statistic reports follows which was counted first — in
+//! object-id order for a scan and for an index's grouping alike.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -43,9 +43,10 @@ use std::sync::Arc;
 
 use sqo_catalog::{AttrStats, ClassStats, Value, ValueHashState};
 
-use crate::db::Extent;
+use crate::extent::Extent;
 use crate::index::AttrIndex;
 use crate::object::ObjectId;
+use crate::paged::PagedVec;
 use crate::valuemap::ValueMap;
 
 /// How many most-common values an attribute's statistics keep.
@@ -159,20 +160,19 @@ pub(crate) fn canonical_update<T: Default>(
     map.insert(v.clone(), (v.clone(), entry));
 }
 
-/// Attribute `attr`'s statistics from a scan of `extent`.
-fn scan_attribute(extent: &Extent, attr: usize) -> AttrStats {
+/// One attribute's statistics from a scan of its `column`.
+fn scan_attribute(column: &PagedVec<Value>) -> AttrStats {
     let mut counts: HashMap<&Value, u64, ValueHashState> = HashMap::default();
-    for tuple in extent.iter() {
-        *counts.entry(&tuple[attr]).or_insert(0) += 1;
+    for v in column.iter() {
+        *counts.entry(v).or_insert(0) += 1;
     }
-    summarize(counts.iter().map(|(v, count)| (*v, *count)), extent.len() as u64)
+    summarize(counts.iter().map(|(v, count)| (*v, *count)), column.len() as u64)
 }
 
-/// One class's statistics from one extent scan per attribute — the
-/// reference (the `with_writes_full` oracle,
-/// `Database::rebuild_statistics`).
-pub(crate) fn class_statistics(attr_count: usize, extent: &Extent) -> ClassStats {
-    let attrs = (0..attr_count).map(|attr| scan_attribute(extent, attr)).collect();
+/// One class's statistics from one scan of each column — the reference (the
+/// `with_writes_full` oracle, `Database::rebuild_statistics`).
+pub(crate) fn class_statistics(extent: &Extent) -> ClassStats {
+    let attrs = extent.columns().iter().map(scan_attribute).collect();
     ClassStats { cardinality: extent.len() as u64, attrs }
 }
 
@@ -214,22 +214,24 @@ fn statistics_with(
     ClassStats { cardinality: rows, attrs }
 }
 
-/// The load's statistics of one class with `indexes` built: the unindexed
-/// attributes are counted in one scan of `extent`, which also makes each of
-/// their strings canonical ([`canonical_update`]) — the indexed attributes'
-/// were made so by their index build. The extent is the load's own, so the
+/// The load's statistics of one class with `indexes` built: each unindexed
+/// attribute is counted in one scan of its column, which also makes its
+/// strings canonical ([`canonical_update`]) — the indexed attributes' were
+/// made so by their index build. The extent is the load's own, so the
 /// writes copy nothing.
 pub(crate) fn load_class_statistics(
     indexes: &[Option<AttrIndex>],
     extent: &mut Extent,
 ) -> ClassStats {
+    let rows = extent.len();
     let mut scanned = unindexed(indexes);
-    for tuple in extent.iter_mut() {
-        for (attr, counts) in &mut scanned {
-            canonical_update(counts, &mut tuple[*attr], |count| *count += 1);
+    let columns = extent.columns_mut();
+    for (attr, counts) in &mut scanned {
+        for v in columns[*attr].iter_mut() {
+            canonical_update(counts, v, |count| *count += 1);
         }
     }
-    statistics_with(indexes, extent.len(), scanned, drop)
+    statistics_with(indexes, rows, scanned, drop)
 }
 
 /// Counts one more `v`; returns the key it is counted under and its new
@@ -271,12 +273,11 @@ impl ClassPatch {
     /// Starts from a class no write has touched since it was loaded, before
     /// the batch changes it: statistics that owe nothing to the loaded ones,
     /// from the index where there is one and else from one scan of the
-    /// extent, which also builds the unindexed attributes' counts.
+    /// column, which also builds the unindexed attributes' counts.
     pub(crate) fn scan(indexes: &[Option<AttrIndex>], extent: &Extent) -> Self {
         let mut scanned = unindexed(indexes);
-        for tuple in extent.iter() {
-            for (attr, counts) in &mut scanned {
-                let v = &tuple[*attr];
+        for (attr, counts) in &mut scanned {
+            for v in extent.columns()[*attr].iter() {
                 match counts.get_mut(v) {
                     Some((_, count)) => *count += 1,
                     None => _ = counts.insert(v.clone(), (v.clone(), 1)),

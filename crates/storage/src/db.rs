@@ -10,21 +10,23 @@
 //! attribute's off its postings — one count per posting length — as a
 //! class's first write does (`counts.rs`); it builds no throw-away map for
 //! an indexed attribute. Only the unindexed attributes are counted, in one
-//! pass over the extent, and those maps, like the indexes' grouping map,
-//! hash with keyed folded multiplies (`sqo_catalog::ValueHashState`) rather
-//! than SipHash. Both passes make the strings they hash canonical: a tuple's
-//! string becomes a clone of the key the pass's map holds, so a loaded
-//! class keeps one allocation per distinct string of an attribute, shared
-//! with its index keys, as a snapshot load does. A write keeps it so: a
-//! written string takes the key its index or counts already hold.
+//! pass over each of their columns, and those maps, like the indexes'
+//! grouping map, hash with keyed folded multiplies
+//! (`sqo_catalog::ValueHashState`) rather than SipHash. Both passes make the
+//! strings they hash canonical: a column's string becomes a clone of the key
+//! the pass's map holds, so a loaded class keeps one allocation per distinct
+//! string of an attribute, shared with its index keys, as a snapshot load
+//! does. A write keeps it so: a written string takes the key its index or
+//! counts already hold.
 //!
 //! # Incremental copy-on-write snapshots
 //!
 //! Snapshot state is sharded per class and per relationship: one extent
 //! and one index per indexed attribute for a class, one link table per
-//! relationship. Extents and both adjacency sides of a link table are
-//! `PagedVec`s (`paged.rs`): an `Arc`'d table of `Arc`'d pages of 128 rows,
-//! cloned by one reference-count increment. Indexes of either kind and the
+//! relationship. An extent is one column per attribute (`extent.rs`), and
+//! each column, like each adjacency side of a link table, is a `PagedVec`
+//! (`paged.rs`): an `Arc`'d table of `Arc`'d pages of 128 elements, cloned
+//! by one reference-count increment. Indexes of either kind and the
 //! value counts the statistics are kept from are `ValueMap`s
 //! (`valuemap.rs`): sorted entries in `Arc`'d pages behind the same kind of
 //! table. [`Database::with_writes`] builds a successor snapshot by cloning
@@ -36,12 +38,17 @@
 //!
 //! Per written object, whatever the size of its class:
 //!
-//! * **extents and links** — the page holding each written row: the last
-//!   page of the extent and of the class's side of every incident
-//!   relationship for an insert, plus the pages of the lists its link
-//!   targets sit in; for a delete the deleted row's and the moved last
-//!   row's pages and those of their neighbours' lists. A touched shard's
-//!   page table (one pointer per page) is copied once per batch;
+//! * **extents and links** — the pages holding each written value and
+//!   list: for an insert the last page of every column of the class and of
+//!   the class's side of every incident relationship, plus the pages of the
+//!   lists its link targets sit in; for a delete, in every column and on
+//!   every incident side, the deleted object's and the moved last object's
+//!   pages, and those of their neighbours' lists; for an update one page of
+//!   one column. A touched column's or side's page table (one pointer per
+//!   page) is copied once per batch, and so is a touched extent's column
+//!   table (one header per attribute). A page copy clones the 128 values
+//!   it holds (a string's clone is a reference-count increment) and
+//!   allocates nothing else;
 //! * **indexes** — per written value of an indexed attribute, the one page
 //!   of the index that holds the value (at most 64 keys and their postings)
 //!   and the index's page table; a full page splits in two, an emptied one
@@ -72,12 +79,16 @@
 //! touched class's index bank, copied whole; paging the indexes (PR 19,
 //! seed 42, medians of three pairs of runs) took the same two metrics
 //! 1,137 → 281 µs and 2,009,010 → 156,556 B.
-//! `tests/write_alloc.rs` holds the allocation side to a fixed budget. The
-//! price is on the read side: `tuple`, `value` and `traverse` go through a
-//! page table, +3.5 % on an executor microbenchmark at that size, and an
-//! index probe is two binary searches where a hash index's was one hash.
-//! A reader of a whole extent walks it page by page instead
-//! ([`Database::tuples`], the executor's sequential scan).
+//! `tests/write_alloc.rs` holds the allocation side to a fixed budget.
+//! Storing extents as columns (`tests/write_alloc.rs`'s database, 20,000
+//! objects per class) took a one-attribute update from 36,289 to 14,969 B
+//! — one column page instead of a page of rows and the rows it held — and
+//! a one-object insert from 74,209 to 95,009 B, the last page and page
+//! table of seven columns instead of one. The price of paging is on the
+//! read side: `value` and `traverse` go through a page table, and an index
+//! probe is two binary searches where a hash index's was one hash. A
+//! reader of a whole attribute walks its column page by page instead
+//! ([`Database::column`], the executor's sequential scan).
 //!
 //! ## Aliasing guarantees
 //!
@@ -115,14 +126,12 @@ use std::sync::Arc;
 
 use crate::counts::{class_statistics, load_class_statistics, ClassCounts, ClassPatch};
 use crate::error::StorageError;
+use crate::extent::{Columns, Extent};
 use crate::index::AttrIndex;
 use crate::links::RelLinks;
 use crate::object::ObjectId;
 use crate::paged::PagedVec;
 use crate::versioned::WriteEpochs;
-
-/// One class's tuples, in object-id order.
-pub(crate) type Extent = PagedVec<Vec<Value>>;
 
 /// Which integrity declarations to enforce at load time.
 #[derive(Debug, Clone, Copy)]
@@ -259,30 +268,33 @@ impl Database {
         self.extents.get(class.index()).map(|e| e.len()).unwrap_or(0)
     }
 
-    pub fn tuple(&self, class: ClassId, oid: ObjectId) -> Result<&[Value], StorageError> {
+    /// Object `oid`'s values in attribute order, gathered from its class's
+    /// columns. For cold callers; a hot reader takes [`Database::value`] or
+    /// [`Database::column`].
+    pub fn tuple(&self, class: ClassId, oid: ObjectId) -> Result<Vec<Value>, StorageError> {
         self.extents
             .get(class.index())
-            .and_then(|e| e.get(oid.index()))
-            .map(|t| t.as_slice())
+            .and_then(|e| e.row(oid.index()))
             .ok_or(StorageError::UnknownObject { class, object: oid })
     }
 
-    /// The tuples of `class` in object-id order, walked page by page: the
-    /// `i`-th is `tuple(class, ObjectId(i))`, without a page-table lookup
-    /// per object. Empty for a class with no extent.
-    pub fn tuples(&self, class: ClassId) -> impl Iterator<Item = &[Value]> {
-        self.extents
-            .get(class.index())
-            .into_iter()
-            .flat_map(Extent::pages)
-            .flatten()
-            .map(Vec::as_slice)
+    /// Attribute `attr` of every object of its class, in object-id order,
+    /// walked page by page: the `i`-th is `value(attr, ObjectId(i))`,
+    /// without a page-table lookup per object.
+    pub fn column(&self, attr: AttrRef) -> Result<impl Iterator<Item = &Value>, StorageError> {
+        Ok(self.column_of(attr)?.pages().flatten())
     }
 
+    /// Attribute `attr` of object `oid`, read off the attribute's column.
     pub fn value(&self, attr: AttrRef, oid: ObjectId) -> Result<&Value, StorageError> {
-        let t = self.tuple(attr.class, oid)?;
-        t.get(attr.attr.index())
+        self.column_of(attr)?
+            .get(oid.index())
             .ok_or(StorageError::UnknownObject { class: attr.class, object: oid })
+    }
+
+    fn column_of(&self, attr: AttrRef) -> Result<&PagedVec<Value>, StorageError> {
+        let column = self.extents.get(attr.class.index()).and_then(|e| e.column(attr.attr.index()));
+        column.ok_or(StorageError::UnknownAttribute { class: attr.class, attr: attr.attr })
     }
 
     pub fn index(&self, attr: AttrRef) -> Option<&AttrIndex> {
@@ -361,9 +373,9 @@ impl Database {
         Self { catalog, extents, indexes, links, stats, counts, data_version, write_epochs }
     }
 
-    /// Whether `self` and `other` share every page of class `class`'s
-    /// extent by pointer (diagnostics for the copy-on-write tests and
-    /// benches).
+    /// Whether `self` and `other` share every page of every column of class
+    /// `class`'s extent by pointer (diagnostics for the copy-on-write tests
+    /// and benches).
     pub fn shares_extent_with(&self, other: &Database, class: ClassId) -> bool {
         match (self.extents.get(class.index()), other.extents.get(class.index())) {
             (Some(a), Some(b)) => a.unshared_pages(b).next().is_none(),
@@ -485,8 +497,8 @@ impl Database {
                     if *object != last {
                         // The moved object's index entries follow it to its
                         // new id, at the sorted place in each posting.
-                        for (ix, v) in indexes.iter_mut().zip(&extent[object.index()]) {
-                            if let Some(ix) = ix {
+                        for (ix, column) in indexes.iter_mut().zip(extent.columns()) {
+                            if let (Some(ix), Some(v)) = (ix, column.get(object.index())) {
                                 ix.remove(v, last);
                                 ix.insert_sorted(v.clone(), *object);
                             }
@@ -532,11 +544,15 @@ impl Database {
                             context: format!("expected {}, got {}", adef.ty, value.data_type()),
                         });
                     }
+                    let unknown = StorageError::UnknownObject { class: *class, object: *object };
                     if object.index() >= extents[class.index()].len() {
-                        return Err(StorageError::UnknownObject { class: *class, object: *object });
+                        return Err(unknown);
                     }
                     let patch = self.patch_for(&mut patches, *class);
-                    let slot = &mut extents[class.index()][object.index()][attr.index()];
+                    let extent = &mut extents[class.index()];
+                    let Some(slot) = extent.value_mut(object.index(), attr.index()) else {
+                        return Err(unknown);
+                    };
                     let old = std::mem::replace(slot, value.clone());
                     if old != *value {
                         let indexes = &mut indexes[class.index()];
@@ -645,8 +661,11 @@ impl Database {
         integrity: Option<IntegrityOptions>,
     ) -> Result<(Database, WriteReceipt), StorageError> {
         let catalog = Arc::clone(&self.catalog);
-        let mut extents: Vec<Vec<Vec<Value>>> =
-            self.extents.iter().map(|e| e.iter().cloned().collect()).collect();
+        let mut extents: Vec<Vec<Vec<Value>>> = self
+            .extents
+            .iter()
+            .map(|e| (0..e.len()).filter_map(|oid| e.row(oid)).collect())
+            .collect();
         let mut pairs: Vec<Vec<(ObjectId, ObjectId)>> =
             self.links.iter().map(|lk| lk.pairs().collect()).collect();
         let mut touched_classes = vec![false; extents.len()];
@@ -766,7 +785,7 @@ impl Database {
                 }
             }
         }
-        let mut extents = page_extents(extents);
+        let mut extents = page_extents(&catalog, extents);
         let links = build_links(&catalog, &extents, &pairs);
         if let Some(options) = integrity {
             for (rel, def) in catalog.relationships() {
@@ -931,22 +950,28 @@ fn pick_next<'a>(
 #[derive(Debug)]
 pub struct DatabaseBuilder {
     catalog: Arc<Catalog>,
-    extents: Vec<Vec<Vec<Value>>>,
+    /// Per class, its columns so far: an insert pushes one value onto each.
+    extents: Vec<Columns>,
     pending_links: Vec<(RelId, ObjectId, ObjectId)>,
 }
 
 impl DatabaseBuilder {
     pub fn new(catalog: Arc<Catalog>) -> Self {
-        let extents = vec![Vec::new(); catalog.class_count()];
+        let extents =
+            catalog.classes().map(|(_, cdef)| Columns::new(cdef.attributes.len(), 0)).collect();
         Self { catalog, extents, pending_links: Vec::new() }
     }
 
     /// Inserts a tuple, validating arity and types.
-    pub fn insert(&mut self, class: ClassId, tuple: Vec<Value>) -> Result<ObjectId, StorageError> {
+    pub fn insert(
+        &mut self,
+        class: ClassId,
+        mut tuple: Vec<Value>,
+    ) -> Result<ObjectId, StorageError> {
         validate_tuple(&self.catalog, class, &tuple)?;
         let extent = &mut self.extents[class.index()];
         let oid = ObjectId(extent.len() as u32);
-        extent.push(tuple);
+        extent.push(&mut tuple);
         Ok(oid)
     }
 
@@ -1025,9 +1050,16 @@ fn rebuild_self_links(lk: &RelLinks, object: ObjectId) -> RelLinks {
     RelLinks::from_pairs(n, n, pairs)
 }
 
-/// Pages each class's tuples into its extent shard.
-fn page_extents(extents: Vec<Vec<Vec<Value>>>) -> Vec<Extent> {
-    extents.into_iter().map(PagedVec::from_vec).collect()
+/// Pages each class's rows into its columns (the `with_writes_full` oracle).
+fn page_extents(catalog: &Catalog, extents: Vec<Vec<Vec<Value>>>) -> Vec<Extent> {
+    let classes = catalog.classes().zip(extents);
+    classes
+        .map(|((_, cdef), rows)| {
+            let mut columns = Columns::new(cdef.attributes.len(), rows.len());
+            rows.into_iter().for_each(|mut row| columns.push(&mut row));
+            columns.finish()
+        })
+        .collect()
 }
 
 /// Builds every relationship's link table from flat pairs, in canonical
@@ -1050,16 +1082,16 @@ fn build_links(
         .collect()
 }
 
-/// Builds every class's declared indexes from its extent, making the
+/// Builds every class's declared indexes from its columns, making the
 /// indexed columns' strings canonical on the way ([`AttrIndex::from_column`]).
 fn build_indexes(catalog: &Catalog, extents: &mut [Extent]) -> Vec<Vec<Option<AttrIndex>>> {
     catalog
         .classes()
         .zip(extents)
         .map(|((_, cdef), extent)| {
-            let declared = cdef.attributes.iter().enumerate();
+            let declared = cdef.attributes.iter().zip(extent.columns_mut());
             declared
-                .map(|(ai, adef)| Some(AttrIndex::from_column(adef.index?, extent, ai)))
+                .map(|(adef, column)| Some(AttrIndex::from_column(adef.index?, column)))
                 .collect()
         })
         .collect()
@@ -1072,12 +1104,12 @@ fn build_indexes(catalog: &Catalog, extents: &mut [Extent]) -> Vec<Vec<Option<At
 /// ([`DatabaseBuilder::finalize`]); the write paths share its parts.
 fn assemble(
     catalog: Arc<Catalog>,
-    extents: Vec<Vec<Vec<Value>>>,
+    extents: Vec<Columns>,
     pairs: Vec<Vec<(ObjectId, ObjectId)>>,
     integrity: Option<IntegrityOptions>,
     data_version: u64,
 ) -> Result<Database, StorageError> {
-    let mut extents = page_extents(extents);
+    let mut extents: Vec<Extent> = extents.into_iter().map(Columns::finish).collect();
     let links = build_links(&catalog, &extents, &pairs);
     if let Some(options) = integrity {
         for (rel, def) in catalog.relationships() {
@@ -1166,10 +1198,8 @@ fn rel_statistics(lk: &RelLinks) -> RelStats {
 /// statistics are checked against in tests;
 /// [`Database::rebuild_statistics`] and [`Database::with_writes_full`] use it.
 fn build_statistics(catalog: &Catalog, extents: &[Extent], links: &[RelLinks]) -> StatsSnapshot {
-    let classes = catalog
-        .classes()
-        .map(|(cid, cdef)| class_statistics(cdef.attributes.len(), &extents[cid.index()]))
-        .collect();
+    let classes =
+        catalog.classes().map(|(cid, _)| class_statistics(&extents[cid.index()])).collect();
     let relationships = links.iter().map(rel_statistics).collect();
     StatsSnapshot { classes, relationships }
 }
@@ -1239,7 +1269,31 @@ mod tests {
         assert_eq!(db.cardinality(cargo), 2);
         let desc = catalog.attr_ref("cargo", "desc").unwrap();
         assert_eq!(db.value(desc, ObjectId(0)).unwrap(), &Value::str("frozen food"));
-        assert!(db.value(desc, ObjectId(9)).is_err());
+        let row = vec![Value::Int(101), Value::str("fresh fruit"), Value::Int(7)];
+        assert_eq!(db.tuple(cargo, ObjectId(1)).unwrap(), row);
+        let walked: Vec<&Value> = db.column(desc).unwrap().collect();
+        assert_eq!(walked, [&Value::str("frozen food"), &Value::str("fresh fruit")]);
+    }
+
+    #[test]
+    fn a_bad_object_and_a_bad_attribute_are_told_apart() {
+        let (catalog, db) = mini_db();
+        let cargo = catalog.class_id("cargo").unwrap();
+        let desc = catalog.attr_ref("cargo", "desc").unwrap();
+        let object = ObjectId(9);
+        assert_eq!(
+            db.value(desc, object),
+            Err(StorageError::UnknownObject { class: cargo, object })
+        );
+        assert_eq!(
+            db.tuple(cargo, object),
+            Err(StorageError::UnknownObject { class: cargo, object })
+        );
+        let attr = AttrId(3);
+        let past = AttrRef::new(cargo, attr);
+        let unknown = StorageError::UnknownAttribute { class: cargo, attr };
+        assert_eq!(db.value(past, ObjectId(0)), Err(unknown.clone()));
+        assert_eq!(db.column(past).err(), Some(unknown));
     }
 
     #[test]
@@ -1449,24 +1503,27 @@ mod tests {
         let options =
             IntegrityOptions { enforce_total_participation: false, enforce_multiplicity: true };
         let db = b.finalize(options).unwrap();
-        let unshared = |a: &Database, b: &Database| -> Vec<Vec<usize>> {
-            let extent = a.extents[cargo.index()].unshared_pages(&b.extents[cargo.index()]);
-            let mut all = vec![extent.collect()];
+        // The cargo column pages, as (attribute, page), and per incident
+        // adjacency side the pages, that `a` does not share with `b`.
+        let unshared = |a: &Database, b: &Database| {
+            let columns = a.extents[cargo.index()].unshared_pages(&b.extents[cargo.index()]);
+            let mut sides = Vec::new();
             for rel in incident {
                 let (x, y) = (a.links[rel.index()].sides(), b.links[rel.index()].sides());
-                all.extend([0, 1].map(|side| x[side].unshared_pages(y[side]).collect()));
+                sides.extend([0, 1].map(|side| x[side].unshared_pages(y[side]).collect()));
             }
-            all
+            (columns.collect::<Vec<_>>(), sides)
         };
         // An insert linked to the last supplier and vehicle: the last page of
-        // the extent and of each incident adjacency side, nothing else.
+        // each of cargo's three columns and of each incident adjacency side,
+        // nothing else.
         let insert = DataWrite::Insert {
             class: cargo,
             tuple: vec![Value::Int(n.into()), Value::str("d"), Value::Int(1)],
             links: incident.map(|rel| (rel, ObjectId(n - 1))).to_vec(),
         };
         let (next, _) = db.with_writes(&[insert], Some(options)).unwrap();
-        assert_eq!(unshared(&next, &db), vec![vec![2]; 5]);
+        assert_eq!(unshared(&next, &db), (vec![(0, 2), (1, 2), (2, 2)], vec![vec![2]; 4]));
         // Of the five pages of `cargo.code`'s index, the one the new key
         // joins.
         assert_eq!(unshared_index_pages(&next, &db, cargo), vec![1]);
@@ -1478,10 +1535,31 @@ mod tests {
         let (after, _) = next
             .with_writes(&[DataWrite::Delete { class: cargo, object: ObjectId(0) }], Some(options))
             .unwrap();
-        assert_eq!(unshared(&after, &next), vec![vec![0, 2]; 5]);
+        let columns = (0..3).flat_map(|attr| [(attr, 0), (attr, 2)]).collect();
+        assert_eq!(unshared(&after, &next), (columns, vec![vec![0, 2]; 4]));
         // The index pages of the deleted key and of the moved object's.
         assert_eq!(unshared_index_pages(&after, &next, cargo), vec![2]);
+        assert!(after.shares_extent_with(&next, supplier));
+        assert!(after.shares_extent_with(&next, vehicle));
         assert_eq!(after.stats(), &after.rebuild_statistics());
+        // A one-attribute update of an unindexed attribute: one page of one
+        // column; every other page of every extent, index and link table
+        // is shared by pointer.
+        let quantity = catalog.attr_ref("cargo", "quantity").unwrap();
+        let update = DataWrite::Update {
+            class: cargo,
+            object: ObjectId(130),
+            attr: quantity.attr,
+            value: Value::Int(2),
+        };
+        let (updated, _) = after.with_writes(&[update], Some(options)).unwrap();
+        assert_eq!(unshared(&updated, &after), (vec![(quantity.attr.index(), 1)], vec![vec![]; 4]));
+        assert_eq!(unshared_index_pages(&updated, &after, cargo), vec![0]);
+        for class in [supplier, vehicle] {
+            assert!(updated.shares_extent_with(&after, class));
+        }
+        assert_eq!(updated.value(quantity, ObjectId(130)).unwrap(), &Value::Int(2));
+        assert_eq!(after.value(quantity, ObjectId(130)).unwrap(), &Value::Int(1));
     }
 
     #[test]
@@ -1739,7 +1817,7 @@ mod tests {
         let collects = catalog.rel_id("collects").unwrap();
         // Duplicate cargo 0 with its links — every figure 2.2 constraint
         // that held keeps holding (the dup's bindings mirror the source's).
-        let tuple = db.tuple(cargo, ObjectId(0)).unwrap().to_vec();
+        let tuple = db.tuple(cargo, ObjectId(0)).unwrap();
         let links: Vec<_> = [supplies, collects]
             .into_iter()
             .map(|rel| (rel, db.traverse(rel, cargo, ObjectId(0)).unwrap()[0]))

@@ -12,8 +12,8 @@ use sqo_catalog::{IndexKind, Value};
 use sqo_query::{Bound, ValueSet};
 
 use crate::counts::{canonical_update, CanonicalMap};
-use crate::db::Extent;
 use crate::object::ObjectId;
+use crate::paged::PagedVec;
 use crate::valuemap::{OrdValue, ValueMap};
 
 /// A secondary index over one attribute of one class: per value, the ids of
@@ -40,30 +40,31 @@ impl AttrIndex {
         Self { kind, postings: ValueMap::default() }
     }
 
-    /// The index of attribute `attr` of a whole `extent` — the bulk build of
-    /// the load path and the `with_writes_full` oracle; it runs none of the
-    /// point updates below. The grouping pass also makes the column's
-    /// strings canonical: each tuple's string becomes a clone of the key its
-    /// posting is filed under ([`canonical_update`]), so the column and the
-    /// index share one allocation per distinct string. The extent is the
-    /// caller's own, not yet published, so the writes copy nothing.
-    pub(crate) fn from_column(kind: IndexKind, extent: &mut Extent, attr: usize) -> Self {
-        let column = || extent.iter().map(|tuple| &tuple[attr]);
-        let postings = if column().zip(column().skip(1)).all(|(a, b)| OrdValue::order(a, b).is_lt())
-        {
-            // A key attribute loaded in key order: nothing to group, and no
-            // two values are equal.
-            column()
-                .zip((0..).map(ObjectId))
-                .map(|(value, oid)| (value.clone(), vec![oid]))
-                .collect()
-        } else {
-            let mut groups: CanonicalMap<Vec<ObjectId>> = HashMap::default();
-            for (tuple, oid) in extent.iter_mut().zip((0..).map(ObjectId)) {
-                canonical_update(&mut groups, &mut tuple[attr], |posting| posting.push(oid));
-            }
-            groups.into_iter().map(|(value, (_, posting))| (value, posting)).collect()
-        };
+    /// The index of a whole attribute `column` — the bulk build of the load
+    /// path and the `with_writes_full` oracle; it runs none of the point
+    /// updates below. The grouping pass also makes the column's strings
+    /// canonical: each string becomes a clone of the key its posting is
+    /// filed under ([`canonical_update`]), so the column and the index share
+    /// one allocation per distinct string. The column is the caller's own,
+    /// not yet published, so the writes copy nothing.
+    pub(crate) fn from_column(kind: IndexKind, column: &mut PagedVec<Value>) -> Self {
+        let values = column.iter();
+        let postings =
+            if values.clone().zip(values.skip(1)).all(|(a, b)| OrdValue::order(a, b).is_lt()) {
+                // A key attribute loaded in key order: nothing to group, and no
+                // two values are equal.
+                column
+                    .iter()
+                    .zip((0..).map(ObjectId))
+                    .map(|(value, oid)| (value.clone(), vec![oid]))
+                    .collect()
+            } else {
+                let mut groups: CanonicalMap<Vec<ObjectId>> = HashMap::default();
+                for (v, oid) in column.iter_mut().zip((0..).map(ObjectId)) {
+                    canonical_update(&mut groups, v, |posting| posting.push(oid));
+                }
+                groups.into_iter().map(|(value, (_, posting))| (value, posting)).collect()
+            };
         Self { kind, postings }
     }
 

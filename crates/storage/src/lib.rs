@@ -5,7 +5,8 @@
 //! cost measurements). Execution cost here is counted, not timed, so the
 //! cost *ratios* the paper reports repeat on any machine.
 //!
-//! * class **extents** of typed tuples;
+//! * class **extents** of typed tuples, stored as one copy-on-write paged
+//!   column per attribute;
 //! * **hash and B-tree indexes** built from catalog declarations, both kept
 //!   in one ordered copy-on-write map (`valuemap.rs`) that also holds the
 //!   value counts statistics are maintained from;
@@ -49,6 +50,7 @@ mod cost;
 mod counts;
 mod db;
 mod error;
+mod extent;
 mod index;
 mod links;
 mod object;

@@ -5,27 +5,41 @@
 //! copies the page table (one pointer per page) the first time and the one
 //! page that holds the element, and nothing else. That is what lets a
 //! copy-on-write snapshot successor pay for the rows a batch touches instead
-//! of for the whole extent or adjacency side: an append copies the last
+//! of for the whole column or adjacency side: an append copies the last
 //! page, a `swap_remove` the removed element's page and the last one.
 //!
 //! Reads cost what a `Vec` behind an `Arc` costs: the table is a slice
 //! inline in its `Arc` and a page an array inline in its own, so an element
-//! is two pointers from the vector, as it is from an `Arc<Vec<T>>`.
+//! is two pointers from the vector, as it is from an `Arc<Vec<T>>`. An
+//! extent keeps one `PagedVec<Value>` per attribute (`extent.rs`), so an
+//! attribute value sits inline in its page, with no row block to chase.
 
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 /// Elements per page. Small enough that copying one page is noise next to
-/// the rest of a write (128 seven-attribute tuples ≈ 24 KiB), large enough
-/// that the page table stays a few hundred pointers at 10⁵ elements.
+/// the rest of a write (128 values of a column or 128 adjacency lists are
+/// 3 KiB), large enough that the page table stays a few hundred pointers at
+/// 10⁵ elements.
 const PAGE_BITS: usize = 7;
-const PAGE_LEN: usize = 1 << PAGE_BITS;
+pub(crate) const PAGE_LEN: usize = 1 << PAGE_BITS;
 const PAGE_MASK: usize = PAGE_LEN - 1;
 
-/// The slots of the last page past `len` hold `T::default()`.
-type Page<T> = Arc<[T; PAGE_LEN]>;
+/// The slots of the last page past `len` hold [`Blank::blank`].
+pub(crate) type Page<T> = Arc<[T; PAGE_LEN]>;
 
-/// See the module docs. Unused slots always hold the default value, so two
+/// What the unused slots of a last page hold.
+pub(crate) trait Blank: Clone {
+    fn blank() -> Self;
+}
+
+impl<T: Clone> Blank for Vec<T> {
+    fn blank() -> Self {
+        Vec::new()
+    }
+}
+
+/// See the module docs. Unused slots always hold the blank value, so two
 /// vectors with equal contents have equal pages and the derived `PartialEq`
 /// compares contents.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,12 +93,12 @@ impl<T> PagedVec<T> {
     }
 }
 
-impl<T: Clone + Default> PagedVec<T> {
+impl<T: Blank> PagedVec<T> {
     pub(crate) fn from_vec(items: Vec<T>) -> Self {
         let len = items.len();
         let mut items = items.into_iter();
         let pages = (0..len.div_ceil(PAGE_LEN))
-            .map(|_| Arc::new(std::array::from_fn(|_| items.next().unwrap_or_default())))
+            .map(|_| Arc::new(std::array::from_fn(|_| items.next().unwrap_or_else(T::blank))))
             .collect();
         Self { pages, len }
     }
@@ -115,7 +129,7 @@ impl<T: Clone + Default> PagedVec<T> {
 
     pub(crate) fn push(&mut self, item: T) {
         if self.len == self.pages.len() * PAGE_LEN {
-            let blank = Arc::new(std::array::from_fn(|_| T::default()));
+            let blank = Arc::new(std::array::from_fn(|_| T::blank()));
             self.pages = self.pages.iter().cloned().chain([blank]).collect();
         }
         let at = self.len;
@@ -129,7 +143,7 @@ impl<T: Clone + Default> PagedVec<T> {
         if i >= self.len {
             return None;
         }
-        let last = std::mem::take(self.get_mut(self.len - 1)?);
+        let last = std::mem::replace(self.get_mut(self.len - 1)?, T::blank());
         self.len -= 1;
         let full_pages = self.len.div_ceil(PAGE_LEN);
         if full_pages < self.pages.len() {
@@ -142,6 +156,29 @@ impl<T: Clone + Default> PagedVec<T> {
     }
 }
 
+/// The page holding `items`, at most [`PAGE_LEN`] of them and blank past
+/// them, moved in with one bulk copy.
+pub(crate) fn page_of<T: Blank>(mut items: Vec<T>) -> Page<T> {
+    debug_assert!(items.len() <= PAGE_LEN, "{} items for one page", items.len());
+    items.resize_with(PAGE_LEN, T::blank);
+    match Page::try_from(Arc::<[T]>::from(items)) {
+        Ok(page) => page,
+        // Not reached: `items` holds exactly `PAGE_LEN` elements.
+        Err(slots) => {
+            Arc::new(std::array::from_fn(|i| slots.get(i).cloned().unwrap_or_else(T::blank)))
+        }
+    }
+}
+
+impl<T> PagedVec<T> {
+    /// The vector of the first `len` elements of `pages`, which hold
+    /// `len.div_ceil(PAGE_LEN)` pages, blank past `len`.
+    pub(crate) fn from_pages(pages: Vec<Page<T>>, len: usize) -> Self {
+        debug_assert_eq!(pages.len(), len.div_ceil(PAGE_LEN), "pages for {len} elements");
+        Self { pages: pages.into(), len }
+    }
+}
+
 impl<T> Index<usize> for PagedVec<T> {
     type Output = T;
 
@@ -151,7 +188,7 @@ impl<T> Index<usize> for PagedVec<T> {
     }
 }
 
-impl<T: Clone + Default> IndexMut<usize> for PagedVec<T> {
+impl<T: Blank> IndexMut<usize> for PagedVec<T> {
     fn index_mut(&mut self, i: usize) -> &mut T {
         assert!(i < self.len, "index {i} out of range for a PagedVec of {}", self.len);
         &mut Arc::make_mut(&mut self.table_mut()[i >> PAGE_BITS])[i & PAGE_MASK]
@@ -161,6 +198,12 @@ impl<T: Clone + Default> IndexMut<usize> for PagedVec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Blank for usize {
+        fn blank() -> Self {
+            0
+        }
+    }
 
     fn numbers(n: usize) -> PagedVec<usize> {
         PagedVec::from_vec((0..n).collect())
@@ -188,7 +231,7 @@ mod tests {
         for n in [0, 1, PAGE_LEN, PAGE_LEN + 1, 3 * PAGE_LEN + 5] {
             let mut v = numbers(n);
             v.iter_mut().for_each(|x| *x += 1);
-            assert_eq!(v, PagedVec::from_vec((1..=n).collect()), "unused slots stay default");
+            assert_eq!(v, PagedVec::from_vec((1..=n).collect()), "unused slots stay blank");
         }
     }
 

@@ -25,11 +25,11 @@ use sqo_snapshot::{
     SEC_STATS,
 };
 
-use crate::db::{Database, Extent};
+use crate::db::Database;
+use crate::extent::{Columns, Extent};
 use crate::index::AttrIndex;
 use crate::links::RelLinks;
 use crate::object::ObjectId;
-use crate::paged::PagedVec;
 use crate::valuemap::{OrdValue, ValueMap};
 
 // ---- encoding -------------------------------------------------------------
@@ -45,7 +45,9 @@ use crate::valuemap::{OrdValue, ValueMap};
 /// both implied by the catalog, so each value is payload bytes only.
 /// String values are a `u32` index into the dictionary (first-appearance
 /// order), so each distinct string is stored — and, on load, allocated —
-/// exactly once no matter how often the extents repeat it.
+/// exactly once no matter how often the extents repeat it. The tuples are
+/// row-major, so both passes walk each extent's columns a row at a time
+/// ([`Extent::for_each_row`]).
 fn encode_extents(db: &Database) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u64(db.data_version());
@@ -56,7 +58,7 @@ fn encode_extents(db: &Database) -> Vec<u8> {
     let mut dict: HashMap<&str, u32> = HashMap::new();
     let mut dict_order: Vec<&str> = Vec::new();
     for extent in db.extent_shards() {
-        for tuple in extent.iter() {
+        extent.for_each_row(|tuple| {
             for v in tuple {
                 if let Value::Str(s) = v {
                     dict.entry(s.as_ref()).or_insert_with(|| {
@@ -65,14 +67,14 @@ fn encode_extents(db: &Database) -> Vec<u8> {
                     });
                 }
             }
-        }
+        });
     }
     w.u32(dict_order.len() as u32);
     for s in &dict_order {
         w.str(s);
     }
     for ((_, cdef), extent) in db.catalog().classes().zip(db.extent_shards()) {
-        for tuple in extent.iter() {
+        extent.for_each_row(|tuple| {
             for (v, adef) in tuple.iter().zip(&cdef.attributes) {
                 debug_assert_eq!(v.data_type(), adef.ty, "extent value drifted from its schema");
                 match v {
@@ -80,7 +82,7 @@ fn encode_extents(db: &Database) -> Vec<u8> {
                     other => write_value_raw(&mut w, other),
                 }
             }
-        }
+        });
     }
     w.finish()
 }
@@ -229,11 +231,11 @@ fn decode_dictionary(r: &mut ByteReader<'_>) -> Result<Vec<Arc<str>>, LoadError>
     Ok(dict)
 }
 
-/// Decodes the tuples that follow the EXTENTS dictionary. Values are
-/// untagged — each is read as the type the catalog declares for its
-/// attribute, so extent tuples type-check by construction —
-/// and string values are indexes into `dict`, so repeats cost one `Arc`
-/// clone rather than an allocation.
+/// Decodes the tuples that follow the EXTENTS dictionary into each class's
+/// columns, a value at a time. Values are untagged — each is read as the
+/// type the catalog declares for its attribute, so extent tuples type-check
+/// by construction — and string values are indexes into `dict`, so repeats
+/// cost one `Arc` clone rather than an allocation.
 fn decode_extent_tuples(
     r: &mut ByteReader<'_>,
     catalog: &Catalog,
@@ -244,9 +246,13 @@ fn decode_extent_tuples(
     for (cid, cdef) in catalog.classes() {
         let cardinality = cards[cid.index()];
         let before = r.remaining();
-        let mut extent = Vec::with_capacity(cardinality.min(r.remaining()));
+        let row_width: usize = cdef.attributes.iter().map(|a| encoded_width(a.ty)).sum();
+        // Bounded by the rows the bytes left can hold: a hostile cardinality
+        // cannot drive a huge reservation.
+        let rows = cardinality.min(r.remaining() / row_width.max(1));
+        let mut columns = Columns::new(cdef.attributes.len(), rows);
+        let mut row = Vec::with_capacity(cdef.attributes.len());
         for _ in 0..cardinality {
-            let mut tuple = Vec::with_capacity(cdef.attributes.len());
             for adef in &cdef.attributes {
                 let v = match adef.ty {
                     DataType::Int => Value::Int(r.i64()?),
@@ -275,13 +281,13 @@ fn decode_extent_tuples(
                         b => return Err(r.malformed(format!("bool byte {b} is neither 0 nor 1"))),
                     },
                 };
-                tuple.push(v);
+                row.push(v);
             }
-            extent.push(tuple);
+            columns.push(&mut row);
+            row.clear();
         }
-        let row_width: usize = cdef.attributes.iter().map(|a| encoded_width(a.ty)).sum();
         debug_assert_eq!(before - r.remaining(), cardinality * row_width, "EXTENTS row layout");
-        extents.push(PagedVec::from_vec(extent));
+        extents.push(columns.finish());
     }
     r.expect_exhausted()?;
     Ok(extents)

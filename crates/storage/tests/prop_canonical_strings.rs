@@ -169,15 +169,15 @@ fn assert_canonical(db: &Database, stage: &str) {
         let class = ClassId(c);
         for attr in 0..5u32 {
             let mut first: HashMap<&str, &Arc<str>> = HashMap::new();
-            for tuple in db.tuples(class) {
-                let s = arc(&tuple[attr as usize]);
+            let attr_ref = AttrRef::new(class, AttrId(attr));
+            for v in db.column(attr_ref).unwrap() {
+                let s = arc(v);
                 let canonical = *first.entry(s.as_ref()).or_insert(s);
                 assert!(
                     Arc::ptr_eq(canonical, s),
                     "{stage}: class {c} attr {attr} holds {s:?} in two allocations"
                 );
             }
-            let attr_ref = AttrRef::new(class, AttrId(attr));
             let Some(index) = db.index(attr_ref) else { continue };
             for (key, posting) in index.entries() {
                 for &oid in posting {

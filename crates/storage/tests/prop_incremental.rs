@@ -27,7 +27,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 use sqo_catalog::{
-    AttrId, AttributeDef, Catalog, ClassId, DataType, IndexKind, Multiplicity, RelId,
+    AttrId, AttrRef, AttributeDef, Catalog, ClassId, DataType, IndexKind, Multiplicity, RelId,
     RelationshipEnd, StatsSnapshot, Value,
 };
 use sqo_query::{Bound, ValueSet};
@@ -226,7 +226,7 @@ fn aimed_object(db: &Database, class: ClassId, attr: usize, aim: &Aim) -> Object
     };
     (0..db.cardinality(class) as u32)
         .map(ObjectId)
-        .find(|o| db.tuple(class, *o).ok().map(|t| &t[attr]) == holder.as_ref())
+        .find(|o| db.value(AttrRef::new(class, AttrId(attr as u32)), *o).ok() == holder.as_ref())
         .unwrap_or(ObjectId(0))
 }
 
@@ -323,14 +323,20 @@ fn materialize(raw: &RawWrite, db: &Database) -> DataWrite {
     }
 }
 
-/// The page walk yields `tuple(class, oid)` for every `oid`, in order, and
-/// nothing more.
+/// Each column's page walk yields `value(attr, oid)` for every `oid`, in
+/// order, and nothing more; a column past the last attribute is refused.
 fn assert_page_walk(db: &Database, class: ClassId) {
-    let walked: Vec<&[Value]> = db.tuples(class).collect();
-    assert_eq!(walked.len(), db.cardinality(class), "page walk of class {class:?}");
-    for (o, tuple) in walked.into_iter().enumerate() {
-        assert_eq!(tuple, db.tuple(class, ObjectId(o as u32)).unwrap(), "object {o}");
+    let arity = db.catalog().class(class).unwrap().attributes.len();
+    for a in 0..arity {
+        let attr = AttrRef::new(class, AttrId(a as u32));
+        let walked: Vec<&Value> = db.column(attr).unwrap().collect();
+        assert_eq!(walked.len(), db.cardinality(class), "page walk of {attr:?}");
+        for (o, v) in walked.into_iter().enumerate() {
+            assert_eq!(v, db.value(attr, ObjectId(o as u32)).unwrap(), "object {o}");
+        }
     }
+    let past = AttrRef::new(class, AttrId(arity as u32));
+    assert!(matches!(db.column(past), Err(StorageError::UnknownAttribute { .. })));
 }
 
 /// Every read API must agree, exactly.

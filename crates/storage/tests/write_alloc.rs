@@ -146,11 +146,7 @@ fn insert_like(db: &Database, like: u32) -> DataWrite {
             db.traverse(rel, ITEM, ObjectId(like)).unwrap().iter().map(move |o| (rel, *o))
         })
         .collect();
-    DataWrite::Insert {
-        class: ITEM,
-        tuple: db.tuple(ITEM, ObjectId(like)).unwrap().to_vec(),
-        links,
-    }
+    DataWrite::Insert { class: ITEM, tuple: db.tuple(ITEM, ObjectId(like)).unwrap(), links }
 }
 
 #[test]
@@ -160,8 +156,9 @@ fn a_write_allocates_for_what_it_touches() {
     // The first write to `item` builds its value counts.
     let (db, _) = base.with_writes(&[insert_like(&base, 0)], integrity).unwrap();
 
-    // An insert copies pages and their tables: of the extent, of the link
-    // sides, and per attribute of its index or its value counts.
+    // An insert copies pages and their tables: the last page of each of the
+    // extent's columns, of the link sides, and per attribute of its index or
+    // its value counts.
     let insert = [insert_like(&db, 4_321)];
     let (next, bytes) = counted(|| db.with_writes(&insert, integrity));
     let (next, receipt) = next.unwrap();
@@ -169,7 +166,7 @@ fn a_write_allocates_for_what_it_touches() {
     assert!(bytes <= 1 << 20, "a one-object insert allocated {bytes} B");
 
     // An update of an unindexed attribute leaves every index shared: one
-    // extent page, one page of the attribute's counts, their tables.
+    // page of the attribute's column, one page of its counts, their tables.
     let update = [DataWrite::Update {
         class: ITEM,
         object: ObjectId(9_876),

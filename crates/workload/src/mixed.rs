@@ -168,7 +168,7 @@ pub fn dup_insert(db: &Database, class: ClassId, source_rank: u32, rels: &[RelId
     let source = ObjectId(source_rank % db.cardinality(class).max(1) as u32);
     // invariant: the modulo keeps `source` under the cardinality, and
     // dup-safe classes are generated non-empty.
-    let tuple = db.tuple(class, source).expect("source rank in range").to_vec();
+    let tuple = db.tuple(class, source).expect("source rank in range");
     let links: Vec<(RelId, ObjectId)> = rels
         .iter()
         .flat_map(|&rel| {
