@@ -6,12 +6,12 @@
 //! A plan runs one level at a time. The root access fills level 0. For each
 //! [`JoinStep`], one loop gathers the link targets of every binding of the
 //! level above, each tagged with its parent's index there, and the gathered
-//! candidates are filtered in place: by each residual in turn, then by the
-//! join filters and cycle edges. The last level is emitted in order, each
-//! projection read through its row's parent chain. No binding of a loop
-//! waits on the one before it, so their link lookups and value reads overlap
-//! in the memory system, where a depth-first walk would chain them one
-//! binding at a time.
+//! candidates are filtered in place: by each residual in turn, then by each
+//! join filter, then by each cycle edge. The last level is emitted a
+//! projection at a time, each value read through its row's parent chain. No
+//! binding of a loop waits on the one before it, so their link lookups and
+//! value reads overlap in the memory system, where a depth-first walk would
+//! chain them one binding at a time.
 //!
 //! Children are appended parent by parent, so the rows come out in exactly
 //! the order — and the counters count exactly the operations — of the
@@ -25,26 +25,42 @@
 //! [`ExecError::MalformedPlan`] whatever the data.
 //!
 //! The answer is built in the scratch too: each emitted row's projected
-//! values are pushed onto one row-major buffer kept warm across executions,
-//! and the finished answer moves them out with one allocation of exactly
-//! their size (`drain(..).collect()`), so an execution allocates the same
-//! whether it returns ten rows or ten thousand ([`ResultSet`]'s layout;
-//! `tests/result_alloc.rs` holds that).
+//! values are written into one row-major buffer kept warm across
+//! executions, and the finished answer moves them out with one allocation
+//! of exactly their size (`drain(..).collect()`), so an execution allocates
+//! the same whether it returns ten rows or ten thousand ([`ResultSet`]'s
+//! layout; `tests/result_alloc.rs` holds that).
 //!
-//! Extents are stored a column per attribute, so every value read —
-//! residuals, join filters, projections ([`Database::value`]) — is one hop
-//! into the attribute's column. A sequential-scan root streams its first
-//! residual's column page by page ([`Database::column`]); each further
-//! residual, at the root as at a step, filters the survivors of the one
-//! before it. A binding is tested by exactly the residuals a short-circuit
-//! conjunction would test it by, so rows, their order and every counter are
-//! those of evaluating the residuals binding by binding.
+//! # Column at a time
+//!
+//! Each pass over a level reads one attribute or one adjacency side, and
+//! resolves it once per pass: a [`Column`] or an [`Adjacency`] handle holds
+//! the page table, so a value or a link list costs two dependent loads
+//! instead of [`Database::value`]'s four. A step whose `from_class` is bound
+//! by the level above gathers from each parent binding's own object; only a
+//! step from a class bound further up walks the parent chain.
+//!
+//! A residual is dispatched once per pass on its literal's type and its
+//! operator to one of 24 typed loops ([`dispatch`]): the loop compares the
+//! value in place (`Int`, `Float`, `Bool` natively; a `Str` `Eq` or `Ne`
+//! compares pointers, then lengths, then bytes), stores each binding
+//! unconditionally and advances past it by the test's result, so it does
+//! not branch on the data. A value of another type than the literal's fails
+//! the test, as [`SelPredicate::eval`] has it. Dispatch keeps no state, so
+//! an execution allocates nothing beyond the scratch's warm buffers.
+//!
+//! A sequential-scan root streams its first residual's column page by page;
+//! each further residual, at the root as at a step, filters the survivors
+//! of the one before it, and so do the join filters and cycle edges. A
+//! binding is tested by exactly the predicates a short-circuit conjunction
+//! would test it by, so rows, their order and every counter are those of
+//! evaluating them binding by binding.
 
 use std::ops::Range;
 
-use sqo_catalog::{ClassId, Value};
-use sqo_query::{SelPredicate, ValueSet};
-use sqo_storage::{CostCounters, Database, ObjectId};
+use sqo_catalog::{AttrRef, Value};
+use sqo_query::{CompOp, SelPredicate, ValueSet};
+use sqo_storage::{Adjacency, Column, CostCounters, Database, ObjectId, StorageError};
 
 use crate::error::ExecError;
 use crate::plan::{AccessPath, ClassAccess, JoinStep, PhysicalPlan};
@@ -127,8 +143,8 @@ pub(crate) fn execute_rekeyed(
     Ok((ResultSet::of_plan(db, plan, values, rows), counters))
 }
 
-/// Runs the root bindings `block` down every step of `plan`, pushes the
-/// projected values of the rows they reach onto `values`, and returns how
+/// Runs the root bindings `block` down every step of `plan`, appends the
+/// projected values of the rows they reach to `values`, and returns how
 /// many rows that is.
 fn run_block(
     db: &Database,
@@ -146,22 +162,37 @@ fn run_block(
         fill_level(db, step, above, level_of, span, counters, out)?;
         span = 0..out.len();
     }
+    let (rows, width) = (span.len(), plan.projections.len());
+    if rows == 0 || width == 0 {
+        return Ok(rows);
+    }
+    // Room for the block's rows, then filled a projection at a time.
+    let start = values.len();
+    values.resize(start + rows * width, Value::Bool(false));
+    let emitted = &mut values[start..];
     let last = plan.steps.len();
-    for row in span.clone() {
-        for p in &plan.projections {
-            // A bound projection's value is known without touching the
-            // database — exactly the saving the paper's restriction
-            // introduction enables.
-            let value = match &p.binding {
-                Some(v) => v,
-                None => {
-                    db.value(p.attr, bound_at(levels, last, row, level_of[p.attr.class.index()]))?
-                }
-            };
-            values.push(value.clone());
+    for (k, p) in plan.projections.iter().enumerate() {
+        let slots = emitted.chunks_exact_mut(width).filter_map(|row| row.get_mut(k));
+        // A bound projection's value is known without touching the
+        // database — exactly the saving the paper's restriction
+        // introduction enables.
+        if let Some(v) = &p.binding {
+            slots.for_each(|slot| *slot = v.clone());
+            continue;
+        }
+        let column = db.column(p.attr)?;
+        let want = level_of[p.attr.class.index()];
+        for (row, slot) in span.clone().zip(slots) {
+            *slot = read(column, p.attr, bound_at(levels, last, row, want))?.clone();
         }
     }
-    Ok(span.len())
+    Ok(rows)
+}
+
+/// Object `oid`'s value in `column`, attribute `attr`'s.
+#[inline]
+fn read<'c>(column: Column<'c>, attr: AttrRef, oid: ObjectId) -> Result<&'c Value, StorageError> {
+    column.get(oid).ok_or(StorageError::UnknownObject { class: attr.class, object: oid })
 }
 
 /// The object bound at level `want` in the parent chain of binding `index`
@@ -177,9 +208,8 @@ fn bound_at(levels: &[Level], mut level: usize, mut index: usize, want: usize) -
 
 /// Fills `out` with the bindings of `step` below the bindings `parents` of
 /// the last level of `above`: one loop gathers every parent's link targets,
-/// parent by parent; the step's residuals filter them one predicate at a
-/// time, and a last loop keeps those that pass its join filters, then its
-/// cycle edges.
+/// parent by parent; then the step's residuals, its join filters and its
+/// cycle edges filter them, one predicate at a time.
 fn fill_level(
     db: &Database,
     step: &JoinStep,
@@ -189,52 +219,86 @@ fn fill_level(
     counters: &mut CostCounters,
     out: &mut Level,
 ) -> Result<(), ExecError> {
-    let (class, depth, from) = (step.access.class, above.len() - 1, step.from_class);
-    let forward = db.catalog().relationship(step.rel)?.left.class == from;
-    let links = db.links(step.rel);
+    let (class, depth) = (step.access.class, above.len() - 1);
+    let adjacency = db.adjacency(step.rel, step.from_class)?;
+    let from = level_of[step.from_class.index()];
     out.clear();
-    for parent in parents {
-        let oid = bound_at(above, depth, parent, level_of[from.index()]);
-        let targets = if forward { links.from_left(oid) } else { links.from_right(oid) };
-        counters.link_traversals += targets.len() as u64;
-        out.extend(targets.iter().map(|&target| (target, parent as u32)));
+    if from == depth {
+        // Each parent binding's own object is the one the step joins from.
+        let bindings = above[depth].get(parents.clone()).unwrap_or_default();
+        for (parent, &(oid, _)) in parents.zip(bindings) {
+            gather(adjacency, oid, parent as u32, out);
+        }
+    } else {
+        for parent in parents {
+            gather(adjacency, bound_at(above, depth, parent, from), parent as u32, out);
+        }
     }
+    counters.link_traversals += out.len() as u64;
     keep_passing(db, &step.access.residual, out, counters)?;
-    if step.join_filters.is_empty() && step.link_filters.is_empty() {
-        return Ok(());
-    }
 
-    // The object `c` is bound to in the chain of candidate `oid`.
-    let bound = |c: ClassId, oid: ObjectId, parent: u32| {
-        if c == class {
+    // The object bound at level `want` in the chain of candidate `oid`: the
+    // candidate itself at the step's own level.
+    let bound = |want: usize, oid: ObjectId, parent: u32| {
+        if want > depth {
             oid
         } else {
-            bound_at(above, depth, parent as usize, level_of[c.index()])
+            bound_at(above, depth, parent as usize, want)
         }
     };
-    let mut kept = 0usize;
-    'candidate: for i in 0..out.len() {
-        let (oid, parent) = out[i];
-        for j in &step.join_filters {
-            counters.predicate_evals += 1;
-            let l = db.value(j.left, bound(j.left.class, oid, parent))?;
-            let r = db.value(j.right, bound(j.right.class, oid, parent))?;
-            if !j.eval(l, r) {
-                continue 'candidate;
-            }
+    for j in &step.join_filters {
+        if out.is_empty() {
+            return Ok(());
         }
-        // Cycle edges: the pair must be linked in the extra relationship.
-        for &(rel, a, b) in &step.link_filters {
-            let other = bound(if a == class { b } else { a }, oid, parent);
-            counters.link_traversals += 1;
-            if !db.traverse(rel, class, oid)?.contains(&other) {
-                continue 'candidate;
-            }
-        }
-        out[kept] = (oid, parent);
-        kept += 1;
+        counters.predicate_evals += out.len() as u64;
+        let (left, right) = (db.column(j.left)?, db.column(j.right)?);
+        let (l_at, r_at) = (level_of[j.left.class.index()], level_of[j.right.class.index()]);
+        retain(out, |oid, parent| {
+            let l = read(left, j.left, bound(l_at, oid, parent))?;
+            let r = read(right, j.right, bound(r_at, oid, parent))?;
+            Ok(j.eval(l, r))
+        })?;
     }
-    out.truncate(kept);
+    // Cycle edges: the pair must be linked in the extra relationship.
+    for &(rel, a, b) in &step.link_filters {
+        if out.is_empty() {
+            return Ok(());
+        }
+        counters.link_traversals += out.len() as u64;
+        let adjacency = db.adjacency(rel, class)?;
+        let other = level_of[if a == class { b } else { a }.index()];
+        retain(out, |oid, parent| Ok(adjacency.get(oid).contains(&bound(other, oid, parent))))?;
+    }
+    Ok(())
+}
+
+/// Appends `oid`'s link targets in `adjacency` to `out`, each tagged with
+/// `parent`.
+#[inline]
+fn gather(adjacency: Adjacency<'_>, oid: ObjectId, parent: u32, out: &mut Level) {
+    match adjacency.get(oid) {
+        [] => {}
+        &[target] => out.push((target, parent)),
+        targets => out.extend(targets.iter().map(|&target| (target, parent))),
+    }
+}
+
+/// Keeps the bindings of `level` that pass `keep`, in order: each is stored
+/// at the next kept slot unconditionally and the slot advances by the
+/// verdict, so the loop does not branch on it.
+#[inline]
+fn retain(
+    level: &mut Level,
+    mut keep: impl FnMut(ObjectId, u32) -> Result<bool, StorageError>,
+) -> Result<(), ExecError> {
+    let mut kept = 0usize;
+    for i in 0..level.len() {
+        let binding = level[i];
+        let pass = keep(binding.0, binding.1)?;
+        level[kept] = binding;
+        kept += usize::from(pass);
+    }
+    level.truncate(kept);
     Ok(())
 }
 
@@ -257,17 +321,14 @@ fn produce(
         AccessPath::SeqScan => {
             let n = db.cardinality(access.class);
             counters.seq_tuples += n as u64;
-            let oids = (0..n as u32).map(|i| (ObjectId(i), 0));
             match access.residual.split_first() {
                 Some((first, rest)) if n > 0 => {
                     counters.predicate_evals += n as u64;
-                    let column = db.column(first.attr)?;
-                    let passing = oids.zip(column).filter(|(_, v)| first.eval(v));
-                    out.extend(passing.map(|(root, _)| root));
+                    dispatch(first, Scan { column: db.column(first.attr)?, out });
                     keep_passing(db, rest, out, counters)
                 }
                 _ => {
-                    out.extend(oids);
+                    out.extend((0..n as u32).map(|i| (ObjectId(i), 0)));
                     Ok(())
                 }
             }
@@ -299,17 +360,151 @@ fn keep_passing(
             break;
         }
         counters.predicate_evals += level.len() as u64;
-        let mut kept = 0usize;
-        for i in 0..level.len() {
-            let binding = level[i];
-            if p.eval(db.value(p.attr, binding.0)?) {
-                level[kept] = binding;
-                kept += 1;
-            }
-        }
-        level.truncate(kept);
+        dispatch(p, Filter { column: db.column(p.attr)?, attr: p.attr, level })?;
     }
     Ok(())
+}
+
+/// A loop over values that a typed test decides, run by [`dispatch`] with
+/// the test of one (value type, operator) pair: each pair compiles to a
+/// loop of its own.
+trait Sweep {
+    type Out;
+    fn run(self, test: impl Fn(&Value) -> bool) -> Self::Out;
+}
+
+/// Filters a level by its objects' values in one column.
+struct Filter<'c, 'l> {
+    column: Column<'c>,
+    attr: AttrRef,
+    level: &'l mut Level,
+}
+
+impl Sweep for Filter<'_, '_> {
+    type Out = Result<(), ExecError>;
+
+    fn run(self, test: impl Fn(&Value) -> bool) -> Self::Out {
+        let Filter { column, attr, level } = self;
+        retain(level, |oid, _| read(column, attr, oid).map(&test))
+    }
+}
+
+/// Streams a whole column into a root level: the ids of the objects whose
+/// value passes, in id order.
+struct Scan<'c, 'l> {
+    column: Column<'c>,
+    out: &'l mut Level,
+}
+
+impl Sweep for Scan<'_, '_> {
+    type Out = ();
+
+    fn run(self, test: impl Fn(&Value) -> bool) {
+        let Scan { column, out } = self;
+        out.resize(column.len(), (ObjectId(0), 0));
+        let (mut kept, mut oid) = (0usize, 0u32);
+        for page in column.pages() {
+            for v in page {
+                out[kept] = (ObjectId(oid), 0);
+                kept += usize::from(test(v));
+                oid += 1;
+            }
+        }
+        out.truncate(kept);
+    }
+}
+
+/// A comparison operator as a type, so that each operator compiles to its
+/// own comparison instruction inside a typed loop.
+trait Op {
+    fn holds<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool;
+
+    fn holds_str(a: &str, b: &str) -> bool {
+        Self::holds(a, b)
+    }
+}
+
+/// Strings equal by pointer and length first — a value canonicalized to
+/// the literal's allocation — then by length and bytes.
+#[inline]
+fn str_eq(a: &str, b: &str) -> bool {
+    std::ptr::eq(a, b) || a == b
+}
+
+struct Equal;
+struct NotEqual;
+struct Less;
+struct AtMost;
+struct Greater;
+struct AtLeast;
+
+impl Op for Equal {
+    fn holds<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
+        a == b
+    }
+    fn holds_str(a: &str, b: &str) -> bool {
+        str_eq(a, b)
+    }
+}
+
+impl Op for NotEqual {
+    fn holds<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
+        a != b
+    }
+    fn holds_str(a: &str, b: &str) -> bool {
+        !str_eq(a, b)
+    }
+}
+
+impl Op for Less {
+    fn holds<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
+        a < b
+    }
+}
+
+impl Op for AtMost {
+    fn holds<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
+        a <= b
+    }
+}
+
+impl Op for Greater {
+    fn holds<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
+        a > b
+    }
+}
+
+impl Op for AtLeast {
+    fn holds<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
+        a >= b
+    }
+}
+
+/// Runs `sweep` with `p`'s test, compiled for its operator and its
+/// literal's type. The test agrees with [`SelPredicate::eval`] on every
+/// value: floats compare as `f64` (a `Finite` is never NaN, and `-0.0 ==
+/// 0.0` in both), and a value of another type fails.
+fn dispatch<S: Sweep>(p: &SelPredicate, sweep: S) -> S::Out {
+    match p.op {
+        CompOp::Eq => typed::<Equal, S>(&p.value, sweep),
+        CompOp::Ne => typed::<NotEqual, S>(&p.value, sweep),
+        CompOp::Lt => typed::<Less, S>(&p.value, sweep),
+        CompOp::Le => typed::<AtMost, S>(&p.value, sweep),
+        CompOp::Gt => typed::<Greater, S>(&p.value, sweep),
+        CompOp::Ge => typed::<AtLeast, S>(&p.value, sweep),
+    }
+}
+
+fn typed<O: Op, S: Sweep>(literal: &Value, sweep: S) -> S::Out {
+    match literal {
+        &Value::Int(x) => sweep.run(|v| matches!(v, Value::Int(a) if O::holds(a, &x))),
+        Value::Float(x) => {
+            let x = x.get();
+            sweep.run(|v| matches!(v, Value::Float(a) if O::holds(&a.get(), &x)))
+        }
+        Value::Str(x) => sweep.run(|v| matches!(v, Value::Str(a) if O::holds_str(a, x))),
+        &Value::Bool(x) => sweep.run(|v| matches!(v, Value::Bool(a) if O::holds(a, &x))),
+    }
 }
 
 #[cfg(test)]
@@ -318,6 +513,7 @@ mod tests {
     use crate::cost::CostModel;
     use crate::planner::plan_query;
     use sqo_catalog::example::figure21;
+    use sqo_catalog::ClassId;
     use sqo_query::{CompOp, QueryBuilder};
     use sqo_storage::IntegrityOptions;
     use std::sync::Arc;
@@ -514,6 +710,55 @@ mod tests {
         let (_, c1) = run(&db, &q);
         let (_, c2) = run(&db, &q);
         assert_eq!(c1, c2);
+    }
+
+    /// The verdicts of a typed test over `values`, one per value.
+    struct Verdicts<'v>(&'v [Value]);
+
+    impl Sweep for Verdicts<'_> {
+        type Out = Vec<bool>;
+
+        fn run(self, test: impl Fn(&Value) -> bool) -> Vec<bool> {
+            self.0.iter().map(test).collect()
+        }
+    }
+
+    #[test]
+    fn every_typed_test_agrees_with_eval() {
+        let shared = Value::str("b");
+        let f = |x: f64| Value::float(x).unwrap();
+        let columns: [Vec<Value>; 4] = [
+            [i64::MIN, -1, 0, 1, 2, i64::MAX].map(Value::Int).to_vec(),
+            [f64::NEG_INFINITY, f64::MIN, -1.5, -0.0, 0.0, f64::MIN_POSITIVE, 1.5, f64::MAX]
+                .map(f)
+                .to_vec(),
+            vec![
+                Value::str(""),
+                Value::str("a"),
+                Value::str("ab"),
+                shared.clone(),
+                Value::str("b\0"),
+            ],
+            vec![Value::Bool(false), Value::Bool(true)],
+        ];
+        for (t, column) in columns.iter().enumerate() {
+            // Every value of the column as the literal (`shared` itself, so
+            // the pointer test is taken), one no object holds, and a
+            // literal of each other type, which no value passes.
+            let mut literals = column.clone();
+            literals.push([Value::Int(7), f(0.25), Value::str("ba"), Value::Bool(true)][t].clone());
+            literals.extend(
+                columns.iter().enumerate().filter(|&(u, _)| u != t).map(|(_, c)| c[0].clone()),
+            );
+            let attr = AttrRef::new(ClassId(0), sqo_catalog::AttrId(0));
+            for literal in &literals {
+                for op in CompOp::ALL {
+                    let p = SelPredicate::new(attr, op, literal.clone());
+                    let want: Vec<bool> = column.iter().map(|v| p.eval(v)).collect();
+                    assert_eq!(dispatch(&p, Verdicts(column)), want, "{op:?} {literal:?}");
+                }
+            }
+        }
     }
 
     /// A plan over `db()`'s classes, built by hand.

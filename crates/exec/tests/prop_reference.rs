@@ -9,10 +9,14 @@
 //! bound `from_class`, cycle edges, join filters between any bound classes,
 //! bound and zero projections, index roots re-keyed through
 //! [`execute_batch_with`], empty roots, fan relationships with duplicate
-//! edges, and scan roots of more than one executor block (1,024 bindings).
-//! An access may carry a residual on each of its two columns, so a scan
-//! root's first residual streams its column and the second filters the
-//! survivors, as the step residuals do.
+//! edges and objects with no links, and scan roots of more than one
+//! executor block (1,024 bindings). An access may carry a residual on each
+//! of its two integer columns and one on its string, float or boolean
+//! column, under any of the six operators and with a literal that no object
+//! holds or of another type than the column's; whichever comes first on a
+//! scan root streams its column and the others filter the survivors, as
+//! the step residuals do. So every typed residual test the executor
+//! compiles, one per (value type, operator), runs both ways.
 
 use std::sync::Arc;
 
@@ -104,14 +108,18 @@ fn descend(
     }
 }
 
-/// Classes `a`–`d`, each with a B-tree-indexed `k` and a plain `v`;
-/// many-to-many relationships `ab`, `bc`, `ca` (a triangle) and `cd`.
+/// Classes `a`–`d`, each with a B-tree-indexed `k`, a plain `v`, a string
+/// `s`, a float `f` and a boolean `t`; many-to-many relationships `ab`,
+/// `bc`, `ca` (a triangle) and `cd`.
 fn catalog() -> Catalog {
     let mut b = Catalog::builder();
     let attrs = || {
         vec![
             AttributeDef::indexed("k", DataType::Int, IndexKind::BTree),
             AttributeDef::new("v", DataType::Int),
+            AttributeDef::new("s", DataType::Str),
+            AttributeDef::new("f", DataType::Float),
+            AttributeDef::new("t", DataType::Bool),
         ]
     };
     let ids: Vec<ClassId> = ["a", "b", "c", "d"].map(|n| b.class(n, attrs()).unwrap()).to_vec();
@@ -122,7 +130,16 @@ fn catalog() -> Catalog {
     b.build().unwrap()
 }
 
-/// Object `j` of a class holds `k = j % 7` and `v = 5j % 9`. Left object
+/// The strings `s` takes, by `j % 5`.
+const STRINGS: [&str; 5] = ["", "a", "ab", "b", "ba"];
+
+/// Object `j`'s float: -1, -0.5, 0, 0.5, 1 or 1.5 by `j % 6`.
+fn float(j: i64) -> Value {
+    Value::float((j % 6) as f64 * 0.5 - 1.0).unwrap()
+}
+
+/// Object `j` of a class holds `k = j % 7`, `v = 5j % 9`,
+/// `s = STRINGS[j % 5]`, `f = float(j)` and `t = j % 3 == 0`. Left object
 /// `j` of a relationship links to no right object when `j % 5 == 4` and
 /// else to `1 + j % (max_fan + 1)` of them, `(j * stride + t * step) % n`
 /// for `t` in order: a zero step repeats one edge.
@@ -130,7 +147,15 @@ fn db(catalog: &Arc<Catalog>, sizes: &[usize], fans: &[(usize, usize, usize)]) -
     let mut b = Database::builder(Arc::clone(catalog));
     for ((class, _), &n) in catalog.classes().zip(sizes) {
         for j in 0..n as i64 {
-            b.insert(class, vec![Value::Int(j % 7), Value::Int(5 * j % 9)]).unwrap();
+            let s = Value::str(STRINGS[j as usize % 5]);
+            let row = vec![
+                Value::Int(j % 7),
+                Value::Int(5 * j % 9),
+                s,
+                float(j),
+                Value::Bool(j % 3 == 0),
+            ];
+            b.insert(class, row).unwrap();
         }
     }
     for ((rel, def), &(max_fan, stride, step)) in catalog.relationships().zip(fans) {
@@ -161,6 +186,13 @@ struct Knobs {
     residual_ops: Vec<usize>,
     /// Per class: a further residual `k <op> 3`, or none past the end.
     key_ops: Vec<usize>,
+    /// Per class: a residual on `s`, `f` or `t` (attribute `2 + pick % 3`)
+    /// with `OPS[op]` and the literal `typed_literal(attribute, pick / 3)`,
+    /// or none when `op` is past the end.
+    typed: Vec<(usize, usize)>,
+    /// Whether the typed residual comes first, so that a scan root streams
+    /// its column.
+    typed_first: bool,
     /// Per step: a join filter `new.v <op> other.attr` (bound class and
     /// attribute picked by the value), or none past the end.
     joins: Vec<usize>,
@@ -178,12 +210,21 @@ fn plan(catalog: &Catalog, knobs: &Knobs) -> PhysicalPlan {
             let op = *OPS.get(ops[class.index()])?;
             Some(SelPredicate::new(attr(class, a), op, Value::Int(constant)))
         };
-        let residual = [on(&knobs.residual_ops, 1, 4), on(&knobs.key_ops, 0, 3)];
-        ClassAccess {
-            class,
-            path: AccessPath::SeqScan,
-            residual: residual.into_iter().flatten().collect(),
+        let (pick, op) = knobs.typed[class.index()];
+        let typed = OPS.get(op).map(|&op| {
+            let a = 2 + pick % 3;
+            SelPredicate::new(attr(class, a), op, typed_literal(a, pick / 3))
+        });
+        let mut residual: Vec<SelPredicate> =
+            [on(&knobs.residual_ops, 1, 4), on(&knobs.key_ops, 0, 3)]
+                .into_iter()
+                .flatten()
+                .collect();
+        if let Some(typed) = typed {
+            let at = if knobs.typed_first { 0 } else { residual.len() };
+            residual.insert(at, typed);
         }
+        ClassAccess { class, path: AccessPath::SeqScan, residual }
     };
     let mut root = access(classes[knobs.root]);
     if let Some(key) = knobs.probe {
@@ -253,6 +294,22 @@ fn plan(catalog: &Catalog, knobs: &Knobs) -> PhysicalPlan {
     PhysicalPlan { root, steps, projections, estimated_cost: 0.0, estimated_rows: 0.0 }
 }
 
+/// Literal `i` (modulo the list) for a residual on attribute `attr` (2 =
+/// `s`, 3 = `f`, 4 = `t`): values objects hold, one of the column's type no
+/// object holds (`"zz"`, `0.25`), and one of another type, which no value
+/// passes.
+fn typed_literal(attr: usize, i: usize) -> Value {
+    let f = |x: f64| Value::float(x).unwrap();
+    let literals: Vec<Value> = match attr {
+        2 => {
+            ["", "a", "ab", "b", "zz"].map(Value::str).into_iter().chain([Value::Int(4)]).collect()
+        }
+        3 => vec![f(-1.0), f(-0.0), f(0.5), f(1.5), f(0.25), Value::str("a")],
+        _ => vec![Value::Bool(false), Value::Bool(true), Value::Int(1)],
+    };
+    literals[i % literals.len()].clone()
+}
+
 fn rows_of(results: &sqo_exec::ResultSet) -> Vec<Vec<Value>> {
     results.rows().map(<[Value]>::to_vec).collect()
 }
@@ -270,9 +327,9 @@ fn check(db: &Database, plan: &PhysicalPlan) {
     prop_assert_eq!(counters, want_counters);
 }
 
+// The default configuration: 256 cases, or `PROPTEST_CASES` (CI runs 1,024
+// optimized).
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
     /// The executor ≡ the recursive reference, rows in order and counters,
     /// on a scratch that already ran the previous case's plan; and so is
     /// every re-keyed probe of an index-rooted plan.
@@ -286,9 +343,11 @@ proptest! {
         picks in prop::collection::vec(0usize..6, 0..4),
         residual_ops in prop::collection::vec(0usize..14, 4..5),
         key_ops in prop::collection::vec(0usize..14, 4..5),
+        typed in prop::collection::vec((0usize..18, 0usize..9), 4..5),
+        typed_first in 0u8..2,
         joins in prop::collection::vec(0usize..36, 3..4),
         cycles in 0u8..3,
-        projections in prop::collection::vec((0usize..4, 0usize..2, 0u8..4), 0..4),
+        projections in prop::collection::vec((0usize..4, 0usize..5, 0u8..4), 0..4),
         rekeys in prop::collection::vec(0i64..10, 0..4),
     ) {
         let catalog = Arc::new(catalog());
@@ -304,6 +363,8 @@ proptest! {
             picks,
             residual_ops,
             key_ops,
+            typed,
+            typed_first: typed_first == 1,
             joins,
             cycles,
             projections: projections.into_iter().map(|(c, a, b)| (c, a, b == 0)).collect(),
@@ -327,10 +388,10 @@ proptest! {
         }
     }
 
-    /// A scan root of two blocks and part of a third under two residuals,
+    /// A scan root of two blocks and part of a third under three residuals,
     /// and at least one step, every access with a residual on each of its
-    /// two columns: rows in emission order and every counter equal the
-    /// reference's.
+    /// integer columns and one on its string, float or boolean column: rows
+    /// in emission order and every counter equal the reference's.
     #[test]
     fn conjunctive_residuals_match_the_recursive_reference(
         sizes in prop::collection::vec(0usize..24, 4..5),
@@ -339,9 +400,11 @@ proptest! {
         picks in prop::collection::vec(0usize..6, 1..4),
         residual_ops in prop::collection::vec(0usize..6, 4..5),
         key_ops in prop::collection::vec(0usize..6, 4..5),
+        typed in prop::collection::vec((0usize..18, 0usize..6), 4..5),
+        typed_first in 0u8..2,
         joins in prop::collection::vec(0usize..36, 3..4),
         cycles in 0u8..3,
-        projections in prop::collection::vec((0usize..4, 0usize..2, 0u8..4), 0..4),
+        projections in prop::collection::vec((0usize..4, 0usize..5, 0u8..4), 0..4),
     ) {
         let catalog = Arc::new(catalog());
         let mut sizes = sizes;
@@ -353,14 +416,16 @@ proptest! {
             picks,
             residual_ops,
             key_ops,
+            typed,
+            typed_first: typed_first == 1,
             joins,
             cycles,
             projections: projections.into_iter().map(|(c, a, b)| (c, a, b == 0)).collect(),
         };
         let plan = plan(&catalog, &knobs);
-        prop_assert_eq!(plan.root.residual.len(), 2);
+        prop_assert_eq!(plan.root.residual.len(), 3);
         prop_assert!(!plan.steps.is_empty());
-        prop_assert!(plan.steps.iter().all(|step| step.access.residual.len() == 2));
+        prop_assert!(plan.steps.iter().all(|step| step.access.residual.len() == 3));
         check(&db, &plan);
     }
 }

@@ -24,9 +24,11 @@
 //! Snapshot state is sharded per class and per relationship: one extent
 //! and one index per indexed attribute for a class, one link table per
 //! relationship. An extent is one column per attribute (`extent.rs`), and
-//! each column, like each adjacency side of a link table, is a `PagedVec`
-//! (`paged.rs`): an `Arc`'d table of `Arc`'d pages of 128 elements, cloned
-//! by one reference-count increment. Indexes of either kind and the
+//! each column is a `PagedVec` (`paged.rs`): an `Arc`'d table of `Arc`'d
+//! pages of 128 elements, cloned by one reference-count increment. Each
+//! adjacency side of a link table is paged CSR (`links.rs`): the same kind
+//! of table over pages that each hold 128 objects' lists in one
+//! allocation. Indexes of either kind and the
 //! value counts the statistics are kept from are `ValueMap`s
 //! (`valuemap.rs`): sorted entries in `Arc`'d pages behind the same kind of
 //! table. [`Database::with_writes`] builds a successor snapshot by cloning
@@ -46,9 +48,11 @@
 //!   pages, and those of their neighbours' lists; for an update one page of
 //!   one column. A touched column's or side's page table (one pointer per
 //!   page) is copied once per batch, and so is a touched extent's column
-//!   table (one header per attribute). A page copy clones the 128 values
-//!   it holds (a string's clone is a reference-count increment) and
-//!   allocates nothing else;
+//!   table (one header per attribute). A column page copy clones the 128
+//!   values it holds (a string's clone is a reference-count increment) and
+//!   allocates nothing else; an edited link page is rebuilt as one
+//!   allocation of its list ends and targets. Growing a side by an
+//!   unlinked object copies no page unless its last page is full;
 //! * **indexes** — per written value of an indexed attribute, the one page
 //!   of the index that holds the value (at most 64 keys and their postings)
 //!   and the index's page table; a full page splits in two, an emptied one
@@ -84,11 +88,17 @@
 //! objects per class) took a one-attribute update from 36,289 to 14,969 B
 //! — one column page instead of a page of rows and the rows it held — and
 //! a one-object insert from 74,209 to 95,009 B, the last page and page
-//! table of seven columns instead of one. The price of paging is on the
-//! read side: `value` and `traverse` go through a page table, and an index
-//! probe is two binary searches where a hash index's was one hash. A
-//! reader of a whole attribute walks its column page by page instead
-//! ([`Database::column`], the executor's sequential scan).
+//! table of seven columns instead of one. Paged CSR link sides took it to
+//! 92,125 B: a link page copy cloned the 128 lists it held, where a CSR
+//! page is rebuilt as one allocation. The price of paging is on the read
+//! side: [`Database::value`] is four dependent loads (the extent, its
+//! column table, the column's page table, the page) and
+//! [`Database::traverse`] walks the catalog and the link table too, and an
+//! index probe is two binary searches where a hash index's was one hash.
+//! A hot reader resolves a [`Column`] or [`Adjacency`] handle once and
+//! reads through it with two loads, as the executor does for every pass
+//! over a level; [`Column::pages`] walks a whole attribute page by page
+//! (the executor's sequential scan).
 //!
 //! ## Aliasing guarantees
 //!
@@ -126,9 +136,9 @@ use std::sync::Arc;
 
 use crate::counts::{class_statistics, load_class_statistics, ClassCounts, ClassPatch};
 use crate::error::StorageError;
-use crate::extent::{Columns, Extent};
+use crate::extent::{Column, Columns, Extent};
 use crate::index::AttrIndex;
-use crate::links::RelLinks;
+use crate::links::{Adjacency, RelLinks};
 use crate::object::ObjectId;
 use crate::paged::PagedVec;
 use crate::versioned::WriteEpochs;
@@ -278,14 +288,19 @@ impl Database {
             .ok_or(StorageError::UnknownObject { class, object: oid })
     }
 
-    /// Attribute `attr` of every object of its class, in object-id order,
-    /// walked page by page: the `i`-th is `value(attr, ObjectId(i))`,
-    /// without a page-table lookup per object.
-    pub fn column(&self, attr: AttrRef) -> Result<impl Iterator<Item = &Value>, StorageError> {
-        Ok(self.column_of(attr)?.pages().flatten())
+    /// A read handle on attribute `attr`'s column, resolved once: each read
+    /// through it ([`Column::get`]) costs two dependent loads where
+    /// [`Database::value`] costs four, and [`Column::iter`] walks the column
+    /// page by page. The executor resolves one per pass over a level: per
+    /// residual, join-filter side and projection.
+    pub fn column(&self, attr: AttrRef) -> Result<Column<'_>, StorageError> {
+        Ok(Column::of(self.column_of(attr)?))
     }
 
-    /// Attribute `attr` of object `oid`, read off the attribute's column.
+    /// Attribute `attr` of object `oid`, read off the attribute's column:
+    /// the extent, its column table, the column's page table and the page,
+    /// four dependent loads. A hot reader of many objects resolves a
+    /// [`Database::column`] handle instead.
     pub fn value(&self, attr: AttrRef, oid: ObjectId) -> Result<&Value, StorageError> {
         self.column_of(attr)?
             .get(oid.index())
@@ -316,12 +331,24 @@ impl Database {
         from_class: ClassId,
         oid: ObjectId,
     ) -> Result<&[ObjectId], StorageError> {
+        Ok(self.adjacency(rel, from_class)?.get(oid))
+    }
+
+    /// A read handle on `from_class`'s side of `rel` (the left side for a
+    /// self-relationship), resolved once: each list read through it
+    /// ([`Adjacency::get`]) is [`Database::traverse`]'s without the
+    /// catalog lookup and the table walk.
+    pub fn adjacency(
+        &self,
+        rel: RelId,
+        from_class: ClassId,
+    ) -> Result<Adjacency<'_>, StorageError> {
         let def = self.catalog.relationship(rel)?;
-        let links = &self.links[rel.index()];
+        let links = self.links.get(rel.index()).ok_or(StorageError::LinkClassMismatch { rel })?;
         if def.left.class == from_class {
-            Ok(links.from_left(oid))
+            Ok(links.left_lists())
         } else if def.right.class == from_class {
-            Ok(links.from_right(oid))
+            Ok(links.right_lists())
         } else {
             Err(StorageError::LinkClassMismatch { rel })
         }
@@ -1047,7 +1074,7 @@ fn rebuild_self_links(lk: &RelLinks, object: ObjectId) -> RelLinks {
         }
     }
     let n = lk.left_cardinality() - 1;
-    RelLinks::from_pairs(n, n, pairs)
+    RelLinks::from_pairs(n, n, &pairs)
 }
 
 /// Pages each class's rows into its columns (the `with_writes_full` oracle).
@@ -1076,7 +1103,7 @@ fn build_links(
             RelLinks::from_pairs(
                 extents[def.left.class.index()].len(),
                 extents[def.right.class.index()].len(),
-                rel_pairs.iter().copied(),
+                rel_pairs,
             )
         })
         .collect()
@@ -1271,7 +1298,7 @@ mod tests {
         assert_eq!(db.value(desc, ObjectId(0)).unwrap(), &Value::str("frozen food"));
         let row = vec![Value::Int(101), Value::str("fresh fruit"), Value::Int(7)];
         assert_eq!(db.tuple(cargo, ObjectId(1)).unwrap(), row);
-        let walked: Vec<&Value> = db.column(desc).unwrap().collect();
+        let walked: Vec<&Value> = db.column(desc).unwrap().iter().collect();
         assert_eq!(walked, [&Value::str("frozen food"), &Value::str("fresh fruit")]);
     }
 
@@ -1470,14 +1497,19 @@ mod tests {
             assert!(next.shares_extent_with(&db, c), "{}", catalog.class_name(c));
             assert!(unshared_index_pages(&next, &db, c).iter().all(|&pages| pages == 0));
         }
-        // …and relationships not incident to cargo keep their link tables.
+        // …and so is every page of every link table: relationships not
+        // incident to cargo keep theirs, and the unlinked object's slot on
+        // the cargo side of the incident ones was already an empty list of
+        // their last page.
         let shared = |rel: RelId| {
             let (a, b) = (next.links[rel.index()].sides(), db.links[rel.index()].sides());
             (0..2).all(|side| a[side].unshared_pages(b[side]).next().is_none())
         };
         assert!(shared(belongs_to));
+        assert_eq!(next.links(belongs_to), db.links(belongs_to));
         for rel in [catalog.rel_id("supplies").unwrap(), catalog.rel_id("collects").unwrap()] {
-            assert!(!shared(rel));
+            assert!(shared(rel));
+            assert_eq!(next.links(rel).left_cardinality(), db.links(rel).left_cardinality() + 1);
         }
     }
 
@@ -1504,7 +1536,8 @@ mod tests {
             IntegrityOptions { enforce_total_participation: false, enforce_multiplicity: true };
         let db = b.finalize(options).unwrap();
         // The cargo column pages, as (attribute, page), and per incident
-        // adjacency side the pages, that `a` does not share with `b`.
+        // adjacency side the CSR pages (one allocation of 128 objects'
+        // lists each), that `a` does not share with `b`.
         let unshared = |a: &Database, b: &Database| {
             let columns = a.extents[cargo.index()].unshared_pages(&b.extents[cargo.index()]);
             let mut sides = Vec::new();
@@ -1515,8 +1548,10 @@ mod tests {
             (columns.collect::<Vec<_>>(), sides)
         };
         // An insert linked to the last supplier and vehicle: the last page of
-        // each of cargo's three columns and of each incident adjacency side,
-        // nothing else.
+        // each of cargo's three columns, and on each incident side the page
+        // holding the list that gains the edge — the new cargo's, the last
+        // supplier's and vehicle's — nothing else. Growing a side by an
+        // unlinked slot copies no page (`untouched_shards_are_shared_by_pointer`).
         let insert = DataWrite::Insert {
             class: cargo,
             tuple: vec![Value::Int(n.into()), Value::str("d"), Value::Int(1)],
@@ -1529,9 +1564,10 @@ mod tests {
         assert_eq!(unshared_index_pages(&next, &db, cargo), vec![1]);
         assert!(!next.shares_extent_with(&db, cargo));
         assert!(next.shares_extent_with(&db, supplier) && next.shares_extent_with(&db, vehicle));
-        // A delete of cargo 0 moves the last cargo into the first page: both
-        // pages on the cargo sides, and on the other sides the pages of the
-        // two objects' neighbours (supplier/vehicle 0 and 300 - 1).
+        // A delete of cargo 0 moves the last cargo's list into the first
+        // page and empties its slot: both pages on the cargo sides, and on
+        // the other sides the pages of the two objects' neighbours'
+        // lists (supplier/vehicle 0 and 300 - 1), each rebuilt once.
         let (after, _) = next
             .with_writes(&[DataWrite::Delete { class: cargo, object: ObjectId(0) }], Some(options))
             .unwrap();
@@ -1560,6 +1596,16 @@ mod tests {
         }
         assert_eq!(updated.value(quantity, ObjectId(130)).unwrap(), &Value::Int(2));
         assert_eq!(after.value(quantity, ObjectId(130)).unwrap(), &Value::Int(1));
+        // Unlinking cargo 130 from supplier 130 edits one list on each side
+        // of `supplies`: page 1 of both, and no page of `collects`.
+        let [supplies, _] = incident;
+        let unlink = DataWrite::Unlink { rel: supplies, left: ObjectId(130), right: ObjectId(130) };
+        let (unlinked, _) = updated.with_writes(&[unlink], None).unwrap();
+        let (columns, sides) = unshared(&unlinked, &updated);
+        assert!(columns.is_empty());
+        assert_eq!(sides, vec![vec![1], vec![1], vec![], vec![]]);
+        assert!(unlinked.links(supplies).from_left(ObjectId(130)).is_empty());
+        assert_eq!(unlinked.links(supplies).from_left(ObjectId(131)), &[ObjectId(131)]);
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! An [`Extent`] keeps, for each attribute of its class, the objects'
 //! values in object-id order in a `PagedVec<Value>` (`paged.rs`), and the
-//! number of objects (a class need not declare an attribute). Reading one
-//! attribute of one object goes through the column's page table to the page
-//! that holds the value inline: there is no row block to chase, so a scan of
-//! one attribute streams one column and a read at scale is one hop per
-//! attribute.
+//! number of objects (a class need not declare an attribute). There is no
+//! row block to chase, so a scan of one attribute streams one column.
+//! Reading one attribute of one object through [`crate::Database::value`]
+//! is four dependent loads: the extent, its column table, the column's page
+//! table and the page. A [`Column`] handle resolves the first three once,
+//! so each read through it is two: the page's pointer, then the value.
 //!
 //! Cloning an extent shares every column. A write copies the extent's
 //! column table (one header per attribute) once per batch and, per written
@@ -19,12 +20,56 @@ use std::sync::Arc;
 
 use sqo_catalog::Value;
 
-use crate::paged::{page_of, Blank, Page, PagedVec, PAGE_LEN};
+use crate::object::ObjectId;
+use crate::paged::{page_of, slot, used_pages, Blank, Page, PagedVec, PAGE_LEN};
 
 /// `Value` has no default; a column's unused slots hold `false`.
 impl Blank for Value {
     fn blank() -> Self {
         Value::Bool(false)
+    }
+}
+
+/// A resolved read handle on one attribute's column
+/// ([`crate::Database::column`]): the column's page table and length,
+/// looked up once, so that a read costs two dependent loads, the page's
+/// pointer and the value.
+#[derive(Debug, Clone, Copy)]
+pub struct Column<'a> {
+    table: &'a [Page<Value>],
+    len: usize,
+}
+
+impl<'a> Column<'a> {
+    pub(crate) fn of(column: &'a PagedVec<Value>) -> Self {
+        Self { table: column.table(), len: column.len() }
+    }
+
+    /// How many objects the column holds (its class's cardinality).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Object `oid`'s value; `None` past the class's last object.
+    #[inline]
+    pub fn get(&self, oid: ObjectId) -> Option<&'a Value> {
+        slot(self.table, self.len, oid.index())
+    }
+
+    /// Every value in object-id order, walked page by page: the `i`-th is
+    /// `get(ObjectId(i))`, without a page-table lookup per object.
+    pub fn iter(&self) -> impl Iterator<Item = &'a Value> + Clone {
+        self.pages().flatten()
+    }
+
+    /// The values page by page, in object-id order: each page's used
+    /// slots, every page full but the last.
+    pub fn pages(&self) -> impl Iterator<Item = &'a [Value]> + Clone {
+        used_pages(self.table, self.len)
     }
 }
 

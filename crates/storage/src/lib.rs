@@ -62,8 +62,9 @@ mod versioned;
 pub use cost::{CostCounters, CostWeights, PageModel};
 pub use db::{DataWrite, Database, DatabaseBuilder, IntegrityOptions, Violation, WriteReceipt};
 pub use error::StorageError;
+pub use extent::Column;
 pub use index::{AttrIndex, IndexScanResult};
-pub use links::{RelLinks, Side, Traversal};
+pub use links::{Adjacency, RelLinks};
 pub use object::ObjectId;
 pub use persist::{
     database_sections, decode_database, decode_database_from, encode_database, load_database,

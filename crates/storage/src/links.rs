@@ -24,84 +24,287 @@
 //! identical** to a from-scratch rebuild of the same logical state — the
 //! property `crates/storage/tests/prop_incremental.rs` enforces.
 //!
-//! Both sides are [`PagedVec`]s: cloning a table shares every page of
-//! adjacency lists, and a patch operation copies only the pages holding the
-//! lists it edits.
+//! # Paged CSR layout
+//!
+//! Each side is stored in compressed-sparse-row form, cut into copy-on-write
+//! pages of `PAGE_LEN` (128) consecutive objects behind an `Arc`'d page
+//! table, like a column (`paged.rs`). A page is one `Arc<[ObjectId]>`: first
+//! `PAGE_LEN + 1` list ends, then the targets of its objects' lists back to
+//! back, so object `k` of the page lists `page[page[k]..page[k + 1]]` (an
+//! end is an `ObjectId` holding a position in the page; the first is
+//! `PAGE_LEN + 1`, where the targets begin). There is no allocation per
+//! object: a side of `n` objects is `n / 128` rounded up allocations plus
+//! its table. Slots past the side's last object hold empty lists.
+//!
+//! Cloning a table shares every page. A patch operation copies the page
+//! table once (one pointer per page) and rebuilds or copies only the pages
+//! holding the lists it edits, one allocation each. A reader that resolves
+//! a side's page table once ([`Adjacency`]) reads a list with two dependent
+//! loads: the page's pointer, then the list's ends beside its targets.
 
-use sqo_catalog::RelId;
+use std::ops::Range;
+use std::sync::Arc;
 
 use crate::object::ObjectId;
-use crate::paged::PagedVec;
+use crate::paged::{PAGE_BITS, PAGE_LEN, PAGE_MASK};
+
+/// One page of an adjacency side: the lists of [`PAGE_LEN`] consecutive
+/// objects, ends first, then targets (see the module docs).
+type Page = Arc<[ObjectId]>;
+
+/// Where a page's targets begin: after its `PAGE_LEN + 1` list ends.
+const TARGETS: usize = PAGE_LEN + 1;
+
+/// A list end, stored as an `ObjectId` holding a position in its page.
+#[inline]
+fn pos(end: ObjectId) -> usize {
+    end.0 as usize
+}
+
+/// A resolved read handle on one side of a link table
+/// ([`crate::Database::adjacency`]): the side's page table, looked up once,
+/// so that an object's list costs two dependent loads — the page's pointer,
+/// then the list's two ends beside its targets.
+#[derive(Debug, Clone, Copy)]
+pub struct Adjacency<'a> {
+    pages: &'a [Page],
+}
+
+impl<'a> Adjacency<'a> {
+    /// Object `oid`'s neighbours; empty past the side's last object.
+    #[inline]
+    pub fn get(&self, oid: ObjectId) -> &'a [ObjectId] {
+        let i = oid.index();
+        let Some(page) = self.pages.get(i >> PAGE_BITS) else {
+            return &[];
+        };
+        let k = i & PAGE_MASK;
+        match page.get(k..k + 2) {
+            Some(&[start, end]) => page.get(pos(start)..pos(end)).unwrap_or(&[]),
+            _ => &[],
+        }
+    }
+}
+
+/// One adjacency side in paged CSR form (see the module docs). Unused slots
+/// of the last page hold empty lists, so two sides with equal lists have
+/// equal pages and the derived `PartialEq` compares lists.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Lists {
+    pages: Arc<[Page]>,
+    len: usize,
+}
+
+impl Lists {
+    /// The lists `targets[offsets[i]..offsets[i + 1]]`, one per object below
+    /// `offsets.len() - 1`: one allocation per page of [`PAGE_LEN`] lists.
+    fn from_flat(offsets: &[usize], targets: &[ObjectId]) -> Self {
+        let len = offsets.len().saturating_sub(1);
+        let mut page = Vec::new();
+        let pages = (0..len.div_ceil(PAGE_LEN))
+            .map(|p| {
+                let lo = p << PAGE_BITS;
+                let hi = (lo + PAGE_LEN).min(len);
+                let base = offsets[lo];
+                page.clear();
+                let ends = (lo..=lo + PAGE_LEN).map(|o| offsets[o.min(hi)] - base + TARGETS);
+                page.extend(ends.map(|end| ObjectId(end as u32)));
+                page.extend_from_slice(&targets[base..offsets[hi]]);
+                Page::from(page.as_slice())
+            })
+            .collect();
+        Self { pages, len }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn handle(&self) -> Adjacency<'_> {
+        Adjacency { pages: &self.pages }
+    }
+
+    fn list(&self, i: usize) -> &[ObjectId] {
+        self.handle().get(ObjectId(i as u32))
+    }
+
+    fn lists(&self) -> impl Iterator<Item = &[ObjectId]> + '_ {
+        (0..self.len).map(|i| self.list(i))
+    }
+
+    /// Replaces `range` of list `i` (`i < len()`) with `with`, rebuilding
+    /// the one page that holds the list; the page table is copied first if
+    /// a clone of this side shares it.
+    fn splice(&mut self, i: usize, range: Range<usize>, with: &[ObjectId]) {
+        debug_assert!(i < self.len, "list {i} of {}", self.len);
+        if range.is_empty() && with.is_empty() {
+            return;
+        }
+        let k = i & PAGE_MASK;
+        let Some(page) = Arc::make_mut(&mut self.pages).get_mut(i >> PAGE_BITS) else {
+            return;
+        };
+        let (from, to) = (pos(page[k]) + range.start, pos(page[k]) + range.end);
+        debug_assert!(to <= pos(page[k + 1]), "{range:?} past list {i}");
+        let shift = |end: ObjectId| ObjectId((pos(end) + with.len() - (to - from)) as u32);
+        let ends = page[..TARGETS]
+            .iter()
+            .enumerate()
+            .map(|(j, &end)| if j > k { shift(end) } else { end });
+        let targets = page[TARGETS..from].iter().chain(with).chain(&page[to..]).copied();
+        *page = ends.chain(targets).collect();
+    }
+
+    /// List `i` mutably, for an edit that keeps its length; copies its page
+    /// (and the page table) first if a clone of this side shares them.
+    fn list_mut(&mut self, i: usize) -> &mut [ObjectId] {
+        let k = i & PAGE_MASK;
+        match Arc::make_mut(&mut self.pages).get_mut(i >> PAGE_BITS) {
+            Some(page) => {
+                let page = Arc::make_mut(page);
+                let (start, end) = (pos(page[k]), pos(page[k + 1]));
+                &mut page[start..end]
+            }
+            None => &mut [],
+        }
+    }
+
+    /// Appends an object with no neighbours: its slot already holds an
+    /// empty list unless the last page is full.
+    fn push_empty(&mut self) {
+        if self.len == self.pages.len() * PAGE_LEN {
+            let empty = Page::from([ObjectId(TARGETS as u32); TARGETS].as_slice());
+            self.pages = self.pages.iter().cloned().chain([empty]).collect();
+        }
+        self.len += 1;
+    }
+
+    /// Removes and returns list `i`, moving the last object's list into its
+    /// place; `None` (and no change) when `i` is out of range.
+    fn swap_remove(&mut self, i: usize) -> Option<Vec<ObjectId>> {
+        if i >= self.len {
+            return None;
+        }
+        let last = self.len - 1;
+        let gone = self.list(i).to_vec();
+        if i != last {
+            let moved = self.list(last).to_vec();
+            self.splice(i, 0..gone.len(), &moved);
+        }
+        if last & PAGE_MASK == 0 {
+            // The last object was alone on its page.
+            self.pages = self.pages[..last >> PAGE_BITS].iter().cloned().collect();
+        } else {
+            let n = self.list(last).len();
+            self.splice(last, 0..n, &[]);
+        }
+        self.len = last;
+        Some(gone)
+    }
+
+    /// The indices of the pages that are not the same allocation in `self`
+    /// and `other` (diagnostics for the copy-on-write tests).
+    #[cfg(test)]
+    pub(crate) fn unshared_pages<'a>(
+        &'a self,
+        other: &'a Self,
+    ) -> impl Iterator<Item = usize> + 'a {
+        (0..self.pages.len().max(other.pages.len())).filter(move |&p| {
+            !matches!((self.pages.get(p), other.pages.get(p)), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+        })
+    }
+}
+
+/// Groups `items` by key, keeping their order within a key: the flat lists
+/// (offsets, targets) of a side of `keys` objects. Each list is placed at
+/// its exact offset, so nothing is sorted or grown.
+fn group(
+    keys: usize,
+    items: impl Iterator<Item = (usize, ObjectId)> + Clone,
+) -> (Vec<usize>, Vec<ObjectId>) {
+    let mut offsets = vec![0usize; keys + 1];
+    for (key, _) in items.clone() {
+        offsets[key + 1] += 1;
+    }
+    for key in 1..=keys {
+        offsets[key] += offsets[key - 1];
+    }
+    let mut targets = vec![ObjectId(0); offsets[keys]];
+    for (key, item) in items {
+        targets[offsets[key]] = item;
+        offsets[key] += 1;
+    }
+    // Each offset advanced to the next list's start; shift them back.
+    offsets.rotate_right(1);
+    offsets[0] = 0;
+    (offsets, targets)
+}
 
 /// Links of one relationship: adjacency in both directions.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RelLinks {
     /// left object -> linked right objects.
-    left_to_right: PagedVec<Vec<ObjectId>>,
+    left_to_right: Lists,
     /// right object -> linked left objects.
-    right_to_left: PagedVec<Vec<ObjectId>>,
+    right_to_left: Lists,
     links: u64,
 }
 
 impl RelLinks {
-    pub fn new(left_cardinality: usize, right_cardinality: usize) -> Self {
-        Self::from_adjacency(
-            vec![Vec::new(); left_cardinality],
-            vec![Vec::new(); right_cardinality],
-        )
-    }
-
     /// Builds a table in canonical order (see module docs) from flat
     /// `(left, right)` pairs, given in per-left insertion order. Every id
     /// must be below its side's cardinality.
     pub(crate) fn from_pairs(
         left_cardinality: usize,
         right_cardinality: usize,
-        pairs: impl IntoIterator<Item = (ObjectId, ObjectId)>,
+        pairs: &[(ObjectId, ObjectId)],
     ) -> Self {
-        let mut left_to_right = vec![Vec::new(); left_cardinality];
-        for (left, right) in pairs {
-            left_to_right[left.index()].push(right);
-        }
-        Self::from_left_lists(left_to_right, right_cardinality)
+        let (offsets, targets) =
+            group(left_cardinality, pairs.iter().map(|&(left, right)| (left.index(), right)));
+        Self::from_left_lists(&offsets, &targets, right_cardinality)
     }
 
-    /// Builds a table from its left lists, deriving the right side: each
-    /// right list is allocated at its exact size and filled in ascending
-    /// left order, which is the canonical order, so nothing is sorted.
-    /// Every id must be below `right_cardinality`.
+    /// Builds a table from its left lists, flat — left object `l`'s is
+    /// `targets[offsets[l]..offsets[l + 1]]` — deriving the right side:
+    /// walking the left lists in ascending left order fills each right list
+    /// in canonical order, so nothing is sorted. Every id must be below
+    /// `right_cardinality`.
     pub(crate) fn from_left_lists(
-        left_to_right: Vec<Vec<ObjectId>>,
+        offsets: &[usize],
+        targets: &[ObjectId],
         right_cardinality: usize,
     ) -> Self {
-        let mut degree = vec![0usize; right_cardinality];
-        for right in left_to_right.iter().flatten() {
-            degree[right.index()] += 1;
+        let left_cardinality = offsets.len().saturating_sub(1);
+        let mirrored = (0..left_cardinality).flat_map(|l| {
+            let rights = &targets[offsets[l]..offsets[l + 1]];
+            rights.iter().map(move |right| (right.index(), ObjectId(l as u32)))
+        });
+        let (right_offsets, lefts) = group(right_cardinality, mirrored);
+        Self {
+            left_to_right: Lists::from_flat(offsets, targets),
+            right_to_left: Lists::from_flat(&right_offsets, &lefts),
+            links: targets.len() as u64,
         }
-        let mut right_to_left: Vec<Vec<ObjectId>> =
-            degree.into_iter().map(Vec::with_capacity).collect();
-        for (left, rights) in left_to_right.iter().enumerate() {
-            for right in rights {
-                right_to_left[right.index()].push(ObjectId(left as u32));
-            }
-        }
-        Self::from_adjacency(left_to_right, right_to_left)
-    }
-
-    pub fn add(&mut self, left: ObjectId, right: ObjectId) {
-        self.left_to_right[left.index()].push(right);
-        self.right_to_left[right.index()].push(left);
-        self.links += 1;
     }
 
     /// Right-side neighbours of a left object.
     pub fn from_left(&self, left: ObjectId) -> &[ObjectId] {
-        self.left_to_right.get(left.index()).map(|v| v.as_slice()).unwrap_or(&[])
+        self.left_to_right.list(left.index())
     }
 
     /// Left-side neighbours of a right object.
     pub fn from_right(&self, right: ObjectId) -> &[ObjectId] {
-        self.right_to_left.get(right.index()).map(|v| v.as_slice()).unwrap_or(&[])
+        self.right_to_left.list(right.index())
+    }
+
+    /// A read handle on the left → right lists ([`RelLinks::from_left`]).
+    pub(crate) fn left_lists(&self) -> Adjacency<'_> {
+        self.left_to_right.handle()
+    }
+
+    /// A read handle on the right → left lists ([`RelLinks::from_right`]).
+    pub(crate) fn right_lists(&self) -> Adjacency<'_> {
+        self.right_to_left.handle()
     }
 
     pub fn link_count(&self) -> u64 {
@@ -118,28 +321,20 @@ impl RelLinks {
 
     /// Left objects with no links (total-participation check).
     pub fn unlinked_left(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.left_to_right
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_empty())
-            .map(|(i, _)| ObjectId(i as u32))
+        unlinked(&self.left_to_right)
     }
 
     pub fn unlinked_right(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.right_to_left
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_empty())
-            .map(|(i, _)| ObjectId(i as u32))
+        unlinked(&self.right_to_left)
     }
 
     /// Max links per left object (multiplicity check).
     pub fn max_left_fanout(&self) -> usize {
-        self.left_to_right.iter().map(|v| v.len()).max().unwrap_or(0)
+        self.left_to_right.lists().map(<[ObjectId]>::len).max().unwrap_or(0)
     }
 
     pub fn max_right_fanout(&self) -> usize {
-        self.right_to_left.iter().map(|v| v.len()).max().unwrap_or(0)
+        self.right_to_left.lists().map(<[ObjectId]>::len).max().unwrap_or(0)
     }
 
     /// The first left object with more than one link, and how many it has
@@ -157,50 +352,36 @@ impl RelLinks {
     /// mutated link population from this flat form.
     pub fn pairs(&self) -> impl Iterator<Item = (ObjectId, ObjectId)> + '_ {
         self.left_to_right
-            .iter()
+            .lists()
             .enumerate()
             .flat_map(|(l, rs)| rs.iter().map(move |&r| (ObjectId(l as u32), r)))
     }
 
-    /// Assembles a link table from both sides' lists, which must mirror
-    /// each other in canonical order; `links` is counted from the left
-    /// lists.
-    fn from_adjacency(
-        left_to_right: Vec<Vec<ObjectId>>,
-        right_to_left: Vec<Vec<ObjectId>>,
-    ) -> Self {
-        let links = left_to_right.iter().map(|v| v.len() as u64).sum();
-        Self {
-            left_to_right: PagedVec::from_vec(left_to_right),
-            right_to_left: PagedVec::from_vec(right_to_left),
-            links,
-        }
-    }
-
     /// Both adjacency sides, left first (page-sharing diagnostics).
     #[cfg(test)]
-    pub(crate) fn sides(&self) -> [&PagedVec<Vec<ObjectId>>; 2] {
+    pub(crate) fn sides(&self) -> [&Lists; 2] {
         [&self.left_to_right, &self.right_to_left]
     }
 
     /// Extends the left side by one (unlinked) object slot.
     pub(crate) fn grow_left(&mut self) {
-        self.left_to_right.push(Vec::new());
+        self.left_to_right.push_empty();
     }
 
     /// Extends the right side by one (unlinked) object slot.
     pub(crate) fn grow_right(&mut self) {
-        self.right_to_left.push(Vec::new());
+        self.right_to_left.push_empty();
     }
 
     /// Adds one edge maintaining the canonical order: the right list gets a
     /// per-left append, the left entry lands at its sorted position (stably
-    /// after existing duplicates).
+    /// after existing duplicates). Both objects must be in range.
     pub(crate) fn add_sorted(&mut self, left: ObjectId, right: ObjectId) {
-        self.left_to_right[left.index()].push(right);
-        let list = &mut self.right_to_left[right.index()];
+        let end = self.left_to_right.list(left.index()).len();
+        self.left_to_right.splice(left.index(), end..end, &[right]);
+        let list = self.right_to_left.list(right.index());
         let at = list.partition_point(|o| o.index() <= left.index());
-        list.insert(at, left);
+        self.right_to_left.splice(right.index(), at..at, &[left]);
         self.links += 1;
     }
 
@@ -208,15 +389,14 @@ impl RelLinks {
     /// the edge is duplicated. Returns `false` (and changes nothing) when
     /// either side lacks the edge.
     pub(crate) fn remove_edge(&mut self, left: ObjectId, right: ObjectId) -> bool {
-        let at = |list: Option<&Vec<ObjectId>>, o: ObjectId| list?.iter().position(|&x| x == o);
         let (Some(r_at), Some(l_at)) = (
-            at(self.left_to_right.get(left.index()), right),
-            at(self.right_to_left.get(right.index()), left),
+            self.from_left(left).iter().position(|&x| x == right),
+            self.from_right(right).iter().position(|&x| x == left),
         ) else {
             return false;
         };
-        self.left_to_right[left.index()].remove(r_at);
-        self.right_to_left[right.index()].remove(l_at);
+        self.left_to_right.splice(left.index(), r_at..r_at + 1, &[]);
+        self.right_to_left.splice(right.index(), l_at..l_at + 1, &[]);
         self.links -= 1;
         true
     }
@@ -225,20 +405,12 @@ impl RelLinks {
     /// in `mirror`. Every constructor derives the right side from the left,
     /// so each neighbour's list holds the entry: a debug build asserts it,
     /// and a release build passes over one that does not.
-    fn unmirror(
-        mirror: &mut PagedVec<Vec<ObjectId>>,
-        links: &mut u64,
-        neighbours: &[ObjectId],
-        object: ObjectId,
-    ) {
+    fn unmirror(mirror: &mut Lists, links: &mut u64, neighbours: &[ObjectId], object: ObjectId) {
         for &n in neighbours {
-            let at = mirror.get_mut(n.index()).and_then(|list| {
-                let at = list.iter().position(|&o| o == object)?;
-                Some((list, at))
-            });
+            let at = mirror.list(n.index()).iter().position(|&o| o == object);
             debug_assert!(at.is_some(), "{n:?}'s list does not mirror {object:?}");
-            if let Some((list, at)) = at {
-                list.remove(at);
+            if let Some(at) = at {
+                mirror.splice(n.index(), at..at + 1, &[]);
                 *links -= 1;
             }
         }
@@ -260,26 +432,20 @@ impl RelLinks {
         if object == last {
             return;
         }
-        let moved = self.left_to_right[object.index()].clone();
-        let mut seen: Vec<ObjectId> = Vec::new();
-        for r in moved {
-            if seen.contains(&r) {
+        let moved = self.left_to_right.list(object.index());
+        for (seen, &r) in moved.iter().enumerate() {
+            if moved[..seen].contains(&r) {
                 continue; // duplicated edges: re-key the whole run once
             }
-            seen.push(r);
-            let list = &mut self.right_to_left[r.index()];
+            // The run of `last` moves down to `object`'s sorted place, ahead
+            // of the ids between the two; the list keeps its length.
+            let list = self.right_to_left.list_mut(r.index());
             let start = list.partition_point(|o| o.index() < last.index());
-            let mut end = start;
-            while end < list.len() && list[end] == last {
-                end += 1;
-            }
-            let count = end - start;
+            let count = list[start..].iter().take_while(|&&o| o == last).count();
             debug_assert!(count > 0, "moved object's edges must be present");
-            list.drain(start..end);
             let at = list.partition_point(|o| o.index() <= object.index());
-            for k in 0..count {
-                list.insert(at + k, object);
-            }
+            list[at..start + count].rotate_right(count);
+            list[at..at + count].fill(object);
         }
     }
 
@@ -294,14 +460,12 @@ impl RelLinks {
         if object == last {
             return;
         }
-        let moved = self.right_to_left[object.index()].clone();
-        let mut seen: Vec<ObjectId> = Vec::new();
-        for l in moved {
-            if seen.contains(&l) {
+        let moved = self.right_to_left.list(object.index());
+        for (seen, &l) in moved.iter().enumerate() {
+            if moved[..seen].contains(&l) {
                 continue;
             }
-            seen.push(l);
-            for o in self.left_to_right[l.index()].iter_mut() {
+            for o in self.left_to_right.list_mut(l.index()) {
                 if *o == last {
                     *o = object;
                 }
@@ -310,100 +474,119 @@ impl RelLinks {
     }
 }
 
-fn overlinked(side: &PagedVec<Vec<ObjectId>>) -> Option<(ObjectId, usize)> {
-    side.iter().enumerate().find(|(_, v)| v.len() > 1).map(|(i, v)| (ObjectId(i as u32), v.len()))
+fn unlinked(side: &Lists) -> impl Iterator<Item = ObjectId> + '_ {
+    side.lists().enumerate().filter(|(_, v)| v.is_empty()).map(|(i, _)| ObjectId(i as u32))
 }
 
-/// A link endpoint reference used by the executor when walking either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
-    Left,
-    Right,
-}
-
-impl Side {
-    pub fn opposite(self) -> Side {
-        match self {
-            Side::Left => Side::Right,
-            Side::Right => Side::Left,
-        }
-    }
-}
-
-/// Convenience wrapper naming a relationship traversal direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Traversal {
-    pub rel: RelId,
-    pub from: Side,
+fn overlinked(side: &Lists) -> Option<(ObjectId, usize)> {
+    side.lists().enumerate().find(|(_, v)| v.len() > 1).map(|(i, v)| (ObjectId(i as u32), v.len()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn links(left: usize, right: usize, pairs: &[(u32, u32)]) -> RelLinks {
+        let pairs: Vec<_> = pairs.iter().map(|&(l, r)| (ObjectId(l), ObjectId(r))).collect();
+        RelLinks::from_pairs(left, right, &pairs)
+    }
+
+    /// A table from both sides' lists as given, mirrored or not.
+    fn from_adjacency(left: &[&[u32]], right: &[&[u32]]) -> RelLinks {
+        let side = |lists: &[&[u32]]| {
+            let mut offsets = vec![0];
+            let mut targets = Vec::new();
+            for list in lists {
+                targets.extend(list.iter().map(|&o| ObjectId(o)));
+                offsets.push(targets.len());
+            }
+            Lists::from_flat(&offsets, &targets)
+        };
+        let links = left.iter().map(|l| l.len() as u64).sum();
+        RelLinks { left_to_right: side(left), right_to_left: side(right), links }
+    }
+
+    fn ids(ids: &[u32]) -> Vec<ObjectId> {
+        ids.iter().map(|&o| ObjectId(o)).collect()
+    }
+
     #[test]
     fn bidirectional_adjacency() {
-        let mut l = RelLinks::new(3, 2);
-        l.add(ObjectId(0), ObjectId(1));
-        l.add(ObjectId(2), ObjectId(1));
-        l.add(ObjectId(0), ObjectId(0));
-        assert_eq!(l.from_left(ObjectId(0)), &[ObjectId(1), ObjectId(0)]);
-        assert_eq!(l.from_right(ObjectId(1)), &[ObjectId(0), ObjectId(2)]);
+        let l = links(3, 2, &[(0, 1), (2, 1), (0, 0)]);
+        assert_eq!(l.from_left(ObjectId(0)), ids(&[1, 0]));
+        assert_eq!(l.from_right(ObjectId(1)), ids(&[0, 2]));
         assert_eq!(l.link_count(), 3);
         assert_eq!(l.from_left(ObjectId(1)), &[] as &[ObjectId]);
+        assert_eq!(l.left_lists().get(ObjectId(2)), ids(&[1]));
+        assert_eq!(l.right_lists().get(ObjectId(0)), ids(&[0]));
+        assert_eq!(l.left_lists().get(ObjectId(3)), &[] as &[ObjectId], "past the side");
     }
 
     #[test]
     fn unlinked_detection() {
-        let mut l = RelLinks::new(3, 2);
-        l.add(ObjectId(0), ObjectId(0));
+        let l = links(3, 2, &[(0, 0)]);
         let unlinked: Vec<ObjectId> = l.unlinked_left().collect();
-        assert_eq!(unlinked, vec![ObjectId(1), ObjectId(2)]);
+        assert_eq!(unlinked, ids(&[1, 2]));
         let unlinked_r: Vec<ObjectId> = l.unlinked_right().collect();
-        assert_eq!(unlinked_r, vec![ObjectId(1)]);
+        assert_eq!(unlinked_r, ids(&[1]));
     }
 
     #[test]
     fn fanout_tracking() {
-        let mut l = RelLinks::new(2, 2);
-        l.add(ObjectId(0), ObjectId(0));
-        l.add(ObjectId(0), ObjectId(1));
+        let l = links(2, 2, &[(0, 0), (0, 1)]);
         assert_eq!(l.max_left_fanout(), 2);
         assert_eq!(l.max_right_fanout(), 1);
     }
 
     #[test]
-    fn side_opposite() {
-        assert_eq!(Side::Left.opposite(), Side::Right);
-        assert_eq!(Side::Right.opposite(), Side::Left);
+    fn from_pairs_sorts_right_lists_stably() {
+        let l = links(3, 1, &[(2, 0), (0, 0), (2, 0)]); // one duplicate edge
+        assert_eq!(l.link_count(), 3);
+        assert_eq!(l.from_right(ObjectId(0)), ids(&[0, 2, 2]));
+        // Left lists keep insertion order.
+        assert_eq!(l.from_left(ObjectId(2)), ids(&[0, 0]));
     }
 
     #[test]
-    fn from_pairs_sorts_right_lists_stably() {
-        let pairs = [(2, 0), (0, 0), (2, 0)]; // one duplicate edge
-        let l = RelLinks::from_pairs(3, 1, pairs.map(|(l, r)| (ObjectId(l), ObjectId(r))));
-        assert_eq!(l.link_count(), 3);
-        assert_eq!(l.from_right(ObjectId(0)), &[ObjectId(0), ObjectId(2), ObjectId(2)]);
-        // Left lists keep insertion order.
-        assert_eq!(l.from_left(ObjectId(2)), &[ObjectId(0), ObjectId(0)]);
+    fn lists_read_back_across_pages() {
+        // Left object i links right objects i % 7 and, when odd, i % 5:
+        // three pages a side, some lists empty.
+        let n = 2 * PAGE_LEN as u32 + 9;
+        let pairs: Vec<(u32, u32)> = (0..n)
+            .filter(|i| i % 11 != 3)
+            .flat_map(|i| [(i, i % 7)].into_iter().chain((i % 2 == 1).then_some((i, i % 5))))
+            .collect();
+        let l = links(n as usize, 7, &pairs);
+        for i in 0..n {
+            let want: Vec<u32> = pairs.iter().filter(|p| p.0 == i).map(|p| p.1).collect();
+            assert_eq!(l.from_left(ObjectId(i)), ids(&want), "left {i}");
+        }
+        assert_eq!(l.pairs().count(), pairs.len());
+        assert_eq!(l.sides()[0].pages.len(), 3);
     }
 
     #[test]
     fn add_sorted_maintains_the_canonical_order() {
-        let mut l =
-            RelLinks::from_pairs(3, 1, [(0, 0), (2, 0)].map(|(l, r)| (ObjectId(l), ObjectId(r))));
+        let mut l = links(3, 1, &[(0, 0), (2, 0)]);
         l.add_sorted(ObjectId(1), ObjectId(0));
-        assert_eq!(l.from_right(ObjectId(0)), &[ObjectId(0), ObjectId(1), ObjectId(2)]);
+        assert_eq!(l.from_right(ObjectId(0)), ids(&[0, 1, 2]));
         assert_eq!(l.link_count(), 3);
+        // Adding in any order lands where a bulk build puts it.
+        let mut grown = links(3, 2, &[]);
+        for (left, right) in [(2, 1), (0, 1), (2, 1), (1, 0)] {
+            grown.add_sorted(ObjectId(left), ObjectId(right));
+        }
+        assert_eq!(grown, links(3, 2, &[(2, 1), (0, 1), (2, 1), (1, 0)]));
+        assert_eq!(grown.from_right(ObjectId(1)), ids(&[0, 2, 2]));
     }
 
     #[test]
     fn remove_edge_takes_the_oldest_duplicate_and_reports_missing() {
-        let mut l = RelLinks::new(2, 2);
+        let mut l = links(2, 2, &[]);
         l.add_sorted(ObjectId(0), ObjectId(1));
         l.add_sorted(ObjectId(0), ObjectId(1));
         assert!(l.remove_edge(ObjectId(0), ObjectId(1)));
-        assert_eq!(l.from_left(ObjectId(0)), &[ObjectId(1)]);
+        assert_eq!(l.from_left(ObjectId(0)), ids(&[1]));
         assert_eq!(l.link_count(), 1);
         assert!(!l.remove_edge(ObjectId(1), ObjectId(0)));
         assert!(!l.remove_edge(ObjectId(7), ObjectId(0)), "out of range is not-found, not a panic");
@@ -411,28 +594,68 @@ mod tests {
 
     #[test]
     fn delete_left_renumbers_and_keeps_sorted_right_lists() {
-        let pairs = [(0, 0), (1, 0), (2, 0), (2, 1)];
-        let mut l = RelLinks::from_pairs(3, 2, pairs.map(|(l, r)| (ObjectId(l), ObjectId(r))));
+        let mut l = links(3, 2, &[(0, 0), (1, 0), (2, 0), (2, 1)]);
         // Delete left object 0: object 2 takes its id, edges follow.
         l.delete_left(ObjectId(0));
         assert_eq!(l.left_cardinality(), 2);
-        assert_eq!(l.from_left(ObjectId(0)), &[ObjectId(0), ObjectId(1)]);
-        assert_eq!(l.from_right(ObjectId(0)), &[ObjectId(0), ObjectId(1)]);
-        assert_eq!(l.from_right(ObjectId(1)), &[ObjectId(0)]);
+        assert_eq!(l.from_left(ObjectId(0)), ids(&[0, 1]));
+        assert_eq!(l.from_right(ObjectId(0)), ids(&[0, 1]));
+        assert_eq!(l.from_right(ObjectId(1)), ids(&[0]));
         assert_eq!(l.link_count(), 3);
+        assert_eq!(l, links(2, 2, &[(0, 0), (0, 1), (1, 0)]), "the bulk build's pages");
+    }
+
+    #[test]
+    fn deletes_across_a_page_boundary_match_the_bulk_build() {
+        // Left object i links right i % 3 twice and right 2 once; deleting
+        // object 5 moves the first object of the last page onto it and
+        // drops that page.
+        let n = PAGE_LEN as u32 + 1;
+        let pairs: Vec<(u32, u32)> =
+            (0..n).flat_map(|i| [(i, i % 3), (i, 2), (i, i % 3)]).collect();
+        let mut l = links(n as usize, 3, &pairs);
+        l.delete_left(ObjectId(5));
+        let renumbered: Vec<(u32, u32)> = pairs
+            .iter()
+            .filter(|p| p.0 != 5 && p.0 != n - 1)
+            .copied()
+            .chain(pairs.iter().filter(|p| p.0 == n - 1).map(|p| (5, p.1)))
+            .collect();
+        let mut by_left = renumbered;
+        by_left.sort_by_key(|p| p.0); // stable: per-left order kept
+        assert_eq!(l, links(n as usize - 1, 3, &by_left));
+        assert_eq!(l.sides()[0].pages.len(), 1);
+        l.delete_right(ObjectId(0));
+        let moved: Vec<(u32, u32)> = by_left
+            .iter()
+            .filter(|p| p.1 != 0)
+            .map(|&(left, right)| (left, if right == 2 { 0 } else { right }))
+            .collect();
+        assert_eq!(l, links(n as usize - 1, 2, &moved));
     }
 
     #[test]
     fn delete_right_renumbers_left_lists_in_place() {
-        let pairs = [(0, 0), (0, 2), (1, 1)];
-        let mut l = RelLinks::from_pairs(2, 3, pairs.map(|(l, r)| (ObjectId(l), ObjectId(r))));
+        let mut l = links(2, 3, &[(0, 0), (0, 2), (1, 1)]);
         // Delete right object 0: right object 2 takes its id.
         l.delete_right(ObjectId(0));
         assert_eq!(l.right_cardinality(), 2);
-        assert_eq!(l.from_left(ObjectId(0)), &[ObjectId(0)]);
-        assert_eq!(l.from_right(ObjectId(0)), &[ObjectId(0)]);
-        assert_eq!(l.from_right(ObjectId(1)), &[ObjectId(1)]);
+        assert_eq!(l.from_left(ObjectId(0)), ids(&[0]));
+        assert_eq!(l.from_right(ObjectId(0)), ids(&[0]));
+        assert_eq!(l.from_right(ObjectId(1)), ids(&[1]));
         assert_eq!(l.link_count(), 2);
+    }
+
+    #[test]
+    fn growing_a_side_copies_no_page_until_a_page_is_full() {
+        let base = links(PAGE_LEN - 1, 1, &[(0, 0)]);
+        let mut next = base.clone();
+        next.grow_left();
+        assert_eq!(next.sides()[0].unshared_pages(base.sides()[0]).count(), 0);
+        next.grow_left();
+        let added: Vec<usize> = next.sides()[0].unshared_pages(base.sides()[0]).collect();
+        assert_eq!(added, vec![1]);
+        assert_eq!(next, links(PAGE_LEN + 1, 1, &[(0, 0)]));
     }
 
     #[test]
@@ -442,9 +665,9 @@ mod tests {
         // the left); an edge removal, which a request can ask for, still
         // reports one rather than panic. A delete on it fails `unmirror`'s
         // debug assertion instead (see the test below).
-        let mut l = RelLinks::from_adjacency(vec![vec![ObjectId(1)]], vec![vec![], vec![]]);
+        let mut l = from_adjacency(&[&[1]], &[&[], &[]]);
         assert!(!l.remove_edge(ObjectId(0), ObjectId(1)));
-        assert_eq!(l.from_left(ObjectId(0)), &[ObjectId(1)], "nothing removed");
+        assert_eq!(l.from_left(ObjectId(0)), ids(&[1]), "nothing removed");
         assert_eq!(l.link_count(), 1);
     }
 
@@ -452,7 +675,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "does not mirror")]
     fn a_delete_on_a_one_sided_table_fails_a_debug_assertion() {
-        let mut r = RelLinks::from_adjacency(vec![vec![]], vec![vec![ObjectId(0)]]);
+        let mut r = from_adjacency(&[&[]], &[&[0]]);
         r.delete_right(ObjectId(0));
     }
 }

@@ -5,25 +5,28 @@
 //! copies the page table (one pointer per page) the first time and the one
 //! page that holds the element, and nothing else. That is what lets a
 //! copy-on-write snapshot successor pay for the rows a batch touches instead
-//! of for the whole column or adjacency side: an append copies the last
-//! page, a `swap_remove` the removed element's page and the last one.
+//! of for the whole column: an append copies the last page, a
+//! `swap_remove` the removed element's page and the last one.
 //!
-//! Reads cost what a `Vec` behind an `Arc` costs: the table is a slice
-//! inline in its `Arc` and a page an array inline in its own, so an element
-//! is two pointers from the vector, as it is from an `Arc<Vec<T>>`. An
-//! extent keeps one `PagedVec<Value>` per attribute (`extent.rs`), so an
-//! attribute value sits inline in its page, with no row block to chase.
+//! The table is a slice inline in its `Arc` and a page an array inline in
+//! its own, so an element is two pointers from the vector: reading one
+//! loads the page's pointer from the table, then the element. A reader that
+//! resolves the table once ([`PagedVec::table`], which `extent::Column`
+//! holds) pays exactly those two loads per element. An extent keeps one
+//! `PagedVec<Value>` per attribute (`extent.rs`), so an attribute value sits
+//! inline in its page, with no row block to chase.
 
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 /// Elements per page. Small enough that copying one page is noise next to
-/// the rest of a write (128 values of a column or 128 adjacency lists are
-/// 3 KiB), large enough that the page table stays a few hundred pointers at
-/// 10⁵ elements.
-const PAGE_BITS: usize = 7;
+/// the rest of a write (128 values of a column are 3 KiB), large enough that
+/// the page table stays a few hundred pointers at 10⁵ elements. The
+/// adjacency sides of a link table (`links.rs`) page their lists by the
+/// same count.
+pub(crate) const PAGE_BITS: usize = 7;
 pub(crate) const PAGE_LEN: usize = 1 << PAGE_BITS;
-const PAGE_MASK: usize = PAGE_LEN - 1;
+pub(crate) const PAGE_MASK: usize = PAGE_LEN - 1;
 
 /// The slots of the last page past `len` hold [`Blank::blank`].
 pub(crate) type Page<T> = Arc<[T; PAGE_LEN]>;
@@ -31,12 +34,6 @@ pub(crate) type Page<T> = Arc<[T; PAGE_LEN]>;
 /// What the unused slots of a last page hold.
 pub(crate) trait Blank: Clone {
     fn blank() -> Self;
-}
-
-impl<T: Clone> Blank for Vec<T> {
-    fn blank() -> Self {
-        Vec::new()
-    }
 }
 
 /// See the module docs. Unused slots always hold the blank value, so two
@@ -60,11 +57,13 @@ impl<T> PagedVec<T> {
     }
 
     pub(crate) fn get(&self, i: usize) -> Option<&T> {
-        if i < self.len {
-            self.pages.get(i >> PAGE_BITS).map(|page| &page[i & PAGE_MASK])
-        } else {
-            None
-        }
+        slot(&self.pages, self.len, i)
+    }
+
+    /// The page table: element `i` is `table[i >> PAGE_BITS][i & PAGE_MASK]`
+    /// for `i < len()`.
+    pub(crate) fn table(&self) -> &[Page<T>] {
+        &self.pages
     }
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = &T> + Clone {
@@ -74,11 +73,7 @@ impl<T> PagedVec<T> {
     /// The elements page by page: each page's used slots, in order (every
     /// page is full but the last).
     pub(crate) fn pages(&self) -> impl Iterator<Item = &[T]> + Clone {
-        let len = self.len;
-        self.pages.iter().enumerate().map(move |(p, page)| {
-            let used = len.saturating_sub(p << PAGE_BITS).min(PAGE_LEN);
-            &page[..used]
-        })
+        used_pages(&self.pages, self.len)
     }
 
     /// The indices of the pages that are not the same allocation in `self`
@@ -94,6 +89,7 @@ impl<T> PagedVec<T> {
 }
 
 impl<T: Blank> PagedVec<T> {
+    #[cfg(test)]
     pub(crate) fn from_vec(items: Vec<T>) -> Self {
         let len = items.len();
         let mut items = items.into_iter();
@@ -154,6 +150,24 @@ impl<T: Blank> PagedVec<T> {
             None => last, // `i` was the last element
         })
     }
+}
+
+/// Element `i` of the first `len` elements of the pages `table`.
+#[inline]
+pub(crate) fn slot<T>(table: &[Page<T>], len: usize, i: usize) -> Option<&T> {
+    if i < len {
+        table.get(i >> PAGE_BITS).map(|page| &page[i & PAGE_MASK])
+    } else {
+        None
+    }
+}
+
+/// The used slots of each page of `table`, which holds `len` elements.
+pub(crate) fn used_pages<T>(table: &[Page<T>], len: usize) -> impl Iterator<Item = &[T]> + Clone {
+    table.iter().enumerate().map(move |(p, page)| {
+        let used = len.saturating_sub(p << PAGE_BITS).min(PAGE_LEN);
+        &page[..used]
+    })
 }
 
 /// The page holding `items`, at most [`PAGE_LEN`] of them and blank past

@@ -325,19 +325,21 @@ fn encoded_equals(encoded: &[u8], dict: &[Arc<str>], key: &Value) -> bool {
 }
 
 /// Decodes the left adjacency lists of relationship `def`: `cardinality`
-/// lists of right-object ids, each below `right_cardinality`. Every list
-/// costs at least its 4-byte count, so the bytes left bound the outer
-/// reservation whatever cardinality the file claims.
+/// lists of right-object ids, each below `right_cardinality`, flat — list
+/// `o` is `targets[offsets[o]..offsets[o + 1]]`. Every list costs at least
+/// its 4-byte count, so the bytes left bound the reservation whatever
+/// cardinality the file claims.
 fn decode_left_lists(
     r: &mut ByteReader<'_>,
     def: &RelationshipDef,
     cardinality: usize,
     right_cardinality: usize,
-) -> Result<Vec<Vec<ObjectId>>, LoadError> {
-    let mut lists = Vec::with_capacity(cardinality.min(r.remaining() / 4));
+) -> Result<(Vec<usize>, Vec<ObjectId>), LoadError> {
+    let mut offsets = Vec::with_capacity(cardinality.min(r.remaining() / 4) + 1);
+    let mut targets = Vec::new();
+    offsets.push(0);
     for o in 0..cardinality {
         let n = r.count()?;
-        let mut list: Vec<ObjectId> = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
             let id = r.u32()?;
             if id as usize >= right_cardinality {
@@ -350,11 +352,11 @@ fn decode_left_lists(
                     ),
                 });
             }
-            list.push(ObjectId(id));
+            targets.push(ObjectId(id));
         }
-        lists.push(list);
+        offsets.push(targets.len());
     }
-    Ok(lists)
+    Ok((offsets, targets))
 }
 
 /// Decodes the LINKS section: per relationship, the left lists, from which
@@ -390,12 +392,12 @@ fn decode_links(
                 ),
             ));
         }
-        let left = decode_left_lists(&mut r, def, left_card, right_card)?;
+        let (offsets, targets) = decode_left_lists(&mut r, def, left_card, right_card)?;
         for _ in 0..right_card {
             let n = r.count()?;
             r.skip(n.saturating_mul(4))?;
         }
-        links.push(RelLinks::from_left_lists(left, right_card));
+        links.push(RelLinks::from_left_lists(&offsets, &targets, right_card));
     }
     r.expect_exhausted()?;
     Ok(links)

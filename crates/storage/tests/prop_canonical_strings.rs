@@ -170,7 +170,7 @@ fn assert_canonical(db: &Database, stage: &str) {
         for attr in 0..5u32 {
             let mut first: HashMap<&str, &Arc<str>> = HashMap::new();
             let attr_ref = AttrRef::new(class, AttrId(attr));
-            for v in db.column(attr_ref).unwrap() {
+            for v in db.column(attr_ref).unwrap().iter() {
                 let s = arc(v);
                 let canonical = *first.entry(s.as_ref()).or_insert(s);
                 assert!(

@@ -329,7 +329,7 @@ fn assert_page_walk(db: &Database, class: ClassId) {
     let arity = db.catalog().class(class).unwrap().attributes.len();
     for a in 0..arity {
         let attr = AttrRef::new(class, AttrId(a as u32));
-        let walked: Vec<&Value> = db.column(attr).unwrap().collect();
+        let walked: Vec<&Value> = db.column(attr).unwrap().iter().collect();
         assert_eq!(walked.len(), db.cardinality(class), "page walk of {attr:?}");
         for (o, v) in walked.into_iter().enumerate() {
             assert_eq!(v, db.value(attr, ObjectId(o as u32)).unwrap(), "object {o}");
