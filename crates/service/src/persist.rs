@@ -26,14 +26,6 @@ use sqo_snapshot::{
 use crate::cache::CacheEntry;
 use crate::ServiceError;
 
-fn origin_tag(origin: Origin) -> u8 {
-    match origin {
-        Origin::Declared => 0,
-        Origin::Derived => 1,
-        Origin::Dynamic => 2,
-    }
-}
-
 /// Encodes a [`ConstraintStore`] as the CONSTRAINTS section payload: its
 /// epoch, its closure limits and its stated constraints, in store order.
 /// The closure-derived constraints are not written; a load derives them
@@ -41,17 +33,9 @@ fn origin_tag(origin: Origin) -> u8 {
 pub fn encode_constraints(store: &ConstraintStore) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u64(store.epoch());
-    w.u64(store.generation());
-    // The v1 layout's group-assignment policy byte: the LFA tag every
-    // store has written. Readers ignore it.
-    w.u8(1);
     let closure = store.closure_options();
     w.u64(closure.max_derived as u64);
     w.u64(closure.max_rounds as u64);
-    // The v1 layout's derived count and truncation flag: no derived
-    // constraint is written, and readers ignore both.
-    w.u64(0);
-    w.u8(0);
     let stated: Vec<_> = store.constraints().filter(|(_, c)| c.origin != Origin::Derived).collect();
     w.u32(stated.len() as u32);
     for (_, c) in stated {
@@ -76,24 +60,24 @@ fn write_constraint(w: &mut ByteWriter, c: &HornConstraint) {
     for cl in &c.classes {
         w.u32(cl.0);
     }
-    w.u8(origin_tag(c.origin));
+    // Tag 1, a derived constraint, is never written: a load refuses it.
+    w.u8(if c.origin == Origin::Dynamic { 2 } else { 0 });
 }
 
 /// Decodes the CONSTRAINTS section payload into the store it describes:
 /// [`ConstraintStore::build`] over the stated constraints (Declared and
 /// Dynamic, in file order), under the persisted closure limits clamped per
 /// field to [`ClosureOptions::default`], at the saved epoch with a fresh
-/// process-local generation. `Derived` entries an older writer stored are
-/// skipped, as are the saved generation, the policy byte, the derived
-/// count and the truncation flag: the closure is derived again, so no file
-/// can add a constraint the stated ones do not imply. Building the store
-/// resolves every class, relationship and attribute the constraints name,
-/// the same check a live `add_constraint` passes.
+/// process-local generation. The closure is derived again, and an entry
+/// tagged derived is malformed, so no file can add a constraint the stated
+/// ones do not imply. Building the store resolves every class,
+/// relationship and attribute the constraints name, the same check a live
+/// `add_constraint` passes.
 ///
 /// # Errors
-/// [`LoadError::Malformed`] on structural damage, an epoch at or above
-/// [`sqo_snapshot::EPOCH_LIMIT`] (from which a store could not keep
-/// advancing) or a literal of the wrong type;
+/// [`LoadError::Malformed`] on structural damage (an entry tagged derived
+/// included), an epoch at or above [`sqo_snapshot::EPOCH_LIMIT`] (from
+/// which a store could not keep advancing) or a literal of the wrong type;
 /// [`LoadError::UnsortedPosting`] for a class list out of order;
 /// [`LoadError::DanglingReference`] for an id the catalog does not
 /// resolve.
@@ -103,14 +87,12 @@ pub fn decode_constraints(
 ) -> Result<ConstraintStore, LoadError> {
     let mut r = ByteReader::new(payload, "CONSTRAINTS");
     let epoch = r.epoch()?;
-    r.skip(8 + 1)?; // saved generation, policy byte
     let limit = ClosureOptions::default();
     let mut bounded = |max: usize| r.u64().map(|n| n.min(max as u64) as usize);
     let closure = ClosureOptions {
         max_derived: bounded(limit.max_derived)?,
         max_rounds: bounded(limit.max_rounds)?,
     };
-    r.skip(8 + 1)?; // derived count, truncation flag
     let mut stated = Vec::new();
     for _ in 0..r.count()? {
         let name = r.str()?;
@@ -136,7 +118,6 @@ pub fn decode_constraints(
         }
         let origin = match r.u8()? {
             0 => Origin::Declared,
-            1 => continue,
             2 => Origin::Dynamic,
             t => return Err(r.malformed(format!("unknown origin tag {t}"))),
         };
@@ -241,37 +222,35 @@ mod tests {
         assert_ne!(rebuilt.generation(), s.store.generation(), "fresh generation");
     }
 
-    /// An older writer stored the closure-derived constraints too. A file
-    /// whose derived constraint has its consequent flipped builds exactly
-    /// the saver's store: derived entries are skipped and the closure is
-    /// derived again.
+    /// A derived constraint is not stated, so no writer stores one: a file
+    /// that carries one, here a real derived constraint of the store with
+    /// its consequent flipped, is refused rather than read or skipped.
     #[test]
-    fn a_tampered_derived_constraint_is_derived_again() {
+    fn a_stored_derived_constraint_is_malformed() {
         let s = paper_scenario(DbSize::Db1, 7);
         let catalog = Arc::clone(s.store.catalog());
-        // Epoch, generation, policy byte and closure limits, then the
-        // derived count and truncation flag such a writer filled in.
-        let mut w = ByteWriter::new();
-        w.bytes(&encode_constraints(&s.store)[..33]);
-        w.u64(s.store.derived_count() as u64);
-        w.u8(0);
-        w.u32(s.store.len() as u32);
-        for (_, c) in s.store.constraints() {
-            let mut c = c.clone();
-            if c.origin == Origin::Derived {
-                // Flip the consequent's operator: still well-formed, no
-                // longer derivable.
-                if let sqo_query::Predicate::Sel(sel) = &mut c.consequent {
-                    sel.op = match sel.op {
-                        sqo_query::CompOp::Eq => sqo_query::CompOp::Ne,
-                        _ => sqo_query::CompOp::Eq,
-                    };
-                }
-            }
-            write_constraint(&mut w, &c);
+        let (_, derived) =
+            s.store.constraints().find(|(_, c)| c.origin == Origin::Derived).unwrap();
+        let mut forged = derived.clone();
+        if let sqo_query::Predicate::Sel(sel) = &mut forged.consequent {
+            sel.op = match sel.op {
+                sqo_query::CompOp::Eq => sqo_query::CompOp::Ne,
+                _ => sqo_query::CompOp::Eq,
+            };
         }
-        let rebuilt = decode_constraints(&w.finish(), catalog).unwrap();
-        same_constraints(&rebuilt, &s.store);
+        // Epoch and closure limits, the stated count plus one, the stated
+        // constraints, then the forged one under origin tag 1.
+        let payload = encode_constraints(&s.store);
+        let count = u32::from_le_bytes(payload[24..28].try_into().unwrap());
+        let mut w = ByteWriter::new();
+        w.bytes(&payload[..24]);
+        w.u32(count + 1);
+        w.bytes(&payload[28..]);
+        write_constraint(&mut w, &forged);
+        let mut bytes = w.finish();
+        *bytes.last_mut().unwrap() = 1;
+        let err = decode_constraints(&bytes, catalog).unwrap_err();
+        assert!(matches!(err, LoadError::Malformed { section: "CONSTRAINTS", .. }), "{err:?}");
     }
 
     #[test]
@@ -279,7 +258,7 @@ mod tests {
         let s = paper_scenario(DbSize::Db1, 7);
         let catalog = Arc::clone(s.store.catalog());
         let bytes = encode_constraints(&s.store);
-        for cut in [0, 8, 17, 33, bytes.len() / 2, bytes.len() - 1] {
+        for cut in [0, 8, 16, 24, bytes.len() / 2, bytes.len() - 1] {
             assert!(
                 decode_constraints(&bytes[..cut], Arc::clone(&catalog)).is_err(),
                 "cut at {cut} decoded"

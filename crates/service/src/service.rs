@@ -679,8 +679,7 @@ impl QueryService {
     /// the miss pipeline against the loaded store and database, and cached
     /// at the new store's version: nothing derived is read from the file,
     /// so no file can make the service answer another query. Boot
-    /// derivations do not count in [`ServiceStats::optimizations`]. A
-    /// section older builds wrote with their plans (PLANSEEDS) is not read.
+    /// derivations do not count in [`ServiceStats::optimizations`].
     ///
     /// # Errors
     /// Any [`LoadError`]: damage, dangling ids, ordering violations, an

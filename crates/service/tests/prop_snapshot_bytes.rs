@@ -6,12 +6,10 @@
 //! Damage to the QUERIES section never changes an answer: whatever queries
 //! it decodes to are derived afresh at boot (so the optimizer and planner
 //! run on them here, under `catch_unwind`), and every base query answers
-//! exactly what the undamaged service answers. Nor does damage to the ids
-//! of the stored right adjacency lists, which a load skips: such a file
-//! loads and answers exactly. Nor does damage to the index postings that
-//! keeps every id in range (an id moved to another key, two ids swapped
-//! between keys, an id dropped): such a file is refused, or loads and
-//! answers exactly.
+//! exactly what the undamaged service answers. Nor does damage to the index
+//! postings that keeps every id in range (an id moved to another key, two
+//! ids swapped between keys, an id dropped): such a file is refused, or
+//! loads and answers exactly.
 //!
 //! Each case takes a served paper snapshot, damages one section's payload
 //! (flipped bytes, a truncation, or `u32`s written over or spliced into
@@ -29,8 +27,8 @@ use sqo_exec::ResultSet;
 use sqo_query::Query;
 use sqo_service::{QueryService, ServiceConfig};
 use sqo_snapshot::{
-    section_name, ByteReader, LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel,
-    SEC_INDEXES, SEC_LINKS, SEC_QUERIES,
+    section_name, LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel, SEC_INDEXES,
+    SEC_QUERIES,
 };
 use sqo_storage::DataWrite;
 use sqo_workload::{copyable_rels, dup_insert, dup_safe_classes, paper_scenario, DbSize};
@@ -44,6 +42,7 @@ use stored_indexes::{read_indexes, write_indexes, Entries};
 /// insert, are what a service loaded from a damaged copy is asked to serve.
 struct Base {
     bytes: Vec<u8>,
+    catalog: Arc<sqo_catalog::Catalog>,
     queries: Vec<Query>,
     /// What the undamaged service answers for each query.
     answers: Vec<Arc<ResultSet>>,
@@ -56,10 +55,11 @@ fn base() -> &'static Base {
         let s = paper_scenario(DbSize::Db1, 7);
         let class = dup_safe_classes(&s.catalog)[0];
         let write = dup_insert(&s.db, class, 0, &copyable_rels(&s.catalog, class));
+        let catalog = Arc::clone(&s.catalog);
         let service = QueryService::new(Arc::new(s.store), Arc::new(s.db));
         let queries: Vec<Query> = s.queries.into_iter().take(8).collect();
         let answers = queries.iter().map(|q| service.run(q).expect("cold run").results).collect();
-        Base { bytes: service.snapshot_bytes(), queries, answers, write }
+        Base { bytes: service.snapshot_bytes(), catalog, queries, answers, write }
     })
 }
 
@@ -142,32 +142,6 @@ fn edited(target: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
         b.section(id, payload);
     }
     b.finish()
-}
-
-/// The offset of every id in the base LINKS payload's right lists
-/// (`docs/FORMAT.md` §3.3): bytes a load skips.
-fn right_list_ids() -> &'static [usize] {
-    static IDS: OnceLock<Vec<usize>> = OnceLock::new();
-    IDS.get_or_init(|| {
-        let file = SnapshotFile::parse(&base().bytes).expect("the base snapshot parses");
-        let links = file.section(SEC_LINKS).expect("LINKS");
-        let mut r = ByteReader::new(links, "LINKS");
-        let mut ids = Vec::new();
-        for _ in 0..r.u32().unwrap() {
-            let (left, right) = (r.u32().unwrap(), r.u32().unwrap());
-            for side in 0..2 {
-                for _ in 0..if side == 0 { left } else { right } {
-                    for _ in 0..r.u32().unwrap() {
-                        if side == 1 {
-                            ids.push(links.len() - r.remaining());
-                        }
-                        r.u32().unwrap();
-                    }
-                }
-            }
-        }
-        ids
-    })
 }
 
 /// Damage aimed at the posting ids of one stored index, each id staying
@@ -274,25 +248,6 @@ proptest! {
         let _ = load_is_total(&damaged(section, &damage), section == SEC_QUERIES, &what);
     }
 
-    /// A load derives every right adjacency list from the left lists and
-    /// skips the stored right lists, so whatever ids they hold, the file
-    /// loads and every base query answers exactly what the undamaged
-    /// service answers.
-    #[test]
-    fn damage_to_right_list_ids_never_changes_an_answer(
-        hits in prop::collection::vec((0usize..1 << 20, word()), 1..6),
-    ) {
-        let ids = right_list_ids();
-        let bytes = edited(SEC_LINKS, |links| {
-            for &(at, w) in &hits {
-                let at = ids[at % ids.len()];
-                links[at..at + 4].copy_from_slice(&w.to_le_bytes());
-            }
-        });
-        let what = || format!("right-list ids {hits:?}");
-        load_is_total(&bytes, true, &what).unwrap_or_else(|e| panic!("{e} on {}", what()));
-    }
-
     /// Most damage to QUERIES is refused; this aims every case there, so
     /// the exact-answer check runs on the files that still load.
     #[test]
@@ -311,18 +266,13 @@ proptest! {
         aimed in aimed(),
     ) {
         let file = SnapshotFile::parse(&base().bytes).expect("the base snapshot parses");
-        let mut banks = read_indexes(file.section(SEC_INDEXES).expect("INDEXES"));
-        let slots: Vec<(usize, usize)> = banks
-            .iter()
-            .enumerate()
-            .flat_map(|(c, bank)| {
-                bank.iter().enumerate().filter(|(_, (tag, _))| *tag != 0).map(move |(a, _)| (c, a))
-            })
-            .collect();
-        let (c, a) = slots[pick % slots.len()];
-        apply_aimed(&mut banks[c][a].1, &aimed);
-        let bytes = edited(SEC_INDEXES, |payload| *payload = write_indexes(&banks));
-        let what = || format!("index ({c}, {a}) damaged by {aimed:?}");
+        let payload = file.section(SEC_INDEXES).expect("INDEXES");
+        let mut indexes = read_indexes(payload, &base().catalog);
+        let at = pick % indexes.len();
+        apply_aimed(&mut indexes[at].1, &aimed);
+        let bytes = edited(SEC_INDEXES, |payload| *payload = write_indexes(&indexes));
+        let attr = indexes[at].0;
+        let what = || format!("index {attr:?} damaged by {aimed:?}");
         if let Err(e) = load_is_total(&bytes, true, &what) {
             assert!(matches!(e, LoadError::Malformed { section: "INDEXES", .. }), "{e:?} on {}", what());
         }

@@ -4,15 +4,15 @@
 //! to the service it was saved from — from the plan cache, without a
 //! single request-path optimization — and a snapshot with damaged serving
 //! sections must be rejected, not half-loaded. Every snapshot a service
-//! writes, before or after it takes changes, reloads. The file carries only
-//! the cached queries:
-//! boot derives every entry afresh, so no file, whatever its QUERIES or
-//! legacy PLANSEEDS section holds, makes a query answer another's rows.
-//! Nor do the copies a v1 file keeps of derived facts: boot re-runs the
-//! constraint closure and derives each right adjacency from the left, so a
-//! forged derived constraint or swapped right lists change no answer. The
-//! indexes a file stores are checked against the extents they index, so a
-//! posting id moved to another key, or dropped, is refused.
+//! writes, before or after it takes changes, reloads, and its bytes are a
+//! function of the service's state. The file carries only the cached
+//! queries: boot derives every entry afresh, so no file, whatever its
+//! QUERIES section holds, makes a query answer another's rows. Nor does
+//! the file hold a copy of a derived fact: boot re-runs the constraint
+//! closure and derives each right adjacency from the left, and a file
+//! that states a derived constraint is refused. The indexes a file stores
+//! are checked against the extents they index, so a posting id moved to
+//! another key, or dropped, is refused.
 
 use std::sync::Arc;
 
@@ -26,7 +26,7 @@ use sqo_service::{QueryService, ServiceConfig};
 use sqo_snapshot::{
     read_query, section_name, write_predicate, write_query, ByteReader, ByteWriter, LoadError,
     SnapshotBuilder, SnapshotFile, ValidationLevel, EPOCH_LIMIT, SEC_CONSTRAINTS, SEC_EXTENTS,
-    SEC_INDEXES, SEC_LINKS, SEC_PLANSEEDS, SEC_QUERIES,
+    SEC_INDEXES, SEC_QUERIES,
 };
 use sqo_storage::{DataWrite, ObjectId};
 use sqo_workload::{
@@ -155,6 +155,12 @@ fn damaged_serving_sections_are_rejected() {
         matches!(err, LoadError::MissingSection("CONSTRAINTS")),
         "expected MissingSection(CONSTRAINTS), got {err:?}"
     );
+    let file = SnapshotFile::parse(&bytes).expect("good snapshot parses");
+    let mut trailing = file.section(SEC_CONSTRAINTS).expect("CONSTRAINTS").to_vec();
+    trailing.push(0);
+    let err = boot(&with_section(&bytes, SEC_CONSTRAINTS, Some(trailing)))
+        .expect_err("a CONSTRAINTS section with trailing bytes must not boot");
+    assert!(matches!(err, LoadError::Malformed { section: "CONSTRAINTS", .. }), "{err:?}");
 
     // A persisted query is derived, not trusted: structural damage, an id
     // the catalog does not resolve and a query the optimizer refuses are
@@ -234,14 +240,14 @@ fn with_queries(bytes: &[u8], queries: &[Query]) -> Vec<u8> {
     with_section(bytes, SEC_QUERIES, Some(w.finish()))
 }
 
-/// An older build's file carries a PLANSEEDS section (id 7) with each
-/// entry's plan, and no load compared a plan with its query: a file whose
-/// seeds swapped two plans, or marked a satisfiable query provably empty,
-/// booted and answered wrong. This reader never reads id 7, so
-/// such a file boots with a cold cache, and each query
-/// misses once and then answers exactly what the saving service answered.
-/// The section here is garbage the older reader refused as `Malformed`; its
-/// content is not looked at.
+/// Older builds wrote a PLANSEEDS section (id 7) with each entry's plan,
+/// and no load compared a plan with its query: a file whose seeds swapped
+/// two plans, or marked a satisfiable query provably empty, booted and
+/// answered wrong. Id 7 is now an unknown section id like any other, and
+/// unknown ids are skipped: a file that carries it and no QUERIES boots
+/// with a cold cache, and each query misses once and then answers exactly
+/// what the saving service answered. The section here is garbage the older
+/// reader refused as `Malformed`; its content is not looked at.
 #[test]
 fn an_older_file_with_planseeds_boots_cold_and_answers_like_its_saver() {
     let (cold, queries) = served();
@@ -251,12 +257,12 @@ fn an_older_file_with_planseeds_boots_cold_and_answers_like_its_saver() {
     for (id, payload) in SnapshotFile::parse(&bytes).expect("good snapshot parses").sections() {
         b.section(id, payload.to_vec());
     }
-    b.section(SEC_PLANSEEDS, vec![0xfe; 9]);
+    b.section(7, vec![0xfe; 9]);
     let older = b.finish();
-    let warm = boot(&older).unwrap_or_else(|e| panic!("a file with PLANSEEDS boots: {e}"));
+    let warm = boot(&older).unwrap_or_else(|e| panic!("a file with section 7 boots: {e}"));
     for (q, want) in queries.iter().zip(&want) {
         let first = warm.run(q).unwrap();
-        assert!(!first.cache_hit, "nothing is read from PLANSEEDS");
+        assert!(!first.cache_hit, "nothing is read from section 7");
         let again = warm.run(q).unwrap();
         assert!(again.cache_hit);
         for r in [first, again] {
@@ -382,24 +388,14 @@ fn save_into_a_missing_directory_fails_without_side_effects() {
 }
 
 /// The CONSTRAINTS payload of `bytes` with one more entry, `extra`, stored
-/// under origin tag `origin` after the others (v1 layout, `docs/FORMAT.md`
-/// §3.6): the count and, for a derived entry, the derived count raised by
-/// one, as an older writer would have filled them in.
-fn with_extra_constraint(bytes: &[u8], extra: &HornConstraint, origin: u8) -> Vec<u8> {
+/// under origin tag 1 (derived) after the others (`docs/FORMAT.md` §3.6),
+/// and the constraint count raised by one.
+fn with_derived_constraint(bytes: &[u8], extra: &HornConstraint) -> Vec<u8> {
     let file = SnapshotFile::parse(bytes).expect("good snapshot parses");
     let mut payload = file.section(SEC_CONSTRAINTS).expect("CONSTRAINTS").to_vec();
-    let bump = |payload: &mut Vec<u8>, at: usize, width: usize| {
-        let mut word = [0u8; 8];
-        word[..width].copy_from_slice(&payload[at..at + width]);
-        let n = u64::from_le_bytes(word) + 1;
-        payload[at..at + width].copy_from_slice(&n.to_le_bytes()[..width]);
-    };
-    // epoch, generation, policy, max_derived, max_rounds | derived_count
-    // u64, truncated u8 | constraint count u32.
-    if origin == 1 {
-        bump(&mut payload, 33, 8);
-    }
-    bump(&mut payload, 42, 4);
+    // The epoch and the two closure limits, then the constraint count.
+    let count = u32::from_le_bytes(payload[24..28].try_into().unwrap());
+    payload[24..28].copy_from_slice(&(count + 1).to_le_bytes());
     let mut w = ByteWriter::new();
     w.str(&extra.name);
     w.u32(extra.antecedents.len() as u32);
@@ -415,19 +411,19 @@ fn with_extra_constraint(bytes: &[u8], extra: &HornConstraint, origin: u8) -> Ve
     for c in &extra.classes {
         w.u32(c.0);
     }
-    w.u8(origin);
+    w.u8(1);
     payload.extend(w.finish());
     with_section(bytes, SEC_CONSTRAINTS, Some(payload))
 }
 
-/// A v1 file may carry closure-derived constraints. Trusted, one forged
-/// derived constraint on a Figure 2.1 snapshot, `cargo.desc = "frozen
-/// food" ⇒ cargo.quantity > 50`, lets the optimizer drop the quantity
-/// filter of `{cargo.desc = "frozen food", cargo.quantity > 50}` as
-/// implied: 42 rows where the data holds 23. A load skips derived entries
-/// and runs the closure over the stated constraints, so the forged file
-/// boots into the saver's constraint set and answers like
-/// the saver.
+/// Older files could carry closure-derived constraints. Trusted, one
+/// forged derived constraint on a Figure 2.1 snapshot, `cargo.desc =
+/// "frozen food" ⇒ cargo.quantity > 50`, lets the optimizer drop the
+/// quantity filter of `{cargo.desc = "frozen food", cargo.quantity > 50}`
+/// as implied: 42 rows where the data holds 23. A file states only its
+/// stated constraints and a load runs the closure over them, so an entry
+/// under the derived origin tag is refused as malformed CONSTRAINTS, and
+/// the saver's own file answers like the saver.
 #[test]
 fn a_forged_derived_constraint_changes_no_answer() {
     let catalog = Arc::new(sqo_catalog::example::figure21().unwrap());
@@ -458,70 +454,11 @@ fn a_forged_derived_constraint_changes_no_answer() {
         .then("cargo.quantity", CompOp::Gt, 50i64)
         .build()
         .unwrap();
-    let bytes = with_extra_constraint(&saver.snapshot_bytes(), &forged, 1);
-    let warm = boot(&bytes).unwrap_or_else(|e| panic!("the forged file boots: {e}"));
-    assert!(warm.run(&query).unwrap().results.same_multiset(&want));
-    let names =
-        |s: &QueryService| s.store().constraints().map(|(_, c)| c.name.clone()).collect::<Vec<_>>();
-    assert_eq!(names(&warm), names(&saver));
-}
-
-/// The byte offset of every right list of relationship `rel` in a LINKS
-/// payload (`docs/FORMAT.md` §3.3), each with its id count.
-fn right_lists(links: &[u8], rel: usize) -> Vec<(usize, usize)> {
-    let mut r = ByteReader::new(links, "LINKS");
-    let rel_count = r.u32().unwrap() as usize;
-    assert!(rel < rel_count);
-    for k in 0..=rel {
-        let (left, right) = (r.u32().unwrap(), r.u32().unwrap());
-        let mut skip = |n: u32| {
-            (0..n)
-                .map(|_| {
-                    let at = links.len() - r.remaining();
-                    let len = r.u32().unwrap() as usize;
-                    r.skip(4 * len).unwrap();
-                    (at + 4, len)
-                })
-                .collect::<Vec<_>>()
-        };
-        skip(left);
-        let rights = skip(right);
-        if k == rel {
-            return rights;
-        }
-    }
-    unreachable!()
-}
-
-/// A v1 file stores each relationship's right adjacency beside the left.
-/// Served as stored, a DB1 snapshot with two equal-length right lists of
-/// `collects` swapped answers 1 of the 40 pool queries wrong. A load reads
-/// the left lists only and derives the right side, so the swapped file
-/// boots and answers every pool query like the saver.
-#[test]
-fn swapped_right_lists_change_no_answer() {
-    let s = paper_scenario(DbSize::Db1, 7);
-    let collects = s.catalog.rel_id("collects").unwrap();
-    let saver = QueryService::new(Arc::new(s.store), Arc::new(s.db));
-    let want = answers(&saver, &s.queries);
     let bytes = saver.snapshot_bytes();
-    let file = SnapshotFile::parse(&bytes).expect("good snapshot parses");
-    let mut links = file.section(SEC_LINKS).expect("LINKS").to_vec();
-    // Right objects 0 and 3 each link one (different) left object; served
-    // as stored, their swapped lists make query 11 answer wrong.
-    let lists = right_lists(&links, collects.index());
-    let ids = |(at, len): (usize, usize)| links[at..at + 4 * len].to_vec();
-    let (a, b) = (lists[0], lists[3]);
-    let (first, second) = (ids(a), ids(b));
-    assert!(a.1 == b.1 && first != second, "two equal-length right lists that differ");
-    links[a.0..a.0 + first.len()].copy_from_slice(&second);
-    links[b.0..b.0 + second.len()].copy_from_slice(&first);
-    let swapped = with_section(&bytes, SEC_LINKS, Some(links));
-    let warm = boot(&swapped).unwrap_or_else(|e| panic!("the swapped file boots: {e}"));
-    for (i, (q, want)) in s.queries.iter().zip(&want).enumerate() {
-        let got = warm.run(q).unwrap().results;
-        assert!(got.same_multiset(want), "query {i}");
-    }
+    let err = boot(&with_derived_constraint(&bytes, &forged)).expect_err("the forged file boots");
+    assert!(matches!(err, LoadError::Malformed { section: "CONSTRAINTS", .. }), "{err:?}");
+    let warm = boot(&bytes).unwrap_or_else(|e| panic!("the saver's file boots: {e}"));
+    assert!(warm.run(&query).unwrap().results.same_multiset(&want));
 }
 
 /// Constraints a running service took through `add_constraint` are stored
@@ -565,7 +502,7 @@ fn closure_limits_past_the_defaults_are_clamped() {
     let bytes = saver.snapshot_bytes();
     let file = SnapshotFile::parse(&bytes).expect("good snapshot parses");
     let mut payload = file.section(SEC_CONSTRAINTS).expect("CONSTRAINTS").to_vec();
-    payload[17..33].fill(0xff); // max_derived, max_rounds = u64::MAX
+    payload[8..24].fill(0xff); // max_derived, max_rounds = u64::MAX
     let greedy = with_section(&bytes, SEC_CONSTRAINTS, Some(payload));
     let limit = ClosureOptions::default();
     let warm = boot(&greedy).expect("the snapshot boots");
@@ -580,11 +517,13 @@ fn with_cargo_index(service: &QueryService, attr: &str, edit: fn(&mut Entries)) 
     let bytes = service.snapshot_bytes();
     let file = SnapshotFile::parse(&bytes).expect("good snapshot parses");
     let payload = file.section(SEC_INDEXES).expect("INDEXES");
-    let mut banks = read_indexes(payload);
-    assert_eq!(write_indexes(&banks), payload, "the INDEXES layout");
-    let at = service.db().catalog().attr_ref("cargo", attr).expect("the attribute");
-    edit(&mut banks[at.class.index()][at.attr.index()].1);
-    with_section(&bytes, SEC_INDEXES, Some(write_indexes(&banks)))
+    let catalog = Arc::clone(service.db().catalog());
+    let mut indexes = read_indexes(payload, &catalog);
+    assert_eq!(write_indexes(&indexes), payload, "the INDEXES layout");
+    let at = catalog.attr_ref("cargo", attr).expect("the attribute");
+    let (_, entries) = indexes.iter_mut().find(|(a, _)| *a == at).expect("an index");
+    edit(entries);
+    with_section(&bytes, SEC_INDEXES, Some(write_indexes(&indexes)))
 }
 
 /// The first key whose posting holds two objects.
@@ -608,7 +547,7 @@ fn drop_from_posting(entries: &mut Entries) {
     entries[k].1.remove(0);
 }
 
-/// A v1 file stores each index beside the extent it indexes, and an index
+/// A file stores each index beside the extent it indexes, and an index
 /// probe answers from the index alone. Served as stored, the DB1 snapshot
 /// with cargo 3 moved from `cargo.b3` (hash) key `"forced_cargo_6"` to the
 /// next key answers pool query 33 with no rows where the data holds one
@@ -632,4 +571,20 @@ fn forged_index_postings_are_refused() {
         };
         assert!(matches!(err, LoadError::Malformed { section: "INDEXES", .. }), "{what}: {err:?}");
     }
+}
+
+/// A snapshot's bytes are a function of the state of the service that
+/// wrote it. Two services booted in one process from the same inputs hold
+/// store generations of their own (a process-wide counter) and write the
+/// same bytes after serving the same queries; a service booted from a
+/// snapshot writes that snapshot again, byte for byte.
+#[test]
+fn snapshot_bytes_are_a_function_of_the_service_state() {
+    let ((first, _), (second, _)) = (served(), served());
+    assert_ne!(first.store().generation(), second.store().generation());
+    let bytes = first.snapshot_bytes();
+    assert!(bytes == second.snapshot_bytes(), "two services of one state write different bytes");
+    let warm = boot(&bytes).expect("the snapshot boots");
+    assert_ne!(warm.store().generation(), first.store().generation());
+    assert!(warm.snapshot_bytes() == bytes, "save, boot and save wrote different bytes");
 }

@@ -154,14 +154,6 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
-    /// Skips `n` bytes the reader does not read.
-    ///
-    /// # Errors
-    /// [`LoadError::Malformed`] on a short read.
-    pub fn skip(&mut self, n: usize) -> Result<(), LoadError> {
-        self.take(n).map(drop)
-    }
-
     /// Reads one byte.
     ///
     /// # Errors

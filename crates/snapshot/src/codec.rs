@@ -7,8 +7,8 @@
 //! `docs/FORMAT.md` §3 specifies every tag normatively.
 
 use sqo_catalog::{
-    AttrId, AttrRef, AttrStats, ClassId, ClassStats, DataType, Finite, IndexKind, Multiplicity,
-    RelId, RelStats, RelationshipEnd, StatsSnapshot, Value, ValueHashState,
+    AttrId, AttrRef, AttrStats, Catalog, ClassId, ClassStats, DataType, Finite, IndexKind,
+    Multiplicity, RelId, RelationshipEnd, StatsSnapshot, Value, ValueHashState,
 };
 use sqo_query::{CompOp, JoinPredicate, Predicate, Projection, Query, SelPredicate};
 
@@ -443,7 +443,6 @@ pub fn read_catalog(
 // ---- statistics -----------------------------------------------------------
 
 fn write_attr_stats(w: &mut ByteWriter, s: &AttrStats) {
-    w.u64(s.rows);
     w.u64(s.distinct);
     for v in [&s.min, &s.max] {
         match v {
@@ -459,11 +458,9 @@ fn write_attr_stats(w: &mut ByteWriter, s: &AttrStats) {
         write_value(w, v);
         w.u64(*n);
     }
-    w.u32(0); // the v1 layout's histogram length, always zero
 }
 
-fn read_attr_stats(r: &mut ByteReader<'_>) -> Result<AttrStats, LoadError> {
-    let rows = r.u64()?;
+fn read_attr_stats(r: &mut ByteReader<'_>, rows: u64) -> Result<AttrStats, LoadError> {
     let distinct = r.u64()?;
     let mut bounds = [None, None];
     for b in bounds.iter_mut() {
@@ -479,53 +476,43 @@ fn read_attr_stats(r: &mut ByteReader<'_>) -> Result<AttrStats, LoadError> {
         let v = read_value(r)?;
         mcvs.push((v, r.u64()?));
     }
-    match r.u32()? {
-        0 => Ok(AttrStats { rows, distinct, min, max, mcvs }),
-        n => Err(r.malformed(format!("histogram of {n} buckets; v1 requires none"))),
-    }
+    Ok(AttrStats { rows, distinct, min, max, mcvs })
 }
 
-/// Encodes a [`StatsSnapshot`] into a STATS section payload.
+/// Encodes the attribute statistics of a [`StatsSnapshot`] into a STATS
+/// section payload, class by class in catalog order. Cardinalities, row
+/// counts and relationship statistics are not written: a load has them
+/// from the extents and the links.
 pub fn write_stats(w: &mut ByteWriter, stats: &StatsSnapshot) {
-    w.u32(stats.classes.len() as u32);
     for c in &stats.classes {
-        w.u64(c.cardinality);
-        w.u32(c.attrs.len() as u32);
         for a in &c.attrs {
             write_attr_stats(w, a);
         }
     }
-    w.u32(stats.relationships.len() as u32);
-    for r in &stats.relationships {
-        w.u64(r.links);
-        w.f64(r.avg_left_fanout);
-        w.f64(r.avg_right_fanout);
-    }
 }
 
-/// Decodes a STATS section payload.
+/// Decodes a STATS section payload into each class's statistics: the
+/// attributes of `catalog`'s classes in order, class `c` holding `cards[c]`
+/// objects (its cardinality, and every attribute's row count).
 ///
 /// # Errors
 /// [`LoadError::Malformed`] on any structural problem.
-pub fn read_stats(r: &mut ByteReader<'_>) -> Result<StatsSnapshot, LoadError> {
-    let mut classes = Vec::new();
-    for _ in 0..r.count()? {
-        let cardinality = r.u64()?;
-        let mut attrs = Vec::new();
-        for _ in 0..r.count()? {
-            attrs.push(read_attr_stats(r)?);
-        }
+pub fn read_stats(
+    r: &mut ByteReader<'_>,
+    catalog: &Catalog,
+    cards: &[usize],
+) -> Result<Vec<ClassStats>, LoadError> {
+    let mut classes = Vec::with_capacity(cards.len());
+    for ((_, cdef), &cardinality) in catalog.classes().zip(cards) {
+        let cardinality = cardinality as u64;
+        let attrs = cdef
+            .attributes
+            .iter()
+            .map(|_| read_attr_stats(r, cardinality))
+            .collect::<Result<_, _>>()?;
         classes.push(ClassStats { cardinality, attrs });
     }
-    let mut relationships = Vec::new();
-    for _ in 0..r.count()? {
-        relationships.push(RelStats {
-            links: r.u64()?,
-            avg_left_fanout: r.f64()?,
-            avg_right_fanout: r.f64()?,
-        });
-    }
-    Ok(StatsSnapshot { classes, relationships })
+    Ok(classes)
 }
 
 #[cfg(test)]
@@ -617,19 +604,28 @@ mod tests {
 
     #[test]
     fn stats_roundtrip() {
-        let stats = StatsSnapshot {
-            classes: vec![ClassStats {
-                cardinality: 3,
-                attrs: vec![AttrStats {
-                    rows: 3,
-                    distinct: 2,
-                    min: Some(Value::Int(1)),
-                    max: Some(Value::Int(9)),
-                    mcvs: vec![(Value::Int(1), 2)],
-                }],
-            }],
-            relationships: vec![RelStats { links: 4, avg_left_fanout: 2.0, avg_right_fanout: 1.0 }],
+        let catalog = sqo_catalog::example::figure21().unwrap();
+        let cards: Vec<usize> = (0..catalog.class_count()).collect();
+        let attr = |rows| AttrStats {
+            rows,
+            distinct: 2,
+            min: Some(Value::Int(1)),
+            max: Some(Value::Int(9)),
+            mcvs: vec![(Value::Int(1), 2)],
         };
-        assert_eq!(roundtrip(&stats, write_stats, read_stats), stats);
+        let classes: Vec<ClassStats> = catalog
+            .classes()
+            .zip(&cards)
+            .map(|((_, cdef), &n)| ClassStats {
+                cardinality: n as u64,
+                attrs: vec![attr(n as u64); cdef.attributes.len()],
+            })
+            .collect();
+        let mut w = ByteWriter::new();
+        write_stats(&mut w, &StatsSnapshot { classes: classes.clone(), relationships: Vec::new() });
+        let buf = w.finish();
+        let mut r = ByteReader::new(&buf, "TEST");
+        assert_eq!(read_stats(&mut r, &catalog, &cards).unwrap(), classes);
+        r.expect_exhausted().unwrap();
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! offset 0   magic          4 bytes   b"SQOS"
-//! offset 4   version        u16 LE    currently 1
+//! offset 4   version        u16 LE    currently 2
 //! offset 6   flags          u16 LE    currently 0, reserved
 //! offset 8   section_count  u32 LE
 //! offset 12  section table  section_count × 28 bytes:
@@ -33,7 +33,7 @@ use crate::error::LoadError;
 /// The four magic bytes every `.sqos` file starts with.
 pub const MAGIC: [u8; 4] = *b"SQOS";
 /// The container format version this build reads and writes.
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Section id: catalog definitions (classes, relationships).
 pub const SEC_CATALOG: u32 = 1;
@@ -47,10 +47,6 @@ pub const SEC_INDEXES: u32 = 4;
 pub const SEC_STATS: u32 = 5;
 /// Section id: the constraint store (constraints, options, identity).
 pub const SEC_CONSTRAINTS: u32 = 6;
-/// Section id, reserved: the plan-cache seeds older builds wrote (each
-/// live entry's optimized query and plan). Kept so [`section_name`] names
-/// it in old files; no reader decodes it.
-pub const SEC_PLANSEEDS: u32 = 7;
 /// Section id: the canonical queries of the live plan-cache entries, which
 /// a warm boot derives through the miss pipeline before serving.
 pub const SEC_QUERIES: u32 = 8;
@@ -68,7 +64,6 @@ pub fn section_name(id: u32) -> &'static str {
         SEC_INDEXES => "INDEXES",
         SEC_STATS => "STATS",
         SEC_CONSTRAINTS => "CONSTRAINTS",
-        SEC_PLANSEEDS => "PLANSEEDS",
         SEC_QUERIES => "QUERIES",
         _ => "?",
     }
@@ -312,8 +307,8 @@ mod tests {
     #[test]
     fn future_version_rejected() {
         let mut buf = two_section_file();
-        buf[4] = 2;
-        assert_eq!(SnapshotFile::parse(&buf).unwrap_err(), LoadError::UnsupportedVersion(2));
+        buf[4] = 3;
+        assert_eq!(SnapshotFile::parse(&buf).unwrap_err(), LoadError::UnsupportedVersion(3));
     }
 
     #[test]

@@ -14,8 +14,8 @@ pub enum ValidationLevel {
     /// (ascending postings and keys), and every index being exactly its
     /// extent's grouping (each posting id's object holds the key, and the
     /// postings cover the class once). Each check runs once, where its fact
-    /// is decoded. What a load derives instead of reading (the right-to-left
-    /// adjacency, the constraint closure) needs no check.
+    /// is decoded. What a load derives (the right-to-left adjacency, the
+    /// relationship statistics, the constraint closure) is not in the file.
     #[default]
     Standard,
 }
@@ -36,7 +36,8 @@ pub enum LoadError {
     TruncatedHeader,
     /// The first four bytes are not `b"SQOS"`.
     BadMagic,
-    /// The header's format version is newer than this build understands.
+    /// The header's format version is not the one this build reads: a
+    /// newer one, or version 1, whose layouts v2 dropped fields from.
     UnsupportedVersion(u16),
     /// A section-table entry points outside the file, or the section table
     /// itself does not fit.

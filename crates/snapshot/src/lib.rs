@@ -45,6 +45,6 @@ pub use codec::{
 pub use container::{
     section_checksum, section_name, write_snapshot_file, SnapshotBuilder, SnapshotFile,
     FORMAT_VERSION, MAGIC, SEC_CATALOG, SEC_CONSTRAINTS, SEC_EXTENTS, SEC_INDEXES, SEC_LINKS,
-    SEC_PLANSEEDS, SEC_QUERIES, SEC_STATS,
+    SEC_QUERIES, SEC_STATS,
 };
 pub use error::{LoadError, ValidationLevel};

@@ -127,7 +127,7 @@
 //! their `Arc` snapshot and are never torn by a write.
 
 use sqo_catalog::{
-    AttrId, AttrRef, Catalog, ClassId, Multiplicity, RelId, RelStats, RelationshipDef,
+    AttrId, AttrRef, Catalog, ClassId, ClassStats, Multiplicity, RelId, RelStats, RelationshipDef,
     StatsSnapshot, Value,
 };
 use sqo_constraints::HornConstraint;
@@ -386,15 +386,18 @@ impl Database {
     /// Wires shards into a snapshot no write has touched yet (so without
     /// value counts) that starts a lineage of its own (all write epochs
     /// zero): the builder's and the snapshot-load path's constructor. The
-    /// caller owns all validation (`persist::decode_database` for a load).
+    /// relationship statistics are derived from `links`. The caller owns
+    /// all validation (`persist::decode_database` for a load).
     pub(crate) fn from_loaded_parts(
         catalog: Arc<Catalog>,
         extents: Vec<Extent>,
         indexes: Vec<Vec<Option<AttrIndex>>>,
         links: Vec<RelLinks>,
-        stats: StatsSnapshot,
+        classes: Vec<ClassStats>,
         data_version: u64,
     ) -> Self {
+        let stats =
+            StatsSnapshot { classes, relationships: links.iter().map(rel_statistics).collect() };
         let counts = vec![None; extents.len()];
         let write_epochs = WriteEpochs::new(extents.len());
         Self { catalog, extents, indexes, links, stats, counts, data_version, write_epochs }
@@ -1144,8 +1147,8 @@ fn assemble(
         }
     }
     let indexes = build_indexes(&catalog, &mut extents);
-    let stats = load_statistics(&mut extents, &indexes, &links);
-    Ok(Database::from_loaded_parts(catalog, extents, indexes, links, stats, data_version))
+    let classes = load_statistics(&mut extents, &indexes);
+    Ok(Database::from_loaded_parts(catalog, extents, indexes, links, classes, data_version))
 }
 
 /// Checks one relationship's total-participation and to-one declarations.
@@ -1231,21 +1234,12 @@ fn build_statistics(catalog: &Catalog, extents: &[Extent], links: &[RelLinks]) -
     StatsSnapshot { classes, relationships }
 }
 
-/// The load's statistics, equal to [`build_statistics`]' with the declared
-/// `indexes` built: an indexed attribute's read off its postings, only an
-/// unindexed one's scanned — the scan that makes its strings canonical.
-fn load_statistics(
-    extents: &mut [Extent],
-    indexes: &[Vec<Option<AttrIndex>>],
-    links: &[RelLinks],
-) -> StatsSnapshot {
-    let classes = indexes
-        .iter()
-        .zip(extents)
-        .map(|(bank, extent)| load_class_statistics(bank, extent))
-        .collect();
-    let relationships = links.iter().map(rel_statistics).collect();
-    StatsSnapshot { classes, relationships }
+/// The load's class statistics, equal to [`build_statistics`]' with the
+/// declared `indexes` built: an indexed attribute's read off its postings,
+/// only an unindexed one's scanned — the scan that makes its strings
+/// canonical.
+fn load_statistics(extents: &mut [Extent], indexes: &[Vec<Option<AttrIndex>>]) -> Vec<ClassStats> {
+    indexes.iter().zip(extents).map(|(bank, extent)| load_class_statistics(bank, extent)).collect()
 }
 
 #[cfg(test)]

@@ -3,9 +3,11 @@
 //!
 //! Five sections carry the database state (`docs/FORMAT.md` §3):
 //! CATALOG (schema definitions), EXTENTS (tuples + data epoch), LINKS
-//! (canonical-order adjacency; a load reads the left lists and derives the
-//! right side), INDEXES (ascending-oid postings) and STATS (the folded
-//! statistics snapshot). Loading checks every fact the executor relies on
+//! (each relationship's left lists; a load derives the right side), INDEXES
+//! (ascending-oid postings of the declared indexes) and STATS (attribute
+//! statistics). Each section states only what no other part of the file
+//! fixes: counts the catalog or the EXTENTS preamble gives are not
+//! repeated. Loading checks every fact the executor relies on
 //! once, where the fact is decoded ([`ValidationLevel::Standard`];
 //! `docs/VALIDATION.md` lists the checks), and fails with a clean
 //! [`LoadError`] rather than ever constructing a corrupt snapshot.
@@ -17,7 +19,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
 
-use sqo_catalog::{Catalog, DataType, Finite, IndexKind, RelationshipDef, StatsSnapshot, Value};
+use sqo_catalog::{Catalog, ClassStats, DataType, Finite, RelationshipDef, Value};
 use sqo_snapshot::{
     read_catalog, read_stats, read_value_pooled, section_name, write_catalog, write_snapshot_file,
     write_stats, write_value, write_value_raw, ByteReader, ByteWriter, LoadError, SnapshotBuilder,
@@ -34,8 +36,9 @@ use crate::valuemap::{OrdValue, ValueMap};
 
 // ---- encoding -------------------------------------------------------------
 
-/// Encodes the EXTENTS payload: the data epoch and every class cardinality
-/// up front (the *preamble*), then the string dictionary, then each
+/// Encodes the EXTENTS payload: the data epoch and every class cardinality,
+/// in catalog order, up front (the *preamble*), then the string dictionary,
+/// then each
 /// class's tuples in object-id order. The preamble exists so a loader can
 /// learn every cardinality — which the LINKS, INDEXES and STATS decoders
 /// validate against — without parsing a single tuple, unlocking
@@ -51,7 +54,6 @@ use crate::valuemap::{OrdValue, ValueMap};
 fn encode_extents(db: &Database) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u64(db.data_version());
-    w.u32(db.extent_shards().len() as u32);
     for extent in db.extent_shards() {
         w.u32(extent.len() as u32);
     }
@@ -87,55 +89,36 @@ fn encode_extents(db: &Database) -> Vec<u8> {
     w.finish()
 }
 
-/// Encodes the LINKS payload: per relationship, both adjacency directions
-/// in canonical order. The right lists are written for v1 readers; this
-/// reader skips them and derives the right side from the left.
+/// Encodes the LINKS payload: per relationship, in catalog order, each
+/// left object's list of right-object ids in canonical order. The lists'
+/// number is the left end's cardinality; a load derives the right side.
 fn encode_links(db: &Database) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.u32(db.link_shards().len() as u32);
     for lk in db.link_shards() {
-        w.u32(lk.left_cardinality() as u32);
-        w.u32(lk.right_cardinality() as u32);
-        for side in [true, false] {
-            let cardinality = if side { lk.left_cardinality() } else { lk.right_cardinality() };
-            for o in 0..cardinality as u32 {
-                let list =
-                    if side { lk.from_left(ObjectId(o)) } else { lk.from_right(ObjectId(o)) };
-                w.u32(list.len() as u32);
-                for n in list {
-                    w.u32(n.0);
-                }
+        for o in 0..lk.left_cardinality() as u32 {
+            let list = lk.from_left(ObjectId(o));
+            w.u32(list.len() as u32);
+            for n in list {
+                w.u32(n.0);
             }
         }
     }
     w.finish()
 }
 
-/// Encodes the INDEXES payload. Either kind's entries iterate in
-/// [`OrdValue`] key order, so the encoding is a pure function of the logical
-/// index content.
+/// Encodes the INDEXES payload: the entries of every index the catalog
+/// declares, class by class and attribute by attribute. Either kind's
+/// entries iterate in [`OrdValue`] key order, so the encoding is a pure
+/// function of the logical index content.
 fn encode_indexes(db: &Database) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.u32(db.index_shards().len() as u32);
-    for bank in db.index_shards() {
-        w.u32(bank.len() as u32);
-        for slot in bank.iter() {
-            match slot {
-                None => w.u8(0),
-                Some(ix) => {
-                    w.u8(match ix.kind() {
-                        IndexKind::Hash => 1,
-                        IndexKind::BTree => 2,
-                    });
-                    w.u32(ix.postings.len() as u32);
-                    for (value, posting) in ix.postings.iter() {
-                        write_value(&mut w, value);
-                        w.u32(posting.len() as u32);
-                        for o in posting {
-                            w.u32(o.0);
-                        }
-                    }
-                }
+    for ix in db.index_shards().iter().flatten().flatten() {
+        w.u32(ix.postings.len() as u32);
+        for (value, posting) in ix.postings.iter() {
+            write_value(&mut w, value);
+            w.u32(posting.len() as u32);
+            for o in posting {
+                w.u32(o.0);
             }
         }
     }
@@ -195,27 +178,17 @@ fn decode_catalog(file: &SnapshotFile<'_>) -> Result<Arc<Catalog>, LoadError> {
 }
 
 /// Reads the EXTENTS preamble — data epoch (below
-/// [`sqo_snapshot::EPOCH_LIMIT`]) and per-class cardinalities — leaving
-/// `r` positioned at the first tuple. The cardinalities are what
-/// every other database section validates against, so reading them first
-/// lets LINKS/INDEXES/STATS decode in parallel with the tuples.
+/// [`sqo_snapshot::EPOCH_LIMIT`]) and each catalog class's cardinality —
+/// leaving `r` positioned at the dictionary. The cardinalities are what
+/// every other database section is framed by, so reading them first lets
+/// LINKS/INDEXES/STATS decode in parallel with the tuples.
 fn read_extent_preamble(
     r: &mut ByteReader<'_>,
     catalog: &Catalog,
 ) -> Result<(u64, Vec<usize>), LoadError> {
     let data_version = r.epoch()?;
-    let class_count = r.count()?;
-    if class_count != catalog.class_count() {
-        return Err(malformed(
-            SEC_EXTENTS,
-            format!("{class_count} extents for {} classes", catalog.class_count()),
-        ));
-    }
-    let mut cards = Vec::with_capacity(class_count);
-    for _ in 0..class_count {
-        cards.push(r.u32()? as usize);
-    }
-    Ok((data_version, cards))
+    let cards = (0..catalog.class_count()).map(|_| r.u32().map(|n| n as usize));
+    Ok((data_version, cards.collect::<Result<_, _>>()?))
 }
 
 /// Decodes the string dictionary that follows the EXTENTS preamble: each
@@ -359,51 +332,28 @@ fn decode_left_lists(
     Ok((offsets, targets))
 }
 
-/// Decodes the LINKS section: per relationship, the left lists, from which
-/// [`RelLinks::from_left_lists`] derives the right side. The right lists a
-/// v1 writer stores after them are skipped, count by count, so the section
-/// is still consumed exactly.
+/// Decodes the LINKS section: per relationship, as many left lists as the
+/// preamble gives its left end objects, from which
+/// [`RelLinks::from_left_lists`] derives the right side.
 fn decode_links(
     file: &SnapshotFile<'_>,
     catalog: &Catalog,
     cards: &[usize],
 ) -> Result<Vec<RelLinks>, LoadError> {
     let mut r = file.require(SEC_LINKS)?;
-    let rel_count = r.count()?;
-    if rel_count != catalog.relationship_count() {
-        return Err(malformed(
-            SEC_LINKS,
-            format!("{rel_count} link tables for {} relationships", catalog.relationship_count()),
-        ));
-    }
-    let mut links = Vec::with_capacity(rel_count);
+    let mut links = Vec::with_capacity(catalog.relationship_count());
     for (_, def) in catalog.relationships() {
-        let left_card = r.u32()? as usize;
-        let right_card = r.u32()? as usize;
-        let expect_left = cards[def.left.class.index()];
-        let expect_right = cards[def.right.class.index()];
-        if left_card != expect_left || right_card != expect_right {
-            return Err(malformed(
-                SEC_LINKS,
-                format!(
-                    "relationship {}: cardinalities {left_card}/{right_card} but extents have \
-                     {expect_left}/{expect_right}",
-                    def.name
-                ),
-            ));
-        }
-        let (offsets, targets) = decode_left_lists(&mut r, def, left_card, right_card)?;
-        for _ in 0..right_card {
-            let n = r.count()?;
-            r.skip(n.saturating_mul(4))?;
-        }
+        let right_card = cards[def.right.class.index()];
+        let (offsets, targets) =
+            decode_left_lists(&mut r, def, cards[def.left.class.index()], right_card)?;
         links.push(RelLinks::from_left_lists(&offsets, &targets, right_card));
     }
     r.expect_exhausted()?;
     Ok(links)
 }
 
-/// Decodes the INDEXES section and checks each index against the EXTENTS
+/// Decodes the INDEXES section — the entries of each index the catalog
+/// declares, in catalog order — and checks each index against the EXTENTS
 /// `tuples` (still encoded) it indexes: every posting id is in range,
 /// postings and keys ascend strictly, each posting id's object holds the
 /// key, and an attribute's postings sum to its class's cardinality. So no
@@ -420,46 +370,18 @@ fn decode_indexes(
 ) -> Result<Vec<Vec<Option<AttrIndex>>>, LoadError> {
     let mut pool = StrPool::holding(dict.iter().cloned());
     let mut r = file.require(SEC_INDEXES)?;
-    let class_count = r.count()?;
-    if class_count != catalog.class_count() {
-        return Err(malformed(
-            SEC_INDEXES,
-            format!("{class_count} index banks for {} classes", catalog.class_count()),
-        ));
-    }
-    let mut banks = Vec::with_capacity(class_count);
+    let mut banks = Vec::with_capacity(catalog.class_count());
     let mut class_base = 0usize;
     for (cid, cdef) in catalog.classes() {
-        let attr_count = r.count()?;
-        if attr_count != cdef.attributes.len() {
-            return Err(malformed(
-                SEC_INDEXES,
-                format!(
-                    "class {}: {attr_count} index slots for {} attributes",
-                    cdef.name,
-                    cdef.attributes.len()
-                ),
-            ));
-        }
         let cardinality = cards[cid.index()];
         let row_width: usize = cdef.attributes.iter().map(|a| encoded_width(a.ty)).sum();
         let mut attr_base = class_base;
-        let mut bank: Vec<Option<AttrIndex>> = Vec::with_capacity(attr_count);
+        let mut bank: Vec<Option<AttrIndex>> = Vec::with_capacity(cdef.attributes.len());
         for adef in &cdef.attributes {
             let here = |detail: &str| format!("class {} attr {}: {detail}", cdef.name, adef.name);
             let (base, width) = (attr_base, encoded_width(adef.ty));
             attr_base = attr_base.saturating_add(width);
-            let kind = match r.u8()? {
-                0 => None,
-                1 => Some(IndexKind::Hash),
-                2 => Some(IndexKind::BTree),
-                t => return Err(malformed(SEC_INDEXES, format!("unknown index tag {t}"))),
-            };
-            if kind != adef.index {
-                let detail = format!("stored index {kind:?} but catalog declares {:?}", adef.index);
-                return Err(malformed(SEC_INDEXES, here(&detail)));
-            }
-            let Some(kind) = kind else {
+            let Some(kind) = adef.index else {
                 bank.push(None);
                 continue;
             };
@@ -528,36 +450,11 @@ fn decode_stats(
     file: &SnapshotFile<'_>,
     catalog: &Catalog,
     cards: &[usize],
-) -> Result<StatsSnapshot, LoadError> {
+) -> Result<Vec<ClassStats>, LoadError> {
     let mut r = file.require(SEC_STATS)?;
-    let stats = read_stats(&mut r)?;
+    let classes = read_stats(&mut r, catalog, cards)?;
     r.expect_exhausted()?;
-    if stats.classes.len() != catalog.class_count()
-        || stats.relationships.len() != catalog.relationship_count()
-    {
-        return Err(malformed(
-            SEC_STATS,
-            format!(
-                "{} class / {} relationship stats for a {}-class, {}-relationship catalog",
-                stats.classes.len(),
-                stats.relationships.len(),
-                catalog.class_count(),
-                catalog.relationship_count()
-            ),
-        ));
-    }
-    for (c, (cs, &actual)) in stats.classes.iter().zip(cards).enumerate() {
-        if cs.cardinality != actual as u64 {
-            return Err(malformed(
-                SEC_STATS,
-                format!(
-                    "class {c}: stats cardinality {} but extent holds {actual}",
-                    cs.cardinality
-                ),
-            ));
-        }
-    }
-    Ok(stats)
+    Ok(classes)
 }
 
 /// Decodes a database from an already-parsed snapshot container. Every
@@ -566,12 +463,13 @@ fn decode_stats(
 /// (the serving layer) parse the container once.
 ///
 /// The EXTENTS preamble (data epoch + per-class cardinalities) and the
-/// string dictionary are read first; every other database section
-/// validates only against the catalog, those cardinalities and the
+/// string dictionary are read first; every other database section is
+/// framed and checked only by the catalog, those cardinalities and the
 /// still-encoded tuples, so the link, index and statistics decoders run on
 /// scoped threads while the calling thread decodes the tuples (whose
 /// allocations stay in the caller's heap arena). A decoder that panics
-/// fails the load as its section malformed.
+/// fails the load as its section malformed. The relationship statistics
+/// are derived from the decoded links once the threads join.
 ///
 /// # Errors
 /// Any [`LoadError`]; see `docs/VALIDATION.md` for which check raises what.

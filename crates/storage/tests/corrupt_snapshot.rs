@@ -2,8 +2,7 @@
 //! with the [`LoadError`] variant that `docs/VALIDATION.md` documents for
 //! the broken invariant. Damage a load does not check must still *load*:
 //! statistics that drifted from the data (they move estimates, never
-//! answers) and the bytes a load does not read (the right adjacency lists),
-//! which load into exactly the undamaged database.
+//! answers).
 //!
 //! The corrupt payloads are hand-encoded from the byte layouts in
 //! `docs/FORMAT.md`, not produced by mutating encoder output blindly; a
@@ -32,7 +31,8 @@ use sqo_workload::{paper_scenario, DbSize};
 ///   `7 → [2]`. String dictionary: `["x", "y"]`.
 /// - `c1` — 2 objects, attr `v: Int`: `(10)`, `(20)`.
 /// - `r0` — c0 ↔ c1 many-to-many with edges (0,0), (1,0), (1,1):
-///   left adjacency `[[0], [0, 1], []]`, right adjacency `[[0, 1], [1]]`.
+///   left adjacency `[[0], [0, 1], []]` (a load derives the right side,
+///   `[[0, 1], [1]]`).
 fn fixture() -> Database {
     let mut b = Catalog::builder();
     let c0 = b
@@ -86,7 +86,6 @@ fn with_section(db: &Database, replace: u32, payload: Vec<u8>) -> Vec<u8> {
 fn extents_payload(data_version: u64, first_t_ix: u32) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u64(data_version);
-    w.u32(2); // class count
     w.u32(3); // |c0|
     w.u32(2); // |c1|
     w.u32(2); // dictionary entries, first-appearance order
@@ -105,14 +104,11 @@ fn extents_payload(data_version: u64, first_t_ix: u32) -> Vec<u8> {
     w.finish()
 }
 
-/// Hand-encodes a LINKS payload (`docs/FORMAT.md` §3.3) for a single
-/// relationship with the given cardinalities and adjacency lists.
-fn links_payload(left_card: u32, right_card: u32, left: &[&[u32]], right: &[&[u32]]) -> Vec<u8> {
+/// Hand-encodes a LINKS payload (`docs/FORMAT.md` §3.3) for the fixture's
+/// one relationship: its left adjacency lists, one per c0 object.
+fn links_payload(left: &[&[u32]]) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.u32(1); // relationship count
-    w.u32(left_card);
-    w.u32(right_card);
-    for list in left.iter().chain(right) {
+    for list in left {
         w.u32(list.len() as u32);
         for &o in *list {
             w.u32(o);
@@ -122,25 +118,17 @@ fn links_payload(left_card: u32, right_card: u32, left: &[&[u32]], right: &[&[u3
 }
 
 /// Hand-encodes an INDEXES payload (`docs/FORMAT.md` §3.4) for the fixture
-/// with the given hash entries on `c0.k` (`kind_tag` is 1 for hash).
-fn indexes_payload(kind_tag: u8, entries: &[(Value, &[u32])]) -> Vec<u8> {
+/// with the given entries on `c0.k`, its one declared index.
+fn indexes_payload(entries: &[(Value, &[u32])]) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.u32(2); // index banks (one per class)
-    w.u32(2); // c0 slots
-    w.u8(kind_tag); // c0.k
-    if kind_tag != 0 {
-        w.u32(entries.len() as u32);
-        for (key, posting) in entries {
-            write_value(&mut w, key);
-            w.u32(posting.len() as u32);
-            for &o in *posting {
-                w.u32(o);
-            }
+    w.u32(entries.len() as u32);
+    for (key, posting) in entries {
+        write_value(&mut w, key);
+        w.u32(posting.len() as u32);
+        for &o in *posting {
+            w.u32(o);
         }
     }
-    w.u8(0); // c0.t: not indexed
-    w.u32(1); // c1 slots
-    w.u8(0); // c1.v: not indexed
     w.finish()
 }
 
@@ -153,28 +141,19 @@ fn stats_payload(db: &Database, tamper: impl FnOnce(&mut sqo_catalog::StatsSnaps
     w.finish()
 }
 
-/// DB4 at seed 42 with class 1's EXTENTS preamble cardinality and
-/// relationship 0's LINKS left cardinality (its left end is class 1) both
-/// set to 4,000,000,000. The two agree, so the LINKS decoder starts on four
-/// billion left lists that only the payload's bytes back: every load
-/// decodes LINKS on its own thread beside EXTENTS, so it runs even though
-/// EXTENTS fails, and the load reports EXTENTS' error.
+/// DB4 at seed 42 with class 1's EXTENTS preamble cardinality set to
+/// 4,000,000,000. Relationship 0's left end is class 1, so the LINKS
+/// decoder starts on four billion left lists that only the payload's bytes
+/// back: every load decodes LINKS on its own thread beside EXTENTS, so it
+/// runs even though EXTENTS fails, and the load reports EXTENTS' error.
 fn runaway_cardinality() -> Vec<u8> {
     let db = paper_scenario(DbSize::Db4, 42).db;
     assert_eq!(db.catalog().relationship(RelId(0)).unwrap().left.class, ClassId(1));
-    let claimed = 4_000_000_000u32.to_le_bytes();
-    let mut b = SnapshotBuilder::new();
-    for (id, mut p) in database_sections(&db) {
-        match id {
-            // After the data epoch, the class count and class 0's cardinality.
-            SEC_EXTENTS => p[16..20].copy_from_slice(&claimed),
-            // After the relationship count: relationship 0's left cardinality.
-            SEC_LINKS => p[4..8].copy_from_slice(&claimed),
-            _ => {}
-        }
-        b.section(id, p);
-    }
-    b.finish()
+    let (_, mut payload) =
+        database_sections(&db).into_iter().find(|(id, _)| *id == SEC_EXTENTS).unwrap();
+    // After the data epoch and class 0's cardinality.
+    payload[12..16].copy_from_slice(&4_000_000_000u32.to_le_bytes());
+    with_section(&db, SEC_EXTENTS, payload)
 }
 
 /// The hand encodings above *are* `docs/FORMAT.md`; this test pins them
@@ -186,20 +165,16 @@ fn handcrafted_payloads_match_the_encoder() {
     let sections: std::collections::HashMap<u32, Vec<u8>> =
         database_sections(&db).into_iter().collect();
     assert_eq!(sections[&SEC_EXTENTS], extents_payload(db.data_version(), 0), "EXTENTS layout");
-    assert_eq!(
-        sections[&SEC_LINKS],
-        links_payload(3, 2, &[&[0], &[0, 1], &[]], &[&[0, 1], &[1]]),
-        "LINKS layout"
-    );
+    assert_eq!(sections[&SEC_LINKS], links_payload(&[&[0], &[0, 1], &[]]), "LINKS layout");
     assert_eq!(
         sections[&SEC_INDEXES],
-        indexes_payload(1, &[(Value::Int(5), &[0, 1]), (Value::Int(7), &[2])]),
+        indexes_payload(&[(Value::Int(5), &[0, 1]), (Value::Int(7), &[2])]),
         "INDEXES layout"
     );
     assert_eq!(sections[&SEC_STATS], stats_payload(&db, |_| ()), "STATS layout");
 }
 
-/// Unknown section ids are the format's forward-compatibility rule: a v1
+/// Unknown section ids are the format's forward-compatibility rule: a
 /// reader skips them and still validates everything it understands.
 #[test]
 fn unknown_sections_are_skipped() {
@@ -232,7 +207,9 @@ fn corruption_is_rejected_at_the_documented_level() {
     let mut bad_magic = good.clone();
     bad_magic[0] ^= 0xff;
     let mut future_version = good.clone();
-    future_version[4..6].copy_from_slice(&2u16.to_le_bytes());
+    future_version[4..6].copy_from_slice(&3u16.to_le_bytes());
+    let mut version_1 = good.clone();
+    version_1[4..6].copy_from_slice(&1u16.to_le_bytes());
     let mut runaway_table = good.clone();
     runaway_table[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
     let mut entry_past_eof = good.clone();
@@ -259,15 +236,9 @@ fn corruption_is_rejected_at_the_documented_level() {
         }
         b.finish()
     };
-
-    let histogram = {
-        // c1.v is the last attribute, so its bucket count sits just before
-        // the relationship block (u32 count, one 24-byte entry).
-        let mut p = stats_payload(&db, |_| ());
-        let at = p.len() - 4 - 24 - 4;
-        assert_eq!(p[at..at + 4], [0; 4], "an encoder writes no buckets");
-        p.splice(at..at + 4, 1u32.to_le_bytes().into_iter().chain(9u64.to_le_bytes()));
-        p
+    let trailing = |id: u32, mut payload: Vec<u8>| {
+        payload.push(0);
+        with_section(&db, id, payload)
     };
 
     let cases = vec![
@@ -291,9 +262,15 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "format version from the future",
-            expect: "UnsupportedVersion(2)",
-            matches: |e| matches!(e, LoadError::UnsupportedVersion(2)),
+            expect: "UnsupportedVersion(3)",
+            matches: |e| matches!(e, LoadError::UnsupportedVersion(3)),
             bytes: future_version,
+        },
+        Case {
+            name: "version 1, whose sections state counts v2 leaves out",
+            expect: "UnsupportedVersion(1)",
+            matches: |e| matches!(e, LoadError::UnsupportedVersion(1)),
+            bytes: version_1,
         },
         Case {
             name: "section count larger than the file",
@@ -330,11 +307,28 @@ fn corruption_is_rejected_at_the_documented_level() {
             name: "trailing garbage after the last extent tuple",
             expect: "Malformed(EXTENTS)",
             matches: |e| matches!(e, LoadError::Malformed { section: "EXTENTS", .. }),
-            bytes: with_section(&db, SEC_EXTENTS, {
-                let mut p = extents_payload(dv, 0);
-                p.push(0);
-                p
-            }),
+            bytes: trailing(SEC_EXTENTS, extents_payload(dv, 0)),
+        },
+        Case {
+            name: "trailing garbage after the last left list",
+            expect: "Malformed(LINKS)",
+            matches: |e| matches!(e, LoadError::Malformed { section: "LINKS", .. }),
+            bytes: trailing(SEC_LINKS, links_payload(&[&[0], &[0, 1], &[]])),
+        },
+        Case {
+            name: "trailing garbage after the last declared index",
+            expect: "Malformed(INDEXES)",
+            matches: |e| matches!(e, LoadError::Malformed { section: "INDEXES", .. }),
+            bytes: trailing(
+                SEC_INDEXES,
+                indexes_payload(&[(Value::Int(5), &[0, 1]), (Value::Int(7), &[2])]),
+            ),
+        },
+        Case {
+            name: "trailing garbage after the last attribute's statistics",
+            expect: "Malformed(STATS)",
+            matches: |e| matches!(e, LoadError::Malformed { section: "STATS", .. }),
+            bytes: trailing(SEC_STATS, stats_payload(&db, |_| ())),
         },
         Case {
             name: "data epoch at 2^63, past which writes could not advance it",
@@ -349,24 +343,10 @@ fn corruption_is_rejected_at_the_documented_level() {
             bytes: with_section(&db, SEC_EXTENTS, extents_payload(dv, 9)),
         },
         Case {
-            name: "stored index kind contradicting the catalog",
-            expect: "Malformed(INDEXES)",
-            matches: |e| matches!(e, LoadError::Malformed { section: "INDEXES", .. }),
-            bytes: with_section(
-                &db,
-                SEC_INDEXES,
-                indexes_payload(2, &[(Value::Int(5), &[0, 1]), (Value::Int(7), &[2])]),
-            ),
-        },
-        Case {
-            name: "link cardinality contradicting the extents preamble",
+            name: "fewer left lists than the left extent's objects",
             expect: "Malformed(LINKS)",
             matches: |e| matches!(e, LoadError::Malformed { section: "LINKS", .. }),
-            bytes: with_section(
-                &db,
-                SEC_LINKS,
-                links_payload(2, 2, &[&[0], &[0, 1]], &[&[0, 1], &[1]]),
-            ),
+            bytes: with_section(&db, SEC_LINKS, links_payload(&[&[0], &[0, 1]])),
         },
         Case {
             name: "a cardinality of four billion in EXTENTS and LINKS alike",
@@ -386,12 +366,6 @@ fn corruption_is_rejected_at_the_documented_level() {
                 }),
             ),
         },
-        Case {
-            name: "attribute statistics carrying a histogram bucket",
-            expect: "Malformed(STATS)",
-            matches: |e| matches!(e, LoadError::Malformed { section: "STATS", .. }),
-            bytes: with_section(&db, SEC_STATS, histogram),
-        },
         // Id-space and ordering invariants the executor relies on, checked
         // where each fact is decoded.
         Case {
@@ -401,7 +375,7 @@ fn corruption_is_rejected_at_the_documented_level() {
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
-                indexes_payload(1, &[(Value::Int(5), &[1, 0]), (Value::Int(7), &[2])]),
+                indexes_payload(&[(Value::Int(5), &[1, 0]), (Value::Int(7), &[2])]),
             ),
         },
         Case {
@@ -411,7 +385,7 @@ fn corruption_is_rejected_at_the_documented_level() {
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
-                indexes_payload(1, &[(Value::Int(5), &[0, 7]), (Value::Int(7), &[2])]),
+                indexes_payload(&[(Value::Int(5), &[0, 7]), (Value::Int(7), &[2])]),
             ),
         },
         Case {
@@ -421,7 +395,7 @@ fn corruption_is_rejected_at_the_documented_level() {
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
-                indexes_payload(1, &[(Value::Int(7), &[2]), (Value::Int(5), &[0, 1])]),
+                indexes_payload(&[(Value::Int(7), &[2]), (Value::Int(5), &[0, 1])]),
             ),
         },
         Case {
@@ -431,7 +405,7 @@ fn corruption_is_rejected_at_the_documented_level() {
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
-                indexes_payload(1, &[(Value::Int(5), &[]), (Value::Int(7), &[2])]),
+                indexes_payload(&[(Value::Int(5), &[]), (Value::Int(7), &[2])]),
             ),
         },
         Case {
@@ -441,30 +415,14 @@ fn corruption_is_rejected_at_the_documented_level() {
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
-                indexes_payload(1, &[(Value::str("5"), &[0, 1]), (Value::Int(7), &[2])]),
+                indexes_payload(&[(Value::str("5"), &[0, 1]), (Value::Int(7), &[2])]),
             ),
         },
         Case {
             name: "link to an object beyond the opposite extent",
             expect: "DanglingReference(LINKS)",
             matches: |e| matches!(e, LoadError::DanglingReference { section: "LINKS", .. }),
-            bytes: with_section(
-                &db,
-                SEC_LINKS,
-                links_payload(3, 2, &[&[0], &[0, 5], &[]], &[&[0, 1], &[1]]),
-            ),
-        },
-        Case {
-            name: "statistics cardinality contradicting the extent",
-            expect: "Malformed(STATS)",
-            matches: |e| matches!(e, LoadError::Malformed { section: "STATS", .. }),
-            bytes: with_section(
-                &db,
-                SEC_STATS,
-                stats_payload(&db, |s| {
-                    s.classes[0].cardinality += 1;
-                }),
-            ),
+            bytes: with_section(&db, SEC_LINKS, links_payload(&[&[0], &[0, 5], &[]])),
         },
         // Each index is exactly its extent's grouping: every posting id's
         // object holds the key, and the postings cover the class once.
@@ -475,7 +433,7 @@ fn corruption_is_rejected_at_the_documented_level() {
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
-                indexes_payload(1, &[(Value::Int(5), &[0]), (Value::Int(7), &[1, 2])]),
+                indexes_payload(&[(Value::Int(5), &[0]), (Value::Int(7), &[1, 2])]),
             ),
         },
         Case {
@@ -485,14 +443,14 @@ fn corruption_is_rejected_at_the_documented_level() {
             bytes: with_section(
                 &db,
                 SEC_INDEXES,
-                indexes_payload(1, &[(Value::Int(5), &[0, 1]), (Value::Int(7), &[1, 2])]),
+                indexes_payload(&[(Value::Int(5), &[0, 1]), (Value::Int(7), &[1, 2])]),
             ),
         },
         Case {
             name: "an object missing from every posting",
             expect: "Malformed(INDEXES)",
             matches: |e| matches!(e, LoadError::Malformed { section: "INDEXES", .. }),
-            bytes: with_section(&db, SEC_INDEXES, indexes_payload(1, &[(Value::Int(5), &[0, 1])])),
+            bytes: with_section(&db, SEC_INDEXES, indexes_payload(&[(Value::Int(5), &[0, 1])])),
         },
     ];
 
@@ -516,32 +474,4 @@ fn corruption_is_rejected_at_the_documented_level() {
     let loaded = decode_database(&drifted, ValidationLevel::Standard)
         .unwrap_or_else(|e| panic!("drifted statistics are refused: {e:?}"));
     assert_ne!(loaded.stats(), &loaded.rebuild_statistics());
-}
-
-/// A load reads each relationship's left lists and derives the right side;
-/// the right lists a v1 file stores after them are skipped. So a right list
-/// out of canonical order, right lists holding fewer edges than the left
-/// ones, and right lists sorted but not the left lists' mirror each load
-/// into exactly the undamaged database.
-#[test]
-fn damaged_right_lists_load_and_read_like_the_undamaged_database() {
-    let db = fixture();
-    let good = encode_database(&db);
-    let left: &[&[u32]] = &[&[0], &[0, 1], &[]];
-    let cases: [(&str, &[&[u32]]); 3] = [
-        ("right adjacency list out of canonical order", &[&[1, 0], &[1]]),
-        ("left and right edge counts disagreeing", &[&[0], &[1]]),
-        ("right adjacency sorted but not the canonical rebuild", &[&[0, 1], &[0]]),
-    ];
-    for (name, right) in cases {
-        let bytes = with_section(&db, SEC_LINKS, links_payload(3, 2, left, right));
-        let loaded = decode_database(&bytes, ValidationLevel::Standard)
-            .unwrap_or_else(|e| panic!("{name}: refused: {e:?}"));
-        let (got, want) = (loaded.links(RelId(0)), db.links(RelId(0)));
-        for o in 0..2 {
-            assert_eq!(got.from_right(ObjectId(o)), want.from_right(ObjectId(o)), "{name}");
-        }
-        assert_eq!(got.link_count(), want.link_count(), "{name}");
-        assert_eq!(encode_database(&loaded), good, "{name}");
-    }
 }
