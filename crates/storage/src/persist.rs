@@ -19,7 +19,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
 
-use sqo_catalog::{Catalog, ClassStats, DataType, Finite, RelationshipDef, Value};
+use sqo_catalog::{Catalog, ClassDef, ClassStats, DataType, Finite, RelationshipDef, Value};
 use sqo_snapshot::{
     read_catalog, read_stats, read_value_pooled, section_name, write_catalog, write_snapshot_file,
     write_stats, write_value, write_value_raw, ByteReader, ByteWriter, LoadError, SnapshotBuilder,
@@ -48,8 +48,9 @@ use crate::valuemap::{OrdValue, ValueMap};
 /// both implied by the catalog, so each value is payload bytes only.
 /// String values are a `u32` index into the dictionary (first-appearance
 /// order), so each distinct string is stored — and, on load, allocated —
-/// exactly once no matter how often the extents repeat it. The tuples are
-/// row-major, so both passes walk each extent's columns a row at a time
+/// exactly once no matter how often the extents repeat it. An object of a
+/// class without attributes is one zero byte ([`row_width`]). The tuples
+/// are row-major, so both passes walk each extent's columns a row at a time
 /// ([`Extent::for_each_row`]).
 fn encode_extents(db: &Database) -> Vec<u8> {
     let mut w = ByteWriter::new();
@@ -83,6 +84,9 @@ fn encode_extents(db: &Database) -> Vec<u8> {
                     Value::Str(s) => w.u32(dict[s.as_ref()]),
                     other => write_value_raw(&mut w, other),
                 }
+            }
+            if cdef.attributes.is_empty() {
+                w.u8(0);
             }
         });
     }
@@ -219,11 +223,7 @@ fn decode_extent_tuples(
     for (cid, cdef) in catalog.classes() {
         let cardinality = cards[cid.index()];
         let before = r.remaining();
-        let row_width: usize = cdef.attributes.iter().map(|a| encoded_width(a.ty)).sum();
-        // Bounded by the rows the bytes left can hold: a hostile cardinality
-        // cannot drive a huge reservation.
-        let rows = cardinality.min(r.remaining() / row_width.max(1));
-        let mut columns = Columns::new(cdef.attributes.len(), rows);
+        let mut columns = Columns::new(cdef.attributes.len(), cardinality);
         let mut row = Vec::with_capacity(cdef.attributes.len());
         for _ in 0..cardinality {
             for adef in &cdef.attributes {
@@ -256,22 +256,52 @@ fn decode_extent_tuples(
                 };
                 row.push(v);
             }
+            if cdef.attributes.is_empty() && r.u8()? != 0 {
+                return Err(r.malformed("an attribute-less object's byte is not 0"));
+            }
             columns.push(&mut row);
             row.clear();
         }
-        debug_assert_eq!(before - r.remaining(), cardinality * row_width, "EXTENTS row layout");
+        debug_assert_eq!(before - r.remaining(), cardinality * row_width(cdef), "EXTENTS rows");
         extents.push(columns.finish());
     }
-    r.expect_exhausted()?;
     Ok(extents)
+}
+
+/// The bytes one EXTENTS row of class `cdef` takes: its values' widths
+/// ([`encoded_width`]), or one zero byte for a class without attributes.
+/// Every object thus costs at least a byte of tuples, and
+/// [`check_tuple_bytes`] holds the preamble's cardinalities to them.
+fn row_width(cdef: &ClassDef) -> usize {
+    cdef.attributes.iter().map(|a| encoded_width(a.ty)).sum::<usize>().max(1)
+}
+
+/// Refuses a preamble whose cardinalities call for other than exactly the
+/// `tuples` bytes the section holds. Run before any decoder starts, so no
+/// cardinality the file's bytes do not back frames an allocation: the
+/// right side a load derives for each relationship is as long as the
+/// preamble says its right end is.
+fn check_tuple_bytes(catalog: &Catalog, cards: &[usize], tuples: &[u8]) -> Result<(), LoadError> {
+    let rows = catalog.classes().zip(cards);
+    let needed =
+        rows.fold(0usize, |n, ((_, c), &k)| n.saturating_add(k.saturating_mul(row_width(c))));
+    if needed == tuples.len() {
+        Ok(())
+    } else {
+        let detail = format!(
+            "the preamble calls for {needed} tuple bytes, the section holds {}",
+            tuples.len()
+        );
+        Err(malformed(SEC_EXTENTS, detail))
+    }
 }
 
 /// The bytes one EXTENTS tuple value of type `ty` takes. Values are
 /// untagged and a string is its `u32` dictionary index, so a class's tuples
-/// are fixed-width rows, in object-id order, one class after another.
-/// `decode_indexes` locates values by these widths; they must match what
-/// `encode_extents` writes and `decode_extent_tuples` reads, and the latter
-/// asserts so in debug builds.
+/// are fixed-width rows ([`row_width`]), in object-id order, one class after
+/// another. `decode_indexes` locates values by these widths; they must match
+/// what `encode_extents` writes and `decode_extent_tuples` reads, and the
+/// latter asserts so in debug builds.
 fn encoded_width(ty: DataType) -> usize {
     match ty {
         DataType::Int | DataType::Float => 8,
@@ -374,7 +404,7 @@ fn decode_indexes(
     let mut class_base = 0usize;
     for (cid, cdef) in catalog.classes() {
         let cardinality = cards[cid.index()];
-        let row_width: usize = cdef.attributes.iter().map(|a| encoded_width(a.ty)).sum();
+        let row_width = row_width(cdef);
         let mut attr_base = class_base;
         let mut bank: Vec<Option<AttrIndex>> = Vec::with_capacity(cdef.attributes.len());
         for adef in &cdef.attributes {
@@ -463,7 +493,8 @@ fn decode_stats(
 /// (the serving layer) parse the container once.
 ///
 /// The EXTENTS preamble (data epoch + per-class cardinalities) and the
-/// string dictionary are read first; every other database section is
+/// string dictionary are read first, and the cardinalities held to the
+/// tuple bytes that follow; every other database section is
 /// framed and checked only by the catalog, those cardinalities and the
 /// still-encoded tuples, so the link, index and statistics decoders run on
 /// scoped threads while the calling thread decodes the tuples (whose
@@ -483,6 +514,7 @@ pub fn decode_database_from(
     let (data_version, cards) = read_extent_preamble(&mut er, &catalog)?;
     let dict = decode_dictionary(&mut er)?;
     let tuples = er.rest();
+    check_tuple_bytes(&catalog, &cards, tuples)?;
     let (extents, links, indexes, stats) = {
         let (catalog, cards, dict) = (&catalog, &cards, &dict);
         std::thread::scope(|s| {

@@ -141,19 +141,61 @@ fn stats_payload(db: &Database, tamper: impl FnOnce(&mut sqo_catalog::StatsSnaps
     w.finish()
 }
 
-/// DB4 at seed 42 with class 1's EXTENTS preamble cardinality set to
-/// 4,000,000,000. Relationship 0's left end is class 1, so the LINKS
-/// decoder starts on four billion left lists that only the payload's bytes
-/// back: every load decodes LINKS on its own thread beside EXTENTS, so it
-/// runs even though EXTENTS fails, and the load reports EXTENTS' error.
-fn runaway_cardinality() -> Vec<u8> {
+/// DB4 at seed 42 with class `class`'s EXTENTS preamble cardinality set to
+/// 4,000,000,000. Relationship 0 (`supplies`) runs from class 1 (cargo) to
+/// class 0 (supplier): a load derives a right list for every object of
+/// class 0, so four billion of them would reserve tens of gigabytes before
+/// any byte was read. The preamble is held to the tuple bytes before any
+/// section decoder starts.
+fn runaway_cardinality(class: usize) -> Vec<u8> {
     let db = paper_scenario(DbSize::Db4, 42).db;
-    assert_eq!(db.catalog().relationship(RelId(0)).unwrap().left.class, ClassId(1));
+    let supplies = db.catalog().relationship(RelId(0)).unwrap();
+    assert_eq!((supplies.left.class, supplies.right.class), (ClassId(1), ClassId(0)));
     let (_, mut payload) =
         database_sections(&db).into_iter().find(|(id, _)| *id == SEC_EXTENTS).unwrap();
-    // After the data epoch and class 0's cardinality.
-    payload[12..16].copy_from_slice(&4_000_000_000u32.to_le_bytes());
+    // After the 8-byte data epoch, one u32 per class.
+    let at = 8 + 4 * class;
+    payload[at..at + 4].copy_from_slice(&4_000_000_000u32.to_le_bytes());
     with_section(&db, SEC_EXTENTS, payload)
+}
+
+/// A database whose class `e` has no attributes and is the right end of
+/// relationship `r`: two `e` objects, the first linked from `c`'s only
+/// object.
+fn attributeless() -> Database {
+    let mut b = Catalog::builder();
+    let c = b.class("c", vec![AttributeDef::new("v", DataType::Int)]).unwrap();
+    let e = b.class("e", Vec::new()).unwrap();
+    b.relationship(
+        "r",
+        RelationshipEnd::new(c, Multiplicity::Many, false),
+        RelationshipEnd::new(e, Multiplicity::Many, false),
+    )
+    .unwrap();
+    let mut db = Database::builder(Arc::new(b.build().unwrap()));
+    db.insert(c, vec![Value::Int(1)]).unwrap();
+    db.insert(e, Vec::new()).unwrap();
+    db.insert(e, Vec::new()).unwrap();
+    db.link(RelId(0), ObjectId(0), ObjectId(0)).unwrap();
+    db.finalize(IntegrityOptions {
+        enforce_total_participation: false,
+        enforce_multiplicity: false,
+    })
+    .unwrap()
+}
+
+/// [`attributeless`]'s EXTENTS payload: class `e`'s objects are one byte
+/// each, `e_byte`, which the encoder writes as 0.
+fn attributeless_extents(data_version: u64, e_card: u32, e_byte: u8) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u64(data_version);
+    w.u32(1); // |c|
+    w.u32(e_card);
+    w.u32(0); // no strings
+    w.i64(1);
+    w.u8(e_byte);
+    w.u8(0);
+    w.finish()
 }
 
 /// The hand encodings above *are* `docs/FORMAT.md`; this test pins them
@@ -172,6 +214,23 @@ fn handcrafted_payloads_match_the_encoder() {
         "INDEXES layout"
     );
     assert_eq!(sections[&SEC_STATS], stats_payload(&db, |_| ()), "STATS layout");
+    let db = attributeless();
+    let sections: std::collections::HashMap<u32, Vec<u8>> =
+        database_sections(&db).into_iter().collect();
+    let extents = attributeless_extents(db.data_version(), 2, 0);
+    assert_eq!(sections[&SEC_EXTENTS], extents, "EXTENTS rows without attributes");
+}
+
+/// Objects of a class without attributes round-trip, and so do the links
+/// that end at them.
+#[test]
+fn attributeless_objects_roundtrip() {
+    let db = attributeless();
+    let loaded = decode_database(&encode_database(&db), ValidationLevel::Standard).unwrap();
+    assert_eq!(loaded.cardinality(ClassId(1)), 2);
+    assert_eq!(loaded.links(RelId(0)).from_right(ObjectId(0)), &[ObjectId(0)]);
+    assert!(loaded.links(RelId(0)).from_right(ObjectId(1)).is_empty());
+    assert_eq!(encode_database(&loaded), encode_database(&db));
 }
 
 /// Unknown section ids are the format's forward-compatibility rule: a
@@ -188,6 +247,12 @@ fn unknown_sections_are_skipped() {
     assert_eq!(loaded.data_version(), db.data_version());
 }
 
+/// The refusal of a preamble the tuple bytes do not back, which the load
+/// makes on its own thread before it starts the section decoders.
+fn preamble_refused(e: &LoadError) -> bool {
+    matches!(e, LoadError::Malformed { section: "EXTENTS", detail } if detail.contains("tuple bytes"))
+}
+
 struct Case {
     name: &'static str,
     /// The variant documented for this damage (display name only).
@@ -201,6 +266,7 @@ fn corruption_is_rejected_at_the_documented_level() {
     let db = fixture();
     let good = encode_database(&db);
     let dv = db.data_version();
+    let lone = attributeless();
 
     // Raw container damage (docs/VALIDATION.md §2).
     let truncated = good[..11].to_vec();
@@ -349,10 +415,36 @@ fn corruption_is_rejected_at_the_documented_level() {
             bytes: with_section(&db, SEC_LINKS, links_payload(&[&[0], &[0, 1]])),
         },
         Case {
-            name: "a cardinality of four billion in EXTENTS and LINKS alike",
+            name: "four billion objects of a relationship's left end in the preamble",
+            expect: "Malformed(EXTENTS) before any decoder starts",
+            matches: preamble_refused,
+            bytes: runaway_cardinality(1),
+        },
+        Case {
+            name: "four billion objects of a relationship's right end in the preamble",
+            expect: "Malformed(EXTENTS) before any decoder starts",
+            matches: preamble_refused,
+            bytes: runaway_cardinality(0),
+        },
+        Case {
+            name: "four billion objects of an attribute-less right end in the preamble",
+            expect: "Malformed(EXTENTS) before any decoder starts",
+            matches: preamble_refused,
+            bytes: with_section(
+                &lone,
+                SEC_EXTENTS,
+                attributeless_extents(lone.data_version(), 4_000_000_000, 0),
+            ),
+        },
+        Case {
+            name: "an attribute-less object's byte other than 0",
             expect: "Malformed(EXTENTS)",
             matches: |e| matches!(e, LoadError::Malformed { section: "EXTENTS", .. }),
-            bytes: runaway_cardinality(),
+            bytes: with_section(
+                &lone,
+                SEC_EXTENTS,
+                attributeless_extents(lone.data_version(), 2, 1),
+            ),
         },
         Case {
             name: "a class's statistics entry missing",
