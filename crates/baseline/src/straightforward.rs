@@ -176,7 +176,7 @@ enum TryOutcome {
 mod tests {
     use super::*;
     use sqo_catalog::example::figure21;
-    use sqo_constraints::{figure22, ClosureOptions, StoreOptions};
+    use sqo_constraints::{figure22, StoreOptions};
     use sqo_core::{DropAllOracle, StructuralOracle};
     use sqo_query::{CompOp, QueryBuilder};
     use std::sync::Arc;
@@ -186,7 +186,7 @@ mod tests {
         ConstraintStore::build(
             Arc::clone(&catalog),
             figure22(&catalog).unwrap(),
-            StoreOptions { closure: ClosureOptions::none() },
+            StoreOptions::paper_defaults(),
         )
         .unwrap()
     }

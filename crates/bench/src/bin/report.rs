@@ -35,8 +35,8 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: report [e1|table41|fig41|table42|e5|grouping|budget|closure|e11|e14|\
-                     all]* [--seed N] [--smoke] [--json PATH]\n\n\
+                    "usage: report [e1|table41|fig41|table42|e5|grouping|budget|e11|e14|all]\
+                     * [--seed N] [--smoke] [--json PATH]\n\n\
                      --smoke      run every experiment at minimal repetition counts; exercises\n\
                      \x20            the full harness in well under a second so CI catches rot\n\
                      --json PATH  also write every experiment's headline numbers as JSON"
@@ -47,13 +47,10 @@ fn main() {
         }
     }
     if selected.is_empty() || selected.iter().any(|s| s == "all") {
-        selected = [
-            "e1", "table41", "fig41", "table42", "e5", "grouping", "budget", "closure", "e11",
-            "e14",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        selected = ["e1", "table41", "fig41", "table42", "e5", "grouping", "budget", "e11", "e14"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
     }
     // Figure 4.1's timing repetitions dominate the run; the smoke path
     // keeps every driver on its real code path but minimizes repetition.
@@ -97,11 +94,6 @@ fn main() {
                 headlines.extend(h);
                 println!("{s}");
             }
-            "closure" => {
-                let (h, s) = sqo_bench::closure_ablation(seed);
-                headlines.extend(h);
-                println!("{s}");
-            }
             "e11" | "mutable" => {
                 let (rows, s) = sqo_bench::mutable_serving(seed, smoke);
                 headlines.extend(sqo_bench::e11_headlines(&rows));
@@ -130,7 +122,7 @@ fn main() {
 /// E1: the Figure 2.3 / §3.5 worked example, step by step.
 fn e1() {
     use sqo_catalog::example::figure21;
-    use sqo_constraints::{figure22, ClosureOptions, ConstraintStore, StoreOptions};
+    use sqo_constraints::{figure22, ConstraintStore, StoreOptions};
     use sqo_core::{
         run_transformations, OptimizerConfig, SemanticOptimizer, StructuralOracle,
         TransformationTable,
@@ -141,7 +133,7 @@ fn e1() {
     let store = ConstraintStore::build(
         Arc::clone(&catalog),
         figure22(&catalog).expect("constraints"),
-        StoreOptions { closure: ClosureOptions::none() },
+        StoreOptions::paper_defaults(),
     )
     .expect("store");
     let query = parse_query(

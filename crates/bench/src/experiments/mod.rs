@@ -1,5 +1,5 @@
 //! Experiment drivers, split by job: [`paper`] regenerates the paper's
-//! tables and figures and this repository's ablations (E2–E8), [`sweeps`] runs
+//! tables and figures and this repository's ablations (E2–E7), [`sweeps`] runs
 //! the multi-thread and frontend sweeps (E11, E14). The `report` binary
 //! prints any subset. The smoke tests of both halves live here.
 

@@ -1,7 +1,7 @@
-//! The paper's evaluation (§4) and this repository's ablations, E2–E8: one
+//! The paper's evaluation (§4) and this repository's ablations, E2–E7: one
 //! function per table or figure. Each returns its headline numbers (or the
 //! rows they derive from) and a rendered report section. Everything here
-//! except the transformation times (Figure 4.1, E8's `transform_us_*`) is a
+//! except the transformation times (Figure 4.1) is a
 //! machine-independent cost ratio or count that repeats to the bit at a
 //! given seed; `tests/paper_numbers.rs` pins those exactly.
 
@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use sqo_baseline::{
     ApplicationOrder, AssignmentPolicy, ConstraintGroups, StraightforwardOptimizer,
 };
-use sqo_constraints::{ClosureOptions, ConstraintStore, StoreOptions};
+use sqo_constraints::{ConstraintStore, StoreOptions};
 use sqo_core::{
     formulate, run_transformations, OptimizerConfig, SemanticOptimizer, StructuralOracle,
     TransformationTable,
@@ -19,8 +19,8 @@ use sqo_core::{
 use sqo_exec::{execute, plan_query, CostBasedOracle, CostModel};
 use sqo_query::Query;
 use sqo_workload::{
-    bench_schema::bench_catalog, generate_constraints, generate_database, paper_query_set,
-    paper_scenario, ConstraintGenConfig, DbSize, PaperScenario, QueryGenConfig,
+    bench_schema::bench_catalog, generate_constraints, paper_query_set, paper_scenario,
+    ConstraintGenConfig, DbSize, PaperScenario, QueryGenConfig,
 };
 
 use crate::fmt::TextTable;
@@ -470,90 +470,4 @@ pub fn budget_sweep(seed: u64) -> (Vec<Headline>, String) {
         ));
     }
     (headlines, format!("E7: Priority queue under a transformation budget (DB3)\n{}", t.render()))
-}
-
-// ---------------------------------------------------------------------------
-// E8 — transitive-closure materialization.
-// ---------------------------------------------------------------------------
-
-pub fn closure_ablation(seed: u64) -> (Vec<Headline>, String) {
-    let catalog = Arc::new(bench_catalog().expect("schema"));
-    let generated = generate_constraints(
-        &catalog,
-        ConstraintGenConfig { seed, chain_fraction: 0.5, ..Default::default() },
-    )
-    .expect("constraints");
-    let db =
-        generate_database(Arc::clone(&catalog), &DbSize::Db2.config(seed), &generated.forcings)
-            .expect("database");
-    let queries = paper_query_set(
-        &catalog,
-        &generated.forcings,
-        40,
-        &QueryGenConfig { seed: seed.wrapping_add(1), ..Default::default() },
-    );
-    let model = CostModel::default();
-    let mut t = TextTable::new(vec![
-        "closure",
-        "stored constraints",
-        "transformations",
-        "mean cost ratio",
-        "mean transform µs",
-    ]);
-    let mut headlines = Vec::new();
-    for materialize in [false, true] {
-        let store = ConstraintStore::build(
-            Arc::clone(&catalog),
-            generated.constraints.clone(),
-            StoreOptions {
-                closure: if materialize {
-                    ClosureOptions::default()
-                } else {
-                    ClosureOptions::none()
-                },
-            },
-        )
-        .expect("store");
-        let oracle = CostBasedOracle::new(&db);
-        let optimizer = SemanticOptimizer::new(&store);
-        let mut applied = 0usize;
-        let mut ratio_sum = 0.0;
-        let mut micros = 0.0;
-        for query in &queries {
-            let start = Instant::now();
-            let out = optimizer.optimize(query, &oracle).expect("optimize");
-            micros += start.elapsed().as_secs_f64() * 1e6;
-            applied += out.report.transformations.applied.len();
-            let (_, c_orig) =
-                execute(&db, &plan_query(&db, query, &model).expect("plan")).expect("execute");
-            let (_, c_opt) =
-                execute(&db, &plan_query(&db, &out.query, &model).expect("plan")).expect("execute");
-            ratio_sum += model.measured(&c_opt) / model.measured(&c_orig).max(1e-9);
-        }
-        let label = if materialize { "materialized" } else { "off" };
-        t.row(vec![
-            label.to_string(),
-            store.len().to_string(),
-            applied.to_string(),
-            format!("{:.3}", ratio_sum / queries.len() as f64),
-            format!("{:.1}", micros / queries.len() as f64),
-        ]);
-        headlines.push(Headline::new(
-            "e8",
-            format!("ratio_{label}"),
-            ratio_sum / queries.len() as f64,
-        ));
-        headlines.push(Headline::new(
-            "e8",
-            format!("transform_us_{label}"),
-            micros / queries.len() as f64,
-        ));
-    }
-    (
-        headlines,
-        format!(
-            "E8: Transitive-closure materialization (chain-heavy constraints, DB2)\n{}",
-            t.render()
-        ),
-    )
 }

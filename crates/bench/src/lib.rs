@@ -12,17 +12,16 @@
 //! | E5 | straight-forward baseline comparison | [`experiments::paper::baseline_comparison`] |
 //! | E6 | grouping policies | [`experiments::paper::grouping`] |
 //! | E7 | priority-queue budget | [`experiments::paper::budget_sweep`] |
-//! | E8 | closure materialization | [`experiments::paper::closure_ablation`] |
-//! | E11 | mutable-data serving (0/1/5/20 % writes × threads up to the core count) | [`experiments::sweeps::mutable_serving`] |
+//! //! | E11 | mutable-data serving (0/1/5/20 % writes × threads up to the core count) | [`experiments::sweeps::mutable_serving`] |
 //! | E14 | open-loop frontend (dedup, admission, shedding) | [`experiments::sweeps::frontend_open_loop`] |
 //!
 //! The `report` binary prints any subset and emits machine-readable
 //! headline numbers with `--json <path>`. The harness has one job the
 //! end-to-end benchmark (`benches/e2e`, `BENCHMARK.json`) does not do:
-//! E2 and E4–E8 are machine-independent cost ratios and counts that repeat
+//! E2 and E4–E7 are machine-independent cost ratios and counts that repeat
 //! to the bit at a given seed, and `tests/paper_numbers.rs` compares them
 //! exactly against constants — a change that moves a paper number edits the
-//! constant. Timed numbers (Figure 4.1, E8's `transform_us_*`, E11, E14)
+//! constant. Timed numbers (Figure 4.1, E11, E14)
 //! are printed and uploaded, never compared; single-client timing claims
 //! are made with `BENCHMARK.json`'s pair protocol.
 
@@ -33,8 +32,8 @@ pub mod fmt;
 pub mod json;
 
 pub use experiments::paper::{
-    baseline_comparison, budget_sweep, closure_ablation, fig41_headlines, figure41, grouping,
-    table41, table42, table42_headlines, Fig41Point, Table42Row,
+    baseline_comparison, budget_sweep, fig41_headlines, figure41, grouping, table41, table42,
+    table42_headlines, Fig41Point, Table42Row,
 };
 pub use experiments::sweeps::{e11_headlines, frontend_open_loop, mutable_serving, nproc, E11Row};
 pub use json::{render_json, Headline};

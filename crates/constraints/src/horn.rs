@@ -52,8 +52,6 @@ pub enum ConstraintClass {
 pub enum Origin {
     /// Declared integrity constraint (always true of the database).
     Declared,
-    /// Derived by the transitive-closure precompilation (§3).
-    Derived,
     /// Siegel-style rule reflecting only the *current* database state; kept
     /// separate so callers can invalidate them on update (§1 discussion).
     Dynamic,

@@ -1,11 +1,10 @@
 //! The predicate pool.
 //!
-//! §3 of the paper: to keep materialized transitive closures cheap, "extract
-//! all the predicates into a separate structure, and [modify] the constraints
-//! to contain only pointers to relevant predicates in the structure". This is
-//! that structure: an interner mapping canonical [`Predicate`]s to dense
-//! [`PredId`]s. Two pools exist: the closure algorithm's (its dedup keys
-//! are `PredId` lists) and the constraint store's, into which
+//! §3 of the paper: "extract all the predicates into a separate structure,
+//! and [modify] the constraints to contain only pointers to relevant
+//! predicates in the structure". This is that structure: an interner
+//! mapping canonical [`Predicate`]s to dense [`PredId`]s. The constraint
+//! store keeps one, into which
 //! [`ConstraintStore`](crate::ConstraintStore) files every constraint's
 //! antecedents and consequent once, when the constraint is filed. A store's
 //! pool is derived from its constraints and never persisted. The

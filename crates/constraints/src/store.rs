@@ -1,7 +1,7 @@
 //! The serving constraint store.
 //!
-//! A [`ConstraintStore`] holds the compiled constraint list (declared,
-//! closure-derived, then dynamic), the exact inverted [`ConstraintIndex`]
+//! A [`ConstraintStore`] holds the stated constraints in the order they
+//! were filed, the exact inverted [`ConstraintIndex`]
 //! that retrieves a query's relevant constraints, §3's predicate pool the
 //! constraints point into ([`ConstraintStore::filed`]), and the store's
 //! version.
@@ -15,22 +15,18 @@ use sqo_catalog::{Catalog, ClassId};
 use sqo_query::sync::{Counter, Epoch};
 use sqo_query::Query;
 
-use crate::closure::{transitive_closure, ClosureOptions};
 use crate::error::ConstraintError;
 use crate::horn::{check_predicate_types, ConstraintClass, ConstraintId, HornConstraint, Origin};
 use crate::index::{ConstraintIndex, RetrievalScratch};
 use crate::pool::{PredId, PredicatePool};
 
-/// Store construction options.
+/// Store construction options. There are none: a store holds exactly the
+/// constraints it is given.
 #[derive(Debug, Clone, Default)]
-pub struct StoreOptions {
-    /// Limits of the transitive closure materialized at build time (§3);
-    /// [`ClosureOptions::none`] derives nothing.
-    pub closure: ClosureOptions,
-}
+pub struct StoreOptions;
 
 impl StoreOptions {
-    /// The configuration the paper describes: closure materialized.
+    /// The one configuration.
     pub fn paper_defaults() -> Self {
         Self::default()
     }
@@ -120,9 +116,6 @@ pub struct ConstraintStore {
     antecedent_ids: Vec<PredId>,
     /// Parallel to `constraints`.
     filed: Vec<FiledAt>,
-    /// Closure limits this store was built under — persisted by snapshots
-    /// so a load re-derives the same closure.
-    closure: ClosureOptions,
     /// Monotone semantic version: bumped whenever the constraint population
     /// or the statistics the optimizer consults change. Downstream caches
     /// key on the full [`StoreVersion`] (generation + epoch) — the epoch
@@ -130,9 +123,6 @@ pub struct ConstraintStore {
     epoch: Epoch,
     /// Process-globally unique instance id (see [`StoreVersion`]).
     generation: u64,
-    /// Closure bookkeeping for reporting.
-    derived_count: usize,
-    closure_truncated: bool,
 }
 
 /// A constraint built against a different catalog, or decoded from a
@@ -153,36 +143,28 @@ fn check_catalog(catalog: &Catalog, c: &HornConstraint) -> Result<(), Constraint
 }
 
 impl ConstraintStore {
-    /// Builds the store: catalog check, closure materialization under
-    /// `options.closure`, then indexing. The closure runs over every
-    /// constraint but the [`Origin::Dynamic`] ones, which follow the
-    /// derived constraints in input order: a rule true only of the current
-    /// state implies nothing that holds of every state.
+    /// Builds the store: checks every constraint against the catalog, then
+    /// files them in input order. Nothing is derived: a chain of
+    /// constraints fires through the transformation table's fixpoint.
     pub fn build(
         catalog: Arc<Catalog>,
         constraints: Vec<HornConstraint>,
-        options: StoreOptions,
+        _options: StoreOptions,
     ) -> Result<Self, ConstraintError> {
         for c in &constraints {
             check_catalog(&catalog, c)?;
         }
-        let (closed, dynamic): (Vec<_>, Vec<_>) =
-            constraints.into_iter().partition(|c| c.origin != Origin::Dynamic);
-        let closure = transitive_closure(&catalog, closed, options.closure)?;
         let mut store = Self {
             index: ConstraintIndex::new(catalog.class_count(), catalog.relationship_count()),
             catalog,
-            constraints: Vec::new(),
+            constraints: Vec::with_capacity(constraints.len()),
             pool: Arc::default(),
             antecedent_ids: Vec::new(),
-            filed: Vec::new(),
-            closure: options.closure,
+            filed: Vec::with_capacity(constraints.len()),
             epoch: Epoch::new(0),
             generation: next_generation(),
-            derived_count: closure.derived_count,
-            closure_truncated: closure.truncated,
         };
-        for constraint in closure.constraints.into_iter().chain(dynamic) {
+        for constraint in constraints {
             store.file(constraint);
         }
         Ok(store)
@@ -233,14 +215,8 @@ impl ConstraintStore {
     /// Appends one constraint to the store in place, indexing it and
     /// bumping the epoch. A constraint naming a class, relationship or
     /// attribute outside this store's catalog, or a literal of the wrong
-    /// type, is refused and the store is left as it was.
-    ///
-    /// The incremental path deliberately does **not** extend the transitive
-    /// closure: derived shortcuts only accelerate transformation chains that
-    /// remain reachable through the declared constraints, so skipping them
-    /// never affects correctness. The constraint is filed as
-    /// [`Origin::Dynamic`], outside the closure, which is how a rebuild via
-    /// [`ConstraintStore::build`] (a snapshot load) files it again.
+    /// type, is refused and the store is left as it was. The constraint is
+    /// filed as [`Origin::Dynamic`]: it holds of the state it was added to.
     pub fn insert_constraint(
         &mut self,
         mut constraint: HornConstraint,
@@ -275,13 +251,10 @@ impl ConstraintStore {
             pool: Arc::clone(&self.pool),
             antecedent_ids: self.antecedent_ids.clone(),
             filed: self.filed.clone(),
-            closure: self.closure,
             epoch: Epoch::new(self.epoch() + 1),
             // A fresh generation: the successor is a *different* store even
             // when the source later reaches the same epoch value.
             generation: next_generation(),
-            derived_count: self.derived_count,
-            closure_truncated: self.closure_truncated,
         };
         let id = store.file(constraint);
         Ok((store, id))
@@ -363,22 +336,6 @@ impl ConstraintStore {
         &self.catalog
     }
 
-    /// The closure limits this store was built under (persisted by
-    /// snapshots so a load re-derives the same closure).
-    pub fn closure_options(&self) -> ClosureOptions {
-        self.closure
-    }
-
-    /// How many of the constraints the closure derived.
-    pub fn derived_count(&self) -> usize {
-        self.derived_count
-    }
-
-    /// Whether a closure limit stopped the fixpoint before convergence.
-    pub fn closure_truncated(&self) -> bool {
-        self.closure_truncated
-    }
-
     pub fn len(&self) -> usize {
         self.constraints.len()
     }
@@ -443,18 +400,6 @@ mod tests {
             .via("supplies")
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn closure_derives_c1_c2_chain() {
-        let (_, store) = setup();
-        // c1: vehicle desc -> cargo desc; c2: cargo desc -> supplier name.
-        // Derived: vehicle desc -> supplier name.
-        assert!(store.derived_count() >= 1, "derived {}", store.derived_count());
-        assert!(!store.closure_truncated());
-        assert!(store
-            .constraints()
-            .any(|(_, c)| c.origin == Origin::Derived && c.name.contains("c1")));
     }
 
     #[test]

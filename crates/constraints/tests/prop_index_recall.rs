@@ -11,9 +11,7 @@ use std::sync::Arc;
 
 use sqo_baseline::{AssignmentPolicy, ConstraintGroups};
 use sqo_catalog::{AttributeDef, Catalog, ClassId, DataType, RelId};
-use sqo_constraints::{
-    ClosureOptions, ConstraintStore, HornConstraint, Origin, RetrievalScratch, StoreOptions,
-};
+use sqo_constraints::{ConstraintStore, HornConstraint, Origin, RetrievalScratch, StoreOptions};
 use sqo_query::{CompOp, Predicate, Query};
 
 const CLASSES: usize = 6;
@@ -130,7 +128,6 @@ proptest! {
     fn indexed_retrieval_equals_linear_scan(
         raws in proptest::collection::vec(raw_constraint(), 0..16),
         probes in proptest::collection::vec(raw_query(), 1..8),
-        materialize_closure in (0..2usize).prop_map(|b| b == 1),
     ) {
         let catalog = catalog();
         let constraints: Vec<HornConstraint> =
@@ -138,9 +135,7 @@ proptest! {
         let store = ConstraintStore::build(
             Arc::clone(&catalog),
             constraints,
-            StoreOptions {
-                closure: if materialize_closure { ClosureOptions::default() } else { ClosureOptions::none() },
-            },
+            StoreOptions::paper_defaults(),
         ).unwrap();
         for (classes, rels) in &probes {
             assert_equivalent(&store, &probe(classes, rels));
@@ -161,7 +156,7 @@ proptest! {
         let mut store = ConstraintStore::build(
             Arc::clone(&catalog),
             constraints,
-            StoreOptions { closure: ClosureOptions::none() },
+            StoreOptions::paper_defaults(),
         ).unwrap();
         let seeds: Vec<HornConstraint> =
             extra.iter().filter_map(|r| materialize(&catalog, r)).collect();
@@ -171,7 +166,7 @@ proptest! {
         let mut cow = ConstraintStore::build(
             Arc::clone(&catalog),
             base.iter().filter_map(|r| materialize(&catalog, r)).collect(),
-            StoreOptions { closure: ClosureOptions::none() },
+            StoreOptions::paper_defaults(),
         ).unwrap().with_constraint(seeds[0].clone()).unwrap().0;
         for c in &seeds[1..] {
             store.insert_constraint(c.clone()).unwrap();

@@ -302,7 +302,7 @@ mod tests {
     use crate::table::TransformationTable;
     use crate::transform::run_transformations;
     use sqo_catalog::example::figure21;
-    use sqo_constraints::{figure22, ClosureOptions, ConstraintStore, StoreOptions};
+    use sqo_constraints::{figure22, ConstraintStore, StoreOptions};
     use sqo_query::{CompOp, QueryBuilder, QueryExt};
     use std::sync::Arc;
 
@@ -311,7 +311,7 @@ mod tests {
         let store = ConstraintStore::build(
             Arc::clone(&catalog),
             figure22(&catalog).unwrap(),
-            StoreOptions { closure: ClosureOptions::none() },
+            StoreOptions::paper_defaults(),
         )
         .unwrap();
         let query = QueryBuilder::new(&catalog)
@@ -493,12 +493,9 @@ mod tests {
             .then("manager.rank", CompOp::Eq, "research staff member")
             .build()
             .unwrap();
-        let store = ConstraintStore::build(
-            Arc::clone(&catalog),
-            vec![c],
-            StoreOptions { closure: ClosureOptions::none() },
-        )
-        .unwrap();
+        let store =
+            ConstraintStore::build(Arc::clone(&catalog), vec![c], StoreOptions::paper_defaults())
+                .unwrap();
         let query = QueryBuilder::new(&catalog)
             .select("manager.clearance")
             .filter("manager.name", CompOp::Eq, "alice")

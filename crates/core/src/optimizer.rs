@@ -209,7 +209,7 @@ mod tests {
                 .unwrap()
         });
         assert_eq!(got.normalized(), expected.normalized());
-        assert_eq!(SemanticOptimizer::new(&store).store().len(), 6);
+        assert_eq!(SemanticOptimizer::new(&store).store().len(), 5);
     }
 
     #[test]

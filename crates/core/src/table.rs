@@ -500,11 +500,10 @@ mod tests {
 
     fn setup() -> (Arc<Catalog>, ConstraintStore, Query) {
         let catalog = Arc::new(figure21().unwrap());
-        // No closure: keep rows exactly c1..c5 for §3.5 comparisons.
         let store = ConstraintStore::build(
             Arc::clone(&catalog),
             figure22(&catalog).unwrap(),
-            sqo_constraints::StoreOptions { closure: sqo_constraints::ClosureOptions::none() },
+            sqo_constraints::StoreOptions::paper_defaults(),
         )
         .unwrap();
         let query = QueryBuilder::new(&catalog)
@@ -691,7 +690,7 @@ mod tests {
         let store2 = ConstraintStore::build(
             Arc::clone(&catalog),
             vec![c],
-            sqo_constraints::StoreOptions { closure: sqo_constraints::ClosureOptions::none() },
+            sqo_constraints::StoreOptions::paper_defaults(),
         )
         .unwrap();
         let relevant = store2.relevant_for(&query);
@@ -768,7 +767,7 @@ mod tests {
         let fresh = ConstraintStore::build(
             Arc::clone(&catalog),
             grown.constraints().map(|(_, c)| c.clone()).collect(),
-            sqo_constraints::StoreOptions { closure: sqo_constraints::ClosureOptions::none() },
+            sqo_constraints::StoreOptions::paper_defaults(),
         )
         .unwrap();
         let other = QueryBuilder::new(&catalog)

@@ -229,7 +229,7 @@ pub fn run_transformations_with(
 mod tests {
     use super::*;
     use sqo_catalog::{example::figure21, Catalog};
-    use sqo_constraints::{figure22, ClosureOptions, ConstraintStore, StoreOptions};
+    use sqo_constraints::{figure22, ConstraintStore, StoreOptions};
     use sqo_query::{CompOp, Query, QueryBuilder};
     use std::sync::Arc;
 
@@ -238,7 +238,7 @@ mod tests {
         let store = ConstraintStore::build(
             Arc::clone(&catalog),
             figure22(&catalog).unwrap(),
-            StoreOptions { closure: ClosureOptions::none() },
+            StoreOptions::paper_defaults(),
         )
         .unwrap();
         let query = QueryBuilder::new(&catalog)
@@ -295,12 +295,9 @@ mod tests {
             .then("manager.rank", CompOp::Eq, "research staff member")
             .build()
             .unwrap();
-        let store = ConstraintStore::build(
-            Arc::clone(&catalog),
-            vec![c],
-            StoreOptions { closure: ClosureOptions::none() },
-        )
-        .unwrap();
+        let store =
+            ConstraintStore::build(Arc::clone(&catalog), vec![c], StoreOptions::paper_defaults())
+                .unwrap();
         let query = QueryBuilder::new(&catalog)
             .select("manager.clearance")
             .filter("manager.name", CompOp::Eq, "alice")
@@ -328,12 +325,8 @@ mod tests {
             .build()
             .unwrap();
         let mk_store = |cs| {
-            ConstraintStore::build(
-                Arc::clone(&catalog),
-                cs,
-                StoreOptions { closure: ClosureOptions::none() },
-            )
-            .unwrap()
+            ConstraintStore::build(Arc::clone(&catalog), cs, StoreOptions::paper_defaults())
+                .unwrap()
         };
         let store = mk_store(vec![c]);
         let query = QueryBuilder::new(&catalog)
@@ -363,23 +356,63 @@ mod tests {
         assert!(log.budget_exhausted);
     }
 
+    /// One class `t` with Int attributes `a`, `b` and `c`.
+    fn abc_catalog() -> Arc<Catalog> {
+        let mut b = Catalog::builder();
+        let int = |name| sqo_catalog::AttributeDef::new(name, sqo_catalog::DataType::Int);
+        b.class("t", vec![int("a"), int("b"), int("c")]).unwrap();
+        Arc::new(b.build().unwrap())
+    }
+
+    /// The constraints `a = 1 → b > b1` and `b > 10 → c = 3` on a query
+    /// `a = 1`: what fires, in order.
+    fn papers_chain(b1: i64) -> Vec<String> {
+        let catalog = abc_catalog();
+        let c1 = sqo_constraints::ConstraintBuilder::new(&catalog, "c1")
+            .when("t.a", CompOp::Eq, 1i64)
+            .then("t.b", CompOp::Gt, b1)
+            .build()
+            .unwrap();
+        let c2 = sqo_constraints::ConstraintBuilder::new(&catalog, "c2")
+            .when("t.b", CompOp::Gt, 10i64)
+            .then("t.c", CompOp::Eq, 3i64)
+            .build()
+            .unwrap();
+        let store = ConstraintStore::build(
+            Arc::clone(&catalog),
+            vec![c1, c2],
+            StoreOptions::paper_defaults(),
+        )
+        .unwrap();
+        let query = QueryBuilder::new(&catalog)
+            .select("t.c")
+            .filter("t.a", CompOp::Eq, 1i64)
+            .build()
+            .unwrap();
+        let relevant = store.relevant_for(&query);
+        let config = OptimizerConfig::paper();
+        let mut table =
+            TransformationTable::build(&catalog, &store, &relevant, &query, config.match_policy);
+        let log = run_transformations(&mut table, &config);
+        log.applied.iter().map(|r| store.constraint(r.constraint).name.clone()).collect()
+    }
+
+    /// §3's example of what its precompiled closure derives: from
+    /// `(A = a) → (B > 20)` and `(B > 10) → (C = c)`, `(A = a) → (C = c)`.
+    /// The table reaches the same consequent per query: the introduced
+    /// `b > 20` implies c2's antecedent `b > 10`, so c2 fires after c1. An
+    /// introduced `b > 5` implies nothing about `b > 10`, and c2 stays put.
+    #[test]
+    fn papers_closure_example_chains_through_the_table() {
+        assert_eq!(papers_chain(20), ["c1", "c2"]);
+        assert_eq!(papers_chain(5), ["c1"]);
+    }
+
     #[test]
     fn chain_of_three_fires_transitively() {
-        // a=1 present; c1: a=1 -> b=2 ; c2: b=2 -> c=3. No closure: the
-        // chain must still resolve through queue wake-ups.
-        let catalog = {
-            let mut b = Catalog::builder();
-            b.class(
-                "t",
-                vec![
-                    sqo_catalog::AttributeDef::new("a", sqo_catalog::DataType::Int),
-                    sqo_catalog::AttributeDef::new("b", sqo_catalog::DataType::Int),
-                    sqo_catalog::AttributeDef::new("c", sqo_catalog::DataType::Int),
-                ],
-            )
-            .unwrap();
-            Arc::new(b.build().unwrap())
-        };
+        // a=1 present; c1: a=1 -> b=2 ; c2: b=2 -> c=3. Nothing is derived
+        // ahead of the query: the chain resolves through queue wake-ups.
+        let catalog = abc_catalog();
         let c1 = sqo_constraints::ConstraintBuilder::new(&catalog, "c1")
             .when("t.a", CompOp::Eq, 1i64)
             .then("t.b", CompOp::Eq, 2i64)
@@ -393,7 +426,7 @@ mod tests {
         let store = ConstraintStore::build(
             Arc::clone(&catalog),
             vec![c1, c2],
-            StoreOptions { closure: ClosureOptions::none() },
+            StoreOptions::paper_defaults(),
         )
         .unwrap();
         let query = QueryBuilder::new(&catalog)

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 use sqo_catalog::{AttributeDef, Catalog, DataType, IndexKind};
-use sqo_constraints::{ClosureOptions, ConstraintBuilder, ConstraintStore, StoreOptions};
+use sqo_constraints::{ConstraintBuilder, ConstraintStore, StoreOptions};
 use sqo_core::{
     run_transformations, MatchPolicy, OptimizerConfig, PredicateTag, QueueDiscipline,
     TransformationTable,
@@ -62,12 +62,8 @@ fn final_tags(
     query_preds: &[(u8, i64)],
     discipline: QueueDiscipline,
 ) -> Vec<(String, Option<PredicateTag>)> {
-    let store = ConstraintStore::build(
-        Arc::clone(catalog),
-        cs,
-        StoreOptions { closure: ClosureOptions::none() },
-    )
-    .unwrap();
+    let store =
+        ConstraintStore::build(Arc::clone(catalog), cs, StoreOptions::paper_defaults()).unwrap();
     let mut qb = QueryBuilder::new(catalog).select("t.a0");
     for &(attr, v) in query_preds {
         let name = format!("t.{}", ["a0", "a1", "a2", "b0", "b1", "b2"][(attr % 6) as usize]);
@@ -129,7 +125,7 @@ proptest! {
         let store = ConstraintStore::build(
             Arc::clone(&catalog),
             cs,
-            StoreOptions { closure: ClosureOptions::none() },
+            StoreOptions::paper_defaults(),
         ).unwrap();
         let mut qb = QueryBuilder::new(&catalog).select("t.a0");
         for &(attr, v) in &query_preds {

@@ -1,10 +1,9 @@
 //! Serving-layer snapshot codecs: the CONSTRAINTS and QUERIES sections.
 //!
 //! The database sections are owned by `sqo-storage`; this module persists
-//! what the serving layer adds on top — the constraint store's epoch,
-//! closure limits and stated constraints, and the queries the plan cache
-//! held. Derived state is not persisted: a warm boot re-runs the closure
-//! and derives each query's entry again. The byte
+//! what the serving layer adds on top — the constraint store's epoch and
+//! constraints, and the queries the plan cache held. Derived state is not
+//! persisted: a warm boot derives each query's entry again. The byte
 //! layouts are specified normatively in `docs/FORMAT.md`; the validation
 //! levels in `docs/VALIDATION.md`.
 
@@ -14,8 +13,7 @@ use std::sync::Arc;
 
 use sqo_catalog::{Catalog, ClassId, RelId};
 use sqo_constraints::{
-    ClosureOptions, ConstraintError, ConstraintStore, HornConstraint, Origin, StoreOptions,
-    StoreVersion,
+    ConstraintError, ConstraintStore, HornConstraint, Origin, StoreOptions, StoreVersion,
 };
 use sqo_exec::ExecError;
 use sqo_query::{Query, QueryError, QueryFingerprint};
@@ -27,18 +25,12 @@ use crate::cache::CacheEntry;
 use crate::ServiceError;
 
 /// Encodes a [`ConstraintStore`] as the CONSTRAINTS section payload: its
-/// epoch, its closure limits and its stated constraints, in store order.
-/// The closure-derived constraints are not written; a load derives them
-/// again.
+/// epoch and its constraints, in store order.
 pub fn encode_constraints(store: &ConstraintStore) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u64(store.epoch());
-    let closure = store.closure_options();
-    w.u64(closure.max_derived as u64);
-    w.u64(closure.max_rounds as u64);
-    let stated: Vec<_> = store.constraints().filter(|(_, c)| c.origin != Origin::Derived).collect();
-    w.u32(stated.len() as u32);
-    for (_, c) in stated {
+    w.u32(store.len() as u32);
+    for (_, c) in store.constraints() {
         write_constraint(&mut w, c);
     }
     w.finish()
@@ -60,23 +52,21 @@ fn write_constraint(w: &mut ByteWriter, c: &HornConstraint) {
     for cl in &c.classes {
         w.u32(cl.0);
     }
-    // Tag 1, a derived constraint, is never written: a load refuses it.
+    // Tag 1 (a closure-derived constraint in older versions) is never
+    // written: a load refuses it.
     w.u8(if c.origin == Origin::Dynamic { 2 } else { 0 });
 }
 
 /// Decodes the CONSTRAINTS section payload into the store it describes:
-/// [`ConstraintStore::build`] over the stated constraints (Declared and
-/// Dynamic, in file order), under the persisted closure limits clamped per
-/// field to [`ClosureOptions::default`], at the saved epoch with a fresh
-/// process-local generation. The closure is derived again, and an entry
-/// tagged derived is malformed, so no file can add a constraint the stated
-/// ones do not imply. Building the store resolves every class,
-/// relationship and attribute the constraints name, the same check a live
-/// `add_constraint` passes.
+/// [`ConstraintStore::build`] over the constraints (Declared and Dynamic,
+/// in file order), at the saved epoch with a fresh process-local
+/// generation. The store holds exactly the constraints the file states.
+/// Building it resolves every class, relationship and attribute the
+/// constraints name, the same check a live `add_constraint` passes.
 ///
 /// # Errors
-/// [`LoadError::Malformed`] on structural damage (an entry tagged derived
-/// included), an epoch at or above [`sqo_snapshot::EPOCH_LIMIT`] (from
+/// [`LoadError::Malformed`] on structural damage (an origin tag other than
+/// Declared or Dynamic included), an epoch at or above [`sqo_snapshot::EPOCH_LIMIT`] (from
 /// which a store could not keep advancing) or a literal of the wrong type;
 /// [`LoadError::UnsortedPosting`] for a class list out of order;
 /// [`LoadError::DanglingReference`] for an id the catalog does not
@@ -87,12 +77,6 @@ pub fn decode_constraints(
 ) -> Result<ConstraintStore, LoadError> {
     let mut r = ByteReader::new(payload, "CONSTRAINTS");
     let epoch = r.epoch()?;
-    let limit = ClosureOptions::default();
-    let mut bounded = |max: usize| r.u64().map(|n| n.min(max as u64) as usize);
-    let closure = ClosureOptions {
-        max_derived: bounded(limit.max_derived)?,
-        max_rounds: bounded(limit.max_rounds)?,
-    };
     let mut stated = Vec::new();
     for _ in 0..r.count()? {
         let name = r.str()?;
@@ -131,15 +115,16 @@ pub fn decode_constraints(
         });
     }
     r.expect_exhausted()?;
-    let store = ConstraintStore::build(catalog, stated, StoreOptions { closure }).map_err(|e| {
-        let detail = format!("store compilation rejected the snapshot: {e}");
-        match e {
-            ConstraintError::Catalog(_) => {
-                LoadError::DanglingReference { section: "CONSTRAINTS", detail }
+    let store =
+        ConstraintStore::build(catalog, stated, StoreOptions::paper_defaults()).map_err(|e| {
+            let detail = format!("store compilation rejected the snapshot: {e}");
+            match e {
+                ConstraintError::Catalog(_) => {
+                    LoadError::DanglingReference { section: "CONSTRAINTS", detail }
+                }
+                _ => LoadError::Malformed { section: "CONSTRAINTS", detail },
             }
-            _ => LoadError::Malformed { section: "CONSTRAINTS", detail },
-        }
-    })?;
+        })?;
     store.raise_epoch_to(epoch);
     Ok(store)
 }
@@ -196,61 +181,21 @@ mod tests {
     use super::*;
     use sqo_workload::{paper_scenario, DbSize};
 
-    fn same_constraints(a: &ConstraintStore, b: &ConstraintStore) {
-        assert_eq!(a.len(), b.len());
-        for ((_, x), (_, y)) in a.constraints().zip(b.constraints()) {
-            assert_eq!(x, y);
-        }
-        assert_eq!(
-            (a.derived_count(), a.closure_truncated()),
-            (b.derived_count(), b.closure_truncated())
-        );
-    }
-
-    /// The store decodes into the encoded constraints, closure counters and
-    /// epoch, under a fresh generation. (The name is older than the single
-    /// load level; the decoder takes none.)
+    /// The store decodes into the encoded constraints, in order, and epoch,
+    /// under a fresh generation. (The name is older than the single load
+    /// level; the decoder takes none.)
     #[test]
     fn constraint_store_roundtrips_at_audit() {
         let s = paper_scenario(DbSize::Db1, 7);
         let catalog = Arc::clone(s.store.catalog());
         let bytes = encode_constraints(&s.store);
         let rebuilt = decode_constraints(&bytes, catalog).unwrap();
-        same_constraints(&rebuilt, &s.store);
-        assert!(s.store.derived_count() > 0, "the scenario materializes a closure");
+        assert_eq!(rebuilt.len(), s.store.len());
+        for ((_, x), (_, y)) in rebuilt.constraints().zip(s.store.constraints()) {
+            assert_eq!(x, y);
+        }
         assert_eq!(rebuilt.epoch(), s.store.epoch());
         assert_ne!(rebuilt.generation(), s.store.generation(), "fresh generation");
-    }
-
-    /// A derived constraint is not stated, so no writer stores one: a file
-    /// that carries one, here a real derived constraint of the store with
-    /// its consequent flipped, is refused rather than read or skipped.
-    #[test]
-    fn a_stored_derived_constraint_is_malformed() {
-        let s = paper_scenario(DbSize::Db1, 7);
-        let catalog = Arc::clone(s.store.catalog());
-        let (_, derived) =
-            s.store.constraints().find(|(_, c)| c.origin == Origin::Derived).unwrap();
-        let mut forged = derived.clone();
-        if let sqo_query::Predicate::Sel(sel) = &mut forged.consequent {
-            sel.op = match sel.op {
-                sqo_query::CompOp::Eq => sqo_query::CompOp::Ne,
-                _ => sqo_query::CompOp::Eq,
-            };
-        }
-        // Epoch and closure limits, the stated count plus one, the stated
-        // constraints, then the forged one under origin tag 1.
-        let payload = encode_constraints(&s.store);
-        let count = u32::from_le_bytes(payload[24..28].try_into().unwrap());
-        let mut w = ByteWriter::new();
-        w.bytes(&payload[..24]);
-        w.u32(count + 1);
-        w.bytes(&payload[28..]);
-        write_constraint(&mut w, &forged);
-        let mut bytes = w.finish();
-        *bytes.last_mut().unwrap() = 1;
-        let err = decode_constraints(&bytes, catalog).unwrap_err();
-        assert!(matches!(err, LoadError::Malformed { section: "CONSTRAINTS", .. }), "{err:?}");
     }
 
     #[test]
@@ -258,7 +203,7 @@ mod tests {
         let s = paper_scenario(DbSize::Db1, 7);
         let catalog = Arc::clone(s.store.catalog());
         let bytes = encode_constraints(&s.store);
-        for cut in [0, 8, 16, 24, bytes.len() / 2, bytes.len() - 1] {
+        for cut in [0, 8, 12, bytes.len() / 2, bytes.len() - 1] {
             assert!(
                 decode_constraints(&bytes[..cut], Arc::clone(&catalog)).is_err(),
                 "cut at {cut} decoded"

@@ -410,8 +410,7 @@ impl QueryService {
         epoch
     }
 
-    /// Swaps in an externally rebuilt constraint store (e.g. after a full
-    /// closure rematerialization), raising its epoch past the old store's so
+    /// Swaps in an externally rebuilt constraint store, raising its epoch past the old store's so
     /// epoch sequences stay monotone across the swap, and purges every cache
     /// entry — the new generation can never hit the old one's entries.
     /// Returns the store's post-swap epoch.
@@ -671,9 +670,9 @@ impl QueryService {
     /// Reconstructs a service from snapshot bytes, validating at `level`
     /// (see `docs/VALIDATION.md` for what each level buys and costs).
     ///
-    /// The constraint store is built again from its stated constraints,
-    /// re-running the closure ([`crate::decode_constraints`]); it keeps the saved
-    /// semantic epoch (raised monotonically) but gets a **fresh
+    /// The constraint store is built again from the constraints the file
+    /// states ([`crate::decode_constraints`]); it keeps the saved semantic
+    /// epoch (raised monotonically) but gets a **fresh
     /// generation** — generations are process-local. Before the service is
     /// returned, every persisted query is canonicalized and derived through
     /// the miss pipeline against the loaded store and database, and cached
@@ -711,9 +710,9 @@ impl QueryService {
 
     /// Boots a service from a `.sqos` file written by
     /// [`QueryService::save_snapshot`] — the warm-start path: no index
-    /// builds and no statistics folding; the closure fixpoint re-runs over
-    /// the stated constraints, and the plan cache starts hot with every
-    /// persisted query derived afresh.
+    /// builds and no statistics folding; the store files the stated
+    /// constraints, and the plan cache starts hot with every persisted query
+    /// derived afresh.
     ///
     /// # Errors
     /// [`LoadError::Io`] if the file cannot be read, otherwise as

@@ -4,7 +4,7 @@
 //! [`read_indexes`] and [`write_indexes`] round-trip a payload exactly.
 
 use sqo_catalog::{AttrId, AttrRef, Catalog, Value};
-use sqo_snapshot::{read_value, write_value, ByteReader, ByteWriter};
+use sqo_snapshot::{read_value_raw, write_value_raw, ByteReader, ByteWriter, StrPool};
 
 /// One stored index's entries: each key with its posting.
 pub(crate) type Entries = Vec<(Value, Vec<u32>)>;
@@ -14,15 +14,16 @@ pub(crate) type Entries = Vec<(Value, Vec<u32>)>;
 /// entries.
 pub(crate) fn read_indexes(payload: &[u8], catalog: &Catalog) -> Vec<(AttrRef, Entries)> {
     let mut r = ByteReader::new(payload, "INDEXES");
+    let mut pool = StrPool::new();
     let indexed = catalog.classes().flat_map(|(class, cdef)| {
         let attrs = cdef.attributes.iter().enumerate().filter(|(_, a)| a.index.is_some());
-        attrs.map(move |(a, _)| AttrRef::new(class, AttrId(a as u32)))
+        attrs.map(move |(a, def)| (AttrRef::new(class, AttrId(a as u32)), def.ty))
     });
     let indexes = indexed
-        .map(|attr| {
+        .map(|(attr, ty)| {
             let entries = (0..r.u32().unwrap())
                 .map(|_| {
-                    let key = read_value(&mut r).unwrap();
+                    let key = read_value_raw(&mut r, ty, &mut pool).unwrap();
                     let ids = r.u32().unwrap();
                     (key, (0..ids).map(|_| r.u32().unwrap()).collect())
                 })
@@ -40,7 +41,7 @@ pub(crate) fn write_indexes(indexes: &[(AttrRef, Entries)]) -> Vec<u8> {
     for (_, entries) in indexes {
         w.u32(entries.len() as u32);
         for (key, posting) in entries {
-            write_value(&mut w, key);
+            write_value_raw(&mut w, key);
             w.u32(posting.len() as u32);
             for &o in posting {
                 w.u32(o);

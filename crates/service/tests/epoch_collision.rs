@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use sqo_constraints::{ClosureOptions, ConstraintId, ConstraintStore, StoreOptions, StoreVersion};
+use sqo_constraints::{ConstraintId, ConstraintStore, StoreOptions, StoreVersion};
 use sqo_query::sync::Unlocked;
 use sqo_service::{CacheEntry, QueryService, ServiceConfig, ShardedCache};
 use sqo_workload::{paper_scenario, DbSize};
@@ -28,7 +28,7 @@ fn store_pair() -> (Arc<ConstraintStore>, ConstraintStore) {
         ConstraintStore::build(
             catalog,
             s.store.constraints().map(|(_, c)| c.clone()).collect(),
-            StoreOptions { closure: ClosureOptions::none() },
+            StoreOptions::paper_defaults(),
         )
         .unwrap(),
     );

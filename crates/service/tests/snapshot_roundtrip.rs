@@ -8,17 +8,17 @@
 //! function of the service's state. The file carries only the cached
 //! queries: boot derives every entry afresh, so no file, whatever its
 //! QUERIES section holds, makes a query answer another's rows. Nor does
-//! the file hold a copy of a derived fact: boot re-runs the constraint
-//! closure and derives each right adjacency from the left, and a file
-//! that states a derived constraint is refused. The indexes a file stores
+//! the file hold a copy of a derived fact: boot derives each right
+//! adjacency from the left, a store holds exactly the constraints the file
+//! states, and an entry under the retired derived origin tag is refused.
+//! The indexes a file stores
 //! are checked against the extents they index, so a posting id moved to
 //! another key, or dropped, is refused.
 
 use std::sync::Arc;
 
 use sqo_constraints::{
-    figure22, ClosureOptions, ConstraintBuilder, ConstraintStore, HornConstraint, Origin,
-    StoreOptions,
+    figure22, ConstraintBuilder, ConstraintStore, HornConstraint, Origin, StoreOptions,
 };
 use sqo_exec::{plan_query, CostModel, ResultSet};
 use sqo_query::{CompOp, Query, QueryBuilder};
@@ -388,14 +388,14 @@ fn save_into_a_missing_directory_fails_without_side_effects() {
 }
 
 /// The CONSTRAINTS payload of `bytes` with one more entry, `extra`, stored
-/// under origin tag 1 (derived) after the others (`docs/FORMAT.md` §3.6),
-/// and the constraint count raised by one.
+/// under origin tag 1 (closure-derived in older versions) after the others
+/// (`docs/FORMAT.md` §3.6), and the constraint count raised by one.
 fn with_derived_constraint(bytes: &[u8], extra: &HornConstraint) -> Vec<u8> {
     let file = SnapshotFile::parse(bytes).expect("good snapshot parses");
     let mut payload = file.section(SEC_CONSTRAINTS).expect("CONSTRAINTS").to_vec();
-    // The epoch and the two closure limits, then the constraint count.
-    let count = u32::from_le_bytes(payload[24..28].try_into().unwrap());
-    payload[24..28].copy_from_slice(&(count + 1).to_le_bytes());
+    // The epoch, then the constraint count.
+    let count = u32::from_le_bytes(payload[8..12].try_into().unwrap());
+    payload[8..12].copy_from_slice(&(count + 1).to_le_bytes());
     let mut w = ByteWriter::new();
     w.str(&extra.name);
     w.u32(extra.antecedents.len() as u32);
@@ -421,9 +421,9 @@ fn with_derived_constraint(bytes: &[u8], extra: &HornConstraint) -> Vec<u8> {
 /// "frozen food" ⇒ cargo.quantity > 50`, lets the optimizer drop the
 /// quantity filter of `{cargo.desc = "frozen food", cargo.quantity > 50}`
 /// as implied: 42 rows where the data holds 23. A file states only its
-/// stated constraints and a load runs the closure over them, so an entry
-/// under the derived origin tag is refused as malformed CONSTRAINTS, and
-/// the saver's own file answers like the saver.
+/// stated constraints, so an entry under the derived origin tag is refused
+/// as malformed CONSTRAINTS, and the saver's own file answers like the
+/// saver.
 #[test]
 fn a_forged_derived_constraint_changes_no_answer() {
     let catalog = Arc::new(sqo_catalog::example::figure21().unwrap());
@@ -462,9 +462,9 @@ fn a_forged_derived_constraint_changes_no_answer() {
 }
 
 /// Constraints a running service took through `add_constraint` are stored
-/// as stated (Dynamic) entries and filed again after the closure at boot:
-/// the loaded store lists the saver's constraints by name, origin and
-/// order, and every cache entry the boot derives equals the saver's.
+/// as stated (Dynamic) entries and filed again in their place at boot: the
+/// loaded store lists the saver's constraints by name, origin and order,
+/// and every cache entry the boot derives equals the saver's.
 #[test]
 fn added_constraints_boot_in_the_savers_order_with_its_entries() {
     let (saver, queries) = served();
@@ -480,7 +480,6 @@ fn added_constraints_boot_in_the_savers_order_with_its_entries() {
     };
     let saved = listing(&saver);
     assert_eq!(saved.iter().filter(|(_, o)| *o == Origin::Dynamic).count(), 2);
-    assert!(saved.iter().any(|(_, o)| *o == Origin::Derived));
     let bytes = saver.snapshot_bytes();
     let warm = boot(&bytes).expect("the snapshot boots");
     assert_eq!(listing(&warm), saved);
@@ -494,21 +493,45 @@ fn added_constraints_boot_in_the_savers_order_with_its_entries() {
     }
 }
 
-/// The closure limits a file states are clamped to the defaults, so no
-/// file can make boot run an unbounded fixpoint.
+/// A file states its constraints, and a load stores exactly those. A chain
+/// of 99 stated constraints on one attribute, `cargo.quantity > 100 + i ⇒
+/// cargo.quantity > 101 + i`, boots with exactly 99 constraints in the
+/// store, and the booted service answers every probe like its saver: the
+/// transformation table fires the chain link by link, so nothing is
+/// derived ahead of a query and the file buys no boot work beyond its
+/// parse.
 #[test]
-fn closure_limits_past_the_defaults_are_clamped() {
-    let (saver, _) = served();
-    let bytes = saver.snapshot_bytes();
-    let file = SnapshotFile::parse(&bytes).expect("good snapshot parses");
-    let mut payload = file.section(SEC_CONSTRAINTS).expect("CONSTRAINTS").to_vec();
-    payload[8..24].fill(0xff); // max_derived, max_rounds = u64::MAX
-    let greedy = with_section(&bytes, SEC_CONSTRAINTS, Some(payload));
-    let limit = ClosureOptions::default();
-    let warm = boot(&greedy).expect("the snapshot boots");
-    let got = warm.store().closure_options();
-    assert!(got.max_derived <= limit.max_derived, "{got:?}");
-    assert!(got.max_rounds <= limit.max_rounds, "{got:?}");
+fn a_stated_chain_boots_with_exactly_its_constraints() {
+    let catalog = Arc::new(sqo_catalog::example::figure21().unwrap());
+    let db = logistics_database(Arc::clone(&catalog), &LogisticsConfig::default()).unwrap();
+    let chain: Vec<HornConstraint> = (0..99i64)
+        .map(|i| {
+            ConstraintBuilder::new(&catalog, format!("chain{i}"))
+                .when("cargo.quantity", CompOp::Gt, 100 + i)
+                .then("cargo.quantity", CompOp::Gt, 101 + i)
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let store = ConstraintStore::build(Arc::clone(&catalog), chain, StoreOptions::paper_defaults())
+        .unwrap();
+    let saver = QueryService::new(Arc::new(store), Arc::new(db));
+    let probes: Vec<Query> = [50i64, 99, 100, 150, 198]
+        .iter()
+        .map(|&k| {
+            QueryBuilder::new(&catalog)
+                .select("cargo.desc")
+                .filter("cargo.quantity", CompOp::Gt, k)
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let want = answers(&saver, &probes);
+    let warm = boot(&saver.snapshot_bytes()).expect("the snapshot boots");
+    assert_eq!(warm.store().len(), 99, "the store holds the stated constraints, no more");
+    for (q, want) in probes.iter().zip(&want) {
+        assert!(warm.run(q).unwrap().results.same_multiset(want), "{q:?}");
+    }
 }
 
 /// `service`'s snapshot with its stored index of `cargo.attr` edited by

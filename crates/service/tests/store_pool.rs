@@ -11,7 +11,7 @@ mod paper_pool;
 
 use std::sync::Arc;
 
-use sqo_constraints::{ClosureOptions, ConstraintId, ConstraintStore, StoreOptions};
+use sqo_constraints::{ConstraintId, ConstraintStore, StoreOptions};
 use sqo_core::{run_transformations, OptimizerConfig, TransformationTable};
 use sqo_query::Query;
 use sqo_service::{QueryService, ServiceConfig};
@@ -60,7 +60,7 @@ fn grown_and_warm_booted_stores_build_a_fresh_store_s_tables() {
     let fresh = ConstraintStore::build(
         catalog,
         grown.constraints().map(|(_, c)| c.clone()).collect(),
-        StoreOptions { closure: ClosureOptions::none() },
+        StoreOptions::paper_defaults(),
     )
     .unwrap();
     let list = |s: &ConstraintStore| s.constraints().map(|(_, c)| c.clone()).collect::<Vec<_>>();

@@ -101,10 +101,9 @@ impl StrPool {
     }
 }
 
-/// Encodes a [`Value`] without its type tag — for streams whose element
-/// type is pinned by schema (EXTENTS tuples, where the catalog declares
-/// every attribute's type), so the tag byte and its decode branch are
-/// dead weight.
+/// Encodes a [`Value`] without its type tag — for values whose type the
+/// catalog declares (an attribute's index keys and statistics), so a tag
+/// would state the type a second time.
 pub fn write_value_raw(w: &mut ByteWriter, v: &Value) {
     match v {
         Value::Int(i) => w.i64(*i),
@@ -114,24 +113,30 @@ pub fn write_value_raw(w: &mut ByteWriter, v: &Value) {
     }
 }
 
-/// Decodes a [`Value`], interning string payloads through `pool`.
+/// Decodes a value [`write_value_raw`] wrote as type `ty`, interning
+/// string payloads through `pool`. The value is of the declared type by
+/// construction.
 ///
 /// # Errors
-/// Exactly the [`read_value`] errors.
-pub fn read_value_pooled(r: &mut ByteReader<'_>, pool: &mut StrPool) -> Result<Value, LoadError> {
-    match r.u8()? {
-        0 => Ok(Value::Int(r.i64()?)),
-        1 => {
+/// [`LoadError::Malformed`] on a short read, NaN float or non-0/1 bool
+/// byte.
+pub fn read_value_raw(
+    r: &mut ByteReader<'_>,
+    ty: DataType,
+    pool: &mut StrPool,
+) -> Result<Value, LoadError> {
+    match ty {
+        DataType::Int => Ok(Value::Int(r.i64()?)),
+        DataType::Float => {
             let f = r.f64()?;
             Finite::new(f).map(Value::Float).ok_or_else(|| r.malformed("NaN float value"))
         }
-        2 => Ok(Value::Str(pool.intern(r.str_ref()?))),
-        3 => match r.u8()? {
+        DataType::Str => Ok(Value::Str(pool.intern(r.str_ref()?))),
+        DataType::Bool => match r.u8()? {
             0 => Ok(Value::Bool(false)),
             1 => Ok(Value::Bool(true)),
             b => Err(r.malformed(format!("bool byte {b} is neither 0 nor 1"))),
         },
-        t => Err(r.malformed(format!("unknown value tag {t}"))),
     }
 }
 
@@ -449,31 +454,38 @@ fn write_attr_stats(w: &mut ByteWriter, s: &AttrStats) {
             None => w.u8(0),
             Some(v) => {
                 w.u8(1);
-                write_value(w, v);
+                write_value_raw(w, v);
             }
         }
     }
     w.u32(s.mcvs.len() as u32);
     for (v, n) in &s.mcvs {
-        write_value(w, v);
+        write_value_raw(w, v);
         w.u64(*n);
     }
 }
 
-fn read_attr_stats(r: &mut ByteReader<'_>, rows: u64) -> Result<AttrStats, LoadError> {
+/// One attribute's statistics, its values read as the attribute's type
+/// `ty`.
+fn read_attr_stats(
+    r: &mut ByteReader<'_>,
+    rows: u64,
+    ty: DataType,
+    pool: &mut StrPool,
+) -> Result<AttrStats, LoadError> {
     let distinct = r.u64()?;
     let mut bounds = [None, None];
     for b in bounds.iter_mut() {
         *b = match r.u8()? {
             0 => None,
-            1 => Some(read_value(r)?),
+            1 => Some(read_value_raw(r, ty, pool)?),
             t => return Err(r.malformed(format!("option tag {t} is neither 0 nor 1"))),
         };
     }
     let [min, max] = bounds;
     let mut mcvs = Vec::new();
     for _ in 0..r.count()? {
-        let v = read_value(r)?;
+        let v = read_value_raw(r, ty, pool)?;
         mcvs.push((v, r.u64()?));
     }
     Ok(AttrStats { rows, distinct, min, max, mcvs })
@@ -493,7 +505,8 @@ pub fn write_stats(w: &mut ByteWriter, stats: &StatsSnapshot) {
 
 /// Decodes a STATS section payload into each class's statistics: the
 /// attributes of `catalog`'s classes in order, class `c` holding `cards[c]`
-/// objects (its cardinality, and every attribute's row count).
+/// objects (its cardinality, and every attribute's row count), each value
+/// read as its attribute's declared type.
 ///
 /// # Errors
 /// [`LoadError::Malformed`] on any structural problem.
@@ -503,12 +516,13 @@ pub fn read_stats(
     cards: &[usize],
 ) -> Result<Vec<ClassStats>, LoadError> {
     let mut classes = Vec::with_capacity(cards.len());
+    let mut pool = StrPool::new();
     for ((_, cdef), &cardinality) in catalog.classes().zip(cards) {
         let cardinality = cardinality as u64;
         let attrs = cdef
             .attributes
             .iter()
-            .map(|_| read_attr_stats(r, cardinality))
+            .map(|a| read_attr_stats(r, cardinality, a.ty, &mut pool))
             .collect::<Result<_, _>>()?;
         classes.push(ClassStats { cardinality, attrs });
     }
@@ -606,19 +620,31 @@ mod tests {
     fn stats_roundtrip() {
         let catalog = sqo_catalog::example::figure21().unwrap();
         let cards: Vec<usize> = (0..catalog.class_count()).collect();
-        let attr = |rows| AttrStats {
-            rows,
-            distinct: 2,
-            min: Some(Value::Int(1)),
-            max: Some(Value::Int(9)),
-            mcvs: vec![(Value::Int(1), 2)],
+        // Values are untagged: each is of its attribute's declared type.
+        let bounds = |ty| match ty {
+            DataType::Int => (Value::Int(1), Value::Int(9)),
+            DataType::Float => {
+                (Value::Float(Finite::new(0.5).unwrap()), Value::Float(Finite::new(2.5).unwrap()))
+            }
+            DataType::Str => (Value::str("a"), Value::str("z")),
+            DataType::Bool => (Value::Bool(false), Value::Bool(true)),
+        };
+        let attr = |rows, ty| {
+            let (lo, hi) = bounds(ty);
+            AttrStats {
+                rows,
+                distinct: 2,
+                min: Some(lo.clone()),
+                max: Some(hi),
+                mcvs: vec![(lo, 2)],
+            }
         };
         let classes: Vec<ClassStats> = catalog
             .classes()
             .zip(&cards)
             .map(|((_, cdef), &n)| ClassStats {
                 cardinality: n as u64,
-                attrs: vec![attr(n as u64); cdef.attributes.len()],
+                attrs: cdef.attributes.iter().map(|a| attr(n as u64, a.ty)).collect(),
             })
             .collect();
         let mut w = ByteWriter::new();

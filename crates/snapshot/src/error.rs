@@ -14,8 +14,8 @@ pub enum ValidationLevel {
     /// (ascending postings and keys), and every index being exactly its
     /// extent's grouping (each posting id's object holds the key, and the
     /// postings cover the class once). Each check runs once, where its fact
-    /// is decoded. What a load derives (the right-to-left adjacency, the
-    /// relationship statistics, the constraint closure) is not in the file.
+    /// is decoded. What a load derives (the right-to-left adjacency and the
+    /// relationship statistics) is not in the file.
     #[default]
     Standard,
 }
@@ -37,7 +37,8 @@ pub enum LoadError {
     /// The first four bytes are not `b"SQOS"`.
     BadMagic,
     /// The header's format version is not the one this build reads: a
-    /// newer one, or version 1, whose layouts v2 dropped fields from.
+    /// newer one, or an older one (1 or 2), whose layouts later versions
+    /// dropped fields from.
     UnsupportedVersion(u16),
     /// A section-table entry points outside the file, or the section table
     /// itself does not fit.

@@ -37,7 +37,7 @@ mod error;
 pub use bytes::{ByteReader, ByteWriter, EPOCH_LIMIT};
 pub use codec::{
     read_attr_ref, read_catalog, read_comp_op, read_data_type, read_join_predicate, read_predicate,
-    read_projection, read_query, read_sel_predicate, read_stats, read_value, read_value_pooled,
+    read_projection, read_query, read_sel_predicate, read_stats, read_value, read_value_raw,
     write_attr_ref, write_catalog, write_comp_op, write_data_type, write_join_predicate,
     write_predicate, write_projection, write_query, write_sel_predicate, write_stats, write_value,
     write_value_raw, StrPool,

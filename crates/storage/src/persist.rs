@@ -21,10 +21,9 @@ use std::sync::Arc;
 
 use sqo_catalog::{Catalog, ClassDef, ClassStats, DataType, Finite, RelationshipDef, Value};
 use sqo_snapshot::{
-    read_catalog, read_stats, read_value_pooled, section_name, write_catalog, write_snapshot_file,
-    write_stats, write_value, write_value_raw, ByteReader, ByteWriter, LoadError, SnapshotBuilder,
-    SnapshotFile, StrPool, ValidationLevel, SEC_CATALOG, SEC_EXTENTS, SEC_INDEXES, SEC_LINKS,
-    SEC_STATS,
+    read_catalog, read_stats, read_value_raw, section_name, write_catalog, write_snapshot_file,
+    write_stats, write_value_raw, ByteReader, ByteWriter, LoadError, SnapshotBuilder, SnapshotFile,
+    StrPool, ValidationLevel, SEC_CATALOG, SEC_EXTENTS, SEC_INDEXES, SEC_LINKS, SEC_STATS,
 };
 
 use crate::db::Database;
@@ -111,15 +110,16 @@ fn encode_links(db: &Database) -> Vec<u8> {
 }
 
 /// Encodes the INDEXES payload: the entries of every index the catalog
-/// declares, class by class and attribute by attribute. Either kind's
-/// entries iterate in [`OrdValue`] key order, so the encoding is a pure
-/// function of the logical index content.
+/// declares, class by class and attribute by attribute. Keys are untagged:
+/// the catalog declares the attribute's type. Either kind's entries
+/// iterate in [`OrdValue`] key order, so the encoding is a pure function of
+/// the logical index content.
 fn encode_indexes(db: &Database) -> Vec<u8> {
     let mut w = ByteWriter::new();
     for ix in db.index_shards().iter().flatten().flatten() {
         w.u32(ix.postings.len() as u32);
         for (value, posting) in ix.postings.iter() {
-            write_value(&mut w, value);
+            write_value_raw(&mut w, value);
             w.u32(posting.len() as u32);
             for o in posting {
                 w.u32(o.0);
@@ -388,9 +388,10 @@ fn decode_links(
 /// postings and keys ascend strictly, each posting id's object holds the
 /// key, and an attribute's postings sum to its class's cardinality. So no
 /// id sits under two keys and every object sits under one: the index is
-/// exactly its extent's grouping. String keys intern through a pool that
-/// holds `dict`, so an index key equal to an extent string is that
-/// string's allocation, as a cold load's is.
+/// exactly its extent's grouping. Keys are read as the attribute's
+/// declared type, so a key of another type cannot be stated. String keys
+/// intern through a pool that holds `dict`, so an index key equal to an
+/// extent string is that string's allocation, as a cold load's is.
 fn decode_indexes(
     file: &SnapshotFile<'_>,
     catalog: &Catalog,
@@ -420,12 +421,7 @@ fn decode_indexes(
                 Vec::with_capacity(entry_count.min(r.remaining() / 4));
             let mut covered = 0usize;
             for _ in 0..entry_count {
-                let value = read_value_pooled(&mut r, &mut pool)?;
-                if value.data_type() != adef.ty {
-                    let detail =
-                        format!("{:?} key for a {:?} attribute", value.data_type(), adef.ty);
-                    return Err(malformed(SEC_INDEXES, here(&detail)));
-                }
+                let value = read_value_raw(&mut r, adef.ty, &mut pool)?;
                 let posting_count = r.count()?;
                 let mut posting: Vec<ObjectId> = Vec::with_capacity(posting_count.min(1024));
                 for _ in 0..posting_count {

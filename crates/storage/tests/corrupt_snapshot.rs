@@ -16,8 +16,8 @@ use sqo_catalog::{
     Value,
 };
 use sqo_snapshot::{
-    write_stats, write_value, ByteWriter, LoadError, SnapshotBuilder, ValidationLevel, SEC_CATALOG,
-    SEC_EXTENTS, SEC_INDEXES, SEC_LINKS, SEC_STATS,
+    write_stats, ByteWriter, LoadError, SnapshotBuilder, ValidationLevel, SEC_CATALOG, SEC_EXTENTS,
+    SEC_INDEXES, SEC_LINKS, SEC_STATS,
 };
 use sqo_storage::{
     database_sections, decode_database, encode_database, Database, IntegrityOptions, ObjectId,
@@ -118,12 +118,13 @@ fn links_payload(left: &[&[u32]]) -> Vec<u8> {
 }
 
 /// Hand-encodes an INDEXES payload (`docs/FORMAT.md` §3.4) for the fixture
-/// with the given entries on `c0.k`, its one declared index.
-fn indexes_payload(entries: &[(Value, &[u32])]) -> Vec<u8> {
+/// with the given entries on `c0.k`, its one declared index: each key an
+/// untagged Int.
+fn indexes_payload(entries: &[(i64, &[u32])]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u32(entries.len() as u32);
     for (key, posting) in entries {
-        write_value(&mut w, key);
+        w.i64(*key);
         w.u32(posting.len() as u32);
         for &o in *posting {
             w.u32(o);
@@ -210,7 +211,7 @@ fn handcrafted_payloads_match_the_encoder() {
     assert_eq!(sections[&SEC_LINKS], links_payload(&[&[0], &[0, 1], &[]]), "LINKS layout");
     assert_eq!(
         sections[&SEC_INDEXES],
-        indexes_payload(&[(Value::Int(5), &[0, 1]), (Value::Int(7), &[2])]),
+        indexes_payload(&[(5, &[0, 1]), (7, &[2])]),
         "INDEXES layout"
     );
     assert_eq!(sections[&SEC_STATS], stats_payload(&db, |_| ()), "STATS layout");
@@ -273,9 +274,11 @@ fn corruption_is_rejected_at_the_documented_level() {
     let mut bad_magic = good.clone();
     bad_magic[0] ^= 0xff;
     let mut future_version = good.clone();
-    future_version[4..6].copy_from_slice(&3u16.to_le_bytes());
+    future_version[4..6].copy_from_slice(&4u16.to_le_bytes());
     let mut version_1 = good.clone();
     version_1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let mut version_2 = good.clone();
+    version_2[4..6].copy_from_slice(&2u16.to_le_bytes());
     let mut runaway_table = good.clone();
     runaway_table[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
     let mut entry_past_eof = good.clone();
@@ -328,8 +331,8 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "format version from the future",
-            expect: "UnsupportedVersion(3)",
-            matches: |e| matches!(e, LoadError::UnsupportedVersion(3)),
+            expect: "UnsupportedVersion(4)",
+            matches: |e| matches!(e, LoadError::UnsupportedVersion(4)),
             bytes: future_version,
         },
         Case {
@@ -337,6 +340,12 @@ fn corruption_is_rejected_at_the_documented_level() {
             expect: "UnsupportedVersion(1)",
             matches: |e| matches!(e, LoadError::UnsupportedVersion(1)),
             bytes: version_1,
+        },
+        Case {
+            name: "version 2, whose value tags and closure limits v3 leaves out",
+            expect: "UnsupportedVersion(2)",
+            matches: |e| matches!(e, LoadError::UnsupportedVersion(2)),
+            bytes: version_2,
         },
         Case {
             name: "section count larger than the file",
@@ -385,10 +394,7 @@ fn corruption_is_rejected_at_the_documented_level() {
             name: "trailing garbage after the last declared index",
             expect: "Malformed(INDEXES)",
             matches: |e| matches!(e, LoadError::Malformed { section: "INDEXES", .. }),
-            bytes: trailing(
-                SEC_INDEXES,
-                indexes_payload(&[(Value::Int(5), &[0, 1]), (Value::Int(7), &[2])]),
-            ),
+            bytes: trailing(SEC_INDEXES, indexes_payload(&[(5, &[0, 1]), (7, &[2])])),
         },
         Case {
             name: "trailing garbage after the last attribute's statistics",
@@ -464,51 +470,25 @@ fn corruption_is_rejected_at_the_documented_level() {
             name: "index posting out of ascending order",
             expect: "UnsortedPosting(INDEXES)",
             matches: |e| matches!(e, LoadError::UnsortedPosting { section: "INDEXES", .. }),
-            bytes: with_section(
-                &db,
-                SEC_INDEXES,
-                indexes_payload(&[(Value::Int(5), &[1, 0]), (Value::Int(7), &[2])]),
-            ),
+            bytes: with_section(&db, SEC_INDEXES, indexes_payload(&[(5, &[1, 0]), (7, &[2])])),
         },
         Case {
             name: "index posting naming an object beyond the extent",
             expect: "DanglingReference(INDEXES)",
             matches: |e| matches!(e, LoadError::DanglingReference { section: "INDEXES", .. }),
-            bytes: with_section(
-                &db,
-                SEC_INDEXES,
-                indexes_payload(&[(Value::Int(5), &[0, 7]), (Value::Int(7), &[2])]),
-            ),
+            bytes: with_section(&db, SEC_INDEXES, indexes_payload(&[(5, &[0, 7]), (7, &[2])])),
         },
         Case {
             name: "index keys out of ascending order",
             expect: "UnsortedPosting(INDEXES)",
             matches: |e| matches!(e, LoadError::UnsortedPosting { section: "INDEXES", .. }),
-            bytes: with_section(
-                &db,
-                SEC_INDEXES,
-                indexes_payload(&[(Value::Int(7), &[2]), (Value::Int(5), &[0, 1])]),
-            ),
+            bytes: with_section(&db, SEC_INDEXES, indexes_payload(&[(7, &[2]), (5, &[0, 1])])),
         },
         Case {
             name: "empty index posting",
             expect: "Malformed(INDEXES)",
             matches: |e| matches!(e, LoadError::Malformed { section: "INDEXES", .. }),
-            bytes: with_section(
-                &db,
-                SEC_INDEXES,
-                indexes_payload(&[(Value::Int(5), &[]), (Value::Int(7), &[2])]),
-            ),
-        },
-        Case {
-            name: "index key of the wrong type for its attribute",
-            expect: "Malformed(INDEXES)",
-            matches: |e| matches!(e, LoadError::Malformed { section: "INDEXES", .. }),
-            bytes: with_section(
-                &db,
-                SEC_INDEXES,
-                indexes_payload(&[(Value::str("5"), &[0, 1]), (Value::Int(7), &[2])]),
-            ),
+            bytes: with_section(&db, SEC_INDEXES, indexes_payload(&[(5, &[]), (7, &[2])])),
         },
         Case {
             name: "link to an object beyond the opposite extent",
@@ -522,27 +502,19 @@ fn corruption_is_rejected_at_the_documented_level() {
             name: "index membership swapped between keys",
             expect: "Malformed(INDEXES)",
             matches: |e| matches!(e, LoadError::Malformed { section: "INDEXES", .. }),
-            bytes: with_section(
-                &db,
-                SEC_INDEXES,
-                indexes_payload(&[(Value::Int(5), &[0]), (Value::Int(7), &[1, 2])]),
-            ),
+            bytes: with_section(&db, SEC_INDEXES, indexes_payload(&[(5, &[0]), (7, &[1, 2])])),
         },
         Case {
             name: "one object filed under two keys",
             expect: "Malformed(INDEXES)",
             matches: |e| matches!(e, LoadError::Malformed { section: "INDEXES", .. }),
-            bytes: with_section(
-                &db,
-                SEC_INDEXES,
-                indexes_payload(&[(Value::Int(5), &[0, 1]), (Value::Int(7), &[1, 2])]),
-            ),
+            bytes: with_section(&db, SEC_INDEXES, indexes_payload(&[(5, &[0, 1]), (7, &[1, 2])])),
         },
         Case {
             name: "an object missing from every posting",
             expect: "Malformed(INDEXES)",
             matches: |e| matches!(e, LoadError::Malformed { section: "INDEXES", .. }),
-            bytes: with_section(&db, SEC_INDEXES, indexes_payload(&[(Value::Int(5), &[0, 1])])),
+            bytes: with_section(&db, SEC_INDEXES, indexes_payload(&[(5, &[0, 1])])),
         },
     ];
 

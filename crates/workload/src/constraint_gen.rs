@@ -6,8 +6,8 @@
 //! * **intra**: `C.a1 = cat → C.b = forced` (c4-style);
 //! * **inter**: `L.a1 = cat ∧ ⟨rel⟩ → R.b = forced` (c1/c2/c5-style);
 //! * **chains**: with some probability the antecedent reads another
-//!   constraint's *consequent* slot, giving the transitive-closure machinery
-//!   something to precompute.
+//!   constraint's *consequent* slot, so constraints fire in chains through
+//!   the transformation table's fixpoint.
 //!
 //! Crucially, each consequent slot `(class, b-attr)` always forces the *same
 //! value*, and antecedents read only the feature pool (or a forced slot's

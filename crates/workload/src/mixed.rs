@@ -482,11 +482,11 @@ mod tests {
                 catalog.class_name(cid)
             );
         }
-        // Every declared (and derived) constraint still holds on the final
+        // Every declared constraint still holds on the final
         // instance — the write stream never left the semantic world the
         // optimizer trusts.
         for (_, c) in store.constraints() {
-            if c.origin == Origin::Declared || c.origin == Origin::Derived {
+            if c.origin == Origin::Declared {
                 assert!(final_db.check_constraint(c).is_empty(), "{} violated", c.name);
             }
         }

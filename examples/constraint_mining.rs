@@ -1,9 +1,9 @@
-//! Constraint management deep-dive: transitive closures, grouping policies
-//! and Siegel-style dynamic rules.
+//! Constraint management deep-dive: grouping policies and Siegel-style
+//! dynamic rules.
 //!
-//! Demonstrates the §3 machinery in isolation: what the closure derives,
-//! how much each grouping policy over-fetches, and how a dynamic (current
-//! database state) rule slots in next to declared integrity constraints.
+//! Demonstrates the §3 machinery in isolation: how much each grouping
+//! policy over-fetches, and how a dynamic (current database state) rule
+//! slots in next to declared integrity constraints.
 //!
 //! ```sh
 //! cargo run --example constraint_mining
@@ -31,21 +31,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .build()?,
     );
 
-    // Closure materialization (§3): c1 (truck -> frozen food) chains with
-    // c2 (frozen food -> SFI) into a derived constraint.
+    // The store holds exactly these constraints. c1 (truck -> frozen food)
+    // chains with c2 (frozen food -> SFI) through the transformation
+    // table's fixpoint, so nothing is derived ahead of a query.
     let store = ConstraintStore::build(
         Arc::clone(&catalog),
         constraints.clone(),
         StoreOptions::paper_defaults(),
     )?;
-    println!("declared constraints: {}", constraints.len());
-    println!("after closure       : {} ({} derived)", store.len(), store.derived_count());
+    println!("stored constraints ({}, ~ = dynamic):", store.len());
     for (_, c) in store.constraints() {
-        let marker = match c.origin {
-            Origin::Declared => " ",
-            Origin::Derived => "+",
-            Origin::Dynamic => "~",
-        };
+        let marker = if c.origin == Origin::Dynamic { "~" } else { " " };
         println!("  {marker} {}", c.display(&catalog));
     }
 

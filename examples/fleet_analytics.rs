@@ -19,10 +19,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scenario = paper_scenario(DbSize::Db3, 42);
     let catalog = &scenario.catalog;
     println!(
-        "scenario: {} — {} constraints ({} derived by closure), {} queries",
+        "scenario: {} — {} constraints, {} queries",
         scenario.db_size.name(),
         scenario.store.len(),
-        scenario.store.derived_count(),
         scenario.queries.len()
     );
 

@@ -4,7 +4,7 @@
 //! *An Efficient Semantic Query Optimization Algorithm* (ICDE 1991),
 //! together with every substrate the paper depends on: an object-oriented
 //! catalog, a query model with the paper's `(SELECT …)` syntax, an indexed
-//! Horn-constraint store with materialized transitive closures, an
+//! Horn-constraint store, an
 //! in-memory object store with a deterministic cost model, a conventional
 //! planner/executor, the §4 baselines, and the full experiment workload.
 //!
@@ -51,7 +51,7 @@ pub mod query {
     pub use sqo_query::*;
 }
 
-/// Horn-clause constraints: pool, closure, indexed store.
+/// Horn-clause constraints: pool and indexed store.
 pub mod constraints {
     pub use sqo_constraints::*;
 }

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use sqo::baseline::{AssignmentPolicy, ConstraintGroups};
 use sqo::catalog::example::figure21;
-use sqo::constraints::{figure22, ClosureOptions, ConstraintStore, StoreOptions};
+use sqo::constraints::{figure22, ConstraintStore, StoreOptions};
 use sqo::core::{
     run_transformations, MatchPolicy, OptimizerConfig, PredicateTag, SemanticOptimizer,
     StructuralOracle, TransformationTable,
@@ -15,14 +15,12 @@ const FIG23_ORIGINAL: &str = r#"(SELECT {vehicle.vehicle_no, cargo.desc, cargo.q
     {vehicle.desc = "refrigerated truck", supplier.name = "SFI"}
     {collects, supplies} {supplier, cargo, vehicle})"#;
 
-fn setup(closure: bool) -> (Arc<sqo::catalog::Catalog>, ConstraintStore) {
+fn setup() -> (Arc<sqo::catalog::Catalog>, ConstraintStore) {
     let catalog = Arc::new(figure21().unwrap());
     let store = ConstraintStore::build(
         Arc::clone(&catalog),
         figure22(&catalog).unwrap(),
-        StoreOptions {
-            closure: if closure { ClosureOptions::default() } else { ClosureOptions::none() },
-        },
+        StoreOptions::paper_defaults(),
     )
     .unwrap();
     (catalog, store)
@@ -31,7 +29,7 @@ fn setup(closure: bool) -> (Arc<sqo::catalog::Catalog>, ConstraintStore) {
 /// The final transformed query of Figure 2.3, exactly.
 #[test]
 fn figure23_transformed_query_matches_paper() {
-    let (catalog, store) = setup(true);
+    let (catalog, store) = setup();
     let optimizer = SemanticOptimizer::new(&store);
     let query = parse_query(FIG23_ORIGINAL, &catalog).unwrap();
     let out = optimizer.optimize(&query, &StructuralOracle).unwrap();
@@ -46,7 +44,7 @@ fn figure23_transformed_query_matches_paper() {
 /// §3.5 step 1: C = {c1, c2}; P = {p1, p2, p3}; T as printed in the paper.
 #[test]
 fn section35_initialization_state() {
-    let (catalog, store) = setup(false);
+    let (catalog, store) = setup();
     let query = parse_query(FIG23_ORIGINAL, &catalog).unwrap();
     let relevant = store.relevant_for(&query);
     let names: Vec<&str> = relevant.iter().map(|&id| store.constraint(id).name.as_str()).collect();
@@ -72,7 +70,7 @@ fn section35_initialization_state() {
 /// p2, p3 are optional; supplier is eliminated at formulation.
 #[test]
 fn section35_final_tags() {
-    let (catalog, store) = setup(false);
+    let (catalog, store) = setup();
     let query = parse_query(FIG23_ORIGINAL, &catalog).unwrap();
     let relevant = store.relevant_for(&query);
     let config = OptimizerConfig::paper();
@@ -86,23 +84,10 @@ fn section35_final_tags() {
     assert_eq!(table.final_tag(PredId(2)), Some(PredicateTag::Optional), "p3");
 }
 
-/// The optimizer reaches the same Figure 2.3 outcome with and without the
-/// materialized closure (the closure is a retrieval optimization, not a
-/// semantics change).
-#[test]
-fn closure_does_not_change_the_outcome() {
-    let (catalog, with) = setup(true);
-    let (_, without) = setup(false);
-    let query = parse_query(FIG23_ORIGINAL, &catalog).unwrap();
-    let a = SemanticOptimizer::new(&with).optimize(&query, &StructuralOracle).unwrap();
-    let b = SemanticOptimizer::new(&without).optimize(&query, &StructuralOracle).unwrap();
-    assert_eq!(a.query.normalized(), b.query.normalized());
-}
-
 /// The paper's query format round-trips: parse → display → parse.
 #[test]
 fn paper_syntax_round_trip() {
-    let (catalog, _) = setup(false);
+    let (catalog, _) = setup();
     let q1 = parse_query(FIG23_ORIGINAL, &catalog).unwrap();
     let printed = q1.display(&catalog).to_string();
     let q2 = parse_query(&printed, &catalog).unwrap();

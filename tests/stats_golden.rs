@@ -4,20 +4,23 @@
 //! 42)`) as saved by the last build that derived most-common values by
 //! sorting every distinct value by its rendering. It is a `.sqos` version 1
 //! file, which a load refuses; its STATS payload is read here by a
-//! test-local v1 reader. `fixtures/db1_seed42_v2.sqos` is the same database
-//! as the version 2 encoder writes it, and pins the v2 bytes.
+//! test-local v1 reader. `fixtures/db1_seed42_v3.sqos` is the same database
+//! as the version 3 encoder writes it, and pins the v3 bytes.
 
 use sqo::catalog::{AttrStats, ClassStats, RelStats, StatsSnapshot, Value};
 use sqo::storage::{encode_database, load_database};
 use sqo::workload::{paper_scenario, DbSize};
-use sqo_snapshot::{read_value, ByteReader, LoadError, SnapshotFile, ValidationLevel, SEC_STATS};
+use sqo_snapshot::{
+    read_value, ByteReader, LoadError, SnapshotFile, ValidationLevel, FORMAT_VERSION, SEC_STATS,
+};
 
 const V1: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/db1_seed42_pr13.sqos");
-const V2: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/db1_seed42_v2.sqos");
+const V3: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/db1_seed42_v3.sqos");
 
 /// A version 1 STATS payload: the class count, then per class its
 /// cardinality and attribute count, per attribute its rows, distinct count,
-/// optional min and max, MCV list and a histogram length that is always 0;
+/// optional min and max, MCV list (values tagged with their type) and a
+/// histogram length that is always 0;
 /// then the relationship count and per relationship its link count and two
 /// average fan-outs.
 fn read_v1_stats(payload: &[u8]) -> StatsSnapshot {
@@ -66,7 +69,7 @@ fn db1_statistics_equal_the_ones_pr13_persisted() {
     let mut bytes = std::fs::read(V1).expect("read the fixture");
     // The header is not checksummed: with its version patched, the v1
     // container parses and each payload checks against its checksum.
-    bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+    bytes[4..6].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
     let file = SnapshotFile::parse(&bytes).expect("the v1 container parses");
     let persisted = read_v1_stats(file.section(SEC_STATS).expect("a STATS section"));
     let generated = paper_scenario(DbSize::Db1, 42).db;
@@ -88,15 +91,15 @@ fn db1_statistics_equal_the_ones_pr13_persisted() {
     assert_eq!(mcvs("supplier.key"), ints([(0, 1), (1, 1), (10, 1)]));
 }
 
-/// The `.sqos` v2 bytes have not moved: today's encoder writes the
-/// committed v2 file from the generated DB1 and from the database loaded
+/// The `.sqos` v3 bytes have not moved: today's encoder writes the
+/// committed v3 file from the generated DB1 and from the database loaded
 /// from that file, whose statistics equal a rescan of its extents.
 #[test]
-fn db1_encodes_to_the_v2_fixture() {
-    let fixture = std::fs::read(V2).expect("read the fixture");
+fn db1_encodes_to_the_v3_fixture() {
+    let fixture = std::fs::read(V3).expect("read the fixture");
     let generated = paper_scenario(DbSize::Db1, 42).db;
     assert!(encode_database(&generated) == fixture, "the generated DB1 encodes differently");
-    let loaded = load_database(V2, ValidationLevel::Standard).expect("the v2 fixture loads");
+    let loaded = load_database(V3, ValidationLevel::Standard).expect("the v3 fixture loads");
     assert_eq!(loaded.stats(), generated.stats());
     assert_eq!(loaded.stats(), &loaded.rebuild_statistics());
     assert!(encode_database(&loaded) == fixture, "the loaded DB1 encodes differently");
