@@ -28,7 +28,7 @@ pub struct StoreOptions;
 impl StoreOptions {
     /// The one configuration.
     pub fn paper_defaults() -> Self {
-        Self::default()
+        Self
     }
 }
 

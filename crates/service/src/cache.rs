@@ -509,7 +509,9 @@ mod tests {
         let mut versions = VERSIONS.get_or_init(Mutex::default).lock().unwrap();
         *versions.entry((generation, epoch)).or_insert_with(|| {
             let catalog = Arc::new(sqo_catalog::example::figure21().unwrap());
-            ConstraintStore::build(catalog, vec![], StoreOptions::default()).unwrap().version()
+            ConstraintStore::build(catalog, vec![], StoreOptions::paper_defaults())
+                .unwrap()
+                .version()
         })
     }
 
