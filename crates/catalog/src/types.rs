@@ -33,8 +33,8 @@ impl fmt::Display for DataType {
 /// A finite `f64` with a total order.
 ///
 /// Construction rejects NaN; infinities are allowed (they order naturally and
-/// are useful as open interval endpoints).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// are useful as open interval endpoints). The default is `0.0`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Finite(f64);
 
 impl Finite {

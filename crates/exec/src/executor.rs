@@ -27,27 +27,35 @@
 //! The answer is built in the scratch too: each emitted row's projected
 //! values are written into one row-major buffer kept warm across
 //! executions, and the finished answer moves them out with one allocation
-//! of exactly their size (`drain(..).collect()`), so an execution allocates
-//! the same whether it returns ten rows or ten thousand ([`ResultSet`]'s
-//! layout; `tests/result_alloc.rs` holds that).
+//! of exactly their size (`Vec::with_capacity` and `append`, one bulk
+//! copy), so an execution allocates the same whether it returns ten rows or
+//! ten thousand ([`ResultSet`]'s layout; `tests/result_alloc.rs` holds
+//! that).
 //!
 //! # Column at a time
 //!
 //! Each pass over a level reads one attribute or one adjacency side, and
 //! resolves it once per pass: a [`Column`] or an [`Adjacency`] handle holds
-//! the page table, so a value or a link list costs two dependent loads
-//! instead of [`Database::value`]'s four. A step whose `from_class` is bound
-//! by the level above gathers from each parent binding's own object; only a
-//! step from a class bound further up walks the parent chain.
+//! the page table, so an element or a link list costs two dependent loads
+//! instead of [`Database::value`]'s four. A column holds its attribute's
+//! declared type, so what those loads reach is the raw element — an `i64`,
+//! a `Finite`, a `bool` or an `Arc<str>` — not a tagged [`Value`]. A step
+//! whose `from_class` is bound by the level above gathers from each parent
+//! binding's own object; only a step from a class bound further up walks
+//! the parent chain.
 //!
-//! A residual is dispatched once per pass on its literal's type and its
-//! operator to one of 24 typed loops ([`dispatch`]): the loop compares the
-//! value in place (`Int`, `Float`, `Bool` natively; a `Str` `Eq` or `Ne`
-//! compares pointers, then lengths, then bytes), stores each binding
-//! unconditionally and advances past it by the test's result, so it does
-//! not branch on the data. A value of another type than the literal's fails
-//! the test, as [`SelPredicate::eval`] has it. Dispatch keeps no state, so
-//! an execution allocates nothing beyond the scratch's warm buffers.
+//! A residual is dispatched once per pass on its column's type, its
+//! literal's type and its operator ([`dispatch`]): each same-typed pair and
+//! operator is a loop of its own, 24 in all, which compares the raw element
+//! in place (`Int`, `Float`, `Bool` natively; a `Str` `Eq` or `Ne` compares
+//! pointers, then lengths, then bytes), stores each binding unconditionally
+//! and advances past it by the test's result, so it does not branch on the
+//! data. A literal of another type than the column's passes nothing, as
+//! [`SelPredicate::eval`] has it, and the pass is counted all the same. A
+//! join filter picks its loop the same way, by its two columns' types, and
+//! emission builds each projected [`Value`] from the raw element it reads.
+//! Dispatch keeps no state, so an execution allocates nothing beyond the
+//! scratch's warm buffers.
 //!
 //! A sequential-scan root streams its first residual's column page by page;
 //! each further residual, at the root as at a step, filters the survivors
@@ -57,10 +65,11 @@
 //! evaluating them binding by binding.
 
 use std::ops::Range;
+use std::sync::Arc;
 
-use sqo_catalog::{AttrRef, Value};
-use sqo_query::{CompOp, SelPredicate, ValueSet};
-use sqo_storage::{Adjacency, Column, CostCounters, Database, ObjectId, StorageError};
+use sqo_catalog::{AttrRef, Finite, Value};
+use sqo_query::{CompOp, JoinPredicate, SelPredicate, ValueSet};
+use sqo_storage::{Adjacency, Column, CostCounters, Database, ObjectId, StorageError, Typed};
 
 use crate::error::ExecError;
 use crate::plan::{AccessPath, ClassAccess, JoinStep, PhysicalPlan};
@@ -136,11 +145,11 @@ pub(crate) fn execute_rekeyed(
         rows += run_block(db, plan, levels, level_of, block, &mut counters, values)?;
     }
     counters.tuples_out += rows as u64;
-    // Moved out at their exact size; `mem::take` would hand the warm
-    // buffer's capacity to the answer instead.
-    #[allow(clippy::drain_collect)]
-    let values = values.drain(..).collect();
-    Ok((ResultSet::of_plan(db, plan, values, rows), counters))
+    // Moved out at their exact size, in one bulk copy; `mem::take` would
+    // hand the warm buffer's capacity to the answer instead.
+    let mut answer = Vec::with_capacity(values.len());
+    answer.append(values);
+    Ok((ResultSet::of_plan(db, plan, answer, rows), counters))
 }
 
 /// Runs the root bindings `block` down every step of `plan`, appends the
@@ -180,18 +189,37 @@ fn run_block(
             slots.for_each(|slot| *slot = v.clone());
             continue;
         }
-        let column = db.column(p.attr)?;
         let want = level_of[p.attr.class.index()];
-        for (row, slot) in span.clone().zip(slots) {
-            *slot = read(column, p.attr, bound_at(levels, last, row, want))?.clone();
-        }
+        let oids = span.clone().map(|row| bound_at(levels, last, row, want));
+        match db.column(p.attr)? {
+            Column::Int(c) => emit(c, p.attr, oids, slots, |&x| Value::Int(x)),
+            Column::Float(c) => emit(c, p.attr, oids, slots, |&x| Value::Float(x)),
+            Column::Str(c) => emit(c, p.attr, oids, slots, |s| Value::Str(Arc::clone(s))),
+            Column::Bool(c) => emit(c, p.attr, oids, slots, |&b| Value::Bool(b)),
+        }?;
     }
     Ok(rows)
 }
 
-/// Object `oid`'s value in `column`, attribute `attr`'s.
+/// Writes into each of `slots` the value of the object `oids` yields beside
+/// it, read from `column` (attribute `attr`'s) and made a [`Value`] by
+/// `wrap`.
+fn emit<'s, T>(
+    column: Typed<'_, T>,
+    attr: AttrRef,
+    oids: impl Iterator<Item = ObjectId>,
+    slots: impl Iterator<Item = &'s mut Value>,
+    wrap: impl Fn(&T) -> Value,
+) -> Result<(), StorageError> {
+    for (oid, slot) in oids.zip(slots) {
+        *slot = wrap(read(column, attr, oid)?);
+    }
+    Ok(())
+}
+
+/// Object `oid`'s element in `column`, attribute `attr`'s.
 #[inline]
-fn read<'c>(column: Column<'c>, attr: AttrRef, oid: ObjectId) -> Result<&'c Value, StorageError> {
+fn read<'c, T>(column: Typed<'c, T>, attr: AttrRef, oid: ObjectId) -> Result<&'c T, StorageError> {
     column.get(oid).ok_or(StorageError::UnknownObject { class: attr.class, object: oid })
 }
 
@@ -251,13 +279,15 @@ fn fill_level(
             return Ok(());
         }
         counters.predicate_evals += out.len() as u64;
-        let (left, right) = (db.column(j.left)?, db.column(j.right)?);
-        let (l_at, r_at) = (level_of[j.left.class.index()], level_of[j.right.class.index()]);
-        retain(out, |oid, parent| {
-            let l = read(left, j.left, bound(l_at, oid, parent))?;
-            let r = read(right, j.right, bound(r_at, oid, parent))?;
-            Ok(j.eval(l, r))
-        })?;
+        let sides = (level_of[j.left.class.index()], level_of[j.right.class.index()]);
+        let join = Join { j, sides, bound: &bound, level: &mut *out };
+        match (db.column(j.left)?, db.column(j.right)?) {
+            (Column::Int(l), Column::Int(r)) => join.run(l, r),
+            (Column::Float(l), Column::Float(r)) => join.run(l, r),
+            (Column::Str(l), Column::Str(r)) => join.run(l, r),
+            (Column::Bool(l), Column::Bool(r)) => join.run(l, r),
+            _ => join.none(),
+        }?;
     }
     // Cycle edges: the pair must be linked in the extra relationship.
     for &(rel, a, b) in &step.link_filters {
@@ -280,6 +310,36 @@ fn gather(adjacency: Adjacency<'_>, oid: ObjectId, parent: u32, out: &mut Level)
         [] => {}
         &[target] => out.push((target, parent)),
         targets => out.extend(targets.iter().map(|&target| (target, parent))),
+    }
+}
+
+/// One join filter's pass over a level: `sides` are the levels binding its
+/// left and right classes, and `bound` finds the object a level binds in a
+/// candidate's chain.
+struct Join<'a, B> {
+    j: &'a JoinPredicate,
+    sides: (usize, usize),
+    bound: &'a B,
+    level: &'a mut Level,
+}
+
+impl<B: Fn(usize, ObjectId, u32) -> ObjectId> Join<'_, B> {
+    /// Keeps the candidates whose left and right elements, read from
+    /// `left` and `right`, compare as the join's operator asks.
+    fn run<T: Ord>(self, left: Typed<'_, T>, right: Typed<'_, T>) -> Result<(), ExecError> {
+        let Join { j, sides: (l_at, r_at), bound, level } = self;
+        retain(level, |oid, parent| {
+            let l = read(left, j.left, bound(l_at, oid, parent))?;
+            let r = read(right, j.right, bound(r_at, oid, parent))?;
+            Ok(j.op.eval(l.cmp(r)))
+        })
+    }
+
+    /// The pass for columns of two types, whose values compare as nothing
+    /// ([`JoinPredicate::eval`]): no candidate passes.
+    fn none(self) -> Result<(), ExecError> {
+        self.level.clear();
+        Ok(())
     }
 }
 
@@ -324,7 +384,7 @@ fn produce(
             match access.residual.split_first() {
                 Some((first, rest)) if n > 0 => {
                     counters.predicate_evals += n as u64;
-                    dispatch(first, Scan { column: db.column(first.attr)?, out });
+                    dispatch(first, db.column(first.attr)?, Scan { out });
                     keep_passing(db, rest, out, counters)
                 }
                 _ => {
@@ -360,47 +420,53 @@ fn keep_passing(
             break;
         }
         counters.predicate_evals += level.len() as u64;
-        dispatch(p, Filter { column: db.column(p.attr)?, attr: p.attr, level })?;
+        dispatch(p, db.column(p.attr)?, Filter { attr: p.attr, level })?;
     }
     Ok(())
 }
 
-/// A loop over values that a typed test decides, run by [`dispatch`] with
-/// the test of one (value type, operator) pair: each pair compiles to a
-/// loop of its own.
+/// A loop over a column's elements that a typed test decides, run by
+/// [`dispatch`] with the test of one (element type, operator) pair: each
+/// pair compiles to a loop of its own.
 trait Sweep {
     type Out;
-    fn run(self, test: impl Fn(&Value) -> bool) -> Self::Out;
+    fn run<T>(self, column: Typed<'_, T>, test: impl Fn(&T) -> bool) -> Self::Out;
+    /// The loop for a literal of another type than the column's, which no
+    /// element passes.
+    fn none(self) -> Self::Out;
 }
 
-/// Filters a level by its objects' values in one column.
-struct Filter<'c, 'l> {
-    column: Column<'c>,
+/// Filters a level by its objects' elements in one column.
+struct Filter<'l> {
     attr: AttrRef,
     level: &'l mut Level,
 }
 
-impl Sweep for Filter<'_, '_> {
+impl Sweep for Filter<'_> {
     type Out = Result<(), ExecError>;
 
-    fn run(self, test: impl Fn(&Value) -> bool) -> Self::Out {
-        let Filter { column, attr, level } = self;
+    fn run<T>(self, column: Typed<'_, T>, test: impl Fn(&T) -> bool) -> Self::Out {
+        let Filter { attr, level } = self;
         retain(level, |oid, _| read(column, attr, oid).map(&test))
+    }
+
+    fn none(self) -> Self::Out {
+        self.level.clear();
+        Ok(())
     }
 }
 
 /// Streams a whole column into a root level: the ids of the objects whose
-/// value passes, in id order.
-struct Scan<'c, 'l> {
-    column: Column<'c>,
+/// element passes, in id order.
+struct Scan<'l> {
     out: &'l mut Level,
 }
 
-impl Sweep for Scan<'_, '_> {
+impl Sweep for Scan<'_> {
     type Out = ();
 
-    fn run(self, test: impl Fn(&Value) -> bool) {
-        let Scan { column, out } = self;
+    fn run<T>(self, column: Typed<'_, T>, test: impl Fn(&T) -> bool) {
+        let Scan { out } = self;
         out.resize(column.len(), (ObjectId(0), 0));
         let (mut kept, mut oid) = (0usize, 0u32);
         for page in column.pages() {
@@ -411,6 +477,10 @@ impl Sweep for Scan<'_, '_> {
             }
         }
         out.truncate(kept);
+    }
+
+    fn none(self) {
+        self.out.clear();
     }
 }
 
@@ -480,30 +550,32 @@ impl Op for AtLeast {
     }
 }
 
-/// Runs `sweep` with `p`'s test, compiled for its operator and its
-/// literal's type. The test agrees with [`SelPredicate::eval`] on every
-/// value: floats compare as `f64` (a `Finite` is never NaN, and `-0.0 ==
-/// 0.0` in both), and a value of another type fails.
-fn dispatch<S: Sweep>(p: &SelPredicate, sweep: S) -> S::Out {
+/// Runs `sweep` over `column` (attribute `p.attr`'s) with `p`'s test,
+/// compiled for its operator and the column's element type. The test agrees
+/// with [`SelPredicate::eval`] on every value: floats compare as `f64` (a
+/// `Finite` is never NaN, and `-0.0 == 0.0` in both), and a literal of
+/// another type than the column's passes nothing.
+fn dispatch<S: Sweep>(p: &SelPredicate, column: Column<'_>, sweep: S) -> S::Out {
     match p.op {
-        CompOp::Eq => typed::<Equal, S>(&p.value, sweep),
-        CompOp::Ne => typed::<NotEqual, S>(&p.value, sweep),
-        CompOp::Lt => typed::<Less, S>(&p.value, sweep),
-        CompOp::Le => typed::<AtMost, S>(&p.value, sweep),
-        CompOp::Gt => typed::<Greater, S>(&p.value, sweep),
-        CompOp::Ge => typed::<AtLeast, S>(&p.value, sweep),
+        CompOp::Eq => typed::<Equal, S>(column, &p.value, sweep),
+        CompOp::Ne => typed::<NotEqual, S>(column, &p.value, sweep),
+        CompOp::Lt => typed::<Less, S>(column, &p.value, sweep),
+        CompOp::Le => typed::<AtMost, S>(column, &p.value, sweep),
+        CompOp::Gt => typed::<Greater, S>(column, &p.value, sweep),
+        CompOp::Ge => typed::<AtLeast, S>(column, &p.value, sweep),
     }
 }
 
-fn typed<O: Op, S: Sweep>(literal: &Value, sweep: S) -> S::Out {
-    match literal {
-        &Value::Int(x) => sweep.run(|v| matches!(v, Value::Int(a) if O::holds(a, &x))),
-        Value::Float(x) => {
+fn typed<O: Op, S: Sweep>(column: Column<'_>, literal: &Value, sweep: S) -> S::Out {
+    match (column, literal) {
+        (Column::Int(c), &Value::Int(x)) => sweep.run(c, |a: &i64| O::holds(a, &x)),
+        (Column::Float(c), Value::Float(x)) => {
             let x = x.get();
-            sweep.run(|v| matches!(v, Value::Float(a) if O::holds(&a.get(), &x)))
+            sweep.run(c, |a: &Finite| O::holds(&a.get(), &x))
         }
-        Value::Str(x) => sweep.run(|v| matches!(v, Value::Str(a) if O::holds_str(a, x))),
-        &Value::Bool(x) => sweep.run(|v| matches!(v, Value::Bool(a) if O::holds(a, &x))),
+        (Column::Str(c), Value::Str(x)) => sweep.run(c, |a: &Arc<str>| O::holds_str(a, x)),
+        (Column::Bool(c), &Value::Bool(x)) => sweep.run(c, |a: &bool| O::holds(a, &x)),
+        _ => sweep.none(),
     }
 }
 
@@ -712,17 +784,10 @@ mod tests {
         assert_eq!(c1, c2);
     }
 
-    /// The verdicts of a typed test over `values`, one per value.
-    struct Verdicts<'v>(&'v [Value]);
-
-    impl Sweep for Verdicts<'_> {
-        type Out = Vec<bool>;
-
-        fn run(self, test: impl Fn(&Value) -> bool) -> Vec<bool> {
-            self.0.iter().map(test).collect()
-        }
-    }
-
+    /// Every typed loop, at a scan root and filtering a level, keeps
+    /// exactly the objects whose value passes [`SelPredicate::eval`]: for
+    /// each column type, every value it holds as the literal, one it does
+    /// not hold, and a literal of each other type, which nothing passes.
     #[test]
     fn every_typed_test_agrees_with_eval() {
         let shared = Value::str("b");
@@ -741,7 +806,23 @@ mod tests {
             ],
             vec![Value::Bool(false), Value::Bool(true)],
         ];
+        // One class per column type, of one attribute.
+        let mut b = sqo_catalog::Catalog::builder();
         for (t, column) in columns.iter().enumerate() {
+            let attr = sqo_catalog::AttributeDef::new("v", column[0].data_type());
+            b.class(format!("c{t}"), vec![attr]).unwrap();
+        }
+        let mut load = Database::builder(Arc::new(b.build().unwrap()));
+        for (t, column) in columns.iter().enumerate() {
+            for v in column {
+                load.insert(ClassId(t as u32), vec![v.clone()]).unwrap();
+            }
+        }
+        let db = load.finalize(IntegrityOptions::default()).unwrap();
+        let ids = |level: &Level| level.iter().map(|&(oid, _)| oid).collect::<Vec<_>>();
+        for (t, column) in columns.iter().enumerate() {
+            let attr = AttrRef::new(ClassId(t as u32), sqo_catalog::AttrId(0));
+            let handle = db.column(attr).unwrap();
             // Every value of the column as the literal (`shared` itself, so
             // the pointer test is taken), one no object holds, and a
             // literal of each other type, which no value passes.
@@ -750,12 +831,23 @@ mod tests {
             literals.extend(
                 columns.iter().enumerate().filter(|&(u, _)| u != t).map(|(_, c)| c[0].clone()),
             );
-            let attr = AttrRef::new(ClassId(0), sqo_catalog::AttrId(0));
             for literal in &literals {
                 for op in CompOp::ALL {
                     let p = SelPredicate::new(attr, op, literal.clone());
-                    let want: Vec<bool> = column.iter().map(|v| p.eval(v)).collect();
-                    assert_eq!(dispatch(&p, Verdicts(column)), want, "{op:?} {literal:?}");
+                    let oids = (0..).map(ObjectId).zip(column);
+                    let want: Vec<ObjectId> =
+                        oids.filter(|(_, v)| p.eval(v)).map(|(oid, _)| oid).collect();
+                    let mut scanned = Level::new();
+                    dispatch(&p, handle, Scan { out: &mut scanned });
+                    assert_eq!(ids(&scanned), want, "scan {op:?} {literal:?}");
+                    // A level in reverse id order keeps its passing objects
+                    // in that order.
+                    let mut level: Level =
+                        (0..column.len() as u32).rev().map(|i| (ObjectId(i), 7)).collect();
+                    dispatch(&p, handle, Filter { attr, level: &mut level }).unwrap();
+                    let kept: Vec<ObjectId> = want.iter().rev().copied().collect();
+                    assert_eq!(ids(&level), kept, "filter {op:?} {literal:?}");
+                    assert!(level.iter().all(|&(_, parent)| parent == 7));
                 }
             }
         }

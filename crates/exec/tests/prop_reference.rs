@@ -11,12 +11,15 @@
 //! [`execute_batch_with`], empty roots, fan relationships with duplicate
 //! edges and objects with no links, and scan roots of more than one
 //! executor block (1,024 bindings). An access may carry a residual on each
-//! of its two integer columns and one on its string, float or boolean
-//! column, under any of the six operators and with a literal that no object
-//! holds or of another type than the column's; whichever comes first on a
-//! scan root streams its column and the others filter the survivors, as
-//! the step residuals do. So every typed residual test the executor
-//! compiles, one per (value type, operator), runs both ways.
+//! of its two integer columns and one more on its integer `v`, string,
+//! float or boolean column, under any of the six operators and with a
+//! literal that no object holds or of another type than the column's;
+//! whichever comes first on a scan root streams its column and the others
+//! filter the survivors, as the step residuals do. So every typed residual
+//! test the executor compiles, one per (column type, operator), and the
+//! pass of a literal of another type run both ways. A join filter compares
+//! two integer columns or an integer and a string column, which no
+//! candidate passes.
 
 use std::sync::Arc;
 
@@ -61,7 +64,7 @@ fn reference(db: &Database, plan: &PhysicalPlan) -> (Vec<Vec<Value>>, CostCounte
 fn residuals(db: &Database, access: &ClassAccess, oid: ObjectId, c: &mut CostCounters) -> bool {
     access.residual.iter().all(|p| {
         c.predicate_evals += 1;
-        p.eval(db.value(p.attr, oid).unwrap())
+        p.eval(&db.value(p.attr, oid).unwrap())
     })
 }
 
@@ -82,8 +85,8 @@ fn descend(
         let row = plan
             .projections
             .iter()
-            .map(|p| p.binding.as_ref().unwrap_or_else(|| value(binding, p.attr)));
-        rows.push(row.cloned().collect());
+            .map(|p| p.binding.clone().unwrap_or_else(|| value(binding, p.attr)));
+        rows.push(row.collect());
         return;
     };
     let class = step.access.class;
@@ -94,7 +97,7 @@ fn descend(
         let pass = residuals(db, &step.access, oid, c)
             && step.join_filters.iter().all(|j| {
                 c.predicate_evals += 1;
-                j.eval(value(binding, j.left), value(binding, j.right))
+                j.eval(&value(binding, j.left), &value(binding, j.right))
             })
             && step.link_filters.iter().all(|&(rel, a, b)| {
                 c.link_traversals += 1;
@@ -186,15 +189,17 @@ struct Knobs {
     residual_ops: Vec<usize>,
     /// Per class: a further residual `k <op> 3`, or none past the end.
     key_ops: Vec<usize>,
-    /// Per class: a residual on `s`, `f` or `t` (attribute `2 + pick % 3`)
-    /// with `OPS[op]` and the literal `typed_literal(attribute, pick / 3)`,
-    /// or none when `op` is past the end.
+    /// Per class: a residual on `v`, `s`, `f` or `t` (attribute
+    /// `1 + pick % 4`) with `OPS[op]` and the literal
+    /// `typed_literal(attribute, pick / 4)`, or none when `op` is past the
+    /// end.
     typed: Vec<(usize, usize)>,
     /// Whether the typed residual comes first, so that a scan root streams
     /// its column.
     typed_first: bool,
     /// Per step: a join filter `new.v <op> other.attr` (bound class and
-    /// attribute picked by the value), or none past the end.
+    /// attribute — `k`, `v` or the string `s` — picked by the value), or
+    /// none past the end.
     joins: Vec<usize>,
     /// Whether steps close every cycle they can, and from which side.
     cycles: u8,
@@ -212,8 +217,8 @@ fn plan(catalog: &Catalog, knobs: &Knobs) -> PhysicalPlan {
         };
         let (pick, op) = knobs.typed[class.index()];
         let typed = OPS.get(op).map(|&op| {
-            let a = 2 + pick % 3;
-            SelPredicate::new(attr(class, a), op, typed_literal(a, pick / 3))
+            let a = 1 + pick % 4;
+            SelPredicate::new(attr(class, a), op, typed_literal(a, pick / 4))
         });
         let mut residual: Vec<SelPredicate> =
             [on(&knobs.residual_ops, 1, 4), on(&knobs.key_ops, 0, 3)]
@@ -253,7 +258,7 @@ fn plan(catalog: &Catalog, knobs: &Knobs) -> PhysicalPlan {
         bound.push(to);
         let join_filters = (knobs.joins[i] < 3 * bound.len())
             .then(|| {
-                let other = attr(bound[knobs.joins[i] % bound.len()], knobs.joins[i] % 2);
+                let other = attr(bound[knobs.joins[i] % bound.len()], knobs.joins[i] % 3);
                 JoinPredicate::new(attr(to, 1), OPS[knobs.joins[i] % OPS.len()], other)
             })
             .into_iter()
@@ -294,13 +299,14 @@ fn plan(catalog: &Catalog, knobs: &Knobs) -> PhysicalPlan {
     PhysicalPlan { root, steps, projections, estimated_cost: 0.0, estimated_rows: 0.0 }
 }
 
-/// Literal `i` (modulo the list) for a residual on attribute `attr` (2 =
-/// `s`, 3 = `f`, 4 = `t`): values objects hold, one of the column's type no
-/// object holds (`"zz"`, `0.25`), and one of another type, which no value
-/// passes.
+/// Literal `i` (modulo the list) for a residual on attribute `attr` (1 =
+/// `v`, 2 = `s`, 3 = `f`, 4 = `t`): values objects hold, one of the
+/// column's type no object holds (`9`, `"zz"`, `0.25`), and one or two of
+/// another type, which no value passes.
 fn typed_literal(attr: usize, i: usize) -> Value {
     let f = |x: f64| Value::float(x).unwrap();
     let literals: Vec<Value> = match attr {
+        1 => vec![Value::Int(0), Value::Int(4), Value::Int(9), Value::str("4"), Value::Bool(true)],
         2 => {
             ["", "a", "ab", "b", "zz"].map(Value::str).into_iter().chain([Value::Int(4)]).collect()
         }
@@ -343,7 +349,7 @@ proptest! {
         picks in prop::collection::vec(0usize..6, 0..4),
         residual_ops in prop::collection::vec(0usize..14, 4..5),
         key_ops in prop::collection::vec(0usize..14, 4..5),
-        typed in prop::collection::vec((0usize..18, 0usize..9), 4..5),
+        typed in prop::collection::vec((0usize..24, 0usize..9), 4..5),
         typed_first in 0u8..2,
         joins in prop::collection::vec(0usize..36, 3..4),
         cycles in 0u8..3,
@@ -390,8 +396,9 @@ proptest! {
 
     /// A scan root of two blocks and part of a third under three residuals,
     /// and at least one step, every access with a residual on each of its
-    /// integer columns and one on its string, float or boolean column: rows
-    /// in emission order and every counter equal the reference's.
+    /// integer columns and one more on its `v`, string, float or boolean
+    /// column: rows in emission order and every counter equal the
+    /// reference's.
     #[test]
     fn conjunctive_residuals_match_the_recursive_reference(
         sizes in prop::collection::vec(0usize..24, 4..5),
@@ -400,7 +407,7 @@ proptest! {
         picks in prop::collection::vec(0usize..6, 1..4),
         residual_ops in prop::collection::vec(0usize..6, 4..5),
         key_ops in prop::collection::vec(0usize..6, 4..5),
-        typed in prop::collection::vec((0usize..18, 0usize..6), 4..5),
+        typed in prop::collection::vec((0usize..24, 0usize..6), 4..5),
         typed_first in 0u8..2,
         joins in prop::collection::vec(0usize..36, 3..4),
         cycles in 0u8..3,

@@ -8,10 +8,12 @@
 //! A load and a class's first write build a class's statistics the same way
 //! ([`load_class_statistics`], [`ClassPatch::scan`]): an indexed attribute's
 //! off its postings, and only the unindexed attributes' from a scan of their
-//! columns, one pass into one map per attribute. The load's scan also makes
+//! columns, one pass into one map per attribute, keyed by the column's raw
+//! elements (`i64`, `Finite`, `bool`, `Arc<str>`). The load's scan also makes
 //! each string it counts canonical ([`canonical_update`]): the column takes
 //! a clone of the map's key, so a loaded class holds one allocation per
-//! distinct string of an attribute, as a snapshot load's does.
+//! distinct string of an attribute, as a snapshot load's does. Only the
+//! distinct values are made [`Value`]s, once the pass is done.
 //! `Database::rebuild_statistics` and the `with_writes_full` oracle keep a
 //! scan of every attribute ([`class_statistics`]), which is the reference
 //! the other two are checked against. Every scan's map hashes with
@@ -39,14 +41,12 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use sqo_catalog::{AttrStats, ClassStats, Value, ValueHashState};
 
-use crate::extent::Extent;
+use crate::extent::{by_type, ColumnVec, Element, Extent};
 use crate::index::AttrIndex;
 use crate::object::ObjectId;
-use crate::paged::PagedVec;
 use crate::valuemap::ValueMap;
 
 /// How many most-common values an attribute's statistics keep.
@@ -118,40 +118,32 @@ fn summarize<'a>(entries: impl Iterator<Item = (&'a Value, u64)>, rows: u64) -> 
     }
 }
 
-/// One attribute's value → count map.
-type ScannedCounts = CanonicalMap<u64>;
+/// One attribute's distinct values, each with how many objects hold it, in
+/// no particular order.
+type ScannedCounts = Vec<(Value, u64)>;
 
-/// A column's value → entry map that holds, beside each entry, the value
-/// the column keeps for the key: a clone of the key itself. (`HashMap` has
-/// no lookup by a borrowed key that yields the stored key with its entry;
-/// taking it through `entry` costs each row a clone, two reference-count
-/// updates of a string, which at 20,000 objects per class was most of
-/// what canonicalizing added to a load.)
-pub(crate) type CanonicalMap<T> = HashMap<Value, (Value, T), ValueHashState>;
+/// A column's element → entry map that holds, beside each entry, the
+/// element the column keeps for the key: a clone of the key itself.
+/// (`HashMap` has no lookup by a borrowed key that yields the stored key
+/// with its entry; taking it through `entry` costs each row a clone, two
+/// reference-count updates of a string, which at 20,000 objects per class
+/// was most of what canonicalizing added to a load.)
+pub(crate) type CanonicalMap<K, T> = HashMap<K, (K, T), ValueHashState>;
 
 /// Applies `update` to `map`'s entry for `v`, inserted as `T::default()` on
 /// a miss, and makes a string `v` canonical: a repeat becomes a clone of
-/// the value the map holds for it, so one pass over a column leaves one
+/// the string the map holds for it, so one pass over a column leaves one
 /// allocation per distinct string, shared with the map's keys. A string
 /// that already is that allocation is not written, so loading canonical
-/// input dirties nothing and touches no reference count. Other values are
-/// looked up once through a copy, and keep their spelling (`0.0` and `-0.0`
-/// are one key).
-pub(crate) fn canonical_update<T: Default>(
-    map: &mut CanonicalMap<T>,
-    v: &mut Value,
+/// input dirties nothing and touches no reference count. Elements of the
+/// other types keep their spelling (`0.0` and `-0.0` are one key).
+pub(crate) fn canonical_update<K: Element, T: Default>(
+    map: &mut CanonicalMap<K, T>,
+    v: &mut K,
     update: impl FnOnce(&mut T),
 ) {
-    if !matches!(v, Value::Str(_)) {
-        let (_, entry) = map.entry(v.clone()).or_insert_with(|| (v.clone(), T::default()));
-        return update(entry);
-    }
     if let Some((canonical, entry)) = map.get_mut(&*v) {
-        if let (Value::Str(held), Value::Str(kept)) = (&*v, &*canonical) {
-            if !Arc::ptr_eq(held, kept) {
-                *v = canonical.clone();
-            }
-        }
+        v.share(canonical);
         update(entry);
         return;
     }
@@ -160,13 +152,35 @@ pub(crate) fn canonical_update<T: Default>(
     map.insert(v.clone(), (v.clone(), entry));
 }
 
+/// The distinct values of `column`, each with its count: one pass keyed by
+/// the raw elements.
+fn tally(column: &ColumnVec) -> ScannedCounts {
+    by_type!(ColumnVec, column, c => {
+        let mut counts: HashMap<_, u64, ValueHashState> = HashMap::default();
+        for v in c.iter() {
+            *counts.entry(v).or_insert(0) += 1;
+        }
+        counts.into_iter().map(|(v, count)| (v.value(), count)).collect()
+    })
+}
+
+/// [`tally`], making the column's strings canonical on the way
+/// ([`canonical_update`]). For a column still owned alone — a load's — so
+/// the writes copy nothing.
+fn tally_canonical(column: &mut ColumnVec) -> ScannedCounts {
+    by_type!(ColumnVec, column, c => {
+        let mut counts: CanonicalMap<_, u64> = HashMap::default();
+        for v in c.iter_mut() {
+            canonical_update(&mut counts, v, |count| *count += 1);
+        }
+        counts.into_iter().map(|(v, (_, count))| (v.into_value(), count)).collect()
+    })
+}
+
 /// One attribute's statistics from a scan of its `column`.
-fn scan_attribute(column: &PagedVec<Value>) -> AttrStats {
-    let mut counts: HashMap<&Value, u64, ValueHashState> = HashMap::default();
-    for v in column.iter() {
-        *counts.entry(v).or_insert(0) += 1;
-    }
-    summarize(counts.iter().map(|(v, count)| (*v, *count)), column.len() as u64)
+fn scan_attribute(column: &ColumnVec) -> AttrStats {
+    let counts = tally(column);
+    summarize(counts.iter().map(|(v, count)| (v, *count)), column.len() as u64)
 }
 
 /// One class's statistics from one scan of each column — the reference (the
@@ -176,25 +190,19 @@ pub(crate) fn class_statistics(extent: &Extent) -> ClassStats {
     ClassStats { cardinality: extent.len() as u64, attrs }
 }
 
-/// An empty count map for each attribute `indexes` (one slot per attribute)
-/// has no index for, with the attribute.
-fn unindexed(indexes: &[Option<AttrIndex>]) -> Vec<(usize, ScannedCounts)> {
-    let attrs = indexes.iter().enumerate().filter(|(_, index)| index.is_none());
-    attrs.map(|(attr, _)| (attr, ScannedCounts::default())).collect()
-}
-
 /// One class of `rows` objects' statistics with `indexes` built: an indexed
 /// attribute's off its postings, one count per posting length, and an
-/// unindexed attribute's off its `scanned` counts. `keep` receives each
+/// unindexed attribute's off its `scanned` counts, which hold one entry per
+/// unindexed attribute in attribute order. `keep` receives each
 /// attribute's counts in attribute order (`None` where an index counted).
 fn statistics_with(
     indexes: &[Option<AttrIndex>],
     rows: usize,
-    scanned: Vec<(usize, ScannedCounts)>,
+    scanned: Vec<ScannedCounts>,
     mut keep: impl FnMut(Option<ScannedCounts>),
 ) -> ClassStats {
     let rows = rows as u64;
-    let mut scanned = scanned.into_iter().map(|(_, counts)| counts);
+    let mut scanned = scanned.into_iter();
     let mut attrs = Vec::with_capacity(indexes.len());
     for index in indexes {
         let counts = match index {
@@ -205,7 +213,7 @@ fn statistics_with(
             }
             None => {
                 let counts = scanned.next().unwrap_or_default();
-                attrs.push(summarize(counts.iter().map(|(v, (_, count))| (v, *count)), rows));
+                attrs.push(summarize(counts.iter().map(|(v, count)| (v, *count)), rows));
                 Some(counts)
             }
         };
@@ -224,13 +232,9 @@ pub(crate) fn load_class_statistics(
     extent: &mut Extent,
 ) -> ClassStats {
     let rows = extent.len();
-    let mut scanned = unindexed(indexes);
-    let columns = extent.columns_mut();
-    for (attr, counts) in &mut scanned {
-        for v in columns[*attr].iter_mut() {
-            canonical_update(counts, v, |count| *count += 1);
-        }
-    }
+    let columns = indexes.iter().zip(extent.columns_mut());
+    let scanned =
+        columns.filter(|(index, _)| index.is_none()).map(|(_, c)| tally_canonical(c)).collect();
     statistics_with(indexes, rows, scanned, drop)
 }
 
@@ -275,18 +279,11 @@ impl ClassPatch {
     /// from the index where there is one and else from one scan of the
     /// column, which also builds the unindexed attributes' counts.
     pub(crate) fn scan(indexes: &[Option<AttrIndex>], extent: &Extent) -> Self {
-        let mut scanned = unindexed(indexes);
-        for (attr, counts) in &mut scanned {
-            for v in extent.columns()[*attr].iter() {
-                match counts.get_mut(v) {
-                    Some((_, count)) => *count += 1,
-                    None => _ = counts.insert(v.clone(), (v.clone(), 1)),
-                }
-            }
-        }
+        let columns = indexes.iter().zip(extent.columns());
+        let scanned = columns.filter(|(index, _)| index.is_none()).map(|(_, c)| tally(c)).collect();
         let mut counts = ClassCounts::with_capacity(indexes.len());
         let stats = statistics_with(indexes, extent.len(), scanned, |scanned| {
-            counts.push(scanned.map(|map| map.into_iter().map(|(v, (_, n))| (v, n)).collect()));
+            counts.push(scanned.map(ValueMap::from_iter));
         });
         Self { counts, stats, stale: vec![false; indexes.len()] }
     }

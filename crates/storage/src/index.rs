@@ -1,9 +1,10 @@
 //! Attribute indexes: hash (equality) and B-tree (equality + range).
 //!
-//! Both kinds keep their postings in one [`ValueMap`], keys in [`OrdValue`]
-//! order — the order `.sqos` stores either kind in. The kind is what the
-//! catalog declared and decides only which probes the index serves: a hash
-//! index refuses ranges, so plans and probe counts are those of a hash table.
+//! Both kinds keep their postings in one [`ValueMap`], keys in
+//! [`OrdValue`](crate::OrdValue) order — the order `.sqos` stores either
+//! kind in. The kind is what the catalog declared and decides only which
+//! probes the index serves: a hash index refuses ranges, so plans and probe
+//! counts are those of a hash table.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -12,9 +13,10 @@ use sqo_catalog::{IndexKind, Value};
 use sqo_query::{Bound, ValueSet};
 
 use crate::counts::{canonical_update, CanonicalMap};
+use crate::extent::{by_type, ColumnVec, Element};
 use crate::object::ObjectId;
 use crate::paged::PagedVec;
-use crate::valuemap::{OrdValue, ValueMap};
+use crate::valuemap::ValueMap;
 
 /// A secondary index over one attribute of one class: per value, the ids of
 /// the objects holding it, ascending.
@@ -22,6 +24,22 @@ use crate::valuemap::{OrdValue, ValueMap};
 pub struct AttrIndex {
     pub(crate) kind: IndexKind,
     pub(crate) postings: ValueMap<Vec<ObjectId>>,
+}
+
+/// The postings of `column`: each distinct element's ascending object ids.
+fn group<T: Element>(column: &mut PagedVec<T>) -> ValueMap<Vec<ObjectId>> {
+    let elements = column.iter();
+    if elements.clone().zip(elements.skip(1)).all(|(a, b)| a < b) {
+        // A key attribute loaded in key order: nothing to group, and no two
+        // values are equal. (An element type's order is `OrdValue`'s.)
+        let entries = column.iter().zip((0..).map(ObjectId));
+        return ValueMap::from_ascending(entries.map(|(v, oid)| (v.value(), vec![oid])).collect());
+    }
+    let mut groups: CanonicalMap<T, Vec<ObjectId>> = HashMap::default();
+    for (v, oid) in column.iter_mut().zip((0..).map(ObjectId)) {
+        canonical_update(&mut groups, v, |posting| posting.push(oid));
+    }
+    groups.into_iter().map(|(v, (_, posting))| (v.into_value(), posting)).collect()
 }
 
 /// The one value a closed range `[v, v]` denotes — a point probe, which both
@@ -42,29 +60,13 @@ impl AttrIndex {
 
     /// The index of a whole attribute `column` — the bulk build of the load
     /// path and the `with_writes_full` oracle; it runs none of the point
-    /// updates below. The grouping pass also makes the column's strings
-    /// canonical: each string becomes a clone of the key its posting is
-    /// filed under ([`canonical_update`]), so the column and the index share
-    /// one allocation per distinct string. The column is the caller's own,
-    /// not yet published, so the writes copy nothing.
-    pub(crate) fn from_column(kind: IndexKind, column: &mut PagedVec<Value>) -> Self {
-        let values = column.iter();
-        let postings =
-            if values.clone().zip(values.skip(1)).all(|(a, b)| OrdValue::order(a, b).is_lt()) {
-                // A key attribute loaded in key order: nothing to group, and no
-                // two values are equal.
-                column
-                    .iter()
-                    .zip((0..).map(ObjectId))
-                    .map(|(value, oid)| (value.clone(), vec![oid]))
-                    .collect()
-            } else {
-                let mut groups: CanonicalMap<Vec<ObjectId>> = HashMap::default();
-                for (v, oid) in column.iter_mut().zip((0..).map(ObjectId)) {
-                    canonical_update(&mut groups, v, |posting| posting.push(oid));
-                }
-                groups.into_iter().map(|(value, (_, posting))| (value, posting)).collect()
-            };
+    /// updates below. The grouping pass reads the column's raw elements and
+    /// also makes its strings canonical: each string becomes a clone of the
+    /// key its posting is filed under ([`canonical_update`]), so the column
+    /// and the index share one allocation per distinct string. The column is
+    /// the caller's own, not yet published, so the writes copy nothing.
+    pub(crate) fn from_column(kind: IndexKind, column: &mut ColumnVec) -> Self {
+        let postings = by_type!(ColumnVec, column, c => group(c));
         Self { kind, postings }
     }
 
@@ -133,7 +135,7 @@ impl AttrIndex {
         Some(IndexScanResult { oids, probes })
     }
 
-    /// Every key with its posting, keys in [`OrdValue`] order.
+    /// Every key with its posting, keys in [`OrdValue`](crate::OrdValue) order.
     pub fn entries(&self) -> impl Iterator<Item = (&Value, &[ObjectId])> {
         self.postings.iter().map(|(key, posting)| (key, posting.as_slice()))
     }

@@ -62,7 +62,7 @@ mod versioned;
 pub use cost::{CostCounters, CostWeights, PageModel};
 pub use db::{DataWrite, Database, DatabaseBuilder, IntegrityOptions, Violation, WriteReceipt};
 pub use error::StorageError;
-pub use extent::Column;
+pub use extent::{Column, Typed};
 pub use index::{AttrIndex, IndexScanResult};
 pub use links::{Adjacency, RelLinks};
 pub use object::ObjectId;

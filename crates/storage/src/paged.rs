@@ -11,16 +11,18 @@
 //! The table is a slice inline in its `Arc` and a page an array inline in
 //! its own, so an element is two pointers from the vector: reading one
 //! loads the page's pointer from the table, then the element. A reader that
-//! resolves the table once ([`PagedVec::table`], which `extent::Column`
+//! resolves the table once ([`PagedVec::table`], which `extent::Typed`
 //! holds) pays exactly those two loads per element. An extent keeps one
-//! `PagedVec<Value>` per attribute (`extent.rs`), so an attribute value sits
-//! inline in its page, with no row block to chase.
+//! `PagedVec` per attribute in the attribute's declared type (`extent.rs`):
+//! an `Int` column's page is 128 raw `i64`s, 1 KiB, with no value tag and
+//! no row block to chase.
 
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 /// Elements per page. Small enough that copying one page is noise next to
-/// the rest of a write (128 values of a column are 3 KiB), large enough that
+/// the rest of a write (128 values of a column are 1 KiB for an `Int` or
+/// `Float` column, 2 KiB for a `Str` one's pointers), large enough that
 /// the page table stays a few hundred pointers at 10⁵ elements. The
 /// adjacency sides of a link table (`links.rs`) page their lists by the
 /// same count.
@@ -171,13 +173,14 @@ pub(crate) fn used_pages<T>(table: &[Page<T>], len: usize) -> impl Iterator<Item
 }
 
 /// The page holding `items`, at most [`PAGE_LEN`] of them and blank past
-/// them, moved in with one bulk copy.
-pub(crate) fn page_of<T: Blank>(mut items: Vec<T>) -> Page<T> {
+/// them, moved in with one allocation; `items` is left empty, with its
+/// capacity, to fill the next page.
+pub(crate) fn page_of<T: Blank>(items: &mut Vec<T>) -> Page<T> {
     debug_assert!(items.len() <= PAGE_LEN, "{} items for one page", items.len());
     items.resize_with(PAGE_LEN, T::blank);
-    match Page::try_from(Arc::<[T]>::from(items)) {
+    match Page::try_from(items.drain(..).collect::<Arc<[T]>>()) {
         Ok(page) => page,
-        // Not reached: `items` holds exactly `PAGE_LEN` elements.
+        // Not reached: `items` held exactly `PAGE_LEN` elements.
         Err(slots) => {
             Arc::new(std::array::from_fn(|i| slots.get(i).cloned().unwrap_or_else(T::blank)))
         }

@@ -26,8 +26,8 @@ use sqo_snapshot::{
     StrPool, ValidationLevel, SEC_CATALOG, SEC_EXTENTS, SEC_INDEXES, SEC_LINKS, SEC_STATS,
 };
 
-use crate::db::Database;
-use crate::extent::{Columns, Extent};
+use crate::db::{types, Database};
+use crate::extent::{ColumnVec, Columns, Extent, GrowingColumn};
 use crate::index::AttrIndex;
 use crate::links::RelLinks;
 use crate::object::ObjectId;
@@ -49,8 +49,8 @@ use crate::valuemap::{OrdValue, ValueMap};
 /// order), so each distinct string is stored — and, on load, allocated —
 /// exactly once no matter how often the extents repeat it. An object of a
 /// class without attributes is one zero byte ([`row_width`]). The tuples
-/// are row-major, so both passes walk each extent's columns a row at a time
-/// ([`Extent::for_each_row`]).
+/// are row-major, so both passes read each extent's typed columns a row at
+/// a time.
 fn encode_extents(db: &Database) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u64(db.data_version());
@@ -60,34 +60,41 @@ fn encode_extents(db: &Database) -> Vec<u8> {
     let mut dict: HashMap<&str, u32> = HashMap::new();
     let mut dict_order: Vec<&str> = Vec::new();
     for extent in db.extent_shards() {
-        extent.for_each_row(|tuple| {
-            for v in tuple {
-                if let Value::Str(s) = v {
-                    dict.entry(s.as_ref()).or_insert_with(|| {
-                        dict_order.push(s.as_ref());
-                        dict_order.len() as u32 - 1
-                    });
-                }
+        let strings: Vec<_> = extent
+            .columns()
+            .iter()
+            .filter_map(|c| match c {
+                ColumnVec::Str(strings) => Some(strings),
+                _ => None,
+            })
+            .collect();
+        for oid in 0..extent.len() {
+            for s in strings.iter().filter_map(|strings| strings.get(oid)) {
+                dict.entry(s.as_ref()).or_insert_with(|| {
+                    dict_order.push(s.as_ref());
+                    dict_order.len() as u32 - 1
+                });
             }
-        });
+        }
     }
     w.u32(dict_order.len() as u32);
     for s in &dict_order {
         w.str(s);
     }
-    for ((_, cdef), extent) in db.catalog().classes().zip(db.extent_shards()) {
-        extent.for_each_row(|tuple| {
-            for (v, adef) in tuple.iter().zip(&cdef.attributes) {
-                debug_assert_eq!(v.data_type(), adef.ty, "extent value drifted from its schema");
-                match v {
-                    Value::Str(s) => w.u32(dict[s.as_ref()]),
-                    other => write_value_raw(&mut w, other),
+    for extent in db.extent_shards() {
+        for oid in 0..extent.len() {
+            for column in extent.columns() {
+                match column {
+                    ColumnVec::Int(c) => c.get(oid).into_iter().for_each(|&x| w.i64(x)),
+                    ColumnVec::Float(c) => c.get(oid).into_iter().for_each(|x| w.f64(x.get())),
+                    ColumnVec::Str(c) => c.get(oid).into_iter().for_each(|s| w.u32(dict[&**s])),
+                    ColumnVec::Bool(c) => c.get(oid).into_iter().for_each(|&b| w.u8(u8::from(b))),
                 }
             }
-            if cdef.attributes.is_empty() {
+            if extent.columns().is_empty() {
                 w.u8(0);
             }
-        });
+        }
     }
     w.finish()
 }
@@ -209,10 +216,11 @@ fn decode_dictionary(r: &mut ByteReader<'_>) -> Result<Vec<Arc<str>>, LoadError>
 }
 
 /// Decodes the tuples that follow the EXTENTS dictionary into each class's
-/// columns, a value at a time. Values are untagged — each is read as the
-/// type the catalog declares for its attribute, so extent tuples type-check
-/// by construction — and string values are indexes into `dict`, so repeats
-/// cost one `Arc` clone rather than an allocation.
+/// columns, an element at a time. Values are untagged — each is read as the
+/// type the catalog declares for its attribute, straight into the column of
+/// that type, so extent tuples type-check by construction — and string
+/// values are indexes into `dict`, so repeats cost one `Arc` clone rather
+/// than an allocation.
 fn decode_extent_tuples(
     r: &mut ByteReader<'_>,
     catalog: &Catalog,
@@ -223,44 +231,37 @@ fn decode_extent_tuples(
     for (cid, cdef) in catalog.classes() {
         let cardinality = cards[cid.index()];
         let before = r.remaining();
-        let mut columns = Columns::new(cdef.attributes.len(), cardinality);
-        let mut row = Vec::with_capacity(cdef.attributes.len());
+        let mut columns = Columns::new(types(cdef), cardinality);
         for _ in 0..cardinality {
-            for adef in &cdef.attributes {
-                let v = match adef.ty {
-                    DataType::Int => Value::Int(r.i64()?),
-                    DataType::Float => {
+            columns.push_with(|column| {
+                match column {
+                    GrowingColumn::Int(c) => c.push(r.i64()?),
+                    GrowingColumn::Float(c) => {
                         let f = r.f64()?;
-                        Finite::new(f)
-                            .map(Value::Float)
-                            .ok_or_else(|| r.malformed("NaN float value"))?
+                        c.push(Finite::new(f).ok_or_else(|| r.malformed("NaN float value"))?);
                     }
-                    DataType::Str => {
+                    GrowingColumn::Str(c) => {
                         let ix = r.u32()? as usize;
                         let s = dict.get(ix).ok_or_else(|| {
-                            malformed(
-                                SEC_EXTENTS,
-                                format!(
-                                    "string index {ix} beyond the {}-entry dictionary",
-                                    dict.len()
-                                ),
-                            )
+                            let detail = format!(
+                                "string index {ix} beyond the {}-entry dictionary",
+                                dict.len()
+                            );
+                            malformed(SEC_EXTENTS, detail)
                         })?;
-                        Value::Str(Arc::clone(s))
+                        c.push(Arc::clone(s));
                     }
-                    DataType::Bool => match r.u8()? {
-                        0 => Value::Bool(false),
-                        1 => Value::Bool(true),
+                    GrowingColumn::Bool(c) => match r.u8()? {
+                        0 => c.push(false),
+                        1 => c.push(true),
                         b => return Err(r.malformed(format!("bool byte {b} is neither 0 nor 1"))),
                     },
-                };
-                row.push(v);
-            }
+                }
+                Ok(())
+            })?;
             if cdef.attributes.is_empty() && r.u8()? != 0 {
                 return Err(r.malformed("an attribute-less object's byte is not 0"));
             }
-            columns.push(&mut row);
-            row.clear();
         }
         debug_assert_eq!(before - r.remaining(), cardinality * row_width(cdef), "EXTENTS rows");
         extents.push(columns.finish());

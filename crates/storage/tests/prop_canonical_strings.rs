@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use sqo_catalog::{AttrId, AttrRef, AttributeDef, Catalog, ClassId, DataType, IndexKind, Value};
 use sqo_snapshot::ValidationLevel;
-use sqo_storage::{decode_database, encode_database, DataWrite, Database, ObjectId};
+use sqo_storage::{decode_database, encode_database, Column, DataWrite, Database, ObjectId};
 
 const CLASSES: u32 = 2;
 
@@ -170,8 +170,10 @@ fn assert_canonical(db: &Database, stage: &str) {
         for attr in 0..5u32 {
             let mut first: HashMap<&str, &Arc<str>> = HashMap::new();
             let attr_ref = AttrRef::new(class, AttrId(attr));
-            for v in db.column(attr_ref).unwrap().iter() {
-                let s = arc(v);
+            let Column::Str(strings) = db.column(attr_ref).unwrap() else {
+                panic!("class {c} attr {attr} is not a string column")
+            };
+            for s in strings.iter() {
                 let canonical = *first.entry(s.as_ref()).or_insert(s);
                 assert!(
                     Arc::ptr_eq(canonical, s),
@@ -181,7 +183,8 @@ fn assert_canonical(db: &Database, stage: &str) {
             let Some(index) = db.index(attr_ref) else { continue };
             for (key, posting) in index.entries() {
                 for &oid in posting {
-                    let held = arc(db.value(attr_ref, oid).unwrap());
+                    let held = db.value(attr_ref, oid).unwrap();
+                    let held = arc(&held);
                     assert!(
                         Arc::ptr_eq(arc(key), held),
                         "{stage}: class {c} attr {attr}: key {key} is not object {}'s {held:?}",

@@ -33,7 +33,8 @@ use sqo_catalog::{
 use sqo_query::{Bound, ValueSet};
 use sqo_snapshot::ValidationLevel;
 use sqo_storage::{
-    decode_database, encode_database, DataWrite, Database, IntegrityOptions, ObjectId, StorageError,
+    decode_database, encode_database, Column, DataWrite, Database, IntegrityOptions, ObjectId,
+    StorageError,
 };
 
 const CLASSES: usize = 3;
@@ -226,7 +227,7 @@ fn aimed_object(db: &Database, class: ClassId, attr: usize, aim: &Aim) -> Object
     };
     (0..db.cardinality(class) as u32)
         .map(ObjectId)
-        .find(|o| db.value(AttrRef::new(class, AttrId(attr as u32)), *o).ok() == holder.as_ref())
+        .find(|o| db.value(AttrRef::new(class, AttrId(attr as u32)), *o).ok() == holder)
         .unwrap_or(ObjectId(0))
 }
 
@@ -329,7 +330,12 @@ fn assert_page_walk(db: &Database, class: ClassId) {
     let arity = db.catalog().class(class).unwrap().attributes.len();
     for a in 0..arity {
         let attr = AttrRef::new(class, AttrId(a as u32));
-        let walked: Vec<&Value> = db.column(attr).unwrap().iter().collect();
+        let walked: Vec<Value> = match db.column(attr).unwrap() {
+            Column::Int(c) => c.iter().map(|&x| Value::Int(x)).collect(),
+            Column::Float(c) => c.iter().map(|&x| Value::Float(x)).collect(),
+            Column::Str(c) => c.iter().map(|s| Value::Str(Arc::clone(s))).collect(),
+            Column::Bool(c) => c.iter().map(|&b| Value::Bool(b)).collect(),
+        };
         assert_eq!(walked.len(), db.cardinality(class), "page walk of {attr:?}");
         for (o, v) in walked.into_iter().enumerate() {
             assert_eq!(v, db.value(attr, ObjectId(o as u32)).unwrap(), "object {o}");

@@ -215,7 +215,7 @@ fn data_epoch_survives_round_trip() {
     assert_eq!(loaded.data_version(), next.data_version());
     assert_eq!(
         loaded.value(AttrRef::new(ClassId(0), AttrId(1)), ObjectId(0)).unwrap(),
-        &Value::Int(9)
+        Value::Int(9)
     );
 }
 

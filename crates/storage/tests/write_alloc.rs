@@ -163,9 +163,12 @@ fn a_write_allocates_for_what_it_touches() {
     let (next, bytes) = counted(|| db.with_writes(&insert, integrity));
     let (next, receipt) = next.unwrap();
     assert_eq!(receipt.inserted, vec![ObjectId(OBJECTS + 1)]);
-    // Measured 92,125 B, the same in both profiles (95,009 B before link
+    // Measured 80,917 B, the same in both profiles (95,009 B before link
     // tables became paged CSR: a link side's page copy cloned the 128 lists
-    // it held, where a CSR page is rebuilt as one allocation).
+    // it held, where a CSR page is rebuilt as one allocation; 92,125 B
+    // before columns held their declared types: the last page of each of
+    // the four `Int` columns is 1 KiB of `i64`s and of each of the three
+    // `Str` columns 2 KiB of pointers, where a page of `Value`s was 3 KiB).
     assert!(bytes <= 1 << 20, "a one-object insert allocated {bytes} B");
 
     // An update of an unindexed attribute leaves every index shared: one
@@ -178,7 +181,9 @@ fn a_write_allocates_for_what_it_touches() {
     }];
     let (after, bytes) = counted(|| next.with_writes(&update, integrity));
     let (after, _) = after.unwrap();
-    // Measured 14,969 B in both profiles; an update touches no link table.
+    // Measured 12,977 B in both profiles (14,969 B before columns held
+    // their declared types: the copied page of the `Int` column is 1 KiB,
+    // not 3); an update touches no link table.
     assert!(bytes <= 64 << 10, "a one-attribute update allocated {bytes} B");
     assert_eq!(after.stats(), &after.rebuild_statistics());
 }
