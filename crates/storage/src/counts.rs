@@ -44,9 +44,10 @@ use std::collections::HashMap;
 
 use sqo_catalog::{AttrStats, ClassStats, Value, ValueHashState};
 
-use crate::extent::{by_type, ColumnVec, Element, Extent};
+use crate::extent::{ColumnVec, Element, Extent};
 use crate::index::AttrIndex;
 use crate::object::ObjectId;
+use crate::paged::PagedVec;
 use crate::valuemap::ValueMap;
 
 /// How many most-common values an attribute's statistics keep.
@@ -155,26 +156,40 @@ pub(crate) fn canonical_update<K: Element, T: Default>(
 /// The distinct values of `column`, each with its count: one pass keyed by
 /// the raw elements.
 fn tally(column: &ColumnVec) -> ScannedCounts {
-    by_type!(ColumnVec, column, c => {
-        let mut counts: HashMap<_, u64, ValueHashState> = HashMap::default();
-        for v in c.iter() {
-            *counts.entry(v).or_insert(0) += 1;
-        }
-        counts.into_iter().map(|(v, count)| (v.value(), count)).collect()
-    })
+    match column {
+        ColumnVec::Int(c) => tally_of(c),
+        ColumnVec::Float(c) => tally_of(c),
+        ColumnVec::Str(c) => tally_of(c),
+        ColumnVec::Bool(c) => tally_of(c),
+    }
+}
+
+fn tally_of<T: Element>(column: &PagedVec<T>) -> ScannedCounts {
+    let mut counts: HashMap<&T, u64, ValueHashState> = HashMap::default();
+    for v in column.iter() {
+        *counts.entry(v).or_insert(0) += 1;
+    }
+    counts.into_iter().map(|(v, count)| (v.value(), count)).collect()
 }
 
 /// [`tally`], making the column's strings canonical on the way
 /// ([`canonical_update`]). For a column still owned alone — a load's — so
 /// the writes copy nothing.
 fn tally_canonical(column: &mut ColumnVec) -> ScannedCounts {
-    by_type!(ColumnVec, column, c => {
-        let mut counts: CanonicalMap<_, u64> = HashMap::default();
-        for v in c.iter_mut() {
-            canonical_update(&mut counts, v, |count| *count += 1);
-        }
-        counts.into_iter().map(|(v, (_, count))| (v.into_value(), count)).collect()
-    })
+    match column {
+        ColumnVec::Int(c) => tally_canonical_of(c),
+        ColumnVec::Float(c) => tally_canonical_of(c),
+        ColumnVec::Str(c) => tally_canonical_of(c),
+        ColumnVec::Bool(c) => tally_canonical_of(c),
+    }
+}
+
+fn tally_canonical_of<T: Element>(column: &mut PagedVec<T>) -> ScannedCounts {
+    let mut counts: CanonicalMap<T, u64> = HashMap::default();
+    for v in column.iter_mut() {
+        canonical_update(&mut counts, v, |count| *count += 1);
+    }
+    counts.into_iter().map(|(v, (_, count))| (v.into_value(), count)).collect()
 }
 
 /// One attribute's statistics from a scan of its `column`.

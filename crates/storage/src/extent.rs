@@ -146,20 +146,11 @@ fn element<T: Element>(v: Value) -> T {
     })
 }
 
-/// Runs `$body` with `$c` bound to the contents of `$typed`, a value of
-/// the enum `$kind` with one variant per [`DataType`]: code written once
-/// and compiled for each element type.
-macro_rules! by_type {
-    ($kind:ident, $typed:expr, $c:pat => $body:expr) => {
-        match $typed {
-            $kind::Int($c) => $body,
-            $kind::Float($c) => $body,
-            $kind::Str($c) => $body,
-            $kind::Bool($c) => $body,
-        }
-    };
+/// Writes `v` over element `i` of `column` and returns what it held.
+fn replace<T: Element>(column: &mut PagedVec<T>, i: usize, v: Value) -> Option<Value> {
+    let slot = column.get_mut(i)?;
+    Some(std::mem::replace(slot, element(v)).into_value())
 }
-pub(crate) use by_type;
 
 /// One attribute's values in its declared type (see the module docs).
 #[derive(Debug, Clone)]
@@ -172,12 +163,22 @@ pub(crate) enum ColumnVec {
 
 impl ColumnVec {
     pub(crate) fn len(&self) -> usize {
-        by_type!(ColumnVec, self, c => c.len())
+        match self {
+            ColumnVec::Int(c) => c.len(),
+            ColumnVec::Float(c) => c.len(),
+            ColumnVec::Str(c) => c.len(),
+            ColumnVec::Bool(c) => c.len(),
+        }
     }
 
     /// Element `i` as a [`Value`].
     pub(crate) fn get(&self, i: usize) -> Option<Value> {
-        by_type!(ColumnVec, self, c => c.get(i).map(Element::value))
+        match self {
+            ColumnVec::Int(c) => c.get(i).map(Element::value),
+            ColumnVec::Float(c) => c.get(i).map(Element::value),
+            ColumnVec::Str(c) => c.get(i).map(Element::value),
+            ColumnVec::Bool(c) => c.get(i).map(Element::value),
+        }
     }
 
     /// A read handle on the column.
@@ -191,20 +192,32 @@ impl ColumnVec {
     }
 
     fn push(&mut self, v: Value) {
-        by_type!(ColumnVec, self, c => c.push(element(v)))
+        match self {
+            ColumnVec::Int(c) => c.push(element(v)),
+            ColumnVec::Float(c) => c.push(element(v)),
+            ColumnVec::Str(c) => c.push(element(v)),
+            ColumnVec::Bool(c) => c.push(element(v)),
+        }
     }
 
     /// Writes `v` over element `i`, copying its page if the page is shared,
     /// and returns what it held.
     fn replace(&mut self, i: usize, v: Value) -> Option<Value> {
-        by_type!(ColumnVec, self, c => {
-            let slot = c.get_mut(i)?;
-            Some(std::mem::replace(slot, element(v)).into_value())
-        })
+        match self {
+            ColumnVec::Int(c) => replace(c, i, v),
+            ColumnVec::Float(c) => replace(c, i, v),
+            ColumnVec::Str(c) => replace(c, i, v),
+            ColumnVec::Bool(c) => replace(c, i, v),
+        }
     }
 
     fn swap_remove(&mut self, i: usize) -> Option<Value> {
-        by_type!(ColumnVec, self, c => c.swap_remove(i).map(Element::into_value))
+        match self {
+            ColumnVec::Int(c) => c.swap_remove(i).map(Element::into_value),
+            ColumnVec::Float(c) => c.swap_remove(i).map(Element::into_value),
+            ColumnVec::Str(c) => c.swap_remove(i).map(Element::into_value),
+            ColumnVec::Bool(c) => c.swap_remove(i).map(Element::into_value),
+        }
     }
 
     /// The indices of the pages that are not the same allocation in `self`
@@ -237,7 +250,12 @@ pub enum Column<'a> {
 impl<'a> Column<'a> {
     /// How many objects the column holds (its class's cardinality).
     pub fn len(&self) -> usize {
-        by_type!(Column, self, c => c.len())
+        match self {
+            Column::Int(c) => c.len(),
+            Column::Float(c) => c.len(),
+            Column::Str(c) => c.len(),
+            Column::Bool(c) => c.len(),
+        }
     }
 
     pub fn is_empty(&self) -> bool {
@@ -256,7 +274,12 @@ impl<'a> Column<'a> {
 
     /// Object `oid`'s value; `None` past the class's last object.
     pub fn get(&self, oid: ObjectId) -> Option<Value> {
-        by_type!(Column, self, c => c.get(oid).map(Element::value))
+        match self {
+            Column::Int(c) => c.get(oid).map(Element::value),
+            Column::Float(c) => c.get(oid).map(Element::value),
+            Column::Str(c) => c.get(oid).map(Element::value),
+            Column::Bool(c) => c.get(oid).map(Element::value),
+        }
     }
 
     /// Every value in object-id order: the `i`-th is `get(ObjectId(i))`.
@@ -471,7 +494,12 @@ impl Columns {
     /// them).
     pub(crate) fn push(&mut self, row: Vec<Value>) {
         for (column, v) in self.columns.iter_mut().zip(row) {
-            by_type!(GrowingColumn, column, c => c.push(element(v)));
+            match column {
+                GrowingColumn::Int(c) => c.push(element(v)),
+                GrowingColumn::Float(c) => c.push(element(v)),
+                GrowingColumn::Str(c) => c.push(element(v)),
+                GrowingColumn::Bool(c) => c.push(element(v)),
+            }
         }
         self.len += 1;
     }

@@ -13,7 +13,7 @@ use sqo_catalog::{IndexKind, Value};
 use sqo_query::{Bound, ValueSet};
 
 use crate::counts::{canonical_update, CanonicalMap};
-use crate::extent::{by_type, ColumnVec, Element};
+use crate::extent::{ColumnVec, Element};
 use crate::object::ObjectId;
 use crate::paged::PagedVec;
 use crate::valuemap::ValueMap;
@@ -66,7 +66,12 @@ impl AttrIndex {
     /// and the index share one allocation per distinct string. The column is
     /// the caller's own, not yet published, so the writes copy nothing.
     pub(crate) fn from_column(kind: IndexKind, column: &mut ColumnVec) -> Self {
-        let postings = by_type!(ColumnVec, column, c => group(c));
+        let postings = match column {
+            ColumnVec::Int(c) => group(c),
+            ColumnVec::Float(c) => group(c),
+            ColumnVec::Str(c) => group(c),
+            ColumnVec::Bool(c) => group(c),
+        };
         Self { kind, postings }
     }
 
