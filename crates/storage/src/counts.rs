@@ -41,6 +41,7 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use sqo_catalog::{AttrStats, ClassStats, Value, ValueHashState};
 
@@ -123,34 +124,36 @@ fn summarize<'a>(entries: impl Iterator<Item = (&'a Value, u64)>, rows: u64) -> 
 /// no particular order.
 type ScannedCounts = Vec<(Value, u64)>;
 
-/// A column's element → entry map that holds, beside each entry, the
-/// element the column keeps for the key: a clone of the key itself.
+/// A string column's string → entry map that holds, beside each entry, the
+/// string the column keeps for the key: a clone of the key itself.
 /// (`HashMap` has no lookup by a borrowed key that yields the stored key
 /// with its entry; taking it through `entry` costs each row a clone, two
-/// reference-count updates of a string, which at 20,000 objects per class
-/// was most of what canonicalizing added to a load.)
-pub(crate) type CanonicalMap<K, T> = HashMap<K, (K, T), ValueHashState>;
+/// reference-count updates, which at 20,000 objects per class was most of
+/// what canonicalizing added to a load.)
+pub(crate) type CanonicalMap<T> = HashMap<Arc<str>, (Arc<str>, T), ValueHashState>;
 
-/// Applies `update` to `map`'s entry for `v`, inserted as `T::default()` on
-/// a miss, and makes a string `v` canonical: a repeat becomes a clone of
-/// the string the map holds for it, so one pass over a column leaves one
-/// allocation per distinct string, shared with the map's keys. A string
-/// that already is that allocation is not written, so loading canonical
-/// input dirties nothing and touches no reference count. Elements of the
-/// other types keep their spelling (`0.0` and `-0.0` are one key).
-pub(crate) fn canonical_update<K: Element, T: Default>(
-    map: &mut CanonicalMap<K, T>,
-    v: &mut K,
+/// Applies `update` to `map`'s entry for `s`, inserted as `T::default()` on
+/// a miss, and makes `s` canonical: a repeat becomes a clone of the string
+/// the map holds for it, so one pass over a column leaves one allocation
+/// per distinct string, shared with the map's keys. A string that already
+/// is that allocation is not written, so loading canonical input dirties
+/// nothing and touches no reference count. Only strings are made
+/// canonical: an element of another type holds no allocation.
+pub(crate) fn canonical_update<T: Default>(
+    map: &mut CanonicalMap<T>,
+    s: &mut Arc<str>,
     update: impl FnOnce(&mut T),
 ) {
-    if let Some((canonical, entry)) = map.get_mut(&*v) {
-        v.share(canonical);
+    if let Some((canonical, entry)) = map.get_mut(&**s) {
+        if !Arc::ptr_eq(s, canonical) {
+            *s = Arc::clone(canonical);
+        }
         update(entry);
         return;
     }
     let mut entry = T::default();
     update(&mut entry);
-    map.insert(v.clone(), (v.clone(), entry));
+    map.insert(Arc::clone(s), (Arc::clone(s), entry));
 }
 
 /// The distinct values of `column`, each with its count: one pass keyed by
@@ -172,24 +175,16 @@ fn tally_of<T: Element>(column: &PagedVec<T>) -> ScannedCounts {
     counts.into_iter().map(|(v, count)| (v.value(), count)).collect()
 }
 
-/// [`tally`], making the column's strings canonical on the way
+/// [`tally`], making a string column's strings canonical on the way
 /// ([`canonical_update`]). For a column still owned alone — a load's — so
 /// the writes copy nothing.
 fn tally_canonical(column: &mut ColumnVec) -> ScannedCounts {
-    match column {
-        ColumnVec::Int(c) => tally_canonical_of(c),
-        ColumnVec::Float(c) => tally_canonical_of(c),
-        ColumnVec::Str(c) => tally_canonical_of(c),
-        ColumnVec::Bool(c) => tally_canonical_of(c),
+    let ColumnVec::Str(strings) = column else { return tally(column) };
+    let mut counts: CanonicalMap<u64> = HashMap::default();
+    for s in strings.iter_mut() {
+        canonical_update(&mut counts, s, |count| *count += 1);
     }
-}
-
-fn tally_canonical_of<T: Element>(column: &mut PagedVec<T>) -> ScannedCounts {
-    let mut counts: CanonicalMap<T, u64> = HashMap::default();
-    for v in column.iter_mut() {
-        canonical_update(&mut counts, v, |count| *count += 1);
-    }
-    counts.into_iter().map(|(v, (_, count))| (v.into_value(), count)).collect()
+    counts.into_iter().map(|(s, (_, count))| (Value::Str(s), count)).collect()
 }
 
 /// One attribute's statistics from a scan of its `column`.

@@ -43,10 +43,6 @@ pub(crate) trait Element: Blank + Ord + Hash {
     fn into_value(self) -> Value {
         self.value()
     }
-
-    /// Makes `self`, which equals `held`, the allocation `held` is: a
-    /// string's. An element of another type holds no allocation.
-    fn share(&mut self, _held: &Self) {}
 }
 
 impl Blank for i64 {
@@ -127,12 +123,6 @@ impl Element for Arc<str> {
 
     fn into_value(self) -> Value {
         Value::Str(self)
-    }
-
-    fn share(&mut self, held: &Self) {
-        if !Arc::ptr_eq(self, held) {
-            *self = Arc::clone(held);
-        }
     }
 }
 

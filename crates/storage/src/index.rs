@@ -8,8 +8,9 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use sqo_catalog::{IndexKind, Value};
+use sqo_catalog::{IndexKind, Value, ValueHashState};
 use sqo_query::{Bound, ValueSet};
 
 use crate::counts::{canonical_update, CanonicalMap};
@@ -26,20 +27,37 @@ pub struct AttrIndex {
     pub(crate) postings: ValueMap<Vec<ObjectId>>,
 }
 
-/// The postings of `column`: each distinct element's ascending object ids.
-fn group<T: Element>(column: &mut PagedVec<T>) -> ValueMap<Vec<ObjectId>> {
+/// The postings of a key attribute loaded in key order — nothing to group,
+/// and no two values are equal — or `None` when `column` does not ascend
+/// strictly. (An element type's order is `OrdValue`'s.)
+fn ascending<T: Element>(column: &PagedVec<T>) -> Option<ValueMap<Vec<ObjectId>>> {
     let elements = column.iter();
-    if elements.clone().zip(elements.skip(1)).all(|(a, b)| a < b) {
-        // A key attribute loaded in key order: nothing to group, and no two
-        // values are equal. (An element type's order is `OrdValue`'s.)
+    elements.clone().zip(elements.skip(1)).all(|(a, b)| a < b).then(|| {
         let entries = column.iter().zip((0..).map(ObjectId));
-        return ValueMap::from_ascending(entries.map(|(v, oid)| (v.value(), vec![oid])).collect());
-    }
-    let mut groups: CanonicalMap<T, Vec<ObjectId>> = HashMap::default();
-    for (v, oid) in column.iter_mut().zip((0..).map(ObjectId)) {
-        canonical_update(&mut groups, v, |posting| posting.push(oid));
-    }
-    groups.into_iter().map(|(v, (_, posting))| (v.into_value(), posting)).collect()
+        ValueMap::from_ascending(entries.map(|(v, oid)| (v.value(), vec![oid])).collect())
+    })
+}
+
+/// The postings of `column`: each distinct element's ascending object ids.
+fn group<T: Element>(column: &PagedVec<T>) -> ValueMap<Vec<ObjectId>> {
+    ascending(column).unwrap_or_else(|| {
+        let mut groups: HashMap<&T, Vec<ObjectId>, ValueHashState> = HashMap::default();
+        for (v, oid) in column.iter().zip((0..).map(ObjectId)) {
+            groups.entry(v).or_default().push(oid);
+        }
+        groups.into_iter().map(|(v, posting)| (v.value(), posting)).collect()
+    })
+}
+
+/// [`group`] for a string column, making its strings canonical on the way.
+fn group_strings(column: &mut PagedVec<Arc<str>>) -> ValueMap<Vec<ObjectId>> {
+    ascending(column).unwrap_or_else(|| {
+        let mut groups: CanonicalMap<Vec<ObjectId>> = HashMap::default();
+        for (s, oid) in column.iter_mut().zip((0..).map(ObjectId)) {
+            canonical_update(&mut groups, s, |posting| posting.push(oid));
+        }
+        groups.into_iter().map(|(s, (_, posting))| (Value::Str(s), posting)).collect()
+    })
 }
 
 /// The one value a closed range `[v, v]` denotes — a point probe, which both
@@ -69,7 +87,7 @@ impl AttrIndex {
         let postings = match column {
             ColumnVec::Int(c) => group(c),
             ColumnVec::Float(c) => group(c),
-            ColumnVec::Str(c) => group(c),
+            ColumnVec::Str(c) => group_strings(c),
             ColumnVec::Bool(c) => group(c),
         };
         Self { kind, postings }
