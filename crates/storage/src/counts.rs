@@ -37,7 +37,9 @@
 //! prop_incremental.rs` checks it after the load and after every batch). One
 //! caveat: `0.0` and `-0.0` are one value (`Value`'s `Eq`), and which
 //! spelling a statistic reports follows which was counted first — in
-//! object-id order for a scan and for an index's grouping alike.
+//! object-id order for a scan and for an index's grouping alike, in write
+//! order for the counts a write path keeps. So that spelling never orders
+//! the most common values, a zero breaks a count tie as `0` either way.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -57,7 +59,8 @@ const MCVS: usize = 3;
 /// `Display`'s rendering of `v` compared to that of `w`, for two values of
 /// one attribute (one type) — what ties between equally common values are
 /// broken by. Integers and strings, the bulk of any extent, compare without
-/// rendering.
+/// rendering. A zero renders as `0` whatever its sign: `0.0` and `-0.0` are
+/// one value, so the order must not depend on which spelling was counted.
 fn cmp_rendering(v: &Value, w: &Value) -> Ordering {
     fn decimal(i: i64, buf: &mut [u8; 20]) -> &[u8] {
         let mut rest = i.unsigned_abs();
@@ -81,6 +84,10 @@ fn cmp_rendering(v: &Value, w: &Value) -> Ordering {
         // Strings render inside quotes, and the closing quote sorts above a
         // space or `!`: "a" > "a b", unlike the bare strings.
         (Value::Str(a), Value::Str(b)) => a.bytes().chain([b'"']).cmp(b.bytes().chain([b'"'])),
+        (Value::Float(a), Value::Float(b)) => {
+            let render = |x: f64| if x == 0.0 { 0.0 } else { x }.to_string();
+            render(a.get()).cmp(&render(b.get()))
+        }
         _ => v.to_string().cmp(&w.to_string()),
     }
 }
@@ -419,6 +426,15 @@ mod tests {
         let floats = [Value::float(1.5).unwrap(), Value::float(-2.0).unwrap()];
         assert_eq!(cmp_rendering(&floats[0], &floats[1]), "1.5".cmp("-2"));
         assert_eq!(cmp_rendering(&Value::Bool(false), &Value::Bool(true)), Ordering::Less);
+    }
+
+    #[test]
+    fn the_spelling_of_zero_orders_no_statistic() {
+        let f = |x: f64| Value::float(x).unwrap();
+        let (minus, plus, other) = (f(-0.0), f(0.0), f(-1.5));
+        let with = |zero: &Value| summarize([(zero, 1), (&other, 1)].into_iter(), 2);
+        assert_eq!(with(&minus), with(&plus));
+        assert_eq!(with(&minus).mcvs, vec![(other.clone(), 1), (plus, 1)]);
     }
 
     #[test]
