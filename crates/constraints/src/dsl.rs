@@ -20,7 +20,7 @@ use sqo_catalog::{Catalog, ClassId, RelId, Value};
 use sqo_query::{CompOp, Predicate};
 
 use crate::error::ConstraintError;
-use crate::horn::{HornConstraint, Origin};
+use crate::horn::HornConstraint;
 
 /// Fluent builder; errors surface at [`ConstraintBuilder::build`].
 #[derive(Debug)]
@@ -30,8 +30,7 @@ pub struct ConstraintBuilder<'a> {
     antecedents: Vec<Predicate>,
     relationships: Vec<RelId>,
     consequent: Option<Predicate>,
-    extra_classes: Vec<ClassId>,
-    origin: Origin,
+    scope: Vec<ClassId>,
     errors: Vec<ConstraintError>,
 }
 
@@ -43,8 +42,7 @@ impl<'a> ConstraintBuilder<'a> {
             antecedents: Vec::new(),
             relationships: Vec::new(),
             consequent: None,
-            extra_classes: Vec::new(),
-            origin: Origin::Declared,
+            scope: Vec::new(),
             errors: Vec::new(),
         }
     }
@@ -74,16 +72,6 @@ impl<'a> ConstraintBuilder<'a> {
         self
     }
 
-    /// Antecedent join predicate (attribute-to-attribute).
-    pub fn when_join(mut self, left: &str, op: CompOp, right: &str) -> Self {
-        let l = self.attr(left);
-        let r = self.attr(right);
-        if let (Some(l), Some(r)) = (l, r) {
-            self.antecedents.push(Predicate::join(l, op, r));
-        }
-        self
-    }
-
     /// Structural requirement: the classes are correlated through `rel`.
     pub fn via(mut self, rel: &str) -> Self {
         match self.catalog.rel_id(rel) {
@@ -100,7 +88,7 @@ impl<'a> ConstraintBuilder<'a> {
     /// Membership-only class reference (c4's bare `manager(...)` atom).
     pub fn scope(mut self, class: &str) -> Self {
         match self.catalog.class_id(class) {
-            Ok(c) => self.extra_classes.push(c),
+            Ok(c) => self.scope.push(c),
             Err(e) => self.errors.push(e.into()),
         }
         self
@@ -124,12 +112,6 @@ impl<'a> ConstraintBuilder<'a> {
         self
     }
 
-    /// Marks the constraint as a Siegel-style dynamic rule.
-    pub fn dynamic(mut self) -> Self {
-        self.origin = Origin::Dynamic;
-        self
-    }
-
     pub fn build(self) -> Result<HornConstraint, ConstraintError> {
         if let Some(e) = self.errors.into_iter().next() {
             return Err(e);
@@ -143,8 +125,7 @@ impl<'a> ConstraintBuilder<'a> {
             self.antecedents,
             self.relationships,
             consequent,
-            self.extra_classes,
-            self.origin,
+            self.scope,
         )
     }
 }
@@ -200,17 +181,5 @@ mod tests {
             .then("cargo.quantity", CompOp::Gt, 0i64)
             .build()
             .is_err());
-    }
-
-    #[test]
-    fn dynamic_origin() {
-        let cat = figure21().unwrap();
-        let c = ConstraintBuilder::new(&cat, "d1")
-            .scope("cargo")
-            .then("cargo.quantity", CompOp::Ge, 0i64)
-            .dynamic()
-            .build()
-            .unwrap();
-        assert_eq!(c.origin, Origin::Dynamic);
     }
 }

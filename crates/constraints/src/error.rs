@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use sqo_catalog::CatalogError;
+use sqo_catalog::{CatalogError, ClassId};
 use sqo_query::QueryError;
 
 /// Errors raised while building or compiling semantic constraints.
@@ -16,6 +16,10 @@ pub enum ConstraintError {
     /// Antecedents are mutually contradictory: the constraint can never fire
     /// and would silently licence arbitrary conclusions.
     UnsatisfiableAntecedent,
+    /// The class set is not the strictly ascending set of every class the
+    /// predicates and relationship ends name (plus any scope classes): it
+    /// omits, repeats or misorders this class.
+    ClassSet(ClassId),
     /// Type error inside a predicate.
     TypeMismatch {
         context: String,
@@ -32,6 +36,9 @@ impl fmt::Display for ConstraintError {
             }
             ConstraintError::UnsatisfiableAntecedent => {
                 write!(f, "constraint antecedents are mutually contradictory")
+            }
+            ConstraintError::ClassSet(class) => {
+                write!(f, "constraint class set omits, repeats or misorders class {class}")
             }
             ConstraintError::TypeMismatch { context } => {
                 write!(f, "type mismatch: {context}")

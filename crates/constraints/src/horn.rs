@@ -47,16 +47,6 @@ pub enum ConstraintClass {
     Inter,
 }
 
-/// Where a constraint came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Origin {
-    /// Declared integrity constraint (always true of the database).
-    Declared,
-    /// Siegel-style rule reflecting only the *current* database state; kept
-    /// separate so callers can invalidate them on update (§1 discussion).
-    Dynamic,
-}
-
 /// A validated Horn-clause constraint over a catalog.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HornConstraint {
@@ -70,50 +60,56 @@ pub struct HornConstraint {
     pub consequent: Predicate,
     /// Classes referenced anywhere in the constraint (sorted, deduped).
     pub classes: Vec<ClassId>,
-    pub origin: Origin,
 }
 
 impl HornConstraint {
-    /// Builds and validates a constraint. The class set is *computed*: union
-    /// of predicate classes, relationship endpoints and `extra_classes`
-    /// (membership-only references like c4's `manager`).
+    /// Builds and validates a constraint, the one way to make one. The class
+    /// set is *computed*: union of predicate classes, relationship
+    /// endpoints and `scope` (membership-only references,
+    /// [`ConstraintBuilder::scope`](crate::ConstraintBuilder::scope)).
     pub fn new(
         catalog: &Catalog,
         name: impl Into<String>,
         antecedents: Vec<Predicate>,
         relationships: Vec<RelId>,
         consequent: Predicate,
-        extra_classes: Vec<ClassId>,
-        origin: Origin,
+        scope: Vec<ClassId>,
     ) -> Result<Self, ConstraintError> {
-        let mut classes: Vec<ClassId> = Vec::new();
-        let add = |cs: Vec<ClassId>, classes: &mut Vec<ClassId>| {
-            for c in cs {
-                if !classes.contains(&c) {
-                    classes.push(c);
-                }
-            }
-        };
-        for p in antecedents.iter().chain(std::iter::once(&consequent)) {
-            check_predicate_types(catalog, p)?;
-            add(p.classes(), &mut classes);
-        }
-        for &r in &relationships {
-            let def = catalog.relationship(r)?;
-            let (a, b) = def.classes();
-            add(vec![a, b], &mut classes);
-        }
-        add(extra_classes, &mut classes);
-        classes.sort_unstable();
+        let mut c =
+            Self { name: name.into(), antecedents, relationships, consequent, classes: scope };
+        c.classes.extend(c.named_classes(catalog)?);
+        c.classes.sort_unstable();
+        c.classes.dedup();
+        c.check(catalog)?;
+        Ok(c)
+    }
 
-        // Reject degenerate clauses early.
-        for a in &antecedents {
-            if a.implies(&consequent) {
+    /// The one validation every constraint passes, whether
+    /// [`HornConstraint::new`] builds it or a
+    /// [`ConstraintStore`](crate::ConstraintStore) files it:
+    /// every id resolves in `catalog`, every literal has its attribute's
+    /// type, the class set is strictly ascending and holds every class a
+    /// predicate or relationship end names, and the clause is not
+    /// degenerate (no antecedent implies the consequent, no two antecedents
+    /// contradict).
+    pub(crate) fn check(&self, catalog: &Catalog) -> Result<(), ConstraintError> {
+        for &class in &self.classes {
+            catalog.class(class)?;
+        }
+        let named = self.named_classes(catalog)?;
+        if let Some(w) = self.classes.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(ConstraintError::ClassSet(w[1]));
+        }
+        if let Some(&class) = named.iter().find(|c| self.classes.binary_search(c).is_err()) {
+            return Err(ConstraintError::ClassSet(class));
+        }
+        for a in &self.antecedents {
+            if a.implies(&self.consequent) {
                 return Err(ConstraintError::Tautology);
             }
         }
-        for (i, a) in antecedents.iter().enumerate() {
-            for b in &antecedents[i + 1..] {
+        for (i, a) in self.antecedents.iter().enumerate() {
+            for b in &self.antecedents[i + 1..] {
                 if let (Predicate::Sel(x), Predicate::Sel(y)) = (a, b) {
                     if x.contradicts(y) {
                         return Err(ConstraintError::UnsatisfiableAntecedent);
@@ -121,8 +117,29 @@ impl HornConstraint {
                 }
             }
         }
+        Ok(())
+    }
 
-        Ok(Self { name: name.into(), antecedents, relationships, consequent, classes, origin })
+    /// The classes the predicates and relationship ends name, each
+    /// predicate type-checked and each relationship resolved on the way.
+    fn named_classes(&self, catalog: &Catalog) -> Result<Vec<ClassId>, ConstraintError> {
+        let mut named = Vec::new();
+        for &r in &self.relationships {
+            let (a, b) = catalog.relationship(r)?.classes();
+            named.extend([a, b]);
+        }
+        for p in self.antecedents.iter().chain([&self.consequent]) {
+            check_predicate_types(catalog, p)?;
+            named.extend(p.classes());
+        }
+        Ok(named)
+    }
+
+    /// The classes of the class set that no predicate or relationship end
+    /// names: what [`HornConstraint::new`] takes as `scope` to rebuild it.
+    pub fn scope_classes(&self, catalog: &Catalog) -> Vec<ClassId> {
+        let named = self.named_classes(catalog).unwrap_or_default();
+        self.classes.iter().copied().filter(|c| !named.contains(c)).collect()
     }
 
     /// Intra iff exactly one class is referenced (§3.2).
@@ -145,10 +162,7 @@ impl HornConstraint {
 
 /// Every attribute `p` names resolves in `catalog`, and the two sides of a
 /// comparison have one type.
-pub(crate) fn check_predicate_types(
-    catalog: &Catalog,
-    p: &Predicate,
-) -> Result<(), ConstraintError> {
+fn check_predicate_types(catalog: &Catalog, p: &Predicate) -> Result<(), ConstraintError> {
     match p {
         Predicate::Sel(s) => {
             let ty = catalog.attr_type(s.attr)?;
@@ -236,7 +250,6 @@ mod tests {
             vec![cat.rel_id("collects").unwrap()],
             Predicate::sel(cat.attr_ref("cargo", "desc").unwrap(), CompOp::Eq, "frozen food"),
             vec![],
-            Origin::Declared,
         )
         .unwrap()
     }
@@ -266,7 +279,6 @@ mod tests {
                 "research staff member",
             ),
             vec![],
-            Origin::Declared,
         )
         .unwrap();
         assert_eq!(c4.classification(), ConstraintClass::Intra);
@@ -293,8 +305,7 @@ mod tests {
     fn tautologies_rejected() {
         let cat = figure21().unwrap();
         let p = Predicate::sel(cat.attr_ref("cargo", "desc").unwrap(), CompOp::Eq, "frozen food");
-        let err =
-            HornConstraint::new(&cat, "t", vec![p.clone()], vec![], p, vec![], Origin::Declared);
+        let err = HornConstraint::new(&cat, "t", vec![p.clone()], vec![], p, vec![]);
         assert_eq!(err.unwrap_err(), ConstraintError::Tautology);
     }
 
@@ -309,7 +320,6 @@ mod tests {
             vec![],
             Predicate::sel(qty, CompOp::Gt, 10i64),
             vec![],
-            Origin::Declared,
         );
         assert_eq!(err.unwrap_err(), ConstraintError::Tautology);
     }
@@ -328,7 +338,6 @@ mod tests {
             vec![],
             Predicate::sel(cat.attr_ref("cargo", "quantity").unwrap(), CompOp::Gt, 0i64),
             vec![],
-            Origin::Declared,
         );
         assert_eq!(err.unwrap_err(), ConstraintError::UnsatisfiableAntecedent);
     }
@@ -343,7 +352,6 @@ mod tests {
             vec![],
             Predicate::sel(cat.attr_ref("cargo", "quantity").unwrap(), CompOp::Eq, "lots"),
             vec![],
-            Origin::Declared,
         );
         assert!(matches!(err, Err(ConstraintError::TypeMismatch { .. })));
     }

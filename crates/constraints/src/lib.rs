@@ -44,7 +44,7 @@ mod store;
 pub use dsl::ConstraintBuilder;
 pub use error::ConstraintError;
 pub use examples::figure22;
-pub use horn::{ConstraintClass, ConstraintDisplay, ConstraintId, HornConstraint, Origin};
+pub use horn::{ConstraintClass, ConstraintDisplay, ConstraintId, HornConstraint};
 pub use index::{ConstraintIndex, RetrievalScratch};
 pub use pool::{PredId, PredicatePool};
 pub use store::{ConstraintStore, Filed, StoreOptions, StoreVersion};

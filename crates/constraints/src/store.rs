@@ -16,7 +16,7 @@ use sqo_query::sync::{Counter, Epoch};
 use sqo_query::Query;
 
 use crate::error::ConstraintError;
-use crate::horn::{check_predicate_types, ConstraintClass, ConstraintId, HornConstraint, Origin};
+use crate::horn::{ConstraintClass, ConstraintId, HornConstraint};
 use crate::index::{ConstraintIndex, RetrievalScratch};
 use crate::pool::{PredId, PredicatePool};
 
@@ -38,8 +38,7 @@ impl StoreOptions {
 ///
 /// Epochs alone are **not** an identity: a copy-on-write successor starts
 /// at `source.epoch() + 1`, a value the source can independently reach via
-/// [`ConstraintStore::note_statistics_change`] /
-/// [`ConstraintStore::insert_constraint`] — two stores with different
+/// [`ConstraintStore::note_statistics_change`] — two stores with different
 /// constraint sets then share an epoch, and an epoch-keyed plan cache can
 /// serve a rewrite derived under the wrong constraints. Pairing the epoch
 /// with a generation drawn from a process-global allocator makes collisions
@@ -125,34 +124,19 @@ pub struct ConstraintStore {
     generation: u64,
 }
 
-/// A constraint built against a different catalog, or decoded from a
-/// snapshot, can name a class or a relationship this store has no posting
-/// list for, or an attribute the catalog does not declare, or compare an
-/// attribute with a literal of another type.
-fn check_catalog(catalog: &Catalog, c: &HornConstraint) -> Result<(), ConstraintError> {
-    for &class in &c.classes {
-        catalog.class(class)?;
-    }
-    for &rel in &c.relationships {
-        catalog.relationship(rel)?;
-    }
-    for p in c.antecedents.iter().chain([&c.consequent]) {
-        check_predicate_types(catalog, p)?;
-    }
-    Ok(())
-}
-
 impl ConstraintStore {
-    /// Builds the store: checks every constraint against the catalog, then
-    /// files them in input order. Nothing is derived: a chain of
-    /// constraints fires through the transformation table's fixpoint.
+    /// Builds the store: runs [`HornConstraint::new`]'s check on every
+    /// constraint (it may have been built against another catalog, or as a
+    /// struct literal), then files them in input order. Nothing is
+    /// derived: a chain of constraints fires through the transformation
+    /// table's fixpoint.
     pub fn build(
         catalog: Arc<Catalog>,
         constraints: Vec<HornConstraint>,
         _options: StoreOptions,
     ) -> Result<Self, ConstraintError> {
         for c in &constraints {
-            check_catalog(&catalog, c)?;
+            c.check(&catalog)?;
         }
         let mut store = Self {
             index: ConstraintIndex::new(catalog.class_count(), catalog.relationship_count()),
@@ -198,52 +182,31 @@ impl ConstraintStore {
     }
 
     /// Raises the epoch to at least `floor` (monotone; never lowers it).
-    /// Used when a rebuilt store replaces an older one so that epoch
-    /// *sequences* keep increasing across the swap for readability — cache
-    /// identity does not depend on it (the rebuilt store already has its own
-    /// generation, so its versions can never collide with the old store's).
+    /// A decoded store is raised to its saved epoch, and a store swapped in
+    /// for another one past the old store's epoch, so that epoch
+    /// *sequences* keep increasing for readability — cache identity does
+    /// not depend on it (each store has its own generation, so its versions
+    /// can never collide with another store's).
     pub fn raise_epoch_to(&self, floor: u64) {
         self.epoch.raise(floor);
     }
 
-    /// Raises the epoch strictly past `other`'s current epoch (a store
-    /// swapped in for `other` keeps the epoch sequence increasing).
-    pub fn raise_epoch_above(&self, other: &ConstraintStore) {
-        self.raise_epoch_to(other.epoch().saturating_add(1));
-    }
-
-    /// Appends one constraint to the store in place, indexing it and
-    /// bumping the epoch. A constraint naming a class, relationship or
-    /// attribute outside this store's catalog, or a literal of the wrong
-    /// type, is refused and the store is left as it was. The constraint is
-    /// filed as [`Origin::Dynamic`]: it holds of the state it was added to.
-    pub fn insert_constraint(
-        &mut self,
-        mut constraint: HornConstraint,
-    ) -> Result<ConstraintId, ConstraintError> {
-        check_catalog(&self.catalog, &constraint)?;
-        constraint.origin = Origin::Dynamic;
-        let id = self.file(constraint);
-        self.epoch.bump();
-        Ok(id)
-    }
-
     /// A new store equal to this one plus `constraint`, at exactly one epoch
-    /// past this store's, and the id the constraint received in it. The
-    /// copy-on-write companion of [`ConstraintStore::insert_constraint`] for
-    /// stores shared behind an `Arc` (the serving layer swaps the new store
-    /// in while in-flight queries drain against the old one, and combines
-    /// the id with [`ConstraintStore::touched_classes`] to invalidate only
-    /// the cache entries whose class set overlaps the new constraint's).
+    /// past this store's, and the id the constraint received in it: the one
+    /// way a store grows. A constraint [`HornConstraint::new`]'s check
+    /// refuses is a typed error and leaves this store as it was. Stores are
+    /// shared behind an `Arc`: the serving layer swaps the new store in
+    /// while in-flight queries drain against the old one, and combines the
+    /// id with [`ConstraintStore::touched_classes`] to invalidate only the
+    /// cache entries whose class set overlaps the new constraint's.
     ///
     /// The copy is **incremental**: the constraints, the index and the
     /// pool are cloned as-is and only the new constraint is filed.
     pub fn with_constraint(
         &self,
-        mut constraint: HornConstraint,
+        constraint: HornConstraint,
     ) -> Result<(Self, ConstraintId), ConstraintError> {
-        check_catalog(&self.catalog, &constraint)?;
-        constraint.origin = Origin::Dynamic;
+        constraint.check(&self.catalog)?;
         let mut store = Self {
             catalog: Arc::clone(&self.catalog),
             constraints: self.constraints.clone(),
@@ -260,9 +223,10 @@ impl ConstraintStore {
         Ok((store, id))
     }
 
-    /// The one filing step of [`ConstraintStore::build`] and both ways of
-    /// adding: index the (checked) constraint, intern its predicates into
-    /// the store's pool, and append it.
+    /// The one filing step of [`ConstraintStore::build`] and
+    /// [`ConstraintStore::with_constraint`]: index the (checked)
+    /// constraint, intern its predicates into the store's pool, and append
+    /// it.
     fn file(&mut self, constraint: HornConstraint) -> ConstraintId {
         let id = ConstraintId(self.constraints.len() as u32);
         self.index.insert(id, &constraint);
@@ -418,7 +382,7 @@ mod tests {
 
     #[test]
     fn epoch_starts_at_zero_and_bumps_on_changes() {
-        let (_, mut store) = setup();
+        let (_, store) = setup();
         assert_eq!(store.epoch(), 0);
         assert_eq!(store.note_statistics_change(), 1);
         assert_eq!(store.epoch(), 1);
@@ -427,11 +391,11 @@ mod tests {
         assert_eq!(store.epoch(), 1);
         let extra = store.constraint(ConstraintId(0)).clone();
         let before = store.len();
-        let id = store.insert_constraint(extra).unwrap();
-        assert_eq!(store.epoch(), 2);
-        assert_eq!(store.len(), before + 1);
+        let (bigger, id) = store.with_constraint(extra).unwrap();
+        assert_eq!(bigger.epoch(), 2);
+        assert_eq!(bigger.len(), before + 1);
         assert_eq!(id.index(), before);
-        assert_eq!(store.index().len(), store.len(), "the inserted constraint is indexed");
+        assert_eq!(bigger.index().len(), bigger.len(), "the added constraint is indexed");
     }
 
     #[test]
@@ -475,17 +439,13 @@ mod tests {
 
     #[test]
     fn touched_classes_come_from_the_index_postings() {
-        let (catalog, mut store) = setup();
+        let (catalog, store) = setup();
         // c1 relates vehicles and the cargo they collect.
         let cargo = catalog.class_id("cargo").unwrap();
         let vehicle = catalog.class_id("vehicle").unwrap();
         let c1 = store.constraint(ConstraintId(0)).clone();
-        // Via the COW path.
         let (bigger, id) = store.with_constraint(c1.clone()).unwrap();
-        assert_eq!(bigger.touched_classes(id), c1.classes);
-        // Via the in-place path.
-        let id = store.insert_constraint(c1.clone()).unwrap();
-        let touched = store.touched_classes(id);
+        let touched = bigger.touched_classes(id);
         assert_eq!(touched, c1.classes);
         assert!(touched.contains(&cargo) && touched.contains(&vehicle), "{touched:?}");
         // The invariant touched_classes relies on, for every constraint and
@@ -507,7 +467,7 @@ mod tests {
     #[test]
     fn foreign_catalog_constraint_is_a_typed_error() {
         use sqo_catalog::{CatalogError, RelId};
-        let (catalog, mut store) = setup();
+        let (catalog, store) = setup();
         let c1 = store.constraint(ConstraintId(0)).clone();
         // As if validated against a larger catalog: a class, then a
         // relationship, this store has no posting list for.
@@ -521,8 +481,6 @@ mod tests {
         let rel_err = ConstraintError::Catalog(CatalogError::UnknownRelId(far_rel));
 
         let (len, version) = (store.len(), store.version());
-        assert_eq!(store.insert_constraint(bad_class.clone()).unwrap_err(), class_err);
-        assert_eq!(store.insert_constraint(bad_rel.clone()).unwrap_err(), rel_err);
         assert_eq!(store.with_constraint(bad_class.clone()).unwrap_err(), class_err);
         assert_eq!(store.with_constraint(bad_rel.clone()).unwrap_err(), rel_err);
         assert_eq!(
@@ -541,16 +499,62 @@ mod tests {
         }
     }
 
+    /// The class set is checked, not trusted. `⊤ → cargo.quantity >= 0`
+    /// stated over `{vehicle}` alone would be retrieved for a vehicle-only
+    /// query and add a predicate on a class the query does not name.
+    #[test]
+    fn a_class_set_that_omits_a_named_class_is_refused() {
+        use crate::dsl::ConstraintBuilder;
+        let (catalog, store) = setup();
+        let cargo = catalog.class_id("cargo").unwrap();
+        let vehicle = catalog.class_id("vehicle").unwrap();
+        let mut c = ConstraintBuilder::new(&catalog, "x")
+            .scope("vehicle")
+            .then("cargo.quantity", CompOp::Ge, 0i64)
+            .build()
+            .unwrap();
+        assert_eq!(c.classes, vec![cargo.min(vehicle), cargo.max(vehicle)]);
+        let build = |c: &HornConstraint| {
+            ConstraintStore::build(
+                Arc::clone(&catalog),
+                vec![c.clone()],
+                StoreOptions::paper_defaults(),
+            )
+            .unwrap_err()
+        };
+        let cases = [
+            (vec![vehicle], cargo),
+            (vec![cargo, cargo, vehicle], cargo),
+            (vec![cargo.max(vehicle), cargo.min(vehicle)], cargo.min(vehicle)),
+        ];
+        for (classes, at) in cases {
+            c.classes = classes;
+            assert_eq!(
+                store.with_constraint(c.clone()).unwrap_err(),
+                ConstraintError::ClassSet(at)
+            );
+            assert_eq!(build(&c), ConstraintError::ClassSet(at));
+        }
+        // `new`'s other checks run on a filed constraint too.
+        let mut tautology = store.constraint(ConstraintId(0)).clone();
+        tautology.antecedents.push(tautology.consequent.clone());
+        assert_eq!(
+            store.with_constraint(tautology.clone()).unwrap_err(),
+            ConstraintError::Tautology
+        );
+        assert_eq!(build(&tautology), ConstraintError::Tautology);
+    }
+
     #[test]
     fn inserted_constraint_participates_in_retrieval() {
-        let (catalog, mut store) = setup();
+        let (catalog, store) = setup();
         let q = figure23_query(&catalog);
         let before = store.relevant_for(&q).len();
-        // Re-inserting a relevant constraint must surface the new copy.
+        // Adding a copy of a relevant constraint must surface the new copy.
         let names: Vec<String> = store.constraints().map(|(_, c)| c.name.clone()).collect();
         let c1_pos = names.iter().position(|n| n == "c1").expect("c1 exists");
         let dup = store.constraint(ConstraintId(c1_pos as u32)).clone();
-        store.insert_constraint(dup).unwrap();
+        let store = store.with_constraint(dup).unwrap().0;
         let after = store.relevant_for(&q).len();
         assert_eq!(after, before + 1);
     }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use sqo_baseline::{AssignmentPolicy, ConstraintGroups};
 use sqo_catalog::{AttributeDef, Catalog, ClassId, DataType, RelId};
-use sqo_constraints::{ConstraintStore, HornConstraint, Origin, RetrievalScratch, StoreOptions};
+use sqo_constraints::{ConstraintStore, HornConstraint, RetrievalScratch, StoreOptions};
 use sqo_query::{CompOp, Predicate, Query};
 
 const CLASSES: usize = 6;
@@ -78,7 +78,6 @@ fn materialize(catalog: &Catalog, raw: &RawConstraint) -> Option<HornConstraint>
         raw.rels.iter().map(|&r| RelId(r as u32)).collect(),
         pred(&raw.consequent),
         vec![],
-        Origin::Declared,
     )
     .ok()
 }
@@ -142,8 +141,9 @@ proptest! {
         }
     }
 
-    /// The index stays exact across in-place inserts and copy-on-write
-    /// copies (the serving layer's constraint-update path).
+    /// The index stays exact across copy-on-write copies (the serving
+    /// layer's constraint-update path), and a chain of copies retrieves
+    /// what one build over the same constraints does.
     #[test]
     fn index_survives_inserts_and_cow_copies(
         base in proptest::collection::vec(raw_constraint(), 0..8),
@@ -153,29 +153,26 @@ proptest! {
         let catalog = catalog();
         let constraints: Vec<HornConstraint> =
             base.iter().filter_map(|r| materialize(&catalog, r)).collect();
-        let mut store = ConstraintStore::build(
-            Arc::clone(&catalog),
-            constraints,
-            StoreOptions::paper_defaults(),
-        ).unwrap();
         let seeds: Vec<HornConstraint> =
             extra.iter().filter_map(|r| materialize(&catalog, r)).collect();
         prop_assume!(!seeds.is_empty());
-        // Keep the in-place store and the copy-on-write chain in lockstep.
-        store.insert_constraint(seeds[0].clone()).unwrap();
         let mut cow = ConstraintStore::build(
             Arc::clone(&catalog),
-            base.iter().filter_map(|r| materialize(&catalog, r)).collect(),
+            constraints.clone(),
             StoreOptions::paper_defaults(),
-        ).unwrap().with_constraint(seeds[0].clone()).unwrap().0;
-        for c in &seeds[1..] {
-            store.insert_constraint(c.clone()).unwrap();
+        ).unwrap();
+        for c in &seeds {
             cow = cow.with_constraint(c.clone()).unwrap().0;
         }
+        let built = ConstraintStore::build(
+            Arc::clone(&catalog),
+            constraints.into_iter().chain(seeds).collect(),
+            StoreOptions::paper_defaults(),
+        ).unwrap();
         for (classes, rels) in &probes {
             let q = probe(classes, rels);
-            assert_equivalent(&store, &q);
             assert_equivalent(&cow, &q);
+            assert_eq!(cow.relevant_for(&q), built.relevant_for(&q));
         }
     }
 }

@@ -741,8 +741,8 @@ mod tests {
         assert_eq!(a.render(catalog, store_a), b.render(catalog, store_b));
     }
 
-    /// A store that gained constraints in place or by copy files them into
-    /// its pool as a store built from the same list at once does: every
+    /// A store that gained constraints by copy files them into its pool as
+    /// a store built from the same list at once does: every
     /// table is the same, before and after the fixpoint.
     #[test]
     fn grown_stores_build_the_tables_of_a_fresh_store() {
@@ -761,9 +761,9 @@ mod tests {
             .then("cargo.quantity", CompOp::Gt, 10i64)
             .build()
             .unwrap();
-        let (mut grown, _) = grown.with_constraint(extra).unwrap();
+        let (grown, _) = grown.with_constraint(extra).unwrap();
         let c1 = grown.constraint(ConstraintId(0)).clone();
-        grown.insert_constraint(c1).unwrap();
+        let (grown, _) = grown.with_constraint(c1).unwrap();
         let fresh = ConstraintStore::build(
             Arc::clone(&catalog),
             grown.constraints().map(|(_, c)| c.clone()).collect(),

@@ -243,13 +243,6 @@ impl Predicate {
         }
     }
 
-    pub fn as_sel(&self) -> Option<&SelPredicate> {
-        match self {
-            Predicate::Sel(p) => Some(p),
-            _ => None,
-        }
-    }
-
     pub fn as_join(&self) -> Option<&JoinPredicate> {
         match self {
             Predicate::Join(p) => Some(p),

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use sqo_catalog::{Catalog, ClassId, RelId};
 use sqo_constraints::{
-    ConstraintError, ConstraintStore, HornConstraint, Origin, StoreOptions, StoreVersion,
+    ConstraintError, ConstraintStore, HornConstraint, StoreOptions, StoreVersion,
 };
 use sqo_exec::ExecError;
 use sqo_query::{Query, QueryError, QueryFingerprint};
@@ -31,13 +31,15 @@ pub fn encode_constraints(store: &ConstraintStore) -> Vec<u8> {
     w.u64(store.epoch());
     w.u32(store.len() as u32);
     for (_, c) in store.constraints() {
-        write_constraint(&mut w, c);
+        write_constraint(&mut w, c, store.catalog());
     }
     w.finish()
 }
 
-/// One constraint as the CONSTRAINTS section lays it out.
-fn write_constraint(w: &mut ByteWriter, c: &HornConstraint) {
+/// One constraint as the CONSTRAINTS section lays it out: the arguments
+/// [`HornConstraint::new`] takes to rebuild it, its scope classes the only
+/// part of its class set the predicates and relationships do not state.
+fn write_constraint(w: &mut ByteWriter, c: &HornConstraint, catalog: &Catalog) {
     w.str(&c.name);
     w.u32(c.antecedents.len() as u32);
     for p in &c.antecedents {
@@ -48,27 +50,24 @@ fn write_constraint(w: &mut ByteWriter, c: &HornConstraint) {
         w.u32(r.0);
     }
     write_predicate(w, &c.consequent);
-    w.u32(c.classes.len() as u32);
-    for cl in &c.classes {
-        w.u32(cl.0);
+    let scope = c.scope_classes(catalog);
+    w.u32(scope.len() as u32);
+    for class in scope {
+        w.u32(class.0);
     }
-    // Tag 1 (a closure-derived constraint in older versions) is never
-    // written: a load refuses it.
-    w.u8(if c.origin == Origin::Dynamic { 2 } else { 0 });
 }
 
 /// Decodes the CONSTRAINTS section payload into the store it describes:
-/// [`ConstraintStore::build`] over the constraints (Declared and Dynamic,
-/// in file order), at the saved epoch with a fresh process-local
+/// each entry rebuilt by [`HornConstraint::new`], so a file states no
+/// constraint a caller could not build, then [`ConstraintStore::build`]
+/// over them in file order, at the saved epoch with a fresh process-local
 /// generation. The store holds exactly the constraints the file states.
-/// Building it resolves every class, relationship and attribute the
-/// constraints name, the same check a live `add_constraint` passes.
 ///
 /// # Errors
-/// [`LoadError::Malformed`] on structural damage (an origin tag other than
-/// Declared or Dynamic included), an epoch at or above [`sqo_snapshot::EPOCH_LIMIT`] (from
-/// which a store could not keep advancing) or a literal of the wrong type;
-/// [`LoadError::UnsortedPosting`] for a class list out of order;
+/// [`LoadError::Malformed`] on structural damage, an epoch at or above
+/// [`sqo_snapshot::EPOCH_LIMIT`] (from which a store could not keep
+/// advancing), or a constraint `new` refuses (a literal of the wrong type,
+/// an antecedent that implies the consequent, contradictory antecedents);
 /// [`LoadError::DanglingReference`] for an id the catalog does not
 /// resolve.
 pub fn decode_constraints(
@@ -89,44 +88,32 @@ pub fn decode_constraints(
             relationships.push(RelId(r.u32()?));
         }
         let consequent = read_predicate(&mut r)?;
-        let mut classes = Vec::new();
+        let mut scope = Vec::new();
         for _ in 0..r.count()? {
-            let class = ClassId(r.u32()?);
-            if classes.last().is_some_and(|prev| *prev >= class) {
-                return Err(LoadError::UnsortedPosting {
-                    section: "CONSTRAINTS",
-                    detail: format!("constraint {name:?} class list is not strictly ascending"),
-                });
-            }
-            classes.push(class);
+            scope.push(ClassId(r.u32()?));
         }
-        let origin = match r.u8()? {
-            0 => Origin::Declared,
-            2 => Origin::Dynamic,
-            t => return Err(r.malformed(format!("unknown origin tag {t}"))),
-        };
-        stated.push(HornConstraint {
-            name,
-            antecedents,
-            relationships,
-            consequent,
-            classes,
-            origin,
-        });
+        let c = HornConstraint::new(&catalog, name, antecedents, relationships, consequent, scope)
+            .map_err(refused_constraint)?;
+        stated.push(c);
     }
     r.expect_exhausted()?;
-    let store =
-        ConstraintStore::build(catalog, stated, StoreOptions::paper_defaults()).map_err(|e| {
-            let detail = format!("store compilation rejected the snapshot: {e}");
-            match e {
-                ConstraintError::Catalog(_) => {
-                    LoadError::DanglingReference { section: "CONSTRAINTS", detail }
-                }
-                _ => LoadError::Malformed { section: "CONSTRAINTS", detail },
-            }
-        })?;
+    let store = ConstraintStore::build(catalog, stated, StoreOptions::paper_defaults())
+        .map_err(refused_constraint)?;
     store.raise_epoch_to(epoch);
     Ok(store)
+}
+
+/// The load error for a stated constraint the constraint check refuses:
+/// [`LoadError::DanglingReference`] when it names an id the catalog does
+/// not resolve, [`LoadError::Malformed`] otherwise.
+fn refused_constraint(e: ConstraintError) -> LoadError {
+    let detail = format!("a stated constraint does not build: {e}");
+    match e {
+        ConstraintError::Catalog(_) => {
+            LoadError::DanglingReference { section: "CONSTRAINTS", detail }
+        }
+        _ => LoadError::Malformed { section: "CONSTRAINTS", detail },
+    }
 }
 
 /// Encodes the QUERIES section payload from a cache dump: the canonical

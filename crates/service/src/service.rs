@@ -419,7 +419,7 @@ impl QueryService {
         let mut writing = self.writer.lock(&mut held);
         let held = writing.split().1;
         let old = Arc::clone(&self.store.read(held));
-        next.raise_epoch_above(&old);
+        next.raise_epoch_to(old.epoch().saturating_add(1));
         let version = next.version();
         *self.store.write(held) = next;
         self.cache.purge_stale(held, version);
@@ -951,6 +951,44 @@ mod tests {
         // The writer lock was released: the next add goes through.
         let dup = overlapping_dup(&service, &queries[2]);
         assert!(service.add_constraint(dup).unwrap() > version.epoch());
+    }
+
+    /// `⊤ → cargo.key >= 0` holds of DB1, but stated over `{vehicle}` alone
+    /// it would be retrieved for vehicle-only queries and add a `cargo`
+    /// predicate the formulated query cannot validate. The store build and
+    /// `add_constraint` both refuse its class set, and a vehicle-only query
+    /// answers.
+    #[test]
+    fn a_class_set_that_omits_a_named_class_is_refused() {
+        let (service, _) = service();
+        let (store, version) = (service.store(), service.store_version());
+        let catalog = Arc::clone(store.catalog());
+        let cargo = catalog.class_id("cargo").unwrap();
+        let bad = sqo_constraints::HornConstraint {
+            name: "unlisted".into(),
+            antecedents: vec![],
+            relationships: vec![],
+            consequent: sqo_query::Predicate::sel(
+                catalog.attr_ref("cargo", "key").unwrap(),
+                sqo_query::CompOp::Ge,
+                0i64,
+            ),
+            classes: vec![catalog.class_id("vehicle").unwrap()],
+        };
+        let want = ConstraintError::ClassSet(cargo);
+        let mut stated: Vec<_> = store.constraints().map(|(_, c)| c.clone()).collect();
+        stated.push(bad.clone());
+        let options = sqo_constraints::StoreOptions::paper_defaults();
+        let built = ConstraintStore::build(Arc::clone(&catalog), stated, options);
+        assert_eq!(built.unwrap_err(), want);
+        assert_eq!(service.add_constraint(bad).unwrap_err(), ServiceError::Constraint(want));
+        assert_eq!(service.store_version(), version);
+        let vehicle_only = sqo_query::QueryBuilder::new(&catalog)
+            .select("vehicle.a2")
+            .filter("vehicle.a3", sqo_query::CompOp::Ge, 0i64)
+            .build()
+            .unwrap();
+        service.run(&vehicle_only).unwrap();
     }
 
     /// A constraint whose consequent names an attribute the class does not

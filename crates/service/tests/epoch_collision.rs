@@ -3,8 +3,8 @@
 //! Under the pre-fix scheme, cache identity was the bare constraint-store
 //! **epoch**: `with_constraint` stamped a copy-on-write successor with
 //! `source.epoch() + 1`, a value the source store could independently reach
-//! through `note_statistics_change` / `insert_constraint`. Two stores with
-//! different constraint sets then shared an epoch, and the service's
+//! through `note_statistics_change`. Two stores with different constraint
+//! sets then shared an epoch, and the service's
 //! `(fingerprint, epoch)` cache could serve a plan derived under the wrong
 //! constraints after a store swap. Likewise, `purge_stale` retained every
 //! entry with `epoch >= floor`, keeping *future*-epoch strays stamped by a

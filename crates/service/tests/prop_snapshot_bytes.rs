@@ -3,6 +3,8 @@
 //! [`LoadError`], and never unwinds. What it admits, it serves: a service
 //! loaded from a damaged file answers the base snapshot's queries and
 //! takes a write with responses or typed errors, never by unwinding.
+//! Every file that loads after damage to CONSTRAINTS holds only
+//! constraints `HornConstraint::new` rebuilds equal.
 //! Damage to the QUERIES section never changes an answer: whatever queries
 //! it decodes to are derived afresh at boot (so the optimizer and planner
 //! run on them here, under `catch_unwind`), and every base query answers
@@ -23,12 +25,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
+use sqo_constraints::HornConstraint;
 use sqo_exec::ResultSet;
 use sqo_query::Query;
 use sqo_service::{QueryService, ServiceConfig};
 use sqo_snapshot::{
-    section_name, LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel, SEC_INDEXES,
-    SEC_QUERIES,
+    section_name, LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel, SEC_CONSTRAINTS,
+    SEC_INDEXES, SEC_QUERIES,
 };
 use sqo_storage::DataWrite;
 use sqo_workload::{copyable_rels, dup_insert, dup_safe_classes, paper_scenario, DbSize};
@@ -203,7 +206,11 @@ fn apply_aimed(entries: &mut Entries, aimed: &Aimed) {
 /// Loads `bytes` and has a service it loads answer the base queries and
 /// the write; fails the test if anything unwinds. With `exact`, every base
 /// query must answer what the undamaged service answers.
-fn load_is_total(bytes: &[u8], exact: bool, what: &dyn Fn() -> String) -> Result<(), LoadError> {
+fn load_is_total(
+    bytes: &[u8],
+    exact: bool,
+    what: &dyn Fn() -> String,
+) -> Result<QueryService, LoadError> {
     let loaded = catch_unwind(|| {
         QueryService::from_snapshot_bytes(
             bytes,
@@ -228,14 +235,15 @@ fn load_is_total(bytes: &[u8], exact: bool, what: &dyn Fn() -> String) -> Result
             panic!("serving a loaded file unwound or answered wrong on {}", what())
         });
     }
-    loaded.map(drop)
+    loaded
 }
 
 /// The undamaged base snapshot loads and serves. (The name is older than the
 /// single load level, Standard, at which it loads.)
 #[test]
 fn the_base_snapshot_loads_at_every_level() {
-    assert_eq!(load_is_total(&base().bytes, true, &|| "the base snapshot".to_string()), Ok(()));
+    let loaded = load_is_total(&base().bytes, true, &|| "the base snapshot".to_string());
+    assert_eq!(loaded.map(drop), Ok(()));
 }
 
 proptest! {
@@ -254,6 +262,30 @@ proptest! {
     fn damage_to_the_queries_never_changes_an_answer(damage in damage()) {
         let what = || format!("QUERIES damaged by {damage:?}");
         let _ = load_is_total(&damaged(SEC_QUERIES, &damage), true, &what);
+    }
+
+    /// A load rebuilds every stated constraint with `HornConstraint::new`,
+    /// so whatever damage to CONSTRAINTS gets through, the loaded store
+    /// holds only constraints `new` rebuilds equal (and serves, checked by
+    /// `load_is_total`). Answers may change: a constraint is trusted, not
+    /// checked against the data.
+    #[test]
+    fn damaged_constraints_that_load_are_ones_new_builds(damage in damage()) {
+        let what = || format!("CONSTRAINTS damaged by {damage:?}");
+        if let Ok(service) = load_is_total(&damaged(SEC_CONSTRAINTS, &damage), false, &what) {
+            let store = service.store();
+            for (_, c) in store.constraints() {
+                let rebuilt = HornConstraint::new(
+                    store.catalog(),
+                    c.name.clone(),
+                    c.antecedents.clone(),
+                    c.relationships.clone(),
+                    c.consequent.clone(),
+                    c.classes.clone(),
+                );
+                prop_assert_eq!(rebuilt, Ok(c.clone()), "on {}", what());
+            }
+        }
     }
 
     /// A load checks every posting id's object against its key and each

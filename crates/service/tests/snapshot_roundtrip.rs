@@ -9,19 +9,18 @@
 //! queries: boot derives every entry afresh, so no file, whatever its
 //! QUERIES section holds, makes a query answer another's rows. Nor does
 //! the file hold a copy of a derived fact: boot derives each right
-//! adjacency from the left, a store holds exactly the constraints the file
-//! states, and an entry under the retired derived origin tag is refused.
+//! adjacency from the left, and a store holds exactly the constraints the
+//! file states, each rebuilt by `HornConstraint::new`, so a file states no
+//! constraint a caller could not build. A version 3 file is refused.
 //! The indexes a file stores
 //! are checked against the extents they index, so a posting id moved to
 //! another key, or dropped, is refused.
 
 use std::sync::Arc;
 
-use sqo_constraints::{
-    figure22, ConstraintBuilder, ConstraintStore, HornConstraint, Origin, StoreOptions,
-};
+use sqo_constraints::{figure22, ConstraintBuilder, ConstraintStore, HornConstraint, StoreOptions};
 use sqo_exec::{plan_query, CostModel, ResultSet};
-use sqo_query::{CompOp, Query, QueryBuilder};
+use sqo_query::{CompOp, Predicate, Query, QueryBuilder};
 use sqo_service::{QueryService, ServiceConfig};
 use sqo_snapshot::{
     read_query, section_name, write_predicate, write_query, ByteReader, ByteWriter, LoadError,
@@ -387,84 +386,136 @@ fn save_into_a_missing_directory_fails_without_side_effects() {
     assert!(!dir.exists());
 }
 
-/// The CONSTRAINTS payload of `bytes` with one more entry, `extra`, stored
-/// under origin tag 1 (closure-derived in older versions) after the others
-/// (`docs/FORMAT.md` §3.6), and the constraint count raised by one.
-fn with_derived_constraint(bytes: &[u8], extra: &HornConstraint) -> Vec<u8> {
+/// `bytes` with one more CONSTRAINTS entry after the others, written in
+/// the v4 layout (`docs/FORMAT.md` §3.6) from raw parts, and the
+/// constraint count raised by one.
+fn with_stated_constraint(
+    bytes: &[u8],
+    antecedents: &[Predicate],
+    consequent: &Predicate,
+    scope: &[u32],
+) -> Vec<u8> {
     let file = SnapshotFile::parse(bytes).expect("good snapshot parses");
     let mut payload = file.section(SEC_CONSTRAINTS).expect("CONSTRAINTS").to_vec();
     // The epoch, then the constraint count.
     let count = u32::from_le_bytes(payload[8..12].try_into().unwrap());
     payload[8..12].copy_from_slice(&(count + 1).to_le_bytes());
     let mut w = ByteWriter::new();
-    w.str(&extra.name);
-    w.u32(extra.antecedents.len() as u32);
-    for p in &extra.antecedents {
+    w.str("stated");
+    w.u32(antecedents.len() as u32);
+    for p in antecedents {
         write_predicate(&mut w, p);
     }
-    w.u32(extra.relationships.len() as u32);
-    for r in &extra.relationships {
-        w.u32(r.0);
+    w.u32(0);
+    write_predicate(&mut w, consequent);
+    w.u32(scope.len() as u32);
+    for &class in scope {
+        w.u32(class);
     }
-    write_predicate(&mut w, &extra.consequent);
-    w.u32(extra.classes.len() as u32);
-    for c in &extra.classes {
-        w.u32(c.0);
-    }
-    w.u8(1);
     payload.extend(w.finish());
     with_section(bytes, SEC_CONSTRAINTS, Some(payload))
 }
 
-/// Older files could carry closure-derived constraints. Trusted, one
-/// forged derived constraint on a Figure 2.1 snapshot, `cargo.desc =
-/// "frozen food" ⇒ cargo.quantity > 50`, lets the optimizer drop the
-/// quantity filter of `{cargo.desc = "frozen food", cargo.quantity > 50}`
-/// as implied: 42 rows where the data holds 23. A file states only its
-/// stated constraints, so an entry under the derived origin tag is refused
-/// as malformed CONSTRAINTS, and the saver's own file answers like the
-/// saver.
+/// A stated constraint is rebuilt by `HornConstraint::new` at boot, so the
+/// file can state nothing a caller could not build: an antecedent that
+/// implies its consequent is malformed CONSTRAINTS, and a scope class the
+/// catalog does not declare is a dangling reference. A constraint `new`
+/// builds boots.
 #[test]
-fn a_forged_derived_constraint_changes_no_answer() {
+fn a_stated_constraint_new_refuses_does_not_boot() {
+    let (saver, _) = served();
+    let bytes = saver.snapshot_bytes();
+    let catalog = Arc::clone(saver.store().catalog());
+    let key = catalog.attr_ref("cargo", "key").unwrap();
+    let (gt20, gt10) =
+        (Predicate::sel(key, CompOp::Gt, 20i64), Predicate::sel(key, CompOp::Gt, 10i64));
+    let err = boot(&with_stated_constraint(&bytes, std::slice::from_ref(&gt20), &gt10, &[]))
+        .expect_err("an antecedent that implies the consequent must not boot");
+    assert!(matches!(err, LoadError::Malformed { section: "CONSTRAINTS", .. }), "{err:?}");
+    let far = catalog.class_count() as u32;
+    let err = boot(&with_stated_constraint(&bytes, &[], &gt10, &[far]))
+        .expect_err("an unknown scope class must not boot");
+    assert!(matches!(err, LoadError::DanglingReference { section: "CONSTRAINTS", .. }), "{err:?}");
+    let warm = boot(&with_stated_constraint(&bytes, &[gt10], &gt20, &[]))
+        .unwrap_or_else(|e| panic!("a constraint new builds boots: {e}"));
+    assert_eq!(warm.store().len(), saver.store().len() + 1);
+}
+
+/// Figure 2.2's constraints round-trip equal, c4 with its `manager`
+/// class, and so does a constraint whose scope names a class no predicate
+/// does: the file stores only such scope classes, and `new` derives the
+/// rest of each class set again.
+#[test]
+fn figure22_and_scope_classes_round_trip() {
     let catalog = Arc::new(sqo_catalog::example::figure21().unwrap());
     let db = logistics_database(Arc::clone(&catalog), &LogisticsConfig::default()).unwrap();
+    let mut constraints = figure22(&catalog).unwrap();
+    constraints.push(
+        ConstraintBuilder::new(&catalog, "scoped")
+            .scope("vehicle")
+            .then("cargo.quantity", CompOp::Ge, 0i64)
+            .build()
+            .unwrap(),
+    );
     let store = ConstraintStore::build(
         Arc::clone(&catalog),
-        figure22(&catalog).unwrap(),
+        constraints.clone(),
         StoreOptions::paper_defaults(),
     )
     .unwrap();
     let saver = QueryService::new(Arc::new(store), Arc::new(db));
-    let frozen = |heavy: bool| {
-        let q = QueryBuilder::new(&catalog).select("cargo.desc").select("cargo.quantity").filter(
-            "cargo.desc",
-            CompOp::Eq,
-            "frozen food",
-        );
-        let q = if heavy { q.filter("cargo.quantity", CompOp::Gt, 50i64) } else { q };
-        q.build().unwrap()
-    };
-    let (query, all_frozen) = (frozen(true), frozen(false));
-    let want = saver.run(&query).unwrap().results;
-    let unfiltered = saver.run(&all_frozen).unwrap().results;
-    assert!(want.len() < unfiltered.len(), "the forged constraint is false of the data");
+    let warm = boot(&saver.snapshot_bytes()).expect("the snapshot boots");
+    let loaded: Vec<HornConstraint> = warm.store().constraints().map(|(_, c)| c.clone()).collect();
+    assert_eq!(loaded, constraints);
+    let class = |name| catalog.class_id(name).unwrap();
+    assert_eq!(loaded[3].name, "c4");
+    assert_eq!(loaded[3].classes, vec![class("manager")]);
+    assert!(loaded[5].classes.contains(&class("vehicle")), "{:?}", loaded[5].classes);
+}
 
-    let forged = ConstraintBuilder::new(&catalog, "forged")
-        .when("cargo.desc", CompOp::Eq, "frozen food")
-        .then("cargo.quantity", CompOp::Gt, 50i64)
-        .build()
-        .unwrap();
+/// A version 3 file is refused: its CONSTRAINTS entries carry an origin
+/// byte and a class list nothing checked, and there is no second reader.
+/// The same state saved by this build boots and answers like its saver.
+#[test]
+fn a_version_3_file_is_refused() {
+    let (saver, queries) = served();
     let bytes = saver.snapshot_bytes();
-    let err = boot(&with_derived_constraint(&bytes, &forged)).expect_err("the forged file boots");
-    assert!(matches!(err, LoadError::Malformed { section: "CONSTRAINTS", .. }), "{err:?}");
+    let store = saver.store();
+    // The v3 CONSTRAINTS layout: each entry ends with its full class list
+    // and an origin byte (0, Declared).
+    let mut w = ByteWriter::new();
+    w.u64(store.epoch());
+    w.u32(store.len() as u32);
+    for (_, c) in store.constraints() {
+        w.str(&c.name);
+        w.u32(c.antecedents.len() as u32);
+        for p in &c.antecedents {
+            write_predicate(&mut w, p);
+        }
+        w.u32(c.relationships.len() as u32);
+        for r in &c.relationships {
+            w.u32(r.0);
+        }
+        write_predicate(&mut w, &c.consequent);
+        w.u32(c.classes.len() as u32);
+        for class in &c.classes {
+            w.u32(class.0);
+        }
+        w.u8(0);
+    }
+    let mut v3 = with_section(&bytes, SEC_CONSTRAINTS, Some(w.finish()));
+    v3[4..6].copy_from_slice(&3u16.to_le_bytes());
+    assert_eq!(boot(&v3).expect_err("a v3 file must not boot"), LoadError::UnsupportedVersion(3));
     let warm = boot(&bytes).unwrap_or_else(|e| panic!("the saver's file boots: {e}"));
-    assert!(warm.run(&query).unwrap().results.same_multiset(&want));
+    for (q, want) in queries.iter().zip(answers(&saver, &queries)) {
+        assert!(warm.run(q).unwrap().results.same_multiset(&want), "{q:?}");
+    }
 }
 
 /// Constraints a running service took through `add_constraint` are stored
-/// as stated (Dynamic) entries and filed again in their place at boot: the
-/// loaded store lists the saver's constraints by name, origin and order,
-/// and every cache entry the boot derives equals the saver's.
+/// like any other and filed again in their place at boot: the loaded store
+/// lists the saver's constraints, equal and in order, and every cache
+/// entry the boot derives equals the saver's.
 #[test]
 fn added_constraints_boot_in_the_savers_order_with_its_entries() {
     let (saver, queries) = served();
@@ -476,10 +527,10 @@ fn added_constraints_boot_in_the_savers_order_with_its_entries() {
         saver.run(q).expect("re-derived under the added constraints");
     }
     let listing = |s: &QueryService| {
-        s.store().constraints().map(|(_, c)| (c.name.clone(), c.origin)).collect::<Vec<_>>()
+        s.store().constraints().map(|(_, c)| c.clone()).collect::<Vec<HornConstraint>>()
     };
     let saved = listing(&saver);
-    assert_eq!(saved.iter().filter(|(_, o)| *o == Origin::Dynamic).count(), 2);
+    assert_eq!(saved[saved.len() - 2..], [saved[1].clone(), saved[0].clone()]);
     let bytes = saver.snapshot_bytes();
     let warm = boot(&bytes).expect("the snapshot boots");
     assert_eq!(listing(&warm), saved);

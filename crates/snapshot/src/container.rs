@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! offset 0   magic          4 bytes   b"SQOS"
-//! offset 4   version        u16 LE    currently 3
+//! offset 4   version        u16 LE    currently 4
 //! offset 6   flags          u16 LE    currently 0, reserved
 //! offset 8   section_count  u32 LE
 //! offset 12  section table  section_count × 28 bytes:
@@ -33,7 +33,7 @@ use crate::error::LoadError;
 /// The four magic bytes every `.sqos` file starts with.
 pub const MAGIC: [u8; 4] = *b"SQOS";
 /// The container format version this build reads and writes.
-pub const FORMAT_VERSION: u16 = 3;
+pub const FORMAT_VERSION: u16 = 4;
 
 /// Section id: catalog definitions (classes, relationships).
 pub const SEC_CATALOG: u32 = 1;
@@ -307,8 +307,8 @@ mod tests {
     #[test]
     fn future_version_rejected() {
         let mut buf = two_section_file();
-        buf[4] = 4;
-        assert_eq!(SnapshotFile::parse(&buf).unwrap_err(), LoadError::UnsupportedVersion(4));
+        buf[4] = 5;
+        assert_eq!(SnapshotFile::parse(&buf).unwrap_err(), LoadError::UnsupportedVersion(5));
     }
 
     #[test]

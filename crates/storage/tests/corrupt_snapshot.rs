@@ -274,11 +274,13 @@ fn corruption_is_rejected_at_the_documented_level() {
     let mut bad_magic = good.clone();
     bad_magic[0] ^= 0xff;
     let mut future_version = good.clone();
-    future_version[4..6].copy_from_slice(&4u16.to_le_bytes());
+    future_version[4..6].copy_from_slice(&5u16.to_le_bytes());
     let mut version_1 = good.clone();
     version_1[4..6].copy_from_slice(&1u16.to_le_bytes());
     let mut version_2 = good.clone();
     version_2[4..6].copy_from_slice(&2u16.to_le_bytes());
+    let mut version_3 = good.clone();
+    version_3[4..6].copy_from_slice(&3u16.to_le_bytes());
     let mut runaway_table = good.clone();
     runaway_table[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
     let mut entry_past_eof = good.clone();
@@ -331,8 +333,8 @@ fn corruption_is_rejected_at_the_documented_level() {
         },
         Case {
             name: "format version from the future",
-            expect: "UnsupportedVersion(4)",
-            matches: |e| matches!(e, LoadError::UnsupportedVersion(4)),
+            expect: "UnsupportedVersion(5)",
+            matches: |e| matches!(e, LoadError::UnsupportedVersion(5)),
             bytes: future_version,
         },
         Case {
@@ -346,6 +348,12 @@ fn corruption_is_rejected_at_the_documented_level() {
             expect: "UnsupportedVersion(2)",
             matches: |e| matches!(e, LoadError::UnsupportedVersion(2)),
             bytes: version_2,
+        },
+        Case {
+            name: "version 3, whose constraints carry the origin byte and class list v4 leaves out",
+            expect: "UnsupportedVersion(3)",
+            matches: |e| matches!(e, LoadError::UnsupportedVersion(3)),
+            bytes: version_3,
         },
         Case {
             name: "section count larger than the file",

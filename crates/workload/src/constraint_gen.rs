@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sqo_catalog::{AttrId, AttrRef, Catalog, ClassId, RelId, Value};
-use sqo_constraints::{ConstraintError, HornConstraint, Origin};
+use sqo_constraints::{ConstraintError, HornConstraint};
 use sqo_query::{CompOp, Predicate};
 
 use crate::bench_schema::{DERIVED_ATTRS, FEATURE_ATTRS};
@@ -171,7 +171,6 @@ pub fn generate_constraints(
             rel.into_iter().collect(),
             cons_pred,
             vec![],
-            Origin::Declared,
         )?;
         constraints.push(constraint);
         forcings.push(Forcing { antecedent, rel, consequent: (cons_class, cons_attr, cons_value) });

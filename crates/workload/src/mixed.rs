@@ -342,7 +342,6 @@ mod tests {
     use super::*;
     use crate::bench_schema::bench_catalog;
     use crate::scenarios::{paper_scenario, DbSize};
-    use sqo_constraints::Origin;
     use sqo_storage::{IntegrityOptions, VersionedDatabase};
     use std::sync::Arc;
 
@@ -482,13 +481,10 @@ mod tests {
                 catalog.class_name(cid)
             );
         }
-        // Every declared constraint still holds on the final
-        // instance — the write stream never left the semantic world the
-        // optimizer trusts.
+        // Every constraint still holds on the final instance — the write
+        // stream never left the semantic world the optimizer trusts.
         for (_, c) in store.constraints() {
-            if c.origin == Origin::Declared {
-                assert!(final_db.check_constraint(c).is_empty(), "{} violated", c.name);
-            }
+            assert!(final_db.check_constraint(c).is_empty(), "{} violated", c.name);
         }
     }
 }

@@ -103,9 +103,7 @@ mod tests {
     fn scenario_data_satisfies_declared_constraints() {
         let s = paper_scenario(DbSize::Db1, 7);
         for (_, c) in s.store.constraints() {
-            if c.origin == sqo_constraints::Origin::Declared {
-                assert!(s.db.check_constraint(c).is_empty(), "{} violated", c.name);
-            }
+            assert!(s.db.check_constraint(c).is_empty(), "{} violated", c.name);
         }
     }
 

@@ -1,9 +1,7 @@
-//! Constraint management deep-dive: grouping policies and Siegel-style
-//! dynamic rules.
+//! Constraint management deep-dive: grouping policies.
 //!
 //! Demonstrates the §3 machinery in isolation: how much each grouping
-//! policy over-fetches, and how a dynamic (current database state) rule
-//! slots in next to declared integrity constraints.
+//! policy over-fetches, with one more constraint beside Figure 2.2's.
 //!
 //! ```sh
 //! cargo run --example constraint_mining
@@ -13,21 +11,19 @@ use std::sync::Arc;
 
 use sqo::baseline::{AssignmentPolicy, ConstraintGroups};
 use sqo::catalog::example::figure21;
-use sqo::constraints::{figure22, ConstraintBuilder, ConstraintStore, Origin, StoreOptions};
+use sqo::constraints::{figure22, ConstraintBuilder, ConstraintStore, StoreOptions};
 use sqo::query::{CompOp, QueryBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let catalog = Arc::new(figure21()?);
     let mut constraints = figure22(&catalog)?;
 
-    // A Siegel-style dynamic rule: *currently* every cargo in the database
-    // weighs less than 100 units. True of the current state, not of all
-    // states — tagged Dynamic so it can be invalidated on update.
+    // d1: every cargo weighs less than 100 units. A store takes it like
+    // any declared constraint: it is built and checked by the one
+    // constructor, `HornConstraint::new`.
     constraints.push(
         ConstraintBuilder::new(&catalog, "d1")
-            .scope("cargo")
             .then("cargo.quantity", CompOp::Lt, 100i64)
-            .dynamic()
             .build()?,
     );
 
@@ -39,10 +35,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         constraints.clone(),
         StoreOptions::paper_defaults(),
     )?;
-    println!("stored constraints ({}, ~ = dynamic):", store.len());
+    println!("stored constraints ({}):", store.len());
     for (_, c) in store.constraints() {
-        let marker = if c.origin == Origin::Dynamic { "~" } else { " " };
-        println!("  {marker} {}", c.display(&catalog));
+        println!("  {}", c.display(&catalog));
     }
 
     // Grouping policies (§3): how many irrelevant constraints ride along?

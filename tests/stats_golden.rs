@@ -4,8 +4,8 @@
 //! 42)`) as saved by the last build that derived most-common values by
 //! sorting every distinct value by its rendering. It is a `.sqos` version 1
 //! file, which a load refuses; its STATS payload is read here by a
-//! test-local v1 reader. `fixtures/db1_seed42_v3.sqos` is the same database
-//! as the version 3 encoder writes it, and pins the v3 bytes.
+//! test-local v1 reader. `fixtures/db1_seed42_v4.sqos` is the same database
+//! as the version 4 encoder writes it, and pins the v4 bytes.
 
 use sqo::catalog::{AttrStats, ClassStats, RelStats, StatsSnapshot, Value};
 use sqo::storage::{encode_database, load_database};
@@ -15,7 +15,7 @@ use sqo_snapshot::{
 };
 
 const V1: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/db1_seed42_pr13.sqos");
-const V3: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/db1_seed42_v3.sqos");
+const V4: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/db1_seed42_v4.sqos");
 
 /// A version 1 STATS payload: the class count, then per class its
 /// cardinality and attribute count, per attribute its rows, distinct count,
@@ -91,15 +91,15 @@ fn db1_statistics_equal_the_ones_pr13_persisted() {
     assert_eq!(mcvs("supplier.key"), ints([(0, 1), (1, 1), (10, 1)]));
 }
 
-/// The `.sqos` v3 bytes have not moved: today's encoder writes the
-/// committed v3 file from the generated DB1 and from the database loaded
+/// The `.sqos` v4 bytes have not moved: today's encoder writes the
+/// committed v4 file from the generated DB1 and from the database loaded
 /// from that file, whose statistics equal a rescan of its extents.
 #[test]
-fn db1_encodes_to_the_v3_fixture() {
-    let fixture = std::fs::read(V3).expect("read the fixture");
+fn db1_encodes_to_the_v4_fixture() {
+    let fixture = std::fs::read(V4).expect("read the fixture");
     let generated = paper_scenario(DbSize::Db1, 42).db;
     assert!(encode_database(&generated) == fixture, "the generated DB1 encodes differently");
-    let loaded = load_database(V3, ValidationLevel::Standard).expect("the v3 fixture loads");
+    let loaded = load_database(V4, ValidationLevel::Standard).expect("the v4 fixture loads");
     assert_eq!(loaded.stats(), generated.stats());
     assert_eq!(loaded.stats(), &loaded.rebuild_statistics());
     assert!(encode_database(&loaded) == fixture, "the loaded DB1 encodes differently");
