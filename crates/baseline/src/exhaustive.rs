@@ -121,9 +121,18 @@ mod tests {
             let name = if i == 0 { "SFI".into() } else { format!("s{i}") };
             b.insert(supplier, vec![Value::str(name), Value::str("a")]).unwrap();
         }
+        // Each vehicle has its own engine and one shared driver.
+        let license = [Value::Int(0), Value::Int(9), Value::Int(0)];
+        let tuple = [Value::str("d"), Value::str("x"), Value::str("x")].into_iter().chain(license);
+        let driver = b.insert(catalog.class_id("driver").unwrap(), tuple.collect()).unwrap();
+        let engine = catalog.class_id("engine").unwrap();
         for i in 0..20 {
             let desc = if i % 4 == 0 { "refrigerated truck" } else { "flatbed" };
-            b.insert(vehicle, vec![Value::Int(i), Value::str(desc), Value::Int(0)]).unwrap();
+            let v =
+                b.insert(vehicle, vec![Value::Int(i), Value::str(desc), Value::Int(0)]).unwrap();
+            let e = b.insert(engine, vec![Value::Int(i), Value::Int(1)]).unwrap();
+            b.link(catalog.rel_id("eng_comp").unwrap(), v, e).unwrap();
+            b.link(catalog.rel_id("drives").unwrap(), v, driver).unwrap();
         }
         let supplies = catalog.rel_id("supplies").unwrap();
         let collects = catalog.rel_id("collects").unwrap();
@@ -136,11 +145,7 @@ mod tests {
             b.link(supplies, oid, ObjectId(if frozen { 0 } else { 1 + (i as u32 % 19) })).unwrap();
             b.link(collects, oid, ObjectId(v)).unwrap();
         }
-        b.finalize(IntegrityOptions {
-            enforce_total_participation: false,
-            enforce_multiplicity: true,
-        })
-        .unwrap()
+        b.finalize(IntegrityOptions).unwrap()
     }
 
     #[test]

@@ -110,7 +110,8 @@ pub struct E11Row {
 ///
 /// Writes are constraint- and integrity-preserving duplicate inserts and
 /// LIFO deletes ([`sqo_workload::mixed_workload`]), applied through the
-/// service's versioned write path with integrity enforcement on. Before the
+/// service's versioned write path, which checks every batch's integrity
+/// declarations. Before the
 /// timed cells, every write ratio runs one **cross-check pass**: a
 /// single-threaded replay where, after every write, each cached answer is
 /// compared request-by-request against the unoptimized original query
@@ -125,14 +126,14 @@ pub struct E11Row {
 pub fn mutable_serving(seed: u64, smoke: bool) -> (Vec<E11Row>, String) {
     use std::sync::Mutex;
 
-    use sqo_storage::{IntegrityOptions, VersionedDatabase};
+    use sqo_storage::VersionedDatabase;
     use sqo_workload::{mixed_workload, MixedApplier, MixedOp, MixedWorkloadConfig};
 
     let scenario = paper_scenario(DbSize::Db1, seed);
     let store = Arc::new(scenario.store);
     let fresh_handle = || {
         let db = Arc::new(paper_scenario(DbSize::Db1, seed).db);
-        Arc::new(VersionedDatabase::with_integrity(db, IntegrityOptions::default()))
+        Arc::new(VersionedDatabase::new(db))
     };
     let requests = if smoke { 96 } else { 1024 };
     let mut rows = Vec::new();

@@ -4,9 +4,7 @@ use std::collections::HashMap;
 
 use crate::error::CatalogError;
 use crate::ids::{AttrId, AttrRef, ClassId, RelId};
-use crate::schema::{
-    AttributeDef, ClassDef, IndexKind, Multiplicity, RelationshipDef, RelationshipEnd,
-};
+use crate::schema::{AttributeDef, ClassDef, Multiplicity, RelationshipDef, RelationshipEnd};
 use crate::types::DataType;
 
 /// An immutable, validated schema.
@@ -138,10 +136,6 @@ impl Catalog {
     /// paper's Tables 3.1/3.2.
     pub fn is_indexed(&self, r: AttrRef) -> bool {
         self.attr(r).map(|a| a.is_indexed()).unwrap_or(false)
-    }
-
-    pub fn index_kind(&self, r: AttrRef) -> Option<IndexKind> {
-        self.attr(r).ok().and_then(|a| a.index)
     }
 
     // ---- relationship lookups --------------------------------------------
@@ -365,7 +359,7 @@ mod tests {
         assert!(!cat.is_indexed(r));
         let code = cat.attr_ref("cargo", "code").unwrap();
         assert!(cat.is_indexed(code));
-        assert_eq!(cat.index_kind(code), Some(IndexKind::BTree));
+        assert_eq!(cat.attr(code).unwrap().index, Some(IndexKind::BTree));
     }
 
     #[test]

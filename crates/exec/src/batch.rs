@@ -103,44 +103,13 @@ mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::executor::execute_with;
+    use crate::executor::tests::db;
     use crate::planner::plan_query;
     use sqo_catalog::example::figure21;
     use sqo_catalog::Value;
     use sqo_query::{CompOp, Query, QueryBuilder};
-    use sqo_storage::{IntegrityOptions, ObjectId};
+    use sqo_storage::IntegrityOptions;
     use std::sync::Arc;
-
-    /// The executor test instance: 4 suppliers, 6 vehicles, 12 cargoes,
-    /// supplies/collects round-robin.
-    fn db() -> Database {
-        let catalog = Arc::new(figure21().unwrap());
-        let mut b = Database::builder(Arc::clone(&catalog));
-        let supplier = catalog.class_id("supplier").unwrap();
-        let cargo = catalog.class_id("cargo").unwrap();
-        let vehicle = catalog.class_id("vehicle").unwrap();
-        for i in 0..4 {
-            b.insert(supplier, vec![Value::str(format!("s{i}")), Value::str("x")]).unwrap();
-        }
-        for i in 0..6 {
-            let desc = if i < 2 { "refrigerated truck" } else { "flatbed" };
-            b.insert(vehicle, vec![Value::Int(i), Value::str(desc), Value::Int(i % 3)]).unwrap();
-        }
-        for i in 0..12i64 {
-            let desc = if i % 2 == 0 { "frozen food" } else { "dry goods" };
-            b.insert(cargo, vec![Value::Int(i), Value::str(desc), Value::Int(i)]).unwrap();
-        }
-        let supplies = catalog.rel_id("supplies").unwrap();
-        let collects = catalog.rel_id("collects").unwrap();
-        for i in 0..12u32 {
-            b.link(supplies, ObjectId(i), ObjectId(i % 4)).unwrap();
-            b.link(collects, ObjectId(i), ObjectId(i % 6)).unwrap();
-        }
-        b.finalize(IntegrityOptions {
-            enforce_total_participation: false,
-            enforce_multiplicity: true,
-        })
-        .unwrap()
-    }
 
     /// A large supplier extent so the planner roots at an index probe.
     fn indexed_db() -> Database {
@@ -150,11 +119,7 @@ mod tests {
         for i in 0..500 {
             b.insert(supplier, vec![Value::str(format!("s{i}")), Value::str("x")]).unwrap();
         }
-        b.finalize(IntegrityOptions {
-            enforce_total_participation: false,
-            enforce_multiplicity: true,
-        })
-        .unwrap()
+        b.finalize(IntegrityOptions).unwrap()
     }
 
     fn assert_batch_matches_sequential(db: &Database, q: &Query, probes: &[ProbeBinding]) {

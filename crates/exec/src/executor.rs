@@ -580,17 +580,19 @@ fn typed<O: Op, S: Sweep>(column: Column<'_>, literal: &Value, sweep: S) -> S::O
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::planner::plan_query;
     use sqo_catalog::example::figure21;
     use sqo_catalog::ClassId;
     use sqo_query::{CompOp, QueryBuilder};
-    use sqo_storage::IntegrityOptions;
+    use sqo_storage::{DatabaseBuilder, IntegrityOptions};
     use std::sync::Arc;
 
-    fn db() -> Database {
+    /// The executor test instance: 4 suppliers, 6 vehicles, 12 cargoes,
+    /// supplies/collects round-robin.
+    pub(crate) fn db() -> Database {
         let catalog = Arc::new(figure21().unwrap());
         let mut b = Database::builder(Arc::clone(&catalog));
         let supplier = catalog.class_id("supplier").unwrap();
@@ -603,6 +605,7 @@ mod tests {
             let desc = if i < 2 { "refrigerated truck" } else { "flatbed" };
             b.insert(vehicle, vec![Value::Int(i), Value::str(desc), Value::Int(i % 3)]).unwrap();
         }
+        equip_vehicles(&mut b, 6);
         for i in 0..12i64 {
             let desc = if i % 2 == 0 { "frozen food" } else { "dry goods" };
             b.insert(cargo, vec![Value::Int(i), Value::str(desc), Value::Int(i)]).unwrap();
@@ -613,11 +616,25 @@ mod tests {
             b.link(supplies, ObjectId(i), ObjectId(i % 4)).unwrap();
             b.link(collects, ObjectId(i), ObjectId(i % 6)).unwrap();
         }
-        b.finalize(IntegrityOptions {
-            enforce_total_participation: false,
-            enforce_multiplicity: true,
-        })
-        .unwrap()
+        b.finalize(IntegrityOptions).unwrap()
+    }
+
+    /// Gives each of a Figure 2.1 builder's `vehicles` vehicles its own
+    /// engine and one shared driver, as the to-one, total vehicle ends of
+    /// `eng_comp` and `drives` declare. The driver's license class covers
+    /// every vehicle class (Figure 2.2's c3).
+    pub(crate) fn equip_vehicles(b: &mut DatabaseBuilder, vehicles: u32) {
+        let catalog = figure21().unwrap();
+        let class = |name| catalog.class_id(name).unwrap();
+        let rel = |name| catalog.rel_id(name).unwrap();
+        let license = [Value::Int(0), Value::Int(9), Value::Int(0)];
+        let tuple = [Value::str("d"), Value::str("x"), Value::str("x")].into_iter().chain(license);
+        let driver = b.insert(class("driver"), tuple.collect()).unwrap();
+        for i in 0..vehicles {
+            let engine = b.insert(class("engine"), vec![Value::Int(i.into()), Value::Int(1)]);
+            b.link(rel("eng_comp"), ObjectId(i), engine.unwrap()).unwrap();
+            b.link(rel("drives"), ObjectId(i), driver).unwrap();
+        }
     }
 
     fn run(db: &Database, q: &sqo_query::Query) -> (ResultSet, CostCounters) {
@@ -649,12 +666,7 @@ mod tests {
         for i in 0..500 {
             b.insert(supplier, vec![Value::str(format!("s{i}")), Value::str("x")]).unwrap();
         }
-        let db = b
-            .finalize(IntegrityOptions {
-                enforce_total_participation: false,
-                enforce_multiplicity: true,
-            })
-            .unwrap();
+        let db = b.finalize(IntegrityOptions).unwrap();
         let q = QueryBuilder::new(&catalog)
             .select("supplier.address")
             .filter("supplier.name", CompOp::Eq, "s1")
@@ -818,7 +830,7 @@ mod tests {
                 load.insert(ClassId(t as u32), vec![v.clone()]).unwrap();
             }
         }
-        let db = load.finalize(IntegrityOptions::default()).unwrap();
+        let db = load.finalize(IntegrityOptions).unwrap();
         let ids = |level: &Level| level.iter().map(|&(oid, _)| oid).collect::<Vec<_>>();
         for (t, column) in columns.iter().enumerate() {
             let attr = AttrRef::new(ClassId(t as u32), sqo_catalog::AttrId(0));

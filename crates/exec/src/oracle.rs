@@ -129,6 +129,7 @@ mod tests {
             let desc = if i % 4 == 0 { "refrigerated truck" } else { "flatbed" };
             b.insert(vehicle, vec![Value::Int(i), Value::str(desc), Value::Int(i % 5)]).unwrap();
         }
+        crate::executor::tests::equip_vehicles(&mut b, 40);
         let supplies = catalog.rel_id("supplies").unwrap();
         let collects = catalog.rel_id("collects").unwrap();
         for i in 0..200i64 {
@@ -143,11 +144,7 @@ mod tests {
             b.link(supplies, oid, ObjectId(s)).unwrap();
             b.link(collects, oid, ObjectId(v)).unwrap();
         }
-        b.finalize(IntegrityOptions {
-            enforce_total_participation: false,
-            enforce_multiplicity: true,
-        })
-        .unwrap()
+        b.finalize(IntegrityOptions).unwrap()
     }
 
     fn fig23_query(catalog: &sqo_catalog::Catalog) -> Query {
@@ -261,7 +258,7 @@ mod tests {
             DataWrite::Delete { class: cargo, object: ObjectId(3) },
         ];
         let (patched, _) = db.with_writes(&batch, None).unwrap();
-        let (rebuilt, _) = db.with_writes_full(&batch, None).unwrap();
+        let (rebuilt, _) = db.with_writes_full(&batch).unwrap();
         assert_eq!(patched.stats(), rebuilt.stats());
         let o_patched = CostBasedOracle::new(&patched);
         let o_rebuilt = CostBasedOracle::new(&rebuilt);

@@ -635,6 +635,7 @@ mod tests {
             let desc = if i % 3 == 0 { "refrigerated truck" } else { "flatbed" };
             b.insert(vehicle, vec![Value::Int(i), Value::str(desc), Value::Int(i % 5)]).unwrap();
         }
+        crate::executor::tests::equip_vehicles(&mut b, 30);
         for i in 0..120i64 {
             let desc = if i % 4 == 0 { "frozen food" } else { "dry goods" };
             b.insert(cargo, vec![Value::Int(i), Value::str(desc), Value::Int(i * 3 % 50)]).unwrap();
@@ -645,11 +646,7 @@ mod tests {
             b.link(supplies, sqo_storage::ObjectId(i), sqo_storage::ObjectId(i % 40)).unwrap();
             b.link(collects, sqo_storage::ObjectId(i), sqo_storage::ObjectId(i % 30)).unwrap();
         }
-        b.finalize(IntegrityOptions {
-            enforce_total_participation: false,
-            enforce_multiplicity: true,
-        })
-        .unwrap()
+        b.finalize(IntegrityOptions).unwrap()
     }
 
     #[test]

@@ -18,8 +18,9 @@ use sqo_query::{CompOp, Query, QueryBuilder, ValueSet};
 use sqo_storage::{Database, IntegrityOptions, ObjectId};
 
 /// A logistics instance with arbitrary extents and link strides. Every
-/// cargo keeps exactly one supplies/collects link, so multiplicity
-/// enforcement holds for any stride choice.
+/// cargo keeps exactly one supplies/collects link and every vehicle one
+/// engine and one driver, so the catalog's declarations hold for any
+/// stride choice.
 fn db(
     suppliers: usize,
     vehicles: usize,
@@ -35,10 +36,22 @@ fn db(
     for i in 0..suppliers {
         b.insert(supplier, vec![Value::str(format!("s{i}")), Value::str("x")]).unwrap();
     }
+    // Each vehicle has its own engine and one shared driver.
+    let license = [Value::Int(0), Value::Int(9), Value::Int(0)];
+    let tuple = [Value::str("d"), Value::str("x"), Value::str("x")].into_iter().chain(license);
+    let driver = b.insert(catalog.class_id("driver").unwrap(), tuple.collect()).unwrap();
+    let engine = catalog.class_id("engine").unwrap();
     for i in 0..vehicles {
         let desc = if i % 2 == 0 { "refrigerated truck" } else { "flatbed" };
-        b.insert(vehicle, vec![Value::Int(i as i64), Value::str(desc), Value::Int((i % 3) as i64)])
+        let v = b
+            .insert(
+                vehicle,
+                vec![Value::Int(i as i64), Value::str(desc), Value::Int((i % 3) as i64)],
+            )
             .unwrap();
+        let e = b.insert(engine, vec![Value::Int(i as i64), Value::Int(1)]).unwrap();
+        b.link(catalog.rel_id("eng_comp").unwrap(), v, e).unwrap();
+        b.link(catalog.rel_id("drives").unwrap(), v, driver).unwrap();
     }
     for i in 0..cargoes {
         let desc = if i % 3 == 0 { "frozen food" } else { "dry goods" };
@@ -52,8 +65,7 @@ fn db(
             .unwrap();
         b.link(collects, ObjectId(i as u32), ObjectId(((i * v_stride) % vehicles) as u32)).unwrap();
     }
-    b.finalize(IntegrityOptions { enforce_total_participation: false, enforce_multiplicity: true })
-        .unwrap()
+    b.finalize(IntegrityOptions).unwrap()
 }
 
 /// One of four plan shapes (single class, two 2-class chains, the 3-class
@@ -151,10 +163,7 @@ proptest! {
             b.insert(supplier, vec![Value::str(format!("s{i}")), Value::str("x")]).unwrap();
         }
         let db = b
-            .finalize(IntegrityOptions {
-                enforce_total_participation: false,
-                enforce_multiplicity: true,
-            })
+            .finalize(IntegrityOptions)
             .unwrap();
         let q = QueryBuilder::new(&catalog)
             .select("supplier.address")

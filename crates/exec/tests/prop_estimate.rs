@@ -19,7 +19,9 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 
-use sqo_catalog::{AttributeDef, Catalog, ClassId, DataType, IndexKind, Value};
+use sqo_catalog::{
+    AttributeDef, Catalog, ClassId, DataType, IndexKind, Multiplicity, RelationshipEnd, Value,
+};
 use sqo_core::ProfitOracle;
 use sqo_exec::{plan_query, CostBasedOracle, CostModel, ExecError, PhysicalPlan, Without};
 use sqo_query::{CompOp, JoinPredicate, Predicate, Projection, Query, SelPredicate};
@@ -39,9 +41,12 @@ fn triangle() -> Arc<Catalog> {
     let a = b.class("a", attrs()).unwrap();
     let bb = b.class("b", attrs()).unwrap();
     let c = b.class("c", attrs()).unwrap();
-    b.many_to_one("ab", a, bb).unwrap();
-    b.many_to_one("bc", bb, c).unwrap();
-    b.many_to_one("ac", a, c).unwrap();
+    // To-one and not total: an extent may be empty, leaving the objects
+    // that would link into it unlinked.
+    for (name, from, to) in [("ab", a, bb), ("bc", bb, c), ("ac", a, c)] {
+        let end = |class, multiplicity| RelationshipEnd::new(class, multiplicity, false);
+        b.relationship(name, end(from, Multiplicity::One), end(to, Multiplicity::Many)).unwrap();
+    }
     Arc::new(b.build().unwrap())
 }
 
@@ -66,8 +71,7 @@ fn db(sizes: &[usize], strides: &[usize]) -> Database {
             b.link(rel_id, ObjectId(i as u32), ObjectId(target as u32)).unwrap();
         }
     }
-    b.finalize(IntegrityOptions { enforce_total_participation: false, enforce_multiplicity: true })
-        .unwrap()
+    b.finalize(IntegrityOptions).unwrap()
 }
 
 /// Shapes: 0 `a`; 1 `a–b`; 2 the chain `a–b–c`; 3 the cycle (all three

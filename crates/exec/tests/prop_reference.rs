@@ -171,8 +171,7 @@ fn db(catalog: &Arc<Catalog>, sizes: &[usize], fans: &[(usize, usize, usize)]) -
             }
         }
     }
-    b.finalize(IntegrityOptions { enforce_total_participation: false, enforce_multiplicity: false })
-        .unwrap()
+    b.finalize(IntegrityOptions).unwrap()
 }
 
 const OPS: [CompOp; 6] = [CompOp::Eq, CompOp::Ne, CompOp::Lt, CompOp::Le, CompOp::Gt, CompOp::Ge];

@@ -71,23 +71,31 @@ const CARGOES: usize = 3000;
 const VEHICLES: usize = 6;
 
 /// Cargo `i` has quantity `i` and is collected by vehicle `i % VEHICLES`.
+/// One supplier supplies every cargo, and each vehicle has its own engine
+/// and one shared driver, as the catalog's to-one, total ends require.
 fn db() -> Database {
     let catalog = Arc::new(figure21().unwrap());
     let mut b = Database::builder(Arc::clone(&catalog));
-    let cargo = catalog.class_id("cargo").unwrap();
-    let vehicle = catalog.class_id("vehicle").unwrap();
+    let class = |name| catalog.class_id(name).unwrap();
+    let rel = |name| catalog.rel_id(name).unwrap();
+    let supplier = b.insert(class("supplier"), vec![Value::str("s"), Value::str("x")]).unwrap();
+    let license = [Value::Int(0), Value::Int(9), Value::Int(0)];
+    let tuple = [Value::str("d"), Value::str("x"), Value::str("x")].into_iter().chain(license);
+    let driver = b.insert(class("driver"), tuple.collect()).unwrap();
     for i in 0..VEHICLES as i64 {
-        b.insert(vehicle, vec![Value::Int(i), Value::str("flatbed"), Value::Int(i % 3)]).unwrap();
+        let vehicle = vec![Value::Int(i), Value::str("flatbed"), Value::Int(i % 3)];
+        let vehicle = b.insert(class("vehicle"), vehicle).unwrap();
+        let engine = b.insert(class("engine"), vec![Value::Int(i), Value::Int(1)]).unwrap();
+        b.link(rel("eng_comp"), vehicle, engine).unwrap();
+        b.link(rel("drives"), vehicle, driver).unwrap();
     }
     for i in 0..CARGOES as i64 {
-        b.insert(cargo, vec![Value::Int(i), Value::str("dry goods"), Value::Int(i)]).unwrap();
+        let cargo = vec![Value::Int(i), Value::str("dry goods"), Value::Int(i)];
+        let cargo = b.insert(class("cargo"), cargo).unwrap();
+        b.link(rel("collects"), cargo, ObjectId((i % VEHICLES as i64) as u32)).unwrap();
+        b.link(rel("supplies"), cargo, supplier).unwrap();
     }
-    let collects = catalog.rel_id("collects").unwrap();
-    for i in 0..CARGOES as u32 {
-        b.link(collects, ObjectId(i), ObjectId(i % VEHICLES as u32)).unwrap();
-    }
-    b.finalize(IntegrityOptions { enforce_total_participation: false, enforce_multiplicity: true })
-        .unwrap()
+    b.finalize(IntegrityOptions).unwrap()
 }
 
 /// Cargoes with a quantity below `below`, joined to their vehicle.

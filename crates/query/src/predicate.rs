@@ -57,18 +57,6 @@ impl CompOp {
         }
     }
 
-    /// Logical negation.
-    pub fn negate(self) -> CompOp {
-        match self {
-            CompOp::Eq => CompOp::Ne,
-            CompOp::Ne => CompOp::Eq,
-            CompOp::Lt => CompOp::Ge,
-            CompOp::Le => CompOp::Gt,
-            CompOp::Gt => CompOp::Le,
-            CompOp::Ge => CompOp::Lt,
-        }
-    }
-
     /// `self` implies `other` for the *same* operand pair: for every ordering
     /// `o`, `self.eval(o) → other.eval(o)`.
     pub fn implies(self, other: CompOp) -> bool {
@@ -317,17 +305,6 @@ mod tests {
         }
         assert_eq!(CompOp::Lt.flip(), CompOp::Gt);
         assert_eq!(CompOp::Le.flip(), CompOp::Ge);
-    }
-
-    #[test]
-    fn op_negate_is_involution_and_complements() {
-        use Ordering::*;
-        for op in CompOp::ALL {
-            assert_eq!(op.negate().negate(), op);
-            for o in [Less, Equal, Greater] {
-                assert_eq!(op.eval(o), !op.negate().eval(o));
-            }
-        }
     }
 
     #[test]

@@ -281,10 +281,6 @@ impl ShardedCache {
         }
     }
 
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The singleflight in-flight miss registry attached to this cache.
     pub(crate) fn flights(&self) -> &Arc<FlightTable> {
         &self.flights
@@ -626,13 +622,13 @@ mod tests {
         // entry's plan the classes that matter.
         let catalog = Arc::new(sqo_catalog::example::figure21().unwrap());
         let supplier = catalog.class_id("supplier").unwrap();
-        let vehicle = catalog.class_id("vehicle").unwrap();
+        // Neither class is on a total end: a lone object of each satisfies
+        // the catalog.
+        let department = catalog.class_id("department").unwrap();
         let mut b = Database::builder(Arc::clone(&catalog));
         b.insert(supplier, vec![Value::str("SFI"), Value::str("1 Food St")]).unwrap();
-        b.insert(vehicle, vec![Value::Int(7), Value::str("flatbed"), Value::Int(1)]).unwrap();
-        let options =
-            IntegrityOptions { enforce_total_participation: false, enforce_multiplicity: true };
-        let db = VersionedDatabase::new(Arc::new(b.finalize(options).unwrap()));
+        b.insert(department, vec![Value::str("sales"), Value::str("open")]).unwrap();
+        let db = VersionedDatabase::new(Arc::new(b.finalize(IntegrityOptions).unwrap()));
         let q = QueryBuilder::new(&catalog).select("supplier.name").build().unwrap();
         let plan = plan_query_shared(&db.snapshot(), &q, &CostModel::default()).unwrap();
         let e = CacheEntry::new(q.clone(), q, Some(Arc::clone(&plan)), false, vec![]);
@@ -645,10 +641,10 @@ mod tests {
             attr: sqo_catalog::AttrId(1),
             value: Value::str(value),
         };
-        db.write(&[rename(vehicle, "van")]).unwrap();
+        db.write(&[rename(department, "closed")]).unwrap();
         assert!(
             Arc::ptr_eq(&e.memoized_results(1).unwrap(), &r0),
-            "the plan binds supplier only: a vehicle write leaves its memo valid"
+            "the plan binds supplier only: a department write leaves its memo valid"
         );
         db.write(&[rename(supplier, "2 Mart Ave")]).unwrap();
         assert!(e.memoized_results(2).is_none(), "a supplier write expires it");
@@ -662,8 +658,8 @@ mod tests {
 
     #[test]
     fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(ShardedCache::new(3, 16).shard_count(), 4);
-        assert_eq!(ShardedCache::new(0, 16).shard_count(), 1);
+        assert_eq!(ShardedCache::new(3, 16).shards.len(), 4);
+        assert_eq!(ShardedCache::new(0, 16).shards.len(), 1);
         assert!(ShardedCache::new(8, 1).capacity() >= 8);
     }
 

@@ -837,7 +837,7 @@ mod tests {
         for x in [-1.5, 0.0, 2.5] {
             db.insert(reading, vec![Value::float(x).unwrap()]).unwrap();
         }
-        let db = db.finalize(sqo_storage::IntegrityOptions::default()).unwrap();
+        let db = db.finalize(sqo_storage::IntegrityOptions).unwrap();
         let options = sqo_constraints::StoreOptions::paper_defaults();
         let store = ConstraintStore::build(Arc::clone(&catalog), vec![], options).unwrap();
         let service = QueryService::new(Arc::new(store), Arc::new(db));

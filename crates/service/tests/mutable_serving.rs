@@ -17,7 +17,7 @@ use sqo_core::SemanticOptimizer;
 use sqo_exec::{execute, plan_query, CostBasedOracle, CostModel};
 use sqo_query::Query;
 use sqo_service::{QueryService, ServiceConfig};
-use sqo_storage::{Database, IntegrityOptions, VersionedDatabase};
+use sqo_storage::{Database, VersionedDatabase};
 use sqo_workload::{
     mixed_workload, paper_scenario, service_workload, DbSize, MixedApplier, MixedOp,
     MixedWorkloadConfig, ServiceWorkloadConfig, WriteKind,
@@ -47,8 +47,7 @@ fn reference_fingerprint(
 fn concurrent_writers_and_readers_observe_linearized_data_epochs() {
     let s = paper_scenario(DbSize::Db1, 42);
     let store = Arc::new(s.store);
-    let handle =
-        Arc::new(VersionedDatabase::with_integrity(Arc::new(s.db), IntegrityOptions::default()));
+    let handle = Arc::new(VersionedDatabase::new(Arc::new(s.db)));
     let service = Arc::new(QueryService::with_versioned_db(
         Arc::clone(&store),
         Arc::clone(&handle),
@@ -204,8 +203,7 @@ fn single_threaded_write_stream_cross_checks_against_unoptimized_reference() {
     // unoptimized on the service's own snapshot.
     let s = paper_scenario(DbSize::Db1, 11);
     let store = Arc::new(s.store);
-    let handle =
-        Arc::new(VersionedDatabase::with_integrity(Arc::new(s.db), IntegrityOptions::default()));
+    let handle = Arc::new(VersionedDatabase::new(Arc::new(s.db)));
     let warm = QueryService::with_versioned_db(
         Arc::clone(&store),
         Arc::clone(&handle),

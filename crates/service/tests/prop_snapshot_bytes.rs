@@ -11,7 +11,11 @@
 //! exactly what the undamaged service answers. Nor does damage to the index
 //! postings that keeps every id in range (an id moved to another key, two
 //! ids swapped between keys, an id dropped): such a file is refused, or
-//! loads and answers exactly.
+//! loads and answers exactly. Damage to the link lists that keeps every id
+//! in range (a link moved to another object, dropped, repeated or pointed
+//! elsewhere) is refused as `Malformed(LINKS)`, or loads a database that
+//! satisfies every total-participation and to-one declaration of its
+//! catalog, as every built database does.
 //!
 //! Each case takes a served paper snapshot, damages one section's payload
 //! (flipped bytes, a truncation, or `u32`s written over or spliced into
@@ -30,10 +34,10 @@ use sqo_exec::ResultSet;
 use sqo_query::Query;
 use sqo_service::{QueryService, ServiceConfig};
 use sqo_snapshot::{
-    section_name, LoadError, SnapshotBuilder, SnapshotFile, ValidationLevel, SEC_CONSTRAINTS,
-    SEC_INDEXES, SEC_QUERIES,
+    section_name, ByteReader, ByteWriter, LoadError, SnapshotBuilder, SnapshotFile,
+    ValidationLevel, SEC_CONSTRAINTS, SEC_INDEXES, SEC_LINKS, SEC_QUERIES,
 };
-use sqo_storage::DataWrite;
+use sqo_storage::{DataWrite, Database};
 use sqo_workload::{copyable_rels, dup_insert, dup_safe_classes, paper_scenario, DbSize};
 
 #[path = "common/stored_indexes.rs"]
@@ -46,6 +50,8 @@ use stored_indexes::{read_indexes, write_indexes, Entries};
 struct Base {
     bytes: Vec<u8>,
     catalog: Arc<sqo_catalog::Catalog>,
+    /// The served database, for the cardinalities that frame LINKS.
+    db: Arc<Database>,
     queries: Vec<Query>,
     /// What the undamaged service answers for each query.
     answers: Vec<Arc<ResultSet>>,
@@ -62,7 +68,8 @@ fn base() -> &'static Base {
         let service = QueryService::new(Arc::new(s.store), Arc::new(s.db));
         let queries: Vec<Query> = s.queries.into_iter().take(8).collect();
         let answers = queries.iter().map(|q| service.run(q).expect("cold run").results).collect();
-        Base { bytes: service.snapshot_bytes(), catalog, queries, answers, write }
+        let (bytes, db) = (service.snapshot_bytes(), service.db());
+        Base { bytes, catalog, db, queries, answers, write }
     })
 }
 
@@ -203,6 +210,90 @@ fn apply_aimed(entries: &mut Entries, aimed: &Aimed) {
     entries.retain(|(_, posting)| !posting.is_empty());
 }
 
+/// A LINKS payload (`docs/FORMAT.md` §3.3) read into each relationship's
+/// left lists, in catalog order, framed by `db`'s cardinalities.
+fn read_links(payload: &[u8], db: &Database) -> Vec<Vec<Vec<u32>>> {
+    let mut r = ByteReader::new(payload, "LINKS");
+    let mut links = Vec::new();
+    for (_, def) in db.catalog().relationships() {
+        let lists: Vec<Vec<u32>> = (0..db.cardinality(def.left.class))
+            .map(|_| (0..r.u32().unwrap()).map(|_| r.u32().unwrap()).collect())
+            .collect();
+        links.push(lists);
+    }
+    r.expect_exhausted().unwrap();
+    links
+}
+
+/// The LINKS payload of `links`, as [`read_links`] reads it.
+fn write_links(links: &[Vec<Vec<u32>>]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    for list in links.iter().flatten() {
+        w.u32(list.len() as u32);
+        list.iter().for_each(|&o| w.u32(o));
+    }
+    w.finish()
+}
+
+/// Damage aimed at one relationship's left lists, every id staying below
+/// its right end's cardinality. Links are named by their rank in
+/// left-then-list order, objects by their id, both reduced modulo their
+/// count.
+#[derive(Debug, Clone)]
+enum LinkDamage {
+    /// Moves one link to another left object's list.
+    Move { link: usize, to: usize },
+    /// Drops one link.
+    Drop(usize),
+    /// Repeats one link in its list.
+    Repeat(usize),
+    /// Points one link at another right object.
+    Retarget { link: usize, to: usize },
+}
+
+fn link_damage() -> impl Strategy<Value = LinkDamage> {
+    let rank = || 0usize..1 << 20;
+    prop_oneof![
+        (rank(), rank()).prop_map(|(link, to)| LinkDamage::Move { link, to }),
+        rank().prop_map(LinkDamage::Drop),
+        rank().prop_map(LinkDamage::Repeat),
+        (rank(), rank()).prop_map(|(link, to)| LinkDamage::Retarget { link, to }),
+    ]
+}
+
+/// Applies `damage` to one relationship's left lists (`right` objects on
+/// its right end); a relationship without links is left as it is.
+fn apply_link_damage(lists: &mut [Vec<u32>], right: usize, damage: &LinkDamage) {
+    let links: Vec<(usize, usize)> = lists
+        .iter()
+        .enumerate()
+        .flat_map(|(l, list)| (0..list.len()).map(move |i| (l, i)))
+        .collect();
+    if links.is_empty() {
+        return;
+    }
+    let at = |rank: usize| links[rank % links.len()];
+    match *damage {
+        LinkDamage::Move { link, to } => {
+            let (l, i) = at(link);
+            let o = lists[l].remove(i);
+            lists[to % lists.len()].push(o);
+        }
+        LinkDamage::Drop(link) => {
+            let (l, i) = at(link);
+            lists[l].remove(i);
+        }
+        LinkDamage::Repeat(link) => {
+            let (l, i) = at(link);
+            lists[l].push(lists[l][i]);
+        }
+        LinkDamage::Retarget { link, to } => {
+            let (l, i) = at(link);
+            lists[l][i] = (to % right) as u32;
+        }
+    }
+}
+
 /// Loads `bytes` and has a service it loads answer the base queries and
 /// the write; fails the test if anything unwinds. With `exact`, every base
 /// query must answer what the undamaged service answers.
@@ -307,6 +398,37 @@ proptest! {
         let what = || format!("index {attr:?} damaged by {aimed:?}");
         if let Err(e) = load_is_total(&bytes, true, &what) {
             assert!(matches!(e, LoadError::Malformed { section: "INDEXES", .. }), "{e:?} on {}", what());
+        }
+    }
+
+    /// A load holds every relationship's links to its catalog's
+    /// declarations, so in-range damage to the link lists is refused, or
+    /// loads a database the full check (a from-scratch rebuild,
+    /// `with_writes_full`) accepts; it serves the base queries and a write
+    /// (checked by `load_is_total`). Answers may change: a retargeted link
+    /// the declarations allow is data, not damage the load can see.
+    #[test]
+    fn aimed_damage_to_links_loads_only_declared_shapes(
+        pick in 0usize..64,
+        damage in link_damage(),
+    ) {
+        let base = base();
+        let file = SnapshotFile::parse(&base.bytes).expect("the base snapshot parses");
+        let mut links = read_links(file.section(SEC_LINKS).expect("LINKS"), &base.db);
+        let rel = pick % links.len();
+        let def = base.catalog.relationship(sqo_catalog::RelId(rel as u32)).unwrap();
+        apply_link_damage(&mut links[rel], base.db.cardinality(def.right.class), &damage);
+        let bytes = edited(SEC_LINKS, |payload| *payload = write_links(&links));
+        let what = || format!("relationship {} damaged by {damage:?}", def.name);
+        match load_is_total(&bytes, false, &what) {
+            Ok(service) => {
+                let full = service.db().with_writes_full(&[]);
+                prop_assert!(full.is_ok(), "{:?} on {}", full.err(), what());
+            }
+            Err(e) => {
+                let links = matches!(e, LoadError::Malformed { section: "LINKS", .. });
+                prop_assert!(links, "{:?} on {}", e, what());
+            }
         }
     }
 }

@@ -120,20 +120,23 @@
 //! `tests/prop_incremental.rs`), and [`Database::rebuild_statistics`] is the
 //! from-scratch statistics scan the patched statistics are checked against.
 //!
-//! Integrity re-checking is scoped the same way: only relationships the
-//! batch could have affected (those incident to inserted/deleted objects or
-//! named by link writes) are re-validated — untouched relationships remain
-//! valid by induction from the base snapshot. In-place attribute updates
-//! ([`DataWrite::Update`]) touch no link structure and therefore re-check
-//! nothing.
+//! The integrity check is scoped the same way. Every database satisfies its
+//! catalog's total-participation and to-one declarations: a build, a load
+//! and [`Database::with_writes_full`] check every list of every
+//! relationship. [`Database::with_writes`] checks, per relationship the
+//! batch touched, only the lists it can have changed — those on adjacency
+//! pages the batch copied and the slots past the base side's length — and
+//! every other list holds by induction from the base snapshot. In-place
+//! attribute updates ([`DataWrite::Update`]) touch no link structure and
+//! therefore re-check nothing.
 //!
 //! The [`crate::VersionedDatabase`] handle wraps [`Database::with_writes`]
 //! into a concurrent write path with a monotone data epoch; readers keep
 //! their `Arc` snapshot and are never torn by a write.
 
 use sqo_catalog::{
-    AttrId, AttrRef, Catalog, ClassDef, ClassId, ClassStats, DataType, Multiplicity, RelId,
-    RelStats, RelationshipDef, StatsSnapshot, Value,
+    AttrId, AttrRef, Catalog, ClassDef, ClassId, ClassStats, DataType, RelId, RelStats,
+    StatsSnapshot, Value,
 };
 use sqo_constraints::HornConstraint;
 use sqo_query::Predicate;
@@ -147,18 +150,12 @@ use crate::links::{Adjacency, RelLinks};
 use crate::object::ObjectId;
 use crate::versioned::WriteEpochs;
 
-/// Which integrity declarations to enforce at load time.
-#[derive(Debug, Clone, Copy)]
-pub struct IntegrityOptions {
-    pub enforce_total_participation: bool,
-    pub enforce_multiplicity: bool,
-}
-
-impl Default for IntegrityOptions {
-    fn default() -> Self {
-        Self { enforce_total_participation: true, enforce_multiplicity: true }
-    }
-}
+/// The argument of [`DatabaseBuilder::finalize`]. It has no field: every
+/// database satisfies its catalog's total-participation and to-one
+/// declarations, checked on every build, load and write batch. It stays
+/// because callers outside the workspace pass `IntegrityOptions::default()`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IntegrityOptions;
 
 /// One witness of a violated semantic constraint (see
 /// [`Database::check_constraint`]).
@@ -430,15 +427,18 @@ impl Database {
     /// ([`crate::VersionedDatabase::write`] raises them when it is).
     ///
     /// The batch is **atomic**: any validation error (arity, types, unknown
-    /// objects or attributes, missing links, or — when `integrity` is
-    /// supplied — a violated total-participation/multiplicity declaration on
-    /// a relationship the batch touched) leaves `self` untouched and returns
-    /// the error. On success the [`WriteReceipt`] reports the inserted ids
-    /// and every swap-remove renumbering.
+    /// objects or attributes, missing links, or a violated
+    /// total-participation/to-one declaration in the state the whole batch
+    /// leaves) leaves `self` untouched and returns the error. On success the
+    /// [`WriteReceipt`] reports the inserted ids and every swap-remove
+    /// renumbering.
+    ///
+    /// The second argument is never read: the integrity check always runs.
+    /// It stays because callers outside the workspace pass `None`.
     pub fn with_writes(
         &self,
         writes: &[DataWrite],
-        integrity: Option<IntegrityOptions>,
+        _integrity: Option<IntegrityOptions>,
     ) -> Result<(Database, WriteReceipt), StorageError> {
         let catalog = Arc::clone(&self.catalog);
         let mut extents = self.extents.clone();
@@ -624,11 +624,9 @@ impl Database {
                 }
             }
         }
-        if let Some(options) = integrity {
-            for (rel, def) in catalog.relationships() {
-                if touched_rels[rel.index()] {
-                    enforce_rel_integrity(rel, def, &links[rel.index()], options)?;
-                }
+        for (rel, def) in catalog.relationships() {
+            if touched_rels[rel.index()] {
+                links[rel.index()].check(rel, def, Some(&self.links[rel.index()]))?;
             }
         }
         // Fold statistics: close the touched classes' patches, recompute the
@@ -689,13 +687,13 @@ impl Database {
     /// statistics — exactly as a fresh [`DatabaseBuilder`] load would. It is
     /// the independent equivalence oracle for [`Database::with_writes`]
     /// (`tests/prop_incremental.rs` proves the two agree on every read API
-    /// for arbitrary batches). Semantics are identical, including integrity
-    /// scoping, the returned [`WriteReceipt`] and the lineage's
-    /// [`WriteEpochs`], handed on by pointer and not raised.
+    /// for arbitrary batches). Semantics are identical, including the
+    /// returned [`WriteReceipt`] and the lineage's [`WriteEpochs`], handed on
+    /// by pointer and not raised; the integrity check reads every list of
+    /// every relationship.
     pub fn with_writes_full(
         &self,
         writes: &[DataWrite],
-        integrity: Option<IntegrityOptions>,
     ) -> Result<(Database, WriteReceipt), StorageError> {
         let catalog = Arc::clone(&self.catalog);
         let mut extents: Vec<Vec<Vec<Value>>> = self
@@ -706,7 +704,6 @@ impl Database {
         let mut pairs: Vec<Vec<(ObjectId, ObjectId)>> =
             self.links.iter().map(|lk| lk.pairs().collect()).collect();
         let mut touched_classes = vec![false; extents.len()];
-        let mut touched_rels = vec![false; pairs.len()];
         let mut inserted: Vec<(ClassId, ObjectId)> = Vec::new();
         let mut moves: Vec<(ClassId, ObjectId, ObjectId)> = Vec::new();
         for write in writes {
@@ -717,11 +714,6 @@ impl Database {
                     let oid = ObjectId(extent.len() as u32);
                     extent.push(tuple.clone());
                     touched_classes[class.index()] = true;
-                    for (rel, def) in catalog.relationships() {
-                        if def.involves(*class) {
-                            touched_rels[rel.index()] = true;
-                        }
-                    }
                     for &(rel, other) in links {
                         let def = catalog.relationship(rel)?;
                         let (left, right, other_class) = if def.left.class == *class {
@@ -738,7 +730,6 @@ impl Database {
                             });
                         }
                         pairs[rel.index()].push((left, right));
-                        touched_rels[rel.index()] = true;
                     }
                     inserted.push((*class, oid));
                 }
@@ -764,7 +755,6 @@ impl Database {
                         if !on_left && !on_right {
                             continue;
                         }
-                        touched_rels[rel.index()] = true;
                         let ps = &mut pairs[rel.index()];
                         ps.retain(|&(l, r)| !(on_left && l == *object || on_right && r == *object));
                         if *object != last {
@@ -806,7 +796,6 @@ impl Database {
                         }
                     }
                     pairs[rel.index()].push((*left, *right));
-                    touched_rels[rel.index()] = true;
                 }
                 DataWrite::Unlink { rel, left, right } => {
                     let ps = &mut pairs[rel.index()];
@@ -818,19 +807,11 @@ impl Database {
                         });
                     };
                     ps.remove(at);
-                    touched_rels[rel.index()] = true;
                 }
             }
         }
         let mut extents = page_extents(&catalog, extents);
-        let links = build_links(&catalog, &extents, &pairs);
-        if let Some(options) = integrity {
-            for (rel, def) in catalog.relationships() {
-                if touched_rels[rel.index()] {
-                    enforce_rel_integrity(rel, def, &links[rel.index()], options)?;
-                }
-            }
-        }
+        let links = build_links(&catalog, &extents, &pairs)?;
         let indexes = build_indexes(&catalog, &mut extents);
         let stats = build_statistics(&catalog, &extents, &links);
         let receipt = WriteReceipt {
@@ -1027,14 +1008,21 @@ impl DatabaseBuilder {
         Ok(())
     }
 
-    /// Builds indexes, statistics and link structures; enforces integrity.
-    pub fn finalize(self, options: IntegrityOptions) -> Result<Database, StorageError> {
+    /// Builds the link structures and checks every relationship's
+    /// integrity declarations, then builds the declared indexes and the
+    /// statistics, off the indexes' postings where there are some. The
+    /// argument is never read.
+    pub fn finalize(self, _options: IntegrityOptions) -> Result<Database, StorageError> {
         let mut pairs: Vec<Vec<(ObjectId, ObjectId)>> =
             vec![Vec::new(); self.catalog.relationship_count()];
         for (rel, l, r) in &self.pending_links {
             pairs[rel.index()].push((*l, *r));
         }
-        assemble(self.catalog, self.extents, pairs, Some(options), 0)
+        let mut extents: Vec<Extent> = self.extents.into_iter().map(Columns::finish).collect();
+        let links = build_links(&self.catalog, &extents, &pairs)?;
+        let indexes = build_indexes(&self.catalog, &mut extents);
+        let classes = load_statistics(&mut extents, &indexes);
+        Ok(Database::from_loaded_parts(self.catalog, extents, indexes, links, classes, 0))
     }
 }
 
@@ -1101,21 +1089,22 @@ fn page_extents(catalog: &Catalog, extents: Vec<Vec<Vec<Value>>>) -> Vec<Extent>
 }
 
 /// Builds every relationship's link table from flat pairs, in canonical
-/// order.
+/// order, and checks each against its integrity declarations.
 fn build_links(
     catalog: &Catalog,
     extents: &[Extent],
     pairs: &[Vec<(ObjectId, ObjectId)>],
-) -> Vec<RelLinks> {
+) -> Result<Vec<RelLinks>, StorageError> {
     catalog
         .relationships()
         .zip(pairs)
-        .map(|((_, def), rel_pairs)| {
-            RelLinks::from_pairs(
+        .map(|((rel, def), rel_pairs)| {
+            let links = RelLinks::from_pairs(
                 extents[def.left.class.index()].len(),
                 extents[def.right.class.index()].len(),
                 rel_pairs,
-            )
+            );
+            links.check(rel, def, None).map(|()| links)
         })
         .collect()
 }
@@ -1133,84 +1122,6 @@ fn build_indexes(catalog: &Catalog, extents: &mut [Extent]) -> Vec<Vec<Option<At
                 .collect()
         })
         .collect()
-}
-
-/// Assembles a snapshot from logical state: builds link structures, enforces
-/// integrity declarations over **every** relationship (when requested),
-/// builds the declared indexes and then the statistics, off the indexes'
-/// postings where there are some ([`load_statistics`]). The load path
-/// ([`DatabaseBuilder::finalize`]); the write paths share its parts.
-fn assemble(
-    catalog: Arc<Catalog>,
-    extents: Vec<Columns>,
-    pairs: Vec<Vec<(ObjectId, ObjectId)>>,
-    integrity: Option<IntegrityOptions>,
-    data_version: u64,
-) -> Result<Database, StorageError> {
-    let mut extents: Vec<Extent> = extents.into_iter().map(Columns::finish).collect();
-    let links = build_links(&catalog, &extents, &pairs);
-    if let Some(options) = integrity {
-        for (rel, def) in catalog.relationships() {
-            enforce_rel_integrity(rel, def, &links[rel.index()], options)?;
-        }
-    }
-    let indexes = build_indexes(&catalog, &mut extents);
-    let classes = load_statistics(&mut extents, &indexes);
-    Ok(Database::from_loaded_parts(catalog, extents, indexes, links, classes, data_version))
-}
-
-/// Checks one relationship's total-participation and to-one declarations.
-fn enforce_rel_integrity(
-    rel: RelId,
-    def: &RelationshipDef,
-    lk: &RelLinks,
-    options: IntegrityOptions,
-) -> Result<(), StorageError> {
-    if options.enforce_total_participation {
-        if def.left.total {
-            if let Some(o) = lk.unlinked_left().next() {
-                return Err(StorageError::TotalParticipationViolated {
-                    rel,
-                    class: def.left.class,
-                    object: o,
-                });
-            }
-        }
-        if def.right.total {
-            if let Some(o) = lk.unlinked_right().next() {
-                return Err(StorageError::TotalParticipationViolated {
-                    rel,
-                    class: def.right.class,
-                    object: o,
-                });
-            }
-        }
-    }
-    if options.enforce_multiplicity {
-        // `left.multiplicity == One` means each left object links to
-        // at most one right object.
-        if def.left.multiplicity == Multiplicity::One {
-            if let Some((object, links)) = lk.overlinked_left() {
-                return Err(StorageError::MultiplicityViolated {
-                    rel,
-                    class: def.left.class,
-                    object,
-                    links,
-                });
-            }
-        }
-        if def.right.multiplicity == Multiplicity::One {
-            if let Some((object, links)) = lk.overlinked_right() {
-                return Err(StorageError::MultiplicityViolated {
-                    rel,
-                    class: def.right.class,
-                    object,
-                    links,
-                });
-            }
-        }
-    }
-    Ok(())
 }
 
 /// One relationship's statistics — O(1) off the link table's counters.
@@ -1282,12 +1193,18 @@ mod tests {
         b.link(supplies, fresh, ntuc).unwrap();
         b.link(collects, frozen, reefer).unwrap();
         b.link(collects, fresh, flatbed).unwrap();
-        let db = b
-            .finalize(IntegrityOptions {
-                enforce_total_participation: false, // other classes are empty
-                enforce_multiplicity: true,
-            })
-            .unwrap();
+        // Each vehicle has its own engine and one shared driver, as the
+        // to-one, total vehicle ends of `eng_comp` and `drives` declare.
+        let license = [Value::Int(0), Value::Int(9), Value::Int(0)];
+        let tuple = [Value::str("d"), Value::str("x"), Value::str("x")].into_iter().chain(license);
+        let driver = b.insert(catalog.class_id("driver").unwrap(), tuple.collect()).unwrap();
+        for (no, vehicle) in [reefer, flatbed].into_iter().enumerate() {
+            let engine = catalog.class_id("engine").unwrap();
+            let engine = b.insert(engine, vec![Value::Int(no as i64), Value::Int(1)]).unwrap();
+            b.link(catalog.rel_id("eng_comp").unwrap(), vehicle, engine).unwrap();
+            b.link(catalog.rel_id("drives").unwrap(), vehicle, driver).unwrap();
+        }
+        let db = b.finalize(IntegrityOptions).unwrap();
         (catalog, db)
     }
 
@@ -1389,10 +1306,7 @@ mod tests {
         // cargo is the to-one side: two suppliers for one cargo violates.
         b.link(supplies, c1, s1).unwrap();
         b.link(supplies, c1, s2).unwrap();
-        let err = b.finalize(IntegrityOptions {
-            enforce_total_participation: false,
-            enforce_multiplicity: true,
-        });
+        let err = b.finalize(IntegrityOptions);
         assert!(matches!(err, Err(StorageError::MultiplicityViolated { .. })));
     }
 
@@ -1403,7 +1317,7 @@ mod tests {
         let cargo = catalog.class_id("cargo").unwrap();
         // A cargo with no supplier violates `supplies` (total on cargo side).
         b.insert(cargo, vec![Value::Int(1), Value::str("d"), Value::Int(1)]).unwrap();
-        let err = b.finalize(IntegrityOptions::default());
+        let err = b.finalize(IntegrityOptions);
         assert!(matches!(err, Err(StorageError::TotalParticipationViolated { .. })));
     }
 
@@ -1481,38 +1395,42 @@ mod tests {
         let supplier = catalog.class_id("supplier").unwrap();
         let vehicle = catalog.class_id("vehicle").unwrap();
         let belongs_to = catalog.rel_id("belongs_to").unwrap();
+        // A supplier is on no total end, so it may be inserted unlinked.
         let (next, _) = db
             .with_writes(
                 &[DataWrite::Insert {
-                    class: cargo,
-                    tuple: vec![Value::Int(102), Value::str("frozen food"), Value::Int(40)],
+                    class: supplier,
+                    tuple: vec![Value::str("FFC"), Value::str("3 Fish Rd")],
                     links: vec![],
                 }],
                 None,
             )
             .unwrap();
         // The touched class got its own extent and index pages…
-        assert!(!next.shares_extent_with(&db, cargo));
-        assert_eq!(unshared_index_pages(&next, &db, cargo), vec![1]);
+        assert!(!next.shares_extent_with(&db, supplier));
+        assert_eq!(unshared_index_pages(&next, &db, supplier), vec![1]);
         // …every other class is shared by pointer…
-        for c in [supplier, vehicle] {
+        for c in [cargo, vehicle] {
             assert!(next.shares_extent_with(&db, c), "{}", catalog.class_name(c));
             assert!(unshared_index_pages(&next, &db, c).iter().all(|&pages| pages == 0));
         }
         // …and so is every page of every link table: relationships not
-        // incident to cargo keep theirs, and the unlinked object's slot on
-        // the cargo side of the incident ones was already an empty list of
-        // their last page.
+        // incident to supplier keep theirs, and the unlinked object's slot
+        // on the supplier side of `supplies` was already an empty list of
+        // its last page.
         let shared = |rel: RelId| {
             let (a, b) = (next.links[rel.index()].sides(), db.links[rel.index()].sides());
             (0..2).all(|side| a[side].unshared_pages(b[side]).next().is_none())
         };
-        assert!(shared(belongs_to));
-        assert_eq!(next.links(belongs_to), db.links(belongs_to));
-        for rel in [catalog.rel_id("supplies").unwrap(), catalog.rel_id("collects").unwrap()] {
+        for rel in catalog.relationships().map(|(rel, _)| rel) {
             assert!(shared(rel));
-            assert_eq!(next.links(rel).left_cardinality(), db.links(rel).left_cardinality() + 1);
         }
+        assert_eq!(next.links(belongs_to), db.links(belongs_to));
+        let supplies = catalog.rel_id("supplies").unwrap();
+        assert_eq!(
+            next.links(supplies).right_cardinality(),
+            db.links(supplies).right_cardinality() + 1
+        );
     }
 
     #[test]
@@ -1525,18 +1443,23 @@ mod tests {
             ["supplier", "cargo", "vehicle"].map(|c| catalog.class_id(c).unwrap());
         let incident = ["supplies", "collects"].map(|r| catalog.rel_id(r).unwrap());
         let mut b = Database::builder(Arc::clone(&catalog));
+        // Vehicle i has engine i and the one driver.
+        let license = [Value::Int(0), Value::Int(9), Value::Int(0)];
+        let tuple = [Value::str("d"), Value::str("x"), Value::str("x")].into_iter().chain(license);
+        let driver = b.insert(catalog.class_id("driver").unwrap(), tuple.collect()).unwrap();
+        let engine = catalog.class_id("engine").unwrap();
         for i in 0..n {
             let name = Value::str(format!("s{i}"));
             b.insert(supplier, vec![name, Value::str("addr")]).unwrap();
             b.insert(cargo, vec![Value::Int(i.into()), Value::str("d"), Value::Int(1)]).unwrap();
             b.insert(vehicle, vec![Value::Int(i.into()), Value::str("v"), Value::Int(1)]).unwrap();
-            for rel in incident {
+            b.insert(engine, vec![Value::Int(i.into()), Value::Int(1)]).unwrap();
+            for rel in incident.into_iter().chain([catalog.rel_id("eng_comp").unwrap()]) {
                 b.link(rel, ObjectId(i), ObjectId(i)).unwrap();
             }
+            b.link(catalog.rel_id("drives").unwrap(), ObjectId(i), driver).unwrap();
         }
-        let options =
-            IntegrityOptions { enforce_total_participation: false, enforce_multiplicity: true };
-        let db = b.finalize(options).unwrap();
+        let db = b.finalize(IntegrityOptions).unwrap();
         // The cargo column pages, as (attribute, page), and per incident
         // adjacency side the CSR pages (one allocation of 128 objects'
         // lists each), that `a` does not share with `b`.
@@ -1559,7 +1482,7 @@ mod tests {
             tuple: vec![Value::Int(n.into()), Value::str("d"), Value::Int(1)],
             links: incident.map(|rel| (rel, ObjectId(n - 1))).to_vec(),
         };
-        let (next, _) = db.with_writes(&[insert], Some(options)).unwrap();
+        let (next, _) = db.with_writes(&[insert], None).unwrap();
         assert_eq!(unshared(&next, &db), (vec![(0, 2), (1, 2), (2, 2)], vec![vec![2]; 4]));
         // Of the five pages of `cargo.code`'s index, the one the new key
         // joins.
@@ -1571,7 +1494,7 @@ mod tests {
         // the other sides the pages of the two objects' neighbours'
         // lists (supplier/vehicle 0 and 300 - 1), each rebuilt once.
         let (after, _) = next
-            .with_writes(&[DataWrite::Delete { class: cargo, object: ObjectId(0) }], Some(options))
+            .with_writes(&[DataWrite::Delete { class: cargo, object: ObjectId(0) }], None)
             .unwrap();
         let columns = (0..3).flat_map(|attr| [(attr, 0), (attr, 2)]).collect();
         assert_eq!(unshared(&after, &next), (columns, vec![vec![0, 2]; 4]));
@@ -1590,7 +1513,7 @@ mod tests {
             attr: quantity.attr,
             value: Value::Int(2),
         };
-        let (updated, _) = after.with_writes(&[update], Some(options)).unwrap();
+        let (updated, _) = after.with_writes(&[update], None).unwrap();
         assert_eq!(unshared(&updated, &after), (vec![(quantity.attr.index(), 1)], vec![vec![]; 4]));
         assert_eq!(unshared_index_pages(&updated, &after, cargo), vec![0]);
         for class in [supplier, vehicle] {
@@ -1598,16 +1521,22 @@ mod tests {
         }
         assert_eq!(updated.value(quantity, ObjectId(130)).unwrap(), Value::Int(2));
         assert_eq!(after.value(quantity, ObjectId(130)).unwrap(), Value::Int(1));
-        // Unlinking cargo 130 from supplier 130 edits one list on each side
-        // of `supplies`: page 1 of both, and no page of `collects`.
+        // Moving cargo 130 from supplier 130 to supplier 131 edits one list
+        // on the cargo side of `supplies` and two on the supplier side: page
+        // 1 of both, and no page of `collects`.
         let [supplies, _] = incident;
-        let unlink = DataWrite::Unlink { rel: supplies, left: ObjectId(130), right: ObjectId(130) };
-        let (unlinked, _) = updated.with_writes(&[unlink], None).unwrap();
-        let (columns, sides) = unshared(&unlinked, &updated);
+        let relink = [
+            DataWrite::Unlink { rel: supplies, left: ObjectId(130), right: ObjectId(130) },
+            DataWrite::Link { rel: supplies, left: ObjectId(130), right: ObjectId(131) },
+        ];
+        let (relinked, _) = updated.with_writes(&relink, None).unwrap();
+        let (columns, sides) = unshared(&relinked, &updated);
         assert!(columns.is_empty());
         assert_eq!(sides, vec![vec![1], vec![1], vec![], vec![]]);
-        assert!(unlinked.links(supplies).from_left(ObjectId(130)).is_empty());
-        assert_eq!(unlinked.links(supplies).from_left(ObjectId(131)), &[ObjectId(131)]);
+        assert_eq!(relinked.links(supplies).from_left(ObjectId(130)), &[ObjectId(131)]);
+        assert!(relinked.links(supplies).from_right(ObjectId(130)).is_empty());
+        let moved = [ObjectId(130), ObjectId(131)];
+        assert_eq!(relinked.links(supplies).from_right(ObjectId(131)), &moved);
     }
 
     #[test]
@@ -1650,9 +1579,7 @@ mod tests {
                     attr: code.attr,
                     value: Value::Int(900),
                 }],
-                // Updates never touch links, so full integrity enforcement
-                // is safe even on this partially-linked mini instance.
-                Some(IntegrityOptions::default()),
+                None,
             )
             .unwrap();
         assert_eq!(receipt.touched_classes, vec![cargo]);
@@ -1711,27 +1638,20 @@ mod tests {
         let (catalog, db) = mini_db();
         let collects = catalog.rel_id("collects").unwrap();
         let cargo = catalog.class_id("cargo").unwrap();
-        // Put the frozen cargo on the flatbed too, then take it off again.
-        let (linked, _) = db
-            .with_writes(
-                &[DataWrite::Link { rel: collects, left: ObjectId(0), right: ObjectId(1) }],
-                None,
-            )
-            .unwrap();
-        assert_eq!(
-            linked.traverse(collects, cargo, ObjectId(0)).unwrap(),
-            &[ObjectId(0), ObjectId(1)]
-        );
-        let (unlinked, _) = linked
-            .with_writes(
-                &[DataWrite::Unlink { rel: collects, left: ObjectId(0), right: ObjectId(1) }],
-                None,
-            )
-            .unwrap();
-        assert_eq!(unlinked.traverse(collects, cargo, ObjectId(0)).unwrap(), &[ObjectId(0)]);
-        assert_eq!(unlinked.data_version(), 2);
+        // Move the frozen cargo onto the flatbed, then back again. A cargo
+        // is collected by exactly one vehicle, so each move is one batch.
+        let edge = |right| (ObjectId(0), ObjectId(right));
+        let link = |(left, right)| DataWrite::Link { rel: collects, left, right };
+        let unlink = |(left, right)| DataWrite::Unlink { rel: collects, left, right };
+        let (moved, _) = db.with_writes(&[link(edge(1)), unlink(edge(0))], None).unwrap();
+        assert_eq!(moved.traverse(collects, cargo, ObjectId(0)).unwrap(), &[ObjectId(1)]);
+        assert_eq!(moved.links(collects).from_right(ObjectId(1)), &[ObjectId(0), ObjectId(1)]);
+        let (back, _) = moved.with_writes(&[unlink(edge(1)), link(edge(0))], None).unwrap();
+        assert_eq!(back.traverse(collects, cargo, ObjectId(0)).unwrap(), &[ObjectId(0)]);
+        assert_eq!(back.links(collects), db.links(collects));
+        assert_eq!(back.data_version(), 2);
         assert!(matches!(
-            unlinked.with_writes(
+            back.with_writes(
                 &[DataWrite::Unlink { rel: collects, left: ObjectId(0), right: ObjectId(1) }],
                 None,
             ),
@@ -1828,31 +1748,37 @@ mod tests {
         let (catalog, db) = mini_db();
         let cargo = catalog.class_id("cargo").unwrap();
         let supplies = catalog.rel_id("supplies").unwrap();
-        let options = IntegrityOptions {
-            enforce_total_participation: false, // other classes are empty
-            enforce_multiplicity: true,
+        // A second supplier for cargo 0 violates the to-one side, in either
+        // write path.
+        let second = DataWrite::Link { rel: supplies, left: ObjectId(0), right: ObjectId(1) };
+        let overlinked = StorageError::MultiplicityViolated {
+            rel: supplies,
+            class: cargo,
+            object: ObjectId(0),
+            links: 2,
         };
-        // A second supplier for cargo 0 violates the to-one side.
-        let err = db.with_writes(
-            &[DataWrite::Link { rel: supplies, left: ObjectId(0), right: ObjectId(1) }],
-            Some(options),
-        );
-        assert!(matches!(err, Err(StorageError::MultiplicityViolated { .. })));
-        // The same batch passes when enforcement is off.
-        assert!(db
-            .with_writes(
-                &[DataWrite::Link { rel: supplies, left: ObjectId(0), right: ObjectId(1) }],
-                None,
-            )
-            .is_ok());
-        // An unlinked cargo insert trips total participation when enforced.
+        let batch = [second.clone()];
+        assert_eq!(db.with_writes(&batch, None).err(), Some(overlinked.clone()));
+        assert_eq!(db.with_writes_full(&batch).err(), Some(overlinked));
+        // The same link passes when the batch also drops the first supplier.
+        let first = DataWrite::Unlink { rel: supplies, left: ObjectId(0), right: ObjectId(0) };
+        let (moved, _) = db.with_writes(&[second, first.clone()], None).unwrap();
+        assert_eq!(moved.links(supplies).from_left(ObjectId(0)), &[ObjectId(1)]);
+        // Dropping it alone leaves the cargo without one.
+        let unlinked = StorageError::TotalParticipationViolated {
+            rel: supplies,
+            class: cargo,
+            object: ObjectId(0),
+        };
+        assert_eq!(db.with_writes(&[first], None).err(), Some(unlinked));
+        // An unlinked cargo insert trips total participation.
         let err = db.with_writes(
             &[DataWrite::Insert {
                 class: cargo,
                 tuple: vec![Value::Int(105), Value::str("d"), Value::Int(1)],
                 links: vec![],
             }],
-            Some(IntegrityOptions::default()),
+            None,
         );
         assert!(matches!(err, Err(StorageError::TotalParticipationViolated { .. })));
     }
@@ -1903,7 +1829,7 @@ mod tests {
             DataWrite::Unlink { rel: collects, left: ObjectId(1), right: ObjectId(0) },
         ];
         let (inc, r1) = db.with_writes(&batch, None).unwrap();
-        let (full, r2) = db.with_writes_full(&batch, None).unwrap();
+        let (full, r2) = db.with_writes_full(&batch).unwrap();
         assert_eq!(r1, r2, "receipts agree");
         assert_eq!(inc.data_version(), full.data_version());
         for (cid, _) in catalog.classes() {
@@ -1939,6 +1865,7 @@ mod tests {
     fn folded_statistics_match_the_from_scratch_rebuild() {
         let (catalog, db) = mini_db();
         let cargo = catalog.class_id("cargo").unwrap();
+        let links = ["supplies", "collects"].map(|r| (catalog.rel_id(r).unwrap(), ObjectId(0)));
         let mut current = db;
         // A chain of writes; after each, the folded stats must equal a full
         // rescan of the successor.
@@ -1946,7 +1873,7 @@ mod tests {
             vec![DataWrite::Insert {
                 class: cargo,
                 tuple: vec![Value::Int(300), Value::str("frozen food"), Value::Int(12)],
-                links: vec![],
+                links: links.to_vec(),
             }],
             vec![DataWrite::Update {
                 class: cargo,

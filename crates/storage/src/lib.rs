@@ -12,8 +12,9 @@
 //!   value counts statistics are maintained from;
 //! * bidirectional **relationship links** (the pointer attributes of the
 //!   paper's schema);
-//! * load-time **integrity enforcement**: total participation and to-one
-//!   multiplicity — the declarations that make class elimination sound;
+//! * **integrity enforcement** on every build, load and write batch: total
+//!   participation and to-one multiplicity — the declarations that make
+//!   class elimination sound — always hold;
 //! * **cost accounting**: raw operation counters, a page-I/O model and
 //!   scalar work units, so "execution cost" is deterministic and
 //!   machine-independent;

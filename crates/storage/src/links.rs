@@ -41,10 +41,21 @@
 //! holding the lists it edits, one allocation each. A reader that resolves
 //! a side's page table once ([`Adjacency`]) reads a list with two dependent
 //! loads: the page's pointer, then the list's ends beside its targets.
+//!
+//! # Integrity declarations
+//!
+//! [`RelLinks::check`] holds a table to its relationship's
+//! total-participation and to-one declarations. Since a patch copies
+//! exactly the pages holding the lists it edits, the lists of a successor
+//! that can differ from its base's are those on pages the two do not share
+//! and the slots past the base's length; a write batch reads only those.
 
 use std::ops::Range;
 use std::sync::Arc;
 
+use sqo_catalog::{Multiplicity, RelId, RelationshipDef};
+
+use crate::error::StorageError;
 use crate::object::ObjectId;
 use crate::paged::{PAGE_BITS, PAGE_LEN, PAGE_MASK};
 
@@ -130,6 +141,27 @@ impl Lists {
 
     fn lists(&self) -> impl Iterator<Item = &[ObjectId]> + '_ {
         (0..self.len).map(|i| self.list(i))
+    }
+
+    /// The lists that can differ from `base`'s, each with its object: every
+    /// list on a page `self` does not share with `base`, and on a shared
+    /// page the lists past `base`'s length, since an object appended onto a
+    /// page with room copies no page. Every list when `base` is `None`.
+    fn changed_since<'a>(
+        &'a self,
+        base: Option<&'a Lists>,
+    ) -> impl Iterator<Item = (ObjectId, &'a [ObjectId])> + 'a {
+        let handle = self.handle();
+        let base_len = base.map_or(0, Lists::len);
+        self.pages.iter().enumerate().flat_map(move |(p, page)| {
+            let shared = base.and_then(|b| b.pages.get(p)).is_some_and(|b| Arc::ptr_eq(b, page));
+            let lo = p << PAGE_BITS;
+            let from = if shared { base_len.max(lo) } else { lo };
+            (from..(lo + PAGE_LEN).min(self.len)).map(move |i| {
+                let object = ObjectId(i as u32);
+                (object, handle.get(object))
+            })
+        })
     }
 
     /// Replaces `range` of list `i` (`i < len()`) with `with`, rebuilding
@@ -319,32 +351,48 @@ impl RelLinks {
         self.right_to_left.len()
     }
 
-    /// Left objects with no links (total-participation check).
-    pub fn unlinked_left(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        unlinked(&self.left_to_right)
-    }
-
-    pub fn unlinked_right(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        unlinked(&self.right_to_left)
-    }
-
-    /// Max links per left object (multiplicity check).
-    pub fn max_left_fanout(&self) -> usize {
-        self.left_to_right.lists().map(<[ObjectId]>::len).max().unwrap_or(0)
-    }
-
-    pub fn max_right_fanout(&self) -> usize {
-        self.right_to_left.lists().map(<[ObjectId]>::len).max().unwrap_or(0)
-    }
-
-    /// The first left object with more than one link, and how many it has
-    /// (to-one multiplicity check).
-    pub(crate) fn overlinked_left(&self) -> Option<(ObjectId, usize)> {
-        overlinked(&self.left_to_right)
-    }
-
-    pub(crate) fn overlinked_right(&self) -> Option<(ObjectId, usize)> {
-        overlinked(&self.right_to_left)
+    /// The one integrity check: every object on a total end of `def` has at
+    /// least one link, and every object on a to-one end at most one. Only
+    /// the lists that can differ from `base`'s are read
+    /// ([`Lists::changed_since`]), which is exact when `base` satisfies
+    /// `def`; every list is read when `base` is `None`.
+    pub(crate) fn check(
+        &self,
+        rel: RelId,
+        def: &RelationshipDef,
+        base: Option<&RelLinks>,
+    ) -> Result<(), StorageError> {
+        let sides = [
+            (&def.left, &self.left_to_right, base.map(|b| &b.left_to_right)),
+            (&def.right, &self.right_to_left, base.map(|b| &b.right_to_left)),
+        ];
+        for (end, side, base) in sides {
+            let to_one = end.multiplicity == Multiplicity::One;
+            if !end.total && !to_one {
+                continue;
+            }
+            let broken =
+                |list: &[ObjectId]| end.total && list.is_empty() || to_one && list.len() > 1;
+            match side.changed_since(base).find(|(_, list)| broken(list)) {
+                Some((object, [])) => {
+                    return Err(StorageError::TotalParticipationViolated {
+                        rel,
+                        class: end.class,
+                        object,
+                    })
+                }
+                Some((object, list)) => {
+                    return Err(StorageError::MultiplicityViolated {
+                        rel,
+                        class: end.class,
+                        object,
+                        links: list.len(),
+                    })
+                }
+                None => {}
+            }
+        }
+        Ok(())
     }
 
     /// Every `(left, right)` pair, grouped by left object. The from-scratch
@@ -474,17 +522,10 @@ impl RelLinks {
     }
 }
 
-fn unlinked(side: &Lists) -> impl Iterator<Item = ObjectId> + '_ {
-    side.lists().enumerate().filter(|(_, v)| v.is_empty()).map(|(i, _)| ObjectId(i as u32))
-}
-
-fn overlinked(side: &Lists) -> Option<(ObjectId, usize)> {
-    side.lists().enumerate().find(|(_, v)| v.len() > 1).map(|(i, v)| (ObjectId(i as u32), v.len()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqo_catalog::{ClassId, RelationshipEnd};
 
     fn links(left: usize, right: usize, pairs: &[(u32, u32)]) -> RelLinks {
         let pairs: Vec<_> = pairs.iter().map(|&(l, r)| (ObjectId(l), ObjectId(r))).collect();
@@ -522,20 +563,69 @@ mod tests {
         assert_eq!(l.left_lists().get(ObjectId(3)), &[] as &[ObjectId], "past the side");
     }
 
+    /// A relationship from class 0 (left) to class 1 (right) with the
+    /// given ends' multiplicity and totality.
+    fn def(left: (Multiplicity, bool), right: (Multiplicity, bool)) -> RelationshipDef {
+        let end = |class, (multiplicity, total)| RelationshipEnd { class, multiplicity, total };
+        RelationshipDef {
+            name: "r".into(),
+            left: end(ClassId(0), left),
+            right: end(ClassId(1), right),
+        }
+    }
+
     #[test]
     fn unlinked_detection() {
+        use Multiplicity::Many;
         let l = links(3, 2, &[(0, 0)]);
-        let unlinked: Vec<ObjectId> = l.unlinked_left().collect();
-        assert_eq!(unlinked, ids(&[1, 2]));
-        let unlinked_r: Vec<ObjectId> = l.unlinked_right().collect();
-        assert_eq!(unlinked_r, ids(&[1]));
+        let unlinked = |class, object| {
+            Err(StorageError::TotalParticipationViolated { rel: RelId(0), class, object })
+        };
+        let left_total = def((Many, true), (Many, false));
+        assert_eq!(l.check(RelId(0), &left_total, None), unlinked(ClassId(0), ObjectId(1)));
+        let right_total = def((Many, false), (Many, true));
+        assert_eq!(l.check(RelId(0), &right_total, None), unlinked(ClassId(1), ObjectId(1)));
+        assert_eq!(l.check(RelId(0), &def((Many, false), (Many, false)), None), Ok(()));
     }
 
     #[test]
     fn fanout_tracking() {
+        use Multiplicity::{Many, One};
         let l = links(2, 2, &[(0, 0), (0, 1)]);
-        assert_eq!(l.max_left_fanout(), 2);
-        assert_eq!(l.max_right_fanout(), 1);
+        let left_one = def((One, false), (Many, false));
+        let overlinked = StorageError::MultiplicityViolated {
+            rel: RelId(0),
+            class: ClassId(0),
+            object: ObjectId(0),
+            links: 2,
+        };
+        assert_eq!(l.check(RelId(0), &left_one, None), Err(overlinked));
+        assert_eq!(l.check(RelId(0), &def((Many, false), (One, false)), None), Ok(()));
+    }
+
+    #[test]
+    fn a_scoped_check_reads_copied_pages_and_appended_slots() {
+        use Multiplicity::Many;
+        let left_total = def((Many, true), (Many, false));
+        // Left object 1 of the base is unlinked; a successor that copies
+        // none of its pages is not charged with it.
+        let base = links(3, 1, &[(0, 0), (2, 0)]);
+        let mut next = base.clone();
+        assert_eq!(next.check(RelId(0), &left_total, Some(&base)), Ok(()));
+        // An object appended onto the last page copies no page.
+        next.grow_left();
+        let unlinked = |object| {
+            Err(StorageError::TotalParticipationViolated {
+                rel: RelId(0),
+                class: ClassId(0),
+                object,
+            })
+        };
+        assert_eq!(next.check(RelId(0), &left_total, Some(&base)), unlinked(ObjectId(3)));
+        // A link onto the base's unlinked object copies its page.
+        let mut linked = base.clone();
+        linked.add_sorted(ObjectId(0), ObjectId(0));
+        assert_eq!(linked.check(RelId(0), &left_total, Some(&base)), unlinked(ObjectId(1)));
     }
 
     #[test]

@@ -365,7 +365,9 @@ fn decode_left_lists(
 
 /// Decodes the LINKS section: per relationship, as many left lists as the
 /// preamble gives its left end objects, from which
-/// [`RelLinks::from_left_lists`] derives the right side.
+/// [`RelLinks::from_left_lists`] derives the right side. Each table must
+/// satisfy the catalog's total-participation and to-one declarations, as
+/// every built database does.
 fn decode_links(
     file: &SnapshotFile<'_>,
     catalog: &Catalog,
@@ -373,11 +375,13 @@ fn decode_links(
 ) -> Result<Vec<RelLinks>, LoadError> {
     let mut r = file.require(SEC_LINKS)?;
     let mut links = Vec::with_capacity(catalog.relationship_count());
-    for (_, def) in catalog.relationships() {
+    for (rel, def) in catalog.relationships() {
         let right_card = cards[def.right.class.index()];
         let (offsets, targets) =
             decode_left_lists(&mut r, def, cards[def.left.class.index()], right_card)?;
-        links.push(RelLinks::from_left_lists(&offsets, &targets, right_card));
+        let table = RelLinks::from_left_lists(&offsets, &targets, right_card);
+        table.check(rel, def, None).map_err(|e| malformed(SEC_LINKS, e.to_string()))?;
+        links.push(table);
     }
     r.expect_exhausted()?;
     Ok(links)

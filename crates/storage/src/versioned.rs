@@ -53,7 +53,7 @@ use std::sync::Arc;
 use sqo_catalog::ClassId;
 use sqo_query::sync::{Epoch, Mutex, RwLock, Unlocked, STORAGE_CURRENT, STORAGE_WRITER};
 
-use crate::db::{DataWrite, Database, IntegrityOptions, WriteReceipt};
+use crate::db::{DataWrite, Database, WriteReceipt};
 use crate::error::StorageError;
 
 /// Per class, the last data epoch of one snapshot lineage whose write batch
@@ -116,30 +116,16 @@ pub struct VersionedDatabase {
     /// Serializes writers so successor snapshots are built outside
     /// `current`'s write lock.
     writer: Mutex<STORAGE_WRITER, ()>,
-    /// Integrity declarations re-checked on every batch (`None` trusts the
-    /// writer, e.g. generators that only emit integrity-preserving batches).
-    integrity: Option<IntegrityOptions>,
 }
 
 impl VersionedDatabase {
-    /// A handle that applies writes without re-checking integrity
-    /// declarations (the batches themselves are still fully validated).
+    /// A handle on `db` at its data epoch. Every batch it applies is
+    /// validated, integrity declarations included ([`Database::with_writes`]).
     pub fn new(db: Arc<Database>) -> Self {
-        Self::with_integrity_option(db, None)
-    }
-
-    /// A handle that re-enforces `options` (total participation, to-one
-    /// multiplicity) on every write batch, rejecting violating batches.
-    pub fn with_integrity(db: Arc<Database>, options: IntegrityOptions) -> Self {
-        Self::with_integrity_option(db, Some(options))
-    }
-
-    fn with_integrity_option(db: Arc<Database>, integrity: Option<IntegrityOptions>) -> Self {
         Self {
             data_epoch: Epoch::new(db.data_version()),
             current: RwLock::new(db),
             writer: Mutex::new(()),
-            integrity,
         }
     }
 
@@ -165,7 +151,7 @@ impl VersionedDatabase {
         let mut writing = self.writer.lock(&mut held);
         let held = writing.split().1;
         let base = Arc::clone(&self.current.read(held));
-        let (db, receipt) = base.with_writes(writes, self.integrity)?;
+        let (db, receipt) = base.with_writes(writes, None)?;
         let epoch = db.data_version();
         // Before the swap: no reader may hold this epoch's snapshot while
         // its classes still read as unwritten.
@@ -198,6 +184,7 @@ impl VersionedDatabase {
 mod tests {
     use super::*;
     use crate::object::ObjectId;
+    use crate::IntegrityOptions;
     use sqo_catalog::{example::figure21, Value};
 
     fn handle() -> (Arc<sqo_catalog::Catalog>, VersionedDatabase) {
@@ -205,12 +192,7 @@ mod tests {
         let mut b = Database::builder(Arc::clone(&catalog));
         let supplier = catalog.class_id("supplier").unwrap();
         b.insert(supplier, vec![Value::str("SFI"), Value::str("1 Food St")]).unwrap();
-        let db = b
-            .finalize(IntegrityOptions {
-                enforce_total_participation: false,
-                enforce_multiplicity: true,
-            })
-            .unwrap();
+        let db = b.finalize(IntegrityOptions).unwrap();
         (catalog, VersionedDatabase::new(Arc::new(db)))
     }
 
@@ -251,24 +233,28 @@ mod tests {
         assert_eq!(handle.snapshot().data_version(), 0);
     }
 
-    /// Figure 2.1 with one cargo linked to the one supplier and a vehicle
-    /// nothing links to.
+    /// Figure 2.1 with one cargo, its supplier and its vehicle, and the
+    /// vehicle's engine and driver: object 0 of each class, linked as the
+    /// catalog's total ends require.
     fn linked_handle() -> (Arc<sqo_catalog::Catalog>, Arc<Database>) {
         let catalog = Arc::new(figure21().unwrap());
         let mut b = Database::builder(Arc::clone(&catalog));
-        let supplier = catalog.class_id("supplier").unwrap();
-        let cargo = catalog.class_id("cargo").unwrap();
-        let vehicle = catalog.class_id("vehicle").unwrap();
-        b.insert(supplier, vec![Value::str("SFI"), Value::str("1 Food St")]).unwrap();
-        b.insert(cargo, vec![Value::Int(1), Value::str("frozen food"), Value::Int(10)]).unwrap();
-        b.insert(vehicle, vec![Value::Int(7), Value::str("flatbed"), Value::Int(1)]).unwrap();
-        b.link(catalog.rel_id("supplies").unwrap(), ObjectId(0), ObjectId(0)).unwrap();
-        let db = b
-            .finalize(IntegrityOptions {
-                enforce_total_participation: false,
-                enforce_multiplicity: true,
-            })
-            .unwrap();
+        let class = |name| catalog.class_id(name).unwrap();
+        let staff = [Value::str("d"), Value::str("x"), Value::str("x")];
+        let rows = [
+            ("supplier", vec![Value::str("SFI"), Value::str("1 Food St")]),
+            ("cargo", vec![Value::Int(1), Value::str("frozen food"), Value::Int(10)]),
+            ("vehicle", vec![Value::Int(7), Value::str("flatbed"), Value::Int(1)]),
+            ("engine", vec![Value::Int(3), Value::Int(1200)]),
+            ("driver", staff.into_iter().chain([5, 9, 1990].map(Value::Int)).collect()),
+        ];
+        for (name, row) in rows {
+            b.insert(class(name), row).unwrap();
+        }
+        for rel in ["supplies", "collects", "eng_comp", "drives"] {
+            b.link(catalog.rel_id(rel).unwrap(), ObjectId(0), ObjectId(0)).unwrap();
+        }
+        let db = b.finalize(IntegrityOptions).unwrap();
         (catalog, Arc::new(db))
     }
 
@@ -305,26 +291,40 @@ mod tests {
         // snapshot reads the same slots.
         assert_eq!(written_after(&before, 0), ["vehicle"]);
 
-        // A bare unlink, then a bare link: no extent changes, no class is
-        // in the receipt, and both endpoint classes are raised all the same.
-        for (epoch, write) in [
-            (2, DataWrite::Unlink { rel: supplies, left: ObjectId(0), right: ObjectId(0) }),
-            (3, DataWrite::Link { rel: supplies, left: ObjectId(0), right: ObjectId(0) }),
-        ] {
-            let out = handle.write(&[write]).unwrap();
-            assert_eq!(out.epoch, epoch);
-            assert!(out.receipt.touched_classes.is_empty());
-            assert_eq!(written_after(&out.snapshot, epoch - 1), ["supplier", "cargo"]);
-        }
+        // A re-link (an unlink and a link, since the cargo has exactly one
+        // supplier): no extent changes, no class is in the receipt, and both
+        // endpoint classes are raised all the same.
+        let out = handle
+            .write(&[
+                DataWrite::Unlink { rel: supplies, left: ObjectId(0), right: ObjectId(0) },
+                DataWrite::Link { rel: supplies, left: ObjectId(0), right: ObjectId(0) },
+            ])
+            .unwrap();
+        assert_eq!(out.epoch, 2);
+        assert!(out.receipt.touched_classes.is_empty());
+        assert_eq!(written_after(&out.snapshot, 1), ["supplier", "cargo"]);
 
         // A failed batch raises nothing, not even for the writes that
         // validated before the one that did not.
         let err = handle.write(&[
-            DataWrite::Link { rel: supplies, left: ObjectId(0), right: ObjectId(0) },
+            DataWrite::Update {
+                class: vehicle,
+                object: ObjectId(0),
+                attr: sqo_catalog::AttrId(2),
+                value: Value::Int(3),
+            },
             DataWrite::Delete { class: vehicle, object: ObjectId(9) },
         ]);
         assert!(matches!(err, Err(StorageError::UnknownObject { .. })));
-        assert!(written_after(&handle.snapshot(), 3).is_empty());
+        // Nor does a batch the integrity check refuses.
+        let err = handle.write(&[DataWrite::Link {
+            rel: supplies,
+            left: ObjectId(0),
+            right: ObjectId(0),
+        }]);
+        assert!(matches!(err, Err(StorageError::MultiplicityViolated { .. })));
+        assert!(written_after(&handle.snapshot(), 2).is_empty());
+        assert_eq!(handle.data_epoch(), 2);
     }
 
     /// The order `write` owes its readers: raise, then swap. The test holds
@@ -381,7 +381,7 @@ mod tests {
         };
         let batch = [rename(vehicle, 1, Value::str("van"))];
         let (incremental, _) = db.with_writes(&batch, None).unwrap();
-        let (full, _) = db.with_writes_full(&batch, None).unwrap();
+        let (full, _) = db.with_writes_full(&batch).unwrap();
         assert!(written_after(&db, 0).is_empty(), "building a successor publishes nothing");
         VersionedDatabase::new(Arc::new(incremental))
             .write(&[rename(vehicle, 1, Value::str("truck"))])

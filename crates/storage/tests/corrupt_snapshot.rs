@@ -63,11 +63,7 @@ fn fixture() -> Database {
     for (l, r) in [(0, 0), (1, 0), (1, 1)] {
         db.link(RelId(0), ObjectId(l), ObjectId(r)).unwrap();
     }
-    db.finalize(IntegrityOptions {
-        enforce_total_participation: false,
-        enforce_multiplicity: false,
-    })
-    .unwrap()
+    db.finalize(IntegrityOptions).unwrap()
 }
 
 /// Re-encodes the fixture with one section's payload replaced, through the
@@ -162,14 +158,15 @@ fn runaway_cardinality(class: usize) -> Vec<u8> {
 
 /// A database whose class `e` has no attributes and is the right end of
 /// relationship `r`: two `e` objects, the first linked from `c`'s only
-/// object.
+/// object. The `c` end is to-one and total, so that object links exactly
+/// one `e`.
 fn attributeless() -> Database {
     let mut b = Catalog::builder();
     let c = b.class("c", vec![AttributeDef::new("v", DataType::Int)]).unwrap();
     let e = b.class("e", Vec::new()).unwrap();
     b.relationship(
         "r",
-        RelationshipEnd::new(c, Multiplicity::Many, false),
+        RelationshipEnd::new(c, Multiplicity::One, true),
         RelationshipEnd::new(e, Multiplicity::Many, false),
     )
     .unwrap();
@@ -178,11 +175,7 @@ fn attributeless() -> Database {
     db.insert(e, Vec::new()).unwrap();
     db.insert(e, Vec::new()).unwrap();
     db.link(RelId(0), ObjectId(0), ObjectId(0)).unwrap();
-    db.finalize(IntegrityOptions {
-        enforce_total_participation: false,
-        enforce_multiplicity: false,
-    })
-    .unwrap()
+    db.finalize(IntegrityOptions).unwrap()
 }
 
 /// [`attributeless`]'s EXTENTS payload: class `e`'s objects are one byte
@@ -503,6 +496,20 @@ fn corruption_is_rejected_at_the_documented_level() {
             expect: "DanglingReference(LINKS)",
             matches: |e| matches!(e, LoadError::DanglingReference { section: "LINKS", .. }),
             bytes: with_section(&db, SEC_LINKS, links_payload(&[&[0], &[0, 5], &[]])),
+        },
+        // Every load holds the links to the catalog's declarations, as every
+        // build and write does.
+        Case {
+            name: "a left list giving an object of a to-one end two links",
+            expect: "Malformed(LINKS)",
+            matches: |e| matches!(e, LoadError::Malformed { section: "LINKS", .. }),
+            bytes: with_section(&lone, SEC_LINKS, links_payload(&[&[0, 1]])),
+        },
+        Case {
+            name: "a left list leaving an object of a total end unlinked",
+            expect: "Malformed(LINKS)",
+            matches: |e| matches!(e, LoadError::Malformed { section: "LINKS", .. }),
+            bytes: with_section(&lone, SEC_LINKS, links_payload(&[&[]])),
         },
         // Each index is exactly its extent's grouping: every posting id's
         // object holds the key, and the postings cover the class once.

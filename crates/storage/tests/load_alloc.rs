@@ -173,7 +173,7 @@ fn a_load_allocates_exactly_what_it_did() {
         load.link(STOCKED_IN, ObjectId(i), ObjectId(i)).unwrap();
         load.link(STOCKED_IN, ObjectId(i), ObjectId((i + 1) % OBJECTS)).unwrap();
     }
-    let db = load.finalize(IntegrityOptions::default());
+    let db = load.finalize(IntegrityOptions);
     COUNTING.with(|c| c.set(false));
     let calls = CALLS.with(Cell::get) - before;
 

@@ -161,7 +161,7 @@ proptest! {
             let writes: Vec<DataWrite> =
                 batch.iter().filter_map(|raw| fold(raw, &mut model)).collect();
             let (inc, _) = db.with_writes(&writes, None).unwrap();
-            let (full, _) = db.with_writes_full(&writes, None).unwrap();
+            let (full, _) = db.with_writes_full(&writes).unwrap();
             let stage = format!("batch {b}");
             assert_reads(&inc, &model, &format!("{stage}, incremental"));
             assert_reads(&full, &model, &format!("{stage}, full"));

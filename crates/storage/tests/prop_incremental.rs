@@ -9,7 +9,9 @@
 //! inserts (with possibly-dangling links), deletes (with swap-remove
 //! renumbering, including on a self-relationship), links/unlinks and
 //! in-place attribute updates, chained across multiple batches so patched
-//! snapshots are themselves patched again — on mini-databases, and on
+//! snapshots are themselves patched again, and re-links (an unlink and a
+//! link of the same left object in one batch, which repairs what the unlink
+//! alone would break) — on mini-databases, and on
 //! classes of three and more storage pages with writes aimed at what the
 //! delta-maintained statistics and the paged shards must get right: the
 //! objects holding an attribute's current minimum, maximum and most common
@@ -17,6 +19,13 @@
 //! maps' pages (a page's first and last key, the key whose removal empties a
 //! page, the insert that splits one). After every batch the successor also
 //! round-trips through a snapshot, its statistics equal to a rescan.
+//!
+//! Both paths run the integrity check: `with_writes` over the adjacency
+//! pages it copied and the slots past the base side's length, the oracle
+//! over every list. The schema declares a to-one end and a total end, so
+//! the two must accept exactly the same batches; an insert onto a not-full
+//! last page copies no adjacency page, and only the slots past the base
+//! length catch an object it leaves unlinked.
 //!
 //! The load reads an indexed attribute's statistics off its postings, not
 //! off a scan: `load_statistics_equal_a_full_rescan` holds a freshly
@@ -44,6 +53,8 @@ const RELS: usize = 3;
 /// Three int-attribute classes (one hash-indexed, one B-tree-indexed, one
 /// plain attribute each), a many-many relationship, a to-one relationship
 /// and a self-relationship — every structural case the write path handles.
+/// The self-relationship's left end is total: every `c2` object links at
+/// least one `c2` object, itself allowed.
 fn catalog() -> Arc<Catalog> {
     let mut b = Catalog::builder();
     let mut ids = Vec::new();
@@ -74,7 +85,7 @@ fn catalog() -> Arc<Catalog> {
     .unwrap();
     b.relationship(
         "r2",
-        RelationshipEnd::new(ids[2], Multiplicity::Many, false),
+        RelationshipEnd::new(ids[2], Multiplicity::Many, true),
         RelationshipEnd::new(ids[2], Multiplicity::Many, false),
     )
     .unwrap();
@@ -107,6 +118,14 @@ enum RawWrite {
         rel: usize,
         l: u32,
         r: u32,
+    },
+    /// An unlink as [`RawWrite::Unlink`] picks it, then a link of the same
+    /// left object to right object `to`.
+    Relink {
+        rel: usize,
+        l: u32,
+        r: u32,
+        to: u32,
     },
     /// Delete (`update: None`) or update `attr` of the object `aim` picks
     /// in the snapshot the batch applies to.
@@ -172,6 +191,12 @@ fn raw_write(oids: u32) -> impl Strategy<Value = RawWrite> {
             .prop_map(|(class, oid, attr, val)| RawWrite::Update { class, oid, attr, val }),
         (0..RELS, 0..oids, 0..oids).prop_map(|(rel, l, r)| RawWrite::Link { rel, l, r }),
         (0..RELS, 0..oids, 0..oids).prop_map(|(rel, l, r)| RawWrite::Unlink { rel, l, r }),
+        (0..RELS, 0..oids, 0..oids, 0..oids).prop_map(|(rel, l, r, to)| RawWrite::Relink {
+            rel,
+            l,
+            r,
+            to
+        }),
         (0..CLASSES, 0..ATTRS, aim, (0u32..2, val.clone())).prop_map(
             |(class, attr, aim, (keep, val))| RawWrite::Aimed {
                 class,
@@ -184,7 +209,9 @@ fn raw_write(oids: u32) -> impl Strategy<Value = RawWrite> {
 }
 
 /// Builds the base instance: arbitrary tuples per class, arbitrary (valid)
-/// links. Integrity is off — any link shape is a legal starting state.
+/// links, cut to what the catalog declares: of a `c1` object's `r1` links
+/// only the first is kept (to-one), and a `c2` object with no `r2` link
+/// links itself (total).
 fn build_base(
     catalog: &Arc<Catalog>,
     tuples: &[Vec<(i64, i64, i64)>],
@@ -197,6 +224,7 @@ fn build_base(
                 .unwrap();
         }
     }
+    let mut linked = std::collections::HashSet::new();
     for &(rel, l, r) in links {
         let rel = RelId((rel % RELS) as u32);
         let def = catalog.relationship(rel).unwrap();
@@ -205,10 +233,17 @@ fn build_base(
         if lcard == 0 || rcard == 0 {
             continue;
         }
-        b.link(rel, ObjectId(l % lcard as u32), ObjectId(r % rcard as u32)).unwrap();
+        let (l, r) = (l % lcard as u32, r % rcard as u32);
+        if linked.insert((rel, l)) || rel != RelId(1) {
+            b.link(rel, ObjectId(l), ObjectId(r)).unwrap();
+        }
     }
-    b.finalize(IntegrityOptions { enforce_total_participation: false, enforce_multiplicity: false })
-        .unwrap()
+    for l in 0..tuples[2].len() as u32 {
+        if !linked.contains(&(RelId(2), l)) {
+            b.link(RelId(2), ObjectId(l), ObjectId(l)).unwrap();
+        }
+    }
+    b.finalize(IntegrityOptions).unwrap()
 }
 
 /// The object `aim` picks in `db` (object 0 when the class is empty, which
@@ -272,22 +307,42 @@ fn folded(raw: &RawWrite, db: &Database) -> RawWrite {
             RawWrite::Link { rel: *rel, l: fold(*l, left), r: fold(*r, right) }
         }
         RawWrite::Unlink { rel, l, r } => {
-            // The first linked left object from `l` on, and one of its edges.
-            let (links, left) = (db.links(RelId(*rel as u32)), ends(*rel).0);
-            let l = (0..db.cardinality(left) as u32)
-                .map(|step| fold(l + step, left))
-                .find(|&l| !links.from_left(ObjectId(l)).is_empty())
-                .unwrap_or(*l);
-            let linked = links.from_left(ObjectId(l));
-            let r = linked.get(*r as usize % linked.len().max(1)).map_or(*r, |o| o.0);
+            let (l, r) = linked_edge(db, *rel, *l, *r);
             RawWrite::Unlink { rel: *rel, l, r }
+        }
+        RawWrite::Relink { rel, l, r, to } => {
+            let (l, r) = linked_edge(db, *rel, *l, *r);
+            RawWrite::Relink { rel: *rel, l, r, to: fold(*to, ends(*rel).1) }
         }
         aimed @ RawWrite::Aimed { .. } => aimed.clone(),
     }
 }
 
-fn materialize(raw: &RawWrite, db: &Database) -> DataWrite {
-    match raw {
+/// An edge of relationship `rel` in `db` to unlink: the first linked left
+/// object from `l` on, and one of its edges picked by `r` (`(l, r)` itself
+/// when the relationship has none).
+fn linked_edge(db: &Database, rel: usize, l: u32, r: u32) -> (u32, u32) {
+    let rel = RelId(rel as u32);
+    let (links, left) = (db.links(rel), db.catalog().relationship(rel).unwrap().left.class);
+    let fold = |o: u32| o % (db.cardinality(left) as u32).max(1);
+    let l = (0..db.cardinality(left) as u32)
+        .map(|step| fold(l + step))
+        .find(|&l| !links.from_left(ObjectId(l)).is_empty())
+        .unwrap_or(l);
+    let linked = links.from_left(ObjectId(l));
+    (l, linked.get(r as usize % linked.len().max(1)).map_or(r, |o| o.0))
+}
+
+/// The writes `raw` stands for: two for a [`RawWrite::Relink`], else one.
+fn materialize(raw: &RawWrite, db: &Database) -> Vec<DataWrite> {
+    let write = match raw {
+        RawWrite::Relink { rel, l, r, to } => {
+            let (rel, left) = (RelId(*rel as u32), ObjectId(*l));
+            return vec![
+                DataWrite::Unlink { rel, left, right: ObjectId(*r) },
+                DataWrite::Link { rel, left, right: ObjectId(*to) },
+            ];
+        }
         RawWrite::Aimed { class, attr, aim, update } => {
             let class = ClassId(*class as u32);
             let object = aimed_object(db, class, *attr, aim);
@@ -321,7 +376,8 @@ fn materialize(raw: &RawWrite, db: &Database) -> DataWrite {
         RawWrite::Unlink { rel, l, r } => {
             DataWrite::Unlink { rel: RelId(*rel as u32), left: ObjectId(*l), right: ObjectId(*r) }
         }
-    }
+    };
+    vec![write]
 }
 
 /// Each column's page walk yields `value(attr, oid)` for every `oid`, in
@@ -429,29 +485,23 @@ fn check_batches(
     tuples: &[Vec<(i64, i64, i64)>],
     base_links: &[(usize, u32, u32)],
     batches: &[Vec<RawWrite>],
-    enforce: bool,
     fold: bool,
 ) {
-    let integrity = enforce.then_some(IntegrityOptions {
-        enforce_total_participation: false, // never declared by the schema
-        enforce_multiplicity: true,         // r1's to-one end can trip
-    });
     let mut inc = build_base(catalog, tuples, base_links);
     let mut full = build_base(catalog, tuples, base_links);
     for batch in batches {
-        let writes: Vec<DataWrite> =
-            batch
-                .iter()
-                .map(|raw| {
-                    if fold {
-                        materialize(&folded(raw, &inc), &inc)
-                    } else {
-                        materialize(raw, &inc)
-                    }
-                })
-                .collect();
-        let a = inc.with_writes(&writes, integrity);
-        let b = full.with_writes_full(&writes, integrity);
+        let writes: Vec<DataWrite> = batch
+            .iter()
+            .flat_map(|raw| {
+                if fold {
+                    materialize(&folded(raw, &inc), &inc)
+                } else {
+                    materialize(raw, &inc)
+                }
+            })
+            .collect();
+        let a = inc.with_writes(&writes, None);
+        let b = full.with_writes_full(&writes);
         match (a, b) {
             (Ok((ndb, ra)), Ok((fdb, rb))) => {
                 assert_eq!(ra, rb, "receipts diverged for {writes:?}");
@@ -481,9 +531,9 @@ proptest! {
             prop::collection::vec((-2i64..4, -2i64..4, -2i64..4), 0..7), CLASSES..(CLASSES + 1)),
         base_links in prop::collection::vec((0..RELS, 0u32..16, 0u32..16), 0..12),
         batches in prop::collection::vec(prop::collection::vec(raw_write(12), 0..6), 1..4),
-        enforce in 0u32..2,
+        fold in 0u32..2,
     ) {
-        check_batches(&catalog(), &tuples, &base_links, &batches, enforce == 1, false);
+        check_batches(&catalog(), &tuples, &base_links, &batches, fold == 1);
     }
 }
 
@@ -502,7 +552,6 @@ proptest! {
         skew in prop::collection::vec((-2i64..4, -2i64..4), 7..8),
         base_links in prop::collection::vec((0..RELS, 0u32..400, 0u32..400), 0..600),
         batches in prop::collection::vec(prop::collection::vec(raw_write(400), 1..8), 2..6),
-        enforce in 0u32..2,
     ) {
         let tuples: Vec<Vec<(i64, i64, i64)>> = sizes
             .iter()
@@ -511,14 +560,7 @@ proptest! {
                 (A0_MIN + 2 * i as i64, a1, a2 * (i % 3) as i64)
             }).collect())
             .collect();
-        // `r1` is to-one from its left end: keep one base link per left
-        // object, or every enforced batch near it is rejected.
-        let mut linked = std::collections::HashSet::new();
-        let base_links: Vec<_> = base_links
-            .into_iter()
-            .filter(|&(rel, l, _)| rel != 1 || linked.insert(l % sizes[1]))
-            .collect();
-        check_batches(&catalog(), &tuples, &base_links, &batches, enforce == 1, true);
+        check_batches(&catalog(), &tuples, &base_links, &batches, true);
     }
 }
 
@@ -566,26 +608,53 @@ fn writes_at_value_map_page_edges_match_the_oracle() {
         insert(2 * MAP_PAGE - 1),
     ]
     .concat();
-    check_batches(&catalog(), &tuples, &[], &batches, false, false);
+    check_batches(&catalog(), &tuples, &[], &batches, false);
 }
 
-/// Both write paths must reject an undeclared-integrity violation the same
-/// way: a second `r1` edge for one `c1` object trips the to-one end.
+/// Both write paths must reject an integrity violation the same way: a
+/// second `r1` edge for one `c1` object trips the to-one end.
 #[test]
 fn scoped_integrity_rejects_identically() {
     let catalog = catalog();
     let base =
         build_base(&catalog, &[vec![], vec![(0, 0, 0)], vec![(1, 1, 1), (2, 2, 2)]], &[(1, 0, 0)]);
     let batch = vec![DataWrite::Link { rel: RelId(1), left: ObjectId(0), right: ObjectId(1) }];
-    let options =
-        IntegrityOptions { enforce_total_participation: false, enforce_multiplicity: true };
-    let a = base.with_writes(&batch, Some(options));
-    let b = base.with_writes_full(&batch, Some(options));
+    let a = base.with_writes(&batch, None);
+    let b = base.with_writes_full(&batch);
     assert!(matches!(a, Err(StorageError::MultiplicityViolated { .. })), "{a:?}");
     match (a, b) {
         (Err(ea), Err(eb)) => assert_eq!(ea, eb),
         other => panic!("paths diverged: {other:?}"),
     }
+}
+
+/// The two cases the scoped check must not miss. A batch may break a
+/// declaration and repair it before it ends: unlinking `c2` object 0's only
+/// `r2` edge, then linking it again, is accepted. And an object appended
+/// onto a not-full last page copies no adjacency page: an inserted `c2`
+/// object without an `r2` link is refused, naming it, by both paths.
+#[test]
+fn scoped_check_covers_in_batch_repair_and_appended_objects() {
+    let catalog = catalog();
+    let base = build_base(&catalog, &[vec![], vec![], vec![(1, 1, 1), (2, 2, 2)]], &[]);
+    let r2 = RelId(2);
+    let relink = [
+        DataWrite::Unlink { rel: r2, left: ObjectId(0), right: ObjectId(0) },
+        DataWrite::Link { rel: r2, left: ObjectId(0), right: ObjectId(1) },
+    ];
+    let (a, b) = (base.with_writes(&relink, None), base.with_writes_full(&relink));
+    let ((inc, _), (full, _)) = (a.unwrap(), b.unwrap());
+    assert_equivalent(&catalog, &inc, &full);
+    assert_eq!(inc.links(r2).from_left(ObjectId(0)), &[ObjectId(1)]);
+    let insert =
+        [DataWrite::Insert { class: ClassId(2), tuple: vec![Value::Int(3); 3], links: vec![] }];
+    let unlinked = StorageError::TotalParticipationViolated {
+        rel: r2,
+        class: ClassId(2),
+        object: ObjectId(2),
+    };
+    assert_eq!(base.with_writes(&insert, None).err(), Some(unlinked.clone()));
+    assert_eq!(base.with_writes_full(&insert).err(), Some(unlinked));
 }
 
 /// The attributes of every class of [`typed_catalog`]: each value type
@@ -707,10 +776,7 @@ proptest! {
             }
         }
         let db = b
-            .finalize(IntegrityOptions {
-                enforce_total_participation: false,
-                enforce_multiplicity: false,
-            })
+            .finalize(IntegrityOptions)
             .unwrap();
         let rescan = db.rebuild_statistics();
         prop_assert_eq!(db.stats(), &rescan);

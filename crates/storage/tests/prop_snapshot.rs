@@ -104,8 +104,7 @@ fn build(
         }
         b.link(rel, ObjectId(l % lcard as u32), ObjectId(r % rcard as u32)).unwrap();
     }
-    b.finalize(IntegrityOptions { enforce_total_participation: false, enforce_multiplicity: false })
-        .unwrap()
+    b.finalize(IntegrityOptions).unwrap()
 }
 
 /// Every read API must agree, exactly.

@@ -135,7 +135,7 @@ fn database() -> Database {
         db.link(STOCKED_IN, ObjectId(i), ObjectId(i)).unwrap();
         db.link(STOCKED_IN, ObjectId(i), ObjectId((i + 1) % OBJECTS)).unwrap();
     }
-    db.finalize(IntegrityOptions::default()).unwrap()
+    db.finalize(IntegrityOptions).unwrap()
 }
 
 /// An item like item `like`, linked to the same owner and shelves.
@@ -151,16 +151,15 @@ fn insert_like(db: &Database, like: u32) -> DataWrite {
 
 #[test]
 fn a_write_allocates_for_what_it_touches() {
-    let integrity = Some(IntegrityOptions::default());
     let base = database();
     // The first write to `item` builds its value counts.
-    let (db, _) = base.with_writes(&[insert_like(&base, 0)], integrity).unwrap();
+    let (db, _) = base.with_writes(&[insert_like(&base, 0)], None).unwrap();
 
     // An insert copies pages and their tables: the last page of each of the
     // extent's columns, of the link sides, and per attribute of its index or
     // its value counts.
     let insert = [insert_like(&db, 4_321)];
-    let (next, bytes) = counted(|| db.with_writes(&insert, integrity));
+    let (next, bytes) = counted(|| db.with_writes(&insert, None));
     let (next, receipt) = next.unwrap();
     assert_eq!(receipt.inserted, vec![ObjectId(OBJECTS + 1)]);
     // Measured 80,917 B, the same in both profiles (95,009 B before link
@@ -179,7 +178,7 @@ fn a_write_allocates_for_what_it_touches() {
         attr: UNINDEXED,
         value: Value::Int(41),
     }];
-    let (after, bytes) = counted(|| next.with_writes(&update, integrity));
+    let (after, bytes) = counted(|| next.with_writes(&update, None));
     let (after, _) = after.unwrap();
     // Measured 12,977 B in both profiles (14,969 B before columns held
     // their declared types: the copied page of the `Int` column is 1 KiB,

@@ -45,7 +45,7 @@ pub use mixed::{
     MixedWorkload, MixedWorkloadConfig, WriteKind,
 };
 pub use open_loop::{open_loop_schedule, Arrival, OpenLoopConfig, OpenLoopSchedule};
-pub use path_enum::{enumerate_directed_paths, enumerate_paths, SchemaPath};
+pub use path_enum::{enumerate_directed_paths, SchemaPath};
 pub use query_gen::{generate_query, paper_query_set, QueryGenConfig};
 pub use scenarios::{paper_scenario, paper_scenario_with, DbSize, PaperScenario};
 pub use service_workload::{

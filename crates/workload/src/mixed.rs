@@ -342,7 +342,7 @@ mod tests {
     use super::*;
     use crate::bench_schema::bench_catalog;
     use crate::scenarios::{paper_scenario, DbSize};
-    use sqo_storage::{IntegrityOptions, VersionedDatabase};
+    use sqo_storage::VersionedDatabase;
     use std::sync::Arc;
 
     #[test]
@@ -404,7 +404,7 @@ mod tests {
     fn non_lifo_deletes_remap_tracked_ids_from_the_receipt() {
         let s = paper_scenario(DbSize::Db1, 42);
         let catalog = Arc::clone(&s.catalog);
-        let handle = VersionedDatabase::with_integrity(Arc::new(s.db), IntegrityOptions::default());
+        let handle = VersionedDatabase::new(Arc::new(s.db));
         let cargo = catalog.class_id("cargo").unwrap();
         let base = handle.snapshot().cardinality(cargo);
         let mut applier = MixedApplier::new(&handle.snapshot());
@@ -447,7 +447,7 @@ mod tests {
         let s = paper_scenario(DbSize::Db1, 42);
         let catalog = Arc::clone(&s.catalog);
         let store = s.store;
-        let handle = VersionedDatabase::with_integrity(Arc::new(s.db), IntegrityOptions::default());
+        let handle = VersionedDatabase::new(Arc::new(s.db));
         let wl = mixed_workload(
             &s.queries,
             &catalog,

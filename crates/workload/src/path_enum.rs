@@ -22,44 +22,15 @@ impl SchemaPath {
     pub fn is_empty(&self) -> bool {
         self.classes.is_empty()
     }
-
-    /// Canonical key for dedup: a path and its reverse are the same query.
-    fn canonical_key(&self) -> (Vec<u32>, Vec<u32>) {
-        let fwd: Vec<u32> = self.classes.iter().map(|c| c.0).collect();
-        let mut rev = fwd.clone();
-        rev.reverse();
-        let rels: Vec<u32> = self.relationships.iter().map(|r| r.0).collect();
-        let mut rrels = rels.clone();
-        rrels.reverse();
-        if (&fwd, &rels) <= (&rev, &rrels) {
-            (fwd, rels)
-        } else {
-            (rev, rrels)
-        }
-    }
 }
 
 /// Enumerates every simple path of `catalog`'s schema graph with at least
-/// `min_classes` classes (1 yields the single-class "paths" too). Paths that
-/// are reverses of one another are reported once.
-pub fn enumerate_paths(catalog: &Catalog, min_classes: usize) -> Vec<SchemaPath> {
-    enumerate_paths_inner(catalog, min_classes, true)
-}
-
-/// Directed variant: a path and its reverse are both reported (the paper
-/// enumerates paths from every starting class, so `a-b-c` and `c-b-a` are
-/// distinct members of its query population).
+/// `min_classes` classes (1 yields the single-class "paths" too). A path and
+/// its reverse are both reported: the paper enumerates paths from every
+/// starting class, so `a-b-c` and `c-b-a` are distinct members of its query
+/// population.
 pub fn enumerate_directed_paths(catalog: &Catalog, min_classes: usize) -> Vec<SchemaPath> {
-    enumerate_paths_inner(catalog, min_classes, false)
-}
-
-fn enumerate_paths_inner(
-    catalog: &Catalog,
-    min_classes: usize,
-    dedup_reversals: bool,
-) -> Vec<SchemaPath> {
     let mut out: Vec<SchemaPath> = Vec::new();
-    let mut seen: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
 
     // Adjacency: class -> (rel, neighbour).
     let adjacency: Vec<Vec<(RelId, ClassId)>> = catalog
@@ -78,24 +49,12 @@ fn enumerate_paths_inner(
         })
         .collect();
 
-    let record =
-        |path: &SchemaPath, seen: &mut Vec<(Vec<u32>, Vec<u32>)>, out: &mut Vec<SchemaPath>| {
-            if path.len() < min_classes {
-                return;
-            }
-            let key = if dedup_reversals {
-                path.canonical_key()
-            } else {
-                (
-                    path.classes.iter().map(|c| c.0).collect(),
-                    path.relationships.iter().map(|r| r.0).collect(),
-                )
-            };
-            if !seen.contains(&key) {
-                seen.push(key);
-                out.push(path.clone());
-            }
-        };
+    // The search is a tree: each directed path is reached exactly once.
+    let mut record = |path: &SchemaPath| {
+        if path.len() >= min_classes {
+            out.push(path.clone());
+        }
+    };
 
     fn dfs(
         adjacency: &[Vec<(RelId, ClassId)>],
@@ -118,7 +77,7 @@ fn enumerate_paths_inner(
 
     for (cid, _) in catalog.classes() {
         let mut path = SchemaPath { classes: vec![cid], relationships: vec![] };
-        dfs(&adjacency, &mut path, &mut |p| record(p, &mut seen, &mut out));
+        dfs(&adjacency, &mut path, &mut record);
     }
     // Stable order: by length, then class sequence.
     out.sort_by_key(|p| (p.len(), p.classes.iter().map(|c| c.0).collect::<Vec<_>>()));
@@ -134,26 +93,20 @@ mod tests {
     #[test]
     fn chain_paths_on_figure21() {
         let cat = figure21().unwrap();
-        let paths = enumerate_paths(&cat, 2);
-        // supplier-cargo-vehicle must appear exactly once (not also reversed).
+        let paths = enumerate_directed_paths(&cat, 2);
+        // supplier-cargo-vehicle appears once in each direction.
         let supplier = cat.class_id("supplier").unwrap();
         let vehicle = cat.class_id("vehicle").unwrap();
-        let matching: Vec<&SchemaPath> = paths
-            .iter()
-            .filter(|p| {
-                p.len() == 3
-                    && (p.classes.first() == Some(&supplier) && p.classes.last() == Some(&vehicle)
-                        || p.classes.first() == Some(&vehicle)
-                            && p.classes.last() == Some(&supplier))
-            })
-            .collect();
-        assert_eq!(matching.len(), 1, "{matching:?}");
+        let ends = |p: &SchemaPath| (p.classes.first().copied(), p.classes.last().copied());
+        let chains: Vec<_> = paths.iter().filter(|p| p.len() == 3).map(ends).collect();
+        let count = |from, to| chains.iter().filter(|&&e| e == (Some(from), Some(to))).count();
+        assert_eq!((count(supplier, vehicle), count(vehicle, supplier)), (1, 1), "{chains:?}");
     }
 
     #[test]
     fn single_class_paths_included_at_min_one() {
         let cat = figure21().unwrap();
-        let paths = enumerate_paths(&cat, 1);
+        let paths = enumerate_directed_paths(&cat, 1);
         let singles = paths.iter().filter(|p| p.len() == 1).count();
         assert_eq!(singles, cat.class_count());
     }
@@ -161,7 +114,7 @@ mod tests {
     #[test]
     fn no_repeated_classes_or_rels() {
         let cat = bench_catalog().unwrap();
-        for p in enumerate_paths(&cat, 2) {
+        for p in enumerate_directed_paths(&cat, 2) {
             let mut cs = p.classes.clone();
             cs.sort_unstable();
             cs.dedup();
@@ -177,29 +130,18 @@ mod tests {
     #[test]
     fn bench_schema_has_a_rich_path_population() {
         let cat = bench_catalog().unwrap();
-        // The paper enumerates from every starting class: directions count.
+        // The paper enumerates from every starting class: directions count,
+        // so each path's reverse is listed too, and each path once.
         let directed = enumerate_directed_paths(&cat, 2);
         assert!(directed.len() >= 40, "only {} directed paths", directed.len());
-        let undirected = enumerate_paths(&cat, 2);
-        assert_eq!(directed.len(), undirected.len() * 2);
-        // And full-length 5-class paths exist.
-        assert!(undirected.iter().any(|p| p.len() == 5));
-    }
-
-    #[test]
-    fn reverse_paths_deduplicated() {
-        let cat = bench_catalog().unwrap();
-        let paths = enumerate_paths(&cat, 2);
-        for (i, a) in paths.iter().enumerate() {
-            for b in &paths[i + 1..] {
-                let mut rev = b.clone();
-                rev.classes.reverse();
-                rev.relationships.reverse();
-                assert!(
-                    !(a.classes == rev.classes && a.relationships == rev.relationships),
-                    "reverse duplicate: {a:?} / {b:?}"
-                );
-            }
+        for (i, p) in directed.iter().enumerate() {
+            let mut rev = p.clone();
+            rev.classes.reverse();
+            rev.relationships.reverse();
+            assert_eq!(directed.iter().filter(|q| **q == rev).count(), 1, "{p:?}");
+            assert!(!directed[i + 1..].contains(p), "{p:?} listed twice");
         }
+        // And full-length 5-class paths exist.
+        assert!(directed.iter().any(|p| p.len() == 5));
     }
 }
