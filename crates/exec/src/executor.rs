@@ -24,13 +24,17 @@
 //! ([`PhysicalPlan::check`]): a plan the executor cannot run fails with
 //! [`ExecError::MalformedPlan`] whatever the data.
 //!
-//! The answer is built in the scratch too: each emitted row's projected
-//! values are written into one row-major buffer kept warm across
-//! executions, and the finished answer moves them out with one allocation
-//! of exactly their size (`Vec::with_capacity` and `append`, one bulk
-//! copy), so an execution allocates the same whether it returns ten rows or
-//! ten thousand ([`ResultSet`]'s layout; `tests/result_alloc.rs` holds
-//! that).
+//! The answer is built in the scratch too, in [`ResultSet`]'s layout: each
+//! block's cells are appended a projection at a time to that projection's
+//! buffer, kept warm across executions. A cell is one word whatever its
+//! column's type — the raw `i64`, the float's bits, the `bool`, or a
+//! string's index in the answer's list of distinct strings, which holds
+//! each string allocation once (found by address) — so a plan whose `k`-th
+//! projection has another type than the last plan's reuses the same buffer.
+//! A bound projection emits nothing. The finished answer moves the cells
+//! out into one buffer of exactly their size and the strings into another,
+//! so an execution allocates the same whether it returns ten rows or ten
+//! thousand (`tests/result_alloc.rs` holds that).
 //!
 //! # Column at a time
 //!
@@ -53,9 +57,10 @@
 //! data. A literal of another type than the column's passes nothing, as
 //! [`SelPredicate::eval`] has it, and the pass is counted all the same. A
 //! join filter picks its loop the same way, by its two columns' types, and
-//! emission builds each projected [`Value`] from the raw element it reads.
+//! emission copies the raw element it reads into a cell, building no
+//! [`Value`].
 //! Dispatch keeps no state, so an execution allocates nothing beyond the
-//! scratch's warm buffers.
+//! scratch's warm buffers and the answer's own.
 //!
 //! A sequential-scan root streams its first residual's column page by page;
 //! each further residual, at the root as at a step, filters the survivors
@@ -64,16 +69,17 @@
 //! would test it by, so rows, their order and every counter are those of
 //! evaluating them binding by binding.
 
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use sqo_catalog::{AttrRef, Finite, Value};
+use sqo_catalog::{AttrRef, Finite, Value, ValueHashState};
 use sqo_query::{CompOp, JoinPredicate, SelPredicate, ValueSet};
 use sqo_storage::{Adjacency, Column, CostCounters, Database, ObjectId, StorageError, Typed};
 
 use crate::error::ExecError;
 use crate::plan::{AccessPath, ClassAccess, JoinStep, PhysicalPlan};
-use crate::result::ResultSet;
+use crate::result::{Cells, Projected, ResultSet};
 
 /// Root bindings run down the plan together: the levels below the root hold
 /// the descendants of at most this many.
@@ -84,9 +90,9 @@ const BLOCK: usize = 1024;
 type Level = Vec<(ObjectId, u32)>;
 
 /// The reusable buffers of an execution: one level of bindings per plan
-/// level, the class→level resolution, and the answer's emission buffer.
+/// level, the class→level resolution, and the answer's emission buffers.
 /// Keep one per worker thread; any plan shape can run against any scratch
-/// (levels grow on demand and are cleared before use).
+/// (buffers grow on demand and are cleared before use).
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     /// levels[d] = the bindings of plan level `d` (root = 0); below the
@@ -94,13 +100,43 @@ pub struct ExecScratch {
     levels: Vec<Level>,
     /// level_of[class] = the plan level binding `class`.
     level_of: Vec<usize>,
-    /// The projected values of the rows emitted so far, row-major.
-    values: Vec<Value>,
+    /// cells[k] = the cells of projection `k` emitted so far, one word each
+    /// whatever the column's type (`result.rs`); a bound projection's stays
+    /// empty.
+    cells: Vec<Vec<u64>>,
+    /// The distinct strings the string cells emitted so far index.
+    strings: Strings,
 }
 
 impl ExecScratch {
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// The distinct strings of the answer being emitted, each allocation once,
+/// and each one's index in that list by its address.
+#[derive(Debug, Default)]
+struct Strings {
+    list: Vec<Arc<str>>,
+    index: HashMap<u64, u64, ValueHashState>,
+}
+
+impl Strings {
+    fn clear(&mut self) {
+        self.list.clear();
+        self.index.clear();
+    }
+
+    /// `s`'s index in the list, appending it if it is a new allocation.
+    #[inline]
+    fn code(&mut self, s: &Arc<str>) -> u64 {
+        let list = &mut self.list;
+        let at = Arc::as_ptr(s) as *const u8 as usize as u64;
+        *self.index.entry(at).or_insert_with(|| {
+            list.push(Arc::clone(s));
+            list.len() as u64 - 1
+        })
     }
 }
 
@@ -128,33 +164,71 @@ pub(crate) fn execute_rekeyed(
     rekey: Option<&ValueSet>,
     scratch: &mut ExecScratch,
 ) -> Result<(ResultSet, CostCounters), ExecError> {
-    let ExecScratch { levels, level_of, values } = scratch;
+    let ExecScratch { levels, level_of, cells, strings } = scratch;
     plan.resolve_levels(db.catalog(), level_of)?;
     let depths = plan.steps.len() + 1;
     if levels.len() < depths {
         levels.resize_with(depths, Vec::new);
     }
     let levels = &mut levels[..depths];
+    let width = plan.projections.len();
+    if cells.len() < width {
+        cells.resize_with(width, Vec::new);
+    }
+    let cells = &mut cells[..width];
+    cells.iter_mut().for_each(Vec::clear);
+    strings.clear();
     let mut counters = CostCounters::new();
-    values.clear();
     produce(db, &plan.root, rekey, &mut counters, &mut levels[0])?;
     let roots = levels[0].len();
     let mut rows = 0;
     for start in (0..roots).step_by(BLOCK) {
         let block = start..roots.min(start + BLOCK);
-        rows += run_block(db, plan, levels, level_of, block, &mut counters, values)?;
+        let emit = Emit { cells: &mut *cells, strings: &mut *strings };
+        rows += run_block(db, plan, levels, level_of, block, &mut counters, emit)?;
     }
     counters.tuples_out += rows as u64;
-    // Moved out at their exact size, in one bulk copy; `mem::take` would
-    // hand the warm buffer's capacity to the answer instead.
-    let mut answer = Vec::with_capacity(values.len());
-    answer.append(values);
-    Ok((ResultSet::of_plan(db, plan, answer, rows), counters))
+    Ok((answer(db, plan, cells, strings, rows)?, counters))
+}
+
+/// The answer of `plan` on `db`, of `rows` rows whose cells are in `cells`
+/// and `strings`: every buffer moved out at its exact size, in one bulk copy
+/// each (`mem::take` would hand a warm buffer's capacity to the answer).
+fn answer(
+    db: &Database,
+    plan: &PhysicalPlan,
+    cells: &[Vec<u64>],
+    strings: &mut Strings,
+    rows: usize,
+) -> Result<ResultSet, ExecError> {
+    let unbound = plan.projections.iter().filter(|p| p.binding.is_none()).count();
+    let mut words = Vec::with_capacity(if rows == 0 { 0 } else { unbound * rows });
+    let mut columns = Vec::with_capacity(plan.projections.len());
+    for (p, cells) in plan.projections.iter().zip(cells) {
+        let cells = match &p.binding {
+            Some(v) => Cells::Bound(v.clone()),
+            None => {
+                let start = words.len();
+                words.extend_from_slice(cells);
+                Cells::Words { ty: db.column(p.attr)?.data_type(), start }
+            }
+        };
+        columns.push(Projected { attr: p.attr, cells });
+    }
+    let mut list = Vec::with_capacity(strings.list.len());
+    list.append(&mut strings.list);
+    Ok(ResultSet::emitted(db, columns, words, list, rows))
+}
+
+/// Where a block's cells go: each projection's buffer, and the strings.
+struct Emit<'s> {
+    cells: &'s mut [Vec<u64>],
+    strings: &'s mut Strings,
 }
 
 /// Runs the root bindings `block` down every step of `plan`, appends the
-/// projected values of the rows they reach to `values`, and returns how
-/// many rows that is.
+/// cells of the rows they reach to `emit`, a projection at a time, and
+/// returns how many rows that is.
 fn run_block(
     db: &Database,
     plan: &PhysicalPlan,
@@ -162,7 +236,7 @@ fn run_block(
     level_of: &[usize],
     block: Range<usize>,
     counters: &mut CostCounters,
-    values: &mut Vec<Value>,
+    emit: Emit<'_>,
 ) -> Result<usize, ExecError> {
     let mut span = block;
     for (depth, step) in plan.steps.iter().enumerate() {
@@ -171,48 +245,43 @@ fn run_block(
         fill_level(db, step, above, level_of, span, counters, out)?;
         span = 0..out.len();
     }
-    let (rows, width) = (span.len(), plan.projections.len());
-    if rows == 0 || width == 0 {
-        return Ok(rows);
+    if span.is_empty() {
+        return Ok(0);
     }
-    // Room for the block's rows, then filled a projection at a time.
-    let start = values.len();
-    values.resize(start + rows * width, Value::Bool(false));
-    let emitted = &mut values[start..];
     let last = plan.steps.len();
-    for (k, p) in plan.projections.iter().enumerate() {
-        let slots = emitted.chunks_exact_mut(width).filter_map(|row| row.get_mut(k));
+    let Emit { cells, strings } = emit;
+    for (p, out) in plan.projections.iter().zip(cells) {
         // A bound projection's value is known without touching the
         // database — exactly the saving the paper's restriction
-        // introduction enables.
-        if let Some(v) = &p.binding {
-            slots.for_each(|slot| *slot = v.clone());
+        // introduction enables — and is stored once, in the answer.
+        if p.binding.is_some() {
             continue;
         }
         let want = level_of[p.attr.class.index()];
         let oids = span.clone().map(|row| bound_at(levels, last, row, want));
+        out.reserve(span.len());
         match db.column(p.attr)? {
-            Column::Int(c) => emit(c, p.attr, oids, slots, |&x| Value::Int(x)),
-            Column::Float(c) => emit(c, p.attr, oids, slots, |&x| Value::Float(x)),
-            Column::Str(c) => emit(c, p.attr, oids, slots, |s| Value::Str(Arc::clone(s))),
-            Column::Bool(c) => emit(c, p.attr, oids, slots, |&b| Value::Bool(b)),
+            Column::Int(c) => copy(c, p.attr, oids, out, |&x| x as u64),
+            Column::Float(c) => copy(c, p.attr, oids, out, |x: &Finite| x.get().to_bits()),
+            Column::Str(c) => copy(c, p.attr, oids, out, |s| strings.code(s)),
+            Column::Bool(c) => copy(c, p.attr, oids, out, |&b| u64::from(b)),
         }?;
     }
-    Ok(rows)
+    Ok(span.len())
 }
 
-/// Writes into each of `slots` the value of the object `oids` yields beside
-/// it, read from `column` (attribute `attr`'s) and made a [`Value`] by
-/// `wrap`.
-fn emit<'s, T>(
+/// Appends to `out` the cell of each object `oids` yields, read from
+/// `column` (attribute `attr`'s) and made a word by `word`.
+#[inline]
+fn copy<T>(
     column: Typed<'_, T>,
     attr: AttrRef,
     oids: impl Iterator<Item = ObjectId>,
-    slots: impl Iterator<Item = &'s mut Value>,
-    wrap: impl Fn(&T) -> Value,
+    out: &mut Vec<u64>,
+    mut word: impl FnMut(&T) -> u64,
 ) -> Result<(), StorageError> {
-    for (oid, slot) in oids.zip(slots) {
-        *slot = wrap(read(column, attr, oid)?);
+    for oid in oids {
+        out.push(word(read(column, attr, oid)?));
     }
     Ok(())
 }
@@ -593,6 +662,11 @@ pub(crate) mod tests {
     /// The executor test instance: 4 suppliers, 6 vehicles, 12 cargoes,
     /// supplies/collects round-robin.
     pub(crate) fn db() -> Database {
+        db_of(12)
+    }
+
+    /// [`db`] with `cargoes` cargoes: cargo `i` has code and quantity `i`.
+    fn db_of(cargoes: u32) -> Database {
         let catalog = Arc::new(figure21().unwrap());
         let mut b = Database::builder(Arc::clone(&catalog));
         let supplier = catalog.class_id("supplier").unwrap();
@@ -606,13 +680,13 @@ pub(crate) mod tests {
             b.insert(vehicle, vec![Value::Int(i), Value::str(desc), Value::Int(i % 3)]).unwrap();
         }
         equip_vehicles(&mut b, 6);
-        for i in 0..12i64 {
+        for i in 0..i64::from(cargoes) {
             let desc = if i % 2 == 0 { "frozen food" } else { "dry goods" };
             b.insert(cargo, vec![Value::Int(i), Value::str(desc), Value::Int(i)]).unwrap();
         }
         let supplies = catalog.rel_id("supplies").unwrap();
         let collects = catalog.rel_id("collects").unwrap();
-        for i in 0..12u32 {
+        for i in 0..cargoes {
             b.link(supplies, ObjectId(i), ObjectId(i % 4)).unwrap();
             b.link(collects, ObjectId(i), ObjectId(i % 6)).unwrap();
         }
@@ -750,6 +824,59 @@ pub(crate) mod tests {
         for row in res.rows() {
             assert_eq!(row[1], Value::str("frozen food"));
         }
+    }
+
+    /// An answer holds one reference to each distinct string it projects,
+    /// not one per row, and dropping it gives that reference back.
+    #[test]
+    fn an_answer_holds_each_distinct_string_once() {
+        let db = db();
+        let catalog = db.catalog().clone();
+        let q = QueryBuilder::new(&catalog)
+            .select("cargo.code")
+            .select("cargo.desc")
+            .filter("cargo.desc", CompOp::Eq, "frozen food")
+            .build()
+            .unwrap();
+        let Column::Str(descs) = db.column(catalog.attr_ref("cargo", "desc").unwrap()).unwrap()
+        else {
+            panic!("cargo.desc is a string column")
+        };
+        let frozen = descs.get(ObjectId(0)).unwrap();
+        let rows = descs.iter().filter(|s| Arc::ptr_eq(s, frozen)).count();
+        assert_eq!(rows, 6, "storage keeps the six equal strings in one allocation");
+        let before = Arc::strong_count(frozen);
+        let (res, _) = run(&db, &q);
+        assert_eq!(res.len(), rows);
+        assert!((0..rows).all(|i| res.value(i, 1) == Value::str("frozen food")));
+        assert_eq!(Arc::strong_count(frozen), before + 1, "one reference for {rows} rows");
+        drop(res);
+        assert_eq!(Arc::strong_count(frozen), before);
+    }
+
+    /// A bound projection is stored once: an answer whose only projection is
+    /// bound holds as many heap bytes for 2,500 rows as for 10. (The crate
+    /// forbids `unsafe`, so no counting allocator runs here; the answer's
+    /// own buffers are summed. `tests/result_alloc.rs` counts the bytes the
+    /// allocator hands out.)
+    #[test]
+    fn a_bound_projection_holds_no_bytes_per_row() {
+        let db = db_of(3000);
+        let catalog = db.catalog().clone();
+        let desc = catalog.attr_ref("cargo", "desc").unwrap();
+        let bytes = |below: i64| {
+            let mut q = QueryBuilder::new(&catalog)
+                .select("cargo.code")
+                .filter("cargo.quantity", CompOp::Lt, below)
+                .build()
+                .unwrap();
+            q.projections = vec![sqo_query::Projection::bound(desc, Value::str("frozen food"))];
+            let (res, _) = run(&db, &q);
+            assert_eq!(res.len(), below as usize);
+            assert!(res.rows().all(|row| row == [Value::str("frozen food")]));
+            res.heap_bytes()
+        };
+        assert_eq!(bytes(10), bytes(2500));
     }
 
     #[test]

@@ -316,7 +316,7 @@ fn typed_literal(attr: usize, i: usize) -> Value {
 }
 
 fn rows_of(results: &sqo_exec::ResultSet) -> Vec<Vec<Value>> {
-    results.rows().map(<[Value]>::to_vec).collect()
+    results.rows().collect()
 }
 
 /// Runs `plan` on a scratch that already ran the previous case's plan and

@@ -5,11 +5,14 @@
 //!
 //! With a warmed [`ExecScratch`], executing a plan that returns ten rows
 //! and one that returns thousands makes the same number of allocation
-//! calls: the projected values go into the scratch's warm buffer and leave
-//! it in one allocation of their exact size. Allocation calls are counted
-//! by a test-local `#[global_allocator]` on the one thread the test runs
-//! (as in `crates/service/tests/miss_alloc.rs`), so the gate repeats
-//! exactly and cannot flake.
+//! calls: each projection's cells go into the scratch's warm buffers and
+//! leave them in one allocation of their exact size, shared by every
+//! column, and the distinct strings in one more. A plan whose only
+//! projection is bound allocates the same bytes too, for it stores the
+//! value once. Allocation calls and bytes are counted by a test-local
+//! `#[global_allocator]` on the one thread the test runs (as in
+//! `crates/service/tests/miss_alloc.rs`), so the gates repeat exactly and
+//! cannot flake.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,7 +20,7 @@ use std::sync::Arc;
 
 use sqo_catalog::{example::figure21, Value};
 use sqo_exec::{execute_with, plan_query, CostModel, ExecScratch, PhysicalPlan};
-use sqo_query::{CompOp, QueryBuilder};
+use sqo_query::{CompOp, Projection, QueryBuilder};
 use sqo_storage::{Database, IntegrityOptions, ObjectId};
 
 thread_local! {
@@ -25,13 +28,16 @@ thread_local! {
     // so the allocator may touch these at any point of a thread's life.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
 
-fn note() {
+/// Counts one call that hands out `bytes`.
+fn note(bytes: usize) {
     if COUNTING.with(Cell::get) {
         CALLS.with(|c| c.set(c.get() + 1));
+        BYTES.with(|c| c.set(c.get() + bytes as u64));
     }
 }
 
@@ -40,19 +46,19 @@ fn note() {
 // destructor-free thread-locals and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: `layout` is the caller's, forwarded as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size);
         // SAFETY: `ptr` was returned by this allocator (hence by `System`)
         // for `layout`, as the caller guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -111,29 +117,58 @@ fn plan(db: &Database, below: i64) -> PhysicalPlan {
     plan_query(db, &q, &CostModel::default()).unwrap()
 }
 
-/// Allocation calls of one execution, and its row count.
-fn counted(db: &Database, plan: &PhysicalPlan, scratch: &mut ExecScratch) -> (u64, usize) {
-    let before = CALLS.with(Cell::get);
+/// Cargoes with a quantity below `below`, projecting only `cargo.desc`,
+/// bound to the one description every cargo has.
+fn bound_plan(db: &Database, below: i64) -> PhysicalPlan {
+    let mut q = QueryBuilder::new(db.catalog())
+        .select("cargo.code")
+        .filter("cargo.quantity", CompOp::Lt, below)
+        .build()
+        .unwrap();
+    let desc = db.catalog().attr_ref("cargo", "desc").unwrap();
+    q.projections = vec![Projection::bound(desc, Value::str("dry goods"))];
+    plan_query(db, &q, &CostModel::default()).unwrap()
+}
+
+/// Allocation calls and bytes of one execution, and its row count.
+fn counted(db: &Database, plan: &PhysicalPlan, scratch: &mut ExecScratch) -> (u64, u64, usize) {
+    let (calls, bytes) = (CALLS.with(Cell::get), BYTES.with(Cell::get));
     COUNTING.with(|c| c.set(true));
     let (results, _) = execute_with(db, plan, scratch).unwrap();
     COUNTING.with(|c| c.set(false));
-    (CALLS.with(Cell::get) - before, results.len())
+    (CALLS.with(Cell::get) - calls, BYTES.with(Cell::get) - bytes, results.len())
+}
+
+/// The counts of a 10-row and a 2,500-row execution of `plan`, on a scratch
+/// both have warmed.
+fn small_and_large(db: &Database, plan: fn(&Database, i64) -> PhysicalPlan) -> [(u64, u64); 2] {
+    let (small, large) = (plan(db, 10), plan(db, 2500));
+    let mut scratch = ExecScratch::new();
+    for plan in [&large, &small] {
+        execute_with(db, plan, &mut scratch).unwrap();
+    }
+    let (small_calls, small_bytes, small_rows) = counted(db, &small, &mut scratch);
+    let (large_calls, large_bytes, large_rows) = counted(db, &large, &mut scratch);
+    assert_eq!((small_rows, large_rows), (10, 2500));
+    [(small_calls, small_bytes), (large_calls, large_bytes)]
 }
 
 #[test]
 fn answer_allocations_do_not_grow_with_rows() {
-    let db = db();
-    let (small, large) = (plan(&db, 10), plan(&db, 2500));
-    let mut scratch = ExecScratch::new();
-    for plan in [&large, &small] {
-        execute_with(&db, plan, &mut scratch).unwrap();
-    }
-    let (small_calls, small_rows) = counted(&db, &small, &mut scratch);
-    let (large_calls, large_rows) = counted(&db, &large, &mut scratch);
-    assert_eq!((small_rows, large_rows), (10, 2500));
+    let [(small_calls, _), (large_calls, _)] = small_and_large(&db(), plan);
     assert_eq!(
         small_calls, large_calls,
-        "{small_rows} rows took {small_calls} allocation calls, {large_rows} took {large_calls}"
+        "10 rows took {small_calls} allocation calls, 2500 took {large_calls}"
     );
-    assert_eq!(large_calls, 2, "an answer allocates its columns and its values");
+    assert_eq!(
+        large_calls, 3,
+        "an answer allocates its columns, one buffer of cells for all three, and its strings"
+    );
+}
+
+#[test]
+fn a_bound_projection_allocates_no_bytes_per_row() {
+    let [small, large] = small_and_large(&db(), bound_plan);
+    assert_eq!(small, large, "(calls, bytes) of 10 rows and of 2500");
+    assert_eq!(small.0, 1, "an answer of one bound column allocates its columns alone");
 }

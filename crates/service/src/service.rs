@@ -809,7 +809,7 @@ mod tests {
         let service = QueryService::new(Arc::new(s.store), Arc::new(s.db));
         let response = service.run(&q).unwrap();
         assert_eq!(response.results.len(), want);
-        assert!(response.results.columns.is_empty());
+        assert_eq!(response.results.columns().len(), 0);
     }
 
     #[test]

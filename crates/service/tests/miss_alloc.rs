@@ -70,11 +70,15 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Queries measured, after as many others have warmed the worker scratch.
 const SLICE: usize = 256;
-/// Allocation calls measured over the slice (30.7 a miss in release, 40.5
+/// Allocation calls measured over the slice (30.7 a miss in release, 40.4
 /// in debug; 41.7 and 46.7 before constraints were interned once per store
 /// and the cached plan came from the oracle's estimator; 48.7 and 53.7
 /// before an answer became one row-major buffer); the budget is that + 5 %.
-const MEASURED: u64 = if cfg!(debug_assertions) { 10_359 } else { 7_859 };
+/// Since answers are typed columns a release slice counts 7,895 (30.8 a
+/// miss): an answer with a string column allocates its distinct strings
+/// too, and a provably empty one builds its column list from the
+/// attributes it is given, while a bound-only answer has no cells.
+const MEASURED: u64 = if cfg!(debug_assertions) { 10_354 } else { 7_859 };
 const BUDGET: u64 = MEASURED + MEASURED / 20;
 
 #[test]

@@ -322,7 +322,7 @@ fn boot_derives_the_savers_entries_and_plans_on_the_loaded_statistics() {
         assert_eq!(a.optimized(), b.optimized());
         assert_eq!(a.plan(), b.plan());
         assert_eq!(a.provably_empty(), b.provably_empty());
-        let columns = |s: &QueryService| s.run(q).unwrap().results.columns.clone();
+        let columns = |s: &QueryService| s.run(q).unwrap().results.columns().collect::<Vec<_>>();
         assert_eq!(columns(&cold), columns(&warm));
     }
 
