@@ -16,6 +16,9 @@ pub enum ExecError {
     Unreachable(ClassId),
     /// The query has no classes to drive from.
     EmptyQuery,
+    /// The query lists more classes than the planner orders (64, one bit
+    /// each of its bound-class mask).
+    TooManyClasses(usize),
     /// The plan demands an index probe on an attribute that carries no
     /// index — a planner/executor contract violation (e.g. a plan cached
     /// against a different physical schema).
@@ -41,6 +44,9 @@ impl fmt::Display for ExecError {
             ExecError::Storage(e) => write!(f, "storage error: {e}"),
             ExecError::Unreachable(c) => write!(f, "{c} is unreachable from the plan root"),
             ExecError::EmptyQuery => write!(f, "query accesses no classes"),
+            ExecError::TooManyClasses(n) => {
+                write!(f, "query joins {n} classes; the planner orders at most 64")
+            }
             ExecError::MissingIndex(a) => {
                 write!(f, "plan probes {a} but the attribute has no index")
             }

@@ -7,6 +7,12 @@
 //! pⱼ, using a cost model and conventional query optimization techniques".
 //! No candidate query and no plan is built: `planner.rs` explains how a
 //! difference is costed and why the estimate is the candidate plan's.
+//!
+//! An oracle runs on its thread's warm estimator (`planner.rs`, *A warm
+//! estimator per thread*): [`CostBasedOracle::with_model`] takes it from the
+//! thread's slot and dropping the oracle gives it back, so building one
+//! oracle per miss, as the serving layer does, allocates no estimator
+//! buffer once the thread is warm.
 
 use std::cell::RefCell;
 
@@ -18,7 +24,7 @@ use sqo_storage::Database;
 use crate::cost::CostModel;
 use crate::error::ExecError;
 use crate::plan::PhysicalPlan;
-use crate::planner::{Estimator, Rule, Without};
+use crate::planner::{Rule, Warm, Without};
 
 /// Plan-cost-comparing oracle over one immutable database snapshot.
 ///
@@ -27,12 +33,13 @@ use crate::planner::{Estimator, Rule, Without};
 /// snapshot never changes under it, so neither goes stale); a caller
 /// serving a mutable database builds a fresh oracle per snapshot, which is
 /// what the serving layer does on every miss. That state makes the oracle
-/// `!Sync` — use one oracle per thread.
+/// `!Sync` — use one oracle per thread. The state lives in the thread's
+/// warm estimator, held from construction to drop.
 #[derive(Debug)]
 pub struct CostBasedOracle<'db> {
     db: &'db Database,
     model: CostModel,
-    formulation: RefCell<Estimator>,
+    formulation: RefCell<Warm>,
 }
 
 impl<'db> CostBasedOracle<'db> {
@@ -41,7 +48,7 @@ impl<'db> CostBasedOracle<'db> {
     }
 
     pub fn with_model(db: &'db Database, model: CostModel) -> Self {
-        Self { db, model, formulation: RefCell::default() }
+        Self { db, model, formulation: RefCell::new(Warm::take()) }
     }
 
     pub fn model(&self) -> &CostModel {
@@ -52,7 +59,7 @@ impl<'db> CostBasedOracle<'db> {
     /// oracle's decisions compare, exposed for diagnostics. `None` when
     /// that query cannot be planned. Leaves an open formulation alone.
     pub fn estimated_cost(&self, q: &Query, without: Option<Without<'_>>) -> Option<f64> {
-        Estimator::default().estimate(self.db, q, &self.model, without)
+        Warm::take().estimate(self.db, q, &self.model, without)
     }
 
     /// The plan of `formulated`, the query the open formulation ended with
@@ -75,7 +82,7 @@ impl<'db> CostBasedOracle<'db> {
         plan
     }
 
-    /// One decision of the open formulation (see [`Estimator::decide`]).
+    /// One decision of the open formulation (`Estimator::decide`).
     fn decide(&self, working: &Query, without: Without<'_>, adopting: bool, rule: Rule) -> bool {
         self.formulation.borrow_mut().decide(self.db, working, &self.model, without, adopting, rule)
     }

@@ -32,42 +32,66 @@
 //!   drift apart.
 //!
 //! `crates/exec/tests/prop_estimate.rs` checks the equality on generated
-//! databases and query shapes.
+//! databases and query shapes, and `crates/service/tests/golden_plans.rs`
+//! pins every plan and estimate of the benchmark's paper-size pool.
 //!
-//! [`Estimator::load`] also works out each class's residual conjunction —
+//! # Positions
+//!
+//! [`Estimator::load`] resolves every class the query's predicates,
+//! relationships and join predicates name to its position in
+//! `query.classes`, once, and works out each class's residual conjunction —
 //! how many of the query's selective predicates are on the class, and the
-//! `product` of their selectivities — once, with the class's access
-//! estimate. [`Estimator::order`] reads those numbers for every frontier
-//! candidate instead of filtering the query's predicates again; only the
+//! `product` of their selectivities — with the class's access estimate.
+//! Whether an index serves a predicate is read off its operator and the
+//! index kind (`AttrIndex::serves`); no value set is built.
+//! [`Estimator::order`] then works on positions alone: the bound classes
+//! are one `u64` mask (a query of more than 64 classes is refused as
+//! [`ExecError::TooManyClasses`]), a frontier candidate reads its class's
+//! loaded numbers by position, and each step counts the join predicates and
+//! relationships that binding each class would close in one pass over each
+//! list, instead of filtering them again for every candidate. Only the
 //! class a [`Without::Sel`] masks is worked out again, in the estimate
 //! [`Estimator::decide`] patches in.
 //!
 //! # Planning once
 //!
 //! When a formulation has asked the oracle anything, the oracle's
-//! estimator already holds the statistics of the query the formulation
-//! ends with: a decision that adopts a difference edits the carried
-//! statistics as the caller edits the query.
+//! estimator already holds the statistics and the order of the query the
+//! formulation ends with. Its first decision loads the working query and
+//! orders it whole; every later decision orders a candidate into a second
+//! buffer, and one that adopts its difference makes that order the working
+//! query's and edits the carried statistics as the caller edits the query
+//! (a class it removes moves every later position down by one).
 //! [`CostBasedOracle::plan_formulated`](crate::CostBasedOracle::plan_formulated)
-//! builds the cached plan from them, through [`Estimator::plan`]:
-//!
-//! * `load` is never run again;
-//! * `order` is not run again either when the last decision was adopted —
-//!   the candidate's order is then the working query's, and the order,
-//!   estimated cost and rows that decision computed are the plan's;
-//! * a formulation that made no decision loads once, as [`plan_query`]
-//!   does.
+//! builds the cached plan from them, through [`Estimator::plan`]: neither
+//! `load` nor `order` runs again, whether the last decision adopted or
+//! rejected. A formulation that made no decision loads and orders once,
+//! as [`plan_query`] does.
 //!
 //! The plan equals [`plan_query`]'s field for field, costs to the bit, for
 //! the reasons a difference costs what its candidate does: the carried
 //! statistics are those a fresh load of the working query computes, in
-//! the same order, and the adopted order is the one `order` computes on the
-//! working query, its root position moved past the removed class. The
-//! property test above checks it after whole formulations, and a debug
-//! build compares every such plan with [`plan_query`]'s.
+//! the same order, and the carried order is the one `order` computes on
+//! the working query (an adopted candidate's, its root position moved past
+//! the removed class). The property test above checks it after whole
+//! formulations, and a debug build compares every such plan with
+//! [`plan_query`]'s.
+//!
+//! # A warm estimator per thread
+//!
+//! An estimator's buffers grow to the largest query it has seen and are
+//! then reused. Each thread keeps one in a slot: [`plan_query`] and every
+//! [`CostBasedOracle`](crate::CostBasedOracle) take it ([`Warm::take`]) and
+//! give it back when dropped, so a service worker's miss allocates no
+//! estimator buffer once its first few queries have run, as the optimizer's
+//! and executor's per-worker scratch already does. While one is out (an
+//! oracle alive beside a `plan_query` call), the other starts empty.
+
+use std::cell::Cell;
+use std::ops::{Deref, DerefMut};
 
 use sqo_catalog::{CatalogError, ClassId, RelId, StatsSnapshot};
-use sqo_query::{JoinPredicate, Query, SelPredicate};
+use sqo_query::{JoinPredicate, Query, QueryError, SelPredicate};
 use sqo_storage::Database;
 
 use crate::cost::CostModel;
@@ -88,18 +112,27 @@ pub enum Without<'q> {
 /// A decision rule over the estimated costs `(with, without)`.
 pub(crate) type Rule = fn(f64, f64) -> bool;
 
+/// The most classes [`Estimator::order`] orders: one bit each of a `u64`.
+const MAX_CLASSES: usize = 64;
+
 /// A selective predicate's share of the statistics.
 #[derive(Debug, Clone, Copy)]
 struct PredView {
     selectivity: f64,
-    /// An index on the attribute can serve the predicate's value set.
+    /// An index on the attribute can serve the predicate's operator.
     indexable: bool,
+    /// Its class's position in `query.classes`; the class count when the
+    /// query does not list the class.
+    at: usize,
 }
 
-/// A relationship's endpoints and its average fan-out seen from each.
+/// A relationship's endpoints, their positions in `query.classes` (`None`:
+/// the query does not list one of them) and its average fan-out seen from
+/// each.
 #[derive(Debug, Clone, Copy)]
 struct RelView {
     ends: (ClassId, ClassId),
+    at: Option<(usize, usize)>,
     fanout: (f64, f64),
 }
 
@@ -123,29 +156,12 @@ struct ClassEstimate {
     selectivity: f64,
 }
 
-/// The classes an order has bound so far, flagged by id.
-#[derive(Debug, Default)]
-struct Bound(Vec<bool>);
+/// A class estimate worked out again under a mask, with the class's
+/// position.
+type Patch = (usize, ClassEstimate);
 
-impl Bound {
-    fn clear(&mut self) {
-        self.0.clear();
-    }
-
-    fn contains(&self, class: ClassId) -> bool {
-        self.0.get(class.index()).copied().unwrap_or(false)
-    }
-
-    fn insert(&mut self, class: ClassId) {
-        if self.0.len() <= class.index() {
-            self.0.resize(class.index() + 1, false);
-        }
-        self.0[class.index()] = true;
-    }
-}
-
-/// One step of the chosen order; the counts are its shares of
-/// [`Estimator::join_filters`] and [`Estimator::link_filters`].
+/// One step of an [`Order`]; the counts are its shares of the order's
+/// `join_filters` and `link_filters`.
 #[derive(Debug, Clone, Copy)]
 struct StepOrder {
     rel: RelId,
@@ -155,48 +171,85 @@ struct StepOrder {
     link_filters: usize,
 }
 
-/// The statistics of one query, the order chosen from them, and the cost a
+/// What [`Estimator::order`] chose: the driving class's position, the
+/// steps, and their filters end to end.
+#[derive(Debug, Default)]
+struct Order {
+    root: usize,
+    steps: Vec<StepOrder>,
+    join_filters: Vec<JoinPredicate>,
+    link_filters: Vec<(RelId, ClassId, ClassId)>,
+}
+
+/// The statistics of one query, the orders chosen from them, and the cost a
 /// formulation carries from one decision to the next. Every buffer is
-/// reused: once warm, costing a difference allocates nothing.
+/// reused: once warm, costing a difference allocates nothing, and a thread
+/// keeps one warm between queries ([`Warm`]).
 #[derive(Debug, Default)]
 pub(crate) struct Estimator {
     /// Parallel to `query.selective_predicates`.
     preds: Vec<PredView>,
     /// Parallel to `query.relationships`; `None` is not in the catalog.
     rels: Vec<Option<RelView>>,
+    /// Parallel to `query.join_predicates`: both ends' positions, `None`
+    /// when the query does not list one of them.
+    joins: Vec<Option<(usize, usize)>>,
     /// Parallel to `query.classes`.
     classes: Vec<ClassEstimate>,
-    /// Output of the last [`Estimator::order`]: the driving class's
-    /// position, the steps, and their filters end to end.
-    root: usize,
-    steps: Vec<StepOrder>,
-    join_filters: Vec<JoinPredicate>,
-    link_filters: Vec<(RelId, ClassId, ClassId)>,
-    bound: Bound,
-    /// Whether a working query is loaded, and its estimated cost and rows
-    /// (`None`: it cannot be planned).
+    /// The predicates of the class [`estimate_class`] works on.
+    of_class: Vec<PredView>,
+    /// Per position, during one step of [`Estimator::order`]: how many join
+    /// predicates and relationships binding that class would close.
+    closing: Vec<(usize, usize)>,
+    /// Output of the last [`Estimator::order`].
+    candidate: Order,
+    /// Whether a working query is loaded; then its order, and its estimated
+    /// cost and rows (`None`: it cannot be planned, and `working` is
+    /// stale).
     loaded: bool,
+    working: Order,
     cost: Option<(f64, f64)>,
-    /// The order in `self` is the working query's: the last decision
-    /// adopted its difference.
-    ordered: bool,
 }
 
-/// The predicates on `class` that `without` leaves, in query order.
-fn class_preds<'a>(
-    query: &'a Query,
-    preds: &'a [PredView],
-    class: ClassId,
-    without: Option<Without<'a>>,
-) -> impl Iterator<Item = PredView> + Clone + 'a {
-    query
-        .selective_predicates
-        .iter()
-        .zip(preds)
-        .filter(move |(p, _)| {
-            p.attr.class == class && !matches!(without, Some(Without::Sel(s)) if s == *p)
-        })
-        .map(|(_, view)| *view)
+thread_local! {
+    /// This thread's warm estimator, while no [`Warm`] holds it.
+    static WARM: Cell<Option<Estimator>> = const { Cell::new(None) };
+}
+
+/// An [`Estimator`] taken from this thread's slot, with the buffers the
+/// thread's last query grew, and given back when dropped (module docs, *A
+/// warm estimator per thread*). While one is out, another starts empty.
+#[derive(Debug)]
+pub(crate) struct Warm(Estimator);
+
+impl Warm {
+    pub(crate) fn take() -> Self {
+        let mut estimator = WARM.try_with(Cell::take).ok().flatten().unwrap_or_default();
+        estimator.reset();
+        Self(estimator)
+    }
+}
+
+impl Deref for Warm {
+    type Target = Estimator;
+
+    fn deref(&self) -> &Estimator {
+        &self.0
+    }
+}
+
+impl DerefMut for Warm {
+    fn deref_mut(&mut self) -> &mut Estimator {
+        &mut self.0
+    }
+}
+
+impl Drop for Warm {
+    fn drop(&mut self) {
+        let estimator = std::mem::take(&mut self.0);
+        // A thread being torn down has no slot left: the buffers are freed.
+        let _ = WARM.try_with(|slot| slot.set(Some(estimator)));
+    }
 }
 
 /// Conjunction selectivity under the independence assumption (the System R
@@ -205,22 +258,29 @@ fn conjunction(preds: impl Iterator<Item = PredView>) -> f64 {
     preds.map(|view| view.selectivity).product::<f64>().clamp(0.0, 1.0)
 }
 
-/// Best access path for `class` if it were the driving class.
+/// Best access path for the class at position `at` if it were the driving
+/// class. `of_class` is a buffer for the class's predicates that `without`
+/// leaves, gathered in query order in one pass over `preds`.
 fn estimate_class(
     stats: &StatsSnapshot,
     model: &CostModel,
     query: &Query,
     preds: &[PredView],
-    class: ClassId,
+    of_class: &mut Vec<PredView>,
+    at: usize,
     without: Option<Without<'_>>,
 ) -> ClassEstimate {
-    let of_class = class_preds(query, preds, class, without);
-    let count = of_class.clone().count();
-    let selectivity = conjunction(of_class.clone());
+    let class = query.classes[at];
+    of_class.clear();
+    of_class.extend(query.selective_predicates.iter().zip(preds).filter_map(|(p, view)| {
+        (view.at == at && !matches!(without, Some(Without::Sel(s)) if s == p)).then_some(*view)
+    }));
+    let count = of_class.len();
+    let selectivity = conjunction(of_class.iter().copied());
     let (cost, rows) = model.scan_estimate(stats, class, count, selectivity);
     let mut best = ClassEstimate { probe: None, cost, rows, preds: count, selectivity };
-    for (i, view) in of_class.clone().enumerate().filter(|(_, view)| view.indexable) {
-        let rest = of_class.clone().enumerate().filter(|(j, _)| *j != i).map(|(_, view)| view);
+    for (i, view) in of_class.iter().enumerate().filter(|(_, view)| view.indexable) {
+        let rest = of_class.iter().enumerate().filter(|(j, _)| *j != i).map(|(_, view)| *view);
         let (cost, rows) =
             model.index_estimate(stats, class, count - 1, conjunction(rest), view.selectivity);
         if cost < best.cost {
@@ -230,164 +290,194 @@ fn estimate_class(
     best
 }
 
-/// Join predicates that become checkable when `to_class` is bound on top of
-/// `bound` — the single source both for candidate *costing* (`.count()`)
-/// and for the winning step's filter list, so the two can never diverge.
-/// `to_class` is not bound yet, so no earlier step can have applied one.
-fn step_join_filters<'q>(
-    query: &'q Query,
-    bound: &'q Bound,
-    to_class: ClassId,
-    without: Option<Without<'q>>,
-) -> impl Iterator<Item = &'q JoinPredicate> {
-    query
-        .join_predicates
-        .iter()
-        .filter(move |j| !matches!(without, Some(Without::Join(m)) if m == *j))
-        .filter(move |j| {
-            let (x, y) = j.classes();
-            let after = |c: ClassId| c == to_class || bound.contains(c);
-            after(x) && after(y) && (x == to_class || y == to_class)
-        })
+/// The position a filter over the classes of `ends` waits for: the one of
+/// them not in `bound` when it is the only one. Binding that class makes
+/// the filter checkable. This one test both counts a candidate step's
+/// filters and lists the winning step's, so the two cannot diverge.
+fn closed_by(ends: u64, bound: u64) -> Option<usize> {
+    let open = ends & !bound;
+    open.is_power_of_two().then(|| open.trailing_zeros() as usize)
 }
 
-/// Cycle edges closed when `to_class` is bound via `rel`: the other
-/// relationships whose both endpoints are then bound. Shared between
-/// costing and the filter list like [`step_join_filters`]; a removed class
-/// is never bound, so its relationships never qualify.
-fn step_link_filters<'q>(
-    query: &'q Query,
-    rels: &'q [Option<RelView>],
-    bound: &'q Bound,
-    rel: RelId,
-    to_class: ClassId,
-) -> impl Iterator<Item = (RelId, ClassId, ClassId)> + 'q {
-    query.relationships.iter().zip(rels).filter_map(move |(&r2, view)| {
-        let (x, y) = (*view)?.ends;
-        let after = |c: ClassId| c == to_class || bound.contains(c);
-        (r2 != rel && after(x) && after(y) && (x == to_class || y == to_class))
-            .then_some((r2, x, y))
-    })
+/// The mask of the positions `a` and `b`, both below [`MAX_CLASSES`].
+fn mask(a: usize, b: usize) -> u64 {
+    1 << a | 1 << b
 }
 
 impl Estimator {
     /// Stage 1: touches the [`Database::stats`] snapshot once per selective
-    /// predicate, relationship and class of `query`; everything after reads
-    /// what this resolved.
+    /// predicate, relationship and class of `query`, and resolves every
+    /// class a predicate, relationship or join predicate names to its
+    /// position in `query.classes`; everything after reads what this
+    /// resolved.
     fn load(&mut self, db: &Database, query: &Query, model: &CostModel) {
         let (catalog, stats) = (db.catalog(), db.stats());
+        let at = |class: ClassId| query.classes.iter().position(|&c| c == class);
         self.preds.clear();
         self.preds.extend(query.selective_predicates.iter().map(|p| PredView {
             selectivity: model.selectivity(stats, p),
-            indexable: db.index(p.attr).is_some_and(|index| index.supports(&p.value_set())),
+            indexable: db.index(p.attr).is_some_and(|index| index.serves(p.op)),
+            at: at(p.attr.class).unwrap_or(query.classes.len()),
         }));
         self.rels.clear();
         self.rels.extend(query.relationships.iter().map(|&rel| {
             let ends = catalog.relationship(rel).ok()?.classes();
-            let rstats = stats.relationship(rel).cloned().unwrap_or_default();
-            let fanout = (rstats.avg_left_fanout.max(0.0), rstats.avg_right_fanout.max(0.0));
-            Some(RelView { ends, fanout })
+            let fanout = stats
+                .relationship(rel)
+                .map_or((0.0, 0.0), |r| (r.avg_left_fanout.max(0.0), r.avg_right_fanout.max(0.0)));
+            Some(RelView { ends, at: at(ends.0).zip(at(ends.1)), fanout })
+        }));
+        self.joins.clear();
+        self.joins.extend(query.join_predicates.iter().map(|j| {
+            let (x, y) = j.classes();
+            at(x).zip(at(y))
         }));
         self.classes.clear();
-        for &class in &query.classes {
-            self.classes.push(estimate_class(stats, model, query, &self.preds, class, None));
+        for at in 0..query.classes.len() {
+            let estimate =
+                estimate_class(stats, model, query, &self.preds, &mut self.of_class, at, None);
+            self.classes.push(estimate);
         }
     }
 
     /// Stage 2: the driving class (fewest estimated rows, then cheapest
     /// access) and the greedy expansion over relationships, for `query`
-    /// less `without`. `patched` replaces one class's loaded estimate.
-    /// Returns the estimated `(cost, rows)` and leaves the order in `self`.
+    /// less `without`. `patched` replaces the loaded estimate of the class
+    /// at one position. Returns the estimated `(cost, rows)` and leaves the
+    /// order in `self.candidate`.
     fn order(
         &mut self,
         query: &Query,
         model: &CostModel,
         without: Option<Without<'_>>,
-        patched: Option<(ClassId, ClassEstimate)>,
+        patched: Option<Patch>,
     ) -> Result<(f64, f64), ExecError> {
-        let Self { preds, rels, classes, steps, join_filters, link_filters, bound, .. } = self;
+        let Self { rels, joins, classes, closing, candidate, .. } = self;
+        let Order { steps, join_filters, link_filters, .. } = candidate;
+        let n = classes.len();
+        if n > MAX_CLASSES {
+            return Err(ExecError::TooManyClasses(n));
+        }
         // A removed class is stepped over as a root and as a frontier
         // endpoint; never bound, nothing else of it is ever read.
-        let kept = |class: ClassId| !matches!(without, Some(Without::Class(m)) if m == class);
+        let removed = match without {
+            Some(Without::Class(m)) => query.classes.iter().position(|&c| c == m),
+            _ => None,
+        }
+        .map_or(0, |m| 1u64 << m);
+        let masked = |j: &JoinPredicate| matches!(without, Some(Without::Join(m)) if m == j);
+        let estimate = |at: usize| match patched {
+            Some((patched_at, estimate)) if patched_at == at => estimate,
+            _ => classes[at],
+        };
 
-        let mut root: Option<(usize, ClassEstimate)> = None;
-        for (at, &class) in query.classes.iter().enumerate().filter(|(_, c)| kept(**c)) {
-            let cand = match patched {
-                Some((patched_class, estimate)) if patched_class == class => estimate,
-                _ => classes[at],
-            };
+        let mut root: Option<Patch> = None;
+        for at in (0..n).filter(|at| removed >> at & 1 == 0) {
+            let cand = estimate(at);
             if root.map_or(true, |(_, best)| (cand.rows, cand.cost) < (best.rows, best.cost)) {
                 root = Some((at, cand));
             }
         }
         let (root, ClassEstimate { cost: mut total_cost, rows: mut current_rows, .. }) =
             root.ok_or(ExecError::EmptyQuery)?;
-        self.root = root;
+        candidate.root = root;
 
         steps.clear();
         join_filters.clear();
         link_filters.clear();
-        bound.clear();
-        bound.insert(query.classes[root]);
-        while let Some(missing) =
-            query.classes.iter().copied().find(|&c| kept(c) && !bound.contains(c))
-        {
-            // Frontier: relationships with exactly one endpoint bound,
-            // costed from counts alone.
-            let mut best: Option<(f64, f64, StepOrder)> = None;
+        let goal = (u64::MAX >> (MAX_CLASSES - n)) & !removed;
+        let mut bound = 1u64 << root;
+        while bound != goal {
+            let missing = query.classes[(goal & !bound).trailing_zeros() as usize];
+            // What binding each class would close: join predicates and
+            // relationships with every other end bound.
+            closing.clear();
+            closing.resize(n, (0, 0));
+            for (j, at) in query.join_predicates.iter().zip(joins.iter()) {
+                if let Some(to) =
+                    at.filter(|_| !masked(j)).and_then(|(x, y)| closed_by(mask(x, y), bound))
+                {
+                    closing[to].0 += 1;
+                }
+            }
             for (&rel, view) in query.relationships.iter().zip(rels.iter()) {
-                let Some(view) = *view else {
+                let Some(view) = view else {
                     return Err(CatalogError::UnknownRelId(rel).into());
                 };
-                let (a, b) = view.ends;
-                if !kept(a) || !kept(b) {
+                let Some((a, b)) = view.at else {
+                    let class = if query.classes.contains(&view.ends.0) {
+                        view.ends.1
+                    } else {
+                        view.ends.0
+                    };
+                    return Err(QueryError::RelationshipEndpointMissing { rel, class }.into());
+                };
+                if let Some(to) = closed_by(mask(a, b), bound) {
+                    closing[to].1 += 1;
+                }
+            }
+            // Frontier: relationships with exactly one endpoint bound,
+            // costed from counts alone.
+            let mut best: Option<(f64, f64, (usize, usize), StepOrder)> = None;
+            for (i, (&rel, view)) in query.relationships.iter().zip(rels.iter()).enumerate() {
+                // Every view is known and listed: the pass above returned
+                // otherwise.
+                let Some(RelView { at: Some((a, b)), fanout, .. }) = *view else { continue };
+                if mask(a, b) & removed != 0 {
                     continue;
                 }
-                let (from_class, to_class, fanout) = if bound.contains(a) && !bound.contains(b) {
-                    (a, b, view.fanout.0)
-                } else if bound.contains(b) && !bound.contains(a) {
-                    (b, a, view.fanout.1)
+                let (from, to, fanout) = if bound >> a & 1 == 1 && bound >> b & 1 == 0 {
+                    (a, b, fanout.0)
+                } else if bound >> b & 1 == 1 && bound >> a & 1 == 0 {
+                    (b, a, fanout.1)
                 } else {
                     continue;
                 };
-                // The class's residual conjunction, as loaded or patched;
-                // worked out here only for a class the query does not list.
-                let residual = match patched {
-                    Some((patched_class, estimate)) if patched_class == to_class => {
-                        (estimate.preds, estimate.selectivity)
-                    }
-                    _ => match query.classes.iter().position(|&c| c == to_class) {
-                        Some(at) => (classes[at].preds, classes[at].selectivity),
-                        None => {
-                            let residual = class_preds(query, preds, to_class, without);
-                            (residual.clone().count(), conjunction(residual))
-                        }
-                    },
-                };
+                // The step's own relationship closes on `to` too; it is
+                // the edge, not a filter.
+                let (joins_closed, links_closed) = closing[to];
                 let step = StepOrder {
                     rel,
-                    from_class,
-                    to_class,
-                    join_filters: step_join_filters(query, bound, to_class, without).count(),
-                    link_filters: step_link_filters(query, rels, bound, rel, to_class).count(),
+                    from_class: query.classes[from],
+                    to_class: query.classes[to],
+                    join_filters: joins_closed,
+                    link_filters: links_closed - 1,
                 };
+                let residual = estimate(to);
                 let (step_cost, out_rows) = model.join_step_estimate_parts(
                     current_rows,
                     fanout,
-                    residual.0,
-                    residual.1,
+                    residual.preds,
+                    residual.selectivity,
                     step.join_filters + step.link_filters,
                 );
-                if best.map_or(true, |(rows, cost, _)| (out_rows, step_cost) < (rows, cost)) {
-                    best = Some((out_rows, step_cost, step));
+                if best.map_or(true, |(rows, cost, ..)| (out_rows, step_cost) < (rows, cost)) {
+                    best = Some((out_rows, step_cost, (i, to), step));
                 }
             }
-            let Some((out_rows, step_cost, step)) = best else {
+            let Some((out_rows, step_cost, (edge, to), step)) = best else {
                 return Err(ExecError::Unreachable(missing));
             };
-            join_filters.extend(step_join_filters(query, bound, step.to_class, without));
-            link_filters.extend(step_link_filters(query, rels, bound, step.rel, step.to_class));
-            bound.insert(step.to_class);
+            let closes = |at: Option<(usize, usize)>| {
+                at.and_then(|(x, y)| closed_by(mask(x, y), bound)) == Some(to)
+            };
+            join_filters.extend(
+                query
+                    .join_predicates
+                    .iter()
+                    .zip(joins.iter())
+                    .filter(|(j, at)| !masked(j) && closes(**at))
+                    .map(|(j, _)| *j),
+            );
+            link_filters.extend(
+                query.relationships.iter().zip(rels.iter()).enumerate().filter_map(
+                    |(i, (&rel, view))| {
+                        let view = (*view)?;
+                        (i != edge && closes(view.at)).then_some((rel, view.ends.0, view.ends.1))
+                    },
+                ),
+            );
+            bound |= 1 << to;
             steps.push(step);
             total_cost += step_cost;
             current_rows = out_rows;
@@ -398,14 +488,20 @@ impl Estimator {
         Ok((total_cost, current_rows))
     }
 
-    /// Stage 3: the plan the last [`Estimator::order`] of the whole `query`
-    /// describes — the only stage that clones a predicate.
-    fn materialize(&self, query: &Query, estimated_cost: f64, estimated_rows: f64) -> PhysicalPlan {
+    /// Stage 3: the plan `order`, an order of the whole `query`, describes —
+    /// the only stage that clones a predicate.
+    fn materialize(
+        &self,
+        query: &Query,
+        order: &Order,
+        estimated_cost: f64,
+        estimated_rows: f64,
+    ) -> PhysicalPlan {
         let preds_of = |class: ClassId| {
             query.selective_predicates.iter().filter(move |p| p.attr.class == class)
         };
-        let class = query.classes[self.root];
-        let probe = self.classes[self.root].probe;
+        let class = query.classes[order.root];
+        let probe = self.classes[order.root].probe;
         let root = ClassAccess {
             class,
             path: match probe.and_then(|i| preds_of(class).nth(i)) {
@@ -419,8 +515,8 @@ impl Estimator {
                 .collect(),
         };
         let (mut join_filters, mut link_filters) =
-            (self.join_filters.as_slice(), self.link_filters.as_slice());
-        let steps = self
+            (order.join_filters.as_slice(), order.link_filters.as_slice());
+        let steps = order
             .steps
             .iter()
             .map(|step| {
@@ -451,23 +547,26 @@ impl Estimator {
 
     /// [`Estimator::order`] of the loaded `query` less `without`, with the
     /// one class estimate a removed selective predicate changes worked out
-    /// again under the mask and returned beside the cost and rows.
+    /// again under the mask and returned, with its position, beside the
+    /// cost and rows.
     fn cost_of(
         &mut self,
         db: &Database,
         query: &Query,
         model: &CostModel,
         without: Option<Without<'_>>,
-    ) -> Option<((f64, f64), Option<ClassEstimate>)> {
+    ) -> Option<((f64, f64), Option<Patch>)> {
         let patched = match without {
-            Some(Without::Sel(s)) => Some((
-                s.attr.class,
-                estimate_class(db.stats(), model, query, &self.preds, s.attr.class, without),
-            )),
+            Some(Without::Sel(s)) => {
+                query.classes.iter().position(|&c| c == s.attr.class).map(|at| {
+                    let (preds, of_class) = (&self.preds, &mut self.of_class);
+                    (at, estimate_class(db.stats(), model, query, preds, of_class, at, without))
+                })
+            }
             _ => None,
         };
         let estimate = self.order(query, model, without, patched).ok()?;
-        Some((estimate, patched.map(|(_, estimate)| estimate)))
+        Some((estimate, patched))
     }
 
     /// `query`'s estimated cost less `without`, with no plan built; `None`
@@ -488,12 +587,22 @@ impl Estimator {
     /// query this estimator has not seen.
     pub(crate) fn reset(&mut self) {
         self.loaded = false;
-        self.ordered = false;
     }
 
-    /// The plan of the working query, `query` (see *Planning once*): from
-    /// the carried statistics, and from the carried order when the last
-    /// decision adopted its difference. With nothing carried it is
+    /// Loads `working` and orders it whole, unless a working query is
+    /// loaded already: the statistics, order and cost every later decision
+    /// and the plan start from.
+    fn open(&mut self, db: &Database, working: &Query, model: &CostModel) {
+        if !self.loaded {
+            self.load(db, working, model);
+            self.cost = self.order(working, model, None, None).ok();
+            std::mem::swap(&mut self.candidate, &mut self.working);
+            self.loaded = true;
+        }
+    }
+
+    /// The plan of the working query, `query` (see *Planning once*): the
+    /// carried order of the carried statistics. With nothing carried it is
     /// [`plan_query`].
     pub(crate) fn plan(
         &mut self,
@@ -501,16 +610,15 @@ impl Estimator {
         query: &Query,
         model: &CostModel,
     ) -> Result<PhysicalPlan, ExecError> {
-        if !self.loaded {
-            self.load(db, query, model);
-            self.loaded = true;
-            self.ordered = false;
+        self.open(db, query, model);
+        match self.cost {
+            Some((cost, rows)) => Ok(self.materialize(query, &self.working, cost, rows)),
+            // It cannot be planned; ordering it again says why.
+            None => {
+                let (cost, rows) = self.order(query, model, None, None)?;
+                Ok(self.materialize(query, &self.candidate, cost, rows))
+            }
         }
-        let (cost, rows) = match self.cost {
-            Some(estimate) if self.ordered => estimate,
-            _ => self.order(query, model, None, None)?,
-        };
-        Ok(self.materialize(query, cost, rows))
     }
 
     /// One cost–benefit decision: `rule(with, without)` on the estimated
@@ -522,8 +630,8 @@ impl Estimator {
     ///
     /// `working` must be the query of the previous call since
     /// [`Estimator::reset`], less that call's difference if it was adopted:
-    /// its statistics and its cost are carried, so a decision is one masked
-    /// run of the loop.
+    /// its statistics, order and cost are carried, so a decision is one
+    /// masked run of the loop.
     pub(crate) fn decide(
         &mut self,
         db: &Database,
@@ -533,22 +641,17 @@ impl Estimator {
         adopting: bool,
         rule: Rule,
     ) -> bool {
-        if !self.loaded {
-            self.load(db, working, model);
-            self.cost = self.cost_of(db, working, model, None).map(|(estimate, _)| estimate);
-            self.loaded = true;
-        }
+        self.open(db, working, model);
         debug_assert_eq!(
-            (self.preds.len(), self.rels.len(), self.classes.len()),
+            (self.preds.len(), self.rels.len(), self.joins.len(), self.classes.len()),
             (
                 working.selective_predicates.len(),
                 working.relationships.len(),
+                working.join_predicates.len(),
                 working.classes.len()
             ),
             "the working query changed without an adoption or a reset"
         );
-        // The order in `self` is now the candidate's, or half written.
-        self.ordered = false;
         let sides = self.cost.zip(self.cost_of(db, working, model, Some(without)));
         let Some(((with, _), (candidate, patched))) = sides else {
             return !adopting;
@@ -558,33 +661,54 @@ impl Estimator {
             return answer;
         }
         self.cost = Some(candidate);
-        self.ordered = true;
+        std::mem::swap(&mut self.candidate, &mut self.working);
         match without {
             Without::Sel(s) => {
                 let mut of_query = working.selective_predicates.iter();
                 self.preds.retain(|_| of_query.next() != Some(s));
-                let at = working.classes.iter().position(|&c| c == s.attr.class);
-                if let (Some(at), Some(estimate)) = (at, patched) {
+                if let Some((at, estimate)) = patched {
                     self.classes[at] = estimate;
                 }
             }
-            Without::Join(_) => {}
-            Without::Class(class) => {
-                let mut of_query = working.selective_predicates.iter();
-                self.preds.retain(|_| of_query.next().is_some_and(|p| p.attr.class != class));
-                self.rels.retain(|view| !view.is_some_and(|view| view.involves(class)));
-                let mut of_query = working.classes.iter();
-                self.classes.retain(|_| of_query.next() != Some(&class));
-                // The removed class never roots the order; the root's
-                // position moves past it.
-                self.root -= working.classes[..self.root].iter().filter(|&&c| c == class).count();
+            Without::Join(j) => {
+                let mut of_query = working.join_predicates.iter();
+                self.joins.retain(|_| of_query.next() != Some(j));
             }
+            Without::Class(class) => self.remove_class(working, class),
         }
         answer
     }
+
+    /// Removes `class` from the views, as the caller removes it from
+    /// `working`, and moves every position past it down by one.
+    fn remove_class(&mut self, working: &Query, class: ClassId) {
+        let Some(removed) = working.classes.iter().position(|&c| c == class) else {
+            return;
+        };
+        let after = |at: usize| at - usize::from(at > removed);
+        let mut of_query = working.selective_predicates.iter();
+        self.preds.retain(|_| of_query.next().is_some_and(|p| p.attr.class != class));
+        for view in &mut self.preds {
+            view.at = after(view.at);
+        }
+        self.rels.retain(|view| !view.is_some_and(|view| view.involves(class)));
+        for view in self.rels.iter_mut().flatten() {
+            view.at = view.at.map(|(a, b)| (after(a), after(b)));
+        }
+        let mut of_query = working.join_predicates.iter();
+        self.joins.retain(|_| of_query.next().is_some_and(|j| !j.involves(class)));
+        for at in self.joins.iter_mut().flatten() {
+            *at = (after(at.0), after(at.1));
+        }
+        self.classes.remove(removed);
+        // The removed class never roots the order; the root's position
+        // moves past it.
+        self.working.root = after(self.working.root);
+    }
 }
 
-/// Plans `query` against `db` with `model`.
+/// Plans `query` against `db` with `model`, on this thread's warm
+/// estimator.
 ///
 /// `query` must be valid (see `Query::validate`); the planner checks
 /// reachability as it goes and reports `Unreachable` otherwise.
@@ -593,10 +717,10 @@ pub fn plan_query(
     query: &Query,
     model: &CostModel,
 ) -> Result<PhysicalPlan, ExecError> {
-    let mut estimator = Estimator::default();
+    let mut estimator = Warm::take();
     estimator.load(db, query, model);
     let (cost, rows) = estimator.order(query, model, None, None)?;
-    Ok(estimator.materialize(query, cost, rows))
+    Ok(estimator.materialize(query, &estimator.candidate, cost, rows))
 }
 
 /// [`plan_query`], delivered behind an [`Arc`](std::sync::Arc) so the plan can be cached and
@@ -651,7 +775,7 @@ mod tests {
 
     #[test]
     fn conjunction_multiplies() {
-        let view = |selectivity| PredView { selectivity, indexable: false };
+        let view = |selectivity| PredView { selectivity, indexable: false, at: 0 };
         let sel = conjunction([view(0.1), view(0.1)].into_iter());
         assert!((sel - 0.01).abs() < 1e-9);
     }

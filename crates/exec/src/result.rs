@@ -146,9 +146,15 @@ impl PartialEq for ResultSet {
 impl ResultSet {
     /// An empty set of `columns`, to push rows into by hand.
     pub fn new(columns: Vec<AttrRef>) -> Self {
+        Self::empty(&columns)
+    }
+
+    /// An empty set of `columns` in one allocation, its column list: a
+    /// provably empty answer.
+    pub fn empty(columns: &[AttrRef]) -> Self {
         let columns = columns
-            .into_iter()
-            .map(|attr| Projected { attr, cells: Cells::Values(Vec::new()) })
+            .iter()
+            .map(|&attr| Projected { attr, cells: Cells::Values(Vec::new()) })
             .collect();
         Self { columns, words: Vec::new(), strings: Vec::new(), len: 0, read_from: None }
     }

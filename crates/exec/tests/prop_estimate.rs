@@ -275,9 +275,9 @@ fn carried_plans_cover_every_last_decision() {
     assert!(seen.contains(&(Last::Rejected, true)), "no decision followed an elimination");
 }
 
+// The default configuration, so `PROPTEST_CASES` scales every property
+// (CI runs 1,024 cases optimized).
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
-
     #[test]
     fn masked_estimate_is_the_candidate_plan(
         sizes in prop::collection::vec(0usize..24, 3..4),

@@ -9,7 +9,8 @@
 //! leave them in one allocation of their exact size, shared by every
 //! column, and the distinct strings in one more. A plan whose only
 //! projection is bound allocates the same bytes too, for it stores the
-//! value once. Allocation calls and bytes are counted by a test-local
+//! value once, and a provably empty answer is its column list alone.
+//! Allocation calls and bytes are counted by a test-local
 //! `#[global_allocator]` on the one thread the test runs (as in
 //! `crates/service/tests/miss_alloc.rs`), so the gates repeat exactly and
 //! cannot flake.
@@ -19,7 +20,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use sqo_catalog::{example::figure21, Value};
-use sqo_exec::{execute_with, plan_query, CostModel, ExecScratch, PhysicalPlan};
+use sqo_exec::{execute_with, plan_query, CostModel, ExecScratch, PhysicalPlan, ResultSet};
 use sqo_query::{CompOp, Projection, QueryBuilder};
 use sqo_storage::{Database, IntegrityOptions, ObjectId};
 
@@ -171,4 +172,21 @@ fn a_bound_projection_allocates_no_bytes_per_row() {
     let [small, large] = small_and_large(&db(), bound_plan);
     assert_eq!(small, large, "(calls, bytes) of 10 rows and of 2500");
     assert_eq!(small.0, 1, "an answer of one bound column allocates its columns alone");
+}
+
+/// A provably empty answer is its column list and nothing else: one call,
+/// however many columns (the service builds it from the cached entry's
+/// attributes without copying them first).
+#[test]
+fn a_provably_empty_answer_allocates_once() {
+    let catalog = figure21().unwrap();
+    let attr = |class, name| catalog.attr_ref(class, name).unwrap();
+    let columns = [attr("cargo", "code"), attr("cargo", "desc"), attr("vehicle", "vehicle_no")];
+    let calls = CALLS.with(Cell::get);
+    COUNTING.with(|c| c.set(true));
+    let empty = ResultSet::empty(&columns);
+    COUNTING.with(|c| c.set(false));
+    assert_eq!(CALLS.with(Cell::get) - calls, 1, "one allocation, the column list");
+    assert_eq!((empty.len(), empty.columns().count()), (0, 3));
+    assert_eq!(empty, ResultSet::new(columns.to_vec()));
 }

@@ -11,7 +11,7 @@
 //!
 //! * [`Counter`]: a monotone count or id allocator, `Relaxed` throughout.
 //!   Display counters, store generations, snapshot temporary-file numbers,
-//!   the plan cache's LRU clock and stamps.
+//!   the plan cache's CLOCK reference bits.
 //! * [`Epoch`]: a monotone version that publishes what was written before
 //!   it moved. The constraint-store epoch, the data epoch and the per-class
 //!   write epochs.
@@ -111,7 +111,8 @@ impl Counter {
         self.0.load(Ordering::Relaxed)
     }
 
-    /// Overwrites the value (an LRU stamp; approximate recency is enough).
+    /// Overwrites the value (a CLOCK reference bit; a lost race costs an
+    /// entry its second chance, nothing else).
     pub fn set(&self, value: u64) {
         self.0.store(value, Ordering::Relaxed);
     }

@@ -79,13 +79,31 @@
 //! Shards are independent `RwLock`s (`sqo_query::sync`, rank
 //! `CACHE_SHARD`) selected by fingerprint bits, so concurrent readers of
 //! *different* queries never contend, and readers of the *same* hot query
-//! share a read lock (recency is tracked with a relaxed [`Counter`], not a
-//! write lock). Each shard evicts least-recently-used entries past its
-//! capacity. A shard's map is keyed
-//! by the fingerprint as it is: it is already a mixed 64-bit hash, and the
-//! capacity bound keeps the worst probe bounded however the keys fall.
+//! share a read lock. A shard's map is keyed by the fingerprint as it is:
+//! it is already a mixed 64-bit hash, and the capacity bound keeps the
+//! worst probe bounded however the keys fall.
+//!
+//! # Eviction: CLOCK
+//!
+//! Each shard evicts past its capacity by CLOCK (second chance). Its keys
+//! stand in a ring in insertion order, and the *hand* is the ring's front.
+//! A hit sets its slot's reference bit: a relaxed load, and a store only
+//! when the bit is clear, under the shared read lock, so a hot entry's hits
+//! write nothing and no hit touches a line another query's hit writes. An
+//! insert into a full shard moves the hand: a slot with its bit set has
+//! the bit cleared and goes to the back of the ring, and the first slot
+//! without one is evicted. Among the slots without a bit the hand thus
+//! evicts the one inserted first; a shard that served no hit evicts
+//! exactly as LRU did, which is why an all-miss stream cycling more
+//! distinct queries than a shard holds never hits (the cold workloads'
+//! invariant, `tests::a_cycle_longer_than_a_shard_never_hits`). Each
+//! eviction is O(1) amortized: every slot the hand passes lost its bit, so
+//! one sweep finds a victim. Replacing a live key moves it to the back of
+//! the ring, as a fresh insert; that takes a scan of the shard's ring, and
+//! happens only when two misses of one query race or an entry is derived
+//! again under a new version.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -177,9 +195,19 @@ struct Slot {
     /// place (under the shard write lock) when a constraint insert proves
     /// the entry untouched.
     version: StoreVersion,
-    /// Global LRU clock value at last touch (relaxed: approximate recency
-    /// is all LRU needs).
-    last_used: Counter,
+    /// The CLOCK reference bit (module docs, *Eviction*): 1 once a hit
+    /// found the slot since the hand last passed it. Relaxed: a hit the
+    /// hand misses costs the slot its second chance, nothing else.
+    referenced: Counter,
+}
+
+impl Slot {
+    /// Sets the reference bit, writing only when it is clear.
+    fn reference(&self) {
+        if self.referenced.get() == 0 {
+            self.referenced.set(1);
+        }
+    }
 }
 
 /// The identity hasher over a fingerprint's one `u64` (module docs).
@@ -202,7 +230,41 @@ impl Hasher for Prehashed {
     }
 }
 
-type Shard = HashMap<QueryFingerprint, Slot, BuildHasherDefault<Prehashed>>;
+/// One shard: its slots, and their keys in the hand's sweep order.
+#[derive(Debug, Default)]
+struct Shard {
+    slots: HashMap<QueryFingerprint, Slot, BuildHasherDefault<Prehashed>>,
+    /// Exactly the keys of `slots`; the front is under the hand.
+    ring: VecDeque<QueryFingerprint>,
+}
+
+impl Shard {
+    /// Moves the hand to the first slot without a reference bit, clearing
+    /// every bit it passes, and removes that slot.
+    fn evict(&mut self) -> Option<Slot> {
+        while let Some(key) = self.ring.pop_front() {
+            let Some(slot) = self.slots.remove(&key) else { continue };
+            if slot.referenced.get() == 0 {
+                return Some(slot);
+            }
+            slot.referenced.set(0);
+            self.slots.insert(key, slot);
+            self.ring.push_back(key);
+        }
+        None
+    }
+
+    /// Keeps the slots `keep` accepts, and their keys in ring order.
+    fn retain(&mut self, mut keep: impl FnMut(&mut Slot) -> bool) {
+        self.slots.retain(|_, slot| keep(slot));
+        let slots = &self.slots;
+        self.ring.retain(|key| slots.contains_key(key));
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+}
 
 /// Point-in-time cache counters (monotone except `entries`/`shard_sizes`).
 ///
@@ -221,7 +283,7 @@ pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,
     pub insertions: u64,
-    /// Capacity (LRU) and staleness (purge) removals.
+    /// Capacity (CLOCK) and staleness (purge) removals.
     pub evictions: u64,
     /// Entries removed because a constraint insert touched their classes.
     pub invalidations: u64,
@@ -243,7 +305,7 @@ impl CacheStats {
     }
 }
 
-/// N-way sharded LRU cache of [`CacheEntry`]s.
+/// N-way sharded CLOCK cache of [`CacheEntry`]s.
 #[derive(Debug)]
 pub struct ShardedCache {
     shards: Vec<RwLock<CACHE_SHARD, Shard>>,
@@ -252,7 +314,6 @@ pub struct ShardedCache {
     /// `Arc` so leader guards and follower waiters can outlive the borrow.
     flights: Arc<FlightTable>,
     per_shard_capacity: usize,
-    clock: Counter,
     /// `(lookups, hits)`: a lookup is counted before its hit, so `hits <=
     /// lookups` in every read (see [`CacheStats`]).
     lookups: CountPair,
@@ -272,7 +333,6 @@ impl ShardedCache {
             shards: (0..shards).map(|_| RwLock::default()).collect(),
             flights: Arc::new(FlightTable::default()),
             per_shard_capacity,
-            clock: Counter::default(),
             lookups: CountPair::default(),
             insertions: Counter::default(),
             evictions: Counter::default(),
@@ -310,13 +370,13 @@ impl ShardedCache {
         // The lookup first: `hits <= lookups` in every stats() snapshot.
         self.lookups.add_outer();
         self.find(fingerprint, query, version, |slot| {
-            slot.last_used.set(self.tick());
+            slot.reference();
             self.lookups.add_inner();
         })
     }
 
     /// [`ShardedCache::get`]'s answer, as a look that is not a request: it
-    /// counts neither a lookup nor a hit and stamps no recency. A singleflight
+    /// counts neither a lookup nor a hit and sets no reference bit. A singleflight
     /// leader's re-check before it derives ([`crate::QueryService::complete_miss`]).
     pub fn peek(
         &self,
@@ -338,7 +398,7 @@ impl ShardedCache {
     ) -> Option<Arc<CacheEntry>> {
         let mut held = Unlocked::new();
         let shard = self.shard_of(fingerprint).read(&mut held);
-        let slot = shard.get(&fingerprint).filter(|slot| {
+        let slot = shard.slots.get(&fingerprint).filter(|slot| {
             slot.version == version && query.same_canonical(&slot.entry.canonical)
         })?;
         found(slot);
@@ -346,7 +406,8 @@ impl ShardedCache {
     }
 
     /// Inserts (or replaces) an entry derived under `version`, evicting the
-    /// least-recently-used entry of the target shard if it is full.
+    /// entry under the target shard's CLOCK hand if it is full (module
+    /// docs, *Eviction*).
     ///
     /// The evicted and the replaced slot are dropped after the shard's lock
     /// is released. Dropping the last `Arc` of an entry frees its memoized
@@ -364,18 +425,18 @@ impl ShardedCache {
         let mut held = Unlocked::new();
         let mut shard = self.shard_of(fingerprint).write(&mut held);
         let mut evicted = None;
-        if !shard.contains_key(&fingerprint) && shard.len() >= self.per_shard_capacity {
-            // LRU stamps are heuristic: a racing hit's stamp may be missed.
-            if let Some(victim) =
-                shard.iter().min_by_key(|(_, slot)| slot.last_used.get()).map(|(k, _)| *k)
-            {
-                evicted = shard.remove(&victim);
-                self.evictions.add(1);
-            }
+        if shard.slots.contains_key(&fingerprint) {
+            // A replacement is a fresh insert: its key goes to the back.
+            shard.ring.retain(|key| *key != fingerprint);
+        } else if shard.len() >= self.per_shard_capacity {
+            evicted = shard.evict();
+            self.evictions.add(u64::from(evicted.is_some()));
         }
-        let slot = Slot { entry, version, last_used: Counter::new(self.tick()) };
+        let slot = Slot { entry, version, referenced: Counter::new(0) };
         self.insertions.add(1);
-        let replaced = shard.insert(fingerprint, slot);
+        shard.ring.push_back(fingerprint);
+        let replaced = shard.slots.insert(fingerprint, slot);
+        debug_assert_eq!(shard.ring.len(), shard.len(), "the ring holds every key once");
         drop(shard);
         drop((evicted, replaced));
     }
@@ -396,7 +457,7 @@ impl ShardedCache {
         touched: &[ClassId],
     ) {
         for shard in &self.shards {
-            shard.write(held).retain(|_, slot| {
+            shard.write(held).retain(|slot| {
                 if slot.version == next {
                     return true;
                 }
@@ -426,7 +487,7 @@ impl ShardedCache {
         for shard in &self.shards {
             let mut shard = shard.write(held);
             let before = shard.len();
-            shard.retain(|_, slot| slot.version == current);
+            shard.retain(|slot| slot.version == current);
             self.evictions.add((before - shard.len()) as u64);
         }
     }
@@ -439,7 +500,9 @@ impl ShardedCache {
         let mut held = Unlocked::new();
         for shard in &self.shards {
             let shard = shard.read(&mut held);
-            out.extend(shard.iter().map(|(fp, slot)| (*fp, slot.version, Arc::clone(&slot.entry))));
+            out.extend(
+                shard.slots.iter().map(|(fp, slot)| (*fp, slot.version, Arc::clone(&slot.entry))),
+            );
         }
         out.sort_by_key(|(fp, _, _)| fp.0);
         out
@@ -472,10 +535,6 @@ impl ShardedCache {
             entries: shard_sizes.iter().sum(),
             shard_sizes,
         }
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.add(1)
     }
 }
 
@@ -562,17 +621,45 @@ mod tests {
         assert!(cache.get(fp(7), &other, v(0, 0)).is_none());
     }
 
+    /// The cold workloads' invariant: a stream that cycles more distinct
+    /// queries than a shard holds, each looked up and inserted on its miss,
+    /// never hits — the hand evicts in insertion order, so every key is
+    /// gone by the time the cycle comes back to it. Evicting in any other
+    /// order (hash order, say) would keep some keys and hit.
     #[test]
-    fn lru_evicts_the_coldest_entry() {
-        let cache = ShardedCache::new(1, 2); // single shard, two slots
+    fn a_cycle_longer_than_a_shard_never_hits() {
+        let cache = ShardedCache::new(1, 64);
         let q = Query::new();
-        cache.insert(fp(1), v(0, 0), entry(&q));
-        cache.insert(fp(2), v(0, 0), entry(&q));
-        let _ = cache.get(fp(1), &q, v(0, 0)); // touch 1 → 2 is now coldest
-        cache.insert(fp(3), v(0, 0), entry(&q));
-        assert!(cache.get(fp(1), &q, v(0, 0)).is_some(), "recently used survives");
-        assert!(cache.get(fp(2), &q, v(0, 0)).is_none(), "coldest was evicted");
-        assert_eq!(cache.stats().evictions, 1);
+        for _ in 0..4 {
+            for key in 0..65 {
+                assert!(cache.get(fp(key), &q, v(0, 0)).is_none(), "key {key} hit");
+                cache.insert(fp(key), v(0, 0), entry(&q));
+            }
+        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (0, 4 * 65, 64));
+        assert_eq!(s.evictions, 4 * 65 - 64);
+    }
+
+    /// An entry that was hit survives one sweep of the hand: the hand
+    /// clears its bit and passes it, evicting the next entry without one.
+    #[test]
+    fn a_hit_entry_survives_one_sweep() {
+        let cache = ShardedCache::new(1, 4);
+        let q = Query::new();
+        for key in 1..=4 {
+            cache.insert(fp(key), v(0, 0), entry(&q));
+        }
+        assert!(cache.get(fp(1), &q, v(0, 0)).is_some()); // 1 is under the hand
+        cache.insert(fp(5), v(0, 0), entry(&q));
+        assert!(cache.peek(fp(1), &q, v(0, 0)).is_some(), "the hit entry was passed");
+        assert!(cache.peek(fp(2), &q, v(0, 0)).is_none(), "the next entry was evicted");
+        // Its bit is spent: once the hand comes round again, it goes.
+        for key in 6..=8 {
+            cache.insert(fp(key), v(0, 0), entry(&q));
+        }
+        assert!(cache.peek(fp(1), &q, v(0, 0)).is_none(), "a second sweep evicts it");
+        assert_eq!(cache.stats().evictions, 4);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   [`sqo_storage::VersionedDatabase`] path leaves plans cached and
 //!   expires the result memo of only those entries whose plan binds a class
 //!   the batch changed.
-//! * A **sharded LRU plan cache** ([`ShardedCache`]) keeps lock hold times
+//! * A **sharded CLOCK plan cache** ([`ShardedCache`]) keeps lock hold times
 //!   tiny: readers of different queries land on different `RwLock`
 //!   shards, readers of the same hot query share a read lock.
 //! * **One request pipeline** — `resolve → hit | lead | follow → execute

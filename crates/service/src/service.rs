@@ -237,7 +237,7 @@ pub struct ServiceStats {
 /// constraint store behind `Arc`s, so any number of client threads can call
 /// [`QueryService::run`] concurrently (`&self` throughout). Repeated
 /// queries — under *any* spelling that canonicalizes identically — are
-/// answered from an N-way sharded LRU cache keyed by the canonical
+/// answered from an N-way sharded CLOCK cache keyed by the canonical
 /// fingerprint and validated against the store's
 /// [`StoreVersion`](sqo_constraints::StoreVersion).
 ///
@@ -531,7 +531,7 @@ impl QueryService {
         let db = self.db.snapshot();
         let data_epoch = db.data_version();
         let results = if entry.provably_empty {
-            Arc::new(ResultSet::new(entry.columns.clone()))
+            Arc::new(ResultSet::empty(&entry.columns))
         } else {
             let plan = entry
                 .plan

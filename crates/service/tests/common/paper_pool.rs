@@ -1,5 +1,5 @@
 //! The end-to-end benchmark's paper-scale deployment, rebuilt for in-tree
-//! tests (`miss_alloc.rs`, `oracle_by_difference.rs`, each through a
+//! tests (`miss_alloc.rs`, `oracle_by_difference.rs`, `golden_plans.rs`, each through a
 //! `#[path]` include): the schema, constraints, DB1 population and query
 //! generator of `benches/e2e/src/fixture.rs`, all from its fixture seed.
 

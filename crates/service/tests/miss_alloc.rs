@@ -5,7 +5,7 @@
 //! Every request below misses the plan cache, so each one runs the whole
 //! pipeline — canonicalize, validate, retrieve, build the table, transform,
 //! formulate (the cost–benefit decisions allocate nothing once the worker's
-//! scratch is warm), plan, execute. Allocation calls are counted by a
+//! scratch and its thread's estimator are warm), plan, execute. Allocation calls are counted by a
 //! test-local `#[global_allocator]` on the one thread the test runs; the
 //! count repeats exactly from run to run, so unlike a timing tolerance this
 //! gate cannot flake. A debug build counts more (`optimize_with` validates
@@ -77,8 +77,13 @@ const SLICE: usize = 256;
 /// Since answers are typed columns a release slice counts 7,895 (30.8 a
 /// miss): an answer with a string column allocates its distinct strings
 /// too, and a provably empty one builds its column list from the
-/// attributes it is given, while a bound-only answer has no cells.
-const MEASURED: u64 = if cfg!(debug_assertions) { 10_354 } else { 7_859 };
+/// attributes it is given, while a bound-only answer has no cells. That
+/// was 7,859 and 10,354 until the oracle's estimator became the thread's
+/// warm one and a provably empty answer stopped copying its attributes
+/// first: 6,541 (25.6 a miss) and 9,215 (36.0; debug still checks each
+/// carried plan against `plan_query` on an estimator of its own, which
+/// starts empty while the oracle holds the warm one).
+const MEASURED: u64 = if cfg!(debug_assertions) { 9_215 } else { 6_541 };
 const BUDGET: u64 = MEASURED + MEASURED / 20;
 
 #[test]

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use sqo_catalog::{IndexKind, Value, ValueHashState};
-use sqo_query::{Bound, ValueSet};
+use sqo_query::{Bound, CompOp, ValueSet};
 
 use crate::counts::{canonical_update, CanonicalMap};
 use crate::extent::{ColumnVec, Element};
@@ -139,6 +139,18 @@ impl AttrIndex {
         }
     }
 
+    /// Whether this index can serve a predicate with operator `op`, whatever
+    /// its literal: [`AttrIndex::supports`] of the predicate's value set,
+    /// without building the set. A point is any index's, a range only a
+    /// B-tree's, a hole none's.
+    pub fn serves(&self, op: CompOp) -> bool {
+        match op {
+            CompOp::Eq => true,
+            CompOp::Ne => false,
+            CompOp::Lt | CompOp::Le | CompOp::Gt | CompOp::Ge => self.kind == IndexKind::BTree,
+        }
+    }
+
     /// Probes the index with a value set; `None` when unsupported.
     /// The returned `probes` count feeds the page-cost model.
     pub fn probe(&self, set: &ValueSet) -> Option<IndexScanResult> {
@@ -184,6 +196,36 @@ pub struct IndexScanResult {
 mod tests {
     use super::*;
     use crate::valuemap::OrdValue;
+
+    #[test]
+    fn serves_is_supports_of_the_value_set() {
+        use sqo_query::SelPredicate;
+        let attr =
+            sqo_catalog::AttrRef { class: sqo_catalog::ClassId(0), attr: sqo_catalog::AttrId(0) };
+        let literals = [
+            Value::Int(i64::MIN),
+            Value::Int(0),
+            Value::Int(i64::MAX),
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::str("x"),
+            Value::Float(sqo_catalog::Finite::new(-0.0).unwrap()),
+            Value::Float(sqo_catalog::Finite::new(f64::INFINITY).unwrap()),
+        ];
+        for kind in [IndexKind::Hash, IndexKind::BTree] {
+            let ix = AttrIndex::new(kind);
+            for op in [CompOp::Eq, CompOp::Ne, CompOp::Lt, CompOp::Le, CompOp::Gt, CompOp::Ge] {
+                for value in &literals {
+                    let p = SelPredicate::new(attr, op, value.clone());
+                    assert_eq!(
+                        ix.serves(op),
+                        ix.supports(&p.value_set()),
+                        "{kind:?} {op:?} {value:?}"
+                    );
+                }
+            }
+        }
+    }
 
     fn loaded(kind: IndexKind) -> AttrIndex {
         let mut ix = AttrIndex::new(kind);
