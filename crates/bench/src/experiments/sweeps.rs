@@ -117,11 +117,12 @@ pub struct E11Row {
 /// compared request-by-request against the unoptimized original query
 /// executed on the same evolving database (`unoptimized_reference`) — and
 /// the plan cache must keep hitting (plans survive data writes; a memoized
-/// result survives those that leave its plan's classes alone).
+/// result survives those that cannot reach it: `sqo-service`'s `cache.rs`,
+/// *Irrelevant writes*).
 ///
 /// Every pass and cell runs on a database generated afresh: services forked
-/// from one snapshot share its per-class write epochs, and an earlier
-/// cell's writes would expire a later cell's memos
+/// from one snapshot share its per-class write epochs and write log, and
+/// an earlier cell's writes would expire a later cell's memos
 /// (`sqo_storage::WriteEpochs`).
 pub fn mutable_serving(seed: u64, smoke: bool) -> (Vec<E11Row>, String) {
     use std::sync::Mutex;
@@ -266,8 +267,8 @@ pub fn mutable_serving(seed: u64, smoke: bool) -> (Vec<E11Row>, String) {
          cross-checked\nrequest-by-request against the unoptimized original after every \
          write)\nthread counts of 1/2/4/8 capped at this machine's {} hardware \
          thread(s)\n{}\nminimum plan-cache hit rate across cells: {:.1}% — plans survive \
-         data writes,\na memoized result is recomputed after a write to a class its plan \
-         binds (executions/read)\n",
+         data writes,\na memoized result is recomputed after a write that reaches a class \
+         its plan binds (executions/read)\n",
         nproc(),
         t.render(),
         min_hit * 100.0

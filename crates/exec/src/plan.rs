@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use sqo_catalog::{AttrRef, Catalog, ClassId, RelId};
+use sqo_catalog::{AttrRef, Catalog, ClassId, RelId, Value};
 use sqo_query::{JoinPredicate, Projection, SelPredicate, ValueSet};
 
 use crate::error::ExecError;
@@ -73,8 +73,31 @@ impl PhysicalPlan {
     /// classes an execution reads: residuals, join filters, cycle edges and
     /// projections only ever touch a bound class, and a traversed
     /// relationship has both of its endpoint classes bound.
-    pub fn bound_classes(&self) -> impl Iterator<Item = ClassId> + '_ {
+    pub fn bound_classes(&self) -> impl Iterator<Item = ClassId> + Clone + '_ {
         std::iter::once(self.root.class).chain(self.steps.iter().map(|s| s.access.class))
+    }
+
+    /// Whether some row of this plan may bind an object of `class` whose
+    /// values, in attribute order, are `tuple`: `class` is bound, and the
+    /// tuple passes the selections the executor applies where it is bound —
+    /// the root's index value set and every residual of its access (a
+    /// step's path is never probed). `false` means no execution on any
+    /// state binds such an object. A value `tuple` lacks passes.
+    pub fn admits(&self, class: ClassId, tuple: &[Value]) -> bool {
+        let access = std::iter::once(&self.root)
+            .chain(self.steps.iter().map(|s| &s.access))
+            .find(|a| a.class == class);
+        let Some(access) = access else { return false };
+        let holds = |attr: AttrRef, test: &dyn Fn(&Value) -> bool| {
+            tuple.get(attr.attr.index()).map_or(true, test)
+        };
+        let probed = match &access.path {
+            AccessPath::Index { attr, set } if class == self.root.class => {
+                holds(*attr, &|v| set.contains(v))
+            }
+            _ => true,
+        };
+        probed && access.residual.iter().all(|p| holds(p.attr, &|v| p.eval(v)))
     }
 
     /// Whether the executor can run this plan over `catalog`'s schema: each

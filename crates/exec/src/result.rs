@@ -51,7 +51,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use sqo_catalog::{AttrRef, Catalog, ClassId, DataType, Finite, Value};
+use sqo_catalog::{AttrRef, Catalog, DataType, Finite, Value};
 use sqo_storage::{Database, WriteEpochs};
 
 /// A materialized result: one column per projection (module docs).
@@ -188,17 +188,11 @@ impl ResultSet {
         self.len += 1;
     }
 
-    /// Whether any of `classes` was written after data epoch `epoch` in
-    /// the snapshot lineage these rows were read from
-    /// ([`sqo_storage::WriteEpochs`]). `None` — unknown — for a set no
-    /// executor produced.
-    pub fn written_after(
-        &self,
-        epoch: u64,
-        classes: impl IntoIterator<Item = ClassId>,
-    ) -> Option<bool> {
-        let written = self.read_from.as_ref()?;
-        Some(classes.into_iter().any(|class| written.written_after(class, epoch)))
+    /// The write epochs and write log of the snapshot lineage these rows
+    /// were read from ([`sqo_storage::WriteEpochs`]). `None` — unknown —
+    /// for a set no executor produced.
+    pub fn lineage(&self) -> Option<&WriteEpochs> {
+        self.read_from.as_ref()
     }
 
     /// The projected attributes, one per column.

@@ -90,6 +90,9 @@ pub const FRONTEND_QUEUE: u8 = 55;
 pub const FRONTEND_WINDOW: u8 = 70;
 /// One cache entry's memoized results.
 pub const CACHE_MEMO: u8 = 75;
+/// `sqo-storage`'s per-lineage log of recent write batches: a leaf, taken
+/// by the writer under its mutex and by a memo check under nothing.
+pub const STORAGE_LOG: u8 = 80;
 
 /// A monotone count or id allocator. `Relaxed`: each RMW is atomic, so no
 /// count is lost and no id is handed out twice, and no reader orders

@@ -29,20 +29,24 @@
 //!
 //! Data writes never touch the plan cache at all: plans depend only on
 //! constraints and the statistics tier. What a data write expires is the
-//! **result memo** of each entry whose plan reads a class the batch changed
-//! ([`CacheEntry::memoized_results`]); every other memo keeps serving.
+//! **result memo** of each entry whose plan it can reach: the batch changed
+//! a class the plan binds, other than by inserting or deleting objects the
+//! plan's selections on that class reject ([`CacheEntry::memoized_results`]);
+//! every other memo keeps serving. (The service re-plans an entry whose
+//! memo expired before it re-executes: `QueryService::replanned`.)
 //!
 //! # When a result memo may be served
 //!
 //! A memo is `(E, rows)`: the rows the entry's plan `P` produced on the
 //! snapshot of data epoch `E`. A reader at data epoch `E'` (loaded from
 //! the write path's epoch; checking a memo pins no snapshot) is served it
-//! when `E' == E`, or when `E' > E` and none of the classes
-//! `P` binds (its root and each step's class) was written after `E` in the
-//! lineage the rows were read from — the rows carry that lineage's
-//! per-class write epochs ([`ResultSet::written_after`],
-//! `sqo_storage::WriteEpochs`), so the check needs no database handle and
-//! is one comparison when no write happened.
+//! when `E' == E`, or when `E' > E` and no batch of `(E, E']` in the
+//! lineage the rows were read from reached `P` (*Irrelevant writes*
+//! below) — the rows carry that lineage's per-class write epochs and
+//! write log ([`ResultSet::lineage`], `sqo_storage::WriteEpochs`), so the
+//! check needs no database handle, and is one comparison per bound class
+//! when none of them was written since `E`. A provably empty entry's memo
+//! is served at every epoch: the answer is empty on every legal state.
 //!
 //! *Why that is sound.* `P` is a plan of the optimized query `Q'`, and a
 //! cached `P` already survives data writes on the standing assumption that
@@ -66,15 +70,44 @@
 //! set would buy nothing (`tests/class_precise_memo.rs` pins it).
 //!
 //! *The conservative side.* A reader older than the memo (`E' < E`), a
-//! write epoch already raised by a batch whose snapshot is not swapped in
-//! yet, a lineage forked into two `VersionedDatabase`s, and a memo with no
-//! lineage (a provably-empty entry's hand-built empty set): all
-//! re-execute. Storage raises the write epochs *before* it swaps the
-//! snapshot in, so the other side cannot happen: a reader holding epoch
-//! `E'` sees every raise of every epoch `≤ E'`. One imprecision is
-//! accepted: a bare `Link`/`Unlink` raises both endpoint classes, so it
-//! also expires memos that read one of them without traversing that
-//! relationship.
+//! lineage forked into two `VersionedDatabase`s whose other fork wrote
+//! relevantly at an epoch in `(E, E']`, a memo older than the write log's
+//! horizon, and a memo with no lineage (a hand-built set): all
+//! re-execute. Storage logs each batch and raises the write epochs
+//! *before* it swaps the snapshot in, so the other side cannot happen: a
+//! reader holding epoch `E'` finds every batch of every epoch `≤ E'` in the
+//! log or past its horizon. One imprecision is accepted: a bare
+//! `Link`/`Unlink` makes both endpoint classes opaque, so it also expires
+//! memos that read one of them without traversing that relationship.
+//!
+//! # Irrelevant writes
+//!
+//! A batch that wrote a class `C` the plan binds still cannot reach the
+//! memo when (Blakeley, Coburn and Larson's *irrelevant update*):
+//!
+//! * it wrote `C` only by single-object inserts and deletes — no update of
+//!   `C`, no bare `Link`/`Unlink` with `C` as an endpoint (the log calls
+//!   those classes *opaque*);
+//! * every inserted or deleted tuple of `C` fails at least one of `Q'`'s
+//!   selections on `C`: the root's index value set or a residual of `C`'s
+//!   access in `P` ([`PhysicalPlan::admits`]; the optimized query's
+//!   selections on `C` are the same conjunction).
+//!
+//! *Why that is sound.* Every row of `P` binds one object per bound class.
+//! An insert or a delete adds or removes only that object and the links
+//! incident to it; the swap-remove that closes a deleted object's id moves
+//! another object's id, not its tuple or its links. So every row that does
+//! not bind the written object reads the same values on both states, and
+//! no row binds it, because it fails a selection every row's object of `C`
+//! passes. `P(S_E')` and `P(S_E)` are then the same multiset of rows (the
+//! rows' order may differ, as ids moved; bag equality is Chirkova's, in
+//! PAPERS.md), on the same standing assumption as above.
+//!
+//! *The re-stamp.* A memo that passes is re-published at `E'`, monotonically
+//! as [`CacheEntry::publish_results`] does, so the next reader checks only
+//! the batches after `E'`: the log is read once per memo per write, not on
+//! every read. The check takes the log's read lock only when some bound
+//! class was written after `E`, and allocates nothing.
 //!
 //! Shards are independent `RwLock`s (`sqo_query::sync`, rank
 //! `CACHE_SHARD`) selected by fingerprint bits, so concurrent readers of
@@ -152,27 +185,45 @@ impl CacheEntry {
     }
 
     /// The memoized result set, iff it answers a reader at `data_epoch`:
-    /// it was computed at that epoch, or at an earlier one and no class
-    /// the plan binds was written since (module docs, *When a result memo
-    /// may be served*).
+    /// it was computed at that epoch, or at an earlier one and no write
+    /// since can have changed it (module docs, *When a result memo may be
+    /// served* and *Irrelevant writes*). A memo kept across writes is
+    /// re-stamped at `data_epoch`, so the writes it was checked against
+    /// are not read again. Allocates nothing.
     pub fn memoized_results(&self, data_epoch: u64) -> Option<Arc<ResultSet>> {
-        match &*self.results.read(&mut Unlocked::new()) {
-            Some((epoch, results)) if *epoch == data_epoch => Some(Arc::clone(results)),
-            Some((epoch, results))
-                if *epoch < data_epoch && self.unwritten_since(*epoch, results) =>
-            {
-                Some(Arc::clone(results))
+        match self.memo(data_epoch) {
+            Memo::Valid(results) => Some(results),
+            Memo::Expired | Memo::Missing => None,
+        }
+    }
+
+    /// [`CacheEntry::memoized_results`], telling an expired memo from none.
+    pub(crate) fn memo(&self, data_epoch: u64) -> Memo {
+        let (epoch, results) = match &*self.results.read(&mut Unlocked::new()) {
+            None => return Memo::Missing,
+            Some((epoch, results)) if *epoch == data_epoch || self.provably_empty => {
+                return Memo::Valid(Arc::clone(results));
             }
-            _ => None,
+            Some((epoch, results)) => (*epoch, Arc::clone(results)),
+        };
+        // The memo lock is released: the check may read the write log.
+        if epoch < data_epoch && self.unchanged_since(epoch, data_epoch, &results) {
+            self.publish_results(data_epoch, &results);
+            Memo::Valid(results)
+        } else {
+            Memo::Expired
         }
     }
 
     /// Whether `results`, computed at `epoch`, are provably what the plan
-    /// would produce now: its lineage is known and no bound class was
-    /// written after `epoch`. An entry without a plan proves nothing.
-    fn unwritten_since(&self, epoch: u64, results: &ResultSet) -> bool {
-        let Some(plan) = &self.plan else { return false };
-        results.written_after(epoch, plan.bound_classes()) == Some(false)
+    /// would produce at `data_epoch`: their lineage is known and no batch
+    /// in between reached a class the plan binds (module docs). An entry
+    /// without a plan proves nothing here.
+    fn unchanged_since(&self, epoch: u64, data_epoch: u64, results: &ResultSet) -> bool {
+        let (Some(plan), Some(lineage)) = (&self.plan, results.lineage()) else { return false };
+        !lineage.reached(epoch, data_epoch, plan.bound_classes(), |class, tuple| {
+            plan.admits(class, tuple)
+        })
     }
 
     /// Publishes results computed at `data_epoch`. Keeps whichever memo is
@@ -186,6 +237,17 @@ impl CacheEntry {
             _ => *slot = Some((data_epoch, Arc::clone(results))),
         }
     }
+}
+
+/// An entry's memo, as a reader at one data epoch finds it.
+#[derive(Debug)]
+pub(crate) enum Memo {
+    /// The rows answer the reader.
+    Valid(Arc<ResultSet>),
+    /// There are rows, computed where the reader cannot be served them.
+    Expired,
+    /// Nothing was published yet: the entry is fresh.
+    Missing,
 }
 
 #[derive(Debug)]
@@ -692,7 +754,9 @@ mod tests {
     #[test]
     fn result_memo_is_gated_on_the_data_epoch() {
         let q = Query::new();
-        let e = entry(&q);
+        // Not proven empty: a memo of this entry answers only where it was
+        // computed, for a hand-built set names no lineage.
+        let e = CacheEntry::new(q.clone(), q, None, false, vec![]);
         assert!(e.memoized_results(0).is_none());
         let r0 = Arc::new(ResultSet::new(vec![]));
         e.publish_results(0, &r0);
@@ -732,18 +796,25 @@ mod tests {
             value: Value::str(value),
         };
         db.write(&[rename(department, "closed")]).unwrap();
+        db.write(&[rename(department, "open")]).unwrap();
         assert!(
             Arc::ptr_eq(&e.memoized_results(1).unwrap(), &r0),
             "the plan binds supplier only: a department write leaves its memo valid"
         );
+        // Kept at 1, the memo was re-stamped there: a reader at 0 is older.
+        assert!(e.memoized_results(0).is_none(), "a re-stamped memo is not older readers'");
         db.write(&[rename(supplier, "2 Mart Ave")]).unwrap();
-        assert!(e.memoized_results(2).is_none(), "a supplier write expires it");
-        assert!(e.memoized_results(1).is_none(), "also for a reader that has not seen it yet");
-        assert!(e.memoized_results(0).is_some(), "at its own epoch a memo is always the answer");
-        // A plan-less (provably empty) entry proves nothing about its set.
-        let empty = CacheEntry::new(Query::new(), Query::new(), None, true, vec![]);
-        empty.publish_results(0, &r0);
-        assert!(empty.memoized_results(1).is_none());
+        assert!(e.memoized_results(3).is_none(), "a supplier write expires it");
+        assert!(e.memoized_results(2).unwrap().len() == 1, "a reader before the write keeps it");
+        assert!(e.memoized_results(3).is_none(), "re-stamped at 2, it still expires at 3");
+        // A provably empty entry's memo is the answer at every epoch: it
+        // is empty on every legal state.
+        let empty = Arc::new(ResultSet::empty(&[]));
+        let e = CacheEntry::new(Query::new(), Query::new(), None, true, vec![]);
+        e.publish_results(3, &empty);
+        for epoch in [0, 3, 9] {
+            assert!(Arc::ptr_eq(&e.memoized_results(epoch).unwrap(), &empty), "epoch {epoch}");
+        }
     }
 
     #[test]

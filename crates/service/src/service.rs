@@ -10,7 +10,8 @@ use std::sync::Arc;
 use sqo_constraints::{ConstraintError, ConstraintStore, HornConstraint, StoreVersion};
 use sqo_core::{OptimizerConfig, OptimizerScratch, SemanticOptimizer};
 use sqo_exec::{
-    execute_with, CostBasedOracle, CostModel, ExecError, ExecScratch, PhysicalPlan, ResultSet,
+    execute_with, plan_query, CostBasedOracle, CostModel, ExecError, ExecScratch, PhysicalPlan,
+    ResultSet,
 };
 use sqo_query::sync::{Counter, Mutex, RwLock, Unlocked, SERVICE_STORE, SERVICE_WRITER};
 use sqo_query::{Query, QueryError, QueryFingerprint};
@@ -20,7 +21,7 @@ use sqo_snapshot::{
 };
 use sqo_storage::{DataWrite, Database, StorageError, VersionedDatabase, WriteOutcome};
 
-use crate::cache::{CacheEntry, CacheStats, ShardedCache};
+use crate::cache::{CacheEntry, CacheStats, Memo, ShardedCache};
 use crate::persist;
 use crate::singleflight::{FlightError, FlightKey, MissGuard, MissWaiter, Registered};
 
@@ -110,9 +111,10 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Also memoize result sets, not just rewrites and plans. Sound under
     /// writes: plans survive every data write, and a memoized result is
-    /// recomputed on the first request after a write to a class its plan
-    /// binds (the argument is in `cache.rs`'s module docs). Turn off to
-    /// re-execute on every request.
+    /// recomputed on the first request after a write that can reach it —
+    /// one to a class its plan binds, other than inserts and deletes of
+    /// objects the plan's selections reject (the argument is in
+    /// `cache.rs`'s module docs). Turn off to re-execute on every request.
     pub cache_results: bool,
     /// Semantic-optimizer configuration used for every miss.
     pub optimizer: OptimizerConfig,
@@ -134,6 +136,8 @@ impl Default for ServiceConfig {
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     entry: Arc<CacheEntry>,
+    /// The store version the entry is cached under.
+    version: StoreVersion,
     /// Constraint-store epoch the rewrite was derived under.
     pub epoch: u64,
     /// Whether preparation was answered from the cache.
@@ -215,6 +219,9 @@ pub struct ServiceStats {
     pub optimizations: u64,
     /// Physical plan executions (not answered from a memoized result).
     pub executions: u64,
+    /// Cached plans replaced because planning the cached rewrite again on
+    /// the snapshot an expired memo re-executes on gave another plan.
+    pub replans: u64,
     /// Write batches committed through [`QueryService::write`].
     pub writes: u64,
     /// Misses that registered as singleflight leaders (each ran one
@@ -249,9 +256,11 @@ pub struct ServiceStats {
 ///   decision may shift).
 /// * **Data writes** ([`QueryService::write`]) never touch the plan cache —
 ///   plans depend only on constraints and statistics — and expire only the
-///   memoized result sets of plans that bind a class the batch changed:
-///   the first request for such a query re-executes its (still cached)
-///   plan, every other memo keeps serving
+///   memoized result sets of plans the batch can reach (a class the plan
+///   binds changed, other than by inserts and deletes of objects the
+///   plan's selections reject): the first request for such a query plans
+///   its cached rewrite again on the current snapshot, keeps the new plan
+///   if it differs, and re-executes; every other memo keeps serving
 ///   ([`CacheEntry::memoized_results`]).
 ///
 /// Answers are always produced in the **canonical** query's column order
@@ -285,6 +294,7 @@ pub struct QueryService {
     requests: Counter,
     optimizations: Counter,
     executions: Counter,
+    replans: Counter,
     writes: Counter,
     sf_leaders: Counter,
     sf_followers: Counter,
@@ -320,6 +330,7 @@ impl QueryService {
             requests: Counter::default(),
             optimizations: Counter::default(),
             executions: Counter::default(),
+            replans: Counter::default(),
             writes: Counter::default(),
             sf_leaders: Counter::default(),
             sf_followers: Counter::default(),
@@ -360,10 +371,10 @@ impl QueryService {
     /// Applies one atomic batch of data writes, advancing the data epoch;
     /// returns the batch's [`WriteOutcome`]. Plans stay cached (they depend
     /// only on constraints + statistics tier). Nothing is walked here: the
-    /// write path raises the per-class write epochs of the classes the
-    /// batch changed ([`VersionedDatabase::write`], which also covers
-    /// writers that go to a shared handle directly), and each memoized
-    /// result set whose plan binds one of them is recomputed lazily, by its
+    /// write path logs the batch and raises the per-class write epochs of
+    /// the classes it changed ([`VersionedDatabase::write`], which also
+    /// covers writers that go to a shared handle directly), and each
+    /// memoized result set the batch can reach is recomputed lazily, by its
     /// next request.
     pub fn write(&self, writes: &[DataWrite]) -> Result<WriteOutcome, ServiceError> {
         let outcome = self.db.write(writes)?;
@@ -445,7 +456,8 @@ impl QueryService {
         let version = self.store_version();
         let fingerprint = query.fingerprint();
         if let Some(entry) = self.cache.get(fingerprint, query, version) {
-            return Lookup::Hit(PreparedQuery { entry, epoch: version.epoch(), cache_hit: true });
+            let epoch = version.epoch();
+            return Lookup::Hit(PreparedQuery { entry, version, epoch, cache_hit: true });
         }
         let store = self.store();
         let at = Coordinate { version: store.version(), store, fingerprint };
@@ -461,7 +473,12 @@ impl QueryService {
         let entry = Arc::new(self.build_entry(canonical, &at.store)?);
         self.optimizations.add(1);
         self.cache.insert(at.fingerprint, at.version, Arc::clone(&entry));
-        Ok(PreparedQuery { entry, epoch: at.version.epoch(), cache_hit: false })
+        Ok(PreparedQuery {
+            entry,
+            version: at.version,
+            epoch: at.version.epoch(),
+            cache_hit: false,
+        })
     }
 
     /// The miss path, and a warm boot's: semantic optimization, then
@@ -501,12 +518,13 @@ impl QueryService {
     }
 
     /// Step 3, the execution core: serves the result memo when it answers
-    /// the current data epoch (computed at it, or earlier with no class of
-    /// the plan written since); otherwise pins the current snapshot,
+    /// the current data epoch (computed at it, or earlier with no write
+    /// since that can reach it); otherwise pins the current snapshot,
     /// re-executes on it and republishes the memo. Either way the response
-    /// names the data epoch its rows are consistent with.
+    /// names the data epoch its rows are consistent with. An expired memo
+    /// (not a fresh entry) first has its rewrite planned again on that
+    /// snapshot ([`QueryService::replanned`]).
     fn answer(&self, prepared: &PreparedQuery) -> Result<ServiceResponse, ServiceError> {
-        let entry = &prepared.entry;
         let respond = |results, data_epoch| ServiceResponse {
             results,
             cache_hit: prepared.cache_hit,
@@ -514,22 +532,28 @@ impl QueryService {
             data_epoch,
         };
         let memoize = self.config.cache_results;
+        let mut expired = false;
         if memoize {
             // `data_epoch()` is an Acquire read of the epoch the write path
-            // publishes after raising the classes its batch wrote and
-            // swapping the snapshot in (raise before swap, `cache.rs`). A
-            // reader that reads epoch E' sees every raise of every epoch
-            // <= E', so a memo served at E' is what the plan returns on
-            // E''s snapshot, and checking it pins no snapshot. The epoch is
-            // published under the swap's lock, so E' is never behind a
-            // snapshot another request already answered at.
+            // publishes after logging its batch, raising the classes it
+            // wrote and swapping the snapshot in (log and raise before
+            // swap, `cache.rs`). A reader that reads epoch E' sees every
+            // batch of every epoch <= E', so a memo served at E' is what
+            // the plan returns on E''s snapshot, and checking it pins no
+            // snapshot. The epoch is published under the swap's lock, so
+            // E' is never behind a snapshot another request already
+            // answered at.
             let data_epoch = self.db.data_epoch();
-            if let Some(results) = entry.memoized_results(data_epoch) {
-                return Ok(respond(results, data_epoch));
+            match prepared.entry.memo(data_epoch) {
+                Memo::Valid(results) => return Ok(respond(results, data_epoch)),
+                Memo::Expired => expired = true,
+                Memo::Missing => {}
             }
         }
         let db = self.db.snapshot();
         let data_epoch = db.data_version();
+        let replanned = if expired { self.replanned(prepared, &db)? } else { None };
+        let entry = replanned.as_ref().unwrap_or(&prepared.entry);
         let results = if entry.provably_empty {
             Arc::new(ResultSet::empty(&entry.columns))
         } else {
@@ -546,6 +570,43 @@ impl QueryService {
             entry.publish_results(data_epoch, &results);
         }
         Ok(respond(results, data_epoch))
+    }
+
+    /// Before an expired memo re-executes: plans the cached rewrite again
+    /// on `db`, the snapshot it will run on. Statistics drift with writes,
+    /// while a cached plan keeps the ones it was planned on. When the new
+    /// plan differs from the cached one in its root, steps or projections
+    /// (its estimate moves with every write), a new entry carrying it
+    /// replaces the cached one under the same fingerprint and store
+    /// version, and is returned to execute and publish on. `None` keeps the
+    /// cached plan: the same plan, no plan (a provably empty entry), or a
+    /// store that moved on since the entry was prepared.
+    fn replanned(
+        &self,
+        prepared: &PreparedQuery,
+        db: &Database,
+    ) -> Result<Option<Arc<CacheEntry>>, ServiceError> {
+        let entry = &prepared.entry;
+        let Some(plan) = &entry.plan else { return Ok(None) };
+        let fresh = plan_query(db, &entry.optimized, &self.model)?;
+        let same = fresh.root == plan.root
+            && fresh.steps == plan.steps
+            && fresh.projections == plan.projections;
+        if same || self.store_version() != prepared.version {
+            return Ok(None);
+        }
+        let columns = fresh.projections.iter().map(|p| p.attr).collect();
+        let next = Arc::new(CacheEntry::new(
+            entry.canonical.clone(),
+            entry.optimized.clone(),
+            Some(Arc::new(fresh)),
+            false,
+            columns,
+        ));
+        let fingerprint = entry.canonical.fingerprint_canonical();
+        self.cache.insert(fingerprint, prepared.version, Arc::clone(&next));
+        self.replans.add(1);
+        Ok(Some(next))
     }
 
     /// Prepare + execute in one call — the per-request entry point.
@@ -619,7 +680,12 @@ impl QueryService {
         let key = guard.key();
         let published = self.cache.peek(key.fingerprint, guard.canonical(), key.version);
         let prepared = match published {
-            Some(entry) => Ok(PreparedQuery { entry, epoch: key.version.epoch(), cache_hit: true }),
+            Some(entry) => Ok(PreparedQuery {
+                entry,
+                version: key.version,
+                epoch: key.version.epoch(),
+                cache_hit: true,
+            }),
             None => {
                 let at = Coordinate {
                     store: Arc::clone(guard.store()),
@@ -737,6 +803,7 @@ impl QueryService {
             accepted: cache.lookups,
             optimizations: self.optimizations.get(),
             executions: self.executions.get(),
+            replans: self.replans.get(),
             writes: self.writes.get(),
             singleflight_leaders: self.sf_leaders.get(),
             singleflight_followers: self.sf_followers.get(),
@@ -1028,14 +1095,19 @@ mod tests {
         assert_eq!((stats0.executions, stats0.writes), (1, 0));
 
         // Duplicate a cargo instance with its links (constraint- and
-        // integrity-preserving); the recomputed answer is cross-checked
-        // against the unoptimized original query below.
+        // integrity-preserving), one the plan's selections on cargo admit,
+        // so the write reaches the memo; the recomputed answer is
+        // cross-checked against the unoptimized original query below.
         let db = service.db();
         let catalog = db.catalog();
         let cargo = catalog.class_id("cargo").unwrap();
         let supplies = catalog.rel_id("supplies").unwrap();
         let collects = catalog.rel_id("collects").unwrap();
-        let src = sqo_storage::ObjectId(0);
+        let plan = Arc::clone(service.prepare(&queries[0]).unwrap().plan().unwrap());
+        let src = (0..db.cardinality(cargo) as u32)
+            .map(sqo_storage::ObjectId)
+            .find(|&o| plan.admits(cargo, &db.tuple(cargo, o).unwrap()))
+            .expect("some cargo passes the plan's selections on cargo");
         let outcome = service
             .write(&[DataWrite::Insert {
                 class: cargo,

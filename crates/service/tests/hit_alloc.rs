@@ -9,7 +9,9 @@
 //! class listed twice), through each entry point that can hit: `run`,
 //! `try_run` and `prepare`. Allocation calls are counted by a test-local
 //! `#[global_allocator]` on the one thread the test runs, as in
-//! `miss_alloc.rs`; the figure is exactly zero in either profile.
+//! `miss_alloc.rs`; the figure is exactly zero in either profile. So is a
+//! hit whose memo is checked against the write log after a write to a
+//! class its plan binds, and kept.
 
 #[path = "common/paper_pool.rs"]
 mod paper_pool;
@@ -19,6 +21,7 @@ use std::cell::Cell;
 
 use sqo_query::Query;
 use sqo_service::{QueryService, ServiceConfig, TryRun};
+use sqo_workload::{dup_safe_classes, MixedApplier, WriteKind};
 
 thread_local! {
     // `const` + `Cell<integer>`: no lazy initialization and no destructor,
@@ -127,4 +130,37 @@ fn a_respelled_hit_allocates_nothing() {
     assert_eq!(stats.optimizations, POOL as u64, "only the warm-up missed");
     assert_eq!(stats.executions, warmed.executions, "every hit was answered from its memo");
     assert_eq!(stats.cache.hits, 3 * POOL as u64);
+}
+
+/// A memo kept across a write to a class its plan binds is checked against
+/// the write log and re-stamped: that allocates nothing either.
+#[test]
+fn a_memo_kept_across_a_write_it_cannot_reach_allocates_nothing() {
+    let (store, db, pool) = paper_pool::paper_pool(POOL);
+    let service = QueryService::with_config(store, db, ServiceConfig::default());
+    for q in &pool {
+        service.run(q).unwrap();
+    }
+    let writable = dup_safe_classes(service.db().catalog());
+    let mut applier = MixedApplier::new(&service.db());
+    let mut kept = 0;
+    for (rank, &class) in writable.iter().enumerate() {
+        let kind = WriteKind::InsertDup { class, source_rank: rank as u32 };
+        let (class, victim, batch) = applier.resolve(&service.db(), &kind);
+        let outcome = service.write(&batch).unwrap();
+        applier.confirm(class, victim, &outcome.receipt);
+        for q in &pool {
+            let plan = service.prepare(q).unwrap().plan().cloned();
+            let binds = plan.is_some_and(|plan| plan.bound_classes().any(|c| c == class));
+            let executions = service.stats().executions;
+            let calls = allocations(|| {
+                service.run(q).unwrap();
+            });
+            if binds && service.stats().executions == executions {
+                assert_eq!(calls, 0, "a memo kept across a write to {class:?}");
+                kept += 1;
+            }
+        }
+    }
+    assert!(kept > 0, "some write reached a bound class and left its memo valid");
 }

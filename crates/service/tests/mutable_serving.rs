@@ -17,7 +17,7 @@ use sqo_core::SemanticOptimizer;
 use sqo_exec::{execute, plan_query, CostBasedOracle, CostModel};
 use sqo_query::Query;
 use sqo_service::{QueryService, ServiceConfig};
-use sqo_storage::{Database, VersionedDatabase};
+use sqo_storage::{DataWrite, Database, VersionedDatabase};
 use sqo_workload::{
     mixed_workload, paper_scenario, service_workload, DbSize, MixedApplier, MixedOp,
     MixedWorkloadConfig, ServiceWorkloadConfig, WriteKind,
@@ -159,27 +159,32 @@ fn concurrent_writers_and_readers_observe_linearized_data_epochs() {
     // Deterministic epilogue (no schedule dependence): settle every memo
     // at the current epoch, write to one class, then one request per
     // distinct query — exactly the answers whose *cached* plan binds the
-    // written class re-execute, and nothing re-optimizes.
+    // written class and admits the inserted tuple re-execute, and nothing
+    // re-optimizes.
     for q in &reads.distinct {
         service.run(q).expect("run");
     }
     let before = service.stats();
     // Three of this stream's eight plans bind `driver` (all bind cargo).
     let written = s.catalog.class_id("driver").expect("bench schema");
-    {
+    let tuple = {
         let mut applier = applier.lock().unwrap();
         let snapshot = service.db();
         let (class, victim, batch) =
             applier.resolve(&snapshot, &WriteKind::InsertDup { class: written, source_rank: 3 });
         let outcome = service.write(&batch).expect("write");
         applier.confirm(class, victim, &outcome.receipt);
-    }
+        match &batch[..] {
+            [DataWrite::Insert { tuple, .. }] => tuple.clone(),
+            other => panic!("a duplicate is one insert: {other:?}"),
+        }
+    };
     let (mut reading_it, mut reading_others) = (0, 0);
     for q in &reads.distinct {
         let response = service.run(q).expect("run");
         assert!(response.cache_hit, "plans survive pure data writes");
         if let Some(plan) = service.prepare(q).expect("prepare").plan() {
-            if plan.binding_order().contains(&written) {
+            if plan.admits(written, &tuple) {
                 reading_it += 1;
             } else {
                 reading_others += 1;

@@ -214,6 +214,11 @@ pub struct WriteReceipt {
     /// (`== object`). Apply the moves in order to re-map externally tracked
     /// ids.
     pub moves: Vec<(ClassId, ObjectId, ObjectId)>,
+    /// The tuple of each [`DataWrite::Delete`] of the batch, in batch
+    /// order, as the object held it when it was deleted: what
+    /// [`crate::VersionedDatabase::write`] logs for the memo check
+    /// ([`crate::WriteEpochs::reached`]).
+    pub deleted: Vec<Vec<Value>>,
     /// The classes whose extent, index or statistics shards this batch
     /// patched, ascending. Everything else is `Arc`-shared with the source
     /// snapshot. These are the classes whose [`WriteEpochs`] slot
@@ -452,6 +457,7 @@ impl Database {
         // renumbering by later deletes in the same batch.
         let mut inserted: Vec<(ClassId, ObjectId)> = Vec::new();
         let mut moves: Vec<(ClassId, ObjectId, ObjectId)> = Vec::new();
+        let mut deleted = Vec::new();
         for write in writes {
             match write {
                 DataWrite::Insert { class, tuple, links: new_links } => {
@@ -529,6 +535,7 @@ impl Database {
                     for (attr, v) in dead.iter().enumerate() {
                         patch.remove(indexes, attr, v, *object);
                     }
+                    deleted.push(dead);
                     if *object != last {
                         // The moved object's index entries follow it to its
                         // new id, at the sorted place in each posting.
@@ -650,6 +657,7 @@ impl Database {
         let receipt = WriteReceipt {
             inserted: inserted.iter().map(|&(_, id)| id).collect(),
             moves,
+            deleted,
             touched_classes,
         };
         let db = Database {
@@ -706,6 +714,7 @@ impl Database {
         let mut touched_classes = vec![false; extents.len()];
         let mut inserted: Vec<(ClassId, ObjectId)> = Vec::new();
         let mut moves: Vec<(ClassId, ObjectId, ObjectId)> = Vec::new();
+        let mut deleted = Vec::new();
         for write in writes {
             match write {
                 DataWrite::Insert { class, tuple, links } => {
@@ -739,7 +748,7 @@ impl Database {
                         return Err(StorageError::UnknownObject { class: *class, object: *object });
                     }
                     let last = ObjectId((extent.len() - 1) as u32);
-                    extent.swap_remove(object.index());
+                    deleted.push(extent.swap_remove(object.index()));
                     touched_classes[class.index()] = true;
                     if *object != last {
                         moves.push((*class, last, *object));
@@ -817,6 +826,7 @@ impl Database {
         let receipt = WriteReceipt {
             inserted: inserted.iter().map(|&(_, id)| id).collect(),
             moves,
+            deleted,
             touched_classes: touched_classes
                 .iter()
                 .enumerate()

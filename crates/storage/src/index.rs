@@ -24,24 +24,100 @@ use crate::valuemap::ValueMap;
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttrIndex {
     pub(crate) kind: IndexKind,
-    pub(crate) postings: ValueMap<Vec<ObjectId>>,
+    pub(crate) postings: ValueMap<Posting>,
+}
+
+/// One key's object ids, ascending: held inline while there is one, as for
+/// every key of a unique attribute, so such a key allocates nothing (a
+/// `Vec` of one id costs an allocator call and a 32-byte chunk). The same
+/// size as a `Vec`. Reads go through the slice it derefs to, and two
+/// postings are equal when their ids are.
+#[derive(Debug, Clone)]
+pub(crate) enum Posting {
+    One(ObjectId),
+    /// Two or more ids, or none: a new posting, or one that was emptied.
+    Many(Vec<ObjectId>),
+}
+
+const _: () = assert!(std::mem::size_of::<Posting>() == std::mem::size_of::<Vec<ObjectId>>());
+
+impl Default for Posting {
+    fn default() -> Self {
+        Posting::Many(Vec::new())
+    }
+}
+
+impl PartialEq for Posting {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::ops::Deref for Posting {
+    type Target = [ObjectId];
+
+    fn deref(&self) -> &[ObjectId] {
+        match self {
+            Posting::One(oid) => std::slice::from_ref(oid),
+            Posting::Many(oids) => oids,
+        }
+    }
+}
+
+impl Posting {
+    /// An empty posting with room for `n` ids, allocating only for two or
+    /// more.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Posting::Many(if n > 1 { Vec::with_capacity(n) } else { Vec::new() })
+    }
+
+    /// Inserts `oid` at position `at` of the ids.
+    fn insert(&mut self, at: usize, oid: ObjectId) {
+        match self {
+            Posting::Many(oids) if oids.capacity() == 0 => *self = Posting::One(oid),
+            Posting::Many(oids) => oids.insert(at, oid),
+            Posting::One(first) => {
+                let mut oids = vec![*first, *first];
+                oids[at.min(1)] = oid;
+                *self = Posting::Many(oids);
+            }
+        }
+    }
+
+    /// Appends `oid`, which is above every id held.
+    pub(crate) fn push(&mut self, oid: ObjectId) {
+        self.insert(self.len(), oid);
+    }
+
+    /// Removes the id at `at`; a last id left goes inline.
+    fn remove(&mut self, at: usize) {
+        match self {
+            Posting::One(_) => *self = Posting::default(),
+            Posting::Many(oids) => {
+                oids.remove(at);
+                if let [last] = oids[..] {
+                    *self = Posting::One(last);
+                }
+            }
+        }
+    }
 }
 
 /// The postings of a key attribute loaded in key order — nothing to group,
 /// and no two values are equal — or `None` when `column` does not ascend
 /// strictly. (An element type's order is `OrdValue`'s.)
-fn ascending<T: Element>(column: &PagedVec<T>) -> Option<ValueMap<Vec<ObjectId>>> {
+fn ascending<T: Element>(column: &PagedVec<T>) -> Option<ValueMap<Posting>> {
     let elements = column.iter();
     elements.clone().zip(elements.skip(1)).all(|(a, b)| a < b).then(|| {
         let entries = column.iter().zip((0..).map(ObjectId));
-        ValueMap::from_ascending(entries.map(|(v, oid)| (v.value(), vec![oid])).collect())
+        ValueMap::from_ascending(entries.map(|(v, oid)| (v.value(), Posting::One(oid))).collect())
     })
 }
 
 /// The postings of `column`: each distinct element's ascending object ids.
-fn group<T: Element>(column: &PagedVec<T>) -> ValueMap<Vec<ObjectId>> {
+fn group<T: Element>(column: &PagedVec<T>) -> ValueMap<Posting> {
     ascending(column).unwrap_or_else(|| {
-        let mut groups: HashMap<&T, Vec<ObjectId>, ValueHashState> = HashMap::default();
+        let mut groups: HashMap<&T, Posting, ValueHashState> = HashMap::default();
         for (v, oid) in column.iter().zip((0..).map(ObjectId)) {
             groups.entry(v).or_default().push(oid);
         }
@@ -50,9 +126,9 @@ fn group<T: Element>(column: &PagedVec<T>) -> ValueMap<Vec<ObjectId>> {
 }
 
 /// [`group`] for a string column, making its strings canonical on the way.
-fn group_strings(column: &mut PagedVec<Arc<str>>) -> ValueMap<Vec<ObjectId>> {
+fn group_strings(column: &mut PagedVec<Arc<str>>) -> ValueMap<Posting> {
     ascending(column).unwrap_or_else(|| {
-        let mut groups: CanonicalMap<Vec<ObjectId>> = HashMap::default();
+        let mut groups: CanonicalMap<Posting> = HashMap::default();
         for (s, oid) in column.iter_mut().zip((0..).map(ObjectId)) {
             canonical_update(&mut groups, s, |posting| posting.push(oid));
         }
@@ -128,7 +204,7 @@ impl AttrIndex {
 
     /// Equality probe; both index kinds support it.
     pub fn probe_eq(&self, value: &Value) -> &[ObjectId] {
-        self.postings.get(value).map_or(&[], Vec::as_slice)
+        self.postings.get(value).map_or(&[], |posting| posting)
     }
 
     /// Whether this index can serve `set` at all.
@@ -172,7 +248,7 @@ impl AttrIndex {
 
     /// Every key with its posting, keys in [`OrdValue`](crate::OrdValue) order.
     pub fn entries(&self) -> impl Iterator<Item = (&Value, &[ObjectId])> {
-        self.postings.iter().map(|(key, posting)| (key, posting.as_slice()))
+        self.postings.iter().map(|(key, posting)| (key, &**posting))
     }
 
     pub fn len(&self) -> usize {

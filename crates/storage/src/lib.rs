@@ -72,4 +72,4 @@ pub use persist::{
     save_database,
 };
 pub use valuemap::OrdValue;
-pub use versioned::{VersionedDatabase, WriteEpochs, WriteOutcome};
+pub use versioned::{VersionedDatabase, WriteEpochs, WriteOutcome, WRITE_LOG_BATCHES};

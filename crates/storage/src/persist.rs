@@ -28,7 +28,7 @@ use sqo_snapshot::{
 
 use crate::db::{types, Database};
 use crate::extent::{ColumnVec, Columns, Extent, GrowingColumn};
-use crate::index::AttrIndex;
+use crate::index::{AttrIndex, Posting};
 use crate::links::RelLinks;
 use crate::object::ObjectId;
 use crate::valuemap::{OrdValue, ValueMap};
@@ -128,7 +128,7 @@ fn encode_indexes(db: &Database) -> Vec<u8> {
         for (value, posting) in ix.postings.iter() {
             write_value_raw(&mut w, value);
             w.u32(posting.len() as u32);
-            for o in posting {
+            for o in posting.iter() {
                 w.u32(o.0);
             }
         }
@@ -422,13 +422,13 @@ fn decode_indexes(
                 continue;
             };
             let entry_count = r.count()?;
-            let mut entries: Vec<(Value, Vec<ObjectId>)> =
+            let mut entries: Vec<(Value, Posting)> =
                 Vec::with_capacity(entry_count.min(r.remaining() / 4));
             let mut covered = 0usize;
             for _ in 0..entry_count {
                 let value = read_value_raw(&mut r, adef.ty, &mut pool)?;
                 let posting_count = r.count()?;
-                let mut posting: Vec<ObjectId> = Vec::with_capacity(posting_count.min(1024));
+                let mut posting = Posting::with_capacity(posting_count.min(1024));
                 for _ in 0..posting_count {
                     let o = r.u32()?;
                     if o as usize >= cardinality {

@@ -47,27 +47,143 @@
 //!
 //! The vector is not persisted (neither are results): a loaded database
 //! starts a new lineage at all zeros.
+//!
+//! # The write log
+//!
+//! A slot says *that* a class was written, not *what* was written. Beside
+//! the slots, the lineage keeps a log of its last [`WRITE_LOG_BATCHES`]
+//! batches, which is what lets a memo survive a write that cannot reach it
+//! (`sqo-service`'s `cache.rs`, *Irrelevant writes*). Per batch it holds
+//! the epoch, the class and tuple of every [`DataWrite::Insert`] and every
+//! [`DataWrite::Delete`] (the deleted tuple comes from the batch itself,
+//! [`WriteReceipt::deleted`]), and as **opaque** every class another write
+//! changed: an [`DataWrite::Update`]'s class and both endpoint classes of a
+//! bare `Link` or `Unlink`. [`WriteEpochs::reached`] reads it.
+//!
+//! * **Who appends.** Only [`VersionedDatabase::write`], for a batch that
+//!   succeeded, in the same critical section as the raises and by the same
+//!   rule: **before** the swap. A reader at epoch `E'` therefore finds
+//!   every batch of an epoch `≤ E'` in the log, or past its horizon.
+//!   [`Database::with_writes`] logs nothing, so a successor that is never
+//!   published leaves no trace.
+//! * **The horizon.** The log is bounded: appending the
+//!   `WRITE_LOG_BATCHES + 1`-th batch drops the oldest, whose buffers the
+//!   new batch is written into (a full log allocates nothing for a batch
+//!   of the usual size), and the log remembers the highest epoch it
+//!   dropped. A question about writes after
+//!   an epoch below that answers "reached", so a memo older than the
+//!   horizon re-executes, as every memo did before the log.
+//! * **Forks.** Two handles forked from one `Arc<Database>` append to one
+//!   log, as they raise one vector. Their epochs interleave; a question
+//!   about `(E, E']` reads both forks' batches in that range, so the
+//!   other fork's relevant write costs a re-execution, never a stale
+//!   answer, and a batch of either fork dropped past the horizon counts.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use sqo_catalog::ClassId;
-use sqo_query::sync::{Epoch, Mutex, RwLock, Unlocked, STORAGE_CURRENT, STORAGE_WRITER};
+use sqo_catalog::{ClassId, Value};
+use sqo_query::sync::{
+    Epoch, Held, Mutex, RwLock, Unlocked, STORAGE_CURRENT, STORAGE_LOG, STORAGE_WRITER,
+};
 
 use crate::db::{DataWrite, Database, WriteReceipt};
 use crate::error::StorageError;
 
+/// How many recent write batches a lineage's log keeps (module docs,
+/// *The write log*). A memo that has not been checked across this many
+/// batches re-executes.
+pub const WRITE_LOG_BATCHES: usize = 64;
+
 /// Per class, the last data epoch of one snapshot lineage whose write batch
 /// changed the class (`0`: never written since the lineage was built or
-/// loaded). Shared by pointer — cloning is one reference-count increment —
-/// between every snapshot of the lineage and every result read from one;
-/// see the module docs for who raises it and when.
+/// loaded), and the lineage's log of recent batches. Shared by pointer —
+/// cloning is one reference-count increment — between every snapshot of
+/// the lineage and every result read from one; see the module docs for who
+/// raises and appends, and when.
 #[derive(Debug, Clone)]
-pub struct WriteEpochs(Arc<[Epoch]>);
+pub struct WriteEpochs(Arc<Lineage>);
+
+#[derive(Debug)]
+struct Lineage {
+    slots: Box<[Epoch]>,
+    log: RwLock<STORAGE_LOG, WriteLog>,
+}
+
+/// The lineage's recent batches, oldest first.
+#[derive(Debug, Default)]
+struct WriteLog {
+    batches: VecDeque<LoggedBatch>,
+    /// The highest epoch of a batch dropped past the horizon: the log
+    /// holds every batch committed after it.
+    dropped: u64,
+}
+
+/// What one committed batch wrote, as the memo check reads it. A slot of
+/// a full log is refilled in place, so once the log is full a batch of the
+/// usual size allocates nothing.
+#[derive(Debug, Default)]
+struct LoggedBatch {
+    epoch: u64,
+    /// Classes a write other than an insert or a delete changed.
+    opaque: Vec<ClassId>,
+    /// The class of every inserted and every deleted object, and where its
+    /// tuple ends in `values`.
+    rows: Vec<(ClassId, usize)>,
+    values: Vec<Value>,
+}
+
+impl LoggedBatch {
+    /// Refills this slot with `writes`, committed at `epoch` with `receipt`.
+    fn fill(&mut self, db: &Database, epoch: u64, writes: &[DataWrite], receipt: &WriteReceipt) {
+        self.epoch = epoch;
+        self.opaque.clear();
+        self.rows.clear();
+        self.values.clear();
+        let mut deleted = receipt.deleted.iter();
+        for write in writes {
+            let tuple = match write {
+                DataWrite::Insert { class, tuple, .. } => Some((*class, tuple)),
+                // One receipt tuple per delete, in batch order; without
+                // one, the class can only be opaque.
+                DataWrite::Delete { class, .. } => match deleted.next() {
+                    Some(tuple) => Some((*class, tuple)),
+                    None => {
+                        self.opaque.push(*class);
+                        None
+                    }
+                },
+                DataWrite::Update { class, .. } => {
+                    self.opaque.push(*class);
+                    None
+                }
+                DataWrite::Link { rel, .. } | DataWrite::Unlink { rel, .. } => {
+                    // The batch validated, so `rel` resolves.
+                    if let Ok(def) = db.catalog().relationship(*rel) {
+                        self.opaque.extend([def.left.class, def.right.class]);
+                    }
+                    None
+                }
+            };
+            if let Some((class, tuple)) = tuple {
+                self.values.extend_from_slice(tuple);
+                self.rows.push((class, self.values.len()));
+            }
+        }
+    }
+
+    /// The class and tuple of every inserted and every deleted object.
+    fn rows(&self) -> impl Iterator<Item = (ClassId, &[Value])> {
+        let starts = std::iter::once(0).chain(self.rows.iter().map(|&(_, end)| end));
+        self.rows.iter().zip(starts).map(|(&(class, end), start)| (class, &self.values[start..end]))
+    }
+}
 
 impl WriteEpochs {
     /// A new lineage of `classes` classes, none written yet.
     pub(crate) fn new(classes: usize) -> Self {
-        Self((0..classes).map(|_| Epoch::new(0)).collect())
+        let slots = (0..classes).map(|_| Epoch::new(0)).collect();
+        Self(Arc::new(Lineage { slots, log: RwLock::default() }))
     }
 
     /// Whether a batch committed (or about to commit) after `epoch` changed
@@ -78,16 +194,74 @@ impl WriteEpochs {
         // hand-off (the raise happens-before the swap, the swap before the
         // reader's `snapshot()`); the slot's Acquire read extends it to a
         // reader handed an epoch by other means.
-        self.0.get(class.index()).map_or(true, |at| at.get() > epoch)
+        self.0.slots.get(class.index()).map_or(true, |at| at.get() > epoch)
+    }
+
+    /// Whether a batch committed in `(since, until]` may have changed what
+    /// a reader of `classes` sees, when the reader binds an object of a
+    /// class only if `binds(class, tuple)` holds for its tuple (`false`
+    /// for a class outside `classes`). It may have if it made one of
+    /// `classes` opaque, or inserted or deleted an object `binds` accepts;
+    /// a batch past the log's horizon always may (module docs). Allocates
+    /// nothing, and takes the log's lock only when a slot of `classes`
+    /// was raised after `since`.
+    pub fn reached<I>(
+        &self,
+        since: u64,
+        until: u64,
+        classes: I,
+        binds: impl Fn(ClassId, &[Value]) -> bool,
+    ) -> bool
+    where
+        I: Iterator<Item = ClassId> + Clone,
+    {
+        if !classes.clone().any(|class| self.written_after(class, since)) {
+            return false;
+        }
+        let mut held = Unlocked::new();
+        let log = self.0.log.read(&mut held);
+        if log.dropped > since {
+            return true;
+        }
+        log.batches.iter().filter(|b| b.epoch > since && b.epoch <= until).any(|batch| {
+            batch.opaque.iter().any(|c| classes.clone().any(|class| class == *c))
+                || batch.rows().any(|(class, tuple)| binds(class, tuple))
+        })
     }
 
     /// Records that the batch establishing `epoch` changed `class`.
     fn raise(&self, class: ClassId, epoch: u64) {
         // A raise keeps the slot monotone when two handles forked from one
         // snapshot raise it with unordered epochs.
-        if let Some(at) = self.0.get(class.index()) {
+        if let Some(at) = self.0.slots.get(class.index()) {
             at.raise(epoch);
         }
+    }
+
+    /// Logs `writes`, committed at `epoch` with `receipt`, in the slot of
+    /// the oldest batch once the log is full (it drops past the horizon),
+    /// then raises every class the batch changed: the receipt's touched
+    /// classes and the opaque ones, which add a bare link's endpoints.
+    fn record<const H: u8>(
+        &self,
+        held: &mut Held<H>,
+        db: &Database,
+        epoch: u64,
+        writes: &[DataWrite],
+        receipt: &WriteReceipt,
+    ) {
+        let mut log = self.0.log.write(held);
+        let full = log.batches.len() >= WRITE_LOG_BATCHES;
+        let oldest = if full { log.batches.pop_front() } else { None };
+        if let Some(oldest) = &oldest {
+            log.dropped = log.dropped.max(oldest.epoch);
+        }
+        let mut slot = oldest.unwrap_or_default();
+        slot.fill(db, epoch, writes, receipt);
+        for &class in receipt.touched_classes.iter().chain(&slot.opaque) {
+            self.raise(class, epoch);
+        }
+        log.batches.push_back(slot);
     }
 }
 
@@ -143,9 +317,10 @@ impl VersionedDatabase {
     }
 
     /// Applies one atomic write batch: builds the successor snapshot
-    /// copy-on-write, raises the [`WriteEpochs`] of the classes it changed,
-    /// swaps it in, and advances the data epoch. Concurrent readers keep
-    /// the snapshot they started with; a failed batch changes nothing.
+    /// copy-on-write, logs the batch and raises the [`WriteEpochs`] of the
+    /// classes it changed, swaps it in, and advances the data epoch.
+    /// Concurrent readers keep the snapshot they started with; a failed
+    /// batch changes nothing.
     pub fn write(&self, writes: &[DataWrite]) -> Result<WriteOutcome, StorageError> {
         let mut held = Unlocked::new();
         let mut writing = self.writer.lock(&mut held);
@@ -154,20 +329,8 @@ impl VersionedDatabase {
         let (db, receipt) = base.with_writes(writes, None)?;
         let epoch = db.data_version();
         // Before the swap: no reader may hold this epoch's snapshot while
-        // its classes still read as unwritten.
-        let written = db.write_epochs();
-        for &class in &receipt.touched_classes {
-            written.raise(class, epoch);
-        }
-        for write in writes {
-            if let DataWrite::Link { rel, .. } | DataWrite::Unlink { rel, .. } = write {
-                // The batch validated, so `rel` resolves.
-                if let Ok(def) = db.catalog().relationship(*rel) {
-                    written.raise(def.left.class, epoch);
-                    written.raise(def.right.class, epoch);
-                }
-            }
-        }
+        // its classes still read as unwritten, or its batch is not logged.
+        db.write_epochs().record(held, &db, epoch, writes, &receipt);
         let snapshot = Arc::new(db);
         let mut current = self.current.write(held);
         *current = Arc::clone(&snapshot);
@@ -391,6 +554,79 @@ mod tests {
             .write(&[rename(supplier, 1, Value::str("3 Dock Rd"))])
             .unwrap();
         assert_eq!(written_after(&db, 1), ["supplier", "vehicle"]);
+    }
+
+    /// What `reached` reads: a logged row only when the reader binds it,
+    /// an opaque class whenever the reader binds the class, and only the
+    /// batches of the range asked about.
+    #[test]
+    fn the_log_holds_each_batch_rows_and_opaque_classes() {
+        let (catalog, db) = linked_handle();
+        let handle = VersionedDatabase::new(db);
+        let class = |name| catalog.class_id(name).unwrap();
+        let (supplier, cargo) = (class("supplier"), class("cargo"));
+        let lineage = handle.snapshot().write_epochs().clone();
+        let named = |name: &'static str| {
+            move |_: ClassId, tuple: &[Value]| tuple.first() == Some(&Value::str(name))
+        };
+        fn reads(classes: &[ClassId]) -> impl Iterator<Item = ClassId> + Clone + '_ {
+            classes.iter().copied()
+        }
+        // Epoch 1: a supplier insert. Epoch 2: the same supplier deleted
+        // again (its tuple comes back in the receipt).
+        handle
+            .write(&[DataWrite::Insert {
+                class: supplier,
+                tuple: vec![Value::str("NTUC"), Value::str("2 Mart Ave")],
+                links: vec![],
+            }])
+            .unwrap();
+        let out = handle.write(&[DataWrite::Delete { class: supplier, object: ObjectId(1) }]);
+        assert_eq!(
+            out.unwrap().receipt.deleted,
+            [vec![Value::str("NTUC"), Value::str("2 Mart Ave")]]
+        );
+        assert!(lineage.reached(0, 1, reads(&[supplier]), named("NTUC")));
+        assert!(
+            !lineage.reached(0, 2, reads(&[supplier]), named("SFI")),
+            "rows the reader rejects"
+        );
+        assert!(lineage.reached(1, 2, reads(&[supplier]), named("NTUC")), "the delete's tuple");
+        assert!(!lineage.reached(2, 2, reads(&[supplier]), named("NTUC")), "nothing after 2");
+        assert!(!lineage.reached(0, 2, reads(&[cargo]), named("NTUC")), "a class not read");
+        // Epoch 3: a re-link of the cargo's supplier makes both ends opaque.
+        let supplies = catalog.rel_id("supplies").unwrap();
+        handle
+            .write(&[
+                DataWrite::Unlink { rel: supplies, left: ObjectId(0), right: ObjectId(0) },
+                DataWrite::Link { rel: supplies, left: ObjectId(0), right: ObjectId(0) },
+            ])
+            .unwrap();
+        for end in [supplier, cargo] {
+            assert!(lineage.reached(2, 3, reads(&[end]), named("none")), "{end:?}");
+        }
+        assert!(!lineage.reached(2, 3, reads(&[class("vehicle")]), named("none")));
+        assert!(!lineage.reached(2, 2, reads(&[cargo]), named("none")), "a batch after the reader");
+    }
+
+    #[test]
+    fn a_batch_past_the_horizon_counts_as_reaching_every_reader() {
+        let (catalog, handle) = handle();
+        let supplier = catalog.class_id("supplier").unwrap();
+        let lineage = handle.snapshot().write_epochs().clone();
+        let insert = || DataWrite::Insert {
+            class: supplier,
+            tuple: vec![Value::str("NTUC"), Value::str("2 Mart Ave")],
+            links: vec![],
+        };
+        let rejects = |_: ClassId, _: &[Value]| false;
+        for _ in 0..=WRITE_LOG_BATCHES {
+            handle.write(&[insert()]).unwrap();
+        }
+        let last = handle.data_epoch();
+        let reads = || std::iter::once(supplier);
+        assert!(lineage.reached(0, last, reads(), rejects), "batch 1 was dropped");
+        assert!(!lineage.reached(1, last, reads(), rejects), "every batch after 1 is logged");
     }
 
     #[test]
