@@ -51,16 +51,39 @@
 //! A residual is dispatched once per pass on its column's type, its
 //! literal's type and its operator ([`dispatch`]): each same-typed pair and
 //! operator is a loop of its own, 24 in all, which compares the raw element
-//! in place (`Int`, `Float`, `Bool` natively; a `Str` `Eq` or `Ne` compares
-//! pointers, then lengths, then bytes), stores each binding unconditionally
-//! and advances past it by the test's result, so it does not branch on the
-//! data. A literal of another type than the column's passes nothing, as
-//! [`SelPredicate::eval`] has it, and the pass is counted all the same. A
-//! join filter picks its loop the same way, by its two columns' types, and
-//! emission copies the raw element it reads into a cell, building no
-//! [`Value`].
-//! Dispatch keeps no state, so an execution allocates nothing beyond the
-//! scratch's warm buffers and the answer's own.
+//! in place (`Int`, `Float`, `Bool` natively; a `Str` by identity, below),
+//! stores each binding unconditionally and advances past it by the test's
+//! result, so it does not branch on the data. A literal of another type than
+//! the column's passes nothing, as [`SelPredicate::eval`] has it, and the
+//! pass is counted all the same. A join filter picks its loop the same way,
+//! by its two columns' types, and emission copies the raw element it reads
+//! into a cell, building no [`Value`]. Dispatch keeps no state beyond one
+//! pass, so an execution allocates nothing beyond the scratch's warm
+//! buffers and the answer's own.
+//!
+//! **Strings by identity.** A literal is never storage's allocation, and the
+//! strings of an attribute often share their length (`"cargo_cat0"` to
+//! `"cargo_cat7"`), so a byte compare of every element would run in full. A
+//! `Str` `=` or `≠` therefore runs in two phases within one pass
+//! ([`same_string`]): it compares bytes (after the pointer) until the first
+//! element equal to the literal, then only each element's address with that
+//! element's. That is exact because storage keeps canonical strings: within
+//! one snapshot, every string of an attribute equal to another is the same
+//! allocation (`sqo_storage`'s `db.rs`; every snapshot-building path keeps
+//! it, and the `.sqos` loader refuses a dictionary that would break it). A
+//! literal no element holds compares bytes throughout, as before. The
+//! scan root, a residual filtering a level and the batch tier all take this
+//! loop; the orderings and the join filters compare values.
+//!
+//! A string projection is emitted in two passes. The first copies each
+//! cell's element address, a loop as free of data-dependent branches as an
+//! integer column's, so its scattered reads overlap. The second turns each
+//! address into the string's index in the answer's list through a small
+//! open-addressed table keyed by address (an answer holds few distinct
+//! strings: `cold_scaled` averages three), and only a string not yet in
+//! the list is read again, from cache, to be cloned into it. The table's
+//! slots are tagged with a generation that each execution bumps, so
+//! nothing is cleared per execution.
 //!
 //! A sequential-scan root streams its first residual's column page by page;
 //! each further residual, at the root as at a step, filters the survivors
@@ -69,11 +92,10 @@
 //! would test it by, so rows, their order and every counter are those of
 //! evaluating them binding by binding.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use sqo_catalog::{AttrRef, Finite, Value, ValueHashState};
+use sqo_catalog::{AttrRef, Finite, Value};
 use sqo_query::{CompOp, JoinPredicate, SelPredicate, ValueSet};
 use sqo_storage::{Adjacency, Column, CostCounters, Database, ObjectId, StorageError, Typed};
 
@@ -115,29 +137,104 @@ impl ExecScratch {
 }
 
 /// The distinct strings of the answer being emitted, each allocation once,
-/// and each one's index in that list by its address.
-#[derive(Debug, Default)]
+/// and an open-addressed table from each one's address to its index in the
+/// list. A slot is valid only in the generation that filled it, so clearing
+/// bumps the generation instead of touching the slots, and the table keeps
+/// at least twice as many slots as the list has strings, so every probe
+/// ends at a match or an empty slot.
+#[derive(Debug)]
 struct Strings {
     list: Vec<Arc<str>>,
-    index: HashMap<u64, u64, ValueHashState>,
+    slots: Vec<Slot>,
+    generation: u64,
+}
+
+/// One slot of [`Strings`]' table: the string at address `at` has index
+/// `code`, in generation `generation`.
+#[derive(Debug, Default, Clone, Copy)]
+struct Slot {
+    at: u64,
+    generation: u64,
+    code: u64,
+}
+
+/// The size of [`Strings`]' table when it is first used: a power of two.
+const FIRST_SLOTS: usize = 64;
+
+impl Default for Strings {
+    fn default() -> Self {
+        // Generation 0 is an unfilled slot's.
+        Self { list: Vec::new(), slots: Vec::new(), generation: 1 }
+    }
 }
 
 impl Strings {
     fn clear(&mut self) {
         self.list.clear();
-        self.index.clear();
+        self.generation += 1;
     }
 
-    /// `s`'s index in the list, appending it if it is a new allocation.
+    /// The index in the list of the string at address `at`, appending the
+    /// string `read` returns if that allocation is not in the list yet.
     #[inline]
-    fn code(&mut self, s: &Arc<str>) -> u64 {
-        let list = &mut self.list;
-        let at = Arc::as_ptr(s) as *const u8 as usize as u64;
-        *self.index.entry(at).or_insert_with(|| {
-            list.push(Arc::clone(s));
-            list.len() as u64 - 1
-        })
+    fn code<'c>(
+        &mut self,
+        at: u64,
+        read: impl FnOnce() -> Result<&'c Arc<str>, StorageError>,
+    ) -> Result<u64, StorageError> {
+        if self.slots.is_empty() {
+            self.slots.resize(FIRST_SLOTS, Slot::default());
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = home(at, mask);
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.generation != self.generation {
+                self.list.push(Arc::clone(read()?));
+                let code = self.list.len() as u64 - 1;
+                *slot = Slot { at, generation: self.generation, code };
+                if 2 * self.list.len() > self.slots.len() {
+                    self.grow();
+                }
+                return Ok(code);
+            }
+            if slot.at == at {
+                return Ok(slot.code);
+            }
+            i = (i + 1) & mask;
+        }
     }
+
+    /// Doubles the table and files the list's strings in it again.
+    fn grow(&mut self) {
+        let size = 2 * self.slots.len();
+        self.slots.clear();
+        self.slots.resize(size, Slot::default());
+        let mask = size - 1;
+        for (code, s) in self.list.iter().enumerate() {
+            let at = address(s);
+            let mut i = home(at, mask);
+            while self.slots[i].generation == self.generation {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = Slot { at, generation: self.generation, code: code as u64 };
+        }
+    }
+}
+
+/// The slot a probe for address `at` starts at, in a table of `mask + 1`
+/// slots: a multiplicative hash, whose upper half mixes the address's lower
+/// bits, where allocations differ.
+#[inline]
+fn home(at: u64, mask: usize) -> usize {
+    (at.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
+}
+
+/// The address of `s`'s allocation, which identifies it among the strings
+/// of one snapshot.
+#[inline]
+fn address(s: &Arc<str>) -> u64 {
+    Arc::as_ptr(s) as *const u8 as usize as u64
 }
 
 /// Executes `plan` against `db`, returning the result set and the operation
@@ -263,7 +360,19 @@ fn run_block(
         match db.column(p.attr)? {
             Column::Int(c) => copy(c, p.attr, oids, out, |&x| x as u64),
             Column::Float(c) => copy(c, p.attr, oids, out, |x: &Finite| x.get().to_bits()),
-            Column::Str(c) => copy(c, p.attr, oids, out, |s| strings.code(s)),
+            Column::Str(c) => {
+                // Each cell's string address first, in a loop the memo's
+                // branches do not interrupt, so the column reads overlap;
+                // then each address becomes its code, a miss re-reading
+                // its (now cached) element.
+                let start = out.len();
+                copy(c, p.attr, oids, out, address)?;
+                for (row, cell) in span.clone().zip(&mut out[start..]) {
+                    let read = || read(c, p.attr, bound_at(levels, last, row, want));
+                    *cell = strings.code(*cell, read)?;
+                }
+                Ok(())
+            }
             Column::Bool(c) => copy(c, p.attr, oids, out, |&b| u64::from(b)),
         }?;
     }
@@ -499,7 +608,7 @@ fn keep_passing(
 /// pair compiles to a loop of its own.
 trait Sweep {
     type Out;
-    fn run<T>(self, column: Typed<'_, T>, test: impl Fn(&T) -> bool) -> Self::Out;
+    fn run<T>(self, column: Typed<'_, T>, test: impl FnMut(&T) -> bool) -> Self::Out;
     /// The loop for a literal of another type than the column's, which no
     /// element passes.
     fn none(self) -> Self::Out;
@@ -514,9 +623,9 @@ struct Filter<'l> {
 impl Sweep for Filter<'_> {
     type Out = Result<(), ExecError>;
 
-    fn run<T>(self, column: Typed<'_, T>, test: impl Fn(&T) -> bool) -> Self::Out {
+    fn run<T>(self, column: Typed<'_, T>, mut test: impl FnMut(&T) -> bool) -> Self::Out {
         let Filter { attr, level } = self;
-        retain(level, |oid, _| read(column, attr, oid).map(&test))
+        retain(level, |oid, _| read(column, attr, oid).map(&mut test))
     }
 
     fn none(self) -> Self::Out {
@@ -534,7 +643,7 @@ struct Scan<'l> {
 impl Sweep for Scan<'_> {
     type Out = ();
 
-    fn run<T>(self, column: Typed<'_, T>, test: impl Fn(&T) -> bool) {
+    fn run<T>(self, column: Typed<'_, T>, mut test: impl FnMut(&T) -> bool) {
         let Scan { out } = self;
         out.resize(column.len(), (ObjectId(0), 0));
         let (mut kept, mut oid) = (0usize, 0u32);
@@ -556,18 +665,37 @@ impl Sweep for Scan<'_> {
 /// A comparison operator as a type, so that each operator compiles to its
 /// own comparison instruction inside a typed loop.
 trait Op {
-    fn holds<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool;
+    /// `Some(negated)` for `=` (`false`) and `≠` (`true`), whose string
+    /// loops compare by identity ([`same_string`]); `None` for the orderings.
+    const EQUALITY: Option<bool> = None;
 
-    fn holds_str(a: &str, b: &str) -> bool {
-        Self::holds(a, b)
-    }
+    fn holds<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool;
 }
 
-/// Strings equal by pointer and length first — a value canonicalized to
-/// the literal's allocation — then by length and bytes.
+/// The test of a string column's elements against `literal` by `=`, or by
+/// `≠` when `negated`, in two phases. Until the first element equal to the
+/// literal it compares bytes (after pointers, for a literal that is
+/// storage's own allocation); from then on it compares only the element's
+/// address with that match's, since every string of one attribute of one
+/// snapshot that equals it is that allocation (`sqo_storage`'s canonical
+/// strings). A literal no element holds compares bytes throughout.
 #[inline]
-fn str_eq(a: &str, b: &str) -> bool {
-    std::ptr::eq(a, b) || a == b
+fn same_string(literal: &str, negated: bool) -> impl FnMut(&Arc<str>) -> bool + '_ {
+    let mut first = None;
+    move |a| {
+        let at = address(a);
+        let equal = match first {
+            Some(first) => at == first,
+            None => {
+                let equal = std::ptr::eq(&**a, literal) || **a == *literal;
+                if equal {
+                    first = Some(at);
+                }
+                equal
+            }
+        };
+        equal != negated
+    }
 }
 
 struct Equal;
@@ -578,20 +706,18 @@ struct Greater;
 struct AtLeast;
 
 impl Op for Equal {
+    const EQUALITY: Option<bool> = Some(false);
+
     fn holds<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
         a == b
-    }
-    fn holds_str(a: &str, b: &str) -> bool {
-        str_eq(a, b)
     }
 }
 
 impl Op for NotEqual {
+    const EQUALITY: Option<bool> = Some(true);
+
     fn holds<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
         a != b
-    }
-    fn holds_str(a: &str, b: &str) -> bool {
-        !str_eq(a, b)
     }
 }
 
@@ -642,7 +768,10 @@ fn typed<O: Op, S: Sweep>(column: Column<'_>, literal: &Value, sweep: S) -> S::O
             let x = x.get();
             sweep.run(c, |a: &Finite| O::holds(&a.get(), &x))
         }
-        (Column::Str(c), Value::Str(x)) => sweep.run(c, |a: &Arc<str>| O::holds_str(a, x)),
+        (Column::Str(c), Value::Str(x)) => match O::EQUALITY {
+            Some(negated) => sweep.run(c, same_string(x, negated)),
+            None => sweep.run(c, |a: &Arc<str>| O::holds::<str>(a, x)),
+        },
         (Column::Bool(c), &Value::Bool(x)) => sweep.run(c, |a: &bool| O::holds(a, &x)),
         _ => sweep.none(),
     }
@@ -826,6 +955,48 @@ pub(crate) mod tests {
         }
     }
 
+    /// An answer of more distinct strings than the emission table's first
+    /// size reads every one back and holds each allocation once, through
+    /// the table's growths (the second block looks up the "x" the first
+    /// filed before them), and a warm scratch answers the same on the next
+    /// execution.
+    #[test]
+    fn an_answer_of_many_distinct_strings_reads_each_back() {
+        let catalog = Arc::new(figure21().unwrap());
+        let mut b = Database::builder(Arc::clone(&catalog));
+        let supplier = catalog.class_id("supplier").unwrap();
+        let names: Vec<Value> = (0..1500).map(|i| Value::str(format!("s{i}"))).collect();
+        for name in &names {
+            b.insert(supplier, vec![name.clone(), Value::str("x")]).unwrap();
+        }
+        let db = b.finalize(IntegrityOptions).unwrap();
+        let q = QueryBuilder::new(&catalog)
+            .select("supplier.name")
+            .select("supplier.address")
+            .filter("supplier.address", CompOp::Eq, "x")
+            .build()
+            .unwrap();
+        let plan = plan_query(&db, &q, &CostModel::default()).unwrap();
+        // Every string either column holds: the 1,500 names, and one "x".
+        let held: Vec<&Arc<str>> = ["name", "address"]
+            .into_iter()
+            .flat_map(|a| match db.column(catalog.attr_ref("supplier", a).unwrap()).unwrap() {
+                Column::Str(c) => c.iter(),
+                _ => panic!("supplier.{a} is a string column"),
+            })
+            .collect();
+        let want: Vec<Vec<Value>> = names.into_iter().map(|n| vec![n, Value::str("x")]).collect();
+        let before: Vec<usize> = held.iter().map(|s| Arc::strong_count(s)).collect();
+        let counts =
+            |extra| held.iter().zip(&before).all(|(s, b)| Arc::strong_count(s) == b + extra);
+        let mut scratch = ExecScratch::new();
+        for _ in 0..2 {
+            let (res, _) = execute_with(&db, &plan, &mut scratch).unwrap();
+            assert!(counts(1), "the answer holds each allocation once");
+            assert_eq!(res.rows().collect::<Vec<_>>(), want);
+        }
+    }
+
     /// An answer holds one reference to each distinct string it projects,
     /// not one per row, and dropping it gives that reference back.
     #[test]
@@ -988,6 +1159,62 @@ pub(crate) mod tests {
                     assert_eq!(ids(&level), kept, "filter {op:?} {literal:?}");
                     assert!(level.iter().all(|&(_, parent)| parent == 7));
                 }
+            }
+        }
+    }
+
+    /// A string `=` or `≠` compares by address once an element has matched
+    /// (`same_string`): with a literal that is no object's allocation, and
+    /// its first match at object 0, in the middle of a page, on the last page
+    /// of a column longer than one block, or nowhere, the scan root and a
+    /// filter over a level in reverse id order keep exactly the objects
+    /// whose value passes [`SelPredicate::eval`], and so does a whole
+    /// execution.
+    #[test]
+    fn string_equality_by_identity_agrees_with_eval() {
+        const N: u32 = BLOCK as u32 + 300;
+        let mut b = sqo_catalog::Catalog::builder();
+        b.class("c", vec![sqo_catalog::AttributeDef::new("s", sqo_catalog::DataType::Str)])
+            .unwrap();
+        let catalog = Arc::new(b.build().unwrap());
+        let attr = AttrRef::new(ClassId(0), sqo_catalog::AttrId(0));
+        // Each value a fresh allocation, as a parsed literal is; every
+        // string has the literal's length, so no length test decides.
+        let value = |first: Option<u32>, i: u32| match first {
+            Some(first) if i >= first && (i - first) % 7 == 0 => Value::str("hit"),
+            _ => Value::str(format!("c{}x", i % 3)),
+        };
+        let last_page = N - N % 128 + 5;
+        assert!(last_page < N && last_page >= BLOCK as u32);
+        for first in [Some(0), Some(128 + 64), Some(last_page), None] {
+            let mut load = Database::builder(Arc::clone(&catalog));
+            for i in 0..N {
+                load.insert(ClassId(0), vec![value(first, i)]).unwrap();
+            }
+            let db = load.finalize(IntegrityOptions).unwrap();
+            let values: Vec<Value> = (0..N).map(|i| value(first, i)).collect();
+            let ids = |level: &Level| level.iter().map(|&(oid, _)| oid).collect::<Vec<_>>();
+            for op in [CompOp::Eq, CompOp::Ne] {
+                let p = SelPredicate::new(attr, op, Value::str("hit"));
+                let oids = (0..).map(ObjectId).zip(&values);
+                let want: Vec<ObjectId> =
+                    oids.filter(|(_, v)| p.eval(v)).map(|(oid, _)| oid).collect();
+                let case = format!("{op:?}, first match at {first:?}");
+                let mut scanned = Level::new();
+                dispatch(&p, db.column(attr).unwrap(), Scan { out: &mut scanned });
+                assert_eq!(ids(&scanned), want, "scan, {case}");
+                let mut level: Level = (0..N).rev().map(|i| (ObjectId(i), 7)).collect();
+                dispatch(&p, db.column(attr).unwrap(), Filter { attr, level: &mut level }).unwrap();
+                let kept: Vec<ObjectId> = want.iter().rev().copied().collect();
+                assert_eq!(ids(&level), kept, "filter, {case}");
+                let root =
+                    ClassAccess { class: ClassId(0), path: AccessPath::SeqScan, residual: vec![p] };
+                let plan = hand_plan(root, vec![], vec![sqo_query::Projection::plain(attr)]);
+                let (res, counters) = execute(&db, &plan).unwrap();
+                let rows: Vec<Value> = res.rows().map(|row| row[0].clone()).collect();
+                let want: Vec<Value> = want.iter().map(|oid| values[oid.index()].clone()).collect();
+                assert_eq!(rows, want, "execution, {case}");
+                assert_eq!(counters.predicate_evals, u64::from(N), "{case}");
             }
         }
     }

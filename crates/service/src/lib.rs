@@ -31,9 +31,7 @@
 //!   → publish → respond` — behind every entry point: each of the plan-cache
 //!   lookup, the optimize+plan+insert miss path, the executor call with its
 //!   result-memo handling, and the flight resolution exists exactly once,
-//!   and [`QueryService::run`], [`QueryService::prepare`] →
-//!   [`QueryService::execute_prepared`] (one shared
-//!   [`sqo_exec::PhysicalPlan`] re-executed without re-planning) and the
+//!   and [`QueryService::run`], [`QueryService::prepare`] and the
 //!   non-blocking [`QueryService::try_run`] +
 //!   [`QueryService::complete_miss`] are each a few lines composing those
 //!   steps (`docs/ARCHITECTURE.md` §5). The service spawns no thread: every

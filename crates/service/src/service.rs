@@ -508,15 +508,6 @@ impl QueryService {
         Ok(CacheEntry::new(canonical, out.query, plan, provably_empty, columns))
     }
 
-    /// Executes a prepared query, sharing memoized results while they
-    /// answer the current data epoch.
-    pub fn execute_prepared(
-        &self,
-        prepared: &PreparedQuery,
-    ) -> Result<Arc<ResultSet>, ServiceError> {
-        self.answer(prepared).map(|response| response.results)
-    }
-
     /// Step 3, the execution core: serves the result memo when it answers
     /// the current data epoch (computed at it, or earlier with no write
     /// since that can reach it); otherwise pins the current snapshot,
@@ -931,9 +922,10 @@ mod tests {
         if let (Some(p), Some(q)) = (prepared.plan(), again.plan()) {
             assert!(Arc::ptr_eq(p, q), "both handles must share the physical plan");
         }
-        let r1 = service.execute_prepared(&prepared).unwrap();
-        let r2 = service.execute_prepared(&again).unwrap();
-        assert!(Arc::ptr_eq(&r1, &r2), "memoized results are shared");
+        let r1 = service.run(&queries[1]).unwrap();
+        let r2 = service.run(&queries[1]).unwrap();
+        assert!(r1.cache_hit && r2.cache_hit, "prepare cached the plan both runs take");
+        assert!(Arc::ptr_eq(&r1.results, &r2.results), "memoized results are shared");
     }
 
     /// Some constraint of `service`'s store whose class set overlaps

@@ -84,10 +84,16 @@ impl StrPool {
         Self::default()
     }
 
-    /// A pool that already holds `strings`, each shared as it is: a decoder
-    /// interning through it takes those allocations for their equals.
-    pub fn holding(strings: impl IntoIterator<Item = std::sync::Arc<str>>) -> Self {
-        Self(strings.into_iter().collect())
+    /// An empty pool with room for `n` strings.
+    pub fn with_capacity(n: usize) -> Self {
+        Self(std::collections::HashSet::with_capacity_and_hasher(n, ValueHashState::default()))
+    }
+
+    /// Adds `s`, shared as it is, so a decoder interning through the pool
+    /// takes that allocation for its equals. Returns `false`, and keeps the
+    /// string it held, when the pool already holds one equal to `s`.
+    pub fn insert(&mut self, s: std::sync::Arc<str>) -> bool {
+        self.0.insert(s)
     }
 
     /// The shared `Arc` for `s`, allocating only on first sight.

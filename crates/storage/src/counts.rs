@@ -14,9 +14,10 @@
 //! a clone of the map's key, so a loaded class holds one allocation per
 //! distinct string of an attribute, as a snapshot load's does. Only the
 //! distinct values are made [`Value`]s, once the pass is done.
-//! `Database::rebuild_statistics` and the `with_writes_full` oracle keep a
-//! scan of every attribute ([`class_statistics`]), which is the reference
-//! the other two are checked against. Every scan's map hashes with
+//! `Database::with_writes_full` builds its result as a load does.
+//! `Database::rebuild_statistics` keeps a scan of every attribute
+//! ([`class_statistics`]), which is the reference the load and the write
+//! path are checked against. Every scan's map hashes with
 //! `sqo_catalog::ValueHashState`.
 //!
 //! The write path keeps the counts instead, in [`ValueMap`]s that successive
@@ -200,8 +201,8 @@ fn scan_attribute(column: &ColumnVec) -> AttrStats {
     summarize(counts.iter().map(|(v, count)| (v, *count)), column.len() as u64)
 }
 
-/// One class's statistics from one scan of each column — the reference (the
-/// `with_writes_full` oracle, `Database::rebuild_statistics`).
+/// One class's statistics from one scan of each column — the reference
+/// (`Database::rebuild_statistics`).
 pub(crate) fn class_statistics(extent: &Extent) -> ClassStats {
     let attrs = extent.columns().iter().map(scan_attribute).collect();
     ClassStats { cardinality: extent.len() as u64, attrs }

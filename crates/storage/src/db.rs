@@ -19,6 +19,17 @@
 //! does. A write keeps it so: a written string takes the key its index or
 //! counts already hold.
 //!
+//! **Canonical strings are a correctness invariant, not a saving.** Within
+//! one snapshot, every string of an attribute equal to another is the same
+//! allocation. The executor relies on it (`sqo_exec`'s executor, *Strings by
+//! identity*): once a string `=` or `≠` has found an element equal to its
+//! literal, it compares the rest by address alone, so a second allocation of
+//! an equal string would answer wrongly. Every path that builds a snapshot
+//! keeps it: [`DatabaseBuilder::finalize`], [`Database::with_writes`],
+//! [`Database::with_writes_full`] (it builds as a load does) and the `.sqos`
+//! load, whose dictionary holds each string once and refuses a repeat
+//! (`persist.rs`). `tests/prop_canonical_strings.rs` checks all four.
+//!
 //! # Incremental copy-on-write snapshots
 //!
 //! Snapshot state is sharded per class and per relationship: one extent
@@ -692,8 +703,9 @@ impl Database {
 
     /// The from-scratch write path: applies `writes` to a deep clone of the
     /// logical state and reassembles **everything** — links, indexes and
-    /// statistics — exactly as a fresh [`DatabaseBuilder`] load would. It is
-    /// the independent equivalence oracle for [`Database::with_writes`]
+    /// statistics, and each attribute's strings canonical — exactly as a
+    /// fresh [`DatabaseBuilder`] load would. It is the independent
+    /// equivalence oracle for [`Database::with_writes`]
     /// (`tests/prop_incremental.rs` proves the two agree on every read API
     /// for arbitrary batches). Semantics are identical, including the
     /// returned [`WriteReceipt`] and the lineage's [`WriteEpochs`], handed on
@@ -822,7 +834,9 @@ impl Database {
         let mut extents = page_extents(&catalog, extents);
         let links = build_links(&catalog, &extents, &pairs)?;
         let indexes = build_indexes(&catalog, &mut extents);
-        let stats = build_statistics(&catalog, &extents, &links);
+        let classes = load_statistics(&mut extents, &indexes);
+        let stats =
+            StatsSnapshot { classes, relationships: links.iter().map(rel_statistics).collect() };
         let receipt = WriteReceipt {
             inserted: inserted.iter().map(|&(_, id)| id).collect(),
             moves,
@@ -1154,8 +1168,8 @@ fn rel_statistics(lk: &RelLinks) -> RelStats {
 /// The from-scratch statistics build: every attribute of every class from a
 /// scan of its extent, every relationship. It is the reference the load
 /// ([`load_statistics`]), the write path and a snapshot load's persisted
-/// statistics are checked against in tests;
-/// [`Database::rebuild_statistics`] and [`Database::with_writes_full`] use it.
+/// statistics are checked against in tests; [`Database::rebuild_statistics`]
+/// uses it.
 fn build_statistics(catalog: &Catalog, extents: &[Extent], links: &[RelLinks]) -> StatsSnapshot {
     let classes =
         catalog.classes().map(|(cid, _)| class_statistics(&extents[cid.index()])).collect();

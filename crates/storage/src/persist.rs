@@ -203,16 +203,30 @@ fn read_extent_preamble(
 }
 
 /// Decodes the string dictionary that follows the EXTENTS preamble: each
-/// distinct string of the extents, allocated once.
-fn decode_dictionary(r: &mut ByteReader<'_>) -> Result<Vec<Arc<str>>, LoadError> {
+/// distinct string of the extents, allocated once, and a pool that holds
+/// those allocations for the index keys to intern through. A string listed
+/// twice is refused: its two allocations would make one attribute hold equal
+/// strings at two addresses, and the executor compares a string column's
+/// elements by address once one has matched (`sqo_exec`'s *strings by
+/// identity*).
+fn decode_dictionary(r: &mut ByteReader<'_>) -> Result<(Vec<Arc<str>>, StrPool), LoadError> {
     let dict_count = r.count()?;
-    // Pre-allocations bounded by the bytes actually present: a hostile
-    // count cannot drive a huge reservation.
-    let mut dict: Vec<Arc<str>> = Vec::with_capacity(dict_count.min(r.remaining()));
-    for _ in 0..dict_count {
-        dict.push(Arc::from(r.str_ref()?));
+    // Pre-allocations bounded by the bytes actually present, at least a
+    // 4-byte length per string: a hostile count cannot drive a huge
+    // reservation.
+    let capacity = dict_count.min(r.remaining() / 4);
+    let mut dict: Vec<Arc<str>> = Vec::with_capacity(capacity);
+    let mut pool = StrPool::with_capacity(capacity);
+    for at in 0..dict_count {
+        let s: Arc<str> = Arc::from(r.str_ref()?);
+        if !pool.insert(Arc::clone(&s)) {
+            let first = dict.iter().position(|d| *d == s).unwrap_or(at);
+            let detail = format!("dictionary entries {first} and {at} are both {s:?}");
+            return Err(malformed(SEC_EXTENTS, detail));
+        }
+        dict.push(s);
     }
-    Ok(dict)
+    Ok((dict, pool))
 }
 
 /// Decodes the tuples that follow the EXTENTS dictionary into each class's
@@ -395,7 +409,7 @@ fn decode_links(
 /// id sits under two keys and every object sits under one: the index is
 /// exactly its extent's grouping. Keys are read as the attribute's
 /// declared type, so a key of another type cannot be stated. String keys
-/// intern through a pool that holds `dict`, so an index key equal to an
+/// intern through `pool`, which holds `dict`, so an index key equal to an
 /// extent string is that string's allocation, as a cold load's is.
 fn decode_indexes(
     file: &SnapshotFile<'_>,
@@ -403,8 +417,8 @@ fn decode_indexes(
     cards: &[usize],
     tuples: &[u8],
     dict: &[Arc<str>],
+    mut pool: StrPool,
 ) -> Result<Vec<Vec<Option<AttrIndex>>>, LoadError> {
-    let mut pool = StrPool::holding(dict.iter().cloned());
     let mut r = file.require(SEC_INDEXES)?;
     let mut banks = Vec::with_capacity(catalog.class_count());
     let mut class_base = 0usize;
@@ -513,14 +527,14 @@ pub fn decode_database_from(
     let catalog = decode_catalog(file)?;
     let mut er = file.require(SEC_EXTENTS)?;
     let (data_version, cards) = read_extent_preamble(&mut er, &catalog)?;
-    let dict = decode_dictionary(&mut er)?;
+    let (dict, pool) = decode_dictionary(&mut er)?;
     let tuples = er.rest();
     check_tuple_bytes(&catalog, &cards, tuples)?;
     let (extents, links, indexes, stats) = {
         let (catalog, cards, dict) = (&catalog, &cards, &dict);
         std::thread::scope(|s| {
             let links = s.spawn(move || decode_links(file, catalog, cards));
-            let indexes = s.spawn(move || decode_indexes(file, catalog, cards, tuples, dict));
+            let indexes = s.spawn(move || decode_indexes(file, catalog, cards, tuples, dict, pool));
             let stats = s.spawn(move || decode_stats(file, catalog, cards));
             let extents = catch_unwind(AssertUnwindSafe(|| {
                 decode_extent_tuples(&mut er, catalog, cards, dict)

@@ -77,16 +77,26 @@ fn with_section(db: &Database, replace: u32, payload: Vec<u8>) -> Vec<u8> {
     b.finish()
 }
 
+/// The fixture's string dictionary, in first-appearance order.
+const DICTIONARY: &[&str] = &["x", "y"];
+
 /// Hand-encodes an EXTENTS payload for the fixture (`docs/FORMAT.md` §3.2)
 /// with a chosen dictionary index for object 0's `t` value (0 is correct).
 fn extents_payload(data_version: u64, first_t_ix: u32) -> Vec<u8> {
+    extents_payload_with(data_version, first_t_ix, DICTIONARY)
+}
+
+/// [`extents_payload`] over the string dictionary `dictionary`, which the
+/// tuples index as they index [`DICTIONARY`].
+fn extents_payload_with(data_version: u64, first_t_ix: u32, dictionary: &[&str]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u64(data_version);
     w.u32(3); // |c0|
     w.u32(2); // |c1|
-    w.u32(2); // dictionary entries, first-appearance order
-    w.str("x");
-    w.str("y");
+    w.u32(dictionary.len() as u32);
+    for s in dictionary {
+        w.str(s);
+    }
     // c0 tuples: untagged Int payload then Str dictionary index.
     w.i64(5);
     w.u32(first_t_ix);
@@ -414,6 +424,17 @@ fn corruption_is_rejected_at_the_documented_level() {
             expect: "Malformed(EXTENTS)",
             matches: |e| matches!(e, LoadError::Malformed { section: "EXTENTS", .. }),
             bytes: with_section(&db, SEC_EXTENTS, extents_payload(dv, 9)),
+        },
+        Case {
+            // Object 1's "x" would be another allocation than objects 0's
+            // and 2's: an attribute holding one string at two addresses.
+            name: "a string listed twice in the dictionary",
+            expect: "Malformed(EXTENTS) naming both entries",
+            matches: |e| {
+                matches!(e, LoadError::Malformed { section: "EXTENTS", detail }
+                    if detail.contains("entries 0 and 1"))
+            },
+            bytes: with_section(&db, SEC_EXTENTS, extents_payload_with(dv, 0, &["x", "x"])),
         },
         Case {
             name: "fewer left lists than the left extent's objects",

@@ -9,7 +9,8 @@
 //! it writes. The property builds a database whose every string occurrence
 //! is a fresh `Arc`, loads it cold and through a snapshot at both levels,
 //! and applies arbitrary insert, update and delete batches whose strings
-//! are fresh `Arc`s too. After the load and after every batch, each string
+//! are fresh `Arc`s too, both copy-on-write (`with_writes`) and from scratch
+//! (`with_writes_full`). After the load and after every batch, each string
 //! attribute is checked by pointer, and the statistics still equal a
 //! from-scratch scan.
 
@@ -216,10 +217,14 @@ proptest! {
         assert_eq!(snapshot.stats(), &snapshot.rebuild_statistics());
         for (load, mut db) in [("cold", cold), ("snapshot", snapshot)] {
             assert_canonical(&db, &format!("{load} load"));
+            // A successor of no writes: the same snapshot, shared.
+            let mut full = db.with_writes(&[], None).unwrap().0;
             for (i, raw) in batches.iter().enumerate() {
                 let writes = batch(&db, raw, vocab);
                 db = db.with_writes(&writes, None).unwrap().0;
                 assert_canonical(&db, &format!("{load} load, batch {i}"));
+                full = full.with_writes_full(&writes).unwrap().0;
+                assert_canonical(&full, &format!("{load} load, batch {i} from scratch"));
             }
         }
     }
