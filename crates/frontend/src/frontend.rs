@@ -262,8 +262,8 @@ impl Shared {
     /// [`ServiceError::WorkerPanicked`] — and the worker carries on. A
     /// follower's job moves into its flight as a continuation: no thread
     /// waits with it, and whoever resolves the flight finishes it (or, the
-    /// leader having died, queues it again — the retry re-checks the cache
-    /// and may lead).
+    /// flight having no answer for it, queues it again — the retry
+    /// re-checks the cache and may lead).
     fn work(self: &Arc<Self>) {
         let mut held = Unlocked::new();
         while let Some(mut job) = self.next_job(&mut held) {

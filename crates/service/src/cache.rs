@@ -146,8 +146,6 @@ use sqo_exec::{PhysicalPlan, ResultSet};
 use sqo_query::sync::{CountPair, Counter, Held, RwLock, Unlocked, CACHE_MEMO, CACHE_SHARD};
 use sqo_query::{Query, QueryFingerprint};
 
-use crate::singleflight::FlightTable;
-
 /// One cached optimization: everything needed to answer the query again
 /// without re-running the transformation fixpoint or the planner.
 #[derive(Debug)]
@@ -274,7 +272,11 @@ impl Slot {
 
 /// The identity hasher over a fingerprint's one `u64` (module docs).
 #[derive(Debug, Default)]
-struct Prehashed(u64);
+pub(crate) struct Prehashed(u64);
+
+/// Maps keyed by fingerprint hash with [`Prehashed`]: the shards' and the
+/// singleflight table's.
+pub(crate) type Prehashing = BuildHasherDefault<Prehashed>;
 
 impl Hasher for Prehashed {
     fn finish(&self) -> u64 {
@@ -295,7 +297,7 @@ impl Hasher for Prehashed {
 /// One shard: its slots, and their keys in the hand's sweep order.
 #[derive(Debug, Default)]
 struct Shard {
-    slots: HashMap<QueryFingerprint, Slot, BuildHasherDefault<Prehashed>>,
+    slots: HashMap<QueryFingerprint, Slot, Prehashing>,
     /// Exactly the keys of `slots`; the front is under the hand.
     ring: VecDeque<QueryFingerprint>,
 }
@@ -371,10 +373,6 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct ShardedCache {
     shards: Vec<RwLock<CACHE_SHARD, Shard>>,
-    /// In-flight misses (singleflight): registered when a lookup misses,
-    /// retired when the leader publishes the entry it derived. Behind an
-    /// `Arc` so leader guards and follower waiters can outlive the borrow.
-    flights: Arc<FlightTable>,
     per_shard_capacity: usize,
     /// `(lookups, hits)`: a lookup is counted before its hit, so `hits <=
     /// lookups` in every read (see [`CacheStats`]).
@@ -393,7 +391,6 @@ impl ShardedCache {
         let per_shard_capacity = capacity.div_ceil(shards).max(1);
         Self {
             shards: (0..shards).map(|_| RwLock::default()).collect(),
-            flights: Arc::new(FlightTable::default()),
             per_shard_capacity,
             lookups: CountPair::default(),
             insertions: Counter::default(),
@@ -401,11 +398,6 @@ impl ShardedCache {
             invalidations: Counter::default(),
             revalidations: Counter::default(),
         }
-    }
-
-    /// The singleflight in-flight miss registry attached to this cache.
-    pub(crate) fn flights(&self) -> &Arc<FlightTable> {
-        &self.flights
     }
 
     pub fn capacity(&self) -> usize {

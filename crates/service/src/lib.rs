@@ -29,22 +29,26 @@
 //!   shards, readers of the same hot query share a read lock.
 //! * **One request pipeline** — `resolve → hit | lead | follow → execute
 //!   → publish → respond` — behind every entry point: each of the plan-cache
-//!   lookup, the optimize+plan+insert miss path, the executor call with its
-//!   result-memo handling, and the flight resolution exists exactly once,
-//!   and [`QueryService::run`], [`QueryService::prepare`] and the
-//!   non-blocking [`QueryService::try_run`] +
-//!   [`QueryService::complete_miss`] are each a few lines composing those
-//!   steps (`docs/ARCHITECTURE.md` §5). The service spawns no thread: every
+//!   lookup, the optimize+plan miss path, the executor call with its
+//!   result-memo handling, and the flight resolution exists exactly once.
+//!   The non-blocking [`QueryService::try_run`] +
+//!   [`QueryService::complete_miss`] is the one request protocol,
+//!   [`QueryService::run`] its blocking driver, and the plan-only
+//!   [`QueryService::prepare`] the lookup plus the miss path
+//!   (`docs/ARCHITECTURE.md` §5). The service spawns no thread: every
 //!   entry point runs on its caller's, and the one worker pool is
 //!   `sqo-frontend`'s.
 //! * **Singleflight miss deduplication** ([`QueryService::try_run`] +
-//!   [`QueryService::complete_miss`]): concurrent cold misses on the same
+//!   [`QueryService::complete_miss`], which every `run` and the
+//!   `sqo-frontend` worker pool drive): concurrent cold misses on the same
 //!   `(fingerprint, store version, data epoch)` coordinates share one
-//!   optimization — the first registrant leads, duplicates follow on a
-//!   [`MissWaiter`] (a continuation kept in the flight and run exactly
-//!   once by whoever resolves it — no thread parked), and a leader that
-//!   dies mid-flight aborts cleanly instead of stranding its followers.
-//!   This is the non-blocking seam the `sqo-frontend` worker pool drives.
+//!   optimization and one execution — the first registrant leads,
+//!   duplicates follow on a [`MissWaiter`] (a continuation kept in the
+//!   flight and run exactly once by whoever resolves it; `run` blocks on
+//!   it, the frontend parks no thread), and a leader that dies mid-flight
+//!   aborts cleanly instead of stranding its followers. A miss copies no
+//!   query: the leader's canonical form moves into the entry it publishes,
+//!   and each follower checks that entry's query against its own.
 //! * **One way to share an answer**: identical warm requests share the
 //!   entry's result memo (on by default, expired by the next data write
 //!   to a class the entry's plan binds);

@@ -1,6 +1,7 @@
 //! The concurrent query service: shared state, prepared queries, and the
-//! one request pipeline (`resolve → entry_for → answer`) behind every entry
-//! point. The service spawns no thread; the worker pool is `sqo-frontend`'s.
+//! one request pipeline (`resolve → register → entry_for → answer`) behind
+//! every entry point. The service spawns no thread; the worker pool is
+//! `sqo-frontend`'s.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -23,7 +24,7 @@ use sqo_storage::{DataWrite, Database, StorageError, VersionedDatabase, WriteOut
 
 use crate::cache::{CacheEntry, CacheStats, Memo, ShardedCache};
 use crate::persist;
-use crate::singleflight::{FlightError, FlightKey, MissGuard, MissWaiter, Registered};
+use crate::singleflight::{FlightError, FlightKey, FlightTable, MissGuard, MissWaiter};
 
 thread_local! {
     /// Per-worker reusable optimizer + executor buffers: the cold path of
@@ -145,6 +146,10 @@ pub struct PreparedQuery {
 }
 
 impl PreparedQuery {
+    fn new(entry: Arc<CacheEntry>, version: StoreVersion, cache_hit: bool) -> Self {
+        Self { entry, version, epoch: version.epoch(), cache_hit }
+    }
+
     /// The canonical form of the prepared query (the cache identity).
     pub fn canonical(&self) -> &Query {
         &self.entry.canonical
@@ -186,8 +191,8 @@ pub struct ServiceResponse {
 /// counterpart of [`QueryService::run`]'s `ServiceResponse`.
 #[derive(Debug)]
 pub enum TryRun {
-    /// Answered synchronously: a plan-cache hit (always — the flight table
-    /// carries misses only) or a fingerprint-collision fallback.
+    /// Answered synchronously: a plan-cache hit (the flight table carries
+    /// misses only).
     Done(ServiceResponse),
     /// First miss on these coordinates: the caller must run
     /// [`QueryService::complete_miss`] with the guard (dropping it instead
@@ -207,8 +212,9 @@ pub enum TryRun {
 /// across successive snapshots.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Requests received, one per `run` and per `try_run` call (a
-    /// follower's retry after an aborted flight is a new call).
+    /// Requests received, one per `try_run` call: a `run` counts once per
+    /// attempt, so a `run` or a frontend job retried after an aborted
+    /// flight counts once more.
     pub requests: u64,
     /// Requests that completed a plan-cache lookup. Exactly
     /// `cache.hits + cache.misses` in every snapshot; trails `requests`
@@ -225,7 +231,8 @@ pub struct ServiceStats {
     /// Write batches committed through [`QueryService::write`].
     pub writes: u64,
     /// Misses that registered as singleflight leaders (each ran one
-    /// optimization on behalf of every concurrent duplicate).
+    /// optimization on behalf of every concurrent duplicate), once per
+    /// attempt like `requests`.
     pub singleflight_leaders: u64,
     /// Misses that joined an already-in-flight optimization instead of
     /// running their own.
@@ -289,6 +296,10 @@ pub struct QueryService {
     /// `store`'s write lock — readers only ever wait for the brief swap.
     writer: Mutex<SERVICE_WRITER, ()>,
     cache: ShardedCache,
+    /// In-flight misses (singleflight): registered when a lookup misses,
+    /// retired when the leader has answered. Behind an `Arc` so leader
+    /// guards can outlive the borrow.
+    flights: Arc<FlightTable>,
     model: CostModel,
     config: ServiceConfig,
     requests: Counter,
@@ -325,6 +336,7 @@ impl QueryService {
             store: RwLock::new(store),
             writer: Mutex::default(),
             cache: ShardedCache::new(config.shards, config.cache_capacity),
+            flights: Arc::default(),
             model: CostModel::default(),
             config,
             requests: Counter::default(),
@@ -439,11 +451,17 @@ impl QueryService {
 
     /// Resolves `query` to its optimization artifacts — from the cache when
     /// possible, by running the full semantic-optimization + planning
-    /// pipeline on a miss.
+    /// pipeline on a miss. A plan-only request: it executes nothing, so it
+    /// has no answer to share and never joins a flight.
     pub fn prepare(&self, query: &Query) -> Result<PreparedQuery, ServiceError> {
         match self.resolve(query) {
             Lookup::Hit(prepared) => Ok(prepared),
-            Lookup::Miss(canonical, at) => self.entry_for(canonical, at),
+            Lookup::Miss(mut canonical, store, fingerprint) => {
+                let version = store.version();
+                let prepared = self.entry_for(&mut canonical, &store, version)?;
+                self.cache.insert(fingerprint, version, Arc::clone(&prepared.entry));
+                Ok(prepared)
+            }
         }
     }
 
@@ -456,29 +474,27 @@ impl QueryService {
         let version = self.store_version();
         let fingerprint = query.fingerprint();
         if let Some(entry) = self.cache.get(fingerprint, query, version) {
-            let epoch = version.epoch();
-            return Lookup::Hit(PreparedQuery { entry, version, epoch, cache_hit: true });
+            return Lookup::Hit(PreparedQuery::new(entry, version, true));
         }
-        let store = self.store();
-        let at = Coordinate { version: store.version(), store, fingerprint };
-        Lookup::Miss(query.canonical(), at)
+        Lookup::Miss(query.canonical(), self.store(), fingerprint)
     }
 
-    /// Step 2, on a miss: the entry derived under exactly `at`'s store and
-    /// published to the plan cache **stamped with that same version** (a
-    /// store swapped mid-request can never receive an entry derived under
-    /// its predecessor — lookups at the successor version miss and
-    /// re-derive).
-    fn entry_for(&self, canonical: Query, at: Coordinate) -> Result<PreparedQuery, ServiceError> {
-        let entry = Arc::new(self.build_entry(canonical, &at.store)?);
+    /// Step 2, on a miss: the entry derived under exactly `store`, read at
+    /// `version`, which its caller publishes to the plan cache **stamped with
+    /// that same version** (a store swapped mid-request can never receive an
+    /// entry derived under its predecessor — lookups at the successor
+    /// version miss and re-derive): `prepare` at once, `complete_miss` once
+    /// it has answered. `canonical` moves into the entry; a failed
+    /// derivation leaves it with the caller.
+    fn entry_for(
+        &self,
+        canonical: &mut Query,
+        store: &Arc<ConstraintStore>,
+        version: StoreVersion,
+    ) -> Result<PreparedQuery, ServiceError> {
+        let entry = Arc::new(self.build_entry(canonical, store)?);
         self.optimizations.add(1);
-        self.cache.insert(at.fingerprint, at.version, Arc::clone(&entry));
-        Ok(PreparedQuery {
-            entry,
-            version: at.version,
-            epoch: at.version.epoch(),
-            cache_hit: false,
-        })
+        Ok(PreparedQuery::new(entry, version, false))
     }
 
     /// The miss path, and a warm boot's: semantic optimization, then
@@ -487,14 +503,14 @@ impl QueryService {
     /// consistent.
     fn build_entry(
         &self,
-        canonical: Query,
+        canonical: &mut Query,
         store: &Arc<ConstraintStore>,
     ) -> Result<CacheEntry, ServiceError> {
         let db = self.db.snapshot();
         let optimizer = SemanticOptimizer::with_config(store, self.config.optimizer);
         let oracle = CostBasedOracle::with_model(&db, self.model);
         let out = WORKER_SCRATCH
-            .with(|s| optimizer.optimize_with(&canonical, &oracle, &mut s.borrow_mut().0))?;
+            .with(|s| optimizer.optimize_with(canonical, &oracle, &mut s.borrow_mut().0))?;
         let provably_empty = out.report.provably_empty;
         let (plan, columns) = if provably_empty {
             (None, out.query.projections.iter().map(|p| p.attr).collect())
@@ -505,6 +521,7 @@ impl QueryService {
             let columns = plan.projections.iter().map(|p| p.attr).collect();
             (Some(plan), columns)
         };
+        let canonical = std::mem::take(canonical);
         Ok(CacheEntry::new(canonical, out.query, plan, provably_empty, columns))
     }
 
@@ -600,16 +617,29 @@ impl QueryService {
         Ok(Some(next))
     }
 
-    /// Prepare + execute in one call — the per-request entry point.
+    /// The per-request entry point: the blocking driver of
+    /// [`QueryService::try_run`]. A hit is answered, a leader completes its
+    /// miss, a follower waits for the leader's answer, and a flight that
+    /// aborted is asked again. A thread that holds a [`MissGuard`] must not
+    /// `run` the same query: it would wait on its own flight.
     pub fn run(&self, query: &Query) -> Result<ServiceResponse, ServiceError> {
-        self.requests.add(1);
-        self.answer(&self.prepare(query)?)
+        loop {
+            match self.try_run(query)? {
+                TryRun::Done(response) => return Ok(response),
+                TryRun::Leader(guard) => return self.complete_miss(guard),
+                TryRun::Follower(waiter) => match waiter.wait() {
+                    Ok(response) => return Ok(response),
+                    Err(FlightError::Failed(e)) => return Err(e),
+                    Err(FlightError::Aborted) => {}
+                },
+            }
+        }
     }
 
     /// The **non-blocking** per-request entry point for callers that
     /// multiplex many requests over few threads (the `sqo-frontend`
-    /// crate): like [`QueryService::run`], but a cache miss never waits
-    /// behind another request's optimization.
+    /// crate): a cache miss never waits behind another request's
+    /// optimization.
     ///
     /// * A plan-cache hit is answered synchronously as [`TryRun::Done`] —
     ///   execution is the caller's CPU work either way, and a hit never
@@ -624,70 +654,62 @@ impl QueryService {
     ///   continuation ([`MissWaiter::on_resolved`], no thread parked) or
     ///   [`MissWaiter::wait`] for it. An
     ///   [`FlightError::Aborted`](crate::FlightError::Aborted) outcome
-    ///   means the leader dropped its guard without completing — call
-    ///   `try_run` again; the retry re-checks the cache and may lead.
+    ///   means the flight has no answer for this request (its leader
+    ///   dropped its guard, or answered a query whose fingerprint
+    ///   collides) — call `try_run` again; the retry re-checks the cache
+    ///   and may lead.
     pub fn try_run(&self, query: &Query) -> Result<TryRun, ServiceError> {
         self.requests.add(1);
-        let (canonical, at) = match self.resolve(query) {
+        let (canonical, store, fingerprint) = match self.resolve(query) {
             Lookup::Hit(prepared) => return self.answer(&prepared).map(TryRun::Done),
-            Lookup::Miss(canonical, at) => (canonical, at),
+            Lookup::Miss(canonical, store, fingerprint) => (canonical, store, fingerprint),
         };
-        let key = FlightKey {
-            fingerprint: at.fingerprint,
-            version: at.version,
-            data_epoch: self.db.data_epoch(),
-        };
-        match self.cache.flights().register(key, &canonical) {
-            Registered::Leader(flight) => {
-                self.sf_leaders.add(1);
-                let table = Arc::clone(self.cache.flights());
-                Ok(TryRun::Leader(MissGuard::new(key, canonical, at.store, table, flight)))
-            }
-            Registered::Follower(flight) => {
-                self.sf_followers.add(1);
-                Ok(TryRun::Follower(MissWaiter::new(flight)))
-            }
-            // A 64-bit fingerprint collision with the in-flight query:
-            // sharing would serve the wrong answer, so this request runs
-            // the undeduplicated pipeline on its own.
-            Registered::Collision => self.answer(&self.entry_for(canonical, at)?).map(TryRun::Done),
+        let version = store.version();
+        let key = FlightKey { fingerprint, version, data_epoch: self.db.data_epoch() };
+        let (flight, leads) = self.flights.register(key);
+        if leads {
+            self.sf_leaders.add(1);
+            Ok(TryRun::Leader(MissGuard::new(key, canonical, store, &self.flights, flight)))
+        } else {
+            self.sf_followers.add(1);
+            Ok(TryRun::Follower(MissWaiter::new(flight, canonical)))
         }
     }
 
     /// Runs the miss pipeline a [`TryRun::Leader`] owes: semantic
     /// optimization and planning against the store version captured at
-    /// registration, cache publication stamped with that same version,
-    /// then execution. The outcome resolves the flight (the only call of
+    /// registration, execution, then cache publication stamped with that
+    /// same version. The outcome resolves the flight (the only call of
     /// `guard.finish`; a dropped guard aborts instead), so every follower
     /// receives the identical `Arc`-shared answer, or the identical error
-    /// (re-running the same pipeline would fail the same way).
+    /// (re-running the same pipeline would fail the same way) — each
+    /// follower whose query is the leader's, that is: the flight names the
+    /// entry the answer came from, or the leader's canonical query when
+    /// there is none, and a follower checks it against its own.
     ///
     /// The leader first looks in the plan cache again, without counting the
     /// look: a request whose lookup missed just before an earlier leader
     /// published can register after that flight retired, and it then
     /// executes the published entry (answering `cache_hit`) instead of
     /// optimizing the query a second time.
-    pub fn complete_miss(&self, guard: MissGuard) -> Result<ServiceResponse, ServiceError> {
+    pub fn complete_miss(&self, mut guard: MissGuard) -> Result<ServiceResponse, ServiceError> {
         let key = guard.key();
-        let published = self.cache.peek(key.fingerprint, guard.canonical(), key.version);
-        let prepared = match published {
-            Some(entry) => Ok(PreparedQuery {
-                entry,
-                version: key.version,
-                epoch: key.version.epoch(),
-                cache_hit: true,
-            }),
-            None => {
-                let at = Coordinate {
-                    store: Arc::clone(guard.store()),
-                    version: key.version,
-                    fingerprint: key.fingerprint,
-                };
-                self.entry_for(guard.canonical().clone(), at)
-            }
+        let prepared = match self.cache.peek(key.fingerprint, &guard.canonical, key.version) {
+            Some(entry) => Ok(PreparedQuery::new(entry, key.version, true)),
+            None => self.entry_for(&mut guard.canonical, &guard.store, key.version),
         };
-        let outcome = prepared.and_then(|prepared| self.answer(&prepared));
-        guard.finish(outcome.clone().map_err(FlightError::Failed));
+        let outcome = prepared.as_ref().map_err(ServiceError::clone).and_then(|p| self.answer(p));
+        let entry = match prepared {
+            Ok(prepared) if !prepared.cache_hit => {
+                // Published once answered, so a hit finds the memo: one
+                // execution per flight. Until then a miss follows it.
+                self.cache.insert(key.fingerprint, key.version, Arc::clone(&prepared.entry));
+                Some(prepared.entry)
+            }
+            Ok(prepared) => Some(prepared.entry),
+            Err(_) => None,
+        };
+        guard.finish(outcome.clone().map_err(FlightError::Failed), entry);
         outcome
     }
 
@@ -758,7 +780,7 @@ impl QueryService {
         let store = Arc::new(store);
         let service = Self::with_config(Arc::clone(&store), Arc::new(db), config);
         for query in queries {
-            let entry = service.build_entry(query.canonical(), &store);
+            let entry = service.build_entry(&mut query.canonical(), &store);
             let entry = Arc::new(entry.map_err(persist::refused_query)?);
             service.cache.insert(query.fingerprint(), store.version(), entry);
         }
@@ -809,18 +831,10 @@ impl QueryService {
 #[derive(Debug)]
 enum Lookup {
     Hit(PreparedQuery),
-    /// The request's canonical form, and where to derive it.
-    Miss(Query, Coordinate),
-}
-
-/// Where a missed request sits in the service's version space: the store
-/// handle its rewrite is derived under, and the cache identity
-/// `(fingerprint, version)` of its canonical query at that store.
-#[derive(Debug)]
-struct Coordinate {
-    store: Arc<ConstraintStore>,
-    version: StoreVersion,
-    fingerprint: QueryFingerprint,
+    /// The request's canonical form, the store handle its rewrite is
+    /// derived under, and its fingerprint: with the store's version, where
+    /// the miss sits in the service's version space.
+    Miss(Query, Arc<ConstraintStore>, QueryFingerprint),
 }
 
 #[cfg(test)]
@@ -1181,16 +1195,15 @@ mod tests {
     fn a_warm_hit_never_joins_a_flight() {
         let (service, queries) = service();
         let query = &queries[0];
-        let _ = service.run(query).unwrap(); // warm the plan cache
-        let canonical = query.canonical();
+        let _ = service.run(query).unwrap(); // warm the plan cache: one flight led
         let key = FlightKey {
-            fingerprint: canonical.fingerprint_canonical(),
+            fingerprint: query.fingerprint(),
             version: service.store().version(),
             data_epoch: service.versioned_db().data_epoch(),
         };
         // A flight pinned open on the hit's own coordinates: only a miss
         // may register on it, so the warm duplicate answers inline.
-        let Registered::Leader(_pinned) = service.cache.flights().register(key, &canonical) else {
+        let (_pinned, true) = service.flights.register(key) else {
             panic!("manual registration must lead")
         };
         let TryRun::Done(hit) = service.try_run(query).unwrap() else {
@@ -1198,7 +1211,7 @@ mod tests {
         };
         assert!(hit.cache_hit);
         let stats = service.stats();
-        assert_eq!((stats.singleflight_leaders, stats.singleflight_followers), (0, 0), "{stats:?}");
+        assert_eq!((stats.singleflight_leaders, stats.singleflight_followers), (1, 0), "{stats:?}");
     }
 
     #[test]

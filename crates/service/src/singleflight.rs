@@ -1,6 +1,7 @@
 //! Singleflight miss deduplication: concurrent cache misses on the same
 //! `(fingerprint, store version, data epoch)` coordinates share one
-//! optimization instead of paying for N.
+//! optimization instead of paying for N. Every miss takes this path:
+//! [`crate::QueryService::run`]'s and the `sqo-frontend` worker pool's.
 //!
 //! The first request to miss registers itself as the **leader** and
 //! receives a [`MissGuard`]; it runs the full optimize+plan+execute
@@ -11,7 +12,16 @@
 //! leaves a continuation with [`MissWaiter::on_resolved`] (how the
 //! `sqo-frontend` worker pool carries thousands of waiting logical clients
 //! on a fixed number of threads), or calls [`MissWaiter::wait`] to block
-//! the calling thread when it does own one.
+//! the calling thread, as `run` does. A thread that holds a [`MissGuard`]
+//! must therefore not `run` the same query: it would wait on itself.
+//!
+//! A flight holds no copy of the query. The table is keyed by fingerprint,
+//! and a follower holds its own canonical form, which its miss built
+//! anyway: when the flight resolves, the follower is handed the leader's
+//! outcome only if the leader's query has that canonical form
+//! ([`Query::same_canonical`], the plan cache's rule). Two queries whose
+//! fingerprints collide (2⁻⁶⁴) therefore never share an answer: the
+//! follower sees [`FlightError::Aborted`] and asks again.
 //!
 //! Delivery is exact-once by one critical section: under the flight's
 //! state lock a flight is either `Open`, holding its continuations, or
@@ -39,6 +49,7 @@ use sqo_constraints::{ConstraintStore, StoreVersion};
 use sqo_query::sync::{Mutex, Unlocked, FLIGHT_STATE, SERVICE_FLIGHTS};
 use sqo_query::{Query, QueryFingerprint};
 
+use crate::cache::{CacheEntry, Prehashing};
 use crate::service::{ServiceError, ServiceResponse};
 
 /// Identity of one in-flight miss: the full validity coordinates of the
@@ -58,11 +69,13 @@ pub struct FlightKey {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlightError {
     /// The leader ran the pipeline and it failed; the error is shared
-    /// verbatim with every follower (re-running would fail identically).
+    /// verbatim with every follower of the same query (re-running would
+    /// fail identically).
     Failed(ServiceError),
-    /// The leader dropped its [`MissGuard`] without completing (panic or
-    /// cancellation). The follower should re-register — the next
-    /// registrant becomes the new leader.
+    /// The flight has no answer for this follower: the leader dropped its
+    /// [`MissGuard`] without completing (panic or cancellation), or it
+    /// answered another query with the same fingerprint. The follower
+    /// should re-register — the next registrant becomes the new leader.
     Aborted,
 }
 
@@ -74,17 +87,41 @@ pub type FlightResult = Result<ServiceResponse, FlightError>;
 /// from ever being invoked under the flight's state guard.
 type Continuation = Box<dyn FnOnce(&mut Unlocked, FlightResult) + Send + 'static>;
 
+/// How a flight ended: the leader's outcome, and the query it answers.
+#[derive(Debug)]
+pub(crate) struct Resolution {
+    outcome: FlightResult,
+    /// The entry the leader answered from, when it has one.
+    entry: Option<Arc<CacheEntry>>,
+    /// The leader's canonical query, while no entry holds it (its
+    /// derivation failed, or it died first).
+    canonical: Query,
+}
+
+impl Resolution {
+    /// The outcome for a follower whose canonical query is `canonical`:
+    /// the leader's if the leader's query is the same, else `Aborted`.
+    fn outcome_for(&self, canonical: &Query) -> FlightResult {
+        let answered = self.entry.as_ref().map_or(&self.canonical, |entry| &entry.canonical);
+        if canonical.same_canonical(answered) {
+            self.outcome.clone()
+        } else {
+            Err(FlightError::Aborted)
+        }
+    }
+}
+
 enum FlightState {
-    /// Unresolved: the continuations to run with the outcome.
-    Open(Vec<Continuation>),
-    Resolved(FlightResult),
+    /// Unresolved: each waiting follower's canonical query and continuation.
+    Open(Vec<(Query, Continuation)>),
+    Resolved(Resolution),
 }
 
 impl fmt::Debug for FlightState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FlightState::Open(waiting) => write!(f, "Open({} waiting)", waiting.len()),
-            FlightState::Resolved(outcome) => f.debug_tuple("Resolved").field(outcome).finish(),
+            FlightState::Resolved(done) => f.debug_tuple("Resolved").field(done).finish(),
         }
     }
 }
@@ -92,109 +129,93 @@ impl fmt::Debug for FlightState {
 /// One in-flight miss: the leader publishes here, followers wait here.
 #[derive(Debug)]
 pub(crate) struct Flight {
-    /// The canonical query, kept to disarm 64-bit fingerprint collisions
-    /// exactly like the plan cache does.
-    canonical: Query,
     state: Mutex<FLIGHT_STATE, FlightState>,
 }
 
 impl Flight {
-    fn new(canonical: Query) -> Self {
-        Self { canonical, state: Mutex::new(FlightState::Open(Vec::new())) }
-    }
-
-    /// Publishes the outcome and runs every registered continuation with
-    /// it, on this thread, after the state lock is released. Idempotent
-    /// (the first resolution wins).
-    fn resolve(&self, held: &mut Unlocked, outcome: FlightResult) {
-        let waiting = {
+    /// Publishes the resolution and runs every registered continuation
+    /// with its follower's outcome, on this thread, after the state lock is
+    /// released. Idempotent (the first resolution wins).
+    fn resolve(&self, held: &mut Unlocked, resolution: Resolution) {
+        let ready: Vec<_> = {
             let mut state = self.state.lock(held);
-            match &mut *state {
-                FlightState::Resolved(_) => return,
-                FlightState::Open(waiting) => {
-                    let waiting = std::mem::take(waiting);
-                    *state = FlightState::Resolved(outcome.clone());
-                    waiting
-                }
-            }
+            let FlightState::Open(waiting) = &mut *state else { return };
+            let ready = std::mem::take(waiting)
+                .into_iter()
+                .map(|(canonical, continuation)| (continuation, resolution.outcome_for(&canonical)))
+                .collect();
+            *state = FlightState::Resolved(resolution);
+            ready
         };
-        for continuation in waiting {
-            continuation(held, outcome.clone());
+        for (continuation, outcome) in ready {
+            continuation(held, outcome);
         }
     }
 
-    /// Runs `continuation` with the outcome exactly once: inline if the
-    /// flight has resolved, otherwise from [`Flight::resolve`]. Checking
-    /// the state and joining the list happen under one lock, so a
-    /// resolution can never slip between them.
+    /// Runs `continuation` with the outcome for `canonical` exactly once:
+    /// inline if the flight has resolved, otherwise from
+    /// [`Flight::resolve`]. Checking the state and joining the list happen
+    /// under one lock, so a resolution can never slip between them.
     fn on_resolved(
         &self,
         held: &mut Unlocked,
+        canonical: Query,
         continuation: impl FnOnce(&mut Unlocked, FlightResult) + Send + 'static,
     ) {
         let outcome = {
             let mut state = self.state.lock(held);
             match &mut *state {
                 FlightState::Open(waiting) => {
-                    waiting.push(Box::new(continuation));
+                    waiting.push((canonical, Box::new(continuation)));
                     return;
                 }
-                FlightState::Resolved(outcome) => outcome.clone(),
+                FlightState::Resolved(resolution) => resolution.outcome_for(&canonical),
             }
         };
         continuation(held, outcome);
     }
 }
 
-/// How a [`FlightTable::register`] call landed.
-#[derive(Debug)]
-pub(crate) enum Registered {
-    /// First registrant on these coordinates: run the miss pipeline.
-    Leader(Arc<Flight>),
-    /// A leader is already in flight: wait for its answer.
-    Follower(Arc<Flight>),
-    /// Same fingerprint, different canonical query (a 2⁻⁶⁴ hash
-    /// collision): do not share; run the undeduplicated path.
-    Collision,
-}
-
-/// The in-flight miss registry, shared by the plan cache and every
-/// [`MissGuard`]/[`MissWaiter`] handed out from it.
+/// The in-flight miss registry, shared by the service and every
+/// [`MissGuard`] handed out from it: one flight per fingerprint, keyed by
+/// it with the plan cache's identity hasher, beside the full coordinates
+/// it answers.
 #[derive(Debug, Default)]
 pub(crate) struct FlightTable {
-    flights: Mutex<SERVICE_FLIGHTS, HashMap<FlightKey, Arc<Flight>>>,
+    flights:
+        Mutex<SERVICE_FLIGHTS, HashMap<QueryFingerprint, (FlightKey, Arc<Flight>), Prehashing>>,
 }
 
 impl FlightTable {
-    /// Registers interest in `key`: the first caller becomes the leader,
-    /// everyone after it (until the flight resolves) a follower.
-    pub(crate) fn register(&self, key: FlightKey, canonical: &Query) -> Registered {
+    /// Registers interest in `key`: the flight, and whether the caller
+    /// leads it. The first caller becomes the leader and runs the miss
+    /// pipeline; everyone after it (until the flight resolves) follows, and
+    /// waits for the leader's answer. A miss at other coordinates of the
+    /// same fingerprint (a later data epoch or store version) leads a
+    /// flight of its own, which takes the slot; the flight it displaces
+    /// still resolves the followers it has.
+    pub(crate) fn register(&self, key: FlightKey) -> (Arc<Flight>, bool) {
         let mut held = Unlocked::new();
         let mut flights = self.flights.lock(&mut held);
-        match flights.get(&key) {
-            Some(flight) if flight.canonical == *canonical => {
-                Registered::Follower(Arc::clone(flight))
-            }
-            Some(_) => Registered::Collision,
-            None => {
-                let flight = Arc::new(Flight::new(canonical.clone()));
-                flights.insert(key, Arc::clone(&flight));
-                Registered::Leader(flight)
-            }
+        if let Some((_, flight)) = flights.get(&key.fingerprint).filter(|(at, _)| *at == key) {
+            return (Arc::clone(flight), false);
         }
+        let flight = Arc::new(Flight { state: Mutex::new(FlightState::Open(Vec::new())) });
+        flights.insert(key.fingerprint, (key, Arc::clone(&flight)));
+        (flight, true)
     }
 
     /// Removes `flight` from the table (only if it is still the one
-    /// registered — a successor flight on the same key is left alone) and
-    /// resolves it. New registrants on the key start a fresh flight.
-    fn retire(&self, key: FlightKey, flight: &Arc<Flight>, outcome: FlightResult) {
+    /// registered — a successor flight on the same fingerprint is left
+    /// alone) and resolves it. New registrants start a fresh flight.
+    fn retire(&self, key: FlightKey, flight: &Arc<Flight>, resolution: Resolution) {
         let mut held = Unlocked::new();
         let mut flights = self.flights.lock(&mut held);
-        if flights.get(&key).is_some_and(|f| Arc::ptr_eq(f, flight)) {
-            flights.remove(&key);
+        if flights.get(&key.fingerprint).is_some_and(|(_, f)| Arc::ptr_eq(f, flight)) {
+            flights.remove(&key.fingerprint);
         }
         drop(flights);
-        flight.resolve(&mut held, outcome);
+        flight.resolve(&mut held, resolution);
     }
 
     /// Number of flights currently in the table (diagnostics).
@@ -213,11 +234,13 @@ impl FlightTable {
 #[derive(Debug)]
 pub struct MissGuard {
     key: FlightKey,
-    canonical: Query,
+    /// The leader's canonical query, until its derivation moves it into
+    /// the entry it publishes.
+    pub(crate) canonical: Query,
     /// The store captured at registration: the leader derives under
     /// exactly the version its flight (and cache stamp) names, even if
     /// the service's store is swapped mid-flight.
-    store: Arc<ConstraintStore>,
+    pub(crate) store: Arc<ConstraintStore>,
     table: Arc<FlightTable>,
     flight: Arc<Flight>,
     completed: bool,
@@ -228,10 +251,10 @@ impl MissGuard {
         key: FlightKey,
         canonical: Query,
         store: Arc<ConstraintStore>,
-        table: Arc<FlightTable>,
+        table: &Arc<FlightTable>,
         flight: Arc<Flight>,
     ) -> Self {
-        Self { key, canonical, store, table, flight, completed: false }
+        Self { key, canonical, store, table: Arc::clone(table), flight, completed: false }
     }
 
     /// The flight's coordinates.
@@ -239,39 +262,38 @@ impl MissGuard {
         self.key
     }
 
-    /// The canonical query the leader must optimize.
-    pub fn canonical(&self) -> &Query {
-        &self.canonical
-    }
-
-    pub(crate) fn store(&self) -> &Arc<ConstraintStore> {
-        &self.store
-    }
-
-    /// Retires the flight with `outcome`, resuming every follower.
-    pub(crate) fn finish(mut self, outcome: FlightResult) {
+    /// Retires the flight with `outcome`, answered from `entry` when the
+    /// leader has one, resuming every follower.
+    pub(crate) fn finish(mut self, outcome: FlightResult, entry: Option<Arc<CacheEntry>>) {
         self.completed = true;
-        self.table.retire(self.key, &self.flight, outcome);
+        self.retire(outcome, entry);
+    }
+
+    fn retire(&mut self, outcome: FlightResult, entry: Option<Arc<CacheEntry>>) {
+        let canonical = std::mem::take(&mut self.canonical);
+        self.table.retire(self.key, &self.flight, Resolution { outcome, entry, canonical });
     }
 }
 
 impl Drop for MissGuard {
     fn drop(&mut self) {
         if !self.completed {
-            self.table.retire(self.key, &self.flight, Err(FlightError::Aborted));
+            self.retire(Err(FlightError::Aborted), None);
         }
     }
 }
 
-/// A follower's handle on an in-flight miss.
+/// A follower's handle on an in-flight miss, holding the follower's own
+/// canonical query to check the leader's answer against.
 #[derive(Debug)]
 pub struct MissWaiter {
     flight: Arc<Flight>,
+    canonical: Query,
 }
 
 impl MissWaiter {
-    pub(crate) fn new(flight: Arc<Flight>) -> Self {
-        Self { flight }
+    pub(crate) fn new(flight: Arc<Flight>, canonical: Query) -> Self {
+        Self { flight, canonical }
     }
 
     /// Non-blocking: hands the flight `continuation`, to be run exactly
@@ -287,7 +309,7 @@ impl MissWaiter {
         self,
         continuation: impl FnOnce(&mut Unlocked, FlightResult) + Send + 'static,
     ) {
-        self.flight.on_resolved(&mut Unlocked::new(), continuation);
+        self.flight.on_resolved(&mut Unlocked::new(), self.canonical, continuation);
     }
 
     /// Blocks the calling thread until the flight resolves — the
@@ -322,60 +344,80 @@ mod tests {
         }
     }
 
+    /// A leader's resolution of a query with no entry: `outcome` answers
+    /// `canonical`.
+    fn resolved(outcome: FlightResult, canonical: &Query) -> Resolution {
+        Resolution { outcome, entry: None, canonical: canonical.clone() }
+    }
+
     #[test]
     fn first_registrant_leads_rest_follow() {
         let table = Arc::new(FlightTable::default());
         let q = Query::new();
-        let Registered::Leader(flight) = table.register(key(1), &q) else {
-            panic!("first registrant must lead")
-        };
-        assert!(matches!(table.register(key(1), &q), Registered::Follower(_)));
-        assert!(matches!(table.register(key(2), &q), Registered::Leader(_)));
+        let (flight, true) = table.register(key(1)) else { panic!("first registrant must lead") };
+        assert!(!table.register(key(1)).1);
+        let (second, true) = table.register(key(2)) else { panic!() };
         assert_eq!(table.len(), 2);
-        table.retire(key(1), &flight, Ok(response()));
+        table.retire(key(1), &flight, resolved(Ok(response()), &q));
         assert_eq!(table.len(), 1);
         // After retirement the key is free again: a new leader, not a
         // follower of the resolved flight.
-        assert!(matches!(table.register(key(1), &q), Registered::Leader(_)));
+        assert!(table.register(key(1)).1);
+
+        // Other coordinates of a fingerprint lead a flight of their own,
+        // which takes the slot; retiring the displaced one leaves it there.
+        let later = FlightKey { data_epoch: 1, ..key(2) };
+        let (successor, true) = table.register(later) else { panic!("a later epoch leads") };
+        assert!(!table.register(later).1);
+        table.retire(key(2), &second, resolved(Ok(response()), &q));
+        assert!(!table.register(later).1, "the successor is still in flight");
+        table.retire(later, &successor, resolved(Ok(response()), &q));
+        assert_eq!(table.len(), 1);
     }
 
+    /// Two queries with one fingerprint share a flight, but not its answer:
+    /// the follower whose query is not the leader's is told to ask again.
     #[test]
     fn fingerprint_collisions_do_not_share() {
         let table = FlightTable::default();
         let q = Query::new();
         let mut other = Query::new();
         other.classes.push(sqo_catalog::ClassId(0));
-        let _leader = table.register(key(7), &q);
-        assert!(matches!(table.register(key(7), &other), Registered::Collision));
+        let (flight, true) = table.register(key(7)) else { panic!() };
+        let (same, false) = table.register(key(7)) else { panic!() };
+        let (collided, false) = table.register(key(7)) else { panic!() };
+        let (same, collided) = (MissWaiter::new(same, q.clone()), MissWaiter::new(collided, other));
+        table.retire(key(7), &flight, resolved(Ok(response()), &q));
+        assert!(same.wait().is_ok());
+        assert!(matches!(collided.wait(), Err(FlightError::Aborted)));
     }
 
     #[test]
     fn followers_wake_on_resolution_and_dropped_guards_abort() {
         let table = Arc::new(FlightTable::default());
         let q = Query::new();
-        let Registered::Leader(flight) = table.register(key(1), &q) else { panic!() };
-        let Registered::Follower(joined) = table.register(key(1), &q) else { panic!() };
-        let waiter = MissWaiter::new(joined);
+        let (flight, true) = table.register(key(1)) else { panic!() };
+        let (joined, false) = table.register(key(1)) else { panic!() };
+        let waiter = MissWaiter::new(joined, q.clone());
         let resolver = {
-            let table = Arc::clone(&table);
-            std::thread::spawn(move || table.retire(key(1), &flight, Ok(response())))
+            let (table, resolution) = (Arc::clone(&table), resolved(Ok(response()), &q));
+            std::thread::spawn(move || table.retire(key(1), &flight, resolution))
         };
         assert!(waiter.wait().is_ok());
         resolver.join().unwrap();
 
         // A guard dropped without completion aborts its flight: a parked
         // continuation runs on the dropping thread, a blocked waiter wakes.
-        let Registered::Leader(flight) = table.register(key(3), &q) else { panic!() };
-        let Registered::Follower(parked) = table.register(key(3), &q) else { panic!() };
-        let Registered::Follower(joined) = table.register(key(3), &q) else { panic!() };
+        let (flight, true) = table.register(key(3)) else { panic!() };
+        let (parked, false) = table.register(key(3)) else { panic!() };
+        let (joined, false) = table.register(key(3)) else { panic!() };
         let (tx, rx) = std::sync::mpsc::channel();
-        MissWaiter::new(parked).on_resolved(move |_, outcome| tx.send(outcome).unwrap());
+        MissWaiter::new(parked, q.clone()).on_resolved(move |_, outcome| tx.send(outcome).unwrap());
         assert!(rx.try_recv().is_err(), "nothing runs while the flight is open");
-        let guard =
-            MissGuard::new(key(3), q.clone(), Arc::new(test_store()), Arc::clone(&table), flight);
+        let guard = MissGuard::new(key(3), q.clone(), Arc::new(test_store()), &table, flight);
         drop(guard);
         assert!(matches!(rx.try_recv(), Ok(Err(FlightError::Aborted))));
-        assert!(matches!(MissWaiter::new(joined).wait(), Err(FlightError::Aborted)));
+        assert!(matches!(MissWaiter::new(joined, q).wait(), Err(FlightError::Aborted)));
         assert_eq!(table.len(), 0, "aborted flights leave the table");
     }
 
@@ -389,13 +431,13 @@ mod tests {
         let table = FlightTable::default();
         let q = Query::new();
         for round in 0..500u64 {
-            let Registered::Leader(flight) = table.register(key(round), &q) else { panic!() };
+            let (flight, true) = table.register(key(round)) else { panic!() };
             let runs: Arc<Vec<AtomicUsize>> =
                 Arc::new((0..FOLLOWERS).map(|_| AtomicUsize::new(0)).collect());
             let start = std::sync::Barrier::new(FOLLOWERS + 1);
             std::thread::scope(|scope| {
                 for i in 0..FOLLOWERS {
-                    let waiter = MissWaiter::new(Arc::clone(&flight));
+                    let waiter = MissWaiter::new(Arc::clone(&flight), q.clone());
                     let (runs, start) = (Arc::clone(&runs), &start);
                     scope.spawn(move || {
                         start.wait();
@@ -406,11 +448,8 @@ mod tests {
                     });
                 }
                 start.wait();
-                table.retire(
-                    key(round),
-                    &flight,
-                    Ok(ServiceResponse { epoch: round, ..response() }),
-                );
+                let outcome = Ok(ServiceResponse { epoch: round, ..response() });
+                table.retire(key(round), &flight, resolved(outcome, &q));
             });
             // Early registrations ran inside `retire`, late ones inline on
             // their own thread; both have returned by now.
@@ -423,10 +462,11 @@ mod tests {
     #[test]
     fn a_continuation_registered_after_resolution_runs_inline() {
         let table = FlightTable::default();
-        let Registered::Leader(flight) = table.register(key(1), &Query::new()) else { panic!() };
-        table.retire(key(1), &flight, Ok(response()));
+        let q = Query::new();
+        let (flight, true) = table.register(key(1)) else { panic!() };
+        table.retire(key(1), &flight, resolved(Ok(response()), &q));
         let (tx, rx) = std::sync::mpsc::channel();
-        MissWaiter::new(flight).on_resolved(move |_, outcome| {
+        MissWaiter::new(flight, q).on_resolved(move |_, outcome| {
             tx.send((std::thread::current().id(), outcome)).unwrap()
         });
         let (ran_on, outcome) = rx.try_recv().expect("ran before on_resolved returned");

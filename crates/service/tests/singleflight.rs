@@ -2,6 +2,7 @@
 //! invalidation-during-flight soundness case the flight key exists for.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use sqo_service::{QueryService, TryRun};
 use sqo_workload::{paper_scenario, DbSize};
@@ -125,10 +126,10 @@ fn invalidation_during_flight_never_publishes_a_stale_entry() {
 /// A leader whose flight registered after another request had already
 /// published the plan serves that plan instead of optimizing again.
 ///
-/// Deterministic: the leader guard is held while `run` misses, derives and
-/// publishes on its own (it goes through `prepare`, not the flight table),
-/// which is what a request that missed just before an earlier leader
-/// published and registered after that flight retired looks like.
+/// Deterministic: the leader guard is held while `prepare` misses, derives
+/// and publishes the plan on its own (a plan-only request joins no
+/// flight), which is what a request that missed just before an earlier
+/// leader published and registered after that flight retired looks like.
 #[test]
 fn a_leader_that_registered_after_publication_does_not_optimize_again() {
     let (service, queries) = service();
@@ -137,14 +138,12 @@ fn a_leader_that_registered_after_publication_does_not_optimize_again() {
     let TryRun::Leader(guard) = service.try_run(query).unwrap() else {
         panic!("cold miss must lead")
     };
-    let published = service.run(query).unwrap();
+    assert!(!service.prepare(query).unwrap().cache_hit);
     assert_eq!(service.stats().optimizations, 1);
 
     let led = service.complete_miss(guard).unwrap();
     let stats = service.stats();
     assert_eq!(stats.optimizations, 1, "the plan was published before the leader ran: {stats:?}");
-    assert!(led.results.same_multiset(&published.results));
-    assert_eq!((led.epoch, led.data_epoch), (published.epoch, published.data_epoch));
     assert!(led.cache_hit, "the leader served the published plan");
     assert_eq!(stats.singleflight_leaders, 1);
     assert_eq!(
@@ -152,4 +151,47 @@ fn a_leader_that_registered_after_publication_does_not_optimize_again() {
         (2, 0),
         "the re-check is no lookup: {stats:?}"
     );
+    let later = service.run(query).unwrap();
+    assert!(later.cache_hit);
+    assert!(Arc::ptr_eq(&later.results, &led.results), "the leader's rows are the memo");
+    assert_eq!((led.epoch, led.data_epoch), (later.epoch, later.data_epoch));
+}
+
+/// `run` on a query whose flight another request leads follows that
+/// flight: nothing more is optimized or executed, and every thread gets
+/// the leader's rows.
+///
+/// Deterministic: the main thread holds the leader guard until every
+/// thread has registered as a follower. The wait is bounded, so a `run`
+/// that bypasses the flight table fails the test instead of hanging it.
+#[test]
+fn run_follows_an_open_flight() {
+    const THREADS: usize = 8;
+    let (service, queries) = service();
+    let query = &queries[0];
+
+    let TryRun::Leader(guard) = service.try_run(query).unwrap() else {
+        panic!("cold miss must lead")
+    };
+    let runs: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let (service, query) = (Arc::clone(&service), query.clone());
+            std::thread::spawn(move || service.run(&query).unwrap())
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while service.stats().singleflight_followers < THREADS as u64 {
+        assert!(Instant::now() < deadline, "run joined no flight: {:?}", service.stats());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let led = service.complete_miss(guard).unwrap();
+    for run in runs {
+        let followed = run.join().unwrap();
+        assert!(Arc::ptr_eq(&followed.results, &led.results), "the leader's rows, shared");
+        assert_eq!((followed.epoch, followed.data_epoch), (led.epoch, led.data_epoch));
+    }
+    let stats = service.stats();
+    assert_eq!((stats.optimizations, stats.executions), (1, 1), "{stats:?}");
+    assert_eq!((stats.singleflight_leaders, stats.singleflight_followers), (1, THREADS as u64));
 }
