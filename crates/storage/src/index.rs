@@ -4,7 +4,9 @@
 //! [`OrdValue`](crate::OrdValue) order — the order `.sqos` stores either
 //! kind in. The kind is what the catalog declared and decides only which
 //! probes the index serves: a hash index refuses ranges, so plans and probe
-//! counts are those of a hash table.
+//! counts are those of a hash table. A posting of two or more ids is one
+//! shared, immutable allocation ([`Posting`]), so successive snapshots
+//! share postings the way they share pages.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -28,22 +30,36 @@ pub struct AttrIndex {
 }
 
 /// One key's object ids, ascending: held inline while there is one, as for
-/// every key of a unique attribute, so such a key allocates nothing (a
-/// `Vec` of one id costs an allocator call and a 32-byte chunk). The same
-/// size as a `Vec`. Reads go through the slice it derefs to, and two
-/// postings are equal when their ids are.
+/// every key of a unique attribute, so such a key allocates nothing; two or
+/// more are one shared, immutable allocation of exactly their length. A
+/// copied [`ValueMap`] page therefore clones one pointer per posting, and a
+/// write rebuilds only the posting it changes, in one allocation. The same
+/// size as an `Arc<[ObjectId]>`. Reads go through the slice it derefs to,
+/// and two postings are equal when their ids are.
 #[derive(Debug, Clone)]
 pub(crate) enum Posting {
     One(ObjectId),
     /// Two or more ids, or none: a new posting, or one that was emptied.
-    Many(Vec<ObjectId>),
+    Many(Arc<[ObjectId]>),
 }
 
-const _: () = assert!(std::mem::size_of::<Posting>() == std::mem::size_of::<Vec<ObjectId>>());
+const _: () = assert!(std::mem::size_of::<Posting>() == std::mem::size_of::<Arc<[ObjectId]>>());
 
 impl Default for Posting {
+    /// No ids; an empty `Arc` slice is a static, so this allocates nothing.
     fn default() -> Self {
-        Posting::Many(Vec::new())
+        Posting::Many(Arc::default())
+    }
+}
+
+impl From<&[ObjectId]> for Posting {
+    /// `oids`, ascending: inline when there is one, else one allocation.
+    fn from(oids: &[ObjectId]) -> Self {
+        match *oids {
+            [] => Posting::default(),
+            [oid] => Posting::One(oid),
+            _ => Posting::Many(Arc::from(oids)),
+        }
     }
 }
 
@@ -65,41 +81,27 @@ impl std::ops::Deref for Posting {
 }
 
 impl Posting {
-    /// An empty posting with room for `n` ids, allocating only for two or
-    /// more.
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        Posting::Many(if n > 1 { Vec::with_capacity(n) } else { Vec::new() })
-    }
-
-    /// Inserts `oid` at position `at` of the ids.
+    /// Inserts `oid` at position `at` of the ids: a new list, one allocation.
     fn insert(&mut self, at: usize, oid: ObjectId) {
-        match self {
-            Posting::Many(oids) if oids.capacity() == 0 => *self = Posting::One(oid),
-            Posting::Many(oids) => oids.insert(at, oid),
-            Posting::One(first) => {
-                let mut oids = vec![*first, *first];
-                oids[at.min(1)] = oid;
-                *self = Posting::Many(oids);
+        let (below, above) = self.split_at(at);
+        *self = match (below, above) {
+            ([], []) => Posting::One(oid),
+            _ => {
+                let oids = below.iter().copied().chain(std::iter::once(oid));
+                Posting::Many(oids.chain(above.iter().copied()).collect())
             }
-        }
+        };
     }
 
-    /// Appends `oid`, which is above every id held.
-    pub(crate) fn push(&mut self, oid: ObjectId) {
-        self.insert(self.len(), oid);
-    }
-
-    /// Removes the id at `at`; a last id left goes inline.
+    /// Removes the id at `at`: a new list, one allocation; a last id left
+    /// goes inline.
     fn remove(&mut self, at: usize) {
-        match self {
-            Posting::One(_) => *self = Posting::default(),
-            Posting::Many(oids) => {
-                oids.remove(at);
-                if let [last] = oids[..] {
-                    *self = Posting::One(last);
-                }
-            }
-        }
+        let (below, above) = (&self[..at], &self[at + 1..]);
+        *self = match (below, above) {
+            ([], []) => Posting::default(),
+            ([oid], []) | ([], [oid]) => Posting::One(*oid),
+            _ => Posting::Many(below.iter().chain(above).copied().collect()),
+        };
     }
 }
 
@@ -117,23 +119,61 @@ fn ascending<T: Element>(column: &PagedVec<T>) -> Option<ValueMap<Posting>> {
 /// The postings of `column`: each distinct element's ascending object ids.
 fn group<T: Element>(column: &PagedVec<T>) -> ValueMap<Posting> {
     ascending(column).unwrap_or_else(|| {
-        let mut groups: HashMap<&T, Posting, ValueHashState> = HashMap::default();
-        for (v, oid) in column.iter().zip((0..).map(ObjectId)) {
-            groups.entry(v).or_default().push(oid);
-        }
-        groups.into_iter().map(|(v, posting)| (v.value(), posting)).collect()
+        let mut groups: HashMap<&T, u32, ValueHashState> = HashMap::default();
+        let mut keys = Vec::new();
+        let mut of = Vec::with_capacity(column.len());
+        of.extend(column.iter().map(|v| {
+            *groups.entry(v).or_insert_with(|| {
+                keys.push(v.value());
+                keys.len() as u32 - 1
+            })
+        }));
+        cut(keys, &of)
     })
 }
 
 /// [`group`] for a string column, making its strings canonical on the way.
 fn group_strings(column: &mut PagedVec<Arc<str>>) -> ValueMap<Posting> {
     ascending(column).unwrap_or_else(|| {
-        let mut groups: CanonicalMap<Posting> = HashMap::default();
-        for (s, oid) in column.iter_mut().zip((0..).map(ObjectId)) {
-            canonical_update(&mut groups, s, |posting| posting.push(oid));
+        let mut groups: CanonicalMap<Option<u32>> = HashMap::default();
+        let mut keys = Vec::new();
+        let mut of = Vec::with_capacity(column.len());
+        for s in column.iter_mut() {
+            let fresh = keys.len() as u32;
+            let mut g = fresh;
+            canonical_update(&mut groups, s, |group| g = *group.get_or_insert(fresh));
+            if g == fresh {
+                keys.push(Value::Str(Arc::clone(s)));
+            }
+            of.push(g);
         }
-        groups.into_iter().map(|(s, (_, posting))| (Value::Str(s), posting)).collect()
+        cut(keys, &of)
     })
+}
+
+/// The postings of a grouping: `keys[g]` is filed over the objects `o` with
+/// `of[o] == g`, ascending. A counting sort lays the ids out group after
+/// group in one buffer, and each posting is cut from it with one
+/// allocation (none for a single id).
+fn cut(keys: Vec<Value>, of: &[u32]) -> ValueMap<Posting> {
+    // `next[g + 1]` counts group `g`, then the sums make `next[g]` where
+    // group `g` starts; placing the ids moves it to where `g` ends.
+    let mut next = vec![0usize; keys.len() + 1];
+    for &g in of {
+        next[g as usize + 1] += 1;
+    }
+    for g in 1..next.len() {
+        next[g] += next[g - 1];
+    }
+    let mut ids = vec![ObjectId(0); of.len()];
+    for (&g, oid) in of.iter().zip((0..).map(ObjectId)) {
+        ids[next[g as usize]] = oid;
+        next[g as usize] += 1;
+    }
+    let mut start = 0;
+    let postings =
+        next.iter().map(|&end| Posting::from(&ids[std::mem::replace(&mut start, end)..end]));
+    keys.into_iter().zip(postings).collect()
 }
 
 /// The one value a closed range `[v, v]` denotes — a point probe, which both
@@ -173,8 +213,10 @@ impl AttrIndex {
         self.kind
     }
 
+    /// Appends `oid`, which is above every id `value`'s posting holds.
     pub fn insert(&mut self, value: Value, oid: ObjectId) {
-        self.postings.entry(value).1.push(oid);
+        let posting = self.postings.entry(value).1;
+        posting.insert(posting.len(), oid);
     }
 
     /// Inserts `oid` into `value`'s posting at its sorted position, so

@@ -421,6 +421,9 @@ fn decode_indexes(
 ) -> Result<Vec<Vec<Option<AttrIndex>>>, LoadError> {
     let mut r = file.require(SEC_INDEXES)?;
     let mut banks = Vec::with_capacity(catalog.class_count());
+    // One posting's ids as they are checked, reused: each posting is then
+    // one allocation of its length.
+    let mut posting: Vec<ObjectId> = Vec::new();
     let mut class_base = 0usize;
     for (cid, cdef) in catalog.classes() {
         let cardinality = cards[cid.index()];
@@ -442,7 +445,8 @@ fn decode_indexes(
             for _ in 0..entry_count {
                 let value = read_value_raw(&mut r, adef.ty, &mut pool)?;
                 let posting_count = r.count()?;
-                let mut posting = Posting::with_capacity(posting_count.min(1024));
+                posting.clear();
+                posting.reserve(posting_count.min(1024));
                 for _ in 0..posting_count {
                     let o = r.u32()?;
                     if o as usize >= cardinality {
@@ -476,7 +480,7 @@ fn decode_indexes(
                     });
                 }
                 covered += posting.len();
-                entries.push((value, posting));
+                entries.push((value, Posting::from(&posting[..])));
             }
             if covered != cardinality {
                 let detail = format!("postings hold {covered} of {cardinality} objects");

@@ -6,9 +6,12 @@
 //! `Arc`'d pages of at most [`PAGE_FILL`] entries behind an `Arc`'d page
 //! table, the way `PagedVec` holds rows. Cloning a map is a reference-count
 //! increment; a point update copies the table (one pointer per page) and the
-//! page that holds the key, and nothing else. A full page splits in two, a
-//! page that empties is dropped; pages never merge, so where they split
-//! depends on the map's history and equality compares entries, not pages.
+//! page that holds the key, and nothing else. A page copy clones each entry:
+//! a key (a string key is a pointer) and a count or an index posting, whose
+//! ids are shared, not copied (`index::Posting`). A full page splits in
+//! two, a page that empties is dropped; pages never merge, so where they
+//! split depends on the map's history and equality compares entries, not
+//! pages.
 //!
 //! A lookup is two binary searches — the table by each page's first key, then
 //! the page — and a range walks pages in order from the first hit.
@@ -20,7 +23,7 @@ use sqo_catalog::Value;
 use sqo_query::Bound;
 
 /// Entries per page at most. A copied page is `PAGE_FILL` keys and their
-/// postings or counts, whatever the number of distinct values.
+/// counts or posting pointers, whatever the number of distinct values.
 const PAGE_FILL: usize = 64;
 
 /// Sorted by key, never empty while in a table.

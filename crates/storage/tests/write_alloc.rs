@@ -12,12 +12,18 @@
 //! The first write to a class is exempt by design: it scans the class once
 //! to build the value counts of its unindexed attributes, which every later
 //! write patches.
+//!
+//! A second database, one class whose one indexed attribute holds four
+//! values of 5,000 objects each, holds a write to about the postings it
+//! rebuilds: a copied index page shares every other posting on it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use sqo_catalog::{AttrId, AttributeDef, Catalog, ClassId, DataType, IndexKind, RelId, Value};
+use sqo_catalog::{
+    AttrId, AttrRef, AttributeDef, Catalog, ClassId, DataType, IndexKind, RelId, Value,
+};
 use sqo_storage::{DataWrite, Database, IntegrityOptions, ObjectId};
 
 thread_local! {
@@ -162,13 +168,18 @@ fn a_write_allocates_for_what_it_touches() {
     let (next, bytes) = counted(|| db.with_writes(&insert, None));
     let (next, receipt) = next.unwrap();
     assert_eq!(receipt.inserted, vec![ObjectId(OBJECTS + 1)]);
-    // Measured 80,917 B, the same in both profiles (95,009 B before link
-    // tables became paged CSR: a link side's page copy cloned the 128 lists
-    // it held, where a CSR page is rebuilt as one allocation; 92,125 B
-    // before columns held their declared types: the last page of each of
-    // the four `Int` columns is 1 KiB of `i64`s and of each of the three
-    // `Str` columns 2 KiB of pointers, where a page of `Value`s was 3 KiB).
-    assert!(bytes <= 1 << 20, "a one-object insert allocated {bytes} B");
+    // Measured 60,713 B, the same in both profiles. It was 80,653 B before
+    // a posting of two or more ids became one shared allocation: the copy
+    // of the `b3` index page the new item's tag sits on cloned every
+    // posting of ~67 ids on it, and the `a3` page every posting of four,
+    // where a copy now clones one pointer per posting and rebuilds only the
+    // two postings written. (95,009 B before link tables became paged CSR:
+    // a link side's page copy cloned the 128 lists it held, where a CSR
+    // page is rebuilt as one allocation; 92,125 B before columns held their
+    // declared types: the last page of each of the four `Int` columns is
+    // 1 KiB of `i64`s and of each of the three `Str` columns 2 KiB of
+    // pointers, where a page of `Value`s was 3 KiB.)
+    assert!(bytes <= 64 << 10, "a one-object insert allocated {bytes} B");
 
     // An update of an unindexed attribute leaves every index shared: one
     // page of the attribute's column, one page of its counts, their tables.
@@ -184,5 +195,72 @@ fn a_write_allocates_for_what_it_touches() {
     // their declared types: the copied page of the `Int` column is 1 KiB,
     // not 3); an update touches no link table.
     assert!(bytes <= 64 << 10, "a one-attribute update allocated {bytes} B");
+    assert_eq!(after.stats(), &after.rebuild_statistics());
+}
+
+/// `pupil.grade`'s distinct values: over [`OBJECTS`] pupils, four postings
+/// of 5,000 ids each, all on one page of the index.
+const GRADES: u32 = 4;
+const PUPIL: ClassId = ClassId(0);
+const GRADE: AttrId = AttrId(0);
+const GRADE_OF: AttrRef = AttrRef { class: PUPIL, attr: GRADE };
+
+/// One class of [`OBJECTS`] pupils with one attribute, an indexed grade
+/// of [`GRADES`] values, so no write keeps value counts and little but the
+/// index is written.
+fn graded() -> Database {
+    let mut b = Catalog::builder();
+    b.class("pupil", vec![AttributeDef::indexed("grade", DataType::Int, IndexKind::BTree)])
+        .unwrap();
+    let mut db = Database::builder(Arc::new(b.build().unwrap()));
+    for i in 0..OBJECTS {
+        db.insert(PUPIL, vec![Value::Int((i % GRADES).into())]).unwrap();
+    }
+    db.finalize(IntegrityOptions).unwrap()
+}
+
+/// The bytes of a posting of `ids` ids: the ids and the two reference
+/// counts of their shared allocation.
+fn posting_bytes(ids: u32) -> u64 {
+    u64::from(ids) * 4 + 16
+}
+
+#[test]
+fn a_write_copies_the_posting_it_changes_not_the_page_around_it() {
+    let base = graded();
+    let pupil = |grade: u32| DataWrite::Insert {
+        class: PUPIL,
+        tuple: vec![Value::Int(grade.into())],
+        links: vec![],
+    };
+    let (db, _) = base.with_writes(&[pupil(0)], None).unwrap();
+    let grade =
+        |db: &Database, g: u32| db.index(GRADE_OF).unwrap().probe_eq(&Value::Int(g.into())).len();
+
+    // An insert into grade 1 rebuilds that one posting of 5,001 ids; the
+    // other three postings on its page are shared, not copied.
+    let insert = [pupil(1)];
+    let (next, bytes) = counted(|| db.with_writes(&insert, None));
+    let (next, _) = next.unwrap();
+    assert_eq!((grade(&next, 1), grade(&db, 1)), (5_001, 5_000));
+    // Measured 23,325 B: the posting's 20,020 B; the rest is the column's
+    // last page, the index page and their tables. It was 123,337 B while a page copy cloned
+    // every posting on the page (80 KB) and the written one then grew.
+    let posting = posting_bytes(5_001);
+    assert!(bytes <= posting + (8 << 10), "an insert into a grade allocated {bytes} B");
+
+    // An update from grade 2 to grade 3 rebuilds those two postings.
+    let update = [DataWrite::Update {
+        class: PUPIL,
+        object: ObjectId(2),
+        attr: GRADE,
+        value: Value::Int(3),
+    }];
+    let (after, bytes) = counted(|| next.with_writes(&update, None));
+    let (after, _) = after.unwrap();
+    assert_eq!((grade(&after, 2), grade(&after, 3)), (4_999, 5_001));
+    // Measured 43,441 B (123,441 B while a page copy cloned every posting).
+    let postings = posting_bytes(4_999) + posting_bytes(5_001);
+    assert!(bytes <= postings + (8 << 10), "a grade update allocated {bytes} B");
     assert_eq!(after.stats(), &after.rebuild_statistics());
 }
